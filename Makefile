@@ -81,11 +81,12 @@ serveshard: build
 	scripts/serveshard.sh
 
 # benchsmoke is the fast CI pass over the measurement tooling: the device
-# micro-benchmarks run once each (-benchtime=1x), and the bench CLI runs a
-# tiny fig5 with the span fast path off and on — exercising the -span/-fork
-# plumbing and the BENCH record fields without a full bench-host session.
+# and allocator micro-benchmarks run once each (-benchtime=1x), and the bench
+# CLI runs a tiny fig5 with the span fast path off and on — exercising the
+# -span/-fork plumbing and the BENCH record fields without a full bench-host
+# session.
 benchsmoke: build
-	$(GO) test -run XXX -bench . -benchtime=1x ./internal/pmem/
+	$(GO) test -run XXX -bench . -benchtime=1x ./internal/pmem/ ./internal/alloc/
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -span=false -json /tmp/ffccd_benchsmoke.json >/dev/null
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -span=true -json /tmp/ffccd_benchsmoke.json >/dev/null
 	@echo "benchsmoke OK"

@@ -44,7 +44,8 @@ func (h *Heap) CheckpointInto(c *HeapCheckpoint) {
 // Restore overwrites the heap state from c. The heap must have the same
 // geometry (offset and frame count) as the checkpoint's source; the
 // checkpoint is only read, so concurrent restores from one checkpoint into
-// distinct heaps are safe.
+// distinct heaps are safe. The placement index is not in the checkpoint; it
+// is derived again from the restored state.
 func (h *Heap) Restore(c *HeapCheckpoint) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -59,4 +60,5 @@ func (h *Heap) Restore(c *HeapCheckpoint) {
 	h.liveBytes = c.LiveBytes
 	h.dupBytes = c.DupBytes
 	h.cursor = c.Cursor
+	h.buildIndex()
 }

@@ -21,19 +21,14 @@ func (h *Heap) Frag(pageShift uint) FragStats {
 	if pageShift <= 12 {
 		footprint = uint64(h.usedFrames) * FrameSize
 	} else {
-		// Count distinct OS pages containing at least one used frame.
+		// Count distinct OS pages containing at least one used frame: the
+		// pages whose frames are not all in the free-frame bitmap.
 		framesPerPage := 1 << (pageShift - 12)
 		pages := 0
 		for p := 0; p < h.frames; p += framesPerPage {
-			end := p + framesPerPage
-			if end > h.frames {
-				end = h.frames
-			}
-			for f := p; f < end; f++ {
-				if h.state[f] != FrameFree {
-					pages++
-					break
-				}
+			end := min(p+framesPerPage, h.frames)
+			if h.freeIn(p, end) < end-p {
+				pages++
 			}
 		}
 		footprint = uint64(pages) << pageShift

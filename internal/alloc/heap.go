@@ -9,6 +9,15 @@
 // keeps pmalloc/pfree free of persist barriers without losing soundness —
 // anything the bitmaps forget is garbage by definition, and the GC reclaims
 // it, which is exactly the paper's persistent-leak story.
+//
+// Placement is first fit: the first allocatable frame in cyclic order from
+// the cursor that holds a run of n free slots, lowest start slot in it, else
+// the lowest-numbered free frame. The search runs on a derived index rather
+// than a walk over the frames (index.go): a per-frame upper bound on the
+// longest free run under a max-tree, and a bitmap of the free frames. The
+// index is host-only state — it never changes which slot a request gets, is
+// not part of HeapCheckpoint, and is rebuilt from freeSlots and state
+// wherever those are replaced wholesale.
 package alloc
 
 import (
@@ -67,6 +76,11 @@ type Heap struct {
 	dupBytes   uint64 // bytes double-counted while relocation copies coexist
 
 	cursor int // next frame to consider for allocation
+
+	// Placement index, derived from freeSlots and state (index.go).
+	leaves   int      // leaf count of fit: a power of two >= frames
+	fit      []uint16 // max-tree over per-frame run bounds; frame f is fit[leaves+f]
+	freeBits []uint64 // bit f set iff state[f] == FrameFree
 }
 
 // NewHeap creates an empty heap of the given geometry.
@@ -82,6 +96,13 @@ func NewHeap(heapOff uint64, frames int) *Heap {
 	for i := range h.freeSlots {
 		h.freeSlots[i] = SlotsPerFrame
 	}
+	h.leaves = 1
+	for h.leaves < frames {
+		h.leaves <<= 1
+	}
+	h.fit = make([]uint16, 2*h.leaves)
+	h.freeBits = make([]uint64, (frames+63)/64)
+	h.buildIndex()
 	return h
 }
 
@@ -112,44 +133,85 @@ func SlotsFor(payload uint64) int {
 	return int((payload + 16 + SlotSize - 1) / SlotSize)
 }
 
-// findRun scans one frame's bitmap for a run of n free slots, returning the
-// starting slot or -1.
+// frameWords returns the four bitmap words of a frame.
+func frameWords(words []uint64, frame int) *[wordsPerFrame]uint64 {
+	return (*[wordsPerFrame]uint64)(words[frame*wordsPerFrame:])
+}
+
+// nextSlot returns the first slot >= s whose bit in w^flip is set, or
+// SlotsPerFrame: flip 0 finds the next used slot, ^0 the next free one.
+func nextSlot(w *[wordsPerFrame]uint64, s int, flip uint64) int {
+	if s >= SlotsPerFrame {
+		return SlotsPerFrame
+	}
+	i := s >> 6
+	x := (w[i] ^ flip) >> (s & 63) << (s & 63)
+	for x == 0 {
+		i++
+		if i == wordsPerFrame {
+			return SlotsPerFrame
+		}
+		x = w[i] ^ flip
+	}
+	return i<<6 + bits.TrailingZeros64(x)
+}
+
+// findRun returns the lowest starting slot of a run of n free slots in the
+// frame, or -1. It steps from free run to free run, not from slot to slot.
 func (h *Heap) findRun(frame, n int) int {
-	base := frame * wordsPerFrame
-	run := 0
-	start := 0
-	for s := 0; s < SlotsPerFrame; s++ {
-		w := h.slotBits[base+s/64]
-		if w == ^uint64(0) {
-			// Fast-skip a fully allocated word.
-			s += 63 - s%64
-			run = 0
-			continue
+	w := frameWords(h.slotBits, frame)
+	for s := nextSlot(w, 0, ^uint64(0)); s+n <= SlotsPerFrame; {
+		e := nextSlot(w, s, 0)
+		if e-s >= n {
+			return s
 		}
-		if w&(1<<(s%64)) == 0 {
-			if run == 0 {
-				start = s
-			}
-			run++
-			if run == n {
-				return start
-			}
-		} else {
-			run = 0
-		}
+		s = nextSlot(w, e, ^uint64(0))
 	}
 	return -1
 }
 
-func (h *Heap) setRange(bits []uint64, frame, slot, n int, v bool) {
-	base := frame * wordsPerFrame
-	for i := slot; i < slot+n; i++ {
-		if v {
-			bits[base+i/64] |= 1 << (i % 64)
-		} else {
-			bits[base+i/64] &^= 1 << (i % 64)
-		}
+// longestRun returns the length of the frame's longest run of free slots.
+func (h *Heap) longestRun(frame int) int {
+	w := frameWords(h.slotBits, frame)
+	longest := 0
+	for s := nextSlot(w, 0, ^uint64(0)); s+longest < SlotsPerFrame; {
+		e := nextSlot(w, s, 0)
+		longest = max(longest, e-s)
+		s = nextSlot(w, e, ^uint64(0))
 	}
+	return longest
+}
+
+// wordMask returns the index of the bitmap word holding bit, the mask of the
+// part of [bit, bit+n) that lies in that word, and how many bits that is.
+func wordMask(bit, n int) (word int, mask uint64, covered int) {
+	b := bit & 63
+	covered = min(64-b, n)
+	return bit >> 6, ^uint64(0) >> (64 - covered) << b, covered
+}
+
+func setRange(w *[wordsPerFrame]uint64, slot, n int, v bool) {
+	for n > 0 {
+		i, mask, k := wordMask(slot, n)
+		if v {
+			w[i] |= mask
+		} else {
+			w[i] &^= mask
+		}
+		slot, n = slot+k, n-k
+	}
+}
+
+// anySet reports whether any slot of [slot, slot+n) is set in w.
+func anySet(w *[wordsPerFrame]uint64, slot, n int) bool {
+	for n > 0 {
+		i, mask, k := wordMask(slot, n)
+		if w[i]&mask != 0 {
+			return true
+		}
+		slot, n = slot+k, n-k
+	}
+	return false
 }
 
 // Alloc reserves a run of slots for a payload of `payload` bytes and returns
@@ -164,85 +226,83 @@ func (h *Heap) Alloc(payload uint64) (uint64, error) {
 		return 0, fmt.Errorf("alloc: object of %d bytes exceeds frame capacity", payload)
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-
-	// First fit over active frames starting at the cursor; fall back to a
-	// free frame.
-	tried := 0
-	for i := 0; i < h.frames && tried < h.frames; i++ {
-		f := (h.cursor + i) % h.frames
-		tried++
-		if h.state[f] != FrameActive && h.state[f] != FrameDestination {
-			continue
-		}
-		if int(h.freeSlots[f]) < n {
-			continue
-		}
-		if s := h.findRun(f, n); s >= 0 {
-			h.commitAlloc(f, s, n, payload)
-			h.cursor = f
-			return h.OffsetOf(f, s), nil
+	// First fit in cyclic order from the cursor: from the cursor to the last
+	// frame, then from frame 0 (by then no bound at or past the cursor
+	// reaches n, so the tree steps over those). A candidate's bound may be
+	// stale; a failed probe makes it exact, so below n, and the search goes on.
+	for _, lo := range [2]int{h.cursor, 0} {
+		for f := h.nextFit(lo, n); f >= 0; f = h.nextFit(f+1, n) {
+			if s := h.findRun(f, n); s >= 0 {
+				h.commitAlloc(f, s, n)
+				h.cursor = f
+				h.mu.Unlock()
+				return h.OffsetOf(f, s), nil
+			}
+			h.setBound(f, h.longestRun(f))
 		}
 	}
-	for f := 0; f < h.frames; f++ {
-		if h.state[f] == FrameFree {
-			h.state[f] = FrameActive
-			h.usedFrames++
-			h.commitAlloc(f, 0, n, payload)
-			h.cursor = f
-			return h.OffsetOf(f, 0), nil
-		}
+	if f := h.lowestFree(); f >= 0 {
+		h.state[f] = FrameActive
+		h.usedFrames++
+		h.commitAlloc(f, 0, n)
+		h.reindex(f)
+		h.cursor = f
+		h.mu.Unlock()
+		return h.OffsetOf(f, 0), nil
 	}
-	return 0, fmt.Errorf("alloc: out of memory (%d frames, %d live bytes)", h.frames, h.liveBytes)
+	live := h.liveBytes
+	h.mu.Unlock()
+	return 0, fmt.Errorf("alloc: out of memory (%d frames, %d live bytes)", h.frames, live)
 }
 
-func (h *Heap) commitAlloc(f, s, n int, payload uint64) {
-	h.setRange(h.slotBits, f, s, n, true)
-	h.setRange(h.startBits, f, s, 1, true)
+// commitAlloc marks the run allocated. It leaves the frame's run bound
+// alone: an allocation can only shorten runs, so the bound stays an upper
+// bound, and the next probe that fails there tightens it.
+func (h *Heap) commitAlloc(f, s, n int) {
+	setRange(frameWords(h.slotBits, f), s, n, true)
+	setRange(frameWords(h.startBits, f), s, 1, true)
 	h.freeSlots[f] -= uint16(n)
 	h.liveBytes += uint64(n) * SlotSize
 }
 
 // PlaceAt reserves an explicit (frame, slot, n) run — the GC uses it to
 // install relocated objects at their PMFT-determined destinations. The frame
-// must be a destination or active frame and the run free.
+// must be free, active or a destination, and the run inside it and free.
 func (h *Heap) PlaceAt(frame, slot, n int) error {
+	if frame < 0 || frame >= h.frames || n <= 0 || slot < 0 || slot+n > SlotsPerFrame {
+		return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) is outside the heap's %d frames of %d slots", frame, slot, n, h.frames, SlotsPerFrame)
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	base := frame * wordsPerFrame
-	for i := slot; i < slot+n; i++ {
-		if h.slotBits[base+i/64]&(1<<(i%64)) != 0 {
-			return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) overlaps a live allocation", frame, slot, n)
-		}
+	if st := h.state[frame]; st == FrameRelocation || st == FrameMeshed {
+		return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) into a frame in state %d, which takes no allocations", frame, slot, n, st)
+	}
+	if anySet(frameWords(h.slotBits, frame), slot, n) {
+		return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) overlaps a live allocation", frame, slot, n)
 	}
 	if h.state[frame] == FrameFree {
 		h.state[frame] = FrameDestination
 		h.usedFrames++
 	}
-	h.setRange(h.slotBits, frame, slot, n, true)
-	h.setRange(h.startBits, frame, slot, 1, true)
-	h.freeSlots[frame] -= uint16(n)
-	h.liveBytes += uint64(n) * SlotSize
+	h.commitAlloc(frame, slot, n)
+	h.reindex(frame)
 	return nil
 }
 
 // Free releases the run of n slots starting at pool offset off.
 func (h *Heap) Free(off uint64, n int) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	f, s := h.Locate(off)
-	h.freeRun(f, s, n)
-}
-
-func (h *Heap) freeRun(f, s, n int) {
-	h.setRange(h.slotBits, f, s, n, false)
-	h.setRange(h.startBits, f, s, 1, false)
+	setRange(frameWords(h.slotBits, f), s, n, false)
+	setRange(frameWords(h.startBits, f), s, 1, false)
 	h.freeSlots[f] += uint16(n)
 	h.liveBytes -= uint64(n) * SlotSize
-	if h.freeSlots[f] == SlotsPerFrame && (h.state[f] == FrameActive || h.state[f] == FrameDestination) {
+	if h.freeSlots[f] == SlotsPerFrame && allocatable(h.state[f]) {
 		h.state[f] = FrameFree
 		h.usedFrames--
 	}
+	h.reindex(f)
+	h.mu.Unlock()
 }
 
 // ReleaseFrame forcibly frees every slot of a frame (end of relocation) and
@@ -262,6 +322,7 @@ func (h *Heap) ReleaseFrame(frame int) {
 	}
 	h.freeSlots[frame] = SlotsPerFrame
 	h.state[frame] = FrameFree
+	h.reindex(frame)
 }
 
 // SetState transitions a frame's state (GC summary marks relocation and
@@ -280,6 +341,7 @@ func (h *Heap) SetState(frame int, st FrameState) {
 		h.usedFrames--
 	}
 	h.state[frame] = st
+	h.reindex(frame)
 }
 
 // State returns a frame's state.
@@ -329,9 +391,9 @@ func (h *Heap) FreeFrames(n int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]int, 0, n)
-	for f := 0; f < h.frames && len(out) < n; f++ {
-		if h.state[f] == FrameFree {
-			out = append(out, f)
+	for i := 0; i < len(h.freeBits) && len(out) < n; i++ {
+		for word := h.freeBits[i]; word != 0 && len(out) < n; word &= word - 1 {
+			out = append(out, i<<6+bits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -369,10 +431,13 @@ func (h *Heap) Snapshot() []FrameInfo {
 func (h *Heap) Reset() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.slotBits {
-		h.slotBits[i] = 0
-		h.startBits[i] = 0
-	}
+	h.reset()
+	h.buildIndex()
+}
+
+func (h *Heap) reset() {
+	clear(h.slotBits)
+	clear(h.startBits)
 	for i := range h.freeSlots {
 		h.freeSlots[i] = SlotsPerFrame
 		h.state[i] = FrameFree
@@ -412,18 +477,16 @@ type RebuildEntry struct {
 // post-crash/reopen path. Unreachable allocations are implicitly reclaimed
 // (the paper's persistent-leak fix).
 func (h *Heap) RebuildFromMark(live []RebuildEntry) {
-	h.Reset()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.reset()
 	for _, e := range live {
 		f, s := h.Locate(e.Off)
 		if h.state[f] == FrameFree {
 			h.state[f] = FrameActive
 			h.usedFrames++
 		}
-		h.setRange(h.slotBits, f, s, e.Slots, true)
-		h.setRange(h.startBits, f, s, 1, true)
-		h.freeSlots[f] -= uint16(e.Slots)
-		h.liveBytes += uint64(e.Slots) * SlotSize
+		h.commitAlloc(f, s, e.Slots)
 	}
+	h.buildIndex()
 }
