@@ -27,21 +27,26 @@ race:
 # settings, a pinned seed, stratified site sampling (each site class's first
 # occurrence always included), and both single and crash-during-recovery
 # schedules. Any failure prints a one-line `ffccd-crashtest -repro` command
-# that replays it bit-identically.
+# that replays it bit-identically. The target prints its wall time (compile
+# included) so the `make check` log shows what the campaign costs.
 crashmatrix: build
+	@t0=$$(date +%s); \
 	$(GO) run ./cmd/ffccd-crashtest -sites -seed 1 -max-sites 12 \
-		-nested -max-nested 4 -timeout 2m
+		-nested -max-nested 4 -timeout 2m || exit 1; \
+	echo "crashmatrix wall time: $$(( $$(date +%s) - t0 ))s"
 
 # servecrash is the reduced SERVING-PATH crash campaign: every scheme, a
 # pinned seed, stratified site sampling over the open-loop dispatch phase,
 # nested crash-during-recovery schedules, and per-trial durable-ack
 # validation — the server must resume and every acknowledged SET must read
 # back after recovery. Failures print a `ffccd-crashtest -serve -repro`
-# command that replays bit-identically.
+# command that replays bit-identically. Prints its wall time like crashmatrix.
 servecrash: build
+	@t0=$$(date +%s); \
 	$(GO) run ./cmd/ffccd-crashtest -serve -seed 1 -max-sites 6 \
 		-nested -max-nested 2 -timeout 2m \
-		-serve-clients 4 -serve-ops 1200 -serve-keys 400
+		-serve-clients 4 -serve-ops 1200 -serve-keys 400 || exit 1; \
+	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
 # check is the full CI target: gofmt + vet + race-detector short tests +
 # full tests + the reduced crash-schedule matrix + the measurement smoke +
@@ -81,6 +86,7 @@ serveshard: build
 	scripts/serveshard.sh
 
 # benchsmoke is the fast CI pass over the measurement tooling: the device
+# (HashMedia dense-ref vs sparse and the recycled-device life cycle included)
 # and allocator micro-benchmarks run once each (-benchtime=1x), and the bench
 # CLI runs a tiny fig5 with the span fast path off and on — exercising the
 # -span/-fork plumbing and the BENCH record fields without a full bench-host

@@ -206,6 +206,9 @@ func TrialWith(setting Setting, seed int64, opts TrialOptions) error {
 	if err != nil {
 		return err
 	}
+	// Every churn goroutine is joined before a return, so the media array can
+	// go back for reuse (after the deferred engine Close below).
+	defer p.Device().ReleaseMedia()
 	ctx := sim.NewCtx(&cfg)
 	s, err := buildStore(ctx, p, setting.Store)
 	if err != nil {

@@ -225,7 +225,10 @@ func TestCampaignCleanSweep(t *testing.T) {
 func TestNestedCrashAllSettings(t *testing.T) {
 	// Crash mid-compaction, crash again mid-recovery, then demand the final
 	// unscheduled recovery satisfies the two-step checker — for all 26
-	// settings of the paper.
+	// settings of the paper. Along the way, the recovered media image of
+	// every crashing run is hashed word by word and compared with the
+	// device's dirty-page HashMedia: real recovered heaps, not synthetic
+	// write patterns, must uphold the clean-pages-are-zero invariant.
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -233,6 +236,14 @@ func TestNestedCrashAllSettings(t *testing.T) {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
+			hashed := 0
+			checkHash := faultinject.TrialOptions{AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool) {
+				dev := p.Device()
+				if got, want := dev.HashMedia(), denseMediaHash(dev.SnapshotMedia()); got != want {
+					t.Errorf("HashMedia %#016x, dense hash of the snapshot %#016x", got, want)
+				}
+				hashed++
+			}}
 			rep := faultinject.NewRepro(s, 9)
 			census, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
 			if err != nil {
@@ -242,7 +253,7 @@ func TestNestedCrashAllSettings(t *testing.T) {
 				t.Fatal("no epoch opened")
 			}
 			rep.Site = int64(census.Census.Total) / 2
-			first, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+			first, err := faultinject.RunScheduled(rep, checkHash)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,12 +264,15 @@ func TestNestedCrashAllSettings(t *testing.T) {
 				t.Fatal("recovery exposed no crash sites")
 			}
 			rep.Nested = int64(first.RecoveryCensus.Total) / 2
-			nested, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+			nested, err := faultinject.RunScheduled(rep, checkHash)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if nested.NestedCrash == nil {
 				t.Fatal("nested crash did not fire")
+			}
+			if hashed != 2 {
+				t.Fatalf("media hash compared %d times, want 2", hashed)
 			}
 		})
 	}

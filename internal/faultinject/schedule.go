@@ -193,6 +193,11 @@ func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
 		return res, err
 	}
 	dev := p.Device()
+	// The trial owns its machine: give the media array back on the way out
+	// (registered first, so it runs after the engine's deferred Close). This
+	// runs on the trial's own goroutine — a watchdog that gives up on a hung
+	// trial abandons the machine instead, as the trial may still be writing.
+	defer dev.ReleaseMedia()
 	ctx := sim.NewCtx(&cfg)
 	s, err := buildStore(ctx, p, setting.Store)
 	if err != nil {

@@ -515,6 +515,15 @@ func RunServeScheduled(rep ServeRepro, opts ServeTrialOptions) (ServeScheduleRes
 		shards[i] = redisws.Shard{Ctx: m.ctx, Pool: m.pool, Store: m.store, Hooks: m.hooks}
 	}
 	sharded, err := redisws.ServeSharded(shards, redisws.ShardConfigs(serveConfigFor(rep), nsh))
+	// Every shard job has returned, so this goroutine is the machines' only
+	// user from here on: give their media arrays back on the way out. (Not
+	// registered earlier — a panic leaving ServeSharded could leave sibling
+	// shards running — and never by a watchdog that gave up on the trial.)
+	defer func() {
+		for _, m := range machines {
+			m.dev.ReleaseMedia()
+		}
+	}()
 	res.Serve = sharded.Merged
 	if nsh > 1 {
 		res.PerShard = sharded.Shards

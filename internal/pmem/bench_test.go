@@ -158,3 +158,57 @@ func BenchmarkRelocateParts(b *testing.B) {
 		})
 	}
 }
+
+// trialDevice builds the crash campaign's device shape: 128 MB of media of
+// which a trial dirties about 1 MB, in a few clusters.
+func trialDevice() *Device {
+	cfg := sim.DefaultConfig()
+	d := NewDevice(&cfg, 128<<20)
+	chunk := make([]byte, 64<<10)
+	for i := range chunk {
+		chunk[i] = byte(i*7 + 1)
+	}
+	for c := uint64(0); c < 16; c++ {
+		d.MediaWrite(c*(8<<20)+c*4096, chunk)
+	}
+	return d
+}
+
+// BenchmarkHashMedia prices the media digest on the trial shape: the dense
+// loop it replaced (the test reference) against the dirty-page walk.
+func BenchmarkHashMedia(b *testing.B) {
+	d := trialDevice()
+	defer d.ReleaseMedia()
+	want := refHashMedia(d.media)
+	b.Run("dense-ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if refHashMedia(d.media) != want {
+				b.Fatal("digest changed")
+			}
+		}
+	})
+	b.Run("sparse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if d.HashMedia() != want {
+				b.Fatal("digest differs from the dense reference")
+			}
+		}
+	})
+}
+
+// BenchmarkNewDeviceRecycled is a trial's device life cycle in the steady
+// state: build over a recycled array, dirty ~1 MB, release (wipe the dirty
+// pages, list the array). No 128 MB allocation or clear per iteration.
+func BenchmarkNewDeviceRecycled(b *testing.B) {
+	trialDevice().ReleaseMedia() // seed the free list
+	fresh := FreshMediaAllocs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trialDevice().ReleaseMedia()
+	}
+	b.StopTimer()
+	if n := FreshMediaAllocs() - fresh; n != 0 {
+		b.Fatalf("%d fresh media allocations in the steady state", n)
+	}
+}

@@ -25,14 +25,17 @@
 package pmem
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // LineSize is the cacheline size in bytes.
@@ -249,6 +252,10 @@ func (d *Device) SetDrainProbe(fn func(ctx *sim.Ctx, stallCycles uint64)) { d.dr
 // on a quiescent device.
 func (d *Device) SetExclusive(on bool) { d.exclusive = on }
 
+// Exclusive reports the current mode, so a caller that takes the device for
+// a while can hand it back the way it found it.
+func (d *Device) Exclusive() bool { return d.exclusive }
+
 // lockSet/unlockSet guard a cache set's per-access state, compiling to a
 // plain branch in exclusive mode.
 func (d *Device) lockSet(set *cacheSet) {
@@ -281,23 +288,62 @@ func NewDevice(cfg *sim.Config, size uint64) *Device {
 	return newDevice(cfg, zeroMedia(size))
 }
 
-// mediaPool recycles media arrays across short-lived simulated devices: the
-// fork-based experiment driver creates (and drops) one multi-MB device per
-// forked run, and allocating plus faulting-in a fresh multi-MB array each
-// time dominates its setup cost. Pooled arrays are always all-zero: that is
-// the base image the dirty-page bitmap is relative to, so ReleaseMedia wipes
-// exactly the dirty pages before pooling — footprint-proportional work.
-var mediaPool sync.Pool
+// mediaFree recycles media arrays across short-lived simulated devices: the
+// fork-based experiment driver and the crash campaigns create (and drop) one
+// multi-MB device per forked run or trial, and allocating plus zeroing a
+// fresh multi-MB array each time dominates their setup cost. Listed arrays
+// are always all-zero over their whole capacity: that is the base image the
+// dirty-page bitmap is relative to, so ReleaseMedia wipes exactly the dirty
+// pages before listing — footprint-proportional work.
+//
+// The list is a plain bounded free list rather than a sync.Pool: a Pool is
+// emptied by every GC cycle, and a campaign trial allocates enough to trigger
+// one, so pooled buffers rarely survived to the next trial. It holds at most
+// one array per pool worker (the most devices a fan-out of single-machine
+// jobs has live at once), so it never retains more than such a fan-out's own
+// peak.
+var mediaFree struct {
+	sync.Mutex
+	bufs [][]byte // ascending capacity
+}
 
-// zeroMedia returns an all-zero media array of the given size, pooled when
-// possible.
+// mediaFresh counts the arrays zeroMedia had to allocate (list misses).
+var mediaFresh atomic.Uint64
+
+// FreshMediaAllocs reports how many media arrays this process has allocated
+// fresh rather than recycled — the number a steady-state campaign keeps flat.
+func FreshMediaAllocs() uint64 { return mediaFresh.Load() }
+
+// zeroMedia returns an all-zero media array of the given size: the smallest
+// listed array that fits (so large ones stay available for large devices),
+// else a fresh allocation. Arrays that are too small stay listed.
 func zeroMedia(size uint64) []byte {
-	if v := mediaPool.Get(); v != nil {
-		if b := v.([]byte); uint64(cap(b)) >= size {
+	mediaFree.Lock()
+	for i, b := range mediaFree.bufs { // ascending capacity: first fit is best fit
+		if uint64(cap(b)) >= size {
+			mediaFree.bufs = slices.Delete(mediaFree.bufs, i, i+1)
+			mediaFree.Unlock()
 			return b[:size]
 		}
 	}
+	mediaFree.Unlock()
+	mediaFresh.Add(1)
 	return make([]byte, size)
+}
+
+// recycleMedia lists an all-zero array for reuse. When that overfills the
+// list the smallest array goes (to the garbage collector): a larger one
+// serves every request a smaller one can.
+func recycleMedia(buf []byte) {
+	mediaFree.Lock()
+	defer mediaFree.Unlock()
+	i, _ := slices.BinarySearchFunc(mediaFree.bufs, cap(buf), func(b []byte, c int) int {
+		return cmp.Compare(cap(b), c)
+	})
+	mediaFree.bufs = slices.Insert(mediaFree.bufs, i, buf)
+	if len(mediaFree.bufs) > workpool.Parallelism() {
+		mediaFree.bufs = slices.Delete(mediaFree.bufs, 0, 1)
+	}
 }
 
 // NewDeviceForRestore creates a device intended to receive a checkpoint via
@@ -309,12 +355,13 @@ func NewDeviceForRestore(cfg *sim.Config, size uint64) *Device {
 }
 
 // ReleaseMedia wipes the device's dirty pages back to the all-zero base
-// image and returns the media array to the recycle pool. The device is
-// unusable afterwards; callers do this only when dropping it.
+// image and lists the media array for reuse. The device is unusable
+// afterwards; callers do this only when dropping it, and only once nothing
+// else can still touch it (the next NewDevice may adopt the array at once).
 func (d *Device) ReleaseMedia() {
 	if d.media != nil {
 		d.wipeDirty()
-		mediaPool.Put(d.media)
+		recycleMedia(d.media)
 		d.media = nil
 	}
 }
@@ -484,29 +531,6 @@ func (d *Device) writeMediaLine(ctx *sim.Ctx, set *cacheSet, lineIdx uint64, dat
 	}
 }
 
-// HashMedia digests the full persistent image (volatile cache state
-// excluded) into 64 bits — the cheap bit-identity witness crash-schedule
-// replays compare. Word-wise FNV-1a variant with a final avalanche; call
-// only on a quiescent device.
-func (d *Device) HashMedia() uint64 {
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
-	b := d.media
-	for len(b) >= 8 {
-		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		h = (h ^ w) * prime
-		b = b[8:]
-	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
 // SnapshotMedia returns a copy of the full persistent image (for
 // determinism tests and offline analysis). Call only on a quiescent device.
 func (d *Device) SnapshotMedia() []byte {
@@ -522,10 +546,9 @@ func (d *Device) RestoreMedia(img []byte) {
 		panic("pmem: RestoreMedia size mismatch")
 	}
 	copy(d.media, img)
-	// The image is arbitrary: conservatively mark every page dirty.
-	for i := range d.dirty {
-		d.dirty[i] = ^uint64(0)
-	}
+	// The image is arbitrary: conservatively mark every page dirty (only
+	// pages that exist — the bitmap walks index media by their bits).
+	d.touchRange(0, uint64(len(d.media)))
 	d.dropVolatile()
 }
 

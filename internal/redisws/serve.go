@@ -312,18 +312,21 @@ func (h *clientHeap) pop() int {
 }
 
 // setMarks detects cache-set conflicts between a candidate op and the
-// current batch with O(footprint) stamping and O(1) reset.
+// current batch with O(footprint) stamping, promotion and reset.
 type setMarks struct {
 	stamp    []uint64
 	batchTag uint64
 	candTag  uint64
 	tag      uint64
+	// cand lists the sets the current candidate stamped (each once), so
+	// accepting it touches its footprint rather than every set.
+	cand []int
 }
 
 func newSetMarks(nset int) *setMarks { return &setMarks{stamp: make([]uint64, nset)} }
 
 func (m *setMarks) newBatch() { m.tag++; m.batchTag = m.tag }
-func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag }
+func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] }
 
 // catchCrashSite runs f, converting a scheduled-crash unwind (a panic with
 // *pmem.CrashAtSite, raised by an armed site recorder) into a value. Any other
@@ -343,6 +346,13 @@ func catchCrashSite(f func() error) (crash *pmem.CrashAtSite, err error) {
 
 // Serve runs the serving scenario. ctx is the loader context (prepopulation
 // runs on it, serially; warmup runs on the client contexts).
+//
+// Serve owns p's device for the duration of the call: nothing else may touch
+// it until Serve returns. The dispatcher is one goroutine, so it holds the
+// device in exclusive (lock-free) mode for the load, the warm-up, serial ops,
+// the maintenance/step hooks and a crash-resume, drops to shared mode only
+// around a host-parallel GET batch, and hands the device back in the mode it
+// found it on every return path.
 func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (ServeResult, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
 		return ServeResult{}, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
@@ -372,6 +382,11 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	if foot == nil {
 		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
 	}
+
+	dev := p.Device()
+	callerMode := dev.Exclusive()
+	dev.SetExclusive(true)
+	defer func() { dev.SetExclusive(callerMode) }()
 
 	// Shard key ownership. Unsharded runs (ShardCount <= 1) take the identity
 	// mapping with no slice allocated, so their RNG draws and store traffic
@@ -481,7 +496,6 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	}
 
 	ps, _ := store.(parallelStore)
-	dev := p.Device()
 	marks := newSetMarks(dev.NumSets())
 
 	clients := make([]clientState, cfg.Clients)
@@ -632,6 +646,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 					// dup within this candidate
 				default:
 					marks.stamp[set] = marks.candTag
+					marks.cand = append(marks.cand, set)
 				}
 			}
 		})
@@ -639,10 +654,8 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	}
 	// acceptCand promotes the candidate's stamps into the batch.
 	acceptCand := func() {
-		for i, s := range marks.stamp {
-			if s == marks.candTag {
-				marks.stamp[i] = marks.batchTag
-			}
+		for _, set := range marks.cand {
+			marks.stamp[set] = marks.batchTag
 		}
 	}
 
@@ -911,11 +924,22 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 
 			if len(batch) > 0 {
 				b := batch
-				if err := workpool.ForEach(len(b), func(i int) error {
-					execGet(&b[i])
-					return nil
-				}); err != nil {
-					return err
+				if len(b) == 1 {
+					execGet(&b[0])
+				} else {
+					// The only concurrent stretch. Exclusive mode is re-taken
+					// on the normal return only: should a panic ever leave
+					// ForEach (helpers may still be running) the device stays
+					// shared, the safe side.
+					dev.SetExclusive(false)
+					err := workpool.ForEach(len(b), func(i int) error {
+						execGet(&b[i])
+						return nil
+					})
+					dev.SetExclusive(true)
+					if err != nil {
+						return err
+					}
 				}
 				for i := range b {
 					commit(&b[i])
@@ -958,7 +982,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			return err
 		}
 		// Swap the machine. The recovered pool reopens the same device, so the
-		// drain probe and set geometry carry over.
+		// drain probe, set geometry and exclusive ownership carry over.
 		store = rec.Store
 		ps, _ = store.(parallelStore)
 		if rec.Pool != nil {
