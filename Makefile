@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-host benchsmoke benchscale benchdiff benchgate servesmoke servecrash serveshard golden crashmatrix clean
+.PHONY: all build test race vet fmt check bench bench-host benchsmoke benchrepo benchscale benchdiff benchgate servesmoke servecrash serveshard golden crashmatrix clean
 
 all: check
 
@@ -52,8 +52,8 @@ servecrash: build
 # full tests + the reduced crash-schedule matrix + the measurement smoke +
 # the serving-layer smoke + the serving-path crash campaign + the multicore
 # scaling gate + the sharded-serving scaling gate + the bench-record
-# regression gate.
-check: fmt vet race test crashmatrix benchsmoke servesmoke servecrash benchscale serveshard benchgate
+# regression gate + the repo benchmark's smoke run.
+check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard benchgate
 
 # bench runs the Go benchmarks (figure drivers + device micro-benchmarks).
 bench:
@@ -86,16 +86,25 @@ serveshard: build
 	scripts/serveshard.sh
 
 # benchsmoke is the fast CI pass over the measurement tooling: the device
-# (HashMedia dense-ref vs sparse and the recycled-device life cycle included)
-# and allocator micro-benchmarks run once each (-benchtime=1x), and the bench
+# (HashMedia dense-ref vs sparse and the recycled-device life cycle included),
+# allocator and engine (mark, summary, epoch cycle, barrier resolve)
+# micro-benchmarks run once each (-benchtime=1x), and the bench
 # CLI runs a tiny fig5 with the span fast path off and on — exercising the
 # -span/-fork plumbing and the BENCH record fields without a full bench-host
 # session.
 benchsmoke: build
-	$(GO) test -run XXX -bench . -benchtime=1x ./internal/pmem/ ./internal/alloc/
+	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -span=false -json /tmp/ffccd_benchsmoke.json >/dev/null
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -span=true -json /tmp/ffccd_benchsmoke.json >/dev/null
 	@echo "benchsmoke OK"
+
+# benchrepo runs the repo benchmark (BENCHMARK.json, bench/) at about 1/20
+# size: all seven workloads and the ladder, every output check on, < 30 s. It
+# judges nothing — it only keeps `go run ./bench` from rotting unnoticed when
+# the program under it changes.
+benchrepo: build
+	$(GO) run ./bench -smoke >/dev/null
+	@echo "benchrepo OK"
 
 # servesmoke is the fast CI pass over the open-loop serving layer: a tiny
 # FFCCD-vs-STW grid through the ffccd-redis serve mode (exercising the

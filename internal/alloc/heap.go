@@ -385,18 +385,31 @@ func (h *Heap) FrameBitmap(frame int) [wordsPerFrame]uint64 {
 	return out
 }
 
-// FreeFrames returns up to n free frame indices in ascending order —
-// deterministic destination-frame selection for the GC summary phase.
-func (h *Heap) FreeFrames(n int) []int {
+// FreeFrames appends up to n free frame indices to dst in ascending order —
+// deterministic destination-frame selection for the GC summary phase, which
+// passes the same buffer every epoch.
+func (h *Heap) FreeFrames(dst []int, n int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]int, 0, n)
-	for i := 0; i < len(h.freeBits) && len(out) < n; i++ {
-		for word := h.freeBits[i]; word != 0 && len(out) < n; word &= word - 1 {
-			out = append(out, i<<6+bits.TrailingZeros64(word))
+	for i := 0; i < len(h.freeBits) && n > 0; i++ {
+		for word := h.freeBits[i]; word != 0 && n > 0; word &= word - 1 {
+			dst = append(dst, i<<6+bits.TrailingZeros64(word))
+			n--
 		}
 	}
-	return out
+	return dst
+}
+
+// Objects returns the number of live allocations (what summing Objects over
+// Snapshot gives, without building it).
+func (h *Heap) Objects() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, w := range h.startBits {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // FrameInfo summarises a frame for the GC summary phase.

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -171,9 +172,16 @@ func (d *differ) full() {
 		}
 	}
 	for _, n := range []int{0, 1, 7, d.h.frames + 1} {
-		if got, want := d.h.FreeFrames(n), d.ref.FreeFrames(n); !reflect.DeepEqual(got, want) {
+		if got, want := d.h.FreeFrames([]int{-1}, n), d.ref.FreeFrames(n); got[0] != -1 || !slices.Equal(got[1:], want) {
 			d.failf("FreeFrames(%d) = %v, reference %v", n, got, want)
 		}
+	}
+	objects := 0
+	for _, fi := range d.ref.Snapshot() {
+		objects += fi.Objects
+	}
+	if got := d.h.Objects(); got != objects {
+		d.failf("Objects() = %d, reference snapshot sums to %d", got, objects)
 	}
 }
 

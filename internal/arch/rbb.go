@@ -63,8 +63,7 @@ func NewRBB(cfg *sim.Config, dev *pmem.Device) *RBB {
 func (r *RBB) Configure(base, heapBase, nframes uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	zero := make([]byte, 8*nframes)
-	r.dev.MediaWrite(base, zero)
+	r.dev.MediaZero(base, 8*nframes)
 	r.armLocked(base, heapBase, nframes)
 }
 

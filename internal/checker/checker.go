@@ -116,9 +116,9 @@ func CheckGraph(ctx *sim.Ctx, p *pmop.Pool) (GraphStats, error) {
 		}
 		st.Objects++
 		st.Bytes += uint64(slots) * alloc.SlotSize
-		for _, fo := range ti.PointerOffsets(payload) {
+		for i, n := 0, ti.PointerCount(payload); i < n; i++ {
 			st.PtrFields++
-			ref := pmop.Ptr(p.RawLoadU64(ctx, off+fo))
+			ref := pmop.Ptr(p.RawLoadU64(ctx, off+ti.PointerOffset(i)))
 			if ref.IsNull() {
 				continue
 			}

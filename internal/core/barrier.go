@@ -83,7 +83,7 @@ func (b *readBarrier) resolve(ctx *sim.Ctx, ref pmop.Ptr) pmop.Ptr {
 	if ep.scheme == SchemeFFCCDCheckLookup {
 		// Hardware checklookup: BFC + PMFTLB (§4.3.2).
 		u, pooled := e.cluFor(clCtx)
-		dstVA, ok := u.CheckLookup(clCtx, p.VA(off), ep.blooms, ep.fwd)
+		dstVA, ok := u.CheckLookup(clCtx, p.VA(off), ep.blooms, &ep.fwd)
 		e.cluDone(u, pooled)
 		if !ok {
 			return ref
@@ -98,7 +98,7 @@ func (b *readBarrier) resolve(ctx *sim.Ctx, ref pmop.Ptr) pmop.Ptr {
 		// second-largest bottleneck). find_newaddr() then walks the
 		// forwarding table in PM (§3.3.3 (ii)).
 		clCtx.Charge(e.cfg.DRAMLatency)
-		if !ep.relocSet[heap.FrameOf(off)] {
+		if !ep.onRelocFrame(heap, off) {
 			return ref
 		}
 		clCtx.Charge(e.cfg.PMReadLatency)
@@ -109,7 +109,7 @@ func (b *readBarrier) resolve(ctx *sim.Ctx, ref pmop.Ptr) pmop.Ptr {
 		}
 	}
 
-	idx, ok := ep.bySrc[off]
+	idx, ok := ep.srcObject(p, off)
 	if !ok {
 		// Interior or stale address that maps through the minor table but is
 		// not an object start — forward without relocation responsibility.

@@ -65,18 +65,19 @@ func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarri
 		// lazily. Crash consistency comes from the reached bitmap, whose
 		// per-line granularity requires every object sharing the destination
 		// line to move in the same line-atomic operation.
-		cluster := ep.clusterOf(idx)
 		// Skip members that already moved (possible after a crash recovery
 		// finished part of the component): re-copying them would overwrite
 		// post-move application writes. The line assembly preserves their
 		// destination bytes by loading gaps from current contents.
-		parts := make([]pmem.RelocatePart, 0, len(cluster))
-		pendingMembers := cluster[:0:0]
-		for _, ci := range cluster {
-			if ep.isMoved(ci) {
+		parts := lock.parts[:0]
+		if cap(parts) < len(cluster) {
+			parts = make([]pmem.RelocatePart, 0, len(cluster))
+		}
+		for _, c := range cluster {
+			if ep.isMoved(int(c)) {
 				continue
 			}
-			co := &ep.objects[ci]
+			co := &ep.objects[c]
 			if ctx.TLB != nil {
 				ctx.Charge(ctx.TLB.Access(p.VA(co.srcHdr), p.PageShift()))
 				ctx.Charge(ctx.TLB.Access(p.VA(co.dstHdr), p.PageShift()))
@@ -84,12 +85,17 @@ func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarri
 			parts = append(parts, pmem.RelocatePart{
 				Dst: p.PA(co.dstHdr), Src: p.PA(co.srcHdr), N: co.bytes(),
 			})
-			pendingMembers = append(pendingMembers, ci)
 		}
+		lock.parts = parts
 		p.Device().RelocateParts(ctx, parts)
-		for _, ci := range pendingMembers {
-			e.storeMovedBit(ctx, &ep.objects[ci], false, false)
-			e.finishMove(ep, ci, fromBarrier && ci == idx)
+		// The members just copied are exactly the ones still unmoved: every
+		// member's move takes this stripe, and finishMove below flips only
+		// the member it is given.
+		for _, c := range cluster {
+			if ci := int(c); !ep.isMoved(ci) {
+				e.storeMovedBit(ctx, &ep.objects[ci], false, false)
+				e.finishMove(ep, ci, fromBarrier && ci == idx)
+			}
 		}
 	}
 }
@@ -161,18 +167,14 @@ func (e *Engine) sfccdTxAddHook(ctx *sim.Ctx, off, n uint64) {
 	if ep == nil {
 		return
 	}
-	idx, ok := ep.findDestObject(e.pool, off)
+	idx, ok := ep.findDestObject(off)
 	if !ok || !ep.isMoved(idx) {
 		return
 	}
 	obj := &ep.objects[idx]
-	ep.tombMu.Lock()
-	if ep.tombstoned[obj.srcHdr] {
-		ep.tombMu.Unlock()
+	if !ep.tombstone(idx) {
 		return
 	}
-	ep.tombstoned[obj.srcHdr] = true
-	ep.tombMu.Unlock()
 	p := e.pool
 	p.RawStoreU64(ctx, obj.srcHdr+8, sfccdTombstone)
 	p.Clwb(ctx, obj.srcHdr+8)
@@ -233,7 +235,7 @@ func (e *Engine) finishEpochLocked(ctx *sim.Ctx, ep *epochState) {
 			return ref.WithOffset(dst)
 		}
 		return ref
-	})
+	}, false)
 	p.Device().Site(gctx, pmem.SiteBarrierFixup)
 	if o != nil {
 		o.Tracer.Span(ctx, obsv.KindBarrierFix, tFix, uint64(len(ep.objects)))

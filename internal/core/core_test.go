@@ -19,6 +19,10 @@ func testRegistry() *pmop.Registry {
 	reg := pmop.NewRegistry()
 	reg.Register(pmop.TypeInfo{Name: "tnode", Kind: pmop.KindFixed, Size: 48, PtrOffsets: []uint64{8}})
 	reg.Register(pmop.TypeInfo{Name: "tgarbage", Kind: pmop.KindBytes})
+	// For the randomized heaps of epoch_ref_test.go: a variable-size node
+	// (next Ptr @8, aux Ptr @16) and a pointer array hanging off aux.
+	reg.Register(pmop.TypeInfo{Name: "tvar", Kind: pmop.KindFixed, PtrOffsets: []uint64{8, 16}})
+	reg.Register(pmop.TypeInfo{Name: "tarr", Kind: pmop.KindPtrArray})
 	return reg
 }
 

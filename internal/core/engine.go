@@ -24,6 +24,7 @@ import (
 
 	"ffccd/internal/arch"
 	"ffccd/internal/obsv"
+	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -110,6 +111,13 @@ func DefaultOptions() Options {
 // relocStripes is the number of per-object relocation locks.
 const relocStripes = 256
 
+// relocStripe is one relocation lock and, guarded by it, the part list the
+// fence-free cluster move assembles (reused from move to move).
+type relocStripe struct {
+	sync.Mutex
+	parts []pmem.RelocatePart
+}
+
 // Engine drives defragmentation for one pool.
 type Engine struct {
 	pool *pmop.Pool
@@ -123,7 +131,15 @@ type Engine struct {
 	epoch *epochState
 	busy  atomic.Bool // a cycle is running
 
-	relocLocks [relocStripes]sync.Mutex
+	// Engine-owned epoch memory (mark.go, summary.go, epoch.go): the walk
+	// and summary scratch and the one epochState every epoch refills. All of
+	// it is allocated by the first epoch that needs it, not here, and is
+	// written only with the world stopped or in single-threaded recovery.
+	markScratch    markScratch
+	summaryScratch summaryScratch
+	epochBuf       epochState
+
+	relocLocks [relocStripes]relocStripe
 
 	trigger   chan struct{}
 	stopCh    chan struct{}
@@ -430,7 +446,7 @@ func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
 	if o != nil {
 		t0 = obsv.Now(ctx)
 	}
-	live := e.mark(ctx.Derived(sim.CatMark), nil)
+	live := e.mark(ctx.Derived(sim.CatMark), nil, true)
 	if o != nil {
 		t1 = obsv.Now(ctx)
 		o.Tracer.Span(ctx, obsv.KindMark, t0, uint64(len(live)))
@@ -472,11 +488,11 @@ func (e *Engine) compact(ctx *sim.Ctx, ep *epochState) {
 		t0 = obsv.Now(ctx)
 	}
 	moved := 0
-	for _, obj := range ep.objects {
-		if ep.isMoved(obj.index) {
+	for i := range ep.objects {
+		if ep.isMoved(i) {
 			continue
 		}
-		e.relocateObject(ctx.Derived(sim.CatCopy), ep, obj.index, false)
+		e.relocateObject(ctx.Derived(sim.CatCopy), ep, i, false)
 		moved++
 		if moved%e.opt.BatchObjects == 0 {
 			// Concurrent pacing: let application threads in. A yield (not a

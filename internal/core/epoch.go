@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,7 +18,6 @@ const pmemLineShift = pmem.LineShift
 
 // relocObj is one object scheduled for relocation in the current epoch.
 type relocObj struct {
-	index   int
 	srcHdr  uint64 // pool offset of the source header slot
 	dstHdr  uint64 // pool offset of the destination header slot
 	slots   int    // total slots (header + payload)
@@ -32,46 +32,59 @@ func (o *relocObj) bytes() uint64      { return uint64(o.slots) * alloc.SlotSize
 // relocation set, the forwarding information, and the per-object movement
 // state. Built during the stop-the-world summary (or reconstructed from the
 // persistent PMFT during recovery); read-only afterwards except for the
-// atomic moved flags.
+// atomic moved flags and the tombstone bits.
+//
+// The engine owns exactly one epochState and refills it for every epoch
+// (reset → addFrame/addObject → buildIndexes), so a steady-state epoch
+// allocates nothing here. Refilling happens only with the world stopped (or
+// in single-threaded recovery) and only after the previous epoch's terminate
+// uninstalled the read barrier under the same stop, so no barrier, hook or
+// mover can be reading the tables while they change.
+//
+// Every lookup is an index into a dense table, never a hash: a relocation
+// frame is known by its ordinal (its position in relocFrames), found through
+// the heap-frame-indexed ordOf.
 type epochState struct {
 	epochNo uint64
 	scheme  Scheme
 
 	relocFrames []int
-	relocSet    map[int]bool
 	destFrames  []int
+	objects     []relocObj // grouped by relocation frame, ascending source slot within one
 
-	objects []relocObj
-	bySrc   map[uint64]int // src payload offset → object index
-	byDst   map[uint64]int // dst payload offset → object index
+	// ordOf[f] is 1 + the ordinal of heap frame f, or 0 when f is not a
+	// relocation frame of this epoch. Per ordinal: minor is the frame's
+	// volatile minor-distance map (source slot → destination slot),
+	// destFrame its major distance, and srcObj maps a source header slot to
+	// 1 + the index of the object starting there (0: no object starts there).
+	ordOf     []int32
+	minor     [][alloc.SlotsPerFrame]byte
+	destFrame []int32
+	srcObj    [][alloc.SlotsPerFrame]int32
 
-	// destIndex lists, per destination frame, object indices sorted by
-	// destination offset — used to find the object containing an arbitrary
-	// destination address (tx hook, recovery).
-	destIndex map[int][]int
-
-	// components groups objects whose destination cachelines overlap
-	// (connected components over line sharing); such objects are relocated
-	// together as one operation whose destination lines are written
-	// atomically under the fence-free schemes. compOf maps an object index
-	// to its component.
-	components [][]int
-	compOf     []int32
-
-	// minor[f] is frame f's volatile minor-distance map; destFrame[f] its
-	// major distance.
-	minor     map[int]*[alloc.SlotsPerFrame]byte
-	destFrame map[int]int
+	// byDst lists the object indices in destination order — bisected to find
+	// the object containing an arbitrary destination address (tx hook,
+	// recovery fixup).
+	//
+	// Objects whose destination cachelines overlap (connected components
+	// over line sharing) are relocated together as one operation whose
+	// destination lines are written atomically under the fence-free schemes.
+	// A component is a run of byDst: component c is
+	// byDst[compStart[c]:compStart[c+1]], and compOf maps an object index to
+	// its component.
+	byDst     []int32
+	compStart []int32
+	compOf    []int32
 
 	moved    []uint32 // atomic: 1 once the object's move completed
 	pending  atomic.Int64
 	dupBytes uint64 // double-counted bytes registered with the heap
 
 	blooms *arch.BloomSet
-	fwd    *pmftForwarder
+	fwd    pmftForwarder
 
-	tombMu     sync.Mutex
-	tombstoned map[uint64]bool // srcHdr offsets already tombstoned (SFCCD)
+	tombMu sync.Mutex
+	tomb   []uint64 // bit i: object i's source header is already tombstoned (SFCCD)
 
 	// obsStart is the simulated cycle the epoch's opening stop-the-world
 	// began at, recorded only when observability is enabled so terminate can
@@ -82,115 +95,190 @@ type epochState struct {
 func (ep *epochState) isMoved(i int) bool  { return atomic.LoadUint32(&ep.moved[i]) == 1 }
 func (ep *epochState) setMoved(i int) bool { return atomic.SwapUint32(&ep.moved[i], 1) == 0 }
 
-// buildIndexes populates the lookup maps from ep.objects and the per-frame
-// forwarding info.
-func (ep *epochState) buildIndexes(p *pmop.Pool) {
-	ep.relocSet = make(map[int]bool, len(ep.relocFrames))
-	for _, f := range ep.relocFrames {
-		ep.relocSet[f] = true
+// sized returns s with length n, reallocating only when the capacity is
+// short. The contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ep.bySrc = make(map[uint64]int, len(ep.objects))
-	ep.byDst = make(map[uint64]int, len(ep.objects))
-	ep.destIndex = make(map[int][]int)
-	heap := p.Heap()
-	for i := range ep.objects {
-		o := &ep.objects[i]
-		o.index = i
-		ep.bySrc[o.srcPayload()] = i
-		ep.byDst[o.dstPayload()] = i
-		df := heap.FrameOf(o.dstHdr)
-		ep.destIndex[df] = append(ep.destIndex[df], i)
-	}
-	for f := range ep.destIndex {
-		idx := ep.destIndex[f]
-		sort.Slice(idx, func(a, b int) bool {
-			return ep.objects[idx[a]].dstHdr < ep.objects[idx[b]].dstHdr
-		})
-	}
-	ep.moved = make([]uint32, len(ep.objects))
-	ep.tombstoned = make(map[uint64]bool)
-	ep.pending.Store(int64(len(ep.objects)))
-	ep.buildComponents()
+	return s[:n]
 }
 
-// buildComponents groups objects into connected components of destination-
-// line sharing: walking objects in destination order, an object joins the
-// current component iff its first line equals the previous object's last.
-func (ep *epochState) buildComponents() {
-	idx := make([]int, len(ep.objects))
-	for i := range idx {
-		idx[i] = i
+// noMinor is a minor-distance map with no slot mapped.
+var noMinor = func() (m [alloc.SlotsPerFrame]byte) {
+	for i := range m {
+		m[i] = minorInvalid
 	}
-	sort.Slice(idx, func(a, b int) bool { return ep.objects[idx[a]].dstHdr < ep.objects[idx[b]].dstHdr })
-	ep.compOf = make([]int32, len(ep.objects))
-	ep.components = ep.components[:0]
-	lastLine := uint64(^uint64(0))
-	for _, i := range idx {
-		o := &ep.objects[i]
-		first := o.dstHdr >> pmemLineShift
-		last := (o.dstHdr + o.bytes() - 1) >> pmemLineShift
-		if first != lastLine || len(ep.components) == 0 {
-			ep.components = append(ep.components, nil)
+	return
+}()
+
+// reset empties the state for a new epoch over a heap of the given number of
+// frames, keeping every table's capacity.
+func (ep *epochState) reset(epochNo uint64, scheme Scheme, frames int) {
+	ep.epochNo, ep.scheme = epochNo, scheme
+	if len(ep.ordOf) != frames {
+		ep.ordOf = make([]int32, frames)
+	} else {
+		for _, f := range ep.relocFrames {
+			ep.ordOf[f] = 0
 		}
-		c := len(ep.components) - 1
-		ep.components[c] = append(ep.components[c], i)
-		ep.compOf[i] = int32(c)
-		lastLine = last
 	}
+	ep.relocFrames = ep.relocFrames[:0]
+	ep.destFrames = ep.destFrames[:0]
+	ep.objects = ep.objects[:0]
+	ep.minor = ep.minor[:0]
+	ep.destFrame = ep.destFrame[:0]
+	ep.srcObj = ep.srcObj[:0]
+	ep.dupBytes, ep.obsStart = 0, 0
+	ep.blooms = nil
+}
+
+// addFrame appends relocation frame f with major distance df and returns its
+// minor-distance map, no slot mapped yet, for the caller to fill.
+func (ep *epochState) addFrame(f, df int) *[alloc.SlotsPerFrame]byte {
+	ep.relocFrames = append(ep.relocFrames, f)
+	ep.ordOf[f] = int32(len(ep.relocFrames))
+	ep.destFrame = append(ep.destFrame, int32(df))
+	ep.minor = append(ep.minor, noMinor)
+	ep.srcObj = append(ep.srcObj, [alloc.SlotsPerFrame]int32{})
+	return &ep.minor[len(ep.minor)-1]
+}
+
+// addObject appends an object of the frame last added, whose source header
+// is at srcSlot of that frame.
+func (ep *epochState) addObject(srcSlot int, o relocObj) {
+	ep.objects = append(ep.objects, o)
+	ep.srcObj[len(ep.srcObj)-1][srcSlot] = int32(len(ep.objects))
+}
+
+// buildIndexes derives the destination order, the components and the
+// per-object movement state from ep.objects, and wires the forwarder.
+func (ep *epochState) buildIndexes(p *pmop.Pool) {
+	n := len(ep.objects)
+	ep.byDst = sized(ep.byDst, n)
+	for i := range ep.byDst {
+		ep.byDst[i] = int32(i)
+	}
+	// Already in order when summary placed the objects; recovery rebuilds
+	// them in source-frame order.
+	slices.SortFunc(ep.byDst, func(a, b int32) int {
+		return cmp.Compare(ep.objects[a].dstHdr, ep.objects[b].dstHdr)
+	})
+
+	// Components: walking objects in destination order, an object joins the
+	// current component iff its first line equals the previous object's last.
+	ep.compOf = sized(ep.compOf, n)
+	ep.compStart = ep.compStart[:0]
+	lastLine := ^uint64(0)
+	for k, i := range ep.byDst {
+		o := &ep.objects[i]
+		if first := o.dstHdr >> pmemLineShift; k == 0 || first != lastLine {
+			ep.compStart = append(ep.compStart, int32(k))
+		}
+		ep.compOf[i] = int32(len(ep.compStart) - 1)
+		lastLine = (o.dstHdr + o.bytes() - 1) >> pmemLineShift
+	}
+	ep.compStart = append(ep.compStart, int32(n))
+
+	ep.moved = sized(ep.moved, n)
+	clear(ep.moved)
+	ep.tomb = sized(ep.tomb, (n+63)/64)
+	clear(ep.tomb)
+	ep.pending.Store(int64(n))
+	ep.fwd = pmftForwarder{p: p, ep: ep}
+}
+
+// numComponents returns the number of destination-line components.
+func (ep *epochState) numComponents() int { return len(ep.compStart) - 1 }
+
+// component returns the object indices of component c in destination order.
+func (ep *epochState) component(c int) []int32 {
+	return ep.byDst[ep.compStart[c]:ep.compStart[c+1]]
 }
 
 // clusterOf returns the indices of all objects in idx's destination-line
 // component (idx included).
-func (ep *epochState) clusterOf(idx int) []int {
-	return ep.components[ep.compOf[idx]]
+func (ep *epochState) clusterOf(idx int) []int32 {
+	return ep.component(int(ep.compOf[idx]))
+}
+
+// ordinal returns the relocation ordinal of the frame holding pool offset
+// off and off's slot in it; ok is false when the frame is not a relocation
+// frame (or off lies outside the heap).
+func (ep *epochState) ordinal(heap *alloc.Heap, off uint64) (ord, slot int, ok bool) {
+	f, slot := heap.Locate(off)
+	if off < heap.HeapOff() || f >= len(ep.ordOf) {
+		return 0, 0, false
+	}
+	ord = int(ep.ordOf[f]) - 1
+	return ord, slot, ord >= 0
+}
+
+// onRelocFrame reports whether pool offset off lies in a relocation frame.
+func (ep *epochState) onRelocFrame(heap *alloc.Heap, off uint64) bool {
+	_, _, ok := ep.ordinal(heap, off)
+	return ok
 }
 
 // lookupSrc returns the destination payload offset for a source payload
 // offset using the minor-distance map, mirroring a PMFT walk.
 func (ep *epochState) lookupSrc(p *pmop.Pool, srcOff uint64) (uint64, bool) {
 	heap := p.Heap()
-	f, slot := heap.Locate(srcOff)
-	mm, ok := ep.minor[f]
-	if !ok || mm[slot] == minorInvalid {
+	ord, slot, ok := ep.ordinal(heap, srcOff)
+	if !ok || ep.minor[ord][slot] == minorInvalid {
 		return 0, false
 	}
-	df := ep.destFrame[f]
-	return heap.OffsetOf(df, int(mm[slot])), true
+	return heap.OffsetOf(int(ep.destFrame[ord]), int(ep.minor[ord][slot])), true
+}
+
+// srcObject returns the index of the relocation object whose source payload
+// starts exactly at pool offset off.
+func (ep *epochState) srcObject(p *pmop.Pool, off uint64) (int, bool) {
+	hdr := off - pmop.HeaderSize
+	ord, slot, ok := ep.ordinal(p.Heap(), hdr)
+	if !ok || hdr%alloc.SlotSize != 0 {
+		return 0, false
+	}
+	i := int(ep.srcObj[ord][slot]) - 1
+	return i, i >= 0
+}
+
+// dstObject returns the index of the relocation object whose destination
+// payload starts exactly at pool offset off.
+func (ep *epochState) dstObject(off uint64) (int, bool) {
+	i, ok := ep.findDestObject(off)
+	return i, ok && ep.objects[i].dstPayload() == off
 }
 
 // findDestObject locates the relocation object whose destination range
 // contains the pool offset off.
-func (ep *epochState) findDestObject(p *pmop.Pool, off uint64) (int, bool) {
-	heap := p.Heap()
-	heapOff := heap.HeapOff()
-	if off < heapOff {
-		return 0, false
-	}
-	f := heap.FrameOf(off)
-	idx, ok := ep.destIndex[f]
-	if !ok {
-		return 0, false
-	}
-	// Binary search for the last object starting at or before off.
-	lo, hi := 0, len(idx)-1
-	found := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if ep.objects[idx[mid]].dstHdr <= off {
-			found = idx[mid]
+func (ep *epochState) findDestObject(off uint64) (int, bool) {
+	// Bisect for the last object starting at or before off.
+	lo, hi := 0, len(ep.byDst)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ep.objects[ep.byDst[mid]].dstHdr <= off {
 			lo = mid + 1
 		} else {
-			hi = mid - 1
+			hi = mid
 		}
 	}
-	if found < 0 {
+	if lo == 0 {
 		return 0, false
 	}
-	o := &ep.objects[found]
-	if off < o.dstHdr+o.bytes() {
-		return found, true
-	}
-	return 0, false
+	i := int(ep.byDst[lo-1])
+	o := &ep.objects[i]
+	return i, off < o.dstHdr+o.bytes()
+}
+
+// tombstone marks object i tombstoned and reports whether this call did it.
+func (ep *epochState) tombstone(i int) bool {
+	ep.tombMu.Lock()
+	defer ep.tombMu.Unlock()
+	w, bit := &ep.tomb[i/64], uint64(1)<<(i%64)
+	first := *w&bit == 0
+	*w |= bit
+	return first
 }
 
 // pmftForwarder adapts the epoch's forwarding info to arch.Forwarder

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ffccd/internal/checker"
@@ -18,8 +19,8 @@ func TestMarkingIdempotent(t *testing.T) {
 	fx := buildFragmented(t, 150)
 	e := NewEngine(fx.p, DefaultOptions())
 	defer e.Close()
-	a := e.mark(fx.ctx, nil)
-	b := e.mark(fx.ctx, nil)
+	a := slices.Clone(e.mark(fx.ctx, nil, true)) // the walk's result is engine-owned
+	b := e.mark(fx.ctx, nil, true)
 	if len(a) != len(b) {
 		t.Fatalf("marking not idempotent: %d vs %d objects", len(a), len(b))
 	}
@@ -48,7 +49,7 @@ func TestMarkingNeverVisitsFreedObjects(t *testing.T) {
 
 	e := NewEngine(p, DefaultOptions())
 	defer e.Close()
-	live := e.mark(fx.ctx, nil)
+	live := e.mark(fx.ctx, nil, true)
 	for _, m := range live {
 		if m.payloadOff == second.Offset() {
 			t.Fatal("marking visited a freed, unlinked object")

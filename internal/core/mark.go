@@ -20,6 +20,18 @@ func (m *markObj) slots() int { return alloc.SlotsFor(m.payload) }
 // changed) and as the traversal target.
 type refVisitor func(ctx *sim.Ctx, fieldOff uint64, ref pmop.Ptr) pmop.Ptr
 
+// markScratch is the engine-owned memory of a reachability walk: the visited
+// bitset (one bit per heap slot), the traversal stack, the result and the
+// allocator rebuild entries derived from it. A walk clears and refills it, so
+// only the first walk (and a larger heap or live set) allocates. Walks run
+// with the world stopped or in single-threaded recovery, never concurrently.
+type markScratch struct {
+	visited []uint64
+	stack   []pmop.Ptr
+	live    []markObj
+	rebuild []alloc.RebuildEntry
+}
+
 // mark runs reachability analysis from the pool root (§5 marking()): it
 // visits every reachable object, following pointer fields via the type
 // registry. The caller must have stopped the world (or be in single-threaded
@@ -27,16 +39,22 @@ type refVisitor func(ctx *sim.Ctx, fieldOff uint64, ref pmop.Ptr) pmop.Ptr
 // before traversal — recovery's reference fixup and the finish phase's
 // reference updates run through it.
 //
+// With collect set the walk returns the reachable objects in a slice the
+// engine owns, valid until the next walk; a walk run only for its rewrites
+// passes false and gets nil.
+//
 // Marking is idempotent (it only reads application memory unless visit
 // rewrites), matching §3.3.1.
-func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor) []markObj {
+func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor, collect bool) []markObj {
 	p := e.pool
 	heap := p.Heap()
 	heapOff := heap.HeapOff()
 	heapEnd := heapOff + uint64(heap.Frames())*alloc.FrameSize
 
-	// Visited bitset, one bit per slot.
-	visited := make([]uint64, heap.Frames()*alloc.SlotsPerFrame/64+1)
+	ms := &e.markScratch
+	ms.visited = sized(ms.visited, heap.Frames()*alloc.SlotsPerFrame/64+1)
+	clear(ms.visited)
+	visited := ms.visited
 	seen := func(off uint64) bool {
 		slot := (off - heapOff) / alloc.SlotSize
 		w, b := slot/64, slot%64
@@ -50,8 +68,8 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor) []markObj {
 		return off >= heapOff+pmop.HeaderSize && off < heapEnd
 	}
 
-	var out []markObj
-	var stack []pmop.Ptr
+	out := ms.live[:0]
+	stack := ms.stack[:0]
 
 	// Root cell (pool header offset 16 — see pmop). Read raw: the barrier is
 	// either uninstalled (STW between epochs) or must not fire during
@@ -77,15 +95,17 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor) []markObj {
 		}
 		typeID, payload := p.Header(ctx, obj)
 		ti, ok := p.Types().Lookup(typeID)
-		out = append(out, markObj{payloadOff: off, typeID: typeID, payload: payload})
+		if collect {
+			out = append(out, markObj{payloadOff: off, typeID: typeID, payload: payload})
+		}
 		if !ok {
 			// Unregistered type: treated as raw bytes (conservative — no
 			// references can hide in it because the programming model
 			// requires typed allocation for pointer-bearing objects).
 			continue
 		}
-		for _, fo := range ti.PointerOffsets(payload) {
-			fieldOff := off + fo
+		for i, n := 0, ti.PointerCount(payload); i < n; i++ {
+			fieldOff := off + ti.PointerOffset(i)
 			ref := pmop.Ptr(p.RawLoadU64(ctx, fieldOff))
 			if ref.IsNull() {
 				continue
@@ -102,14 +122,21 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor) []markObj {
 			stack = append(stack, ref)
 		}
 	}
+	ms.stack = stack
+	if !collect {
+		return nil
+	}
+	ms.live = out
 	return out
 }
 
-// rebuildEntries converts marked objects to allocator rebuild entries.
-func rebuildEntries(live []markObj) []alloc.RebuildEntry {
-	out := make([]alloc.RebuildEntry, len(live))
+// rebuildEntries converts marked objects to allocator rebuild entries, in
+// the engine's reused buffer.
+func (e *Engine) rebuildEntries(live []markObj) []alloc.RebuildEntry {
+	out := sized(e.markScratch.rebuild, len(live))
 	for i, m := range live {
 		out[i] = alloc.RebuildEntry{Off: m.payloadOff - pmop.HeaderSize, Slots: m.slots()}
 	}
+	e.markScratch.rebuild = out
 	return out
 }

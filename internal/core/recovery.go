@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ffccd/internal/alloc"
-	"ffccd/internal/arch"
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
@@ -65,8 +65,8 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 		p.RecoverTx(ctx)
 		dev.Site(ctx, pmem.SiteRecoveryStep)
 		e.progress("rebuild")
-		live := e.mark(ctx, nil)
-		p.Heap().RebuildFromMark(rebuildEntries(live))
+		live := e.mark(ctx, nil, true)
+		p.Heap().RebuildFromMark(e.rebuildEntries(live))
 		dev.Site(ctx, pmem.SiteRecoveryStep)
 		e.progress("done")
 		return nil
@@ -123,14 +123,14 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 			return ref
 		}
 		off := ref.Offset()
-		if idx, ok := ep.bySrc[off]; ok && ep.isMoved(idx) {
+		if idx, ok := ep.srcObject(p, off); ok && ep.isMoved(idx) {
 			return ref.WithOffset(ep.objects[idx].dstPayload())
 		}
-		if idx, ok := ep.byDst[off]; ok && !ep.isMoved(idx) {
+		if idx, ok := ep.dstObject(off); ok && !ep.isMoved(idx) {
 			return ref.WithOffset(ep.objects[idx].srcPayload())
 		}
 		return ref
-	})
+	}, true)
 
 	dev.Site(ctx, pmem.SiteBarrierFixup)
 
@@ -140,7 +140,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 
 	// (4) Allocator rebuild + epoch reservations.
 	e.progress("rebuild")
-	heap.RebuildFromMark(rebuildEntries(live))
+	heap.RebuildFromMark(e.rebuildEntries(live))
 	for _, f := range ep.relocFrames {
 		heap.SetState(f, alloc.FrameRelocation)
 	}
@@ -187,27 +187,18 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochState, error) {
 	p := e.pool
 	heap := p.Heap()
-	ep := &epochState{
-		epochNo:   epochNo,
-		scheme:    scheme,
-		minor:     make(map[int]*[alloc.SlotsPerFrame]byte),
-		destFrame: make(map[int]int),
-	}
-	destSeen := make(map[int]bool)
-	entry := make([]byte, pmftEntrySize)
+	ep := &e.epochBuf
+	ep.reset(epochNo, scheme, heap.Frames())
+	entry := e.summaryScratch.entry[:]
 	for f := 0; f < heap.Frames(); f++ {
 		p.RawLoad(ctx, pmftEntryOff(p, f), entry)
 		if uint64(binary.LittleEndian.Uint32(entry[0:4])) != epochNo {
 			continue
 		}
 		df := int(binary.LittleEndian.Uint32(entry[4:8]))
-		var mm [alloc.SlotsPerFrame]byte
+		mm := ep.addFrame(f, df)
 		copy(mm[:], entry[8:])
-		ep.minor[f] = &mm
-		ep.destFrame[f] = df
-		ep.relocFrames = append(ep.relocFrames, f)
-		if !destSeen[df] {
-			destSeen[df] = true
+		if !slices.Contains(ep.destFrames, df) {
 			ep.destFrames = append(ep.destFrames, df)
 		}
 
@@ -227,7 +218,7 @@ func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochS
 			if n < 1 || s+n > alloc.SlotsPerFrame {
 				return nil, fmt.Errorf("core: corrupt header in relocation frame %d slot %d", f, s)
 			}
-			ep.objects = append(ep.objects, relocObj{
+			ep.addObject(s, relocObj{
 				srcHdr:  srcHdr,
 				dstHdr:  heap.OffsetOf(df, int(mm[s])),
 				slots:   n,
@@ -239,12 +230,7 @@ func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochS
 	ep.buildIndexes(p)
 
 	// Rebuild the bloom filters over the relocation pages.
-	var relocVAs []uint64
-	for _, f := range ep.relocFrames {
-		relocVAs = append(relocVAs, p.VA(heap.OffsetOf(f, 0)))
-	}
-	ep.blooms = arch.NewBloomSetFromPages(relocVAs, e.cfg.BloomFilters, e.cfg.BloomFilterBytes)
-	ep.fwd = &pmftForwarder{p: p, ep: ep}
+	ep.blooms = e.relocBlooms(ep)
 	return ep, nil
 }
 
@@ -313,7 +299,8 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 		return
 	}
 
-	for _, comp := range ep.components {
+	for c := 0; c < ep.numComponents(); c++ {
+		comp := ep.component(c)
 		reached := 0
 		for _, ci := range comp {
 			df, first, last := lineRange(&ep.objects[ci])
@@ -373,7 +360,7 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 			p.RawStoreU64(ctx, reachedOff+uint64(df)*8, newWord)
 			p.PersistRange(ctx, reachedOff+uint64(df)*8, 8)
 			e.setMovedBitDurable(ctx, obj)
-			if ep.setMoved(ci) {
+			if ep.setMoved(int(ci)) {
 				ep.pending.Add(-1)
 			}
 		}

@@ -33,7 +33,7 @@ func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
 	defer p.ResumeWorld()
 	start := ctx.Clock.Total()
 
-	live := e.mark(ctx.Derived(sim.CatMark), nil)
+	live := e.mark(ctx.Derived(sim.CatMark), nil, true)
 	ep := e.summary(ctx.Derived(sim.CatSummary), live)
 	if ep == nil {
 		return ctx.Clock.Total() - start, false

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/arch"
@@ -14,24 +15,47 @@ import (
 // maxRelocOccupancy: frames more than ~90% full are never worth evacuating.
 const maxRelocOccupancy = 230
 
+// summaryScratch is the engine-owned memory of the summary phase, reused
+// every epoch like markScratch and under the same rule (world stopped).
+type summaryScratch struct {
+	// start[f] is the index, in the live list sorted by offset, of the first
+	// object in heap frame f; start[frames] is the list's length. Frame f's
+	// objects are live[start[f]:start[f+1]].
+	start    []int32
+	units    []selUnit
+	selected []selPick
+	free     []int // every free frame, ascending: the destination frames in order
+	relocVAs []uint64
+	entry    [pmftEntrySize]byte
+	zeros    [movedBytesPerFrame]byte
+}
+
+// selUnit is one selection unit: its first used frame and the slots in use
+// over all its frames. selPick is one selected relocation frame and the
+// destination slots its live data needs.
+type (
+	selUnit struct{ first, used int }
+	selPick struct{ frame, need int }
+)
+
 // summary implements §5 summary(): resync the allocator to the marking
 // results (reclaiming leaks), rank frames by fragmentation, select the top-k
 // relocation frames needed to reach the target ratio, deterministically
 // assign every live object a destination, build and persist the PMFT, build
 // the relocation-page bloom filters, arm the reached bitmap, and durably
 // enter the compacting phase. Runs stop-the-world; idempotent until the
-// final phase-word store.
+// final phase-word store. It sorts live in place and fills the engine's one
+// epochState.
 func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	p := e.pool
 	heap := p.Heap()
+	frames := heap.Frames()
+	ss := &e.summaryScratch
 
 	// Leak reclamation: everything not reached by marking is returned to the
 	// free lists (§5: "The unreachable objects are returned to the freelist").
-	allocatedBefore := 0
-	for _, fi := range heap.Snapshot() {
-		allocatedBefore += fi.Objects
-	}
-	heap.RebuildFromMark(rebuildEntries(live))
+	allocatedBefore := heap.Objects()
+	heap.RebuildFromMark(e.rebuildEntries(live))
 	if leaked := allocatedBefore - len(live); leaked > 0 {
 		e.leaksReclaimed.Add(uint64(leaked))
 	}
@@ -41,240 +65,176 @@ func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 		return nil
 	}
 
-	// Group live objects by their frame, sorted by offset within the frame.
-	objsByFrame := make(map[int][]markObj)
-	for _, m := range live {
-		f := heap.FrameOf(m.payloadOff - pmop.HeaderSize)
-		objsByFrame[f] = append(objsByFrame[f], m)
+	// Group live objects by their frame, sorted by offset within the frame:
+	// one sort by offset makes every frame's objects a contiguous run, found
+	// through the start table. After the rebuild above the heap holds exactly
+	// the live objects, so a frame is in use iff its run is not empty, is
+	// then active, and has the run's slots in use.
+	slices.SortFunc(live, func(a, b markObj) int { return cmp.Compare(a.payloadOff, b.payloadOff) })
+	start := sized(ss.start, frames+1)
+	ss.start = start
+	clear(start)
+	for i := range live {
+		start[heap.FrameOf(live[i].payloadOff-pmop.HeaderSize)+1]++
 	}
-	for f := range objsByFrame {
-		objs := objsByFrame[f]
-		sort.Slice(objs, func(a, b int) bool { return objs[a].payloadOff < objs[b].payloadOff })
+	for f := 0; f < frames; f++ {
+		start[f+1] += start[f]
 	}
+	objsOf := func(f int) []markObj { return live[start[f]:start[f+1]] }
 
-	// Destination packing is dense (16-byte slots, the paper's granularity).
-	// Objects may share destination cachelines; every set of objects whose
-	// destination lines overlap forms a *cluster* that the compactor
-	// relocates as one operation whose destination lines are each written
-	// atomically (pmem.RelocateParts). That preserves the invariant the
-	// per-line reached bitmap needs during fence-free recovery — a reached
-	// line carries consistent bytes for all its tenants (Observation 4) —
-	// without any placement alignment tax.
-	groupNeed := func(objs []markObj) int {
+	usedIn := func(f int) int {
 		total := 0
-		for _, m := range objs {
+		for _, m := range objsOf(f) {
 			total += m.slots()
 		}
 		return total
 	}
 
-	// Candidate relocation frames: most fragmented (lowest occupancy) first.
-	snap := heap.Snapshot()
-	byFrame := make(map[int]alloc.FrameInfo, len(snap))
-	for _, fi := range snap {
-		byFrame[fi.Frame] = fi
-	}
-	isCandidate := func(fi alloc.FrameInfo) bool {
-		return fi.State == alloc.FrameActive && fi.Objects > 0 && fi.UsedSlots <= maxRelocOccupancy
-	}
-
-	// Selection units: on 4 KB pages each frame is a unit; on huge pages a
-	// unit is a whole OS-page group of frames, eligible only when *every*
-	// used frame in the group can be evacuated — scattered single-frame
-	// releases never vacate a huge page, so footprint would not move
-	// (§1: "the large capacity provided by PM necessitates the use of huge
-	// pages").
+	// Selection units, most fragmented (lowest occupancy) first: on 4 KB
+	// pages each used frame is a unit; on huge pages a unit is a whole
+	// OS-page group of frames, eligible only when *every* used frame in the
+	// group can be evacuated — scattered single-frame releases never vacate
+	// a huge page, so footprint would not move (§1: "the large capacity
+	// provided by PM necessitates the use of huge pages").
 	fpp := 1
 	if p.PageShift() > 12 {
 		fpp = 1 << (p.PageShift() - 12)
 	}
-	var units [][]alloc.FrameInfo
-	if fpp == 1 {
-		for _, fi := range snap {
-			if isCandidate(fi) {
-				units = append(units, []alloc.FrameInfo{fi})
+	units := ss.units[:0]
+	for g := 0; g < frames; g += fpp {
+		u, ok := selUnit{first: -1}, true
+		for f := g; f < min(g+fpp, frames) && ok; f++ {
+			if start[f] == start[f+1] {
+				continue
 			}
+			used := usedIn(f)
+			if u.first < 0 {
+				u.first = f
+			}
+			u.used += used
+			ok = used <= maxRelocOccupancy
 		}
-	} else {
-		for g := 0; g < heap.Frames(); g += fpp {
-			var unit []alloc.FrameInfo
-			ok := true
-			for f := g; f < g+fpp && f < heap.Frames(); f++ {
-				fi, used := byFrame[f]
-				if !used {
-					continue
-				}
-				if !isCandidate(fi) {
-					ok = false
-					break
-				}
-				unit = append(unit, fi)
-			}
-			if ok && len(unit) > 0 {
-				units = append(units, unit)
-			}
+		if ok && u.first >= 0 {
+			units = append(units, u)
 		}
 	}
-	unitUsed := func(u []alloc.FrameInfo) int {
-		t := 0
-		for _, fi := range u {
-			t += fi.UsedSlots
-		}
-		return t
-	}
-	sort.Slice(units, func(a, b int) bool {
-		ua, ub := unitUsed(units[a]), unitUsed(units[b])
-		if ua != ub {
-			return ua < ub
-		}
-		return units[a][0].Frame < units[b][0].Frame
+	ss.units = units
+	slices.SortFunc(units, func(a, b selUnit) int {
+		return cmp.Or(cmp.Compare(a.used, b.used), cmp.Compare(a.first, b.first))
 	})
 
 	// Greedy selection until the projected ratio reaches the target. Each
 	// relocation frame's live data lands in exactly one destination frame
 	// (the PMFT major-distance invariant); destination frames are fresh
-	// free frames packed in order. Frames whose live data exceeds one
-	// destination frame cannot be evacuated under that invariant, which
-	// disqualifies their whole unit.
-	type pick struct {
-		fi   alloc.FrameInfo
-		need int
-	}
-	maxDest := heap.Frames()
-	freeList := heap.FreeFrames(maxDest)
-	// distinctPages[n] = distinct OS pages among the first n destination
-	// frames (precomputed once; the selection loop queries it per unit).
-	distinctPages := make([]uint64, len(freeList)+1)
-	{
-		seen := make(map[int]struct{}, len(freeList))
-		for i, f := range freeList {
-			seen[f/fpp] = struct{}{}
-			distinctPages[i+1] = uint64(len(seen))
-		}
-	}
-	destPages := func(n int) uint64 {
-		// Footprint the first n destination frames add, in OS pages.
-		return distinctPages[n] << p.PageShift()
-	}
-	var selected []pick
+	// free frames packed in order.
+	free := heap.FreeFrames(ss.free[:0], frames)
+	ss.free = free
+	selected := ss.selected[:0]
 	destUsed, curFree := 0, 0
+	// destPages counts the distinct OS pages among the first destUsed
+	// destination frames (free is ascending, so a new page is a change of
+	// page from the frame before).
+	destPages, lastPage := uint64(0), -1
 	var freedBytes uint64
-	type gainPoint struct {
-		selected int
-		netGain  int64
-	}
-	var gains []gainPoint
 	projected := func() float64 {
-		fp := int64(frag.FootprintBytes) - int64(freedBytes) + int64(destPages(destUsed))
+		fp := int64(frag.FootprintBytes) - int64(freedBytes) + int64(destPages<<p.PageShift())
 		return float64(fp) / float64(frag.LiveBytes)
 	}
-unitLoop:
-	for _, unit := range units {
-		if projected() <= e.opt.TargetRatio {
-			break
-		}
-		var needs []int
-		for _, fi := range unit {
-			need := groupNeed(objsByFrame[fi.Frame])
-			if need > alloc.SlotsPerFrame {
-				continue unitLoop
-			}
-			needs = append(needs, need)
-		}
-		for i, fi := range unit {
-			if curFree < needs[i] {
-				if destUsed >= len(freeList) {
-					break unitLoop
-				}
-				destUsed++
-				curFree = alloc.SlotsPerFrame
-			}
-			curFree -= needs[i]
-			selected = append(selected, pick{fi, needs[i]})
-		}
-		freedBytes += uint64(1) << p.PageShift()
-		if fpp == 1 {
-			// 4 KB accounting: one page per frame.
-		}
-		gains = append(gains, gainPoint{len(selected), int64(freedBytes) - int64(destPages(destUsed))})
-	}
-	// Trim to the prefix (of whole units) with the best net footprint gain:
+	// Keep the prefix (of whole units) with the best net footprint gain:
 	// evacuating units that are already as dense as packing allows would
 	// move data without freeing anything.
 	var best int64
 	bestAt := 0
-	for _, g := range gains {
-		if g.netGain > best {
-			best, bestAt = g.netGain, g.selected
+unitLoop:
+	for _, u := range units {
+		if projected() <= e.opt.TargetRatio {
+			break
+		}
+		for f := u.first; f < min(u.first/fpp*fpp+fpp, frames); f++ {
+			if start[f] == start[f+1] {
+				continue
+			}
+			need := usedIn(f)
+			if curFree < need {
+				if destUsed >= len(free) {
+					break unitLoop
+				}
+				if pg := free[destUsed] / fpp; pg != lastPage {
+					destPages, lastPage = destPages+1, pg
+				}
+				destUsed++
+				curFree = alloc.SlotsPerFrame
+			}
+			curFree -= need
+			selected = append(selected, selPick{f, need})
+		}
+		freedBytes += uint64(1) << p.PageShift()
+		if gain := int64(freedBytes) - int64(destPages<<p.PageShift()); gain > best {
+			best, bestAt = gain, len(selected)
 		}
 	}
+	ss.selected = selected
 	if best <= 0 {
 		return nil
 	}
-	selected = selected[:bestAt]
 
 	_, _, epochNo := unpackPhase(p.GCPhase(ctx))
-	ep := &epochState{
-		epochNo:   epochNo + 1,
-		scheme:    e.opt.Scheme,
-		minor:     make(map[int]*[alloc.SlotsPerFrame]byte),
-		destFrame: make(map[int]int),
-	}
+	ep := &e.epochBuf
+	ep.reset(epochNo+1, e.opt.Scheme, frames)
 
-	// Deterministic placement + persistent PMFT construction.
+	// Deterministic placement + persistent PMFT construction. Destination
+	// packing is dense (16-byte slots, the paper's granularity). Objects may
+	// share destination cachelines; every set of objects whose destination
+	// lines overlap forms a *cluster* that the compactor relocates as one
+	// operation whose destination lines are each written atomically
+	// (pmem.RelocateParts). That preserves the invariant the per-line reached
+	// bitmap needs during fence-free recovery — a reached line carries
+	// consistent bytes for all its tenants (Observation 4) — without any
+	// placement alignment tax.
 	_, movedOff, _ := metaLayout(p)
 	di := -1
 	curSlot := 0
-	for _, sel := range selected {
-		c := sel.fi
+	for _, sel := range selected[:bestAt] {
 		if di < 0 || curSlot+sel.need > alloc.SlotsPerFrame {
 			di++
 			curSlot = 0
 		}
-		df := freeList[di]
-		var mm [alloc.SlotsPerFrame]byte
-		for i := range mm {
-			mm[i] = minorInvalid
-		}
-		for _, m := range objsByFrame[c.Frame] {
+		df := free[di]
+		mm := ep.addFrame(sel.frame, df)
+		for _, m := range objsOf(sel.frame) {
 			n := m.slots()
-			start := curSlot
+			dstSlot := curSlot
 			curSlot += n
-			if err := heap.PlaceAt(df, start, n); err != nil {
+			if err := heap.PlaceAt(df, dstSlot, n); err != nil {
 				// Cannot happen with fresh destination frames; fail loudly.
 				panic("core: destination placement failed: " + err.Error())
 			}
 			_, srcSlot := heap.Locate(m.payloadOff - pmop.HeaderSize)
 			for i := 0; i < n; i++ {
-				mm[srcSlot+i] = byte(start + i)
+				mm[srcSlot+i] = byte(dstSlot + i)
 			}
-			ep.objects = append(ep.objects, relocObj{
+			ep.addObject(srcSlot, relocObj{
 				srcHdr:  m.payloadOff - pmop.HeaderSize,
-				dstHdr:  heap.OffsetOf(df, start),
+				dstHdr:  heap.OffsetOf(df, dstSlot),
 				slots:   n,
 				payload: m.payload,
 			})
 		}
-		mcopy := mm
-		ep.minor[c.Frame] = &mcopy
-		ep.destFrame[c.Frame] = df
-		ep.relocFrames = append(ep.relocFrames, c.Frame)
-		heap.SetState(c.Frame, alloc.FrameRelocation)
+		heap.SetState(sel.frame, alloc.FrameRelocation)
 
 		// Persist the PMFT entry (§4.3.1) and clear the frame's moved bitmap.
-		buf := make([]byte, pmftEntrySize)
+		buf := ss.entry[:]
 		binary.LittleEndian.PutUint32(buf[0:4], uint32(ep.epochNo))
 		binary.LittleEndian.PutUint32(buf[4:8], uint32(df))
 		copy(buf[8:], mm[:])
-		entryOff := pmftEntryOff(p, c.Frame)
+		entryOff := pmftEntryOff(p, sel.frame)
 		p.RawStore(ctx, entryOff, buf)
 		p.PersistRange(ctx, entryOff, pmftEntrySize)
-		zeros := make([]byte, movedBytesPerFrame)
-		mOff := movedOff + uint64(c.Frame)*movedBytesPerFrame
-		p.RawStore(ctx, mOff, zeros)
+		mOff := movedOff + uint64(sel.frame)*movedBytesPerFrame
+		p.RawStore(ctx, mOff, ss.zeros[:])
 		p.PersistRange(ctx, mOff, movedBytesPerFrame)
 	}
-	ep.destFrames = append(ep.destFrames, freeList[:di+1]...)
+	ep.destFrames = append(ep.destFrames, free[:di+1]...)
 	ep.buildIndexes(p)
 
 	// The epoch holds two copies of every relocation object until the
@@ -286,18 +246,13 @@ unitLoop:
 
 	// Relocation-page bloom filters (§4.3.2) — tight ranges over the
 	// relocation pages so non-relocation addresses fail the range compare.
-	var relocVAs []uint64
-	for _, f := range ep.relocFrames {
-		relocVAs = append(relocVAs, p.VA(heap.OffsetOf(f, 0)))
-	}
-	ep.blooms = arch.NewBloomSetFromPages(relocVAs, e.cfg.BloomFilters, e.cfg.BloomFilterBytes)
-	ep.fwd = &pmftForwarder{p: p, ep: ep}
-	heapOff, frames := p.HeapRange()
+	ep.blooms = e.relocBlooms(ep)
 
 	// Arm the reached bitmap for the fence-free schemes (§4.2).
 	if e.rbb != nil {
 		reachedOff, _, _ := metaLayout(p)
-		e.rbb.Configure(p.PA(reachedOff), p.PA(heapOff), frames)
+		heapOff, nframes := p.HeapRange()
+		e.rbb.Configure(p.PA(reachedOff), p.PA(heapOff), nframes)
 	}
 
 	// Durably enter the compacting phase. Everything above is idempotent;
@@ -306,4 +261,15 @@ unitLoop:
 	p.SetGCPhase(ctx, packPhase(phaseCompacting, e.opt.Scheme, ep.epochNo))
 	p.Device().Site(ctx, pmem.SiteEpochTransition)
 	return ep
+}
+
+// relocBlooms builds the epoch's bloom filters over its relocation pages.
+func (e *Engine) relocBlooms(ep *epochState) *arch.BloomSet {
+	p := e.pool
+	vas := e.summaryScratch.relocVAs[:0]
+	for _, f := range ep.relocFrames {
+		vas = append(vas, p.VA(p.Heap().OffsetOf(f, 0)))
+	}
+	e.summaryScratch.relocVAs = vas
+	return arch.NewBloomSetFromPages(vas, e.cfg.BloomFilters, e.cfg.BloomFilterBytes)
 }

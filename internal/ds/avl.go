@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"slices"
 	"sync"
 
 	"ffccd/internal/pmop"
@@ -16,6 +17,7 @@ type AVL struct {
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder object: root node Ptr @0
 	count int
+	ls    logset
 }
 
 // AVL node field offsets.
@@ -27,23 +29,31 @@ const (
 	avHeight = 32
 )
 
-// logset logs each object at most once per transaction.
+// logset logs each object at most once per transaction. One lives in each
+// tree, under the tree's mutex, and is reused across transactions. The set is
+// a small slice scanned linearly: a transaction logs the nodes along one
+// root-to-leaf path and their rotation partners — at most 17 entries in any
+// transaction of the micro workloads (bench micro-nodefrag/micro-defrag), 26
+// on the fig14 grid. Host-only bookkeeping; the simulated machine sees the
+// same AddObject calls.
 type logset struct {
 	tx   *pmop.Tx
-	seen map[uint64]bool
+	seen []uint64
 	p    *pmop.Pool
 }
 
-func newLogset(p *pmop.Pool, tx *pmop.Tx) *logset {
-	return &logset{tx: tx, seen: make(map[uint64]bool), p: p}
+// begin empties the set for transaction tx.
+func (ls *logset) begin(p *pmop.Pool, tx *pmop.Tx) *logset {
+	ls.p, ls.tx, ls.seen = p, tx, ls.seen[:0]
+	return ls
 }
 
 func (ls *logset) log(ctx *sim.Ctx, n pmop.Ptr) {
 	r := ls.p.Resolve(ctx, n)
-	if ls.seen[r.Offset()] {
+	if slices.Contains(ls.seen, r.Offset()) {
 		return
 	}
-	ls.seen[r.Offset()] = true
+	ls.seen = append(ls.seen, r.Offset())
 	ls.tx.AddObject(ctx, r)
 }
 
@@ -170,7 +180,7 @@ func (t *AVL) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 		return err
 	}
 	tx := t.p.Begin(ctx)
-	ls := newLogset(t.p, tx)
+	ls := t.ls.begin(t.p, tx)
 	ls.log(ctx, t.root)
 	newRoot, added, err := t.insert(ctx, ls, t.p.ReadPtr(ctx, t.root, 0), key, v)
 	if err != nil {
@@ -236,7 +246,7 @@ func (t *AVL) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer t.mu.Unlock()
 
 	tx := t.p.Begin(ctx)
-	ls := newLogset(t.p, tx)
+	ls := t.ls.begin(t.p, tx)
 	ls.log(ctx, t.root)
 	newRoot, removedVal, removedNode, found := t.remove(ctx, ls, t.p.ReadPtr(ctx, t.root, 0), key)
 	if !found {

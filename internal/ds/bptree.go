@@ -17,6 +17,7 @@ type BPTree struct {
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder: root node @0
 	count int
+	ls    logset
 }
 
 // B+tree node layout (order 4): nkeys u64 @0, leaf u64 @8, keys [4]u64 @16,
@@ -123,7 +124,7 @@ func (t *BPTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	}
 	p := t.p
 	tx := p.Begin(ctx)
-	ls := newLogset(p, tx)
+	ls := t.ls.begin(p, tx)
 	ls.log(ctx, t.root)
 
 	rootNode := p.ReadPtr(ctx, t.root, 0)
@@ -302,7 +303,7 @@ func (t *BPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 
 	p := t.p
 	tx := p.Begin(ctx)
-	ls := newLogset(p, tx)
+	ls := t.ls.begin(p, tx)
 	rootNode := p.ReadPtr(ctx, t.root, 0)
 	if rootNode.IsNull() {
 		tx.Abort(ctx)

@@ -15,6 +15,7 @@ type RBTree struct {
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder: root node @0
 	count int
+	ls    logset
 }
 
 // RB node field offsets.
@@ -147,7 +148,7 @@ func (t *RBTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 		return err
 	}
 	tx := t.p.Begin(ctx)
-	ls := newLogset(t.p, tx)
+	ls := t.ls.begin(t.p, tx)
 	ls.log(ctx, t.root)
 	nr, added, err := t.insert(ctx, ls, t.p.ReadPtr(ctx, t.root, 0), key, v)
 	if err != nil {
@@ -242,7 +243,7 @@ func (t *RBTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 		return false, nil
 	}
 	tx := t.p.Begin(ctx)
-	ls := newLogset(t.p, tx)
+	ls := t.ls.begin(t.p, tx)
 	ls.log(ctx, t.root)
 	var freedVal, freedNode pmop.Ptr
 	nr := t.remove(ctx, ls, t.p.ReadPtr(ctx, t.root, 0), key, &freedVal, &freedNode)

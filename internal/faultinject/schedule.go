@@ -198,6 +198,13 @@ func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
 	// runs on the trial's own goroutine — a watchdog that gives up on a hung
 	// trial abandons the machine instead, as the trial may still be writing.
 	defer dev.ReleaseMedia()
+	if setting.Threads == 1 {
+		// A 1T scheduled trial is one goroutine end to end — build, churn,
+		// engine stepping (the engine below is built without AutoTrigger, so
+		// it has no background goroutine), crash, recovery and checking — so
+		// the device's per-access host locks can go, as in experiments.Run.
+		dev.SetExclusive(true)
+	}
 	ctx := sim.NewCtx(&cfg)
 	s, err := buildStore(ctx, p, setting.Store)
 	if err != nil {

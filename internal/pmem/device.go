@@ -596,6 +596,16 @@ func (d *Device) MediaWrite(addr uint64, data []byte) {
 	d.lineShard(addr >> LineShift).c[cMediaWrites].Add(1)
 }
 
+// MediaZero is MediaWrite of n zero bytes without the caller having to hold
+// them: same media bytes, same dirty-page marks, one media write counted. The
+// RBB clears the reached bitmap with it at the start of every epoch.
+func (d *Device) MediaZero(addr, n uint64) {
+	d.checkRange(addr, n)
+	clear(d.media[addr : addr+n])
+	d.touchRange(addr, n)
+	d.lineShard(addr >> LineShift).c[cMediaWrites].Add(1)
+}
+
 // Crash simulates a power failure: every cached line is lost, the crash
 // policy decides the fate of in-flight (clwb'd, unfenced) lines, and ADR
 // drains whatever reached the WPQ. After Crash the media array is the

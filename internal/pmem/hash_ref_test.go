@@ -152,6 +152,10 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 					recent[step%len(recent)] = dst
 				case op < 82:
 					addr, n := span(tc.size, 5000)
+					if rng.Intn(4) == 0 {
+						d.MediaZero(addr, n)
+						break
+					}
 					data := make([]byte, n)
 					rng.Read(data)
 					d.MediaWrite(addr, data)

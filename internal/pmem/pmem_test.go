@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -250,6 +251,33 @@ func TestMediaWriteBypassesCache(t *testing.T) {
 	d.Load(ctx, 256, buf)
 	if buf[0] != 0x99 {
 		t.Fatal("Load did not see media data")
+	}
+}
+
+// MediaZero must be indistinguishable from MediaWrite of a zero buffer: media
+// bytes, dirty-page marks (through HashMedia and a checkpoint's page count)
+// and the media-write counter.
+func TestMediaZeroMatchesMediaWriteOfZeros(t *testing.T) {
+	for _, span := range [][2]uint64{{0, 8}, {4090, 13}, {3 * 4096, 4096}, {100_000, 70_000}} {
+		a, _ := newTestDevice(1 << 20)
+		b, _ := newTestDevice(1 << 20)
+		junk := bytes.Repeat([]byte{0xA5}, 300_000)
+		a.MediaWrite(50_000, junk)
+		b.MediaWrite(50_000, junk)
+		a.MediaWrite(span[0], make([]byte, span[1]))
+		b.MediaZero(span[0], span[1])
+		if !bytes.Equal(a.SnapshotMedia(), b.SnapshotMedia()) {
+			t.Fatalf("span %v: media differ", span)
+		}
+		if a.HashMedia() != b.HashMedia() {
+			t.Fatalf("span %v: HashMedia differs", span)
+		}
+		if !slices.Equal(a.dirty, b.dirty) {
+			t.Fatalf("span %v: dirty-page bitmaps differ", span)
+		}
+		if sa, sb := a.Stats(), b.Stats(); sa.MediaWrites != sb.MediaWrites {
+			t.Fatalf("span %v: media writes %d vs %d", span, sa.MediaWrites, sb.MediaWrites)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package pmop
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ffccd/internal/sim"
@@ -67,16 +68,23 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestPointerOffsets(t *testing.T) {
+	offsets := func(ti *TypeInfo, payload uint64) []uint64 {
+		var out []uint64
+		for i, n := 0, ti.PointerCount(payload); i < n; i++ {
+			out = append(out, ti.PointerOffset(i))
+		}
+		return out
+	}
 	fixed := &TypeInfo{Kind: KindFixed, PtrOffsets: []uint64{8, 24}}
-	if got := fixed.PointerOffsets(32); len(got) != 2 {
+	if got := offsets(fixed, 32); !slices.Equal(got, []uint64{8, 24}) {
 		t.Errorf("fixed offsets = %v", got)
 	}
 	bytesT := &TypeInfo{Kind: KindBytes}
-	if got := bytesT.PointerOffsets(128); got != nil {
+	if got := offsets(bytesT, 128); got != nil {
 		t.Errorf("bytes offsets = %v", got)
 	}
 	arr := &TypeInfo{Kind: KindPtrArray}
-	if got := arr.PointerOffsets(64); len(got) != 8 {
+	if got := offsets(arr, 68); !slices.Equal(got, []uint64{0, 8, 16, 24, 32, 40, 48, 56}) {
 		t.Errorf("ptr array offsets = %v", got)
 	}
 }

@@ -160,19 +160,26 @@ func (r *Registry) LookupName(name string) (*TypeInfo, bool) {
 	return t, ok
 }
 
-// PointerOffsets returns the payload offsets of pointer fields for an object
-// of this type with the given payload size.
-func (t *TypeInfo) PointerOffsets(payload uint64) []uint64 {
+// PointerCount returns how many pointer fields an object of this type with
+// the given payload size holds; PointerOffset(i) is the payload offset of the
+// i-th one. The pair replaces a materialised offset slice so a reachability
+// walk allocates nothing per object.
+func (t *TypeInfo) PointerCount(payload uint64) int {
 	switch t.Kind {
 	case KindBytes:
-		return nil
+		return 0
 	case KindPtrArray:
-		offs := make([]uint64, 0, payload/8)
-		for o := uint64(0); o+8 <= payload; o += 8 {
-			offs = append(offs, o)
-		}
-		return offs
+		return int(payload / 8)
 	default:
-		return t.PtrOffsets
+		return len(t.PtrOffsets)
 	}
+}
+
+// PointerOffset returns the payload offset of pointer field i, for
+// 0 <= i < PointerCount(payload).
+func (t *TypeInfo) PointerOffset(i int) uint64 {
+	if t.Kind == KindPtrArray {
+		return uint64(i) * 8
+	}
+	return t.PtrOffsets[i]
 }
