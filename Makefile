@@ -89,13 +89,11 @@ serveshard: build
 # (HashMedia dense-ref vs sparse and the recycled-device life cycle included),
 # allocator and engine (mark, summary, epoch cycle, barrier resolve)
 # micro-benchmarks run once each (-benchtime=1x), and the bench
-# CLI runs a tiny fig5 with the span fast path off and on — exercising the
-# -span/-fork plumbing and the BENCH record fields without a full bench-host
-# session.
+# CLI runs a tiny fig5 — exercising the BENCH record fields without a full
+# bench-host session.
 benchsmoke: build
 	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/
-	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -span=false -json /tmp/ffccd_benchsmoke.json >/dev/null
-	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -span=true -json /tmp/ffccd_benchsmoke.json >/dev/null
+	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -json /tmp/ffccd_benchsmoke.json >/dev/null
 	@echo "benchsmoke OK"
 
 # benchrepo runs the repo benchmark (BENCHMARK.json, bench/) at about 1/20

@@ -40,7 +40,6 @@ import (
 
 	"ffccd/internal/experiments"
 	"ffccd/internal/obsv"
-	"ffccd/internal/pmem"
 )
 
 // benchRecord is one -json entry: host-side timing plus whatever simulated
@@ -62,7 +61,6 @@ type benchRecord struct {
 	HostCores     int     `json:"host_cores"`
 	FFCCDParallel int     `json:"ffccd_parallel"`
 	Fork          bool    `json:"fork"`
-	Span          bool    `json:"span"`
 	HostSeconds   float64 `json:"host_seconds"`
 	Repeat        int     `json:"repeat,omitempty"`
 	// Fork-driver counters for this experiment (zero when -fork=false or
@@ -103,7 +101,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "experiment-driver worker count (0 = GOMAXPROCS or $FFCCD_PARALLEL)")
 	jsonPath := flag.String("json", "", "write machine-readable benchmark records to this file")
 	fork := flag.Bool("fork", true, "share checkpointed workload prefixes across a cell's schemes (host optimisation; simulated results are bit-identical either way)")
-	span := flag.Bool("span", true, "use the span-aware multi-line device fast path (host optimisation; simulated results are bit-identical either way)")
 	repeat := flag.Int("repeat", 1, "run each experiment N times, recording every repetition (host-time variance)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -125,7 +122,6 @@ func main() {
 		experiments.SetParallelism(*parallel)
 	}
 	experiments.SetFork(*fork)
-	pmem.SetSpanPathDefault(*span)
 	if *repeat < 1 {
 		*repeat = 1
 	}
@@ -246,7 +242,6 @@ func main() {
 				HostCores:     runtime.NumCPU(),
 				FFCCDParallel: experiments.Parallelism(),
 				Fork:          experiments.ForkEnabled(),
-				Span:          *span,
 				HostSeconds:   elapsed,
 			}
 			if *repeat > 1 {

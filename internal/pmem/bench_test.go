@@ -73,70 +73,107 @@ func BenchmarkDeviceStoreClwbSfence(b *testing.B) {
 	}
 }
 
-// The span benchmarks measure the multi-line fast path against the per-line
-// walk it replaces (span=false), across span lengths and under the set-array
-// wrap-around worst case. Single goroutine with exclusivity on — the only
-// regime where the span path engages.
-func benchSpanDevice(span bool) (*Device, *sim.Ctx) {
+// The ladder below prices the single-owner device as the micro and serving
+// machines drive it: default geometry, exclusive mode, and addresses drawn
+// pseudo-randomly from a region, so the host cache holds neither the modelled
+// cache's 3 MB of line bodies nor its per-set state. "Resident" is a 2 MB
+// region loaded once (about 11 of each set's 16 ways), so a random line of it
+// hits but is rarely its set's MRU way.
+const (
+	benchResident = 2 << 20
+	benchMissBase = 8 << 20
+	benchMissSpan = 32 << 20
+)
+
+func ladderDevice(b *testing.B) (*Device, *sim.Ctx) {
 	cfg := sim.DefaultConfig()
 	d := NewDevice(&cfg, 64<<20)
 	d.SetExclusive(true)
-	d.SetSpanPath(span)
-	return d, sim.NewCtx(&cfg)
-}
-
-func BenchmarkDeviceLoadSpan(b *testing.B) {
-	for _, lines := range []int{1, 2, 4, 8} {
-		for _, span := range []bool{false, true} {
-			b.Run(fmt.Sprintf("lines=%d/span=%v", lines, span), func(b *testing.B) {
-				d, ctx := benchSpanDevice(span)
-				buf := make([]byte, lines*LineSize)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Load(ctx, (uint64(i)%16384)*uint64(lines)*LineSize, buf)
-				}
-			})
-		}
+	b.Cleanup(d.ReleaseMedia)
+	clear(d.media) // fault a fresh array in: host page faults are not the device's cost
+	ctx := sim.NewCtx(&cfg)
+	for a := uint64(0); a < benchResident; a += LineSize {
+		d.LoadU64(ctx, a)
 	}
+	return d, ctx
 }
 
-func BenchmarkDeviceStoreSpan(b *testing.B) {
-	for _, lines := range []int{1, 2, 4, 8} {
-		for _, span := range []bool{false, true} {
-			b.Run(fmt.Sprintf("lines=%d/span=%v", lines, span), func(b *testing.B) {
-				d, ctx := benchSpanDevice(span)
-				data := make([]byte, lines*LineSize)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Store(ctx, (uint64(i)%16384)*uint64(lines)*LineSize, data)
-				}
-			})
+// benchLine is the i-th pseudo-random line-aligned offset below span.
+func benchLine(i int, span uint64) uint64 {
+	return uint64(uint32(i)*2654435761) % (span / LineSize) * LineSize
+}
+
+var benchSink uint64
+
+func BenchmarkLoadU64(b *testing.B) {
+	// mru: four words of one random resident line — the first read finds the
+	// way by scan, the other three are hits on the trusted MRU way.
+	b.Run("mru", func(b *testing.B) {
+		d, ctx := ladderDevice(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += d.LoadU64(ctx, benchLine(i/4, benchResident)+uint64(i%4)*8)
 		}
-	}
+	})
+	b.Run("scan", func(b *testing.B) {
+		d, ctx := ladderDevice(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += d.LoadU64(ctx, benchLine(i, benchResident))
+		}
+	})
+	// miss: 32 MB against a 3 MB cache — nine reads in ten evict and fill.
+	b.Run("miss", func(b *testing.B) {
+		d, ctx := ladderDevice(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += d.LoadU64(ctx, benchMissBase+benchLine(i, benchMissSpan))
+		}
+	})
 }
 
-// BenchmarkDeviceLoadSpanConflict is the span worst case: a cache small
-// enough that an 8-line span wraps the whole set array, so every span access
-// evicts lines the same span just filled.
-func BenchmarkDeviceLoadSpanConflict(b *testing.B) {
-	for _, span := range []bool{false, true} {
-		b.Run(fmt.Sprintf("span=%v", span), func(b *testing.B) {
-			cfg := sim.DefaultConfig()
-			cfg.CacheBytes = 4 * 1024
-			cfg.CacheWays = 2
-			d := NewDevice(&cfg, 16<<20)
-			d.SetExclusive(true)
-			d.SetSpanPath(span)
-			ctx := sim.NewCtx(&cfg)
-			buf := make([]byte, 8*LineSize)
-			b.ReportAllocs()
+func BenchmarkLoad(b *testing.B) {
+	for _, n := range []int{8, 16, 256} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			d, ctx := ladderDevice(b)
+			buf := make([]byte, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Load(ctx, (uint64(i)%4096)*8*LineSize, buf)
+				d.Load(ctx, benchLine(i, benchResident-LineSize*4)+24, buf)
 			}
 		})
+	}
+}
+
+// BenchmarkStoreClwbSfence is the persist idiom of every header write and
+// undo-log append, over 8 MB so most stores miss and evict.
+func BenchmarkStoreClwbSfence(b *testing.B) {
+	d, ctx := ladderDevice(b)
+	var two [16]byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := benchMissBase + benchLine(i, 8<<20)
+		d.Store(ctx, a, two[:])
+		d.Clwb(ctx, a)
+		d.Sfence(ctx)
+	}
+}
+
+// BenchmarkCheckpointRestore is one fork of the grid driver: checkpoint a
+// device with 8 MB of dirty pages and restore it into a fresh one.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	d, ctx := ladderDevice(b)
+	var two [16]byte
+	for a := uint64(0); a < 8<<20; a += LineSize {
+		d.Store(ctx, benchMissBase+a, two[:])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chk := d.Checkpoint()
+		d2 := NewDeviceForRestore(d.cfg, d.Size())
+		d2.Restore(chk)
+		d2.ReleaseMedia()
 	}
 }
 

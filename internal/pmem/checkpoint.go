@@ -8,10 +8,10 @@ import (
 
 // Device checkpoint/restore for the fork-based experiment driver
 // (DESIGN.md §7): capture the complete simulated machine-memory state —
-// persistent media, every cache set's tags/ages/lines/LRU ticks, the
-// in-flight (clwb'd, unfenced) lines, the pending-set list, eADR mode and
-// the cumulative counters — and later reproduce it bit-identically on a
-// fresh device of the same geometry.
+// persistent media, the cache's tags/ages/line bodies, every set's LRU tick
+// and dirty/pending masks, the in-flight (clwb'd, unfenced) lines, the
+// pending-set list, eADR mode and the cumulative counters — and later
+// reproduce it bit-identically on a fresh device of the same geometry.
 //
 // Media is captured SPARSELY against the all-zero base image every device
 // starts from: only the pages marked in the device's dirty bitmap are
@@ -23,14 +23,14 @@ import (
 // buffers, so a driver that re-checkpoints at every candidate fork point
 // allocates only while the captured footprint is still growing.
 
-// setCheckpoint is a deep copy of one cache set's volatile state.
+// setCheckpoint is a deep copy of one cache set's own state; its ways are in
+// the checkpoint's flat slot arrays.
 type setCheckpoint struct {
-	Tags     []uint64
-	Ages     []uint32
-	Ways     []cacheLine
 	Tick     uint32
-	Inflight []inflightEntry
+	Dirty    uint32
+	Pending  uint32
 	Enqueued bool
+	Inflight []inflightEntry
 }
 
 // DeviceCheckpoint is a deep, immutable-by-convention copy of a device's
@@ -47,9 +47,14 @@ type DeviceCheckpoint struct {
 	Pages    []uint32
 	PageData []byte
 
-	Sets []setCheckpoint
-	Pend []int
-	EADR bool
+	// Tags, Ages and Lines are the cache's slot arrays, with every age
+	// explicit (no set's MRU age left implicit in its tick).
+	Tags  []uint32
+	Ages  []uint32
+	Lines []byte
+	Sets  []setCheckpoint
+	Pend  []int
+	EADR  bool
 
 	// Stats holds the counter totals (summed over shards). The per-shard
 	// spread is host-scheduling detail, not simulated state, so Restore
@@ -96,37 +101,25 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 		c.PageData = append(c.PageData, pad[:]...)
 	}
 
+	c.Tags = append(c.Tags[:0], d.tags...)
+	c.Ages = append(c.Ages[:0], d.ages...)
+	c.Lines = append(c.Lines[:0], d.lines...)
 	if len(c.Sets) != len(d.sets) {
 		c.Sets = make([]setCheckpoint, len(d.sets))
 	}
 	for i := range d.sets {
 		set := &d.sets[i]
-		cs := &c.Sets[i]
-		if cap(cs.Tags) < d.nway {
-			cs.Tags = make([]uint64, d.nway)
-			cs.Ages = make([]uint32, d.nway)
-			cs.Ways = make([]cacheLine, d.nway)
+		if set.mruTag != 0 {
+			c.Ages[i*d.nway+int(set.mru)] = set.tick
 		}
-		cs.Tags = cs.Tags[:d.nway]
-		cs.Ages = cs.Ages[:d.nway]
-		cs.Ways = cs.Ways[:d.nway]
-		copy(cs.Tags, set.tags)
-		copy(cs.Ages, set.ages)
-		copy(cs.Ways, set.ways)
-		cs.Tick = set.tick
+		cs := &c.Sets[i]
+		cs.Tick, cs.Dirty, cs.Pending, cs.Enqueued = set.tick, set.dirty, set.pending, set.enqueued
 		cs.Inflight = append(cs.Inflight[:0], set.inflight...)
-		cs.Enqueued = set.enqueued
 	}
 	c.Pend = append(c.Pend[:0], d.pend...)
 	c.EADR = d.eADR.Load()
 
-	var t [statCount]uint64
-	for i := range d.stat {
-		for j := 0; j < statCount; j++ {
-			t[j] += d.stat[i].c[j].Load()
-		}
-	}
-	c.Stats = t
+	c.Stats = d.sumStats()
 }
 
 // parallelRestoreBytes is the media volume above which Restore fans its
@@ -210,7 +203,7 @@ func dirtyPages(bitmap []uint64) []uint32 {
 // modified, so several devices may restore from the same checkpoint
 // concurrently.
 func (d *Device) Restore(c *DeviceCheckpoint) {
-	if c.MediaLen != len(d.media) || len(c.Sets) != len(d.sets) {
+	if c.MediaLen != len(d.media) || len(c.Sets) != len(d.sets) || len(c.Tags) != len(d.tags) {
 		panic("pmem: Restore geometry mismatch")
 	}
 	size := uint64(len(d.media))
@@ -244,23 +237,21 @@ func (d *Device) Restore(c *DeviceCheckpoint) {
 		}
 	}
 	copy(d.dirty, c.Dirty)
+	copy(d.tags, c.Tags)
+	copy(d.ages, c.Ages)
+	copy(d.lines, c.Lines)
 	for i := range d.sets {
 		set := &d.sets[i]
 		cs := &c.Sets[i]
-		copy(set.tags, cs.Tags)
-		copy(set.ages, cs.Ages)
-		copy(set.ways, cs.Ways)
-		set.tick = cs.Tick
+		// The checkpoint's ages are all explicit: no way is trusted as MRU
+		// until the next access finds one.
+		set.mruTag, set.mru = 0, 0
+		set.tick, set.dirty, set.pending, set.enqueued = cs.Tick, cs.Dirty, cs.Pending, cs.Enqueued
 		set.inflight = append(set.inflight[:0], cs.Inflight...)
-		set.enqueued = cs.Enqueued
 	}
 	d.pend = append(d.pend[:0], c.Pend...)
 	d.eADR.Store(c.EADR)
-	for i := range d.stat {
-		for j := 0; j < statCount; j++ {
-			d.stat[i].c[j].Store(0)
-		}
-	}
+	d.ResetStats()
 	for j := 0; j < statCount; j++ {
 		d.stat[0].c[j].Store(c.Stats[j])
 	}

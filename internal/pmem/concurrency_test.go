@@ -39,7 +39,7 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 			var buf [16]byte
 			for i := 0; i < iters; i++ {
 				d.Store(ctx, own+uint64(i%64)*LineSize, buf[:16])
-				d.Load(ctx, uint64(i%128)*LineSize, buf[:8])
+				d.LoadU64(ctx, uint64(i%128)*LineSize)
 				d.Clwb(ctx, own+uint64(i%64)*LineSize)
 				if i%8 == 7 {
 					d.Sfence(ctx)
@@ -56,7 +56,27 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 			}
 		}(w)
 	}
+	// A reader snapshots the counters while the workers run: the derived hit
+	// count must never see more misses than lines touched (it would wrap).
+	done := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			if h := d.Stats().CacheHits; h > workers*iters*4 {
+				t.Errorf("mid-run snapshot derived %d cache hits", h)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-readerDone
 
 	st := d.Stats()
 	relocs := uint64(workers * iters / 16)

@@ -22,16 +22,28 @@
 // and in-flight (clwb'd, unfenced) lines live with their cache set, under
 // the same per-set lock every access already takes. See DESIGN.md ("Host
 // performance model") for the invariant host-side optimizations must keep.
+//
+// The modelled cache is laid out for the host's cache (DESIGN.md §7, "A cache
+// laid out for the host"). Way state lives in three device-wide arrays
+// indexed by slot = set*nway + way — tags (line index + 1, 0 = invalid), LRU
+// ages and 64-byte line bodies — and everything else a set owns fits the one
+// host line of its cacheSet. A hit on the set's most recently used way reads
+// that line and the body, nothing else. Two invariants are fixed at
+// construction and checked there, because only a bug in a caller's geometry
+// can break them: at most 32 ways (a set's dirty and pending flags are one
+// uint32 mask each) and at most 2³²−2 media lines ≈ 256 GB (tags are uint32).
 package pmem
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
@@ -85,15 +97,6 @@ func DropAllInflight(uint64) bool { return false }
 // KeepAllInflight persists every unfenced clwb'd line.
 func KeepAllInflight(uint64) bool { return true }
 
-// cacheLine holds one way's payload. Tags and LRU ages live in separate
-// per-set arrays (cacheSet.tags/ages) so the way scan on every access walks a
-// few contiguous host cachelines instead of striding through the line bodies.
-type cacheLine struct {
-	dirty   bool
-	pending bool // destination of a relocate, not yet reached persistence
-	data    [LineSize]byte
-}
-
 // inflightEntry is one clwb'd-but-unfenced line. Entries live with the cache
 // set their line maps to, so the per-set lock that already serializes cache
 // accesses to the line also serializes its in-flight state — no global
@@ -104,27 +107,39 @@ type inflightEntry struct {
 	data    [LineSize]byte
 }
 
+// cacheSet is the per-set state of the modelled cache — exactly one host
+// cacheline, so a hit on the set's MRU way touches this line and the line
+// body and nothing else. The ways themselves (tags, ages, bodies) live in the
+// device-wide slot arrays.
 type cacheSet struct {
-	mu   sync.Mutex
-	tags []uint64 // line index + 1 per way; 0 = invalid
-	ages []uint32 // LRU age per way
-	ways []cacheLine
-	tick uint32
-	// mruWay is a host-side hint: the way of the most recent hit. It is
-	// always validated against tags before use, so stale values (including
-	// across a checkpoint restore) only cost the full scan they avoid.
-	mruWay uint32
-
+	mu sync.Mutex
+	// mruTag, when non-zero, asserts that way mru holds that tag and was the
+	// last way of the set touched — so its LRU age is tick, and ages[mru] is
+	// stale until something materializes it: resident before it touches
+	// another way, CheckpointInto into its copy. Everything that rewrites
+	// tags or ages behind the set's back (dropVolatile, Restore) zeroes mruTag.
+	mruTag  uint32
+	mru     uint32
+	tick    uint32
+	dirty   uint32 // bit w: way w differs from the persistence domain
+	pending uint32 // bit w: way w is a relocate destination not yet persistent
+	// enqueued records whether this set is already on the device's
+	// pending-set list (guarded by mu).
+	enqueued bool
 	// inflight holds this set's clwb'd-but-unfenced lines (guarded by mu).
 	// The slice's capacity is retained across drains so the steady state
 	// allocates nothing.
 	inflight []inflightEntry
-	// enqueued records whether this set is already on the device's
-	// pending-set list (guarded by mu).
-	enqueued bool
 
-	_ [64]byte // keep adjacent sets off each other's cachelines
+	_ [8]byte
 }
+
+// A cacheSet is one host line: no smaller (adjacent sets would share one),
+// no larger (a hit would touch two).
+var (
+	_ [unsafe.Sizeof(cacheSet{}) - 64]struct{}
+	_ [64 - unsafe.Sizeof(cacheSet{})]struct{}
+)
 
 // Device is a simulated persistent-memory module plus the volatile cache in
 // front of it. It is safe for concurrent use by multiple simulation threads;
@@ -136,11 +151,13 @@ type Device struct {
 	nset  int
 	nway  int
 	sets  []cacheSet
+	// Way state, indexed by slot = set*nway + way.
+	tags  []uint32 // line index + 1; 0 = invalid
+	ages  []uint32 // LRU age (the set's tick at the last touch; see mruTag)
+	lines []byte   // LineSize bytes per slot
 
-	// setMagic enables the division-free set mapping (Lemire's fastmod).
-	// Non-zero only when nset is not a power of two and every line index
-	// fits in 32 bits; zero falls back to the plain modulo. Either path
-	// computes exactly lineIdx % nset.
+	// setMagic is ⌈2⁶⁴/nset⌉ (mod 2⁶⁴), the multiplier of the division-free
+	// set mapping (Lemire's fastmod), exact for every 32-bit line index.
 	setMagic uint64
 
 	// dirty marks DirtyPageSize media pages that may differ from the
@@ -157,6 +174,8 @@ type Device struct {
 	// Sfence visits only those sets instead of scanning the whole cache.
 	pendMu sync.Mutex
 	pend   []int
+	// fence is Sfence's working set while one goroutine owns the device.
+	fence sfenceScratch
 
 	rbbMu sync.Mutex
 	rbb   RBBSink
@@ -194,27 +213,7 @@ type Device struct {
 	// default; see site.go). Atomic so arming/disarming never touches the
 	// per-access locks.
 	sites atomic.Pointer[SiteRecorder]
-
-	// span gates the multi-line span fast path in Load/Store (see loadSpan).
-	// Purely a host optimization — span and per-line paths produce
-	// bit-identical simulated results (pinned by the span property tests) —
-	// so the toggle exists only for A/B benchmarking.
-	span bool
 }
-
-// spanPathDefault seeds the span flag of newly created devices (on by
-// default; cmd/ffccd-bench -span=false measures the off configuration).
-var spanPathDefault atomic.Bool
-
-func init() { spanPathDefault.Store(true) }
-
-// SetSpanPathDefault sets whether devices created from now on use the
-// multi-line span fast path.
-func SetSpanPathDefault(on bool) { spanPathDefault.Store(on) }
-
-// SetSpanPath toggles this device's multi-line span fast path. Call only on
-// a quiescent device.
-func (d *Device) SetSpanPath(on bool) { d.span = on }
 
 // SetObs wires the observability bundle into the device: the wpq_drain_lines
 // histogram, the "device" stats snapshot group, crash instants (plus the
@@ -418,26 +417,23 @@ func newDevice(cfg *sim.Config, media []byte) *Device {
 	if nset < 1 {
 		nset = 1
 	}
+	if nway < 1 || nway > 32 || size>>LineShift > 1<<32-2 {
+		panic(fmt.Sprintf("pmem: unsupported geometry: %d ways (1..32), %d media lines (<= 2^32-2)", nway, size>>LineShift))
+	}
 	npages := (size + DirtyPageSize - 1) >> DirtyPageShift
-	d := &Device{
-		cfg:    cfg,
-		media:  media,
-		nset:   nset,
-		nway:   nway,
-		sets:   make([]cacheSet, nset),
-		dirty:  make([]uint64, (npages+63)/64),
-		policy: DropAllInflight,
-		span:   spanPathDefault.Load(),
+	return &Device{
+		cfg:      cfg,
+		media:    media,
+		nset:     nset,
+		nway:     nway,
+		sets:     make([]cacheSet, nset),
+		tags:     make([]uint32, nset*nway),
+		ages:     make([]uint32, nset*nway),
+		lines:    make([]byte, nset*nway*LineSize),
+		setMagic: ^uint64(0)/uint64(nset) + 1,
+		dirty:    make([]uint64, (npages+63)/64),
+		policy:   DropAllInflight,
 	}
-	for i := range d.sets {
-		d.sets[i].tags = make([]uint64, nway)
-		d.sets[i].ages = make([]uint32, nway)
-		d.sets[i].ways = make([]cacheLine, nway)
-	}
-	if nset > 1 && nset&(nset-1) != 0 && size>>LineShift <= 1<<32 {
-		d.setMagic = ^uint64(0)/uint64(nset) + 1
-	}
-	return d
 }
 
 // Size returns the media capacity in bytes.
@@ -460,20 +456,33 @@ func (d *Device) SetCrashPolicy(p CrashPolicy) {
 	d.policyMu.Unlock()
 }
 
-// setOf returns the cache set for lineIdx.
-func (d *Device) setOf(lineIdx uint64) *cacheSet {
-	return &d.sets[d.setIndex(lineIdx)]
+// setIndex computes lineIdx % nset without a hardware divide (the set count
+// is a runtime value, so the compiler cannot strength-reduce the modulo
+// itself). Exact because line indices fit in 32 bits; nset == 1 wraps the
+// multiplier to 0, which maps every line to set 0.
+func (d *Device) setIndex(lineIdx uint64) int {
+	hi, _ := bits.Mul64(d.setMagic*lineIdx, uint64(d.nset))
+	return int(hi)
 }
 
-// setIndex computes lineIdx % nset without a hardware divide when setMagic
-// is armed (the set count is a runtime value, so the compiler cannot
-// strength-reduce the modulo itself).
-func (d *Device) setIndex(lineIdx uint64) int {
-	if m := d.setMagic; m != 0 {
-		hi, _ := bits.Mul64(m*lineIdx, uint64(d.nset))
-		return int(hi)
+// body returns the line body of slot.
+func (d *Device) body(slot int) *[LineSize]byte {
+	return (*[LineSize]byte)(d.lines[slot<<LineShift:])
+}
+
+// findWay returns the way of set si that holds lineIdx, or -1, without
+// touching LRU state. Caller holds set.mu.
+func (d *Device) findWay(set *cacheSet, si int, lineIdx uint64) int {
+	tag := uint32(lineIdx + 1)
+	if set.mruTag == tag {
+		return int(set.mru)
 	}
-	return int(lineIdx % uint64(d.nset))
+	for w, t := range d.tags[si*d.nway : (si+1)*d.nway] {
+		if t == tag {
+			return w
+		}
+	}
+	return -1
 }
 
 func (d *Device) checkRange(addr, n uint64) {
@@ -549,16 +558,23 @@ func (d *Device) RestoreMedia(img []byte) {
 	// The image is arbitrary: conservatively mark every page dirty (only
 	// pages that exist — the bitmap walks index media by their bits).
 	d.touchRange(0, uint64(len(d.media)))
-	d.dropVolatile()
+	d.dropVolatile(nil)
 }
 
 // dropVolatile clears every cached line, all in-flight state and the
-// pending-set list.
-func (d *Device) dropVolatile() {
+// pending-set list, returning the in-flight lines it dropped appended to
+// harvest (nil to discard them).
+func (d *Device) dropVolatile(harvest *[]inflightEntry) {
+	clear(d.tags)
+	clear(d.ages)
+	clear(d.lines)
 	for i := range d.sets {
 		set := &d.sets[i]
 		set.mu.Lock()
-		set.clearWays()
+		if harvest != nil {
+			*harvest = append(*harvest, set.inflight...)
+		}
+		set.mruTag, set.mru, set.tick, set.dirty, set.pending = 0, 0, 0, 0, 0
 		set.inflight = set.inflight[:0]
 		set.enqueued = false
 		set.mu.Unlock()
@@ -566,16 +582,6 @@ func (d *Device) dropVolatile() {
 	d.pendMu.Lock()
 	d.pend = d.pend[:0]
 	d.pendMu.Unlock()
-}
-
-// clearWays invalidates every way of the set. Caller holds set.mu.
-func (set *cacheSet) clearWays() {
-	for w := range set.ways {
-		set.tags[w] = 0
-		set.ages[w] = 0
-		set.ways[w] = cacheLine{}
-	}
-	set.tick = 0
 }
 
 // MediaRead copies persisted bytes (media only — the post-crash view). It is
@@ -638,18 +644,7 @@ func (d *Device) Crash() {
 	// locks, then apply the policy and notify the RBB with no locks held
 	// (the sink may call back into MediaWrite/MediaRead).
 	var pending []inflightEntry
-	for i := range d.sets {
-		set := &d.sets[i]
-		set.mu.Lock()
-		pending = append(pending, set.inflight...)
-		set.inflight = set.inflight[:0]
-		set.enqueued = false
-		set.clearWays()
-		set.mu.Unlock()
-	}
-	d.pendMu.Lock()
-	d.pend = d.pend[:0]
-	d.pendMu.Unlock()
+	d.dropVolatile(&pending)
 
 	sort.Slice(pending, func(i, j int) bool { return pending[i].lineIdx < pending[j].lineIdx })
 	var reached []uint64
@@ -723,6 +718,19 @@ func (d *Device) NumSets() int { return d.nset }
 // SetOfAddr returns the cache-set index the line containing addr maps to.
 func (d *Device) SetOfAddr(addr uint64) int { return d.setIndex(addr >> LineShift) }
 
+// newest returns the newest copy of lineIdx's bytes, from the line's first
+// byte on — cached way first, then in-flight copy, then media. Caller holds
+// the lock of set si, the line's set.
+func (d *Device) newest(set *cacheSet, si int, lineIdx uint64) []byte {
+	if w := d.findWay(set, si, lineIdx); w >= 0 {
+		return d.body(si*d.nway + w)[:]
+	}
+	if i := set.inflightIndex(lineIdx); i >= 0 {
+		return set.inflight[i].data[:]
+	}
+	return d.media[lineIdx<<LineShift:]
+}
+
 // Peek copies the newest value of [addr, addr+len(buf)) into buf — cached
 // way first, then in-flight copy, then media — without simulating the
 // access: no cycles are charged, no cache fill or LRU aging happens, and no
@@ -734,54 +742,55 @@ func (d *Device) Peek(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		lineIdx := addr >> LineShift
 		off := addr & (LineSize - 1)
-		n := LineSize - off
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		set := d.setOf(lineIdx)
+		n := min(LineSize-off, uint64(len(buf)))
+		si := d.setIndex(lineIdx)
+		set := &d.sets[si]
 		d.lockSet(set)
-		copied := false
-		for w, t := range set.tags {
-			if t == lineIdx+1 {
-				copy(buf[:n], set.ways[w].data[off:off+n])
-				copied = true
-				break
-			}
-		}
-		if !copied {
-			if i := set.inflightIndex(lineIdx); i >= 0 {
-				copy(buf[:n], set.inflight[i].data[off:off+n])
-			} else {
-				copy(buf[:n], d.media[addr:addr+n])
-			}
-		}
+		copy(buf[:n], d.newest(set, si, lineIdx)[off:])
 		d.unlockSet(set)
 		addr += n
 		buf = buf[n:]
 	}
 }
 
+// PeekU64 is Peek of a little-endian u64.
+func (d *Device) PeekU64(addr uint64) uint64 {
+	off := addr & (LineSize - 1)
+	if off > LineSize-8 {
+		var b [8]byte
+		d.Peek(addr, b[:])
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	d.checkRange(addr, 8)
+	lineIdx := addr >> LineShift
+	si := d.setIndex(lineIdx)
+	set := &d.sets[si]
+	d.lockSet(set)
+	v := binary.LittleEndian.Uint64(d.newest(set, si, lineIdx)[off:])
+	d.unlockSet(set)
+	return v
+}
+
 // StateOf returns the LineState for the line containing addr.
 func (d *Device) StateOf(addr uint64) LineState {
 	lineIdx := addr >> LineShift
-	set := d.setOf(lineIdx)
+	si := d.setIndex(lineIdx)
+	set := &d.sets[si]
 	set.mu.Lock()
 	defer set.mu.Unlock()
 	inflight := set.inflightIndex(lineIdx) >= 0
-	for w, t := range set.tags {
-		if t == lineIdx+1 {
-			l := &set.ways[w]
-			st := LineCachedClean
-			if l.pending {
-				st = LineCachedPending
-			} else if l.dirty {
-				st = LineCachedDirty
-			} else if inflight {
-				// Cached clean but the durable copy is still in flight.
-				st = LineInflight
-			}
-			return st
+	if w := d.findWay(set, si, lineIdx); w >= 0 {
+		bit := uint32(1) << w
+		if set.pending&bit != 0 {
+			return LineCachedPending
 		}
+		if set.dirty&bit != 0 {
+			return LineCachedDirty
+		}
+		if !inflight {
+			return LineCachedClean
+		}
+		// Cached clean but the durable copy is still in flight.
 	}
 	if inflight {
 		return LineInflight

@@ -1,6 +1,8 @@
 package pmem
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -20,34 +22,41 @@ func (d *Device) fillLine(set *cacheSet, lineIdx uint64, buf *[LineSize]byte) {
 
 // lockLine locks the set for lineIdx and ensures the line is resident,
 // filling from the persistence domain on a miss (evicting a victim if
-// needed). It returns the locked set, the resident line, and whether the
-// access hit in the cache. The caller mutates the line and unlocks set.mu.
-func (d *Device) lockLine(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, line *cacheLine, hit bool) {
-	set = d.setOf(lineIdx)
+// needed). It returns the locked set, the line's slot — way set.mru of the
+// set — and 1 if the access missed in the cache, 0 if it hit. The caller
+// accesses the body, updates the set's masks and unlocks the set.
+func (d *Device) lockLine(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int, miss uint64) {
+	si := d.setIndex(lineIdx)
+	set = &d.sets[si]
 	d.lockSet(set)
-	line, hit = d.resident(ctx, set, lineIdx)
-	return set, line, hit
+	if set.mruTag == uint32(lineIdx+1) {
+		// The set's last-touched way again: its age is the tick, implicitly.
+		set.tick++
+		return set, si*d.nway + int(set.mru), 0
+	}
+	slot, miss = d.resident(ctx, set, si*d.nway, lineIdx)
+	return set, slot, miss
 }
 
-// resident ensures lineIdx is cached in set — the set the line maps to,
-// which the caller has locked (or owns exclusively) — evicting a victim and
-// filling from the persistence domain on a miss. Returns the resident line
-// and whether the access hit.
-func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, lineIdx uint64) (line *cacheLine, hit bool) {
-	tag := lineIdx + 1
-	if w := set.mruWay; set.tags[w] == tag {
-		set.tick++
-		set.ages[w] = set.tick
-		return &set.ways[w], true
+// resident is lockLine off the MRU way: it makes lineIdx resident in the set
+// whose first slot is base — the set the line maps to, which the caller has
+// locked (or owns exclusively) — and leaves it the set's trusted MRU way.
+func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64) (slot int, miss uint64) {
+	tag := uint32(lineIdx + 1)
+	tags := d.tags[base : base+d.nway]
+	ages := d.ages[base : base+d.nway]
+	if set.mruTag != 0 {
+		// Another way is about to be touched: the old MRU way's age stops
+		// being implicit.
+		ages[set.mru] = set.tick
 	}
 	set.tick++
 	victim := 0
 	var oldest uint32 = ^uint32(0)
-	for w, t := range set.tags {
+	for w, t := range tags {
 		if t == tag {
-			set.ages[w] = set.tick
-			set.mruWay = uint32(w)
-			return &set.ways[w], true
+			set.mruTag, set.mru = tag, uint32(w)
+			return base + w, 0
 		}
 		if t == 0 {
 			if oldest != 0 {
@@ -55,23 +64,39 @@ func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, lineIdx uint64) (line *ca
 			}
 			continue
 		}
-		if a := set.ages[w]; a < oldest {
+		if a := ages[w]; a < oldest {
 			victim, oldest = w, a
 		}
 	}
 	// Miss: evict the victim and fill.
-	l := &set.ways[victim]
-	if vt := set.tags[victim]; vt != 0 && l.dirty {
-		d.lineShard(vt - 1).c[cEvictions].Add(1)
-		d.writeMediaLine(ctx, set, vt-1, &l.data, l.pending)
+	slot = base + victim
+	bit := uint32(1) << victim
+	if vt := tags[victim]; vt != 0 && set.dirty&bit != 0 {
+		d.lineShard(uint64(vt - 1)).c[cEvictions].Add(1)
+		d.writeMediaLine(ctx, set, uint64(vt-1), d.body(slot), set.pending&bit != 0)
 	}
-	set.tags[victim] = tag
-	set.ages[victim] = set.tick
-	set.mruWay = uint32(victim)
-	l.dirty = false
-	l.pending = false
-	d.fillLine(set, lineIdx, &l.data)
-	return l, false
+	tags[victim] = tag
+	set.mruTag, set.mru = tag, uint32(victim)
+	set.dirty &^= bit
+	set.pending &^= bit
+	d.fillLine(set, lineIdx, d.body(slot))
+	return slot, 1
+}
+
+// account counts one Load or Store (op is cLoads or cStores) that touched
+// lines cachelines of which misses missed, and charges its latency. Hits are
+// not counted: every touched line hits or misses, so Stats derives them, and
+// a single-line hit — nearly every access — pays for one increment.
+func (d *Device) account(ctx *sim.Ctx, shard *statShard, op int, lines, misses uint64) {
+	shard.c[op].Add(1)
+	if lines > 1 {
+		shard.c[cExtraLines].Add(lines - 1)
+	}
+	if misses > 0 {
+		shard.c[cCacheMisses].Add(misses)
+		shard.c[cMediaReads].Add(misses)
+	}
+	ctx.Charge(lines*d.cfg.L2Latency + misses*d.cfg.PMReadLatency)
 }
 
 // Load reads len(buf) bytes at addr through the cache, charging hit/miss
@@ -82,202 +107,91 @@ func (d *Device) Load(ctx *sim.Ctx, addr uint64, buf []byte) {
 	lineIdx := addr >> LineShift
 	off := addr & (LineSize - 1)
 	shard := d.lineShard(lineIdx)
-	if off+uint64(len(buf)) <= LineSize {
-		// Fast path: the access is contained in a single line (the dominant
-		// case — field reads, pointers, headers).
-		set, l, hit := d.lockLine(ctx, lineIdx)
-		copy(buf, l.data[off:off+uint64(len(buf))])
+	var lines, misses uint64
+	for {
+		n := min(LineSize-off, uint64(len(buf)))
+		set, slot, miss := d.lockLine(ctx, lineIdx)
+		copy(buf[:n], d.body(slot)[off:])
 		d.unlockSet(set)
-		shard.c[cLoads].Add(1)
-		if hit {
-			ctx.Charge(d.cfg.L2Latency)
-			shard.c[cCacheHits].Add(1)
-		} else {
-			ctx.Charge(d.cfg.L2Latency + d.cfg.PMReadLatency)
-			shard.c[cCacheMisses].Add(1)
-			shard.c[cMediaReads].Add(1)
-		}
-		return
-	}
-	var hits, misses uint64
-	if d.span && d.exclusive {
-		// Span fast path: resolve consecutive lines in one device entry —
-		// the single lock-elision check above covers the whole span. Returns
-		// the unconsumed remainder (non-empty only when a set held in-flight
-		// lines), which the per-line loop below finishes.
-		hits, misses, addr, buf = d.loadSpan(ctx, addr, buf)
-	}
-	for len(buf) > 0 {
-		lineIdx = addr >> LineShift
-		off = addr & (LineSize - 1)
-		n := LineSize - off
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		set, l, hit := d.lockLine(ctx, lineIdx)
-		copy(buf[:n], l.data[off:off+n])
-		d.unlockSet(set)
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		buf = buf[n:]
-		addr += n
-	}
-	ctx.Charge(hits*d.cfg.L2Latency + misses*(d.cfg.L2Latency+d.cfg.PMReadLatency))
-	shard.c[cLoads].Add(1)
-	if hits > 0 {
-		shard.c[cCacheHits].Add(hits)
-	}
-	if misses > 0 {
-		shard.c[cCacheMisses].Add(misses)
-		shard.c[cMediaReads].Add(misses)
-	}
-}
-
-// loadSpan is the multi-line load fast path, entered only on exclusive-mode
-// devices with the span path enabled: one set lookup seeds the span
-// (consecutive lines map to consecutive sets, so the index advances
-// incrementally instead of re-running the fastmod per line), the caller's
-// lock-elision check and batched stat/cycle charges cover every line, and
-// eviction behavior is byte-identical to the per-line path (both run
-// resident). A set that holds in-flight lines ends the span: the remainder
-// is returned to the caller's per-line loop, whose fill path consults the
-// in-flight buffer.
-func (d *Device) loadSpan(ctx *sim.Ctx, addr uint64, buf []byte) (hits, misses uint64, raddr uint64, rbuf []byte) {
-	lineIdx := addr >> LineShift
-	si := d.setIndex(lineIdx)
-	for len(buf) > 0 {
-		set := &d.sets[si]
-		if len(set.inflight) != 0 {
+		lines++
+		misses += miss
+		if buf = buf[n:]; len(buf) == 0 {
 			break
 		}
-		off := addr & (LineSize - 1)
-		n := LineSize - off
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		l, hit := d.resident(ctx, set, lineIdx)
-		copy(buf[:n], l.data[off:off+n])
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		buf = buf[n:]
-		addr += n
 		lineIdx++
-		if si++; si == d.nset {
-			si = 0
-		}
+		off = 0
 	}
-	return hits, misses, addr, buf
+	d.account(ctx, shard, cLoads, lines, misses)
+}
+
+// LoadU64 is Load of a little-endian u64 — the same access, counters and
+// charges — without a buffer in between: the dominant access (headers,
+// pointers, u64 fields). A word straddling two lines goes through Load.
+func (d *Device) LoadU64(ctx *sim.Ctx, addr uint64) uint64 {
+	off := addr & (LineSize - 1)
+	if off > LineSize-8 {
+		var b [8]byte
+		d.Load(ctx, addr, b[:])
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	d.checkRange(addr, 8)
+	lineIdx := addr >> LineShift
+	set, slot, miss := d.lockLine(ctx, lineIdx)
+	v := binary.LittleEndian.Uint64(d.body(slot)[off:])
+	d.unlockSet(set)
+	d.account(ctx, d.lineShard(lineIdx), cLoads, 1, miss)
+	return v
 }
 
 // Store writes data at addr through the cache (write-allocate, write-back).
 func (d *Device) Store(ctx *sim.Ctx, addr uint64, data []byte) {
-	d.storeInternal(ctx, addr, data, false)
+	d.store(ctx, addr, data, false)
 }
 
-func (d *Device) storeInternal(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
+// store is Store, tagging every line it writes as a relocate destination
+// when pending is set.
+func (d *Device) store(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
 	d.checkRange(addr, uint64(len(data)))
 	lineIdx := addr >> LineShift
 	off := addr & (LineSize - 1)
 	shard := d.lineShard(lineIdx)
-	if off+uint64(len(data)) <= LineSize {
-		// Fast path: single-line store.
-		set, l, hit := d.lockLine(ctx, lineIdx)
-		copy(l.data[off:off+uint64(len(data))], data)
-		l.dirty = true
+	var lines, misses uint64
+	for {
+		n := min(LineSize-off, uint64(len(data)))
+		set, slot, miss := d.lockLine(ctx, lineIdx)
+		copy(d.body(slot)[off:], data[:n])
+		set.dirty |= 1 << set.mru
 		if pending {
-			l.pending = true
+			set.pending |= 1 << set.mru
 		}
 		d.unlockSet(set)
-		shard.c[cStores].Add(1)
-		if hit {
-			ctx.Charge(d.cfg.L2Latency)
-			shard.c[cCacheHits].Add(1)
-		} else {
-			ctx.Charge(d.cfg.L2Latency + d.cfg.PMReadLatency)
-			shard.c[cCacheMisses].Add(1)
-			shard.c[cMediaReads].Add(1)
-		}
-		return
-	}
-	var hits, misses uint64
-	if d.span && d.exclusive {
-		// Span fast path; see loadSpan.
-		hits, misses, addr, data = d.storeSpan(ctx, addr, data, pending)
-	}
-	for len(data) > 0 {
-		lineIdx = addr >> LineShift
-		off = addr & (LineSize - 1)
-		n := LineSize - off
-		if n > uint64(len(data)) {
-			n = uint64(len(data))
-		}
-		set, l, hit := d.lockLine(ctx, lineIdx)
-		copy(l.data[off:off+n], data[:n])
-		l.dirty = true
-		if pending {
-			l.pending = true
-		}
-		d.unlockSet(set)
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		data = data[n:]
-		addr += n
-	}
-	ctx.Charge(hits*d.cfg.L2Latency + misses*(d.cfg.L2Latency+d.cfg.PMReadLatency))
-	shard.c[cStores].Add(1)
-	if hits > 0 {
-		shard.c[cCacheHits].Add(hits)
-	}
-	if misses > 0 {
-		shard.c[cCacheMisses].Add(misses)
-		shard.c[cMediaReads].Add(misses)
-	}
-}
-
-// storeSpan is the multi-line store fast path — loadSpan's mutating twin
-// (write-allocate, identical set-index seeding, in-flight fallback and
-// eviction behavior).
-func (d *Device) storeSpan(ctx *sim.Ctx, addr uint64, data []byte, pending bool) (hits, misses uint64, raddr uint64, rdata []byte) {
-	lineIdx := addr >> LineShift
-	si := d.setIndex(lineIdx)
-	for len(data) > 0 {
-		set := &d.sets[si]
-		if len(set.inflight) != 0 {
+		lines++
+		misses += miss
+		if data = data[n:]; len(data) == 0 {
 			break
 		}
-		off := addr & (LineSize - 1)
-		n := LineSize - off
-		if n > uint64(len(data)) {
-			n = uint64(len(data))
-		}
-		l, hit := d.resident(ctx, set, lineIdx)
-		copy(l.data[off:off+n], data[:n])
-		l.dirty = true
-		if pending {
-			l.pending = true
-		}
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		data = data[n:]
-		addr += n
 		lineIdx++
-		if si++; si == d.nset {
-			si = 0
-		}
+		off = 0
 	}
-	return hits, misses, addr, data
+	d.account(ctx, shard, cStores, lines, misses)
+}
+
+// StoreU64 is Store of a little-endian u64; see LoadU64.
+func (d *Device) StoreU64(ctx *sim.Ctx, addr, v uint64) {
+	off := addr & (LineSize - 1)
+	if off > LineSize-8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		d.Store(ctx, addr, b[:])
+		return
+	}
+	d.checkRange(addr, 8)
+	lineIdx := addr >> LineShift
+	set, slot, miss := d.lockLine(ctx, lineIdx)
+	binary.LittleEndian.PutUint64(d.body(slot)[off:], v)
+	set.dirty |= 1 << set.mru
+	d.unlockSet(set)
+	d.account(ctx, d.lineShard(lineIdx), cStores, 1, miss)
 }
 
 // Clwb initiates write-back of the line containing addr. The line becomes
@@ -288,44 +202,39 @@ func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 	d.checkRange(addr, 1)
 	lineIdx := addr >> LineShift
 	d.lineShard(lineIdx).c[cClwbs].Add(1)
-	set := d.setOf(lineIdx)
+	si := d.setIndex(lineIdx)
+	set := &d.sets[si]
 	d.lockSet(set)
-	for w, t := range set.tags {
-		if t == lineIdx+1 {
-			l := &set.ways[w]
-			if l.dirty {
-				if i := set.inflightIndex(lineIdx); i >= 0 {
-					fl := &set.inflight[i]
-					fl.data = l.data
-					fl.pending = fl.pending || l.pending
+	if w := d.findWay(set, si, lineIdx); w >= 0 && set.dirty>>w&1 != 0 {
+		bit := uint32(1) << w
+		i := set.inflightIndex(lineIdx)
+		if i < 0 {
+			i = len(set.inflight)
+			set.inflight = append(set.inflight, inflightEntry{lineIdx: lineIdx})
+			if !set.enqueued {
+				set.enqueued = true
+				if d.exclusive {
+					d.pend = append(d.pend, si)
 				} else {
-					set.inflight = append(set.inflight, inflightEntry{
-						lineIdx: lineIdx, pending: l.pending, data: l.data,
-					})
-					if !set.enqueued {
-						set.enqueued = true
-						si := d.setIndex(lineIdx)
-						if d.exclusive {
-							d.pend = append(d.pend, si)
-						} else {
-							d.pendMu.Lock()
-							d.pend = append(d.pend, si)
-							d.pendMu.Unlock()
-						}
-					}
+					d.pendMu.Lock()
+					d.pend = append(d.pend, si)
+					d.pendMu.Unlock()
 				}
-				l.dirty = false
-				l.pending = false
-				ctx.PendingFlushes++
 			}
-			break
 		}
+		fl := &set.inflight[i]
+		fl.data = *d.body(si*d.nway + w)
+		fl.pending = fl.pending || set.pending&bit != 0
+		set.dirty &^= bit
+		set.pending &^= bit
+		ctx.PendingFlushes++
 	}
 	d.unlockSet(set)
 	ctx.Charge(d.cfg.L2Latency + d.cfg.WPQLatency)
 }
 
-// sfenceScratch holds Sfence's reusable working set.
+// sfenceScratch holds Sfence's reusable working set: the device's own while
+// one goroutine owns it, a pooled one per fence otherwise.
 type sfenceScratch struct {
 	sets    []int
 	reached []uint64
@@ -344,11 +253,13 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 	d.Site(ctx, SiteSfence)
 	d.ctxShard(ctx).c[cSfences].Add(1)
 
-	sc := sfencePool.Get().(*sfenceScratch)
+	sc := &d.fence
 	if d.exclusive {
-		sc.sets = append(sc.sets[:0], d.pend...)
-		d.pend = d.pend[:0]
+		// Take the pending-set list and leave the last fence's (drained) one
+		// in its place.
+		sc.sets, d.pend = d.pend, sc.sets[:0]
 	} else {
+		sc = sfencePool.Get().(*sfenceScratch)
 		d.pendMu.Lock()
 		sc.sets = append(sc.sets[:0], d.pend...)
 		d.pend = d.pend[:0]
@@ -385,12 +296,16 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 			d.obs.Tracer.Instant(ctx, obsv.KindWPQDrain, uint64(drained))
 		}
 	}
-	slices.Sort(reached)
+	if len(reached) > 1 {
+		slices.Sort(reached)
+	}
 	for _, lineIdx := range reached {
 		d.notifyReached(ctx, lineIdx)
 	}
 	sc.reached = reached[:0]
-	sfencePool.Put(sc)
+	if sc != &d.fence {
+		sfencePool.Put(sc)
+	}
 	d.Site(ctx, SiteWPQDrain)
 	if ctx.PendingFlushes > 0 || drained > 0 {
 		// The fence exposes the full PM write latency — the stall FFCCD's
@@ -411,17 +326,15 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 // the whole cache). Used by terminate() before releasing relocation pages
 // and by tests that need a fully persisted heap.
 func (d *Device) FlushAll(ctx *sim.Ctx) {
-	for i := range d.sets {
-		set := &d.sets[i]
+	for si := range d.sets {
+		set := &d.sets[si]
 		d.lockSet(set)
-		for w, t := range set.tags {
-			l := &set.ways[w]
-			if t != 0 && l.dirty {
-				d.writeMediaLine(ctx, set, t-1, &l.data, l.pending)
-				l.dirty = false
-				l.pending = false
-			}
+		for m := set.dirty; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros32(m)
+			slot := si*d.nway + w
+			d.writeMediaLine(ctx, set, uint64(d.tags[slot]-1), d.body(slot), set.pending&(1<<w) != 0)
 		}
+		set.dirty, set.pending = 0, 0
 		d.unlockSet(set)
 	}
 	d.Sfence(ctx)

@@ -129,7 +129,7 @@ func (d *Device) RelocateParts(ctx *sim.Ctx, parts []RelocatePart) {
 			s := &sc.spans[si]
 			copy(buf[s.off-lo:], sc.arena[s.start:s.end])
 		}
-		d.storeInternal(ctx, ln.lineIdx<<LineShift+lo, buf, true)
+		d.store(ctx, ln.lineIdx<<LineShift+lo, buf, true)
 		d.Site(ctx, SiteRelocateLine)
 	}
 	relocPool.Put(sc)

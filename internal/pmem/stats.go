@@ -7,12 +7,16 @@ import (
 )
 
 // Device counters. The hot paths batch increments: one shard update per
-// Load/Store call rather than one mutex round-trip per cacheline.
+// Load/Store call rather than one mutex round-trip per cacheline. Cache hits
+// have no counter: every line a Load or Store touches either hits or misses,
+// so an access that hits pays for one increment (its cLoads or cStores) and
+// Stats derives the hits. cCacheMisses comes first because sumStats must read
+// it first.
 const (
-	cLoads = iota
+	cCacheMisses = iota
+	cLoads
 	cStores
-	cCacheHits
-	cCacheMisses
+	cExtraLines // lines a multi-line Load or Store touched beyond its first
 	cEvictions
 	cMediaWrites
 	cMediaReads
@@ -50,11 +54,12 @@ func (d *Device) ctxShard(ctx *sim.Ctx) *statShard {
 // increment is applied exactly once, so after the device quiesces the sums
 // are exact (a snapshot taken while operations are still in flight is a
 // consistent sum of completed increments per counter, though not a single
-// instant across counters).
+// instant across counters). CacheHits is derived, not counted: the lines
+// Loads and Stores touched minus the ones that missed.
 type Stats struct {
 	Loads        uint64
 	Stores       uint64
-	CacheHits    uint64
+	CacheHits    uint64 // lines touched by Load/Store that were resident
 	CacheMisses  uint64
 	Evictions    uint64
 	MediaWrites  uint64 // lines written to media (PM write traffic)
@@ -65,18 +70,26 @@ type Stats struct {
 	PendingReach uint64 // pending lines that reached persistence
 }
 
-// Stats returns a snapshot of the device counters (sum over shards).
-func (d *Device) Stats() Stats {
-	var t [statCount]uint64
+// sumStats sums the counters over the shards. Within a shard it reads the
+// misses before the accesses they belong to: an access counts itself before
+// its misses, both in the same shard, so even a snapshot taken under
+// concurrent traffic never sees more misses than lines touched.
+func (d *Device) sumStats() (t [statCount]uint64) {
 	for i := range d.stat {
 		for j := 0; j < statCount; j++ {
 			t[j] += d.stat[i].c[j].Load()
 		}
 	}
+	return t
+}
+
+// Stats returns a snapshot of the device counters (sum over shards).
+func (d *Device) Stats() Stats {
+	t := d.sumStats()
 	return Stats{
 		Loads:        t[cLoads],
 		Stores:       t[cStores],
-		CacheHits:    t[cCacheHits],
+		CacheHits:    t[cLoads] + t[cStores] + t[cExtraLines] - t[cCacheMisses],
 		CacheMisses:  t[cCacheMisses],
 		Evictions:    t[cEvictions],
 		MediaWrites:  t[cMediaWrites],

@@ -326,16 +326,14 @@ func (p *Pool) RawStore(ctx *sim.Ctx, off uint64, data []byte) {
 
 // RawLoadU64 reads a little-endian u64 at off.
 func (p *Pool) RawLoadU64(ctx *sim.Ctx, off uint64) uint64 {
-	var b [8]byte
-	p.RawLoad(ctx, off, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	p.chargeTLB(ctx, off)
+	return p.dev.LoadU64(ctx, p.PA(off))
 }
 
 // RawStoreU64 writes a little-endian u64 at off.
 func (p *Pool) RawStoreU64(ctx *sim.Ctx, off uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	p.RawStore(ctx, off, b[:])
+	p.chargeTLB(ctx, off)
+	p.dev.StoreU64(ctx, p.PA(off), v)
 }
 
 // Peek reads the newest bytes at pool offset off without simulating the
@@ -347,11 +345,7 @@ func (p *Pool) Peek(off uint64, buf []byte) {
 }
 
 // PeekU64 reads a little-endian u64 at off without simulating the access.
-func (p *Pool) PeekU64(off uint64) uint64 {
-	var b [8]byte
-	p.Peek(off, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
+func (p *Pool) PeekU64(off uint64) uint64 { return p.dev.PeekU64(p.PA(off)) }
 
 // Clwb issues a cacheline write-back for the line containing pool offset off.
 func (p *Pool) Clwb(ctx *sim.Ctx, off uint64) { p.dev.Clwb(ctx, p.PA(off)) }
@@ -438,9 +432,8 @@ func (p *Pool) WriteBytes(ctx *sim.Ctx, obj Ptr, field uint64, data []byte) {
 // Header returns the type id and payload length of obj (no barrier; headers
 // move with their objects, so callers pass an already-resolved pointer).
 func (p *Pool) Header(ctx *sim.Ctx, obj Ptr) (TypeID, uint64) {
-	var b [8]byte
-	p.RawLoad(ctx, obj.Offset()-HeaderSize, b[:])
-	return TypeID(binary.LittleEndian.Uint32(b[0:4])), uint64(binary.LittleEndian.Uint32(b[4:8]))
+	w := p.RawLoadU64(ctx, obj.Offset()-HeaderSize)
+	return TypeID(uint32(w)), w >> 32
 }
 
 // writeHeader persists an object header (type id + payload length).

@@ -6,7 +6,7 @@
 # Four row families, every row carrying host_cores and ffccd_parallel so
 # scaling comparisons stay interpretable away from the machine they ran on:
 #
-#   1. Baseline rows at the working scale (span/fork on, their production
+#   1. Baseline rows at the working scale (fork on, its production
 #      setting), plus a fig14 fork=off row to keep the fork-vs-scratch
 #      comparison BENCH_3.json started tracked.
 #   2. Per-core scaling rows: fig5 under FFCCD_PARALLEL=1/2/4/8 (the env
@@ -27,7 +27,7 @@
 #      with FFCCD_BENCH_PAPER=0.
 #
 # The simulated numbers must be identical across every row of the same
-# experiment+scale — span, fork and parallelism change wall-clock only; the
+# experiment+scale — fork and parallelism change wall-clock only; the
 # golden test pins this, and sim_cycles_total in each row's metrics lets the
 # file itself be checked. Each configuration repeats (-repeat) so the file
 # carries host-time variance instead of duplicating near-identical lines.

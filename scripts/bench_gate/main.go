@@ -2,12 +2,12 @@
 // records in the repository root and fails when the newer one regresses:
 //
 //   - any sim_cycles_total drift, within a file (rows of the same
-//     experiment+scale must agree — span, fork and parallelism change
+//     experiment+scale must agree — fork and parallelism change
 //     wall-clock only) or between the two files for matching
 //     experiment+scale rows. Simulated cycles are the repo's correctness
 //     currency; a drift here is a behaviour change, never noise.
 //   - a >15% host_seconds regression for a matching configuration
-//     (experiment, scale, parallel, ffccd_parallel, fork, span), compared
+//     (experiment, scale, parallel, ffccd_parallel, fork), compared
 //     min-across-repeats and only when both rows ran on the same
 //     host_cores — wall-clock on different machines is not comparable.
 //     FFCCD_BENCHGATE_TOL overrides the tolerance (e.g. 0.30 on noisy CI).
@@ -38,7 +38,6 @@ type record struct {
 	HostCores     int                `json:"host_cores"`
 	FFCCDParallel int                `json:"ffccd_parallel"`
 	Fork          bool               `json:"fork"`
-	Span          bool               `json:"span"`
 	HostSeconds   float64            `json:"host_seconds"`
 	Repeat        int                `json:"repeat"`
 	Metrics       map[string]float64 `json:"metrics"`
@@ -53,8 +52,8 @@ func (r record) simKey() string {
 
 // hostKey groups rows whose wall-clock is comparable like-for-like.
 func (r record) hostKey() string {
-	return fmt.Sprintf("%s/scale=%g/shards=%d/parallel=%d/ffccd_parallel=%d/fork=%t/span=%t",
-		r.Experiment, r.Scale, r.Shards, r.Parallel, r.FFCCDParallel, r.Fork, r.Span)
+	return fmt.Sprintf("%s/scale=%g/shards=%d/parallel=%d/ffccd_parallel=%d/fork=%t",
+		r.Experiment, r.Scale, r.Shards, r.Parallel, r.FFCCDParallel, r.Fork)
 }
 
 func load(path string) ([]record, error) {
