@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-host benchsmoke benchrepo benchscale benchdiff benchgate servesmoke servecrash serveshard golden crashmatrix clean
+.PHONY: all build test race vet fmt check bench bench-host benchsmoke benchrepo benchscale benchdiff benchgate servesmoke servecrash serveshard golden crashmatrix loc clean
 
 all: check
 
@@ -52,8 +52,23 @@ servecrash: build
 # full tests + the reduced crash-schedule matrix + the measurement smoke +
 # the serving-layer smoke + the serving-path crash campaign + the multicore
 # scaling gate + the sharded-serving scaling gate + the bench-record
-# regression gate + the repo benchmark's smoke run.
-check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard benchgate
+# regression gate + the repo benchmark's smoke run, and ends with the line
+# counts.
+check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard benchgate loc
+
+# loc prints the non-test and test Go line counts of every top-level package
+# and of the whole repo. Net non-test lines are a tracked metric (ROADMAP's
+# "least code" aim); this is the one way they are counted.
+loc:
+	@count() { find "$$@" -exec cat {} + | wc -l; }; \
+	printf '%-26s %9s %9s\n' package non-test test; \
+	for d in . bench $$(find cmd examples internal scripts -mindepth 1 -maxdepth 1 -type d | sort); do \
+		depth=; [ $$d = . ] && depth='-maxdepth 1'; \
+		printf '%-26s %9d %9d\n' $$d \
+			$$(count $$d $$depth -name '*.go' ! -name '*_test.go') \
+			$$(count $$d $$depth -name '*_test.go'); \
+	done; \
+	printf '%-26s %9d %9d\n' total $$(count . -name '*.go' ! -name '*_test.go') $$(count . -name '*_test.go')
 
 # bench runs the Go benchmarks (figure drivers + device micro-benchmarks).
 bench:

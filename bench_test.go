@@ -273,7 +273,7 @@ func BenchmarkFaultInjection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		passed, trials := 0, 0
 		for _, s := range faultinject.AllSettings() {
-			out := faultinject.RunSetting(s, 2, int64(7000+i))
+			out := faultinject.RunSetting(s, 2, int64(7000+i), faultinject.TrialOptions{})
 			passed += out.Passed
 			trials += out.Trials
 			if len(out.Failures) > 0 {

@@ -34,10 +34,11 @@
 //
 //	ffccd-crashtest -serve -serve-shards 4 -max-sites 32
 //
-// Replay one schedule (the line a failing campaign printed):
+// Replay one schedule (the line a failing campaign printed; its kind is read
+// from the line, so -serve is optional):
 //
 //	ffccd-crashtest -repro '{"setting":"LL/1T/ffccd","seed":1,...}'
-//	ffccd-crashtest -serve -repro '{"scheme":"ffccd","clients":8,...}'
+//	ffccd-crashtest -repro '{"scheme":"ffccd","clients":8,...}'
 //
 // -flightrec N arms a per-trial flight recorder: the newest N trace events
 // per simulated thread are kept in a ring and dumped at the injected crash,
@@ -49,32 +50,40 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"ffccd/internal/faultinject"
 	"ffccd/internal/obsv"
 )
 
-func main() {
-	trials := flag.Int("trials", 100, "randomized fault-injection trials per setting (paper: 1000)")
-	setting := flag.String("setting", "", "run only this setting (e.g. LL/1T/ffccd)")
-	seed := flag.Int64("seed", 1, "base churn seed")
-	sites := flag.Bool("sites", false, "run the scheduled campaign: crash at enumerated crash sites instead of random step counts")
-	maxSites := flag.Int("max-sites", 128, "scheduled sites per setting (0 = exhaustive; class-first sites always kept)")
-	nested := flag.Bool("nested", false, "add crash-during-recovery schedules (scheduled campaign)")
-	maxNested := flag.Int("max-nested", 0, "nested schedules per setting (0 = one per first-level site)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-trial watchdog; expiry reports the trial as hung (0 = off)")
-	shrink := flag.Bool("shrink", false, "minimize each failing schedule before reporting it")
-	parallel := flag.Int("parallel", 0, "worker count for trials (0 = GOMAXPROCS / FFCCD_PARALLEL)")
-	repro := flag.String("repro", "", "replay one scheduled trial from its repro line and exit")
-	flightrec := flag.Int("flightrec", 0, "dump a flight-recorder ring of the newest N events per simulated thread at each injected crash (0 = off)")
-	serve := flag.Bool("serve", false, "run the serving-path campaign (online crash-recovery-resume) instead of the batch campaigns")
-	scheme := flag.String("scheme", "all", "serving campaign: scheme to crash (none|ffccd|stw|mesh|all)")
-	serveClients := flag.Int("serve-clients", 0, "serving campaign: client connections (0 = default)")
-	serveOps := flag.Int("serve-ops", 0, "serving campaign: op budget per trial (0 = default)")
-	serveKeys := flag.Int("serve-keys", 0, "serving campaign: keyspace (0 = default)")
-	serveShards := flag.Int("serve-shards", 1, "serving campaign: shard the deployment across N simulated machines")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main with its arguments and exit code made explicit: 0 every trial
+// passed, 1 a trial failed, 2 the command line could not be used.
+func run(args []string) int {
+	fs := flag.NewFlagSet("ffccd-crashtest", flag.ContinueOnError)
+	trials := fs.Int("trials", 100, "randomized fault-injection trials per setting (paper: 1000)")
+	setting := fs.String("setting", "", "run only this setting (e.g. LL/1T/ffccd)")
+	seed := fs.Int64("seed", 1, "base churn seed")
+	sites := fs.Bool("sites", false, "run the scheduled campaign: crash at enumerated crash sites instead of random step counts")
+	maxSites := fs.Int("max-sites", 128, "scheduled sites per setting (0 = exhaustive; class-first sites always kept)")
+	nested := fs.Bool("nested", false, "add crash-during-recovery schedules (scheduled campaign)")
+	maxNested := fs.Int("max-nested", 0, "nested schedules per setting (0 = one per first-level site)")
+	timeout := fs.Duration("timeout", 2*time.Minute, "per-trial watchdog; expiry reports the trial as hung (0 = off)")
+	shrink := fs.Bool("shrink", false, "minimize each failing schedule before reporting it")
+	parallel := fs.Int("parallel", 0, "worker count for trials (0 = GOMAXPROCS / FFCCD_PARALLEL)")
+	repro := fs.String("repro", "", "replay one scheduled trial from its repro line and exit")
+	flightrec := fs.Int("flightrec", 0, "dump a flight-recorder ring of the newest N events per simulated thread at each injected crash (0 = off)")
+	serve := fs.Bool("serve", false, "run the serving-path campaign (online crash-recovery-resume) instead of the batch campaigns")
+	scheme := fs.String("scheme", "all", "serving campaign: scheme to crash (none|ffccd|stw|mesh|all)")
+	serveClients := fs.Int("serve-clients", 0, "serving campaign: client connections (0 = default)")
+	serveOps := fs.Int("serve-ops", 0, "serving campaign: op budget per trial (0 = default)")
+	serveKeys := fs.Int("serve-keys", 0, "serving campaign: keyspace (0 = default)")
+	serveShards := fs.Int("serve-shards", 1, "serving campaign: shard the deployment across N simulated machines")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *parallel > 0 {
 		faultinject.SetParallelism(*parallel)
@@ -91,30 +100,27 @@ func main() {
 			return o
 		}
 	}
-
 	if *repro != "" {
-		if *serve {
-			os.Exit(runServeRepro(*repro))
-		}
-		os.Exit(runRepro(*repro, topts))
+		return runRepro(*repro, topts)
+	}
+
+	co := faultinject.CampaignOptions{
+		Seed: *seed, MaxSites: *maxSites, Nested: *nested, MaxNested: *maxNested,
+		Timeout: *timeout, Shrink: *shrink, Trial: topts,
 	}
 	if *serve {
 		schemes := faultinject.ServeSchemes
 		if *scheme != "all" {
+			if !slices.Contains(schemes, *scheme) {
+				fmt.Fprintf(os.Stderr, "ffccd-crashtest: unknown serving scheme %q (none|ffccd|stw|mesh|all)\n", *scheme)
+				return 2
+			}
 			schemes = []string{*scheme}
 		}
-		os.Exit(runServeCampaign(schemes, faultinject.ServeCampaignOptions{
-			Seed:      *seed,
-			Clients:   *serveClients,
-			Ops:       *serveOps,
-			Keys:      *serveKeys,
-			MaxSites:  *maxSites,
-			Shards:    *serveShards,
-			Nested:    *nested,
-			MaxNested: *maxNested,
-			Timeout:   *timeout,
-			Shrink:    *shrink,
-		}))
+		co.Clients, co.Ops, co.Keys, co.Shards = *serveClients, *serveOps, *serveKeys, *serveShards
+		return runCampaign("serving", len(schemes), func(i int) faultinject.CampaignOutcome {
+			return faultinject.ExploreServeScheme(schemes[i], co)
+		})
 	}
 
 	settings := faultinject.AllSettings()
@@ -122,22 +128,27 @@ func main() {
 		s, err := faultinject.ParseSetting(*setting)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		settings = []faultinject.Setting{s}
 	}
 	if *sites {
-		os.Exit(runScheduled(settings, faultinject.CampaignOptions{
-			Seed:      *seed,
-			MaxSites:  *maxSites,
-			Nested:    *nested,
-			MaxNested: *maxNested,
-			Timeout:   *timeout,
-			Shrink:    *shrink,
-			Trial:     topts,
-		}))
+		return runCampaign("scheduled", len(settings), func(i int) faultinject.CampaignOutcome {
+			return faultinject.ExploreSetting(settings[i], co)
+		})
 	}
-	os.Exit(runRandomized(settings, *trials, *seed, topts))
+	return runRandomized(settings, *trials, *seed, topts)
+}
+
+// printFailures lists a campaign's first failures under its summary line.
+func printFailures[F any](failures []F) {
+	for i, f := range failures {
+		if i >= 3 {
+			fmt.Printf("    ... %d more failures\n", len(failures)-3)
+			break
+		}
+		fmt.Printf("    %v\n", f)
+	}
 }
 
 // runRandomized is the original random-step campaign.
@@ -147,7 +158,7 @@ func runRandomized(settings []faultinject.Setting, trials int, seed int64, topts
 	start := time.Now()
 	for _, s := range settings {
 		t0 := time.Now()
-		out := faultinject.RunSettingWith(s, trials, seed, topts)
+		out := faultinject.RunSetting(s, trials, seed, topts)
 		total += out.Trials
 		status := "PASS"
 		if out.Passed != out.Trials {
@@ -155,13 +166,7 @@ func runRandomized(settings []faultinject.Setting, trials int, seed int64, topts
 			failures += out.Trials - out.Passed
 		}
 		fmt.Printf("%-22s %s  %d/%d trials  (%.1fs)\n", s, status, out.Passed, out.Trials, time.Since(t0).Seconds())
-		for i, f := range out.Failures {
-			if i >= 3 {
-				fmt.Printf("    ... %d more failures\n", len(out.Failures)-3)
-				break
-			}
-			fmt.Printf("    %s\n", f)
-		}
+		printFailures(out.Failures)
 	}
 	fmt.Printf("\ncampaign: %d trials, %d failures, %.1fs\n", total, failures, time.Since(start).Seconds())
 	if failures > 0 {
@@ -170,13 +175,16 @@ func runRandomized(settings []faultinject.Setting, trials int, seed int64, topts
 	return 0
 }
 
-// runScheduled is the crash-site exploration campaign.
-func runScheduled(settings []faultinject.Setting, co faultinject.CampaignOptions) int {
+// runCampaign runs the n crash-site exploration campaigns of one kind
+// ("scheduled": one per batch setting; "serving": one per scheme, whose
+// summary also prints the sites-per-class coverage) and prints each one's
+// summary and failures, every failure with its one-line repro command.
+func runCampaign(kind string, n int, explore func(i int) faultinject.CampaignOutcome) int {
 	failures := 0
 	start := time.Now()
-	for _, s := range settings {
+	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		out := faultinject.ExploreSetting(s, co)
+		out := explore(i)
 		status := "PASS"
 		switch {
 		case out.Skipped:
@@ -185,105 +193,30 @@ func runScheduled(settings []faultinject.Setting, co faultinject.CampaignOptions
 			status = "FAIL"
 			failures += len(out.Failures)
 		}
-		fmt.Printf("%-22s %s  %d/%d schedules, %d sites  (%.1fs)\n",
-			s, status, out.Passed, out.Scheduled, out.SitesTotal, time.Since(t0).Seconds())
-		for i, f := range out.Failures {
-			if i >= 3 {
-				fmt.Printf("    ... %d more failures\n", len(out.Failures)-3)
-				break
-			}
-			fmt.Printf("    %s\n", f)
+		width, coverage := 22, ""
+		if kind == "serving" {
+			width, coverage = 12, "  coverage: "+out.CoverageString()
 		}
+		fmt.Printf("%-*s %s  %d/%d schedules, %d sites%s  (%.1fs)\n", width, out.Label, status,
+			out.Passed, out.Scheduled, out.SitesTotal, coverage, time.Since(t0).Seconds())
+		printFailures(out.Failures)
 	}
-	fmt.Printf("\nscheduled campaign: %d failures, %.1fs\n", failures, time.Since(start).Seconds())
+	fmt.Printf("\n%s campaign: %d failures, %.1fs\n", kind, failures, time.Since(start).Seconds())
 	if failures > 0 {
 		return 1
 	}
 	return 0
 }
 
-// runServeCampaign is the serving-path crash exploration: one online
-// crash-recovery-resume trial per selected site, per scheme.
-func runServeCampaign(schemes []string, co faultinject.ServeCampaignOptions) int {
-	failures := 0
-	start := time.Now()
-	for _, scheme := range schemes {
-		t0 := time.Now()
-		out := faultinject.ExploreServeScheme(scheme, co)
-		status := "PASS"
-		if len(out.Failures) > 0 {
-			status = "FAIL"
-			failures += len(out.Failures)
-		}
-		fmt.Printf("serve/%-6s %s  %d/%d schedules, %d sites  coverage: %s  (%.1fs)\n",
-			scheme, status, out.Passed, out.Scheduled, out.SitesTotal,
-			out.CoverageString(), time.Since(t0).Seconds())
-		for i, f := range out.Failures {
-			if i >= 3 {
-				fmt.Printf("    ... %d more failures\n", len(out.Failures)-3)
-				break
-			}
-			fmt.Printf("    %s\n", f)
-		}
-	}
-	fmt.Printf("\nserving campaign: %d failures, %.1fs\n", failures, time.Since(start).Seconds())
-	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runServeRepro replays one serving schedule and reports the verdict.
-func runServeRepro(line string) int {
-	rep, err := faultinject.ParseServeRepro(line)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	res, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
-	fmt.Printf("schedule: %s\n", rep.MarshalLine())
-	fmt.Printf("sites=%d", res.Census.Total)
-	if rep.Shards > 1 {
-		fmt.Printf(" shards=%d crash_shard=%d", rep.Shards, rep.Shard)
-		for s, sc := range res.ShardCensus {
-			fmt.Printf(" s%d_sites=%d", s, sc.Total)
-		}
-	}
-	if res.Crash != nil {
-		sv := res.Serve
-		fmt.Printf(" crash=%q recovery_sites=%d blackout=%d ttfa=%d retries=%d rejects=%d admitted=%d",
-			res.Crash.Error(), res.RecoveryCensus.Total, sv.BlackoutCycles,
-			sv.TimeToFirstAck, sv.Retries, sv.Rejects, sv.Admitted)
-	}
-	if res.NestedCrash != nil {
-		fmt.Printf(" nested_crash=%q", res.NestedCrash.Error())
-	}
-	fmt.Printf(" post_crash_hash=%#x final_hash=%#x\n", res.PostCrashHash, res.FinalHash)
-	if err != nil {
-		fmt.Printf("FAIL: %v\n", err)
-		return 1
-	}
-	fmt.Println("PASS")
-	return 0
-}
-
-// runRepro replays one schedule and reports the verdict.
+// runRepro replays one schedule of either kind and reports the verdict.
 func runRepro(line string, topts faultinject.TrialOptions) int {
-	rep, err := faultinject.ParseRepro(line)
+	sched, err := faultinject.ParseSchedule(line)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	res, err := faultinject.RunScheduled(rep, topts)
-	fmt.Printf("schedule: %s\n", rep.MarshalLine())
-	fmt.Printf("began=%v sites=%d", res.Began, res.Census.Total)
-	if res.Crash != nil {
-		fmt.Printf(" crash=%q recovery_sites=%d", res.Crash.Error(), res.RecoveryCensus.Total)
-	}
-	if res.NestedCrash != nil {
-		fmt.Printf(" nested_crash=%q", res.NestedCrash.Error())
-	}
-	fmt.Printf(" post_crash_hash=%#x final_hash=%#x\n", res.PostCrashHash, res.FinalHash)
+	res, err := sched.Run(topts)
+	fmt.Printf("schedule: %s\n%s\n", sched.MarshalLine(), res.Summary())
 	if err != nil {
 		fmt.Printf("FAIL: %v\n", err)
 		return 1

@@ -1,0 +1,29 @@
+package main
+
+import "testing"
+
+const serveLine = `{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`
+
+// TestReproKindReadFromLine: a serving repro line replays with or without
+// -serve (it used to fail as an unknown batch field without it).
+func TestReproKindReadFromLine(t *testing.T) {
+	for _, args := range [][]string{{"-repro", serveLine}, {"-serve", "-repro", serveLine}} {
+		if code := run(args); code != 0 {
+			t.Errorf("run(%q) = %d, want 0", args, code)
+		}
+	}
+	if code := run([]string{"-repro", `{"scheme":"ffccd","typo":1}`}); code != 2 {
+		t.Errorf("a malformed repro line exited %d, want 2 (usage)", code)
+	}
+}
+
+// TestUnknownServeSchemeIsUsageError: -scheme is validated like -setting, not
+// reported as a crash-consistency failure with a repro line.
+func TestUnknownServeSchemeIsUsageError(t *testing.T) {
+	if code := run([]string{"-serve", "-scheme", "bogus"}); code != 2 {
+		t.Errorf("-serve -scheme bogus exited %d, want 2", code)
+	}
+	if code := run([]string{"-sites", "-setting", "LL/1T/bogus"}); code != 2 {
+		t.Errorf("-sites -setting LL/1T/bogus exited %d, want 2", code)
+	}
+}

@@ -88,11 +88,7 @@ func BenchmarkBarrierResolve(b *testing.B) {
 			e.compact(fx.ctx, ep)
 			var refs []pmop.Ptr
 			for i := range ep.objects {
-				// A payload placed at destination slot 255 reads as unmapped
-				// (0xFF is also minorInvalid — ROADMAP item 4f): leave it out.
-				if _, ok := ep.lookupSrc(fx.p, ep.objects[i].srcPayload()); ok {
-					refs = append(refs, pmop.MakePtr(fx.p.ID(), ep.objects[i].srcPayload()))
-				}
+				refs = append(refs, pmop.MakePtr(fx.p.ID(), ep.objects[i].srcPayload()))
 			}
 			rand.New(rand.NewSource(3)).Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
 			rb := &readBarrier{e: e, ep: ep}

@@ -57,10 +57,14 @@ type epochState struct {
 	// volatile minor-distance map (source slot → destination slot),
 	// destFrame its major distance, and srcObj maps a source header slot to
 	// 1 + the index of the object starting there (0: no object starts there).
-	ordOf     []int32
-	minor     [][alloc.SlotsPerFrame]byte
-	destFrame []int32
-	srcObj    [][alloc.SlotsPerFrame]int32
+	// A minor byte of 0xFF is both "not mapped" and "destination slot 255";
+	// a relocation frame has one destination frame, so at most one of its
+	// source slots maps there, and lastSlotSrc names it (-1: none).
+	ordOf       []int32
+	minor       [][alloc.SlotsPerFrame]byte
+	destFrame   []int32
+	srcObj      [][alloc.SlotsPerFrame]int32
+	lastSlotSrc []int16
 
 	// byDst lists the object indices in destination order — bisected to find
 	// the object containing an arbitrary destination address (tx hook,
@@ -129,6 +133,7 @@ func (ep *epochState) reset(epochNo uint64, scheme Scheme, frames int) {
 	ep.minor = ep.minor[:0]
 	ep.destFrame = ep.destFrame[:0]
 	ep.srcObj = ep.srcObj[:0]
+	ep.lastSlotSrc = ep.lastSlotSrc[:0]
 	ep.dupBytes, ep.obsStart = 0, 0
 	ep.blooms = nil
 }
@@ -141,6 +146,7 @@ func (ep *epochState) addFrame(f, df int) *[alloc.SlotsPerFrame]byte {
 	ep.destFrame = append(ep.destFrame, int32(df))
 	ep.minor = append(ep.minor, noMinor)
 	ep.srcObj = append(ep.srcObj, [alloc.SlotsPerFrame]int32{})
+	ep.lastSlotSrc = append(ep.lastSlotSrc, -1)
 	return &ep.minor[len(ep.minor)-1]
 }
 
@@ -148,7 +154,11 @@ func (ep *epochState) addFrame(f, df int) *[alloc.SlotsPerFrame]byte {
 // is at srcSlot of that frame.
 func (ep *epochState) addObject(srcSlot int, o relocObj) {
 	ep.objects = append(ep.objects, o)
-	ep.srcObj[len(ep.srcObj)-1][srcSlot] = int32(len(ep.objects))
+	ord := len(ep.srcObj) - 1
+	ep.srcObj[ord][srcSlot] = int32(len(ep.objects))
+	if last := srcSlot + o.slots - 1; ep.minor[ord][last] == alloc.SlotsPerFrame-1 {
+		ep.lastSlotSrc[ord] = int16(last)
+	}
 }
 
 // buildIndexes derives the destination order, the components and the
@@ -225,7 +235,7 @@ func (ep *epochState) onRelocFrame(heap *alloc.Heap, off uint64) bool {
 func (ep *epochState) lookupSrc(p *pmop.Pool, srcOff uint64) (uint64, bool) {
 	heap := p.Heap()
 	ord, slot, ok := ep.ordinal(heap, srcOff)
-	if !ok || ep.minor[ord][slot] == minorInvalid {
+	if !ok || ep.minor[ord][slot] == minorInvalid && int(ep.lastSlotSrc[ord]) != slot {
 		return 0, false
 	}
 	return heap.OffsetOf(int(ep.destFrame[ord]), int(ep.minor[ord][slot])), true

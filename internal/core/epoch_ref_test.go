@@ -36,6 +36,9 @@ type refEpoch struct {
 
 	minor     map[int]*[alloc.SlotsPerFrame]byte
 	destFrame map[int]int
+	// lastSlotSrc[f] is the source slot of frame f placed at destination
+	// slot 255, whose minor byte equals minorInvalid.
+	lastSlotSrc map[int]int
 }
 
 // newRefEpoch builds the reference from nothing but the epoch's relocation
@@ -48,6 +51,7 @@ func newRefEpoch(ep *epochState, p *pmop.Pool) *refEpoch {
 		objects:     slices.Clone(ep.objects),
 		minor:       make(map[int]*[alloc.SlotsPerFrame]byte),
 		destFrame:   make(map[int]int),
+		lastSlotSrc: make(map[int]int),
 	}
 	for _, f := range ref.relocFrames {
 		var mm [alloc.SlotsPerFrame]byte
@@ -64,6 +68,9 @@ func newRefEpoch(ep *epochState, p *pmop.Pool) *refEpoch {
 			ref.minor[f][srcSlot+s] = byte(dstSlot + s)
 		}
 		ref.destFrame[f] = df
+		if dstSlot+o.slots == alloc.SlotsPerFrame {
+			ref.lastSlotSrc[f] = srcSlot + o.slots - 1
+		}
 	}
 	ref.buildIndexes(p)
 	return ref
@@ -121,7 +128,10 @@ func (ep *refEpoch) lookupSrc(p *pmop.Pool, srcOff uint64) (uint64, bool) {
 	heap := p.Heap()
 	f, slot := heap.Locate(srcOff)
 	mm, ok := ep.minor[f]
-	if !ok || mm[slot] == minorInvalid {
+	if !ok {
+		return 0, false
+	}
+	if last, has := ep.lastSlotSrc[f]; mm[slot] == minorInvalid && !(has && last == slot) {
 		return 0, false
 	}
 	df := ep.destFrame[f]

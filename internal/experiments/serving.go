@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ffccd/internal/alloc"
-	"ffccd/internal/core"
-	"ffccd/internal/ds"
-	"ffccd/internal/kv"
-	"ffccd/internal/mesh"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
@@ -123,7 +118,7 @@ func servingDefaults(o ServingOptions) ServingOptions {
 		o.Shards = 1
 	}
 	if len(o.Schemes) == 0 {
-		o.Schemes = []string{"none", "ffccd", "stw", "mesh"}
+		o.Schemes = redisws.Schemes
 	}
 	if o.WindowCycles == 0 {
 		// Scale-aware default: the run's virtual makespan grows roughly
@@ -188,19 +183,20 @@ func Serving(o ServingOptions) (ServingResult, error) {
 	return res, nil
 }
 
-// servingMachine is one simulated machine of a serving variant: its
-// environment, store, scheme engine, GC clock domain, and serving hooks.
-// Every field is private to the machine's clock domain, so shards never
-// share simulated state.
+// servingNames are the grid's display names of the serving schemes.
+var servingNames = map[string]string{
+	"none": "PMDK (baseline)", "ffccd": "FFCCD", "stw": "STW defrag", "mesh": "Mesh",
+}
+
+// servingMachine is one simulated machine of a serving variant
+// (redisws.NewMachine) with the grid's observability hookup. Every field is
+// private to the machine's clock domain, so shards never share simulated
+// state.
 type servingMachine struct {
-	env      *Env
-	store    ds.Store
-	hooks    redisws.ServeHooks
-	gcCtx    *sim.Ctx
-	eng      *core.Engine
-	name     string
-	series   *obsv.TimeSeries
-	closeEng func()
+	*redisws.Machine
+	cfg    sim.Config
+	name   string
+	series *obsv.TimeSeries
 }
 
 // newServingMachine builds one machine for scheme. keys sizes the pool and
@@ -208,86 +204,16 @@ type servingMachine struct {
 // the hash-owned subset per shard); shard/shards label the observability
 // hookup.
 func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int) (*servingMachine, error) {
-	env, err := NewEnv(uint64(keys)*512*6+(32<<20), 12)
-	if err != nil {
-		return nil, err
+	m := &servingMachine{cfg: sim.DefaultConfig(), name: servingNames[scheme]}
+	var err error
+	if m.Machine, err = redisws.NewMachine(&m.cfg, scheme, "bench", keys, 32<<20); err != nil {
+		return nil, fmt.Errorf("experiments.Serving: %w", err)
 	}
-	store, err := kv.NewEcho(env.Ctx, env.Pool, keys/2+64)
-	if err != nil {
-		return nil, err
-	}
-	m := &servingMachine{env: env, store: store, gcCtx: sim.NewCtx(&env.Cfg), name: scheme}
-
-	switch scheme {
-	case "none":
-		m.name = "PMDK (baseline)"
-	case "ffccd":
-		m.name = "FFCCD"
-		opt := core.Options{Scheme: core.SchemeFFCCDCheckLookup, TriggerRatio: 1.10, TargetRatio: 1.01, BatchObjects: 64}
-		eng := core.NewEngine(env.Pool, opt)
-		m.eng, m.closeEng = eng, eng.Close
-		gcCtx := m.gcCtx
-		open := false
-		m.hooks.Maintenance = func(uint64) uint64 {
-			if open || env.Pool.Heap().Frag(12).FragRatio <= opt.TriggerRatio {
-				return 0
-			}
-			before := gcCtx.Clock.Cycles(sim.CatMark) + gcCtx.Clock.Cycles(sim.CatSummary)
-			if !eng.BeginCycle(gcCtx) {
-				return 0
-			}
-			open = true
-			// Only the mark+summary phases stall the application (§2.3.2);
-			// compaction proceeds concurrently behind the read barrier.
-			return gcCtx.Clock.Cycles(sim.CatMark) + gcCtx.Clock.Cycles(sim.CatSummary) - before
-		}
-		m.hooks.EpochOpen = func() bool { return open }
-		m.hooks.Step = func(n int) (bool, uint64) {
-			eng.StepCompaction(gcCtx, n)
-			if eng.EpochPending() > 0 {
-				return true, 0
-			}
-			// Terminate: reference fixup + flush run stop-the-world.
-			t0 := gcCtx.Clock.Total()
-			eng.FinishCycle(gcCtx)
-			open = false
-			return false, gcCtx.Clock.Total() - t0
-		}
-	case "stw":
-		m.name = "STW defrag"
-		opt := core.Options{Scheme: core.SchemeEspresso, TriggerRatio: 1.10, TargetRatio: 1.01, BatchObjects: 64}
-		eng := core.NewEngine(env.Pool, opt)
-		m.eng, m.closeEng = eng, eng.Close
-		gcCtx := m.gcCtx
-		m.hooks.Maintenance = func(uint64) uint64 {
-			if env.Pool.Heap().Frag(12).FragRatio <= opt.TriggerRatio {
-				return 0
-			}
-			pause, _ := eng.RunCycleSTW(gcCtx)
-			return pause
-		}
-	case "mesh":
-		m.name = "Mesh"
-		d := mesh.New(env.Pool)
-		gcCtx := m.gcCtx
-		m.hooks.Maintenance = func(uint64) uint64 {
-			before := gcCtx.Clock.Total()
-			d.RunCycle(gcCtx)
-			return gcCtx.Clock.Total() - before // meshing pauses the world
-		}
-		m.hooks.Foot = func() alloc.FragStats { return d.PhysFrag(12) }
-	default:
-		return nil, fmt.Errorf("experiments.Serving: unknown scheme %q", scheme)
-	}
-
 	if !o.NoWindows {
 		// The series label is the scheme on every shard; exemplar stall
 		// causes carry the shard id, which the merge's total order uses.
 		m.series = obsv.NewTimeSeries(scheme, o.WindowCycles, o.ExemplarK)
-		m.hooks.Series = m.series
-		if m.eng != nil {
-			m.hooks.EpochInfo = m.eng.OpenEpoch
-		}
+		m.Hooks.Series = m.series
 	}
 	if col := obsCollector.Load(); col != nil {
 		label := "serving/" + scheme
@@ -296,13 +222,13 @@ func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int)
 		}
 		ob := col.NewObs(label)
 		ob.Series = m.series
-		ob.Tracer.Name(env.Ctx, "loader")
-		ob.Tracer.Name(m.gcCtx, "gc")
-		env.Pool.Device().SetObs(ob)
-		if m.eng != nil {
-			m.eng.SetObs(ob)
+		ob.Tracer.Name(m.Ctx, "loader")
+		ob.Tracer.Name(m.GC, "gc")
+		m.Pool.Device().SetObs(ob)
+		if m.Eng != nil {
+			m.Eng.SetObs(ob)
 		}
-		registerRunGroups(ob, env.Ctx, m.gcCtx, m.eng)
+		registerRunGroups(ob, m.Ctx, m.GC, m.Eng)
 	}
 	return m, nil
 }
@@ -316,8 +242,8 @@ func runServingVariant(scheme string, o ServingOptions) (ServingVariant, float64
 	machines := make([]*servingMachine, 0, n)
 	defer func() {
 		for _, m := range machines {
-			if m.closeEng != nil {
-				m.closeEng()
+			if m.Eng != nil {
+				m.Eng.Close()
 			}
 		}
 	}()
@@ -332,7 +258,7 @@ func runServingVariant(scheme string, o ServingOptions) (ServingVariant, float64
 			return ServingVariant{}, 0, err
 		}
 		machines = append(machines, m)
-		shards[i] = redisws.Shard{Ctx: m.env.Ctx, Pool: m.env.Pool, Store: m.store, Hooks: m.hooks}
+		shards[i] = m.Shard
 	}
 
 	sh, err := redisws.ServeSharded(shards, cfgs)
@@ -360,7 +286,7 @@ func runServingVariant(scheme string, o ServingOptions) (ServingVariant, float64
 
 	simTotal := out.SimCycles
 	for _, m := range machines {
-		simTotal += m.gcCtx.Clock.Total()
+		simTotal += m.GC.Clock.Total()
 	}
 
 	nOps := float64(out.Ops)
@@ -394,7 +320,7 @@ func runServingVariant(scheme string, o ServingOptions) (ServingVariant, float64
 				P50:       r.Lat.Percentile(50),
 				P999:      r.Lat.Percentile(99.9),
 				Rate:      r.RateUsed,
-				SimCycles: r.SimCycles + machines[i].gcCtx.Clock.Total(),
+				SimCycles: r.SimCycles + machines[i].GC.Clock.Total(),
 				Parallel:  r.ParallelOps,
 				Serial:    r.SerialOps,
 				Evictions: r.Evictions,

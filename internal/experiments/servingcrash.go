@@ -149,7 +149,7 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 	base.Clients, base.Ops, base.Keys = o.Clients, o.Ops, o.Keyspace
 	base.Shards, base.Shard = o.Shards, o.CrashShard
 
-	census, err := faultinject.RunServeScheduled(base, faultinject.ServeTrialOptions{})
+	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
 	if err != nil {
 		return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s census: %w", scheme, err)
 	}
@@ -165,22 +165,14 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 
 	armed := base
 	armed.Site = int64(float64(total) * o.SiteFrac)
-	var series *obsv.TimeSeries
-	var shardSeries []*obsv.TimeSeries
-	topts := faultinject.ServeTrialOptions{AdmitCap: o.AdmitCap}
-	if o.Shards > 1 {
-		shardSeries = make([]*obsv.TimeSeries, o.Shards)
-		for i := range shardSeries {
-			shardSeries[i] = obsv.NewTimeSeries(scheme, o.WindowCycles, 0)
-		}
-		topts.ShardSeries = func(_ faultinject.ServeRepro, shard int) *obsv.TimeSeries {
-			return shardSeries[shard]
-		}
-	} else {
-		series = obsv.NewTimeSeries(scheme, o.WindowCycles, 0)
-		topts.Series = func(faultinject.ServeRepro) *obsv.TimeSeries { return series }
+	shardSeries := make([]*obsv.TimeSeries, o.Shards)
+	for i := range shardSeries {
+		shardSeries[i] = obsv.NewTimeSeries(scheme, o.WindowCycles, 0)
 	}
-	out, err := faultinject.RunServeScheduled(armed, topts)
+	out, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{
+		AdmitCap: o.AdmitCap,
+		Series:   func(_ faultinject.ServeRepro, shard int) *obsv.TimeSeries { return shardSeries[shard] },
+	})
 	if err != nil {
 		return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s armed trial: %w\n  repro: %s",
 			scheme, err, armed.Command())
@@ -188,10 +180,13 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 	if out.Crash == nil {
 		return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s: armed site %d did not fire", scheme, armed.Site)
 	}
+	series := shardSeries[0]
 	if o.Shards > 1 {
 		if series, err = redisws.MergeShardSeries(scheme, o.WindowCycles, 0, shardSeries); err != nil {
 			return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s: %w", scheme, err)
 		}
+	} else {
+		shardSeries = nil
 	}
 
 	sv := out.Serve

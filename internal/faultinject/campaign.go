@@ -1,58 +1,73 @@
 package faultinject
 
-// Campaigns over deterministic crash schedules. For each setting the driver
-// first runs a census pass (counting crash sites), then sweeps the site
-// space — exhaustively when it fits the budget, by stratified sampling
-// (every site class's first occurrence plus an even spread) when it does
-// not — firing one scheduled crash per selected site with a rotating
-// in-flight-line policy. With Nested enabled, sites whose recovery exposes
-// its own crash sites get crash-during-recovery schedules too. Trials run on
-// a shared worker pool (Parallelism()); a per-trial watchdog converts hangs
-// into reported failures instead of stalled CI. Every failure carries the
-// one-line Repro command that replays it bit-identically.
+// Campaigns over deterministic crash schedules, batch and serving alike. The
+// driver first runs a census pass (counting crash sites — per shard, for a
+// sharded serving deployment), then sweeps the site space — exhaustively when
+// it fits the budget, by stratified sampling (every site class's first
+// occurrence plus an even spread) when it does not — firing one scheduled
+// crash per selected site with a rotating in-flight-line policy. With Nested
+// enabled, sites whose recovery exposes its own crash sites get
+// crash-during-recovery schedules too. Trials run on a shared worker pool
+// (Parallelism()); a per-trial watchdog converts hangs into reported failures
+// instead of stalled CI. Every failure carries the one-line command that
+// replays it bit-identically.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"ffccd/internal/pmem"
 )
 
 // CampaignOptions tunes a scheduled-crash campaign. The zero value is an
-// exhaustive single-crash sweep with default churn and no watchdog.
+// exhaustive single-crash sweep with default volumes and no watchdog.
 type CampaignOptions struct {
-	// Seed is the base churn seed (schedules inherit it verbatim).
+	// Seed is the base workload seed (schedules inherit it verbatim).
 	Seed int64
-	// Ops/TailOps override the per-thread churn volumes (0 = defaults).
-	Ops, TailOps int
-	// MaxSites bounds the scheduled sites per setting; 0 sweeps
+	// Ops overrides a batch campaign's per-thread build churn or a serving
+	// campaign's op budget per trial; TailOps (batch) the per-thread
+	// compaction-concurrent churn; Clients and Keys (serving) the connection
+	// count and the keyspace (0 = defaults).
+	Ops, TailOps, Clients, Keys int
+	// MaxSites bounds the scheduled sites per campaign; 0 sweeps
 	// exhaustively. Every site class's first occurrence is always kept, so
-	// the real floor is the number of populated classes.
+	// the real floor is the number of populated classes. For a sharded
+	// campaign the budget is split evenly across shards (minimum one site
+	// per shard).
 	MaxSites int
-	// Nested adds crash-during-recovery schedules.
-	Nested bool
-	// MaxNested caps the nested schedules per setting (0 = same as the
-	// number of first-level sites selected).
+	// Shards runs each serving trial as a sharded deployment (0/1 =
+	// unsharded). One census pass yields every shard's site census; each
+	// shard's site space is then swept with that shard as the crash target
+	// while its siblings keep serving.
+	Shards int
+	// Nested adds crash-during-recovery schedules; MaxNested caps them
+	// (0 = same as the number of first-level sites selected).
+	Nested    bool
 	MaxNested int
 	// Timeout is the per-trial watchdog; expiry is reported as a failure
 	// (the trial goroutine is abandoned). 0 disables.
 	Timeout time.Duration
-	// Shrink minimizes each failure's Repro before reporting (ShrinkBudget
-	// extra trials per failure).
+	// Shrink minimizes each failure's schedule before reporting
+	// (ShrinkBudget extra trials per failure).
 	Shrink bool
 	// Trial carries the per-trial hooks (observability, corruption planting).
 	Trial TrialOptions
 }
 
+// ServeCampaignOptions is CampaignOptions under the name serving campaigns
+// were configured with.
+type ServeCampaignOptions = CampaignOptions
+
 // Failure is one failing schedule with its replay artifact.
 type Failure struct {
-	Repro Repro
+	Repro Schedule
 	Err   string
 	// Hung marks a watchdog expiry (the trial never returned).
 	Hung bool
 	// Shrunk is the minimized schedule (set when CampaignOptions.Shrink).
-	Shrunk *Repro
+	Shrunk Schedule
 }
 
 func (f Failure) String() string {
@@ -67,43 +82,88 @@ func (f Failure) String() string {
 	return s
 }
 
-// CampaignOutcome summarises one setting's campaign.
+// CampaignOutcome summarises one campaign.
 type CampaignOutcome struct {
-	Setting Setting
-	// SitesTotal is the census site count; Scheduled the trials actually
-	// run (first-level + nested, census excluded).
+	// Label names what was crashed: a setting ("LL/1T/ffccd") or a serving
+	// scheme ("serve/ffccd").
+	Label string
+	// SitesTotal is the census site count (summed over shards when sharded);
+	// Scheduled the trials actually run (first-level + nested, census
+	// excluded).
 	SitesTotal uint64
 	Scheduled  int
 	Passed     int
 	// Skipped is set when the census pass opened no epoch (store not
 	// fragmented enough) — the setting is vacuously consistent.
-	Skipped  bool
-	Failures []Failure
+	Skipped bool
+	// Covered counts, per site class, the first-level crashes that actually
+	// fired in that class — the campaign's coverage summary. ShardCovered
+	// splits the same counts by crash-target shard (nil when unsharded).
+	Covered      [pmem.NumSiteClasses]int
+	ShardCovered [][pmem.NumSiteClasses]int
+	Failures     []Failure
+}
+
+// CoverageString renders the sites-per-class coverage line a campaign summary
+// prints; sharded campaigns prefix each shard's counts with its index.
+func (o CampaignOutcome) CoverageString() string {
+	classes := func(cov [pmem.NumSiteClasses]int) string {
+		var parts []string
+		for c := pmem.SiteClass(0); c < pmem.NumSiteClasses; c++ {
+			if cov[c] > 0 {
+				parts = append(parts, fmt.Sprintf("%s:%d", c, cov[c]))
+			}
+		}
+		if len(parts) == 0 {
+			return "none"
+		}
+		return strings.Join(parts, " ")
+	}
+	if len(o.ShardCovered) == 0 {
+		return classes(o.Covered)
+	}
+	var parts []string
+	for s, cov := range o.ShardCovered {
+		parts = append(parts, fmt.Sprintf("s%d[%s]", s, classes(cov)))
+	}
+	return strings.Join(parts, " ")
+}
+
+// trialOut is one watched trial's outcome.
+type trialOut struct {
+	res  Result
+	err  error
+	hung bool
 }
 
 // runWatched executes one schedule under the watchdog. On expiry the trial
 // goroutine is abandoned (it holds only trial-local simulated state) and the
 // expiry is the verdict.
-func runWatched(rep Repro, topts TrialOptions, timeout time.Duration) (ScheduleResult, error, bool) {
+func runWatched(s Schedule, topts TrialOptions, timeout time.Duration) trialOut {
 	if timeout <= 0 {
-		res, err := RunScheduled(rep, topts)
-		return res, err, false
+		res, err := s.Run(topts)
+		return trialOut{res: res, err: err}
 	}
-	type outcome struct {
-		res ScheduleResult
-		err error
-	}
-	ch := make(chan outcome, 1)
+	ch := make(chan trialOut, 1)
 	go func() {
-		res, err := RunScheduled(rep, topts)
-		ch <- outcome{res, err}
+		res, err := s.Run(topts)
+		ch <- trialOut{res: res, err: err}
 	}()
 	select {
 	case o := <-ch:
-		return o.res, o.err, false
+		return o
 	case <-time.After(timeout):
-		return ScheduleResult{}, fmt.Errorf("watchdog: trial exceeded %s", timeout), true
+		return trialOut{err: fmt.Errorf("watchdog: trial exceeded %s", timeout), hung: true}
 	}
+}
+
+// runAll runs the schedules on the worker pool, results in schedule order.
+func runAll(scheds []Schedule, co CampaignOptions) []trialOut {
+	outs := make([]trialOut, len(scheds))
+	parallelFor(len(scheds), func(i int) {
+		outs[i] = runWatched(scheds[i], co.Trial, co.Timeout)
+	})
+	return outs
 }
 
 // selectSites picks the schedule sites for a census: every site when the
@@ -137,13 +197,12 @@ func selectSites(c pmem.SiteCensus, maxSites int) []int64 {
 	for k := 0; len(out) < maxSites && k < maxSites; k++ {
 		add(int64(k) * total / int64(maxSites))
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
-// ExploreSetting runs the scheduled-crash campaign for one setting.
+// ExploreSetting runs the scheduled-crash campaign for one batch setting.
 func ExploreSetting(setting Setting, co CampaignOptions) CampaignOutcome {
-	out := CampaignOutcome{Setting: setting}
 	base := NewRepro(setting, co.Seed)
 	if co.Ops > 0 {
 		base.Ops = co.Ops
@@ -151,53 +210,67 @@ func ExploreSetting(setting Setting, co CampaignOptions) CampaignOutcome {
 	if co.TailOps > 0 {
 		base.TailOps = co.TailOps
 	}
+	return explore(setting.String(), base, co)
+}
 
-	// Census pass: count the sites (and verify the no-crash run).
-	census, err, hung := runWatched(base, co.Trial, co.Timeout)
-	if err != nil {
-		out.Failures = append(out.Failures, Failure{Repro: base, Err: err.Error(), Hung: hung})
+// ExploreServeScheme runs the serving crash campaign for one scheme: online
+// crash-recovery-resume trials under open-loop traffic.
+func ExploreServeScheme(scheme string, co CampaignOptions) CampaignOutcome {
+	base := NewServeRepro(scheme, co.Seed)
+	base.Shards = max(co.Shards, 1)
+	if co.Clients > 0 {
+		base.Clients = co.Clients
+	}
+	if co.Ops > 0 {
+		base.Ops = co.Ops
+	}
+	if co.Keys > 0 {
+		base.Keys = co.Keys
+	}
+	return explore("serve/"+scheme, base, co)
+}
+
+// explore runs the campaign whose census pass is base.
+func explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
+	out := CampaignOutcome{Label: label}
+
+	// Census pass: count the sites (and verify the no-crash run end to end).
+	// A sharded pass census-arms every shard, so one run yields each shard's
+	// own site space.
+	census := runWatched(base, co.Trial, co.Timeout)
+	if census.err != nil {
+		out.Failures = append(out.Failures, Failure{Repro: base, Err: census.err.Error(), Hung: census.hung})
 		return out
 	}
-	if !census.Began {
+	if !census.res.Began {
 		out.Skipped = true
 		return out
 	}
-	out.SitesTotal = census.Census.Total
-
-	// First-level schedules: one crash per selected site, policy rotating
-	// per site, salt derived from the site index.
-	sites := selectSites(census.Census, co.MaxSites)
-	reps := make([]Repro, len(sites))
-	for i, site := range sites {
-		r := base
-		r.Site = site
-		r.Policy = Policies[i%len(Policies)]
-		r.Salt = uint64(site)*0x9E3779B97F4A7C15 + uint64(co.Seed)
-		reps[i] = r
+	shardCensus := census.res.ShardCensus
+	if nsh := len(shardCensus); nsh > 0 {
+		out.ShardCovered = make([][pmem.NumSiteClasses]int, nsh)
+	} else {
+		shardCensus = []pmem.SiteCensus{census.res.Census}
 	}
-	type jobOut struct {
-		res  ScheduleResult
-		err  error
-		hung bool
+	for _, sc := range shardCensus {
+		out.SitesTotal += sc.Total
 	}
-	firsts := make([]jobOut, len(reps))
-	parallelFor(len(reps), func(i int) {
-		res, err, hung := runWatched(reps[i], co.Trial, co.Timeout)
-		firsts[i] = jobOut{res, err, hung}
-	})
 
-	// Nested schedules: crash-during-recovery at the first recovery-step
-	// site and the middle of the recovery's site space, for up to MaxNested
+	firsts, shardOf := firstLevel(base, shardCensus, co)
+	firstOuts := runAll(firsts, co)
+
+	// Nested schedules: crash-during-recovery at the first recovery-step site
+	// and the middle of the recovery's site space, for up to MaxNested
 	// crashing first-level sites (evenly spread over the selection).
-	var nreps []Repro
+	var nesteds []Schedule
 	if co.Nested {
 		budget := co.MaxNested
 		if budget <= 0 {
-			budget = len(reps)
+			budget = len(firsts)
 		}
 		var crashed []int
-		for i, f := range firsts {
-			if f.err == nil && !f.hung && f.res.Crash != nil && f.res.RecoveryCensus.Total > 0 {
+		for i, f := range firstOuts {
+			if f.err == nil && f.res.Crash != nil && f.res.RecoveryCensus.Total > 0 {
 				crashed = append(crashed, i)
 			}
 		}
@@ -205,61 +278,72 @@ func ExploreSetting(setting Setting, co CampaignOptions) CampaignOutcome {
 		if len(crashed) > budget {
 			stride = (len(crashed) + budget - 1) / budget
 		}
-		for k := 0; k < len(crashed) && len(nreps) < budget; k += stride {
+		for k := 0; k < len(crashed) && len(nesteds) < budget; k += stride {
 			i := crashed[k]
-			rc := firsts[i].res.RecoveryCensus
-			nested := map[int64]bool{int64(rc.Total) / 2: true}
-			if fi := rc.FirstIndex[pmem.SiteRecoveryStep]; fi >= 0 {
-				nested[fi] = true
+			rc := firstOuts[i].res.RecoveryCensus
+			sites := []int64{int64(rc.Total) / 2}
+			if fi := rc.FirstIndex[pmem.SiteRecoveryStep]; fi >= 0 && fi != sites[0] {
+				sites = append(sites, fi)
+				slices.Sort(sites)
 			}
-			var ns []int64
-			for s := range nested {
-				ns = append(ns, s)
-			}
-			sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-			for _, s := range ns {
-				if len(nreps) >= budget {
+			for _, s := range sites {
+				if len(nesteds) >= budget {
 					break
 				}
-				r := reps[i]
-				r.Nested = s
-				nreps = append(nreps, r)
+				cp := firsts[i].Point()
+				cp.Nested = s
+				nesteds = append(nesteds, firsts[i].At(shardOf[i], cp))
 			}
 		}
 	}
-	nesteds := make([]jobOut, len(nreps))
-	parallelFor(len(nreps), func(i int) {
-		res, err, hung := runWatched(nreps[i], co.Trial, co.Timeout)
-		nesteds[i] = jobOut{res, err, hung}
-	})
+	nestedOuts := runAll(nesteds, co)
 
 	// Aggregate in schedule order (deterministic under any worker count).
-	collect := func(reps []Repro, outs []jobOut) {
+	collect := func(scheds []Schedule, outs []trialOut, firstLevel bool) {
 		for i, o := range outs {
 			out.Scheduled++
 			if o.err == nil {
 				out.Passed++
+				if firstLevel && o.res.Crash != nil {
+					out.Covered[o.res.Crash.Class]++
+					if out.ShardCovered != nil {
+						out.ShardCovered[shardOf[i]][o.res.Crash.Class]++
+					}
+				}
 				continue
 			}
-			f := Failure{Repro: reps[i], Err: o.err.Error(), Hung: o.hung}
+			f := Failure{Repro: scheds[i], Err: o.err.Error(), Hung: o.hung}
 			if co.Shrink {
-				if min, ok := ShrinkRepro(reps[i], co.Trial, co.Timeout, ShrinkBudget); ok {
-					f.Shrunk = &min
+				if min, ok := Shrink(scheds[i], co.Trial, co.Timeout, ShrinkBudget); ok {
+					f.Shrunk = min
 				}
 			}
 			out.Failures = append(out.Failures, f)
 		}
 	}
-	collect(reps, firsts)
-	collect(nreps, nesteds)
+	collect(firsts, firstOuts, true)
+	collect(nesteds, nestedOuts, false)
 	return out
 }
 
-// RunExploration runs ExploreSetting over each setting in order.
-func RunExploration(settings []Setting, co CampaignOptions) []CampaignOutcome {
-	outs := make([]CampaignOutcome, len(settings))
-	for i, s := range settings {
-		outs[i] = ExploreSetting(s, co)
+// firstLevel plans a campaign's first-level schedules from the census of each
+// shard's site space (one census when unsharded): one crash per selected
+// site, policy rotating per site, salt derived from the site index. A sharded
+// campaign sweeps each shard's site space in shard order, the budget split
+// evenly; shardOf[i] is schedule i's crash-target shard.
+func firstLevel(base Schedule, shardCensus []pmem.SiteCensus, co CampaignOptions) (firsts []Schedule, shardOf []int) {
+	maxPerShard := co.MaxSites
+	if maxPerShard > 0 {
+		maxPerShard = max(maxPerShard/len(shardCensus), 1)
 	}
-	return outs
+	for sh, sc := range shardCensus {
+		for _, site := range selectSites(sc, maxPerShard) {
+			firsts = append(firsts, base.At(sh, CrashPoint{
+				Site: site, Nested: -1, Policy: Policies[len(firsts)%len(Policies)],
+				Salt: uint64(site)*0x9E3779B97F4A7C15 + uint64(co.Seed) + uint64(sh),
+			}))
+			shardOf = append(shardOf, sh)
+		}
+	}
+	return firsts, shardOf
 }

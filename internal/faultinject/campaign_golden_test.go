@@ -24,72 +24,44 @@ var updateCampaignGolden = flag.Bool("update", false, "rewrite testdata/campaign
 
 const campaignGoldenPath = "testdata/campaign.golden"
 
+// goldenCampaign appends a campaign's summary and, rerunning them, each of
+// its first-level schedules.
+func goldenCampaign(t *testing.T, b *strings.Builder, out CampaignOutcome, base Schedule, co CampaignOptions) {
+	census, err := base.Run(TrialOptions{})
+	if err != nil {
+		t.Fatalf("%s census: %v", out.Label, err)
+	}
+	shardCensus := census.ShardCensus
+	if len(shardCensus) == 0 {
+		shardCensus = []pmem.SiteCensus{census.Census}
+	}
+	fmt.Fprintf(b, "== %s passed=%d/%d sites=%d skipped=%v failures=%d coverage=%s\n", out.Label, out.Passed, out.Scheduled,
+		out.SitesTotal, out.Skipped, len(out.Failures), out.CoverageString())
+	firsts, _ := firstLevel(base, shardCensus, co)
+	for _, s := range firsts {
+		res, err := s.Run(TrialOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", s.MarshalLine(), err)
+		}
+		fmt.Fprintf(b, "%s post=%#x final=%#x\n", s.MarshalLine(), res.PostCrashHash, res.FinalHash)
+	}
+}
+
 func goldenBatch(t *testing.T, b *strings.Builder, name string) {
 	setting, err := ParseSetting(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	co := CampaignOptions{Seed: 1, MaxSites: 6, Nested: true, MaxNested: 2}
-	out := ExploreSetting(setting, co)
-	base := NewRepro(setting, co.Seed)
-	census, err := RunScheduled(base, TrialOptions{})
-	if err != nil {
-		t.Fatalf("%s census: %v", name, err)
-	}
-	var cov [pmem.NumSiteClasses]int
-	var lines []string
-	for i, site := range selectSites(census.Census, co.MaxSites) {
-		r := base
-		r.Site = site
-		r.Policy = Policies[i%len(Policies)]
-		r.Salt = uint64(site)*0x9E3779B97F4A7C15 + uint64(co.Seed)
-		res, err := RunScheduled(r, TrialOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", r.MarshalLine(), err)
-		}
-		if res.Crash != nil {
-			cov[res.Crash.Class]++
-		}
-		lines = append(lines, fmt.Sprintf("%s post=%#x final=%#x", r.MarshalLine(), res.PostCrashHash, res.FinalHash))
-	}
-	fmt.Fprintf(b, "== %s passed=%d/%d sites=%d skipped=%v failures=%d coverage=%s\n", name, out.Passed, out.Scheduled,
-		out.SitesTotal, out.Skipped, len(out.Failures), ServeCampaignOutcome{Covered: cov}.CoverageString())
-	b.WriteString(strings.Join(lines, "\n") + "\n")
+	goldenCampaign(t, b, ExploreSetting(setting, co), NewRepro(setting, co.Seed), co)
 }
 
 func goldenServe(t *testing.T, b *strings.Builder, scheme string, shards int) {
-	co := ServeCampaignOptions{Seed: 1, Clients: 4, Ops: 1200, Keys: 400, MaxSites: 4, Shards: shards,
+	co := CampaignOptions{Seed: 1, Clients: 4, Ops: 1200, Keys: 400, MaxSites: 4, Shards: shards,
 		Nested: true, MaxNested: 2}
-	out := ExploreServeScheme(scheme, co)
 	base := NewServeRepro(scheme, co.Seed)
 	base.Clients, base.Ops, base.Keys, base.Shards = co.Clients, co.Ops, co.Keys, shards
-	census, err := RunServeScheduled(base, ServeTrialOptions{})
-	if err != nil {
-		t.Fatalf("serve/%s census: %v", scheme, err)
-	}
-	shardCensus := []pmem.SiteCensus{census.Census}
-	if shards > 1 {
-		shardCensus = census.ShardCensus
-	}
-	var lines []string
-	n := 0
-	for sh, sc := range shardCensus {
-		for _, site := range selectSites(sc, co.MaxSites/shards) {
-			r := base
-			r.Shard, r.Site = sh, site
-			r.Policy = Policies[n%len(Policies)]
-			r.Salt = uint64(site)*0x9E3779B97F4A7C15 + uint64(co.Seed) + uint64(sh)
-			n++
-			res, err := RunServeScheduled(r, ServeTrialOptions{})
-			if err != nil {
-				t.Fatalf("%s: %v", r.MarshalLine(), err)
-			}
-			lines = append(lines, fmt.Sprintf("%s post=%#x final=%#x", r.MarshalLine(), res.PostCrashHash, res.FinalHash))
-		}
-	}
-	fmt.Fprintf(b, "== serve/%s passed=%d/%d sites=%d skipped=%v failures=%d coverage=%s\n", scheme, out.Passed, out.Scheduled,
-		out.SitesTotal, false, len(out.Failures), out.CoverageString())
-	b.WriteString(strings.Join(lines, "\n") + "\n")
+	goldenCampaign(t, b, ExploreServeScheme(scheme, co), base, co)
 }
 
 func TestCampaignGolden(t *testing.T) {

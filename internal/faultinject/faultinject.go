@@ -7,31 +7,43 @@
 // threaded microbenchmarks plus BzTree/FPTree at 1, 2, 4, 8 threads, each
 // under SFCCD and FFCCD) are enumerated by AllSettings.
 //
-// Two trial drivers coexist:
+// Three drivers put a machine in front of a power failure, and they share
+// everything after it:
 //
-//   - Trial/TrialWith: the original randomized driver — concurrent churn
-//     goroutines, a crash after rng.Intn(400) compaction steps, a random
-//     in-flight-line policy. Good concurrency coverage, but the crash point
-//     is only as fine as a step count.
-//   - RunScheduled (schedule.go): the deterministic driver — single-threaded
-//     end to end, crash fired at an exact crash-site index (see
+//   - RunScheduled (schedule.go): the deterministic batch driver — one
+//     goroutine end to end, crash fired at an exact crash-site index (see
 //     pmem.SiteClass), optionally a second crash inside recovery. Every
 //     failing schedule replays bit-identically from its Repro line.
+//   - RunServeScheduled (servesched.go): the same for a machine under
+//     open-loop serving traffic (redisws.Serve), which recovers online,
+//     validates every acknowledged write and resumes serving.
+//   - Trial (below): the randomized driver — churn threads are real
+//     goroutines, the crash comes after rng.Intn(400) compaction steps under a
+//     random in-flight-line policy. It stays because it is the only driver
+//     whose application threads run concurrently (the paper's §7.1
+//     methodology, and what go test -race exercises on the 2/4/8-thread
+//     settings); a scheduled trial is one goroutine by construction. Its
+//     crash point is only as fine as a step count.
 //
-// Campaigns over scheduled trials (campaign.go) sweep or sample the site
-// space and shrink failures (shrink.go) into minimal repro artifacts.
+// One batch machine and one churner (machine.go) serve both batch drivers;
+// the serving driver builds its machines with redisws.NewMachine. All three
+// restart through one sequence (restart.run, machine.go): power failure,
+// reopen, recovery with the site recorder armed, and on a crash inside
+// recovery a second power failure and an unscheduled recovery.
+//
+// One campaign (campaign.go) sweeps or samples the site space of any Schedule
+// and one shrinker (shrink.go) minimizes failures into repro artifacts.
 package faultinject
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
+	"strings"
 
-	"ffccd/internal/checker"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
 	"ffccd/internal/obsv"
-	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 	"ffccd/internal/workpool"
@@ -39,20 +51,29 @@ import (
 
 // TrialOptions carries per-campaign hooks. The zero value is a plain trial.
 // Options travel by value with each campaign, so concurrent campaigns with
-// different settings never race (this replaced a package-level factory
-// variable).
+// different settings never race.
 type TrialOptions struct {
-	// Obs, when non-nil, supplies a fresh observability bundle per trial.
-	// An injected crash fires the bundle's OnCrash hook (flight-recorder
-	// dump) at the fault, before recovery runs. Tracing reads simulated
-	// clocks but never charges them, so trial outcomes are unaffected.
+	// Obs, when non-nil, supplies a fresh observability bundle per batch
+	// trial. An injected crash fires the bundle's OnCrash hook
+	// (flight-recorder dump) at the fault, before recovery runs. Tracing reads
+	// simulated clocks but never charges them, so trial outcomes are
+	// unaffected.
 	Obs func(setting Setting, seed int64) *obsv.Obs
 
-	// AfterRecovery, when non-nil, runs after recovery completes and before
-	// the checker. Tests use it to plant synthetic corruption (proving the
-	// campaign's failure→repro→replay loop end to end) or to stall (proving
-	// the watchdog).
-	AfterRecovery func(ctx *sim.Ctx, p *pmop.Pool)
+	// AfterRecovery, when non-nil, runs after recovery completes and the
+	// store is reopened, before the checker (on the serving path: inside the
+	// blackout, before the durable-ack check). Tests use it to plant
+	// synthetic corruption or ack loss (proving the failure→repro→replay loop
+	// end to end) or to stall (proving the watchdog).
+	AfterRecovery func(ctx *sim.Ctx, p *pmop.Pool, s ds.Store)
+
+	// Series, when non-nil, supplies the time series of shard shard of a
+	// serving trial (shard in [0, rep.Shards); 0 when unsharded). The run's
+	// recovery/backoff overlay intervals land in it.
+	Series func(rep ServeRepro, shard int) *obsv.TimeSeries
+	// AdmitCap overrides a serving trial's degraded-mode admission-queue
+	// bound (0 = redisws default, Clients/4+1).
+	AdmitCap int
 }
 
 // Host-side fan-out runs on the process-wide worker pool shared with the
@@ -93,41 +114,20 @@ func (s Setting) String() string {
 // ParseSetting parses the String form ("BzTree/4T/ffccd") back into a
 // Setting — the format repro artifacts carry.
 func ParseSetting(str string) (Setting, error) {
-	var s Setting
-	parts := [3]string{}
-	n := 0
-	start := 0
-	for i := 0; i <= len(str); i++ {
-		if i == len(str) || str[i] == '/' {
-			if n >= 3 {
-				return s, fmt.Errorf("faultinject: bad setting %q", str)
-			}
-			parts[n] = str[start:i]
-			n++
-			start = i + 1
-		}
+	parts := strings.Split(str, "/")
+	if len(parts) != 3 {
+		return Setting{}, fmt.Errorf("faultinject: bad setting %q", str)
 	}
-	if n != 3 {
-		return s, fmt.Errorf("faultinject: bad setting %q", str)
-	}
-	s.Store = parts[0]
-	known := false
-	for _, st := range append(append([]string{}, MicroStores...), ConcurrentStores...) {
-		if st == s.Store {
-			known = true
-			break
-		}
-	}
-	if !known {
+	s := Setting{Store: parts[0]}
+	if !slices.Contains(MicroStores, s.Store) && !slices.Contains(ConcurrentStores, s.Store) {
 		return s, fmt.Errorf("faultinject: unknown store %q in %q", s.Store, str)
 	}
 	if _, err := fmt.Sscanf(parts[1], "%dT", &s.Threads); err != nil || s.Threads < 1 {
 		return s, fmt.Errorf("faultinject: bad thread count in %q", str)
 	}
-	schemeName := parts[2]
 	for _, sc := range []core.Scheme{core.SchemeNone, core.SchemeEspresso,
 		core.SchemeSFCCD, core.SchemeFFCCD, core.SchemeFFCCDCheckLookup} {
-		if sc.String() == schemeName {
+		if sc.String() == parts[2] {
 			s.Scheme = sc
 			if s.String() != str {
 				return s, fmt.Errorf("faultinject: bad setting %q", str)
@@ -135,7 +135,7 @@ func ParseSetting(str string) (Setting, error) {
 			return s, nil
 		}
 	}
-	return s, fmt.Errorf("faultinject: unknown scheme %q in %q", schemeName, str)
+	return s, fmt.Errorf("faultinject: unknown scheme %q in %q", parts[2], str)
 }
 
 // MicroStores are the five single-threaded microbenchmarks.
@@ -191,192 +191,54 @@ func keyCapFor(name string) uint64 {
 
 // Trial runs one randomized fault-injection trial and returns an error
 // describing the first consistency violation, or nil.
-func Trial(setting Setting, seed int64) error {
-	return TrialWith(setting, seed, TrialOptions{})
-}
-
-// TrialWith is Trial with per-campaign options.
-func TrialWith(setting Setting, seed int64, opts TrialOptions) error {
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
-	rt := pmop.NewRuntime(&cfg, 128<<20)
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	p, err := rt.Create("fi", 64<<20, 12, reg)
+func Trial(setting Setting, seed int64, opts TrialOptions) error {
+	m, err := newMachine(setting, false)
 	if err != nil {
 		return err
 	}
 	// Every churn goroutine is joined before a return, so the media array can
-	// go back for reuse (after the deferred engine Close below).
-	defer p.Device().ReleaseMedia()
-	ctx := sim.NewCtx(&cfg)
-	s, err := buildStore(ctx, p, setting.Store)
-	if err != nil {
-		return err
-	}
+	// go back for reuse.
+	defer m.dev.ReleaseMedia()
 	rng := rand.New(rand.NewSource(seed))
 
-	// Build a fragmented store with per-thread key ranges. Each thread owns
-	// a disjoint range and a persistent thread-local model spanning both
-	// churn sessions, so deletes in the second session are reflected.
-	models := make([]map[uint64][]byte, setting.Threads)
-	for i := range models {
-		models[i] = make(map[uint64][]byte)
+	// Build a fragmented store, every thread churning its own key range at
+	// once. The per-thread models span both churn sessions, so deletes in the
+	// second are reflected.
+	churn := newChurner(m, 300)
+	if err := churn.churnConcurrently(&m.cfg, 600, func(tid int) int64 { return seed + int64(tid) + 1 }); err != nil {
+		return err
 	}
-	churn := func(c *sim.Ctx, tid, ops int, r *rand.Rand) error {
-		local := models[tid]
-		base := uint64(tid) << 20
-		keyCap := keyCapFor(setting.Store)
-		for i := 0; i < ops; i++ {
-			key := base + r.Uint64()%300
-			if key >= keyCap {
-				key = key % keyCap
-			}
-			switch r.Intn(10) {
-			case 0, 1, 2, 3, 4, 5:
-				v := make([]byte, 16+r.Intn(113))
-				for j := range v {
-					v[j] = byte(key) ^ byte(j) ^ byte(i)
-				}
-				if err := s.Insert(c, key, v); err != nil {
-					return err
-				}
-				local[key] = v
-			case 6, 7:
-				if _, err := s.Delete(c, key); err != nil {
-					return err
-				}
-				delete(local, key)
-			default:
-				s.Get(c, key)
-			}
-		}
-		return nil
-	}
-
-	// Single-threaded ranges must not overlap when threads > 1: each thread
-	// owns its base. SS is slot-addressed, so it stays single-threaded in
-	// AllSettings (a micro store).
-	var wg sync.WaitGroup
-	errs := make(chan error, setting.Threads)
-	for t := 0; t < setting.Threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			c := sim.NewCtx(&cfg)
-			errs <- churn(c, tid, 600, rand.New(rand.NewSource(seed+int64(tid)+1)))
-		}(t)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	p.Device().FlushAll(ctx)
-
-	var obs *obsv.Obs
-	if opts.Obs != nil {
-		if obs = opts.Obs(setting, seed); obs != nil {
-			obs.Tracer.Name(ctx, "driver")
-			p.Device().SetObs(obs)
-		}
-	}
+	m.dev.FlushAll(m.ctx)
 
 	// Start a defragmentation epoch and advance it a random amount.
-	opt := core.DefaultOptions()
-	opt.Scheme = setting.Scheme
-	opt.TriggerRatio = 1.01
-	opt.TargetRatio = 1.05
-	opt.Obs = obs
-	e := core.NewEngine(p, opt)
-	if !e.BeginCycle(ctx) {
+	opt := m.engineOptions(opts, seed)
+	e := core.NewEngine(m.pool, opt)
+	if !e.BeginCycle(m.ctx) {
 		// Not fragmented enough this time; that is a (trivially) passing
 		// trial — nothing to crash into.
 		e.Close()
 		return nil
 	}
-	steps := rng.Intn(400)
-	e.StepCompaction(ctx, steps)
+	e.StepCompaction(m.ctx, rng.Intn(400))
 
 	// Concurrent application traffic through the read barrier, then stop.
-	var wg2 sync.WaitGroup
-	errs2 := make(chan error, setting.Threads)
-	for t := 0; t < setting.Threads; t++ {
-		wg2.Add(1)
-		go func(tid int) {
-			defer wg2.Done()
-			c := sim.NewCtx(&cfg)
-			errs2 <- churn(c, tid, 60, rand.New(rand.NewSource(seed^0x5a5a+int64(tid))))
-		}(t)
-	}
-	wg2.Wait()
-	close(errs2)
-	for e2 := range errs2 {
-		if e2 != nil {
-			return e2
-		}
-	}
-
-	// Crash with a randomly chosen persistence outcome for unfenced lines.
-	switch rng.Intn(3) {
-	case 0:
-		p.Device().SetCrashPolicy(pmem.DropAllInflight)
-	case 1:
-		p.Device().SetCrashPolicy(pmem.KeepAllInflight)
-	default:
-		salt := rng.Uint64()
-		p.Device().SetCrashPolicy(func(line uint64) bool {
-			return (line*0x9E3779B97F4A7C15+salt)&1 == 0
-		})
-	}
-	p.Device().Crash()
-
-	// Restart: attach, open, recover (completes the epoch).
-	rt2, err := pmop.Attach(&cfg, rt.Device())
-	if err != nil {
+	if err := churn.churnConcurrently(&m.cfg, 60, func(tid int) int64 { return seed ^ 0x5a5a + int64(tid) }); err != nil {
 		return err
 	}
-	reg2 := pmop.NewRegistry()
-	ds.RegisterTypes(reg2)
-	p2, err := rt2.Open("fi", reg2)
-	if err != nil {
-		return err
-	}
-	e2, err := core.Recover(ctx, p2, opt)
-	if err != nil {
-		return fmt.Errorf("recovery failed: %w", err)
-	}
-	defer e2.Close()
 
-	if opts.AfterRecovery != nil {
-		opts.AfterRecovery(ctx, p2)
+	// Crash with a randomly chosen persistence outcome for unfenced lines,
+	// restart (which completes the epoch) and check.
+	policy := Policies[rng.Intn(len(Policies))]
+	var salt uint64
+	if policy == PolicySalt {
+		salt = rng.Uint64()
 	}
-
-	s2, err := buildStore(ctx, p2, setting.Store)
-	if err != nil {
-		return err
-	}
-	model := make(map[uint64][]byte)
-	for _, m := range models {
-		for k, v := range m {
-			model[k] = v
-		}
-	}
-
-	// Checker step 1: program-data consistency against the model.
-	if err := checker.CheckStore(ctx, s2, model); err != nil {
-		return fmt.Errorf("checker step 1 (%s): %w", setting, err)
-	}
-	// Checker step 2: GC metadata vs memory state.
-	if _, err := checker.CheckGraph(ctx, p2); err != nil {
-		return fmt.Errorf("checker step 2 (%s): %w", setting, err)
-	}
-	return nil
+	crashPolicy, _ := PolicyFor(policy, salt) // a name out of Policies resolves
+	var res Result
+	return m.restartAndCheck(&res, crashPolicy, -1, opt, opts, churn)
 }
 
-// Outcome summarises a campaign over one setting.
+// Outcome summarises a randomized campaign over one setting.
 type Outcome struct {
 	Setting  Setting
 	Trials   int
@@ -384,19 +246,14 @@ type Outcome struct {
 	Failures []string
 }
 
-// RunSetting executes trials fault-injection trials for one setting across
+// RunSetting executes trials randomized trials for one setting across
 // Parallelism() workers. The outcome is deterministic regardless of worker
 // count: failures are aggregated in trial order.
-func RunSetting(setting Setting, trials int, seed int64) Outcome {
-	return RunSettingWith(setting, trials, seed, TrialOptions{})
-}
-
-// RunSettingWith is RunSetting with per-campaign options.
-func RunSettingWith(setting Setting, trials int, seed int64, opts TrialOptions) Outcome {
+func RunSetting(setting Setting, trials int, seed int64, opts TrialOptions) Outcome {
 	out := Outcome{Setting: setting, Trials: trials}
 	errs := make([]error, trials)
 	parallelFor(trials, func(i int) {
-		errs[i] = TrialWith(setting, seed+int64(i)*7919, opts)
+		errs[i] = Trial(setting, seed+int64(i)*7919, opts)
 	})
 	for _, err := range errs {
 		if err != nil {

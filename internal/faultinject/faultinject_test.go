@@ -47,7 +47,7 @@ func TestCampaignSample(t *testing.T) {
 	for _, s := range subset {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			out := faultinject.RunSetting(s, 4, 1000)
+			out := faultinject.RunSetting(s, 4, 1000, faultinject.TrialOptions{})
 			if out.Passed != out.Trials {
 				t.Fatalf("%d/%d passed; first failure: %s", out.Passed, out.Trials, out.Failures[0])
 			}
@@ -57,7 +57,7 @@ func TestCampaignSample(t *testing.T) {
 
 func TestSingleTrialDeterministic(t *testing.T) {
 	s := faultinject.Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}
-	if err := faultinject.Trial(s, 42); err != nil {
+	if err := faultinject.Trial(s, 42, faultinject.TrialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +90,7 @@ func TestAllSettingsCoverBothSchemes(t *testing.T) {
 }
 
 func TestRunSettingAggregatesOutcome(t *testing.T) {
-	out := faultinject.RunSetting(faultinject.Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 3, 101)
+	out := faultinject.RunSetting(faultinject.Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 3, 101, faultinject.TrialOptions{})
 	if out.Trials != 3 {
 		t.Fatalf("trials = %d", out.Trials)
 	}

@@ -66,7 +66,7 @@ func TestReproHashesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := faultinject.RunServeScheduled(srep, faultinject.ServeTrialOptions{})
+	sres, err := faultinject.RunServeScheduled(srep, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestTrialMediaReleasedAndRecycled(t *testing.T) {
 	rep := faultinject.NewRepro(ffccdSetting(), 3)
 	rep.Site = 40
 	if _, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{
-		AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool) { batchDev = p.Device() },
+		AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool, _ ds.Store) { batchDev = p.Device() },
 	}); err != nil {
 		t.Fatal(err)
 	}
 	srep := faultinject.NewServeRepro("ffccd", 3)
 	srep.Clients, srep.Ops, srep.Keys, srep.Site = 4, 1200, 400, 700
-	sres, err := faultinject.RunServeScheduled(srep, faultinject.ServeTrialOptions{
+	sres, err := faultinject.RunServeScheduled(srep, faultinject.TrialOptions{
 		AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool, _ ds.Store) {
 			serveDev = p.Device()
 			if !serveDev.Exclusive() {

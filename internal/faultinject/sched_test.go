@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ffccd/internal/core"
+	"ffccd/internal/ds"
 	"ffccd/internal/faultinject"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
@@ -23,7 +24,7 @@ func ffccdSetting() faultinject.Setting {
 // recovered pool's phase word back to "compacting", which checker step 2
 // rejects deterministically. It proves the failure→repro→replay loop with
 // a corruption no real code path produces.
-func plantPhaseCorruption(ctx *sim.Ctx, p *pmop.Pool) {
+func plantPhaseCorruption(ctx *sim.Ctx, p *pmop.Pool, _ ds.Store) {
 	p.SetGCPhase(ctx, 1)
 }
 
@@ -163,10 +164,11 @@ func TestShrinkFindsSmallerFailingSchedule(t *testing.T) {
 	if _, err := faultinject.RunScheduled(rep, opts); err == nil {
 		t.Fatal("seed schedule unexpectedly passes")
 	}
-	min, ok := faultinject.ShrinkRepro(rep, opts, 0, faultinject.ShrinkBudget)
+	shrunk, ok := faultinject.Shrink(rep, opts, 0, faultinject.ShrinkBudget)
 	if !ok {
 		t.Fatal("shrinker found nothing smaller")
 	}
+	min := shrunk.(faultinject.Repro)
 	if min.Ops > rep.Ops || min.Site > rep.Site {
 		t.Fatalf("shrunk schedule is not smaller: %+v vs %+v", min, rep)
 	}
@@ -176,7 +178,7 @@ func TestShrinkFindsSmallerFailingSchedule(t *testing.T) {
 }
 
 func TestWatchdogReportsHangAsFailure(t *testing.T) {
-	stall := func(ctx *sim.Ctx, p *pmop.Pool) { time.Sleep(10 * time.Second) }
+	stall := func(*sim.Ctx, *pmop.Pool, ds.Store) { time.Sleep(10 * time.Second) }
 	co := faultinject.CampaignOptions{
 		Seed:     5,
 		MaxSites: 1, // class-first floor still applies; keep the wave small
@@ -237,7 +239,7 @@ func TestNestedCrashAllSettings(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
 			hashed := 0
-			checkHash := faultinject.TrialOptions{AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool) {
+			checkHash := faultinject.TrialOptions{AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool, _ ds.Store) {
 				dev := p.Device()
 				if got, want := dev.HashMedia(), denseMediaHash(dev.SnapshotMedia()); got != want {
 					t.Errorf("HashMedia %#016x, dense hash of the snapshot %#016x", got, want)

@@ -1,11 +1,12 @@
 package faultinject
 
-// Deterministic crash schedules. A scheduled trial is single-threaded end to
-// end — per-thread churn runs sequentially in thread order — so the sequence
-// of crash-site passages (pmem.SiteClass) is a pure function of the Repro.
-// The same Repro therefore produces the same site census, the same crash,
-// the same post-crash media image, and the same checker verdict on every
-// run: a failing trial's Repro line IS the bug report.
+// Deterministic crash schedules. A schedule is a plain value — a batch Repro
+// or a serving ServeRepro — that names a machine, its traffic and a crash
+// point, and whose one-line JSON form is the bug report: running it is a pure
+// function of that line, so the same line produces the same site census, the
+// same crash, the same post-crash media image and the same verdict on every
+// run. The campaign, the watchdog, the shrinker and the CLI see schedules only
+// through the Schedule interface.
 //
 // Site = -1 runs the trial to completion, counting sites (the census pass a
 // campaign uses to enumerate the schedule space). Site >= 0 fires a power
@@ -18,14 +19,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"ffccd/internal/checker"
 	"ffccd/internal/core"
-	"ffccd/internal/ds"
-	"ffccd/internal/obsv"
 	"ffccd/internal/pmem"
-	"ffccd/internal/pmop"
-	"ffccd/internal/sim"
+	"ffccd/internal/redisws"
 )
 
 // Crash policies a schedule can name.
@@ -54,16 +53,157 @@ func PolicyFor(name string, salt uint64) (pmem.CrashPolicy, error) {
 	return nil, fmt.Errorf("faultinject: unknown crash policy %q", name)
 }
 
-// Default churn volumes for scheduled trials (per thread). Ops builds the
+// CrashPoint is where and how a schedule loses power. Both repro types embed
+// it, so its fields appear in their JSON lines under these names.
+type CrashPoint struct {
+	Site   int64  `json:"site"`   // crash-site index; -1 = census (no crash)
+	Nested int64  `json:"nested"` // recovery crash-site index; -1 = none
+	Policy string `json:"policy"`
+	Salt   uint64 `json:"salt"`
+}
+
+// Point returns the schedule's crash point.
+func (cp CrashPoint) Point() CrashPoint { return cp }
+
+// Schedule is one replayable crash trial. Repro and ServeRepro implement it.
+type Schedule interface {
+	Point() CrashPoint
+	// At returns the schedule with its crash point replaced; shard names the
+	// machine of a sharded deployment that loses power (ignored otherwise).
+	At(shard int, cp CrashPoint) Schedule
+	// Run executes the trial. The error is the verdict (nil = consistent);
+	// the Result is populated as far as the trial got even on failure.
+	Run(TrialOptions) (Result, error)
+	// MarshalLine renders the canonical one-line JSON, Command the shell
+	// command that replays it.
+	MarshalLine() string
+	Command() string
+
+	// shrinks lists cheaper variants to try, most promising first; cost
+	// orders schedules by how much work replaying them takes.
+	shrinks() []Schedule
+	cost() int64
+}
+
+// marshalLine renders a repro struct of scalars as one JSON line.
+func marshalLine(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // plain struct of scalars; cannot happen
+	}
+	return string(b)
+}
+
+// parseLine decodes a repro line into v, rejecting unknown fields so typos in
+// hand-edited lines fail loudly.
+func parseLine(line string, v any) error {
+	dec := json.NewDecoder(bytes.NewReader([]byte(line)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("faultinject: bad repro line: %w", err)
+	}
+	return nil
+}
+
+// ParseSchedule parses a repro line of either kind: a line with a "scheme"
+// field is a serving schedule, any other a batch one.
+func ParseSchedule(line string) (Schedule, error) {
+	var kind struct {
+		Scheme *string `json:"scheme"`
+	}
+	if err := json.Unmarshal([]byte(line), &kind); err == nil && kind.Scheme != nil {
+		r, err := ParseServeRepro(line)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	r, err := ParseRepro(line)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Result reports what a scheduled trial did.
+type Result struct {
+	// Began reports whether the machine had anything to crash into: for a
+	// batch trial, whether a compaction epoch opened (a store can come out of
+	// the build churn insufficiently fragmented; such a trial passes
+	// vacuously and a campaign skips it). Always true for a serving trial.
+	Began bool
+	// Census counts the sites of the main run (a serving trial's dispatch
+	// phase, of the crash-target shard) — complete when no crash fired, up to
+	// the crash otherwise.
+	Census pmem.SiteCensus
+	// Crash is the injected power failure (nil for a completed census run).
+	Crash *pmem.CrashAtSite
+	// RecoveryCensus counts the sites of the first post-crash recovery;
+	// NestedCrash is the power failure injected inside it, if any.
+	RecoveryCensus pmem.SiteCensus
+	NestedCrash    *pmem.CrashAtSite
+	// RecoveryStages records the core.Recover stage labels of the last
+	// completed recovery, in order.
+	RecoveryStages []string
+	// PostCrashHash digests the media image right after the (first) crash;
+	// FinalHash digests it after recovery and checking (a serving trial:
+	// after the resumed run quiesces; sharded: an order-fixed fold of the
+	// per-shard hashes). Equal hashes across runs of the same line are the
+	// bit-identity witness.
+	PostCrashHash, FinalHash uint64
+
+	// Serve is the completed serving run, availability metrics included (nil
+	// for a batch trial); for a sharded trial it is the deterministic merge
+	// and PerShard carries the per-machine rows (nil when Shards <= 1).
+	Serve    *redisws.ServeResult
+	PerShard []redisws.ServeResult
+	// Shard is the crash-target shard of a sharded trial. ShardCensus is the
+	// per-shard dispatch-phase census of a sharded census pass (nil when
+	// Shards <= 1 or Site >= 0), ShardHashes the per-shard final media hashes
+	// FinalHash folds (nil when Shards <= 1).
+	Shard       int
+	ShardCensus []pmem.SiteCensus
+	ShardHashes []uint64
+}
+
+// Summary renders the trial on one line, the way ffccd-crashtest -repro
+// prints it.
+func (r Result) Summary() string {
+	var b strings.Builder
+	if r.Serve == nil {
+		fmt.Fprintf(&b, "began=%v ", r.Began)
+	}
+	fmt.Fprintf(&b, "sites=%d", r.Census.Total)
+	if n := len(r.PerShard); n > 1 {
+		fmt.Fprintf(&b, " shards=%d crash_shard=%d", n, r.Shard)
+		for s, sc := range r.ShardCensus {
+			fmt.Fprintf(&b, " s%d_sites=%d", s, sc.Total)
+		}
+	}
+	if r.Crash != nil {
+		fmt.Fprintf(&b, " crash=%q recovery_sites=%d", r.Crash.Error(), r.RecoveryCensus.Total)
+		if sv := r.Serve; sv != nil {
+			fmt.Fprintf(&b, " blackout=%d ttfa=%d retries=%d rejects=%d admitted=%d",
+				sv.BlackoutCycles, sv.TimeToFirstAck, sv.Retries, sv.Rejects, sv.Admitted)
+		}
+	}
+	if r.NestedCrash != nil {
+		fmt.Fprintf(&b, " nested_crash=%q", r.NestedCrash.Error())
+	}
+	fmt.Fprintf(&b, " post_crash_hash=%#x final_hash=%#x", r.PostCrashHash, r.FinalHash)
+	return b.String()
+}
+
+// Default churn volumes for batch schedules (per thread). Ops builds the
 // fragmented store; TailOps interleaves with compaction through the read
-// barrier. A Repro with zero Ops gets the defaults; TailOps is kept as-is
+// barrier. A Repro with zero Ops gets the default; TailOps is kept as-is
 // (0 is a meaningful shrink).
 const (
 	DefaultOps     = 500
 	DefaultTailOps = 40
 )
 
-// Repro is one deterministic crash schedule — the replayable artifact a
+// Repro is one deterministic batch crash schedule — the replayable artifact a
 // failing campaign trial emits. All fields marshal explicitly (no omitempty)
 // so a shrunk zero survives the JSON round trip.
 type Repro struct {
@@ -71,10 +211,7 @@ type Repro struct {
 	Seed    int64  `json:"seed"`
 	Ops     int    `json:"ops"`      // build-churn ops per thread
 	TailOps int    `json:"tail_ops"` // compaction-concurrent ops per thread
-	Site    int64  `json:"site"`     // crash-site index; -1 = census (no crash)
-	Nested  int64  `json:"nested"`   // recovery crash-site index; -1 = none
-	Policy  string `json:"policy"`
-	Salt    uint64 `json:"salt"`
+	CrashPoint
 }
 
 // NewRepro returns a census-pass Repro for one setting with default churn.
@@ -82,27 +219,15 @@ func NewRepro(setting Setting, seed int64) Repro {
 	return Repro{
 		Setting: setting.String(), Seed: seed,
 		Ops: DefaultOps, TailOps: DefaultTailOps,
-		Site: -1, Nested: -1, Policy: PolicyDrop,
+		CrashPoint: CrashPoint{Site: -1, Nested: -1, Policy: PolicyDrop},
 	}
 }
 
-// MarshalLine renders the Repro as its canonical one-line JSON.
-func (r Repro) MarshalLine() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic(err) // plain struct of scalars; cannot happen
-	}
-	return string(b)
-}
-
-// ParseRepro parses MarshalLine output (unknown fields rejected so typos in
-// hand-edited repro lines fail loudly).
+// ParseRepro parses a batch repro line.
 func ParseRepro(line string) (Repro, error) {
-	r := Repro{Site: -1, Nested: -1}
-	dec := json.NewDecoder(bytes.NewReader([]byte(line)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return r, fmt.Errorf("faultinject: bad repro line: %w", err)
+	r := Repro{CrashPoint: CrashPoint{Site: -1, Nested: -1}}
+	if err := parseLine(line, &r); err != nil {
+		return r, err
 	}
 	if _, err := ParseSetting(r.Setting); err != nil {
 		return r, err
@@ -113,216 +238,113 @@ func ParseRepro(line string) (Repro, error) {
 	return r, nil
 }
 
-// Command renders the one-line shell command that replays this schedule.
+func (r Repro) MarshalLine() string { return marshalLine(r) }
+
 func (r Repro) Command() string {
 	return fmt.Sprintf("ffccd-crashtest -repro '%s'", r.MarshalLine())
 }
 
-// ScheduleResult reports what a scheduled trial did.
-type ScheduleResult struct {
-	// Began reports whether a compaction epoch opened (a store can come out
-	// of the build churn insufficiently fragmented; such a trial passes
-	// vacuously and a campaign skips it).
-	Began bool
-	// Census counts the sites of the main run — complete when no crash
-	// fired, up to the crash otherwise.
-	Census pmem.SiteCensus
-	// Crash is the injected power failure (nil for a completed census run).
-	Crash *pmem.CrashAtSite
-	// RecoveryCensus counts the sites of the first post-crash recovery.
-	RecoveryCensus pmem.SiteCensus
-	// NestedCrash is the power failure injected inside recovery, if any.
-	NestedCrash *pmem.CrashAtSite
-	// PostCrashHash digests the media image right after the (first) crash;
-	// FinalHash digests it after recovery and checking. Equal hashes across
-	// runs of the same Repro are the bit-identity witness.
-	PostCrashHash, FinalHash uint64
+func (r Repro) At(_ int, cp CrashPoint) Schedule {
+	r.CrashPoint = cp
+	return r
 }
 
-// pendingOp is the churn operation in flight at the moment of a scheduled
-// crash. Its store transaction is atomic, so post-crash state reflects the
-// op either fully or not at all; the checker accepts both.
-type pendingOp struct {
-	key uint64
-	val []byte // nil = delete
+func (r Repro) Run(opts TrialOptions) (Result, error) { return RunScheduled(r, opts) }
+
+// normalized fills the defaults RunScheduled runs under.
+func (r Repro) normalized() Repro {
+	if r.Ops <= 0 {
+		r.Ops = DefaultOps
+	}
+	if r.TailOps < 0 {
+		r.TailOps = 0
+	}
+	return r
 }
 
-// catchCrash runs f, converting a scheduled-crash panic into a return value.
-// Any other panic propagates.
-func catchCrash(f func()) (crash *pmem.CrashAtSite) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c, ok := r.(*pmem.CrashAtSite); ok {
-				crash = c
-				return
-			}
-			panic(r)
-		}
-	}()
-	f()
-	return nil
+func (r Repro) cost() int64 {
+	r = r.normalized()
+	return int64(r.Ops)*8 + int64(r.TailOps)*8 + r.Site + max(r.Nested, 0)
 }
 
-// RunScheduled executes one deterministic scheduled trial. The returned
-// error is the trial verdict (nil = consistent); the ScheduleResult is
-// populated as far as the trial got even on failure.
-func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
-	var res ScheduleResult
+func (r Repro) shrinks() []Schedule {
+	r = r.normalized()
+	var out []Schedule
+	add := func(mut func(*Repro)) {
+		c := r
+		mut(&c)
+		c.Ops = max(c.Ops, 1)
+		out = append(out, c.normalized())
+	}
+	// Halving moves converge in log(size) accepted steps; the -1 moves polish
+	// the end point.
+	add(func(r *Repro) { r.Nested = -1 })
+	add(func(r *Repro) { r.Nested /= 2 })
+	add(func(r *Repro) { r.Ops /= 2 })
+	add(func(r *Repro) { r.TailOps = 0 })
+	add(func(r *Repro) { r.TailOps /= 2 })
+	add(func(r *Repro) { r.Site /= 2 })
+	add(func(r *Repro) { r.Ops-- })
+	add(func(r *Repro) { r.Site-- })
+	if r.Nested > 0 {
+		add(func(r *Repro) { r.Nested-- })
+	}
+	return out
+}
+
+// RunScheduled executes one deterministic batch trial. It is single-threaded
+// end to end — per-thread churn runs sequentially in thread order, with the
+// per-thread RNG streams and disjoint key ranges of the randomized Trial minus
+// the host-scheduling nondeterminism — so the sequence of crash-site passages
+// is a pure function of the Repro.
+func RunScheduled(rep Repro, opts TrialOptions) (Result, error) {
+	var res Result
 	setting, err := ParseSetting(rep.Setting)
 	if err != nil {
 		return res, err
 	}
-	if rep.Ops <= 0 {
-		rep.Ops = DefaultOps
-	}
-	if rep.TailOps < 0 {
-		rep.TailOps = 0
-	}
+	rep = rep.normalized()
 	policy, err := PolicyFor(rep.Policy, rep.Salt)
 	if err != nil {
 		return res, err
 	}
-
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
-	rt := pmop.NewRuntime(&cfg, 128<<20)
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	p, err := rt.Create("fi", 64<<20, 12, reg)
+	// One goroutine does the build, the churn, the engine stepping (the
+	// engine has no AutoTrigger, hence no background goroutine), the crash,
+	// the recovery and the checking, so a 1T trial's device can go without
+	// its per-access host locks, as in experiments.Run.
+	m, err := newMachine(setting, setting.Threads == 1)
 	if err != nil {
 		return res, err
 	}
-	dev := p.Device()
-	// The trial owns its machine: give the media array back on the way out
-	// (registered first, so it runs after the engine's deferred Close). This
-	// runs on the trial's own goroutine — a watchdog that gives up on a hung
-	// trial abandons the machine instead, as the trial may still be writing.
-	defer dev.ReleaseMedia()
-	if setting.Threads == 1 {
-		// A 1T scheduled trial is one goroutine end to end — build, churn,
-		// engine stepping (the engine below is built without AutoTrigger, so
-		// it has no background goroutine), crash, recovery and checking — so
-		// the device's per-access host locks can go, as in experiments.Run.
-		dev.SetExclusive(true)
-	}
-	ctx := sim.NewCtx(&cfg)
-	s, err := buildStore(ctx, p, setting.Store)
-	if err != nil {
-		return res, err
-	}
+	// The trial owns its machine: give the media array back on the way out.
+	// This runs on the trial's own goroutine — a watchdog that gives up on a
+	// hung trial abandons the machine instead, as the trial may still be
+	// writing.
+	defer m.dev.ReleaseMedia()
+	ctx, dev := m.ctx, m.dev
 
-	// Sequential churn in thread order — per-thread RNG streams and disjoint
-	// key ranges like the randomized Trial, minus the host-scheduling
-	// nondeterminism. The build phase fragments deliberately: insert Ops keys
-	// over a wide span, then delete three quarters of them in insertion
-	// order. That leaves many quarter-full frames, so BeginCycle's net-gain
-	// planner reliably opens an epoch (a dense store compacts to nothing and
-	// the whole schedule space would be vacuous).
-	models := make([]map[uint64][]byte, setting.Threads)
-	for i := range models {
-		models[i] = make(map[uint64][]byte)
-	}
-	var pending *pendingOp
-	keyCap := keyCapFor(setting.Store)
-	span := uint64(4 * rep.Ops)
-	build := func(c *sim.Ctx, tid, ops int, r *rand.Rand) error {
-		local := models[tid]
-		base := uint64(tid) << 20
-		keys := make([]uint64, 0, ops)
-		for i := 0; i < ops; i++ {
-			key := base + r.Uint64()%span
-			if key >= keyCap {
-				key = key % keyCap
-			}
-			v := make([]byte, 16+r.Intn(113))
-			for j := range v {
-				v[j] = byte(key) ^ byte(j) ^ byte(i)
-			}
-			if err := s.Insert(c, key, v); err != nil {
-				return err
-			}
-			local[key] = v
-			keys = append(keys, key)
-		}
-		for i, key := range keys {
-			if i%4 == 0 {
-				continue // survivor — keeps its frame sparsely occupied
-			}
-			if _, err := s.Delete(c, key); err != nil {
-				return err
-			}
-			delete(local, key)
-		}
-		return nil
-	}
-	churn := func(c *sim.Ctx, tid, ops int, r *rand.Rand) error {
-		local := models[tid]
-		base := uint64(tid) << 20
-		for i := 0; i < ops; i++ {
-			key := base + r.Uint64()%span
-			if key >= keyCap {
-				key = key % keyCap
-			}
-			switch r.Intn(10) {
-			case 0, 1, 2, 3, 4, 5:
-				v := make([]byte, 16+r.Intn(113))
-				for j := range v {
-					v[j] = byte(key) ^ byte(j) ^ byte(i)
-				}
-				pending = &pendingOp{key: key, val: v}
-				if err := s.Insert(c, key, v); err != nil {
-					return err
-				}
-				local[key] = v
-				pending = nil
-			case 6, 7:
-				pending = &pendingOp{key: key}
-				if _, err := s.Delete(c, key); err != nil {
-					return err
-				}
-				delete(local, key)
-				pending = nil
-			default:
-				s.Get(c, key)
-			}
-		}
-		return nil
-	}
+	churn := newChurner(m, uint64(4*rep.Ops))
 	for t := 0; t < setting.Threads; t++ {
-		if err := build(ctx, t, rep.Ops, rand.New(rand.NewSource(rep.Seed+int64(t)+1))); err != nil {
+		if err := churn.build(ctx, t, rep.Ops, rand.New(rand.NewSource(rep.Seed+int64(t)+1))); err != nil {
 			return res, err
 		}
 	}
 	dev.FlushAll(ctx)
-
-	var obs *obsv.Obs
-	if opts.Obs != nil {
-		if obs = opts.Obs(setting, rep.Seed); obs != nil {
-			obs.Tracer.Name(ctx, "driver")
-			dev.SetObs(obs)
-		}
-	}
-	opt := core.DefaultOptions()
-	opt.Scheme = setting.Scheme
-	opt.TriggerRatio = 1.01
-	opt.TargetRatio = 1.05
-	opt.Obs = obs
-	e := core.NewEngine(p, opt)
+	opt := m.engineOptions(opts, rep.Seed)
+	e := core.NewEngine(m.pool, opt)
 
 	// Main run, armed. Compaction steps interleave with tail churn so the
 	// read barrier and mid-epoch application transactions are inside the
 	// schedulable window, then the epoch terminates.
 	tailRngs := make([]*rand.Rand, setting.Threads)
+	tailLeft := make([]int, setting.Threads)
 	for t := range tailRngs {
 		tailRngs[t] = rand.New(rand.NewSource(rep.Seed ^ 0x5a5a + int64(t)))
-	}
-	tailLeft := make([]int, setting.Threads)
-	for t := range tailLeft {
 		tailLeft[t] = rep.TailOps
 	}
 	var churnErr error
 	dev.ArmSites(rep.Site)
-	res.Crash = catchCrash(func() {
+	res.Crash = pmem.CatchCrash(func() {
 		if !e.BeginCycle(ctx) {
 			return
 		}
@@ -331,13 +353,10 @@ func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
 			moved := e.StepCompaction(ctx, 7)
 			tailDone := true
 			for t := 0; t < setting.Threads; t++ {
-				n := tailLeft[t]
-				if n > 5 {
-					n = 5
-				}
+				n := min(tailLeft[t], 5)
 				if n > 0 {
 					tailLeft[t] -= n
-					if churnErr = churn(ctx, t, n, tailRngs[t]); churnErr != nil {
+					if churnErr = churn.churn(ctx, t, n, tailRngs[t]); churnErr != nil {
 						return
 					}
 				}
@@ -355,16 +374,6 @@ func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
 	if churnErr != nil {
 		return res, churnErr
 	}
-	if res.Crash != nil && !res.Began {
-		res.Began = true // crashed inside BeginCycle: the epoch was opening
-	}
-
-	model := make(map[uint64][]byte)
-	for _, m := range models {
-		for k, v := range m {
-			model[k] = v
-		}
-	}
 
 	if res.Crash == nil {
 		// Completed (census pass, or the armed site was past the end).
@@ -372,100 +381,20 @@ func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
 		e.Close()
 		dev.FlushAll(ctx)
 		res.FinalHash = dev.HashMedia()
-		if err := checker.CheckStore(ctx, s, model); err != nil {
+		model, _ := churn.model()
+		if err := checker.CheckStore(ctx, m.store, model); err != nil {
 			return res, fmt.Errorf("census check 1 (%s): %w", setting, err)
 		}
-		if _, err := checker.CheckGraph(ctx, p); err != nil {
+		if _, err := checker.CheckGraph(ctx, m.pool); err != nil {
 			return res, fmt.Errorf("census check 2 (%s): %w", setting, err)
 		}
 		return res, nil
 	}
 
-	// Power failure at the scheduled site. The panic unwound the driver; the
-	// pre-crash engine, pool and contexts are abandoned wholesale (their
-	// volatile state is what the crash destroys).
-	dev.SetCrashPolicy(policy)
-	dev.Crash()
-	res.PostCrashHash = dev.HashMedia()
-
-	// First recovery, armed for the nested schedule.
-	rt2, err := pmop.Attach(&cfg, rt.Device())
-	if err != nil {
-		return res, err
-	}
-	reg2 := pmop.NewRegistry()
-	ds.RegisterTypes(reg2)
-	p2, err := rt2.Open("fi", reg2)
-	if err != nil {
-		return res, err
-	}
-	var e2 *core.Engine
-	var recErr error
-	dev.ArmSites(rep.Nested)
-	res.NestedCrash = catchCrash(func() {
-		e2, recErr = core.Recover(ctx, p2, opt)
-	})
-	res.RecoveryCensus = dev.DisarmSites()
-	if recErr != nil {
-		return res, fmt.Errorf("recovery failed (%s): %w", setting, recErr)
-	}
-
-	if res.NestedCrash != nil {
-		// Second power failure, inside recovery. Crash again and run the
-		// final, unscheduled recovery — double-recovery idempotence.
-		dev.SetCrashPolicy(policy)
-		dev.Crash()
-		rt3, err := pmop.Attach(&cfg, rt.Device())
-		if err != nil {
-			return res, err
-		}
-		reg3 := pmop.NewRegistry()
-		ds.RegisterTypes(reg3)
-		p3, err := rt3.Open("fi", reg3)
-		if err != nil {
-			return res, err
-		}
-		e3, err := core.Recover(ctx, p3, opt)
-		if err != nil {
-			return res, fmt.Errorf("second recovery failed (%s): %w", setting, err)
-		}
-		p2, e2 = p3, e3
-	}
-	defer e2.Close()
-
-	if opts.AfterRecovery != nil {
-		opts.AfterRecovery(ctx, p2)
-	}
-
-	// Two-step checker, tolerant of the one churn op whose transaction was
-	// in flight at the crash: tx atomicity means post-crash state reflects
-	// it fully or not at all, so either model must verify.
-	s2, err := buildStore(ctx, p2, setting.Store)
-	if err != nil {
-		return res, err
-	}
-	if err := checker.CheckStore(ctx, s2, model); err != nil {
-		ok := false
-		if pending != nil {
-			alt := make(map[uint64][]byte, len(model))
-			for k, v := range model {
-				alt[k] = v
-			}
-			if pending.val != nil {
-				alt[pending.key] = pending.val
-			} else {
-				delete(alt, pending.key)
-			}
-			ok = checker.CheckStore(ctx, s2, alt) == nil
-		}
-		if !ok {
-			return res, fmt.Errorf("checker step 1 (%s): %w", setting, err)
-		}
-	}
-	if _, err := checker.CheckGraph(ctx, p2); err != nil {
-		return res, fmt.Errorf("checker step 2 (%s): %w", setting, err)
-	}
-	dev.FlushAll(ctx)
-	res.FinalHash = dev.HashMedia()
-	return res, nil
+	// Power failure at the scheduled site (inside BeginCycle the epoch was
+	// opening). The panic unwound the driver; the pre-crash engine, pool and
+	// contexts are abandoned wholesale — their volatile state is what the
+	// crash destroys.
+	res.Began = true
+	return res, m.restartAndCheck(&res, policy, rep.Nested, opt, opts, churn)
 }

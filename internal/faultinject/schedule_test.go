@@ -24,7 +24,7 @@ func TestCrashPointSchedule(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			s := faultinject.Setting{Store: "LL", Threads: 1, Scheme: scheme}
 			t.Run(fmt.Sprintf("%s/seed%d", scheme, i), func(t *testing.T) {
-				if err := faultinject.Trial(s, int64(2000+i*37)); err != nil {
+				if err := faultinject.Trial(s, int64(2000+i*37), faultinject.TrialOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -37,7 +37,7 @@ func TestEspressoInCampaign(t *testing.T) {
 	// our Espresso implementation must be crash consistent too.
 	for _, store := range []string{"AVL", "BT"} {
 		s := faultinject.Setting{Store: store, Threads: 1, Scheme: core.SchemeEspresso}
-		out := faultinject.RunSetting(s, 4, 31)
+		out := faultinject.RunSetting(s, 4, 31, faultinject.TrialOptions{})
 		if out.Passed != out.Trials {
 			t.Fatalf("%s: %d/%d; %v", s, out.Passed, out.Trials, out.Failures[0])
 		}

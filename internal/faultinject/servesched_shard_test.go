@@ -45,7 +45,7 @@ func TestServeReproShardRoundTrip(t *testing.T) {
 // shard's own site space in one run.
 func TestServeShardedCensusPerShard(t *testing.T) {
 	rep := shardedServe("ffccd", 11, 2, 0)
-	res, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
+	res, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -77,13 +77,13 @@ func TestServeShardedCensusPerShard(t *testing.T) {
 // and the merged run still completes the whole deployment budget.
 func TestServeShardedCrashSiblingsKeepServing(t *testing.T) {
 	base := shardedServe("ffccd", 11, 2, 1)
-	census, err := faultinject.RunServeScheduled(base, faultinject.ServeTrialOptions{})
+	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
 	armed := base
 	armed.Site = int64(census.ShardCensus[1].Total / 2)
-	res, err := faultinject.RunServeScheduled(armed, faultinject.ServeTrialOptions{})
+	res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("armed: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestServeShardedCrashSiblingsKeepServing(t *testing.T) {
 // and merged counters at host parallelism 1 and 4.
 func TestServeShardedDeterministicAcrossHostParallelism(t *testing.T) {
 	base := shardedServe("stw", 23, 2, 0)
-	census, err := faultinject.RunServeScheduled(base, faultinject.ServeTrialOptions{})
+	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestServeShardedDeterministicAcrossHostParallelism(t *testing.T) {
 	}
 	run := func(par int) pin {
 		faultinject.SetParallelism(par)
-		res, err := faultinject.RunServeScheduled(armed, faultinject.ServeTrialOptions{})
+		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}

@@ -50,7 +50,7 @@ func TestServeReproRoundTrip(t *testing.T) {
 func TestServeScheduledCrashAllSchemes(t *testing.T) {
 	for _, scheme := range faultinject.ServeSchemes {
 		rep := smallServe(scheme, 11)
-		census, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
+		census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s census: %v", scheme, err)
 		}
@@ -59,7 +59,7 @@ func TestServeScheduledCrashAllSchemes(t *testing.T) {
 		}
 		armed := rep
 		armed.Site = int64(census.Census.Total / 2)
-		res, err := faultinject.RunServeScheduled(armed, faultinject.ServeTrialOptions{})
+		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s armed: %v", scheme, err)
 		}
@@ -90,7 +90,7 @@ func TestServeScheduledCrashAllSchemes(t *testing.T) {
 // counters and media at host parallelism 1 and 4.
 func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 	rep := smallServe("ffccd", 23)
-	census, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
+	census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 	}
 	run := func(par int) pin {
 		faultinject.SetParallelism(par)
-		res, err := faultinject.RunServeScheduled(armed, faultinject.ServeTrialOptions{})
+		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -136,13 +136,13 @@ func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 func TestServeScheduledDoubleCrash(t *testing.T) {
 	for _, scheme := range faultinject.ServeSchemes {
 		rep := smallServe(scheme, 31)
-		census, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
+		census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s census: %v", scheme, err)
 		}
 		armed := rep
 		armed.Site = int64(census.Census.Total / 2)
-		first, err := faultinject.RunServeScheduled(armed, faultinject.ServeTrialOptions{})
+		first, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s armed: %v", scheme, err)
 		}
@@ -151,7 +151,7 @@ func TestServeScheduledDoubleCrash(t *testing.T) {
 		}
 		nested := armed
 		nested.Nested = int64(first.RecoveryCensus.Total / 2)
-		res, err := faultinject.RunServeScheduled(nested, faultinject.ServeTrialOptions{})
+		res, err := faultinject.RunServeScheduled(nested, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s nested: %v", scheme, err)
 		}
@@ -162,7 +162,7 @@ func TestServeScheduledDoubleCrash(t *testing.T) {
 			t.Fatalf("%s nested: completed %d ops, want %d", scheme, res.Serve.Ops, rep.Ops)
 		}
 		// Determinism witness: the same nested schedule twice, bit-identical.
-		res2, err := faultinject.RunServeScheduled(nested, faultinject.ServeTrialOptions{})
+		res2, err := faultinject.RunServeScheduled(nested, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s nested replay: %v", scheme, err)
 		}
@@ -190,13 +190,13 @@ func deleteAcked(ctx *sim.Ctx, s ds.Store, keys, n int) int {
 // check.
 func TestServeAckLossCaught(t *testing.T) {
 	rep := smallServe("none", 41)
-	census, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
+	census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
 	armed := rep
 	armed.Site = int64(census.Census.Total / 2)
-	opts := faultinject.ServeTrialOptions{
+	opts := faultinject.TrialOptions{
 		AfterRecovery: func(ctx *sim.Ctx, p *pmop.Pool, s ds.Store) {
 			if deleteAcked(ctx, s, rep.Keys, 2) != 2 {
 				t.Fatal("fixture: could not remove two acked keys")
@@ -217,11 +217,11 @@ func TestServeAckLossCaught(t *testing.T) {
 // Hung failure.
 func TestServeCampaignWatchdog(t *testing.T) {
 	block := make(chan struct{}) // never closed; trial goroutine abandoned
-	co := faultinject.ServeCampaignOptions{
+	co := faultinject.CampaignOptions{
 		Seed: 5, Clients: 4, Ops: 600, Keys: 256,
 		MaxSites: 1,
 		Timeout:  200 * time.Millisecond,
-		Trial: faultinject.ServeTrialOptions{
+		Trial: faultinject.TrialOptions{
 			AfterRecovery: func(*sim.Ctx, *pmop.Pool, ds.Store) { <-block },
 		},
 	}
@@ -243,7 +243,7 @@ func TestServeCampaignWatchdog(t *testing.T) {
 // TestServeCampaignStratified runs a small stratified campaign for one scheme
 // and checks scheduling, class coverage, and the coverage summary.
 func TestServeCampaignStratified(t *testing.T) {
-	co := faultinject.ServeCampaignOptions{
+	co := faultinject.CampaignOptions{
 		Seed: 9, Clients: 4, Ops: 1200, Keys: 400,
 		MaxSites: 6, Nested: true, MaxNested: 2,
 	}
@@ -270,13 +270,13 @@ func TestServeCampaignStratified(t *testing.T) {
 // the minimized schedule still fails and is no more expensive.
 func TestServeShrinkStillFails(t *testing.T) {
 	rep := smallServe("none", 41)
-	census, err := faultinject.RunServeScheduled(rep, faultinject.ServeTrialOptions{})
+	census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
 	armed := rep
 	armed.Site = int64(census.Census.Total / 2)
-	opts := faultinject.ServeTrialOptions{
+	opts := faultinject.TrialOptions{
 		AfterRecovery: func(ctx *sim.Ctx, p *pmop.Pool, s ds.Store) {
 			deleteAcked(ctx, s, rep.Keys, 2)
 		},
@@ -284,11 +284,11 @@ func TestServeShrinkStillFails(t *testing.T) {
 	if _, err := faultinject.RunServeScheduled(armed, opts); err == nil {
 		t.Fatal("fixture schedule does not fail")
 	}
-	min, ok := faultinject.ShrinkServeRepro(armed, opts, 0, 12)
+	min, ok := faultinject.Shrink(armed, opts, 0, 12)
 	if !ok {
 		t.Fatal("shrink made no progress on a failing schedule")
 	}
-	if _, err := faultinject.RunServeScheduled(min, opts); err == nil {
+	if _, err := min.Run(opts); err == nil {
 		t.Fatalf("shrunk schedule passes: %s", min.Command())
 	}
 }

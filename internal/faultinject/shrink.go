@@ -1,10 +1,10 @@
 package faultinject
 
-// Failure shrinking. Given a failing schedule, ShrinkRepro greedily tries
+// Failure shrinking. Given a failing schedule, Shrink greedily tries
 // cheaper variants — fewer churn ops, no tail churn, an earlier (smaller)
 // crash site, no nested crash — and keeps any variant that still fails.
 // Because scheduled trials are deterministic, "still fails" needs exactly
-// one run per candidate; the result is a locally minimal Repro whose
+// one run per candidate; the result is a locally minimal schedule whose
 // one-line command is a far better bug report than the original (less churn
 // to wade through in a flight-recorder dump, an earlier crash to step to).
 //
@@ -17,80 +17,29 @@ import "time"
 // ShrinkBudget is the default trial budget per shrink.
 const ShrinkBudget = 48
 
-// shrinkCost orders schedules by how much work replaying them takes.
-func shrinkCost(r Repro) int64 {
-	c := int64(r.Ops)*8 + int64(r.TailOps)*8 + r.Site
-	if r.Nested >= 0 {
-		c += r.Nested
-	}
-	return c
-}
-
-// ShrinkRepro minimizes a failing schedule, spending at most budget extra
-// trials. Returns the smallest still-failing schedule found and whether it
-// improves on the input. The input must fail (callers pass schedules a
-// campaign just saw fail); if it somehow passes now, ok is false.
-func ShrinkRepro(rep Repro, topts TrialOptions, timeout time.Duration, budget int) (Repro, bool) {
+// Shrink minimizes a failing schedule, spending at most budget extra trials
+// (0 = ShrinkBudget). Returns the smallest still-failing schedule found and
+// whether it improves on the input. The input must fail (callers pass
+// schedules a campaign just saw fail); if it somehow passes now, ok is false.
+func Shrink(s Schedule, topts TrialOptions, timeout time.Duration, budget int) (Schedule, bool) {
 	if budget <= 0 {
 		budget = ShrinkBudget
 	}
-	if rep.Ops <= 0 {
-		rep.Ops = DefaultOps
-	}
-	fails := func(r Repro) bool {
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		_, err, hung := runWatched(r, topts, timeout)
-		return err != nil || hung
-	}
-
-	best := rep
-	improved := false
-	for budget > 0 {
-		// Candidate moves, cheapest-first. Halving moves converge in
-		// log(size) accepted steps; the -1 moves polish the end point.
-		var cands []Repro
-		add := func(mut func(*Repro)) {
-			c := best
-			mut(&c)
-			if c.Ops < 1 {
-				c.Ops = 1
-			}
-			if c.TailOps < 0 {
-				c.TailOps = 0
-			}
-			if c != best && shrinkCost(c) < shrinkCost(best) {
-				cands = append(cands, c)
-			}
-		}
-		add(func(r *Repro) { r.Nested = -1 })
-		add(func(r *Repro) { r.Nested = r.Nested / 2 })
-		add(func(r *Repro) { r.Ops = r.Ops / 2 })
-		add(func(r *Repro) { r.TailOps = 0 })
-		add(func(r *Repro) { r.TailOps = r.TailOps / 2 })
-		add(func(r *Repro) { r.Site = r.Site / 2 })
-		add(func(r *Repro) { r.Ops = r.Ops - 1 })
-		add(func(r *Repro) { r.Site = r.Site - 1 })
-		if r := best; r.Nested > 0 {
-			add(func(r *Repro) { r.Nested = r.Nested - 1 })
-		}
-
-		progressed := false
-		for _, c := range cands {
+	best, improved := s, false
+	for progressed := true; progressed && budget > 0; {
+		progressed = false
+		for _, c := range best.shrinks() {
 			if budget <= 0 {
 				break
 			}
-			if fails(c) {
-				best = c
-				improved = true
-				progressed = true
+			if c == best || c.cost() >= best.cost() {
+				continue
+			}
+			budget--
+			if runWatched(c, topts, timeout).err != nil {
+				best, improved, progressed = c, true, true
 				break // restart the move list from the new best
 			}
-		}
-		if !progressed {
-			break
 		}
 	}
 	return best, improved

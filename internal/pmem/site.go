@@ -112,6 +112,22 @@ func (c *CrashAtSite) Error() string {
 	return fmt.Sprintf("pmem: scheduled crash at site %d (%s)", c.Index, c.Class)
 }
 
+// CatchCrash runs f on the calling goroutine and returns the scheduled crash
+// that unwound it, or nil when f returned. Any other panic propagates.
+func CatchCrash(f func()) (crash *CrashAtSite) {
+	defer func() {
+		if r := recover(); r != nil {
+			c, ok := r.(*CrashAtSite)
+			if !ok {
+				panic(r)
+			}
+			crash = c
+		}
+	}()
+	f()
+	return nil
+}
+
 // SiteRecorder counts crash-site passages and optionally fires a scheduled
 // crash at an exact index. Counting is atomic, so the un-armed (census) mode
 // tolerates concurrent simulation threads; an *armed* recorder must only be

@@ -328,22 +328,6 @@ func newSetMarks(nset int) *setMarks { return &setMarks{stamp: make([]uint64, ns
 func (m *setMarks) newBatch() { m.tag++; m.batchTag = m.tag }
 func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] }
 
-// catchCrashSite runs f, converting a scheduled-crash unwind (a panic with
-// *pmem.CrashAtSite, raised by an armed site recorder) into a value. Any other
-// panic propagates.
-func catchCrashSite(f func() error) (crash *pmem.CrashAtSite, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(*pmem.CrashAtSite)
-			if !ok {
-				panic(r)
-			}
-			crash, err = c, nil
-		}
-	}()
-	return nil, f()
-}
-
 // Serve runs the serving scenario. ctx is the loader context (prepopulation
 // runs on it, serially; warmup runs on the client contexts).
 //
@@ -1153,7 +1137,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		var crash *pmem.CrashAtSite
 		var err error
 		if plan != nil {
-			crash, err = catchCrashSite(dispatch)
+			crash = pmem.CatchCrash(func() { err = dispatch() })
 		} else {
 			err = dispatch()
 		}
