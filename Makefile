@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-host benchsmoke benchrepo benchscale benchdiff benchgate servesmoke servecrash serveshard golden crashmatrix loc clean
+.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard golden crashmatrix loc clean
 
 all: check
 
@@ -50,11 +50,11 @@ servecrash: build
 
 # check is the full CI target: gofmt + vet + race-detector short tests +
 # full tests + the reduced crash-schedule matrix + the measurement smoke +
-# the serving-layer smoke + the serving-path crash campaign + the multicore
-# scaling gate + the sharded-serving scaling gate + the bench-record
-# regression gate + the repo benchmark's smoke run, and ends with the line
-# counts.
-check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard benchgate loc
+# the repo benchmark's smoke run + the serving-layer smoke + the serving-path
+# crash campaign + the multicore scaling gate + the sharded-serving scaling
+# gate, and ends with the line counts. Comparing two commits' host cost is
+# `go run ./bench -compare A.json B.json` on two results files, not a target.
+check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard loc
 
 # loc prints the non-test and test Go line counts of every top-level package
 # and of the whole repo. Net non-test lines are a tracked metric (ROADMAP's
@@ -74,19 +74,6 @@ loc:
 bench:
 	$(GO) test -run XXX -bench . -benchtime=1x ./...
 
-# bench-host produces the machine-readable host-performance record
-# BENCH_7.json (see scripts/bench.sh and README.md). The paper-scale rows
-# run for hours; FFCCD_BENCH_PAPER=0 scripts/bench.sh skips them.
-bench-host:
-	scripts/bench.sh
-
-# benchgate diffs the two newest committed BENCH_<n>.json records: any
-# sim_cycles_total drift fails (simulated behaviour changed), and a >15%
-# host_seconds regression on a like-for-like configuration fails
-# (FFCCD_BENCHGATE_TOL overrides). Skips cleanly with fewer than two files.
-benchgate:
-	$(GO) run ./scripts/bench_gate
-
 # benchscale is the multicore scaling gate: fig5 under FFCCD_PARALLEL=1 vs
 # =GOMAXPROCS must show a parallel speedup (work-stealing pool regression
 # check). Skips cleanly on single-core hosts.
@@ -103,9 +90,8 @@ serveshard: build
 # benchsmoke is the fast CI pass over the measurement tooling: the device
 # (HashMedia dense-ref vs sparse and the recycled-device life cycle included),
 # allocator and engine (mark, summary, epoch cycle, barrier resolve)
-# micro-benchmarks run once each (-benchtime=1x), and the bench
-# CLI runs a tiny fig5 — exercising the BENCH record fields without a full
-# bench-host session.
+# micro-benchmarks run once each (-benchtime=1x), and the bench CLI runs a
+# tiny fig5 with -json — the record the two scaling scripts read.
 benchsmoke: build
 	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -json /tmp/ffccd_benchsmoke.json >/dev/null
@@ -127,22 +113,6 @@ servesmoke: build
 	$(GO) run ./cmd/ffccd-redis -clients 8 -ops 20000 -keys 2000 -scheme all >/dev/null
 	$(GO) test ./internal/redisws/ -run 'TestServeDeterministicAcrossHostParallelism|TestServeShape' >/dev/null
 	@echo "servesmoke OK"
-
-# benchdiff compares two `go test -bench` outputs with benchstat, e.g.
-#   make bench > old.txt; <changes>; make bench > new.txt
-#   make benchdiff OLD=old.txt NEW=new.txt
-# benchstat is not vendored and this repo never installs tools from the
-# network; if it is missing, say where to get it and exit cleanly.
-OLD ?= old.txt
-NEW ?= new.txt
-benchdiff:
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(OLD) $(NEW); \
-	else \
-		echo "benchdiff: benchstat not found in PATH."; \
-		echo "Install it on a networked machine (golang.org/x/perf/cmd/benchstat)"; \
-		echo "or diff $(OLD) and $(NEW) by hand; this target never installs tools."; \
-	fi
 
 # golden re-checks that simulated cycle totals match the committed golden —
 # each golden spec is replayed through BOTH the from-scratch path and the

@@ -1,21 +1,18 @@
 // ffccd-bench regenerates the paper's tables and figures on the simulated
-// machine.
+// machine, and optionally times them.
 //
 // Usage:
 //
 //	ffccd-bench -experiment all            # everything (slow)
 //	ffccd-bench -experiment table3 -scale 0.004
-//	ffccd-bench -experiment fig5 -parallel 8 -json BENCH.json
+//	ffccd-bench -experiment fig5 -parallel 8 -json fig5.json
 //	ffccd-bench -list
-//
-// Experiments: fig1, fig5, table3, fig14, table4, fig15, fig16, table1,
-// table2, ablation-rbb, ablation-pmft.
 //
 // Every run is hermetic (its own simulated machine), so -parallel only
 // changes host wall-clock — simulated cycle totals are identical at any
-// worker count. -json appends one machine-readable record per experiment
-// (host seconds plus the experiment's simulated-cycle metrics) to a file,
-// for tracking host performance across revisions.
+// worker count. -json writes one record per experiment (experiment, scale,
+// parallel, host_seconds, metrics) for the scaling scripts; the repo's
+// benchmark of host cost is `go run ./bench`, not this command.
 //
 // Observability (simulated cycle totals stay bit-identical either way):
 //
@@ -26,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -34,108 +32,116 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"ffccd/internal/experiments"
 	"ffccd/internal/obsv"
+	"ffccd/internal/redisws"
 )
 
-// benchRecord is one -json entry: host-side timing plus whatever simulated
-// metrics the experiment exposes. Simulated numbers must be identical across
-// revisions (see the golden test); host_seconds is the number being tracked.
+// benchRecord is one -json entry: what ran, how long the host took, and the
+// experiment's simulated metrics (identical across revisions and worker
+// counts — see the golden test). The scaling scripts read host_seconds.
 type benchRecord struct {
-	Experiment string  `json:"experiment"`
-	Scale      float64 `json:"scale"`
-	Parallel   int     `json:"parallel"`
-	// Shards is the serving experiment's simulated-machine count (-shards;
-	// omitted for unsharded rows). Rows at different shard counts are
-	// different simulated deployments, so the bench gate compares them
-	// separately.
-	Shards int `json:"shards,omitempty"`
-	// HostCores and FFCCDParallel pin the host context every row was
-	// measured under: the machine's logical CPU count and the effective
-	// worker-pool size (FFCCD_PARALLEL / -parallel resolved). Scaling
-	// comparisons across rows are meaningless without both.
-	HostCores     int     `json:"host_cores"`
-	FFCCDParallel int     `json:"ffccd_parallel"`
-	Fork          bool    `json:"fork"`
-	HostSeconds   float64 `json:"host_seconds"`
-	Repeat        int     `json:"repeat,omitempty"`
-	// Fork-driver counters for this experiment (zero when -fork=false or
-	// the experiment has no scheme groups to share a prefix across).
-	// fork_checkpoint_bytes is what the dirty-page checkpoints actually
-	// captured; fork_media_bytes what full-image copies of the same devices
-	// would have moved — their ratio is the sparse-checkpoint win.
-	ForkPrefixes        uint64 `json:"fork_prefixes,omitempty"`
-	ForkCheckpoints     uint64 `json:"fork_checkpoints,omitempty"`
-	ForkRuns            uint64 `json:"fork_runs,omitempty"`
-	ForkCheckpointBytes uint64 `json:"fork_checkpoint_bytes,omitempty"`
-	ForkMediaBytes      uint64 `json:"fork_media_bytes,omitempty"`
-	// fork_restore_seconds: cumulative host time forked runs spent
-	// restoring machines from checkpoints. With the counter-based workload
-	// RNG this is constant in scale (O(1) draw repositioning), where the
-	// old draw-and-discard skip grew linearly with the prefix length.
-	ForkRestoreSeconds float64            `json:"fork_restore_seconds,omitempty"`
-	Metrics            map[string]float64 `json:"metrics,omitempty"`
-	// TraceMode records whether observability collection was on for this
-	// repetition ("full" or "ring"); absent means tracing disabled, i.e.
-	// the row measures the zero-overhead-when-disabled configuration.
-	TraceMode string `json:"trace_mode,omitempty"`
-	// Obs carries the flattened observability summary (histogram
-	// percentiles, counter groups, trace event counts) when -trace or
-	// -httpobs enabled per-run collection for this repetition.
-	Obs map[string]float64 `json:"obs,omitempty"`
-	// Windows carries the per-window time series (keyed by scheme) for
-	// experiments that expose one — the serving experiment's per-window SLO
-	// rows with worst-request exemplars.
-	Windows map[string][]obsv.WindowSnap `json:"windows,omitempty"`
+	Experiment  string             `json:"experiment"`
+	Scale       float64            `json:"scale"`
+	Parallel    int                `json:"parallel"`
+	HostSeconds float64            `json:"host_seconds"`
+	Metrics     map[string]float64 `json:"metrics"`
 }
 
-func main() {
-	experiment := flag.String("experiment", "all", "experiment id (or 'all')")
-	scaleArg := flag.String("scale", "0.002", "workload scale relative to the paper's 5M-insert setup ('paper' = 1.0)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory")
-	parallel := flag.Int("parallel", 0, "experiment-driver worker count (0 = GOMAXPROCS or $FFCCD_PARALLEL)")
-	jsonPath := flag.String("json", "", "write machine-readable benchmark records to this file")
-	fork := flag.Bool("fork", true, "share checkpointed workload prefixes across a cell's schemes (host optimisation; simulated results are bit-identical either way)")
-	repeat := flag.Int("repeat", 1, "run each experiment N times, recording every repetition (host-time variance)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev) of every run's defrag phases to this file")
-	traceRing := flag.Int("trace-ring", 0, "flight-recorder mode: keep only the newest N events per simulated thread (0 = full trace)")
-	httpObs := flag.String("httpobs", "", "serve expvar metrics (/debug/vars) and pprof (/debug/pprof) on this address while experiments run")
-	shards := flag.Int("shards", 1, "serving experiment: shard the keyspace across N independent simulated machines")
-	scheme := flag.String("scheme", "", "serving experiment: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	scaleVal, err := parseScale(*scaleArg)
+// run is main with its arguments and exit code made explicit: 0 every
+// experiment ran, 1 one failed or an output could not be written, 2 the
+// command line could not be used. Every path returns, so a profile that was
+// started is always finished.
+func run(args []string) int {
+	fs := flag.NewFlagSet("ffccd-bench", flag.ContinueOnError)
+	experiment := fs.String("experiment", "all", "experiment id (or 'all')")
+	scaleArg := fs.String("scale", "0.002", "workload scale relative to the paper's 5M-insert setup ('paper' = 1.0)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	csvDir := fs.String("csv", "", "also write plot-ready CSV files into this directory")
+	parallel := fs.Int("parallel", 0, "experiment-driver worker count (0 = GOMAXPROCS or $FFCCD_PARALLEL)")
+	jsonPath := fs.String("json", "", "write one machine-readable record per experiment to this file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev) of every run's defrag phases to this file")
+	traceRing := fs.Int("trace-ring", 0, "flight-recorder mode: keep only the newest N events per simulated thread (0 = full trace)")
+	httpObs := fs.String("httpobs", "", "serve expvar metrics (/debug/vars) and pprof (/debug/pprof) on this address while experiments run")
+	shards := fs.Int("shards", 1, "serving experiment: shard the keyspace across N independent simulated machines")
+	scheme := fs.String("scheme", "", "serving experiment: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	scale, err := parseScale(*scaleArg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-scale: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	scale := &scaleVal
+
+	type exp struct {
+		id  string
+		run func() (fmt.Stringer, error)
+	}
+	all := []exp{
+		{"table1", func() (fmt.Stringer, error) { return str(experiments.Table1()), nil }},
+		{"table2", func() (fmt.Stringer, error) { return str(experiments.Table2()), nil }},
+		{"fig1", func() (fmt.Stringer, error) { r, err := experiments.Figure1(scale); return r, err }},
+		{"fig5", func() (fmt.Stringer, error) { r, err := experiments.Figure5(scale); return r, err }},
+		{"table3", func() (fmt.Stringer, error) { r, err := experiments.Table3(scale); return r, err }},
+		{"fig14", func() (fmt.Stringer, error) { r, err := experiments.Figure14(scale); return r, err }},
+		{"table4", func() (fmt.Stringer, error) { r, err := experiments.Table4(scale); return r, err }},
+		{"fig15", func() (fmt.Stringer, error) { r, err := experiments.Figure15(scale); return r, err }},
+		{"fig16", func() (fmt.Stringer, error) { r, err := experiments.Figure16(scale); return r, err }},
+		{"serving", func() (fmt.Stringer, error) {
+			o := experiments.ServingOptions{Scale: scale, Shards: *shards}
+			if *scheme != "" {
+				o.Schemes = []string{*scheme}
+			}
+			r, err := experiments.Serving(o)
+			return r, err
+		}},
+		{"ablation-rbb", func() (fmt.Stringer, error) {
+			r, err := experiments.AblationRBB(scale, []int{1, 4, 8, 32})
+			return r, err
+		}},
+		{"ablation-pmft", func() (fmt.Stringer, error) { r, err := experiments.AblationPMFT(scale); return r, err }},
+		{"ablation-writes", func() (fmt.Stringer, error) { r, err := experiments.AblationWrites(scale); return r, err }},
+	}
+	if *list {
+		for _, e := range all {
+			fmt.Println(e.id)
+		}
+		return 0
+	}
+	selected := all
+	if *experiment != "all" {
+		i := slices.IndexFunc(all, func(e exp) bool { return e.id == *experiment })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *experiment)
+			return 2
+		}
+		selected = all[i : i+1]
+	}
 
 	if *parallel > 0 {
 		experiments.SetParallelism(*parallel)
 	}
-	experiments.SetFork(*fork)
-	if *repeat < 1 {
-		*repeat = 1
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -144,14 +150,14 @@ func main() {
 	var latestCol atomic.Pointer[obsv.Collector]
 	if *httpObs != "" {
 		// expvar and net/http/pprof register themselves on DefaultServeMux;
-		// ffccd_obs exposes the most recent repetition's merged summary.
+		// ffccd_obs exposes the most recent experiment's merged summary.
 		expvar.Publish("ffccd_obs", expvar.Func(func() any {
 			if c := latestCol.Load(); c != nil {
 				return c.MetricsSummary()
 			}
 			return map[string]float64{}
 		}))
-		// /metrics: the most recent repetition's collection in OpenMetrics
+		// /metrics: the most recent experiment's collection in OpenMetrics
 		// text format (histogram summaries, counter groups, per-window series
 		// with worst-request exemplars).
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -172,127 +178,50 @@ func main() {
 		}()
 		fmt.Printf("(observability server on http://%s/debug/vars and /debug/pprof)\n", *httpObs)
 	}
+
 	var traceCols []*obsv.Collector
-
-	type exp struct {
-		id  string
-		run func() (fmt.Stringer, error)
-	}
-	all := []exp{
-		{"table1", func() (fmt.Stringer, error) { return str(experiments.Table1()), nil }},
-		{"table2", func() (fmt.Stringer, error) { return str(experiments.Table2()), nil }},
-		{"fig1", func() (fmt.Stringer, error) { r, err := experiments.Figure1(*scale); return r, err }},
-		{"fig5", func() (fmt.Stringer, error) { r, err := experiments.Figure5(*scale); return r, err }},
-		{"table3", func() (fmt.Stringer, error) { r, err := experiments.Table3(*scale); return r, err }},
-		{"fig14", func() (fmt.Stringer, error) { r, err := experiments.Figure14(*scale); return r, err }},
-		{"table4", func() (fmt.Stringer, error) { r, err := experiments.Table4(*scale); return r, err }},
-		{"fig15", func() (fmt.Stringer, error) { r, err := experiments.Figure15(*scale); return r, err }},
-		{"fig16", func() (fmt.Stringer, error) { r, err := experiments.Figure16(*scale); return r, err }},
-		{"serving", func() (fmt.Stringer, error) {
-			o := experiments.ServingOptions{Scale: *scale, Shards: *shards}
-			if *scheme != "" {
-				o.Schemes = []string{*scheme}
-			}
-			r, err := experiments.Serving(o)
-			return r, err
-		}},
-		{"ablation-rbb", func() (fmt.Stringer, error) {
-			r, err := experiments.AblationRBB(*scale, []int{1, 4, 8, 32})
-			return r, err
-		}},
-		{"ablation-pmft", func() (fmt.Stringer, error) { r, err := experiments.AblationPMFT(*scale); return r, err }},
-		{"ablation-writes", func() (fmt.Stringer, error) { r, err := experiments.AblationWrites(*scale); return r, err }},
-	}
-
-	if *list {
-		for _, e := range all {
-			fmt.Println(e.id)
-		}
-		return
-	}
-
-	ran := 0
 	var records []benchRecord
-	for _, e := range all {
-		if *experiment != "all" && *experiment != e.id {
-			continue
+	for _, e := range selected {
+		if obsEnabled {
+			col := obsv.NewCollector(*traceRing)
+			experiments.SetObsCollector(col)
+			latestCol.Store(col)
+			if *tracePath != "" {
+				traceCols = append(traceCols, col)
+			}
 		}
-		ran++
-		for rep := 1; rep <= *repeat; rep++ {
-			experiments.ResetForkCounters()
-			var col *obsv.Collector
-			if obsEnabled {
-				col = obsv.NewCollector(*traceRing)
-				experiments.SetObsCollector(col)
-				latestCol.Store(col)
+		start := time.Now()
+		out, err := e.run()
+		experiments.SetObsCollector(nil)
+		if err != nil {
+			if errors.Is(err, redisws.ErrShards) {
+				fmt.Fprintln(os.Stderr, err)
+				return 2
 			}
-			start := time.Now()
-			out, err := e.run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-				os.Exit(1)
-			}
-			elapsed := time.Since(start).Seconds()
-			fmt.Printf("==== %s (scale %g, %.1fs) ====\n%s\n", e.id, *scale, elapsed, out)
-			rec := benchRecord{
-				Experiment:    e.id,
-				Scale:         *scale,
-				Parallel:      experiments.Parallelism(),
-				Shards:        shardsFor(e.id, *shards),
-				HostCores:     runtime.NumCPU(),
-				FFCCDParallel: experiments.Parallelism(),
-				Fork:          experiments.ForkEnabled(),
-				HostSeconds:   elapsed,
-			}
-			if *repeat > 1 {
-				rec.Repeat = rep
-			}
-			rec.ForkPrefixes, rec.ForkCheckpoints, rec.ForkRuns = experiments.ForkCounters()
-			rec.ForkCheckpointBytes, rec.ForkMediaBytes = experiments.ForkCheckpointBytes()
-			rec.ForkRestoreSeconds = experiments.ForkRestoreSeconds()
-			if m, ok := out.(interface{ Metrics() map[string]float64 }); ok {
-				rec.Metrics = m.Metrics()
-			}
-			if wf, ok := out.(interface {
-				BenchWindows() map[string][]obsv.WindowSnap
-			}); ok {
-				if w := wf.BenchWindows(); len(w) > 0 {
-					rec.Windows = w
-				}
-			}
-			if col != nil {
-				experiments.SetObsCollector(nil)
-				rec.Obs = col.MetricsSummary()
-				rec.TraceMode = "full"
-				if *traceRing > 0 {
-					rec.TraceMode = "ring"
-				}
-				if *tracePath != "" {
-					traceCols = append(traceCols, col)
-				}
-			}
-			records = append(records, rec)
-			if *csvDir != "" && rep == 1 {
-				if c, ok := out.(interface{ CSV() string }); ok {
-					path := fmt.Sprintf("%s/%s.csv", *csvDir, e.id)
-					if err := os.WriteFile(path, []byte(c.CSV()), 0o644); err != nil {
-						fmt.Fprintf(os.Stderr, "csv %s: %v\n", path, err)
-					} else {
-						fmt.Printf("(csv written to %s)\n", path)
-					}
-				}
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			return 1
+		}
+		elapsed := time.Since(start).Seconds()
+		fmt.Printf("==== %s (scale %g, %.1fs) ====\n%s\n", e.id, scale, elapsed, out)
+		rec := benchRecord{Experiment: e.id, Scale: scale, Parallel: experiments.Parallelism(), HostSeconds: elapsed}
+		if m, ok := out.(interface{ Metrics() map[string]float64 }); ok {
+			rec.Metrics = m.Metrics()
+		}
+		records = append(records, rec)
+		if c, ok := out.(interface{ CSV() string }); ok && *csvDir != "" {
+			path := fmt.Sprintf("%s/%s.csv", *csvDir, e.id)
+			if err := os.WriteFile(path, []byte(c.CSV()), 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "csv %s: %v\n", path, err)
+			} else {
+				fmt.Printf("(csv written to %s)\n", path)
 			}
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *experiment)
-		os.Exit(2)
-	}
-	if *tracePath != "" && len(traceCols) > 0 {
+	if len(traceCols) > 0 {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace %s: %v\n", *tracePath, err)
-			os.Exit(1)
+			return 1
 		}
 		werr := obsv.WriteChromeTraceAll(f, traceCols...)
 		if cerr := f.Close(); werr == nil {
@@ -300,7 +229,7 @@ func main() {
 		}
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "trace %s: %v\n", *tracePath, werr)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("(chrome trace written to %s — open in https://ui.perfetto.dev)\n", *tracePath)
 	}
@@ -308,11 +237,11 @@ func main() {
 		b, err := json.MarshalIndent(records, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "json %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("(benchmark records written to %s)\n", *jsonPath)
 	}
@@ -320,22 +249,14 @@ func main() {
 		f, err := os.Create(*memprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-	}
-}
-
-// shardsFor reports the shard count to record for an experiment: only the
-// serving experiment honours -shards, and unsharded rows omit the field.
-func shardsFor(id string, shards int) int {
-	if id == "serving" && shards > 1 {
-		return shards
 	}
 	return 0
 }

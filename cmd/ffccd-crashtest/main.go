@@ -55,6 +55,7 @@ import (
 
 	"ffccd/internal/faultinject"
 	"ffccd/internal/obsv"
+	"ffccd/internal/redisws"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -118,6 +119,14 @@ func run(args []string) int {
 			schemes = []string{*scheme}
 		}
 		co.Clients, co.Ops, co.Keys, co.Shards = *serveClients, *serveOps, *serveKeys, *serveShards
+		keys := co.Keys
+		if keys <= 0 {
+			keys = faultinject.DefaultServeKeys
+		}
+		if _, err := redisws.ShardKeys(keys, co.Shards); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
 		return runCampaign("serving", len(schemes), func(i int) faultinject.CampaignOutcome {
 			return faultinject.ExploreServeScheme(schemes[i], co)
 		})

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 const serveLine = `{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`
 
@@ -25,5 +30,29 @@ func TestUnknownServeSchemeIsUsageError(t *testing.T) {
 	}
 	if code := run([]string{"-sites", "-setting", "LL/1T/bogus"}); code != 2 {
 		t.Errorf("-sites -setting LL/1T/bogus exited %d, want 2", code)
+	}
+}
+
+// TestServeShardCountIsUsageError: a serving deployment that cannot be built
+// is refused before the campaign starts — exit 2 and no repro line, not a
+// crash-consistency FAIL.
+func TestServeShardCountIsUsageError(t *testing.T) {
+	for _, shards := range []string{"3000", "0", "-2"} {
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stdout
+		os.Stdout = out
+		code := run([]string{"-serve", "-scheme", "ffccd", "-serve-shards", shards})
+		os.Stdout = old
+		out.Close()
+		printed, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 || strings.Contains(string(printed), "repro") {
+			t.Errorf("-serve -serve-shards %s exited %d and printed %q, want 2 and no repro line", shards, code, printed)
+		}
 	}
 }

@@ -34,11 +34,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"ffccd/internal/experiments"
+	"ffccd/internal/redisws"
 )
 
 func main() {
@@ -58,6 +60,9 @@ func main() {
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, redisws.ErrShards) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 

@@ -13,8 +13,10 @@ import (
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
 	"ffccd/internal/kv"
+	"ffccd/internal/obsv"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
+	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
 	"ffccd/internal/workpool"
@@ -36,11 +38,8 @@ type Env struct {
 // granularity.
 func NewEnv(poolBytes uint64, pageShift uint) (*Env, error) {
 	cfg := sim.DefaultConfig()
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	kv.RegisterTypes(reg)
 	rt := pmop.NewRuntime(&cfg, poolBytes*2)
-	p, err := rt.Create("bench", poolBytes, pageShift, reg)
+	p, err := rt.Create("bench", poolBytes, pageShift, redisws.ServeRegistry())
 	if err != nil {
 		return nil, err
 	}
@@ -215,46 +214,8 @@ func Run(spec Spec) (Outcome, error) {
 	gcCtx := sim.NewCtx(&env.Cfg)
 	obs := newRunObs(spec, "", env.RT.Device(), env.Ctx, gcCtx)
 	if spec.Scheme != core.SchemeNone {
-		opt := core.Options{
-			Scheme:       spec.Scheme,
-			TriggerRatio: spec.Trigger,
-			TargetRatio:  spec.Target,
-			BatchObjects: 64,
-			Obs:          obs,
-		}
-		eng = core.NewEngine(env.Pool, opt)
-		// Deterministic concurrency: the maintenance tick starts an epoch
-		// when fragmentation crosses the trigger, then advances background
-		// compaction a batch at a time between application operations, so
-		// application D_RW traffic runs through the read barrier while
-		// relocation is in flight — the paper's concurrent regime without
-		// scheduler nondeterminism.
-		// Epochs span exactly one inter-tick window: BeginCycle after one
-		// sample, complete before the next. Application D_RW traffic inside
-		// the window runs through the read barrier (relocating hot objects
-		// on demand); footprint samples always see quiesced state.
-		// epochMu serialises the tick protocol when several workload threads
-		// run it concurrently (every thread finishes an open epoch before
-		// sampling, so footprint samples always see quiesced state; only
-		// thread 0 begins epochs — see runConcurrent).
-		var epochMu sync.Mutex
-		epochOpen := false
-		wl.PreSample = func() {
-			epochMu.Lock()
-			defer epochMu.Unlock()
-			if epochOpen {
-				eng.StepCompaction(gcCtx, 1<<30)
-				eng.FinishCycle(gcCtx)
-				epochOpen = false
-			}
-		}
-		wl.Maintenance = func() {
-			epochMu.Lock()
-			defer epochMu.Unlock()
-			if !epochOpen && env.Pool.Heap().Frag(spec.PageShift).FragRatio > spec.Trigger {
-				epochOpen = eng.BeginCycle(gcCtx)
-			}
-		}
+		eng = core.NewEngine(env.Pool, engineOptions(spec, spec.Scheme, obs))
+		installSchemeHooks(&wl, spec, env.Pool, eng, gcCtx)
 	}
 
 	registerRunGroups(obs, env.Ctx, gcCtx, eng)
@@ -271,6 +232,49 @@ func Run(spec Spec) (Outcome, error) {
 	out := assembleOutcome(spec, res, env.Ctx, gcCtx, eng, env.RT.Device())
 	env.RT.Device().ReleaseMedia()
 	return out, nil
+}
+
+// engineOptions is the engine configuration of a batch run of spec under
+// scheme (the fork prefix runs spec under a neutral scheme of its own).
+func engineOptions(spec Spec, scheme core.Scheme, obs *obsv.Obs) core.Options {
+	return core.Options{
+		Scheme:       scheme,
+		TriggerRatio: spec.Trigger,
+		TargetRatio:  spec.Target,
+		BatchObjects: 64,
+		Obs:          obs,
+	}
+}
+
+// installSchemeHooks wires eng into wl's tick protocol. Deterministic
+// concurrency: the maintenance tick starts an epoch when fragmentation
+// crosses the trigger, and the epoch completes before the next sample, so it
+// spans exactly one inter-tick window. Application D_RW traffic inside the
+// window runs through the read barrier (relocating hot objects on demand) —
+// the paper's concurrent regime without scheduler nondeterminism — and
+// footprint samples always see quiesced state. epochMu serialises the
+// protocol when several workload threads run it concurrently: every thread
+// finishes an open epoch before sampling; only thread 0 begins epochs (see
+// runConcurrent).
+func installSchemeHooks(wl *workload.Config, spec Spec, pool *pmop.Pool, eng *core.Engine, gcCtx *sim.Ctx) {
+	var epochMu sync.Mutex
+	epochOpen := false
+	wl.PreSample = func() {
+		epochMu.Lock()
+		defer epochMu.Unlock()
+		if epochOpen {
+			eng.StepCompaction(gcCtx, 1<<30)
+			eng.FinishCycle(gcCtx)
+			epochOpen = false
+		}
+	}
+	wl.Maintenance = func() {
+		epochMu.Lock()
+		defer epochMu.Unlock()
+		if !epochOpen && pool.Heap().Frag(spec.PageShift).FragRatio > spec.Trigger {
+			epochOpen = eng.BeginCycle(gcCtx)
+		}
+	}
 }
 
 // assembleOutcome builds the result record from a finished workload: app and
@@ -326,7 +330,7 @@ func runConcurrent(env *Env, store ds.Store, wl workload.Config, threads int) (w
 				// Thread 0 owns Maintenance (epoch begin); every thread
 				// keeps PreSample so open epochs are completed before any
 				// thread samples the footprint. The hooks serialise on the
-				// engine's epoch mutex (see Run).
+				// epoch mutex (see installSchemeHooks).
 				cfg.Maintenance = nil
 			}
 			results[tid], errs[tid] = workload.Run(c, env.Pool, store, cfg)

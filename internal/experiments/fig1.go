@@ -6,9 +6,9 @@ import (
 	"strings"
 
 	"ffccd/internal/core"
-	"ffccd/internal/ds"
 	"ffccd/internal/kv"
 	"ffccd/internal/pmop"
+	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
 	"ffccd/internal/stats"
 )
@@ -93,9 +93,7 @@ func figure1Runs(scale float64, pageShift uint) ([]Fig1Run, error) {
 		// Type ids are assigned in registration order, so every run must
 		// register the same set in the same order (the cross-run analogue
 		// of keeping C struct declarations stable).
-		reg := pmop.NewRegistry()
-		ds.RegisterTypes(reg)
-		kv.RegisterTypes(reg)
+		reg := redisws.ServeRegistry()
 		if run > 1 {
 			rt, err := pmop.Attach(&cfgCopy, dev)
 			if err != nil {

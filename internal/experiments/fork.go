@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,9 +9,9 @@ import (
 	"ffccd/internal/arch"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
-	"ffccd/internal/kv"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
+	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
 )
@@ -46,7 +45,9 @@ import (
 // bookkeeping, which is scheme-independent) and runFork folds them into each
 // forked outcome.
 
-// forkEnabled gates the fork driver (on by default; cmd/ffccd-bench -fork).
+// forkEnabled gates the fork driver (on by default). Scratch and fork are
+// pinned bit-identical by TestForkMatchesScratch,
+// TestRunSpecsForkedMatchesRunSpecs and the golden replays.
 var forkEnabled atomic.Bool
 
 func init() { forkEnabled.Store(true) }
@@ -57,7 +58,7 @@ func SetFork(on bool) { forkEnabled.Store(on) }
 // ForkEnabled reports whether the fork driver is active.
 func ForkEnabled() bool { return forkEnabled.Load() }
 
-// Fork-driver counters (reported in the BENCH_*.json records).
+// Fork-driver counters (bench/ reports them for the fig14-grid workload).
 var (
 	forkPrefixes    atomic.Uint64 // shared prefixes built
 	forkCheckpoints atomic.Uint64 // machine checkpoints taken (one per BeginCycle attempt)
@@ -66,7 +67,7 @@ var (
 	// forkCapturedBytes sums the media bytes each checkpoint actually
 	// captured (dirty pages only); forkMediaBytes sums what a full-image
 	// copy of the same devices would have moved. Their ratio is the
-	// dirty-line checkpointing win reported in BENCH_4.json.
+	// dirty-line checkpointing win (DESIGN.md §7).
 	forkCapturedBytes atomic.Uint64
 	forkMediaBytes    atomic.Uint64
 
@@ -211,13 +212,7 @@ func buildPrefix(spec Spec) (*prefixState, error) {
 	}
 	gcCtx := sim.NewCtx(&env.Cfg)
 	obs := newRunObs(spec, "/prefix", env.RT.Device(), env.Ctx, gcCtx)
-	eng := core.NewEngine(env.Pool, core.Options{
-		Scheme:       core.SchemeEspresso,
-		TriggerRatio: spec.Trigger,
-		TargetRatio:  spec.Target,
-		BatchObjects: 64,
-		Obs:          obs,
-	})
+	eng := core.NewEngine(env.Pool, engineOptions(spec, core.SchemeEspresso, obs))
 	registerRunGroups(obs, env.Ctx, gcCtx, eng)
 	pre := &prefixState{spec: spec}
 
@@ -275,9 +270,6 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 
 	restoreStart := time.Now()
 	cfg := sim.DefaultConfig()
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	kv.RegisterTypes(reg)
 	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
 	dev.Restore(&pre.chk.dev)
 	dev.SetExclusive(true)
@@ -285,7 +277,7 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	pool, err := rt.Open("bench", reg)
+	pool, err := rt.Open("bench", redisws.ServeRegistry())
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -299,36 +291,12 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	store := pre.store.(ds.Forker).Fork(pool)
 
 	obs := newRunObs(spec, "/fork", dev, ctx, gcCtx)
-	eng := core.NewEngine(pool, core.Options{
-		Scheme:       spec.Scheme,
-		TriggerRatio: spec.Trigger,
-		TargetRatio:  spec.Target,
-		BatchObjects: 64,
-		Obs:          obs,
-	})
+	eng := core.NewEngine(pool, engineOptions(spec, spec.Scheme, obs))
 	registerRunGroups(obs, ctx, gcCtx, eng)
 	restoreHW(&pre.chk, eng, ctx, gcCtx)
-	// The standard scheme hooks (identical to Run's): the resumed runner's
-	// first action is this Maintenance, re-running the divergence attempt
-	// under spec.Scheme.
-	var epochMu sync.Mutex
-	epochOpen := false
-	wl.PreSample = func() {
-		epochMu.Lock()
-		defer epochMu.Unlock()
-		if epochOpen {
-			eng.StepCompaction(gcCtx, 1<<30)
-			eng.FinishCycle(gcCtx)
-			epochOpen = false
-		}
-	}
-	wl.Maintenance = func() {
-		epochMu.Lock()
-		defer epochMu.Unlock()
-		if !epochOpen && pool.Heap().Frag(spec.PageShift).FragRatio > spec.Trigger {
-			epochOpen = eng.BeginCycle(gcCtx)
-		}
-	}
+	// The resumed runner's first action is the Maintenance hook, re-running
+	// the divergence attempt under spec.Scheme.
+	installSchemeHooks(&wl, spec, pool, eng, gcCtx)
 	r, err := workload.ResumeRunner(ctx, pool, store, wl, pre.chk.runner)
 	if err != nil {
 		return Outcome{}, err

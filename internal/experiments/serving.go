@@ -23,10 +23,11 @@ type ServingOptions struct {
 	Schemes    []string // subset of "none", "ffccd", "stw", "mesh"; nil = all
 
 	// Shards is the number of independent simulated machines the keyspace is
-	// hash-partitioned across (<= 1 = one machine, the pre-sharding setup).
-	// Each shard gets its own device, heap, clock domain, scheme engine, and
-	// RNG stream; shards run host-parallel as workpool jobs and their
-	// results merge deterministically (see internal/redisws/shard.go).
+	// hash-partitioned across (1 = one machine, the pre-sharding setup; every
+	// shard must own a key — redisws.ShardKeys). Each shard gets its own
+	// device, heap, clock domain, scheme engine, and RNG stream; shards run
+	// host-parallel as workpool jobs and their results merge
+	// deterministically (see internal/redisws/shard.go).
 	Shards int
 
 	// WindowCycles is the time-series window width in simulated cycles
@@ -114,9 +115,6 @@ func servingDefaults(o ServingOptions) ServingOptions {
 	if o.Seed == 0 {
 		o.Seed = 7
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
 	if len(o.Schemes) == 0 {
 		o.Schemes = redisws.Schemes
 	}
@@ -163,10 +161,14 @@ func servingConfig(o ServingOptions) redisws.ServeConfig {
 func Serving(o ServingOptions) (ServingResult, error) {
 	o = servingDefaults(o)
 	res := ServingResult{Clients: o.Clients, Ops: o.Ops, Shards: o.Shards}
+	shardKeys, err := redisws.ShardKeys(o.Keyspace, o.Shards)
+	if err != nil {
+		return res, err
+	}
 	outs := make([]ServingVariant, len(o.Schemes))
 	rates := make([]float64, len(o.Schemes))
-	err := parallelFor(len(o.Schemes), func(i int) error {
-		v, rate, err := runServingVariant(o.Schemes[i], o)
+	err = parallelFor(len(o.Schemes), func(i int) error {
+		v, rate, err := runServingVariant(o.Schemes[i], o, shardKeys)
 		outs[i], rates[i] = v, rate
 		return err
 	})
@@ -233,11 +235,10 @@ func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int)
 	return m, nil
 }
 
-func runServingVariant(scheme string, o ServingOptions) (ServingVariant, float64, error) {
-	n := o.Shards
-	if n < 1 {
-		n = 1
-	}
+// runServingVariant runs scheme on one machine per entry of shardKeys (the
+// keys each shard owns).
+func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (ServingVariant, float64, error) {
+	n := len(shardKeys)
 	cfgs := redisws.ShardConfigs(servingConfig(o), n)
 	machines := make([]*servingMachine, 0, n)
 	defer func() {
@@ -248,11 +249,7 @@ func runServingVariant(scheme string, o ServingOptions) (ServingVariant, float64
 		}
 	}()
 	shards := make([]redisws.Shard, n)
-	for i := 0; i < n; i++ {
-		keys := o.Keyspace
-		if n > 1 {
-			keys = len(redisws.OwnedKeys(uint64(o.Keyspace), i, n))
-		}
+	for i, keys := range shardKeys {
 		m, err := newServingMachine(scheme, o, keys, i, n)
 		if err != nil {
 			return ServingVariant{}, 0, err
@@ -373,7 +370,7 @@ func (r ServingResult) String() string {
 }
 
 // CSV renders the per-window time series of every scheme as CSV rows (with
-// header), the per-window export ffccd-bench -csv embeds in bench records.
+// header), the per-window export ffccd-bench -csv writes.
 func (r ServingResult) CSV() string {
 	var b strings.Builder
 	b.WriteString(obsv.CSVHeader + "\n")
@@ -383,18 +380,6 @@ func (r ServingResult) CSV() string {
 		}
 	}
 	return b.String()
-}
-
-// BenchWindows returns the per-window series keyed by scheme, the JSON shape
-// bench records carry.
-func (r ServingResult) BenchWindows() map[string][]obsv.WindowSnap {
-	out := map[string][]obsv.WindowSnap{}
-	for _, v := range r.Variants {
-		if v.Series != nil && v.Series.Count() > 0 {
-			out[schemeKey(v.Name)] = v.Series.Windows()
-		}
-	}
-	return out
 }
 
 // Metrics flattens the grid for benchmark records; sim_cycles_total is the

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"ffccd/internal/obsv"
+	"ffccd/internal/redisws"
 )
 
 // servingTestOpts is a small serving grid that still triggers defrag on both
@@ -17,6 +20,7 @@ func servingTestOpts() ServingOptions {
 		Keyspace: 1500,
 		Seed:     7,
 		Schemes:  []string{"ffccd", "stw"},
+		Shards:   1,
 	}
 }
 
@@ -29,8 +33,7 @@ func windowOnlyKey(k string) bool {
 // TestServingWindowsDoNotPerturb is the experiment-level bit-identity pin:
 // the windowed time series (including the epoch tap into core.Engine and the
 // device drain probe) must not change any simulated metric of the serving
-// grid, while the enabled run actually produces windows, CSV rows, and bench
-// window records.
+// grid, while the enabled run actually produces windows and CSV rows.
 func TestServingWindowsDoNotPerturb(t *testing.T) {
 	opts := servingTestOpts()
 
@@ -66,14 +69,13 @@ func TestServingWindowsDoNotPerturb(t *testing.T) {
 		}
 	}
 	csv := on.CSV()
-	bw := on.BenchWindows()
 	for _, v := range on.Variants {
 		key := schemeKey(v.Name)
 		if v.Series == nil || v.Series.Count() == 0 {
 			t.Fatalf("%s: windowed run captured nothing", v.Name)
 		}
-		if len(bw[key]) == 0 {
-			t.Errorf("%s: BenchWindows has no rows", v.Name)
+		if len(v.Series.Windows()) == 0 {
+			t.Errorf("%s: the series has no window rows", v.Name)
 		}
 		if !strings.Contains(csv, "\n"+key+",") && !strings.HasPrefix(csv, key+",") {
 			t.Errorf("%s: CSV has no rows for scheme %q:\n%s", v.Name, key, csv)
@@ -87,6 +89,30 @@ func TestServingWindowsDoNotPerturb(t *testing.T) {
 	}
 }
 
+// TestShardCountCheckedBeforeMachines: a deployment some shard of which would
+// own no key, or with fewer than one shard, is refused by Serving and
+// ServingCrash before either builds a machine — each of the 1 501 machines
+// asked for here has a 32 MB pool, so building even a few would blow the time
+// bound (it used to end in an OOM kill or in redisws.Serve's complaint).
+func TestShardCountCheckedBeforeMachines(t *testing.T) {
+	for _, shards := range []int{1501, 0, -3} {
+		start := time.Now()
+		opts := servingTestOpts()
+		opts.Shards = shards
+		res, err := Serving(opts)
+		if !errors.Is(err, redisws.ErrShards) || len(res.Variants) != 0 {
+			t.Errorf("Serving with %d shards over 1500 keys: err %v, %d variants; want ErrShards and none", shards, err, len(res.Variants))
+		}
+		cres, err := ServingCrash(ServingCrashOptions{Keyspace: 1500, Shards: shards})
+		if !errors.Is(err, redisws.ErrShards) || len(cres.Variants) != 0 {
+			t.Errorf("ServingCrash with %d shards over 1500 keys: err %v, %d variants; want ErrShards and none", shards, err, len(cres.Variants))
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%d shards: refused after %v — machines were built first", shards, d)
+		}
+	}
+}
+
 // TestServingSTWExemplarAttribution is the acceptance pin for tail
 // attribution: at the working scale, every p999-class exemplar the STW run
 // captures must blame its wait on an STW pause (directly or through the
@@ -96,7 +122,7 @@ func TestServingSTWExemplarAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale serving run; skipped under -short")
 	}
-	res, err := Serving(ServingOptions{Scale: 0.002, Schemes: []string{"stw"}})
+	res, err := Serving(ServingOptions{Scale: 0.002, Schemes: []string{"stw"}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type ServingCrashOptions struct {
 	// AdmitCap overrides the degraded-mode admission bound (0 = default).
 	AdmitCap int
 
-	// Shards runs each variant as a sharded deployment (0/1 = unsharded);
+	// Shards runs each variant as a sharded deployment (1 = unsharded);
 	// the crash blacks out shard CrashShard while its siblings keep serving,
 	// so the grid also measures partial availability.
 	Shards     int
@@ -115,9 +115,6 @@ func servingCrashDefaults(o ServingCrashOptions) ServingCrashOptions {
 			o.WindowCycles = 50_000
 		}
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
 	if o.CrashShard < 0 || o.CrashShard >= o.Shards {
 		o.CrashShard = 0
 	}
@@ -131,6 +128,9 @@ func servingCrashDefaults(o ServingCrashOptions) ServingCrashOptions {
 func ServingCrash(o ServingCrashOptions) (ServingCrashResult, error) {
 	o = servingCrashDefaults(o)
 	res := ServingCrashResult{Clients: o.Clients, Ops: o.Ops}
+	if _, err := redisws.ShardKeys(o.Keyspace, o.Shards); err != nil {
+		return res, err
+	}
 	outs := make([]ServingCrashVariant, len(o.Schemes))
 	err := parallelFor(len(o.Schemes), func(i int) error {
 		v, err := runServingCrashVariant(o.Schemes[i], o)

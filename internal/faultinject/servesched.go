@@ -66,11 +66,11 @@ func NewServeRepro(scheme string, seed int64) ServeRepro {
 	}
 }
 
-// normalized fills the defaults RunServeScheduled runs under and checks what
-// no default can fix.
-func (r ServeRepro) normalized() (ServeRepro, error) {
+// normalized fills the defaults RunServeScheduled runs under, checks what no
+// default can fix, and returns the keys each shard owns.
+func (r ServeRepro) normalized() (ServeRepro, []int, error) {
 	if !slices.Contains(ServeSchemes, r.Scheme) {
-		return r, fmt.Errorf("faultinject: unknown serving scheme %q", r.Scheme)
+		return r, nil, fmt.Errorf("faultinject: unknown serving scheme %q", r.Scheme)
 	}
 	if r.Clients <= 0 {
 		r.Clients = DefaultServeClients
@@ -81,11 +81,14 @@ func (r ServeRepro) normalized() (ServeRepro, error) {
 	if r.Keys <= 0 {
 		r.Keys = DefaultServeKeys
 	}
-	r.Shards = max(r.Shards, 1)
-	if r.Shard < 0 || r.Shard >= r.Shards {
-		return r, fmt.Errorf("faultinject: shard %d out of range for %d shards", r.Shard, r.Shards)
+	shardKeys, err := redisws.ShardKeys(r.Keys, r.Shards)
+	if err != nil {
+		return r, nil, err
 	}
-	return r, nil
+	if r.Shard < 0 || r.Shard >= r.Shards {
+		return r, nil, fmt.Errorf("faultinject: shard %d out of range for %d shards", r.Shard, r.Shards)
+	}
+	return r, shardKeys, nil
 }
 
 // ParseServeRepro parses a serving repro line.
@@ -94,8 +97,7 @@ func ParseServeRepro(line string) (ServeRepro, error) {
 	if err := parseLine(line, &r); err != nil {
 		return r, err
 	}
-	r.Shards = max(r.Shards, 1)
-	if _, err := r.normalized(); err != nil {
+	if _, _, err := r.normalized(); err != nil {
 		return r, err
 	}
 	if _, err := PolicyFor(r.Policy, r.Salt); err != nil {
@@ -130,7 +132,10 @@ func (r ServeRepro) shrinks() []Schedule {
 		mut(&c)
 		c.Ops, c.Keys, c.Clients, c.Shards = max(c.Ops, 16), max(c.Keys, 64), max(c.Clients, 1), max(c.Shards, 1)
 		c.Shard = min(c.Shard, c.Shards-1)
-		out = append(out, c)
+		// A deployment that cannot be built fails for a reason of its own.
+		if _, _, err := c.normalized(); err == nil {
+			out = append(out, c)
+		}
 	}
 	add(func(r *ServeRepro) { r.Shards, r.Shard = 1, 0 })
 	add(func(r *ServeRepro) { r.Shards /= 2 })
@@ -173,7 +178,7 @@ func serveConfigFor(rep ServeRepro) redisws.ServeConfig {
 // shard, so one run yields each shard's own site census (ShardCensus).
 func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
 	res := Result{Began: true}
-	rep, err := rep.normalized()
+	rep, shardKeys, err := rep.normalized()
 	if err != nil {
 		return res, err
 	}
@@ -189,12 +194,7 @@ func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
 	cfg.CacheBytes = 256 * 1024
 	nsh := rep.Shards
 	machines := make([]*redisws.Machine, nsh)
-	shardKeys := make([]int, nsh)
 	for i := range machines {
-		shardKeys[i] = rep.Keys
-		if nsh > 1 {
-			shardKeys[i] = len(redisws.OwnedKeys(uint64(rep.Keys), i, nsh))
-		}
 		if machines[i], err = redisws.NewMachine(&cfg, rep.Scheme, "serve", shardKeys[i], 16<<20); err != nil {
 			return res, err
 		}

@@ -152,9 +152,9 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 }
 
 // MetricsSummary flattens and merges every process's metrics snapshot into
-// one key→value map, the shape BENCH_*.json records and expvar carry.
-// Histogram count/sum/group values add across processes; percentile and max
-// keys keep the cross-process maximum.
+// one key→value map, the shape expvar carries. Histogram count/sum/group
+// values add across processes; percentile and max keys keep the
+// cross-process maximum.
 func (c *Collector) MetricsSummary() map[string]float64 {
 	_, procs := c.snapshot()
 	out := map[string]float64{}

@@ -98,8 +98,10 @@ func (r *LatencyRecorder) Mean() float64 {
 	return r.Hist.Snapshot("").Mean()
 }
 
-// Percentile resolves percentile p (0..100, stats.Percentile convention)
-// from the histogram: an upper bound within 1/16 relative error.
+// Percentile resolves percentile p (0..100) by nearest rank — the
+// observation at 0-based position ⌊p/100·Count()⌋ of the sorted latencies,
+// the largest for p = 100 — from the histogram: an upper bound within 1/16
+// relative error.
 func (r *LatencyRecorder) Percentile(p float64) float64 {
 	return float64(r.Hist.Quantile(p / 100))
 }

@@ -100,7 +100,9 @@ func SchemeHooks(scheme string, p *pmop.Pool, eng *core.Engine, d *mesh.Defragme
 	return hooks
 }
 
-// ServeRegistry returns the type registry of a serving pool.
+// ServeRegistry returns the type registry serving and experiment pools are
+// created and reopened with. Type ids follow registration order, so a pool
+// must always be opened with the registry this one function builds.
 func ServeRegistry() *pmop.Registry {
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)

@@ -1,7 +1,9 @@
 package redisws
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"ffccd/internal/ds"
 	"ffccd/internal/obsv"
@@ -61,6 +63,27 @@ func OwnedKeys(keyspace uint64, shard, shards int) []uint64 {
 		}
 	}
 	return out
+}
+
+// ErrShards marks a deployment no machine can be built for: fewer than one
+// shard, or a shard that would own no key. It is a usage error (the CLIs exit
+// 2 on it), reported before any machine exists.
+var ErrShards = errors.New("redisws: every shard must own at least one key")
+
+// ShardKeys returns how many keys of [0, keyspace) each of shards machines
+// owns — len(OwnedKeys) per shard, counted in one pass — or an ErrShards
+// error. Deployments are sized from it.
+func ShardKeys(keyspace, shards int) ([]int, error) {
+	if shards >= 1 && shards <= keyspace {
+		owned := make([]int, shards)
+		for k := 0; k < keyspace; k++ {
+			owned[shardOfKey(uint64(k), shards)]++
+		}
+		if !slices.Contains(owned, 0) {
+			return owned, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: got %d shards over %d keys", ErrShards, shards, keyspace)
 }
 
 // Shard is one independent simulated machine of a sharded deployment. Ctx is

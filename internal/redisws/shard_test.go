@@ -1,6 +1,7 @@
 package redisws_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,14 +12,19 @@ import (
 )
 
 // TestOwnedKeysPartition pins the shard routing: the per-shard owned-key
-// lists are ascending and their union is an exact partition of the keyspace.
+// lists are ascending, their union is an exact partition of the keyspace, and
+// ShardKeys counts them — or refuses the deployment when a shard owns none.
 func TestOwnedKeysPartition(t *testing.T) {
 	const keyspace, shards = 1000, 4
+	counts, err := redisws.ShardKeys(keyspace, shards)
+	if err != nil || len(counts) != shards {
+		t.Fatalf("ShardKeys(%d, %d) = %v, %v", keyspace, shards, counts, err)
+	}
 	owner := make(map[uint64]int)
 	for s := 0; s < shards; s++ {
 		owned := redisws.OwnedKeys(keyspace, s, shards)
-		if len(owned) == 0 {
-			t.Fatalf("shard %d owns no keys", s)
+		if len(owned) == 0 || len(owned) != counts[s] {
+			t.Fatalf("shard %d owns %d keys, ShardKeys says %d", s, len(owned), counts[s])
 		}
 		for i, k := range owned {
 			if i > 0 && owned[i-1] >= k {
@@ -36,6 +42,16 @@ func TestOwnedKeysPartition(t *testing.T) {
 	// shards=1 is the identity partition.
 	if got := redisws.OwnedKeys(10, 0, 1); len(got) != 10 || got[0] != 0 || got[9] != 9 {
 		t.Fatalf("one-shard OwnedKeys = %v", got)
+	}
+	if got, err := redisws.ShardKeys(10, 1); err != nil || !reflect.DeepEqual(got, []int{10}) {
+		t.Fatalf("ShardKeys(10, 1) = %v, %v", got, err)
+	}
+	// Six keys hash to only five of six shards; no deployment has zero shards
+	// or more shards than keys.
+	for _, bad := range [][2]int{{6, 6}, {1000, 0}, {1000, -3}, {300, 400}, {0, 1}} {
+		if got, err := redisws.ShardKeys(bad[0], bad[1]); !errors.Is(err, redisws.ErrShards) {
+			t.Errorf("ShardKeys(%d, %d) = %v, %v; want ErrShards", bad[0], bad[1], got, err)
+		}
 	}
 }
 

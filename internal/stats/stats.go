@@ -1,49 +1,11 @@
-// Package stats provides the small reporting toolkit the benchmark harness
-// uses: percentiles, means, and aligned table rendering for regenerating the
-// paper's tables and figure series.
+// Package stats provides the aligned table rendering the experiments use to
+// regenerate the paper's tables and figure series.
 package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0–100) using nearest-rank on a
-// sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(p/100*float64(len(s))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
-}
 
 // Table renders aligned rows for terminal output.
 type Table struct {
@@ -102,6 +64,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// MB formats bytes as mebibytes.
-func MB(b float64) float64 { return b / (1 << 20) }

@@ -1,61 +1,9 @@
 package stats
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("mean of empty should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("mean = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	rand.New(rand.NewSource(1)).Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	if got := Percentile(xs, 50); got < 49 || got > 51 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(xs, 99); got < 98 || got > 100 {
-		t.Errorf("p99 = %v", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 100 {
-		t.Errorf("p100 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-}
-
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		ps := []float64{10, 50, 90, 99}
-		var vals []float64
-		for _, p := range ps {
-			vals = append(vals, Percentile(raw, p))
-		}
-		return sort.Float64sAreSorted(vals)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
@@ -68,11 +16,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines", len(lines))
-	}
-}
-
-func TestMB(t *testing.T) {
-	if MB(1<<20) != 1 {
-		t.Error("MB conversion wrong")
 	}
 }

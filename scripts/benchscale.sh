@@ -3,8 +3,9 @@
 # fig5 at FFCCD_PARALLEL=GOMAXPROCS must beat FFCCD_PARALLEL=1 on wall-clock.
 # A pool regression that serializes fan-outs (helpers pinned, tokens leaked,
 # stealing dead) shows up here as "parallel no faster than serial" long
-# before anyone reads a BENCH file. Simulated results are identical at any
-# worker count — the golden test pins that; this guards the host side.
+# before anyone compares two benchmark results. Simulated results are
+# identical at any worker count — the golden test pins that; this guards the
+# host side.
 #
 # Single-core hosts skip cleanly: there is no parallel speedup to measure.
 #
@@ -23,18 +24,18 @@ fi
 
 go build -o "$TMP/ffccd-benchscale" ./cmd/ffccd-bench
 
-host_seconds() { # smallest host_seconds across the file's repetitions
-	grep -o '"host_seconds": [0-9.eE+-]*' "$1" | awk -F': ' '
-		NR == 1 || $2 < min { min = $2 } END { print min }'
+host_seconds() { # smallest host_seconds of two fig5 runs at FFCCD_PARALLEL=$1
+	: >"$TMP/benchscale.secs"
+	for rep in 1 2; do
+		FFCCD_PARALLEL=$1 "$TMP/ffccd-benchscale" -experiment fig5 -scale "$SCALE" \
+			-json "$TMP/benchscale.json" >/dev/null
+		grep -o '"host_seconds": [0-9.eE+-]*' "$TMP/benchscale.json" >>"$TMP/benchscale.secs"
+	done
+	awk -F': ' 'NR == 1 || $2 < min { min = $2 } END { print min }' "$TMP/benchscale.secs"
 }
 
-FFCCD_PARALLEL=1 "$TMP/ffccd-benchscale" -experiment fig5 -scale "$SCALE" \
-	-repeat 2 -json "$TMP/benchscale_serial.json" >/dev/null
-FFCCD_PARALLEL=$CORES "$TMP/ffccd-benchscale" -experiment fig5 -scale "$SCALE" \
-	-repeat 2 -json "$TMP/benchscale_parallel.json" >/dev/null
-
-SER=$(host_seconds "$TMP/benchscale_serial.json")
-PAR=$(host_seconds "$TMP/benchscale_parallel.json")
+SER=$(host_seconds 1)
+PAR=$(host_seconds "$CORES")
 
 echo "benchscale: fig5 scale $SCALE — serial ${SER}s, parallel(x$CORES) ${PAR}s"
 if ! awk -v s="$SER" -v p="$PAR" 'BEGIN { exit !(p < s) }'; then

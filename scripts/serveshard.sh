@@ -29,18 +29,18 @@ fi
 
 go build -o "$TMP/ffccd-serveshard" ./cmd/ffccd-bench
 
-host_seconds() { # smallest host_seconds across the file's repetitions
-	grep -o '"host_seconds": [0-9.eE+-]*' "$1" | awk -F': ' '
-		NR == 1 || $2 < min { min = $2 } END { print min }'
+host_seconds() { # smallest host_seconds of two serving/ffccd runs at -shards $1
+	: >"$TMP/serveshard.secs"
+	for rep in 1 2; do
+		FFCCD_PARALLEL=4 "$TMP/ffccd-serveshard" -experiment serving -scheme ffccd \
+			-scale "$SCALE" -shards "$1" -json "$TMP/serveshard.json" >/dev/null
+		grep -o '"host_seconds": [0-9.eE+-]*' "$TMP/serveshard.json" >>"$TMP/serveshard.secs"
+	done
+	awk -F': ' 'NR == 1 || $2 < min { min = $2 } END { print min }' "$TMP/serveshard.secs"
 }
 
-FFCCD_PARALLEL=4 "$TMP/ffccd-serveshard" -experiment serving -scheme ffccd \
-	-scale "$SCALE" -shards 1 -json "$TMP/serveshard_s1.json" >/dev/null
-FFCCD_PARALLEL=4 "$TMP/ffccd-serveshard" -experiment serving -scheme ffccd \
-	-scale "$SCALE" -shards 4 -json "$TMP/serveshard_s4.json" >/dev/null
-
-S1=$(host_seconds "$TMP/serveshard_s1.json")
-S4=$(host_seconds "$TMP/serveshard_s4.json")
+S1=$(host_seconds 1)
+S4=$(host_seconds 4)
 
 echo "serveshard: serving/ffccd scale $SCALE — shards=1 ${S1}s, shards=4 ${S4}s"
 if ! awk -v a="$S1" -v b="$S4" 'BEGIN { exit !(b * 2 <= a) }'; then
