@@ -19,9 +19,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race runs the short test suite under the race detector — the CI gate for
-# the concurrent simulated-machine hot path.
+# the concurrent simulated-machine hot path — and then the crash campaign's
+# golden, oracle and lifetime tests on four workers, whatever the host has:
+# a campaign's trials fork one shared, read-only prefix at once.
 race:
 	$(GO) test -race -short ./...
+	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \
+		-run 'TestCampaignGolden|TestForkedTrialMatchesScratch|TestCampaignLeavesNoPrefixBehind'
 
 # crashmatrix is the reduced scheduled crash campaign: every one of the 26
 # settings, a pinned seed, stratified site sampling (each site class's first

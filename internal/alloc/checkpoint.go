@@ -4,7 +4,8 @@ package alloc
 // allocator is rebuildable from persistent headers (RebuildFromMark), but
 // rebuilding charges simulated mark-phase cycles — the fork-based experiment
 // driver instead restores the exact host-side bitmaps so a forked run's
-// allocation decisions replay bit-identically (DESIGN.md §7).
+// allocation decisions replay bit-identically (DESIGN.md §7). The per-frame
+// tables are captured as far as the heap's reach, not its capacity.
 type HeapCheckpoint struct {
 	HeapOff    uint64
 	Frames     int
@@ -44,18 +45,19 @@ func (h *Heap) CheckpointInto(c *HeapCheckpoint) {
 // Restore overwrites the heap state from c. The heap must have the same
 // geometry (offset and frame count) as the checkpoint's source; the
 // checkpoint is only read, so concurrent restores from one checkpoint into
-// distinct heaps are safe. The placement index is not in the checkpoint; it
-// is derived again from the restored state.
+// distinct heaps are safe. A heap that reached further than the checkpoint
+// is cut back to the checkpoint's reach. The placement index is not in the
+// checkpoint; it is derived again from the restored state.
 func (h *Heap) Restore(c *HeapCheckpoint) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if c.HeapOff != h.heapOff || c.Frames != h.frames {
 		panic("alloc: Restore geometry mismatch")
 	}
-	copy(h.slotBits, c.SlotBits)
-	copy(h.startBits, c.StartBits)
-	copy(h.freeSlots, c.FreeSlots)
-	copy(h.state, c.State)
+	h.slotBits = append(h.slotBits[:0], c.SlotBits...)
+	h.startBits = append(h.startBits[:0], c.StartBits...)
+	h.freeSlots = append(h.freeSlots[:0], c.FreeSlots...)
+	h.state = append(h.state[:0], c.State...)
 	h.usedFrames = c.UsedFrames
 	h.liveBytes = c.LiveBytes
 	h.dupBytes = c.DupBytes

@@ -5,11 +5,15 @@ import "testing"
 // FuzzHeapOps decodes bytes into the operations the differential test mixes
 // and runs them against the reference walk, comparing the whole heap after
 // every step. The first byte picks the geometry; each operation is an opcode
-// byte and up to three argument bytes, missing ones reading as zero.
+// byte and up to three argument bytes, missing ones reading as zero. (Opcode
+// 7's first argument picks among the whole-heap operations: the top of its
+// range the ones that cut the tables' reach back, the rest by residue as
+// before those existed, so older corpus entries still mean what they did.)
 func FuzzHeapOps(f *testing.F) {
 	f.Add([]byte{3, 0, 255, 15, 0, 255, 15, 0, 255, 15, 3, 1, 0, 100, 0})
 	f.Add([]byte{1, 0, 100, 6, 0, 200, 2, 0, 0, 4, 0, 0, 3, 0, 0, 0, 30, 0})
 	f.Add([]byte{40, 5, 2, 10, 8, 5, 2, 12, 4, 5, 255, 0, 1, 5, 2, 250, 9, 6, 2, 2, 5, 2, 40, 3, 7, 0, 7, 1, 7, 2, 1})
+	f.Add([]byte{60, 0, 255, 15, 0, 255, 15, 0, 200, 9, 7, 230, 7, 1, 0, 90, 0, 7, 244, 1, 0, 255, 15, 5, 50, 9, 9, 7, 250, 0, 80, 1, 7, 226, 3, 3, 0, 255, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arg := func() int {
 			if len(data) == 0 {
@@ -32,12 +36,18 @@ func FuzzHeapOps(f *testing.F) {
 			case 6:
 				d.setState(arg()%frames, FrameState(arg()%5))
 			case 7:
-				switch a := arg(); a % 3 {
-				case 0:
+				switch a := arg(); {
+				case a >= 248:
+					d.reset()
+				case a >= 240:
+					d.rebuildBelow(arg() % (frames + 1))
+				case a >= 224:
+					d.restoreStale(arg() | arg()<<8)
+				case a%3 == 0:
 					d.releaseFrame(arg() % frames)
-				case 1:
+				case a%3 == 1:
 					d.restoreFresh()
-				case 2:
+				default:
 					d.rebuild(arg() % 4)
 				}
 			}

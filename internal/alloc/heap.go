@@ -18,6 +18,11 @@
 // index is host-only state — it never changes which slot a request gets, is
 // not part of HeapCheckpoint, and is rebuilt from freeSlots and state
 // wherever those are replaced wholesale.
+//
+// The per-frame tables cover only the frames below a high-water mark: a heap
+// costs the host what it has held, not what it could hold. A 64 MB pool that
+// holds 50 KB is under a kilobyte of tables to create, reset, checkpoint and
+// restore.
 package alloc
 
 import (
@@ -66,6 +71,11 @@ type Heap struct {
 	heapOff uint64 // pool offset of frame 0
 	frames  int
 
+	// The per-frame tables hold entries for frames [0, hi) only, hi =
+	// len(state). A frame at or past hi is pristine — no slot in use,
+	// FrameFree, never touched since the last reset — and the tables say so by
+	// not reaching it. cover extends them before a frame is first written;
+	// reset and Restore cut them back.
 	slotBits  []uint64 // allocation bitmap: 4 words/frame, bit = slot in use
 	startBits []uint64 // set at the first slot of each allocation
 	freeSlots []uint16 // per-frame free slot count
@@ -85,17 +95,7 @@ type Heap struct {
 
 // NewHeap creates an empty heap of the given geometry.
 func NewHeap(heapOff uint64, frames int) *Heap {
-	h := &Heap{
-		heapOff:   heapOff,
-		frames:    frames,
-		slotBits:  make([]uint64, frames*wordsPerFrame),
-		startBits: make([]uint64, frames*wordsPerFrame),
-		freeSlots: make([]uint16, frames),
-		state:     make([]FrameState, frames),
-	}
-	for i := range h.freeSlots {
-		h.freeSlots[i] = SlotsPerFrame
-	}
+	h := &Heap{heapOff: heapOff, frames: frames}
 	h.leaves = 1
 	for h.leaves < frames {
 		h.leaves <<= 1
@@ -131,6 +131,16 @@ func (h *Heap) FrameOf(off uint64) int { return int((off - h.heapOff) / FrameSiz
 // 16-byte object header.
 func SlotsFor(payload uint64) int {
 	return int((payload + 16 + SlotSize - 1) / SlotSize)
+}
+
+// cover extends the per-frame tables so that they reach frame f.
+func (h *Heap) cover(f int) {
+	for len(h.state) <= f {
+		h.state = append(h.state, FrameFree)
+		h.freeSlots = append(h.freeSlots, SlotsPerFrame)
+		h.slotBits = append(h.slotBits, make([]uint64, wordsPerFrame)...)
+		h.startBits = append(h.startBits, make([]uint64, wordsPerFrame)...)
+	}
 }
 
 // frameWords returns the four bitmap words of a frame.
@@ -242,6 +252,7 @@ func (h *Heap) Alloc(payload uint64) (uint64, error) {
 		}
 	}
 	if f := h.lowestFree(); f >= 0 {
+		h.cover(f)
 		h.state[f] = FrameActive
 		h.usedFrames++
 		h.commitAlloc(f, 0, n)
@@ -274,6 +285,7 @@ func (h *Heap) PlaceAt(frame, slot, n int) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.cover(frame)
 	if st := h.state[frame]; st == FrameRelocation || st == FrameMeshed {
 		return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) into a frame in state %d, which takes no allocations", frame, slot, n, st)
 	}
@@ -310,6 +322,9 @@ func (h *Heap) Free(off uint64, n int) {
 func (h *Heap) ReleaseFrame(frame int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if frame >= len(h.state) {
+		return
+	}
 	base := frame * wordsPerFrame
 	for w := 0; w < wordsPerFrame; w++ {
 		inUse := bits.OnesCount64(h.slotBits[base+w])
@@ -330,6 +345,11 @@ func (h *Heap) ReleaseFrame(frame int) {
 func (h *Heap) SetState(frame int, st FrameState) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if st != FrameFree {
+		h.cover(frame)
+	} else if frame >= len(h.state) {
+		return
+	}
 	old := h.state[frame]
 	if old == st {
 		return
@@ -348,6 +368,9 @@ func (h *Heap) SetState(frame int, st FrameState) {
 func (h *Heap) State(frame int) FrameState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if frame >= len(h.state) {
+		return FrameFree
+	}
 	return h.state[frame]
 }
 
@@ -356,7 +379,7 @@ func (h *Heap) IsStart(off uint64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	f, s := h.Locate(off)
-	return h.startBits[f*wordsPerFrame+s/64]&(1<<(s%64)) != 0
+	return f < len(h.state) && h.startBits[f*wordsPerFrame+s/64]&(1<<(s%64)) != 0
 }
 
 // FrameObjects returns the starting slots of allocations in a frame.
@@ -364,6 +387,9 @@ func (h *Heap) FrameObjects(frame int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out []int
+	if frame >= len(h.state) {
+		return out
+	}
 	base := frame * wordsPerFrame
 	for w := 0; w < wordsPerFrame; w++ {
 		word := h.startBits[base+w]
@@ -381,7 +407,9 @@ func (h *Heap) FrameBitmap(frame int) [wordsPerFrame]uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out [wordsPerFrame]uint64
-	copy(out[:], h.slotBits[frame*wordsPerFrame:(frame+1)*wordsPerFrame])
+	if frame < len(h.state) {
+		out = *frameWords(h.slotBits, frame)
+	}
 	return out
 }
 
@@ -425,8 +453,8 @@ func (h *Heap) Snapshot() []FrameInfo {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out []FrameInfo
-	for f := 0; f < h.frames; f++ {
-		if h.state[f] == FrameFree {
+	for f, st := range h.state {
+		if st == FrameFree {
 			continue
 		}
 		base := f * wordsPerFrame
@@ -435,7 +463,7 @@ func (h *Heap) Snapshot() []FrameInfo {
 			used += bits.OnesCount64(h.slotBits[base+w])
 			objs += bits.OnesCount64(h.startBits[base+w])
 		}
-		out = append(out, FrameInfo{Frame: f, State: h.state[f], UsedSlots: used, Objects: objs})
+		out = append(out, FrameInfo{Frame: f, State: st, UsedSlots: used, Objects: objs})
 	}
 	return out
 }
@@ -449,12 +477,8 @@ func (h *Heap) Reset() {
 }
 
 func (h *Heap) reset() {
-	clear(h.slotBits)
-	clear(h.startBits)
-	for i := range h.freeSlots {
-		h.freeSlots[i] = SlotsPerFrame
-		h.state[i] = FrameFree
-	}
+	h.slotBits, h.startBits = h.slotBits[:0], h.startBits[:0]
+	h.freeSlots, h.state = h.freeSlots[:0], h.state[:0]
 	h.usedFrames = 0
 	h.liveBytes = 0
 	h.dupBytes = 0
@@ -495,6 +519,7 @@ func (h *Heap) RebuildFromMark(live []RebuildEntry) {
 	h.reset()
 	for _, e := range live {
 		f, s := h.Locate(e.Off)
+		h.cover(f)
 		if h.state[f] == FrameFree {
 			h.state[f] = FrameActive
 			h.usedFrames++

@@ -27,6 +27,14 @@ func slowLongestRun(h *Heap, f int) int {
 // checkFrame checks frame f's counters and index entries against its bitmap
 // and state, and the maxima on the path from its leaf to the root.
 func checkFrame(h *Heap, f int) error {
+	if f >= len(h.state) {
+		// Past the tables' reach a frame is pristine, and the index says so.
+		if h.fit[h.leaves+f] != 0 || h.freeBits[f>>6]&(1<<(f&63)) == 0 {
+			return fmt.Errorf("frame %d, past the tables' reach of %d: bound %d, free bit %v",
+				f, len(h.state), h.fit[h.leaves+f], h.freeBits[f>>6]&(1<<(f&63)) != 0)
+		}
+		return nil
+	}
 	used, starts := 0, 0
 	for w := 0; w < wordsPerFrame; w++ {
 		used += bits.OnesCount64(h.slotBits[f*wordsPerFrame+w])
@@ -71,10 +79,17 @@ func checkHeap(h *Heap) error {
 		if err := checkFrame(h, f); err != nil {
 			return err
 		}
+		if f >= len(h.state) {
+			continue
+		}
 		if h.state[f] != FrameFree {
 			usedFrames++
 		}
 		liveSlots += SlotsPerFrame - int(h.freeSlots[f])
+	}
+	if n := len(h.state); n > h.frames || len(h.freeSlots) != n || len(h.slotBits) != n*wordsPerFrame || len(h.startBits) != n*wordsPerFrame {
+		return fmt.Errorf("per-frame tables reach %d/%d/%d/%d frames of %d", n, len(h.freeSlots),
+			len(h.slotBits)/wordsPerFrame, len(h.startBits)/wordsPerFrame, h.frames)
 	}
 	if usedFrames != h.usedFrames {
 		return fmt.Errorf("usedFrames %d, %d frames are not free", h.usedFrames, usedFrames)
@@ -278,6 +293,48 @@ func (d *differ) rebuild(drop int) {
 	d.full()
 }
 
+// reset empties the heap.
+func (d *differ) reset() {
+	d.tb.Helper()
+	d.h.Reset()
+	d.ref.Reset()
+	d.live = d.live[:0]
+	d.after(-1)
+	d.full()
+}
+
+// rebuildBelow runs RebuildFromMark over the live objects in frames below
+// frame only: a smaller live set than the heap holds, reaching less far.
+func (d *differ) rebuildBelow(frame int) {
+	d.tb.Helper()
+	kept := d.live[:0]
+	for _, o := range d.live {
+		if d.h.FrameOf(o.off) < frame {
+			kept = append(kept, o)
+		}
+	}
+	d.live = kept
+	d.rebuild(0)
+}
+
+// restoreStale checkpoints the heap, takes it further — fresh frames opened,
+// an object and a state change in its last frames — and restores the
+// checkpoint into it: whatever it reached in between must be gone, from the
+// tables and from the index. The reference sits the excursion out.
+func (d *differ) restoreStale(salt int) {
+	d.tb.Helper()
+	chk := d.h.Checkpoint()
+	for i := 0; i < 1+salt%3; i++ {
+		_, _ = d.h.Alloc(4080)
+	}
+	last := d.h.frames - 1
+	_ = d.h.PlaceAt(last, salt%200, 1+salt%9)
+	d.h.SetState(max(last-1-salt%5, 0), FrameMeshed)
+	d.h.Restore(chk)
+	d.after(-1)
+	d.full()
+}
+
 // randomOp applies one operation of the mixed workload: mostly Alloc and
 // Free, the rest spread over the GC's and the driver's entry points.
 func (d *differ) randomOp(r *rand.Rand, size func() uint64) {
@@ -299,11 +356,68 @@ func (d *differ) randomOp(r *rand.Rand, size func() uint64) {
 		d.setState(r.Intn(frames), FrameState(r.Intn(5)))
 	case p < 990:
 		d.releaseFrame(r.Intn(frames))
-	case p < 996:
+	case p < 994:
 		d.restoreFresh()
+	case p < 996:
+		d.restoreStale(r.Intn(1 << 16))
 	default:
 		d.rebuild(r.Intn(4))
 	}
+}
+
+// The operations that cut the tables' reach back — Reset, a rebuild to a
+// smaller live set, a restore of a checkpoint the heap has outgrown — each
+// followed by the mixed workload, on heaps that hold little of what they
+// could and on ones that fill up.
+func TestHeapReachShrinksAndRegrows(t *testing.T) {
+	steps := 24_000
+	if testing.Short() {
+		steps = 6_000
+	}
+	for gi, frames := range []int{3, 64, 200, 16384} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(77 + gi)))
+			d := newDiffer(t, FrameSize, frames, 1+frames/8)
+			for i := 0; i < steps; i++ {
+				switch p := r.Intn(1000); {
+				case p < 4:
+					d.reset()
+				case p < 10:
+					d.rebuildBelow(r.Intn(frames + 1))
+				case p < 20:
+					d.restoreStale(r.Intn(1 << 16))
+				default:
+					d.randomOp(r, func() uint64 { return 1 + uint64(r.Intn(3000)) })
+				}
+			}
+			d.full()
+		})
+	}
+}
+
+// A checkpoint holds what the heap has reached, and a heap restored from it
+// reaches no further, wherever it had been.
+func TestCheckpointCostsWhatTheHeapHolds(t *testing.T) {
+	const frames = 16384
+	tableBytes := func(c *HeapCheckpoint) int {
+		return 8*(len(c.SlotBits)+len(c.StartBits)) + 2*len(c.FreeSlots) + len(c.State)
+	}
+	d := newDiffer(t, 0, frames, 1<<30)
+	for i := 0; i < 10; i++ {
+		d.alloc(4080)
+	}
+	small := d.h.Checkpoint()
+	if got, full := tableBytes(small), frames*(2*wordsPerFrame*8+2+1); got*100 > full {
+		t.Errorf("checkpoint of 10 used frames of %d holds %d table bytes, over 1%% of the %d a full capture holds", frames, got, full)
+	}
+	d.restoreStale(12345)
+	if !reflect.DeepEqual(d.h.Checkpoint(), small) {
+		t.Error("a heap restored from a checkpoint it had outgrown does not checkpoint the same again")
+	}
+	for i := 0; i < 300; i++ {
+		d.alloc(uint64(16 + i*13%4000))
+	}
+	d.full()
 }
 
 func TestHeapMatchesReferenceWalk(t *testing.T) {
@@ -461,7 +575,7 @@ func TestPlacementIndependentOfBoundStaleness(t *testing.T) {
 			d.randomOp(r, func() uint64 { return 1 + uint64(r.Intn(1500)) })
 		}
 		loose.h.buildIndex()
-		for f := 0; f < frames; f++ {
+		for f := range exact.h.state {
 			exact.h.reindex(f)
 		}
 		if !reflect.DeepEqual(aged.live, loose.live) || !reflect.DeepEqual(aged.live, exact.live) {

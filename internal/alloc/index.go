@@ -109,26 +109,27 @@ func (h *Heap) freeIn(lo, hi int) int {
 // buildIndex derives the whole index from freeSlots and state. A frame's free
 // slot count bounds its longest run from above, so no bitmap is read. Restore
 // pays this on every forked run, and most of a heap is whole bitmap words of
-// free frames: those are skipped 64 at a time, and each level of the tree is
-// recomputed only as far as the last frame with a bound.
+// free frames — every word past the tables' reach, and many before it: those
+// cost one store each, and each level of the tree is recomputed only as far
+// as the last frame with a bound.
 func (h *Heap) buildIndex() {
 	clear(h.fit)
 	leaf := h.fit[h.leaves:]
 	bounded := 0 // frames at or past this have a zero bound
 	for w := range h.freeBits {
 		base := w << 6
-		states := h.state[base:min(base+64, h.frames)]
+		free := ^uint64(0) >> max(base+64-h.frames, 0) // the frames that exist
+		states := h.state[min(base, len(h.state)):min(base+64, len(h.state))]
 		if len(states) == 64 && [64]FrameState(states) == [64]FrameState{} {
-			h.freeBits[w] = ^uint64(0)
-			continue
+			states = nil // all free
 		}
-		var free uint64
 		for i, st := range states {
 			if allocatable(st) {
 				leaf[base+i] = h.freeSlots[base+i]
 				bounded = base + i + 1
-			} else if st == FrameFree {
-				free |= 1 << i
+			}
+			if st != FrameFree {
+				free &^= 1 << i
 			}
 		}
 		h.freeBits[w] = free

@@ -53,10 +53,12 @@ type epochState struct {
 	objects     []relocObj // grouped by relocation frame, ascending source slot within one
 
 	// ordOf[f] is 1 + the ordinal of heap frame f, or 0 when f is not a
-	// relocation frame of this epoch. Per ordinal: minor is the frame's
-	// volatile minor-distance map (source slot → destination slot),
-	// destFrame its major distance, and srcObj maps a source header slot to
-	// 1 + the index of the object starting there (0: no object starts there).
+	// relocation frame of this epoch; it reaches as far as the highest
+	// relocation frame any epoch of this engine had. Per ordinal: minor is
+	// the frame's volatile minor-distance map (source slot → destination
+	// slot), destFrame its major distance, and srcObj maps a source header
+	// slot to 1 + the index of the object starting there (0: no object
+	// starts there).
 	// A minor byte of 0xFF is both "not mapped" and "destination slot 255";
 	// a relocation frame has one destination frame, so at most one of its
 	// source slots maps there, and lastSlotSrc names it (-1: none).
@@ -116,16 +118,11 @@ var noMinor = func() (m [alloc.SlotsPerFrame]byte) {
 	return
 }()
 
-// reset empties the state for a new epoch over a heap of the given number of
-// frames, keeping every table's capacity.
-func (ep *epochState) reset(epochNo uint64, scheme Scheme, frames int) {
+// reset empties the state for a new epoch, keeping every table's capacity.
+func (ep *epochState) reset(epochNo uint64, scheme Scheme) {
 	ep.epochNo, ep.scheme = epochNo, scheme
-	if len(ep.ordOf) != frames {
-		ep.ordOf = make([]int32, frames)
-	} else {
-		for _, f := range ep.relocFrames {
-			ep.ordOf[f] = 0
-		}
+	for _, f := range ep.relocFrames {
+		ep.ordOf[f] = 0
 	}
 	ep.relocFrames = ep.relocFrames[:0]
 	ep.destFrames = ep.destFrames[:0]
@@ -142,6 +139,9 @@ func (ep *epochState) reset(epochNo uint64, scheme Scheme, frames int) {
 // minor-distance map, no slot mapped yet, for the caller to fill.
 func (ep *epochState) addFrame(f, df int) *[alloc.SlotsPerFrame]byte {
 	ep.relocFrames = append(ep.relocFrames, f)
+	if f >= len(ep.ordOf) {
+		ep.ordOf = append(ep.ordOf, make([]int32, f+1-len(ep.ordOf))...)
+	}
 	ep.ordOf[f] = int32(len(ep.relocFrames))
 	ep.destFrame = append(ep.destFrame, int32(df))
 	ep.minor = append(ep.minor, noMinor)

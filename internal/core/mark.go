@@ -21,10 +21,12 @@ func (m *markObj) slots() int { return alloc.SlotsFor(m.payload) }
 type refVisitor func(ctx *sim.Ctx, fieldOff uint64, ref pmop.Ptr) pmop.Ptr
 
 // markScratch is the engine-owned memory of a reachability walk: the visited
-// bitset (one bit per heap slot), the traversal stack, the result and the
-// allocator rebuild entries derived from it. A walk clears and refills it, so
-// only the first walk (and a larger heap or live set) allocates. Walks run
-// with the world stopped or in single-threaded recovery, never concurrently.
+// bitset (one bit per heap slot, reaching as far as the highest object the
+// walk has met, not to the end of the heap), the traversal stack, the result
+// and the allocator rebuild entries derived from it. A walk empties and
+// refills it, so only the first walk (and a higher-reaching or larger live
+// set) allocates. Walks run with the world stopped or in single-threaded
+// recovery, never concurrently.
 type markScratch struct {
 	visited []uint64
 	stack   []pmop.Ptr
@@ -52,12 +54,13 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor, collect bool) []markObj {
 	heapEnd := heapOff + uint64(heap.Frames())*alloc.FrameSize
 
 	ms := &e.markScratch
-	ms.visited = sized(ms.visited, heap.Frames()*alloc.SlotsPerFrame/64+1)
-	clear(ms.visited)
-	visited := ms.visited
+	visited := ms.visited[:0]
 	seen := func(off uint64) bool {
 		slot := (off - heapOff) / alloc.SlotSize
-		w, b := slot/64, slot%64
+		w, b := int(slot/64), slot%64
+		if w >= len(visited) {
+			visited = append(visited, make([]uint64, w+1-len(visited))...)
+		}
 		if visited[w]&(1<<b) != 0 {
 			return true
 		}
@@ -122,7 +125,7 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor, collect bool) []markObj {
 			stack = append(stack, ref)
 		}
 	}
-	ms.stack = stack
+	ms.stack, ms.visited = stack, visited
 	if !collect {
 		return nil
 	}

@@ -188,7 +188,7 @@ func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochS
 	p := e.pool
 	heap := p.Heap()
 	ep := &e.epochBuf
-	ep.reset(epochNo, scheme, heap.Frames())
+	ep.reset(epochNo, scheme)
 	entry := e.summaryScratch.entry[:]
 	for f := 0; f < heap.Frames(); f++ {
 		p.RawLoad(ctx, pmftEntryOff(p, f), entry)

@@ -24,7 +24,7 @@ type summaryScratch struct {
 	start    []int32
 	units    []selUnit
 	selected []selPick
-	free     []int // every free frame, ascending: the destination frames in order
+	free     []int // the lowest free frames, ascending: the destination frames in order
 	relocVAs []uint64
 	entry    [pmftEntrySize]byte
 	zeros    [movedBytesPerFrame]byte
@@ -49,7 +49,6 @@ type (
 func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	p := e.pool
 	heap := p.Heap()
-	frames := heap.Frames()
 	ss := &e.summaryScratch
 
 	// Leak reclamation: everything not reached by marking is returned to the
@@ -69,8 +68,10 @@ func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	// one sort by offset makes every frame's objects a contiguous run, found
 	// through the start table. After the rebuild above the heap holds exactly
 	// the live objects, so a frame is in use iff its run is not empty, is
-	// then active, and has the run's slots in use.
+	// then active, and has the run's slots in use. No frame past the highest
+	// live object is: frames is where the tables and loops below stop.
 	slices.SortFunc(live, func(a, b markObj) int { return cmp.Compare(a.payloadOff, b.payloadOff) })
+	frames := heap.FrameOf(live[len(live)-1].payloadOff-pmop.HeaderSize) + 1
 	start := sized(ss.start, frames+1)
 	ss.start = start
 	clear(start)
@@ -126,8 +127,9 @@ func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	// Greedy selection until the projected ratio reaches the target. Each
 	// relocation frame's live data lands in exactly one destination frame
 	// (the PMFT major-distance invariant); destination frames are fresh
-	// free frames packed in order.
-	free := heap.FreeFrames(ss.free[:0], frames)
+	// free frames packed in order. A relocation frame opens at most one, so
+	// no more than the frames in use are ever asked for.
+	free := heap.FreeFrames(ss.free[:0], frag.UsedFrames)
 	ss.free = free
 	selected := ss.selected[:0]
 	destUsed, curFree := 0, 0
@@ -180,7 +182,7 @@ unitLoop:
 
 	_, _, epochNo := unpackPhase(p.GCPhase(ctx))
 	ep := &e.epochBuf
-	ep.reset(epochNo+1, e.opt.Scheme, frames)
+	ep.reset(epochNo+1, e.opt.Scheme)
 
 	// Deterministic placement + persistent PMFT construction. Destination
 	// packing is dense (16-byte slots, the paper's granularity). Objects may

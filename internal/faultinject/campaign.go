@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"ffccd/internal/pmem"
@@ -136,17 +137,41 @@ type trialOut struct {
 	hung bool
 }
 
+// campaign is what the trials of one campaign share, and nothing outlives it:
+// the built prefix of a batch campaign's machine. A schedule run on its own —
+// Run, -repro, a shrink candidate — is a campaign of one trial.
+type campaign struct {
+	mu  sync.Mutex
+	pre *prefix
+	err error
+}
+
+// prefixOf returns the campaign's prefix, building it on first use: inside
+// the census pass, so under its watchdog. An error building it is the verdict
+// of every trial of the campaign.
+func (c *campaign) prefixOf(setting Setting, seed int64, ops int) (*prefix, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pre == nil && c.err == nil {
+		c.pre, c.err = buildPrefix(setting, seed, ops)
+	}
+	if pre := c.pre; pre != nil && (pre.setting != setting || pre.seed != seed || pre.ops != ops) {
+		return buildPrefix(setting, seed, ops) // another machine than the campaign's
+	}
+	return c.pre, c.err
+}
+
 // runWatched executes one schedule under the watchdog. On expiry the trial
-// goroutine is abandoned (it holds only trial-local simulated state) and the
+// goroutine is abandoned (it writes only trial-local simulated state) and the
 // expiry is the verdict.
-func runWatched(s Schedule, topts TrialOptions, timeout time.Duration) trialOut {
+func (c *campaign) runWatched(s Schedule, topts TrialOptions, timeout time.Duration) trialOut {
 	if timeout <= 0 {
-		res, err := s.Run(topts)
+		res, err := s.runIn(c, topts)
 		return trialOut{res: res, err: err}
 	}
 	ch := make(chan trialOut, 1)
 	go func() {
-		res, err := s.Run(topts)
+		res, err := s.runIn(c, topts)
 		ch <- trialOut{res: res, err: err}
 	}()
 	select {
@@ -158,10 +183,10 @@ func runWatched(s Schedule, topts TrialOptions, timeout time.Duration) trialOut 
 }
 
 // runAll runs the schedules on the worker pool, results in schedule order.
-func runAll(scheds []Schedule, co CampaignOptions) []trialOut {
+func (c *campaign) runAll(scheds []Schedule, co CampaignOptions) []trialOut {
 	outs := make([]trialOut, len(scheds))
 	parallelFor(len(scheds), func(i int) {
-		outs[i] = runWatched(scheds[i], co.Trial, co.Timeout)
+		outs[i] = c.runWatched(scheds[i], co.Trial, co.Timeout)
 	})
 	return outs
 }
@@ -210,7 +235,7 @@ func ExploreSetting(setting Setting, co CampaignOptions) CampaignOutcome {
 	if co.TailOps > 0 {
 		base.TailOps = co.TailOps
 	}
-	return explore(setting.String(), base, co)
+	return new(campaign).explore(setting.String(), base, co)
 }
 
 // ExploreServeScheme runs the serving crash campaign for one scheme: online
@@ -227,17 +252,17 @@ func ExploreServeScheme(scheme string, co CampaignOptions) CampaignOutcome {
 	if co.Keys > 0 {
 		base.Keys = co.Keys
 	}
-	return explore("serve/"+scheme, base, co)
+	return new(campaign).explore("serve/"+scheme, base, co)
 }
 
 // explore runs the campaign whose census pass is base.
-func explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
+func (c *campaign) explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
 	out := CampaignOutcome{Label: label}
 
 	// Census pass: count the sites (and verify the no-crash run end to end).
 	// A sharded pass census-arms every shard, so one run yields each shard's
 	// own site space.
-	census := runWatched(base, co.Trial, co.Timeout)
+	census := c.runWatched(base, co.Trial, co.Timeout)
 	if census.err != nil {
 		out.Failures = append(out.Failures, Failure{Repro: base, Err: census.err.Error(), Hung: census.hung})
 		return out
@@ -257,7 +282,7 @@ func explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
 	}
 
 	firsts, shardOf := firstLevel(base, shardCensus, co)
-	firstOuts := runAll(firsts, co)
+	firstOuts := c.runAll(firsts, co)
 
 	// Nested schedules: crash-during-recovery at the first recovery-step site
 	// and the middle of the recovery's site space, for up to MaxNested
@@ -296,7 +321,7 @@ func explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
 			}
 		}
 	}
-	nestedOuts := runAll(nesteds, co)
+	nestedOuts := c.runAll(nesteds, co)
 
 	// Aggregate in schedule order (deterministic under any worker count).
 	collect := func(scheds []Schedule, outs []trialOut, firstLevel bool) {

@@ -13,7 +13,9 @@
 //   - RunScheduled (schedule.go): the deterministic batch driver — one
 //     goroutine end to end, crash fired at an exact crash-site index (see
 //     pmem.SiteClass), optionally a second crash inside recovery. Every
-//     failing schedule replays bit-identically from its Repro line.
+//     failing schedule replays bit-identically from its Repro line. Its
+//     machine is forked from a prefix built once per campaign (machine.go):
+//     the trials of a campaign differ only after the store is built.
 //   - RunServeScheduled (servesched.go): the same for a machine under
 //     open-loop serving traffic (redisws.Serve), which recovers online,
 //     validates every acknowledged write and resumes serving.
@@ -77,9 +79,10 @@ type TrialOptions struct {
 }
 
 // Host-side fan-out runs on the process-wide worker pool shared with the
-// experiments driver (internal/workpool). Every trial builds its own
-// simulated machine, so trials are hermetic; the pool size changes host
-// wall-clock only, never a trial verdict. Defaults to GOMAXPROCS,
+// experiments driver (internal/workpool). Every trial runs on a simulated
+// machine of its own — a batch campaign's are forks of one read-only built
+// prefix — so trials are hermetic; the pool size changes host wall-clock
+// only, never a trial verdict. Defaults to GOMAXPROCS,
 // overridable with FFCCD_PARALLEL or SetParallelism.
 
 // SetParallelism sets the shared pool's worker count (values < 1 mean

@@ -1,13 +1,16 @@
 package faultinject
 
-// The batch trial machine and the two things every crash driver does with a
-// machine: churn it, and restart it after a power failure.
+// The batch trial machine, the prefix a campaign's scheduled trials fork their
+// machines from, and the two things every crash driver does with a machine:
+// churn it, and restart it after a power failure.
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 
+	"ffccd/internal/alloc"
 	"ffccd/internal/checker"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
@@ -33,15 +36,24 @@ func batchRegistry() *pmop.Registry {
 	return reg
 }
 
+// batchDevBytes is the batch machine's device size; its one pool takes half.
+const batchDevBytes = 128 << 20
+
+// blankMachine returns a machine with its configuration and nothing else.
+func blankMachine(setting Setting) *machine {
+	m := &machine{setting: setting, cfg: sim.DefaultConfig()}
+	m.cfg.CacheBytes = 256 * 1024
+	return m
+}
+
 // newMachine builds the machine for setting with an empty store. exclusive
 // drops the device's per-access host locks, for a trial that is one goroutine
 // end to end. The caller owns the media: it calls dev.ReleaseMedia once no
 // goroutine can touch the machine any more.
 func newMachine(setting Setting, exclusive bool) (*machine, error) {
-	m := &machine{setting: setting, cfg: sim.DefaultConfig()}
-	m.cfg.CacheBytes = 256 * 1024
+	m := blankMachine(setting)
 	var err error
-	if m.pool, err = pmop.NewRuntime(&m.cfg, 128<<20).Create("fi", 64<<20, 12, batchRegistry()); err != nil {
+	if m.pool, err = pmop.NewRuntime(&m.cfg, batchDevBytes).Create("fi", batchDevBytes/2, 12, batchRegistry()); err != nil {
 		return nil, err
 	}
 	m.dev = m.pool.Device()
@@ -52,6 +64,81 @@ func newMachine(setting Setting, exclusive bool) (*machine, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// prefix is the part of a scheduled batch trial that lies before its first
+// schedulable site: the machine with every thread's build churn done and
+// flushed, quiescent. It is a pure function of (setting, seed, ops), so a
+// campaign builds it once and every trial — the census pass, each first-level
+// and each nested one — forks its own machine from it. Nothing writes a prefix
+// once buildPrefix has returned: forks only read it, also the fork of a trial
+// the watchdog gave up on, which may still be running.
+type prefix struct {
+	setting Setting
+	seed    int64
+	ops     int
+
+	dev     pmem.DeviceCheckpoint
+	heap    alloc.HeapCheckpoint
+	ctx     sim.CtxCheckpoint
+	poolOps uint64
+	txOrder []int
+	store   ds.Store            // forks clone its volatile handles
+	models  []map[uint64][]byte // the churner's, one per thread
+}
+
+// buildPrefix builds the machine, runs the build churn of every thread in
+// thread order, flushes, and captures the result. One goroutine does all of
+// it, as it does the rest of the trial, so a 1T machine's device goes without
+// its per-access host locks, as in experiments.Run.
+func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
+	m, err := newMachine(setting, setting.Threads == 1)
+	if err != nil {
+		return nil, err
+	}
+	defer m.dev.ReleaseMedia()
+	churn := newChurner(m, uint64(4*ops))
+	for t := 0; t < setting.Threads; t++ {
+		if err := churn.build(m.ctx, t, ops, rand.New(rand.NewSource(seed+int64(t)+1))); err != nil {
+			return nil, err
+		}
+	}
+	m.dev.FlushAll(m.ctx)
+	pre := &prefix{setting: setting, seed: seed, ops: ops,
+		poolOps: m.pool.Ops.Load(), txOrder: m.pool.TxSlotOrder(), store: m.store, models: churn.models}
+	m.dev.CheckpointInto(&pre.dev)
+	m.pool.Heap().CheckpointInto(&pre.heap)
+	m.ctx.CheckpointInto(&pre.ctx)
+	return pre, nil
+}
+
+// fork materializes the prefix as a machine of the caller's own, in recycled
+// media, with the churner that goes on from the build. The caller releases the
+// media like newMachine's.
+func (pre *prefix) fork() (*machine, *churner, error) {
+	m := blankMachine(pre.setting)
+	m.dev = pmem.NewDeviceForRestore(&m.cfg, batchDevBytes)
+	m.dev.Restore(&pre.dev)
+	m.dev.SetExclusive(pre.setting.Threads == 1)
+	rt, err := pmop.AttachAtEpoch(&m.cfg, m.dev, 0)
+	if err == nil {
+		m.pool, err = rt.Open("fi", batchRegistry())
+	}
+	if err != nil {
+		m.dev.ReleaseMedia()
+		return nil, nil, err
+	}
+	m.pool.Heap().Restore(&pre.heap)
+	m.pool.Ops.Store(pre.poolOps)
+	m.pool.RestoreTxSlotOrder(pre.txOrder)
+	m.ctx = sim.NewCtx(&m.cfg)
+	m.ctx.Restore(&pre.ctx)
+	m.store = pre.store.(ds.Forker).Fork(m.pool)
+	churn := newChurner(m, uint64(4*pre.ops))
+	for t := range churn.models {
+		churn.models[t] = maps.Clone(pre.models[t])
+	}
+	return m, churn, nil
 }
 
 // engineOptions is the configuration trials defragment and recover under:

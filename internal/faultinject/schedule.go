@@ -79,6 +79,9 @@ type Schedule interface {
 	MarshalLine() string
 	Command() string
 
+	// runIn is Run as one trial of campaign c; Run is a campaign of one.
+	runIn(c *campaign, opts TrialOptions) (Result, error)
+
 	// shrinks lists cheaper variants to try, most promising first; cost
 	// orders schedules by how much work replaying them takes.
 	shrinks() []Schedule
@@ -251,6 +254,10 @@ func (r Repro) At(_ int, cp CrashPoint) Schedule {
 
 func (r Repro) Run(opts TrialOptions) (Result, error) { return RunScheduled(r, opts) }
 
+func (r Repro) runIn(c *campaign, opts TrialOptions) (Result, error) {
+	return c.runScheduled(r, opts)
+}
+
 // normalized fills the defaults RunScheduled runs under.
 func (r Repro) normalized() Repro {
 	if r.Ops <= 0 {
@@ -292,44 +299,51 @@ func (r Repro) shrinks() []Schedule {
 	return out
 }
 
-// RunScheduled executes one deterministic batch trial. It is single-threaded
-// end to end — per-thread churn runs sequentially in thread order, with the
-// per-thread RNG streams and disjoint key ranges of the randomized Trial minus
-// the host-scheduling nondeterminism — so the sequence of crash-site passages
-// is a pure function of the Repro.
+// RunScheduled executes one deterministic batch trial, as a campaign of one.
+// It is single-threaded end to end — per-thread churn runs sequentially in
+// thread order, with the per-thread RNG streams and disjoint key ranges of the
+// randomized Trial minus the host-scheduling nondeterminism — so the sequence
+// of crash-site passages is a pure function of the Repro.
 func RunScheduled(rep Repro, opts TrialOptions) (Result, error) {
-	var res Result
+	return new(campaign).runScheduled(rep, opts)
+}
+
+// runScheduled runs rep on a machine forked from the campaign's prefix: the
+// trial executes, and pays for, only what follows the build.
+func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	setting, err := ParseSetting(rep.Setting)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
 	rep = rep.normalized()
 	policy, err := PolicyFor(rep.Policy, rep.Salt)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-	// One goroutine does the build, the churn, the engine stepping (the
-	// engine has no AutoTrigger, hence no background goroutine), the crash,
-	// the recovery and the checking, so a 1T trial's device can go without
-	// its per-access host locks, as in experiments.Run.
-	m, err := newMachine(setting, setting.Threads == 1)
+	pre, err := c.prefixOf(setting, rep.Seed, rep.Ops)
 	if err != nil {
-		return res, err
+		return Result{}, err
+	}
+	m, churn, err := pre.fork()
+	if err != nil {
+		return Result{}, err
 	}
 	// The trial owns its machine: give the media array back on the way out.
 	// This runs on the trial's own goroutine — a watchdog that gives up on a
 	// hung trial abandons the machine instead, as the trial may still be
 	// writing.
 	defer m.dev.ReleaseMedia()
-	ctx, dev := m.ctx, m.dev
+	return m.runArmed(rep, policy, churn, opts)
+}
 
-	churn := newChurner(m, uint64(4*rep.Ops))
-	for t := 0; t < setting.Threads; t++ {
-		if err := churn.build(ctx, t, rep.Ops, rand.New(rand.NewSource(rep.Seed+int64(t)+1))); err != nil {
-			return res, err
-		}
-	}
-	dev.FlushAll(ctx)
+// runArmed is the trial from the built, flushed machine on: everything a
+// schedule can crash. One goroutine does the churn, the engine stepping (the
+// engine has no AutoTrigger, hence no background goroutine), the crash, the
+// recovery and the checking. rep is normalized, names m's setting and loses
+// power under policy.
+func (m *machine) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opts TrialOptions) (Result, error) {
+	var res Result
+	setting, ctx, dev := m.setting, m.ctx, m.dev
 	opt := m.engineOptions(opts, rep.Seed)
 	e := core.NewEngine(m.pool, opt)
 

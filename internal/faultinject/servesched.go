@@ -119,6 +119,12 @@ func (r ServeRepro) At(shard int, cp CrashPoint) Schedule {
 
 func (r ServeRepro) Run(opts TrialOptions) (Result, error) { return RunServeScheduled(r, opts) }
 
+// A serving trial's load phase runs inside redisws.Serve, so its trials share
+// nothing: each builds its machines.
+func (r ServeRepro) runIn(_ *campaign, opts TrialOptions) (Result, error) {
+	return RunServeScheduled(r, opts)
+}
+
 // Extra shards multiply the machine count, so they weigh heavily.
 func (r ServeRepro) cost() int64 {
 	return int64(r.Ops)*8 + int64(r.Keys)*2 + int64(r.Clients) + r.Site + max(r.Nested, 0) +

@@ -36,7 +36,7 @@ func Shrink(s Schedule, topts TrialOptions, timeout time.Duration, budget int) (
 				continue
 			}
 			budget--
-			if runWatched(c, topts, timeout).err != nil {
+			if new(campaign).runWatched(c, topts, timeout).err != nil {
 				best, improved, progressed = c, true, true
 				break // restart the move list from the new best
 			}

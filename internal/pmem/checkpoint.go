@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"math/bits"
+	"slices"
 
 	"ffccd/internal/workpool"
 )
@@ -84,13 +85,12 @@ func (d *Device) Checkpoint() *DeviceCheckpoint {
 func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 	c.MediaLen = len(d.media)
 	c.Dirty = append(c.Dirty[:0], d.dirty...)
-	c.Pages = c.Pages[:0]
-	c.PageData = c.PageData[:0]
+	c.Pages = dirtyPages(c.Pages[:0], d.dirty)
+	c.PageData = slices.Grow(c.PageData[:0], len(c.Pages)<<DirtyPageShift)
 	size := uint64(len(d.media))
-	for _, p := range dirtyPages(d.dirty) {
+	for _, p := range c.Pages {
 		start := uint64(p) << DirtyPageShift
 		end := start + DirtyPageSize
-		c.Pages = append(c.Pages, p)
 		if end <= size {
 			c.PageData = append(c.PageData, d.media[start:end]...)
 			continue
@@ -184,9 +184,8 @@ func restoreSpans(own []uint64, c *DeviceCheckpoint, size uint64) []restoreSpan 
 	return spans
 }
 
-// dirtyPages expands a dirty bitmap into ascending page indices.
-func dirtyPages(bitmap []uint64) []uint32 {
-	var out []uint32
+// dirtyPages appends a dirty bitmap's page indices to out, ascending.
+func dirtyPages(out []uint32, bitmap []uint64) []uint32 {
 	for w, bw := range bitmap {
 		for bw != 0 {
 			out = append(out, uint32(w<<6+bits.TrailingZeros64(bw)))

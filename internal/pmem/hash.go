@@ -27,7 +27,7 @@ func (d *Device) HashMedia() uint64 {
 	size := uint64(len(d.media))
 	full := size >> DirtyPageShift // whole pages; a partial tail page follows
 	next := uint64(0)              // first page not yet folded into h
-	for _, dp := range dirtyPages(d.dirty) {
+	for _, dp := range dirtyPages(nil, d.dirty) {
 		p := uint64(dp)
 		if p >= full {
 			break

@@ -214,7 +214,7 @@ func (rt *Runtime) Create(name string, size uint64, pageShift uint, types *Regis
 	put(hdrPageShift, uint64(pageShift))
 	rt.dev.MediaWrite(p.region, hdr)
 	// Zero tx-log slot states.
-	rt.dev.MediaWrite(p.region+txLogOff, make([]byte, txSlotCount*txSlotBytes))
+	rt.dev.MediaZero(p.region+txLogOff, txSlotCount*txSlotBytes)
 
 	rt.appendSuperblock(sbEntry{id: id, pageShift: pageShift, region: p.region, size: size, name: name})
 	rt.pools[id] = p
