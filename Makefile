@@ -93,11 +93,12 @@ serveshard: build
 
 # benchsmoke is the fast CI pass over the measurement tooling: the device
 # (HashMedia dense-ref vs sparse and the recycled-device life cycle included),
-# allocator and engine (mark, summary, epoch cycle, barrier resolve)
-# micro-benchmarks run once each (-benchtime=1x), and the bench CLI runs a
-# tiny fig5 with -json — the record the two scaling scripts read.
+# allocator, engine (mark, summary, epoch cycle, barrier resolve) and serving
+# dispatcher (ns and B per request) micro-benchmarks run once each
+# (-benchtime=1x), and the bench CLI runs a tiny fig5 with -json — the record
+# the two scaling scripts read.
 benchsmoke: build
-	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/
+	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/ ./internal/redisws/
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -json /tmp/ffccd_benchsmoke.json >/dev/null
 	@echo "benchsmoke OK"
 
@@ -112,10 +113,10 @@ benchrepo: build
 # servesmoke is the fast CI pass over the open-loop serving layer: a tiny
 # FFCCD-vs-STW grid through the ffccd-redis serve mode (exercising the
 # virtual-time scheduler, batched dispatch, and the SLO table), plus the
-# host-parallelism determinism pin from the test suite.
+# dispatcher's output pin (testdata/serve.golden) from the test suite.
 servesmoke: build
 	$(GO) run ./cmd/ffccd-redis -clients 8 -ops 20000 -keys 2000 -scheme all >/dev/null
-	$(GO) test ./internal/redisws/ -run 'TestServeDeterministicAcrossHostParallelism|TestServeShape' >/dev/null
+	$(GO) test ./internal/redisws/ -run 'TestServeGolden|TestServeShape' >/dev/null
 	@echo "servesmoke OK"
 
 # golden re-checks that simulated cycle totals match the committed golden —

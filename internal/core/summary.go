@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"ffccd/internal/alloc"
@@ -22,6 +23,7 @@ type summaryScratch struct {
 	// object in heap frame f; start[frames] is the list's length. Frame f's
 	// objects are live[start[f]:start[f+1]].
 	start    []int32
+	next     []int32 // groupByFrame's cursor into each frame's run
 	units    []selUnit
 	selected []selPick
 	free     []int // the lowest free frames, ascending: the destination frames in order
@@ -44,8 +46,8 @@ type (
 // assign every live object a destination, build and persist the PMFT, build
 // the relocation-page bloom filters, arm the reached bitmap, and durably
 // enter the compacting phase. Runs stop-the-world; idempotent until the
-// final phase-word store. It sorts live in place and fills the engine's one
-// epochState.
+// final phase-word store. It sorts live by offset in place (groupByFrame) and
+// fills the engine's one epochState.
 func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	p := e.pool
 	heap := p.Heap()
@@ -64,23 +66,12 @@ func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 		return nil
 	}
 
-	// Group live objects by their frame, sorted by offset within the frame:
-	// one sort by offset makes every frame's objects a contiguous run, found
-	// through the start table. After the rebuild above the heap holds exactly
-	// the live objects, so a frame is in use iff its run is not empty, is
-	// then active, and has the run's slots in use. No frame past the highest
-	// live object is: frames is where the tables and loops below stop.
-	slices.SortFunc(live, func(a, b markObj) int { return cmp.Compare(a.payloadOff, b.payloadOff) })
-	frames := heap.FrameOf(live[len(live)-1].payloadOff-pmop.HeaderSize) + 1
-	start := sized(ss.start, frames+1)
-	ss.start = start
-	clear(start)
-	for i := range live {
-		start[heap.FrameOf(live[i].payloadOff-pmop.HeaderSize)+1]++
-	}
-	for f := 0; f < frames; f++ {
-		start[f+1] += start[f]
-	}
+	// After the rebuild above the heap holds exactly the live objects, so a
+	// frame is in use iff its run is not empty, is then active, and has the
+	// run's slots in use. No frame past the highest live object is: frames is
+	// where the tables and loops below stop.
+	start := e.groupByFrame(live)
+	frames := len(start) - 1
 	objsOf := func(f int) []markObj { return live[start[f]:start[f+1]] }
 
 	usedIn := func(f int) int {
@@ -263,6 +254,59 @@ unitLoop:
 	p.SetGCPhase(ctx, packPhase(phaseCompacting, e.opt.Scheme, ep.epochNo))
 	p.Device().Site(ctx, pmem.SiteEpochTransition)
 	return ep
+}
+
+// groupByFrame orders live by offset in place and returns the start table
+// over the frames up to the highest live one. An American-flag pass (one
+// cursor per frame, swaps only, no second buffer the size of live) moves each
+// object into its frame's run; objects of a frame start at distinct slots, so
+// an object's rank among its run's start slots, read off a 256-bit map, is
+// its place in the run.
+func (e *Engine) groupByFrame(live []markObj) []int32 {
+	heap, ss := e.pool.Heap(), &e.summaryScratch
+	frameOf := func(m *markObj) int { return heap.FrameOf(m.payloadOff - pmop.HeaderSize) }
+	slotOf := func(m *markObj) int { _, s := heap.Locate(m.payloadOff - pmop.HeaderSize); return s }
+	top := slices.MaxFunc(live, func(a, b markObj) int { return cmp.Compare(a.payloadOff, b.payloadOff) })
+	frames := frameOf(&top) + 1
+	start, next := sized(ss.start, frames+1), sized(ss.next, frames)
+	ss.start, ss.next = start, next
+	clear(start)
+	for i := range live {
+		start[frameOf(&live[i])+1]++
+	}
+	for f := 0; f < frames; f++ {
+		start[f+1] += start[f]
+	}
+	copy(next, start)
+	var used [alloc.SlotsPerFrame / 64]uint64
+	rank := func(m *markObj) int {
+		s := slotOf(m)
+		r := bits.OnesCount64(used[s/64] & (1<<(s%64) - 1))
+		for _, w := range used[:s/64] {
+			r += bits.OnesCount64(w)
+		}
+		return r
+	}
+	for f := 0; f < frames; f++ {
+		for next[f] < start[f+1] {
+			i := next[f]
+			g := frameOf(&live[i])
+			live[i], live[next[g]] = live[next[g]], live[i]
+			next[g]++
+		}
+		run := live[start[f]:start[f+1]]
+		clear(used[:])
+		for i := range run {
+			s := slotOf(&run[i])
+			used[s/64] |= 1 << (s % 64)
+		}
+		for i := range run {
+			for r := rank(&run[i]); r != i; r = rank(&run[i]) {
+				run[i], run[r] = run[r], run[i]
+			}
+		}
+	}
+	return start
 }
 
 // relocBlooms builds the epoch's bloom filters over its relocation pages.

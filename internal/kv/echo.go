@@ -52,6 +52,8 @@ type Echo struct {
 	entT pmop.TypeID
 	valT pmop.TypeID
 	n    int
+	// probe receives the old value Insert's existence check reads (under mu).
+	probe []byte
 }
 
 // NewEcho creates or reopens an Echo store with nb buckets.
@@ -149,7 +151,8 @@ func (e *Echo) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	existed := func() bool { _, ok := e.getUnlocked(ctx, key); return ok }()
+	var existed bool
+	e.probe, existed = e.getUnlocked(ctx, key, e.probe)
 	if err := e.insertUnlocked(ctx, key, val); err != nil {
 		return err
 	}
@@ -243,36 +246,41 @@ func (e *Echo) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.getUnlocked(ctx, key)
+	return e.getUnlocked(ctx, key, nil)
 }
 
-// getUnlocked is the synchronisation-free core.
-func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+// getUnlocked is the synchronisation-free core. It loads key's value into
+// buf's storage, or a fresh buffer when buf is nil or too small, and returns
+// it; on a miss it returns buf unchanged.
+func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	p := e.p
 	seg, off := e.bucket(key)
 	ent, _ := e.findEntry(ctx, seg, off, key)
 	if ent.IsNull() {
-		return nil, false
+		return buf, false
 	}
 	v := p.ReadPtr(ctx, ent, enVal)
 	if v.IsNull() {
-		return nil, false
+		return buf, false
 	}
 	_, n := p.Header(ctx, p.Resolve(ctx, v))
-	buf := make([]byte, n)
+	if buf == nil || uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	p.ReadBytes(ctx, v, 0, buf)
 	return buf, true
 }
 
 // GetParallel is Get without the store mutex: the synchronisation-free read
-// path the serving layer dispatches in host-parallel batches. It is only
-// safe when the caller guarantees no concurrent mutation of the touched
-// bucket chain and no open defragmentation epoch (no read barrier, so the
-// load sequence is side-effect free outside the device's cache sets).
+// a batched GET of the serving layer runs. It is only safe when the caller
+// guarantees no concurrent mutation of the touched bucket chain and no open
+// defragmentation epoch (no read barrier, so the load sequence is side-effect
+// free outside the device's cache sets, and GETs of one batch commute).
 func (e *Echo) GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	e.p.StartOp()
 	defer e.p.EndOp()
-	return e.getUnlocked(ctx, key)
+	return e.getUnlocked(ctx, key, nil)
 }
 
 // GetFootprint reports a superset of the pool-offset byte ranges Get(key)

@@ -87,11 +87,11 @@ func (k *PmemKV) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	m := k.stripe(key)
 	m.Lock()
 	defer m.Unlock()
-	return k.inner.getUnlocked(ctx, key)
+	return k.inner.getUnlocked(ctx, key, nil)
 }
 
 func (k *PmemKV) exists(ctx *sim.Ctx, key uint64) bool {
-	_, ok := k.inner.getUnlocked(ctx, key)
+	_, ok := k.inner.getUnlocked(ctx, key, nil)
 	return ok
 }
 

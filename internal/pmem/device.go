@@ -711,8 +711,8 @@ const (
 )
 
 // NumSets returns the number of cache sets — the conflict granularity for
-// host-parallel dispatch: operations whose lines map to disjoint sets share
-// no per-access device state.
+// batched dispatch: operations whose lines map to disjoint sets share no
+// per-access device state, so they commute.
 func (d *Device) NumSets() int { return d.nset }
 
 // SetOfAddr returns the cache-set index the line containing addr maps to.

@@ -12,7 +12,6 @@ import (
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
-	"ffccd/internal/workpool"
 )
 
 // This file is the serving layer: many simulated client connections against
@@ -34,14 +33,21 @@ import (
 // is drawn from one counter-based stream in dispatch order, so the whole
 // run is a pure function of the seed.
 //
-// Host parallelism. Consecutive dispatches that are read-only, touch
-// pairwise-disjoint device cache sets (predicted with non-perturbing
-// peeks), and run while no defragmentation epoch is open are executed as
-// one batch on the shared worker pool. Every side effect of such a GET is
-// confined to its own cache sets (fills, LRU aging, eviction write-backs)
-// or commutes (sharded stat counters), and its cycle charges land on the
-// client's private clock — so the simulated outcome is bit-identical to
-// serial execution regardless of host thread count or interleaving.
+// Batched dispatch. Consecutive dispatches that are read-only, touch
+// pairwise-disjoint device cache sets (predicted with non-perturbing peeks),
+// and run while no defragmentation epoch is open form one batch: simulated
+// concurrency, the GETs of different connections in flight together. Every
+// side effect of such a GET is confined to its own cache sets (fills, LRU
+// aging, eviction write-backs) or commutes (stat counters), and its cycle
+// charges land on the client's private clock, so any execution order gives
+// the same simulated outcome; the batch runs in place, one GET after the
+// other on the dispatcher, and commits in batch order. Batch formation —
+// which ops share a batch — is simulated semantics (it decides dispatch order
+// and the ParallelOps/Batches counters); how a batch executes is not. Host
+// threads would not pay: a batch averages about five GETs of about a
+// microsecond each, less than handing them to a worker pool and dropping the
+// device to shared (locked) mode costs. Host parallelism lives between
+// machines (ServeSharded), where each shard has a device of its own.
 // Anything else — SETs, conflicting GETs, epochs in flight — falls back to
 // serial dispatch in virtual-time order.
 
@@ -222,8 +228,11 @@ type ServeResult struct {
 	Final alloc.FragStats
 }
 
-// parallelStore is the optional store interface batched dispatch needs;
-// kv.Echo implements it. Stores without it serve strictly serially.
+// parallelStore is the optional store interface batched dispatch needs:
+// GetFootprint predicts a GET's cache sets with non-perturbing peeks, and
+// GetParallel is the lock-free read a batched GET runs (safe because nothing
+// mutates the store while a batch executes). kv.Echo implements it. Stores
+// without it serve strictly serially.
 type parallelStore interface {
 	ds.Store
 	GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool)
@@ -240,6 +249,7 @@ type pendingOp struct {
 	// retryAt, when nonzero, is the earliest virtual time the op's retried
 	// submission reached the server (crash resume); dispatch clamps to it.
 	retryAt uint64
+	set     int // batched GETs: the first cache set the footprint stamped (its bucket slot's)
 	// filled by execution:
 	svc, app uint64
 	wpq      uint64 // fence-drain stall cycles within svc (series runs only)
@@ -332,11 +342,10 @@ func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] 
 // runs on it, serially; warmup runs on the client contexts).
 //
 // Serve owns p's device for the duration of the call: nothing else may touch
-// it until Serve returns. The dispatcher is one goroutine, so it holds the
-// device in exclusive (lock-free) mode for the load, the warm-up, serial ops,
-// the maintenance/step hooks and a crash-resume, drops to shared mode only
-// around a host-parallel GET batch, and hands the device back in the mode it
-// found it on every return path.
+// it until Serve returns. Everything — the load, the warm-up, batched and
+// serial ops, the maintenance/step hooks and a crash-resume — runs on the
+// calling goroutine, so Serve holds the device in exclusive (lock-free) mode
+// throughout and hands it back in the mode it found it on every return path.
 func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (ServeResult, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
 		return ServeResult{}, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
@@ -554,7 +563,8 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		dispatched int
 		nextMaint  = cfg.MaintEvery
 		epochOpen  bool
-		carry      *pendingOp
+		carry      pendingOp // the op that ended the last batch, when carried
+		carried    bool
 		batch      []pendingOp
 		driftAt    = cfg.Ops / 2
 	)
@@ -564,9 +574,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	var drainByCli []uint64
 	if series != nil {
 		// Per-fence stall attribution: the device probe maps the issuing
-		// context's shard back to its client. A client never executes two ops
-		// concurrently (it re-enters the heap only at commit) and batched ops
-		// are fence-free GETs, so the per-client slots are race-free.
+		// context's shard back to its client.
 		drainByCli = make([]uint64, cfg.Clients)
 		shard2cli := make(map[uint32]int, cfg.Clients)
 		for i := range clients {
@@ -599,7 +607,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			epTrack.open, epTrack.id = false, 0
 		}
 	}
-	// primarySet resolves an op's primary device cache set (its store
+	// primarySet resolves a serial op's primary device cache set (its store
 	// footprint's first line) with non-perturbing peeks; -1 when unknown.
 	primarySet := func(key uint64) int {
 		set := -1
@@ -665,7 +673,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		return op
 	}
 
-	// execGet runs one GET on its client's private context (safe in a batch).
+	// execGet runs one batched GET on its client's private context.
 	execGet := func(op *pendingOp) {
 		c := &clients[op.cli]
 		t0 := c.ctx.Clock.Total()
@@ -674,11 +682,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		if drainByCli != nil {
 			d0 = drainByCli[op.cli]
 		}
-		if ps != nil {
-			_, op.hit = ps.GetParallel(c.ctx, op.key)
-		} else {
-			_, op.hit = store.Get(c.ctx, op.key)
-		}
+		_, op.hit = ps.GetParallel(c.ctx, op.key)
 		op.svc = c.ctx.Clock.Total() - t0
 		op.app = c.ctx.Clock.Cycles(sim.CatApp) - a0
 		if drainByCli != nil {
@@ -688,7 +692,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 
 	// commit applies one executed op in dispatch order: latency accounting,
 	// LRU update, and the client's re-entry into the virtual-time heap.
-	commit := func(op *pendingOp) {
+	commit := func(op *pendingOp, batched bool) {
 		c := &clients[op.cli]
 		base := op.arrival
 		if c.readyAt > base {
@@ -747,7 +751,10 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			if epochOpen {
 				cause.Phase, cause.Epoch = "compacting", epTrack.id
 			}
-			if ps != nil {
+			switch {
+			case batched:
+				cause.CacheSet = op.set
+			case ps != nil:
 				cause.CacheSet = primarySet(op.key)
 			}
 			// Chain attribution: a stalled op dispatched at the pause end; a
@@ -835,7 +842,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			op.wpq = drainByCli[op.cli] - d0
 		}
 		res.SerialOps++
-		commit(op)
+		commit(op, false)
 		inFlight = nil
 		return nil
 	}
@@ -890,8 +897,8 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			canBatch := ps != nil && !epochOpen
 			for dispatched+len(batch) < cfg.Ops {
 				var op pendingOp
-				if carry != nil {
-					op, carry = *carry, nil
+				if carried {
+					op, carried = carry, false
 				} else if len(heap.ids) > 0 {
 					op = genOp()
 				} else {
@@ -899,43 +906,25 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 				}
 				if canBatch && op.isGet && len(batch) < cfg.MaxBatch && !footprintSets(op.key) {
 					acceptCand()
+					op.set = marks.cand[0]
 					batch = append(batch, op)
 					continue
 				}
-				carry = &op
+				carry, carried = op, true
 				break
 			}
 
 			if len(batch) > 0 {
-				b := batch
-				if len(b) == 1 {
-					execGet(&b[0])
-				} else {
-					// The only concurrent stretch. Exclusive mode is re-taken
-					// on the normal return only: should a panic ever leave
-					// ForEach (helpers may still be running) the device stays
-					// shared, the safe side.
-					dev.SetExclusive(false)
-					err := workpool.ForEach(len(b), func(i int) error {
-						execGet(&b[i])
-						return nil
-					})
-					dev.SetExclusive(true)
-					if err != nil {
-						return err
-					}
+				for i := range batch {
+					execGet(&batch[i])
+					commit(&batch[i], true)
 				}
-				for i := range b {
-					commit(&b[i])
-				}
-				res.ParallelOps += len(b)
+				res.ParallelOps += len(batch)
 				res.Batches++
-				afterRound(len(b))
-			}
-			if carry != nil && len(batch) == 0 {
-				op := carry
-				carry = nil
-				if err := execSerial(op); err != nil {
+				afterRound(len(batch))
+			} else if carried {
+				carried = false
+				if err := execSerial(&carry); err != nil {
 					return err
 				}
 				afterRound(1)
@@ -1049,19 +1038,17 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			op    *pendingOp // non-nil: a drawn op lost in flight
 		}
 		var atts []attempt
-		lost := func(op *pendingOp) {
+		lost := func(op pendingOp) {
 			res.Retries++
-			atts = append(atts, attempt{cli: op.cli, t: crashAt + backoff(0), tries: 1, op: op})
+			atts = append(atts, attempt{cli: op.cli, t: crashAt + backoff(0), tries: 1, op: &op})
 		}
 		if inFlight != nil {
-			op := *inFlight
+			lost(*inFlight)
 			inFlight = nil
-			lost(&op)
 		}
-		if carry != nil {
-			op := carry
-			carry = nil
-			lost(op)
+		if carried {
+			lost(carry)
+			carried = false
 		}
 		for _, id := range heap.ids {
 			c := &clients[id]

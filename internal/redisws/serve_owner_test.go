@@ -2,61 +2,55 @@ package redisws_test
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"ffccd/internal/kv"
 	"ffccd/internal/pmem"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
-	"ffccd/internal/workpool"
 )
 
-// modeSpy is an Echo store that notes which device mode each call ran under.
+// modeSpy is an Echo store that counts its calls and the ones that ran with
+// the device in shared mode.
 type modeSpy struct {
 	*kv.Echo
 	dev *pmem.Device
 
-	sharedGets, exclusiveGets atomic.Int64 // GetParallel runs on pool helpers
-	sharedWrites              int          // Insert/Delete run on the dispatcher
-	failWrites                bool
+	batchedGets, calls, shared int
+	failWrites                 bool
+}
+
+func (s *modeSpy) note() {
+	s.calls++
+	if !s.dev.Exclusive() {
+		s.shared++
+	}
 }
 
 func (s *modeSpy) GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	if s.dev.Exclusive() {
-		s.exclusiveGets.Add(1)
-	} else {
-		s.sharedGets.Add(1)
-	}
+	s.note()
+	s.batchedGets++
 	return s.Echo.GetParallel(ctx, key)
 }
 
 func (s *modeSpy) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
+	s.note()
 	if s.failWrites {
 		return errors.New("modeSpy: write refused")
-	}
-	if !s.dev.Exclusive() {
-		s.sharedWrites++
 	}
 	return s.Echo.Insert(ctx, key, val)
 }
 
 func (s *modeSpy) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	if !s.dev.Exclusive() {
-		s.sharedWrites++
-	}
+	s.note()
 	return s.Echo.Delete(ctx, key)
 }
 
-// TestServeOwnsDevice pins Serve's device-ownership contract: exclusive
-// (lock-free) mode for everything the dispatcher does itself — load, warm-up,
-// serial ops, hooks — shared mode exactly around a multi-op GET batch, and
-// the caller's mode back on return, whichever it was.
+// TestServeOwnsDevice pins Serve's device-ownership contract: every store
+// call — batched GETs included — and every hook runs with the device in
+// exclusive (lock-free) mode, and the caller's mode comes back on return,
+// whichever it was, after a run, a rejected config and a store error.
 func TestServeOwnsDevice(t *testing.T) {
-	old := workpool.Parallelism()
-	defer workpool.SetParallelism(old)
-	workpool.SetParallelism(4)
-
 	for _, callerMode := range []bool{false, true} {
 		p, ctx := setup(t)
 		dev := p.Device()
@@ -65,13 +59,21 @@ func TestServeOwnsDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 		spy := &modeSpy{Echo: echo, dev: dev}
-		sharedHooks := 0
-		hooks := redisws.ServeHooks{Maintenance: func(uint64) uint64 {
+		hookCalls, sharedHooks := 0, 0
+		hook := func() {
+			hookCalls++
 			if !dev.Exclusive() {
 				sharedHooks++
 			}
-			return 0
-		}}
+		}
+		// The epoch opens at the second maintenance point and closes after
+		// three steps, so all three hooks run and batching resumes after it.
+		maint, steps := 0, 0
+		hooks := redisws.ServeHooks{
+			Maintenance: func(uint64) uint64 { hook(); maint++; return 0 },
+			EpochOpen:   func() bool { hook(); return maint == 2 && steps < 3 },
+			Step:        func(int) (bool, uint64) { hook(); steps++; return steps < 3, 0 },
+		}
 		dev.SetExclusive(callerMode)
 		res, err := redisws.Serve(ctx, p, spy, serveCfg(), hooks)
 		if err != nil {
@@ -80,19 +82,16 @@ func TestServeOwnsDevice(t *testing.T) {
 		if dev.Exclusive() != callerMode {
 			t.Errorf("caller mode %v: device handed back in mode %v", callerMode, dev.Exclusive())
 		}
-		if spy.sharedWrites != 0 || sharedHooks != 0 {
-			t.Errorf("caller mode %v: %d store writes and %d hook calls ran in shared mode",
-				callerMode, spy.sharedWrites, sharedHooks)
+		if spy.shared != 0 || sharedHooks != 0 {
+			t.Errorf("caller mode %v: %d of %d store calls and %d of %d hook calls ran in shared mode",
+				callerMode, spy.shared, spy.calls, sharedHooks, hookCalls)
 		}
-		shared, exclusive := spy.sharedGets.Load(), spy.exclusiveGets.Load()
-		if shared == 0 || int(shared+exclusive) != res.ParallelOps {
-			t.Errorf("caller mode %v: %d shared + %d exclusive batched GETs, %d batched ops",
-				callerMode, shared, exclusive, res.ParallelOps)
+		if steps == 0 {
+			t.Errorf("caller mode %v: the step hook never ran", callerMode)
 		}
-		// Exclusive batched GETs are the batches of one, which run inline.
-		if multi := res.Batches - int(exclusive); multi <= 0 || int(shared) < 2*multi {
-			t.Errorf("caller mode %v: %d batches, %d of one op, but only %d shared GETs",
-				callerMode, res.Batches, exclusive, shared)
+		if spy.batchedGets == 0 || spy.batchedGets != res.ParallelOps || res.Batches >= res.ParallelOps {
+			t.Errorf("caller mode %v: %d batched GETs ran, %d batched ops in %d batches",
+				callerMode, spy.batchedGets, res.ParallelOps, res.Batches)
 		}
 
 		// Neither a rejected configuration nor a run that fails half-way may

@@ -1,13 +1,11 @@
 package redisws_test
 
 import (
-	"reflect"
 	"testing"
 
 	"ffccd/internal/kv"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
-	"ffccd/internal/workpool"
 )
 
 func serveCfg() redisws.ServeConfig {
@@ -69,29 +67,6 @@ func runServe(t *testing.T, cfg redisws.ServeConfig, hooks redisws.ServeHooks) r
 		t.Fatal(err)
 	}
 	return res
-}
-
-// TestServeDeterministicAcrossHostParallelism is the soundness pin for
-// host-parallel batched dispatch: the simulated outcome — every counter,
-// cycle sum, and latency histogram — must be bit-identical whether batches
-// run on one host thread or several.
-func TestServeDeterministicAcrossHostParallelism(t *testing.T) {
-	old := workpool.Parallelism()
-	defer workpool.SetParallelism(old)
-
-	run := func(par int) serveSummary {
-		workpool.SetParallelism(par)
-		return summarize(runServe(t, serveCfg(), redisws.ServeHooks{}))
-	}
-	serial := run(1)
-	parallel := run(4)
-
-	if serial.Parallel == 0 {
-		t.Fatal("no ops took the batched path; the pin is vacuous")
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("simulated outcome differs across host parallelism:\n  1 thread : %+v\n  4 threads: %+v", serial, parallel)
-	}
 }
 
 // TestServeShape sanity-checks the dispatch split and latency ordering of a
