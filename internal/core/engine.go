@@ -83,10 +83,10 @@ type Options struct {
 	// after NewEngine, but also covers activity during Recover). Nil = off.
 	Obs *obsv.Obs
 	// RecoveryProgress, when non-nil, is invoked at each stage boundary of
-	// Recover with a short stage label ("rollback", "reconcile", "fixup",
-	// "rebuild", "resume", "done"). Purely observational: it charges no
-	// simulated cycles, so recovery results are identical with or without it.
-	// The serving crash harness uses it to decompose blackout time.
+	// Recover with a short stage label (one of RecoveryStages, then "done").
+	// Purely observational: it charges no simulated cycles, so recovery
+	// results are identical with or without it. The serving crash harness
+	// uses it to decompose blackout time.
 	RecoveryProgress func(stage string)
 }
 
@@ -140,6 +140,8 @@ type Engine struct {
 	epochBuf       epochState
 
 	relocLocks [relocStripes]relocStripe
+
+	rec recoveryClock // what Recover spent per stage
 
 	trigger   chan struct{}
 	stopCh    chan struct{}

@@ -269,12 +269,18 @@ func checkAgainstRef(t *testing.T, ep *epochState, p *pmop.Pool, rng *rand.Rand)
 // fillers per node that are freed afterwards.
 func buildRandomHeap(t testing.TB, seed int64, pageShift uint, n, garbagePer, payloadMax int) *fixture {
 	t.Helper()
+	return buildRandomHeapIn(t, 64<<20, seed, pageShift, n, garbagePer, payloadMax)
+}
+
+// buildRandomHeapIn is buildRandomHeap on a pool of poolBytes.
+func buildRandomHeapIn(t testing.TB, poolBytes uint64, seed int64, pageShift uint, n, garbagePer, payloadMax int) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := sim.DefaultConfig()
 	cfg.CacheBytes = 256 * 1024
-	rt := pmop.NewRuntime(&cfg, 128<<20)
+	rt := pmop.NewRuntime(&cfg, 2*poolBytes)
 	reg := testRegistry()
-	p, err := rt.Create("frag", 64<<20, pageShift, reg)
+	p, err := rt.Create("frag", poolBytes, pageShift, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

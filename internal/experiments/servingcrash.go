@@ -49,6 +49,9 @@ type ServingCrashVariant struct {
 	CrashCycle     uint64
 	ResumeCycle    uint64
 	BlackoutCycles uint64
+	// RecoveryCycles is core.Recover's part of the blackout; the rest is
+	// reopening the pool (Mesh's remap table included) and the store.
+	RecoveryCycles uint64
 	TimeToFirstAck uint64
 	// RampCycles is the post-recovery p999 ramp: cycles from resume until the
 	// first window whose p999 is back within 2x the pre-crash median window
@@ -198,6 +201,7 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 		CrashCycle:     sv.CrashCycle,
 		ResumeCycle:    sv.ResumeCycle,
 		BlackoutCycles: sv.BlackoutCycles,
+		RecoveryCycles: out.RecoveryCycles,
 		TimeToFirstAck: sv.TimeToFirstAck,
 		Retries:        sv.Retries,
 		Rejects:        sv.Rejects,
@@ -284,10 +288,10 @@ func (r ServingCrashResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ServingCrash — availability under one mid-run power failure: %d clients, %d ops\n",
 		r.Clients, r.Ops)
-	t := stats.NewTable("scheme", "sites", "site", "class", "blackout(cyc)",
+	t := stats.NewTable("scheme", "sites", "site", "class", "blackout(cyc)", "recovery(cyc)",
 		"ttfa(cyc)", "ramp(cyc)", "retries", "rejects", "admitted", "p999(cyc)")
 	for _, v := range r.Variants {
-		t.Add(v.Name, v.SitesTotal, v.Site, v.CrashClass, v.BlackoutCycles,
+		t.Add(v.Name, v.SitesTotal, v.Site, v.CrashClass, v.BlackoutCycles, v.RecoveryCycles,
 			v.TimeToFirstAck, v.RampCycles, v.Retries, v.Rejects, v.Admitted, v.P999)
 	}
 	b.WriteString(t.String())
@@ -318,6 +322,7 @@ func (r ServingCrashResult) Metrics() map[string]float64 {
 		k := "servingcrash." + v.Name + "."
 		m[k+"sites_total"] = float64(v.SitesTotal)
 		m[k+"blackout_cycles"] = float64(v.BlackoutCycles)
+		m[k+"recovery_cycles"] = float64(v.RecoveryCycles)
 		m[k+"time_to_first_ack_cycles"] = float64(v.TimeToFirstAck)
 		m[k+"ramp_cycles"] = float64(v.RampCycles)
 		m[k+"ramp_windows"] = float64(v.RampWindows)

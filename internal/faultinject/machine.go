@@ -321,7 +321,7 @@ type restart struct {
 
 // run performs the sequence and returns the recovered pool and engine,
 // recording the post-crash hash, the recovery census, the nested crash and
-// the last recovery's stages in res.
+// the last recovery's stages and cycles in res.
 func (r *restart) run(res *Result) (*pmop.Pool, *core.Engine, error) {
 	r.opt.RecoveryProgress = func(stage string) { res.RecoveryStages = append(res.RecoveryStages, stage) }
 	var p *pmop.Pool
@@ -358,6 +358,7 @@ func (r *restart) run(res *Result) (*pmop.Pool, *core.Engine, error) {
 			return nil, nil, fmt.Errorf("second recovery failed (%s): %w", r.label, err)
 		}
 	}
+	res.RecoveryCycles = e.RecoveryCost().Total()
 	return p, e, nil
 }
 

@@ -146,8 +146,10 @@ type Result struct {
 	RecoveryCensus pmem.SiteCensus
 	NestedCrash    *pmem.CrashAtSite
 	// RecoveryStages records the core.Recover stage labels of the last
-	// completed recovery, in order.
+	// completed recovery, in order, and RecoveryCycles what it cost
+	// (core.RecoveryCost.Total).
 	RecoveryStages []string
+	RecoveryCycles uint64
 	// PostCrashHash digests the media image right after the (first) crash;
 	// FinalHash digests it after recovery and checking (a serving trial:
 	// after the resumed run quiesces; sharded: an order-fixed fold of the

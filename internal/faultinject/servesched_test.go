@@ -82,6 +82,9 @@ func TestServeScheduledCrashAllSchemes(t *testing.T) {
 		if len(res.RecoveryStages) == 0 || res.RecoveryStages[len(res.RecoveryStages)-1] != "done" {
 			t.Fatalf("%s: recovery stages %v did not end in done", scheme, res.RecoveryStages)
 		}
+		if res.RecoveryCycles == 0 || res.RecoveryCycles >= sv.BlackoutCycles {
+			t.Fatalf("%s: recovery %d cycles of a %d-cycle blackout", scheme, res.RecoveryCycles, sv.BlackoutCycles)
+		}
 	}
 }
 
