@@ -35,8 +35,8 @@ race:
 # included) so the `make check` log shows what the campaign costs.
 crashmatrix: build
 	@t0=$$(date +%s); \
-	$(GO) run ./cmd/ffccd-crashtest -sites -seed 1 -max-sites 12 \
-		-nested -max-nested 4 -timeout 2m || exit 1; \
+	$(GO) run ./cmd/ffccd-crashtest -sites -seed 1 -max-sites 56 \
+		-nested -max-nested 16 -timeout 2m || exit 1; \
 	echo "crashmatrix wall time: $$(( $$(date +%s) - t0 ))s"
 
 # servecrash is the reduced SERVING-PATH crash campaign: every scheme, a

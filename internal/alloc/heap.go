@@ -109,6 +109,14 @@ func NewHeap(heapOff uint64, frames int) *Heap {
 // Frames returns the heap size in frames.
 func (h *Heap) Frames() int { return h.frames }
 
+// Reach returns how far the per-frame tables reach: every frame at or past
+// it is free and empty.
+func (h *Heap) Reach() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.state)
+}
+
 // HeapOff returns the pool offset of frame 0.
 func (h *Heap) HeapOff() uint64 { return h.heapOff }
 

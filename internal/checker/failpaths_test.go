@@ -6,6 +6,7 @@ package checker_test
 // heap — and asserts the checker reports it with a descriptive error.
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -47,7 +48,8 @@ func TestMetaLayoutLockstep(t *testing.T) {
 	p, _, _ := setup(t)
 	got := checker.MetaLayoutFor(p)
 	want := core.Meta(p)
-	if got.ReachedOff != want.ReachedOff || got.MovedOff != want.MovedOff || got.PMFTOff != want.PMFTOff {
+	if got.ReachedOff != want.ReachedOff || got.MovedOff != want.MovedOff || got.PMFTOff != want.PMFTOff ||
+		got.RelocListOff != want.RelocListOff {
 		t.Fatalf("layout drift: checker %+v vs core %+v", got, want)
 	}
 	if want.MovedBytesPerFrame != alloc.SlotsPerFrame/8 || want.PMFTEntrySize != 8+alloc.SlotsPerFrame {
@@ -81,26 +83,80 @@ func TestDetectsDanglingForwardedPointer(t *testing.T) {
 	}
 }
 
-// TestDetectsStaleMovedBit plants a moved bit for a slot the current
-// epoch's PMFT does not map — the residue a lost moved-bitmap reset (or a
-// moved-bit write landing on the wrong frame) would leave.
-func TestDetectsStaleMovedBit(t *testing.T) {
-	p, ctx := defragged(t)
-	_, _, epoch := core.UnpackPhaseWord(p.GCPhase(ctx))
+// plantStaleMovedBit claims frame for the pool's current epoch with slot
+// explicitly unmapped, and sets that slot's moved bit.
+func plantStaleMovedBit(t *testing.T, p *pmop.Pool, ctx *sim.Ctx, frame, slot int) (epoch uint64) {
+	t.Helper()
+	_, _, epoch = core.UnpackPhaseWord(p.GCPhase(ctx))
 	if epoch == 0 {
 		t.Fatal("defragged pool has phase epoch 0")
 	}
 	mv := core.Meta(p)
-	const frame, slot = 0, 9
 	entry := mv.PMFTOff + uint64(frame)*mv.PMFTEntrySize
-	// Claim the frame for the current epoch with an explicitly unmapped slot.
 	p.RawStoreU64(ctx, entry, epoch) // epoch u32 + destFrame u32 (0)
 	p.RawStore(ctx, entry+8+uint64(slot), []byte{mv.MinorInvalid})
 	off := mv.MovedOff + uint64(frame)*mv.MovedBytesPerFrame + uint64(slot/8)
 	p.RawStore(ctx, off, []byte{1 << (slot % 8)})
+	return epoch
+}
+
+// TestDetectsStaleMovedBit plants a moved bit for a slot the current
+// epoch's PMFT does not map — the residue a lost moved-bitmap reset (or a
+// moved-bit write landing on the wrong frame) would leave — on a frame the
+// epoch's relocation-frame list names.
+func TestDetectsStaleMovedBit(t *testing.T) {
+	p, ctx := defragged(t)
+	listed := int(p.RawLoadU64(ctx, core.Meta(p).RelocListOff+8) & 0xFFFFFFFF)
+	plantStaleMovedBit(t, p, ctx, listed, 9)
 	_, err := checker.CheckGraph(ctx, p)
 	if err == nil || !strings.Contains(err.Error(), "stale moved bit") {
 		t.Fatalf("stale moved bit undetected: %v", err)
+	}
+}
+
+// TestDetectsStaleMovedBitWhenListLags covers the checker's full-scan branch:
+// when the relocation-frame list is of another epoch than the phase word (a
+// summary that crashed before its flip leaves a newer one), every PMFT entry
+// of the phase word's epoch is checked — here on a frame the list does not
+// name.
+func TestDetectsStaleMovedBitWhenListLags(t *testing.T) {
+	for _, lag := range []int64{-1, 1} {
+		p, ctx := defragged(t)
+		list := core.Meta(p).RelocListOff
+		unlisted := p.Heap().Frames() - 1
+		epoch := plantStaleMovedBit(t, p, ctx, unlisted, 9)
+		hdr := p.RawLoadU64(ctx, list)
+		if _, err := checker.CheckGraph(ctx, p); err != nil {
+			t.Fatalf("a frame the current list does not name was checked: %v", err)
+		}
+		p.RawStoreU64(ctx, list, hdr&^0xFFFFFFFF|uint64(int64(epoch)+lag))
+		_, err := checker.CheckGraph(ctx, p)
+		if err == nil || !strings.Contains(err.Error(), "stale moved bit") {
+			t.Fatalf("list epoch %+d of the phase word's: stale moved bit undetected: %v", lag, err)
+		}
+	}
+}
+
+// TestDetectsOverlappingObjects grows a value's header by one slot, so that
+// it claims the first slot of the node allocated right after it — the node
+// that references it.
+func TestDetectsOverlappingObjects(t *testing.T) {
+	p, ctx, l := setup(t)
+	for i := uint64(0); i < 20; i++ {
+		l.Insert(ctx, i, []byte{byte(i)})
+	}
+	node := p.ReadPtr(ctx, p.Root(ctx), 0)
+	val := p.ReadPtr(ctx, node, 8)
+	_, payload := p.Header(ctx, val)
+	if val.Offset()+uint64(alloc.SlotsFor(payload))*alloc.SlotSize != node.Offset() {
+		t.Fatalf("value at %#x does not end right before its node at %#x", val.Offset(), node.Offset())
+	}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(payload+alloc.SlotSize))
+	p.RawStore(ctx, val.Offset()-12, b[:])
+	_, err := checker.CheckGraph(ctx, p)
+	if err == nil || !strings.Contains(err.Error(), "objects overlap") {
+		t.Fatalf("overlapping objects undetected: %v", err)
 	}
 }
 

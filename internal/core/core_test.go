@@ -274,6 +274,7 @@ func crashAndRecover(t *testing.T, fx *fixture, e *Engine, opt Options) (*pmop.P
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRelocList(t, p2)
 	return p2, e2
 }
 

@@ -19,15 +19,33 @@ import (
 //	                   256 × u8 minor-distance map — destination slot for
 //	                                 each 16-byte slot; 0xFF = not mapped
 //
-// All entries are persisted by the summary phase before compaction begins,
+// and, in the region's last whole lines, past the auxiliary slack that
+// pmop.Pool.AuxMetaRange hands to Mesh, one record per pool:
+//
+//	relocation-frame list: u32 epoch — the epoch whose summary wrote it
+//	                       u32 count
+//	                       count × u32 relocation frames, ascending
+//
+// All of it is persisted by the summary phase before compaction begins,
 // giving the deterministic relocation the paper requires ("whatever an
 // object relocation is performed by any component ... relocating an object
-// will always have the same outcome").
+// will always have the same outcome"). The list is what lets recovery read
+// only the PMFT entries of the frames an epoch moved: summary clwb's its
+// lines before the fences it issues per PMFT entry, so it is durable before
+// the phase word flips to compacting — a pool whose phase word names a
+// compacting epoch holds that epoch's list.
 const (
 	movedBytesPerFrame = alloc.SlotsPerFrame / 8 // 32
 	pmftEntrySize      = 8 + alloc.SlotsPerFrame // 264
 	minorInvalid       = 0xFF
 )
+
+// relocListOff returns the pool offset of the relocation-frame list, where
+// the pool's auxiliary metadata range ends.
+func relocListOff(p *pmop.Pool) uint64 {
+	off, size := p.AuxMetaRange()
+	return off + size
+}
 
 // metaLayout returns the pool offsets of the three metadata arrays.
 func metaLayout(p *pmop.Pool) (reachedOff, movedOff, pmftOff uint64) {
@@ -70,8 +88,9 @@ func unpackPhase(w uint64) (state uint64, scheme Scheme, epoch uint64) {
 // MetaView exposes the persistent GC metadata layout to external validators
 // (internal/checker) without duplicating the offset arithmetic here.
 type MetaView struct {
-	// ReachedOff, MovedOff, PMFTOff are pool offsets of the three arrays.
-	ReachedOff, MovedOff, PMFTOff uint64
+	// ReachedOff, MovedOff, PMFTOff are pool offsets of the three arrays,
+	// RelocListOff that of the relocation-frame list.
+	ReachedOff, MovedOff, PMFTOff, RelocListOff uint64
 	// MovedBytesPerFrame and PMFTEntrySize are the per-frame strides.
 	MovedBytesPerFrame, PMFTEntrySize uint64
 	// MinorInvalid is the minor-distance byte meaning "slot not mapped".
@@ -82,7 +101,7 @@ type MetaView struct {
 func Meta(p *pmop.Pool) MetaView {
 	r, m, pf := metaLayout(p)
 	return MetaView{
-		ReachedOff: r, MovedOff: m, PMFTOff: pf,
+		ReachedOff: r, MovedOff: m, PMFTOff: pf, RelocListOff: relocListOff(p),
 		MovedBytesPerFrame: movedBytesPerFrame,
 		PMFTEntrySize:      pmftEntrySize,
 		MinorInvalid:       minorInvalid,

@@ -28,6 +28,8 @@ type summaryScratch struct {
 	selected []selPick
 	free     []int // the lowest free frames, ascending: the destination frames in order
 	relocVAs []uint64
+	frames   []int  // the relocation frames, ascending
+	list     []byte // the relocation-frame list, as persisted (meta.go)
 	entry    [pmftEntrySize]byte
 	zeros    [movedBytesPerFrame]byte
 }
@@ -43,9 +45,9 @@ type (
 // summary implements §5 summary(): resync the allocator to the marking
 // results (reclaiming leaks), rank frames by fragmentation, select the top-k
 // relocation frames needed to reach the target ratio, deterministically
-// assign every live object a destination, build and persist the PMFT, build
-// the relocation-page bloom filters, arm the reached bitmap, and durably
-// enter the compacting phase. Runs stop-the-world; idempotent until the
+// assign every live object a destination, persist the relocation-frame list
+// and build and persist the PMFT, build the relocation-page bloom filters,
+// arm the reached bitmap, and durably enter the compacting phase. Runs stop-the-world; idempotent until the
 // final phase-word store. It sorts live by offset in place (groupByFrame) and
 // fills the engine's one epochState.
 func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
@@ -171,9 +173,17 @@ unitLoop:
 		return nil
 	}
 
+	// The epoch is numbered past the phase word's and the list's: a summary
+	// that crashed before its flip left its list (and some PMFT entries) one
+	// epoch ahead, and no epoch that runs may share their number.
 	_, _, epochNo := unpackPhase(p.GCPhase(ctx))
+	epochNo = max(epochNo, p.RawLoadU64(ctx, relocListOff(p))&0xFFFFFFFF)
 	ep := &e.epochBuf
 	ep.reset(epochNo+1, e.opt.Scheme)
+
+	// The relocation-frame list goes first: the fence after the first PMFT
+	// entry below drains it, so it is durable long before the flip.
+	e.storeRelocList(ctx, ep.epochNo, selected[:bestAt])
 
 	// Deterministic placement + persistent PMFT construction. Destination
 	// packing is dense (16-byte slots, the paper's granularity). Objects may
@@ -254,6 +264,30 @@ unitLoop:
 	p.SetGCPhase(ctx, packPhase(phaseCompacting, e.opt.Scheme, ep.epochNo))
 	p.Device().Site(ctx, pmem.SiteEpochTransition)
 	return ep
+}
+
+// storeRelocList writes epoch epochNo's relocation-frame list — the frames of
+// sel, ascending — and clwb's its lines. It issues no fence of its own.
+func (e *Engine) storeRelocList(ctx *sim.Ctx, epochNo uint64, sel []selPick) {
+	p, ss := e.pool, &e.summaryScratch
+	frames := sized(ss.frames, len(sel))
+	for i, s := range sel {
+		frames[i] = s.frame
+	}
+	slices.Sort(frames)
+	ss.frames = frames
+	buf := sized(ss.list, 8+4*len(frames))
+	ss.list = buf
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(epochNo))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(frames)))
+	for i, f := range frames {
+		binary.LittleEndian.PutUint32(buf[8+4*i:], uint32(f))
+	}
+	off := relocListOff(p)
+	p.RawStore(ctx, off, buf)
+	for a := off; a < off+uint64(len(buf)); a += pmem.LineSize {
+		p.Clwb(ctx, a)
+	}
 }
 
 // groupByFrame orders live by offset in place and returns the start table

@@ -43,9 +43,9 @@ func TestReproHashesPinned(t *testing.T) {
 		post, final uint64
 	}{
 		{`{"setting":"LL/1T/ffccd","seed":1,"ops":600,"tail_ops":120,"site":489,"nested":7,"policy":"salt","salt":5807}`,
-			0xf5a0fb60383d9412, 0xcc102c614e11e6ba},
+			0xf47dbdb12e3fbf2e, 0x5891cd118c984885},
 		{`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
-			0xa0bbc686c78d85d7, 0x8a87a6abc15d3c70},
+			0x22fc2a729207472e, 0x797d1598964c38},
 	} {
 		rep, err := faultinject.ParseRepro(tc.line)
 		if err != nil {
@@ -70,8 +70,8 @@ func TestReproHashesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sres.PostCrashHash != 0x31128e067a2e859e || sres.FinalHash != 0xb763ff563ee85550 {
-		t.Errorf("%s:\n  post_crash_hash=%#x final_hash=%#x, pinned 0x31128e067a2e859e / 0xb763ff563ee85550",
+	if sres.PostCrashHash != 0x4e8a92ebb88ae1eb || sres.FinalHash != 0x173759f358a139dd {
+		t.Errorf("%s:\n  post_crash_hash=%#x final_hash=%#x, pinned 0x4e8a92ebb88ae1eb / 0x173759f358a139dd",
 			serveLine, sres.PostCrashHash, sres.FinalHash)
 	}
 }

@@ -364,6 +364,37 @@ func TestTLBChargedOnAccess(t *testing.T) {
 	}
 }
 
+// TestGCMetaTailHoldsRelocList: at every pool size the layout accepts, the
+// relocation-frame list fits whole lines between the per-frame arrays and the
+// end of the GC metadata region, and from 1 MB up the auxiliary range before
+// it still holds Mesh's header and two remap copies (16 + 8 bytes a frame).
+func TestGCMetaTailHoldsRelocList(t *testing.T) {
+	check := func(size uint64) {
+		_, gcMetaOff, gcMetaSize, _, frames, err := layout(size)
+		if err != nil {
+			return
+		}
+		p := &Pool{gcMetaOff: gcMetaOff, gcMetaSize: gcMetaSize, heapFrames: frames}
+		off, n := p.AuxMetaRange()
+		list := off + n
+		switch {
+		case off != gcMetaOff+frames*gcMetaUsedPerFrame || n > gcMetaSize:
+			t.Fatalf("size %d: aux range [%d,+%d) overlaps the per-frame arrays", size, off, n)
+		case list%64 != 0 || list+8+4*frames > gcMetaOff+gcMetaSize:
+			t.Fatalf("size %d: list at %d does not fit the region's tail", size, list)
+		case size >= 1<<20 && n < 16+8*frames:
+			t.Fatalf("size %d: %d aux bytes cannot hold Mesh's table for %d frames", size, n, frames)
+		}
+	}
+	for size := uint64(0); size < 4<<20; size += 16 {
+		check(size)
+	}
+	for size := uint64(4 << 20); size <= 1<<30; size += 4096 {
+		check(size)
+		check(size + 2000)
+	}
+}
+
 func TestGCPhasePersistence(t *testing.T) {
 	_, p, ctx, _ := newTestPool(t)
 	p.SetGCPhase(ctx, 3)

@@ -49,10 +49,17 @@ const (
 	gcMetaPerFrame = 320 // reached bitmap (8) + moved bitmap (32) + PMFT (264) + slack
 
 	// gcMetaUsedPerFrame is the portion of gcMetaPerFrame the defragmentation
-	// schemes actually lay out; the rest of the region is auxiliary slack
-	// (AuxMetaRange).
+	// schemes lay out per frame; the region's tail holds the relocation-frame
+	// list (relocListBytes), and the rest is auxiliary slack (AuxMetaRange).
 	gcMetaUsedPerFrame = 8 + 32 + 264
 )
+
+// relocListBytes is the GC-metadata tail the defragmentation engine persists
+// an epoch's relocation-frame list in: an 8-byte header and a u32 per heap
+// frame, in whole cachelines.
+func relocListBytes(frames uint64) uint64 {
+	return (8 + 4*frames + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
+}
 
 // Pool is a persistent memory object pool mapped into the simulated device.
 type Pool struct {
@@ -182,18 +189,18 @@ func (p *Pool) PageShift() uint { return p.pageShift }
 // metadata (PMFT, moved bitmaps, reached bitmap, phase state).
 func (p *Pool) GCMetaRange() (off, size uint64) { return p.gcMetaOff, p.gcMetaSize }
 
-// AuxMetaRange returns the slack tail of the GC metadata region: persistent
-// space no defragmentation scheme touches (at least 16 bytes per heap frame),
-// available to auxiliary comparators. The Mesh comparator persists its
-// virtual→physical frame remap here. The range sits below the heap, so frame
+// AuxMetaRange returns the slack of the GC metadata region: persistent space
+// no defragmentation scheme touches, available to auxiliary comparators. It
+// runs from the end of the per-frame arrays (reached bitmap, moved bitmap,
+// PMFT) to the relocation-frame list, which the engine keeps in the region's
+// last 8 + 4×frames bytes (rounded up to whole lines) — so off+size is the
+// list's offset. The Mesh comparator persists its virtual→physical frame
+// remap at the start of the range. The range sits below the heap, so frame
 // remapping never applies to it.
 func (p *Pool) AuxMetaRange() (off, size uint64) {
 	used := p.heapFrames * gcMetaUsedPerFrame
-	if used >= p.gcMetaSize {
-		// Tiny pools can round the meta region down to the used floor.
-		return p.gcMetaOff + p.gcMetaSize, 0
-	}
-	return p.gcMetaOff + used, p.gcMetaSize - used
+	end := p.gcMetaSize - relocListBytes(p.heapFrames)
+	return p.gcMetaOff + used, end - used
 }
 
 // HeapRange returns the heap's pool-offset start and frame count.
