@@ -18,10 +18,13 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# race runs the short test suite under the race detector — the CI gate for
-# the concurrent simulated-machine hot path — and then the crash campaign's
-# golden, oracle and lifetime tests on four workers, whatever the host has:
-# a campaign's trials fork one shared, read-only prefix at once.
+# race runs the short test suite under the race detector and then the crash
+# campaign's golden, oracle and lifetime tests on four workers, whatever the
+# host has. It gates that simulated machines share nothing across goroutines:
+# each machine runs on one goroutine (TestOneGoroutinePerMachine), host
+# parallelism runs whole machines as workpool jobs, and what those jobs do
+# share — a campaign's read-only prefix, recycled media arrays, the worker
+# pool itself — is what the detector watches.
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \
@@ -35,7 +38,7 @@ race:
 # included) so the `make check` log shows what the campaign costs.
 crashmatrix: build
 	@t0=$$(date +%s); \
-	$(GO) run ./cmd/ffccd-crashtest -sites -seed 1 -max-sites 56 \
+	$(GO) run ./cmd/ffccd-crashtest -seed 1 -max-sites 56 \
 		-nested -max-nested 16 -timeout 2m || exit 1; \
 	echo "crashmatrix wall time: $$(( $$(date +%s) - t0 ))s"
 

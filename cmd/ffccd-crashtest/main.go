@@ -2,20 +2,16 @@
 // injection during the concurrent compacting phase across the paper's 26
 // settings, with the two-step post-crash checker.
 //
-// Randomized campaign (the original driver — concurrent churn, crash after
-// a random number of compaction steps):
-//
-//	ffccd-crashtest -trials 1000            # the paper's full campaign
-//	ffccd-crashtest -trials 20 -setting LL/1T/ffccd
-//
-// Scheduled campaign (-sites): enumerate every persistence-relevant crash
-// site of a deterministic trial, crash at each (sampled down to -max-sites),
-// and with -nested also crash a second time inside the recovery that
+// Batch campaign (the default): per setting, a census pass enumerates every
+// persistence-relevant crash site of a deterministic trial — the setting's
+// application threads and the compactor interleaved in a fixed order on one
+// goroutine — then armed trials crash at each site (sampled down to
+// -max-sites), and with -nested also a second time inside the recovery that
 // follows. Every failure prints a one-line repro command that replays the
 // trial bit-identically; -shrink minimizes it first:
 //
-//	ffccd-crashtest -sites -nested -shrink
-//	ffccd-crashtest -sites -setting BzTree/4T/ffccd -max-sites 64
+//	ffccd-crashtest -nested -shrink
+//	ffccd-crashtest -setting BzTree/4T/ffccd -max-sites 64
 //
 // Serving campaign (-serve): the online analogue. Per scheme, a census pass
 // under open-loop traffic enumerates the dispatch phase's crash sites, then
@@ -64,12 +60,10 @@ func main() { os.Exit(run(os.Args[1:])) }
 // passed, 1 a trial failed, 2 the command line could not be used.
 func run(args []string) int {
 	fs := flag.NewFlagSet("ffccd-crashtest", flag.ContinueOnError)
-	trials := fs.Int("trials", 100, "randomized fault-injection trials per setting (paper: 1000)")
 	setting := fs.String("setting", "", "run only this setting (e.g. LL/1T/ffccd)")
 	seed := fs.Int64("seed", 1, "base churn seed")
-	sites := fs.Bool("sites", false, "run the scheduled campaign: crash at enumerated crash sites instead of random step counts")
 	maxSites := fs.Int("max-sites", 128, "scheduled sites per setting (0 = exhaustive; class-first sites always kept)")
-	nested := fs.Bool("nested", false, "add crash-during-recovery schedules (scheduled campaign)")
+	nested := fs.Bool("nested", false, "add crash-during-recovery schedules")
 	maxNested := fs.Int("max-nested", 0, "nested schedules per setting (0 = one per first-level site)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-trial watchdog; expiry reports the trial as hung (0 = off)")
 	shrink := fs.Bool("shrink", false, "minimize each failing schedule before reporting it")
@@ -141,12 +135,9 @@ func run(args []string) int {
 		}
 		settings = []faultinject.Setting{s}
 	}
-	if *sites {
-		return runCampaign("scheduled", len(settings), func(i int) faultinject.CampaignOutcome {
-			return faultinject.ExploreSetting(settings[i], co)
-		})
-	}
-	return runRandomized(settings, *trials, *seed, topts)
+	return runCampaign("scheduled", len(settings), func(i int) faultinject.CampaignOutcome {
+		return faultinject.ExploreSetting(settings[i], co)
+	})
 }
 
 // printFailures lists a campaign's first failures under its summary line.
@@ -158,30 +149,6 @@ func printFailures[F any](failures []F) {
 		}
 		fmt.Printf("    %v\n", f)
 	}
-}
-
-// runRandomized is the original random-step campaign.
-func runRandomized(settings []faultinject.Setting, trials int, seed int64, topts faultinject.TrialOptions) int {
-	failures := 0
-	total := 0
-	start := time.Now()
-	for _, s := range settings {
-		t0 := time.Now()
-		out := faultinject.RunSetting(s, trials, seed, topts)
-		total += out.Trials
-		status := "PASS"
-		if out.Passed != out.Trials {
-			status = "FAIL"
-			failures += out.Trials - out.Passed
-		}
-		fmt.Printf("%-22s %s  %d/%d trials  (%.1fs)\n", s, status, out.Passed, out.Trials, time.Since(t0).Seconds())
-		printFailures(out.Failures)
-	}
-	fmt.Printf("\ncampaign: %d trials, %d failures, %.1fs\n", total, failures, time.Since(start).Seconds())
-	if failures > 0 {
-		return 1
-	}
-	return 0
 }
 
 // runCampaign runs the n crash-site exploration campaigns of one kind

@@ -28,8 +28,19 @@ func TestUnknownServeSchemeIsUsageError(t *testing.T) {
 	if code := run([]string{"-serve", "-scheme", "bogus"}); code != 2 {
 		t.Errorf("-serve -scheme bogus exited %d, want 2", code)
 	}
-	if code := run([]string{"-sites", "-setting", "LL/1T/bogus"}); code != 2 {
-		t.Errorf("-sites -setting LL/1T/bogus exited %d, want 2", code)
+	if code := run([]string{"-setting", "LL/1T/bogus"}); code != 2 {
+		t.Errorf("-setting LL/1T/bogus exited %d, want 2", code)
+	}
+}
+
+// TestRandomDriverFlagsAreUsageErrors: the batch campaign is the scheduled
+// one, so the random-step driver's -trials and the -sites switch are unknown
+// flags — exit 2 before any trial runs.
+func TestRandomDriverFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-trials", "100"}, {"-sites"}} {
+		if code := run(args); code != 2 {
+			t.Errorf("run(%q) = %d, want 2", args, code)
+		}
 	}
 }
 

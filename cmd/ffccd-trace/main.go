@@ -1,7 +1,9 @@
 // ffccd-trace generates, inspects and replays operation traces (the
 // WHISPER-style workload methodology): a trace replayed against any store
 // reproduces an identical allocation and fragmentation history, so scheme
-// comparisons are exact.
+// comparisons are exact. With a scheme, replay defragments between
+// operations: after every insert and delete it makes the §5 pmalloc/pfree
+// trigger check and runs a cycle when fragmentation has crossed the trigger.
 //
 //	ffccd-trace gen -ops 100000 -keys 20000 -out w.trace
 //	ffccd-trace info -in w.trace
@@ -16,7 +18,9 @@ import (
 
 	"ffccd/internal/checker"
 	"ffccd/internal/core"
+	"ffccd/internal/ds"
 	"ffccd/internal/experiments"
+	"ffccd/internal/sim"
 	"ffccd/internal/trace"
 	"ffccd/internal/workload"
 )
@@ -113,13 +117,14 @@ func cmdReplay(args []string) {
 		log.Fatal(err)
 	}
 	var eng *core.Engine
+	replayed := s
 	if scheme != core.SchemeNone {
 		opt := core.DefaultOptions()
 		opt.Scheme = scheme
-		opt.AutoTrigger = true
 		eng = core.NewEngine(env.Pool, opt)
+		replayed = triggered{Store: s, eng: eng, gcCtx: sim.NewCtx(&env.Cfg)}
 	}
-	st, err := trace.Replay(env.Ctx, s, t)
+	st, err := trace.Replay(env.Ctx, replayed, t)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -143,6 +148,33 @@ func cmdReplay(args []string) {
 		log.Fatalf("graph check failed: %v", err)
 	}
 	fmt.Println("verification: store matches the trace model; graph consistent")
+}
+
+// triggered is a store whose inserts and deletes end with the trigger check
+// pmalloc/pfree make (§5), running a defragmentation cycle on its own
+// simulated thread when it fires.
+type triggered struct {
+	ds.Store
+	eng   *core.Engine
+	gcCtx *sim.Ctx
+}
+
+func (s triggered) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
+	err := s.Store.Insert(ctx, key, val)
+	s.check()
+	return err
+}
+
+func (s triggered) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
+	ok, err := s.Store.Delete(ctx, key)
+	s.check()
+	return ok, err
+}
+
+func (s triggered) check() {
+	if s.eng.Triggered() {
+		s.eng.RunCycle(s.gcCtx)
+	}
 }
 
 func load(path string) *trace.Trace {

@@ -1,6 +1,9 @@
 // KV store example: an Echo-style persistent hash store serving a mixed
-// workload while FFCCD defragments concurrently in the background (the
-// paper's §7.3 setting), then surviving a crash mid-defragmentation.
+// workload while FFCCD defragments it between operations (the paper's §7.3
+// setting), then surviving a clean restart. The program is one goroutine, as
+// every simulated machine here is: the store's operations and the
+// defragmentation cycles interleave on the simulated clocks, not on host
+// threads.
 package main
 
 import (
@@ -27,11 +30,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Background engine with automatic triggering: pmalloc/pfree check the
-	// fragmentation ratio and signal a cycle past the 1.5 trigger (§5).
-	opt := ffccd.DefaultEngineOptions()
-	opt.AutoTrigger = true
-	eng := ffccd.NewEngine(pool, opt)
+	// The §5 trigger, driven by the caller: after every insert or delete, the
+	// check pmalloc/pfree would make — fragmentation past the 1.5 trigger — and
+	// a defragmentation cycle, on its own simulated thread, when it fires.
+	eng := ffccd.NewEngine(pool, ffccd.DefaultEngineOptions())
+	gcCtx := ffccd.NewCtx(&cfg)
+	maybeDefrag := func() {
+		if eng.Triggered() {
+			eng.RunCycle(gcCtx)
+		}
+	}
 
 	// Mixed workload: inserts, overwrites, deletes — with a mass-expiry
 	// burst partway through (the fragmentation spike that trips the 1.5
@@ -50,9 +58,11 @@ func main() {
 					log.Fatal(err)
 				}
 				model[key] = tag
+				maybeDefrag()
 			case 6, 7:
 				store.Delete(ctx, key)
 				delete(model, key)
+				maybeDefrag()
 			default:
 				store.Get(ctx, key)
 			}
@@ -64,13 +74,14 @@ func main() {
 		if rng.Intn(10) < 7 {
 			store.Delete(ctx, key)
 			delete(model, key)
+			maybeDefrag()
 		}
 	}
 	mixed(20000)
-	eng.Close() // finish any in-flight cycle
+	eng.Close()
 	st := eng.Stats()
 	frag := pool.Heap().Frag(ffccd.Page4K)
-	fmt.Printf("after workload: %d keys, fragR=%.2f, %d auto cycles, %d objects moved, %d leaks reclaimed\n",
+	fmt.Printf("after workload: %d keys, fragR=%.2f, %d triggered cycles, %d objects moved, %d leaks reclaimed\n",
 		store.Len(), frag.FragRatio, st.Cycles, st.ObjectsMoved, st.LeaksReclaimed)
 
 	// Verify against the model.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"ffccd/internal/alloc"
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmem"
@@ -10,24 +8,13 @@ import (
 	"ffccd/internal/sim"
 )
 
-// movedByteLocks serialises read-modify-write of persistent moved-bitmap
-// bytes shared by neighbouring objects.
-var movedByteLocks [128]sync.Mutex
-
 // relocateObject moves one object (and, under the fence-free schemes, every
 // object sharing its destination cacheline — the cluster) from its
 // relocation page to its PMFT-determined destination using the active
-// scheme's persistence protocol (Fig. 6a, Fig. 7a, Fig. 9a). Safe to call
-// concurrently from the read barrier and the background mover; exactly one
-// caller performs the move. The lock is keyed by the destination line so
-// cluster members serialise on the same stripe.
+// scheme's persistence protocol (Fig. 6a, Fig. 7a, Fig. 9a). The read
+// barrier and the background mover both call it; an object that has already
+// moved is left alone.
 func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarrier bool) {
-	cluster := ep.clusterOf(idx)
-	// All component members serialise on the stripe of the component's
-	// first destination line.
-	lock := &e.relocLocks[(ep.objects[cluster[0]].dstHdr>>pmem.LineShift)%relocStripes]
-	lock.Lock()
-	defer lock.Unlock()
 	if ep.isMoved(idx) {
 		return
 	}
@@ -69,10 +56,8 @@ func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarri
 		// finished part of the component): re-copying them would overwrite
 		// post-move application writes. The line assembly preserves their
 		// destination bytes by loading gaps from current contents.
-		parts := lock.parts[:0]
-		if cap(parts) < len(cluster) {
-			parts = make([]pmem.RelocatePart, 0, len(cluster))
-		}
+		cluster := ep.clusterOf(idx)
+		parts := e.relocParts[:0]
 		for _, c := range cluster {
 			if ep.isMoved(int(c)) {
 				continue
@@ -86,11 +71,9 @@ func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarri
 				Dst: p.PA(co.dstHdr), Src: p.PA(co.srcHdr), N: co.bytes(),
 			})
 		}
-		lock.parts = parts
+		e.relocParts = parts
 		p.Device().RelocateParts(ctx, parts)
-		// The members just copied are exactly the ones still unmoved: every
-		// member's move takes this stripe, and finishMove below flips only
-		// the member it is given.
+		// The members just copied are exactly the ones still unmoved.
 		for _, c := range cluster {
 			if ci := int(c); !ep.isMoved(ci) {
 				e.storeMovedBit(ctx, &ep.objects[ci], false, false)
@@ -105,7 +88,6 @@ func (e *Engine) finishMove(ep *epochState, idx int, fromBarrier bool) {
 	if !ep.setMoved(idx) {
 		return
 	}
-	ep.pending.Add(-1)
 	e.objectsMoved.Add(1)
 	if fromBarrier {
 		e.barrierMoves.Add(1)
@@ -135,16 +117,12 @@ func (e *Engine) storeMovedBit(ctx *sim.Ctx, obj *relocObj, flush, fence bool) {
 	heap := p.Heap()
 	f, slot := heap.Locate(obj.srcHdr)
 	off, mask := movedBitOff(p, f, slot)
-	l := &movedByteLocks[off%128]
-	l.Lock()
 	var b [1]byte
 	p.RawLoad(ctx, off, b[:])
 	b[0] |= mask
 	p.RawStore(ctx, off, b[:])
-	l.Unlock()
 	// Crash site: moved bit set but not yet (necessarily) flushed — the
-	// window between moved-state and pointer fixup. After Unlock so a
-	// scheduled crash never strands the package-level byte lock.
+	// window between moved-state and pointer fixup.
 	p.Device().Site(ctx, pmem.SiteMovedBit)
 	if flush || fence {
 		p.Clwb(ctx, off)
@@ -161,9 +139,7 @@ func (e *Engine) storeMovedBit(ctx *sim.Ctx, obj *relocObj, flush, fence bool) {
 // destination means "application modified it" rather than "memcpy lost"
 // (see DESIGN.md; this closes the ambiguity in Fig. 7b's content check).
 func (e *Engine) sfccdTxAddHook(ctx *sim.Ctx, off, n uint64) {
-	e.mu.Lock()
 	ep := e.epoch
-	e.mu.Unlock()
 	if ep == nil {
 		return
 	}
@@ -186,8 +162,6 @@ func (e *Engine) sfccdTxAddHook(ctx *sim.Ctx, off, n uint64) {
 // flush everything durable, release the relocation pages, and leave the
 // compacting phase.
 func (e *Engine) finishEpoch(ctx *sim.Ctx, ep *epochState) {
-	p := e.pool
-
 	// Belt and braces: relocate anything the background mover missed.
 	for i := range ep.objects {
 		if !ep.isMoved(i) {
@@ -195,14 +169,12 @@ func (e *Engine) finishEpoch(ctx *sim.Ctx, ep *epochState) {
 		}
 	}
 
-	p.StopWorld()
-	defer p.ResumeWorld()
 	o := e.obs
 	var t0 uint64
 	if o != nil {
 		t0 = obsv.Now(ctx)
 	}
-	e.finishEpochLocked(ctx, ep)
+	e.finishEpochPaused(ctx, ep)
 	if o != nil {
 		o.Tracer.Span(ctx, obsv.KindSTW, t0, 0)
 		e.hSTW.Observe(obsv.Now(ctx) - t0)
@@ -210,8 +182,9 @@ func (e *Engine) finishEpoch(ctx *sim.Ctx, ep *epochState) {
 	}
 }
 
-// finishEpochLocked is the terminate tail; the caller holds the world.
-func (e *Engine) finishEpochLocked(ctx *sim.Ctx, ep *epochState) {
+// finishEpochPaused is the stop-the-world tail of finishEpoch: no application
+// operation runs until it returns.
+func (e *Engine) finishEpochPaused(ctx *sim.Ctx, ep *epochState) {
 	p := e.pool
 	gctx := ctx.Derived(sim.CatGCMisc)
 
@@ -279,9 +252,7 @@ func (e *Engine) finishEpochLocked(ctx *sim.Ctx, ep *epochState) {
 		e.rbb.Deactivate()
 	}
 	p.SetBarrier(nil)
-	e.mu.Lock()
 	e.epoch = nil
-	e.mu.Unlock()
 	if o != nil {
 		// The whole epoch, opening stop-the-world through terminate. The
 		// barrier (and checklookup hardware, when configured) was live from

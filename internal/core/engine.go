@@ -15,10 +15,15 @@
 //	          page release)                     release checks
 //
 // Crash recovery for each scheme implements Observations 1–4 (§3.3.3).
+//
+// "Concurrent" is simulated, not hosted: an engine and the application threads
+// it races through the read barrier all run on the goroutine that owns the
+// machine, each thread with its own sim.Ctx, and the caller decides how their
+// steps interleave (RunCycle between operations, or BeginCycle, StepCompaction
+// and FinishCycle around them). The engine takes no host lock.
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -73,12 +78,10 @@ type Options struct {
 	// TargetRatio is the fragR the summary phase compacts down to (paper:
 	// 1.25 normal, 1.5 relaxed).
 	TargetRatio float64
-	// BatchObjects is how many objects the background mover relocates
-	// between yields (concurrency pacing).
+	// BatchObjects is ignored: the mover never yields to a host scheduler.
+	// It remains for the repo benchmark's machine builders, which still set
+	// it.
 	BatchObjects int
-	// AutoTrigger runs cycles from a background goroutine when pmalloc/pfree
-	// observe high fragmentation. When false, RunCycle is manual.
-	AutoTrigger bool
 	// Obs enables observability from construction (equivalent to SetObs right
 	// after NewEngine, but also covers activity during Recover). Nil = off.
 	Obs *obsv.Obs
@@ -104,21 +107,12 @@ func DefaultOptions() Options {
 		Scheme:       SchemeFFCCDCheckLookup,
 		TriggerRatio: tr,
 		TargetRatio:  tg,
-		BatchObjects: 32,
 	}
 }
 
-// relocStripes is the number of per-object relocation locks.
-const relocStripes = 256
-
-// relocStripe is one relocation lock and, guarded by it, the part list the
-// fence-free cluster move assembles (reused from move to move).
-type relocStripe struct {
-	sync.Mutex
-	parts []pmem.RelocatePart
-}
-
-// Engine drives defragmentation for one pool.
+// Engine drives defragmentation for one pool. Like the pool and device it
+// belongs to the goroutine that owns the machine; only Stats (and the
+// observability groups built on it) may be read from another goroutine.
 type Engine struct {
 	pool *pmop.Pool
 	cfg  *sim.Config
@@ -127,9 +121,7 @@ type Engine struct {
 
 	gcCtx *sim.Ctx // background thread's clock/TLB
 
-	mu    sync.Mutex // guards epoch pointer and cycle state machine
-	epoch *epochState
-	busy  atomic.Bool // a cycle is running
+	epoch *epochState // the open epoch; nil when idle
 
 	// Engine-owned epoch memory (mark.go, summary.go, epoch.go): the walk
 	// and summary scratch and the one epochState every epoch refills. All of
@@ -139,17 +131,15 @@ type Engine struct {
 	summaryScratch summaryScratch
 	epochBuf       epochState
 
-	relocLocks [relocStripes]relocStripe
+	// relocParts is the part list the fence-free cluster move assembles,
+	// reused from move to move.
+	relocParts []pmem.RelocatePart
 
 	rec recoveryClock // what Recover spent per stage
 
-	trigger   chan struct{}
-	stopCh    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	stwPauses []uint64 // RunCycleSTW's pause lengths
 
 	// Stats (atomic; read via Stats()).
-	stw            stwState
 	cycles         atomic.Uint64
 	framesReleased atomic.Uint64
 	objectsMoved   atomic.Uint64
@@ -178,15 +168,10 @@ type Engine struct {
 func NewEngine(p *pmop.Pool, opt Options) *Engine {
 	cfg := p.Config()
 	e := &Engine{
-		pool:    p,
-		cfg:     cfg,
-		opt:     opt,
-		gcCtx:   sim.NewCtx(cfg),
-		trigger: make(chan struct{}, 1),
-		stopCh:  make(chan struct{}),
-	}
-	if opt.BatchObjects <= 0 {
-		e.opt.BatchObjects = 32
+		pool:  p,
+		cfg:   cfg,
+		opt:   opt,
+		gcCtx: sim.NewCtx(cfg),
 	}
 	e.cluPool.New = func() any { return arch.NewCheckLookupUnit(cfg) }
 	if opt.Scheme.UsesRelocateInstruction() {
@@ -198,11 +183,6 @@ func NewEngine(p *pmop.Pool, opt Options) *Engine {
 	}
 	if opt.Obs != nil {
 		e.SetObs(opt.Obs)
-	}
-	if opt.AutoTrigger && opt.Scheme != SchemeNone {
-		p.SetAllocHook(e.checkTrigger)
-		e.wg.Add(1)
-		go e.triggerLoop()
 	}
 	return e
 }
@@ -277,80 +257,51 @@ func (e *Engine) SetObs(o *obsv.Obs) {
 }
 
 // OpenEpoch reports the number of the currently open defragmentation epoch
-// (false when the engine is idle). It is observability-safe: it reads only
-// the engine's own epoch pointer under its mutex — no simulated cycles are
-// charged and no device state is touched — so serving-path exemplar tagging
-// can call it per dispatch without perturbing results.
+// (false when the engine is idle). It is observability-safe — no simulated
+// cycles are charged and no device state is touched — so serving-path
+// exemplar tagging can call it per dispatch without perturbing results.
 func (e *Engine) OpenEpoch() (uint64, bool) {
-	e.mu.Lock()
-	ep := e.epoch
-	e.mu.Unlock()
-	if ep == nil {
+	if e.epoch == nil {
 		return 0, false
 	}
-	return ep.epochNo, true
+	return e.epoch.epochNo, true
 }
 
-// checkTrigger is the pmalloc/pfree hook (§5): signal the engine when the
-// fragmentation ratio crosses the trigger threshold.
-func (e *Engine) checkTrigger() {
-	if e.busy.Load() {
-		return
+// Triggered is the §5 pmalloc/pfree check: it reports whether the pool's
+// fragmentation ratio has crossed the trigger threshold with no epoch open.
+// It charges no cycles. A caller that defragments on demand calls RunCycle
+// between operations when it reports true.
+func (e *Engine) Triggered() bool {
+	if e.opt.Scheme == SchemeNone || e.epoch != nil {
+		return false
 	}
 	fr := e.pool.Heap().Frag(e.pool.PageShift())
-	if fr.FragRatio > e.opt.TriggerRatio && fr.LiveBytes > 0 {
-		select {
-		case e.trigger <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (e *Engine) triggerLoop() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-e.trigger:
-			e.RunCycle(e.gcCtx)
-		}
-	}
+	return fr.FragRatio > e.opt.TriggerRatio && fr.LiveBytes > 0
 }
 
 // Close implements the paper's exit(): it completes any in-flight
 // defragmentation (terminate(): finish pending relocations and reference
 // updates, release relocation pages, drop metadata) and stops the engine.
 func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		close(e.stopCh)
-		if e.opt.AutoTrigger {
-			e.pool.SetAllocHook(nil)
+	// Finish an epoch that a manual BeginCycle left open. It runs on the
+	// engine's own context, so its epoch overlay starts there too: an
+	// interval read off two clocks would be meaningless.
+	if ep := e.epoch; ep != nil {
+		if e.obs != nil {
+			ep.obsStart = obsv.Now(e.gcCtx)
 		}
-		e.wg.Wait()
-		// Finish an epoch that a manual BeginCycle left open.
-		e.mu.Lock()
-		ep := e.epoch
-		e.mu.Unlock()
-		if ep != nil {
-			e.finishEpoch(e.gcCtx, ep)
-		}
-		e.pool.SetTxAddHook(nil)
-	})
+		e.finishEpoch(e.gcCtx, ep)
+	}
+	e.pool.SetTxAddHook(nil)
 }
 
 // RunCycle executes one full defragmentation cycle synchronously:
-// mark → summary → concurrent compaction → finish. It is a no-op if another
-// cycle is running or the scheme is SchemeNone. Returns true if a cycle ran.
+// mark → summary → concurrent compaction → finish. It is a no-op if an epoch
+// is already open or the scheme is SchemeNone. Returns true if a cycle ran.
 func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
-	if e.opt.Scheme == SchemeNone {
+	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return false
 	}
-	if !e.busy.CompareAndSwap(false, true) {
-		return false
-	}
-	defer e.busy.Store(false)
-
 	ep := e.prepare(ctx)
 	if ep == nil {
 		return false
@@ -365,24 +316,18 @@ func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
 // installs the read barrier, leaving the epoch open with no object moved
 // yet. Crash-injection harnesses use it with StepCompaction and FinishCycle
 // to construct mid-compaction states deterministically. Returns false if the
-// heap did not need compaction (or a cycle is already running).
+// heap did not need compaction (or an epoch is already open).
 func (e *Engine) BeginCycle(ctx *sim.Ctx) bool {
-	if e.opt.Scheme == SchemeNone || !e.busy.CompareAndSwap(false, true) {
+	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return false
 	}
-	if e.prepare(ctx) == nil {
-		e.busy.Store(false)
-		return false
-	}
-	return true
+	return e.prepare(ctx) != nil
 }
 
 // StepCompaction relocates up to n not-yet-moved objects of the open epoch
 // and returns how many it moved. Zero means compaction is complete.
 func (e *Engine) StepCompaction(ctx *sim.Ctx, n int) int {
-	e.mu.Lock()
 	ep := e.epoch
-	e.mu.Unlock()
 	if ep == nil {
 		return 0
 	}
@@ -411,38 +356,28 @@ func (e *Engine) StepCompaction(ctx *sim.Ctx, n int) int {
 // EpochPending returns the number of not-yet-moved objects in the open
 // epoch (0 when idle).
 func (e *Engine) EpochPending() int {
-	e.mu.Lock()
-	ep := e.epoch
-	e.mu.Unlock()
-	if ep == nil {
+	if e.epoch == nil {
 		return 0
 	}
-	return int(ep.pending.Load())
+	return e.epoch.pending
 }
 
 // FinishCycle completes an epoch opened by BeginCycle: it relocates the
 // remaining objects and runs the terminate path.
 func (e *Engine) FinishCycle(ctx *sim.Ctx) {
-	e.mu.Lock()
 	ep := e.epoch
-	e.mu.Unlock()
 	if ep == nil {
-		e.busy.Store(false)
 		return
 	}
 	e.compact(ctx, ep)
 	e.finishEpoch(ctx, ep)
 	e.cycles.Add(1)
-	e.busy.Store(false)
 }
 
 // prepare runs the stop-the-world phases (marking + summary) and installs
 // the read barrier. Returns nil when fragmentation is already at target.
 func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
 	p := e.pool
-	p.StopWorld()
-	defer p.ResumeWorld()
-
 	o := e.obs
 	var t0, t1 uint64
 	if o != nil {
@@ -473,16 +408,14 @@ func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
 		return nil
 	}
 	ep.obsStart = t0
-	e.mu.Lock()
 	e.epoch = ep
-	e.mu.Unlock()
 	p.SetBarrier(&readBarrier{e: e, ep: ep})
 	return ep
 }
 
 // compact runs the background mover until every relocation object has moved.
-// Application threads run concurrently, relocating on demand through the
-// read barrier.
+// Application threads interleaved with an open epoch (StepCompaction) have
+// relocated some on demand through the read barrier already.
 func (e *Engine) compact(ctx *sim.Ctx, ep *epochState) {
 	o := e.obs
 	var t0 uint64
@@ -496,12 +429,6 @@ func (e *Engine) compact(ctx *sim.Ctx, ep *epochState) {
 		}
 		e.relocateObject(ctx.Derived(sim.CatCopy), ep, i, false)
 		moved++
-		if moved%e.opt.BatchObjects == 0 {
-			// Concurrent pacing: let application threads in. A yield (not a
-			// timed sleep) keeps host wall-clock free of timer granularity —
-			// a 1µs sleep really costs tens of µs per batch.
-			runtime.Gosched()
-		}
 	}
 	if o != nil {
 		o.Tracer.Span(ctx, obsv.KindCopy, t0, uint64(moved))

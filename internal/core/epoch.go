@@ -3,8 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/arch"
@@ -32,7 +30,7 @@ func (o *relocObj) bytes() uint64      { return uint64(o.slots) * alloc.SlotSize
 // relocation set, the forwarding information, and the per-object movement
 // state. Built during the stop-the-world summary (or reconstructed from the
 // persistent PMFT during recovery); read-only afterwards except for the
-// atomic moved flags and the tombstone bits.
+// moved flags, the pending count and the tombstone bits.
 //
 // The engine owns exactly one epochState and refills it for every epoch
 // (reset → addFrame/addObject → buildIndexes), so a steady-state epoch
@@ -82,15 +80,14 @@ type epochState struct {
 	compStart []int32
 	compOf    []int32
 
-	moved    []uint32 // atomic: 1 once the object's move completed
-	pending  atomic.Int64
+	moved    []bool // set once the object's move completed
+	pending  int    // objects not yet moved
 	dupBytes uint64 // double-counted bytes registered with the heap
 
 	blooms *arch.BloomSet
 	fwd    pmftForwarder
 
-	tombMu sync.Mutex
-	tomb   []uint64 // bit i: object i's source header is already tombstoned (SFCCD)
+	tomb []uint64 // bit i: object i's source header is already tombstoned (SFCCD)
 
 	// obsStart is the simulated cycle the epoch's opening stop-the-world
 	// began at, recorded only when observability is enabled so terminate can
@@ -98,8 +95,17 @@ type epochState struct {
 	obsStart uint64
 }
 
-func (ep *epochState) isMoved(i int) bool  { return atomic.LoadUint32(&ep.moved[i]) == 1 }
-func (ep *epochState) setMoved(i int) bool { return atomic.SwapUint32(&ep.moved[i], 1) == 0 }
+func (ep *epochState) isMoved(i int) bool { return ep.moved[i] }
+
+// setMoved marks object i moved and reports whether this call did it.
+func (ep *epochState) setMoved(i int) bool {
+	if ep.moved[i] {
+		return false
+	}
+	ep.moved[i] = true
+	ep.pending--
+	return true
+}
 
 // sized returns s with length n, reallocating only when the capacity is
 // short. The contents are unspecified.
@@ -194,7 +200,7 @@ func (ep *epochState) buildIndexes(p *pmop.Pool) {
 	clear(ep.moved)
 	ep.tomb = sized(ep.tomb, (n+63)/64)
 	clear(ep.tomb)
-	ep.pending.Store(int64(n))
+	ep.pending = n
 	ep.fwd = pmftForwarder{p: p, ep: ep}
 }
 
@@ -283,8 +289,6 @@ func (ep *epochState) findDestObject(off uint64) (int, bool) {
 
 // tombstone marks object i tombstoned and reports whether this call did it.
 func (ep *epochState) tombstone(i int) bool {
-	ep.tombMu.Lock()
-	defer ep.tombMu.Unlock()
 	w, bit := &ep.tomb[i/64], uint64(1)<<(i%64)
 	first := *w&bit == 0
 	*w |= bit

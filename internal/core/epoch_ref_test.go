@@ -258,8 +258,8 @@ func checkAgainstRef(t *testing.T, ep *epochState, p *pmop.Pool, rng *rand.Rand)
 			t.Fatalf("clusterOf(%d) = %v, reference %v", i, got, want)
 		}
 	}
-	if len(ep.moved) != len(ep.objects) || int(ep.pending.Load()) != len(ep.objects) {
-		t.Fatalf("%d objects but %d moved flags, %d pending", len(ep.objects), len(ep.moved), ep.pending.Load())
+	if len(ep.moved) != len(ep.objects) || ep.pending != len(ep.objects) {
+		t.Fatalf("%d objects but %d moved flags, %d pending", len(ep.objects), len(ep.moved), ep.pending)
 	}
 }
 

@@ -123,9 +123,6 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	}
 
 	// An epoch was interrupted. Reconstruct it from the persistent PMFT.
-	e.busy.Store(true)
-	defer e.busy.Store(false)
-
 	ep, err := e.loadEpoch(ctx, persistedScheme, epochNo)
 	if err != nil {
 		return err
@@ -218,9 +215,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 		heapOff, frames := p.HeapRange()
 		e.rbb.Rearm(p.PA(reachedOff), p.PA(heapOff), frames)
 	}
-	e.mu.Lock()
 	e.epoch = ep
-	e.mu.Unlock()
 	p.SetBarrier(&readBarrier{e: e, ep: ep})
 	dev.Site(ctx, pmem.SiteRecoveryStep)
 	e.compact(ctx, ep)
@@ -320,7 +315,6 @@ func (e *Engine) recoverEspresso(ctx *sim.Ctx, ep *epochState) {
 	for i := range ep.objects {
 		if e.loadMovedBit(ctx, &ep.objects[i]) {
 			ep.setMoved(i)
-			ep.pending.Add(-1)
 		}
 	}
 }
@@ -342,7 +336,6 @@ func (e *Engine) recoverSFCCD(ctx *sim.Ctx, ep *epochState) {
 			p.PersistRange(ctx, obj.dstHdr, obj.bytes())
 		}
 		ep.setMoved(i)
-		ep.pending.Add(-1)
 	}
 }
 
@@ -440,9 +433,7 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 			p.RawStoreU64(ctx, reachedOff+uint64(df)*8, newWord)
 			p.PersistRange(ctx, reachedOff+uint64(df)*8, 8)
 			e.setMovedBitDurable(ctx, obj)
-			if ep.setMoved(int(ci)) {
-				ep.pending.Add(-1)
-			}
+			ep.setMoved(int(ci))
 		}
 	}
 }

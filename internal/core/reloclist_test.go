@@ -131,7 +131,7 @@ func sameEpoch(t *testing.T, got, want *epochState) {
 		{"lastSlotSrc", slices.Equal(got.lastSlotSrc, want.lastSlotSrc)},
 		{"byDst", slices.Equal(got.byDst, want.byDst)},
 		{"components", slices.Equal(got.compStart, want.compStart) && slices.Equal(got.compOf, want.compOf)},
-		{"moved", slices.Equal(got.moved, want.moved) && got.pending.Load() == want.pending.Load()},
+		{"moved", slices.Equal(got.moved, want.moved) && got.pending == want.pending},
 		{"dupBytes", got.dupBytes == want.dupBytes},
 		{"blooms", reflect.DeepEqual(got.blooms, want.blooms)},
 	} {

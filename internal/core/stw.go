@@ -1,17 +1,11 @@
 package core
 
 import (
-	"sync"
+	"slices"
 
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
 )
-
-// stwState tracks pause lengths for the stop-the-world comparator.
-type stwState struct {
-	mu     sync.Mutex
-	pauses []uint64
-}
 
 // RunCycleSTW performs one complete stop-the-world defragmentation cycle —
 // the jemalloc-style comparator of §7.4: marking, summary, every relocation,
@@ -20,17 +14,9 @@ type stwState struct {
 // scheme for persistence (use SchemeEspresso for the paper's comparison).
 // Returns the pause length in simulated cycles and whether a cycle ran.
 func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
-	if e.opt.Scheme == SchemeNone {
+	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return 0, false
 	}
-	if !e.busy.CompareAndSwap(false, true) {
-		return 0, false
-	}
-	defer e.busy.Store(false)
-
-	p := e.pool
-	p.StopWorld()
-	defer p.ResumeWorld()
 	start := ctx.Clock.Total()
 
 	live := e.mark(ctx.Derived(sim.CatMark), nil, true)
@@ -39,22 +25,18 @@ func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
 		return ctx.Clock.Total() - start, false
 	}
 	ep.obsStart = start
-	e.mu.Lock()
 	e.epoch = ep
-	e.mu.Unlock()
 
 	for i := range ep.objects {
 		if !ep.isMoved(i) {
 			e.relocateObject(ctx.Derived(sim.CatCopy), ep, i, false)
 		}
 	}
-	e.finishEpochLocked(ctx, ep)
+	e.finishEpochPaused(ctx, ep)
 	e.cycles.Add(1)
 
 	pause := ctx.Clock.Total() - start
-	e.stw.mu.Lock()
-	e.stw.pauses = append(e.stw.pauses, pause)
-	e.stw.mu.Unlock()
+	e.stwPauses = append(e.stwPauses, pause)
 	if o := e.obs; o != nil {
 		o.Tracer.Span(ctx, obsv.KindSTW, start, 0)
 		e.hSTW.Observe(pause)
@@ -64,10 +46,4 @@ func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
 }
 
 // STWPauses returns the recorded stop-the-world pause lengths (cycles).
-func (e *Engine) STWPauses() []uint64 {
-	e.stw.mu.Lock()
-	defer e.stw.mu.Unlock()
-	out := make([]uint64, len(e.stw.pauses))
-	copy(out, e.stw.pauses)
-	return out
-}
+func (e *Engine) STWPauses() []uint64 { return slices.Clone(e.stwPauses) }

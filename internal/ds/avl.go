@@ -170,7 +170,6 @@ func (t *AVL) rebalance(ctx *sim.Ctx, ls *logset, n pmop.Ptr) pmop.Ptr {
 
 // Insert implements Store.
 func (t *AVL) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -240,7 +239,6 @@ func (t *AVL) insert(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64, v pmop.Pt
 
 // Delete implements Store.
 func (t *AVL) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -325,7 +323,6 @@ func (t *AVL) remove(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64) (pmop.Ptr
 
 // Get implements Store.
 func (t *AVL) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -113,7 +113,6 @@ func (t *BPTree) findLeaf(ctx *sim.Ctx, key uint64) pmop.Ptr {
 
 // Insert implements Store.
 func (t *BPTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -296,7 +295,6 @@ func (t *BPTree) leafInsertAt(ctx *sim.Ctx, ls *logset, n pmop.Ptr, nk int, key 
 
 // Delete implements Store (lazy: no rebalancing; empty subtrees unlinked).
 func (t *BPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -389,7 +387,6 @@ func (t *BPTree) remove(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64, freedV
 
 // Get implements Store.
 func (t *BPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -267,7 +267,6 @@ func (t *BzTree) rebuildPath(ctx *sim.Ctx, tx *pmop.Tx, path []pmop.Ptr, idxs []
 
 // Insert implements Store.
 func (t *BzTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -419,7 +418,6 @@ func (t *BzTree) supersede(ctx *sim.Ctx, tx *pmop.Tx, leaf pmop.Ptr, key uint64,
 
 // Delete implements Store: append a tombstone record.
 func (t *BzTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -491,7 +489,6 @@ func (t *BzTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 
 // Get implements Store.
 func (t *BzTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.RLock()
 	defer t.mu.RUnlock()

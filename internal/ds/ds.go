@@ -6,8 +6,8 @@
 // Every structure follows the libpmemobj discipline the paper assumes:
 // typed allocation, root objects, undo-log transactions around mutations,
 // and all pointer dereferences through the pool's D_RW/D_RO accessors — the
-// hook the defragmenter's read barrier lives in. Mutating operations bracket
-// themselves with Pool.StartOp/EndOp so the collector can stop the world.
+// hook the defragmenter's read barrier lives in. Every operation ends with
+// Pool.EndOp, which counts it.
 package ds
 
 import (

@@ -336,8 +336,12 @@ func TestStringStoreOutOfRange(t *testing.T) {
 	}
 }
 
+// TestConcurrentReaders: BzTree and FPTree advertise concurrent access (4T
+// in the paper). Four simulated threads, each with its own context, take
+// turns one operation at a time — two read the preloaded keys back, two
+// insert into disjoint ranges — and every thread sees the others' effects
+// and its own.
 func TestConcurrentReaders(t *testing.T) {
-	// BzTree and FPTree advertise concurrent access (4T in the paper).
 	for _, b := range builders()[5:] {
 		t.Run(b.name, func(t *testing.T) {
 			cfg, _, p, ctx := newPool(t)
@@ -345,30 +349,30 @@ func TestConcurrentReaders(t *testing.T) {
 			for i := uint64(0); i < 200; i++ {
 				s.Insert(ctx, i, valFor(i, 32))
 			}
-			done := make(chan error, 4)
-			for w := 0; w < 4; w++ {
-				go func(w int) {
-					c := sim.NewCtx(cfg)
-					for i := uint64(0); i < 200; i++ {
-						if w%2 == 0 {
-							if v, ok := s.Get(c, i); !ok || !bytes.Equal(v, valFor(i, 32)) {
-								done <- fmt.Errorf("reader: key %d bad", i)
-								return
-							}
-						} else {
-							k := 1000 + uint64(w)*1000 + i
-							if err := s.Insert(c, k, valFor(k, 32)); err != nil {
-								done <- err
-								return
-							}
-						}
-					}
-					done <- nil
-				}(w)
+			ctxs := make([]*sim.Ctx, 4)
+			for w := range ctxs {
+				ctxs[w] = sim.NewCtx(cfg)
 			}
-			for w := 0; w < 4; w++ {
-				if err := <-done; err != nil {
-					t.Fatal(err)
+			for i := uint64(0); i < 200; i++ {
+				for w, c := range ctxs {
+					if w%2 == 0 {
+						if v, ok := s.Get(c, i); !ok || !bytes.Equal(v, valFor(i, 32)) {
+							t.Fatalf("reader %d: key %d bad", w, i)
+						}
+						continue
+					}
+					k := 1000 + uint64(w)*1000 + i
+					if err := s.Insert(c, k, valFor(k, 32)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, w := range []uint64{1, 3} {
+				for i := uint64(0); i < 200; i++ {
+					k := 1000 + w*1000 + i
+					if v, ok := s.Get(ctx, k); !ok || !bytes.Equal(v, valFor(k, 32)) {
+						t.Fatalf("writer %d: key %d bad", w, k)
+					}
 				}
 			}
 		})

@@ -171,7 +171,6 @@ func (t *FPTree) findSlot(ctx *sim.Ctx, leaf pmop.Ptr, key uint64) int {
 
 // Insert implements Store.
 func (t *FPTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -293,7 +292,6 @@ func (t *FPTree) split(ctx *sim.Ctx, i int, key uint64) (pmop.Ptr, error) {
 
 // Delete implements Store.
 func (t *FPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -321,7 +319,6 @@ func (t *FPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 
 // Get implements Store.
 func (t *FPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.RLock()
 	defer t.mu.RUnlock()

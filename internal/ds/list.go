@@ -72,7 +72,6 @@ func (l *List) Len() int {
 
 // Insert implements Store: head insertion, overwriting duplicates.
 func (l *List) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	l.p.StartOp()
 	defer l.p.EndOp()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -129,7 +128,6 @@ func (l *List) overwrite(ctx *sim.Ctx, n pmop.Ptr, val []byte) error {
 
 // Delete implements Store.
 func (l *List) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	l.p.StartOp()
 	defer l.p.EndOp()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -169,7 +167,6 @@ func (l *List) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 
 // Get implements Store.
 func (l *List) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	l.p.StartOp()
 	defer l.p.EndOp()
 	l.mu.Lock()
 	n, ok := l.handles[key]
@@ -187,7 +184,6 @@ func (l *List) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 // Walk traverses the persistent chain from head, calling fn for each
 // (key, node) — used by integrity checkers.
 func (l *List) Walk(ctx *sim.Ctx, fn func(key uint64, node pmop.Ptr) bool) {
-	l.p.StartOp()
 	defer l.p.EndOp()
 	for n := l.p.ReadPtr(ctx, l.root, 0); !n.IsNull(); n = l.p.ReadPtr(ctx, n, lnNext) {
 		if !fn(l.p.ReadU64(ctx, n, lnKey), n) {

@@ -138,7 +138,6 @@ func (t *RBTree) fixUp(ctx *sim.Ctx, ls *logset, h pmop.Ptr) pmop.Ptr {
 
 // Insert implements Store.
 func (t *RBTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -235,7 +234,6 @@ func (t *RBTree) moveRedRight(ctx *sim.Ctx, ls *logset, h pmop.Ptr) pmop.Ptr {
 
 // Delete implements Store.
 func (t *RBTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -351,7 +349,6 @@ func (t *RBTree) get(ctx *sim.Ctx, key uint64) (pmop.Ptr, bool) {
 
 // Get implements Store.
 func (t *RBTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	t.p.StartOp()
 	defer t.p.EndOp()
 	t.mu.Lock()
 	defer t.mu.Unlock()

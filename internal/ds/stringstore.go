@@ -101,7 +101,6 @@ func (s *StringStore) slotOf(key uint64) (pmop.Ptr, uint64, error) {
 
 // Insert implements Store: replace slot key's string with val.
 func (s *StringStore) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	s.p.StartOp()
 	defer s.p.EndOp()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,7 +129,6 @@ func (s *StringStore) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 
 // Delete implements Store: clear the slot.
 func (s *StringStore) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	s.p.StartOp()
 	defer s.p.EndOp()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,7 +153,6 @@ func (s *StringStore) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 
 // Get implements Store.
 func (s *StringStore) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	s.p.StartOp()
 	defer s.p.EndOp()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,7 +171,6 @@ func (s *StringStore) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 // Swap exchanges the strings in slots i and j — the benchmark's namesake
 // operation.
 func (s *StringStore) Swap(ctx *sim.Ctx, i, j uint64) error {
-	s.p.StartOp()
 	defer s.p.EndOp()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
@@ -200,11 +199,6 @@ func Run(spec Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	if spec.Threads <= 1 {
-		// The whole run — workload, hooks and engine stepping — executes on
-		// one goroutine, so the device's internal locking can be elided.
-		env.RT.Device().SetExclusive(true)
-	}
 	store, err := BuildStore(env.Ctx, env.Pool, spec.Store, wl)
 	if err != nil {
 		return Outcome{}, err
@@ -224,7 +218,7 @@ func Run(spec Spec) (Outcome, error) {
 	if spec.Threads <= 1 {
 		res, err = workload.Run(env.Ctx, env.Pool, store, wl)
 	} else {
-		res, err = runConcurrent(env, store, wl, spec.Threads)
+		res, err = runInterleaved(env, store, wl, spec.Threads)
 	}
 	if err != nil {
 		return Outcome{}, err
@@ -252,16 +246,12 @@ func engineOptions(spec Spec, scheme core.Scheme, obs *obsv.Obs) core.Options {
 // spans exactly one inter-tick window. Application D_RW traffic inside the
 // window runs through the read barrier (relocating hot objects on demand) —
 // the paper's concurrent regime without scheduler nondeterminism — and
-// footprint samples always see quiesced state. epochMu serialises the
-// protocol when several workload threads run it concurrently: every thread
-// finishes an open epoch before sampling; only thread 0 begins epochs (see
-// runConcurrent).
+// footprint samples always see quiesced state. With several workload threads
+// every thread finishes an open epoch before sampling and only thread 0
+// begins epochs (see runInterleaved).
 func installSchemeHooks(wl *workload.Config, spec Spec, pool *pmop.Pool, eng *core.Engine, gcCtx *sim.Ctx) {
-	var epochMu sync.Mutex
 	epochOpen := false
 	wl.PreSample = func() {
-		epochMu.Lock()
-		defer epochMu.Unlock()
 		if epochOpen {
 			eng.StepCompaction(gcCtx, 1<<30)
 			eng.FinishCycle(gcCtx)
@@ -269,8 +259,6 @@ func installSchemeHooks(wl *workload.Config, spec Spec, pool *pmop.Pool, eng *co
 		}
 	}
 	wl.Maintenance = func() {
-		epochMu.Lock()
-		defer epochMu.Unlock()
 		if !epochOpen && pool.Heap().Frag(spec.PageShift).FragRatio > spec.Trigger {
 			epochOpen = eng.BeginCycle(gcCtx)
 		}
@@ -301,11 +289,17 @@ func assembleOutcome(spec Spec, res workload.Result, appCtx, gcCtx *sim.Ctx, eng
 	return out
 }
 
-// runConcurrent drives the workload from several threads over disjoint key
-// ranges; thread 0 owns the maintenance hook. Reported cycles are the merge
-// of all thread clocks (total work; wall-clock shape is preserved because
-// every thread executes the same op mix).
-func runConcurrent(env *Env, store ds.Store, wl workload.Config, threads int) (workload.Result, error) {
+// runInterleaved drives the workload as several simulated threads over
+// disjoint key ranges: one workload.Runner and sim.Ctx per thread, stepped
+// round-robin one op at a time on the calling goroutine, so the interleaving
+// is fixed by the spec. Thread 0 owns the Maintenance hook (epoch begin) and
+// steps last in each round: an epoch it begins at a sample point spans the
+// next inter-sample window of every thread, as in a 1-thread run. Every thread
+// keeps PreSample, so an open epoch is finished before any thread samples the
+// footprint. Reported cycles are the merge of all thread clocks (total work;
+// wall-clock shape is preserved because every thread executes the same op
+// mix).
+func runInterleaved(env *Env, store ds.Store, wl workload.Config, threads int) (workload.Result, error) {
 	per := wl
 	per.InitInserts = wl.InitInserts / threads
 	per.PhaseOps = wl.PhaseOps / threads
@@ -313,33 +307,32 @@ func runConcurrent(env *Env, store ds.Store, wl workload.Config, threads int) (w
 		per.KeyCap = wl.KeyCap / uint64(threads)
 	}
 
-	results := make([]workload.Result, threads)
-	errs := make([]error, threads)
+	runners := make([]*workload.Runner, threads)
 	ctxs := make([]*sim.Ctx, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			c := sim.NewCtx(&env.Cfg)
-			ctxs[tid] = c
-			cfg := per
-			cfg.Seed = wl.Seed + int64(tid)*101
-			cfg.KeyBase = uint64(tid) << 40
-			if tid != 0 {
-				// Thread 0 owns Maintenance (epoch begin); every thread
-				// keeps PreSample so open epochs are completed before any
-				// thread samples the footprint. The hooks serialise on the
-				// epoch mutex (see installSchemeHooks).
-				cfg.Maintenance = nil
-			}
-			results[tid], errs[tid] = workload.Run(c, env.Pool, store, cfg)
-		}(t)
+	for tid := range runners {
+		cfg := per
+		cfg.Seed = wl.Seed + int64(tid)*101
+		cfg.KeyBase = uint64(tid) << 40
+		if tid != 0 {
+			cfg.Maintenance = nil
+		}
+		ctxs[tid] = sim.NewCtx(&env.Cfg)
+		runners[tid] = workload.NewRunner(ctxs[tid], env.Pool, store, cfg)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return workload.Result{}, err
+	results := make([]workload.Result, threads)
+	for left := threads; left > 0; {
+		for tid := threads - 1; tid >= 0; tid-- {
+			if runners[tid] == nil {
+				continue
+			}
+			res, done, err := runners[tid].Step()
+			if err != nil {
+				return workload.Result{}, err
+			}
+			if done {
+				results[tid], runners[tid] = res, nil
+				left--
+			}
 		}
 	}
 	// Merge: footprint/live sampled per-thread over the same pool; average

@@ -205,7 +205,6 @@ func buildPrefix(spec Spec) (*prefixState, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.RT.Device().SetExclusive(true)
 	store, err := BuildStore(env.Ctx, env.Pool, spec.Store, wl)
 	if err != nil {
 		return nil, err
@@ -272,7 +271,6 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	cfg := sim.DefaultConfig()
 	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
 	dev.Restore(&pre.chk.dev)
-	dev.SetExclusive(true)
 	rt, err := pmop.AttachAtEpoch(&cfg, dev, 0)
 	if err != nil {
 		return Outcome{}, err
@@ -319,8 +317,9 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 
 // runForked executes one spec through the fork path: prefix to the
 // divergence point, then a single fork. Specs the fork protocol cannot
-// serve (no engine, or goroutine-nondeterministic multi-thread runs) fall
-// back to Run.
+// serve fall back to Run: a run with no engine never diverges, and a
+// multi-thread run interleaves several runners, which have no checkpoint
+// between them.
 func runForked(spec Spec) (Outcome, error) {
 	if spec.Scheme == core.SchemeNone || spec.Threads > 1 {
 		return Run(spec)
@@ -350,7 +349,7 @@ func forkGroupKey(s Spec) Spec {
 // trigger, target, page size) through the fork driver: one prefix build
 // plus one forked run per scheme, instead of len(schemes) full runs.
 // Outcomes are returned in spec order and are bit-identical (cycles, device
-// counters, frag ratios) to RunSpecs'. Baselines (SchemeNone), concurrent
+// counters, frag ratios) to RunSpecs'. Baselines (SchemeNone), multi-thread
 // specs, and singleton groups run from scratch — a lone scheme gains
 // nothing from checkpointing.
 func RunSpecsForked(specs []Spec) ([]Outcome, error) {

@@ -47,7 +47,6 @@ func TestForkInsideOpenEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.RT.Device().SetExclusive(true)
 	store, err := BuildStore(env.Ctx, env.Pool, spec.Store, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,6 @@ func TestForkInsideOpenEpoch(t *testing.T) {
 	kv.RegisterTypes(reg)
 	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
 	dev.Restore(&chk.dev)
-	dev.SetExclusive(true)
 	rt, err := pmop.AttachAtEpoch(&cfg, dev, 0)
 	if err != nil {
 		t.Fatal(err)

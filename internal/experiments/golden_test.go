@@ -206,14 +206,22 @@ func checkGolden(t *testing.T, out Outcome, g goldenRun) {
 // TestTracingDoesNotPerturb runs the same spec with observability off and
 // on and demands identical simulated results, while also proving the trace
 // actually recorded activity (an accidentally-dead tracer would make the
-// comparison vacuous). Single-threaded spec: with Threads > 1 the goroutine
-// interleaving itself is nondeterministic run to run, so only 1-thread runs
-// carry the repeatability contract (same as TestCycleDeterminism).
+// comparison vacuous). A 4-thread spec runs too: its threads are runners
+// interleaved in a fixed order, so it carries the same repeatability
+// contract as a 1-thread one.
 func TestTracingDoesNotPerturb(t *testing.T) {
-	spec := Spec{Store: "SS", Threads: 1, Scheme: core.SchemeFFCCDCheckLookup,
-		Scale: 0.001, PageShift: 12, Seed: 5}
-	spec.Trigger, spec.Target = core.NormalParams()
+	for _, spec := range []Spec{
+		{Store: "SS", Threads: 1, Scheme: core.SchemeFFCCDCheckLookup, Scale: 0.001, PageShift: 12, Seed: 5},
+		{Store: "BzTree", Threads: 4, Scheme: core.SchemeFFCCDCheckLookup, Scale: 0.001, PageShift: 12, Seed: 5},
+	} {
+		spec.Trigger, spec.Target = core.NormalParams()
+		t.Run(fmt.Sprintf("%s/%dT", spec.Store, spec.Threads), func(t *testing.T) {
+			tracingDoesNotPerturb(t, spec)
+		})
+	}
+}
 
+func tracingDoesNotPerturb(t *testing.T, spec Spec) {
 	SetObsCollector(nil)
 	off, err := Run(spec)
 	if err != nil {
@@ -266,29 +274,35 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestCycleDeterminism runs the same spec twice in one process and demands
-// identical cycle totals and device counters. This pins the deterministic
-// drain order of the per-set in-flight state: map-iteration or scheduling
-// nondeterminism anywhere in the device would show up here as cycle drift.
+// TestCycleDeterminism runs each spec twice at each of two worker-pool sizes
+// in one process and demands identical outcomes: cycle totals, device and
+// engine counters, footprints. This pins the deterministic drain order of the
+// per-set in-flight state — map-iteration or scheduling nondeterminism
+// anywhere in the device would show up here as cycle drift — and, for the
+// 4-thread spec, the fixed interleaving of its threads.
 func TestCycleDeterminism(t *testing.T) {
-	spec := Spec{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCDCheckLookup,
-		Scale: 0.001, PageShift: 12, Seed: 7}
-	spec.Trigger, spec.Target = core.NormalParams()
-	a, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cycles != b.Cycles {
-		t.Errorf("cycle totals differ across identical runs:\n  %v\n  %v", a.Cycles, b.Cycles)
-	}
-	if a.Device != b.Device {
-		t.Errorf("device counters differ across identical runs:\n  %+v\n  %+v", a.Device, b.Device)
-	}
-	if fmt.Sprintf("%.12f", a.FragRatio()) != fmt.Sprintf("%.12f", b.FragRatio()) {
-		t.Errorf("frag ratio differs: %v vs %v", a.FragRatio(), b.FragRatio())
+	for _, spec := range []Spec{
+		{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCDCheckLookup, Scale: 0.001, PageShift: 12, Seed: 7},
+		{Store: "FPTree", Threads: 4, Scheme: core.SchemeFFCCDCheckLookup, Scale: 0.001, PageShift: 12, Seed: 7},
+	} {
+		spec.Trigger, spec.Target = core.NormalParams()
+		t.Run(fmt.Sprintf("%s/%dT", spec.Store, spec.Threads), func(t *testing.T) {
+			var outs []Outcome
+			prev := Parallelism()
+			defer SetParallelism(prev)
+			for _, workers := range []int{1, 4} {
+				SetParallelism(workers)
+				got, err := RunSpecs([]Spec{spec, spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, got...)
+			}
+			for i, o := range outs[1:] {
+				if o != outs[0] {
+					t.Errorf("run %d differs from run 0 (runs 0-1 on 1 worker, 2-3 on 4):\n  %+v\n  %+v", i+1, outs[0], o)
+				}
+			}
+		})
 	}
 }

@@ -7,31 +7,26 @@
 // threaded microbenchmarks plus BzTree/FPTree at 1, 2, 4, 8 threads, each
 // under SFCCD and FFCCD) are enumerated by AllSettings.
 //
-// Three drivers put a machine in front of a power failure, and they share
-// everything after it:
+// Two drivers put a machine in front of a power failure, and they share
+// everything after it. Each runs its machine on one goroutine — the
+// application threads of an nT setting and the compactor are simulated
+// threads interleaved in a fixed order — so a crash point is an exact
+// crash-site index (see pmem.SiteClass), and every failing schedule replays
+// bit-identically from its Repro line:
 //
-//   - RunScheduled (schedule.go): the deterministic batch driver — one
-//     goroutine end to end, crash fired at an exact crash-site index (see
-//     pmem.SiteClass), optionally a second crash inside recovery. Every
-//     failing schedule replays bit-identically from its Repro line. Its
-//     machine is forked from a prefix built once per campaign (machine.go):
-//     the trials of a campaign differ only after the store is built.
+//   - RunScheduled (schedule.go): the batch driver. Its machine is forked
+//     from a prefix built once per campaign (machine.go): the trials of a
+//     campaign differ only after the store is built. Optionally a second
+//     crash fires inside recovery.
 //   - RunServeScheduled (servesched.go): the same for a machine under
 //     open-loop serving traffic (redisws.Serve), which recovers online,
 //     validates every acknowledged write and resumes serving.
-//   - Trial (below): the randomized driver — churn threads are real
-//     goroutines, the crash comes after rng.Intn(400) compaction steps under a
-//     random in-flight-line policy. It stays because it is the only driver
-//     whose application threads run concurrently (the paper's §7.1
-//     methodology, and what go test -race exercises on the 2/4/8-thread
-//     settings); a scheduled trial is one goroutine by construction. Its
-//     crash point is only as fine as a step count.
 //
-// One batch machine and one churner (machine.go) serve both batch drivers;
-// the serving driver builds its machines with redisws.NewMachine. All three
-// restart through one sequence (restart.run, machine.go): power failure,
-// reopen, recovery with the site recorder armed, and on a crash inside
-// recovery a second power failure and an unscheduled recovery.
+// The batch machine and its churner live in machine.go; the serving driver
+// builds its machines with redisws.NewMachine. Both restart through one
+// sequence (restart.run, machine.go): power failure, reopen, recovery with
+// the site recorder armed, and on a crash inside recovery a second power
+// failure and an unscheduled recovery.
 //
 // One campaign (campaign.go) sweeps or samples the site space of any Schedule
 // and one shrinker (shrink.go) minimizes failures into repro artifacts.
@@ -39,7 +34,6 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -190,80 +184,4 @@ func keyCapFor(name string) uint64 {
 		return 1024
 	}
 	return 1 << 30
-}
-
-// Trial runs one randomized fault-injection trial and returns an error
-// describing the first consistency violation, or nil.
-func Trial(setting Setting, seed int64, opts TrialOptions) error {
-	m, err := newMachine(setting, false)
-	if err != nil {
-		return err
-	}
-	// Every churn goroutine is joined before a return, so the media array can
-	// go back for reuse.
-	defer m.dev.ReleaseMedia()
-	rng := rand.New(rand.NewSource(seed))
-
-	// Build a fragmented store, every thread churning its own key range at
-	// once. The per-thread models span both churn sessions, so deletes in the
-	// second are reflected.
-	churn := newChurner(m, 300)
-	if err := churn.churnConcurrently(&m.cfg, 600, func(tid int) int64 { return seed + int64(tid) + 1 }); err != nil {
-		return err
-	}
-	m.dev.FlushAll(m.ctx)
-
-	// Start a defragmentation epoch and advance it a random amount.
-	opt := m.engineOptions(opts, seed)
-	e := core.NewEngine(m.pool, opt)
-	if !e.BeginCycle(m.ctx) {
-		// Not fragmented enough this time; that is a (trivially) passing
-		// trial — nothing to crash into.
-		e.Close()
-		return nil
-	}
-	e.StepCompaction(m.ctx, rng.Intn(400))
-
-	// Concurrent application traffic through the read barrier, then stop.
-	if err := churn.churnConcurrently(&m.cfg, 60, func(tid int) int64 { return seed ^ 0x5a5a + int64(tid) }); err != nil {
-		return err
-	}
-
-	// Crash with a randomly chosen persistence outcome for unfenced lines,
-	// restart (which completes the epoch) and check.
-	policy := Policies[rng.Intn(len(Policies))]
-	var salt uint64
-	if policy == PolicySalt {
-		salt = rng.Uint64()
-	}
-	crashPolicy, _ := PolicyFor(policy, salt) // a name out of Policies resolves
-	var res Result
-	return m.restartAndCheck(&res, crashPolicy, -1, opt, opts, churn)
-}
-
-// Outcome summarises a randomized campaign over one setting.
-type Outcome struct {
-	Setting  Setting
-	Trials   int
-	Passed   int
-	Failures []string
-}
-
-// RunSetting executes trials randomized trials for one setting across
-// Parallelism() workers. The outcome is deterministic regardless of worker
-// count: failures are aggregated in trial order.
-func RunSetting(setting Setting, trials int, seed int64, opts TrialOptions) Outcome {
-	out := Outcome{Setting: setting, Trials: trials}
-	errs := make([]error, trials)
-	parallelFor(trials, func(i int) {
-		errs[i] = Trial(setting, seed+int64(i)*7919, opts)
-	})
-	for _, err := range errs {
-		if err != nil {
-			out.Failures = append(out.Failures, err.Error())
-		} else {
-			out.Passed++
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"reflect"
 	"testing"
 
 	"ffccd/internal/core"
@@ -26,9 +27,10 @@ func TestAllSettingsEnumerates26(t *testing.T) {
 	}
 }
 
-// TestCampaignSample runs a scaled-down injection campaign: a few trials of
-// a representative subset of the 26 settings. The full campaign (1000 trials
-// per setting) is cmd/ffccd-crashtest.
+// TestCampaignSample runs a scaled-down scheduled campaign over a
+// representative subset of the 26 settings, 2T and 4T ones included: each
+// site class's first crash site plus a few more, with nested crashes. The
+// full campaign is cmd/ffccd-crashtest.
 func TestCampaignSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault injection campaign is slow")
@@ -45,20 +47,33 @@ func TestCampaignSample(t *testing.T) {
 		{Store: "FPTree", Threads: 2, Scheme: core.SchemeFFCCD},
 	}
 	for _, s := range subset {
-		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			out := faultinject.RunSetting(s, 4, 1000, faultinject.TrialOptions{})
-			if out.Passed != out.Trials {
-				t.Fatalf("%d/%d passed; first failure: %s", out.Passed, out.Trials, out.Failures[0])
+			out := faultinject.ExploreSetting(s, faultinject.CampaignOptions{
+				Seed: 1000, MaxSites: 8, Nested: true, MaxNested: 2,
+			})
+			if out.Skipped || out.Scheduled == 0 {
+				t.Fatalf("vacuous campaign: %+v", out)
+			}
+			if len(out.Failures) > 0 {
+				t.Fatalf("%d/%d passed; first failure: %s", out.Passed, out.Scheduled, out.Failures[0])
 			}
 		})
 	}
 }
 
+// TestSingleTrialDeterministic: a campaign is a pure function of its setting
+// and options — run twice, it schedules, crashes and covers exactly the same
+// sites, whatever the worker pool does.
 func TestSingleTrialDeterministic(t *testing.T) {
 	s := faultinject.Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}
-	if err := faultinject.Trial(s, 42, faultinject.TrialOptions{}); err != nil {
-		t.Fatal(err)
+	co := faultinject.CampaignOptions{Seed: 42, MaxSites: 6, Nested: true, MaxNested: 2}
+	a := faultinject.ExploreSetting(s, co)
+	b := faultinject.ExploreSetting(s, co)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs of one campaign differ:\n  %+v\n  %+v", a, b)
+	}
+	if a.Scheduled == 0 || len(a.Failures) > 0 {
+		t.Fatalf("campaign: %d/%d passed, failures %v", a.Passed, a.Scheduled, a.Failures)
 	}
 }
 
@@ -89,15 +104,26 @@ func TestAllSettingsCoverBothSchemes(t *testing.T) {
 	}
 }
 
+// TestRunSettingAggregatesOutcome: a campaign's outcome adds up — every
+// scheduled trial passed or failed, and each first-level crash that passed is
+// counted once under its site class.
 func TestRunSettingAggregatesOutcome(t *testing.T) {
-	out := faultinject.RunSetting(faultinject.Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 3, 101, faultinject.TrialOptions{})
-	if out.Trials != 3 {
-		t.Fatalf("trials = %d", out.Trials)
+	out := faultinject.ExploreSetting(faultinject.Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD},
+		faultinject.CampaignOptions{Seed: 101, MaxSites: 3, Nested: true, MaxNested: 2})
+	if out.Scheduled == 0 {
+		t.Fatalf("no trials scheduled: %+v", out)
 	}
-	if out.Passed+len(out.Failures) != out.Trials {
-		t.Fatalf("pass/fail don't sum: %d + %d != %d", out.Passed, len(out.Failures), out.Trials)
+	if out.Passed+len(out.Failures) != out.Scheduled {
+		t.Fatalf("pass/fail don't sum: %d + %d != %d", out.Passed, len(out.Failures), out.Scheduled)
 	}
-	if out.Passed != 3 {
+	if out.Passed != out.Scheduled {
 		t.Fatalf("expected all trials to pass, failures: %v", out.Failures)
+	}
+	covered := 0
+	for _, n := range out.Covered {
+		covered += n
+	}
+	if covered == 0 || covered > out.Scheduled {
+		t.Fatalf("%d covered crashes of %d trials", covered, out.Scheduled)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"sync"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/checker"
@@ -46,18 +45,15 @@ func blankMachine(setting Setting) *machine {
 	return m
 }
 
-// newMachine builds the machine for setting with an empty store. exclusive
-// drops the device's per-access host locks, for a trial that is one goroutine
-// end to end. The caller owns the media: it calls dev.ReleaseMedia once no
-// goroutine can touch the machine any more.
-func newMachine(setting Setting, exclusive bool) (*machine, error) {
+// newMachine builds the machine for setting with an empty store. The caller
+// owns the media: it calls dev.ReleaseMedia once it is done with the machine.
+func newMachine(setting Setting) (*machine, error) {
 	m := blankMachine(setting)
 	var err error
 	if m.pool, err = pmop.NewRuntime(&m.cfg, batchDevBytes).Create("fi", batchDevBytes/2, 12, batchRegistry()); err != nil {
 		return nil, err
 	}
 	m.dev = m.pool.Device()
-	m.dev.SetExclusive(exclusive)
 	m.ctx = sim.NewCtx(&m.cfg)
 	if m.store, err = buildStore(m.ctx, m.pool, setting.Store); err != nil {
 		m.dev.ReleaseMedia()
@@ -88,11 +84,9 @@ type prefix struct {
 }
 
 // buildPrefix builds the machine, runs the build churn of every thread in
-// thread order, flushes, and captures the result. One goroutine does all of
-// it, as it does the rest of the trial, so a 1T machine's device goes without
-// its per-access host locks, as in experiments.Run.
+// thread order, flushes, and captures the result.
 func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
-	m, err := newMachine(setting, setting.Threads == 1)
+	m, err := newMachine(setting)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +113,6 @@ func (pre *prefix) fork() (*machine, *churner, error) {
 	m := blankMachine(pre.setting)
 	m.dev = pmem.NewDeviceForRestore(&m.cfg, batchDevBytes)
 	m.dev.Restore(&pre.dev)
-	m.dev.SetExclusive(pre.setting.Threads == 1)
 	rt, err := pmop.AttachAtEpoch(&m.cfg, m.dev, 0)
 	if err == nil {
 		m.pool, err = rt.Open("fi", batchRegistry())
@@ -168,9 +161,9 @@ type pendingOp struct {
 }
 
 // churner drives application traffic against a batch machine's store and
-// keeps the model the checker compares the recovered store with. Each thread
-// owns a disjoint key range (tid<<20 + [0, span)) and its own model and
-// in-flight slot, so threads may run as concurrent goroutines.
+// keeps the model the checker compares the recovered store with. Each
+// simulated thread owns a disjoint key range (tid<<20 + [0, span)) and its own
+// model and in-flight slot; the driver interleaves the threads' ops.
 type churner struct {
 	store   ds.Store
 	keyCap  uint64
@@ -265,29 +258,8 @@ func (c *churner) build(ctx *sim.Ctx, tid, ops int, r *rand.Rand) error {
 	return nil
 }
 
-// churnConcurrently runs churn for every thread at once, each on its own
-// goroutine, context and RNG stream, and returns once all have finished.
-func (c *churner) churnConcurrently(cfg *sim.Config, ops int, seed func(tid int) int64) error {
-	errs := make([]error, len(c.models))
-	var wg sync.WaitGroup
-	for t := range c.models {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			errs[tid] = c.churn(sim.NewCtx(cfg), tid, ops, rand.New(rand.NewSource(seed(tid))))
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // model merges the per-thread models; inFlight is the one operation a crash
-// interrupted, if any (threads of an armed trial run one at a time).
+// interrupted, if any (the threads' ops run one at a time).
 func (c *churner) model() (model map[uint64][]byte, inFlight *pendingOp) {
 	model = make(map[uint64][]byte)
 	for t, m := range c.models {

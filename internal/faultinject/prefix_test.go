@@ -23,7 +23,7 @@ import (
 
 // scratchMachine builds, churns and flushes a machine in place.
 func scratchMachine(setting Setting, seed int64, ops int) (*machine, *churner, error) {
-	m, err := newMachine(setting, setting.Threads == 1)
+	m, err := newMachine(setting)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -302,10 +302,10 @@ func (r Repro) shrinks() []Schedule {
 }
 
 // RunScheduled executes one deterministic batch trial, as a campaign of one.
-// It is single-threaded end to end — per-thread churn runs sequentially in
-// thread order, with the per-thread RNG streams and disjoint key ranges of the
-// randomized Trial minus the host-scheduling nondeterminism — so the sequence
-// of crash-site passages is a pure function of the Repro.
+// It runs on one goroutine end to end — the simulated threads' churn, each
+// with its own RNG stream and disjoint key range, is interleaved in a fixed
+// order — so the sequence of crash-site passages is a pure function of the
+// Repro.
 func RunScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	return new(campaign).runScheduled(rep, opts)
 }
@@ -339,10 +339,10 @@ func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 }
 
 // runArmed is the trial from the built, flushed machine on: everything a
-// schedule can crash. One goroutine does the churn, the engine stepping (the
-// engine has no AutoTrigger, hence no background goroutine), the crash, the
-// recovery and the checking. rep is normalized, names m's setting and loses
-// power under policy.
+// schedule can crash. One goroutine does the churn, the engine stepping, the
+// crash, the recovery and the checking: the threads' tail churn and the
+// compaction steps interleave round-robin. rep is normalized, names m's
+// setting and loses power under policy.
 func (m *machine) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opts TrialOptions) (Result, error) {
 	var res Result
 	setting, ctx, dev := m.setting, m.ctx, m.dev

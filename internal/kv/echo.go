@@ -147,7 +147,6 @@ func (e *Echo) findEntry(ctx *sim.Ctx, seg pmop.Ptr, off uint64, key uint64) (en
 
 // Insert implements ds.Store.
 func (e *Echo) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	e.p.StartOp()
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -203,7 +202,6 @@ func (e *Echo) insertUnlocked(ctx *sim.Ctx, key uint64, val []byte) error {
 
 // Delete implements ds.Store.
 func (e *Echo) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	e.p.StartOp()
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -242,7 +240,6 @@ func (e *Echo) deleteUnlocked(ctx *sim.Ctx, key uint64) (bool, error) {
 
 // Get implements ds.Store.
 func (e *Echo) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	e.p.StartOp()
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -272,16 +269,10 @@ func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) 
 	return buf, true
 }
 
-// GetParallel is Get without the store mutex: the synchronisation-free read
-// a batched GET of the serving layer runs. It is only safe when the caller
-// guarantees no concurrent mutation of the touched bucket chain and no open
-// defragmentation epoch (no read barrier, so the load sequence is side-effect
-// free outside the device's cache sets, and GETs of one batch commute).
-func (e *Echo) GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	e.p.StartOp()
-	defer e.p.EndOp()
-	return e.getUnlocked(ctx, key, nil)
-}
+// GetParallel is Get under the name the serving layer's batched GET calls:
+// a batch runs its GETs in place, one after another, on the goroutine that
+// owns the machine.
+func (e *Echo) GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool) { return e.Get(ctx, key) }
 
 // GetFootprint reports a superset of the pool-offset byte ranges Get(key)
 // would load, by walking the bucket chain with non-perturbing peeks (no

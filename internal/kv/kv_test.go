@@ -3,7 +3,6 @@ package kv_test
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"ffccd/internal/core"
@@ -171,45 +170,40 @@ func TestEchoDefrag(t *testing.T) {
 	}
 }
 
+// TestPmemKVConcurrent: four simulated threads, each with its own context and
+// key range, take turns one operation at a time through inserts, reads and
+// deletes.
 func TestPmemKVConcurrent(t *testing.T) {
 	cfg, _, p, ctx := newPool(t)
 	k, err := kv.NewPmemKV(ctx, p, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := sim.NewCtx(cfg)
-			base := uint64(w) * 10000
-			for i := uint64(0); i < 300; i++ {
-				if err := k.Insert(c, base+i, []byte{byte(w), byte(i)}); err != nil {
-					errCh <- err
-					return
-				}
-			}
-			for i := uint64(0); i < 300; i++ {
-				v, ok := k.Get(c, base+i)
-				if !ok || v[0] != byte(w) {
-					errCh <- fmt.Errorf("worker %d key %d bad", w, i)
-					return
-				}
-			}
-			for i := uint64(0); i < 300; i += 2 {
-				if ok, err := k.Delete(c, base+i); !ok || err != nil {
-					errCh <- fmt.Errorf("worker %d delete %d: %v %v", w, i, ok, err)
-					return
-				}
-			}
-		}(w)
+	ctxs := make([]*sim.Ctx, 4)
+	for w := range ctxs {
+		ctxs[w] = sim.NewCtx(cfg)
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	base := func(w int) uint64 { return uint64(w) * 10000 }
+	for i := uint64(0); i < 300; i++ {
+		for w, c := range ctxs {
+			if err := k.Insert(c, base(w)+i, []byte{byte(w), byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := uint64(0); i < 300; i++ {
+		for w, c := range ctxs {
+			if v, ok := k.Get(c, base(w)+i); !ok || v[0] != byte(w) {
+				t.Fatalf("worker %d key %d bad", w, i)
+			}
+		}
+	}
+	for i := uint64(0); i < 300; i += 2 {
+		for w, c := range ctxs {
+			if ok, err := k.Delete(c, base(w)+i); !ok || err != nil {
+				t.Fatalf("worker %d delete %d: %v %v", w, i, ok, err)
+			}
+		}
 	}
 	if k.Len() != 4*150 {
 		t.Fatalf("len = %d, want 600", k.Len())
@@ -227,7 +221,7 @@ func TestStoresInterface(t *testing.T) {
 
 func TestPmemKVConcurrentWithDefragAndCrash(t *testing.T) {
 	// Four writer threads over disjoint ranges while a defragmentation
-	// epoch is open; crash; recover; verify all committed data.
+	// epoch is open; crash mid-epoch; recover; verify all committed data.
 	cfg, rt, p, ctx := newPool(t)
 	k, err := kv.NewPmemKV(ctx, p, 2048)
 	if err != nil {
@@ -248,20 +242,18 @@ func TestPmemKVConcurrentWithDefragAndCrash(t *testing.T) {
 	if !eng.BeginCycle(ctx) {
 		t.Skip("not fragmented enough")
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := sim.NewCtx(cfg)
-			base := uint64(100000 + w*10000)
-			for i := uint64(0); i < 80; i++ {
-				k.Insert(c, base+i, []byte{byte(w), byte(i)})
-			}
-		}(w)
+	// The writers take turns one insert at a time, with the mover stepping
+	// between rounds.
+	ctxs := make([]*sim.Ctx, 4)
+	for w := range ctxs {
+		ctxs[w] = sim.NewCtx(cfg)
 	}
-	wg.Wait()
-	eng.StepCompaction(ctx, 200)
+	for i := uint64(0); i < 80; i++ {
+		for w, c := range ctxs {
+			k.Insert(c, uint64(100000+w*10000)+i, []byte{byte(w), byte(i)})
+		}
+		eng.StepCompaction(ctx, 2)
+	}
 
 	rt.Device().Crash()
 	if eng.RBB() != nil {

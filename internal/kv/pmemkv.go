@@ -47,7 +47,6 @@ func (k *PmemKV) Len() int {
 
 // Insert implements ds.Store.
 func (k *PmemKV) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
-	k.inner.p.StartOp()
 	defer k.inner.p.EndOp()
 	m := k.stripe(key)
 	m.Lock()
@@ -66,7 +65,6 @@ func (k *PmemKV) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 
 // Delete implements ds.Store.
 func (k *PmemKV) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
-	k.inner.p.StartOp()
 	defer k.inner.p.EndOp()
 	m := k.stripe(key)
 	m.Lock()
@@ -82,7 +80,6 @@ func (k *PmemKV) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 
 // Get implements ds.Store.
 func (k *PmemKV) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
-	k.inner.p.StartOp()
 	defer k.inner.p.EndOp()
 	m := k.stripe(key)
 	m.Lock()

@@ -107,8 +107,6 @@ func (d *Defragmenter) PhysFrag(pageShift uint) alloc.FragStats {
 func (d *Defragmenter) RunCycle(ctx *sim.Ctx) int {
 	p := d.p
 	heap := p.Heap()
-	p.StopWorld()
-	defer p.ResumeWorld()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 

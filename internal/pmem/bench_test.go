@@ -2,79 +2,13 @@ package pmem
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"ffccd/internal/sim"
 )
 
-// The device micro-benchmarks measure host-side cost of the simulated
-// machine's per-access path — the code the tentpole de-contends. Each
-// benchmark runs at 1, 4 and 8 goroutines; the simulated cycle accounting is
-// identical at every parallelism level, only host ns/op changes.
-
-func benchDevice() (*Device, *sim.Config) {
-	cfg := sim.DefaultConfig()
-	d := NewDevice(&cfg, 64<<20)
-	return d, &cfg
-}
-
-// benchParallel splits b.N across exactly g goroutines, each with its own
-// sim.Ctx and a disjoint 4 MB address window.
-func benchParallel(b *testing.B, g int, cfg *sim.Config, body func(ctx *sim.Ctx, base, i uint64)) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	per := b.N / g
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		n := per
-		if w == g-1 {
-			n = b.N - per*(g-1)
-		}
-		go func(id, n int) {
-			defer wg.Done()
-			ctx := sim.NewCtx(cfg)
-			base := uint64(id) * (4 << 20)
-			for i := 0; i < n; i++ {
-				body(ctx, base, uint64(i))
-			}
-		}(w, n)
-	}
-	wg.Wait()
-}
-
-func BenchmarkDeviceLoad(b *testing.B) {
-	for _, g := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			d, cfg := benchDevice()
-			benchParallel(b, g, cfg, func(ctx *sim.Ctx, base, i uint64) {
-				var buf [8]byte
-				d.Load(ctx, base+(i%32768)*LineSize, buf[:])
-			})
-		})
-	}
-}
-
-func BenchmarkDeviceStoreClwbSfence(b *testing.B) {
-	for _, g := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			d, cfg := benchDevice()
-			benchParallel(b, g, cfg, func(ctx *sim.Ctx, base, i uint64) {
-				var buf [16]byte
-				addr := base + (i%8192)*LineSize
-				d.Store(ctx, addr, buf[:])
-				d.Clwb(ctx, addr)
-				if i%8 == 7 {
-					d.Sfence(ctx)
-				}
-			})
-		})
-	}
-}
-
-// The ladder below prices the single-owner device as the micro and serving
-// machines drive it: default geometry, exclusive mode, and addresses drawn
+// The ladder prices the device as the micro and serving machines drive it:
+// one owner goroutine, default geometry, and addresses drawn
 // pseudo-randomly from a region, so the host cache holds neither the modelled
 // cache's 3 MB of line bodies nor its per-set state. "Resident" is a 2 MB
 // region loaded once (about 11 of each set's 16 ways), so a random line of it
@@ -88,7 +22,6 @@ const (
 func ladderDevice(b *testing.B) (*Device, *sim.Ctx) {
 	cfg := sim.DefaultConfig()
 	d := NewDevice(&cfg, 64<<20)
-	d.SetExclusive(true)
 	b.Cleanup(d.ReleaseMedia)
 	clear(d.media) // fault a fresh array in: host page faults are not the device's cost
 	ctx := sim.NewCtx(&cfg)
@@ -177,22 +110,20 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	}
 }
 
+// BenchmarkRelocateParts is a representative cluster move: two sub-line
+// objects sharing a destination line plus one full line.
 func BenchmarkRelocateParts(b *testing.B) {
-	for _, g := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			d, cfg := benchDevice()
-			benchParallel(b, g, cfg, func(ctx *sim.Ctx, base, i uint64) {
-				// A representative cluster move: two sub-line objects sharing
-				// a destination line plus one full line.
-				off := base + (i%4096)*LineSize
-				parts := [3]RelocatePart{
-					{Dst: off + (2 << 20), Src: off, N: 40},
-					{Dst: off + (2 << 20) + 40, Src: off + 128, N: 24},
-					{Dst: off + (2 << 20) + LineSize, Src: off + 256, N: LineSize},
-				}
-				d.RelocateParts(ctx, parts[:])
-			})
-		})
+	d, ctx := ladderDevice(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := uint64(i%4096) * LineSize
+		parts := [3]RelocatePart{
+			{Dst: off + (2 << 20), Src: off, N: 40},
+			{Dst: off + (2 << 20) + 40, Src: off + 128, N: 24},
+			{Dst: off + (2 << 20) + LineSize, Src: off + 256, N: LineSize},
+		}
+		d.RelocateParts(ctx, parts[:])
 	}
 }
 

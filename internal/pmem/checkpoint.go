@@ -117,7 +117,7 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 		cs.Inflight = append(cs.Inflight[:0], set.inflight...)
 	}
 	c.Pend = append(c.Pend[:0], d.pend...)
-	c.EADR = d.eADR.Load()
+	c.EADR = d.eADR
 
 	c.Stats = d.sumStats()
 }
@@ -249,7 +249,7 @@ func (d *Device) Restore(c *DeviceCheckpoint) {
 		set.inflight = append(set.inflight[:0], cs.Inflight...)
 	}
 	d.pend = append(d.pend[:0], c.Pend...)
-	d.eADR.Store(c.EADR)
+	d.eADR = c.EADR
 	d.ResetStats()
 	for j := 0; j < statCount; j++ {
 		d.stat[0].c[j].Store(c.Stats[j])

@@ -16,12 +16,13 @@
 //     in-flight lines (ADR guarantees only what reached the WPQ), and leaves
 //     the media array as the exact post-crash machine state.
 //
-// All latencies are charged to the sim.Ctx passed to each operation. The
-// device is engineered so that simulation threads share no contended host
-// state on the per-access path: statistics counters are sharded atomics,
-// and in-flight (clwb'd, unfenced) lines live with their cache set, under
-// the same per-set lock every access already takes. See DESIGN.md ("Host
-// performance model") for the invariant host-side optimizations must keep.
+// All latencies are charged to the sim.Ctx passed to each operation. A device
+// has one owner: one goroutine drives every simulated thread of its machine,
+// so the per-access path takes no host lock. Simulated threads are sim.Ctx
+// values, not goroutines. Only the statistics counters stay atomic (sharded),
+// because an observer goroutine (-httpobs) may read them while the owner
+// runs. See DESIGN.md ("Host performance model") for the invariant host-side
+// optimizations must keep.
 //
 // The modelled cache is laid out for the host's cache (DESIGN.md §7, "A cache
 // laid out for the host"). Way state lives in three device-wide arrays
@@ -98,9 +99,7 @@ func DropAllInflight(uint64) bool { return false }
 func KeepAllInflight(uint64) bool { return true }
 
 // inflightEntry is one clwb'd-but-unfenced line. Entries live with the cache
-// set their line maps to, so the per-set lock that already serializes cache
-// accesses to the line also serializes its in-flight state — no global
-// in-flight lock exists.
+// set their line maps to, so a fence visits only the sets that hold some.
 type inflightEntry struct {
 	lineIdx uint64
 	pending bool
@@ -112,7 +111,6 @@ type inflightEntry struct {
 // body and nothing else. The ways themselves (tags, ages, bodies) live in the
 // device-wide slot arrays.
 type cacheSet struct {
-	mu sync.Mutex
 	// mruTag, when non-zero, asserts that way mru holds that tag and was the
 	// last way of the set touched — so its LRU age is tick, and ages[mru] is
 	// stale until something materializes it: resident before it touches
@@ -124,14 +122,14 @@ type cacheSet struct {
 	dirty   uint32 // bit w: way w differs from the persistence domain
 	pending uint32 // bit w: way w is a relocate destination not yet persistent
 	// enqueued records whether this set is already on the device's
-	// pending-set list (guarded by mu).
+	// pending-set list.
 	enqueued bool
-	// inflight holds this set's clwb'd-but-unfenced lines (guarded by mu).
-	// The slice's capacity is retained across drains so the steady state
-	// allocates nothing.
+	// inflight holds this set's clwb'd-but-unfenced lines. The slice's
+	// capacity is retained across drains so the steady state allocates
+	// nothing.
 	inflight []inflightEntry
 
-	_ [8]byte
+	_ [16]byte
 }
 
 // A cacheSet is one host line: no smaller (adjacent sets would share one),
@@ -142,9 +140,10 @@ var (
 )
 
 // Device is a simulated persistent-memory module plus the volatile cache in
-// front of it. It is safe for concurrent use by multiple simulation threads;
-// per-access state is partitioned per cache set so threads touching
-// different lines share no locks.
+// front of it. It belongs to one goroutine at a time, which runs every
+// simulated thread (sim.Ctx) of its machine; no method takes a host lock.
+// Stats, and the observability groups built on it, may be read from another
+// goroutine at any time.
 type Device struct {
 	cfg   *sim.Config
 	media []byte
@@ -162,36 +161,22 @@ type Device struct {
 
 	// dirty marks DirtyPageSize media pages that may differ from the
 	// all-zero base image, one bit per page. Every media-write path sets the
-	// page's bit (plain or-in under exclusive mode, atomic otherwise);
-	// CheckpointInto captures only marked pages, Restore zeroes/overwrites
-	// only marked pages, and ReleaseMedia wipes marked pages so recycled
-	// buffers are always all-zero. A spuriously set bit only costs a no-op
-	// copy; a missed bit would corrupt forked runs, so every write to
+	// page's bit; CheckpointInto captures only marked pages, Restore
+	// zeroes/overwrites only marked pages, and ReleaseMedia wipes marked pages
+	// so recycled buffers are always all-zero. A spuriously set bit only costs
+	// a no-op copy; a missed bit would corrupt forked runs, so every write to
 	// d.media must be paired with touchLine/touchRange.
 	dirty []uint64
 
 	// pend lists the indices of sets that currently hold in-flight lines, so
 	// Sfence visits only those sets instead of scanning the whole cache.
-	pendMu sync.Mutex
-	pend   []int
-	// fence is Sfence's working set while one goroutine owns the device.
+	pend []int
+	// fence is Sfence's reusable working set.
 	fence sfenceScratch
 
-	rbbMu sync.Mutex
-	rbb   RBBSink
-
-	policyMu sync.Mutex
-	policy   CrashPolicy
-
-	eADR atomic.Bool
-
-	// exclusive elides the per-access host locks (per-set, pending-set and
-	// RBB mutexes) when a single goroutine owns the device — the dominant
-	// experiment configuration (Threads == 1, where workload and GC share one
-	// simulation thread). Purely a host optimization: simulated behavior is
-	// identical either way. May only be toggled while the device is quiescent,
-	// and must stay false whenever two goroutines can touch the device.
-	exclusive bool
+	rbb    RBBSink
+	policy CrashPolicy
+	eADR   bool
 
 	stat [statShards]statShard
 
@@ -210,9 +195,8 @@ type Device struct {
 	drainProbe func(ctx *sim.Ctx, stallCycles uint64)
 
 	// sites is the armed crash-site recorder (nil when disarmed — the
-	// default; see site.go). Atomic so arming/disarming never touches the
-	// per-access locks.
-	sites atomic.Pointer[SiteRecorder]
+	// default; see site.go).
+	sites *SiteRecorder
 }
 
 // SetObs wires the observability bundle into the device: the wpq_drain_lines
@@ -246,38 +230,20 @@ func (d *Device) SetObs(o *obsv.Obs) {
 // Call only on a quiescent device.
 func (d *Device) SetDrainProbe(fn func(ctx *sim.Ctx, stallCycles uint64)) { d.drainProbe = fn }
 
-// SetExclusive declares that exactly one goroutine will use the device until
-// the flag is cleared, allowing the per-access locks to be skipped. Call only
-// on a quiescent device.
-func (d *Device) SetExclusive(on bool) { d.exclusive = on }
-
-// Exclusive reports the current mode, so a caller that takes the device for
-// a while can hand it back the way it found it.
-func (d *Device) Exclusive() bool { return d.exclusive }
-
-// lockSet/unlockSet guard a cache set's per-access state, compiling to a
-// plain branch in exclusive mode.
-func (d *Device) lockSet(set *cacheSet) {
-	if !d.exclusive {
-		set.mu.Lock()
-	}
-}
-
-func (d *Device) unlockSet(set *cacheSet) {
-	if !d.exclusive {
-		set.mu.Unlock()
-	}
-}
+// SetExclusive does nothing: a device always has exactly one owner
+// goroutine. It remains for the repo benchmark's machine builders, which
+// still call it.
+func (d *Device) SetExclusive(bool) {}
 
 // SetEADR switches the platform persistence domain to eADR (§4.4): on power
 // failure the battery flushes *all* cache levels, so every store is durable
 // once globally visible and crash consistency needs no clwb/sfence at all.
 // The paper contrasts eADR's ~300 mm³ battery volume against the 0.017 mm³
 // the RBB needs; this switch exists for that ablation.
-func (d *Device) SetEADR(on bool) { d.eADR.Store(on) }
+func (d *Device) SetEADR(on bool) { d.eADR = on }
 
 // EADR reports whether the device is in eADR mode.
-func (d *Device) EADR() bool { return d.eADR.Load() }
+func (d *Device) EADR() bool { return d.eADR }
 
 // NewDevice creates a device with size bytes of all-zero persistent media,
 // recycling a released device's array when one fits (recycled arrays are
@@ -388,11 +354,7 @@ func (d *Device) wipeDirty() {
 // never straddle pages (LineSize divides DirtyPageSize).
 func (d *Device) touchLine(lineIdx uint64) {
 	p := lineIdx >> (DirtyPageShift - LineShift)
-	if d.exclusive {
-		d.dirty[p>>6] |= 1 << (p & 63)
-	} else {
-		atomic.OrUint64(&d.dirty[p>>6], 1<<(p&63))
-	}
+	d.dirty[p>>6] |= 1 << (p & 63)
 }
 
 // touchRange marks every page overlapping [addr, addr+n).
@@ -401,11 +363,7 @@ func (d *Device) touchRange(addr, n uint64) {
 		return
 	}
 	for p, last := addr>>DirtyPageShift, (addr+n-1)>>DirtyPageShift; p <= last; p++ {
-		if d.exclusive {
-			d.dirty[p>>6] |= 1 << (p & 63)
-		} else {
-			atomic.OrUint64(&d.dirty[p>>6], 1<<(p&63))
-		}
+		d.dirty[p>>6] |= 1 << (p & 63)
 	}
 }
 
@@ -440,20 +398,14 @@ func newDevice(cfg *sim.Config, media []byte) *Device {
 func (d *Device) Size() uint64 { return uint64(len(d.media)) }
 
 // SetRBB installs the reached-bitmap sink (nil disables notifications).
-func (d *Device) SetRBB(s RBBSink) {
-	d.rbbMu.Lock()
-	d.rbb = s
-	d.rbbMu.Unlock()
-}
+func (d *Device) SetRBB(s RBBSink) { d.rbb = s }
 
 // SetCrashPolicy installs the policy applied to in-flight lines at Crash().
 func (d *Device) SetCrashPolicy(p CrashPolicy) {
-	d.policyMu.Lock()
 	if p == nil {
 		p = DropAllInflight
 	}
 	d.policy = p
-	d.policyMu.Unlock()
 }
 
 // setIndex computes lineIdx % nset without a hardware divide (the set count
@@ -471,7 +423,7 @@ func (d *Device) body(slot int) *[LineSize]byte {
 }
 
 // findWay returns the way of set si that holds lineIdx, or -1, without
-// touching LRU state. Caller holds set.mu.
+// touching LRU state.
 func (d *Device) findWay(set *cacheSet, si int, lineIdx uint64) int {
 	tag := uint32(lineIdx + 1)
 	if set.mruTag == tag {
@@ -494,21 +446,12 @@ func (d *Device) checkRange(addr, n uint64) {
 // notifyReached reports a pending line's arrival in the persistence domain.
 func (d *Device) notifyReached(ctx *sim.Ctx, lineIdx uint64) {
 	d.lineShard(lineIdx).c[cPendingReach].Add(1)
-	var sink RBBSink
-	if d.exclusive {
-		sink = d.rbb
-	} else {
-		d.rbbMu.Lock()
-		sink = d.rbb
-		d.rbbMu.Unlock()
-	}
-	if sink != nil {
-		sink.LineReached(ctx, lineIdx<<LineShift)
+	if d.rbb != nil {
+		d.rbb.LineReached(ctx, lineIdx<<LineShift)
 	}
 }
 
 // inflightIndex returns the position of lineIdx in set.inflight, or -1.
-// Caller holds set.mu.
 func (set *cacheSet) inflightIndex(lineIdx uint64) int {
 	for i := range set.inflight {
 		if set.inflight[i].lineIdx == lineIdx {
@@ -519,10 +462,8 @@ func (set *cacheSet) inflightIndex(lineIdx uint64) int {
 }
 
 // writeMediaLine commits a full line to media, dropping any stale in-flight
-// copy so a later crash cannot regress the line to older data. The caller
-// holds the lock of the set the line maps to (set), which is the same lock
-// Clwb and Sfence take for the line's in-flight state, so the media copy
-// cannot interleave with a drain of the same line.
+// copy (held by set, the line's set) so a later crash cannot regress the line
+// to older data.
 func (d *Device) writeMediaLine(ctx *sim.Ctx, set *cacheSet, lineIdx uint64, data *[LineSize]byte, pending bool) {
 	copy(d.media[lineIdx<<LineShift:], data[:])
 	d.touchLine(lineIdx)
@@ -570,23 +511,18 @@ func (d *Device) dropVolatile(harvest *[]inflightEntry) {
 	clear(d.lines)
 	for i := range d.sets {
 		set := &d.sets[i]
-		set.mu.Lock()
 		if harvest != nil {
 			*harvest = append(*harvest, set.inflight...)
 		}
 		set.mruTag, set.mru, set.tick, set.dirty, set.pending = 0, 0, 0, 0, 0
 		set.inflight = set.inflight[:0]
 		set.enqueued = false
-		set.mu.Unlock()
 	}
-	d.pendMu.Lock()
 	d.pend = d.pend[:0]
-	d.pendMu.Unlock()
 }
 
 // MediaRead copies persisted bytes (media only — the post-crash view). It is
-// intended for recovery code, checkers and tests; it does not model latency
-// and must not race with concurrent cache operations on the same lines.
+// intended for recovery code, checkers and tests; it does not model latency.
 func (d *Device) MediaRead(addr uint64, buf []byte) {
 	d.checkRange(addr, uint64(len(buf)))
 	copy(buf, d.media[addr:])
@@ -615,8 +551,7 @@ func (d *Device) MediaZero(addr, n uint64) {
 // Crash simulates a power failure: every cached line is lost, the crash
 // policy decides the fate of in-flight (clwb'd, unfenced) lines, and ADR
 // drains whatever reached the WPQ. After Crash the media array is the
-// machine's post-restart persistent state. Not safe to call concurrently
-// with other operations (a real crash stops the machine too).
+// machine's post-restart persistent state.
 func (d *Device) Crash() {
 	if o := d.obs; o != nil {
 		// Record the power failure once the post-crash media state is final,
@@ -629,20 +564,16 @@ func (d *Device) Crash() {
 		}()
 	}
 	defer d.powerLossFlushRBB()
-	if d.eADR.Load() {
+	if d.eADR {
 		// eADR: the battery flushes every cache level; nothing volatile is
 		// lost. Pending lines reach the persistence domain and notify the
 		// RBB exactly as a normal write-back would.
 		d.FlushAll(sim.NewCtx(d.cfg))
 		return
 	}
-	d.policyMu.Lock()
-	policy := d.policy
-	d.policyMu.Unlock()
-
-	// Harvest all in-flight lines and clear the volatile state under the set
-	// locks, then apply the policy and notify the RBB with no locks held
-	// (the sink may call back into MediaWrite/MediaRead).
+	// Harvest all in-flight lines and clear the volatile state, then apply the
+	// policy and notify the RBB (the sink may call back into
+	// MediaWrite/MediaRead).
 	var pending []inflightEntry
 	d.dropVolatile(&pending)
 
@@ -650,7 +581,7 @@ func (d *Device) Crash() {
 	var reached []uint64
 	for i := range pending {
 		fl := &pending[i]
-		if policy(fl.lineIdx << LineShift) {
+		if d.policy(fl.lineIdx << LineShift) {
 			copy(d.media[fl.lineIdx<<LineShift:], fl.data[:])
 			d.touchLine(fl.lineIdx)
 			if fl.pending {
@@ -669,10 +600,7 @@ func (d *Device) Crash() {
 // has one. Runs after Crash finalizes the media image so the flush sees the
 // full set of reached-line notifications.
 func (d *Device) powerLossFlushRBB() {
-	d.rbbMu.Lock()
-	sink := d.rbb
-	d.rbbMu.Unlock()
-	if f, ok := sink.(PowerLossFlusher); ok {
+	if f, ok := d.rbb.(PowerLossFlusher); ok {
 		f.PowerLossFlush()
 	}
 }
@@ -682,12 +610,9 @@ func (d *Device) powerLossFlushRBB() {
 func (d *Device) InflightLines() []uint64 {
 	var out []uint64
 	for i := range d.sets {
-		set := &d.sets[i]
-		set.mu.Lock()
-		for j := range set.inflight {
-			out = append(out, set.inflight[j].lineIdx<<LineShift)
+		for _, fl := range d.sets[i].inflight {
+			out = append(out, fl.lineIdx<<LineShift)
 		}
-		set.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -719,8 +644,8 @@ func (d *Device) NumSets() int { return d.nset }
 func (d *Device) SetOfAddr(addr uint64) int { return d.setIndex(addr >> LineShift) }
 
 // newest returns the newest copy of lineIdx's bytes, from the line's first
-// byte on — cached way first, then in-flight copy, then media. Caller holds
-// the lock of set si, the line's set.
+// byte on — cached way first, then in-flight copy, then media. set is si,
+// the line's set.
 func (d *Device) newest(set *cacheSet, si int, lineIdx uint64) []byte {
 	if w := d.findWay(set, si, lineIdx); w >= 0 {
 		return d.body(si*d.nway + w)[:]
@@ -735,8 +660,7 @@ func (d *Device) newest(set *cacheSet, si int, lineIdx uint64) []byte {
 // way first, then in-flight copy, then media — without simulating the
 // access: no cycles are charged, no cache fill or LRU aging happens, and no
 // stats move. The serving layer's dispatch-time footprint prediction uses
-// it on a quiescent device; it takes the per-set locks, so it is safe
-// against concurrent ops but reflects no single instant across lines.
+// it between operations.
 func (d *Device) Peek(addr uint64, buf []byte) {
 	d.checkRange(addr, uint64(len(buf)))
 	for len(buf) > 0 {
@@ -744,10 +668,7 @@ func (d *Device) Peek(addr uint64, buf []byte) {
 		off := addr & (LineSize - 1)
 		n := min(LineSize-off, uint64(len(buf)))
 		si := d.setIndex(lineIdx)
-		set := &d.sets[si]
-		d.lockSet(set)
-		copy(buf[:n], d.newest(set, si, lineIdx)[off:])
-		d.unlockSet(set)
+		copy(buf[:n], d.newest(&d.sets[si], si, lineIdx)[off:])
 		addr += n
 		buf = buf[n:]
 	}
@@ -764,11 +685,7 @@ func (d *Device) PeekU64(addr uint64) uint64 {
 	d.checkRange(addr, 8)
 	lineIdx := addr >> LineShift
 	si := d.setIndex(lineIdx)
-	set := &d.sets[si]
-	d.lockSet(set)
-	v := binary.LittleEndian.Uint64(d.newest(set, si, lineIdx)[off:])
-	d.unlockSet(set)
-	return v
+	return binary.LittleEndian.Uint64(d.newest(&d.sets[si], si, lineIdx)[off:])
 }
 
 // StateOf returns the LineState for the line containing addr.
@@ -776,8 +693,6 @@ func (d *Device) StateOf(addr uint64) LineState {
 	lineIdx := addr >> LineShift
 	si := d.setIndex(lineIdx)
 	set := &d.sets[si]
-	set.mu.Lock()
-	defer set.mu.Unlock()
 	inflight := set.inflightIndex(lineIdx) >= 0
 	if w := d.findWay(set, si, lineIdx); w >= 0 {
 		bit := uint32(1) << w

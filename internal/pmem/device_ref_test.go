@@ -512,7 +512,6 @@ type diffPair struct {
 	t    *testing.T
 	cfg  *sim.Config
 	size uint64
-	excl bool
 	dev  *Device
 	ref  *refDevice
 	dctx *sim.Ctx
@@ -523,8 +522,8 @@ type diffPair struct {
 	op           string
 }
 
-func newDiffPair(t *testing.T, cfg *sim.Config, size uint64, excl bool) *diffPair {
-	p := &diffPair{t: t, cfg: cfg, size: size, excl: excl}
+func newDiffPair(t *testing.T, cfg *sim.Config, size uint64) *diffPair {
+	p := &diffPair{t: t, cfg: cfg, size: size}
 	p.dev = p.freshDevice()
 	t.Cleanup(func() { p.dev.ReleaseMedia() })
 	p.ref = newRefDevice(cfg, size)
@@ -535,7 +534,6 @@ func newDiffPair(t *testing.T, cfg *sim.Config, size uint64, excl bool) *diffPai
 
 func (p *diffPair) freshDevice() *Device {
 	d := NewDevice(p.cfg, p.size)
-	d.SetExclusive(p.excl)
 	d.SetRBB(&p.dsink)
 	return d
 }
@@ -781,9 +779,11 @@ func (p *diffPair) run(rng *rand.Rand, steps int) {
 }
 
 // TestDeviceMatchesReferenceCache is the differential test of the flat cache
-// against the layout it replaced: three geometries, exclusive and shared
-// mode, random operation sequences including crashes under all three policy
-// kinds and checkpoint/restore into the same and into a fresh device.
+// against the layout it replaced: three geometries, random operation
+// sequences including crashes under all three policy kinds and
+// checkpoint/restore into the same and into a fresh device. Each geometry's
+// subtest keeps the name "exclusive=true" it has always been reported under:
+// the device's one mode is the single-owner one.
 //
 // Mutations that must each fail it (checked by hand when the layout landed):
 // not writing ages[mru] back at the top of resident; not zeroing mruTag in
@@ -801,23 +801,21 @@ func TestDeviceMatchesReferenceCache(t *testing.T) {
 		{"default", 0, 0, 8 << 20, 2500},
 	}
 	for _, g := range geoms {
-		for _, excl := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/exclusive=%v", g.name, excl), func(t *testing.T) {
-				if raceEnabled && g.bytes == 0 {
-					t.Skip("the detector prices every byte of the multi-MB checkpoints; the small geometries run the same code")
-				}
-				cfg := sim.DefaultConfig()
-				if g.bytes != 0 {
-					cfg.CacheBytes, cfg.CacheWays = g.bytes, g.ways
-				}
-				seeds := int64(3)
-				if testing.Short() {
-					seeds = 1
-				}
-				for seed := int64(1); seed <= seeds; seed++ {
-					newDiffPair(t, &cfg, g.size, excl).run(rand.New(rand.NewSource(seed)), g.steps)
-				}
-			})
-		}
+		t.Run(g.name+"/exclusive=true", func(t *testing.T) {
+			if raceEnabled && g.bytes == 0 {
+				t.Skip("the detector prices every byte of the multi-MB checkpoints; the small geometries run the same code")
+			}
+			cfg := sim.DefaultConfig()
+			if g.bytes != 0 {
+				cfg.CacheBytes, cfg.CacheWays = g.bytes, g.ways
+			}
+			seeds := int64(3)
+			if testing.Short() {
+				seeds = 1
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
+				newDiffPair(t, &cfg, g.size).run(rand.New(rand.NewSource(seed)), g.steps)
+			}
+		})
 	}
 }

@@ -97,9 +97,7 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 			cfg.CacheWays = 4
 			ctx := sim.NewCtx(&cfg)
 			rng := rand.New(rand.NewSource(int64(1000 + ci)))
-			exclusive := ci%2 == 1 // cover both touchLine variants
 			d := NewDevice(&cfg, tc.size)
-			d.SetExclusive(exclusive)
 			defer func() { d.ReleaseMedia() }()
 			checkHash(t, d, "fresh")
 
@@ -192,7 +190,6 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 						// Into a fresh (possibly recycled) device; the old one's
 						// array goes back for reuse.
 						nd := NewDevice(&cfg, tc.size)
-						nd.SetExclusive(exclusive)
 						checkCleanPagesZero(t, nd, fmt.Sprintf("step %d: new device", step))
 						nd.Restore(cp)
 						d.ReleaseMedia()

@@ -4,14 +4,13 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
 )
 
 // fillLine loads the newest persistent copy of lineIdx (in-flight beats
-// media) into buf. Caller holds set.mu for the line's set.
+// media) into buf. set is the line's set.
 func (d *Device) fillLine(set *cacheSet, lineIdx uint64, buf *[LineSize]byte) {
 	if i := set.inflightIndex(lineIdx); i >= 0 {
 		*buf = set.inflight[i].data
@@ -20,15 +19,13 @@ func (d *Device) fillLine(set *cacheSet, lineIdx uint64, buf *[LineSize]byte) {
 	copy(buf[:], d.media[lineIdx<<LineShift:(lineIdx+1)<<LineShift])
 }
 
-// lockLine locks the set for lineIdx and ensures the line is resident,
-// filling from the persistence domain on a miss (evicting a victim if
-// needed). It returns the locked set, the line's slot — way set.mru of the
-// set — and 1 if the access missed in the cache, 0 if it hit. The caller
-// accesses the body, updates the set's masks and unlocks the set.
-func (d *Device) lockLine(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int, miss uint64) {
+// cached ensures lineIdx is resident, filling from the persistence domain on a
+// miss (evicting a victim if needed). It returns the line's set, its slot —
+// way set.mru of the set — and 1 if the access missed in the cache, 0 if it
+// hit. The caller accesses the body and updates the set's masks.
+func (d *Device) cached(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int, miss uint64) {
 	si := d.setIndex(lineIdx)
 	set = &d.sets[si]
-	d.lockSet(set)
 	if set.mruTag == uint32(lineIdx+1) {
 		// The set's last-touched way again: its age is the tick, implicitly.
 		set.tick++
@@ -38,9 +35,8 @@ func (d *Device) lockLine(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int
 	return set, slot, miss
 }
 
-// resident is lockLine off the MRU way: it makes lineIdx resident in the set
-// whose first slot is base — the set the line maps to, which the caller has
-// locked (or owns exclusively) — and leaves it the set's trusted MRU way.
+// resident is cached off the MRU way: it makes lineIdx resident in set, whose
+// first slot is base, and leaves it the set's trusted MRU way.
 func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64) (slot int, miss uint64) {
 	tag := uint32(lineIdx + 1)
 	tags := d.tags[base : base+d.nway]
@@ -110,9 +106,8 @@ func (d *Device) Load(ctx *sim.Ctx, addr uint64, buf []byte) {
 	var lines, misses uint64
 	for {
 		n := min(LineSize-off, uint64(len(buf)))
-		set, slot, miss := d.lockLine(ctx, lineIdx)
+		_, slot, miss := d.cached(ctx, lineIdx)
 		copy(buf[:n], d.body(slot)[off:])
-		d.unlockSet(set)
 		lines++
 		misses += miss
 		if buf = buf[n:]; len(buf) == 0 {
@@ -136,9 +131,8 @@ func (d *Device) LoadU64(ctx *sim.Ctx, addr uint64) uint64 {
 	}
 	d.checkRange(addr, 8)
 	lineIdx := addr >> LineShift
-	set, slot, miss := d.lockLine(ctx, lineIdx)
+	_, slot, miss := d.cached(ctx, lineIdx)
 	v := binary.LittleEndian.Uint64(d.body(slot)[off:])
-	d.unlockSet(set)
 	d.account(ctx, d.lineShard(lineIdx), cLoads, 1, miss)
 	return v
 }
@@ -158,13 +152,12 @@ func (d *Device) store(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
 	var lines, misses uint64
 	for {
 		n := min(LineSize-off, uint64(len(data)))
-		set, slot, miss := d.lockLine(ctx, lineIdx)
+		set, slot, miss := d.cached(ctx, lineIdx)
 		copy(d.body(slot)[off:], data[:n])
 		set.dirty |= 1 << set.mru
 		if pending {
 			set.pending |= 1 << set.mru
 		}
-		d.unlockSet(set)
 		lines++
 		misses += miss
 		if data = data[n:]; len(data) == 0 {
@@ -187,10 +180,9 @@ func (d *Device) StoreU64(ctx *sim.Ctx, addr, v uint64) {
 	}
 	d.checkRange(addr, 8)
 	lineIdx := addr >> LineShift
-	set, slot, miss := d.lockLine(ctx, lineIdx)
+	set, slot, miss := d.cached(ctx, lineIdx)
 	binary.LittleEndian.PutUint64(d.body(slot)[off:], v)
 	set.dirty |= 1 << set.mru
-	d.unlockSet(set)
 	d.account(ctx, d.lineShard(lineIdx), cStores, 1, miss)
 }
 
@@ -204,7 +196,6 @@ func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 	d.lineShard(lineIdx).c[cClwbs].Add(1)
 	si := d.setIndex(lineIdx)
 	set := &d.sets[si]
-	d.lockSet(set)
 	if w := d.findWay(set, si, lineIdx); w >= 0 && set.dirty>>w&1 != 0 {
 		bit := uint32(1) << w
 		i := set.inflightIndex(lineIdx)
@@ -213,13 +204,7 @@ func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 			set.inflight = append(set.inflight, inflightEntry{lineIdx: lineIdx})
 			if !set.enqueued {
 				set.enqueued = true
-				if d.exclusive {
-					d.pend = append(d.pend, si)
-				} else {
-					d.pendMu.Lock()
-					d.pend = append(d.pend, si)
-					d.pendMu.Unlock()
-				}
+				d.pend = append(d.pend, si)
 			}
 		}
 		fl := &set.inflight[i]
@@ -229,48 +214,35 @@ func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 		set.pending &^= bit
 		ctx.PendingFlushes++
 	}
-	d.unlockSet(set)
 	ctx.Charge(d.cfg.L2Latency + d.cfg.WPQLatency)
 }
 
-// sfenceScratch holds Sfence's reusable working set: the device's own while
-// one goroutine owns it, a pooled one per fence otherwise.
+// sfenceScratch holds Sfence's reusable working set.
 type sfenceScratch struct {
 	sets    []int
 	reached []uint64
 }
-
-var sfencePool = sync.Pool{New: func() any { return new(sfenceScratch) }}
 
 // Sfence drains all in-flight lines into the persistence domain and stalls
 // the issuing thread. (Real sfence orders only the issuing core's stores;
 // draining globally is a conservative simplification that never weakens the
 // schemes' ordering assumptions — documented in DESIGN.md.) Only sets that
 // actually hold in-flight lines are visited, and pending-line RBB
-// notifications are issued in ascending line order so concurrent and
-// sequential runs drain identically.
+// notifications are issued in ascending line order, whichever sets held the
+// lines.
 func (d *Device) Sfence(ctx *sim.Ctx) {
 	d.Site(ctx, SiteSfence)
 	d.ctxShard(ctx).c[cSfences].Add(1)
 
+	// Take the pending-set list and leave the last fence's (drained) one in
+	// its place.
 	sc := &d.fence
-	if d.exclusive {
-		// Take the pending-set list and leave the last fence's (drained) one
-		// in its place.
-		sc.sets, d.pend = d.pend, sc.sets[:0]
-	} else {
-		sc = sfencePool.Get().(*sfenceScratch)
-		d.pendMu.Lock()
-		sc.sets = append(sc.sets[:0], d.pend...)
-		d.pend = d.pend[:0]
-		d.pendMu.Unlock()
-	}
+	sc.sets, d.pend = d.pend, sc.sets[:0]
 
 	drained := 0
 	reached := sc.reached[:0]
 	for _, si := range sc.sets {
 		set := &d.sets[si]
-		d.lockSet(set)
 		set.enqueued = false
 		for i := range set.inflight {
 			fl := &set.inflight[i]
@@ -282,7 +254,6 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 		}
 		drained += len(set.inflight)
 		set.inflight = set.inflight[:0]
-		d.unlockSet(set)
 	}
 	var stall uint64
 	if drained > 0 {
@@ -303,9 +274,6 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 		d.notifyReached(ctx, lineIdx)
 	}
 	sc.reached = reached[:0]
-	if sc != &d.fence {
-		sfencePool.Put(sc)
-	}
 	d.Site(ctx, SiteWPQDrain)
 	if ctx.PendingFlushes > 0 || drained > 0 {
 		// The fence exposes the full PM write latency — the stall FFCCD's
@@ -328,14 +296,12 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 func (d *Device) FlushAll(ctx *sim.Ctx) {
 	for si := range d.sets {
 		set := &d.sets[si]
-		d.lockSet(set)
 		for m := set.dirty; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros32(m)
 			slot := si*d.nway + w
 			d.writeMediaLine(ctx, set, uint64(d.tags[slot]-1), d.body(slot), set.pending&(1<<w) != 0)
 		}
 		set.dirty, set.pending = 0, 0
-		d.unlockSet(set)
 	}
 	d.Sfence(ctx)
 }

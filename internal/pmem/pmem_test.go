@@ -319,24 +319,6 @@ func TestMissChargesPMLatency(t *testing.T) {
 	}
 }
 
-func TestConcurrentStoresDistinctLines(t *testing.T) {
-	d, _ := newTestDevice(1 << 22)
-	cfg := sim.DefaultConfig()
-	var wg sync.WaitGroup
-	for th := 0; th < 8; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			ctx := sim.NewCtx(&cfg)
-			for i := 0; i < 1000; i++ {
-				addr := uint64(th*1000+i) * 64 % (1 << 22)
-				d.Store(ctx, addr, []byte{byte(th)})
-			}
-		}(th)
-	}
-	wg.Wait()
-}
-
 func TestStoreLoadProperty(t *testing.T) {
 	d, ctx := newTestDevice(1 << 20)
 	f := func(addr uint32, data []byte) bool {

@@ -3,8 +3,8 @@ package pmem
 // Crash-site instrumentation: every persistence-relevant event in the
 // simulated machine — fence/WPQ drains, relocate issues, moved-bit updates,
 // reference-fixup passes, epoch-state transitions, recovery steps — passes
-// through Device.Site. With no recorder armed the hook is one atomic pointer
-// load and a predicted branch (the zero-overhead contract the golden cycle
+// through Device.Site. With no recorder armed the hook is one pointer load
+// and a predicted branch (the zero-overhead contract the golden cycle
 // tests and ffccd-bench pin). With a recorder armed, every passage bumps a
 // global site counter; a schedule can name an exact counter value at which
 // the machine "loses power", turning the §7.1 crash campaign from a random
@@ -13,17 +13,14 @@ package pmem
 // fires the crash at the exact same event.
 //
 // Firing is a panic with *CrashAtSite. The harness (internal/faultinject)
-// drives armed trials single-threaded and recovers the panic at the trial
-// driver, then calls Device.Crash() — the volatile machine state at the
-// panic point is exactly the state the power failure destroys. Code between
-// a site and the next device operation holds no device locks (sites are
-// placed only at lock-free points), and engine-side locks are either
-// deferred (released during unwinding) or not held across device calls, so
-// the abandoned pre-crash engine never wedges the device.
+// recovers it at the trial driver — the goroutine that owns the machine and
+// runs all of its simulated threads — then calls Device.Crash(): the volatile
+// machine state at the panic point is exactly the state the power failure
+// destroys. The abandoned pre-crash engine holds no host lock, so it never
+// wedges the device.
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
@@ -129,21 +126,18 @@ func CatchCrash(f func()) (crash *CrashAtSite) {
 }
 
 // SiteRecorder counts crash-site passages and optionally fires a scheduled
-// crash at an exact index. Counting is atomic, so the un-armed (census) mode
-// tolerates concurrent simulation threads; an *armed* recorder must only be
-// driven single-threaded — the firing panic unwinds the goroutine that hit
-// the site, which must be the harness driver.
+// crash at an exact index. Like its device, it belongs to the goroutine that
+// runs the machine; the firing panic unwinds that goroutine, which must be the
+// harness driver.
 type SiteRecorder struct {
-	total atomic.Uint64
-	class [NumSiteClasses]atomic.Uint64
-	first [NumSiteClasses]atomic.Int64
-	arm   int64 // index to fire at; < 0 = census only
+	census SiteCensus
+	arm    int64 // index to fire at; < 0 = census only
 }
 
 func newSiteRecorder(arm int64) *SiteRecorder {
 	r := &SiteRecorder{arm: arm}
-	for i := range r.first {
-		r.first[i].Store(-1)
+	for i := range r.census.FirstIndex {
+		r.census.FirstIndex[i] = -1
 	}
 	return r
 }
@@ -151,21 +145,18 @@ func newSiteRecorder(arm int64) *SiteRecorder {
 // hit records one passage and reports its global index and whether the
 // armed schedule fires here.
 func (r *SiteRecorder) hit(class SiteClass) (idx uint64, fire bool) {
-	idx = r.total.Add(1) - 1
-	r.class[class].Add(1)
-	r.first[class].CompareAndSwap(-1, int64(idx))
+	c := &r.census
+	idx = c.Total
+	c.Total++
+	c.ByClass[class]++
+	if c.FirstIndex[class] < 0 {
+		c.FirstIndex[class] = int64(idx)
+	}
 	return idx, r.arm >= 0 && idx == uint64(r.arm)
 }
 
 // Census snapshots the recorder's counts.
-func (r *SiteRecorder) Census() SiteCensus {
-	c := SiteCensus{Total: r.total.Load()}
-	for i := range r.class {
-		c.ByClass[i] = r.class[i].Load()
-		c.FirstIndex[i] = r.first[i].Load()
-	}
-	return c
-}
+func (r *SiteRecorder) Census() SiteCensus { return r.census }
 
 // ArmSites installs a fresh site recorder on the device. armIndex >= 0 makes
 // the recorder panic with *CrashAtSite when the armIndex-th site (0-based)
@@ -173,14 +164,15 @@ func (r *SiteRecorder) Census() SiteCensus {
 // inspect the census mid-flight. Replaces any previous recorder.
 func (d *Device) ArmSites(armIndex int64) *SiteRecorder {
 	r := newSiteRecorder(armIndex)
-	d.sites.Store(r)
+	d.sites = r
 	return r
 }
 
 // DisarmSites removes the current recorder and returns its final census
 // (zero census if none was armed).
 func (d *Device) DisarmSites() SiteCensus {
-	r := d.sites.Swap(nil)
+	r := d.sites
+	d.sites = nil
 	if r == nil {
 		return SiteCensus{}
 	}
@@ -188,13 +180,13 @@ func (d *Device) DisarmSites() SiteCensus {
 }
 
 // Site records the passage of one crash site. With no recorder armed this is
-// a single atomic load and branch; it never charges simulated cycles, so
+// a single load and branch; it never charges simulated cycles, so
 // arming a census changes no simulated result. In flight-recorder ring mode
 // the passage is also traced (Arg = index<<8 | class) so a crash dump shows
 // the exact sites leading up to the fault. ctx may be nil (power-loss
 // paths).
 func (d *Device) Site(ctx *sim.Ctx, class SiteClass) {
-	r := d.sites.Load()
+	r := d.sites
 	if r == nil {
 		return
 	}

@@ -250,28 +250,34 @@ func TestTxCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestTxConcurrentSlots: four simulated threads, each with its own context,
+// hold a transaction open at once — four log slots in use — and take turns
+// through begin, add, write and commit.
 func TestTxConcurrentSlots(t *testing.T) {
 	_, p, ctx, tid := newTestPool(t)
 	objs := make([]Ptr, 4)
 	for i := range objs {
 		objs[i], _ = p.Alloc(ctx, tid, 0)
 	}
-	done := make(chan bool)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			cfg := sim.DefaultConfig()
-			c := sim.NewCtx(&cfg)
-			for rep := 0; rep < 20; rep++ {
-				tx := p.Begin(c)
-				tx.AddObject(c, objs[i])
-				p.WriteU64(c, objs[i], 0, uint64(rep))
-				tx.Commit(c)
-			}
-			done <- true
-		}(i)
+	cfg := sim.DefaultConfig()
+	ctxs := make([]*sim.Ctx, len(objs))
+	for i := range ctxs {
+		ctxs[i] = sim.NewCtx(&cfg)
 	}
-	for i := 0; i < 4; i++ {
-		<-done
+	txs := make([]*Tx, len(objs))
+	for rep := 0; rep < 20; rep++ {
+		for i, c := range ctxs {
+			txs[i] = p.Begin(c)
+		}
+		for i, c := range ctxs {
+			txs[i].AddObject(c, objs[i])
+		}
+		for i, c := range ctxs {
+			p.WriteU64(c, objs[i], 0, uint64(rep))
+		}
+		for i, c := range ctxs {
+			txs[i].Commit(c)
+		}
 	}
 	for i, o := range objs {
 		if got := p.ReadU64(ctx, o, 0); got != 19 {

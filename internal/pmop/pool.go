@@ -3,7 +3,6 @@ package pmop
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ffccd/internal/alloc"
@@ -62,6 +61,11 @@ func relocListBytes(frames uint64) uint64 {
 }
 
 // Pool is a persistent memory object pool mapped into the simulated device.
+// Like its device, it belongs to the goroutine that owns the machine: every
+// simulated thread's operations and the defragmenter's stop-the-world phases
+// run there, one after another, so a phase that runs between two operations
+// has the world stopped by construction. Only Ops may be read from another
+// goroutine.
 type Pool struct {
 	rt   *Runtime
 	id   uint16
@@ -87,11 +91,9 @@ type Pool struct {
 	allocHook atomic.Pointer[func()]
 	txAddHook atomic.Pointer[func(ctx *sim.Ctx, off, n uint64)]
 
-	world   sync.RWMutex
 	txFree  chan int
 	txSlots []*Tx
 
-	remapMu    sync.Mutex
 	remapHooks []func(remap func(Ptr) Ptr)
 
 	// frameRemap maps virtual heap frames to physical heap frames (nil =
@@ -99,7 +101,8 @@ type Pool struct {
 	// memory by aliasing virtual pages instead of moving references.
 	frameRemap atomic.Pointer[[]uint32]
 
-	// Op counters for throughput reporting.
+	// Op counter for throughput reporting: EndOp counts one per
+	// data-structure operation.
 	Ops atomic.Uint64
 }
 
@@ -249,9 +252,10 @@ func (p *Pool) SetBarrier(b ReadBarrier) {
 	p.barrier.Store(&barrierBox{b})
 }
 
-// SetAllocHook installs a function invoked after every Alloc/Free — the
-// defragmentation trigger check (§5: pmalloc/pfree record fragmentation
-// state and trigger defragmentation).
+// SetAllocHook installs a function invoked after every Alloc/Free (nil
+// removes it). It charges nothing; the repo benchmark counts allocator calls
+// with it. The §5 defragmentation trigger is the caller's check instead:
+// core.Engine.Triggered between operations.
 func (p *Pool) SetAllocHook(f func()) {
 	if f == nil {
 		p.allocHook.Store(nil)
@@ -278,38 +282,19 @@ func (p *Pool) SetTxAddHook(f func(ctx *sim.Ctx, off, n uint64)) {
 // FPTree's DRAM inner nodes are the canonical example) re-heal those caches
 // here; heap-resident references are healed by the collector itself.
 func (p *Pool) RegisterRemapHook(fn func(remap func(Ptr) Ptr)) {
-	p.remapMu.Lock()
 	p.remapHooks = append(p.remapHooks, fn)
-	p.remapMu.Unlock()
 }
 
 // RunRemapHooks invokes every registered remap hook. Called by the
 // defragmentation engine while the world is stopped.
 func (p *Pool) RunRemapHooks(remap func(Ptr) Ptr) {
-	p.remapMu.Lock()
-	hooks := make([]func(remap func(Ptr) Ptr), len(p.remapHooks))
-	copy(hooks, p.remapHooks)
-	p.remapMu.Unlock()
-	for _, fn := range hooks {
+	for _, fn := range p.remapHooks {
 		fn(remap)
 	}
 }
 
-// --- world control (stop-the-world for marking/summary) ----------------------
-
-// StartOp enters an application operation (shared world access). Every
-// data-structure operation brackets itself with StartOp/EndOp so the GC can
-// stop the world for its idempotent phases.
-func (p *Pool) StartOp() { p.world.RLock() }
-
-// EndOp leaves an application operation.
-func (p *Pool) EndOp() { p.world.RUnlock(); p.Ops.Add(1) }
-
-// StopWorld blocks until all application operations drain, then holds them.
-func (p *Pool) StopWorld() { p.world.Lock() }
-
-// ResumeWorld releases the world.
-func (p *Pool) ResumeWorld() { p.world.Unlock() }
+// EndOp counts one completed data-structure operation (Ops).
+func (p *Pool) EndOp() { p.Ops.Add(1) }
 
 // --- raw access (no barrier; used by allocator, tx, GC) ----------------------
 

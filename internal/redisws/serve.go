@@ -165,7 +165,7 @@ type ServeHooks struct {
 	// terminate phase stops the world to fix references and flush).
 	Step func(n int) (open bool, pause uint64)
 	// EpochOpen reports whether a concurrent-defrag epoch is mid-flight —
-	// read barriers installed, so batched (lock-free, peek-predicted)
+	// read barriers installed, so batched (peek-predicted)
 	// dispatch is disabled and everything runs serially.
 	EpochOpen func() bool
 	// Foot overrides the footprint source (Mesh reports physical frames).
@@ -230,8 +230,7 @@ type ServeResult struct {
 
 // parallelStore is the optional store interface batched dispatch needs:
 // GetFootprint predicts a GET's cache sets with non-perturbing peeks, and
-// GetParallel is the lock-free read a batched GET runs (safe because nothing
-// mutates the store while a batch executes). kv.Echo implements it. Stores
+// GetParallel is the read a batched GET runs. kv.Echo implements it. Stores
 // without it serve strictly serially.
 type parallelStore interface {
 	ds.Store
@@ -341,11 +340,10 @@ func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] 
 // Serve runs the serving scenario. ctx is the loader context (prepopulation
 // runs on it, serially; warmup runs on the client contexts).
 //
-// Serve owns p's device for the duration of the call: nothing else may touch
-// it until Serve returns. Everything — the load, the warm-up, batched and
-// serial ops, the maintenance/step hooks and a crash-resume — runs on the
-// calling goroutine, so Serve holds the device in exclusive (lock-free) mode
-// throughout and hands it back in the mode it found it on every return path.
+// Serve runs the whole machine on the calling goroutine — the load, the
+// warm-up, batched and serial ops, the maintenance/step hooks and a
+// crash-resume — as every owner of a simulated machine does: nothing else may
+// touch p's device until Serve returns.
 func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (ServeResult, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
 		return ServeResult{}, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
@@ -377,9 +375,6 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	}
 
 	dev := p.Device()
-	callerMode := dev.Exclusive()
-	dev.SetExclusive(true)
-	defer func() { dev.SetExclusive(callerMode) }()
 
 	// Shard key ownership. Unsharded runs (ShardCount <= 1) take the identity
 	// mapping with no slice allocated, so their RNG draws and store traffic
@@ -955,7 +950,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			return err
 		}
 		// Swap the machine. The recovered pool reopens the same device, so the
-		// drain probe, set geometry and exclusive ownership carry over.
+		// drain probe and set geometry carry over.
 		store = rec.Store
 		ps, _ = store.(parallelStore)
 		if rec.Pool != nil {

@@ -264,7 +264,17 @@ func (r *Runner) RequestStop() { r.stopReq = true }
 // Run advances the state machine until the workload completes or a
 // Maintenance hook requests a stop. It returns (result, true, nil) on
 // completion; (zero, false, nil) when suspended.
-func (r *Runner) Run() (Result, bool, error) {
+func (r *Runner) Run() (Result, bool, error) { return r.run(false) }
+
+// Step is Run for one op: the op itself and, when the op is a sample point,
+// the PreSample hook, the footprint sample and the Maintenance hook after it
+// (a phase that has run all its ops closes on the way). Several runners
+// stepped in turn on one goroutine interleave their threads' ops in a fixed
+// order.
+func (r *Runner) Step() (Result, bool, error) { return r.run(true) }
+
+// run is Run, or Step when one is set.
+func (r *Runner) run(one bool) (Result, bool, error) {
 	if r.finished {
 		return r.res, true, nil
 	}
@@ -289,15 +299,16 @@ func (r *Runner) Run() (Result, bool, error) {
 			}
 			if r.i%r.cfg.SampleEvery == 0 {
 				r.stage = stagePre
-			} else {
-				r.i++
+				continue
 			}
+			r.i++
 		case stagePre:
 			if r.cfg.PreSample != nil {
 				r.cfg.PreSample()
 			}
 			r.sample()
 			r.stage = stageMaint
+			continue
 		case stageMaint:
 			if r.cfg.Maintenance != nil {
 				r.cfg.Maintenance()
@@ -308,6 +319,9 @@ func (r *Runner) Run() (Result, bool, error) {
 			}
 			r.i++
 			r.stage = stageBody
+		}
+		if one {
+			return Result{}, false, nil
 		}
 	}
 }
