@@ -20,11 +20,13 @@ fmt:
 
 # race runs the short test suite under the race detector and then the crash
 # campaign's golden, oracle and lifetime tests on four workers, whatever the
-# host has. It gates that simulated machines share nothing across goroutines:
-# each machine runs on one goroutine (TestOneGoroutinePerMachine), host
-# parallelism runs whole machines as workpool jobs, and what those jobs do
-# share — a campaign's read-only prefix, recycled media arrays, the worker
-# pool itself — is what the detector watches.
+# host has. A simulated machine is plain data that one goroutine owns
+# (TestOneGoroutinePerMachine keeps a second goroutine off it,
+# TestNoHostSyncInMachine keeps locks and atomics out of it), so the detector
+# watches what is left: what workpool jobs share — a campaign's read-only
+# prefix, recycled media arrays, the worker pool itself — and -httpobs, which
+# may read only finished experiments (TestMetricsScrapeDuringRun scrapes
+# /metrics during a run).
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \

@@ -19,6 +19,9 @@
 //	ffccd-bench -experiment fig14 -trace out.json   # Perfetto-loadable trace
 //	ffccd-bench -experiment fig5 -trace-ring 256 -trace ring.json
 //	ffccd-bench -experiment all -httpobs localhost:6060  # expvar + pprof + OpenMetrics /metrics
+//
+// -httpobs serves pprof live, and an experiment's collection on /metrics and
+// expvar only once the experiment has finished (see observe).
 package main
 
 import (
@@ -71,7 +74,7 @@ func run(args []string) int {
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev) of every run's defrag phases to this file")
 	traceRing := fs.Int("trace-ring", 0, "flight-recorder mode: keep only the newest N events per simulated thread (0 = full trace)")
-	httpObs := fs.String("httpobs", "", "serve expvar metrics (/debug/vars) and pprof (/debug/pprof) on this address while experiments run")
+	httpObs := fs.String("httpobs", "", "serve pprof (/debug/pprof) on this address, and the latest finished experiment's metrics (/metrics, expvar /debug/vars)")
 	shards := fs.Int("shards", 1, "serving experiment: shard the keyspace across N independent simulated machines")
 	scheme := fs.String("scheme", "", "serving experiment: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
 	if err := fs.Parse(args); err != nil {
@@ -147,52 +150,37 @@ func run(args []string) int {
 	}
 
 	obsEnabled := *tracePath != "" || *httpObs != ""
-	var latestCol atomic.Pointer[obsv.Collector]
+	var finished atomic.Pointer[obsv.Collector]
 	if *httpObs != "" {
 		// expvar and net/http/pprof register themselves on DefaultServeMux;
-		// ffccd_obs exposes the most recent experiment's merged summary.
+		// ffccd_obs exposes the latest finished experiment's merged summary.
 		expvar.Publish("ffccd_obs", expvar.Func(func() any {
-			if c := latestCol.Load(); c != nil {
+			if c := finished.Load(); c != nil {
 				return c.MetricsSummary()
 			}
 			return map[string]float64{}
 		}))
-		// /metrics: the most recent experiment's collection in OpenMetrics
-		// text format (histogram summaries, counter groups, per-window series
-		// with worst-request exemplars).
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			c := latestCol.Load()
-			if c == nil {
-				http.Error(w, "no collection yet", http.StatusServiceUnavailable)
-				return
-			}
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			if err := c.WriteOpenMetrics(w); err != nil {
-				fmt.Fprintf(os.Stderr, "httpobs /metrics: %v\n", err)
-			}
-		})
+		http.Handle("/metrics", metricsHandler(&finished))
 		go func() {
 			if err := http.ListenAndServe(*httpObs, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "httpobs: %v\n", err)
 			}
 		}()
-		fmt.Printf("(observability server on http://%s/debug/vars and /debug/pprof)\n", *httpObs)
+		fmt.Printf("(observability server on http://%s: /debug/pprof now, /metrics and /debug/vars once an experiment finishes)\n", *httpObs)
 	}
 
 	var traceCols []*obsv.Collector
 	var records []benchRecord
 	for _, e := range selected {
+		var col *obsv.Collector
 		if obsEnabled {
-			col := obsv.NewCollector(*traceRing)
-			experiments.SetObsCollector(col)
-			latestCol.Store(col)
+			col = obsv.NewCollector(*traceRing)
 			if *tracePath != "" {
 				traceCols = append(traceCols, col)
 			}
 		}
 		start := time.Now()
-		out, err := e.run()
-		experiments.SetObsCollector(nil)
+		out, err := observe(col, &finished, e.run)
 		if err != nil {
 			if errors.Is(err, redisws.ErrShards) {
 				fmt.Fprintln(os.Stderr, err)
@@ -259,6 +247,39 @@ func run(args []string) int {
 		}
 	}
 	return 0
+}
+
+// observe runs one experiment with col (nil: observability off) collecting
+// its simulated runs, and only then publishes col as the latest finished
+// collection. A collection's snapshot groups read its machines' plain
+// counters and clocks, which only the goroutines running those machines may
+// touch until the experiment returns.
+func observe(col *obsv.Collector, finished *atomic.Pointer[obsv.Collector], run func() (fmt.Stringer, error)) (fmt.Stringer, error) {
+	experiments.SetObsCollector(col)
+	out, err := run()
+	experiments.SetObsCollector(nil)
+	if col != nil {
+		finished.Store(col)
+	}
+	return out, err
+}
+
+// metricsHandler serves /metrics: the latest finished experiment's
+// collection in OpenMetrics text format (histogram summaries, counter
+// groups, per-window series with worst-request exemplars), or 503 before any
+// experiment has finished.
+func metricsHandler(finished *atomic.Pointer[obsv.Collector]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c := finished.Load()
+		if c == nil {
+			http.Error(w, "no finished experiment yet", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+		if err := c.WriteOpenMetrics(w); err != nil {
+			fmt.Fprintf(os.Stderr, "httpobs /metrics: %v\n", err)
+		}
+	}
 }
 
 // parseScale resolves the -scale argument: a float, or the shorthand

@@ -3,12 +3,19 @@ package main
 import (
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"ffccd/internal/experiments"
+	"ffccd/internal/obsv"
 )
 
 // capture runs run(args) with the process's stdout and stderr redirected and
@@ -115,5 +122,59 @@ func TestFailingRunKeepsItsProfile(t *testing.T) {
 	}
 	if b, err := io.ReadAll(zr); err != nil || len(b) == 0 {
 		t.Errorf("profile does not decompress: %d bytes, %v", len(b), err)
+	}
+}
+
+// TestMetricsScrapeDuringRun scrapes /metrics in a loop while a small fig5
+// runs with observability on, and once after it. The handler may only ever
+// see a finished experiment's collection: a collection's snapshot groups read
+// its machines' clocks and counters, plain data the run's goroutines write
+// without synchronization, so a collection published before its run returns
+// is a data race that go test -race reports (Clock.Merge on the scrape
+// goroutine against Clock.Add on a run goroutine).
+func TestMetricsScrapeDuringRun(t *testing.T) {
+	var finished atomic.Pointer[obsv.Collector]
+	srv := httptest.NewServer(metricsHandler(&finished))
+	defer srv.Close()
+
+	scrape := func() int {
+		resp, err := http.Get(srv.URL)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		if resp.StatusCode == http.StatusOK && !strings.HasSuffix(string(b), "# EOF\n") {
+			t.Errorf("scrape answered 200 with %d bytes and no # EOF", len(b))
+		}
+		return resp.StatusCode
+	}
+	done := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scrapes <- n
+				return
+			default:
+				scrape()
+				n++
+			}
+		}
+	}()
+	_, err := observe(obsv.NewCollector(0), &finished, func() (fmt.Stringer, error) { return experiments.Figure5(0.0005) })
+	close(done)
+	t.Logf("%d scrapes during the run", <-scrapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := scrape(); code != http.StatusOK {
+		t.Errorf("scrape after the run answered %d, want 200", code)
 	}
 }

@@ -97,7 +97,7 @@ type (
 	FPTree = ds.FPTree
 	// Echo is the Echo-style hash KV store.
 	Echo = kv.Echo
-	// PmemKV is the pmemkv-style concurrent engine.
+	// PmemKV is the pmemkv-style store: Echo under pmemkv's name.
 	PmemKV = kv.PmemKV
 )
 

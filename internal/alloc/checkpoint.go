@@ -28,8 +28,6 @@ func (h *Heap) Checkpoint() *HeapCheckpoint {
 
 // CheckpointInto captures the heap state into c, reusing c's buffers.
 func (h *Heap) CheckpointInto(c *HeapCheckpoint) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	c.HeapOff = h.heapOff
 	c.Frames = h.frames
 	c.SlotBits = append(c.SlotBits[:0], h.slotBits...)
@@ -49,8 +47,6 @@ func (h *Heap) CheckpointInto(c *HeapCheckpoint) {
 // is cut back to the checkpoint's reach. The placement index is not in the
 // checkpoint; it is derived again from the restored state.
 func (h *Heap) Restore(c *HeapCheckpoint) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if c.HeapOff != h.heapOff || c.Frames != h.frames {
 		panic("alloc: Restore geometry mismatch")
 	}

@@ -14,9 +14,6 @@ type FragStats struct {
 // Frag computes fragmentation statistics with the given OS page shift
 // (12 for 4 KB pages, 21 for 2 MB huge pages).
 func (h *Heap) Frag(pageShift uint) FragStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-
 	var footprint uint64
 	if pageShift <= 12 {
 		footprint = uint64(h.usedFrames) * FrameSize
@@ -49,15 +46,7 @@ func (h *Heap) Frag(pageShift uint) FragStats {
 }
 
 // LiveBytes returns the current live-allocation total.
-func (h *Heap) LiveBytes() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.liveBytes
-}
+func (h *Heap) LiveBytes() uint64 { return h.liveBytes }
 
 // UsedFrames returns the count of non-free frames.
-func (h *Heap) UsedFrames() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.usedFrames
-}
+func (h *Heap) UsedFrames() int { return h.usedFrames }

@@ -28,7 +28,6 @@ package alloc
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // SlotSize is the allocation granularity in bytes.
@@ -63,11 +62,9 @@ const (
 // wordsPerFrame is the bitmap words per frame (256 bits).
 const wordsPerFrame = SlotsPerFrame / 64
 
-// Heap manages the slots of a pool's object heap. All methods are safe for
-// concurrent use.
+// Heap manages the slots of a pool's object heap. It is plain data owned by
+// the goroutine that runs its machine.
 type Heap struct {
-	mu sync.Mutex
-
 	heapOff uint64 // pool offset of frame 0
 	frames  int
 
@@ -111,11 +108,7 @@ func (h *Heap) Frames() int { return h.frames }
 
 // Reach returns how far the per-frame tables reach: every frame at or past
 // it is free and empty.
-func (h *Heap) Reach() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.state)
-}
+func (h *Heap) Reach() int { return len(h.state) }
 
 // HeapOff returns the pool offset of frame 0.
 func (h *Heap) HeapOff() uint64 { return h.heapOff }
@@ -243,7 +236,6 @@ func (h *Heap) Alloc(payload uint64) (uint64, error) {
 	if n > SlotsPerFrame {
 		return 0, fmt.Errorf("alloc: object of %d bytes exceeds frame capacity", payload)
 	}
-	h.mu.Lock()
 	// First fit in cyclic order from the cursor: from the cursor to the last
 	// frame, then from frame 0 (by then no bound at or past the cursor
 	// reaches n, so the tree steps over those). A candidate's bound may be
@@ -253,7 +245,6 @@ func (h *Heap) Alloc(payload uint64) (uint64, error) {
 			if s := h.findRun(f, n); s >= 0 {
 				h.commitAlloc(f, s, n)
 				h.cursor = f
-				h.mu.Unlock()
 				return h.OffsetOf(f, s), nil
 			}
 			h.setBound(f, h.longestRun(f))
@@ -266,12 +257,9 @@ func (h *Heap) Alloc(payload uint64) (uint64, error) {
 		h.commitAlloc(f, 0, n)
 		h.reindex(f)
 		h.cursor = f
-		h.mu.Unlock()
 		return h.OffsetOf(f, 0), nil
 	}
-	live := h.liveBytes
-	h.mu.Unlock()
-	return 0, fmt.Errorf("alloc: out of memory (%d frames, %d live bytes)", h.frames, live)
+	return 0, fmt.Errorf("alloc: out of memory (%d frames, %d live bytes)", h.frames, h.liveBytes)
 }
 
 // commitAlloc marks the run allocated. It leaves the frame's run bound
@@ -291,8 +279,6 @@ func (h *Heap) PlaceAt(frame, slot, n int) error {
 	if frame < 0 || frame >= h.frames || n <= 0 || slot < 0 || slot+n > SlotsPerFrame {
 		return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) is outside the heap's %d frames of %d slots", frame, slot, n, h.frames, SlotsPerFrame)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.cover(frame)
 	if st := h.state[frame]; st == FrameRelocation || st == FrameMeshed {
 		return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) into a frame in state %d, which takes no allocations", frame, slot, n, st)
@@ -311,7 +297,6 @@ func (h *Heap) PlaceAt(frame, slot, n int) error {
 
 // Free releases the run of n slots starting at pool offset off.
 func (h *Heap) Free(off uint64, n int) {
-	h.mu.Lock()
 	f, s := h.Locate(off)
 	setRange(frameWords(h.slotBits, f), s, n, false)
 	setRange(frameWords(h.startBits, f), s, 1, false)
@@ -322,14 +307,11 @@ func (h *Heap) Free(off uint64, n int) {
 		h.usedFrames--
 	}
 	h.reindex(f)
-	h.mu.Unlock()
 }
 
 // ReleaseFrame forcibly frees every slot of a frame (end of relocation) and
 // marks it free.
 func (h *Heap) ReleaseFrame(frame int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if frame >= len(h.state) {
 		return
 	}
@@ -351,8 +333,6 @@ func (h *Heap) ReleaseFrame(frame int) {
 // SetState transitions a frame's state (GC summary marks relocation and
 // destination frames; terminate reverts destination frames to active).
 func (h *Heap) SetState(frame int, st FrameState) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if st != FrameFree {
 		h.cover(frame)
 	} else if frame >= len(h.state) {
@@ -374,8 +354,6 @@ func (h *Heap) SetState(frame int, st FrameState) {
 
 // State returns a frame's state.
 func (h *Heap) State(frame int) FrameState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if frame >= len(h.state) {
 		return FrameFree
 	}
@@ -384,16 +362,12 @@ func (h *Heap) State(frame int) FrameState {
 
 // IsStart reports whether the slot at pool offset off begins an allocation.
 func (h *Heap) IsStart(off uint64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	f, s := h.Locate(off)
 	return f < len(h.state) && h.startBits[f*wordsPerFrame+s/64]&(1<<(s%64)) != 0
 }
 
 // FrameObjects returns the starting slots of allocations in a frame.
 func (h *Heap) FrameObjects(frame int) []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var out []int
 	if frame >= len(h.state) {
 		return out
@@ -412,8 +386,6 @@ func (h *Heap) FrameObjects(frame int) []int {
 
 // FrameBitmap returns a copy of a frame's slot-allocation bitmap words.
 func (h *Heap) FrameBitmap(frame int) [wordsPerFrame]uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var out [wordsPerFrame]uint64
 	if frame < len(h.state) {
 		out = *frameWords(h.slotBits, frame)
@@ -425,8 +397,6 @@ func (h *Heap) FrameBitmap(frame int) [wordsPerFrame]uint64 {
 // deterministic destination-frame selection for the GC summary phase, which
 // passes the same buffer every epoch.
 func (h *Heap) FreeFrames(dst []int, n int) []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i := 0; i < len(h.freeBits) && n > 0; i++ {
 		for word := h.freeBits[i]; word != 0 && n > 0; word &= word - 1 {
 			dst = append(dst, i<<6+bits.TrailingZeros64(word))
@@ -439,8 +409,6 @@ func (h *Heap) FreeFrames(dst []int, n int) []int {
 // Objects returns the number of live allocations (what summing Objects over
 // Snapshot gives, without building it).
 func (h *Heap) Objects() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	n := 0
 	for _, w := range h.startBits {
 		n += bits.OnesCount64(w)
@@ -458,8 +426,6 @@ type FrameInfo struct {
 
 // Snapshot returns per-frame occupancy for all non-free frames.
 func (h *Heap) Snapshot() []FrameInfo {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var out []FrameInfo
 	for f, st := range h.state {
 		if st == FrameFree {
@@ -478,8 +444,6 @@ func (h *Heap) Snapshot() []FrameInfo {
 
 // Reset clears all allocator state (used before RebuildFromMark).
 func (h *Heap) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.reset()
 	h.buildIndex()
 }
@@ -496,20 +460,14 @@ func (h *Heap) reset() {
 // AddDup records bytes that are temporarily allocated twice (an in-flight
 // relocation epoch holds both source and destination copies); Frag subtracts
 // them so live data stays the logical single-copy size.
-func (h *Heap) AddDup(n uint64) {
-	h.mu.Lock()
-	h.dupBytes += n
-	h.mu.Unlock()
-}
+func (h *Heap) AddDup(n uint64) { h.dupBytes += n }
 
 // SubDup removes previously recorded duplicate bytes.
 func (h *Heap) SubDup(n uint64) {
-	h.mu.Lock()
 	if n > h.dupBytes {
 		n = h.dupBytes
 	}
 	h.dupBytes -= n
-	h.mu.Unlock()
 }
 
 // RebuildEntry describes one live object found by a reachability pass.
@@ -522,8 +480,6 @@ type RebuildEntry struct {
 // post-crash/reopen path. Unreachable allocations are implicitly reclaimed
 // (the paper's persistent-leak fix).
 func (h *Heap) RebuildFromMark(live []RebuildEntry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.reset()
 	for _, e := range live {
 		f, s := h.Locate(e.Off)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -609,53 +608,5 @@ func TestPlaceAtRejectsBadArguments(t *testing.T) {
 	}
 	if err := checkHeap(h); err != nil {
 		t.Error(err)
-	}
-}
-
-// RebuildFromMark must clear and rebuild in one critical section: an Alloc
-// that slipped in between would take slots the rebuild then marks again,
-// leaving the free counts below what the bitmaps show. (With the two halves
-// under separate acquisitions the window is a few instructions wide and Go's
-// mutex lets the releasing goroutine re-take it, so this catches the split
-// only when a scheduling point falls inside; it is here for the race detector
-// and the consistency check as much as for that.)
-func TestRebuildFromMarkExcludesAlloc(t *testing.T) {
-	h := NewHeap(0, 64)
-	var live []RebuildEntry
-	for f := 0; f < 8; f++ {
-		live = append(live, RebuildEntry{Off: h.OffsetOf(f, 0), Slots: 40}, RebuildEntry{Off: h.OffsetOf(f, 100), Slots: 9})
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					_, _ = h.Alloc(300) // running out of memory between rebuilds is fine
-				}
-			}
-		}()
-	}
-	var err error
-	for i := 0; i < 5000 && err == nil; i++ {
-		h.RebuildFromMark(live)
-		h.mu.Lock()
-		err = checkHeap(h)
-		h.mu.Unlock()
-	}
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range live {
-		if !h.IsStart(e.Off) {
-			t.Fatalf("rebuilt object at %d lost its start bit", e.Off)
-		}
 	}
 }

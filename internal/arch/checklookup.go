@@ -2,7 +2,6 @@ package arch
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"ffccd/internal/bloom"
 	"ffccd/internal/sim"
@@ -12,20 +11,21 @@ import (
 // are transient — one per read-barrier resolve context — so their own
 // counters vanish with them; an engine that wants machine-wide BFC/PMFTLB
 // totals (the obsv snapshot groups) hands every unit it creates the same
-// CLUStats. Atomic because resolves run on every simulated thread. Purely
-// host-side bookkeeping: it never charges cycles.
+// CLUStats. Plain counters: every simulated thread's resolves run on the
+// machine's one goroutine. Purely host-side bookkeeping: it never charges
+// cycles.
 type CLUStats struct {
-	BFCHits, BFCMisses       atomic.Uint64
-	PMFTLBHits, PMFTLBMisses atomic.Uint64
+	BFCHits, BFCMisses       uint64
+	PMFTLBHits, PMFTLBMisses uint64
 }
 
 // Map renders the counters as a snapshot-group map.
 func (s *CLUStats) Map() map[string]uint64 {
 	return map[string]uint64{
-		"bfc_hits":      s.BFCHits.Load(),
-		"bfc_misses":    s.BFCMisses.Load(),
-		"pmftlb_hits":   s.PMFTLBHits.Load(),
-		"pmftlb_misses": s.PMFTLBMisses.Load(),
+		"bfc_hits":      s.BFCHits,
+		"bfc_misses":    s.BFCMisses,
+		"pmftlb_hits":   s.PMFTLBHits,
+		"pmftlb_misses": s.PMFTLBMisses,
 	}
 }
 
@@ -184,7 +184,7 @@ func (u *CheckLookupUnit) check(ctx *sim.Ctx, va uint64, bs *BloomSet) bool {
 		// §4.3.2 step 1: fetch the covering bloom filter from memory.
 		u.BFCMisses++
 		if u.Shared != nil {
-			u.Shared.BFCMisses.Add(1)
+			u.Shared.BFCMisses++
 		}
 		ctx.Charge(u.cfg.BloomMissLatency)
 		u.bfcValid = true
@@ -192,7 +192,7 @@ func (u *CheckLookupUnit) check(ctx *sim.Ctx, va uint64, bs *BloomSet) bool {
 	} else {
 		u.BFCHits++
 		if u.Shared != nil {
-			u.Shared.BFCHits.Add(1)
+			u.Shared.BFCHits++
 		}
 	}
 	ctx.Charge(u.cfg.BloomCheckLatency)
@@ -226,13 +226,13 @@ func (u *CheckLookupUnit) lookup(ctx *sim.Ctx, va uint64, fwd Forwarder) (uint64
 	if hit {
 		u.PMFTLBHits++
 		if u.Shared != nil {
-			u.Shared.PMFTLBHits.Add(1)
+			u.Shared.PMFTLBHits++
 		}
 		ctx.Charge(u.cfg.PMFTLBLatency)
 	} else {
 		u.PMFTLBMisses++
 		if u.Shared != nil {
-			u.Shared.PMFTLBMisses.Add(1)
+			u.Shared.PMFTLBMisses++
 		}
 		// Walk the in-PM PMFT (persisted by the summary phase).
 		ctx.Charge(u.cfg.PMFTLBLatency + u.cfg.PMReadLatency)

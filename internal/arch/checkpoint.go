@@ -25,8 +25,6 @@ type RBBCheckpoint struct {
 // Checkpoint captures the RBB state. Call only while the simulation is
 // quiescent.
 func (r *RBB) Checkpoint() *RBBCheckpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return &RBBCheckpoint{
 		Base:       r.base,
 		HeapBase:   r.heapBase,
@@ -44,8 +42,6 @@ func (r *RBB) Checkpoint() *RBBCheckpoint {
 // count as the checkpoint's source; its device attachment is unchanged (a
 // fork restores into an RBB built over the forked device).
 func (r *RBB) Restore(c *RBBCheckpoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if len(c.Entries) != len(r.entries) {
 		panic("arch: RBB Restore geometry mismatch")
 	}

@@ -7,8 +7,6 @@ package arch
 
 import (
 	"encoding/binary"
-	"sync"
-
 	"ffccd/internal/pmem"
 	"ffccd/internal/sim"
 )
@@ -24,7 +22,6 @@ const FrameShift = 12
 // domain. The RBB sits inside the ADR domain, so PowerLossFlush preserves its
 // contents across a crash.
 type RBB struct {
-	mu       sync.Mutex
 	dev      *pmem.Device
 	cfg      *sim.Config
 	base     uint64 // in-PM reached bitmap base (8 bytes per frame)
@@ -61,21 +58,15 @@ func NewRBB(cfg *sim.Config, dev *pmem.Device) *RBB {
 // beginning of the compacting phase (§4.2: "The structure is created at the
 // beginning of the compacting phase").
 func (r *RBB) Configure(base, heapBase, nframes uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.dev.MediaZero(base, 8*nframes)
-	r.armLocked(base, heapBase, nframes)
+	r.arm(base, heapBase, nframes)
 }
 
 // Rearm activates the RBB over an existing reached bitmap without zeroing it
 // — the post-crash resume path, where the bitmap holds the pre-crash truth.
-func (r *RBB) Rearm(base, heapBase, nframes uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.armLocked(base, heapBase, nframes)
-}
+func (r *RBB) Rearm(base, heapBase, nframes uint64) { r.arm(base, heapBase, nframes) }
 
-func (r *RBB) armLocked(base, heapBase, nframes uint64) {
+func (r *RBB) arm(base, heapBase, nframes uint64) {
 	r.base = base
 	r.heapBase = heapBase
 	r.nfr = nframes
@@ -88,32 +79,26 @@ func (r *RBB) armLocked(base, heapBase, nframes uint64) {
 // Deactivate flushes and disables the RBB (end of compaction; the reached
 // bitmap is deallocated by the GC).
 func (r *RBB) Deactivate() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.flushLocked()
+	r.flush()
 	r.on = false
 }
 
 // Active reports whether a compaction epoch has the RBB armed.
-func (r *RBB) Active() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.on
-}
+func (r *RBB) Active() bool { return r.on }
 
 func (r *RBB) bitmapAddr(frame uint64) uint64 { return r.base + frame*8 }
 
-func (r *RBB) writebackLocked(e *rbbEntry) {
+func (r *RBB) writeback(e *rbbEntry) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], e.bitmap)
 	r.dev.MediaWrite(r.bitmapAddr(e.frame), buf[:])
 	r.Writebacks++
 }
 
-func (r *RBB) flushLocked() {
+func (r *RBB) flush() {
 	for i := range r.entries {
 		if r.entries[i].valid {
-			r.writebackLocked(&r.entries[i])
+			r.writeback(&r.entries[i])
 			r.entries[i].valid = false
 		}
 	}
@@ -123,8 +108,6 @@ func (r *RBB) flushLocked() {
 // persistence domain. ctx may be nil when invoked from the ADR power-loss
 // path.
 func (r *RBB) LineReached(ctx *sim.Ctx, lineAddr uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if !r.on || lineAddr < r.heapBase {
 		return
 	}
@@ -162,7 +145,7 @@ func (r *RBB) LineReached(ctx *sim.Ctx, lineAddr uint64) {
 	// step 4), then set the bit.
 	r.Misses++
 	if victim.valid {
-		r.writebackLocked(victim)
+		r.writeback(victim)
 	}
 	var buf [8]byte
 	r.dev.MediaRead(r.bitmapAddr(frame), buf[:])
@@ -179,10 +162,8 @@ func (r *RBB) LineReached(ctx *sim.Ctx, lineAddr uint64) {
 // battery powers this on a crash (§4.4); the harness calls it as part of the
 // simulated power-failure sequence.
 func (r *RBB) PowerLossFlush() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.on {
-		r.flushLocked()
+		r.flush()
 	}
 }
 
@@ -190,8 +171,6 @@ func (r *RBB) PowerLossFlush() {
 // resident, else the in-PM copy). Used by the GC's page-release checks and by
 // recovery.
 func (r *RBB) Read(ctx *sim.Ctx, frame uint64) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for i := range r.entries {
 		e := &r.entries[i]
 		if e.valid && e.frame == frame {

@@ -28,8 +28,12 @@ func (e *Engine) cluFor(ctx *sim.Ctx) (u *arch.CheckLookupUnit, pooled bool) {
 		u.Shared = e.cluStats
 		return u, false
 	}
-	u = e.cluPool.Get().(*arch.CheckLookupUnit)
-	u.Reset()
+	if n := len(e.cluFree); n > 0 {
+		u, e.cluFree = e.cluFree[n-1], e.cluFree[:n-1]
+		u.Reset()
+	} else {
+		u = arch.NewCheckLookupUnit(e.cfg)
+	}
 	u.Shared = e.cluStats
 	return u, true
 }
@@ -37,7 +41,7 @@ func (e *Engine) cluFor(ctx *sim.Ctx) (u *arch.CheckLookupUnit, pooled bool) {
 // cluDone returns a pooled unit; units found on the context stay attached.
 func (e *Engine) cluDone(u *arch.CheckLookupUnit, pooled bool) {
 	if pooled {
-		e.cluPool.Put(u)
+		e.cluFree = append(e.cluFree, u)
 	}
 }
 

@@ -88,9 +88,9 @@ func (e *Engine) finishMove(ep *epochState, idx int, fromBarrier bool) {
 	if !ep.setMoved(idx) {
 		return
 	}
-	e.objectsMoved.Add(1)
+	e.stats.ObjectsMoved++
 	if fromBarrier {
-		e.barrierMoves.Add(1)
+		e.stats.BarrierMoves++
 	}
 }
 
@@ -240,7 +240,7 @@ func (e *Engine) finishEpochPaused(ctx *sim.Ctx, ep *epochState) {
 	// Release relocation frames and open destination frames for allocation.
 	for _, f := range ep.relocFrames {
 		heap.ReleaseFrame(f)
-		e.framesReleased.Add(1)
+		e.stats.FramesReleased++
 	}
 	heap.SubDup(ep.dupBytes)
 	for _, f := range ep.destFrames {

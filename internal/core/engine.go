@@ -24,9 +24,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"ffccd/internal/arch"
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmem"
@@ -110,9 +107,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// Engine drives defragmentation for one pool. Like the pool and device it
-// belongs to the goroutine that owns the machine; only Stats (and the
-// observability groups built on it) may be read from another goroutine.
+// Engine drives defragmentation for one pool. Like the pool and device it is
+// plain data that belongs to the goroutine that owns the machine, its Stats
+// and the observability groups built on them included.
 type Engine struct {
 	pool *pmop.Pool
 	cfg  *sim.Config
@@ -139,12 +136,7 @@ type Engine struct {
 
 	stwPauses []uint64 // RunCycleSTW's pause lengths
 
-	// Stats (atomic; read via Stats()).
-	cycles         atomic.Uint64
-	framesReleased atomic.Uint64
-	objectsMoved   atomic.Uint64
-	barrierMoves   atomic.Uint64
-	leaksReclaimed atomic.Uint64
+	stats EngineStats // read via Stats()
 
 	// Observability (nil when disabled — every emit site checks). The
 	// histogram pointers are resolved once in SetObs so hot paths never touch
@@ -156,11 +148,11 @@ type Engine struct {
 	hBarrier *obsv.Histogram
 	cluStats *arch.CLUStats
 
-	// cluPool recycles the per-resolve checklookup units. Units are
+	// cluFree recycles the per-resolve checklookup units. Units are
 	// architecturally transient — one cold unit per read-barrier resolve —
-	// and cluFor resets recycled ones to power-on state, so pooling changes
+	// and cluFor resets recycled ones to power-on state, so recycling changes
 	// host allocation pressure only, never simulated cycles.
-	cluPool sync.Pool
+	cluFree []*arch.CheckLookupUnit
 }
 
 // NewEngine attaches a defragmentation engine to a pool. For the FFCCD
@@ -173,7 +165,6 @@ func NewEngine(p *pmop.Pool, opt Options) *Engine {
 		opt:   opt,
 		gcCtx: sim.NewCtx(cfg),
 	}
-	e.cluPool.New = func() any { return arch.NewCheckLookupUnit(cfg) }
 	if opt.Scheme.UsesRelocateInstruction() {
 		e.rbb = arch.NewRBB(cfg, p.Device())
 		p.Device().SetRBB(e.rbb)
@@ -206,15 +197,7 @@ type EngineStats struct {
 }
 
 // Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Cycles:         e.cycles.Load(),
-		FramesReleased: e.framesReleased.Load(),
-		ObjectsMoved:   e.objectsMoved.Load(),
-		BarrierMoves:   e.barrierMoves.Load(),
-		LeaksReclaimed: e.leaksReclaimed.Load(),
-	}
-}
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Add folds other into s. The fork-based experiment driver uses it to merge
 // the shared prefix engine's pre-divergence activity into each forked run's
@@ -308,7 +291,7 @@ func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
 	}
 	e.compact(ctx, ep)
 	e.finishEpoch(ctx, ep)
-	e.cycles.Add(1)
+	e.stats.Cycles++
 	return true
 }
 
@@ -371,7 +354,7 @@ func (e *Engine) FinishCycle(ctx *sim.Ctx) {
 	}
 	e.compact(ctx, ep)
 	e.finishEpoch(ctx, ep)
-	e.cycles.Add(1)
+	e.stats.Cycles++
 }
 
 // prepare runs the stop-the-world phases (marking + summary) and installs

@@ -221,7 +221,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	e.compact(ctx, ep)
 	dev.Site(ctx, pmem.SiteRecoveryStep)
 	e.finishEpoch(ctx, ep)
-	e.cycles.Add(1)
+	e.stats.Cycles++
 	e.progress(ctx, "done")
 	return nil
 }

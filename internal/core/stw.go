@@ -33,7 +33,7 @@ func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
 		}
 	}
 	e.finishEpochPaused(ctx, ep)
-	e.cycles.Add(1)
+	e.stats.Cycles++
 
 	pause := ctx.Clock.Total() - start
 	e.stwPauses = append(e.stwPauses, pause)

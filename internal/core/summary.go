@@ -60,7 +60,7 @@ func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	allocatedBefore := heap.Objects()
 	heap.RebuildFromMark(e.rebuildEntries(live))
 	if leaked := allocatedBefore - len(live); leaked > 0 {
-		e.leaksReclaimed.Add(uint64(leaked))
+		e.stats.LeaksReclaimed += uint64(leaked)
 	}
 
 	frag := heap.Frag(p.PageShift())

@@ -2,7 +2,6 @@ package ds
 
 import (
 	"slices"
-	"sync"
 
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -13,7 +12,6 @@ import (
 // logged once before its first modification in the operation.
 type AVL struct {
 	p     *pmop.Pool
-	mu    sync.Mutex
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder object: root node Ptr @0
 	count int
@@ -30,7 +28,7 @@ const (
 )
 
 // logset logs each object at most once per transaction. One lives in each
-// tree, under the tree's mutex, and is reused across transactions. The set is
+// tree and is reused across transactions. The set is
 // a small slice scanned linearly: a transaction logs the nodes along one
 // root-to-leaf path and their rotation partners — at most 17 entries in any
 // transaction of the micro workloads (bench micro-nodefrag/micro-defrag), 26
@@ -62,11 +60,7 @@ func NewAVL(ctx *sim.Ctx, p *pmop.Pool) (*AVL, error) {
 	holderT, _ := p.Types().LookupName(typeListRoot)
 	nodeT, _ := p.Types().LookupName(typeAVLNode)
 	t := &AVL{p: p, nodeT: nodeT.ID}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		t.mu.Lock()
-		t.root = remap(t.root)
-		t.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { t.root = remap(t.root) })
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
 		t.count = t.countFrom(ctx, p.ReadPtr(ctx, r, 0))
@@ -93,11 +87,7 @@ func (t *AVL) countFrom(ctx *sim.Ctx, n pmop.Ptr) int {
 func (t *AVL) Name() string { return "AVL" }
 
 // Len implements Store.
-func (t *AVL) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
+func (t *AVL) Len() int { return t.count }
 
 func (t *AVL) height(ctx *sim.Ctx, n pmop.Ptr) uint64 {
 	if n.IsNull() {
@@ -171,9 +161,6 @@ func (t *AVL) rebalance(ctx *sim.Ctx, ls *logset, n pmop.Ptr) pmop.Ptr {
 // Insert implements Store.
 func (t *AVL) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	v, err := allocValue(ctx, t.p, val)
 	if err != nil {
 		return err
@@ -240,9 +227,6 @@ func (t *AVL) insert(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64, v pmop.Pt
 // Delete implements Store.
 func (t *AVL) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	tx := t.p.Begin(ctx)
 	ls := t.ls.begin(t.p, tx)
 	ls.log(ctx, t.root)
@@ -324,8 +308,6 @@ func (t *AVL) remove(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64) (pmop.Ptr
 // Get implements Store.
 func (t *AVL) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	p := t.p
 	n := p.ReadPtr(ctx, t.root, 0)
 	for !n.IsNull() {

@@ -1,8 +1,6 @@
 package ds
 
 import (
-	"sync"
-
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -13,7 +11,6 @@ import (
 // the internal fragmentation the paper observes for BT.
 type BPTree struct {
 	p     *pmop.Pool
-	mu    sync.Mutex
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder: root node @0
 	count int
@@ -39,11 +36,7 @@ func NewBPTree(ctx *sim.Ctx, p *pmop.Pool) (*BPTree, error) {
 	holderT, _ := p.Types().LookupName(typeListRoot)
 	nodeT, _ := p.Types().LookupName(typeBTNode)
 	t := &BPTree{p: p, nodeT: nodeT.ID}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		t.mu.Lock()
-		t.root = remap(t.root)
-		t.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { t.root = remap(t.root) })
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
 		t.count = t.countKeys(ctx, p.ReadPtr(ctx, r, 0))
@@ -78,11 +71,7 @@ func (t *BPTree) countKeys(ctx *sim.Ctx, n pmop.Ptr) int {
 func (t *BPTree) Name() string { return "BT" }
 
 // Len implements Store.
-func (t *BPTree) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
+func (t *BPTree) Len() int { return t.count }
 
 func (t *BPTree) newNode(ctx *sim.Ctx, ls *logset, leaf bool) (pmop.Ptr, error) {
 	n, err := t.p.Alloc(ctx, t.nodeT, 0)
@@ -114,9 +103,6 @@ func (t *BPTree) findLeaf(ctx *sim.Ctx, key uint64) pmop.Ptr {
 // Insert implements Store.
 func (t *BPTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	v, err := allocValue(ctx, t.p, val)
 	if err != nil {
 		return err
@@ -296,9 +282,6 @@ func (t *BPTree) leafInsertAt(ctx *sim.Ctx, ls *logset, n pmop.Ptr, nk int, key 
 // Delete implements Store (lazy: no rebalancing; empty subtrees unlinked).
 func (t *BPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	p := t.p
 	tx := p.Begin(ctx)
 	ls := t.ls.begin(p, tx)
@@ -388,8 +371,6 @@ func (t *BPTree) remove(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64, freedV
 // Get implements Store.
 func (t *BPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	p := t.p
 	leaf := t.findLeaf(ctx, key)
 	if leaf.IsNull() {

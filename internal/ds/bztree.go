@@ -2,7 +2,6 @@ package ds
 
 import (
 	"sort"
-	"sync"
 
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -13,12 +12,11 @@ import (
 // leaf is consolidated or split into fresh nodes) and internal nodes are
 // copy-on-write. Every entry carries a PMwCAS metadata word — the extra
 // space the paper notes makes BzTree benefit less from defragmentation
-// (§7.3). The original's lock-free PMwCAS protocol is replaced by a
-// read-write mutex; the allocation and layout behaviour, which is what
-// defragmentation sees, is preserved.
+// (§7.3). The original's lock-free PMwCAS protocol is not modelled: threads
+// are interleaved one operation at a time on one goroutine. The allocation
+// and layout behaviour, which is what defragmentation sees, is preserved.
 type BzTree struct {
 	p     *pmop.Pool
-	mu    sync.RWMutex
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder: root node @0
 	count int
@@ -56,11 +54,7 @@ func NewBzTree(ctx *sim.Ctx, p *pmop.Pool) (*BzTree, error) {
 	holderT, _ := p.Types().LookupName(typeListRoot)
 	nodeT, _ := p.Types().LookupName(typeBzNode)
 	t := &BzTree{p: p, nodeT: nodeT.ID}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		t.mu.Lock()
-		t.root = remap(t.root)
-		t.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { t.root = remap(t.root) })
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
 		t.count = len(t.collectLive(ctx, p.ReadPtr(ctx, r, 0)))
@@ -125,11 +119,7 @@ func (t *BzTree) collectLive(ctx *sim.Ctx, n pmop.Ptr) []bzKV {
 func (t *BzTree) Name() string { return "BzTree" }
 
 // Len implements Store.
-func (t *BzTree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.count
-}
+func (t *BzTree) Len() int { return t.count }
 
 // findLeafPath descends to the leaf for key, recording the internal path.
 func (t *BzTree) findLeafPath(ctx *sim.Ctx, key uint64) (pmop.Ptr, []pmop.Ptr, []int) {
@@ -268,9 +258,6 @@ func (t *BzTree) rebuildPath(ctx *sim.Ctx, tx *pmop.Tx, path []pmop.Ptr, idxs []
 // Insert implements Store.
 func (t *BzTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	p := t.p
 	v, err := allocValue(ctx, p, val)
 	if err != nil {
@@ -419,9 +406,6 @@ func (t *BzTree) supersede(ctx *sim.Ctx, tx *pmop.Tx, leaf pmop.Ptr, key uint64,
 // Delete implements Store: append a tombstone record.
 func (t *BzTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	p := t.p
 	leaf, _, _ := t.findLeafPath(ctx, key)
 	if leaf.IsNull() {
@@ -490,9 +474,6 @@ func (t *BzTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 // Get implements Store.
 func (t *BzTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer t.p.EndOp()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-
 	p := t.p
 	leaf, _, _ := t.findLeafPath(ctx, key)
 	if leaf.IsNull() {

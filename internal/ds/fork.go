@@ -26,8 +26,6 @@ func (l *List) Fork(p *pmop.Pool) Store {
 		nl.handles[k] = h
 	}
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		nl.mu.Lock()
-		defer nl.mu.Unlock()
 		for k, h := range nl.handles {
 			nl.handles[k] = remap(h)
 		}
@@ -39,44 +37,28 @@ func (l *List) Fork(p *pmop.Pool) Store {
 // Fork implements Forker.
 func (t *AVL) Fork(p *pmop.Pool) Store {
 	nt := &AVL{p: p, nodeT: t.nodeT, root: t.root, count: t.count}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		nt.mu.Lock()
-		nt.root = remap(nt.root)
-		nt.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { nt.root = remap(nt.root) })
 	return nt
 }
 
 // Fork implements Forker.
 func (t *BPTree) Fork(p *pmop.Pool) Store {
 	nt := &BPTree{p: p, nodeT: t.nodeT, root: t.root, count: t.count}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		nt.mu.Lock()
-		nt.root = remap(nt.root)
-		nt.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { nt.root = remap(nt.root) })
 	return nt
 }
 
 // Fork implements Forker.
 func (t *RBTree) Fork(p *pmop.Pool) Store {
 	nt := &RBTree{p: p, nodeT: t.nodeT, root: t.root, count: t.count}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		nt.mu.Lock()
-		nt.root = remap(nt.root)
-		nt.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { nt.root = remap(nt.root) })
 	return nt
 }
 
 // Fork implements Forker.
 func (t *BzTree) Fork(p *pmop.Pool) Store {
 	nt := &BzTree{p: p, nodeT: t.nodeT, root: t.root, count: t.count}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		nt.mu.Lock()
-		nt.root = remap(nt.root)
-		nt.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { nt.root = remap(nt.root) })
 	return nt
 }
 
@@ -88,12 +70,10 @@ func (t *FPTree) Fork(p *pmop.Pool) Store {
 		count: t.count,
 	}
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		nt.mu.Lock()
 		nt.root = remap(nt.root)
 		for i := range nt.index {
 			nt.index[i].leaf = remap(nt.index[i].leaf)
 		}
-		nt.mu.Unlock()
 	})
 	return nt
 }
@@ -106,11 +86,9 @@ func (s *StringStore) Fork(p *pmop.Pool) Store {
 		count: s.count,
 	}
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		ns.mu.Lock()
 		for i := range ns.segs {
 			ns.segs[i] = remap(ns.segs[i])
 		}
-		ns.mu.Unlock()
 	})
 	return ns
 }

@@ -2,7 +2,6 @@ package ds
 
 import (
 	"sort"
-	"sync"
 
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -12,11 +11,10 @@ import (
 // live in volatile memory (rebuilt on restart) and whose leaves live in PM.
 // Each leaf carries a slot bitmap and one-byte fingerprints so lookups touch
 // a single cacheline of hashes before the keys. The original's HTM-based
-// concurrency is replaced by a read-write mutex; the persistence layout is
-// preserved.
+// concurrency is not modelled: threads are interleaved one operation at a
+// time on one goroutine. The persistence layout is preserved.
 type FPTree struct {
 	p     *pmop.Pool
-	mu    sync.RWMutex
 	leafT pmop.TypeID
 	root  pmop.Ptr // holder: first leaf @0
 
@@ -70,12 +68,10 @@ func NewFPTree(ctx *sim.Ctx, p *pmop.Pool) (*FPTree, error) {
 	leafT, _ := p.Types().LookupName(typeFPLeaf)
 	t := &FPTree{p: p, leafT: leafT.ID}
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		t.mu.Lock()
 		t.root = remap(t.root)
 		for i := range t.index {
 			t.index[i].leaf = remap(t.index[i].leaf)
 		}
-		t.mu.Unlock()
 	})
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
@@ -129,11 +125,7 @@ func (t *FPTree) rebuildIndex(ctx *sim.Ctx) {
 func (t *FPTree) Name() string { return "FPTree" }
 
 // Len implements Store.
-func (t *FPTree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.count
-}
+func (t *FPTree) Len() int { return t.count }
 
 // leafFor finds the index entry covering key.
 func (t *FPTree) leafFor(key uint64) int {
@@ -172,9 +164,6 @@ func (t *FPTree) findSlot(ctx *sim.Ctx, leaf pmop.Ptr, key uint64) int {
 // Insert implements Store.
 func (t *FPTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	p := t.p
 	v, err := allocValue(ctx, p, val)
 	if err != nil {
@@ -293,9 +282,6 @@ func (t *FPTree) split(ctx *sim.Ctx, i int, key uint64) (pmop.Ptr, error) {
 // Delete implements Store.
 func (t *FPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	p := t.p
 	leaf := t.index[t.leafFor(key)].leaf
 	s := t.findSlot(ctx, leaf, key)
@@ -320,9 +306,6 @@ func (t *FPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 // Get implements Store.
 func (t *FPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer t.p.EndOp()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-
 	leaf := t.index[t.leafFor(key)].leaf
 	s := t.findSlot(ctx, leaf, key)
 	if s < 0 {

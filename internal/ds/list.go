@@ -1,8 +1,6 @@
 package ds
 
 import (
-	"sync"
-
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -13,8 +11,7 @@ import (
 // persistent pointers and every use goes through D_RW, so they stay valid
 // while the defragmenter moves nodes.
 type List struct {
-	p  *pmop.Pool
-	mu sync.Mutex
+	p *pmop.Pool
 
 	root    pmop.Ptr // listroot object: head @0, tail @8
 	nodeT   pmop.TypeID
@@ -35,8 +32,6 @@ func NewList(ctx *sim.Ctx, p *pmop.Pool) (*List, error) {
 	nodeT, _ := p.Types().LookupName(typeListNode)
 	l := &List{p: p, nodeT: nodeT.ID, handles: make(map[uint64]pmop.Ptr)}
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		l.mu.Lock()
-		defer l.mu.Unlock()
 		for k, h := range l.handles {
 			l.handles[k] = remap(h)
 		}
@@ -64,18 +59,11 @@ func NewList(ctx *sim.Ctx, p *pmop.Pool) (*List, error) {
 func (l *List) Name() string { return "LL" }
 
 // Len implements Store.
-func (l *List) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.handles)
-}
+func (l *List) Len() int { return len(l.handles) }
 
 // Insert implements Store: head insertion, overwriting duplicates.
 func (l *List) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer l.p.EndOp()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-
 	if old, ok := l.handles[key]; ok {
 		return l.overwrite(ctx, old, val)
 	}
@@ -129,8 +117,6 @@ func (l *List) overwrite(ctx *sim.Ctx, n pmop.Ptr, val []byte) error {
 // Delete implements Store.
 func (l *List) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer l.p.EndOp()
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n, ok := l.handles[key]
 	if !ok {
 		return false, nil
@@ -168,9 +154,7 @@ func (l *List) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 // Get implements Store.
 func (l *List) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer l.p.EndOp()
-	l.mu.Lock()
 	n, ok := l.handles[key]
-	l.mu.Unlock()
 	if !ok {
 		return nil, false
 	}

@@ -1,8 +1,6 @@
 package ds
 
 import (
-	"sync"
-
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -11,7 +9,6 @@ import (
 // tree (Sedgewick's LLRB, which keeps the delete rebalancing tractable).
 type RBTree struct {
 	p     *pmop.Pool
-	mu    sync.Mutex
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder: root node @0
 	count int
@@ -32,11 +29,7 @@ func NewRBTree(ctx *sim.Ctx, p *pmop.Pool) (*RBTree, error) {
 	holderT, _ := p.Types().LookupName(typeListRoot)
 	nodeT, _ := p.Types().LookupName(typeRBNode)
 	t := &RBTree{p: p, nodeT: nodeT.ID}
-	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		t.mu.Lock()
-		t.root = remap(t.root)
-		t.mu.Unlock()
-	})
+	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { t.root = remap(t.root) })
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
 		t.count = t.countFrom(ctx, p.ReadPtr(ctx, r, 0))
@@ -63,11 +56,7 @@ func (t *RBTree) countFrom(ctx *sim.Ctx, n pmop.Ptr) int {
 func (t *RBTree) Name() string { return "RBT" }
 
 // Len implements Store.
-func (t *RBTree) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
+func (t *RBTree) Len() int { return t.count }
 
 func (t *RBTree) isRed(ctx *sim.Ctx, n pmop.Ptr) bool {
 	return !n.IsNull() && t.p.ReadU64(ctx, n, rbColor) == 1
@@ -139,9 +128,6 @@ func (t *RBTree) fixUp(ctx *sim.Ctx, ls *logset, h pmop.Ptr) pmop.Ptr {
 // Insert implements Store.
 func (t *RBTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	v, err := allocValue(ctx, t.p, val)
 	if err != nil {
 		return err
@@ -235,8 +221,6 @@ func (t *RBTree) moveRedRight(ctx *sim.Ctx, ls *logset, h pmop.Ptr) pmop.Ptr {
 // Delete implements Store.
 func (t *RBTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if _, ok := t.get(ctx, key); !ok {
 		return false, nil
 	}
@@ -350,8 +334,6 @@ func (t *RBTree) get(ctx *sim.Ctx, key uint64) (pmop.Ptr, bool) {
 // Get implements Store.
 func (t *RBTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer t.p.EndOp()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	v, ok := t.get(ctx, key)
 	if !ok || v.IsNull() {
 		return nil, ok && !v.IsNull()

@@ -2,7 +2,6 @@ package ds
 
 import (
 	"fmt"
-	"sync"
 
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -18,7 +17,6 @@ import (
 // the remaining slots hold string pointers.
 type StringStore struct {
 	p     *pmop.Pool
-	mu    sync.Mutex
 	slots int
 	segs  []pmop.Ptr // volatile segment cache (healed by the remap hook)
 	count int
@@ -32,11 +30,9 @@ func NewStringStore(ctx *sim.Ctx, p *pmop.Pool, slots int) (*StringStore, error)
 	arrT, _ := p.Types().LookupName(typeStrArray)
 	s := &StringStore{p: p, slots: slots}
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) {
-		s.mu.Lock()
 		for i := range s.segs {
 			s.segs[i] = remap(s.segs[i])
 		}
-		s.mu.Unlock()
 	})
 
 	if r := p.Root(ctx); !r.IsNull() {
@@ -83,13 +79,9 @@ func NewStringStore(ctx *sim.Ctx, p *pmop.Pool, slots int) (*StringStore, error)
 func (s *StringStore) Name() string { return "SS" }
 
 // Len implements Store.
-func (s *StringStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
+func (s *StringStore) Len() int { return s.count }
 
-// slotOf maps a key to (segment, payload offset). Caller holds s.mu.
+// slotOf maps a key to (segment, payload offset).
 func (s *StringStore) slotOf(key uint64) (pmop.Ptr, uint64, error) {
 	if key >= uint64(s.slots) {
 		return pmop.Null, 0, fmt.Errorf("ds: string slot %d out of range (%d slots)", key, s.slots)
@@ -102,9 +94,6 @@ func (s *StringStore) slotOf(key uint64) (pmop.Ptr, uint64, error) {
 // Insert implements Store: replace slot key's string with val.
 func (s *StringStore) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	defer s.p.EndOp()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	seg, off, err := s.slotOf(key)
 	if err != nil {
 		return err
@@ -130,9 +119,6 @@ func (s *StringStore) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 // Delete implements Store: clear the slot.
 func (s *StringStore) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer s.p.EndOp()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	seg, off, err := s.slotOf(key)
 	if err != nil {
 		return false, err
@@ -154,9 +140,6 @@ func (s *StringStore) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 // Get implements Store.
 func (s *StringStore) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	defer s.p.EndOp()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	seg, off, err := s.slotOf(key)
 	if err != nil {
 		return nil, false
@@ -172,9 +155,6 @@ func (s *StringStore) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 // operation.
 func (s *StringStore) Swap(ctx *sim.Ctx, i, j uint64) error {
 	defer s.p.EndOp()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	segI, oi, err := s.slotOf(i)
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 // Package kv implements the two key-value store applications of the paper's
 // evaluation (§6): an Echo-style store (WHISPER) built on a persistent hash
-// table with chained entries, and a pmemkv-style concurrent engine with
-// striped bucket locks. Both follow the PMOP discipline (typed allocation,
+// table with chained entries, and a pmemkv-style store that is the same table
+// under pmemkv's name. Both follow the PMOP discipline (typed allocation,
 // transactions, D_RW accessors) and implement ds.Store.
 package kv
 
@@ -45,7 +45,9 @@ func RegisterTypes(reg *pmop.Registry) {
 // keys are removed" — which is why Echo sees the smallest fragmentation
 // reduction.
 type Echo struct {
-	p    *pmop.Pool
+	p *pmop.Pool
+	// mu serves only bench/'s TestDecoratorCountsConcurrentGets, which
+	// calls GetParallel from 8 goroutines; a machine runs on one goroutine.
 	mu   sync.Mutex
 	segs []pmop.Ptr // bucket-array segments (volatile cache, remap-healed)
 	nb   int        // bucket count
@@ -161,8 +163,7 @@ func (e *Echo) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 	return nil
 }
 
-// insertUnlocked is the synchronisation-free core (callers provide locking
-// and world bracketing; it does not maintain the length counter).
+// insertUnlocked is Insert's body under e.mu, without the length counter.
 func (e *Echo) insertUnlocked(ctx *sim.Ctx, key uint64, val []byte) error {
 	p := e.p
 	seg, off := e.bucket(key)
@@ -205,15 +206,6 @@ func (e *Echo) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ok, err := e.deleteUnlocked(ctx, key)
-	if ok {
-		e.n--
-	}
-	return ok, err
-}
-
-// deleteUnlocked is the synchronisation-free core.
-func (e *Echo) deleteUnlocked(ctx *sim.Ctx, key uint64) (bool, error) {
 	p := e.p
 	seg, off := e.bucket(key)
 	ent, prev := e.findEntry(ctx, seg, off, key)
@@ -235,6 +227,7 @@ func (e *Echo) deleteUnlocked(ctx *sim.Ctx, key uint64) (bool, error) {
 		p.Free(ctx, val)
 	}
 	p.Free(ctx, ent)
+	e.n--
 	return true, nil
 }
 
@@ -246,7 +239,7 @@ func (e *Echo) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 	return e.getUnlocked(ctx, key, nil)
 }
 
-// getUnlocked is the synchronisation-free core. It loads key's value into
+// getUnlocked is Get's body under e.mu. It loads key's value into
 // buf's storage, or a fresh buffer when buf is nil or too small, and returns
 // it; on a miss it returns buf unchanged.
 func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {

@@ -26,8 +26,4 @@ func (e *Echo) Fork(p *pmop.Pool) ds.Store {
 }
 
 // Fork implements ds.Forker.
-func (k *PmemKV) Fork(p *pmop.Pool) ds.Store {
-	nk := &PmemKV{inner: k.inner.Fork(p).(*Echo)}
-	nk.n = k.n
-	return nk
-}
+func (k *PmemKV) Fork(p *pmop.Pool) ds.Store { return &PmemKV{k.e.Fork(p).(*Echo)} }

@@ -30,7 +30,6 @@ package mesh
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/pmop"
@@ -56,7 +55,6 @@ func remapLayout(p *pmop.Pool) (base uint64, copyBytes uint64, ok bool) {
 type Defragmenter struct {
 	p *pmop.Pool
 
-	mu     sync.Mutex
 	remap  []uint32 // virtual frame → physical frame
 	meshed int      // physical frames released by meshing
 	gen    uint64   // persisted remap-table generation (0 = identity)
@@ -78,19 +76,13 @@ func New(p *pmop.Pool) *Defragmenter {
 }
 
 // MeshedFrames returns how many physical frames meshing has released.
-func (d *Defragmenter) MeshedFrames() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.meshed
-}
+func (d *Defragmenter) MeshedFrames() int { return d.meshed }
 
 // PhysFrag returns fragmentation statistics based on *physical* footprint:
 // the allocator's footprint minus the frames meshing released.
 func (d *Defragmenter) PhysFrag(pageShift uint) alloc.FragStats {
 	st := d.p.Heap().Frag(pageShift)
-	d.mu.Lock()
 	saved := uint64(d.meshed) * alloc.FrameSize
-	d.mu.Unlock()
 	if st.FootprintBytes > saved {
 		st.FootprintBytes -= saved
 	}
@@ -107,8 +99,6 @@ func (d *Defragmenter) PhysFrag(pageShift uint) alloc.FragStats {
 func (d *Defragmenter) RunCycle(ctx *sim.Ctx) int {
 	p := d.p
 	heap := p.Heap()
-	d.mu.Lock()
-	defer d.mu.Unlock()
 
 	// Candidates: active frames, identity-mapped, at most half full.
 	type cand struct {
@@ -235,8 +225,6 @@ func Recover(ctx *sim.Ctx, p *pmop.Pool) (*Defragmenter, error) {
 // pair it against a third frame and overwrite the resident neighbour.
 func (d *Defragmenter) RestoreFrameStates() {
 	heap := d.p.Heap()
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for src, ph := range d.remap {
 		if uint32(src) != ph {
 			heap.SetState(src, alloc.FrameMeshed)

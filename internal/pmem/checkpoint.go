@@ -57,10 +57,7 @@ type DeviceCheckpoint struct {
 	Pend  []int
 	EADR  bool
 
-	// Stats holds the counter totals (summed over shards). The per-shard
-	// spread is host-scheduling detail, not simulated state, so Restore
-	// deposits the totals into shard 0 — Stats() sums shards and is exact
-	// either way.
+	// Stats holds the counters.
 	Stats [statCount]uint64
 }
 
@@ -119,7 +116,7 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 	c.Pend = append(c.Pend[:0], d.pend...)
 	c.EADR = d.eADR
 
-	c.Stats = d.sumStats()
+	c.Stats = d.stat
 }
 
 // parallelRestoreBytes is the media volume above which Restore fans its
@@ -250,8 +247,5 @@ func (d *Device) Restore(c *DeviceCheckpoint) {
 	}
 	d.pend = append(d.pend[:0], c.Pend...)
 	d.eADR = c.EADR
-	d.ResetStats()
-	for j := 0; j < statCount; j++ {
-		d.stat[0].c[j].Store(c.Stats[j])
-	}
+	d.stat = c.Stats
 }

@@ -18,10 +18,9 @@
 //
 // All latencies are charged to the sim.Ctx passed to each operation. A device
 // has one owner: one goroutine drives every simulated thread of its machine,
-// so the per-access path takes no host lock. Simulated threads are sim.Ctx
-// values, not goroutines. Only the statistics counters stay atomic (sharded),
-// because an observer goroutine (-httpobs) may read them while the owner
-// runs. See DESIGN.md ("Host performance model") for the invariant host-side
+// so the device is plain data, statistics included, and takes no host lock
+// or atomic. Simulated threads are sim.Ctx values, not goroutines. See
+// DESIGN.md ("Host performance model") for the invariant host-side
 // optimizations must keep.
 //
 // The modelled cache is laid out for the host's cache (DESIGN.md §7, "A cache
@@ -141,9 +140,9 @@ var (
 
 // Device is a simulated persistent-memory module plus the volatile cache in
 // front of it. It belongs to one goroutine at a time, which runs every
-// simulated thread (sim.Ctx) of its machine; no method takes a host lock.
-// Stats, and the observability groups built on it, may be read from another
-// goroutine at any time.
+// simulated thread (sim.Ctx) of its machine; no method takes a host lock, and
+// Stats, like the observability groups built on it, is read on that goroutine
+// or after the run.
 type Device struct {
 	cfg   *sim.Config
 	media []byte
@@ -178,7 +177,7 @@ type Device struct {
 	policy CrashPolicy
 	eADR   bool
 
-	stat [statShards]statShard
+	stat [statCount]uint64
 
 	// Observability (nil when disabled). hWPQ is resolved once in SetObs so
 	// Sfence never touches the registry; ringRec additionally enables the
@@ -445,7 +444,7 @@ func (d *Device) checkRange(addr, n uint64) {
 
 // notifyReached reports a pending line's arrival in the persistence domain.
 func (d *Device) notifyReached(ctx *sim.Ctx, lineIdx uint64) {
-	d.lineShard(lineIdx).c[cPendingReach].Add(1)
+	d.stat[cPendingReach]++
 	if d.rbb != nil {
 		d.rbb.LineReached(ctx, lineIdx<<LineShift)
 	}
@@ -472,7 +471,7 @@ func (d *Device) writeMediaLine(ctx *sim.Ctx, set *cacheSet, lineIdx uint64, dat
 		set.inflight[i] = set.inflight[last]
 		set.inflight = set.inflight[:last]
 	}
-	d.lineShard(lineIdx).c[cMediaWrites].Add(1)
+	d.stat[cMediaWrites]++
 	if ctx != nil {
 		ctx.Charge(d.cfg.PMWriteBandwidthPenalty)
 	}
@@ -535,7 +534,7 @@ func (d *Device) MediaWrite(addr uint64, data []byte) {
 	d.checkRange(addr, uint64(len(data)))
 	copy(d.media[addr:], data)
 	d.touchRange(addr, uint64(len(data)))
-	d.lineShard(addr >> LineShift).c[cMediaWrites].Add(1)
+	d.stat[cMediaWrites]++
 }
 
 // MediaZero is MediaWrite of n zero bytes without the caller having to hold
@@ -545,7 +544,7 @@ func (d *Device) MediaZero(addr, n uint64) {
 	d.checkRange(addr, n)
 	clear(d.media[addr : addr+n])
 	d.touchRange(addr, n)
-	d.lineShard(addr >> LineShift).c[cMediaWrites].Add(1)
+	d.stat[cMediaWrites]++
 }
 
 // Crash simulates a power failure: every cached line is lost, the crash

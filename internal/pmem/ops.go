@@ -68,7 +68,7 @@ func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64)
 	slot = base + victim
 	bit := uint32(1) << victim
 	if vt := tags[victim]; vt != 0 && set.dirty&bit != 0 {
-		d.lineShard(uint64(vt - 1)).c[cEvictions].Add(1)
+		d.stat[cEvictions]++
 		d.writeMediaLine(ctx, set, uint64(vt-1), d.body(slot), set.pending&bit != 0)
 	}
 	tags[victim] = tag
@@ -83,15 +83,11 @@ func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64)
 // lines cachelines of which misses missed, and charges its latency. Hits are
 // not counted: every touched line hits or misses, so Stats derives them, and
 // a single-line hit — nearly every access — pays for one increment.
-func (d *Device) account(ctx *sim.Ctx, shard *statShard, op int, lines, misses uint64) {
-	shard.c[op].Add(1)
-	if lines > 1 {
-		shard.c[cExtraLines].Add(lines - 1)
-	}
-	if misses > 0 {
-		shard.c[cCacheMisses].Add(misses)
-		shard.c[cMediaReads].Add(misses)
-	}
+func (d *Device) account(ctx *sim.Ctx, op int, lines, misses uint64) {
+	d.stat[op]++
+	d.stat[cExtraLines] += lines - 1
+	d.stat[cCacheMisses] += misses
+	d.stat[cMediaReads] += misses
 	ctx.Charge(lines*d.cfg.L2Latency + misses*d.cfg.PMReadLatency)
 }
 
@@ -102,7 +98,6 @@ func (d *Device) Load(ctx *sim.Ctx, addr uint64, buf []byte) {
 	d.checkRange(addr, uint64(len(buf)))
 	lineIdx := addr >> LineShift
 	off := addr & (LineSize - 1)
-	shard := d.lineShard(lineIdx)
 	var lines, misses uint64
 	for {
 		n := min(LineSize-off, uint64(len(buf)))
@@ -116,7 +111,7 @@ func (d *Device) Load(ctx *sim.Ctx, addr uint64, buf []byte) {
 		lineIdx++
 		off = 0
 	}
-	d.account(ctx, shard, cLoads, lines, misses)
+	d.account(ctx, cLoads, lines, misses)
 }
 
 // LoadU64 is Load of a little-endian u64 — the same access, counters and
@@ -133,7 +128,7 @@ func (d *Device) LoadU64(ctx *sim.Ctx, addr uint64) uint64 {
 	lineIdx := addr >> LineShift
 	_, slot, miss := d.cached(ctx, lineIdx)
 	v := binary.LittleEndian.Uint64(d.body(slot)[off:])
-	d.account(ctx, d.lineShard(lineIdx), cLoads, 1, miss)
+	d.account(ctx, cLoads, 1, miss)
 	return v
 }
 
@@ -148,7 +143,6 @@ func (d *Device) store(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
 	d.checkRange(addr, uint64(len(data)))
 	lineIdx := addr >> LineShift
 	off := addr & (LineSize - 1)
-	shard := d.lineShard(lineIdx)
 	var lines, misses uint64
 	for {
 		n := min(LineSize-off, uint64(len(data)))
@@ -166,7 +160,7 @@ func (d *Device) store(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
 		lineIdx++
 		off = 0
 	}
-	d.account(ctx, shard, cStores, lines, misses)
+	d.account(ctx, cStores, lines, misses)
 }
 
 // StoreU64 is Store of a little-endian u64; see LoadU64.
@@ -183,7 +177,7 @@ func (d *Device) StoreU64(ctx *sim.Ctx, addr, v uint64) {
 	set, slot, miss := d.cached(ctx, lineIdx)
 	binary.LittleEndian.PutUint64(d.body(slot)[off:], v)
 	set.dirty |= 1 << set.mru
-	d.account(ctx, d.lineShard(lineIdx), cStores, 1, miss)
+	d.account(ctx, cStores, 1, miss)
 }
 
 // Clwb initiates write-back of the line containing addr. The line becomes
@@ -193,7 +187,7 @@ func (d *Device) StoreU64(ctx *sim.Ctx, addr, v uint64) {
 func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 	d.checkRange(addr, 1)
 	lineIdx := addr >> LineShift
-	d.lineShard(lineIdx).c[cClwbs].Add(1)
+	d.stat[cClwbs]++
 	si := d.setIndex(lineIdx)
 	set := &d.sets[si]
 	if w := d.findWay(set, si, lineIdx); w >= 0 && set.dirty>>w&1 != 0 {
@@ -232,7 +226,7 @@ type sfenceScratch struct {
 // lines.
 func (d *Device) Sfence(ctx *sim.Ctx) {
 	d.Site(ctx, SiteSfence)
-	d.ctxShard(ctx).c[cSfences].Add(1)
+	d.stat[cSfences]++
 
 	// Take the pending-set list and leave the last fence's (drained) one in
 	// its place.
@@ -257,7 +251,7 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 	}
 	var stall uint64
 	if drained > 0 {
-		d.ctxShard(ctx).c[cMediaWrites].Add(uint64(drained))
+		d.stat[cMediaWrites] += uint64(drained)
 		stall = uint64(drained) * d.cfg.PMWriteBandwidthPenalty
 		ctx.Charge(stall)
 	}

@@ -64,7 +64,7 @@ func (d *Device) Relocate(ctx *sim.Ctx, dst, src, n uint64) {
 // this call).
 func (d *Device) RelocateParts(ctx *sim.Ctx, parts []RelocatePart) {
 	d.Site(ctx, SiteRelocate)
-	d.ctxShard(ctx).c[cRelocateOps].Add(1)
+	d.stat[cRelocateOps]++
 	if d.ringRec {
 		var bytes uint64
 		for _, p := range parts {

@@ -3,6 +3,7 @@ package pmop
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ffccd/internal/alloc"
@@ -61,11 +62,11 @@ func relocListBytes(frames uint64) uint64 {
 }
 
 // Pool is a persistent memory object pool mapped into the simulated device.
-// Like its device, it belongs to the goroutine that owns the machine: every
-// simulated thread's operations and the defragmenter's stop-the-world phases
-// run there, one after another, so a phase that runs between two operations
-// has the world stopped by construction. Only Ops may be read from another
-// goroutine.
+// Like its device, it is plain data that belongs to the goroutine that owns
+// the machine: every simulated thread's operations and the defragmenter's
+// stop-the-world phases run there, one after another, so a phase that runs
+// between two operations has the world stopped by construction. Only Ops is
+// atomic, for bench/'s decorator test that calls Get from several goroutines.
 type Pool struct {
 	rt   *Runtime
 	id   uint16
@@ -87,11 +88,11 @@ type Pool struct {
 	heap  *alloc.Heap
 	types *Registry
 
-	barrier   atomic.Pointer[barrierBox]
-	allocHook atomic.Pointer[func()]
-	txAddHook atomic.Pointer[func(ctx *sim.Ctx, off, n uint64)]
+	barrier   ReadBarrier
+	allocHook func()
+	txAddHook func(ctx *sim.Ctx, off, n uint64)
 
-	txFree  chan int
+	txFree  []int // free transaction slots, handed out first in first out
 	txSlots []*Tx
 
 	remapHooks []func(remap func(Ptr) Ptr)
@@ -99,14 +100,12 @@ type Pool struct {
 	// frameRemap maps virtual heap frames to physical heap frames (nil =
 	// identity). Installed by the Mesh comparator, which compacts physical
 	// memory by aliasing virtual pages instead of moving references.
-	frameRemap atomic.Pointer[[]uint32]
+	frameRemap []uint32
 
 	// Op counter for throughput reporting: EndOp counts one per
 	// data-structure operation.
 	Ops atomic.Uint64
 }
-
-type barrierBox struct{ b ReadBarrier }
 
 // --- construction -----------------------------------------------------------
 
@@ -126,11 +125,11 @@ func layout(size uint64) (txLogOff, gcMetaOff, gcMetaSize, heapOff, heapFrames u
 
 func (p *Pool) initVolatile() {
 	p.heap = alloc.NewHeap(p.heapOff, int(p.heapFrames))
-	p.txFree = make(chan int, txSlotCount)
+	p.txFree = make([]int, txSlotCount)
 	p.txSlots = make([]*Tx, txSlotCount)
-	for i := 0; i < txSlotCount; i++ {
+	for i := range p.txSlots {
 		p.txSlots[i] = &Tx{pool: p, slot: i}
-		p.txFree <- i
+		p.txFree[i] = i
 	}
 }
 
@@ -139,16 +138,7 @@ func (p *Pool) initVolatile() {
 // transactions begin and retire, and the rotation decides which txlog lines
 // future transactions touch, so a forked pool must reproduce it exactly
 // (see the experiments fork driver).
-func (p *Pool) TxSlotOrder() []int {
-	order := make([]int, 0, txSlotCount)
-	for i := 0; i < txSlotCount; i++ {
-		order = append(order, <-p.txFree)
-	}
-	for _, s := range order {
-		p.txFree <- s
-	}
-	return order
-}
+func (p *Pool) TxSlotOrder() []int { return slices.Clone(p.txFree) }
 
 // RestoreTxSlotOrder re-queues the free transaction slots in the given
 // order. The pool must be quiescent and order must hold every slot once.
@@ -156,12 +146,7 @@ func (p *Pool) RestoreTxSlotOrder(order []int) {
 	if len(order) != txSlotCount {
 		panic("pmop: RestoreTxSlotOrder: wrong slot count")
 	}
-	for i := 0; i < txSlotCount; i++ {
-		<-p.txFree
-	}
-	for _, s := range order {
-		p.txFree <- s
-	}
+	p.txFree = append(p.txFree[:0], order...)
 }
 
 // --- identity & geometry ----------------------------------------------------
@@ -212,11 +197,11 @@ func (p *Pool) HeapRange() (off uint64, frames uint64) { return p.heapOff, p.hea
 // PA converts a pool offset to a device physical address, honouring the
 // Mesh-style frame remap when one is installed.
 func (p *Pool) PA(off uint64) uint64 {
-	if m := p.frameRemap.Load(); m != nil && off >= p.heapOff {
+	if m := p.frameRemap; m != nil && off >= p.heapOff {
 		rel := off - p.heapOff
 		vf := rel / alloc.FrameSize
-		if int(vf) < len(*m) {
-			return p.region + p.heapOff + uint64((*m)[vf])*alloc.FrameSize + rel%alloc.FrameSize
+		if int(vf) < len(m) {
+			return p.region + p.heapOff + uint64(m[vf])*alloc.FrameSize + rel%alloc.FrameSize
 		}
 	}
 	return p.region + off
@@ -224,13 +209,7 @@ func (p *Pool) PA(off uint64) uint64 {
 
 // SetFrameRemap installs (or clears, with nil) a virtual→physical heap-frame
 // mapping. The caller must quiesce the pool (stop-the-world) around changes.
-func (p *Pool) SetFrameRemap(m []uint32) {
-	if m == nil {
-		p.frameRemap.Store(nil)
-		return
-	}
-	p.frameRemap.Store(&m)
-}
+func (p *Pool) SetFrameRemap(m []uint32) { p.frameRemap = m }
 
 // VA converts a pool offset to this run's virtual address.
 func (p *Pool) VA(off uint64) uint64 { return p.vaBase + off }
@@ -244,36 +223,18 @@ func (p *Pool) OffsetOfVA(va uint64) uint64 { return va - p.vaBase }
 // --- hooks -------------------------------------------------------------------
 
 // SetBarrier installs (or, with nil, removes) the read barrier.
-func (p *Pool) SetBarrier(b ReadBarrier) {
-	if b == nil {
-		p.barrier.Store(nil)
-		return
-	}
-	p.barrier.Store(&barrierBox{b})
-}
+func (p *Pool) SetBarrier(b ReadBarrier) { p.barrier = b }
 
 // SetAllocHook installs a function invoked after every Alloc/Free (nil
 // removes it). It charges nothing; the repo benchmark counts allocator calls
 // with it. The §5 defragmentation trigger is the caller's check instead:
 // core.Engine.Triggered between operations.
-func (p *Pool) SetAllocHook(f func()) {
-	if f == nil {
-		p.allocHook.Store(nil)
-		return
-	}
-	p.allocHook.Store(&f)
-}
+func (p *Pool) SetAllocHook(f func()) { p.allocHook = f }
 
 // SetTxAddHook installs the dest-modification hook, invoked before a
 // transaction logs a range and before an object is freed (SFCCD's
 // moved-object disambiguation uses it; see DESIGN.md).
-func (p *Pool) SetTxAddHook(f func(ctx *sim.Ctx, off, n uint64)) {
-	if f == nil {
-		p.txAddHook.Store(nil)
-		return
-	}
-	p.txAddHook.Store(&f)
-}
+func (p *Pool) SetTxAddHook(f func(ctx *sim.Ctx, off, n uint64)) { p.txAddHook = f }
 
 // RegisterRemapHook adds a callback invoked under stop-the-world at the end
 // of every defragmentation epoch with a remap function translating stale
@@ -361,11 +322,10 @@ func (p *Pool) Resolve(ctx *sim.Ctx, ref Ptr) Ptr {
 	if ref.IsNull() {
 		return ref
 	}
-	box := p.barrier.Load()
-	if box == nil {
+	if p.barrier == nil {
 		return ref
 	}
-	return box.b.Resolve(ctx, ref)
+	return p.barrier.Resolve(ctx, ref)
 }
 
 // ReadPtr loads the pointer field at payload offset field of obj, applying
@@ -469,8 +429,8 @@ func (p *Pool) Alloc(ctx *sim.Ctx, t TypeID, payload uint64) (Ptr, error) {
 	// buffer serves every allocation (payloads never exceed one frame).
 	p.RawStore(ctx, headerOff+HeaderSize, zeroPayload[:payload])
 	p.writeHeader(ctx, headerOff, t, payload)
-	if h := p.allocHook.Load(); h != nil {
-		(*h)()
+	if p.allocHook != nil {
+		p.allocHook()
 	}
 	return MakePtr(p.id, headerOff+HeaderSize), nil
 }
@@ -483,12 +443,12 @@ func (p *Pool) Alloc(ctx *sim.Ctx, t TypeID, payload uint64) (Ptr, error) {
 func (p *Pool) Free(ctx *sim.Ctx, obj Ptr) {
 	obj = p.Resolve(ctx, obj)
 	_, payload := p.Header(ctx, obj)
-	if hook := p.txAddHook.Load(); hook != nil {
-		(*hook)(ctx, obj.Offset()-HeaderSize, HeaderSize+payload)
+	if p.txAddHook != nil {
+		p.txAddHook(ctx, obj.Offset()-HeaderSize, HeaderSize+payload)
 	}
 	p.heap.Free(obj.Offset()-HeaderSize, alloc.SlotsFor(payload))
-	if h := p.allocHook.Load(); h != nil {
-		(*h)()
+	if p.allocHook != nil {
+		p.allocHook()
 	}
 }
 

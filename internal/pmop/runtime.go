@@ -3,7 +3,6 @@ package pmop
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/pmem"
@@ -18,7 +17,6 @@ type Runtime struct {
 	cfg *sim.Config
 	dev *pmem.Device
 
-	mu      sync.Mutex
 	pools   map[uint16]*Pool
 	byName  map[string]*Pool
 	nextOff uint64
@@ -167,8 +165,6 @@ func (rt *Runtime) vaBase(id uint16, region uint64) uint64 {
 // Create builds a new pool. pageShift selects the OS page size used for
 // footprint and TLB accounting (12 = 4 KB, 21 = 2 MB huge pages).
 func (rt *Runtime) Create(name string, size uint64, pageShift uint, types *Registry) (*Pool, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if _, exists := rt.byName[name]; exists {
 		return nil, fmt.Errorf("pmop: pool %q already exists", name)
 	}
@@ -226,8 +222,6 @@ func (rt *Runtime) Create(name string, size uint64, pageShift uint, types *Regis
 // The volatile allocator state is empty: a reachability rebuild (the core
 // package's Recover/Attach) must run before new allocations.
 func (rt *Runtime) Open(name string, types *Registry) (*Pool, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if p, ok := rt.byName[name]; ok {
 		return p, nil
 	}
@@ -260,8 +254,6 @@ func (rt *Runtime) Open(name string, types *Registry) (*Pool, error) {
 
 // PoolByID resolves a pool id (for cross-pool pointer traversal).
 func (rt *Runtime) PoolByID(id uint16) (*Pool, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	p, ok := rt.pools[id]
 	return p, ok
 }

@@ -11,7 +11,7 @@ import (
 // logged (TX_ADD) before modification, data is flushed at commit, and an
 // interrupted transaction is rolled back during recovery. The log lives in
 // the pool's persistent tx region; each Tx owns one of the pool's log slots
-// so application threads can run transactions concurrently.
+// so every simulated application thread can have one transaction open.
 //
 // Persistence protocol per operation:
 //
@@ -42,9 +42,15 @@ const (
 
 func (t *Tx) base() uint64 { return t.pool.txLogOff + uint64(t.slot)*txSlotBytes }
 
-// Begin starts a transaction, blocking until a log slot is free.
+// Begin starts a transaction in the longest-free log slot. A simulated thread
+// runs at most one transaction per operation, so the pool's slots always
+// outnumber open transactions; Begin with every slot open panics.
 func (p *Pool) Begin(ctx *sim.Ctx) *Tx {
-	slot := <-p.txFree
+	if len(p.txFree) == 0 {
+		panic("pmop: Begin with every transaction slot open")
+	}
+	slot := p.txFree[0]
+	p.txFree = append(p.txFree[:0], p.txFree[1:]...)
 	t := p.txSlots[slot]
 	t.cursor = txHeaderBytes
 	t.count = 0
@@ -65,8 +71,8 @@ func (t *Tx) Add(ctx *sim.Ctx, off, n uint64) {
 		panic("pmop: Add on inactive transaction")
 	}
 	p := t.pool
-	if hook := p.txAddHook.Load(); hook != nil {
-		(*hook)(ctx, off, n)
+	if p.txAddHook != nil {
+		p.txAddHook(ctx, off, n)
 	}
 	entryLen := 16 + (n+7)&^7
 	if t.cursor+entryLen > txSlotBytes {
@@ -130,7 +136,7 @@ func (t *Tx) Commit(ctx *sim.Ctx) {
 	p.Clwb(ctx, t.base())
 	p.Sfence(ctx)
 	t.active = false
-	p.txFree <- t.slot
+	p.txFree = append(p.txFree, t.slot)
 }
 
 // Abort rolls the transaction back in place (undo applied newest-first) and
@@ -142,7 +148,7 @@ func (t *Tx) Abort(ctx *sim.Ctx) {
 	p := t.pool
 	p.undoSlot(ctx, t.slot)
 	t.active = false
-	p.txFree <- t.slot
+	p.txFree = append(p.txFree, t.slot)
 }
 
 // undoSlot replays a slot's undo entries newest-first and marks it idle.

@@ -1,6 +1,7 @@
 package pmop
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,4 +209,33 @@ func TestHugePagePoolAccounting(t *testing.T) {
 	if st.FragRatio < 1000 {
 		t.Errorf("huge-page fragR = %.1f, expected enormous", st.FragRatio)
 	}
+}
+
+// TestTxSlotsFIFOAndExhaustion: Begin hands out the longest-free slot, a
+// retired slot goes to the back of the queue, and a Begin with every slot
+// open panics (a simulated thread has at most one transaction open).
+func TestTxSlotsFIFOAndExhaustion(t *testing.T) {
+	_, p, ctx, _ := newTestPool(t)
+	if got := p.TxSlotOrder(); !slices.Equal(got, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("fresh slot order %v", got)
+	}
+	p.Begin(ctx).Commit(ctx)
+	p.Begin(ctx).Abort(ctx)
+	if got := p.TxSlotOrder(); !slices.Equal(got, []int{2, 3, 4, 5, 6, 7, 0, 1}) {
+		t.Fatalf("slot order after two transactions %v", got)
+	}
+	p.RestoreTxSlotOrder([]int{7, 6, 5, 4, 3, 2, 1, 0})
+	var open []*Tx
+	for range txSlotCount {
+		open = append(open, p.Begin(ctx))
+	}
+	if open[0].slot != 7 || open[7].slot != 0 {
+		t.Fatalf("restored order handed out slots %d … %d", open[0].slot, open[7].slot)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "every transaction slot open") {
+			t.Fatalf("Begin with every slot open: recovered %v", r)
+		}
+	}()
+	p.Begin(ctx)
 }

@@ -109,10 +109,9 @@ type Ctx struct {
 	// checklookup unit, opaque to this package.
 	HW any
 
-	// Shard is a small per-context integer assigned at NewCtx. Host-side
-	// sharded data structures (e.g. the device's statistics counters) use it
-	// to spread contexts across shards without touching the simulated state.
-	// It never influences simulated cycles.
+	// Shard is a small per-context integer assigned at NewCtx, unique in the
+	// process. The obsv tracer keys each thread's event buffer by it. It never
+	// influences simulated cycles.
 	Shard uint32
 
 	// derived holds one reusable child context per category for Derived.
