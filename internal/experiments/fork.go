@@ -5,11 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ffccd/internal/alloc"
 	"ffccd/internal/arch"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
-	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
@@ -112,17 +110,14 @@ func ResetForkCounters() {
 }
 
 // machineCheckpoint captures the whole simulated machine at a candidate
-// divergence point: device (media, cache, in-flight lines, counters),
-// allocator, both simulation contexts (clocks, TLBs, pending flushes), the
-// pool's op counter and the workload runner position.
+// divergence point: the pool's image (device, allocator, op counter, tx-slot
+// order), both simulation contexts (clocks, TLBs, pending flushes) and the
+// workload runner position.
 type machineCheckpoint struct {
-	dev     pmem.DeviceCheckpoint
-	heap    alloc.HeapCheckpoint
-	appCtx  sim.CtxCheckpoint
-	gcCtx   sim.CtxCheckpoint
-	ops     uint64
-	txOrder []int
-	runner  *workload.RunnerCheckpoint
+	img    pmop.Image
+	appCtx sim.CtxCheckpoint
+	gcCtx  sim.CtxCheckpoint
+	runner *workload.RunnerCheckpoint
 
 	// engine holds the prefix engine's counters at the checkpoint: the
 	// bookkeeping of every failed pre-divergence trigger attempt (leak
@@ -154,14 +149,11 @@ type prefixState struct {
 }
 
 func captureMachine(chk *machineCheckpoint, env *Env, gcCtx *sim.Ctx, eng *core.Engine) {
-	env.RT.Device().CheckpointInto(&chk.dev)
-	forkCapturedBytes.Add(chk.dev.CapturedBytes())
-	forkMediaBytes.Add(chk.dev.MediaBytes())
-	env.Pool.Heap().CheckpointInto(&chk.heap)
+	env.Pool.CaptureInto(&chk.img)
+	forkCapturedBytes.Add(chk.img.Dev.CapturedBytes())
+	forkMediaBytes.Add(chk.img.Dev.MediaBytes())
 	env.Ctx.CheckpointInto(&chk.appCtx)
 	gcCtx.CheckpointInto(&chk.gcCtx)
-	chk.ops = env.Pool.Ops.Load()
-	chk.txOrder = env.Pool.TxSlotOrder()
 	chk.engine = eng.Stats()
 	chk.rbb, chk.appCLU, chk.gcCLU = nil, nil, nil
 	if rbb := eng.RBB(); rbb != nil {
@@ -269,19 +261,11 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 
 	restoreStart := time.Now()
 	cfg := sim.DefaultConfig()
-	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
-	dev.Restore(&pre.chk.dev)
-	rt, err := pmop.AttachAtEpoch(&cfg, dev, 0)
+	_, pool, err := pre.chk.img.Fork(&cfg, "bench", redisws.ServeRegistry())
 	if err != nil {
 		return Outcome{}, err
 	}
-	pool, err := rt.Open("bench", redisws.ServeRegistry())
-	if err != nil {
-		return Outcome{}, err
-	}
-	pool.Heap().Restore(&pre.chk.heap)
-	pool.Ops.Store(pre.chk.ops)
-	pool.RestoreTxSlotOrder(pre.chk.txOrder)
+	dev := pool.Device()
 	ctx := sim.NewCtx(&cfg)
 	ctx.Restore(&pre.chk.appCtx)
 	gcCtx := sim.NewCtx(&cfg)

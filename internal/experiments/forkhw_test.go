@@ -8,7 +8,6 @@ import (
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
 	"ffccd/internal/kv"
-	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
@@ -103,17 +102,11 @@ func TestForkInsideOpenEpoch(t *testing.T) {
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)
 	kv.RegisterTypes(reg)
-	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
-	dev.Restore(&chk.dev)
-	rt, err := pmop.AttachAtEpoch(&cfg, dev, 0)
+	_, pool, err := chk.img.Fork(&cfg, "bench", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := rt.Open("bench", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Heap().Restore(&chk.heap)
+	dev := pool.Device()
 	ctx2 := sim.NewCtx(&cfg)
 	ctx2.Restore(&chk.appCtx)
 	gcCtx2 := sim.NewCtx(&cfg)

@@ -138,27 +138,54 @@ type trialOut struct {
 }
 
 // campaign is what the trials of one campaign share, and nothing outlives it:
-// the built prefix of a batch campaign's machine. A schedule run on its own —
-// Run, -repro, a shrink candidate — is a campaign of one trial.
+// the prefixes of the machines its schedules name, each built once, on first
+// use — inside the census pass, so under its watchdog — and read-only from
+// then on. A campaign's own schedules name one machine (a serving one has a
+// prefix per shard); a shrink adds one per distinct machine its candidates
+// name. A schedule run on its own — Run, -repro — is a campaign of one trial.
 type campaign struct {
-	mu  sync.Mutex
-	pre *prefix
-	err error
+	mu    sync.Mutex
+	batch map[batchMachine]*built[*prefix]
+	serve map[ServeRepro]*built[[]*servePrefix] // keyed by the line without its crash point and shard
 }
 
-// prefixOf returns the campaign's prefix, building it on first use: inside
-// the census pass, so under its watchdog. An error building it is the verdict
-// of every trial of the campaign.
-func (c *campaign) prefixOf(setting Setting, seed int64, ops int) (*prefix, error) {
+// batchMachine is what a batch prefix is a function of.
+type batchMachine struct {
+	setting Setting
+	seed    int64
+	ops     int
+}
+
+// built is a machine's prefix, or why it could not be built.
+type built[T any] struct {
+	once sync.Once
+	pre  T
+	err  error
+}
+
+// buildOnce returns the prefix *m holds for the machine key, building it on
+// first use. An error building it is the verdict of every trial on that
+// machine, and of no other.
+func buildOnce[K comparable, T any](c *campaign, m *map[K]*built[T], key K, build func() (T, error)) (T, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pre == nil && c.err == nil {
-		c.pre, c.err = buildPrefix(setting, seed, ops)
+	if *m == nil {
+		*m = make(map[K]*built[T])
 	}
-	if pre := c.pre; pre != nil && (pre.setting != setting || pre.seed != seed || pre.ops != ops) {
-		return buildPrefix(setting, seed, ops) // another machine than the campaign's
+	b := (*m)[key]
+	if b == nil {
+		b = new(built[T])
+		(*m)[key] = b
 	}
-	return c.pre, c.err
+	c.mu.Unlock()
+	b.once.Do(func() { b.pre, b.err = build() })
+	return b.pre, b.err
+}
+
+// prefixOf returns the prefix of the batch machine (setting, seed, ops).
+func (c *campaign) prefixOf(setting Setting, seed int64, ops int) (*prefix, error) {
+	return buildOnce(c, &c.batch, batchMachine{setting, seed, ops}, func() (*prefix, error) {
+		return buildPrefix(setting, seed, ops)
+	})
 }
 
 // runWatched executes one schedule under the watchdog. On expiry the trial
@@ -339,7 +366,7 @@ func (c *campaign) explore(label string, base Schedule, co CampaignOptions) Camp
 			}
 			f := Failure{Repro: scheds[i], Err: o.err.Error(), Hung: o.hung}
 			if co.Shrink {
-				if min, ok := Shrink(scheds[i], co.Trial, co.Timeout, ShrinkBudget); ok {
+				if min, ok := c.shrink(scheds[i], co.Trial, co.Timeout, ShrinkBudget); ok {
 					f.Shrunk = min
 				}
 			}

@@ -20,7 +20,9 @@
 //     crash fires inside recovery.
 //   - RunServeScheduled (servesched.go): the same for a machine under
 //     open-loop serving traffic (redisws.Serve), which recovers online,
-//     validates every acknowledged write and resumes serving.
+//     validates every acknowledged write and resumes serving. Its machines
+//     are forked from prefixes loaded once per campaign (redisws.Load): the
+//     trials differ only once dispatch begins.
 //
 // The batch machine and its churner live in machine.go; the serving driver
 // builds its machines with redisws.NewMachine. Both restart through one
@@ -74,8 +76,8 @@ type TrialOptions struct {
 
 // Host-side fan-out runs on the process-wide worker pool shared with the
 // experiments driver (internal/workpool). Every trial runs on a simulated
-// machine of its own — a batch campaign's are forks of one read-only built
-// prefix — so trials are hermetic; the pool size changes host wall-clock
+// machine of its own — a fork of its campaign's read-only prefix — so trials
+// are hermetic; the pool size changes host wall-clock
 // only, never a trial verdict. Defaults to GOMAXPROCS,
 // overridable with FFCCD_PARALLEL or SetParallelism.
 

@@ -9,7 +9,6 @@ import (
 	"maps"
 	"math/rand"
 
-	"ffccd/internal/alloc"
 	"ffccd/internal/checker"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
@@ -71,16 +70,12 @@ func newMachine(setting Setting) (*machine, error) {
 // the watchdog gave up on, which may still be running.
 type prefix struct {
 	setting Setting
-	seed    int64
 	ops     int
 
-	dev     pmem.DeviceCheckpoint
-	heap    alloc.HeapCheckpoint
-	ctx     sim.CtxCheckpoint
-	poolOps uint64
-	txOrder []int
-	store   ds.Store            // forks clone its volatile handles
-	models  []map[uint64][]byte // the churner's, one per thread
+	img    pmop.Image
+	ctx    sim.CtxCheckpoint
+	store  ds.Store            // forks clone its volatile handles
+	models []map[uint64][]byte // the churner's, one per thread
 }
 
 // buildPrefix builds the machine, runs the build churn of every thread in
@@ -98,10 +93,8 @@ func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
 		}
 	}
 	m.dev.FlushAll(m.ctx)
-	pre := &prefix{setting: setting, seed: seed, ops: ops,
-		poolOps: m.pool.Ops.Load(), txOrder: m.pool.TxSlotOrder(), store: m.store, models: churn.models}
-	m.dev.CheckpointInto(&pre.dev)
-	m.pool.Heap().CheckpointInto(&pre.heap)
+	pre := &prefix{setting: setting, ops: ops, store: m.store, models: churn.models}
+	m.pool.CaptureInto(&pre.img)
 	m.ctx.CheckpointInto(&pre.ctx)
 	return pre, nil
 }
@@ -111,19 +104,11 @@ func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
 // media like newMachine's.
 func (pre *prefix) fork() (*machine, *churner, error) {
 	m := blankMachine(pre.setting)
-	m.dev = pmem.NewDeviceForRestore(&m.cfg, batchDevBytes)
-	m.dev.Restore(&pre.dev)
-	rt, err := pmop.AttachAtEpoch(&m.cfg, m.dev, 0)
-	if err == nil {
-		m.pool, err = rt.Open("fi", batchRegistry())
-	}
-	if err != nil {
-		m.dev.ReleaseMedia()
+	var err error
+	if _, m.pool, err = pre.img.Fork(&m.cfg, "fi", batchRegistry()); err != nil {
 		return nil, nil, err
 	}
-	m.pool.Heap().Restore(&pre.heap)
-	m.pool.Ops.Store(pre.poolOps)
-	m.pool.RestoreTxSlotOrder(pre.txOrder)
+	m.dev = m.pool.Device()
 	m.ctx = sim.NewCtx(&m.cfg)
 	m.ctx.Restore(&pre.ctx)
 	m.store = pre.store.(ds.Forker).Fork(m.pool)

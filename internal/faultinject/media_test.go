@@ -79,9 +79,9 @@ func TestReproHashesPinned(t *testing.T) {
 // TestTrialMediaReleasedAndRecycled pins the trial device life cycle: a
 // trial that returns has released its media (the device is unusable, so any
 // later touch would fault rather than scribble on the next trial's array),
-// and a campaign's steady state allocates no fresh media beyond one array
-// per worker. Under -race this is also the check that no trial goroutine
-// still writes an array after another trial adopted it.
+// and a campaign's steady state, batch or serving, allocates no fresh media
+// beyond one array per worker. Under -race this is also the check that no
+// trial goroutine still writes an array after another trial adopted it.
 func TestTrialMediaReleasedAndRecycled(t *testing.T) {
 	var batchDev, serveDev *pmem.Device
 	rep := faultinject.NewRepro(ffccdSetting(), 3)
@@ -122,5 +122,19 @@ func TestTrialMediaReleasedAndRecycled(t *testing.T) {
 	if n := pmem.FreshMediaAllocs() - fresh; n > uint64(workers) {
 		t.Errorf("%d trials allocated %d fresh media arrays; want at most one per worker (%d)",
 			1+out.Scheduled, n, workers)
+	}
+
+	// A serving campaign too: its census pass builds and releases the loaded
+	// machine, and every trial forks it into a recycled array.
+	fresh = pmem.FreshMediaAllocs()
+	sout := faultinject.ExploreServeScheme("ffccd", faultinject.CampaignOptions{
+		Seed: 7, Clients: 4, Ops: 1200, Keys: 400, MaxSites: 10, Nested: true, MaxNested: 4,
+	})
+	if sout.Scheduled < 10 || sout.Passed != sout.Scheduled {
+		t.Fatalf("serving campaign: %d/%d passed, failures: %+v", sout.Passed, sout.Scheduled, sout.Failures)
+	}
+	if n := pmem.FreshMediaAllocs() - fresh; n > uint64(workers) {
+		t.Errorf("%d serving trials allocated %d fresh media arrays; want at most one per worker (%d)",
+			1+sout.Scheduled, n, workers)
 	}
 }

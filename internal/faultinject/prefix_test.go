@@ -6,6 +6,7 @@ package faultinject
 // whatever a schedule names, the forked trial must report what this one does.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -182,16 +183,27 @@ func TestForkReproducesTheBuiltMachine(t *testing.T) {
 	}
 }
 
-// A prefix that cannot be built fails every trial of its campaign with the
-// build's error, is not built again per trial, and leaks no media.
+// A prefix that cannot be built fails every trial on its machine with the
+// build's error, is not built again per trial, and leaks no media — and a
+// schedule naming another machine gets that machine's verdict, not the error.
 func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 	c := new(campaign)
-	_, buildErr := c.prefixOf(Setting{"no-such-store", 1, core.SchemeFFCCD}, 1, 50)
-	if buildErr == nil {
-		t.Fatal("a machine with an unknown store was built")
+	setting := Setting{"LL", 1, core.SchemeFFCCD}
+	base := NewRepro(setting, 1)
+	builds := 0
+	buildErr := errors.New("planted prefix build failure")
+	for range 2 {
+		if _, err := buildOnce(c, &c.batch, batchMachine{setting, base.Seed, base.Ops}, func() (*prefix, error) {
+			builds++
+			return nil, buildErr
+		}); err != buildErr {
+			t.Fatalf("planted build: %v", err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("a failed prefix was built %d times", builds)
 	}
 	fresh := pmem.FreshMediaAllocs()
-	base := NewRepro(Setting{"LL", 1, core.SchemeFFCCD}, 1)
 	scheds := []Schedule{base}
 	for site := int64(0); site < 3; site++ {
 		scheds = append(scheds, base.At(0, CrashPoint{Site: site, Nested: -1, Policy: PolicyDrop}))
@@ -210,6 +222,11 @@ func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 	if len(out.Failures) != 1 || out.Failures[0].Err != buildErr.Error() || out.Scheduled != 0 {
 		t.Errorf("campaign on a failed build: %+v", out)
 	}
+	other := base
+	other.Seed, other.Site = 4, 30
+	got, gerr := c.runScheduled(other, TrialOptions{})
+	want, werr := scratchRunScheduled(other, TrialOptions{})
+	sameTrial(t, other, got, gerr, want, werr)
 }
 
 // A schedule that names another machine than the campaign's does not run on
@@ -230,8 +247,8 @@ func TestCampaignRunsAnotherMachinesScheduleOnItsOwn(t *testing.T) {
 		want, werr := scratchRunScheduled(other, TrialOptions{})
 		sameTrial(t, other, got, gerr, want, werr)
 	}
-	if c.pre.seed != mine.Seed || c.pre.ops != mine.Ops {
-		t.Error("a foreign schedule replaced the campaign's prefix")
+	if _, ok := c.batch[batchMachine{Setting{"LL", 1, core.SchemeFFCCD}, mine.Seed, mine.Ops}]; !ok || len(c.batch) != 4 {
+		t.Errorf("%d prefixes for 4 machines, the campaign's own among them: %v", len(c.batch), ok)
 	}
 }
 
@@ -250,10 +267,12 @@ func TestCampaignLeavesNoPrefixBehind(t *testing.T) {
 			if len(out.Failures) > 0 || out.Scheduled == 0 {
 				t.Fatalf("%s: %+v", setting, out)
 			}
-			if c.pre == nil {
-				t.Fatalf("%s: the campaign built no prefix", setting)
+			if len(c.batch) != 1 {
+				t.Fatalf("%s: the campaign built %d prefixes", setting, len(c.batch))
 			}
-			runtime.SetFinalizer(c.pre, func(*prefix) { freed.Add(1) })
+			for _, b := range c.batch {
+				runtime.SetFinalizer(b.pre, func(*prefix) { freed.Add(1) })
+			}
 		}
 	}
 	var warm, freed atomic.Int32

@@ -11,17 +11,24 @@ package faultinject
 // recovered store, and serving continues with retry/backoff until the
 // schedule's op budget is spent. The whole trial — census, crash, recovery,
 // resumed tail, final media hash — is a pure function of the ServeRepro line.
+//
+// Like a batch trial, a serving trial pays only for what follows its first
+// schedulable site: a campaign builds and loads (redisws.Load: prepopulation,
+// warm-up, calibration) each shard's machine once, and every trial forks the
+// loaded machines and runs from there (redisws.Loaded.Run).
 
 import (
 	"fmt"
 	"slices"
 
 	"ffccd/internal/checker"
+	"ffccd/internal/ds"
 	"ffccd/internal/mesh"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // ServeSchemes are the serving-path defragmentation schemes a schedule can
@@ -119,10 +126,9 @@ func (r ServeRepro) At(shard int, cp CrashPoint) Schedule {
 
 func (r ServeRepro) Run(opts TrialOptions) (Result, error) { return RunServeScheduled(r, opts) }
 
-// A serving trial's load phase runs inside redisws.Serve, so its trials share
-// nothing: each builds its machines.
-func (r ServeRepro) runIn(_ *campaign, opts TrialOptions) (Result, error) {
-	return RunServeScheduled(r, opts)
+// A serving trial forks the loaded machines of its campaign.
+func (r ServeRepro) runIn(c *campaign, opts TrialOptions) (Result, error) {
+	return c.runServe(r, opts)
 }
 
 // Extra shards multiply the machine count, so they weigh heavily.
@@ -156,6 +162,79 @@ func (r ServeRepro) shrinks() []Schedule {
 	return out
 }
 
+// serveSimConfig is the simulated configuration of a serving trial's
+// machines: the SLO grid's (experiments.Serving) over a smaller pool and
+// cache, so scheduled trials crash the machine the grid measures.
+func serveSimConfig() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.CacheBytes = 256 * 1024
+	return cfg
+}
+
+// servePrefix is one shard of a serving trial's deployment up to its first
+// schedulable site: the machine built, loaded and captured. The prefixes are
+// a pure function of the serving line without its crash point and crash
+// target, so a campaign builds them once and every trial forks them — the
+// census pass, each first-level and each nested trial, and the census-armed
+// siblings too, since arming charges nothing. Like a batch prefix, nothing
+// writes a servePrefix once it is built.
+type servePrefix struct {
+	img    pmop.Image
+	ctx    sim.CtxCheckpoint // the loader's
+	store  ds.Store          // forks clone its volatile handles
+	loaded *redisws.Loaded
+}
+
+// buildServePrefixes builds, loads and captures the machine of every shard of
+// rep (normalized; shard i owns shardKeys[i] keys), and releases each
+// machine's media as soon as it is captured.
+func buildServePrefixes(rep ServeRepro, shardKeys []int) ([]*servePrefix, error) {
+	cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
+	pres := make([]*servePrefix, len(cfgs))
+	return pres, workpool.ForEach(len(cfgs), func(i int) error {
+		cfg := serveSimConfig()
+		m, err := redisws.NewMachine(&cfg, rep.Scheme, "serve", shardKeys[i], 16<<20)
+		if err != nil {
+			return err
+		}
+		defer m.RT.Device().ReleaseMedia()
+		// Loaded under a crash plan, the prefix keeps the durable-ack mirror
+		// a trial's crash-target shard needs; its siblings drop it.
+		loaded, err := redisws.Load(m.Ctx, m.Pool, m.Store, cfgs[i], redisws.ServeHooks{Crash: &redisws.CrashPlan{}})
+		if err != nil {
+			return err
+		}
+		pres[i] = &servePrefix{store: m.Store, loaded: loaded}
+		m.Pool.CaptureInto(&pres[i].img)
+		m.Ctx.CheckpointInto(&pres[i].ctx)
+		return nil
+	})
+}
+
+// fork materializes the prefix as a serving machine of scheme of the caller's
+// own, in recycled media, under cfg (which must outlive it). The caller
+// releases the media like NewMachine's.
+func (pre *servePrefix) fork(cfg *sim.Config, scheme string) (*redisws.Machine, error) {
+	rt, p, err := pre.img.Fork(cfg, "serve", redisws.ServeRegistry())
+	if err != nil {
+		return nil, err
+	}
+	m := &redisws.Machine{RT: rt, GC: sim.NewCtx(cfg)}
+	m.Ctx, m.Pool, m.Store = sim.NewCtx(cfg), p, pre.store.(ds.Forker).Fork(p)
+	m.Ctx.Restore(&pre.ctx)
+	m.Equip(scheme)
+	return m, nil
+}
+
+// servePrefixOf returns the prefixes of rep's deployment (rep normalized).
+func (c *campaign) servePrefixOf(rep ServeRepro, shardKeys []int) ([]*servePrefix, error) {
+	key := rep
+	key.CrashPoint, key.Shard = CrashPoint{}, 0
+	return buildOnce(c, &c.serve, key, func() ([]*servePrefix, error) {
+		return buildServePrefixes(rep, shardKeys)
+	})
+}
+
 // serveConfigFor builds the serving workload for a schedule: the Figure 16
 // fragmentation regime (LRU churn near the cap, value-size drift at Ops/2)
 // scaled down to trial volumes.
@@ -172,10 +251,10 @@ func serveConfigFor(rep ServeRepro) redisws.ServeConfig {
 	return cfg
 }
 
-// RunServeScheduled executes one deterministic serving crash trial. The
-// returned error is the trial verdict (nil = consistent; recovery failures and
-// durable-ack violations are verdicts). The Result is populated as far as the
-// trial got even on failure.
+// RunServeScheduled executes one deterministic serving crash trial, as a
+// campaign of one. The returned error is the trial verdict (nil = consistent;
+// recovery failures and durable-ack violations are verdicts). The Result is
+// populated as far as the trial got even on failure.
 //
 // With rep.Shards > 1 the trial runs one machine per shard: the crash plan
 // arms only shard rep.Shard — its power failure blacks out that shard while
@@ -183,6 +262,11 @@ func serveConfigFor(rep ServeRepro) redisws.ServeConfig {
 // deterministically. A sharded census pass (Site = -1) census-arms every
 // shard, so one run yields each shard's own site census (ShardCensus).
 func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
+	return new(campaign).runServe(rep, opts)
+}
+
+// runServe runs rep on machines forked from the campaign's loaded prefixes.
+func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	res := Result{Began: true}
 	rep, shardKeys, err := rep.normalized()
 	if err != nil {
@@ -193,20 +277,27 @@ func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
 		return res, err
 	}
 	res.Shard = rep.Shard
+	pres, err := c.servePrefixOf(rep, shardKeys)
+	if err != nil {
+		return res, err
+	}
 
-	// The machines of the SLO grid (experiments.Serving) over a smaller pool
-	// and cache, so scheduled trials crash the machine the grid measures.
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
+	cfg := serveSimConfig()
 	nsh := rep.Shards
-	machines := make([]*redisws.Machine, nsh)
-	for i := range machines {
-		if machines[i], err = redisws.NewMachine(&cfg, rep.Scheme, "serve", shardKeys[i], 16<<20); err != nil {
+	machines := make([]*redisws.Machine, 0, nsh)
+	loaded := make([]*redisws.Loaded, nsh)
+	for i, pre := range pres {
+		m, err := pre.fork(&cfg, rep.Scheme)
+		if err != nil {
+			for _, m := range machines {
+				m.RT.Device().ReleaseMedia()
+			}
 			return res, err
 		}
 		if opts.Series != nil {
-			machines[i].Hooks.Series = opts.Series(rep, i)
+			m.Hooks.Series = opts.Series(rep, i)
 		}
+		machines, loaded[i] = append(machines, m), pre.loaded
 	}
 
 	// The crash plan arms only the target shard; siblings never lose power.
@@ -307,7 +398,7 @@ func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
 	for i, m := range machines {
 		shards[i] = m.Shard
 	}
-	sharded, err := redisws.ServeSharded(shards, redisws.ShardConfigs(serveConfigFor(rep), nsh))
+	sharded, err := redisws.RunSharded(shards, loaded)
 	// Every shard job has returned, so this goroutine is the machines' only
 	// user from here on: give their media arrays back on the way out. (Not
 	// registered earlier — a panic leaving ServeSharded could leave sibling

@@ -7,6 +7,8 @@ package faultinject
 // one run per candidate; the result is a locally minimal schedule whose
 // one-line command is a far better bug report than the original (less churn
 // to wade through in a flight-recorder dump, an earlier crash to step to).
+// One campaign runs the whole shrink, so a candidate that changes only the
+// crash point forks a prefix already built instead of building its own.
 //
 // Shrinking minimizes the *schedule*, not the error text: a candidate that
 // fails with a different checker message still reproduces a bug at a
@@ -22,22 +24,27 @@ const ShrinkBudget = 48
 // whether it improves on the input. The input must fail (callers pass
 // schedules a campaign just saw fail); if it somehow passes now, ok is false.
 func Shrink(s Schedule, topts TrialOptions, timeout time.Duration, budget int) (Schedule, bool) {
+	return new(campaign).shrink(s, topts, timeout, budget)
+}
+
+// shrink is Shrink with its candidates run in campaign c.
+func (c *campaign) shrink(s Schedule, topts TrialOptions, timeout time.Duration, budget int) (Schedule, bool) {
 	if budget <= 0 {
 		budget = ShrinkBudget
 	}
 	best, improved := s, false
 	for progressed := true; progressed && budget > 0; {
 		progressed = false
-		for _, c := range best.shrinks() {
+		for _, cand := range best.shrinks() {
 			if budget <= 0 {
 				break
 			}
-			if c == best || c.cost() >= best.cost() {
+			if cand == best || cand.cost() >= best.cost() {
 				continue
 			}
 			budget--
-			if new(campaign).runWatched(c, topts, timeout).err != nil {
-				best, improved, progressed = c, true, true
+			if c.runWatched(cand, topts, timeout).err != nil {
+				best, improved, progressed = cand, true, true
 				break // restart the move list from the new best
 			}
 		}

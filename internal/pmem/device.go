@@ -538,13 +538,27 @@ func (d *Device) MediaWrite(addr uint64, data []byte) {
 }
 
 // MediaZero is MediaWrite of n zero bytes without the caller having to hold
-// them: same media bytes, same dirty-page marks, one media write counted. The
-// RBB clears the reached bitmap with it at the start of every epoch.
+// them: same media bytes, one media write counted. It keeps clean pages
+// clean: a clean page is already zero, so it is left alone, and a page zeroed
+// whole is marked clean, so the dirty bitmap marks only pages that may hold
+// data — a subset of what MediaWrite would mark. Pool creation zeroes the tx
+// log with it, and the RBB the reached bitmap at the start of every epoch.
 func (d *Device) MediaZero(addr, n uint64) {
 	d.checkRange(addr, n)
-	clear(d.media[addr : addr+n])
-	d.touchRange(addr, n)
 	d.stat[cMediaWrites]++
+	size := uint64(len(d.media))
+	for end := addr + n; addr < end; {
+		p := addr >> DirtyPageShift
+		start, next := p<<DirtyPageShift, min((p+1)<<DirtyPageShift, end)
+		w, bit := p>>6, uint64(1)<<(p&63)
+		if d.dirty[w]&bit != 0 {
+			clear(d.media[addr:next])
+			if addr == start && (next == start+DirtyPageSize || next == size) {
+				d.dirty[w] &^= bit
+			}
+		}
+		addr = next
+	}
 }
 
 // Crash simulates a power failure: every cached line is lost, the crash

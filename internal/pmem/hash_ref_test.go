@@ -118,12 +118,29 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 				}
 				return uint64(rng.Int63n(int64(room))), n
 			}
-			// recent remembers where the last stores and relocates landed, so
-			// most clwbs find a dirty line and most fences have lines to drain
-			// (a fence is then the only thing that dirties the line's page).
+			// recent remembers where the last stores, relocates and media
+			// writes landed, so most clwbs find a dirty line, most fences have
+			// lines to drain (a fence is then the only thing that dirties the
+			// line's page) and most zeroed pages hold data.
 			var recent [16]uint64
+			// zeroSpan picks a MediaZero span: anywhere (mostly clean pages on
+			// a large device), or whole pages or part of one page at a recent
+			// write (mostly dirty ones).
+			zeroSpan := func() (addr, n uint64) {
+				if rng.Intn(3) == 0 {
+					return span(tc.size, 5000)
+				}
+				page := recent[rng.Intn(len(recent))] &^ (DirtyPageSize - 1)
+				end := min(page+DirtyPageSize, tc.size)
+				if rng.Intn(2) == 0 {
+					return page, min(uint64(1+rng.Intn(3))*DirtyPageSize, tc.size-page)
+				}
+				addr = page + uint64(rng.Int63n(int64(end-page)))
+				return addr, 1 + uint64(rng.Int63n(int64(end-addr)))
+			}
 			var cp *DeviceCheckpoint
 			for step := 1; step <= tc.steps; step++ {
+				zeroed := false
 				op := rng.Intn(100)
 				if cached == 0 && op < 75 {
 					op = 75 // no whole line to cache: media writes only
@@ -149,14 +166,16 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 					d.Relocate(ctx, dst, src, n)
 					recent[step%len(recent)] = dst
 				case op < 82:
-					addr, n := span(tc.size, 5000)
 					if rng.Intn(4) == 0 {
-						d.MediaZero(addr, n)
+						d.MediaZero(zeroSpan())
+						zeroed = true
 						break
 					}
+					addr, n := span(tc.size, 5000)
 					data := make([]byte, n)
 					rng.Read(data)
 					d.MediaWrite(addr, data)
+					recent[step%len(recent)] = addr
 				case op < 85:
 					d.FlushAll(ctx)
 				case op < 90:
@@ -198,6 +217,10 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 				}
 				if step%tc.every == 0 {
 					checkHash(t, d, fmt.Sprintf("step %d", step))
+				} else if zeroed || tc.size <= 2<<20 {
+					// After every step; on the 64 MB device, whose scan is
+					// slow, after every MediaZero.
+					checkCleanPagesZero(t, d, fmt.Sprintf("step %d", step))
 				}
 			}
 			d.FlushAll(ctx)

@@ -2,7 +2,7 @@ package pmem
 
 import (
 	"bytes"
-	"slices"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -254,30 +254,44 @@ func TestMediaWriteBypassesCache(t *testing.T) {
 	}
 }
 
-// MediaZero must be indistinguishable from MediaWrite of a zero buffer: media
-// bytes, dirty-page marks (through HashMedia and a checkpoint's page count)
-// and the media-write counter.
+// MediaZero must leave the media and the counters exactly as MediaWrite of a
+// zero buffer does, and the dirty-page bitmap no larger: a page it zeroes whole
+// is clean afterwards, and every byte outside a dirty page is still zero. The
+// junk covers page 12 from byte 848 on, pages 13–84 whole and page 85 up to
+// byte 1840; the spans are clean, dirty, whole, partial and mixed, and the
+// last one ends the media on its unaligned tail page.
 func TestMediaZeroMatchesMediaWriteOfZeros(t *testing.T) {
-	for _, span := range [][2]uint64{{0, 8}, {4090, 13}, {3 * 4096, 4096}, {100_000, 70_000}} {
-		a, _ := newTestDevice(1 << 20)
-		b, _ := newTestDevice(1 << 20)
-		junk := bytes.Repeat([]byte{0xA5}, 300_000)
-		a.MediaWrite(50_000, junk)
-		b.MediaWrite(50_000, junk)
+	const size = 1<<20 + 100
+	for _, span := range [][2]uint64{
+		{0, 8}, {4090, 13}, {3 * 4096, 4096}, {100_000, 70_000},
+		{12 * 4096, 2 * 4096}, {50_000, 100}, {13*4096 + 1, 4095}, {80 * 4096, 5*4096 + 1840},
+		{1 << 20, 100},
+	} {
+		a, _ := newTestDevice(size)
+		b, _ := newTestDevice(size)
+		for _, d := range []*Device{a, b} {
+			d.MediaWrite(50_000, bytes.Repeat([]byte{0xA5}, 300_000))
+			d.MediaWrite(1<<20+40, []byte{0x5A})
+		}
 		a.MediaWrite(span[0], make([]byte, span[1]))
 		b.MediaZero(span[0], span[1])
 		if !bytes.Equal(a.SnapshotMedia(), b.SnapshotMedia()) {
 			t.Fatalf("span %v: media differ", span)
 		}
-		if a.HashMedia() != b.HashMedia() {
-			t.Fatalf("span %v: HashMedia differs", span)
+		if a.Stats() != b.Stats() {
+			t.Fatalf("span %v: counters %+v vs %+v", span, a.Stats(), b.Stats())
 		}
-		if !slices.Equal(a.dirty, b.dirty) {
-			t.Fatalf("span %v: dirty-page bitmaps differ", span)
+		for w := range b.dirty {
+			if extra := b.dirty[w] &^ a.dirty[w]; extra != 0 {
+				t.Fatalf("span %v: MediaZero marked pages MediaWrite did not (word %d: %#x)", span, w, extra)
+			}
 		}
-		if sa, sb := a.Stats(), b.Stats(); sa.MediaWrites != sb.MediaWrites {
-			t.Fatalf("span %v: media writes %d vs %d", span, sa.MediaWrites, sb.MediaWrites)
+		for p := (span[0] + DirtyPageSize - 1) >> DirtyPageShift; p<<DirtyPageShift < span[0]+span[1]; p++ {
+			if end := min((p+1)<<DirtyPageShift, size); end <= span[0]+span[1] && b.dirty[p>>6]&(1<<(p&63)) != 0 {
+				t.Fatalf("span %v: page %d was zeroed whole and is still dirty", span, p)
+			}
 		}
+		checkHash(t, b, fmt.Sprintf("span %v", span))
 	}
 }
 

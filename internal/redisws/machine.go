@@ -2,10 +2,11 @@ package redisws
 
 // The serving machine: one simulated machine per scheme of the §7.4
 // comparison, built the same way for the SLO grid (experiments.Serving) and
-// for serving crash trials (faultinject.RunServeScheduled), which also rewire
-// the scheme's hooks over the recovered pool after a power failure. The two
-// callers differ only in what they pass: the pool's name, its slack over the
-// keyspace's needs, and the config's cache size.
+// for serving crash campaigns (faultinject.RunServeScheduled), which load it
+// once, fork it per trial (Machine.Equip turns a fork into a serving
+// machine) and rewire the scheme's hooks over the recovered pool after a
+// power failure. The two callers differ only in what they pass: the pool's
+// name, its slack over the keyspace's needs, and the config's cache size.
 
 import (
 	"fmt"
@@ -147,12 +148,21 @@ func NewMachine(cfg *sim.Config, scheme, poolName string, keys int, slackBytes u
 	if m.Store, err = OpenStore(m.Ctx, p, keys); err != nil {
 		return nil, err
 	}
+	m.Equip(scheme)
+	return m, nil
+}
+
+// Equip gives a machine whose runtime, contexts, pool and store exist a fresh
+// engine (ffccd, stw) or Mesh defragmenter for scheme and the scheme's
+// serving hooks: the last step of NewMachine, and what turns a fork of a
+// loaded machine into a serving one. It writes no media and charges no
+// cycle.
+func (m *Machine) Equip(scheme string) {
 	if opt := SchemeOptions(scheme); opt.Scheme != core.SchemeNone {
-		m.Eng = core.NewEngine(p, opt)
+		m.Eng = core.NewEngine(m.Pool, opt)
 	}
 	if scheme == "mesh" {
-		m.Mesh = mesh.New(p)
+		m.Mesh = mesh.New(m.Pool)
 	}
-	m.Hooks = SchemeHooks(scheme, p, m.Eng, m.Mesh, m.GC)
-	return m, nil
+	m.Hooks = SchemeHooks(scheme, m.Pool, m.Eng, m.Mesh, m.GC)
 }

@@ -12,8 +12,6 @@
 package redisws
 
 import (
-	"container/list"
-
 	"ffccd/internal/alloc"
 	"ffccd/internal/ds"
 	"ffccd/internal/pmop"
@@ -24,7 +22,7 @@ import (
 // Config matches the paper's setup, scaled (200 MB cap → default 8 MB,
 // 1M initial + 500k extra keys → 20k + 10k).
 type Config struct {
-	MaxLiveBytes     uint64
+	MaxLiveBytes     uint64 // LRU cap; 0 disables eviction
 	InitialKeys      int
 	ExtraKeys        int
 	QueriesPerInsert int
@@ -94,10 +92,10 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 	// every other workload (the stream position is the draw counter).
 	rng := workload.NewRNG(cfg.Seed)
 
-	// Volatile LRU bookkeeping (Redis keeps this in DRAM too).
-	lru := list.New() // front = most recent
-	elems := make(map[uint64]*list.Element)
-	liveBytes := uint64(0)
+	// Volatile LRU bookkeeping (Redis keeps this in DRAM too). Redis stores
+	// an expired pair to disk; for the footprint study the PM side simply
+	// frees it.
+	cache := newLRUCache(s, cfg.MaxLiveBytes, nil, nil)
 
 	res := Result{Lat: NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e)}
 	op := 0
@@ -112,50 +110,15 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 	}
 
 	lo, hi := cfg.MinVal, cfg.MaxVal
-	valueOf := func(k uint64) []byte {
-		n := lo + rng.Intn(hi-lo+1)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(k) + byte(i)
-		}
-		return b
-	}
-
-	evict := func() error {
-		for liveBytes > cfg.MaxLiveBytes && lru.Len() > 0 {
-			back := lru.Back()
-			k := back.Value.(lruEnt).key
-			sz := back.Value.(lruEnt).size
-			// Redis stores the expired pair to disk; for the footprint study
-			// the PM side simply frees it.
-			if _, err := s.Delete(ctx, k); err != nil {
-				return err
-			}
-			lru.Remove(back)
-			delete(elems, k)
-			liveBytes -= sz
-			res.Evictions++
-		}
-		return nil
-	}
-
 	insert := func(k uint64) error {
 		stall := uint64(0)
 		if hook != nil {
 			stall = hook(op)
 		}
 		start := ctx.Clock.Total()
-		v := valueOf(k)
-		if err := s.Insert(ctx, k, v); err != nil {
-			return err
-		}
-		if e, ok := elems[k]; ok {
-			liveBytes -= e.Value.(lruEnt).size
-			lru.Remove(e)
-		}
-		elems[k] = lru.PushFront(lruEnt{k, uint64(len(v))})
-		liveBytes += uint64(len(v))
-		if err := evict(); err != nil {
+		err := cache.set(ctx, k, fillValue(k, lo+rng.Intn(hi-lo+1)))
+		res.Evictions = cache.evictions
+		if err != nil {
 			return err
 		}
 		record(stall, start)
@@ -168,9 +131,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 		}
 		start := ctx.Clock.Total()
 		if _, ok := s.Get(ctx, k); ok {
-			if e, found := elems[k]; found {
-				lru.MoveToFront(e)
-			}
+			cache.touch(k)
 		}
 		record(stall, start)
 	}

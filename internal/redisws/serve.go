@@ -3,6 +3,7 @@ package redisws
 import (
 	"container/list"
 	"errors"
+	"maps"
 	"sort"
 
 	"ffccd/internal/alloc"
@@ -337,16 +338,175 @@ func newSetMarks(nset int) *setMarks { return &setMarks{stamp: make([]uint64, ns
 func (m *setMarks) newBatch() { m.tag++; m.batchTag = m.tag }
 func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] }
 
-// Serve runs the serving scenario. ctx is the loader context (prepopulation
-// runs on it, serially; warmup runs on the client contexts).
+// lruCache is a serving machine's volatile LRU bookkeeping over its store —
+// one list for all clients, as Redis keeps — and, in a run with a crash plan,
+// the durable-ack mirror: acked holds every write whose transaction
+// committed, in dispatch order, and pending the one sub-transaction in
+// flight, so at any crash site the durable image equals acked or
+// acked±pending. A nil acked keeps the crash-free path free of both.
+type lruCache struct {
+	store     ds.Store
+	maxLive   uint64 // 0 disables eviction
+	lru       *list.List
+	elems     map[uint64]*list.Element
+	liveBytes uint64
+	evictions int
+	acked     map[uint64][]byte
+	pending   *PendingWrite
+}
+
+// newLRUCache returns the bookkeeping for ents, most recently used first.
+func newLRUCache(store ds.Store, maxLive uint64, ents []lruEnt, acked map[uint64][]byte) *lruCache {
+	c := &lruCache{store: store, maxLive: maxLive, lru: list.New(),
+		elems: make(map[uint64]*list.Element, len(ents)), acked: acked}
+	for _, e := range ents {
+		c.elems[e.key] = c.lru.PushBack(e)
+		c.liveBytes += e.size
+	}
+	return c
+}
+
+// entries lists the keys with their sizes, most recently used first.
+func (c *lruCache) entries() []lruEnt {
+	out := make([]lruEnt, 0, c.lru.Len())
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(lruEnt))
+	}
+	return out
+}
+
+// set writes v at key k on ctx, makes k the most recently used key and
+// evicts down to the cap, also on ctx.
+func (c *lruCache) set(ctx *sim.Ctx, k uint64, v []byte) error {
+	if c.acked != nil {
+		c.pending = &PendingWrite{Key: k, Val: v}
+	}
+	if err := c.store.Insert(ctx, k, v); err != nil {
+		return err
+	}
+	if c.acked != nil {
+		c.acked[k] = v
+		c.pending = nil
+	}
+	if e, ok := c.elems[k]; ok {
+		c.liveBytes -= e.Value.(lruEnt).size
+		c.lru.Remove(e)
+	}
+	c.elems[k] = c.lru.PushFront(lruEnt{k, uint64(len(v))})
+	c.liveBytes += uint64(len(v))
+	return c.evict(ctx)
+}
+
+// evict deletes least recently used keys until the live bytes fit the cap.
+func (c *lruCache) evict(ctx *sim.Ctx) error {
+	if c.maxLive == 0 {
+		return nil
+	}
+	for c.liveBytes > c.maxLive && c.lru.Len() > 0 {
+		back := c.lru.Back()
+		ent := back.Value.(lruEnt)
+		if c.acked != nil {
+			c.pending = &PendingWrite{Key: ent.key}
+		}
+		if _, err := c.store.Delete(ctx, ent.key); err != nil {
+			return err
+		}
+		if c.acked != nil {
+			delete(c.acked, ent.key)
+			c.pending = nil
+		}
+		c.lru.Remove(back)
+		delete(c.elems, ent.key)
+		c.liveBytes -= ent.size
+		c.evictions++
+	}
+	return nil
+}
+
+// touch makes k, when live, the most recently used key.
+func (c *lruCache) touch(k uint64) {
+	if e, found := c.elems[k]; found {
+		c.lru.MoveToFront(e)
+	}
+}
+
+// rebuild replaces the bookkeeping with model's keys, ascending (recency
+// order died with the power), and adopts model as the durable-ack mirror.
+func (c *lruCache) rebuild(model map[uint64][]byte) {
+	c.lru.Init()
+	clear(c.elems)
+	c.liveBytes = 0
+	keys := make([]uint64, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, k := range keys {
+		n := uint64(len(model[k]))
+		c.elems[k] = c.lru.PushFront(lruEnt{k, n})
+		c.liveBytes += n
+	}
+	c.acked, c.pending = model, nil
+}
+
+// fillValue is the n-byte value a write stores at key k.
+func fillValue(k uint64, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(k) + byte(i)
+	}
+	return b
+}
+
+// Loaded is what a serving run has done before its first dispatch, apart
+// from the machine itself: the normalized config, where the random stream
+// stands, the LRU list and live bytes, the durable-ack mirror, the evictions
+// so far, the calibrated offered load and the client contexts (clock and
+// TLB). Run only reads it, so one Loaded starts any number of runs: on the
+// machine Load ran on, or on forks of that machine taken when Load returned
+// (a serving crash campaign loads each shard once and forks it per trial).
+type Loaded struct {
+	cfg       ServeConfig
+	owned     []uint64 // the shard's keys by rank; nil unsharded (key = rank)
+	zipf      Zipf     // its constants; every run draws from a stream of its own
+	draws     uint64   // the stream position
+	lru       []lruEnt // most recently used first
+	evictions int
+	acked     map[uint64][]byte // nil when loaded without a crash plan
+	rate      float64
+	clients   []sim.CtxCheckpoint
+}
+
+// key maps a Zipf rank to the key it names.
+func (l *Loaded) key(rank uint64) uint64 {
+	if l.owned == nil {
+		return rank
+	}
+	return l.owned[rank]
+}
+
+// Serve runs the serving scenario: Load, then Run. ctx is the loader context
+// (prepopulation runs on it, serially; warmup runs on the client contexts).
 //
 // Serve runs the whole machine on the calling goroutine — the load, the
 // warm-up, batched and serial ops, the maintenance/step hooks and a
 // crash-resume — as every owner of a simulated machine does: nothing else may
 // touch p's device until Serve returns.
 func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (ServeResult, error) {
+	l, err := Load(ctx, p, store, cfg, hooks)
+	if err != nil {
+		return ServeResult{}, err
+	}
+	return l.Run(ctx, p, store, hooks)
+}
+
+// Load is the part of a serving run before its first dispatch: it
+// prepopulates the owned keyspace on ctx, runs the warm-up on fresh client
+// contexts and calibrates the offered load. It calls no hook; hooks.Crash
+// decides only whether the durable-ack mirror is kept.
+func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (*Loaded, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
-		return ServeResult{}, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
+		return nil, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
 	}
 	if cfg.TargetUtil <= 0 || cfg.TargetUtil >= 1 {
 		cfg.TargetUtil = 0.6
@@ -369,12 +529,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			cfg.MaintEvery = 1
 		}
 	}
-	foot := hooks.Foot
-	if foot == nil {
-		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
-	}
-
-	dev := p.Device()
+	l := &Loaded{cfg: cfg}
 
 	// Shard key ownership. Unsharded runs (ShardCount <= 1) take the identity
 	// mapping with no slice allocated, so their RNG draws and store traffic
@@ -382,113 +537,29 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	// the hash-selected subset and draws its Zipf ranks over that subset
 	// only — the popularity skew applies within the shard, matching a
 	// frontend that hashes each user key to one backend.
-	var owned []uint64
 	nOwned := uint64(cfg.Keyspace)
 	if cfg.ShardCount > 1 {
-		owned = OwnedKeys(uint64(cfg.Keyspace), cfg.ShardIndex, cfg.ShardCount)
-		nOwned = uint64(len(owned))
+		l.owned = OwnedKeys(uint64(cfg.Keyspace), cfg.ShardIndex, cfg.ShardCount)
+		nOwned = uint64(len(l.owned))
 		if nOwned == 0 {
-			return ServeResult{}, errors.New("redisws.Serve: shard owns no keys; Keyspace too small for ShardCount")
+			return nil, errors.New("redisws.Serve: shard owns no keys; Keyspace too small for ShardCount")
 		}
-	}
-	keyAt := func(rank uint64) uint64 { return rank }
-	if owned != nil {
-		keyAt = func(rank uint64) uint64 { return owned[rank] }
 	}
 
 	rng := workload.NewRNG(cfg.Seed)
 	zipf := NewZipf(rng, nOwned, cfg.ZipfTheta)
-
-	res := ServeResult{
-		Lat:        NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e),
-		AppHist:    &obsv.Histogram{},
-		InterfHist: &obsv.Histogram{},
-		StallHist:  &obsv.Histogram{},
-		QueueHist:  &obsv.Histogram{},
+	if hooks.Crash != nil {
+		l.acked = make(map[uint64][]byte, cfg.Keyspace)
 	}
-
-	// Volatile LRU bookkeeping, shared across clients (Redis keeps one).
-	lru := list.New()
-	elems := make(map[uint64]*list.Element)
-	liveBytes := uint64(0)
-
-	// Durable-ack tracking (crash runs only — nil maps keep the crash-free
-	// path untouched). acked mirrors, in dispatch order, every write whose
-	// transaction committed; pending is the one sub-transaction in flight, so
-	// at any crash site the durable image must equal acked or acked±pending.
-	plan := hooks.Crash
-	var acked map[uint64][]byte
-	var pending *PendingWrite
-	// held[i] is client i's lost-in-flight op awaiting retry after a crash;
-	// inFlight is the op currently executing serially; awaitFirstAck marks the
-	// window between resume and the first post-resume completion.
-	var held []*pendingOp
-	var inFlight *pendingOp
-	var awaitFirstAck bool
-	if plan != nil {
-		acked = make(map[uint64][]byte, cfg.Keyspace)
-		held = make([]*pendingOp, cfg.Clients)
-	}
-
-	lo, hi := cfg.MinVal, cfg.MaxVal
-	fillValue := func(k uint64, n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(k) + byte(i)
-		}
-		return b
-	}
-
-	evict := func(ectx *sim.Ctx) error {
-		if cfg.MaxLiveBytes == 0 {
-			return nil
-		}
-		for liveBytes > cfg.MaxLiveBytes && lru.Len() > 0 {
-			back := lru.Back()
-			k := back.Value.(lruEnt).key
-			sz := back.Value.(lruEnt).size
-			if acked != nil {
-				pending = &PendingWrite{Key: k}
-			}
-			if _, err := store.Delete(ectx, k); err != nil {
-				return err
-			}
-			if acked != nil {
-				delete(acked, k)
-				pending = nil
-			}
-			lru.Remove(back)
-			delete(elems, k)
-			liveBytes -= sz
-			res.Evictions++
-		}
-		return nil
-	}
+	cache := newLRUCache(store, cfg.MaxLiveBytes, nil, l.acked)
 
 	// Prepopulate the owned keyspace on the loader context.
+	lo, hi := cfg.MinVal, cfg.MaxVal
 	for i := uint64(0); i < nOwned; i++ {
-		k := keyAt(i)
-		n := lo + rng.Intn(hi-lo+1)
-		v := fillValue(k, n)
-		if err := store.Insert(ctx, k, v); err != nil {
-			return res, err
+		k := l.key(i)
+		if err := cache.set(ctx, k, fillValue(k, lo+rng.Intn(hi-lo+1))); err != nil {
+			return nil, err
 		}
-		if acked != nil {
-			acked[k] = v
-		}
-		elems[k] = lru.PushFront(lruEnt{k, uint64(n)})
-		liveBytes += uint64(n)
-		if err := evict(ctx); err != nil {
-			return res, err
-		}
-	}
-
-	ps, _ := store.(parallelStore)
-	marks := newSetMarks(dev.NumSets())
-
-	clients := make([]clientState, cfg.Clients)
-	for i := range clients {
-		clients[i].ctx = sim.NewCtx(p.Config())
 	}
 
 	// Warmup and calibration. The warmup window runs the first WarmupOps of
@@ -502,48 +573,100 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	// defrag activity yet) measures the same mean and lands on the same
 	// rate — equal offered load is what makes the per-scheme tails
 	// comparable.
+	clients := make([]*sim.Ctx, cfg.Clients)
+	for i := range clients {
+		clients[i] = sim.NewCtx(p.Config())
+	}
 	warm := cfg.WarmupOps
 	if warm <= 0 {
-		warm = 64 * cfg.Clients
-		if warm > 8192 {
-			warm = 8192
-		}
+		warm = min(64*cfg.Clients, 8192)
 	}
 	var warmSvc uint64
 	for i := 0; i < warm; i++ {
-		c := clients[i%cfg.Clients].ctx
+		c := clients[i%cfg.Clients]
 		t0 := c.Clock.Total()
 		if rng.Float64() < cfg.GetFraction {
-			store.Get(c, keyAt(zipf.Next()))
+			store.Get(c, l.key(zipf.Next()))
 		} else {
-			k := keyAt(zipf.Next())
-			n := lo + rng.Intn(hi-lo+1)
-			v := fillValue(k, n)
-			if err := store.Insert(c, k, v); err != nil {
-				return res, err
-			}
-			if acked != nil {
-				acked[k] = v
-			}
-			if e, ok := elems[k]; ok {
-				liveBytes -= e.Value.(lruEnt).size
-				lru.Remove(e)
-			}
-			elems[k] = lru.PushFront(lruEnt{k, uint64(n)})
-			liveBytes += uint64(n)
-			if err := evict(c); err != nil {
-				return res, err
+			k := l.key(zipf.Next())
+			if err := cache.set(c, k, fillValue(k, lo+rng.Intn(hi-lo+1))); err != nil {
+				return nil, err
 			}
 		}
 		warmSvc += c.Clock.Total() - t0
 	}
-	rate := cfg.RatePerSec
-	if rate <= 0 {
+	l.rate = cfg.RatePerSec
+	if l.rate <= 0 {
 		meanSvc := float64(warmSvc) / float64(warm)
-		rate = cfg.TargetUtil * float64(cfg.Clients) / meanSvc * sim.CyclesPerSecond
+		l.rate = cfg.TargetUtil * float64(cfg.Clients) / meanSvc * sim.CyclesPerSecond
 	}
-	res.RateUsed = rate
-	meanInter := float64(cfg.Clients) * sim.CyclesPerSecond / rate // cycles, per client
+
+	l.zipf, l.zipf.rng = *zipf, nil
+	l.draws = rng.Draws()
+	l.lru, l.evictions = cache.entries(), cache.evictions
+	l.clients = make([]sim.CtxCheckpoint, len(clients))
+	for i, c := range clients {
+		c.CheckpointInto(&l.clients[i])
+	}
+	return l, nil
+}
+
+// Run is a serving run from l on: it arms hooks.Crash, dispatches the
+// config's Ops operations, resumes after a scheduled crash and drains the
+// last epoch. ctx, p and store are the machine l was loaded on, or a fork of
+// it taken when Load returned; Run never writes l. Like Serve, it owns the
+// machine until it returns.
+func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHooks) (ServeResult, error) {
+	cfg := l.cfg
+	plan := hooks.Crash
+	var acked map[uint64][]byte
+	if plan != nil {
+		if l.acked == nil {
+			return ServeResult{}, errors.New("redisws.Loaded.Run: a crash plan needs a machine loaded with one")
+		}
+		acked = maps.Clone(l.acked)
+	}
+	cache := newLRUCache(store, cfg.MaxLiveBytes, l.lru, acked)
+	cache.evictions = l.evictions
+	rng := workload.NewRNG(cfg.Seed)
+	rng.Skip(l.draws)
+	zipf := l.zipf
+	zipf.rng = rng
+
+	foot := hooks.Foot
+	if foot == nil {
+		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
+	}
+	dev := p.Device()
+	res := ServeResult{
+		Lat:        NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e),
+		AppHist:    &obsv.Histogram{},
+		InterfHist: &obsv.Histogram{},
+		StallHist:  &obsv.Histogram{},
+		QueueHist:  &obsv.Histogram{},
+		RateUsed:   l.rate,
+	}
+
+	// held[i] is client i's lost-in-flight op awaiting retry after a crash;
+	// inFlight is the op currently executing serially; awaitFirstAck marks the
+	// window between resume and the first post-resume completion.
+	var held []*pendingOp
+	var inFlight *pendingOp
+	var awaitFirstAck bool
+	if plan != nil {
+		held = make([]*pendingOp, cfg.Clients)
+	}
+
+	ps, _ := store.(parallelStore)
+	marks := newSetMarks(dev.NumSets())
+
+	clients := make([]clientState, cfg.Clients)
+	for i := range clients {
+		clients[i].ctx = sim.NewCtx(p.Config())
+		clients[i].ctx.Restore(&l.clients[i])
+	}
+	lo, hi := cfg.MinVal, cfg.MaxVal
+	meanInter := float64(cfg.Clients) * sim.CyclesPerSecond / l.rate // cycles, per client
 
 	heap := &clientHeap{base: make([]uint64, cfg.Clients)}
 	for i := range clients {
@@ -660,7 +783,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		op := pendingOp{cli: id, arrival: c.nextArrival, retryAt: c.resubmitAt}
 		c.resubmitAt = 0
 		op.isGet = rng.Float64() < cfg.GetFraction
-		op.key = keyAt(zipf.Next())
+		op.key = l.key(zipf.Next())
 		if !op.isGet {
 			op.valSize = lo + rng.Intn(hi-lo+1)
 		}
@@ -774,9 +897,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			res.Gets++
 			if op.hit {
 				res.Hits++
-				if e, found := elems[op.key]; found {
-					lru.MoveToFront(e)
-				}
+				cache.touch(op.key)
 			} else {
 				res.Misses++
 			}
@@ -805,31 +926,12 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		if drainByCli != nil {
 			d0 = drainByCli[op.cli]
 		}
+		// A SET's evictions run on the owning client's clock: the deletes are
+		// that connection's work.
 		if op.isGet {
 			_, op.hit = store.Get(c.ctx, op.key)
-		} else {
-			v := fillValue(op.key, op.valSize)
-			if acked != nil {
-				pending = &PendingWrite{Key: op.key, Val: v}
-			}
-			if err := store.Insert(c.ctx, op.key, v); err != nil {
-				return err
-			}
-			if acked != nil {
-				acked[op.key] = v
-				pending = nil
-			}
-			if e, ok := elems[op.key]; ok {
-				liveBytes -= e.Value.(lruEnt).size
-				lru.Remove(e)
-			}
-			elems[op.key] = lru.PushFront(lruEnt{op.key, uint64(op.valSize)})
-			liveBytes += uint64(op.valSize)
-			// Evictions run on the owning client's clock: the deletes are
-			// that connection's work.
-			if err := evict(c.ctx); err != nil {
-				return err
-			}
+		} else if err := cache.set(c.ctx, op.key, fillValue(op.key, op.valSize)); err != nil {
+			return err
 		}
 		op.svc = c.ctx.Clock.Total() - t0
 		op.app = c.ctx.Clock.Cycles(sim.CatApp) - a0
@@ -945,13 +1047,13 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	// run is a pure function of the repro at any host thread count.
 	resumeFromCrash := func(crash *pmem.CrashAtSite) error {
 		crashAt := vHigh
-		rec, err := plan.Recover(crash, acked, pending)
+		rec, err := plan.Recover(crash, cache.acked, cache.pending)
 		if err != nil {
 			return err
 		}
 		// Swap the machine. The recovered pool reopens the same device, so the
 		// drain probe and set geometry carry over.
-		store = rec.Store
+		store, cache.store = rec.Store, rec.Store
 		ps, _ = store.(parallelStore)
 		if rec.Pool != nil {
 			p = rec.Pool
@@ -983,25 +1085,8 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 			stallUntil = resumeAt
 		}
 
-		// Rebuild the volatile LRU from the verified durable model, keys
-		// ascending (deterministic; recency order died with the power).
-		lru.Init()
-		for k := range elems {
-			delete(elems, k)
-		}
-		liveBytes = 0
-		keys := make([]uint64, 0, len(rec.Model))
-		for k := range rec.Model {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			n := uint64(len(rec.Model[k]))
-			elems[k] = lru.PushFront(lruEnt{k, n})
-			liveBytes += n
-		}
-		acked = rec.Model
-		pending = nil
+		// Rebuild the volatile LRU from the verified durable model.
+		cache.rebuild(rec.Model)
 
 		// Degraded-mode reschedule.
 		backBase := plan.BackoffBase
@@ -1134,6 +1219,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 		}
 	}
 
+	res.Evictions = cache.evictions
 	res.Makespan = vHigh
 	res.SimCycles = ctx.Clock.Total()
 	for i := range clients {

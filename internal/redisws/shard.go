@@ -99,9 +99,8 @@ type Shard struct {
 // ShardedResult is a completed sharded serving run: the deterministic merge
 // plus the per-shard rows it was folded from.
 type ShardedResult struct {
-	Merged  ServeResult
-	Shards  []ServeResult
-	Configs []ServeConfig
+	Merged ServeResult
+	Shards []ServeResult
 }
 
 // ShardConfigs derives the per-shard configs of an n-shard deployment from
@@ -159,12 +158,29 @@ func ServeSharded(shards []Shard, cfgs []ServeConfig) (ShardedResult, error) {
 	if len(shards) == 0 || len(shards) != len(cfgs) {
 		return ShardedResult{}, fmt.Errorf("redisws.ServeSharded: %d shards vs %d configs", len(shards), len(cfgs))
 	}
-	out := ShardedResult{
-		Shards:  make([]ServeResult, len(shards)),
-		Configs: cfgs,
+	return runShards(shards, func(i int, sh Shard) (ServeResult, error) {
+		return Serve(sh.Ctx, sh.Pool, sh.Store, cfgs[i], sh.Hooks)
+	})
+}
+
+// RunSharded is ServeSharded from loaded shards: shard i runs from loaded[i],
+// which Load returned on that shard's machine or on the machine it is a fork
+// of.
+func RunSharded(shards []Shard, loaded []*Loaded) (ShardedResult, error) {
+	if len(shards) == 0 || len(shards) != len(loaded) {
+		return ShardedResult{}, fmt.Errorf("redisws.RunSharded: %d shards vs %d loaded states", len(shards), len(loaded))
 	}
+	return runShards(shards, func(i int, sh Shard) (ServeResult, error) {
+		return loaded[i].Run(sh.Ctx, sh.Pool, sh.Store, sh.Hooks)
+	})
+}
+
+// runShards runs every shard's serving run as a workpool job and merges the
+// results.
+func runShards(shards []Shard, run func(i int, sh Shard) (ServeResult, error)) (ShardedResult, error) {
+	out := ShardedResult{Shards: make([]ServeResult, len(shards))}
 	err := workpool.ForEach(len(shards), func(i int) error {
-		r, err := Serve(shards[i].Ctx, shards[i].Pool, shards[i].Store, cfgs[i], shards[i].Hooks)
+		r, err := run(i, shards[i])
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
