@@ -18,19 +18,23 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# race runs the short test suite under the race detector and then the crash
-# campaign's golden, oracle and lifetime tests, batch and serving, on four
-# workers, whatever the host has. A simulated machine is plain data that one
-# goroutine owns (TestOneGoroutinePerMachine keeps a second goroutine off it,
+# race runs the short test suite under the race detector, then on four
+# workers, whatever the host has, the crash campaign's golden, oracle and
+# lifetime tests, batch and serving, and four forks of one device checkpoint
+# writing copy-on-write. A simulated machine is plain data that one goroutine
+# owns (TestOneGoroutinePerMachine keeps a second goroutine off it,
 # TestNoHostSyncInMachine keeps locks and atomics out of it), so the detector
 # watches what is left: what workpool jobs share — a campaign's read-only
-# prefixes, recycled media arrays, the worker pool itself — and -httpobs,
-# which may read only finished experiments (TestMetricsScrapeDuringRun
-# scrapes /metrics during a run).
+# prefixes, the media pages forks share until they write them, the page and
+# cache-array pools, the worker pool itself — and -httpobs, which may read
+# only finished experiments (TestMetricsScrapeDuringRun scrapes /metrics
+# during a run).
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \
 		-run 'TestCampaignGolden|TestForked(Serve)?TrialMatchesScratch|Test(Serve)?CampaignLeavesNoPrefixBehind'
+	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/pmem/ \
+		-run 'TestCopyOnWriteMatchesDenseModels|TestForksOfOneCheckpointOnWorkers'
 
 # crashmatrix is the reduced scheduled crash campaign: every one of the 26
 # settings, a pinned seed, stratified site sampling (each site class's first
@@ -97,7 +101,8 @@ serveshard: build
 	scripts/serveshard.sh
 
 # benchsmoke is the fast CI pass over the measurement tooling: the device
-# (HashMedia dense-ref vs sparse and the recycled-device life cycle included),
+# (HashMedia dense-ref vs sparse, the pooled device life cycle, and the B/op
+# of a checkpoint/restore that moves page references included),
 # allocator, engine (mark, summary, epoch cycle, barrier resolve), serving
 # dispatcher (ns and B per request) and crash-campaign (ms and B per batch
 # and serving trial) micro-benchmarks run once each (-benchtime=1x), and the

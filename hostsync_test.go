@@ -24,8 +24,8 @@ var hostSyncAllowed = map[string]string{
 	"pmop:Pool.Ops":        "the same bench test: Echo.Get's deferred EndOp runs outside Echo.mu",
 	"pmop:Registry.mu":     "a type registry may be shared by several machines; types_test.go tests it concurrently",
 	"pmop:Registry.frozen": "the registry's lock-free lookup snapshot, republished under Registry.mu",
-	"pmem:mediaFree.Mutex": "process-wide free list of media arrays that machines on workpool workers share",
-	"pmem:mediaFresh":      "process-wide count of media arrays allocated fresh",
+	"pmem:pagePool.Mutex":  "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
+	"pmem:arrayPool.Mutex": "process-wide pool of cache arrays that machines of one geometry on workpool workers share",
 	"sim:ctxSeq":           "process-wide sim.Ctx numbering",
 }
 
@@ -81,7 +81,7 @@ type hostSyncDecl struct {
 // hostSyncDecls returns the fields, variables and values of f whose type
 // mentions a sync mutex or a sync/atomic type, each named after the top-level
 // declaration it sits in: "ctxSeq" for a package variable, "Echo.mu" for a
-// field, "mediaFree.Mutex" for an embedded one, "RunCycle.mu" for a local.
+// field, "pagePool.Mutex" for an embedded one, "RunCycle.mu" for a local.
 func hostSyncDecls(f *ast.File) []hostSyncDecl {
 	pkgs := map[string]string{} // local import name -> "sync" or "sync/atomic"
 	for _, imp := range f.Imports {

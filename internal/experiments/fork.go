@@ -62,10 +62,9 @@ var (
 	forkCheckpoints atomic.Uint64 // machine checkpoints taken (one per BeginCycle attempt)
 	forkRuns        atomic.Uint64 // runs served from a checkpoint instead of from scratch
 
-	// forkCapturedBytes sums the media bytes each checkpoint actually
-	// captured (dirty pages only); forkMediaBytes sums what a full-image
-	// copy of the same devices would have moved. Their ratio is the
-	// dirty-line checkpointing win (DESIGN.md §7).
+	// forkCapturedBytes sums the media bytes each checkpoint references
+	// (the pages its device held); forkMediaBytes sums what a full-image
+	// copy of the same devices would have moved (DESIGN.md §7).
 	forkCapturedBytes atomic.Uint64
 	forkMediaBytes    atomic.Uint64
 
@@ -74,10 +73,9 @@ var (
 	// restore plus ResumeRunner's RNG repositioning. With the counter-based
 	// workload source the RNG part is O(1), so this stays flat as scale
 	// (and therefore the checkpointed draw count) grows; the old
-	// draw-and-discard skip made it linear in scale. The dominant remaining
-	// cost, the device page copies, restores as coalesced disjoint spans
-	// fanned out on the worker pool (pmem.Device.Restore), so large restores
-	// also scale with host cores.
+	// draw-and-discard skip made it linear in scale. The device restores
+	// page references (pmem.Device.Restore) and copies a page only when the
+	// forked run first writes it, so no byte of media is moved here.
 	forkRestoreNanos atomic.Uint64
 )
 

@@ -99,9 +99,9 @@ func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
 	return pre, nil
 }
 
-// fork materializes the prefix as a machine of the caller's own, in recycled
-// media, with the churner that goes on from the build. The caller releases the
-// media like newMachine's.
+// fork materializes the prefix as a machine of the caller's own, sharing the
+// prefix's media pages until it writes them, with the churner that goes on
+// from the build. The caller releases the media like newMachine's.
 func (pre *prefix) fork() (*machine, *churner, error) {
 	m := blankMachine(pre.setting)
 	var err error

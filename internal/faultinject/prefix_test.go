@@ -203,7 +203,7 @@ func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("a failed prefix was built %d times", builds)
 	}
-	fresh := pmem.FreshMediaAllocs()
+	materialized := pmem.MaterializedPages()
 	scheds := []Schedule{base}
 	for site := int64(0); site < 3; site++ {
 		scheds = append(scheds, base.At(0, CrashPoint{Site: site, Nested: -1, Policy: PolicyDrop}))
@@ -213,8 +213,8 @@ func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 			t.Errorf("trial %d: verdict %v, want the build's %v", i, o.err, buildErr)
 		}
 	}
-	if got := pmem.FreshMediaAllocs(); got != fresh {
-		t.Errorf("%d media arrays allocated by trials that had no machine to run on", got-fresh)
+	if got := pmem.MaterializedPages(); got != materialized {
+		t.Errorf("%d media pages materialised by trials that had no machine to run on", got-materialized)
 	}
 	// In a campaign proper the census pass meets the error, and it is the
 	// campaign's one failure.
@@ -254,8 +254,7 @@ func TestCampaignRunsAnotherMachinesScheduleOnItsOwn(t *testing.T) {
 
 // A campaign's prefix dies with the campaign: once explore has returned and
 // its campaign is dropped, nothing — no cache, no forked machine, no store
-// handed to a hook — still reaches the snapshot, and every media array the
-// build and the trials used is back on the free list.
+// handed to a hook — still reaches the snapshot.
 func TestCampaignLeavesNoPrefixBehind(t *testing.T) {
 	co := CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Nested: true, MaxNested: 1}
 	run := func(freed *atomic.Int32) {
@@ -275,19 +274,103 @@ func TestCampaignLeavesNoPrefixBehind(t *testing.T) {
 			}
 		}
 	}
-	var warm, freed atomic.Int32
-	run(&warm) // fills the media free list
-	fresh := pmem.FreshMediaAllocs()
+	var freed atomic.Int32
 	run(&freed)
-	if n := pmem.FreshMediaAllocs() - fresh; n > uint64(Parallelism()) {
-		t.Errorf("%d fresh media arrays in two warm campaigns on %d workers: a machine was not released", n, Parallelism())
-	}
 	for i := 0; i < 50 && freed.Load() < 2; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
 	if freed.Load() != 2 {
 		t.Errorf("%d of 2 prefixes were collected after their campaigns returned", freed.Load())
+	}
+}
+
+// sharedPages splits the pages dev holds into those that are still chk's and
+// those it has written since it was forked from chk.
+func sharedPages(chk *pmem.DeviceCheckpoint, dev *pmem.Device) (kept, written int) {
+	refs := make(map[uint32]*[pmem.DirtyPageSize]byte, len(chk.Pages))
+	for k, p := range chk.Pages {
+		refs[p] = chk.Refs[k]
+	}
+	now := dev.Checkpoint()
+	for k, p := range now.Pages {
+		if refs[p] == now.Refs[k] {
+			kept++
+		} else {
+			written++
+		}
+	}
+	return kept, written
+}
+
+// A warm forked trial, batch or serving, materialises exactly the pages it
+// writes: its machine shares every page of the prefix it leaves alone, and
+// allocates or copies one page per page it writes, up to recovery.
+func TestForkedTrialMaterialisesOnlyItsWrites(t *testing.T) {
+	var kept, written int
+	check := func(what string, chk *pmem.DeviceCheckpoint, run func(TrialOptions) error) {
+		t.Helper()
+		k, w, materialized := -1, 0, uint64(0)
+		before := pmem.MaterializedPages()
+		err := run(TrialOptions{AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool, _ ds.Store) {
+			materialized = pmem.MaterializedPages() - before
+			k, w = sharedPages(chk, p.Device())
+		}})
+		if err != nil || k < 0 {
+			t.Fatalf("%s: no recovery (%v)", what, err)
+		}
+		if materialized != uint64(w) {
+			t.Errorf("%s: %d pages materialised, %d written, of a prefix of %d", what, materialized, w, len(chk.Pages))
+		}
+		kept += k
+		written += w
+	}
+	c := new(campaign)
+	base := NewRepro(Setting{"LL", 1, core.SchemeFFCCD}, 11)
+	census, err := c.runScheduled(base, TrialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := c.prefixOf(Setting{"LL", 1, core.SchemeFFCCD}, base.Seed, base.Ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		rep := base
+		rep.Site, rep.Policy = int64(uint64(i)*7919%census.Census.Total), Policies[i%len(Policies)]
+		if i%2 == 1 {
+			rep.Nested = int64(3 * i)
+		}
+		check(rep.MarshalLine(), &pre.img.Dev, func(o TrialOptions) error {
+			_, err := c.runScheduled(rep, o)
+			return err
+		})
+	}
+
+	srep := NewServeRepro("ffccd", 3)
+	srep.Clients, srep.Ops, srep.Keys = 4, 1200, 400
+	if _, err := c.runServe(srep, TrialOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	nrep, shardKeys, err := srep.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := c.servePrefixOf(nrep, shardKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, site := range []int64{300, 700, 1500} {
+		rep := srep
+		rep.Site, rep.Nested, rep.Policy = site, int64(i)-1, Policies[i%len(Policies)]
+		check(rep.MarshalLine(), &pres[0].img.Dev, func(o TrialOptions) error {
+			_, err := c.runServe(rep, o)
+			return err
+		})
+	}
+	t.Logf("the trials wrote %d pages and still shared %d of their prefixes", written, kept)
+	if written == 0 || kept == 0 {
+		t.Errorf("the trials wrote %d pages and shared %d: the check is vacuous", written, kept)
 	}
 }
 
@@ -304,13 +387,16 @@ func forkedTrials(tb testing.TB, c *campaign, base Repro, sites uint64, n int) {
 }
 
 // trialAllocBudget is what one warm forked LL/1T/ffccd trial may allocate:
-// about a quarter over the 0.87 MB it does (0.92 MB under the race detector),
-// most of which is the cache arrays and TLBs of the trial's own device and
-// contexts. The from-scratch trial it replaced allocated about 5 MB — three
-// heaps' worth of capacity-sized bitmaps at 1.1 MB each, a 512 KB mark bitset
-// per engine, a 292 KB buffer of zeros, the full free-frame list per epoch.
-// One such allocation back in the trial path is over the budget.
-const trialAllocBudget = 1_100_000
+// about a quarter over the 0.43 MB it does (0.48 MB under the race detector),
+// most of which is the placement indexes of its heap incarnations, its
+// contexts' TLBs and the engine's epoch tables; its device's cache arrays and
+// media pages come from the pools. The from-scratch trial it replaced
+// allocated about 5 MB — three heaps' worth of capacity-sized bitmaps at
+// 1.1 MB each, a 512 KB mark bitset per engine, a 292 KB buffer of zeros, the
+// full free-frame list per epoch. One such allocation back in the trial path,
+// or a device that does not take pooled cache arrays (0.3 MB), is over the
+// budget.
+const trialAllocBudget = 550_000
 
 func TestTrialAllocBudget(t *testing.T) {
 	const trials = 20

@@ -330,7 +330,7 @@ func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// The trial owns its machine: give the media array back on the way out.
+	// The trial owns its machine: give its pages and arrays back on the way out.
 	// This runs on the trial's own goroutine — a watchdog that gives up on a
 	// hung trial abandons the machine instead, as the trial may still be
 	// writing.

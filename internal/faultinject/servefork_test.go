@@ -153,7 +153,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 	}
 	sharded, err := redisws.ServeSharded(shards, redisws.ShardConfigs(serveConfigFor(rep), nsh))
 	// Every shard job has returned, so this goroutine is the machines' only
-	// user from here on: give their media arrays back on the way out. (Not
+	// user from here on: give their pages and arrays back on the way out. (Not
 	// registered earlier — a panic leaving ServeSharded could leave sibling
 	// shards running — and never by a watchdog that gave up on the trial.)
 	defer func() {
@@ -352,22 +352,15 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 	}
 }
 
-// A serving campaign's prefixes die with the campaign, like a batch one's, and
-// its trials recycle their media. (The recycling bound holds for one machine
-// per trial: a sharded trial holds one array per shard, more than the free
-// list keeps.)
+// A serving campaign's prefixes die with the campaign, like a batch one's.
 func TestServeCampaignLeavesNoPrefixBehind(t *testing.T) {
 	co := CampaignOptions{Seed: 3, Clients: 4, Ops: 600, Keys: 256, MaxSites: 4, Nested: true, MaxNested: 1}
-	run := func(freed *atomic.Int32) (fresh uint64) {
+	run := func(freed *atomic.Int32) {
 		for shards := 1; shards <= 2; shards++ {
 			c := new(campaign)
 			base := NewServeRepro("ffccd", co.Seed)
 			base.Clients, base.Ops, base.Keys, base.Shards = co.Clients, co.Ops, co.Keys, shards
-			before := pmem.FreshMediaAllocs()
 			out := c.explore(fmt.Sprintf("serve/ffccd/%ds", shards), base, co)
-			if shards == 1 {
-				fresh = pmem.FreshMediaAllocs() - before
-			}
 			if len(out.Failures) > 0 || out.Scheduled == 0 {
 				t.Fatalf("%d shards: %+v", shards, out)
 			}
@@ -380,13 +373,9 @@ func TestServeCampaignLeavesNoPrefixBehind(t *testing.T) {
 				}
 			}
 		}
-		return fresh
 	}
-	var warm, freed atomic.Int32
-	run(&warm) // fills the media free list
-	if n := run(&freed); n > uint64(Parallelism()) {
-		t.Errorf("%d fresh media arrays in a warm campaign on %d workers: a machine was not released", n, Parallelism())
-	}
+	var freed atomic.Int32
+	run(&freed)
 	for i := 0; i < 50 && freed.Load() < 3; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)

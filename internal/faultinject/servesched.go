@@ -212,8 +212,8 @@ func buildServePrefixes(rep ServeRepro, shardKeys []int) ([]*servePrefix, error)
 }
 
 // fork materializes the prefix as a serving machine of scheme of the caller's
-// own, in recycled media, under cfg (which must outlive it). The caller
-// releases the media like NewMachine's.
+// own, sharing the prefix's media pages until it writes them, under cfg (which
+// must outlive it). The caller releases the media like NewMachine's.
 func (pre *servePrefix) fork(cfg *sim.Config, scheme string) (*redisws.Machine, error) {
 	rt, p, err := pre.img.Fork(cfg, "serve", redisws.ServeRegistry())
 	if err != nil {
@@ -400,7 +400,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	}
 	sharded, err := redisws.RunSharded(shards, loaded)
 	// Every shard job has returned, so this goroutine is the machines' only
-	// user from here on: give their media arrays back on the way out. (Not
+	// user from here on: give their pages and arrays back on the way out. (Not
 	// registered earlier — a panic leaving ServeSharded could leave sibling
 	// shards running — and never by a watchdog that gave up on the trial.)
 	defer func() {

@@ -23,7 +23,6 @@ func ladderDevice(b *testing.B) (*Device, *sim.Ctx) {
 	cfg := sim.DefaultConfig()
 	d := NewDevice(&cfg, 64<<20)
 	b.Cleanup(d.ReleaseMedia)
-	clear(d.media) // fault a fresh array in: host page faults are not the device's cost
 	ctx := sim.NewCtx(&cfg)
 	for a := uint64(0); a < benchResident; a += LineSize {
 		d.LoadU64(ctx, a)
@@ -93,7 +92,9 @@ func BenchmarkStoreClwbSfence(b *testing.B) {
 }
 
 // BenchmarkCheckpointRestore is one fork of the grid driver: checkpoint a
-// device with 8 MB of dirty pages and restore it into a fresh one.
+// device with 8 MB of dirty pages and restore it into a fresh one. Both move
+// page references, not bytes: B/op is the checkpoint's copy of the cache
+// arrays and its reference list.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	d, ctx := ladderDevice(b)
 	var two [16]byte
@@ -147,10 +148,11 @@ func trialDevice() *Device {
 func BenchmarkHashMedia(b *testing.B) {
 	d := trialDevice()
 	defer d.ReleaseMedia()
-	want := refHashMedia(d.media)
+	img := d.SnapshotMedia()
+	want := refHashMedia(img)
 	b.Run("dense-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if refHashMedia(d.media) != want {
+			if refHashMedia(img) != want {
 				b.Fatal("digest changed")
 			}
 		}
@@ -165,18 +167,19 @@ func BenchmarkHashMedia(b *testing.B) {
 }
 
 // BenchmarkNewDeviceRecycled is a trial's device life cycle in the steady
-// state: build over a recycled array, dirty ~1 MB, release (wipe the dirty
-// pages, list the array). No 128 MB allocation or clear per iteration.
+// state: build over pooled cache arrays, write ~1 MB (256 pages, taken from
+// the page pool), release (pool the pages and arrays). It materialises only
+// the pages it writes, and allocates nothing sized by the 128 MB of media.
 func BenchmarkNewDeviceRecycled(b *testing.B) {
-	trialDevice().ReleaseMedia() // seed the free list
-	fresh := FreshMediaAllocs()
+	trialDevice().ReleaseMedia() // seed the pools
+	before := MaterializedPages()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trialDevice().ReleaseMedia()
 	}
 	b.StopTimer()
-	if n := FreshMediaAllocs() - fresh; n != 0 {
-		b.Fatalf("%d fresh media allocations in the steady state", n)
+	if n, want := MaterializedPages()-before, uint64(b.N)*16*(64<<10)/DirtyPageSize; n != want {
+		b.Fatalf("%d pages materialised, want the %d written", n, want)
 	}
 }

@@ -14,7 +14,14 @@
 //     notified via the RBBSink hook.
 //   - Crash() discards all cached lines, applies a configurable policy to
 //     in-flight lines (ADR guarantees only what reached the WPQ), and leaves
-//     the media array as the exact post-crash machine state.
+//     the media as the exact post-crash machine state.
+//
+// The media is a two-level table of 4 KB pages (DESIGN.md §7, "Media
+// pages"). A page nothing has written is nil and reads as zeros, so a device
+// costs the pages it has written, not its size. A checkpoint captures page
+// references rather than bytes and marks them shared; a device copies a shared
+// page before it first writes it, so every fork of one checkpoint shares the
+// pages none of them wrote.
 //
 // All latencies are charged to the sim.Ctx passed to each operation. A device
 // has one owner: one goroutine drives every simulated thread of its machine,
@@ -35,19 +42,15 @@
 package pmem
 
 import (
-	"cmp"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
-	"ffccd/internal/workpool"
 )
 
 // LineSize is the cacheline size in bytes.
@@ -56,15 +59,31 @@ const LineSize = 64
 // LineShift is log2(LineSize).
 const LineShift = 6
 
-// DirtyPageShift is log2 of the dirty-tracking granularity (4 KB): the unit
-// in which the device remembers which media pages may differ from the
-// all-zero image a fresh device starts from. Checkpoints capture and
-// restores re-apply only those pages, so fork cost tracks the workload's
-// footprint instead of the media size (DESIGN.md §7).
+// DirtyPageShift is log2 of the media page size (4 KB): the unit in which a
+// device holds media. A page is dirty — may differ from the all-zero image a
+// fresh device starts from — exactly when the device holds it; checkpoints,
+// restores, digests and releases visit only those pages, so their cost tracks
+// the workload's footprint instead of the media size (DESIGN.md §7).
 const DirtyPageShift = 12
 
-// DirtyPageSize is the dirty-tracking page size in bytes.
+// DirtyPageSize is the media page size in bytes.
 const DirtyPageSize = 1 << DirtyPageShift
+
+// leafShift is log2 of the pages one page-table leaf maps (512 × 4 KB = 2 MB
+// of media).
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+
+	pageLineShift = DirtyPageShift - LineShift // log2 of the lines in a page
+)
+
+// mediaPage is one page of media bytes.
+type mediaPage = [DirtyPageSize]byte
+
+// zeroPage is what every page nothing has written reads as. Only readers see
+// it: writers get their pages from writable.
+var zeroPage mediaPage
 
 // RBBSink receives notifications when a cacheline tagged by relocate reaches
 // the persistence domain. The arch package's Reached Bitmap Buffer implements
@@ -144,11 +163,11 @@ var (
 // Stats, like the observability groups built on it, is read on that goroutine
 // or after the run.
 type Device struct {
-	cfg   *sim.Config
-	media []byte
-	nset  int
-	nway  int
-	sets  []cacheSet
+	cfg  *sim.Config
+	size uint64 // media bytes; 0 once released
+	nset int
+	nway int
+	sets []cacheSet
 	// Way state, indexed by slot = set*nway + way.
 	tags  []uint32 // line index + 1; 0 = invalid
 	ages  []uint32 // LRU age (the set's tick at the last touch; see mruTag)
@@ -158,14 +177,11 @@ type Device struct {
 	// set mapping (Lemire's fastmod), exact for every 32-bit line index.
 	setMagic uint64
 
-	// dirty marks DirtyPageSize media pages that may differ from the
-	// all-zero base image, one bit per page. Every media-write path sets the
-	// page's bit; CheckpointInto captures only marked pages, Restore
-	// zeroes/overwrites only marked pages, and ReleaseMedia wipes marked pages
-	// so recycled buffers are always all-zero. A spuriously set bit only costs
-	// a no-op copy; a missed bit would corrupt forked runs, so every write to
-	// d.media must be paired with touchLine/touchRange.
-	dirty []uint64
+	// leaves is the media page table's directory: leaf k maps pages
+	// [k*leafPages, (k+1)*leafPages), and is nil until one of them is
+	// written. Readers go through page and mediaLine, writers through
+	// writable, the one place a page is allocated or copied.
+	leaves []*pageLeaf
 
 	// pend lists the indices of sets that currently hold in-flight lines, so
 	// Sfence visits only those sets instead of scanning the whole cache.
@@ -244,130 +260,23 @@ func (d *Device) SetEADR(on bool) { d.eADR = on }
 // EADR reports whether the device is in eADR mode.
 func (d *Device) EADR() bool { return d.eADR }
 
-// NewDevice creates a device with size bytes of all-zero persistent media,
-// recycling a released device's array when one fits (recycled arrays are
-// wiped back to zero by ReleaseMedia, so this is indistinguishable from a
-// fresh allocation).
+// NewDevice creates a device with size bytes of all-zero persistent media.
+// It holds no media page until one is written, and its cache arrays may be a
+// released device's (ReleaseMedia), cleared.
 func NewDevice(cfg *sim.Config, size uint64) *Device {
-	return newDevice(cfg, zeroMedia(size))
+	return newDevice(cfg, size, true)
 }
 
-// mediaFree recycles media arrays across short-lived simulated devices: the
-// fork-based experiment driver and the crash campaigns create (and drop) one
-// multi-MB device per forked run or trial, and allocating plus zeroing a
-// fresh multi-MB array each time dominates their setup cost. Listed arrays
-// are always all-zero over their whole capacity: that is the base image the
-// dirty-page bitmap is relative to, so ReleaseMedia wipes exactly the dirty
-// pages before listing — footprint-proportional work.
-//
-// The list is a plain bounded free list rather than a sync.Pool: a Pool is
-// emptied by every GC cycle, and a campaign trial allocates enough to trigger
-// one, so pooled buffers rarely survived to the next trial. It holds at most
-// one array per pool worker (the most devices a fan-out of single-machine
-// jobs has live at once), so it never retains more than such a fan-out's own
-// peak.
-var mediaFree struct {
-	sync.Mutex
-	bufs [][]byte // ascending capacity
-}
-
-// mediaFresh counts the arrays zeroMedia had to allocate (list misses).
-var mediaFresh atomic.Uint64
-
-// FreshMediaAllocs reports how many media arrays this process has allocated
-// fresh rather than recycled — the number a steady-state campaign keeps flat.
-func FreshMediaAllocs() uint64 { return mediaFresh.Load() }
-
-// zeroMedia returns an all-zero media array of the given size: the smallest
-// listed array that fits (so large ones stay available for large devices),
-// else a fresh allocation. Arrays that are too small stay listed.
-func zeroMedia(size uint64) []byte {
-	mediaFree.Lock()
-	for i, b := range mediaFree.bufs { // ascending capacity: first fit is best fit
-		if uint64(cap(b)) >= size {
-			mediaFree.bufs = slices.Delete(mediaFree.bufs, i, i+1)
-			mediaFree.Unlock()
-			return b[:size]
-		}
-	}
-	mediaFree.Unlock()
-	mediaFresh.Add(1)
-	return make([]byte, size)
-}
-
-// recycleMedia lists an all-zero array for reuse. When that overfills the
-// list the smallest array goes (to the garbage collector): a larger one
-// serves every request a smaller one can.
-func recycleMedia(buf []byte) {
-	mediaFree.Lock()
-	defer mediaFree.Unlock()
-	i, _ := slices.BinarySearchFunc(mediaFree.bufs, cap(buf), func(b []byte, c int) int {
-		return cmp.Compare(cap(b), c)
-	})
-	mediaFree.bufs = slices.Insert(mediaFree.bufs, i, buf)
-	if len(mediaFree.bufs) > workpool.Parallelism() {
-		mediaFree.bufs = slices.Delete(mediaFree.bufs, 0, 1)
-	}
-}
-
-// NewDeviceForRestore creates a device intended to receive a checkpoint via
-// Restore. Since pooled media is pre-zeroed it is today identical to
-// NewDevice; the separate entry point remains because restore targets are
-// the call sites that must pair with ReleaseMedia.
+// NewDeviceForRestore creates a device that the caller will Restore a
+// checkpoint into before anything else touches it. Its cache arrays may be
+// a released device's, and are not cleared: Restore overwrites every slot.
 func NewDeviceForRestore(cfg *sim.Config, size uint64) *Device {
-	return NewDevice(cfg, size)
+	return newDevice(cfg, size, false)
 }
 
-// ReleaseMedia wipes the device's dirty pages back to the all-zero base
-// image and lists the media array for reuse. The device is unusable
-// afterwards; callers do this only when dropping it, and only once nothing
-// else can still touch it (the next NewDevice may adopt the array at once).
-func (d *Device) ReleaseMedia() {
-	if d.media != nil {
-		d.wipeDirty()
-		recycleMedia(d.media)
-		d.media = nil
-	}
-}
-
-// wipeDirty zeroes every dirty page (returning the media to the all-zero
-// base image) and clears the bitmap. Call only on a quiescent device.
-func (d *Device) wipeDirty() {
-	size := uint64(len(d.media))
-	for w, bw := range d.dirty {
-		for bw != 0 {
-			p := uint64(w<<6 + bits.TrailingZeros64(bw))
-			bw &= bw - 1
-			start := p << DirtyPageShift
-			end := start + DirtyPageSize
-			if end > size {
-				end = size
-			}
-			clear(d.media[start:end])
-		}
-		d.dirty[w] = 0
-	}
-}
-
-// touchLine marks the dirty bit of the page holding lineIdx's line. Lines
-// never straddle pages (LineSize divides DirtyPageSize).
-func (d *Device) touchLine(lineIdx uint64) {
-	p := lineIdx >> (DirtyPageShift - LineShift)
-	d.dirty[p>>6] |= 1 << (p & 63)
-}
-
-// touchRange marks every page overlapping [addr, addr+n).
-func (d *Device) touchRange(addr, n uint64) {
-	if n == 0 {
-		return
-	}
-	for p, last := addr>>DirtyPageShift, (addr+n-1)>>DirtyPageShift; p <= last; p++ {
-		d.dirty[p>>6] |= 1 << (p & 63)
-	}
-}
-
-func newDevice(cfg *sim.Config, media []byte) *Device {
-	size := uint64(len(media))
+// newDevice builds a device over pooled cache arrays when a released device
+// of the same geometry left some, clearing them when clean is set.
+func newDevice(cfg *sim.Config, size uint64, clean bool) *Device {
 	nline := cfg.CacheBytes / cfg.CacheLineSize
 	nway := cfg.CacheWays
 	nset := nline / nway
@@ -378,23 +287,52 @@ func newDevice(cfg *sim.Config, media []byte) *Device {
 		panic(fmt.Sprintf("pmem: unsupported geometry: %d ways (1..32), %d media lines (<= 2^32-2)", nway, size>>LineShift))
 	}
 	npages := (size + DirtyPageSize - 1) >> DirtyPageShift
-	return &Device{
+	d := &Device{
 		cfg:      cfg,
-		media:    media,
+		size:     size,
 		nset:     nset,
 		nway:     nway,
-		sets:     make([]cacheSet, nset),
-		tags:     make([]uint32, nset*nway),
-		ages:     make([]uint32, nset*nway),
-		lines:    make([]byte, nset*nway*LineSize),
 		setMagic: ^uint64(0)/uint64(nset) + 1,
-		dirty:    make([]uint64, (npages+63)/64),
+		leaves:   make([]*pageLeaf, (npages+leafPages-1)>>leafShift),
 		policy:   DropAllInflight,
 	}
+	if a, ok := takeArrays(nset, nway); ok {
+		d.sets, d.tags, d.ages, d.lines = a.sets, a.tags, a.ages, a.lines
+		if clean {
+			d.dropVolatile(nil)
+		}
+	} else {
+		d.sets = make([]cacheSet, nset)
+		d.tags = make([]uint32, nset*nway)
+		d.ages = make([]uint32, nset*nway)
+		d.lines = make([]byte, nset*nway*LineSize)
+	}
+	return d
+}
+
+// ReleaseMedia returns the device's private media pages, page-table leaves
+// and cache arrays to the process pools; pages a checkpoint shares are left
+// to it. The device is unusable afterwards (Size reports 0); callers do this
+// only when dropping it, and only once nothing else can still touch it (the
+// next NewDevice may adopt its arrays at once). A second call does nothing.
+func (d *Device) ReleaseMedia() {
+	if d.sets == nil {
+		return
+	}
+	for _, l := range d.leaves {
+		if l != nil {
+			l.release()
+			putLeaf(l)
+		}
+	}
+	putArrays(cacheArrays{d.sets, d.tags, d.ages, d.lines})
+	d.size, d.leaves = 0, nil
+	d.sets, d.tags, d.ages, d.lines = nil, nil, nil, nil
+	d.pend = nil
 }
 
 // Size returns the media capacity in bytes.
-func (d *Device) Size() uint64 { return uint64(len(d.media)) }
+func (d *Device) Size() uint64 { return d.size }
 
 // SetRBB installs the reached-bitmap sink (nil disables notifications).
 func (d *Device) SetRBB(s RBBSink) { d.rbb = s }
@@ -437,8 +375,8 @@ func (d *Device) findWay(set *cacheSet, si int, lineIdx uint64) int {
 }
 
 func (d *Device) checkRange(addr, n uint64) {
-	if addr+n > uint64(len(d.media)) || addr+n < addr {
-		panic(fmt.Sprintf("pmem: access out of range: addr=%#x len=%d size=%d", addr, n, len(d.media)))
+	if addr+n > d.size || addr+n < addr {
+		panic(fmt.Sprintf("pmem: access out of range: addr=%#x len=%d size=%d", addr, n, d.size))
 	}
 }
 
@@ -464,8 +402,7 @@ func (set *cacheSet) inflightIndex(lineIdx uint64) int {
 // copy (held by set, the line's set) so a later crash cannot regress the line
 // to older data.
 func (d *Device) writeMediaLine(ctx *sim.Ctx, set *cacheSet, lineIdx uint64, data *[LineSize]byte, pending bool) {
-	copy(d.media[lineIdx<<LineShift:], data[:])
-	d.touchLine(lineIdx)
+	copyLine(d.writableLine(lineIdx), data)
 	if i := set.inflightIndex(lineIdx); i >= 0 {
 		last := len(set.inflight) - 1
 		set.inflight[i] = set.inflight[last]
@@ -483,21 +420,25 @@ func (d *Device) writeMediaLine(ctx *sim.Ctx, set *cacheSet, lineIdx uint64, dat
 // SnapshotMedia returns a copy of the full persistent image (for
 // determinism tests and offline analysis). Call only on a quiescent device.
 func (d *Device) SnapshotMedia() []byte {
-	out := make([]byte, len(d.media))
-	copy(out, d.media)
+	out := make([]byte, d.size)
+	d.MediaRead(0, out)
 	return out
 }
 
 // RestoreMedia overwrites the persistent image and drops all volatile state
-// — reconstructing a captured post-crash machine. Testing only.
+// — reconstructing a captured post-crash machine. The device holds the
+// image's pages that are not all zero. Testing only.
 func (d *Device) RestoreMedia(img []byte) {
-	if len(img) != len(d.media) {
+	if uint64(len(img)) != d.size {
 		panic("pmem: RestoreMedia size mismatch")
 	}
-	copy(d.media, img)
-	// The image is arbitrary: conservatively mark every page dirty (only
-	// pages that exist — the bitmap walks index media by their bits).
-	d.touchRange(0, uint64(len(d.media)))
+	d.dropPages()
+	for start := uint64(0); start < d.size; start += DirtyPageSize {
+		src := img[start:min(start+DirtyPageSize, d.size)]
+		if !bytes.Equal(src, zeroPage[:len(src)]) {
+			copy(bytesOf(d.writable(start>>DirtyPageShift)), src)
+		}
+	}
 	d.dropVolatile(nil)
 }
 
@@ -524,7 +465,12 @@ func (d *Device) dropVolatile(harvest *[]inflightEntry) {
 // intended for recovery code, checkers and tests; it does not model latency.
 func (d *Device) MediaRead(addr uint64, buf []byte) {
 	d.checkRange(addr, uint64(len(buf)))
-	copy(buf, d.media[addr:])
+	for len(buf) > 0 {
+		off := addr & (DirtyPageSize - 1)
+		n := copy(buf, d.page(addr >> DirtyPageShift)[off:])
+		addr += uint64(n)
+		buf = buf[n:]
+	}
 }
 
 // MediaWrite writes bytes straight to media, bypassing the cache — the
@@ -532,30 +478,32 @@ func (d *Device) MediaRead(addr uint64, buf []byte) {
 // reached bitmap, and by tests to construct post-crash states.
 func (d *Device) MediaWrite(addr uint64, data []byte) {
 	d.checkRange(addr, uint64(len(data)))
-	copy(d.media[addr:], data)
-	d.touchRange(addr, uint64(len(data)))
+	for len(data) > 0 {
+		off := addr & (DirtyPageSize - 1)
+		n := copy(bytesOf(d.writable(addr >> DirtyPageShift))[off:], data)
+		addr += uint64(n)
+		data = data[n:]
+	}
 	d.stat[cMediaWrites]++
 }
 
 // MediaZero is MediaWrite of n zero bytes without the caller having to hold
 // them: same media bytes, one media write counted. It keeps clean pages
-// clean: a clean page is already zero, so it is left alone, and a page zeroed
-// whole is marked clean, so the dirty bitmap marks only pages that may hold
-// data — a subset of what MediaWrite would mark. Pool creation zeroes the tx
-// log with it, and the RBB the reached bitmap at the start of every epoch.
+// clean: a page the device does not hold is already zero, so it is left
+// alone, and a page zeroed whole is dropped, so the device holds only pages
+// that may hold data — a subset of what MediaWrite would leave it holding.
+// Pool creation zeroes the tx log with it, and the RBB the reached bitmap at
+// the start of every epoch.
 func (d *Device) MediaZero(addr, n uint64) {
 	d.checkRange(addr, n)
 	d.stat[cMediaWrites]++
-	size := uint64(len(d.media))
 	for end := addr + n; addr < end; {
 		p := addr >> DirtyPageShift
 		start, next := p<<DirtyPageShift, min((p+1)<<DirtyPageShift, end)
-		w, bit := p>>6, uint64(1)<<(p&63)
-		if d.dirty[w]&bit != 0 {
-			clear(d.media[addr:next])
-			if addr == start && (next == start+DirtyPageSize || next == size) {
-				d.dirty[w] &^= bit
-			}
+		if addr == start && (next == start+DirtyPageSize || next == d.size) {
+			d.dropPage(p)
+		} else if d.holds(p) {
+			clear(bytesOf(d.writable(p))[addr-start : next-start])
 		}
 		addr = next
 	}
@@ -563,8 +511,8 @@ func (d *Device) MediaZero(addr, n uint64) {
 
 // Crash simulates a power failure: every cached line is lost, the crash
 // policy decides the fate of in-flight (clwb'd, unfenced) lines, and ADR
-// drains whatever reached the WPQ. After Crash the media array is the
-// machine's post-restart persistent state.
+// drains whatever reached the WPQ. After Crash the media is the machine's
+// post-restart persistent state.
 func (d *Device) Crash() {
 	if o := d.obs; o != nil {
 		// Record the power failure once the post-crash media state is final,
@@ -595,8 +543,7 @@ func (d *Device) Crash() {
 	for i := range pending {
 		fl := &pending[i]
 		if d.policy(fl.lineIdx << LineShift) {
-			copy(d.media[fl.lineIdx<<LineShift:], fl.data[:])
-			d.touchLine(fl.lineIdx)
+			copyLine(d.writableLine(fl.lineIdx), &fl.data)
 			if fl.pending {
 				// Reached the WPQ at power-off; ADR flushes it and the RBB
 				// update logic runs during the flush (§4.2).
@@ -666,7 +613,7 @@ func (d *Device) newest(set *cacheSet, si int, lineIdx uint64) []byte {
 	if i := set.inflightIndex(lineIdx); i >= 0 {
 		return set.inflight[i].data[:]
 	}
-	return d.media[lineIdx<<LineShift:]
+	return d.mediaLine(lineIdx)[:]
 }
 
 // Peek copies the newest value of [addr, addr+len(buf)) into buf — cached

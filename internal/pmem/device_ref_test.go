@@ -18,9 +18,9 @@ import (
 // counted where they happen. The bodies of resident, Load, storeInternal,
 // Clwb, Sfence, FlushAll, Crash, Peek, StateOf and RelocateParts are the old
 // ones verbatim, minus host-only machinery (locks, counter shards, dirty-page
-// bitmap, observability, crash sites). It is the reference the flat cache
-// must match in every returned byte, counter, charged cycle, LRU decision
-// and media bit.
+// bitmap, observability, crash sites), over a dense media array. It is the
+// reference the flat cache must match in every returned byte, counter,
+// charged cycle, LRU decision and media bit.
 
 type refCacheLine struct {
 	dirty   bool
@@ -584,7 +584,7 @@ func (p *diffPair) check(touched []uint64, deep bool) {
 	if !deep {
 		return
 	}
-	if !bytes.Equal(p.dev.media, p.ref.media) {
+	if !bytes.Equal(p.dev.SnapshotMedia(), p.ref.media) {
 		p.failf("media differ")
 	}
 	for si := range p.ref.sets {
@@ -768,8 +768,8 @@ func (p *diffPair) run(rng *rand.Rand, steps int) {
 		}
 		p.check(touched, p.step%97 == 0 || p.step == steps-1)
 	}
-	// The digest walks the dirty-page bitmap: it also checks that every media
-	// write of the flat cache marked its page.
+	// The digest walks the pages the device holds: it also checks that no
+	// media write of the flat cache was lost to a page it did not hold.
 	if got, want := p.dev.HashMedia(), refHashMedia(p.ref.media); got != want {
 		p.t.Fatalf("media hash %#x, want %#x", got, want)
 	}

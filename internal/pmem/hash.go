@@ -16,28 +16,33 @@ const (
 // excluded) into 64 bits — the cheap bit-identity witness crash-schedule
 // replays compare. Call only on a quiescent device.
 //
-// The walk is proportional to the dirty-page bitmap, not the media size. A
-// page outside the bitmap is all-zero (the base-image invariant checkpoints
-// and ReleaseMedia rely on), and a zero word maps h to h * hashPrime, so a run
-// of k clean pages multiplies h by hashPrime^(512k) mod 2^64 — computed in
+// The walk visits the pages the device holds, not the media size. Every
+// other page is all-zero, and a zero word maps h to h * hashPrime, so a run
+// of k such pages multiplies h by hashPrime^(512k) mod 2^64 — computed in
 // closed form instead of by 512k multiplications. The digest is bit-identical
 // to hashing every word (hash_ref_test.go keeps that loop as the reference).
 func (d *Device) HashMedia() uint64 {
 	h := uint64(hashOffset)
-	size := uint64(len(d.media))
-	full := size >> DirtyPageShift // whole pages; a partial tail page follows
-	next := uint64(0)              // first page not yet folded into h
-	for _, dp := range dirtyPages(nil, d.dirty) {
-		p := uint64(dp)
-		if p >= full {
-			break
+	full := d.size >> DirtyPageShift // whole pages; a partial tail page follows
+	next := uint64(0)                // first page not yet folded into h
+	for k, l := range d.leaves {
+		if l == nil {
+			continue
 		}
-		h *= powHashPrime((p - next) * wordsPerDirtyPage)
-		h = hashBytes(h, d.media[p<<DirtyPageShift:(p+1)<<DirtyPageShift])
-		next = p + 1
+		for i, pg := range &l.pages {
+			p := uint64(k<<leafShift + i)
+			if pg == nil || p >= full {
+				continue
+			}
+			h *= powHashPrime((p - next) * wordsPerDirtyPage)
+			h = hashBytes(h, pg[:])
+			next = p + 1
+		}
 	}
 	h *= powHashPrime((full - next) * wordsPerDirtyPage)
-	h = hashBytes(h, d.media[full<<DirtyPageShift:])
+	if tail := d.size & (DirtyPageSize - 1); tail != 0 {
+		h = hashBytes(h, d.page(full)[:tail])
+	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -174,15 +174,17 @@ func TestHitsPlusMissesEqualLinesTouched(t *testing.T) {
 }
 
 // TestNewDeviceAllocs: building a device costs a handful of allocations
-// however many sets it has — a crash trial builds one per machine
-// incarnation.
+// however many sets it has and however large its media — a crash trial
+// builds one per machine incarnation, and no media page exists until written.
 func TestNewDeviceAllocs(t *testing.T) {
-	media := make([]byte, 1<<20)
-	for _, scale := range []int{1, 8} {
-		cfg := sim.DefaultConfig()
-		cfg.CacheBytes *= scale
-		if allocs := testing.AllocsPerRun(5, func() { newDevice(&cfg, media) }); allocs > 8 {
-			t.Errorf("cache of %d sets: newDevice made %v allocations, want <= 8", cfg.CacheBytes/cfg.CacheLineSize/cfg.CacheWays, allocs)
+	for _, size := range []uint64{1 << 20, 64 << 30} {
+		for _, scale := range []int{1, 8} {
+			cfg := sim.DefaultConfig()
+			cfg.CacheBytes *= scale
+			if allocs := testing.AllocsPerRun(5, func() { newDevice(&cfg, size, true) }); allocs > 8 {
+				t.Errorf("%d B of media, cache of %d sets: newDevice made %v allocations, want <= 8",
+					size, cfg.CacheBytes/cfg.CacheLineSize/cfg.CacheWays, allocs)
+			}
 		}
 	}
 }

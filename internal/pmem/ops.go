@@ -16,7 +16,7 @@ func (d *Device) fillLine(set *cacheSet, lineIdx uint64, buf *[LineSize]byte) {
 		*buf = set.inflight[i].data
 		return
 	}
-	copy(buf[:], d.media[lineIdx<<LineShift:(lineIdx+1)<<LineShift])
+	copyLine(buf, d.mediaLine(lineIdx))
 }
 
 // cached ensures lineIdx is resident, filling from the persistence domain on a
@@ -240,8 +240,7 @@ func (d *Device) Sfence(ctx *sim.Ctx) {
 		set.enqueued = false
 		for i := range set.inflight {
 			fl := &set.inflight[i]
-			copy(d.media[fl.lineIdx<<LineShift:], fl.data[:])
-			d.touchLine(fl.lineIdx)
+			copyLine(d.writableLine(fl.lineIdx), &fl.data)
 			if fl.pending {
 				reached = append(reached, fl.lineIdx)
 			}

@@ -3,6 +3,8 @@ package pmem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -71,10 +73,10 @@ func TestFlushedDataAlwaysSurvives(t *testing.T) {
 	}
 }
 
-// TestReleasedMediaIsZero pins the media-pool invariant the sparse
-// checkpoints depend on: ReleaseMedia wipes every dirty page, so a device
-// built over a recycled buffer starts from the all-zero base image with an
-// empty dirty bitmap — exactly like one built over a fresh allocation.
+// TestReleasedMediaIsZero pins the pools' invariant: a device built after
+// another's release, over its pooled pages and cache arrays, starts holding
+// no page and reads all-zero — through the cache and on media, also in the
+// pages it then writes — exactly like one built fresh.
 func TestReleasedMediaIsZero(t *testing.T) {
 	const size = 1 << 18
 	cfg := sim.DefaultConfig()
@@ -91,22 +93,87 @@ func TestReleasedMediaIsZero(t *testing.T) {
 			d.Store(ctx, uint64(rng.Intn(size-512)), data)
 		}
 		d.FlushAll(ctx)
-		if got := d.Checkpoint().CapturedBytes(); got == 0 {
-			t.Fatalf("round %d: flushed writes marked no pages dirty", round)
+		for i := uint64(0); i < size; i += LineSize {
+			d.LoadU64(ctx, i) // leave the cache full of data
+		}
+		held := 0
+		for p := uint64(0); p < size/DirtyPageSize; p++ {
+			if d.holds(p) {
+				held++
+			}
+		}
+		if held == 0 { // (no checkpoint here: it would keep the pages from the pool)
+			t.Fatalf("round %d: flushed writes left no page held", round)
 		}
 		d.ReleaseMedia()
-		// The next NewDevice may adopt the released buffer; either way its
-		// media must read back all-zero.
-		d2 := NewDevice(&cfg, size)
+		// The next device takes the released cache arrays and pages: one byte
+		// written at the end of every page must leave the rest of it zero.
+		d2, ctx2 := NewDevice(&cfg, size), sim.NewCtx(&cfg)
+		for p := uint64(1); p <= size/DirtyPageSize; p++ {
+			d2.MediaWrite(p*DirtyPageSize-1, []byte{1})
+		}
+		want := make([]byte, size)
+		for p := uint64(1); p <= size/DirtyPageSize; p++ {
+			want[p*DirtyPageSize-1] = 1
+		}
 		buf := make([]byte, size)
 		d2.MediaRead(0, buf)
-		for i, b := range buf {
-			if b != 0 {
-				t.Fatalf("round %d: recycled media dirty at byte %d", round, i)
-			}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("round %d: a pooled page was not zeroed", round)
+		}
+		d2.Load(ctx2, 0, buf)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("round %d: pooled cache arrays were not cleared", round)
 		}
 		d2.ReleaseMedia()
 	}
+}
+
+// TestDeviceLargerThanHostMemory builds a 64 GB device, more than the host
+// has, writes and flushes scattered lines, checkpoints, forks, hashes and
+// releases it: a device costs the pages it has written, not its size.
+func TestDeviceLargerThanHostMemory(t *testing.T) {
+	const size, lines = 64 << 30, 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cfg := sim.DefaultConfig()
+	d, ctx := NewDevice(&cfg, size), sim.NewCtx(&cfg)
+	rng := rand.New(rand.NewSource(5))
+	addrs := make([]uint64, lines)
+	data := make([]byte, lines*LineSize)
+	rng.Read(data)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Int63n(size/LineSize)) * LineSize
+		d.Store(ctx, addrs[i], data[i*LineSize:][:LineSize])
+		d.Clwb(ctx, addrs[i])
+	}
+	d.Sfence(ctx)
+	chk := d.Checkpoint()
+	fork, fctx := NewDeviceForRestore(&cfg, size), sim.NewCtx(&cfg)
+	fork.Restore(chk)
+	if fork.HashMedia() != d.HashMedia() {
+		t.Fatal("the fork's media differs from its source's")
+	}
+	fork.StoreU64(fctx, addrs[0], ^uint64(0))
+	fork.FlushAll(fctx)
+	if fork.HashMedia() == d.HashMedia() {
+		t.Fatal("a flushed store did not change the fork's digest")
+	}
+	got := make([]byte, LineSize)
+	for i, a := range addrs {
+		d.MediaRead(a, got)
+		if !bytes.Equal(got, data[i*LineSize:][:LineSize]) && !slices.Contains(addrs[i+1:], a) {
+			t.Fatalf("line %#x lost", a)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("heap grew %d MB for %d pages of a %d GB device and its fork", (after.HeapAlloc-before.HeapAlloc)>>20, len(chk.Pages), size>>30)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 64<<20 {
+		t.Errorf("heap grew %d MB, want under 64 MB", grown>>20)
+	}
+	fork.ReleaseMedia()
+	d.ReleaseMedia()
 }
 
 // TestCrashNeverInventsData: post-crash media content is always a value that
