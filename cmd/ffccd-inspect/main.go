@@ -41,7 +41,6 @@ import (
 	"ffccd/internal/checker"
 	"ffccd/internal/experiments"
 	"ffccd/internal/obsv"
-	"ffccd/internal/stats"
 )
 
 func main() {
@@ -250,7 +249,7 @@ func dumpPhase(ctx *ffccd.Ctx, p *ffccd.Pool) {
 func dumpGeometry(p *ffccd.Pool) {
 	heapOff, frames := p.HeapRange()
 	gcOff, gcSize := p.GCMetaRange()
-	t := stats.NewTable("region", "offset", "size")
+	t := obsv.NewTable("region", "offset", "size")
 	t.Add("gc metadata", fmt.Sprintf("%#x", gcOff), fmt.Sprintf("%d KB", gcSize/1024))
 	t.Add("object heap", fmt.Sprintf("%#x", heapOff), fmt.Sprintf("%d frames", frames))
 	fmt.Print(t)
@@ -274,7 +273,7 @@ func dumpFrames(p *ffccd.Pool) {
 		occSum += fi.UsedSlots
 		occN++
 	}
-	t := stats.NewTable("frame state", "count")
+	t := obsv.NewTable("frame state", "count")
 	for k, v := range hist {
 		t.Add(k, v)
 	}

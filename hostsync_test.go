@@ -14,7 +14,7 @@ import (
 // or drives one, on the goroutine that owns it.
 var machinePackages = []string{
 	"sim", "pmem", "alloc", "pmop", "arch", "core",
-	"ds", "kv", "mesh", "workload", "checker", "redisws",
+	"ds", "kv", "mesh", "workload", "checker", "redisws", "machine",
 }
 
 // hostSyncAllowed lists, as "package:Decl.field" (or "package:var"), the only

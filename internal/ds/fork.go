@@ -11,7 +11,7 @@ import (
 // which replay loads and would perturb a forked run's cycle counts. The
 // persistent state is already present in the forked pool's media, and
 // pmop.Ptr values stay valid across a fork because the forked pool keeps
-// the parent's id and VA base (pmop.AttachAtEpoch).
+// the parent's id and VA base (pmop.Image.Fork).
 //
 // Fork only reads the receiver, so one store can be forked concurrently
 // into several pools. The receiver must be quiescent (no in-flight ops).

@@ -6,9 +6,9 @@ import (
 
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
-	"ffccd/internal/pmop"
+	"ffccd/internal/machine"
+	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 	"ffccd/internal/workload"
 )
 
@@ -37,21 +37,19 @@ func AblationRBB(scale float64, sizes []int) (AblationRBBResult, error) {
 
 		cfg := sim.DefaultConfig()
 		cfg.RBBEntries = entries
-		reg := pmop.NewRegistry()
-		ds.RegisterTypes(reg)
-		rt := pmop.NewRuntime(&cfg, poolSizeFor(wl)*2)
-		p, err := rt.Create("ablation", poolSizeFor(wl), 12, reg)
+		m, err := machine.Build(machine.Spec{Name: "ablation", PoolBytes: poolSizeFor(wl), PageShift: 12, Sim: cfg})
 		if err != nil {
 			return err
 		}
-		ctx := sim.NewCtx(&cfg)
+		defer m.Release()
+		ctx, p := m.Ctx, m.Pool
 		store, err := ds.NewList(ctx, p)
 		if err != nil {
 			return err
 		}
 		tr, tg := core.NormalParams()
-		eng := core.NewEngine(p, core.Options{Scheme: core.SchemeFFCCD, TriggerRatio: tr, TargetRatio: tg, BatchObjects: 64})
-		gcCtx := sim.NewCtx(&cfg)
+		eng := m.NewEngine(core.Options{Scheme: core.SchemeFFCCD, TriggerRatio: tr, TargetRatio: tg, BatchObjects: 64})
+		gcCtx := sim.NewCtx(&m.Cfg)
 		wl.Maintenance = func() {
 			if p.Heap().Frag(12).FragRatio > tr {
 				eng.RunCycle(gcCtx)
@@ -79,7 +77,7 @@ func AblationRBB(scale float64, sizes []int) (AblationRBBResult, error) {
 func (r AblationRBBResult) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Ablation — Reached Bitmap Buffer size (LL workload, FFCCD)")
-	t := stats.NewTable("RBB entries", "hits", "misses", "writebacks", "gc cycles")
+	t := obsv.NewTable("RBB entries", "hits", "misses", "writebacks", "gc cycles")
 	for _, row := range r.Rows {
 		t.Add(row.Entries, row.Hits, row.Misses, row.Writebacks, row.GCCycles)
 	}
@@ -134,7 +132,7 @@ func AblationPMFT(scale float64) (AblationPMFTResult, error) {
 func (r AblationPMFTResult) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Ablation — forwarding-table design (check+lookup cost per op)")
-	t := stats.NewTable("model", "cycles/op", "space (% of reloc pages)")
+	t := obsv.NewTable("model", "cycles/op", "space (% of reloc pages)")
 	for _, row := range r.Rows {
 		t.Add(row.Model, row.CyclesPerCheck, row.SpacePct)
 	}
@@ -200,7 +198,7 @@ func AblationWrites(scale float64) (AblationWritesResult, error) {
 func (r AblationWritesResult) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Ablation — PM write traffic per scheme (LL workload)")
-	t := stats.NewTable("scheme", "media writes", "clwbs", "sfences", "objects moved", "extra writes/move")
+	t := obsv.NewTable("scheme", "media writes", "clwbs", "sfences", "objects moved", "extra writes/move")
 	t.Add("baseline (no GC)", r.Baseline.MediaWrites, r.Baseline.Clwbs, r.Baseline.Sfences, "-", "-")
 	for _, row := range r.Rows {
 		t.Add(row.Scheme.String(), row.MediaWrites, row.Clwbs, row.Sfences, row.ObjectsMoved, row.WritesPerMove)

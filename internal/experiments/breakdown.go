@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"ffccd/internal/core"
+	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 )
 
 // BreakdownRow is one (store, scheme) cell of Figures 5/14/15: the
@@ -167,7 +167,7 @@ func Figure15(scale float64) (BreakdownResult, error) {
 func (r BreakdownResult) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, r.Title)
-	t := stats.NewTable("store", "scheme", "mark%", "summary%", "copy%", "chk+lkp%", "misc%", "gc-total%", "norm-time", "frag-red%")
+	t := obsv.NewTable("store", "scheme", "mark%", "summary%", "copy%", "chk+lkp%", "misc%", "gc-total%", "norm-time", "frag-red%")
 	for _, row := range r.Rows {
 		t.Add(row.Store, row.Scheme.String(), row.MarkPct, row.SummaryPct, row.CopyPct,
 			row.CheckLookupPct, row.MiscPct, row.GCPct, row.NormalizedTime, row.FragReduction)
@@ -182,7 +182,7 @@ func (r BreakdownResult) String() string {
 // defragmentation time (rather than of application time) — the breakdown
 // showing that the compacting phase's copy-persist and check+lookup dominate.
 func (r BreakdownResult) GCShares() string {
-	t := stats.NewTable("store", "scheme", "mark", "summary", "copy", "chk+lkp", "misc")
+	t := obsv.NewTable("store", "scheme", "mark", "summary", "copy", "chk+lkp", "misc")
 	for _, row := range r.Rows {
 		if row.GCPct == 0 {
 			continue

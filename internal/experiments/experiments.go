@@ -7,15 +7,12 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
-	"ffccd/internal/kv"
+	"ffccd/internal/machine"
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
-	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
 	"ffccd/internal/workpool"
@@ -25,52 +22,18 @@ import (
 // (5M inserts × DefaultScale).
 const DefaultScale = 0.004 // 20k inserts
 
-// Env is one simulated machine + pool.
-type Env struct {
-	Cfg  sim.Config
-	RT   *pmop.Runtime
-	Pool *pmop.Pool
-	Ctx  *sim.Ctx
-}
+// Env is one simulated machine of the experiment drivers.
+type Env = machine.Machine
 
-// NewEnv builds a fresh environment. pageShift selects footprint/TLB
-// granularity.
+// NewEnv builds a machine with an empty pool named "bench" under the default
+// configuration. pageShift selects footprint/TLB granularity.
 func NewEnv(poolBytes uint64, pageShift uint) (*Env, error) {
-	cfg := sim.DefaultConfig()
-	rt := pmop.NewRuntime(&cfg, poolBytes*2)
-	p, err := rt.Create("bench", poolBytes, pageShift, redisws.ServeRegistry())
-	if err != nil {
-		return nil, err
-	}
-	env := &Env{Cfg: cfg, RT: rt, Pool: p}
-	env.Ctx = sim.NewCtx(&env.Cfg)
-	return env, nil
+	return machine.Build(machine.Spec{Name: "bench", PoolBytes: poolBytes, PageShift: pageShift, Sim: sim.DefaultConfig()})
 }
 
-// BuildStore constructs a named store (the §6 workloads).
+// BuildStore constructs a named store (the §6 workloads) sized for wl.
 func BuildStore(ctx *sim.Ctx, p *pmop.Pool, name string, wl workload.Config) (ds.Store, error) {
-	switch name {
-	case "LL":
-		return ds.NewList(ctx, p)
-	case "AVL":
-		return ds.NewAVL(ctx, p)
-	case "SS":
-		slots := wl.InitInserts + 16
-		return ds.NewStringStore(ctx, p, slots)
-	case "BT":
-		return ds.NewBPTree(ctx, p)
-	case "RBT":
-		return ds.NewRBTree(ctx, p)
-	case "BzTree":
-		return ds.NewBzTree(ctx, p)
-	case "FPTree":
-		return ds.NewFPTree(ctx, p)
-	case "Echo":
-		return kv.NewEcho(ctx, p, wl.InitInserts/4+64)
-	case "pmemkv":
-		return kv.NewPmemKV(ctx, p, wl.InitInserts/4+64)
-	}
-	return nil, fmt.Errorf("experiments: unknown store %q", name)
+	return machine.NewStore(ctx, p, name, wl.InitInserts+16, wl.InitInserts/4+64)
 }
 
 // Micros are the five §6 microbenchmarks.
@@ -153,8 +116,8 @@ func poolSizeFor(wl workload.Config) uint64 {
 }
 
 // Host-side fan-out runs on the process-wide worker pool shared with the
-// fault-injection campaign (internal/workpool). Every Run builds its own Env
-// (device, pool, runtime), so runs are hermetic; the pool size changes host
+// fault-injection campaign (internal/workpool). Every Run builds its own
+// machine, so runs are hermetic; the pool size changes host
 // wall-clock only, never a simulated result. Defaults to GOMAXPROCS,
 // overridable with the FFCCD_PARALLEL environment variable or
 // SetParallelism.
@@ -195,37 +158,43 @@ func parallelFor(n int, f func(i int) error) error {
 // Run executes one spec and returns its outcome.
 func Run(spec Spec) (Outcome, error) {
 	wl := wlFor(spec)
-	env, err := NewEnv(poolSizeFor(wl), spec.PageShift)
+	m, err := newRunMachine(spec, wl)
 	if err != nil {
 		return Outcome{}, err
 	}
-	store, err := BuildStore(env.Ctx, env.Pool, spec.Store, wl)
-	if err != nil {
-		return Outcome{}, err
-	}
-
-	var eng *core.Engine
-	gcCtx := sim.NewCtx(&env.Cfg)
-	obs := newRunObs(spec, "", env.RT.Device(), env.Ctx, gcCtx)
+	defer m.Release()
+	obs := newRunObs(spec, "", m)
 	if spec.Scheme != core.SchemeNone {
-		eng = core.NewEngine(env.Pool, engineOptions(spec, spec.Scheme, obs))
-		installSchemeHooks(&wl, spec, env.Pool, eng, gcCtx)
+		installSchemeHooks(&wl, spec, m.Pool, m.NewEngine(engineOptions(spec, spec.Scheme, obs)), m.GC)
 	}
-
-	registerRunGroups(obs, env.Ctx, gcCtx, eng)
+	registerRunGroups(obs, m)
 
 	var res workload.Result
 	if spec.Threads <= 1 {
-		res, err = workload.Run(env.Ctx, env.Pool, store, wl)
+		res, err = workload.Run(m.Ctx, m.Pool, m.Store, wl)
 	} else {
-		res, err = runInterleaved(env, store, wl, spec.Threads)
+		res, err = runInterleaved(m, wl, spec.Threads)
 	}
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := assembleOutcome(spec, res, env.Ctx, gcCtx, eng, env.RT.Device())
-	env.RT.Device().ReleaseMedia()
-	return out, nil
+	return assembleOutcome(spec, res, m), nil
+}
+
+// newRunMachine builds the machine of a run of spec: its store over a pool
+// sized for wl, and a context for the defragmentation thread. The caller
+// releases it.
+func newRunMachine(spec Spec, wl workload.Config) (*Env, error) {
+	m, err := NewEnv(poolSizeFor(wl), spec.PageShift)
+	if err != nil {
+		return nil, err
+	}
+	if m.Store, err = BuildStore(m.Ctx, m.Pool, spec.Store, wl); err != nil {
+		m.Release()
+		return nil, err
+	}
+	m.GC = sim.NewCtx(&m.Cfg)
+	return m, nil
 }
 
 // engineOptions is the engine configuration of a batch run of spec under
@@ -265,11 +234,11 @@ func installSchemeHooks(wl *workload.Config, spec Spec, pool *pmop.Pool, eng *co
 	}
 }
 
-// assembleOutcome builds the result record from a finished workload: app and
-// GC clocks merged, engine stats captured (and the engine closed), device
-// counters read. Shared by the scratch and fork paths so their outcome
-// assembly stays identical.
-func assembleOutcome(spec Spec, res workload.Result, appCtx, gcCtx *sim.Ctx, eng *core.Engine, dev *pmem.Device) Outcome {
+// assembleOutcome builds the result record from a machine that finished its
+// workload: app and GC clocks merged, engine stats captured (and the engine
+// closed), device counters read. Shared by the scratch and fork paths so their
+// outcome assembly stays identical.
+func assembleOutcome(spec Spec, res workload.Result, m *Env) Outcome {
 	out := Outcome{
 		Spec:           spec,
 		AvgFootprintMB: res.AvgFootprint / (1 << 20),
@@ -277,15 +246,15 @@ func assembleOutcome(spec Spec, res workload.Result, appCtx, gcCtx *sim.Ctx, eng
 		TotalOps:       res.TotalOps + res.Phases[0].Ops,
 	}
 	clk := sim.NewClock()
-	clk.Merge(appCtx.Clock)
-	clk.Merge(gcCtx.Clock)
-	if eng != nil {
-		clk.Merge(eng.GCClock())
-		out.Engine = eng.Stats()
-		eng.Close()
+	clk.Merge(m.Ctx.Clock)
+	clk.Merge(m.GC.Clock)
+	if m.Eng != nil {
+		clk.Merge(m.Eng.GCClock())
+		out.Engine = m.Eng.Stats()
+		m.Eng.Close()
 	}
 	out.Cycles = clk.Snapshot()
-	out.Device = dev.Stats()
+	out.Device = m.Device().Stats()
 	return out
 }
 
@@ -299,7 +268,7 @@ func assembleOutcome(spec Spec, res workload.Result, appCtx, gcCtx *sim.Ctx, eng
 // footprint. Reported cycles are the merge of all thread clocks (total work;
 // wall-clock shape is preserved because every thread executes the same op
 // mix).
-func runInterleaved(env *Env, store ds.Store, wl workload.Config, threads int) (workload.Result, error) {
+func runInterleaved(m *Env, wl workload.Config, threads int) (workload.Result, error) {
 	per := wl
 	per.InitInserts = wl.InitInserts / threads
 	per.PhaseOps = wl.PhaseOps / threads
@@ -316,8 +285,8 @@ func runInterleaved(env *Env, store ds.Store, wl workload.Config, threads int) (
 		if tid != 0 {
 			cfg.Maintenance = nil
 		}
-		ctxs[tid] = sim.NewCtx(&env.Cfg)
-		runners[tid] = workload.NewRunner(ctxs[tid], env.Pool, store, cfg)
+		ctxs[tid] = sim.NewCtx(&m.Cfg)
+		runners[tid] = workload.NewRunner(ctxs[tid], m.Pool, m.Store, cfg)
 	}
 	results := make([]workload.Result, threads)
 	for left := threads; left > 0; {
@@ -336,7 +305,7 @@ func runInterleaved(env *Env, store ds.Store, wl workload.Config, threads int) (
 		}
 	}
 	// Merge: footprint/live sampled per-thread over the same pool; average
-	// the per-thread averages. Cycles: merge into env.Ctx.
+	// the per-thread averages. Cycles: merge into m.Ctx.
 	var agg workload.Result
 	agg.Phases = results[0].Phases
 	for _, r := range results {
@@ -346,7 +315,7 @@ func runInterleaved(env *Env, store ds.Store, wl workload.Config, threads int) (
 		agg.TotalCycles += r.TotalCycles
 	}
 	for _, c := range ctxs {
-		env.Ctx.Clock.Merge(c.Clock)
+		m.Ctx.Clock.Merge(c.Clock)
 	}
 	return agg, nil
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"ffccd/internal/core"
+	"ffccd/internal/pmem"
 )
 
 // Small scale for CI: 1/2000 of the paper (2.5k inserts).
@@ -198,5 +200,44 @@ func TestFigure16Shape(t *testing.T) {
 	ff := ffccd.Samples[len(ffccd.Samples)-1].Footprint
 	if ff > bf {
 		t.Errorf("FFCCD final footprint %d above baseline %d", ff, bf)
+	}
+}
+
+// Every experiment gives its machines' media back, on success and on error: a
+// device no checkpoint has seen returns every page it materialised once it is
+// released.
+func TestExperimentsReleaseTheirMachines(t *testing.T) {
+	unknown := Spec{Store: "no such store", Threads: 1, Scheme: core.SchemeEspresso, Scale: testScale, PageShift: 12}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"fig1", func() error { _, err := Figure1(testScale); return err }},
+		{"ablation-rbb", func() error { _, err := AblationRBB(testScale, []int{4}); return err }},
+		{"fig16", func() error { _, err := Figure16(testScale / 10); return err }},
+		{"serving", func() error {
+			_, err := Serving(ServingOptions{Clients: 4, Ops: 1200, Keyspace: 400, Shards: 1, Schemes: []string{"ffccd", "mesh"}})
+			return err
+		}},
+		{"run error", func() error {
+			if _, err := Run(unknown); err == nil {
+				return errors.New("a run of an unknown store succeeded")
+			}
+			return nil
+		}},
+		{"prefix error", func() error {
+			if _, err := buildPrefix(unknown); err == nil {
+				return errors.New("a prefix of an unknown store was built")
+			}
+			return nil
+		}},
+	} {
+		taken, returned := pmem.MaterializedPages(), pmem.ReturnedPages()
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if dt, dr := pmem.MaterializedPages()-taken, pmem.ReturnedPages()-returned; dt != dr || dt == 0 {
+			t.Errorf("%s materialised %d media pages and returned %d", c.name, dt, dr)
+		}
 	}
 }

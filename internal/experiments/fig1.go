@@ -7,10 +7,9 @@ import (
 
 	"ffccd/internal/core"
 	"ffccd/internal/kv"
-	"ffccd/internal/pmop"
-	"ffccd/internal/redisws"
+	"ffccd/internal/machine"
+	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 )
 
 // Fig1Run is one run of the Figure 1 experiment.
@@ -60,17 +59,17 @@ func figure1Runs(scale float64, pageShift uint) ([]Fig1Run, error) {
 	}
 	churnOps := n * 4 / 5 // the paper churns 4M of 5M objects per run
 
-	env, err := NewEnv(uint64(n)*512*4+(16<<20), pageShift)
-	if err != nil {
-		return nil, err
-	}
-	dev := env.RT.Device()
-	cfgCopy := env.Cfg
 	// Figure 1 measures the throughput cost of a bloated footprint on real
 	// Optane, where TLB misses trigger page-table walks in PM; the pure
 	// Table 2 penalty (60 cycles) models only the simulator's TLB. Charge
 	// the walk's PM read here (see EXPERIMENTS.md).
-	cfgCopy.TLBWalkPenaltyExtra = cfgCopy.PMReadLatency
+	cfg := sim.DefaultConfig()
+	cfg.TLBWalkPenaltyExtra = cfg.PMReadLatency
+	m, err := machine.Build(machine.Spec{Name: "bench", PoolBytes: uint64(n)*512*4 + (16 << 20), PageShift: pageShift, Sim: cfg})
+	if err != nil {
+		return nil, err
+	}
+	defer m.Release()
 
 	// Persistent driver state across runs (the application's own knowledge).
 	rng := rand.New(rand.NewSource(7))
@@ -87,29 +86,22 @@ func figure1Runs(scale float64, pageShift uint) ([]Fig1Run, error) {
 	}
 
 	var out []Fig1Run
-	pool := env.Pool
 	for run := 1; run <= 3; run++ {
-		ctx := sim.NewCtx(&cfgCopy)
-		// Type ids are assigned in registration order, so every run must
-		// register the same set in the same order (the cross-run analogue
-		// of keeping C struct declarations stable).
-		reg := redisws.ServeRegistry()
 		if run > 1 {
-			rt, err := pmop.Attach(&cfgCopy, dev)
-			if err != nil {
+			// A later run is a fresh process on the same device: reopen the
+			// pool, then a clean recovery rebuilds the allocator (no
+			// defragmentation).
+			if err := m.Reopen(); err != nil {
 				return nil, err
 			}
-			pool, err = rt.Open("bench", reg)
-			if err != nil {
-				return nil, err
-			}
-			// Clean reopen: rebuild the allocator (no defragmentation).
-			eng, err := core.Recover(ctx, pool, core.Options{Scheme: core.SchemeNone})
+			m.Ctx = sim.NewCtx(&m.Cfg)
+			eng, err := core.Recover(m.Ctx, m.Pool, core.Options{Scheme: core.SchemeNone})
 			if err != nil {
 				return nil, err
 			}
 			eng.Close()
 		}
+		ctx, pool := m.Ctx, m.Pool // this run's
 		store, err := kv.NewEcho(ctx, pool, n/4+64)
 		if err != nil {
 			return nil, err
@@ -117,12 +109,10 @@ func figure1Runs(scale float64, pageShift uint) ([]Fig1Run, error) {
 
 		ops := 0
 		var footSum, liveSum float64
-		samples := 0
 		sample := func() {
 			st := pool.Heap().Frag(pageShift)
 			footSum += float64(st.FootprintBytes)
 			liveSum += float64(st.LiveBytes)
-			samples++
 		}
 		insert := func() error {
 			k := nextKey
@@ -185,7 +175,7 @@ func figure1Runs(scale float64, pageShift uint) ([]Fig1Run, error) {
 		out = append(out, Fig1Run{Run: run, FragR: footSum / liveSum, ThroughputRel: thr})
 
 		// Clean shutdown persists everything for the next run.
-		dev.FlushAll(ctx)
+		m.Device().FlushAll(ctx)
 	}
 	// Normalise throughput to run 1 = 100.
 	base := out[0].ThroughputRel
@@ -199,7 +189,7 @@ func (r Fig1Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 1 — PM fragmentation across runs of Echo (no defragmentation)")
 	for _, name := range []string{"4KB", "2MB(scaled)"} {
-		t := stats.NewTable("pages", "run", "fragR", "throughput(%)")
+		t := obsv.NewTable("pages", "run", "fragR", "throughput(%)")
 		for _, r := range r.Series[name] {
 			t.Add(name, r.Run, r.FragR, r.ThroughputRel)
 		}

@@ -8,9 +8,9 @@ import (
 	"ffccd/internal/core"
 	"ffccd/internal/kv"
 	"ffccd/internal/mesh"
+	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 )
 
 // Fig16Variant is one scheme's Redis run.
@@ -90,6 +90,7 @@ func runFig16Variant(name string, scheme core.Scheme, useMesh bool, cfg redisws.
 	if err != nil {
 		return Fig16Variant{}, err
 	}
+	defer env.Release()
 	store, err := kv.NewEcho(env.Ctx, env.Pool, cfg.InitialKeys/2+64)
 	if err != nil {
 		return Fig16Variant{}, err
@@ -112,41 +113,28 @@ func runFig16Variant(name string, scheme core.Scheme, useMesh bool, cfg redisws.
 			return meshCtx.Clock.Total() - before // meshing pauses the world
 		}
 		foot = func() alloc.FragStats { return d.PhysFrag(12) }
-	case scheme == core.SchemeEspresso:
-		// Stop-the-world comparator: the full cycle stalls the in-flight op.
-		opt := core.Options{Scheme: scheme, TriggerRatio: 1.15, TargetRatio: 1.05, BatchObjects: 64}
-		eng := core.NewEngine(env.Pool, opt)
-		defer eng.Close()
-		stwCtx := sim.NewCtx(&env.Cfg)
-		hook = func(op int) uint64 {
-			if op%interval != interval-1 {
-				return 0
-			}
-			if env.Pool.Heap().Frag(12).FragRatio <= opt.TriggerRatio {
-				return 0
-			}
-			pause, _ := eng.RunCycleSTW(stwCtx)
-			return pause
-		}
 	case scheme != core.SchemeNone:
-		// Concurrent FFCCD: marking+summary stall (short); compaction runs
-		// via read barriers and the background mover on the GC clock.
 		opt := core.Options{Scheme: scheme, TriggerRatio: 1.15, TargetRatio: 1.05, BatchObjects: 64}
-		eng := core.NewEngine(env.Pool, opt)
+		eng := env.NewEngine(opt)
 		defer eng.Close()
-		gcCtx := sim.NewCtx(&env.Cfg)
+		env.GC = sim.NewCtx(&env.Cfg)
+		gc := env.GC.Clock
 		hook = func(op int) uint64 {
-			if op%interval != interval-1 {
+			if op%interval != interval-1 || env.Pool.Heap().Frag(12).FragRatio <= opt.TriggerRatio {
 				return 0
 			}
-			if env.Pool.Heap().Frag(12).FragRatio <= opt.TriggerRatio {
-				return 0
+			if scheme == core.SchemeEspresso {
+				// Stop-the-world comparator: the full cycle stalls the
+				// in-flight op.
+				pause, _ := eng.RunCycleSTW(env.GC)
+				return pause
 			}
-			before := gcCtx.Clock.Cycles(sim.CatMark) + gcCtx.Clock.Cycles(sim.CatSummary)
-			eng.RunCycle(gcCtx)
-			after := gcCtx.Clock.Cycles(sim.CatMark) + gcCtx.Clock.Cycles(sim.CatSummary)
-			// Only the STW phases stall the application (§2.3.2).
-			return after - before
+			// Concurrent FFCCD: marking+summary stall (short); compaction
+			// runs via read barriers and the background mover on the GC
+			// clock. Only the STW phases stall the application (§2.3.2).
+			before := gc.Cycles(sim.CatMark) + gc.Cycles(sim.CatSummary)
+			eng.RunCycle(env.GC)
+			return gc.Cycles(sim.CatMark) + gc.Cycles(sim.CatSummary) - before
 		}
 	}
 
@@ -170,13 +158,13 @@ func runFig16Variant(name string, scheme core.Scheme, useMesh bool, cfg redisws.
 func (r Fig16Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 16 — Redis case study: footprint over time and tail latency")
-	t := stats.NewTable("variant", "final fragR", "frag-red(%)", "p90(cyc)", "p95(cyc)", "p99(cyc)", "p999(cyc)", "max(cyc)")
+	t := obsv.NewTable("variant", "final fragR", "frag-red(%)", "p90(cyc)", "p95(cyc)", "p99(cyc)", "p999(cyc)", "max(cyc)")
 	for _, v := range r.Variants {
 		t.Add(v.Name, v.FinalFragR, v.FragReduction, v.P90, v.P95, v.P99, v.P999, v.MaxPause)
 	}
 	b.WriteString(t.String())
 	fmt.Fprintln(&b, "\nfootprint series (MB at sampled ops):")
-	st := stats.NewTable(append([]string{"op"}, variantNames(r)...)...)
+	st := obsv.NewTable(append([]string{"op"}, variantNames(r)...)...)
 	if len(r.Variants) > 0 {
 		n := len(r.Variants[0].Samples)
 		step := n / 20

@@ -5,12 +5,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ffccd/internal/arch"
 	"ffccd/internal/core"
-	"ffccd/internal/ds"
-	"ffccd/internal/pmop"
-	"ffccd/internal/redisws"
-	"ffccd/internal/sim"
+	"ffccd/internal/machine"
 	"ffccd/internal/workload"
 )
 
@@ -84,9 +80,9 @@ func ForkCounters() (prefixes, checkpoints, forks uint64) {
 	return forkPrefixes.Load(), forkCheckpoints.Load(), forkRuns.Load()
 }
 
-// ForkCheckpointBytes returns the media bytes captured across all machine
-// checkpoints (dirty pages only) and the bytes a full-media copy of the
-// same checkpoints would have captured.
+// ForkCheckpointBytes returns the media bytes the machine images reference
+// (the pages each source device held when captured) and the bytes a
+// full-media copy of the same devices would have captured.
 func ForkCheckpointBytes() (captured, fullMedia uint64) {
 	return forkCapturedBytes.Load(), forkMediaBytes.Load()
 }
@@ -107,81 +103,21 @@ func ResetForkCounters() {
 	forkRestoreNanos.Store(0)
 }
 
-// machineCheckpoint captures the whole simulated machine at a candidate
-// divergence point: the pool's image (device, allocator, op counter, tx-slot
-// order), both simulation contexts (clocks, TLBs, pending flushes) and the
-// workload runner position.
-type machineCheckpoint struct {
-	img    pmop.Image
-	appCtx sim.CtxCheckpoint
-	gcCtx  sim.CtxCheckpoint
+// prefixState is the outcome of building one cell's shared prefix: either
+// the machine's image at the divergence point, with the runner checkpoint
+// that resumes the workload there, or — when no epoch ever began — the
+// completed run, whose result is scheme-independent.
+type prefixState struct {
+	// img is nil when the prefix ran to completion. Its EngineStats are the
+	// prefix engine's counters before the divergence attempt: the bookkeeping
+	// of every failed pre-divergence trigger attempt (leak reclamation;
+	// failures move no objects), which is scheme-independent. Forked
+	// outcomes add them so they report the same engine activity a scratch
+	// run would.
+	img    *machine.Image
 	runner *workload.RunnerCheckpoint
 
-	// engine holds the prefix engine's counters at the checkpoint: the
-	// bookkeeping of every failed pre-divergence trigger attempt (leak
-	// reclamation; failures move no objects), which is scheme-independent.
-	// Forked outcomes add it so they report the same engine activity a
-	// scratch run would.
-	engine core.EngineStats
-
-	// Architectural hot state, for checkpoints taken inside an open epoch
-	// (crash-replay tests; the standard driver's fork points sit outside
-	// epochs, where all three are nil). rbb is the engine's Reached Bitmap
-	// Buffer; appCLU/gcCLU are the checklookup units attached to the two
-	// contexts, when a unit is resident there.
-	rbb           *arch.RBBCheckpoint
-	appCLU, gcCLU *arch.CheckLookupUnitCheckpoint
-}
-
-// prefixState is the outcome of building one cell's shared prefix: either a
-// checkpoint at the divergence point (forked=true) plus the prefix store to
-// clone volatile state from, or — when no epoch ever began — the completed
-// run, whose result is scheme-independent.
-type prefixState struct {
-	spec   Spec
-	forked bool
-	chk    machineCheckpoint
-	store  ds.Store
-
-	outcome Outcome // valid when !forked (Spec.Scheme must be overwritten)
-}
-
-func captureMachine(chk *machineCheckpoint, env *Env, gcCtx *sim.Ctx, eng *core.Engine) {
-	env.Pool.CaptureInto(&chk.img)
-	forkCapturedBytes.Add(chk.img.Dev.CapturedBytes())
-	forkMediaBytes.Add(chk.img.Dev.MediaBytes())
-	env.Ctx.CheckpointInto(&chk.appCtx)
-	gcCtx.CheckpointInto(&chk.gcCtx)
-	chk.engine = eng.Stats()
-	chk.rbb, chk.appCLU, chk.gcCLU = nil, nil, nil
-	if rbb := eng.RBB(); rbb != nil {
-		chk.rbb = rbb.Checkpoint()
-	}
-	if u, ok := env.Ctx.HW.(*arch.CheckLookupUnit); ok {
-		chk.appCLU = u.Checkpoint()
-	}
-	if u, ok := gcCtx.HW.(*arch.CheckLookupUnit); ok {
-		chk.gcCLU = u.Checkpoint()
-	}
-}
-
-// restoreHW replants the checkpoint's architectural hot state into a
-// restored machine: the engine's RBB (when both sides have one — schemes
-// without the relocate instruction have no buffer to restore into) and the
-// per-context checklookup units, recreated on the engine and attached to the
-// contexts so the read barrier finds them warm.
-func restoreHW(chk *machineCheckpoint, eng *core.Engine, ctx, gcCtx *sim.Ctx) {
-	if chk.rbb != nil {
-		if rbb := eng.RBB(); rbb != nil {
-			rbb.Restore(chk.rbb)
-		}
-	}
-	if chk.appCLU != nil {
-		eng.RestoreCLU(ctx, chk.appCLU)
-	}
-	if chk.gcCLU != nil {
-		eng.RestoreCLU(gcCtx, chk.gcCLU)
-	}
+	outcome Outcome // valid when img is nil (Spec.Scheme must be overwritten)
 }
 
 // buildPrefix runs spec's workload up to the scheme-divergence point.
@@ -191,38 +127,39 @@ func restoreHW(chk *machineCheckpoint, eng *core.Engine, ctx, gcCtx *sim.Ctx) {
 func buildPrefix(spec Spec) (*prefixState, error) {
 	forkPrefixes.Add(1)
 	wl := wlFor(spec)
-	env, err := NewEnv(poolSizeFor(wl), spec.PageShift)
+	m, err := newRunMachine(spec, wl)
 	if err != nil {
 		return nil, err
 	}
-	store, err := BuildStore(env.Ctx, env.Pool, spec.Store, wl)
-	if err != nil {
-		return nil, err
-	}
-	gcCtx := sim.NewCtx(&env.Cfg)
-	obs := newRunObs(spec, "/prefix", env.RT.Device(), env.Ctx, gcCtx)
-	eng := core.NewEngine(env.Pool, engineOptions(spec, core.SchemeEspresso, obs))
-	registerRunGroups(obs, env.Ctx, gcCtx, eng)
-	pre := &prefixState{spec: spec}
+	// Forks share the media pages the image references; the prefix machine
+	// itself is done once the image is taken.
+	defer m.Release()
+	obs := newRunObs(spec, "/prefix", m)
+	eng := m.NewEngine(engineOptions(spec, core.SchemeEspresso, obs))
+	registerRunGroups(obs, m)
+	pre := &prefixState{}
 
+	var img machine.Image
 	var r *workload.Runner
 	// No PreSample hook: before the first successful BeginCycle no epoch is
 	// ever open, so the scratch path's "finish an open epoch" hook is a
 	// simulated no-op there too.
 	wl.Maintenance = func() {
-		if env.Pool.Heap().Frag(spec.PageShift).FragRatio <= spec.Trigger {
+		if m.Pool.Heap().Frag(spec.PageShift).FragRatio <= spec.Trigger {
 			return
 		}
-		// Checkpoint before the attempt: a failed attempt still reclaims
-		// leaks and charges mark/summary cycles, all of which is shared
-		// prefix; a successful one diverges, so the forks must re-run it.
-		captureMachine(&pre.chk, env, gcCtx, eng)
+		// Capture before the attempt: a failed attempt still reclaims leaks
+		// and charges mark/summary cycles, all of which is shared prefix; a
+		// successful one diverges, so the forks must re-run it.
+		m.CaptureInto(&img)
 		forkCheckpoints.Add(1)
-		if eng.BeginCycle(gcCtx) {
+		forkCapturedBytes.Add(img.Pool.Dev.CapturedBytes())
+		forkMediaBytes.Add(img.Pool.Dev.MediaBytes())
+		if eng.BeginCycle(m.GC) {
 			r.RequestStop()
 		}
 	}
-	r = workload.NewRunner(env.Ctx, env.Pool, store, wl)
+	r = workload.NewRunner(m.Ctx, m.Pool, m.Store, wl)
 	res, finished, err := r.Run()
 	if err != nil {
 		return nil, err
@@ -231,53 +168,38 @@ func buildPrefix(spec Spec) (*prefixState, error) {
 		// Fragmentation never produced a viable epoch: no scheme-dependent
 		// machinery ever engaged, so this completed run is every scheme's
 		// result.
-		pre.outcome = assembleOutcome(spec, res, env.Ctx, gcCtx, eng, env.RT.Device())
-		env.RT.Device().ReleaseMedia()
+		pre.outcome = assembleOutcome(spec, res, m)
 		return pre, nil
 	}
-	// Suspended inside the successful attempt's Maintenance call: the
-	// machine checkpoint predates the attempt, and the runner checkpoint
-	// (position, RNG draw count, accumulators) re-enters Maintenance first
-	// on resume. BeginCycle itself mutates no store/runner state, so
-	// capturing these after suspension matches the machine checkpoint.
-	pre.chk.runner = r.Checkpoint()
-	pre.store = store
-	pre.forked = true
-	// The prefix machine is no longer needed: forks restore from the
-	// checkpoint, and store.Fork copies volatile handles without touching
-	// the device.
-	env.RT.Device().ReleaseMedia()
+	// Suspended inside the successful attempt's Maintenance call: the image
+	// predates the attempt, and the runner checkpoint (position, RNG draw
+	// count, accumulators) re-enters Maintenance first on resume. BeginCycle
+	// itself mutates no store/runner state, so the runner checkpoint taken
+	// now, and the store each fork clones, match the image.
+	pre.img, pre.runner = &img, r.Checkpoint()
 	return pre, nil
 }
 
-// runFork materializes a fresh machine from pre's checkpoint and finishes
-// the workload under spec.Scheme. Safe to call concurrently for different
-// schemes: the checkpoint and prefix store are only read.
+// runFork forks a machine from pre's image and finishes the workload under
+// spec.Scheme. Safe to call concurrently for different schemes: the image
+// is only read.
 func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	forkRuns.Add(1)
 	wl := wlFor(spec)
 
 	restoreStart := time.Now()
-	cfg := sim.DefaultConfig()
-	_, pool, err := pre.chk.img.Fork(&cfg, "bench", redisws.ServeRegistry())
+	m, err := pre.img.Fork()
 	if err != nil {
 		return Outcome{}, err
 	}
-	dev := pool.Device()
-	ctx := sim.NewCtx(&cfg)
-	ctx.Restore(&pre.chk.appCtx)
-	gcCtx := sim.NewCtx(&cfg)
-	gcCtx.Restore(&pre.chk.gcCtx)
-	store := pre.store.(ds.Forker).Fork(pool)
-
-	obs := newRunObs(spec, "/fork", dev, ctx, gcCtx)
-	eng := core.NewEngine(pool, engineOptions(spec, spec.Scheme, obs))
-	registerRunGroups(obs, ctx, gcCtx, eng)
-	restoreHW(&pre.chk, eng, ctx, gcCtx)
+	defer m.Release()
+	obs := newRunObs(spec, "/fork", m)
+	eng := m.NewEngine(engineOptions(spec, spec.Scheme, obs))
+	registerRunGroups(obs, m)
 	// The resumed runner's first action is the Maintenance hook, re-running
 	// the divergence attempt under spec.Scheme.
-	installSchemeHooks(&wl, spec, pool, eng, gcCtx)
-	r, err := workload.ResumeRunner(ctx, pool, store, wl, pre.chk.runner)
+	installSchemeHooks(&wl, spec, m.Pool, eng, m.GC)
+	r, err := workload.ResumeRunner(m.Ctx, m.Pool, m.Store, wl, pre.runner)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -289,11 +211,10 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	if !finished {
 		return Outcome{}, fmt.Errorf("experiments: forked run suspended unexpectedly")
 	}
-	out := assembleOutcome(spec, res, ctx, gcCtx, eng, dev)
+	out := assembleOutcome(spec, res, m)
 	// Fold in the prefix engine's pre-divergence bookkeeping so forked and
 	// scratch runs report identical engine activity.
-	out.Engine.Add(pre.chk.engine)
-	dev.ReleaseMedia()
+	out.Engine.Add(pre.img.EngineStats)
 	return out, nil
 }
 
@@ -310,7 +231,7 @@ func runForked(spec Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	if !pre.forked {
+	if pre.img == nil {
 		out := pre.outcome
 		out.Spec = spec
 		return out, nil
@@ -388,7 +309,7 @@ func RunSpecsForked(specs []Spec) ([]Outcome, error) {
 		if err != nil {
 			return err
 		}
-		if !pre.forked {
+		if pre.img == nil {
 			for _, i := range idxs {
 				outs[i] = pre.outcome
 				outs[i].Spec = specs[i]

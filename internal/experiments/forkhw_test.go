@@ -6,9 +6,6 @@ import (
 
 	"ffccd/internal/arch"
 	"ffccd/internal/core"
-	"ffccd/internal/ds"
-	"ffccd/internal/kv"
-	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
 )
@@ -31,42 +28,36 @@ func probeCLU(u *arch.CheckLookupUnit, cfg *sim.Config, bs *arch.BloomSet) uint6
 	return ctx.Clock.Total()
 }
 
-// TestForkInsideOpenEpoch captures a machine checkpoint while a
-// defragmentation epoch is open — RBB armed and mid-compaction, a warm
-// checklookup unit parked on the GC context — and verifies the checkpoint
-// carries the architectural hot state and that restoreHW replants it exactly:
-// bit-identical RBB and CLU state, and identical probe cycles from the
+// TestForkInsideOpenEpoch captures a machine image while a defragmentation
+// epoch is open — RBB armed and mid-compaction, a warm checklookup unit
+// parked on the GC context — and verifies that a fork's engine starts from
+// exactly that architectural hot state: bit-identical RBB and CLU state, no
+// unit on the application context, and identical probe cycles from the
 // restored unit.
 func TestForkInsideOpenEpoch(t *testing.T) {
 	spec := Spec{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCDCheckLookup,
 		Scale: 0.001, PageShift: 12, Seed: 11}
 	spec.Trigger, spec.Target = core.NormalParams()
 	wl := wlFor(spec)
-	env, err := NewEnv(poolSizeFor(wl), spec.PageShift)
+	m, err := newRunMachine(spec, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := BuildStore(env.Ctx, env.Pool, spec.Store, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcCtx := sim.NewCtx(&env.Cfg)
-	eng := core.NewEngine(env.Pool, core.Options{
-		Scheme: spec.Scheme, TriggerRatio: spec.Trigger,
-		TargetRatio: spec.Target, BatchObjects: 64,
-	})
+	defer m.Release()
+	opt := core.Options{Scheme: spec.Scheme, TriggerRatio: spec.Trigger, TargetRatio: spec.Target, BatchObjects: 64}
+	eng := m.NewEngine(opt)
 	var r *workload.Runner
 	opened := false
 	wl.Maintenance = func() {
-		if opened || env.Pool.Heap().Frag(spec.PageShift).FragRatio <= spec.Trigger {
+		if opened || m.Pool.Heap().Frag(spec.PageShift).FragRatio <= spec.Trigger {
 			return
 		}
-		if eng.BeginCycle(gcCtx) {
+		if eng.BeginCycle(m.GC) {
 			opened = true
 			r.RequestStop()
 		}
 	}
-	r = workload.NewRunner(env.Ctx, env.Pool, store, wl)
+	r = workload.NewRunner(m.Ctx, m.Pool, m.Store, wl)
 	if _, finished, err := r.Run(); err != nil {
 		t.Fatal(err)
 	} else if finished || !opened {
@@ -75,63 +66,40 @@ func TestForkInsideOpenEpoch(t *testing.T) {
 
 	// Mid-epoch: advance compaction so the RBB holds live state, and park a
 	// warm checklookup unit on the GC context.
-	eng.StepCompaction(gcCtx, 50_000)
+	eng.StepCompaction(m.GC, 50_000)
 	if eng.RBB() == nil {
 		t.Fatal("checklookup-scheme engine has no RBB")
 	}
 	bs := arch.NewBloomSetFromPages(
 		[]uint64{0x40000, 0x40000 + 1<<arch.FrameShift, 0x40000 + 2<<arch.FrameShift}, 2, 256)
-	warm := arch.NewCheckLookupUnit(&env.Cfg)
-	probeCLU(warm, &env.Cfg, bs)
-	gcCtx.HW = warm
+	warm := arch.NewCheckLookupUnit(&m.Cfg)
+	probeCLU(warm, &m.Cfg, bs)
+	m.GC.HW = warm
 
-	var chk machineCheckpoint
-	captureMachine(&chk, env, gcCtx, eng)
-	if chk.rbb == nil {
-		t.Fatal("machine checkpoint missed the RBB")
-	}
-	if chk.gcCLU == nil {
-		t.Fatal("machine checkpoint missed the GC context's checklookup unit")
-	}
-	if chk.appCLU != nil {
-		t.Fatal("phantom app-context checklookup unit captured")
-	}
-
-	// Restore into a brand-new machine, runFork-style.
-	cfg := sim.DefaultConfig()
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	kv.RegisterTypes(reg)
-	_, pool, err := chk.img.Fork(&cfg, "bench", reg)
+	img := m.Capture()
+	fork, err := img.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := pool.Device()
-	ctx2 := sim.NewCtx(&cfg)
-	ctx2.Restore(&chk.appCtx)
-	gcCtx2 := sim.NewCtx(&cfg)
-	gcCtx2.Restore(&chk.gcCtx)
-	eng2 := core.NewEngine(pool, core.Options{
-		Scheme: spec.Scheme, TriggerRatio: spec.Trigger,
-		TargetRatio: spec.Target, BatchObjects: 64,
-	})
-	restoreHW(&chk, eng2, ctx2, gcCtx2)
+	defer fork.Release()
+	eng2 := fork.NewEngine(opt)
 
-	if got := eng2.RBB().Checkpoint(); !reflect.DeepEqual(got, chk.rbb) {
-		t.Errorf("restored RBB state diverges:\n  got  %+v\n  want %+v", got, chk.rbb)
+	if got, want := eng2.RBB().Checkpoint(), eng.RBB().Checkpoint(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored RBB state diverges:\n  got  %+v\n  want %+v", got, want)
 	}
-	u2, ok := gcCtx2.HW.(*arch.CheckLookupUnit)
+	u2, ok := fork.GC.HW.(*arch.CheckLookupUnit)
 	if !ok {
-		t.Fatal("restoreHW did not attach a checklookup unit to the GC context")
+		t.Fatal("the fork's engine did not attach a checklookup unit to the GC context")
 	}
-	if got := u2.Checkpoint(); !reflect.DeepEqual(got, chk.gcCLU) {
-		t.Errorf("restored checklookup unit diverges:\n  got  %+v\n  want %+v", got, chk.gcCLU)
+	if got, want := u2.Checkpoint(), warm.Checkpoint(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored checklookup unit diverges:\n  got  %+v\n  want %+v", got, want)
+	}
+	if fork.Ctx.HW != nil {
+		t.Fatal("phantom app-context checklookup unit restored")
 	}
 	// From identical state, identical behaviour: the source unit and its
 	// restored copy must charge the same cycles for the same probe trace.
-	if a, b := probeCLU(warm, &env.Cfg, bs), probeCLU(u2, &cfg, bs); a != b {
+	if a, b := probeCLU(warm, &m.Cfg, bs), probeCLU(u2, &fork.Cfg, bs); a != b {
 		t.Errorf("probe cycles diverge: source %d, restored %d", a, b)
 	}
-	dev.ReleaseMedia()
-	env.RT.Device().ReleaseMedia()
 }

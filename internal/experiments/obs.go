@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ffccd/internal/core"
 	"ffccd/internal/obsv"
-	"ffccd/internal/pmem"
 	"ffccd/internal/sim"
 )
 
@@ -31,17 +29,17 @@ func specLabel(spec Spec, suffix string) string {
 }
 
 // newRunObs creates the per-run bundle when a collector is installed and
-// wires the device into it; returns nil (observability off) otherwise.
+// wires m's device into it; returns nil (observability off) otherwise.
 // Call before engine construction so the bundle can ride in core.Options.
-func newRunObs(spec Spec, suffix string, dev *pmem.Device, appCtx, gcCtx *sim.Ctx) *obsv.Obs {
+func newRunObs(spec Spec, suffix string, m *Env) *obsv.Obs {
 	col := obsCollector.Load()
 	if col == nil {
 		return nil
 	}
 	o := col.NewObs(specLabel(spec, suffix))
-	o.Tracer.Name(appCtx, "app")
-	o.Tracer.Name(gcCtx, "gc")
-	dev.SetObs(o)
+	o.Tracer.Name(m.Ctx, "app")
+	o.Tracer.Name(m.GC, "gc")
+	m.Device().SetObs(o)
 	return o
 }
 
@@ -49,10 +47,11 @@ func newRunObs(spec Spec, suffix string, dev *pmem.Device, appCtx, gcCtx *sim.Ct
 // per-category cycle attribution (including the engine's own GC clock, which
 // terminate work during Close charges) and TLB counters. Device and engine
 // register their own counter groups in their SetObs. No-op when o is nil.
-func registerRunGroups(o *obsv.Obs, appCtx, gcCtx *sim.Ctx, eng *core.Engine) {
+func registerRunGroups(o *obsv.Obs, m *Env) {
 	if o == nil {
 		return
 	}
+	appCtx, gcCtx, eng := m.Ctx, m.GC, m.Eng
 	o.Metrics.RegisterGroup("cycles", func() map[string]uint64 {
 		clk := sim.NewClock()
 		clk.Merge(appCtx.Clock)

@@ -7,7 +7,6 @@ import (
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 )
 
 // ServingOptions parameterizes the serving grid. Zero values select
@@ -44,6 +43,7 @@ type ServingOptions struct {
 // ServingVariant is one scheme's serving run.
 type ServingVariant struct {
 	Name       string
+	Scheme     string  // the redisws.Schemes key Name displays
 	P50        float64 // per-op latency percentiles, simulated cycles
 	P99        float64
 	P999       float64
@@ -190,32 +190,21 @@ var servingNames = map[string]string{
 	"none": "PMDK (baseline)", "ffccd": "FFCCD", "stw": "STW defrag", "mesh": "Mesh",
 }
 
-// servingMachine is one simulated machine of a serving variant
-// (redisws.NewMachine) with the grid's observability hookup. Every field is
-// private to the machine's clock domain, so shards never share simulated
+// newServingMachine builds one machine for scheme (redisws.NewMachine) with
+// the grid's observability hookup. keys sizes the pool and store index (the
+// machine's owned keyspace — the whole keyspace unsharded, the hash-owned
+// subset per shard); shard/shards label the observability hookup. Every part
+// is private to the machine's clock domain, so shards never share simulated
 // state.
-type servingMachine struct {
-	*redisws.Machine
-	cfg    sim.Config
-	name   string
-	series *obsv.TimeSeries
-}
-
-// newServingMachine builds one machine for scheme. keys sizes the pool and
-// store index (the machine's owned keyspace — the whole keyspace unsharded,
-// the hash-owned subset per shard); shard/shards label the observability
-// hookup.
-func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int) (*servingMachine, error) {
-	m := &servingMachine{cfg: sim.DefaultConfig(), name: servingNames[scheme]}
-	var err error
-	if m.Machine, err = redisws.NewMachine(&m.cfg, scheme, "bench", keys, 32<<20); err != nil {
+func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int) (*redisws.Machine, error) {
+	m, err := redisws.NewMachine(sim.DefaultConfig(), scheme, "bench", keys, 32<<20)
+	if err != nil {
 		return nil, fmt.Errorf("experiments.Serving: %w", err)
 	}
 	if !o.NoWindows {
 		// The series label is the scheme on every shard; exemplar stall
 		// causes carry the shard id, which the merge's total order uses.
-		m.series = obsv.NewTimeSeries(scheme, o.WindowCycles, o.ExemplarK)
-		m.Hooks.Series = m.series
+		m.Hooks.Series = obsv.NewTimeSeries(scheme, o.WindowCycles, o.ExemplarK)
 	}
 	if col := obsCollector.Load(); col != nil {
 		label := "serving/" + scheme
@@ -223,14 +212,14 @@ func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int)
 			label = fmt.Sprintf("serving/%s/s%d", scheme, shard)
 		}
 		ob := col.NewObs(label)
-		ob.Series = m.series
+		ob.Series = m.Hooks.Series
 		ob.Tracer.Name(m.Ctx, "loader")
 		ob.Tracer.Name(m.GC, "gc")
-		m.Pool.Device().SetObs(ob)
+		m.Device().SetObs(ob)
 		if m.Eng != nil {
 			m.Eng.SetObs(ob)
 		}
-		registerRunGroups(ob, m.Ctx, m.GC, m.Eng)
+		registerRunGroups(ob, m.Machine)
 	}
 	return m, nil
 }
@@ -240,12 +229,13 @@ func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int)
 func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (ServingVariant, float64, error) {
 	n := len(shardKeys)
 	cfgs := redisws.ShardConfigs(servingConfig(o), n)
-	machines := make([]*servingMachine, 0, n)
+	machines := make([]*redisws.Machine, 0, n)
 	defer func() {
 		for _, m := range machines {
 			if m.Eng != nil {
 				m.Eng.Close()
 			}
+			m.Release()
 		}
 	}()
 	shards := make([]redisws.Shard, n)
@@ -255,7 +245,7 @@ func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (Servin
 			return ServingVariant{}, 0, err
 		}
 		machines = append(machines, m)
-		shards[i] = m.Shard
+		shards[i] = m.Shard()
 	}
 
 	sh, err := redisws.ServeSharded(shards, cfgs)
@@ -268,11 +258,11 @@ func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (Servin
 	var shardSeries []*obsv.TimeSeries
 	if !o.NoWindows {
 		if n == 1 {
-			series = machines[0].series
+			series = machines[0].Hooks.Series
 		} else {
 			shardSeries = make([]*obsv.TimeSeries, n)
 			for i, m := range machines {
-				shardSeries[i] = m.series
+				shardSeries[i] = m.Hooks.Series
 			}
 			series, err = redisws.MergeShardSeries(scheme, o.WindowCycles, o.ExemplarK, shardSeries)
 			if err != nil {
@@ -288,7 +278,8 @@ func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (Servin
 
 	nOps := float64(out.Ops)
 	v := ServingVariant{
-		Name:       machines[0].name,
+		Name:       servingNames[scheme],
+		Scheme:     scheme,
 		P50:        out.Lat.Percentile(50),
 		P99:        out.Lat.Percentile(99),
 		P999:       out.Lat.Percentile(99.9),
@@ -338,7 +329,7 @@ func (r ServingResult) String() string {
 		fmt.Fprintf(&b, ", %d shards", r.Shards)
 	}
 	b.WriteString("\n")
-	t := stats.NewTable("scheme", "p50(cyc)", "p99(cyc)", "p999(cyc)", "max(cyc)",
+	t := obsv.NewTable("scheme", "p50(cyc)", "p99(cyc)", "p999(cyc)", "max(cyc)",
 		"app(cyc)", "interf", "stall", "queue", "hit%", "fragR", "par-ops")
 	for _, v := range r.Variants {
 		t.Add(v.Name, v.P50, v.P99, v.P999, v.Max,
@@ -350,7 +341,7 @@ func (r ServingResult) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "\nper-shard rows — %s:\n", v.Name)
-		st := stats.NewTable("shard", "ops", "p50(cyc)", "p999(cyc)", "rate(ops/s)", "par-ops", "serial", "evict")
+		st := obsv.NewTable("shard", "ops", "p50(cyc)", "p999(cyc)", "rate(ops/s)", "par-ops", "serial", "evict")
 		for _, s := range v.PerShard {
 			st.Add(s.Shard, s.Ops, s.P50, s.P999, s.Rate, s.Parallel, s.Serial, s.Evictions)
 		}
@@ -395,7 +386,7 @@ func (r ServingResult) Metrics() map[string]float64 {
 	}
 	var total uint64
 	for _, v := range r.Variants {
-		k := "serving." + schemeKey(v.Name) + "."
+		k := "serving." + v.Scheme + "."
 		m[k+"p50_cycles"] = v.P50
 		m[k+"p99_cycles"] = v.P99
 		m[k+"p999_cycles"] = v.P999
@@ -431,18 +422,4 @@ func (r ServingResult) Metrics() map[string]float64 {
 	}
 	m["sim_cycles_total"] = float64(total)
 	return m
-}
-
-func schemeKey(name string) string {
-	switch name {
-	case "PMDK (baseline)":
-		return "none"
-	case "FFCCD":
-		return "ffccd"
-	case "STW defrag":
-		return "stw"
-	case "Mesh":
-		return "mesh"
-	}
-	return strings.ToLower(strings.ReplaceAll(name, " ", "_"))
 }

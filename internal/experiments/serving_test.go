@@ -70,7 +70,7 @@ func TestServingWindowsDoNotPerturb(t *testing.T) {
 	}
 	csv := on.CSV()
 	for _, v := range on.Variants {
-		key := schemeKey(v.Name)
+		key := v.Scheme
 		if v.Series == nil || v.Series.Count() == 0 {
 			t.Fatalf("%s: windowed run captured nothing", v.Name)
 		}

@@ -7,7 +7,6 @@ import (
 	"ffccd/internal/faultinject"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
-	"ffccd/internal/stats"
 )
 
 // ServingCrashOptions parameterizes the serving-availability grid: one
@@ -288,7 +287,7 @@ func (r ServingCrashResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ServingCrash — availability under one mid-run power failure: %d clients, %d ops\n",
 		r.Clients, r.Ops)
-	t := stats.NewTable("scheme", "sites", "site", "class", "blackout(cyc)", "recovery(cyc)",
+	t := obsv.NewTable("scheme", "sites", "site", "class", "blackout(cyc)", "recovery(cyc)",
 		"ttfa(cyc)", "ramp(cyc)", "retries", "rejects", "admitted", "p999(cyc)")
 	for _, v := range r.Variants {
 		t.Add(v.Name, v.SitesTotal, v.Site, v.CrashClass, v.BlackoutCycles, v.RecoveryCycles,

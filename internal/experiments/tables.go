@@ -6,8 +6,8 @@ import (
 
 	"ffccd/internal/arch"
 	"ffccd/internal/core"
+	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 )
 
 // Table3Row is one microbenchmark line of Table 3.
@@ -100,7 +100,7 @@ func Table3(scale float64) (Table3Result, error) {
 func (r Table3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table 3 — fragmentation effectiveness (microbenchmarks)")
-	t := stats.NewTable("prog", "PMDK(MB)", "Actual(MB)", "Ours-N(MB)", "Ours-R(MB)", "Red-N(%)", "Red-R(%)")
+	t := obsv.NewTable("prog", "PMDK(MB)", "Actual(MB)", "Ours-N(MB)", "Ours-R(MB)", "Red-N(%)", "Red-R(%)")
 	var sums [6]float64
 	for _, row := range r.Rows {
 		t.Add(row.Store, row.PMDKMB, row.ActualMB, row.OursNormalMB, row.OursRelaxedMB, row.ReductionN, row.ReductionR)
@@ -174,7 +174,7 @@ func Table4(scale float64) (Table4Result, error) {
 func (r Table4Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table 4 — fragmentation effectiveness (applications)")
-	t := stats.NewTable("app", "PMDK(MB)", "Actual(MB)", "Ours(MB)", "Reduction(%)")
+	t := obsv.NewTable("app", "PMDK(MB)", "Actual(MB)", "Ours(MB)", "Reduction(%)")
 	var sums [4]float64
 	for _, row := range r.Rows {
 		name := row.Store
@@ -199,7 +199,7 @@ func Table1() string {
 	rows, mem := arch.CostTable(&cfg)
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table 1 — hardware cost")
-	t := stats.NewTable("component", "entry(B)", "entries", "size(B)", "area(mm²)")
+	t := obsv.NewTable("component", "entry(B)", "entries", "size(B)", "area(mm²)")
 	for _, r := range rows {
 		entry := "-"
 		if r.EntryBytes > 0 {
@@ -213,7 +213,7 @@ func Table1() string {
 	}
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "total on-chip storage: %d bytes\n", arch.TotalOnChipBytes(&cfg))
-	t2 := stats.NewTable("in-memory structure", "bytes/4KB page", "overhead(%)")
+	t2 := obsv.NewTable("in-memory structure", "bytes/4KB page", "overhead(%)")
 	for _, m := range mem {
 		t2.Add(m.Structure, m.BytesPer4KBPage, m.OverheadPercent)
 	}
@@ -226,7 +226,7 @@ func Table2() string {
 	cfg := sim.DefaultConfig()
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table 2 — simulation parameters (cycles @2.6 GHz)")
-	t := stats.NewTable("parameter", "value")
+	t := obsv.NewTable("parameter", "value")
 	add := func(k string, v any) { t.Add(k, v) }
 	add("L1D latency", cfg.L1Latency)
 	add("L2 latency", cfg.L2Latency)

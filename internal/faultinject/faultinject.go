@@ -24,11 +24,12 @@
 //     are forked from prefixes loaded once per campaign (redisws.Load): the
 //     trials differ only once dispatch begins.
 //
-// The batch machine and its churner live in machine.go; the serving driver
-// builds its machines with redisws.NewMachine. Both restart through one
-// sequence (restart.run, machine.go): power failure, reopen, recovery with
-// the site recorder armed, and on a crash inside recovery a second power
-// failure and an unscheduled recovery.
+// Every machine is a machine.Machine: the batch driver builds its own
+// (machine.go, with the churner), the serving driver builds them with
+// redisws.NewMachine, and both prefixes are machine images the trials fork.
+// Both restart through one sequence (restart.run, machine.go): power
+// failure, Machine.Reopen, recovery with the site recorder armed, and on a
+// crash inside recovery a second power failure and an unscheduled recovery.
 //
 // One campaign (campaign.go) sweeps or samples the site space of any Schedule
 // and one shrinker (shrink.go) minimizes failures into repro artifacts.
@@ -41,6 +42,7 @@ import (
 
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
+	"ffccd/internal/machine"
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -159,31 +161,18 @@ func AllSettings() []Setting {
 	return out
 }
 
-// buildStore constructs a named store over p.
+// ssSlots is the slot count of a trial's SS store, which bounds its keys.
+const ssSlots = 1024
+
+// buildStore creates, or on a reopened pool opens, a trial's store.
 func buildStore(ctx *sim.Ctx, p *pmop.Pool, name string) (ds.Store, error) {
-	switch name {
-	case "LL":
-		return ds.NewList(ctx, p)
-	case "AVL":
-		return ds.NewAVL(ctx, p)
-	case "SS":
-		return ds.NewStringStore(ctx, p, 1024)
-	case "BT":
-		return ds.NewBPTree(ctx, p)
-	case "RBT":
-		return ds.NewRBTree(ctx, p)
-	case "BzTree":
-		return ds.NewBzTree(ctx, p)
-	case "FPTree":
-		return ds.NewFPTree(ctx, p)
-	}
-	return nil, fmt.Errorf("faultinject: unknown store %q", name)
+	return machine.NewStore(ctx, p, name, ssSlots, 0)
 }
 
 // keyCapFor bounds the key space for slot-addressed stores.
 func keyCapFor(name string) uint64 {
 	if name == "SS" {
-		return 1024
+		return ssSlots
 	}
 	return 1 << 30
 }

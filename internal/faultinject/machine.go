@@ -12,53 +12,41 @@ import (
 	"ffccd/internal/checker"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
+	"ffccd/internal/machine"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
 
-// machine is the simulated machine of one batch trial: a 64 MB pool over a
-// 256 KB cache holding one store of the setting.
-type machine struct {
+// trial is the machine a batch trial runs on, with its setting: a 64 MB pool
+// over a 256 KB cache holding one store of the setting.
+type trial struct {
+	*machine.Machine
 	setting Setting
-	cfg     sim.Config
-	pool    *pmop.Pool
-	dev     *pmem.Device
-	ctx     *sim.Ctx // the driver's context
-	store   ds.Store
 }
 
-func batchRegistry() *pmop.Registry {
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	return reg
+// trialSimConfig is the simulated configuration of every trial machine, batch
+// and serving: the default one over a 256 KB cache. A serving trial thereby
+// crashes the machine the SLO grid (experiments.Serving) measures, over a
+// smaller pool and cache.
+func trialSimConfig() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.CacheBytes = 256 * 1024
+	return cfg
 }
 
-// batchDevBytes is the batch machine's device size; its one pool takes half.
-const batchDevBytes = 128 << 20
-
-// blankMachine returns a machine with its configuration and nothing else.
-func blankMachine(setting Setting) *machine {
-	m := &machine{setting: setting, cfg: sim.DefaultConfig()}
-	m.cfg.CacheBytes = 256 * 1024
-	return m
-}
-
-// newMachine builds the machine for setting with an empty store. The caller
-// owns the media: it calls dev.ReleaseMedia once it is done with the machine.
-func newMachine(setting Setting) (*machine, error) {
-	m := blankMachine(setting)
-	var err error
-	if m.pool, err = pmop.NewRuntime(&m.cfg, batchDevBytes).Create("fi", batchDevBytes/2, 12, batchRegistry()); err != nil {
+// newTrial builds the machine for setting with an empty store. The caller
+// releases it once it is done with it.
+func newTrial(setting Setting) (*trial, error) {
+	m, err := machine.Build(machine.Spec{Name: "fi", PoolBytes: 64 << 20, PageShift: 12, Sim: trialSimConfig()})
+	if err != nil {
 		return nil, err
 	}
-	m.dev = m.pool.Device()
-	m.ctx = sim.NewCtx(&m.cfg)
-	if m.store, err = buildStore(m.ctx, m.pool, setting.Store); err != nil {
-		m.dev.ReleaseMedia()
+	if m.Store, err = buildStore(m.Ctx, m.Pool, setting.Store); err != nil {
+		m.Release()
 		return nil, err
 	}
-	return m, nil
+	return &trial{m, setting}, nil
 }
 
 // prefix is the part of a scheduled batch trial that lies before its first
@@ -72,65 +60,56 @@ type prefix struct {
 	setting Setting
 	ops     int
 
-	img    pmop.Image
-	ctx    sim.CtxCheckpoint
-	store  ds.Store            // forks clone its volatile handles
+	img    *machine.Image
 	models []map[uint64][]byte // the churner's, one per thread
 }
 
 // buildPrefix builds the machine, runs the build churn of every thread in
 // thread order, flushes, and captures the result.
 func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
-	m, err := newMachine(setting)
+	t, err := newTrial(setting)
 	if err != nil {
 		return nil, err
 	}
-	defer m.dev.ReleaseMedia()
-	churn := newChurner(m, uint64(4*ops))
-	for t := 0; t < setting.Threads; t++ {
-		if err := churn.build(m.ctx, t, ops, rand.New(rand.NewSource(seed+int64(t)+1))); err != nil {
+	defer t.Release()
+	churn := newChurner(t, uint64(4*ops))
+	for th := 0; th < setting.Threads; th++ {
+		if err := churn.build(t.Ctx, th, ops, rand.New(rand.NewSource(seed+int64(th)+1))); err != nil {
 			return nil, err
 		}
 	}
-	m.dev.FlushAll(m.ctx)
-	pre := &prefix{setting: setting, ops: ops, store: m.store, models: churn.models}
-	m.pool.CaptureInto(&pre.img)
-	m.ctx.CheckpointInto(&pre.ctx)
-	return pre, nil
+	t.Device().FlushAll(t.Ctx)
+	return &prefix{setting: setting, ops: ops, img: t.Capture(), models: churn.models}, nil
 }
 
 // fork materializes the prefix as a machine of the caller's own, sharing the
 // prefix's media pages until it writes them, with the churner that goes on
-// from the build. The caller releases the media like newMachine's.
-func (pre *prefix) fork() (*machine, *churner, error) {
-	m := blankMachine(pre.setting)
-	var err error
-	if _, m.pool, err = pre.img.Fork(&m.cfg, "fi", batchRegistry()); err != nil {
+// from the build. The caller releases the machine like newTrial's.
+func (pre *prefix) fork() (*trial, *churner, error) {
+	m, err := pre.img.Fork()
+	if err != nil {
 		return nil, nil, err
 	}
-	m.dev = m.pool.Device()
-	m.ctx = sim.NewCtx(&m.cfg)
-	m.ctx.Restore(&pre.ctx)
-	m.store = pre.store.(ds.Forker).Fork(m.pool)
-	churn := newChurner(m, uint64(4*pre.ops))
-	for t := range churn.models {
-		churn.models[t] = maps.Clone(pre.models[t])
+	t := &trial{m, pre.setting}
+	churn := newChurner(t, uint64(4*pre.ops))
+	for th := range churn.models {
+		churn.models[th] = maps.Clone(pre.models[th])
 	}
-	return m, churn, nil
+	return t, churn, nil
 }
 
 // engineOptions is the configuration trials defragment and recover under:
 // thresholds low enough that any fragmentation opens an epoch. opts.Obs, when
 // set, supplies the trial's observability bundle, installed on the device too.
-func (m *machine) engineOptions(opts TrialOptions, seed int64) core.Options {
+func (t *trial) engineOptions(opts TrialOptions, seed int64) core.Options {
 	opt := core.DefaultOptions()
-	opt.Scheme = m.setting.Scheme
+	opt.Scheme = t.setting.Scheme
 	opt.TriggerRatio = 1.01
 	opt.TargetRatio = 1.05
 	if opts.Obs != nil {
-		if opt.Obs = opts.Obs(m.setting, seed); opt.Obs != nil {
-			opt.Obs.Tracer.Name(m.ctx, "driver")
-			m.dev.SetObs(opt.Obs)
+		if opt.Obs = opts.Obs(t.setting, seed); opt.Obs != nil {
+			opt.Obs.Tracer.Name(t.Ctx, "driver")
+			t.Device().SetObs(opt.Obs)
 		}
 	}
 	return opt
@@ -157,9 +136,9 @@ type churner struct {
 	pending []pendingOp
 }
 
-func newChurner(m *machine, span uint64) *churner {
-	c := &churner{store: m.store, keyCap: keyCapFor(m.setting.Store), span: span,
-		models: make([]map[uint64][]byte, m.setting.Threads), pending: make([]pendingOp, m.setting.Threads)}
+func newChurner(t *trial, span uint64) *churner {
+	c := &churner{store: t.Store, keyCap: keyCapFor(t.setting.Store), span: span,
+		models: make([]map[uint64][]byte, t.setting.Threads), pending: make([]pendingOp, t.setting.Threads)}
 	for i := range c.models {
 		c.models[i] = make(map[uint64][]byte)
 	}
@@ -259,64 +238,63 @@ func (c *churner) model() (model map[uint64][]byte, inFlight *pendingOp) {
 }
 
 // restart is the one power-failure-and-recovery sequence of every crash
-// driver: recovery as an idempotent capsule. The device loses power under
-// policy, the pool is reopened and recovered with the site recorder armed at
-// nested, and if that fires a second power failure inside recovery, the pool
-// is reopened again and an unscheduled recovery must finish the job.
+// driver: recovery as an idempotent capsule. The machine's device loses power
+// under policy, the machine is reopened and its pool recovered with the site
+// recorder armed at nested, and if that fires a second power failure inside
+// recovery, the machine is reopened again and an unscheduled recovery must
+// finish the job.
 type restart struct {
 	label  string // names the machine in errors
-	dev    *pmem.Device
+	m      *machine.Machine
 	policy pmem.CrashPolicy
 	nested int64    // recovery crash-site index; < 0 only counts the sites
 	ctx    *sim.Ctx // bills the recoveries
 	opt    core.Options
-	open   func() (*pmop.Pool, error)
 	// prepare, when non-nil, runs on each reopened pool before core.Recover
 	// and outside the nested schedule's site census.
 	prepare func(*pmop.Pool) error
 }
 
-// run performs the sequence and returns the recovered pool and engine,
-// recording the post-crash hash, the recovery census, the nested crash and
-// the last recovery's stages and cycles in res.
-func (r *restart) run(res *Result) (*pmop.Pool, *core.Engine, error) {
+// run performs the sequence, leaving the recovered pool and engine in the
+// machine, and records the post-crash hash, the recovery census, the nested
+// crash and the last recovery's stages and cycles in res.
+func (r *restart) run(res *Result) error {
 	r.opt.RecoveryProgress = func(stage string) { res.RecoveryStages = append(res.RecoveryStages, stage) }
-	var p *pmop.Pool
-	var e *core.Engine
+	m, dev := r.m, r.m.Device()
 	powerFail := func() {
-		r.dev.SetCrashPolicy(r.policy)
-		r.dev.Crash()
+		dev.SetCrashPolicy(r.policy)
+		dev.Crash()
 	}
 	reopen := func() (err error) {
-		if p, err = r.open(); err == nil && r.prepare != nil {
-			err = r.prepare(p)
+		if err = m.Reopen(); err == nil && r.prepare != nil {
+			err = r.prepare(m.Pool)
 		}
 		res.RecoveryStages = res.RecoveryStages[:0]
 		return err
 	}
 	powerFail()
-	res.PostCrashHash = r.dev.HashMedia()
+	res.PostCrashHash = dev.HashMedia()
 	if err := reopen(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	var err error
-	r.dev.ArmSites(r.nested)
-	res.NestedCrash = pmem.CatchCrash(func() { e, err = core.Recover(r.ctx, p, r.opt) })
-	res.RecoveryCensus = r.dev.DisarmSites()
+	dev.ArmSites(r.nested)
+	res.NestedCrash = pmem.CatchCrash(func() { m.Eng, err = core.Recover(r.ctx, m.Pool, r.opt) })
+	res.RecoveryCensus = dev.DisarmSites()
 	if err != nil {
-		return nil, nil, fmt.Errorf("recovery failed (%s): %w", r.label, err)
+		return fmt.Errorf("recovery failed (%s): %w", r.label, err)
 	}
 	if res.NestedCrash != nil {
 		powerFail()
 		if err := reopen(); err != nil {
-			return nil, nil, err
+			return err
 		}
-		if e, err = core.Recover(r.ctx, p, r.opt); err != nil {
-			return nil, nil, fmt.Errorf("second recovery failed (%s): %w", r.label, err)
+		if m.Eng, err = core.Recover(r.ctx, m.Pool, r.opt); err != nil {
+			return fmt.Errorf("second recovery failed (%s): %w", r.label, err)
 		}
 	}
-	res.RecoveryCycles = e.RecoveryCost().Total()
-	return p, e, nil
+	res.RecoveryCycles = m.Eng.RecoveryCost().Total()
+	return nil
 }
 
 // restartAndCheck power-fails the machine, restarts it, reopens the store and
@@ -324,46 +302,36 @@ func (r *restart) run(res *Result) (*pmop.Pool, *core.Engine, error) {
 // when a churn transaction was in flight at the crash, against the model with
 // that operation applied — then defragmentation metadata against the memory
 // state. It fills res (FinalHash included, once both checks pass).
-func (m *machine) restartAndCheck(res *Result, policy pmem.CrashPolicy, nested int64, opt core.Options, opts TrialOptions, c *churner) error {
-	p, e, err := (&restart{
-		label: m.setting.String(), dev: m.dev, policy: policy, nested: nested, ctx: m.ctx, opt: opt,
-		open: func() (*pmop.Pool, error) {
-			rt, err := pmop.Attach(&m.cfg, m.dev)
-			if err != nil {
-				return nil, err
-			}
-			return rt.Open("fi", batchRegistry())
-		},
-	}).run(res)
+func (t *trial) restartAndCheck(res *Result, policy pmem.CrashPolicy, nested int64, opt core.Options, opts TrialOptions, c *churner) error {
+	err := (&restart{label: t.setting.String(), m: t.Machine, policy: policy, nested: nested, ctx: t.Ctx, opt: opt}).run(res)
 	if err != nil {
 		return err
 	}
-	defer e.Close()
-	s, err := buildStore(m.ctx, p, m.setting.Store)
-	if err != nil {
+	defer t.Eng.Close()
+	if t.Store, err = buildStore(t.Ctx, t.Pool, t.setting.Store); err != nil {
 		return err
 	}
 	if opts.AfterRecovery != nil {
-		opts.AfterRecovery(m.ctx, p, s)
+		opts.AfterRecovery(t.Ctx, t.Pool, t.Store)
 	}
 	model, inFlight := c.model()
-	if err := checker.CheckStore(m.ctx, s, model); err != nil {
+	if err := checker.CheckStore(t.Ctx, t.Store, model); err != nil {
 		if inFlight == nil {
-			return fmt.Errorf("checker step 1 (%s): %w", m.setting, err)
+			return fmt.Errorf("checker step 1 (%s): %w", t.setting, err)
 		}
 		if inFlight.val != nil {
 			model[inFlight.key] = inFlight.val
 		} else {
 			delete(model, inFlight.key)
 		}
-		if checker.CheckStore(m.ctx, s, model) != nil {
-			return fmt.Errorf("checker step 1 (%s): %w", m.setting, err)
+		if checker.CheckStore(t.Ctx, t.Store, model) != nil {
+			return fmt.Errorf("checker step 1 (%s): %w", t.setting, err)
 		}
 	}
-	if _, err := checker.CheckGraph(m.ctx, p); err != nil {
-		return fmt.Errorf("checker step 2 (%s): %w", m.setting, err)
+	if _, err := checker.CheckGraph(t.Ctx, t.Pool); err != nil {
+		return fmt.Errorf("checker step 2 (%s): %w", t.setting, err)
 	}
-	m.dev.FlushAll(m.ctx)
-	res.FinalHash = m.dev.HashMedia()
+	t.Device().FlushAll(t.Ctx)
+	res.FinalHash = t.Device().HashMedia()
 	return nil
 }

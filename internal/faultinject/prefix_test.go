@@ -23,19 +23,19 @@ import (
 )
 
 // scratchMachine builds, churns and flushes a machine in place.
-func scratchMachine(setting Setting, seed int64, ops int) (*machine, *churner, error) {
-	m, err := newMachine(setting)
+func scratchMachine(setting Setting, seed int64, ops int) (*trial, *churner, error) {
+	m, err := newTrial(setting)
 	if err != nil {
 		return nil, nil, err
 	}
 	churn := newChurner(m, uint64(4*ops))
 	for t := 0; t < setting.Threads; t++ {
-		if err := churn.build(m.ctx, t, ops, rand.New(rand.NewSource(seed+int64(t)+1))); err != nil {
-			m.dev.ReleaseMedia()
+		if err := churn.build(m.Ctx, t, ops, rand.New(rand.NewSource(seed+int64(t)+1))); err != nil {
+			m.Release()
 			return nil, nil, err
 		}
 	}
-	m.dev.FlushAll(m.ctx)
+	m.Device().FlushAll(m.Ctx)
 	return m, churn, nil
 }
 
@@ -53,7 +53,7 @@ func scratchRunScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer m.dev.ReleaseMedia()
+	defer m.Release()
 	return m.runArmed(rep, policy, churn, opts)
 }
 
@@ -164,22 +164,22 @@ func TestForkReproducesTheBuiltMachine(t *testing.T) {
 			what      string
 			got, want any
 		}{
-			{"device", forked.dev.Checkpoint(), built.dev.Checkpoint()},
-			{"media hash", forked.dev.HashMedia(), built.dev.HashMedia()},
-			{"heap", forked.pool.Heap().Checkpoint(), built.pool.Heap().Checkpoint()},
-			{"context", forked.ctx.Checkpoint(), built.ctx.Checkpoint()},
-			{"pool ops", forked.pool.Ops.Load(), built.pool.Ops.Load()},
-			{"tx slot order", forked.pool.TxSlotOrder(), built.pool.TxSlotOrder()},
-			{"pool VA base", forked.pool.VA(0), built.pool.VA(0)},
-			{"store length", forked.store.Len(), built.store.Len()},
+			{"device", forked.Device().Checkpoint(), built.Device().Checkpoint()},
+			{"media hash", forked.Device().HashMedia(), built.Device().HashMedia()},
+			{"heap", forked.Pool.Heap().Checkpoint(), built.Pool.Heap().Checkpoint()},
+			{"context", forked.Ctx.Checkpoint(), built.Ctx.Checkpoint()},
+			{"pool ops", forked.Pool.Ops.Load(), built.Pool.Ops.Load()},
+			{"tx slot order", forked.Pool.TxSlotOrder(), built.Pool.TxSlotOrder()},
+			{"pool VA base", forked.Pool.VA(0), built.Pool.VA(0)},
+			{"store length", forked.Store.Len(), built.Store.Len()},
 			{"models", forkedChurn.models, churn.models},
 		} {
 			if !reflect.DeepEqual(c.got, c.want) {
 				t.Errorf("%s: forked %s differs from the built machine's", setting, c.what)
 			}
 		}
-		forked.dev.ReleaseMedia()
-		built.dev.ReleaseMedia()
+		forked.Release()
+		built.Release()
 	}
 }
 
@@ -341,7 +341,7 @@ func TestForkedTrialMaterialisesOnlyItsWrites(t *testing.T) {
 		if i%2 == 1 {
 			rep.Nested = int64(3 * i)
 		}
-		check(rep.MarshalLine(), &pre.img.Dev, func(o TrialOptions) error {
+		check(rep.MarshalLine(), &pre.img.Pool.Dev, func(o TrialOptions) error {
 			_, err := c.runScheduled(rep, o)
 			return err
 		})
@@ -363,7 +363,7 @@ func TestForkedTrialMaterialisesOnlyItsWrites(t *testing.T) {
 	for i, site := range []int64{300, 700, 1500} {
 		rep := srep
 		rep.Site, rep.Nested, rep.Policy = site, int64(i)-1, Policies[i%len(Policies)]
-		check(rep.MarshalLine(), &pres[0].img.Dev, func(o TrialOptions) error {
+		check(rep.MarshalLine(), &pres[0].img.Pool.Dev, func(o TrialOptions) error {
 			_, err := c.runServe(rep, o)
 			return err
 		})

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"ffccd/internal/checker"
-	"ffccd/internal/core"
 	"ffccd/internal/pmem"
 	"ffccd/internal/redisws"
 )
@@ -326,7 +325,7 @@ func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m, churn, err := pre.fork()
+	t, churn, err := pre.fork()
 	if err != nil {
 		return Result{}, err
 	}
@@ -334,29 +333,29 @@ func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	// This runs on the trial's own goroutine — a watchdog that gives up on a
 	// hung trial abandons the machine instead, as the trial may still be
 	// writing.
-	defer m.dev.ReleaseMedia()
-	return m.runArmed(rep, policy, churn, opts)
+	defer t.Release()
+	return t.runArmed(rep, policy, churn, opts)
 }
 
 // runArmed is the trial from the built, flushed machine on: everything a
 // schedule can crash. One goroutine does the churn, the engine stepping, the
 // crash, the recovery and the checking: the threads' tail churn and the
-// compaction steps interleave round-robin. rep is normalized, names m's
+// compaction steps interleave round-robin. rep is normalized, names t's
 // setting and loses power under policy.
-func (m *machine) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opts TrialOptions) (Result, error) {
+func (t *trial) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opts TrialOptions) (Result, error) {
 	var res Result
-	setting, ctx, dev := m.setting, m.ctx, m.dev
-	opt := m.engineOptions(opts, rep.Seed)
-	e := core.NewEngine(m.pool, opt)
+	setting, ctx, dev := t.setting, t.Ctx, t.Device()
+	opt := t.engineOptions(opts, rep.Seed)
+	e := t.NewEngine(opt)
 
 	// Main run, armed. Compaction steps interleave with tail churn so the
 	// read barrier and mid-epoch application transactions are inside the
 	// schedulable window, then the epoch terminates.
 	tailRngs := make([]*rand.Rand, setting.Threads)
 	tailLeft := make([]int, setting.Threads)
-	for t := range tailRngs {
-		tailRngs[t] = rand.New(rand.NewSource(rep.Seed ^ 0x5a5a + int64(t)))
-		tailLeft[t] = rep.TailOps
+	for th := range tailRngs {
+		tailRngs[th] = rand.New(rand.NewSource(rep.Seed ^ 0x5a5a + int64(th)))
+		tailLeft[th] = rep.TailOps
 	}
 	var churnErr error
 	dev.ArmSites(rep.Site)
@@ -368,15 +367,15 @@ func (m *machine) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, o
 		for {
 			moved := e.StepCompaction(ctx, 7)
 			tailDone := true
-			for t := 0; t < setting.Threads; t++ {
-				n := min(tailLeft[t], 5)
+			for th := 0; th < setting.Threads; th++ {
+				n := min(tailLeft[th], 5)
 				if n > 0 {
-					tailLeft[t] -= n
-					if churnErr = churn.churn(ctx, t, n, tailRngs[t]); churnErr != nil {
+					tailLeft[th] -= n
+					if churnErr = churn.churn(ctx, th, n, tailRngs[th]); churnErr != nil {
 						return
 					}
 				}
-				if tailLeft[t] > 0 {
+				if tailLeft[th] > 0 {
 					tailDone = false
 				}
 			}
@@ -398,10 +397,10 @@ func (m *machine) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, o
 		dev.FlushAll(ctx)
 		res.FinalHash = dev.HashMedia()
 		model, _ := churn.model()
-		if err := checker.CheckStore(ctx, m.store, model); err != nil {
+		if err := checker.CheckStore(ctx, t.Store, model); err != nil {
 			return res, fmt.Errorf("census check 1 (%s): %w", setting, err)
 		}
-		if _, err := checker.CheckGraph(ctx, m.pool); err != nil {
+		if _, err := checker.CheckGraph(ctx, t.Pool); err != nil {
 			return res, fmt.Errorf("census check 2 (%s): %w", setting, err)
 		}
 		return res, nil
@@ -412,5 +411,5 @@ func (m *machine) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, o
 	// contexts are abandoned wholesale — their volatile state is what the
 	// crash destroys.
 	res.Began = true
-	return res, m.restartAndCheck(&res, policy, rep.Nested, opt, opts, churn)
+	return res, t.restartAndCheck(&res, policy, rep.Nested, opt, opts, churn)
 }

@@ -40,12 +40,10 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 
 	// The machines of the SLO grid (experiments.Serving) over a smaller pool
 	// and cache, so scheduled trials crash the machine the grid measures.
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
 	nsh := rep.Shards
 	machines := make([]*redisws.Machine, nsh)
 	for i := range machines {
-		if machines[i], err = redisws.NewMachine(&cfg, rep.Scheme, "serve", shardKeys[i], 16<<20); err != nil {
+		if machines[i], err = redisws.NewMachine(trialSimConfig(), rep.Scheme, "serve", shardKeys[i], 16<<20); err != nil {
 			return res, err
 		}
 		if opts.Series != nil {
@@ -57,7 +55,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 	// The pre-crash engine is abandoned wholesale at a crash, like the batch
 	// driver: its volatile state is exactly what the power failure destroys.
 	target := machines[rep.Shard]
-	dev := target.RT.Device()
+	dev := target.Device()
 	crashed := false
 	target.Hooks.Crash = &redisws.CrashPlan{
 		AdmitCap: opts.AdmitCap,
@@ -68,18 +66,11 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 			res.Census = dev.DisarmSites()
 
 			// recCtx bills the blackout — the cycles the server is gone.
-			recCtx := sim.NewCtx(&cfg)
+			recCtx := sim.NewCtx(&target.Cfg)
 			var d2 *mesh.Defragmenter
 			rs := restart{
-				label: rep.Scheme, dev: dev, policy: policy, nested: rep.Nested,
+				label: rep.Scheme, m: target.Machine, policy: policy, nested: rep.Nested,
 				ctx: recCtx, opt: redisws.SchemeOptions(rep.Scheme),
-				open: func() (*pmop.Pool, error) {
-					rt, err := pmop.Attach(&cfg, dev)
-					if err != nil {
-						return nil, err
-					}
-					return rt.Open("serve", redisws.ServeRegistry())
-				},
 			}
 			if rep.Scheme == "mesh" {
 				// Mesh's remap table must be installed before reference
@@ -91,10 +82,10 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 					return err
 				}
 			}
-			p2, e2, err := rs.run(&res)
-			if err != nil {
+			if err := rs.run(&res); err != nil {
 				return nil, err
 			}
+			p2, e2 := target.Pool, target.Eng
 			// After the allocator rebuild, re-pin meshed frames so later
 			// cycles cannot re-mesh over resident neighbours.
 			if d2 != nil {
@@ -109,7 +100,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 			}
 			// Durable-ack and graph checks run on a non-billed context: the
 			// blackout bill is the restart work, not the validation harness.
-			chkCtx := sim.NewCtx(&cfg)
+			chkCtx := sim.NewCtx(&target.Cfg)
 			var pw *checker.PendingWrite
 			if pending != nil {
 				pw = &checker.PendingWrite{Key: pending.Key, Val: pending.Val}
@@ -126,7 +117,6 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 			if _, err := checker.CheckGraph(chkCtx, p2); err != nil {
 				return nil, fmt.Errorf("post-recovery graph check (%s): %w", rep.Scheme, err)
 			}
-			target.Pool, target.Eng = p2, e2
 			return &redisws.Recovered{
 				Store:  s2,
 				Pool:   p2,
@@ -141,7 +131,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 	// cycles, so sibling behaviour is bit-identical to an armed pass.
 	if nsh > 1 && rep.Site < 0 {
 		for i, m := range machines {
-			if md := m.RT.Device(); i != rep.Shard {
+			if md := m.Device(); i != rep.Shard {
 				m.Hooks.Crash = &redisws.CrashPlan{Arm: func() { md.ArmSites(-1) }}
 			}
 		}
@@ -149,7 +139,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 
 	shards := make([]redisws.Shard, nsh)
 	for i, m := range machines {
-		shards[i] = m.Shard
+		shards[i] = m.Shard()
 	}
 	sharded, err := redisws.ServeSharded(shards, redisws.ShardConfigs(serveConfigFor(rep), nsh))
 	// Every shard job has returned, so this goroutine is the machines' only
@@ -158,7 +148,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 	// shards running — and never by a watchdog that gave up on the trial.)
 	defer func() {
 		for _, m := range machines {
-			m.RT.Device().ReleaseMedia()
+			m.Release()
 		}
 	}()
 	res.Serve = &sharded.Merged
@@ -178,7 +168,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 			if i == rep.Shard {
 				res.ShardCensus[i] = res.Census
 			} else {
-				res.ShardCensus[i] = m.RT.Device().DisarmSites()
+				res.ShardCensus[i] = m.Device().DisarmSites()
 			}
 		}
 	}
@@ -190,10 +180,10 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 		if m.Eng != nil {
 			m.Eng.Close()
 		}
-		m.RT.Device().FlushAll(m.Ctx)
+		m.Device().FlushAll(m.Ctx)
 	}
 	for _, m := range machines {
-		h := m.RT.Device().HashMedia()
+		h := m.Device().HashMedia()
 		res.FinalHash = h
 		if nsh > 1 {
 			res.ShardHashes = append(res.ShardHashes, h)
@@ -201,7 +191,7 @@ func scratchRunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error)
 			res.FinalHash = fold
 		}
 	}
-	chkCtx := sim.NewCtx(&cfg)
+	chkCtx := sim.NewCtx(&target.Cfg)
 	for i, m := range machines {
 		if _, err := checker.CheckGraph(chkCtx, m.Pool); err != nil {
 			if nsh > 1 {
@@ -312,8 +302,7 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 		}
 		cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
 		for i, pre := range pres {
-			cfg := serveSimConfig()
-			built, err := redisws.NewMachine(&cfg, scheme, "serve", shardKeys[i], 16<<20)
+			built, err := redisws.NewMachine(trialSimConfig(), scheme, "serve", shardKeys[i], 16<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +310,7 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forked, err := pre.fork(&cfg, scheme)
+			forked, err := pre.fork(scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,8 +318,8 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 				what      string
 				got, want any
 			}{
-				{"device", forked.RT.Device().Checkpoint(), built.RT.Device().Checkpoint()},
-				{"media hash", forked.RT.Device().HashMedia(), built.RT.Device().HashMedia()},
+				{"device", forked.Device().Checkpoint(), built.Device().Checkpoint()},
+				{"media hash", forked.Device().HashMedia(), built.Device().HashMedia()},
 				{"heap", forked.Pool.Heap().Checkpoint(), built.Pool.Heap().Checkpoint()},
 				{"loader context", forked.Ctx.Checkpoint(), built.Ctx.Checkpoint()},
 				{"defrag context", forked.GC.Checkpoint(), built.GC.Checkpoint()},
@@ -346,8 +335,8 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 					t.Errorf("%s shard %d: forked %s differs from the loaded machine's", scheme, i, c.what)
 				}
 			}
-			forked.RT.Device().ReleaseMedia()
-			built.RT.Device().ReleaseMedia()
+			forked.Release()
+			built.Release()
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"slices"
 
 	"ffccd/internal/checker"
-	"ffccd/internal/ds"
+	"ffccd/internal/machine"
 	"ffccd/internal/mesh"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
@@ -162,15 +162,6 @@ func (r ServeRepro) shrinks() []Schedule {
 	return out
 }
 
-// serveSimConfig is the simulated configuration of a serving trial's
-// machines: the SLO grid's (experiments.Serving) over a smaller pool and
-// cache, so scheduled trials crash the machine the grid measures.
-func serveSimConfig() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
-	return cfg
-}
-
 // servePrefix is one shard of a serving trial's deployment up to its first
 // schedulable site: the machine built, loaded and captured. The prefixes are
 // a pure function of the serving line without its crash point and crash
@@ -179,51 +170,42 @@ func serveSimConfig() sim.Config {
 // siblings too, since arming charges nothing. Like a batch prefix, nothing
 // writes a servePrefix once it is built.
 type servePrefix struct {
-	img    pmop.Image
-	ctx    sim.CtxCheckpoint // the loader's
-	store  ds.Store          // forks clone its volatile handles
+	img    *machine.Image
 	loaded *redisws.Loaded
 }
 
 // buildServePrefixes builds, loads and captures the machine of every shard of
 // rep (normalized; shard i owns shardKeys[i] keys), and releases each
-// machine's media as soon as it is captured.
+// machine as soon as it is captured.
 func buildServePrefixes(rep ServeRepro, shardKeys []int) ([]*servePrefix, error) {
 	cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
 	pres := make([]*servePrefix, len(cfgs))
 	return pres, workpool.ForEach(len(cfgs), func(i int) error {
-		cfg := serveSimConfig()
-		m, err := redisws.NewMachine(&cfg, rep.Scheme, "serve", shardKeys[i], 16<<20)
+		m, err := redisws.NewMachine(trialSimConfig(), rep.Scheme, "serve", shardKeys[i], 16<<20)
 		if err != nil {
 			return err
 		}
-		defer m.RT.Device().ReleaseMedia()
+		defer m.Release()
 		// Loaded under a crash plan, the prefix keeps the durable-ack mirror
 		// a trial's crash-target shard needs; its siblings drop it.
 		loaded, err := redisws.Load(m.Ctx, m.Pool, m.Store, cfgs[i], redisws.ServeHooks{Crash: &redisws.CrashPlan{}})
 		if err != nil {
 			return err
 		}
-		pres[i] = &servePrefix{store: m.Store, loaded: loaded}
-		m.Pool.CaptureInto(&pres[i].img)
-		m.Ctx.CheckpointInto(&pres[i].ctx)
+		pres[i] = &servePrefix{img: m.Capture(), loaded: loaded}
 		return nil
 	})
 }
 
 // fork materializes the prefix as a serving machine of scheme of the caller's
-// own, sharing the prefix's media pages until it writes them, under cfg (which
-// must outlive it). The caller releases the media like NewMachine's.
-func (pre *servePrefix) fork(cfg *sim.Config, scheme string) (*redisws.Machine, error) {
-	rt, p, err := pre.img.Fork(cfg, "serve", redisws.ServeRegistry())
+// own, sharing the prefix's media pages until it writes them. The caller
+// releases it like NewMachine's.
+func (pre *servePrefix) fork(scheme string) (*redisws.Machine, error) {
+	m, err := pre.img.Fork()
 	if err != nil {
 		return nil, err
 	}
-	m := &redisws.Machine{RT: rt, GC: sim.NewCtx(cfg)}
-	m.Ctx, m.Pool, m.Store = sim.NewCtx(cfg), p, pre.store.(ds.Forker).Fork(p)
-	m.Ctx.Restore(&pre.ctx)
-	m.Equip(scheme)
-	return m, nil
+	return redisws.Equip(m, scheme), nil
 }
 
 // servePrefixOf returns the prefixes of rep's deployment (rep normalized).
@@ -282,15 +264,14 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 		return res, err
 	}
 
-	cfg := serveSimConfig()
 	nsh := rep.Shards
 	machines := make([]*redisws.Machine, 0, nsh)
 	loaded := make([]*redisws.Loaded, nsh)
 	for i, pre := range pres {
-		m, err := pre.fork(&cfg, rep.Scheme)
+		m, err := pre.fork(rep.Scheme)
 		if err != nil {
 			for _, m := range machines {
-				m.RT.Device().ReleaseMedia()
+				m.Release()
 			}
 			return res, err
 		}
@@ -304,7 +285,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	// The pre-crash engine is abandoned wholesale at a crash, like the batch
 	// driver: its volatile state is exactly what the power failure destroys.
 	target := machines[rep.Shard]
-	dev := target.RT.Device()
+	dev := target.Device()
 	crashed := false
 	target.Hooks.Crash = &redisws.CrashPlan{
 		AdmitCap: opts.AdmitCap,
@@ -315,18 +296,11 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			res.Census = dev.DisarmSites()
 
 			// recCtx bills the blackout — the cycles the server is gone.
-			recCtx := sim.NewCtx(&cfg)
+			recCtx := sim.NewCtx(&target.Cfg)
 			var d2 *mesh.Defragmenter
 			rs := restart{
-				label: rep.Scheme, dev: dev, policy: policy, nested: rep.Nested,
+				label: rep.Scheme, m: target.Machine, policy: policy, nested: rep.Nested,
 				ctx: recCtx, opt: redisws.SchemeOptions(rep.Scheme),
-				open: func() (*pmop.Pool, error) {
-					rt, err := pmop.Attach(&cfg, dev)
-					if err != nil {
-						return nil, err
-					}
-					return rt.Open("serve", redisws.ServeRegistry())
-				},
 			}
 			if rep.Scheme == "mesh" {
 				// Mesh's remap table must be installed before reference
@@ -338,10 +312,10 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 					return err
 				}
 			}
-			p2, e2, err := rs.run(&res)
-			if err != nil {
+			if err := rs.run(&res); err != nil {
 				return nil, err
 			}
+			p2, e2 := target.Pool, target.Eng
 			// After the allocator rebuild, re-pin meshed frames so later
 			// cycles cannot re-mesh over resident neighbours.
 			if d2 != nil {
@@ -356,7 +330,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			}
 			// Durable-ack and graph checks run on a non-billed context: the
 			// blackout bill is the restart work, not the validation harness.
-			chkCtx := sim.NewCtx(&cfg)
+			chkCtx := sim.NewCtx(&target.Cfg)
 			var pw *checker.PendingWrite
 			if pending != nil {
 				pw = &checker.PendingWrite{Key: pending.Key, Val: pending.Val}
@@ -373,7 +347,6 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			if _, err := checker.CheckGraph(chkCtx, p2); err != nil {
 				return nil, fmt.Errorf("post-recovery graph check (%s): %w", rep.Scheme, err)
 			}
-			target.Pool, target.Eng = p2, e2
 			return &redisws.Recovered{
 				Store:  s2,
 				Pool:   p2,
@@ -388,7 +361,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	// cycles, so sibling behaviour is bit-identical to an armed pass.
 	if nsh > 1 && rep.Site < 0 {
 		for i, m := range machines {
-			if md := m.RT.Device(); i != rep.Shard {
+			if md := m.Device(); i != rep.Shard {
 				m.Hooks.Crash = &redisws.CrashPlan{Arm: func() { md.ArmSites(-1) }}
 			}
 		}
@@ -396,7 +369,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 
 	shards := make([]redisws.Shard, nsh)
 	for i, m := range machines {
-		shards[i] = m.Shard
+		shards[i] = m.Shard()
 	}
 	sharded, err := redisws.RunSharded(shards, loaded)
 	// Every shard job has returned, so this goroutine is the machines' only
@@ -405,7 +378,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	// shards running — and never by a watchdog that gave up on the trial.)
 	defer func() {
 		for _, m := range machines {
-			m.RT.Device().ReleaseMedia()
+			m.Release()
 		}
 	}()
 	res.Serve = &sharded.Merged
@@ -425,7 +398,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			if i == rep.Shard {
 				res.ShardCensus[i] = res.Census
 			} else {
-				res.ShardCensus[i] = m.RT.Device().DisarmSites()
+				res.ShardCensus[i] = m.Device().DisarmSites()
 			}
 		}
 	}
@@ -437,10 +410,10 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 		if m.Eng != nil {
 			m.Eng.Close()
 		}
-		m.RT.Device().FlushAll(m.Ctx)
+		m.Device().FlushAll(m.Ctx)
 	}
 	for _, m := range machines {
-		h := m.RT.Device().HashMedia()
+		h := m.Device().HashMedia()
 		res.FinalHash = h
 		if nsh > 1 {
 			res.ShardHashes = append(res.ShardHashes, h)
@@ -448,7 +421,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			res.FinalHash = fold
 		}
 	}
-	chkCtx := sim.NewCtx(&cfg)
+	chkCtx := sim.NewCtx(&target.Cfg)
 	for i, m := range machines {
 		if _, err := checker.CheckGraph(chkCtx, m.Pool); err != nil {
 			if nsh > 1 {

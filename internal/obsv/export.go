@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"ffccd/internal/sim"
-	"ffccd/internal/stats"
 )
 
 // Collector owns the observability of a whole benchmark invocation: one Obs
@@ -176,7 +175,7 @@ func (c *Collector) SummaryTable() string {
 	names, procs := c.snapshot()
 	var out string
 
-	ht := stats.NewTable("process", "histogram", "count", "mean", "p50", "p95", "max")
+	ht := NewTable("process", "histogram", "count", "mean", "p50", "p95", "max")
 	rows := 0
 	for pid, o := range procs {
 		for _, h := range o.Metrics.Snapshot().Hists {
@@ -194,7 +193,7 @@ func (c *Collector) SummaryTable() string {
 		out += "cycle-domain histograms (cycles):\n" + ht.String() + "\n"
 	}
 
-	gt := stats.NewTable("process", "group", "key", "value")
+	gt := NewTable("process", "group", "key", "value")
 	rows = 0
 	for pid, o := range procs {
 		snap := o.Metrics.Snapshot()
@@ -237,7 +236,7 @@ func TimelineTable(o *Obs) string {
 		}
 		return all[i].End < all[j].End
 	})
-	t := stats.NewTable("start_ms", "dur_ms", "thread", "event", "arg")
+	t := NewTable("start_ms", "dur_ms", "thread", "event", "arg")
 	for _, r := range all {
 		dur := "-"
 		if r.End > r.Start {
@@ -278,7 +277,7 @@ func WriteFlightRecorder(w io.Writer, o *Obs) error {
 		if _, err := fmt.Fprintf(w, "last %d metric windows before the fault:\n", len(wins)); err != nil {
 			return err
 		}
-		t := stats.NewTable("window", "start_ms", "ops", "p50", "p999", "worst_cause")
+		t := NewTable("window", "start_ms", "ops", "p50", "p999", "worst_cause")
 		for _, win := range wins {
 			cause := "-"
 			if len(win.Exemplars) > 0 {

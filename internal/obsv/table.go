@@ -1,6 +1,8 @@
-// Package stats provides the aligned table rendering the experiments use to
-// regenerate the paper's tables and figure series.
-package stats
+package obsv
+
+// Aligned table rendering: the experiments regenerate the paper's tables and
+// figure series with it, and the observability text exports lay out their
+// rows with it.
 
 import (
 	"fmt"

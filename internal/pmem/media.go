@@ -165,8 +165,8 @@ var pagePool struct {
 	pages  []*mediaPage
 	leaves []*pageLeaf
 	// materialized counts takePage calls: pages written for the first time
-	// or copied from a checkpoint's.
-	materialized uint64
+	// or copied from a checkpoint's. returned counts putPage calls.
+	materialized, returned uint64
 }
 
 // MaterializedPages reports how many media pages this process's devices have
@@ -176,6 +176,17 @@ func MaterializedPages() uint64 {
 	pagePool.Lock()
 	defer pagePool.Unlock()
 	return pagePool.materialized
+}
+
+// ReturnedPages reports how many materialised pages devices have given back:
+// released with their device, zeroed again, or dropped by a Restore. A page a
+// checkpoint shares is never given back; it goes with the checkpoint. So
+// devices that no checkpoint has seen return every page they materialised
+// once they are released.
+func ReturnedPages() uint64 {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	return pagePool.returned
 }
 
 // takePage returns a private page, pooled when one is, zeroed when zero is
@@ -205,6 +216,7 @@ func takePage(zero bool) *mediaPage {
 // putPage pools a private page the caller no longer holds. Call with
 // pagePool locked.
 func putPage(pg *mediaPage) {
+	pagePool.returned++
 	if len(pagePool.pages) < maxPooledPages {
 		pagePool.pages = append(pagePool.pages, pg)
 	}

@@ -8,10 +8,9 @@ import (
 
 // Image is what a fork needs of a quiescent pool to reproduce it: the device
 // (references to its media pages, the cache, in-flight lines, counters), the
-// heap's volatile tables, the op count and the transaction-slot order. The
-// experiment grids' fork driver and the crash campaigns' prefixes capture one
-// and fork it per run or trial. Fork only reads an image, so one image may be
-// forked any number of times, concurrently.
+// heap's volatile tables, the op count and the transaction-slot order. A
+// machine image (internal/machine) holds one. Fork only reads an image, so
+// one image may be forked any number of times, concurrently.
 type Image struct {
 	Dev     pmem.DeviceCheckpoint
 	heap    alloc.HeapCheckpoint
@@ -29,12 +28,15 @@ func (p *Pool) CaptureInto(img *Image) {
 
 // Fork restores img into a new device, which shares the image's media pages
 // until it writes them, and reopens the pool named name with reg at attach
-// epoch 0, so the fork has the captured pool's VA base. The caller releases the media (pmem.Device.ReleaseMedia) once done
-// with the pool; on error Fork has released it.
+// epoch 0, so the fork has the captured pool's VA base. Attaching writes no
+// media, so the restored device counters stay bit-identical, and the heap's
+// tables are restored rather than rebuilt. The caller releases the media
+// (pmem.Device.ReleaseMedia) once done with the pool; on error Fork has
+// released it.
 func (img *Image) Fork(cfg *sim.Config, name string, reg *Registry) (*Runtime, *Pool, error) {
 	dev := pmem.NewDeviceForRestore(cfg, uint64(img.Dev.MediaLen))
 	dev.Restore(&img.Dev)
-	rt, err := AttachAtEpoch(cfg, dev, 0)
+	rt, err := attachAt(cfg, dev, 0)
 	var p *Pool
 	if err == nil {
 		p, err = rt.Open(name, reg)

@@ -45,25 +45,12 @@ func NewRuntime(cfg *sim.Config, devSize uint64) *Runtime {
 // Attach builds a runtime over an existing device (after a simulated crash
 // and restart). Pools are not opened automatically; call Open.
 func Attach(cfg *sim.Config, dev *pmem.Device) (*Runtime, error) {
-	var b [8]byte
-	dev.MediaRead(sbMagicOff, b[:])
-	if binary.LittleEndian.Uint64(b[:]) != sbMagic {
-		return nil, fmt.Errorf("pmop: no superblock on device")
-	}
-	rt := attach(cfg, dev)
-	rt.epoch = 1 // any nonzero epoch shifts VA bases, exercising relocatability
-	rt.scanSuperblock()
-	return rt, nil
+	return attachAt(cfg, dev, 1) // any nonzero epoch shifts VA bases, exercising relocatability
 }
 
-// AttachAtEpoch builds a runtime over an existing device pinned to a specific
-// attach epoch. This is the fork path of the checkpoint/fork driver
-// (DESIGN.md §7): a forked pool must reproduce the parent's VA bases exactly
-// (epoch is a vaBase input), and unlike Attach the call performs no media
-// writes, so restored device counters stay bit-identical. Pools are reopened
-// via Open; their volatile allocator state is then restored from a
-// HeapCheckpoint rather than rebuilt.
-func AttachAtEpoch(cfg *sim.Config, dev *pmem.Device, epoch uint64) (*Runtime, error) {
+// attachAt builds a runtime over an existing device at attach epoch epoch,
+// an input of every pool's VA base. It performs no media writes.
+func attachAt(cfg *sim.Config, dev *pmem.Device, epoch uint64) (*Runtime, error) {
 	var b [8]byte
 	dev.MediaRead(sbMagicOff, b[:])
 	if binary.LittleEndian.Uint64(b[:]) != sbMagic {

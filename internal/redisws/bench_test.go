@@ -30,8 +30,7 @@ func BenchmarkServe(b *testing.B) {
 	var m0, m1 runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		simCfg := sim.DefaultConfig()
-		m, err := redisws.NewMachine(&simCfg, "ffccd", "bench", keys, 32<<20)
+		m, err := redisws.NewMachine(sim.DefaultConfig(), "ffccd", "bench", keys, 32<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,6 +42,7 @@ func BenchmarkServe(b *testing.B) {
 		runtime.ReadMemStats(&m1)
 		bytes += m1.TotalAlloc - m0.TotalAlloc
 		m.Eng.Close()
+		m.Release()
 		if err != nil {
 			b.Fatal(err)
 		}

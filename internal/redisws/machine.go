@@ -1,12 +1,14 @@
 package redisws
 
-// The serving machine: one simulated machine per scheme of the §7.4
-// comparison, built the same way for the SLO grid (experiments.Serving) and
-// for serving crash campaigns (faultinject.RunServeScheduled), which load it
-// once, fork it per trial (Machine.Equip turns a fork into a serving
-// machine) and rewire the scheme's hooks over the recovered pool after a
-// power failure. The two callers differ only in what they pass: the pool's
-// name, its slack over the keyspace's needs, and the config's cache size.
+// The serving machine: one simulated machine (machine.Machine) per scheme of
+// the §7.4 comparison with what serving adds to it, the scheme's hooks and
+// Mesh's defragmenter. The SLO grid (experiments.Serving) builds one per
+// scheme and shard; serving crash campaigns (faultinject.RunServeScheduled)
+// build and load one per shard, capture it, turn every fork of it into a
+// serving machine with Equip, and rewire the scheme's hooks over the
+// recovered pool after a power failure. The two callers differ only in what
+// they pass: the pool's name, its slack over the keyspace's needs, and the
+// config's cache size.
 
 import (
 	"fmt"
@@ -16,6 +18,7 @@ import (
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
 	"ffccd/internal/kv"
+	"ffccd/internal/machine"
 	"ffccd/internal/mesh"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -101,68 +104,60 @@ func SchemeHooks(scheme string, p *pmop.Pool, eng *core.Engine, d *mesh.Defragme
 	return hooks
 }
 
-// ServeRegistry returns the type registry serving and experiment pools are
-// created and reopened with. Type ids follow registration order, so a pool
-// must always be opened with the registry this one function builds.
-func ServeRegistry() *pmop.Registry {
-	reg := pmop.NewRegistry()
-	ds.RegisterTypes(reg)
-	kv.RegisterTypes(reg)
-	return reg
-}
-
 // OpenStore opens (or, on a fresh pool, creates) the serving store of a
 // machine that owns keys keys.
 func OpenStore(ctx *sim.Ctx, p *pmop.Pool, keys int) (ds.Store, error) {
 	return kv.NewEcho(ctx, p, keys/2+64)
 }
 
-// Machine is one simulated serving machine: the Shard the serving loop runs
-// (loader context, pool, store, scheme hooks) plus what the loop does not
-// see — the runtime that owns the device, the defragmentation thread's clock
-// domain, and the scheme's engine (ffccd, stw) or Mesh defragmenter.
+// Machine is one simulated serving machine: the machine (its Ctx is the
+// loader context, GC the defragmentation thread's, Eng the ffccd or stw
+// engine) plus the scheme's serving hooks and, for "mesh", the Mesh
+// defragmenter.
 type Machine struct {
-	Shard
-	RT   *pmop.Runtime
-	GC   *sim.Ctx
-	Eng  *core.Engine
-	Mesh *mesh.Defragmenter
+	*machine.Machine
+	Hooks ServeHooks
+	Mesh  *mesh.Defragmenter
 }
 
 // NewMachine builds the machine of scheme over a fresh pool named poolName
-// with 4 KB footprint pages. keys is the keyspace the machine owns (all of it
-// unsharded, the hash-owned subset per shard): the pool holds six 512-byte
-// values per key plus slackBytes. cfg must outlive the machine.
-func NewMachine(cfg *sim.Config, scheme, poolName string, keys int, slackBytes uint64) (*Machine, error) {
+// with 4 KB footprint pages under cfg. keys is the keyspace the machine owns
+// (all of it unsharded, the hash-owned subset per shard): the pool holds six
+// 512-byte values per key plus slackBytes. The caller releases the machine.
+func NewMachine(cfg sim.Config, scheme, poolName string, keys int, slackBytes uint64) (*Machine, error) {
 	if !slices.Contains(Schemes, scheme) {
 		return nil, fmt.Errorf("redisws: unknown serving scheme %q", scheme)
 	}
-	poolBytes := uint64(keys)*512*6 + slackBytes
-	rt := pmop.NewRuntime(cfg, poolBytes*2)
-	p, err := rt.Create(poolName, poolBytes, 12, ServeRegistry())
+	m, err := machine.Build(machine.Spec{Name: poolName, PoolBytes: uint64(keys)*512*6 + slackBytes, PageShift: 12, Sim: cfg})
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{RT: rt, GC: sim.NewCtx(cfg)}
-	m.Ctx, m.Pool = sim.NewCtx(cfg), p
-	if m.Store, err = OpenStore(m.Ctx, p, keys); err != nil {
+	m.GC = sim.NewCtx(&m.Cfg)
+	if m.Store, err = OpenStore(m.Ctx, m.Pool, keys); err != nil {
+		m.Release()
 		return nil, err
 	}
-	m.Equip(scheme)
-	return m, nil
+	return Equip(m, scheme), nil
 }
 
-// Equip gives a machine whose runtime, contexts, pool and store exist a fresh
-// engine (ffccd, stw) or Mesh defragmenter for scheme and the scheme's
-// serving hooks: the last step of NewMachine, and what turns a fork of a
-// loaded machine into a serving one. It writes no media and charges no
-// cycle.
-func (m *Machine) Equip(scheme string) {
+// Equip makes a serving machine of scheme from m, whose contexts, pool and
+// store exist: a fresh engine (ffccd, stw) or Mesh defragmenter and the
+// scheme's serving hooks. It is the last step of NewMachine, and what turns a
+// fork of a loaded machine into a serving one. It writes no media and charges
+// no cycle.
+func Equip(m *machine.Machine, scheme string) *Machine {
+	sm := &Machine{Machine: m}
 	if opt := SchemeOptions(scheme); opt.Scheme != core.SchemeNone {
-		m.Eng = core.NewEngine(m.Pool, opt)
+		m.NewEngine(opt)
 	}
 	if scheme == "mesh" {
-		m.Mesh = mesh.New(m.Pool)
+		sm.Mesh = mesh.New(m.Pool)
 	}
-	m.Hooks = SchemeHooks(scheme, m.Pool, m.Eng, m.Mesh, m.GC)
+	sm.Hooks = SchemeHooks(scheme, m.Pool, m.Eng, sm.Mesh, m.GC)
+	return sm
+}
+
+// Shard is the part of the machine the serving loop runs.
+func (m *Machine) Shard() Shard {
+	return Shard{Ctx: m.Ctx, Pool: m.Pool, Store: m.Store, Hooks: m.Hooks}
 }

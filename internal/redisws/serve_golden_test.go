@@ -42,10 +42,11 @@ func goldenMachine(t *testing.T, keys int) (*redisws.Machine, *obsv.TimeSeries) 
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.CacheBytes = 256 * 1024
-	m, err := redisws.NewMachine(&cfg, "ffccd", "golden", keys, 8<<20)
+	m, err := redisws.NewMachine(cfg, "ffccd", "golden", keys, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(m.Release)
 	t.Cleanup(m.Eng.Close)
 	ts := obsv.NewTimeSeries("ffccd", goldenWindow, goldenK)
 	m.Hooks.Series = ts
@@ -94,7 +95,7 @@ func goldenSharded(t *testing.T, b *strings.Builder, n int) {
 	series := make([]*obsv.TimeSeries, n)
 	for i := range shards {
 		m, ts := goldenMachine(t, keys[i])
-		shards[i], series[i] = m.Shard, ts
+		shards[i], series[i] = m.Shard(), ts
 	}
 	out, err := redisws.ServeSharded(shards, redisws.ShardConfigs(cfg, n))
 	if err != nil {
