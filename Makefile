@@ -125,11 +125,12 @@ benchrepo: build
 	@echo "benchrepo OK"
 
 # servesmoke is the fast CI pass over the open-loop serving layer: a tiny
-# FFCCD-vs-STW grid through the ffccd-redis serve mode (exercising the
-# virtual-time scheduler, batched dispatch, and the SLO table), plus the
-# dispatcher's output pin (testdata/serve.golden) from the test suite.
+# serving grid of every scheme (2 000 keys, 12 000 ops) through ffccd-bench
+# (exercising the virtual-time scheduler, batched dispatch, and the SLO
+# table), plus the dispatcher's output pin (testdata/serve.golden) from the
+# test suite.
 servesmoke: build
-	$(GO) run ./cmd/ffccd-redis -clients 8 -ops 20000 -keys 2000 -scheme all >/dev/null
+	$(GO) run ./cmd/ffccd-bench -experiment serving -scale 0.0001 >/dev/null
 	$(GO) test ./internal/redisws/ -run 'TestServeGolden|TestServeShape' >/dev/null
 	@echo "servesmoke OK"
 

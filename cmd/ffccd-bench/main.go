@@ -6,7 +6,14 @@
 //	ffccd-bench -experiment all            # everything (slow)
 //	ffccd-bench -experiment table3 -scale 0.004
 //	ffccd-bench -experiment fig5 -parallel 8 -json fig5.json
+//	ffccd-bench -experiment serving -shards 4 -scheme ffccd
 //	ffccd-bench -list
+//
+// The §7.4 Redis results are fig16 (footprint over time and closed-loop tail
+// latency), serving (the open-loop SLO grid with per-window p999 timelines)
+// and servingcrash (availability after one mid-run power failure per
+// scheme); -scheme and -shards apply to the last two. A sharded run also
+// prints each shard's own timeline lane ahead of the merged one.
 //
 // Every run is hermetic (its own simulated machine), so -parallel only
 // changes host wall-clock — simulated cycle totals are identical at any
@@ -75,10 +82,18 @@ func run(args []string) int {
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev) of every run's defrag phases to this file")
 	traceRing := fs.Int("trace-ring", 0, "flight-recorder mode: keep only the newest N events per simulated thread (0 = full trace)")
 	httpObs := fs.String("httpobs", "", "serve pprof (/debug/pprof) on this address, and the latest finished experiment's metrics (/metrics, expvar /debug/vars)")
-	shards := fs.Int("shards", 1, "serving experiment: shard the keyspace across N independent simulated machines")
-	scheme := fs.String("scheme", "", "serving experiment: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
+	shards := fs.Int("shards", 1, "serving experiments: shard the keyspace across N independent simulated machines")
+	scheme := fs.String("scheme", "", "serving experiments: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	var schemes []string
+	if *scheme != "" {
+		if !slices.Contains(redisws.Schemes, *scheme) {
+			fmt.Fprintf(os.Stderr, "-scheme: unknown scheme %q (want one of %v)\n", *scheme, redisws.Schemes)
+			return 2
+		}
+		schemes = []string{*scheme}
 	}
 
 	scale, err := parseScale(*scaleArg)
@@ -102,11 +117,11 @@ func run(args []string) int {
 		{"fig15", func() (fmt.Stringer, error) { r, err := experiments.Figure15(scale); return r, err }},
 		{"fig16", func() (fmt.Stringer, error) { r, err := experiments.Figure16(scale); return r, err }},
 		{"serving", func() (fmt.Stringer, error) {
-			o := experiments.ServingOptions{Scale: scale, Shards: *shards}
-			if *scheme != "" {
-				o.Schemes = []string{*scheme}
-			}
-			r, err := experiments.Serving(o)
+			r, err := experiments.Serving(experiments.ServingOptions{Scale: scale, Schemes: schemes, Shards: *shards})
+			return r, err
+		}},
+		{"servingcrash", func() (fmt.Stringer, error) {
+			r, err := experiments.ServingCrash(experiments.ServingCrashOptions{Schemes: schemes, Shards: *shards})
 			return r, err
 		}},
 		{"ablation-rbb", func() (fmt.Stringer, error) {

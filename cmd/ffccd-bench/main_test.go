@@ -50,7 +50,7 @@ func capture(t *testing.T, args ...string) (code int, stdout, stderr string) {
 func TestListPrintsEveryExperiment(t *testing.T) {
 	code, out, _ := capture(t, "-list")
 	want := []string{"table1", "table2", "fig1", "fig5", "table3", "fig14", "table4", "fig15", "fig16",
-		"serving", "ablation-rbb", "ablation-pmft", "ablation-writes"}
+		"serving", "servingcrash", "ablation-rbb", "ablation-pmft", "ablation-writes"}
 	if got := strings.Fields(out); code != 0 || !slices.Equal(got, want) {
 		t.Errorf("-list exited %d and printed %q, want 0 and %q", code, got, want)
 	}
@@ -58,7 +58,8 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 
 // TestUsageErrorsExitTwo: what the command line gets wrong is reported before
 // any experiment runs, with the usage exit code. -fork and -repeat are flags
-// this command no longer has.
+// this command no longer has. An unknown -scheme is refused before table1
+// runs under -experiment all.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-experiment", "fig99"},
@@ -68,11 +69,30 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-experiment", "serving", "-scale", "0.0002", "-shards", "5000"},
 		{"-experiment", "table1", "-fork=false"},
 		{"-experiment", "table1", "-repeat", "2"},
+		{"-experiment", "serving", "-scheme", "bogus"},
+		{"-experiment", "all", "-scheme", "bogus"},
 	} {
 		code, out, stderr := capture(t, args...)
 		if code != 2 || strings.Contains(out, "====") || stderr == "" {
 			t.Errorf("run(%q) = %d, stdout %q, stderr %q; want 2, no experiment output and a message", args, code, out, stderr)
 		}
+	}
+}
+
+// TestServingCrashExperiment: the availability grid runs as an experiment id
+// of its own and honours -scheme.
+func TestServingCrashExperiment(t *testing.T) {
+	code, out, stderr := capture(t, "-experiment", "servingcrash", "-scheme", "ffccd")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"==== servingcrash", "ServingCrash — availability", "blackout(cyc)", "\nffccd ", "per-window p999 — ffccd"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "\nstw ") {
+		t.Errorf("-scheme ffccd also ran stw:\n%s", out)
 	}
 }
 

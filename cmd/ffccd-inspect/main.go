@@ -7,27 +7,11 @@
 //
 //	ffccd-inspect             # clean pool
 //	ffccd-inspect -crash      # crash mid-epoch first, inspect the wreckage
-//	ffccd-inspect -timeline   # serving-path tail timeline, FFCCD vs STW
 //
 // Every run records a cycle-domain phase timeline (printed at the end). With
 // -crash the tracer runs in flight-recorder mode: a bounded ring of the
 // newest events per simulated thread, dumped at the instant of the fault —
 // the pre-crash forensics a real PM module's debug port would give you.
-//
-// -timeline runs the open-loop serving simulation for FFCCD and the
-// stop-the-world comparator and renders their per-window p999 series with
-// defrag-epoch/STW-pause overlays, so the tail spikes line up visually
-// against the GC phases that caused them. Adding -crash-at injects one
-// power failure per scheme at that fraction of its crash-site census and
-// renders the recovery blackout (R) and retry-backoff (B) overlays too:
-//
-//	ffccd-inspect -timeline -crash-at 0.5
-//
-// -shards N renders the timeline of a sharded deployment: one lane per
-// simulated machine (its own clock domain and GC overlays) followed by the
-// deterministic virtual-time merge of all lanes:
-//
-//	ffccd-inspect -timeline -shards 4
 package main
 
 import (
@@ -39,7 +23,6 @@ import (
 	"ffccd"
 	"ffccd/internal/alloc"
 	"ffccd/internal/checker"
-	"ffccd/internal/experiments"
 	"ffccd/internal/obsv"
 )
 
@@ -47,21 +30,7 @@ func main() {
 	crash := flag.Bool("crash", false, "crash mid-defragmentation before inspecting")
 	keys := flag.Int("keys", 8000, "list entries to populate")
 	flightrec := flag.Int("flightrec", 64, "flight-recorder ring capacity per simulated thread for -crash runs")
-	timeline := flag.Bool("timeline", false, "render the serving-path tail timeline (FFCCD vs STW) and exit")
-	scale := flag.Float64("scale", 0.002, "workload scale for -timeline")
-	window := flag.Uint64("window", 0, "-timeline window width in simulated cycles (0 = scale-aware default)")
-	crashAt := flag.Float64("crash-at", 0, "-timeline: crash each scheme at this fraction of its site census (0 = no crash)")
-	shards := flag.Int("shards", 1, "-timeline: shard the deployment across N simulated machines (per-shard lanes + merged overlay)")
 	flag.Parse()
-
-	if *timeline {
-		if *crashAt > 0 {
-			runCrashTimeline(*crashAt, *window, *shards)
-		} else {
-			runTimeline(*scale, *window, *shards)
-		}
-		return
-	}
 
 	cfg := ffccd.DefaultConfig()
 	rt := ffccd.NewRuntime(&cfg, 256<<20)
@@ -143,101 +112,6 @@ func main() {
 
 	fmt.Println("\nphase timeline (simulated time):")
 	fmt.Print(obsv.TimelineTable(obs))
-}
-
-// runTimeline renders the per-window p999 timeline of the serving scenario
-// for FFCCD and the STW comparator side by side, with GC overlay marks — the
-// terminal version of the paper's tail-interference story.
-func runTimeline(scale float64, window uint64, shards int) {
-	res, err := experiments.Serving(experiments.ServingOptions{
-		Scale:        scale,
-		Schemes:      []string{"ffccd", "stw"},
-		WindowCycles: window,
-		Shards:       shards,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("serving tail timeline: %d clients, %d ops, %.0f ops/s offered\n\n",
-		res.Clients, res.Ops, res.Rate)
-	for _, v := range res.Variants {
-		if v.Series == nil {
-			continue
-		}
-		renderShardLanes(v.Name, v.ShardSeries)
-		fmt.Print(obsv.RenderTimeline(v.Series, 48))
-		if ex, ok := v.Series.WorstExemplar(); ok {
-			fmt.Printf("worst request: %s\n", ex)
-		}
-		ivs := v.Series.Intervals()
-		stw, ep := 0, 0
-		for _, iv := range ivs {
-			switch iv.Kind {
-			case obsv.IntervalSTW:
-				stw++
-			case obsv.IntervalEpoch:
-				ep++
-			}
-		}
-		fmt.Printf("overlays: %d stw pauses, %d concurrent epochs\n\n", stw, ep)
-	}
-}
-
-// runCrashTimeline renders the availability grid's per-window p999 timelines:
-// one injected power failure per scheme, with the recovery blackout (R) and
-// retry-backoff (B) overlay marks alongside the usual S/E GC overlays.
-func runCrashTimeline(frac float64, window uint64, shards int) {
-	res, err := experiments.ServingCrash(experiments.ServingCrashOptions{
-		SiteFrac:     frac,
-		WindowCycles: window,
-		Schemes:      []string{"ffccd", "stw"},
-		Shards:       shards,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("serving crash timeline: %d clients, %d ops, crash at %.0f%% of each scheme's site census\n\n",
-		res.Clients, res.Ops, frac*100)
-	for _, v := range res.Variants {
-		if v.Series == nil {
-			continue
-		}
-		fmt.Printf("%s: crash@%d, resume@%d (blackout %d cycles, first ack +%d, p999 ramp %d cycles)\n",
-			v.Name, v.CrashCycle, v.ResumeCycle, v.BlackoutCycles, v.TimeToFirstAck, v.RampCycles)
-		if v.Shards > 1 {
-			fmt.Printf("%d shards, crash on shard %d; siblings served %d ops during the blackout\n",
-				v.Shards, v.CrashShard, v.SiblingOps)
-		}
-		renderShardLanes(v.Name, v.ShardSeries)
-		fmt.Print(obsv.RenderTimeline(v.Series, 48))
-		rec, back := 0, 0
-		for _, iv := range v.Series.Intervals() {
-			switch iv.Kind {
-			case obsv.IntervalRecovery:
-				rec++
-			case obsv.IntervalBackoff:
-				back++
-			}
-		}
-		fmt.Printf("overlays: %d recovery blackouts, %d retry backoffs, %d retries, %d rejects\n\n",
-			rec, back, v.Retries, v.Rejects)
-	}
-}
-
-// renderShardLanes prints one timeline lane per shard (each machine's own
-// clock domain) ahead of the merged overlay; no-op for unsharded runs.
-func renderShardLanes(scheme string, shardSeries []*obsv.TimeSeries) {
-	if len(shardSeries) < 2 {
-		return
-	}
-	for s, ts := range shardSeries {
-		if ts == nil || ts.Count() == 0 {
-			continue
-		}
-		fmt.Printf("%s shard %d lane:\n", scheme, s)
-		fmt.Print(obsv.RenderTimeline(ts, 48))
-	}
-	fmt.Printf("%s merged (virtual-time union of all lanes):\n", scheme)
 }
 
 func dumpPhase(ctx *ffccd.Ctx, p *ffccd.Pool) {

@@ -48,7 +48,7 @@ func AblationRBB(scale float64, sizes []int) (AblationRBBResult, error) {
 			return err
 		}
 		tr, tg := core.NormalParams()
-		eng := m.NewEngine(core.Options{Scheme: core.SchemeFFCCD, TriggerRatio: tr, TargetRatio: tg, BatchObjects: 64})
+		eng := m.NewEngine(core.Options{Scheme: core.SchemeFFCCD, TriggerRatio: tr, TargetRatio: tg})
 		gcCtx := sim.NewCtx(&m.Cfg)
 		wl.Maintenance = func() {
 			if p.Heap().Frag(12).FragRatio > tr {

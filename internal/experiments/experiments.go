@@ -204,7 +204,6 @@ func engineOptions(spec Spec, scheme core.Scheme, obs *obsv.Obs) core.Options {
 		Scheme:       scheme,
 		TriggerRatio: spec.Trigger,
 		TargetRatio:  spec.Target,
-		BatchObjects: 64,
 		Obs:          obs,
 	}
 }

@@ -114,7 +114,7 @@ func runFig16Variant(name string, scheme core.Scheme, useMesh bool, cfg redisws.
 		}
 		foot = func() alloc.FragStats { return d.PhysFrag(12) }
 	case scheme != core.SchemeNone:
-		opt := core.Options{Scheme: scheme, TriggerRatio: 1.15, TargetRatio: 1.05, BatchObjects: 64}
+		opt := core.Options{Scheme: scheme, TriggerRatio: 1.15, TargetRatio: 1.05}
 		eng := env.NewEngine(opt)
 		defer eng.Close()
 		env.GC = sim.NewCtx(&env.Cfg)

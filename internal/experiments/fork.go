@@ -122,8 +122,8 @@ type prefixState struct {
 
 // buildPrefix runs spec's workload up to the scheme-divergence point.
 // spec's own Scheme is irrelevant (the prefix engine is the neutral
-// Espresso one); Trigger/Target/BatchObjects must match the specs that will
-// fork from it, since failed BeginCycle attempts depend on them.
+// Espresso one); Trigger/Target must match the specs that will fork from it,
+// since failed BeginCycle attempts depend on them.
 func buildPrefix(spec Spec) (*prefixState, error) {
 	forkPrefixes.Add(1)
 	wl := wlFor(spec)

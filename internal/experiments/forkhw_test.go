@@ -44,7 +44,7 @@ func TestForkInsideOpenEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release()
-	opt := core.Options{Scheme: spec.Scheme, TriggerRatio: spec.Trigger, TargetRatio: spec.Target, BatchObjects: 64}
+	opt := core.Options{Scheme: spec.Scheme, TriggerRatio: spec.Trigger, TargetRatio: spec.Target}
 	eng := m.NewEngine(opt)
 	var r *workload.Runner
 	opened := false

@@ -12,14 +12,15 @@ import (
 // ServingOptions parameterizes the serving grid. Zero values select
 // paper-regime defaults scaled by Scale (the same knob every other
 // experiment uses; 1.0 is the paper's full setup).
+// The offered load is always auto-calibrated, so every scheme lands on the
+// same rate.
 type ServingOptions struct {
-	Scale      float64
-	Clients    int
-	Ops        int
-	Keyspace   int
-	RatePerSec float64 // <= 0 auto-calibrates (each scheme lands on the same rate)
-	Seed       int64
-	Schemes    []string // subset of "none", "ffccd", "stw", "mesh"; nil = all
+	Scale    float64
+	Clients  int
+	Ops      int
+	Keyspace int
+	Seed     int64
+	Schemes  []string // subset of "none", "ffccd", "stw", "mesh"; nil = all
 
 	// Shards is the number of independent simulated machines the keyspace is
 	// hash-partitioned across (1 = one machine, the pre-sharding setup; every
@@ -29,11 +30,6 @@ type ServingOptions struct {
 	// deterministically (see internal/redisws/shard.go).
 	Shards int
 
-	// WindowCycles is the time-series window width in simulated cycles
-	// (0 = obsv.DefaultWindowCycles). ExemplarK is the worst-request
-	// exemplars kept per window (0 = obsv.DefaultExemplarK).
-	WindowCycles uint64
-	ExemplarK    int
 	// NoWindows disables the windowed time series. The layer is
 	// non-perturbing either way; the knob exists for the bit-identity tests
 	// that pin exactly that.
@@ -118,22 +114,17 @@ func servingDefaults(o ServingOptions) ServingOptions {
 	if len(o.Schemes) == 0 {
 		o.Schemes = redisws.Schemes
 	}
-	if o.WindowCycles == 0 {
-		// Scale-aware default: the run's virtual makespan grows roughly
-		// linearly with Scale (ops ∝ keyspace ∝ scale at a calibrated fixed
-		// utilization), so a proportional window keeps the timeline at a
-		// useful row count at any scale. 0.002 → 1M cycles (~0.4ms); capped
-		// at obsv.DefaultWindowCycles (50M) for paper-scale runs.
-		w := uint64(o.Scale * 500_000_000)
-		if w < 250_000 {
-			w = 250_000
-		}
-		if w > obsv.DefaultWindowCycles {
-			w = obsv.DefaultWindowCycles
-		}
-		o.WindowCycles = w
-	}
 	return o
+}
+
+// servingWindow is the time-series window width in simulated cycles. The
+// run's virtual makespan grows roughly linearly with scale (ops ∝ keyspace ∝
+// scale at a calibrated fixed utilization), so a proportional window keeps
+// the timeline at a useful row count at any scale: 0.002 → 1M cycles
+// (~0.4ms), capped at obsv.DefaultWindowCycles (50M) for paper-scale runs.
+func servingWindow(scale float64) uint64 {
+	w := uint64(scale * 500_000_000)
+	return min(max(w, 250_000), obsv.DefaultWindowCycles)
 }
 
 func servingConfig(o ServingOptions) redisws.ServeConfig {
@@ -141,7 +132,6 @@ func servingConfig(o ServingOptions) redisws.ServeConfig {
 	cfg.Clients = o.Clients
 	cfg.Ops = o.Ops
 	cfg.Keyspace = o.Keyspace
-	cfg.RatePerSec = o.RatePerSec
 	cfg.Seed = o.Seed
 	// The Figure 16 fragmentation regime: LRU churn near the cap plus a
 	// value-size drift halfway through, so defrag has holes to reclaim.
@@ -204,7 +194,7 @@ func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int)
 	if !o.NoWindows {
 		// The series label is the scheme on every shard; exemplar stall
 		// causes carry the shard id, which the merge's total order uses.
-		m.Hooks.Series = obsv.NewTimeSeries(scheme, o.WindowCycles, o.ExemplarK)
+		m.Hooks.Series = obsv.NewTimeSeries(scheme, servingWindow(o.Scale), 0)
 	}
 	if col := obsCollector.Load(); col != nil {
 		label := "serving/" + scheme
@@ -264,7 +254,7 @@ func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (Servin
 			for i, m := range machines {
 				shardSeries[i] = m.Hooks.Series
 			}
-			series, err = redisws.MergeShardSeries(scheme, o.WindowCycles, o.ExemplarK, shardSeries)
+			series, err = redisws.MergeShardSeries(scheme, servingWindow(o.Scale), 0, shardSeries)
 			if err != nil {
 				return ServingVariant{}, 0, err
 			}
@@ -351,6 +341,7 @@ func (r ServingResult) String() string {
 		if v.Series == nil || v.Series.Count() == 0 {
 			continue
 		}
+		writeShardLanes(&b, v.Name, v.ShardSeries)
 		b.WriteString("\nper-window p999 — " + v.Name + ":\n")
 		b.WriteString(obsv.RenderTimeline(v.Series, 40))
 		if ex, ok := v.Series.WorstExemplar(); ok {
@@ -358,6 +349,19 @@ func (r ServingResult) String() string {
 		}
 	}
 	return b.String()
+}
+
+// writeShardLanes renders one timeline lane per shard of a sharded run (each
+// machine's own clock domain), ahead of the merged timeline; lanes is nil for
+// an unsharded run.
+func writeShardLanes(b *strings.Builder, name string, lanes []*obsv.TimeSeries) {
+	for s, ts := range lanes {
+		if ts.Count() == 0 {
+			continue
+		}
+		fmt.Fprintf(b, "\n%s shard %d lane:\n", name, s)
+		b.WriteString(obsv.RenderTimeline(ts, 40))
+	}
 }
 
 // CSV renders the per-window time series of every scheme as CSV rows (with

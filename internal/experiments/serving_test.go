@@ -89,10 +89,34 @@ func TestServingWindowsDoNotPerturb(t *testing.T) {
 	}
 }
 
+// TestShardedServingRendersLanes: a sharded run's table is followed by one
+// timeline lane per shard and then the merged timeline.
+func TestShardedServingRendersLanes(t *testing.T) {
+	opts := servingTestOpts()
+	opts.Schemes, opts.Shards = []string{"ffccd"}, 2
+	res, err := Serving(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := res.String()
+	last := 0
+	for _, want := range []string{"FFCCD shard 0 lane:\n", "FFCCD shard 1 lane:\n", "per-window p999 — FFCCD:\n"} {
+		i := strings.Index(out, want)
+		if i < last {
+			t.Fatalf("%q missing or out of order:\n%s", want, out)
+		}
+		last = i
+	}
+	if n := strings.Count(out, "ffccd: "); n != 3 {
+		t.Errorf("%d timelines rendered, want two lanes and the merge:\n%s", n, out)
+	}
+}
+
 // TestShardCountCheckedBeforeMachines: a deployment some shard of which would
 // own no key, or with fewer than one shard, is refused by Serving and
-// ServingCrash before either builds a machine — each of the 1 501 machines
-// asked for here has a 32 MB pool, so building even a few would blow the time
+// ServingCrash before either builds a machine (1 501 shards is more than
+// either keyspace has keys) — each of the 1 501 machines asked for here has a
+// 32 MB pool, so building even a few would blow the time
 // bound (it used to end in an OOM kill or in redisws.Serve's complaint).
 func TestShardCountCheckedBeforeMachines(t *testing.T) {
 	for _, shards := range []int{1501, 0, -3} {
@@ -103,9 +127,9 @@ func TestShardCountCheckedBeforeMachines(t *testing.T) {
 		if !errors.Is(err, redisws.ErrShards) || len(res.Variants) != 0 {
 			t.Errorf("Serving with %d shards over 1500 keys: err %v, %d variants; want ErrShards and none", shards, err, len(res.Variants))
 		}
-		cres, err := ServingCrash(ServingCrashOptions{Keyspace: 1500, Shards: shards})
+		cres, err := ServingCrash(ServingCrashOptions{Shards: shards})
 		if !errors.Is(err, redisws.ErrShards) || len(cres.Variants) != 0 {
-			t.Errorf("ServingCrash with %d shards over 1500 keys: err %v, %d variants; want ErrShards and none", shards, err, len(cres.Variants))
+			t.Errorf("ServingCrash with %d shards over its default keyspace: err %v, %d variants; want ErrShards and none", shards, err, len(cres.Variants))
 		}
 		if d := time.Since(start); d > 100*time.Millisecond {
 			t.Errorf("%d shards: refused after %v — machines were built first", shards, d)

@@ -12,29 +12,25 @@ import (
 // ServingCrashOptions parameterizes the serving-availability grid: one
 // mid-run power failure per scheme, with the full online
 // crash-recovery-resume loop (durable-ack validation, degraded-mode
-// admission, retry/backoff) and the post-recovery tail measured.
+// admission, retry/backoff) and the post-recovery tail measured. Every run
+// has the crash campaign's default trial volume (faultinject.DefaultServe*)
+// and seed 7, and crashes shard 0 in the middle of its site census.
 type ServingCrashOptions struct {
-	Clients  int
-	Ops      int
-	Keyspace int
-	Seed     int64
-	Schemes  []string // subset of faultinject.ServeSchemes; nil = all
-
-	// SiteFrac places the armed crash site as a fraction of the scheme's
-	// census total (0 < f < 1; default 0.5 — the middle of the run).
-	SiteFrac float64
-	// WindowCycles is the time-series window width (0 = a volume-scaled
-	// default small enough to resolve the recovery ramp).
-	WindowCycles uint64
-	// AdmitCap overrides the degraded-mode admission bound (0 = default).
-	AdmitCap int
+	Schemes []string // subset of faultinject.ServeSchemes; nil = all
 
 	// Shards runs each variant as a sharded deployment (1 = unsharded);
-	// the crash blacks out shard CrashShard while its siblings keep serving,
-	// so the grid also measures partial availability.
-	Shards     int
-	CrashShard int
+	// the crash blacks out shard 0 while its siblings keep serving, so the
+	// grid also measures partial availability.
+	Shards int
 }
+
+// The grid's fixed trial: its seed, and a window width that gives ~64
+// windows over the run — enough rows to see the blackout gap and the ramp
+// without drowning the timeline.
+const (
+	servingCrashSeed   = 7
+	servingCrashWindow = faultinject.DefaultServeOps * 256
+)
 
 // ServingCrashVariant is one scheme's crash-availability measurement.
 type ServingCrashVariant struct {
@@ -68,9 +64,8 @@ type ServingCrashVariant struct {
 	SimCycles uint64
 
 	// Series is the run's windowed time series with recovery/backoff overlay
-	// intervals (rendered by ffccd-inspect -timeline). For a sharded variant
-	// it is the deterministic merge and ShardSeries carries the per-shard
-	// lanes.
+	// intervals. For a sharded variant it is the deterministic merge and
+	// ShardSeries carries the per-shard lanes.
 	Series      *obsv.TimeSeries
 	ShardSeries []*obsv.TimeSeries
 
@@ -79,7 +74,6 @@ type ServingCrashVariant struct {
 	// blackout — the partial-availability measurement a sharded deployment
 	// buys.
 	Shards     int
-	CrashShard int
 	SiblingOps uint64
 }
 
@@ -90,47 +84,16 @@ type ServingCrashResult struct {
 	Variants []ServingCrashVariant
 }
 
-func servingCrashDefaults(o ServingCrashOptions) ServingCrashOptions {
-	if o.Clients <= 0 {
-		o.Clients = faultinject.DefaultServeClients
-	}
-	if o.Ops <= 0 {
-		o.Ops = faultinject.DefaultServeOps
-	}
-	if o.Keyspace <= 0 {
-		o.Keyspace = faultinject.DefaultServeKeys
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	if len(o.Schemes) == 0 {
-		o.Schemes = append([]string(nil), faultinject.ServeSchemes...)
-	}
-	if o.SiteFrac <= 0 || o.SiteFrac >= 1 {
-		o.SiteFrac = 0.5
-	}
-	if o.WindowCycles == 0 {
-		// ~64 windows over a trial-volume run; enough rows to see the
-		// blackout gap and the ramp without drowning the timeline.
-		o.WindowCycles = uint64(o.Ops) * 256
-		if o.WindowCycles < 50_000 {
-			o.WindowCycles = 50_000
-		}
-	}
-	if o.CrashShard < 0 || o.CrashShard >= o.Shards {
-		o.CrashShard = 0
-	}
-	return o
-}
-
 // ServingCrash runs the availability grid: per scheme, a census pass counts
 // the dispatch phase's crash sites, then an armed pass fires a power failure
-// at SiteFrac of the census and measures the blackout, time-to-first-ack,
+// at the middle of the census and measures the blackout, time-to-first-ack,
 // degraded-mode admission and the post-recovery p999 ramp.
 func ServingCrash(o ServingCrashOptions) (ServingCrashResult, error) {
-	o = servingCrashDefaults(o)
-	res := ServingCrashResult{Clients: o.Clients, Ops: o.Ops}
-	if _, err := redisws.ShardKeys(o.Keyspace, o.Shards); err != nil {
+	if len(o.Schemes) == 0 {
+		o.Schemes = faultinject.ServeSchemes
+	}
+	res := ServingCrashResult{Clients: faultinject.DefaultServeClients, Ops: faultinject.DefaultServeOps}
+	if _, err := redisws.ShardKeys(faultinject.DefaultServeKeys, o.Shards); err != nil {
 		return res, err
 	}
 	outs := make([]ServingCrashVariant, len(o.Schemes))
@@ -147,9 +110,8 @@ func ServingCrash(o ServingCrashOptions) (ServingCrashResult, error) {
 }
 
 func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashVariant, error) {
-	base := faultinject.NewServeRepro(scheme, o.Seed)
-	base.Clients, base.Ops, base.Keys = o.Clients, o.Ops, o.Keyspace
-	base.Shards, base.Shard = o.Shards, o.CrashShard
+	base := faultinject.NewServeRepro(scheme, servingCrashSeed)
+	base.Shards = o.Shards
 
 	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
 	if err != nil {
@@ -159,21 +121,20 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 	// for a sharded deployment is that shard's census, not the sum.
 	total := census.Census.Total
 	if o.Shards > 1 {
-		total = census.ShardCensus[o.CrashShard].Total
+		total = census.ShardCensus[0].Total
 	}
 	if total == 0 {
 		return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s: no crash sites in dispatch phase", scheme)
 	}
 
 	armed := base
-	armed.Site = int64(float64(total) * o.SiteFrac)
+	armed.Site = int64(total / 2)
 	shardSeries := make([]*obsv.TimeSeries, o.Shards)
 	for i := range shardSeries {
-		shardSeries[i] = obsv.NewTimeSeries(scheme, o.WindowCycles, 0)
+		shardSeries[i] = obsv.NewTimeSeries(scheme, servingCrashWindow, 0)
 	}
 	out, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{
-		AdmitCap: o.AdmitCap,
-		Series:   func(_ faultinject.ServeRepro, shard int) *obsv.TimeSeries { return shardSeries[shard] },
+		Series: func(_ faultinject.ServeRepro, shard int) *obsv.TimeSeries { return shardSeries[shard] },
 	})
 	if err != nil {
 		return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s armed trial: %w\n  repro: %s",
@@ -184,7 +145,7 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 	}
 	series := shardSeries[0]
 	if o.Shards > 1 {
-		if series, err = redisws.MergeShardSeries(scheme, o.WindowCycles, 0, shardSeries); err != nil {
+		if series, err = redisws.MergeShardSeries(scheme, servingCrashWindow, 0, shardSeries); err != nil {
 			return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s: %w", scheme, err)
 		}
 	} else {
@@ -210,10 +171,9 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 		Series:         series,
 		ShardSeries:    shardSeries,
 		Shards:         o.Shards,
-		CrashShard:     o.CrashShard,
 	}
 	if o.Shards > 1 {
-		v.SiblingOps = siblingOpsInBlackout(shardSeries, o.CrashShard, sv.CrashCycle, sv.ResumeCycle)
+		v.SiblingOps = siblingOpsInBlackout(shardSeries, sv.CrashCycle, sv.ResumeCycle)
 	}
 	if v.Series != nil {
 		v.RampCycles, v.RampWindows = p999Ramp(v.Series.Windows(), sv.CrashCycle, sv.ResumeCycle)
@@ -221,15 +181,12 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 	return v, nil
 }
 
-// siblingOpsInBlackout counts the completions the non-crashed shards served
-// in windows overlapping [crash, resume) — the work the deployment kept doing
-// while one machine was dark.
-func siblingOpsInBlackout(shardSeries []*obsv.TimeSeries, crashShard int, crash, resume uint64) uint64 {
+// siblingOpsInBlackout counts the completions the non-crashed shards (all but
+// shard 0) served in windows overlapping [crash, resume) — the work the
+// deployment kept doing while one machine was dark.
+func siblingOpsInBlackout(shardSeries []*obsv.TimeSeries, crash, resume uint64) uint64 {
 	var ops uint64
-	for s, ts := range shardSeries {
-		if s == crashShard || ts == nil {
-			continue
-		}
+	for _, ts := range shardSeries[1:] {
 		for _, w := range ts.Windows() {
 			if w.Start < resume && w.End > crash {
 				ops += w.Count
@@ -296,14 +253,15 @@ func (r ServingCrashResult) String() string {
 	b.WriteString(t.String())
 	for _, v := range r.Variants {
 		if v.Shards > 1 {
-			fmt.Fprintf(&b, "%s: %d shards, crash on shard %d; siblings served %d ops during the blackout\n",
-				v.Name, v.Shards, v.CrashShard, v.SiblingOps)
+			fmt.Fprintf(&b, "%s: %d shards, crash on shard 0; siblings served %d ops during the blackout\n",
+				v.Name, v.Shards, v.SiblingOps)
 		}
 	}
 	for _, v := range r.Variants {
 		if v.Series == nil || v.Series.Count() == 0 {
 			continue
 		}
+		writeShardLanes(&b, v.Name, v.ShardSeries)
 		fmt.Fprintf(&b, "\nper-window p999 — %s (crash@%d, resume@%d):\n", v.Name, v.CrashCycle, v.ResumeCycle)
 		b.WriteString(obsv.RenderTimeline(v.Series, 40))
 	}

@@ -71,9 +71,6 @@ type TrialOptions struct {
 	// serving trial (shard in [0, rep.Shards); 0 when unsharded). The run's
 	// recovery/backoff overlay intervals land in it.
 	Series func(rep ServeRepro, shard int) *obsv.TimeSeries
-	// AdmitCap overrides a serving trial's degraded-mode admission-queue
-	// bound (0 = redisws default, Clients/4+1).
-	AdmitCap int
 }
 
 // Host-side fan-out runs on the process-wide worker pool shared with the

@@ -288,8 +288,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	dev := target.Device()
 	crashed := false
 	target.Hooks.Crash = &redisws.CrashPlan{
-		AdmitCap: opts.AdmitCap,
-		Arm:      func() { dev.ArmSites(rep.Site) },
+		Arm: func() { dev.ArmSites(rep.Site) },
 		Recover: func(crash *pmem.CrashAtSite, acked map[uint64][]byte, pending *redisws.PendingWrite) (*redisws.Recovered, error) {
 			crashed = true
 			res.Crash = crash

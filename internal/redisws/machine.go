@@ -37,7 +37,7 @@ const schemeTrigger = 1.10
 // core.SchemeNone, under which core.Recover takes the scheme-independent idle
 // path.
 func SchemeOptions(scheme string) core.Options {
-	opt := core.Options{TriggerRatio: schemeTrigger, TargetRatio: 1.01, BatchObjects: 64}
+	opt := core.Options{TriggerRatio: schemeTrigger, TargetRatio: 1.01}
 	switch scheme {
 	case "ffccd":
 		opt.Scheme = core.SchemeFFCCDCheckLookup

@@ -138,20 +138,13 @@ type Recovered struct {
 // connections whose request was lost with the power (in flight or queued
 // server-side) retry with capped exponential backoff in virtual time;
 // arrivals during the blackout hit a bounded admission queue — the first
-// AdmitCap are parked until the server is back, the rest are rejected and
-// retry with backoff. All of it is simulated serially in deterministic
-// (time, client) order, so resumed runs stay bit-identical at any host
-// thread count.
+// Clients/4+1 are parked until the server is back, the rest are rejected and
+// retry with backoff (from 65536 cycles, doubling, capped at 64× that). All
+// of it is simulated serially in deterministic (time, client) order, so
+// resumed runs stay bit-identical at any host thread count.
 type CrashPlan struct {
 	Arm     func()
 	Recover func(crash *pmem.CrashAtSite, acked map[uint64][]byte, pending *PendingWrite) (*Recovered, error)
-
-	// AdmitCap bounds the admission queue during recovery (default
-	// Clients/4+1). BackoffBase/BackoffCap bound the retry backoff in cycles
-	// (defaults 65536 and BackoffBase<<6).
-	AdmitCap    int
-	BackoffBase uint64
-	BackoffCap  uint64
 }
 
 // ServeHooks injects a defragmentation scheme into the serving loop.
@@ -1042,7 +1035,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	// process with degraded-mode admission: lost requests (in flight or queued
 	// server-side when the power failed) retry with capped exponential backoff;
 	// blackout-era submissions hit a bounded admission queue — the first
-	// AdmitCap park until resume, the rest are rejected into backoff. The whole
+	// admitCap park until resume, the rest are rejected into backoff. The whole
 	// reschedule is simulated serially in (time, client) order, so the resumed
 	// run is a pure function of the repro at any host thread count.
 	resumeFromCrash := func(crash *pmem.CrashAtSite) error {
@@ -1089,18 +1082,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		cache.rebuild(rec.Model)
 
 		// Degraded-mode reschedule.
-		backBase := plan.BackoffBase
-		if backBase == 0 {
-			backBase = 65536
-		}
-		backCap := plan.BackoffCap
-		if backCap == 0 {
-			backCap = backBase << 6
-		}
-		admitCap := plan.AdmitCap
-		if admitCap <= 0 {
-			admitCap = cfg.Clients/4 + 1
-		}
+		const backBase, backCap uint64 = 65536, 65536 << 6
+		admitCap := cfg.Clients/4 + 1
 		backoff := func(tries int) uint64 {
 			b := backBase
 			for i := 0; i < tries && b < backCap; i++ {

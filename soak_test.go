@@ -14,7 +14,6 @@ import (
 	"ffccd"
 	"ffccd/internal/checker"
 	"ffccd/internal/pmem"
-	"ffccd/internal/trace"
 )
 
 // soakGenDeadline bounds one generation (churn + crash + recovery + full
@@ -80,7 +79,7 @@ func soak(t *testing.T, scheme ffccd.Scheme, generations, opsPerGen int) {
 					key := rng.Uint64() % 800
 					switch rng.Intn(10) {
 					case 0, 1, 2, 3, 4, 5:
-						v := trace.ValueFor(key^uint64(gen*opsPerGen+i), 16+rng.Intn(140))
+						v := soakValue(key^uint64(gen*opsPerGen+i), 16+rng.Intn(140))
 						if err := store.Insert(ctx, key, v); err != nil {
 							return fmt.Errorf("gen %d op %d: %v", gen, i, err)
 						}
@@ -165,6 +164,23 @@ func soak(t *testing.T, scheme ffccd.Scheme, generations, opsPerGen int) {
 	if eng != nil {
 		eng.Close()
 	}
+}
+
+// soakValue is a deterministic value of size bytes (at least one) derived
+// from key: an xorshift stream seeded by key.
+func soakValue(key uint64, size int) []byte {
+	if size < 1 {
+		size = 1
+	}
+	b := make([]byte, size)
+	x := key*0x9E3779B97F4A7C15 + 1
+	for i := range b {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b[i] = byte(x)
+	}
+	return b
 }
 
 func crashPolicy(dev *pmem.Device, rng *rand.Rand) {
