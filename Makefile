@@ -104,7 +104,7 @@ serveshard: build
 
 # benchsmoke is the fast CI pass over the measurement tooling: the device
 # (HashMedia dense-ref vs sparse, the pooled device life cycle, and the B/op
-# of a checkpoint/restore that moves page references included),
+# of checkpoint/restore over an all-dirty and an all-clean cache included),
 # allocator, engine (mark, summary, epoch cycle, barrier resolve), serving
 # dispatcher (ns and B per request) and crash-campaign (ms and B per batch
 # and serving trial) micro-benchmarks run once each (-benchtime=1x), and the

@@ -92,22 +92,38 @@ func BenchmarkStoreClwbSfence(b *testing.B) {
 }
 
 // BenchmarkCheckpointRestore is one fork of the grid driver: checkpoint a
-// device with 8 MB of dirty pages and restore it into a fresh one. Both move
-// page references, not bytes: B/op is the checkpoint's copy of the cache
-// arrays and its reference list.
+// device and restore it into a fresh one. Media moves as page references, not
+// bytes. dirty: 8 MB of stores leave every way dirty, so the image holds all
+// 3 MB of line bodies. clean: the same stores flushed and 2 MB loaded back —
+// the state the fork drivers capture — so the image holds the set blocks and
+// no body, and Restore refills every valid way from media.
 func BenchmarkCheckpointRestore(b *testing.B) {
-	d, ctx := ladderDevice(b)
-	var two [16]byte
-	for a := uint64(0); a < 8<<20; a += LineSize {
-		d.Store(ctx, benchMissBase+a, two[:])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chk := d.Checkpoint()
-		d2 := NewDeviceForRestore(d.cfg, d.Size())
-		d2.Restore(chk)
-		d2.ReleaseMedia()
+	for _, clean := range []bool{false, true} {
+		name := "dirty"
+		if clean {
+			name = "clean"
+		}
+		b.Run(name, func(b *testing.B) {
+			d, ctx := ladderDevice(b)
+			var two [16]byte
+			for a := uint64(0); a < 8<<20; a += LineSize {
+				d.Store(ctx, benchMissBase+a, two[:])
+			}
+			if clean {
+				d.FlushAll(ctx)
+				for a := uint64(0); a < benchResident; a += LineSize {
+					d.LoadU64(ctx, benchMissBase+a)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				chk := d.Checkpoint()
+				d2 := NewDeviceForRestore(d.cfg, d.Size())
+				d2.Restore(chk)
+				d2.ReleaseMedia()
+			}
+		})
 	}
 }
 

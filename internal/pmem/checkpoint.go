@@ -1,9 +1,14 @@
 package pmem
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Device checkpoint/restore for the fork drivers (DESIGN.md §7,
 // "Checkpoint/fork"): capture the complete simulated machine-memory state —
-// persistent media, the cache's tags/ages/line bodies, every set's LRU tick
-// and dirty/pending masks, the in-flight (clwb'd, unfenced) lines, the
+// persistent media, the cache's set blocks (tags, recency stacks, fill counts,
+// dirty/pending masks), the in-flight (clwb'd, unfenced) lines, the
 // pending-set list, eADR mode and the cumulative counters — and later
 // reproduce it bit-identically on a fresh device of the same geometry.
 //
@@ -15,16 +20,9 @@ package pmem
 // copies only of the pages it writes. A shared page is never written and
 // never pooled, so any number of devices may restore one checkpoint
 // concurrently. CheckpointInto reuses the checkpoint's buffers.
-
-// setCheckpoint is a deep copy of one cache set's own state; its ways are in
-// the checkpoint's flat slot arrays.
-type setCheckpoint struct {
-	Tick     uint32
-	Dirty    uint32
-	Pending  uint32
-	Enqueued bool
-	Inflight []inflightEntry
-}
+//
+// A checkpoint holds only the line bodies a fill cannot rebuild: dirty ways,
+// and clean ones that MediaWrite or MediaZero changed media under.
 
 // DeviceCheckpoint is a deep, immutable-by-convention copy of a device's
 // state. One checkpoint may be restored into any number of devices (fork
@@ -38,12 +36,13 @@ type DeviceCheckpoint struct {
 	Pages []uint32
 	Refs  []*mediaPage
 
-	// Tags, Ages and Lines are the cache's slot arrays, with every age
-	// explicit (no set's MRU age left implicit in its tick).
-	Tags  []uint32
-	Ages  []uint32
-	Lines []byte
-	Sets  []setCheckpoint
+	// Sets are the cache's set blocks with their in-flight slices nil;
+	// Inflight holds every set's in-flight lines, in set order.
+	Sets     []cacheSet
+	Inflight []inflightEntry
+	// Slots lists, ascending, the ways media cannot rebuild; Lines their bodies.
+	Slots []int
+	Lines [][LineSize]byte
 	Pend  []int
 	EADR  bool
 
@@ -86,20 +85,24 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 	}
 	clear(c.Refs[len(c.Refs):cap(c.Refs)]) // no stale reference keeps a page alive
 
-	c.Tags = append(c.Tags[:0], d.tags...)
-	c.Ages = append(c.Ages[:0], d.ages...)
-	c.Lines = append(c.Lines[:0], d.lines...)
-	if len(c.Sets) != len(d.sets) {
-		c.Sets = make([]setCheckpoint, len(d.sets))
-	}
+	c.Sets = append(c.Sets[:0], d.sets...)
+	dirty := 0
 	for i := range d.sets {
-		set := &d.sets[i]
-		if set.mruTag != 0 {
-			c.Ages[i*d.nway+int(set.mru)] = set.tick
+		dirty += bits.OnesCount32(d.sets[i].dirty)
+	}
+	c.Inflight, c.Slots, c.Lines = c.Inflight[:0], slices.Grow(c.Slots[:0], dirty), slices.Grow(c.Lines[:0], dirty)
+	for si := range d.sets {
+		set := &d.sets[si]
+		c.Sets[si].inflight = nil
+		c.Inflight = append(c.Inflight, set.inflight...)
+		for w, t := range set.tags[:set.fill] {
+			slot := si*d.nway + w
+			if set.dirty>>w&1 == 0 && *d.persisted(set, uint64(t-1)) == *d.body(slot) {
+				continue
+			}
+			c.Slots = append(c.Slots, slot)
+			c.Lines = append(c.Lines, *d.body(slot))
 		}
-		cs := &c.Sets[i]
-		cs.Tick, cs.Dirty, cs.Pending, cs.Enqueued = set.tick, set.dirty, set.pending, set.enqueued
-		cs.Inflight = append(cs.Inflight[:0], set.inflight...)
 	}
 	c.Pend = append(c.Pend[:0], d.pend...)
 	c.EADR = d.eADR
@@ -113,7 +116,7 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 // only on a quiescent device; the checkpoint itself is not modified, so
 // several devices may restore from the same checkpoint concurrently.
 func (d *Device) Restore(c *DeviceCheckpoint) {
-	if c.MediaLen != int(d.size) || len(c.Sets) != len(d.sets) || len(c.Tags) != len(d.tags) {
+	if c.MediaLen != int(d.size) || len(c.Sets) != len(d.sets) || len(c.Sets)*d.nway*LineSize != len(d.lines) {
 		panic("pmem: Restore geometry mismatch")
 	}
 	d.dropPages()
@@ -126,17 +129,29 @@ func (d *Device) Restore(c *DeviceCheckpoint) {
 		l.pages[i] = c.Refs[k]
 		l.shared[i>>6] |= 1 << (i & 63)
 	}
-	copy(d.tags, c.Tags)
-	copy(d.ages, c.Ages)
-	copy(d.lines, c.Lines)
-	for i := range d.sets {
-		set := &d.sets[i]
-		cs := &c.Sets[i]
-		// The checkpoint's ages are all explicit: no way is trusted as MRU
-		// until the next access finds one.
-		set.mruTag, set.mru = 0, 0
-		set.tick, set.dirty, set.pending, set.enqueued = cs.Tick, cs.Dirty, cs.Pending, cs.Enqueued
-		set.inflight = append(set.inflight[:0], cs.Inflight...)
+	for si := range d.sets {
+		set := &d.sets[si]
+		inflight := set.inflight[:0]
+		*set = c.Sets[si]
+		set.inflight = inflight
+	}
+	for _, fl := range c.Inflight {
+		set := &d.sets[d.setIndex(fl.lineIdx)]
+		set.inflight = append(set.inflight, fl)
+	}
+	// Refill from the restored media and in-flight lines what they rebuild.
+	next := 0
+	for si := range d.sets {
+		set := &d.sets[si]
+		for w, t := range set.tags[:set.fill] {
+			slot := si*d.nway + w
+			if next < len(c.Slots) && c.Slots[next] == slot {
+				copyLine(d.body(slot), &c.Lines[next])
+				next++
+			} else {
+				copyLine(d.body(slot), d.persisted(set, uint64(t-1)))
+			}
+		}
 	}
 	d.pend = append(d.pend[:0], c.Pend...)
 	d.eADR = c.EADR

@@ -31,14 +31,13 @@
 // optimizations must keep.
 //
 // The modelled cache is laid out for the host's cache (DESIGN.md §7, "A cache
-// laid out for the host"). Way state lives in three device-wide arrays
-// indexed by slot = set*nway + way — tags (line index + 1, 0 = invalid), LRU
-// ages and 64-byte line bodies — and everything else a set owns fits the one
-// host line of its cacheSet. A hit on the set's most recently used way reads
-// that line and the body, nothing else. Two invariants are fixed at
-// construction and checked there, because only a bug in a caller's geometry
-// can break them: at most 32 ways (a set's dirty and pending flags are one
-// uint32 mask each) and at most 2³²−2 media lines ≈ 256 GB (tags are uint32).
+// laid out for the host"): each set is one 128-byte block of tags, masks,
+// in-flight lines and an exact LRU stack, and line bodies are one device-wide
+// array indexed by slot = set*nway + way. An MRU hit reads the block and the
+// body, nothing else. Two invariants are fixed at construction and checked
+// there, because only a bug in a caller's geometry can break them: at most 16
+// ways (the stack holds 16 4-bit way indices) and at most 2³²−2 media lines
+// ≈ 256 GB (tags are uint32).
 package pmem
 
 import (
@@ -46,6 +45,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -124,19 +124,18 @@ type inflightEntry struct {
 	data    [LineSize]byte
 }
 
-// cacheSet is the per-set state of the modelled cache — exactly one host
-// cacheline, so a hit on the set's MRU way touches this line and the line
-// body and nothing else. The ways themselves (tags, ages, bodies) live in the
-// device-wide slot arrays.
+// cacheSet is one set of the modelled cache, one 128-byte host block. An MRU
+// hit reads stack and one tag; ways 0–13 share the first host line with stack.
 type cacheSet struct {
-	// mruTag, when non-zero, asserts that way mru holds that tag and was the
-	// last way of the set touched — so its LRU age is tick, and ages[mru] is
-	// stale until something materializes it: resident before it touches
-	// another way, CheckpointInto into its copy. Everything that rewrites
-	// tags or ages behind the set's back (dropVolatile, Restore) zeroes mruTag.
-	mruTag  uint32
-	mru     uint32
-	tick    uint32
+	// stack is the exact LRU order of the valid ways: nibble i is the way
+	// touched i-th most recently, for i < fill. The head is the MRU way, and
+	// in a full set nibble nway-1 is the next victim.
+	stack uint64
+	tags  [16]uint32 // line index + 1; 0 = invalid
+	// fill counts the valid ways. A miss fills the next way in index order,
+	// and only dropVolatile invalidates ways, all at once, so ways [0, fill)
+	// are exactly the valid ones.
+	fill    uint32
 	dirty   uint32 // bit w: way w differs from the persistence domain
 	pending uint32 // bit w: way w is a relocate destination not yet persistent
 	// enqueued records whether this set is already on the device's
@@ -150,12 +149,29 @@ type cacheSet struct {
 	_ [16]byte
 }
 
-// A cacheSet is one host line: no smaller (adjacent sets would share one),
-// no larger (a hit would touch two).
+// A cacheSet is two host lines, 128-byte aligned: the Go allocator gives a set
+// array of 32 KB (minSetAlloc sets) or more pages of its own, where a smaller
+// one would start 8 bytes past a boundary (TestSetBlocksAligned).
+const minSetAlloc = 256
+
 var (
-	_ [unsafe.Sizeof(cacheSet{}) - 64]struct{}
-	_ [64 - unsafe.Sizeof(cacheSet{})]struct{}
+	_ [unsafe.Sizeof(cacheSet{}) - 128]struct{}
+	_ [128 - unsafe.Sizeof(cacheSet{})]struct{}
 )
+
+// mru returns the set's most recently used way.
+func (set *cacheSet) mru() int { return int(set.stack & 15) }
+
+// touch makes valid way w the set's most recently used: the ways above it on
+// the stack move down one place.
+func (set *cacheSet) touch(w int) {
+	const nibbles = 0x1111111111111111
+	// w's place on the stack: the lowest zero nibble of x.
+	x := set.stack ^ uint64(w)*nibbles
+	at := bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3)) &^ 3
+	above := uint64(1)<<at - 1
+	set.stack = set.stack&^(above<<4|0xF) | (set.stack&above)<<4 | uint64(w)
+}
 
 // Device is a simulated persistent-memory module plus the volatile cache in
 // front of it. It belongs to one goroutine at a time, which runs every
@@ -168,10 +184,8 @@ type Device struct {
 	nset int
 	nway int
 	sets []cacheSet
-	// Way state, indexed by slot = set*nway + way.
-	tags  []uint32 // line index + 1; 0 = invalid
-	ages  []uint32 // LRU age (the set's tick at the last touch; see mruTag)
-	lines []byte   // LineSize bytes per slot
+	// lines holds the way bodies, LineSize bytes per slot = set*nway + way.
+	lines []byte
 
 	// setMagic is ⌈2⁶⁴/nset⌉ (mod 2⁶⁴), the multiplier of the division-free
 	// set mapping (Lemire's fastmod), exact for every 32-bit line index.
@@ -283,8 +297,8 @@ func newDevice(cfg *sim.Config, size uint64, clean bool) *Device {
 	if nset < 1 {
 		nset = 1
 	}
-	if nway < 1 || nway > 32 || size>>LineShift > 1<<32-2 {
-		panic(fmt.Sprintf("pmem: unsupported geometry: %d ways (1..32), %d media lines (<= 2^32-2)", nway, size>>LineShift))
+	if nway < 1 || nway > len(cacheSet{}.tags) || size>>LineShift > 1<<32-2 {
+		panic(fmt.Sprintf("pmem: unsupported geometry: %d ways (1..16), %d media lines (<= 2^32-2)", nway, size>>LineShift))
 	}
 	npages := (size + DirtyPageSize - 1) >> DirtyPageShift
 	d := &Device{
@@ -297,14 +311,12 @@ func newDevice(cfg *sim.Config, size uint64, clean bool) *Device {
 		policy:   DropAllInflight,
 	}
 	if a, ok := takeArrays(nset, nway); ok {
-		d.sets, d.tags, d.ages, d.lines = a.sets, a.tags, a.ages, a.lines
+		d.sets, d.lines = a.sets, a.lines
 		if clean {
 			d.dropVolatile(nil)
 		}
 	} else {
-		d.sets = make([]cacheSet, nset)
-		d.tags = make([]uint32, nset*nway)
-		d.ages = make([]uint32, nset*nway)
+		d.sets = make([]cacheSet, max(nset, minSetAlloc))[:nset]
 		d.lines = make([]byte, nset*nway*LineSize)
 	}
 	return d
@@ -325,9 +337,9 @@ func (d *Device) ReleaseMedia() {
 			putLeaf(l)
 		}
 	}
-	putArrays(cacheArrays{d.sets, d.tags, d.ages, d.lines})
+	putArrays(cacheArrays{d.sets, d.lines})
 	d.size, d.leaves = 0, nil
-	d.sets, d.tags, d.ages, d.lines = nil, nil, nil, nil
+	d.sets, d.lines = nil, nil
 	d.pend = nil
 }
 
@@ -359,19 +371,10 @@ func (d *Device) body(slot int) *[LineSize]byte {
 	return (*[LineSize]byte)(d.lines[slot<<LineShift:])
 }
 
-// findWay returns the way of set si that holds lineIdx, or -1, without
+// findWay returns the way of set that holds lineIdx, or -1, without
 // touching LRU state.
-func (d *Device) findWay(set *cacheSet, si int, lineIdx uint64) int {
-	tag := uint32(lineIdx + 1)
-	if set.mruTag == tag {
-		return int(set.mru)
-	}
-	for w, t := range d.tags[si*d.nway : (si+1)*d.nway] {
-		if t == tag {
-			return w
-		}
-	}
-	return -1
+func (set *cacheSet) findWay(lineIdx uint64) int {
+	return slices.Index(set.tags[:set.fill], uint32(lineIdx+1))
 }
 
 func (d *Device) checkRange(addr, n uint64) {
@@ -442,21 +445,17 @@ func (d *Device) RestoreMedia(img []byte) {
 	d.dropVolatile(nil)
 }
 
-// dropVolatile clears every cached line, all in-flight state and the
-// pending-set list, returning the in-flight lines it dropped appended to
-// harvest (nil to discard them).
+// dropVolatile invalidates every cached line and drops all in-flight state
+// and the pending-set list, returning the in-flight lines it dropped appended
+// to harvest (nil to discard them). The bodies stay: no invalid way's body is
+// ever read.
 func (d *Device) dropVolatile(harvest *[]inflightEntry) {
-	clear(d.tags)
-	clear(d.ages)
-	clear(d.lines)
 	for i := range d.sets {
 		set := &d.sets[i]
 		if harvest != nil {
 			*harvest = append(*harvest, set.inflight...)
 		}
-		set.mruTag, set.mru, set.tick, set.dirty, set.pending = 0, 0, 0, 0, 0
-		set.inflight = set.inflight[:0]
-		set.enqueued = false
+		*set = cacheSet{inflight: set.inflight[:0]}
 	}
 	d.pend = d.pend[:0]
 }
@@ -607,7 +606,7 @@ func (d *Device) SetOfAddr(addr uint64) int { return d.setIndex(addr >> LineShif
 // byte on — cached way first, then in-flight copy, then media. set is si,
 // the line's set.
 func (d *Device) newest(set *cacheSet, si int, lineIdx uint64) []byte {
-	if w := d.findWay(set, si, lineIdx); w >= 0 {
+	if w := set.findWay(lineIdx); w >= 0 {
 		return d.body(si*d.nway + w)[:]
 	}
 	if i := set.inflightIndex(lineIdx); i >= 0 {
@@ -654,7 +653,7 @@ func (d *Device) StateOf(addr uint64) LineState {
 	si := d.setIndex(lineIdx)
 	set := &d.sets[si]
 	inflight := set.inflightIndex(lineIdx) >= 0
-	if w := d.findWay(set, si, lineIdx); w >= 0 {
+	if w := set.findWay(lineIdx); w >= 0 {
 		bit := uint32(1) << w
 		if set.pending&bit != 0 {
 			return LineCachedPending

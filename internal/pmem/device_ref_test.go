@@ -12,14 +12,15 @@ import (
 	"ffccd/internal/sim"
 )
 
-// refDevice is the device's cache as it was before the flat layout: per-set
-// tag and age arrays, line bodies with inline dirty/pending flags, an MRU way
-// that is only a hint, every LRU age written on every touch, and cache hits
+// refDevice is the device's cache as it was before it was laid out for the
+// host: per-set tag and age arrays, line bodies with inline dirty/pending
+// flags, an MRU way that is only a hint, every LRU age written on every touch
+// (the victim is the first invalid way, else the minimum age), and cache hits
 // counted where they happen. The bodies of resident, Load, storeInternal,
 // Clwb, Sfence, FlushAll, Crash, Peek, StateOf and RelocateParts are the old
 // ones verbatim, minus host-only machinery (locks, counter shards, dirty-page
 // bitmap, observability, crash sites), over a dense media array. It is the
-// reference the flat cache must match in every returned byte, counter,
+// reference the set blocks must match in every returned byte, counter,
 // charged cycle, LRU decision and media bit.
 
 type refCacheLine struct {
@@ -144,6 +145,11 @@ func (d *refDevice) Crash() {
 	for _, lineIdx := range reached {
 		d.notifyReached(nil, lineIdx)
 	}
+}
+
+func (d *refDevice) MediaWrite(addr uint64, data []byte) {
+	copy(d.media[addr:], data)
+	d.stat.MediaWrites++
 }
 
 func (d *refDevice) InflightLines() []uint64 {
@@ -543,22 +549,35 @@ func (p *diffPair) failf(format string, args ...any) {
 	p.t.Fatalf("step %d (%s): %s", p.step, p.op, fmt.Sprintf(format, args...))
 }
 
-// lruOrder returns set si's (tag, age) per way with the trusted MRU way's
-// implicit age made explicit — what CheckpointInto would capture.
-func (d *Device) lruOrder(si int) (tags []uint64, ages []uint32) {
+// recency returns set si's tags in recency order, most recent first: the
+// device's stack, and the reference's valid ways by descending age.
+func (d *Device) recency(si int) []uint64 {
 	set := &d.sets[si]
-	for w := 0; w < d.nway; w++ {
-		tags = append(tags, uint64(d.tags[si*d.nway+w]))
-		ages = append(ages, d.ages[si*d.nway+w])
+	var tags []uint64
+	for i := uint32(0); i < set.fill; i++ {
+		tags = append(tags, uint64(set.tags[set.stack>>(4*i)&15]))
 	}
-	if set.mruTag != 0 {
-		ages[set.mru] = set.tick
+	return tags
+}
+
+func (set *refCacheSet) recency() []uint64 {
+	var ways []int
+	for w, t := range set.tags {
+		if t != 0 {
+			ways = append(ways, w)
+		}
 	}
-	return tags, ages
+	sort.Slice(ways, func(i, j int) bool { return set.ages[ways[i]] > set.ages[ways[j]] })
+	var tags []uint64
+	for _, w := range ways {
+		tags = append(tags, set.tags[w])
+	}
+	return tags
 }
 
 // check compares the cheap observables after every step, and the media bytes
-// and every set's LRU state, flags and bodies when deep is set.
+// and every set's tags, recency order, flags and valid bodies when deep is
+// set. An invalid way's body is never read, so it is not compared.
 func (p *diffPair) check(touched []uint64, deep bool) {
 	p.t.Helper()
 	if got, want := p.dev.Stats(), p.ref.stat; got != want {
@@ -589,17 +608,19 @@ func (p *diffPair) check(touched []uint64, deep bool) {
 	}
 	for si := range p.ref.sets {
 		rs := &p.ref.sets[si]
-		tags, ages := p.dev.lruOrder(si)
-		if !slices.Equal(tags, rs.tags) || !slices.Equal(ages, rs.ages) || p.dev.sets[si].tick != rs.tick {
-			p.failf("set %d LRU state\n got tags %v ages %v tick %d\nwant tags %v ages %v tick %d",
-				si, tags, ages, p.dev.sets[si].tick, rs.tags, rs.ages, rs.tick)
+		set := &p.dev.sets[si]
+		var tags []uint64
+		for _, t := range set.tags[:p.dev.nway] {
+			tags = append(tags, uint64(t))
+		}
+		if got, want := p.dev.recency(si), rs.recency(); !slices.Equal(tags, rs.tags) || !slices.Equal(got, want) {
+			p.failf("set %d LRU state\n got tags %v recency %v\nwant tags %v recency %v", si, tags, got, rs.tags, want)
 		}
 		for w := range rs.ways {
 			l := &rs.ways[w]
 			bit := uint32(1) << w
-			set := &p.dev.sets[si]
 			if set.dirty&bit != 0 != l.dirty || set.pending&bit != 0 != l.pending ||
-				*p.dev.body(si*p.dev.nway + w) != l.data {
+				rs.tags[w] != 0 && *p.dev.body(si*p.dev.nway + w) != l.data {
 				p.failf("set %d way %d differs (dirty/pending/body)", si, w)
 			}
 		}
@@ -708,6 +729,15 @@ func (p *diffPair) run(rng *rand.Rand, steps int) {
 				p.dev.RelocateParts(p.dctx, parts)
 			}
 			p.ref.RelocateParts(p.rctx, parts)
+		case k < 91:
+			n := uint64(rng.Intn(130))
+			a := addr(n)
+			p.op = fmt.Sprintf("MediaWrite %#x+%d", a, n)
+			data := make([]byte, n)
+			rng.Read(data)
+			p.dev.MediaWrite(a, data)
+			p.ref.MediaWrite(a, data)
+			touched = span(a, n)
 		case k < 93:
 			n := uint64(rng.Intn(200))
 			a := addr(n)
@@ -778,17 +808,17 @@ func (p *diffPair) run(rng *rand.Rand, steps int) {
 	}
 }
 
-// TestDeviceMatchesReferenceCache is the differential test of the flat cache
-// against the layout it replaced: three geometries, random operation
-// sequences including crashes under all three policy kinds and
-// checkpoint/restore into the same and into a fresh device. Each geometry's
-// subtest keeps the name "exclusive=true" it has always been reported under:
-// the device's one mode is the single-owner one.
+// TestDeviceMatchesReferenceCache is the differential test of the set blocks
+// against the age-based layout: three geometries, random operation sequences
+// including media writes under cached lines, crashes under all three policy
+// kinds and checkpoint/restore into the same and into a fresh device. Each
+// geometry's subtest keeps the name "exclusive=true" it has always been
+// reported under: the device's one mode is the single-owner one.
 //
-// Mutations that must each fail it (checked by hand when the layout landed):
-// not writing ages[mru] back at the top of resident; not zeroing mruTag in
-// Restore; not zeroing it in dropVolatile (Crash); deriving CacheHits without
-// cExtraLines.
+// Mutations that must each fail it (checked by hand, DESIGN.md §7): a miss
+// not taking way fill while the set fills; an MRU hit shifting the stack as a
+// miss does; Restore not refilling the clean ways; capture skipping a stale
+// clean way; deriving CacheHits without cExtraLines.
 func TestDeviceMatchesReferenceCache(t *testing.T) {
 	geoms := []struct {
 		name        string

@@ -4,19 +4,25 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"ffccd/internal/sim"
 )
 
-// Tests of the invariants the flat cache layout introduced: the trusted MRU
-// way's implicit age, the typed 8-byte accesses, derived cache hits, and
-// construction cost independent of the set count.
+// Tests of the invariants the cache layout introduced: the set blocks and
+// their recency stacks, images that hold only the bodies media cannot
+// rebuild, the typed 8-byte accesses, derived counters, and construction cost
+// independent of the set count.
 
-// TestCheckpointWithOpenMRU checkpoints a device while every set's MRU age is
-// still implicit in its tick, restores into a fresh device and runs the same
-// tail on both: identical evictions, stats and media, and identical state.
-func TestCheckpointWithOpenMRU(t *testing.T) {
+// TestCheckpointWithMidFillSets checkpoints a device while many of its sets
+// are part-filled — a crash emptied them and a few accesses refilled some
+// ways — restores into a fresh device and runs the same tail on both:
+// identical victims (a part-filled set fills its next way before it evicts),
+// stats, cycles, media and state.
+func TestCheckpointWithMidFillSets(t *testing.T) {
 	const size = 1 << 18
 	cfg := sim.DefaultConfig()
 	cfg.CacheBytes = 16 * 1024
@@ -40,14 +46,20 @@ func TestCheckpointWithOpenMRU(t *testing.T) {
 		}
 	}
 	mix(d, ctx, rng, 3000)
-	// End the prefix with one touch of every set, so each has an open MRU way.
-	for si := 0; si < d.nset; si++ {
-		d.LoadU64(ctx, uint64(si)*LineSize)
-	}
+	d.SetCrashPolicy(KeepAllInflight)
+	d.Crash()
+	mix(d, ctx, rng, 60)
+	var part, full int
 	for si := range d.sets {
-		if d.sets[si].mruTag == 0 {
-			t.Fatalf("set %d has no trusted MRU way; the test is vacuous", si)
+		switch f := int(d.sets[si].fill); {
+		case f == d.nway:
+			full++
+		case f > 0:
+			part++
 		}
+	}
+	if part == 0 || full == 0 {
+		t.Fatalf("%d part-filled and %d full sets; the test is vacuous", part, full)
 	}
 	chk := d.Checkpoint()
 	fork := NewDeviceForRestore(&cfg, size)
@@ -173,7 +185,8 @@ func TestHitsPlusMissesEqualLinesTouched(t *testing.T) {
 	}
 }
 
-// TestNewDeviceAllocs: building a device costs a handful of allocations
+// TestNewDeviceAllocs: building a device costs four allocations (the device,
+// its page directory, its set blocks and its line bodies)
 // however many sets it has and however large its media — a crash trial
 // builds one per machine incarnation, and no media page exists until written.
 func TestNewDeviceAllocs(t *testing.T) {
@@ -181,10 +194,230 @@ func TestNewDeviceAllocs(t *testing.T) {
 		for _, scale := range []int{1, 8} {
 			cfg := sim.DefaultConfig()
 			cfg.CacheBytes *= scale
-			if allocs := testing.AllocsPerRun(5, func() { newDevice(&cfg, size, true) }); allocs > 8 {
-				t.Errorf("%d B of media, cache of %d sets: newDevice made %v allocations, want <= 8",
+			if allocs := testing.AllocsPerRun(5, func() { newDevice(&cfg, size, true) }); allocs > 4 {
+				t.Errorf("%d B of media, cache of %d sets: newDevice made %v allocations, want <= 4",
 					size, cfg.CacheBytes/cfg.CacheLineSize/cfg.CacheWays, allocs)
 			}
 		}
+	}
+}
+
+// TestSetBlocksAligned: every set block starts on a 128-byte boundary, so an
+// MRU hit reads one host line and a set never shares a line with another.
+func TestSetBlocksAligned(t *testing.T) {
+	for _, nset := range []int{1, 2, 3, 5, 17, 100, 255, 256, 257, 1000, 3072, 24576} {
+		cfg := sim.DefaultConfig()
+		cfg.CacheWays = 4
+		cfg.CacheBytes = nset * cfg.CacheWays * LineSize
+		d := NewDevice(&cfg, 1<<20)
+		if len(d.sets) != nset {
+			t.Fatalf("%d sets, want %d", len(d.sets), nset)
+		}
+		if a := uintptr(unsafe.Pointer(&d.sets[0])); a%128 != 0 {
+			t.Errorf("%d sets: set array at %#x, not 128-byte aligned", nset, a)
+		}
+		d.ReleaseMedia()
+	}
+}
+
+// ageSet is one set under the rule the recency stack replaced, copied from
+// the age-based resident: every touch stamps the way with a fresh tick, and a
+// miss takes the first invalid way, else the one with the minimum age.
+type ageSet struct {
+	tags, ages []uint32
+	tick       uint32
+}
+
+func (s *ageSet) access(tag uint32) (way int, hit bool) {
+	s.tick++
+	victim := 0
+	var oldest uint32 = ^uint32(0)
+	for w, t := range s.tags {
+		if t == tag {
+			s.ages[w] = s.tick
+			return w, true
+		}
+		if t == 0 {
+			if oldest != 0 {
+				victim, oldest = w, 0
+			}
+			continue
+		}
+		if a := s.ages[w]; a < oldest {
+			victim, oldest = w, a
+		}
+	}
+	s.tags[victim], s.ages[victim] = tag, s.tick
+	return victim, false
+}
+
+// TestRecencyStackMatchesAges drives 2-, 4- and 16-way sets with random hit
+// and miss sequences, crashes (dropVolatile empties every set) and
+// checkpoint round trips into fresh devices, and checks after every access
+// that each set holds the tags the age rule would, in the age rule's recency
+// order, and that the access hit or missed as it says.
+func TestRecencyStackMatchesAges(t *testing.T) {
+	for _, nway := range []int{2, 4, 16} {
+		const nset = 4
+		cfg := sim.DefaultConfig()
+		cfg.CacheWays = nway
+		cfg.CacheBytes = nset * nway * LineSize
+		d, ctx := NewDevice(&cfg, 1<<18), sim.NewCtx(&cfg)
+		model := make([]ageSet, nset)
+		reset := func() {
+			for i := range model {
+				model[i] = ageSet{tags: make([]uint32, nway), ages: make([]uint32, nway)}
+			}
+		}
+		reset()
+		rng := rand.New(rand.NewSource(int64(nway)))
+		var crashes, restores int
+		last := uint64(0)
+		for step := 0; step < 20000; step++ {
+			switch r := rng.Intn(200); {
+			case r == 0:
+				d.Crash()
+				reset()
+				crashes++
+				continue
+			case r == 1:
+				fork := NewDeviceForRestore(&cfg, d.Size())
+				fork.Restore(d.Checkpoint())
+				d.ReleaseMedia()
+				d = fork
+				restores++
+				continue
+			}
+			line := last
+			if rng.Intn(10) >= 3 {
+				line = uint64(rng.Intn(nway+3)*nset + rng.Intn(nset))
+			}
+			last = line
+			si := int(line % nset)
+			_, hit := model[si].access(uint32(line + 1))
+			misses := d.Stats().CacheMisses
+			if rng.Intn(2) == 0 {
+				d.StoreU64(ctx, line*LineSize, line)
+			} else {
+				d.LoadU64(ctx, line*LineSize)
+			}
+			if got := d.Stats().CacheMisses == misses; got != hit {
+				t.Fatalf("%d ways, step %d: line %d hit=%v, want %v", nway, step, line, got, hit)
+			}
+			set := &d.sets[si]
+			if !slices.Equal(set.tags[:nway], model[si].tags) {
+				t.Fatalf("%d ways, step %d: set %d tags %v, want %v", nway, step, si, set.tags[:nway], model[si].tags)
+			}
+			ways := make([]int, 0, nway)
+			for w, tg := range model[si].tags {
+				if tg != 0 {
+					ways = append(ways, w)
+				}
+			}
+			sort.Slice(ways, func(i, j int) bool { return model[si].ages[ways[i]] > model[si].ages[ways[j]] })
+			for i, w := range ways {
+				if got := int(set.stack >> (4 * i) & 15); got != w {
+					t.Fatalf("%d ways, step %d: set %d stack %#x, want recency order %v", nway, step, si, set.stack, ways)
+				}
+			}
+			if int(set.fill) != len(ways) {
+				t.Fatalf("%d ways, step %d: set %d fill %d, want %d", nway, step, si, set.fill, len(ways))
+			}
+		}
+		if crashes == 0 || restores == 0 || d.Stats().Evictions == 0 {
+			t.Fatalf("%d ways: %d crashes, %d restores, %+v: vacuous", nway, crashes, restores, d.Stats())
+		}
+		d.ReleaseMedia()
+	}
+}
+
+// TestImageStoresOnlyIrreproducibleLines: an image holds the body of a clean
+// line that MediaWrite changed under the cache and of a dirty line, and not
+// of a clean line in flight or one equal to media. A fork into a device
+// whose pooled bodies are junk reads what the parent reads: the stale value
+// of the first line, not media's.
+func TestImageStoresOnlyIrreproducibleLines(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.CacheBytes, cfg.CacheWays = 16*1024, 4
+	const size = 1 << 18
+	d, ctx := NewDevice(&cfg, size), sim.NewCtx(&cfg)
+	defer d.ReleaseMedia()
+	const stale, dirty, inflight, clean = 0, LineSize, 2 * LineSize, 3 * LineSize
+	d.StoreU64(ctx, stale, 1)
+	d.StoreU64(ctx, clean, 5)
+	d.FlushAll(ctx) // both cached clean, equal to media
+	var two [8]byte
+	binary.LittleEndian.PutUint64(two[:], 2)
+	d.MediaWrite(stale, two[:]) // media changes under the cached 1
+	d.StoreU64(ctx, dirty, 3)
+	d.StoreU64(ctx, inflight, 4)
+	d.Clwb(ctx, inflight) // cached clean, its durable copy in flight
+	if d.StateOf(stale) != LineCachedClean || d.StateOf(dirty) != LineCachedDirty || d.StateOf(inflight) != LineInflight {
+		t.Fatalf("states %v %v %v", d.StateOf(stale), d.StateOf(dirty), d.StateOf(inflight))
+	}
+	slotOf := func(addr uint64) int {
+		si := d.setIndex(addr >> LineShift)
+		return si*d.nway + d.sets[si].findWay(addr>>LineShift)
+	}
+	c := d.Checkpoint()
+	if want := []int{slotOf(stale), slotOf(dirty)}; !slices.Equal(c.Slots, want) {
+		t.Fatalf("image holds slots %v, want %v (stale, dirty)", c.Slots, want)
+	}
+	if v := binary.LittleEndian.Uint64(c.Lines[0][:]); v != 1 {
+		t.Errorf("stale body holds %d, want 1", v)
+	}
+
+	junk := NewDevice(&cfg, size)
+	jctx := sim.NewCtx(&cfg)
+	for a := uint64(0); a < size; a += LineSize {
+		junk.StoreU64(jctx, a, ^a)
+	}
+	junk.ReleaseMedia() // its bodies go to the pool, for the fork to adopt
+	fork := NewDeviceForRestore(&cfg, size)
+	defer fork.ReleaseMedia()
+	fork.Restore(c)
+	fctx := sim.NewCtx(&cfg)
+	for _, a := range []uint64{stale, dirty, inflight, clean} {
+		if got, want := fork.LoadU64(fctx, a), d.LoadU64(ctx, a); got != want {
+			t.Errorf("line %#x: fork loads %d, parent %d", a, got, want)
+		}
+	}
+	if got := fork.LoadU64(fctx, stale); got != 1 || d.LoadU64(ctx, stale) != 1 {
+		t.Errorf("fork loads %d from the stale line, want the cached 1", got)
+	}
+	if fork.Stats() != d.Stats() || !reflect.DeepEqual(fork.Checkpoint(), d.Checkpoint()) {
+		t.Error("fork and parent differ")
+	}
+}
+
+// TestMediaReadsAreMisses: every miss reads its line from media and nothing
+// else does, so Stats derives MediaReads from the misses.
+func TestMediaReadsAreMisses(t *testing.T) {
+	const size = 1 << 18
+	d, ctx := newTestDevice(size)
+	defer d.ReleaseMedia()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		a := uint64(rng.Intn(size - 700))
+		switch rng.Intn(6) {
+		case 0:
+			d.Load(ctx, a, make([]byte, rng.Intn(700)))
+		case 1:
+			d.Store(ctx, a, make([]byte, rng.Intn(700)))
+		case 2:
+			d.Relocate(ctx, uint64(rng.Intn(size-700)), a, uint64(rng.Intn(300)))
+		case 3:
+			d.Clwb(ctx, a)
+			d.Sfence(ctx)
+		case 4:
+			d.LoadU64(ctx, a&^7)
+		default:
+			if rng.Intn(50) == 0 {
+				d.Crash()
+			}
+		}
+	}
+	if s := d.Stats(); s.MediaReads != s.CacheMisses || s.CacheMisses == 0 || s.RelocateOps == 0 {
+		t.Fatalf("media reads %d, misses %d: %+v", s.MediaReads, s.CacheMisses, s)
 	}
 }

@@ -247,9 +247,8 @@ func putLeaf(l *pageLeaf) {
 // cacheArrays are a device's cache state: what one geometry's devices can
 // hand each other.
 type cacheArrays struct {
-	sets       []cacheSet
-	tags, ages []uint32
-	lines      []byte
+	sets  []cacheSet
+	lines []byte
 }
 
 // arrayPool holds released devices' cache arrays, at most one set per pool
@@ -266,7 +265,7 @@ func takeArrays(nset, nway int) (cacheArrays, bool) {
 	arrayPool.Lock()
 	defer arrayPool.Unlock()
 	for i := len(arrayPool.free) - 1; i >= 0; i-- {
-		if a := arrayPool.free[i]; len(a.sets) == nset && len(a.tags) == nset*nway {
+		if a := arrayPool.free[i]; len(a.sets) == nset && len(a.lines) == nset*nway*LineSize {
 			arrayPool.free = slices.Delete(arrayPool.free, i, i+1)
 			return a, true
 		}

@@ -9,73 +9,56 @@ import (
 	"ffccd/internal/sim"
 )
 
-// fillLine loads the newest persistent copy of lineIdx (in-flight beats
-// media) into buf. set is the line's set.
-func (d *Device) fillLine(set *cacheSet, lineIdx uint64, buf *[LineSize]byte) {
+// persisted returns the newest persistent copy of lineIdx, which a miss fills
+// the line from: in-flight beats media. set is the line's set.
+func (d *Device) persisted(set *cacheSet, lineIdx uint64) *[LineSize]byte {
 	if i := set.inflightIndex(lineIdx); i >= 0 {
-		*buf = set.inflight[i].data
-		return
+		return &set.inflight[i].data
 	}
-	copyLine(buf, d.mediaLine(lineIdx))
+	return d.mediaLine(lineIdx)
 }
 
 // cached ensures lineIdx is resident, filling from the persistence domain on a
 // miss (evicting a victim if needed). It returns the line's set, its slot —
-// way set.mru of the set — and 1 if the access missed in the cache, 0 if it
-// hit. The caller accesses the body and updates the set's masks.
+// the set's MRU way — and 1 if the access missed in the cache, 0 if it hit.
+// The caller accesses the body and updates the set's masks.
 func (d *Device) cached(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int, miss uint64) {
 	si := d.setIndex(lineIdx)
 	set = &d.sets[si]
-	if set.mruTag == uint32(lineIdx+1) {
-		// The set's last-touched way again: its age is the tick, implicitly.
-		set.tick++
-		return set, si*d.nway + int(set.mru), 0
+	if w := set.mru(); set.tags[w] == uint32(lineIdx+1) {
+		return set, si*d.nway + w, 0
 	}
 	slot, miss = d.resident(ctx, set, si*d.nway, lineIdx)
 	return set, slot, miss
 }
 
 // resident is cached off the MRU way: it makes lineIdx resident in set, whose
-// first slot is base, and leaves it the set's trusted MRU way.
+// first slot is base, and leaves it the set's MRU way. A miss takes the next
+// unfilled way while the set fills, else the least recently used one.
 func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64) (slot int, miss uint64) {
-	tag := uint32(lineIdx + 1)
-	tags := d.tags[base : base+d.nway]
-	ages := d.ages[base : base+d.nway]
-	if set.mruTag != 0 {
-		// Another way is about to be touched: the old MRU way's age stops
-		// being implicit.
-		ages[set.mru] = set.tick
+	if w := set.findWay(lineIdx); w >= 0 {
+		set.touch(w)
+		return base + w, 0
 	}
-	set.tick++
-	victim := 0
-	var oldest uint32 = ^uint32(0)
-	for w, t := range tags {
-		if t == tag {
-			set.mruTag, set.mru = tag, uint32(w)
-			return base + w, 0
-		}
-		if t == 0 {
-			if oldest != 0 {
-				victim, oldest = w, 0
-			}
-			continue
-		}
-		if a := ages[w]; a < oldest {
-			victim, oldest = w, a
-		}
+	victim := int(set.fill)
+	if victim < d.nway {
+		set.fill++
+		set.stack = set.stack<<4 | uint64(victim)
+	} else {
+		at := 4 * (d.nway - 1)
+		victim = int(set.stack >> at & 15)
+		set.stack = (set.stack<<4 | uint64(victim)) & (uint64(1)<<(at+4) - 1)
 	}
-	// Miss: evict the victim and fill.
 	slot = base + victim
 	bit := uint32(1) << victim
-	if vt := tags[victim]; vt != 0 && set.dirty&bit != 0 {
+	if set.dirty&bit != 0 {
 		d.stat[cEvictions]++
-		d.writeMediaLine(ctx, set, uint64(vt-1), d.body(slot), set.pending&bit != 0)
+		d.writeMediaLine(ctx, set, uint64(set.tags[victim]-1), d.body(slot), set.pending&bit != 0)
 	}
-	tags[victim] = tag
-	set.mruTag, set.mru = tag, uint32(victim)
+	set.tags[victim] = uint32(lineIdx + 1)
 	set.dirty &^= bit
 	set.pending &^= bit
-	d.fillLine(set, lineIdx, d.body(slot))
+	copyLine(d.body(slot), d.persisted(set, lineIdx))
 	return slot, 1
 }
 
@@ -87,7 +70,6 @@ func (d *Device) account(ctx *sim.Ctx, op int, lines, misses uint64) {
 	d.stat[op]++
 	d.stat[cExtraLines] += lines - 1
 	d.stat[cCacheMisses] += misses
-	d.stat[cMediaReads] += misses
 	ctx.Charge(lines*d.cfg.L2Latency + misses*d.cfg.PMReadLatency)
 }
 
@@ -148,9 +130,9 @@ func (d *Device) store(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
 		n := min(LineSize-off, uint64(len(data)))
 		set, slot, miss := d.cached(ctx, lineIdx)
 		copy(d.body(slot)[off:], data[:n])
-		set.dirty |= 1 << set.mru
+		set.dirty |= 1 << set.mru()
 		if pending {
-			set.pending |= 1 << set.mru
+			set.pending |= 1 << set.mru()
 		}
 		lines++
 		misses += miss
@@ -176,7 +158,7 @@ func (d *Device) StoreU64(ctx *sim.Ctx, addr, v uint64) {
 	lineIdx := addr >> LineShift
 	set, slot, miss := d.cached(ctx, lineIdx)
 	binary.LittleEndian.PutUint64(d.body(slot)[off:], v)
-	set.dirty |= 1 << set.mru
+	set.dirty |= 1 << set.mru()
 	d.account(ctx, cStores, 1, miss)
 }
 
@@ -190,7 +172,7 @@ func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 	d.stat[cClwbs]++
 	si := d.setIndex(lineIdx)
 	set := &d.sets[si]
-	if w := d.findWay(set, si, lineIdx); w >= 0 && set.dirty>>w&1 != 0 {
+	if w := set.findWay(lineIdx); w >= 0 && set.dirty>>w&1 != 0 {
 		bit := uint32(1) << w
 		i := set.inflightIndex(lineIdx)
 		if i < 0 {
@@ -292,7 +274,7 @@ func (d *Device) FlushAll(ctx *sim.Ctx) {
 		for m := set.dirty; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros32(m)
 			slot := si*d.nway + w
-			d.writeMediaLine(ctx, set, uint64(d.tags[slot]-1), d.body(slot), set.pending&(1<<w) != 0)
+			d.writeMediaLine(ctx, set, uint64(set.tags[w]-1), d.body(slot), set.pending&(1<<w) != 0)
 		}
 		set.dirty, set.pending = 0, 0
 	}

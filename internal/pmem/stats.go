@@ -2,8 +2,9 @@ package pmem
 
 // Device counters, plain integers like the rest of the device. The hot paths
 // batch increments: one update per Load/Store call rather than one per
-// cacheline. Cache hits have no counter: every line a Load or Store touches
-// either hits or misses, so Stats derives the hits.
+// cacheline. Cache hits and media reads have no counter: every line a Load or
+// Store touches either hits or misses, and every miss reads media, so Stats
+// derives both.
 const (
 	cCacheMisses = iota
 	cLoads
@@ -11,7 +12,6 @@ const (
 	cExtraLines // lines a multi-line Load or Store touched beyond its first
 	cEvictions
 	cMediaWrites
-	cMediaReads
 	cClwbs
 	cSfences
 	cRelocateOps
@@ -19,8 +19,9 @@ const (
 	statCount
 )
 
-// Stats are cumulative device counters. CacheHits is derived, not counted:
-// the lines Loads and Stores touched minus the ones that missed.
+// Stats are cumulative device counters. CacheHits and MediaReads are derived,
+// not counted: the hits are the lines Loads and Stores touched minus the ones
+// that missed, and every miss fetches its line from media.
 type Stats struct {
 	Loads        uint64
 	Stores       uint64
@@ -45,7 +46,7 @@ func (d *Device) Stats() Stats {
 		CacheMisses:  t[cCacheMisses],
 		Evictions:    t[cEvictions],
 		MediaWrites:  t[cMediaWrites],
-		MediaReads:   t[cMediaReads],
+		MediaReads:   t[cCacheMisses],
 		Clwbs:        t[cClwbs],
 		Sfences:      t[cSfences],
 		RelocateOps:  t[cRelocateOps],

@@ -11,14 +11,14 @@ package sim
 // setAssocState is a deep copy of one set-associative array's contents.
 type setAssocState struct {
 	Tags []uint64
-	Age  []uint32
-	Tick uint32
+	Age  []uint64
+	Tick uint64
 }
 
 func (s *setAssoc) checkpointInto(c *setAssocState) {
 	if cap(c.Tags) < len(s.tags) {
 		c.Tags = make([]uint64, len(s.tags))
-		c.Age = make([]uint32, len(s.age))
+		c.Age = make([]uint64, len(s.age))
 	}
 	c.Tags = c.Tags[:len(s.tags)]
 	c.Age = c.Age[:len(s.age)]

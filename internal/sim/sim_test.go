@@ -287,3 +287,20 @@ func TestNilClockChargeSafe(t *testing.T) {
 	ctx.Charge(100)
 	ctx.ChargeCat(CatMark, 100) // must not panic
 }
+
+// TestTLBClockCrossesTwoToThe32: a structure whose clock passes 2³² still
+// evicts its least recently used entry. With a 32-bit clock the entry touched
+// at 2³² would get age 0 and be the next victim.
+func TestTLBClockCrossesTwoToThe32(t *testing.T) {
+	s := newSetAssoc(2, 2)
+	s.tick = 1<<32 - 2
+	s.lookup(1) // age 2³²−1
+	s.lookup(2) // age 2³²
+	if s.lookup(3) {
+		t.Fatal("tag 3 hit in a set that never held it")
+	}
+	if s.contains(1) || !s.contains(2) || !s.contains(3) {
+		t.Fatalf("after the wrap: holds 1 %v, 2 %v, 3 %v; want the least recently used tag 1 evicted",
+			s.contains(1), s.contains(2), s.contains(3))
+	}
+}

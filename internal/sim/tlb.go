@@ -51,8 +51,10 @@ type setAssoc struct {
 	mask uint64 // sets-1 when sets is a power of two, else 0 (use modulo)
 	ways int
 	tags []uint64 // sets*ways entries; 0 means invalid (VPN 0 is never used)
-	age  []uint32
-	tick uint32
+	// age and tick are 64-bit: the L1 4 KB clock counts every translation,
+	// and a 32-bit one would wrap within a paper-scale run.
+	age  []uint64
+	tick uint64
 	// mruIdx/mruTag are a host-side hint for consecutive translations of the
 	// same page — always validated against tags, so stale values (including
 	// across a checkpoint restore) only cost the scan they avoid. mruTag 0
@@ -70,7 +72,7 @@ func newSetAssoc(entries, ways int) setAssoc {
 		sets: sets,
 		ways: ways,
 		tags: make([]uint64, sets*ways),
-		age:  make([]uint32, sets*ways),
+		age:  make([]uint64, sets*ways),
 	}
 	if sets&(sets-1) == 0 {
 		s.mask = uint64(sets - 1)
@@ -193,7 +195,7 @@ func (t *TLB) syncStreak() {
 	}
 	t.Accesses += t.streakLen
 	sa := t.streakSA
-	sa.tick += uint32(t.streakLen)
+	sa.tick += t.streakLen
 	sa.age[t.streakIdx] = sa.tick
 	t.streakLen = 0
 }
