@@ -25,16 +25,15 @@
 //
 //	ffccd-bench -experiment fig14 -trace out.json   # Perfetto-loadable trace
 //	ffccd-bench -experiment fig5 -trace-ring 256 -trace ring.json
-//	ffccd-bench -experiment all -httpobs localhost:6060  # expvar + pprof + OpenMetrics /metrics
+//	ffccd-bench -experiment all -httpobs localhost:6060  # pprof + OpenMetrics /metrics
 //
-// -httpobs serves pprof live, and an experiment's collection on /metrics and
-// expvar only once the experiment has finished (see observe).
+// -httpobs serves pprof live, and an experiment's collection on /metrics
+// only once the experiment has finished (see observe).
 package main
 
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -50,6 +49,7 @@ import (
 	"ffccd/internal/experiments"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
+	"ffccd/internal/workpool"
 )
 
 // benchRecord is one -json entry: what ran, how long the host took, and the
@@ -81,7 +81,7 @@ func run(args []string) int {
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev) of every run's defrag phases to this file")
 	traceRing := fs.Int("trace-ring", 0, "flight-recorder mode: keep only the newest N events per simulated thread (0 = full trace)")
-	httpObs := fs.String("httpobs", "", "serve pprof (/debug/pprof) on this address, and the latest finished experiment's metrics (/metrics, expvar /debug/vars)")
+	httpObs := fs.String("httpobs", "", "serve pprof (/debug/pprof) on this address, and the latest finished experiment's metrics (/metrics)")
 	shards := fs.Int("shards", 1, "serving experiments: shard the keyspace across N independent simulated machines")
 	scheme := fs.String("scheme", "", "serving experiments: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
 	if err := fs.Parse(args); err != nil {
@@ -148,7 +148,7 @@ func run(args []string) int {
 	}
 
 	if *parallel > 0 {
-		experiments.SetParallelism(*parallel)
+		workpool.SetParallelism(*parallel)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -167,21 +167,14 @@ func run(args []string) int {
 	obsEnabled := *tracePath != "" || *httpObs != ""
 	var finished atomic.Pointer[obsv.Collector]
 	if *httpObs != "" {
-		// expvar and net/http/pprof register themselves on DefaultServeMux;
-		// ffccd_obs exposes the latest finished experiment's merged summary.
-		expvar.Publish("ffccd_obs", expvar.Func(func() any {
-			if c := finished.Load(); c != nil {
-				return c.MetricsSummary()
-			}
-			return map[string]float64{}
-		}))
+		// net/http/pprof registers itself on DefaultServeMux.
 		http.Handle("/metrics", metricsHandler(&finished))
 		go func() {
 			if err := http.ListenAndServe(*httpObs, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "httpobs: %v\n", err)
 			}
 		}()
-		fmt.Printf("(observability server on http://%s: /debug/pprof now, /metrics and /debug/vars once an experiment finishes)\n", *httpObs)
+		fmt.Printf("(observability server on http://%s: /debug/pprof now, /metrics once an experiment finishes)\n", *httpObs)
 	}
 
 	var traceCols []*obsv.Collector
@@ -206,7 +199,7 @@ func run(args []string) int {
 		}
 		elapsed := time.Since(start).Seconds()
 		fmt.Printf("==== %s (scale %g, %.1fs) ====\n%s\n", e.id, scale, elapsed, out)
-		rec := benchRecord{Experiment: e.id, Scale: scale, Parallel: experiments.Parallelism(), HostSeconds: elapsed}
+		rec := benchRecord{Experiment: e.id, Scale: scale, Parallel: workpool.Parallelism(), HostSeconds: elapsed}
 		if m, ok := out.(interface{ Metrics() map[string]float64 }); ok {
 			rec.Metrics = m.Metrics()
 		}

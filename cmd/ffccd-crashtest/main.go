@@ -52,6 +52,7 @@ import (
 	"ffccd/internal/faultinject"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
+	"ffccd/internal/workpool"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -81,7 +82,7 @@ func run(args []string) int {
 	}
 
 	if *parallel > 0 {
-		faultinject.SetParallelism(*parallel)
+		workpool.SetParallelism(*parallel)
 	}
 	var topts faultinject.TrialOptions
 	if *flightrec > 0 {

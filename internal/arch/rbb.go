@@ -83,9 +83,6 @@ func (r *RBB) Deactivate() {
 	r.on = false
 }
 
-// Active reports whether a compaction epoch has the RBB armed.
-func (r *RBB) Active() bool { return r.on }
-
 func (r *RBB) bitmapAddr(frame uint64) uint64 { return r.base + frame*8 }
 
 func (r *RBB) writeback(e *rbbEntry) {

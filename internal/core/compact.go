@@ -178,7 +178,6 @@ func (e *Engine) finishEpoch(ctx *sim.Ctx, ep *epochState) {
 	if o != nil {
 		o.Tracer.Span(ctx, obsv.KindSTW, t0, 0)
 		e.hSTW.Observe(obsv.Now(ctx) - t0)
-		o.Intervals.Add(obsv.IntervalSTW, t0, obsv.Now(ctx), ep.epochNo)
 	}
 }
 
@@ -259,6 +258,5 @@ func (e *Engine) finishEpochPaused(ctx *sim.Ctx, ep *epochState) {
 		// the same window's start until now.
 		o.Tracer.Span(ctx, obsv.KindEpoch, ep.obsStart, ep.epochNo)
 		o.Tracer.Span(ctx, obsv.KindCheckLookup, ep.obsStart, ep.epochNo)
-		o.Intervals.Add(obsv.IntervalEpoch, ep.obsStart, obsv.Now(ctx), ep.epochNo)
 	}
 }

@@ -134,8 +134,6 @@ type Engine struct {
 
 	rec recoveryClock // what Recover spent per stage
 
-	stwPauses []uint64 // RunCycleSTW's pause lengths
-
 	stats EngineStats // read via Stats()
 
 	// Observability (nil when disabled — every emit site checks). The
@@ -381,11 +379,6 @@ func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
 		o.Tracer.Span(ctx, obsv.KindSTW, t0, 0)
 		e.hSTW.Observe(obsv.Now(ctx) - t0)
 		o.Tracer.Instant(ctx, obsv.KindTrigger, began)
-		var eno uint64
-		if ep != nil {
-			eno = ep.epochNo
-		}
-		o.Intervals.Add(obsv.IntervalSTW, t0, obsv.Now(ctx), eno)
 	}
 	if ep == nil {
 		return nil

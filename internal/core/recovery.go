@@ -42,7 +42,6 @@ func Recover(ctx *sim.Ctx, p *pmop.Pool, opt Options) (*Engine, error) {
 	}
 	if o := e.obs; o != nil {
 		o.Tracer.Span(rctx, obsv.KindRecovery, t0, 0)
-		o.Intervals.Add(obsv.IntervalRecovery, t0, obsv.Now(rctx), 0)
 		o.Metrics.RegisterGroup("recovery", e.rec.cost.Map)
 	}
 	return e, nil

@@ -69,10 +69,18 @@ func TestRecoveryCostAccountsForRecover(t *testing.T) {
 		t.Fatalf("observed recovery charged %d cycles (%v), unobserved %d (%v)",
 			obsCharged, observed.RecoveryCost(), charged, cost)
 	}
-	flat := opt.Obs.Metrics.Snapshot().Flat()
-	for k, v := range cost.Map() {
-		if got := flat["recovery."+k]; got != float64(v) {
-			t.Errorf("recovery.%s = %v, want %d", k, got, v)
+	groups := opt.Obs.Metrics.Snapshot().Groups
+	i := slices.IndexFunc(groups, func(g obsv.GroupSnapshot) bool { return g.Name == "recovery" })
+	if i < 0 {
+		t.Fatal("no recovery group in the metrics snapshot")
+	}
+	byStage := cost.Map()
+	if g := groups[i]; len(g.Keys) != len(byStage) {
+		t.Errorf("recovery group keys %v, want %d stages", g.Keys, len(byStage))
+	}
+	for j, k := range groups[i].Keys {
+		if got := groups[i].Vals[j]; got != byStage[k] {
+			t.Errorf("recovery.%s = %d, want %d", k, got, byStage[k])
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
 )
@@ -36,14 +34,9 @@ func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
 	e.stats.Cycles++
 
 	pause := ctx.Clock.Total() - start
-	e.stwPauses = append(e.stwPauses, pause)
 	if o := e.obs; o != nil {
 		o.Tracer.Span(ctx, obsv.KindSTW, start, 0)
 		e.hSTW.Observe(pause)
-		o.Intervals.Add(obsv.IntervalSTW, start, ctx.Clock.Total(), ep.epochNo)
 	}
 	return pause, true
 }
-
-// STWPauses returns the recorded stop-the-world pause lengths (cycles).
-func (e *Engine) STWPauses() []uint64 { return slices.Clone(e.stwPauses) }

@@ -120,16 +120,9 @@ func poolSizeFor(wl workload.Config) uint64 {
 // machine, so runs are hermetic; the pool size changes host
 // wall-clock only, never a simulated result. Defaults to GOMAXPROCS,
 // overridable with the FFCCD_PARALLEL environment variable or
-// SetParallelism.
+// workpool.SetParallelism.
 
-// SetParallelism sets the shared pool's worker count (values < 1 mean
-// serial).
-func SetParallelism(n int) { workpool.SetParallelism(n) }
-
-// Parallelism returns the shared pool's current worker count.
-func Parallelism() int { return workpool.Parallelism() }
-
-// RunSpecs executes every spec, fanning them out across Parallelism()
+// RunSpecs executes every spec, fanning them out across workpool.Parallelism()
 // workers, and returns the outcomes in spec order (the output is
 // deterministic regardless of worker count). The first error in spec order
 // is returned.

@@ -78,14 +78,7 @@ type TrialOptions struct {
 // machine of its own — a fork of its campaign's read-only prefix — so trials
 // are hermetic; the pool size changes host wall-clock
 // only, never a trial verdict. Defaults to GOMAXPROCS,
-// overridable with FFCCD_PARALLEL or SetParallelism.
-
-// SetParallelism sets the shared pool's worker count (values < 1 mean
-// serial).
-func SetParallelism(n int) { workpool.SetParallelism(n) }
-
-// Parallelism returns the shared pool's current worker count.
-func Parallelism() int { return int(workpool.Parallelism()) }
+// overridable with FFCCD_PARALLEL or workpool.SetParallelism.
 
 // parallelFor runs f(0..n-1) on the shared worker pool. Results must be
 // written into index-addressed slots by f, so output order is deterministic

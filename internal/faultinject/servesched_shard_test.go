@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ffccd/internal/faultinject"
+	"ffccd/internal/workpool"
 )
 
 // shardedServe returns fast sharded trial volumes for one scheme.
@@ -120,8 +121,8 @@ func TestServeShardedDeterministicAcrossHostParallelism(t *testing.T) {
 	armed := base
 	armed.Site = int64(census.ShardCensus[0].Total / 2)
 
-	old := faultinject.Parallelism()
-	defer faultinject.SetParallelism(old)
+	old := workpool.Parallelism()
+	defer workpool.SetParallelism(old)
 
 	type pin struct {
 		final, h0, h1 uint64
@@ -129,7 +130,7 @@ func TestServeShardedDeterministicAcrossHostParallelism(t *testing.T) {
 		sim           uint64
 	}
 	run := func(par int) pin {
-		faultinject.SetParallelism(par)
+		workpool.SetParallelism(par)
 		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)

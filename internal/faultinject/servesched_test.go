@@ -14,6 +14,7 @@ import (
 	"ffccd/internal/faultinject"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // smallServe returns fast trial volumes for one scheme.
@@ -102,8 +103,8 @@ func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 	armed.Policy = faultinject.PolicySalt
 	armed.Salt = 77
 
-	old := faultinject.Parallelism()
-	defer faultinject.SetParallelism(old)
+	old := workpool.Parallelism()
+	defer workpool.SetParallelism(old)
 
 	type pin struct {
 		post, final uint64
@@ -113,7 +114,7 @@ func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 		mksp, sim   uint64
 	}
 	run := func(par int) pin {
-		faultinject.SetParallelism(par)
+		workpool.SetParallelism(par)
 		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)

@@ -38,9 +38,6 @@ func (c *Collector) NewObs(name string) *Obs {
 	return o
 }
 
-// RingCap returns the flight-recorder capacity the collector was built with.
-func (c *Collector) RingCap() int { return c.ringCap }
-
 // Processes returns the registered process names and observability bundles,
 // in creation order.
 func (c *Collector) Processes() ([]string, []*Obs) { return c.snapshot() }
@@ -148,68 +145,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(evs)
-}
-
-// MetricsSummary flattens and merges every process's metrics snapshot into
-// one key→value map, the shape expvar carries. Histogram count/sum/group
-// values add across processes; percentile and max keys keep the
-// cross-process maximum.
-func (c *Collector) MetricsSummary() map[string]float64 {
-	_, procs := c.snapshot()
-	out := map[string]float64{}
-	for _, o := range procs {
-		mergeFlat(out, o.Metrics.Snapshot().Flat())
-	}
-	out["trace.events"] = 0
-	for _, o := range procs {
-		out["trace.events"] += float64(o.Tracer.EventCount())
-	}
-	out["trace.processes"] = float64(len(procs))
-	return out
-}
-
-// SummaryTable renders a human-readable summary of the collector: one
-// histogram table (merged observation counts per process would be noise, so
-// rows are per process × histogram) and one row per group counter family.
-func (c *Collector) SummaryTable() string {
-	names, procs := c.snapshot()
-	var out string
-
-	ht := NewTable("process", "histogram", "count", "mean", "p50", "p95", "max")
-	rows := 0
-	for pid, o := range procs {
-		for _, h := range o.Metrics.Snapshot().Hists {
-			if h.Count == 0 {
-				continue
-			}
-			ht.Add(names[pid], h.Name,
-				fmt.Sprintf("%d", h.Count), fmt.Sprintf("%.0f", h.Mean()),
-				fmt.Sprintf("%d", h.P50), fmt.Sprintf("%d", h.P95),
-				fmt.Sprintf("%d", h.Max))
-			rows++
-		}
-	}
-	if rows > 0 {
-		out += "cycle-domain histograms (cycles):\n" + ht.String() + "\n"
-	}
-
-	gt := NewTable("process", "group", "key", "value")
-	rows = 0
-	for pid, o := range procs {
-		snap := o.Metrics.Snapshot()
-		for _, gs := range [][]GroupSnapshot{snap.Counters, snap.Groups} {
-			for _, g := range gs {
-				for i, k := range g.Keys {
-					gt.Add(names[pid], g.Name, k, fmt.Sprintf("%d", g.Vals[i]))
-					rows++
-				}
-			}
-		}
-	}
-	if rows > 0 {
-		out += "counter groups:\n" + gt.String()
-	}
-	return out
 }
 
 // TimelineTable renders one Obs's events as a text phase timeline in

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // The histogram is HDR-style log-linear: each power-of-two octave is split
@@ -172,17 +171,6 @@ func (h *Histogram) Snapshot(name string) HistSnapshot {
 	return s
 }
 
-// Counter is a named monotonic counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 // GroupSnapshot is a point-in-time reading of one registered counter group,
 // with keys sorted for stable output.
 type GroupSnapshot struct {
@@ -191,23 +179,20 @@ type GroupSnapshot struct {
 	Vals []uint64
 }
 
-// Snapshot is a full registry reading: every histogram, counter, and group.
+// Snapshot is a full registry reading: every histogram and group.
 type Snapshot struct {
-	Hists    []HistSnapshot
-	Counters []GroupSnapshot // single synthetic group "counters" when any exist
-	Groups   []GroupSnapshot
+	Hists  []HistSnapshot
+	Groups []GroupSnapshot
 }
 
-// Registry holds the machine's metrics: named histograms and counters
-// created by instrumented components, plus snapshot groups — closures over
-// counters that already live elsewhere (device stats, engine stats, TLB and
+// Registry holds the machine's metrics: named histograms created by
+// instrumented components, plus snapshot groups — closures over counters
+// that already live elsewhere (device stats, engine stats, TLB and
 // checklookup counters), registered so one Snapshot call unifies them all.
 type Registry struct {
 	mu        sync.Mutex
 	hists     map[string]*Histogram
 	histOrder []string
-	ctrs      map[string]*Counter
-	ctrOrder  []string
 	groups    []struct {
 		name string
 		fn   func() map[string]uint64
@@ -216,7 +201,7 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{hists: map[string]*Histogram{}, ctrs: map[string]*Counter{}}
+	return &Registry{hists: map[string]*Histogram{}}
 }
 
 // Hist returns the named histogram, creating it on first use. The returned
@@ -232,20 +217,6 @@ func (r *Registry) Hist(name string) *Histogram {
 	r.hists[name] = h
 	r.histOrder = append(r.histOrder, name)
 	return h
-}
-
-// Counter returns the named counter, creating it on first use. Stable
-// pointer, like Hist.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.ctrs[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.ctrs[name] = c
-	r.ctrOrder = append(r.ctrOrder, name)
-	return c
 }
 
 // RegisterGroup registers a named snapshot closure. fn is invoked at
@@ -272,11 +243,10 @@ func sortedGroup(name string, m map[string]uint64) GroupSnapshot {
 	return g
 }
 
-// Snapshot reads every histogram, counter, and registered group.
+// Snapshot reads every histogram and registered group.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	hists := append([]string(nil), r.histOrder...)
-	ctrs := append([]string(nil), r.ctrOrder...)
 	groups := append(r.groups[:0:0], r.groups...)
 	r.mu.Unlock()
 
@@ -284,61 +254,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, name := range hists {
 		s.Hists = append(s.Hists, r.Hist(name).Snapshot(name))
 	}
-	if len(ctrs) > 0 {
-		m := make(map[string]uint64, len(ctrs))
-		for _, name := range ctrs {
-			m[name] = r.Counter(name).Value()
-		}
-		s.Counters = append(s.Counters, sortedGroup("counters", m))
-	}
 	for _, g := range groups {
 		s.Groups = append(s.Groups, sortedGroup(g.name, g.fn()))
 	}
 	return s
-}
-
-// Flat renders the snapshot as a single sorted key→value map — the shape
-// benchmark records and expvar publish. Histograms contribute
-// name.count/.mean/.p50/.p95/.p99/.p999/.max; groups contribute group.key.
-func (s Snapshot) Flat() map[string]float64 {
-	out := map[string]float64{}
-	for _, h := range s.Hists {
-		out[h.Name+".count"] = float64(h.Count)
-		if h.Count > 0 {
-			out[h.Name+".mean"] = h.Mean()
-			out[h.Name+".p50"] = float64(h.P50)
-			out[h.Name+".p95"] = float64(h.P95)
-			out[h.Name+".p99"] = float64(h.P99)
-			out[h.Name+".p999"] = float64(h.P999)
-			out[h.Name+".max"] = float64(h.Max)
-		}
-	}
-	for _, gs := range [][]GroupSnapshot{s.Counters, s.Groups} {
-		for _, g := range gs {
-			for i, k := range g.Keys {
-				out[g.Name+"."+k] = float64(g.Vals[i])
-			}
-		}
-	}
-	return out
-}
-
-// merge folds other into s for cross-run aggregation: histograms merge
-// count/sum/min/max (percentiles are recomputed as maxima), group values add.
-func mergeFlat(dst, src map[string]float64) {
-	for k, v := range src {
-		switch {
-		case len(k) > 4 && (k[len(k)-4:] == ".p50" || k[len(k)-4:] == ".p95" || k[len(k)-4:] == ".p99" || k[len(k)-4:] == ".max"):
-			if v > dst[k] {
-				dst[k] = v
-			}
-		case len(k) > 5 && (k[len(k)-5:] == ".mean" || k[len(k)-5:] == ".p999"):
-			// Recomputed below from count/sum when both present; otherwise keep max.
-			if v > dst[k] {
-				dst[k] = v
-			}
-		default:
-			dst[k] += v
-		}
-	}
 }

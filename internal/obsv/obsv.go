@@ -1,8 +1,8 @@
 // Package obsv is the machine-wide observability layer for the simulated
 // machine: structured event tracing of defragmentation epochs, a metrics
-// registry with counters and cycle-domain histograms, and exporters (Chrome
-// trace-event JSON loadable in Perfetto, text summaries, benchmark-record
-// enrichment).
+// registry of cycle-domain histograms and counter groups, and exporters
+// (Chrome trace-event JSON loadable in Perfetto, OpenMetrics text, and the
+// text timeline of a flight-recorder dump).
 //
 // Two invariants govern everything in this package (DESIGN.md §8):
 //
@@ -249,11 +249,6 @@ type Obs struct {
 	Tracer  *Tracer
 	Metrics *Registry
 
-	// Intervals collects GC overlay annotations (epoch spans, STW pauses,
-	// recovery) in machine-global virtual time, the series a timeline
-	// renders under its latency windows.
-	Intervals *IntervalLog
-
 	// Series, when set, is the run's windowed time series (per-window SLO
 	// metrics and worst-request exemplars). Wired by serving harnesses; nil
 	// for runs without a request stream.
@@ -268,5 +263,5 @@ type Obs struct {
 // New builds an enabled observability bundle. ringCap > 0 selects
 // flight-recorder mode (see NewTracer).
 func New(ringCap int) *Obs {
-	return &Obs{Tracer: NewTracer(ringCap), Metrics: NewRegistry(), Intervals: &IntervalLog{}}
+	return &Obs{Tracer: NewTracer(ringCap), Metrics: NewRegistry()}
 }

@@ -185,21 +185,19 @@ func TestMarkCrashPlacesInstantAtLatestCycle(t *testing.T) {
 func TestRegistrySnapshotUnifiesGroups(t *testing.T) {
 	r := NewRegistry()
 	r.Hist("read_barrier_cycles").Observe(40)
-	r.Counter("trigger_attempts").Add(3)
 	r.RegisterGroup("device", func() map[string]uint64 {
 		return map[string]uint64{"loads": 10, "clwbs": 2}
 	})
 	s := r.Snapshot()
-	if len(s.Hists) != 1 || len(s.Groups) != 1 || len(s.Counters) != 1 {
-		t.Fatalf("snapshot shape = %d/%d/%d", len(s.Hists), len(s.Groups), len(s.Counters))
+	if len(s.Hists) != 1 || len(s.Groups) != 1 {
+		t.Fatalf("snapshot shape = %d/%d", len(s.Hists), len(s.Groups))
 	}
 	if s.Groups[0].Keys[0] != "clwbs" || s.Groups[0].Vals[0] != 2 {
 		t.Fatalf("group not sorted: %+v", s.Groups[0])
 	}
-	flat := s.Flat()
-	if flat["device.loads"] != 10 || flat["counters.trigger_attempts"] != 3 ||
-		flat["read_barrier_cycles.count"] != 1 {
-		t.Fatalf("flat = %v", flat)
+	if s.Groups[0].Name != "device" || s.Groups[0].Vals[1] != 10 ||
+		s.Hists[0].Name != "read_barrier_cycles" || s.Hists[0].Count != 1 {
+		t.Fatalf("snapshot = %+v", s)
 	}
 	// Stable pointers: a second lookup must return the same histogram.
 	if r.Hist("read_barrier_cycles").Snapshot("x").Count != 1 {
@@ -271,17 +269,5 @@ func TestTimelineAndFlightRecorderDump(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestMetricsSummaryMergesProcesses(t *testing.T) {
-	col := NewCollector(0)
-	a := col.NewObs("a")
-	b := col.NewObs("b")
-	a.Metrics.Hist("h").Observe(10)
-	b.Metrics.Hist("h").Observe(30)
-	m := col.MetricsSummary()
-	if m["h.count"] != 2 || m["h.max"] != 30 || m["trace.processes"] != 2 {
-		t.Fatalf("summary = %v", m)
 	}
 }

@@ -1,7 +1,7 @@
-// OpenMetrics text exposition of a Collector: every process's histograms,
-// counters, and counter groups, plus the windowed time series with
-// OpenMetrics-style exemplars (the worst request of each window, tagged with
-// its dominant stall cause). Served on the -httpobs endpoint at /metrics and
+// OpenMetrics text exposition of a Collector: every process's histograms and
+// counter groups, plus the windowed time series with OpenMetrics-style
+// exemplars (the worst request of each window, tagged with its dominant stall
+// cause). Served on the -httpobs endpoint at /metrics and
 // format-checked by TestOpenMetricsConformance.
 package obsv
 
@@ -127,14 +127,12 @@ func (c *Collector) WriteOpenMetrics(w io.Writer) error {
 			f.sample("_count", pl, fmt.Sprintf("%d", h.Count), "")
 			f.sample("_sum", pl, fmt.Sprintf("%d", h.Sum), "")
 		}
-		for _, gs := range [][]GroupSnapshot{snap.Counters, snap.Groups} {
-			for _, g := range gs {
-				f := om.family("ffccd_"+omName(g.Name), "counter",
-					"Counter group "+g.Name+".")
-				for i, k := range g.Keys {
-					f.sample("_total", append(pl[:1:1], omLabel{"key", k}),
-						fmt.Sprintf("%d", g.Vals[i]), "")
-				}
+		for _, g := range snap.Groups {
+			f := om.family("ffccd_"+omName(g.Name), "counter",
+				"Counter group "+g.Name+".")
+			for i, k := range g.Keys {
+				f.sample("_total", append(pl[:1:1], omLabel{"key", k}),
+					fmt.Sprintf("%d", g.Vals[i]), "")
 			}
 		}
 

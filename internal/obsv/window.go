@@ -58,35 +58,6 @@ func (iv Interval) Overlaps(start, end uint64) bool {
 	return iv.Start < end && iv.End > start
 }
 
-// IntervalLog accumulates overlay intervals. Safe for concurrent use.
-type IntervalLog struct {
-	mu sync.Mutex
-	iv []Interval
-}
-
-// Add records one interval. Safe on a nil log (no-op), so emit sites need no
-// extra guard beyond their component's *Obs nil check.
-func (l *IntervalLog) Add(kind string, start, end, epoch uint64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.iv = append(l.iv, Interval{Kind: kind, Start: start, End: end, Epoch: epoch})
-	l.mu.Unlock()
-}
-
-// Intervals returns the recorded intervals sorted by start cycle.
-func (l *IntervalLog) Intervals() []Interval {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	out := append([]Interval(nil), l.iv...)
-	l.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
 // StallCause is the full attribution record carried by an exemplar: which
 // scheme and epoch the request dispatched against, and where its cycles went.
 // All cycle fields are simulated cycles.
@@ -252,7 +223,7 @@ type TimeSeries struct {
 
 	mu   sync.Mutex
 	win  map[uint64]*window
-	ivs  IntervalLog
+	ivs  []Interval
 	wex  *Exemplar // worst exemplar across all windows
 	seen uint64
 }
@@ -310,7 +281,9 @@ func (ts *TimeSeries) ObserveOp(op OpSample) {
 
 // AddInterval records one overlay interval (an open epoch or an STW pause).
 func (ts *TimeSeries) AddInterval(kind string, start, end, epoch uint64) {
-	ts.ivs.Add(kind, start, end, epoch)
+	ts.mu.Lock()
+	ts.ivs = append(ts.ivs, Interval{Kind: kind, Start: start, End: end, Epoch: epoch})
+	ts.mu.Unlock()
 }
 
 // Merge folds another series (same window width required) into ts — the
@@ -360,17 +333,20 @@ func (ts *TimeSeries) Merge(o *TimeSeries) error {
 		ts.wex = &cp
 	}
 	ts.seen += o.seen
+	ts.ivs = append(ts.ivs, o.ivs...)
 	ts.mu.Unlock()
 	o.mu.Unlock()
-
-	for _, iv := range o.Intervals() {
-		ts.ivs.Add(iv.Kind, iv.Start, iv.End, iv.Epoch)
-	}
 	return nil
 }
 
 // Intervals returns the overlay intervals sorted by start cycle.
-func (ts *TimeSeries) Intervals() []Interval { return ts.ivs.Intervals() }
+func (ts *TimeSeries) Intervals() []Interval {
+	ts.mu.Lock()
+	out := append([]Interval(nil), ts.ivs...)
+	ts.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
 
 // Count returns the number of requests observed.
 func (ts *TimeSeries) Count() uint64 {

@@ -74,16 +74,6 @@ func (c SiteClass) String() string {
 	return "unknown"
 }
 
-// ParseSiteClass is the inverse of SiteClass.String.
-func ParseSiteClass(s string) (SiteClass, bool) {
-	for i, n := range siteClassNames {
-		if n == s {
-			return SiteClass(i), true
-		}
-	}
-	return 0, false
-}
-
 // SiteCensus summarises the site passages one recorder observed.
 type SiteCensus struct {
 	// Total is the number of sites passed; valid schedule indices are

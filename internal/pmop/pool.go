@@ -214,9 +214,6 @@ func (p *Pool) SetFrameRemap(m []uint32) { p.frameRemap = m }
 // VA converts a pool offset to this run's virtual address.
 func (p *Pool) VA(off uint64) uint64 { return p.vaBase + off }
 
-// OffsetOfPA converts a device address back to a pool offset.
-func (p *Pool) OffsetOfPA(pa uint64) uint64 { return pa - p.region }
-
 // OffsetOfVA converts this run's virtual address back to a pool offset.
 func (p *Pool) OffsetOfVA(va uint64) uint64 { return va - p.vaBase }
 

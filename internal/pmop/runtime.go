@@ -238,9 +238,3 @@ func (rt *Runtime) Open(name string, types *Registry) (*Pool, error) {
 	}
 	return nil, fmt.Errorf("pmop: pool %q not found", name)
 }
-
-// PoolByID resolves a pool id (for cross-pool pointer traversal).
-func (rt *Runtime) PoolByID(id uint16) (*Pool, bool) {
-	p, ok := rt.pools[id]
-	return p, ok
-}

@@ -59,9 +59,8 @@ type ServeConfig struct {
 	Keyspace int // distinct keys; prepopulated 0..Keyspace-1
 
 	// RatePerSec is the aggregate offered load in simulated ops/sec.
-	// <= 0 auto-calibrates to TargetUtil of the measured service rate.
+	// <= 0 auto-calibrates to targetUtil of the measured service rate.
 	RatePerSec float64
-	TargetUtil float64 // calibration target utilization (default 0.6)
 
 	ZipfTheta   float64 // key-popularity skew (default 0.99)
 	GetFraction float64 // fraction of GETs (default 0.9)
@@ -73,7 +72,6 @@ type ServeConfig struct {
 	Seed         int64
 	MaxBatch     int // parallel batch size limit (default 64)
 	MaintEvery   int // ops between maintenance-hook calls (default Keyspace/4)
-	WarmupOps    int // serial warmup ops before arrivals start (default 64/client, also the calibration window)
 	ReservoirCap int
 
 	// ShardIndex/ShardCount place this run inside a sharded deployment: the
@@ -93,7 +91,6 @@ func DefaultServeConfig() ServeConfig {
 		Clients:     16,
 		Ops:         20000,
 		Keyspace:    4000,
-		TargetUtil:  0.6,
 		ZipfTheta:   0.99,
 		GetFraction: 0.9,
 		MinVal:      240,
@@ -493,6 +490,10 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	return l.Run(ctx, p, store, hooks)
 }
 
+// targetUtil is the utilization a run's offered load is calibrated to when
+// RatePerSec is unset.
+const targetUtil = 0.6
+
 // Load is the part of a serving run before its first dispatch: it
 // prepopulates the owned keyspace on ctx, runs the warm-up on fresh client
 // contexts and calibrates the offered load. It calls no hook; hooks.Crash
@@ -500,9 +501,6 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (*Loaded, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
 		return nil, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
-	}
-	if cfg.TargetUtil <= 0 || cfg.TargetUtil >= 1 {
-		cfg.TargetUtil = 0.6
 	}
 	if cfg.ZipfTheta <= 0 {
 		cfg.ZipfTheta = 0.99
@@ -555,13 +553,13 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 		}
 	}
 
-	// Warmup and calibration. The warmup window runs the first WarmupOps of
-	// the real mix (GETs and SETs with LRU churn) serially, round-robin
-	// across the real client contexts, before arrivals begin: cold per-client
-	// TLBs, cache pressure from the churn, and eviction work are all part of
-	// the steady-state service time the offered load must be set against (a
-	// GET-only probe on the warm loader context underestimates it
-	// several-fold and the run saturates). The draws come from the main
+	// Warmup and calibration. The warmup window runs the first 64 ops per
+	// client (at most 8192) of the real mix (GETs and SETs with LRU churn)
+	// serially, round-robin across the real client contexts, before arrivals
+	// begin: cold per-client TLBs, cache pressure from the churn, and
+	// eviction work are all part of the steady-state service time the offered
+	// load must be set against (a GET-only probe on the warm loader context
+	// underestimates it several-fold and the run saturates). The draws come from the main
 	// stream, so every scheme (same seed, same prepopulated machine, no
 	// defrag activity yet) measures the same mean and lands on the same
 	// rate — equal offered load is what makes the per-scheme tails
@@ -570,10 +568,7 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	for i := range clients {
 		clients[i] = sim.NewCtx(p.Config())
 	}
-	warm := cfg.WarmupOps
-	if warm <= 0 {
-		warm = min(64*cfg.Clients, 8192)
-	}
+	warm := min(64*cfg.Clients, 8192)
 	var warmSvc uint64
 	for i := 0; i < warm; i++ {
 		c := clients[i%cfg.Clients]
@@ -591,7 +586,7 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	l.rate = cfg.RatePerSec
 	if l.rate <= 0 {
 		meanSvc := float64(warmSvc) / float64(warm)
-		l.rate = cfg.TargetUtil * float64(cfg.Clients) / meanSvc * sim.CyclesPerSecond
+		l.rate = targetUtil * float64(cfg.Clients) / meanSvc * sim.CyclesPerSecond
 	}
 
 	l.zipf, l.zipf.rng = *zipf, nil

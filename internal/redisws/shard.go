@@ -140,9 +140,6 @@ func ShardConfigs(cfg ServeConfig, n int) []ServeConfig {
 		if cfg.RatePerSec > 0 {
 			c.RatePerSec = cfg.RatePerSec / float64(n)
 		}
-		if cfg.WarmupOps > 0 {
-			c.WarmupOps = share(cfg.WarmupOps, i)
-		}
 		c.Seed = cfg.Seed ^ int64(uint64(i)*shardSeedMix)
 		out[i] = c
 	}
