@@ -105,13 +105,14 @@ serveshard: build
 # benchsmoke is the fast CI pass over the measurement tooling: the device
 # (HashMedia dense-ref vs sparse, the pooled device life cycle, and the B/op
 # of checkpoint/restore over an all-dirty and an all-clean cache included),
-# allocator, engine (mark, summary, epoch cycle, barrier resolve), serving
-# dispatcher (ns and B per request) and crash-campaign (ms and B per batch
-# and serving trial) micro-benchmarks run once each (-benchtime=1x), and the
+# allocator, engine (mark, summary, epoch cycle, barrier resolve), the Echo
+# store's batched read (B/op), serving dispatcher (ns and B per request) and
+# crash-campaign (ms and B per batch and serving trial) micro-benchmarks run
+# once each (-benchtime=1x), and the
 # bench CLI runs a tiny fig5 with -json — the record the two scaling scripts
 # read.
 benchsmoke: build
-	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/ ./internal/redisws/
+	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./internal/pmem/ ./internal/alloc/ ./internal/core/ ./internal/kv/ ./internal/redisws/
 	$(GO) test -run XXX -bench CampaignTrial -benchtime=1x -benchmem ./internal/faultinject/
 	$(GO) run ./cmd/ffccd-bench -experiment fig5 -scale 0.0005 -json /tmp/ffccd_benchsmoke.json >/dev/null
 	@echo "benchsmoke OK"

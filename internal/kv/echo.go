@@ -48,6 +48,7 @@ type Echo struct {
 	p *pmop.Pool
 	// mu serves only bench/'s TestDecoratorCountsConcurrentGets, which
 	// calls GetParallel from 8 goroutines; a machine runs on one goroutine.
+	// It guards the two store-owned buffers, probe and got.
 	mu   sync.Mutex
 	segs []pmop.Ptr // bucket-array segments (volatile cache, remap-healed)
 	nb   int        // bucket count
@@ -56,6 +57,8 @@ type Echo struct {
 	n    int
 	// probe receives the old value Insert's existence check reads (under mu).
 	probe []byte
+	// got is the buffer GetParallel reads into and returns (under mu).
+	got []byte
 }
 
 // NewEcho creates or reopens an Echo store with nb buckets.
@@ -262,10 +265,23 @@ func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) 
 	return buf, true
 }
 
-// GetParallel is Get under the name the serving layer's batched GET calls:
-// a batch runs its GETs in place, one after another, on the goroutine that
-// owns the machine.
-func (e *Echo) GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool) { return e.Get(ctx, key) }
+// GetParallel is the read the serving layer's batched GET calls: a batch
+// runs its GETs in place, one after another, on the goroutine that owns the
+// machine. It makes the same loads, charges and EndOp as Get, but reads into
+// a buffer the store owns instead of a copy: the returned slice belongs to
+// the store and stays valid only until the next GetParallel. A miss returns
+// (nil, false).
+func (e *Echo) GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+	defer e.p.EndOp()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v, ok := e.getUnlocked(ctx, key, e.got)
+	if !ok {
+		return nil, false
+	}
+	e.got = v
+	return v, true
+}
 
 // GetFootprint reports a superset of the pool-offset byte ranges Get(key)
 // would load, by walking the bucket chain with non-perturbing peeks (no

@@ -95,7 +95,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 	// Volatile LRU bookkeeping (Redis keeps this in DRAM too). Redis stores
 	// an expired pair to disk; for the footprint study the PM side simply
 	// frees it.
-	cache := newLRUCache(s, cfg.MaxLiveBytes, nil, nil)
+	cache := newLRUCache(s, cfg.MaxLiveBytes, cfg.InitialKeys+cfg.ExtraKeys, nil, nil)
 
 	res := Result{Lat: NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e)}
 	op := 0
@@ -116,7 +116,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 			stall = hook(op)
 		}
 		start := ctx.Clock.Total()
-		err := cache.set(ctx, k, fillValue(k, lo+rng.Intn(hi-lo+1)))
+		err := cache.set(ctx, k, lo+rng.Intn(hi-lo+1))
 		res.Evictions = cache.evictions
 		if err != nil {
 			return err

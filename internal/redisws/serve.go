@@ -1,10 +1,9 @@
 package redisws
 
 import (
-	"container/list"
 	"errors"
 	"maps"
-	"sort"
+	"slices"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/ds"
@@ -221,8 +220,9 @@ type ServeResult struct {
 
 // parallelStore is the optional store interface batched dispatch needs:
 // GetFootprint predicts a GET's cache sets with non-perturbing peeks, and
-// GetParallel is the read a batched GET runs. kv.Echo implements it. Stores
-// without it serve strictly serially.
+// GetParallel is the read a batched GET runs. The slice GetParallel returns
+// belongs to the store until its next call, so the dispatcher only checks
+// the hit. kv.Echo implements it. Stores without it serve strictly serially.
 type parallelStore interface {
 	ds.Store
 	GetParallel(ctx *sim.Ctx, key uint64) ([]byte, bool)
@@ -334,42 +334,115 @@ func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] 
 // committed, in dispatch order, and pending the one sub-transaction in
 // flight, so at any crash site the durable image equals acked or
 // acked±pending. A nil acked keeps the crash-free path free of both.
+//
+// The list is a table of nodes linked by index: head is the most recently
+// used key, tail the least, and the slots evicted keys leave chain from free
+// through next.
 type lruCache struct {
-	store     ds.Store
-	maxLive   uint64 // 0 disables eviction
-	lru       *list.List
-	elems     map[uint64]*list.Element
-	liveBytes uint64
-	evictions int
-	acked     map[uint64][]byte
-	pending   *PendingWrite
+	store            ds.Store
+	maxLive          uint64 // 0 disables eviction
+	nodes            []lruNode
+	head, tail, free int32
+	index            map[uint64]int32 // key → its node
+	liveBytes        uint64
+	evictions        int
+	val              []byte // the value set builds while acked is nil
+	acked            map[uint64][]byte
+	pending          *PendingWrite
 }
 
-// newLRUCache returns the bookkeeping for ents, most recently used first.
-func newLRUCache(store ds.Store, maxLive uint64, ents []lruEnt, acked map[uint64][]byte) *lruCache {
-	c := &lruCache{store: store, maxLive: maxLive, lru: list.New(),
-		elems: make(map[uint64]*list.Element, len(ents)), acked: acked}
-	for _, e := range ents {
-		c.elems[e.key] = c.lru.PushBack(e)
-		c.liveBytes += e.size
+// lruNode is one key's node: its entry and its neighbours towards the head
+// (prev) and the tail (next), noNode at either end.
+type lruNode struct {
+	lruEnt
+	prev, next int32
+}
+
+const noNode = -1
+
+// newLRUCache returns the bookkeeping for ents, most recently used first,
+// with room for keys keys.
+func newLRUCache(store ds.Store, maxLive uint64, keys int, ents []lruEnt, acked map[uint64][]byte) *lruCache {
+	keys = max(keys, len(ents))
+	c := &lruCache{store: store, maxLive: maxLive, nodes: make([]lruNode, 0, keys),
+		head: noNode, tail: noNode, free: noNode, index: make(map[uint64]int32, keys), acked: acked}
+	for i := len(ents) - 1; i >= 0; i-- {
+		c.pushFront(ents[i])
 	}
 	return c
 }
 
+// pushFront makes e, whose key is not live, the most recently used entry.
+func (c *lruCache) pushFront(e lruEnt) {
+	i := c.free
+	if i == noNode {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, lruNode{})
+	} else {
+		c.free = c.nodes[i].next
+	}
+	c.nodes[i].lruEnt = e
+	c.index[e.key] = i
+	c.link(i)
+	c.liveBytes += e.size
+}
+
+// link puts the unlinked node i at the head.
+func (c *lruCache) link(i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = noNode, c.head
+	if c.head == noNode {
+		c.tail = i
+	} else {
+		c.nodes[c.head].prev = i
+	}
+	c.head = i
+}
+
+// unlink takes node i out of the list.
+func (c *lruCache) unlink(i int32) {
+	n := &c.nodes[i]
+	if n.prev == noNode {
+		c.head = n.next
+	} else {
+		c.nodes[n.prev].next = n.next
+	}
+	if n.next == noNode {
+		c.tail = n.prev
+	} else {
+		c.nodes[n.next].prev = n.prev
+	}
+}
+
+// moveToFront makes node i the most recently used.
+func (c *lruCache) moveToFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.link(i)
+	}
+}
+
 // entries lists the keys with their sizes, most recently used first.
 func (c *lruCache) entries() []lruEnt {
-	out := make([]lruEnt, 0, c.lru.Len())
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(lruEnt))
+	out := make([]lruEnt, 0, len(c.index))
+	for i := c.head; i != noNode; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].lruEnt)
 	}
 	return out
 }
 
-// set writes v at key k on ctx, makes k the most recently used key and
-// evicts down to the cap, also on ctx.
-func (c *lruCache) set(ctx *sim.Ctx, k uint64, v []byte) error {
+// set writes key k's n-byte value (fillValue) on ctx, makes k the most
+// recently used key and evicts down to the cap, also on ctx. Without a
+// durable-ack mirror the value is built in one buffer the cache reuses —
+// Insert stores a copy; with one, acked keeps the value, so it is fresh.
+func (c *lruCache) set(ctx *sim.Ctx, k uint64, n int) error {
+	var v []byte
 	if c.acked != nil {
+		v = fillValue(nil, k, n)
 		c.pending = &PendingWrite{Key: k, Val: v}
+	} else {
+		c.val = fillValue(c.val, k, n)
+		v = c.val
 	}
 	if err := c.store.Insert(ctx, k, v); err != nil {
 		return err
@@ -378,12 +451,13 @@ func (c *lruCache) set(ctx *sim.Ctx, k uint64, v []byte) error {
 		c.acked[k] = v
 		c.pending = nil
 	}
-	if e, ok := c.elems[k]; ok {
-		c.liveBytes -= e.Value.(lruEnt).size
-		c.lru.Remove(e)
+	if i, ok := c.index[k]; ok {
+		c.liveBytes = c.liveBytes - c.nodes[i].size + uint64(n)
+		c.nodes[i].size = uint64(n)
+		c.moveToFront(i)
+	} else {
+		c.pushFront(lruEnt{k, uint64(n)})
 	}
-	c.elems[k] = c.lru.PushFront(lruEnt{k, uint64(len(v))})
-	c.liveBytes += uint64(len(v))
 	return c.evict(ctx)
 }
 
@@ -392,9 +466,9 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 	if c.maxLive == 0 {
 		return nil
 	}
-	for c.liveBytes > c.maxLive && c.lru.Len() > 0 {
-		back := c.lru.Back()
-		ent := back.Value.(lruEnt)
+	for c.liveBytes > c.maxLive && c.tail != noNode {
+		i := c.tail
+		ent := c.nodes[i].lruEnt
 		if c.acked != nil {
 			c.pending = &PendingWrite{Key: ent.key}
 		}
@@ -405,8 +479,9 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 			delete(c.acked, ent.key)
 			c.pending = nil
 		}
-		c.lru.Remove(back)
-		delete(c.elems, ent.key)
+		c.unlink(i)
+		c.nodes[i].next, c.free = c.free, i
+		delete(c.index, ent.key)
 		c.liveBytes -= ent.size
 		c.evictions++
 	}
@@ -415,37 +490,35 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 
 // touch makes k, when live, the most recently used key.
 func (c *lruCache) touch(k uint64) {
-	if e, found := c.elems[k]; found {
-		c.lru.MoveToFront(e)
+	if i, found := c.index[k]; found {
+		c.moveToFront(i)
 	}
 }
 
 // rebuild replaces the bookkeeping with model's keys, ascending (recency
 // order died with the power), and adopts model as the durable-ack mirror.
 func (c *lruCache) rebuild(model map[uint64][]byte) {
-	c.lru.Init()
-	clear(c.elems)
+	c.nodes = c.nodes[:0]
+	c.head, c.tail, c.free = noNode, noNode, noNode
+	clear(c.index)
 	c.liveBytes = 0
-	keys := make([]uint64, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		n := uint64(len(model[k]))
-		c.elems[k] = c.lru.PushFront(lruEnt{k, n})
-		c.liveBytes += n
+	for _, k := range slices.Sorted(maps.Keys(model)) {
+		c.pushFront(lruEnt{k, uint64(len(model[k]))})
 	}
 	c.acked, c.pending = model, nil
 }
 
-// fillValue is the n-byte value a write stores at key k.
-func fillValue(k uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(k) + byte(i)
+// fillValue fills buf, grown when it is short, with the n-byte value a write
+// stores at key k and returns it.
+func fillValue(buf []byte, k uint64, n int) []byte {
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return b
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = byte(k) + byte(i)
+	}
+	return buf
 }
 
 // Loaded is what a serving run has done before its first dispatch, apart
@@ -465,6 +538,14 @@ type Loaded struct {
 	acked     map[uint64][]byte // nil when loaded without a crash plan
 	rate      float64
 	clients   []sim.CtxCheckpoint
+}
+
+// ownedKeys is the number of keys the machine owns.
+func (l *Loaded) ownedKeys() int {
+	if l.owned == nil {
+		return l.cfg.Keyspace
+	}
+	return len(l.owned)
 }
 
 // key maps a Zipf rank to the key it names.
@@ -542,13 +623,13 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	if hooks.Crash != nil {
 		l.acked = make(map[uint64][]byte, cfg.Keyspace)
 	}
-	cache := newLRUCache(store, cfg.MaxLiveBytes, nil, l.acked)
+	cache := newLRUCache(store, cfg.MaxLiveBytes, int(nOwned), nil, l.acked)
 
 	// Prepopulate the owned keyspace on the loader context.
 	lo, hi := cfg.MinVal, cfg.MaxVal
 	for i := uint64(0); i < nOwned; i++ {
 		k := l.key(i)
-		if err := cache.set(ctx, k, fillValue(k, lo+rng.Intn(hi-lo+1))); err != nil {
+		if err := cache.set(ctx, k, lo+rng.Intn(hi-lo+1)); err != nil {
 			return nil, err
 		}
 	}
@@ -577,7 +658,7 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 			store.Get(c, l.key(zipf.Next()))
 		} else {
 			k := l.key(zipf.Next())
-			if err := cache.set(c, k, fillValue(k, lo+rng.Intn(hi-lo+1))); err != nil {
+			if err := cache.set(c, k, lo+rng.Intn(hi-lo+1)); err != nil {
 				return nil, err
 			}
 		}
@@ -614,7 +695,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		}
 		acked = maps.Clone(l.acked)
 	}
-	cache := newLRUCache(store, cfg.MaxLiveBytes, l.lru, acked)
+	cache := newLRUCache(store, cfg.MaxLiveBytes, l.ownedKeys(), l.lru, acked)
 	cache.evictions = l.evictions
 	rng := workload.NewRNG(cfg.Seed)
 	rng.Skip(l.draws)
@@ -713,42 +794,51 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 			epTrack.open, epTrack.id = false, 0
 		}
 	}
+	// The footprint visitors are made once per run and leave their results in
+	// footSet and footConflict: a visitor made per call escapes to the heap
+	// through the store interface on every candidate.
+	var (
+		footSet      int
+		footConflict bool
+	)
+	visitFirstSet := func(off, n uint64) {
+		if footSet < 0 {
+			footSet = int(dev.SetOfAddr(p.PA(off &^ (pmem.LineSize - 1))))
+		}
+	}
+	visitStamp := func(off, n uint64) {
+		if footConflict {
+			return
+		}
+		for a := off &^ (pmem.LineSize - 1); a < off+n; a += pmem.LineSize {
+			set := dev.SetOfAddr(p.PA(a))
+			switch marks.stamp[set] {
+			case marks.batchTag:
+				footConflict = true
+				return
+			case marks.candTag:
+				// dup within this candidate
+			default:
+				marks.stamp[set] = marks.candTag
+				marks.cand = append(marks.cand, set)
+			}
+		}
+	}
 	// primarySet resolves a serial op's primary device cache set (its store
 	// footprint's first line) with non-perturbing peeks; -1 when unknown.
 	primarySet := func(key uint64) int {
-		set := -1
-		ps.GetFootprint(key, func(off, n uint64) {
-			if set < 0 {
-				set = int(dev.SetOfAddr(p.PA(off &^ (pmem.LineSize - 1))))
-			}
-		})
-		return set
+		footSet = -1
+		ps.GetFootprint(key, visitFirstSet)
+		return footSet
 	}
 
 	// footprintSets stamps the candidate's predicted cache sets; reports
 	// whether it conflicts with the current batch.
 	footprintSets := func(key uint64) bool {
 		marks.newCand()
-		conflict := false
-		ps.GetFootprint(key, func(off, n uint64) {
-			if conflict {
-				return
-			}
-			for a := off &^ (pmem.LineSize - 1); a < off+n; a += pmem.LineSize {
-				set := dev.SetOfAddr(p.PA(a))
-				switch marks.stamp[set] {
-				case marks.batchTag:
-					conflict = true
-					return
-				case marks.candTag:
-					// dup within this candidate
-				default:
-					marks.stamp[set] = marks.candTag
-					marks.cand = append(marks.cand, set)
-				}
-			}
-		})
-		return conflict
+		footConflict = false
+		ps.GetFootprint(key, visitStamp)
+		return footConflict
 	}
 	// acceptCand promotes the candidate's stamps into the batch.
 	acceptCand := func() {
@@ -918,7 +1008,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		// that connection's work.
 		if op.isGet {
 			_, op.hit = store.Get(c.ctx, op.key)
-		} else if err := cache.set(c.ctx, op.key, fillValue(op.key, op.valSize)); err != nil {
+		} else if err := cache.set(c.ctx, op.key, op.valSize); err != nil {
 			return err
 		}
 		op.svc = c.ctx.Clock.Total() - t0
