@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard golden crashmatrix loc clean
+.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard golden crashmatrix fuzzsmoke loc clean
 
 all: check
 
@@ -25,8 +25,8 @@ fmt:
 # owns (TestOneGoroutinePerMachine keeps a second goroutine off it,
 # TestNoHostSyncInMachine keeps locks and atomics out of it), so the detector
 # watches what is left: what workpool jobs share — a campaign's read-only
-# prefixes, the media pages forks share until they write them, the page and
-# cache-array pools, the worker pool itself — and -httpobs, which may read
+# prefixes, the media pages forks share until they write them, the page,
+# cache-array and TLB-array pools, the worker pool itself — and -httpobs, which may read
 # only finished experiments (TestMetricsScrapeDuringRun scrapes /metrics
 # during a run).
 race:
@@ -63,13 +63,24 @@ servecrash: build
 		-serve-clients 4 -serve-ops 1200 -serve-keys 400 || exit 1; \
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
+# fuzzsmoke runs every fuzz target for 5 s of coverage-guided fuzzing past
+# its seed corpus, which plain `go test` already replays. A failure leaves
+# its input under the package's testdata/fuzz/, where `go test` replays it
+# from then on.
+fuzzsmoke: build
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapOps$$' -fuzztime 5s ./internal/alloc/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 5s ./internal/faultinject/
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUCache$$' -fuzztime 5s ./internal/redisws/
+	$(GO) test -run '^$$' -fuzz '^FuzzTxCrash$$' -fuzztime 5s ./internal/pmop/
+
 # check is the full CI target: gofmt + vet + race-detector short tests +
 # full tests + the reduced crash-schedule matrix + the measurement smoke +
 # the repo benchmark's smoke run + the serving-layer smoke + the serving-path
 # crash campaign + the multicore scaling gate + the sharded-serving scaling
-# gate, and ends with the line counts. Comparing two commits' host cost is
-# `go run ./bench -compare A.json B.json` on two results files, not a target.
-check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard loc
+# gate + 5 s of fuzzing per fuzz target, and ends with the line counts.
+# Comparing two commits' host cost is `go run ./bench -compare A.json B.json`
+# on two results files, not a target.
+check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard fuzzsmoke loc
 
 # loc prints the non-test and test Go line counts of every top-level package
 # and of the whole repo. Net non-test lines are a tracked metric (ROADMAP's

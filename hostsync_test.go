@@ -26,6 +26,7 @@ var hostSyncAllowed = map[string]string{
 	"pmop:Registry.frozen": "the registry's lock-free lookup snapshot, republished under Registry.mu",
 	"pmem:pagePool.Mutex":  "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
 	"pmem:arrayPool.Mutex": "process-wide pool of cache arrays that machines of one geometry on workpool workers share",
+	"sim:tlbPool.Mutex":    "process-wide pool of TLB arrays that contexts of one geometry on workpool workers share",
 	"sim:ctxSeq":           "process-wide sim.Ctx numbering",
 }
 

@@ -19,10 +19,12 @@
 // not part of HeapCheckpoint, and is rebuilt from freeSlots and state
 // wherever those are replaced wholesale.
 //
-// The per-frame tables cover only the frames below a high-water mark: a heap
-// costs the host what it has held, not what it could hold. A 64 MB pool that
-// holds 50 KB is under a kilobyte of tables to create, reset, checkpoint and
-// restore.
+// The per-frame tables cover only the frames below a high-water mark, and the
+// max-tree only those frames rounded up to a power of two: a heap costs the
+// host what it has held, not what it could hold. A 64 MB pool that holds
+// 50 KB is under a kilobyte of tables and a few hundred bytes of tree to
+// create, reset, checkpoint and restore; only the free-frame bitmap, one bit
+// per frame, spans the whole heap.
 package alloc
 
 import (
@@ -85,19 +87,14 @@ type Heap struct {
 	cursor int // next frame to consider for allocation
 
 	// Placement index, derived from freeSlots and state (index.go).
-	leaves   int      // leaf count of fit: a power of two >= frames
+	leaves   int      // leaf count of fit: the least power of two >= the tables' reach
 	fit      []uint16 // max-tree over per-frame run bounds; frame f is fit[leaves+f]
-	freeBits []uint64 // bit f set iff state[f] == FrameFree
+	freeBits []uint64 // bit f set iff frame f is free, for every frame of the heap
 }
 
 // NewHeap creates an empty heap of the given geometry.
 func NewHeap(heapOff uint64, frames int) *Heap {
 	h := &Heap{heapOff: heapOff, frames: frames}
-	h.leaves = 1
-	for h.leaves < frames {
-		h.leaves <<= 1
-	}
-	h.fit = make([]uint16, 2*h.leaves)
 	h.freeBits = make([]uint64, (frames+63)/64)
 	h.buildIndex()
 	return h
@@ -134,13 +131,17 @@ func SlotsFor(payload uint64) int {
 	return int((payload + 16 + SlotSize - 1) / SlotSize)
 }
 
-// cover extends the per-frame tables so that they reach frame f.
+// cover extends the per-frame tables, and the index with them, so that they
+// reach frame f.
 func (h *Heap) cover(f int) {
 	for len(h.state) <= f {
 		h.state = append(h.state, FrameFree)
 		h.freeSlots = append(h.freeSlots, SlotsPerFrame)
 		h.slotBits = append(h.slotBits, make([]uint64, wordsPerFrame)...)
 		h.startBits = append(h.startBits, make([]uint64, wordsPerFrame)...)
+	}
+	if len(h.state) > h.leaves {
+		h.growIndex()
 	}
 }
 

@@ -27,12 +27,20 @@ func slowLongestRun(h *Heap, f int) int {
 // and state, and the maxima on the path from its leaf to the root.
 func checkFrame(h *Heap, f int) error {
 	if f >= len(h.state) {
-		// Past the tables' reach a frame is pristine, and the index says so.
-		if h.fit[h.leaves+f] != 0 || h.freeBits[f>>6]&(1<<(f&63)) == 0 {
+		// Past the tables' reach a frame is pristine, and the index says so:
+		// free, with bound 0 where the tree still covers it.
+		bound := uint16(0)
+		if f < h.leaves {
+			bound = h.fit[h.leaves+f]
+		}
+		if bound != 0 || h.freeBits[f>>6]&(1<<(f&63)) == 0 {
 			return fmt.Errorf("frame %d, past the tables' reach of %d: bound %d, free bit %v",
-				f, len(h.state), h.fit[h.leaves+f], h.freeBits[f>>6]&(1<<(f&63)) != 0)
+				f, len(h.state), bound, h.freeBits[f>>6]&(1<<(f&63)) != 0)
 		}
 		return nil
+	}
+	if f >= h.leaves {
+		return fmt.Errorf("frame %d, inside the tables' reach of %d, is past the index's %d leaves", f, len(h.state), h.leaves)
 	}
 	used, starts := 0, 0
 	for w := 0; w < wordsPerFrame; w++ {
@@ -70,8 +78,8 @@ func checkFrame(h *Heap, f int) error {
 	return nil
 }
 
-// checkHeap checks every frame, the padding of the index, and the heap-wide
-// counters.
+// checkHeap checks every frame, the index's size, every node of its tree and
+// its padding, and the heap-wide counters.
 func checkHeap(h *Heap) error {
 	usedFrames, liveSlots := 0, 0
 	for f := 0; f < h.frames; f++ {
@@ -95,6 +103,14 @@ func checkHeap(h *Heap) error {
 	}
 	if uint64(liveSlots)*SlotSize != h.liveBytes {
 		return fmt.Errorf("liveBytes %d, bitmaps hold %d slots", h.liveBytes, liveSlots)
+	}
+	if reach := max(len(h.state), 1); h.leaves < reach || h.leaves >= 2*reach || h.leaves&(h.leaves-1) != 0 || len(h.fit) != 2*h.leaves {
+		return fmt.Errorf("index of %d leaves (%d nodes) over a reach of %d frames; want the least power of two at least the reach", h.leaves, len(h.fit), len(h.state))
+	}
+	for i := h.leaves - 1; i >= 1; i-- {
+		if m := max(h.fit[2*i], h.fit[2*i+1]); h.fit[i] != m {
+			return fmt.Errorf("tree node %d holds %d, its children's max is %d", i, h.fit[i], m)
+		}
 	}
 	for f := h.frames; f < h.leaves; f++ {
 		if h.fit[h.leaves+f] != 0 {

@@ -6,7 +6,10 @@ import "math/bits"
 // the first frame at or after lo that could hold a run of n free slots" and
 // "which is the lowest free frame" — without walking the frames.
 //
-// fit is a binary max-tree, root at 1, frame f at leaf leaves+f. A leaf holds
+// fit is a binary max-tree, root at 1, frame f at leaf leaves+f. It covers
+// the frames below the per-frame tables' reach, rounded up to a power of two,
+// and doubles when cover extends the tables past it; a frame past the index is
+// pristine, so free with bound 0, and no search looks for it there. A leaf holds
 // an upper bound on its frame's longest free run, and 0 for a frame that
 // takes no allocations (free, relocation, meshed). The contract is one-sided:
 // a bound is never below the true longest run, so a frame that fits a request
@@ -26,9 +29,19 @@ func allocatable(st FrameState) bool {
 	return st == FrameActive || st == FrameDestination
 }
 
+// indexLeaves returns the leaf count of an index over a reach of n frames:
+// the least power of two that is at least n.
+func indexLeaves(n int) int {
+	leaves := 1
+	for leaves < n {
+		leaves <<= 1
+	}
+	return leaves
+}
+
 // nextFit returns the first frame >= lo whose bound is at least n, or -1.
 func (h *Heap) nextFit(lo, n int) int {
-	if lo >= h.frames {
+	if lo >= h.leaves {
 		return -1
 	}
 	need := uint16(n)
@@ -106,13 +119,18 @@ func (h *Heap) freeIn(lo, hi int) int {
 	return n
 }
 
-// buildIndex derives the whole index from freeSlots and state. A frame's free
-// slot count bounds its longest run from above, so no bitmap is read. Restore
-// pays this on every forked run, and most of a heap is whole bitmap words of
-// free frames — every word past the tables' reach, and many before it: those
-// cost one store each, and each level of the tree is recomputed only as far
-// as the last frame with a bound.
+// buildIndex derives the whole index from freeSlots and state, over the
+// tables' reach. A frame's free slot count bounds its longest run from above,
+// so no bitmap is read. Restore pays this on every forked run, and most of a
+// heap is whole bitmap words of free frames — every word past the tables'
+// reach, and many before it: those cost one store each, and each level of the
+// tree is recomputed only as far as the last frame with a bound.
 func (h *Heap) buildIndex() {
+	h.leaves = indexLeaves(len(h.state))
+	if cap(h.fit) < 2*h.leaves {
+		h.fit = make([]uint16, 2*h.leaves)
+	}
+	h.fit = h.fit[:2*h.leaves]
 	clear(h.fit)
 	leaf := h.fit[h.leaves:]
 	bounded := 0 // frames at or past this have a zero bound
@@ -134,7 +152,22 @@ func (h *Heap) buildIndex() {
 		}
 		h.freeBits[w] = free
 	}
-	for level, n := h.leaves, bounded; level > 1; level, n = level>>1, (n+1)>>1 {
+	h.buildLevels(bounded)
+}
+
+// growIndex widens the index to the tables' reach, keeping every bound.
+func (h *Heap) growIndex() {
+	old := h.fit[h.leaves:]
+	h.leaves = indexLeaves(len(h.state))
+	h.fit = make([]uint16, 2*h.leaves)
+	copy(h.fit[h.leaves:], old)
+	h.buildLevels(len(old))
+}
+
+// buildLevels recomputes the tree's inner nodes from its leaves, as far as
+// the subtrees of the first n leaves reach; every node past that is 0.
+func (h *Heap) buildLevels(n int) {
+	for level := h.leaves; level > 1; level, n = level>>1, (n+1)>>1 {
 		nodes, parents := h.fit[level:2*level], h.fit[level>>1:level]
 		for i := 0; i < (n+1)>>1; i++ {
 			parents[i] = max(nodes[2*i], nodes[2*i+1])

@@ -276,6 +276,10 @@ func (e *Engine) Close() {
 	e.pool.SetTxAddHook(nil)
 }
 
+// Release gives the TLB arrays of the engine's own context back to the
+// process pool. Call it once the engine is done with, after Close.
+func (e *Engine) Release() { e.gcCtx.Release() }
+
 // RunCycle executes one full defragmentation cycle synchronously:
 // mark → summary → concurrent compaction → finish. It is a no-op if an epoch
 // is already open or the scheme is SchemeNone. Returns true if a cycle ran.

@@ -387,16 +387,18 @@ func forkedTrials(tb testing.TB, c *campaign, base Repro, sites uint64, n int) {
 }
 
 // trialAllocBudget is what one warm forked LL/1T/ffccd trial may allocate:
-// about a quarter over the 0.43 MB it does (0.48 MB under the race detector),
-// most of which is the placement indexes of its heap incarnations, its
-// contexts' TLBs and the engine's epoch tables; its device's cache arrays and
-// media pages come from the pools. The from-scratch trial it replaced
-// allocated about 5 MB — three heaps' worth of capacity-sized bitmaps at
-// 1.1 MB each, a 512 KB mark bitset per engine, a 292 KB buffer of zeros, the
-// full free-frame list per epoch. One such allocation back in the trial path,
-// or a device that does not take pooled cache arrays (0.3 MB), is over the
-// budget.
-const trialAllocBudget = 550_000
+// about a quarter over the 0.23 MB it does (0.28 MB under the race detector),
+// most of which is the engine's epoch tables and mark scratch and the
+// churner's operations and model. Its heap
+// incarnations' tables and placement indexes are sized to the frames they
+// reach, and its device's cache arrays, media pages and its contexts' TLB
+// arrays come from the pools. The from-scratch trial it replaced allocated
+// about 5 MB — three heaps' worth of capacity-sized bitmaps at 1.1 MB each, a
+// 512 KB mark bitset per engine, a 292 KB buffer of zeros, the full
+// free-frame list per epoch. One such allocation back in the trial path, a
+// placement index sized by the pool's 16 384 frames (64 KB per heap), or a
+// device that does not take pooled cache arrays (0.3 MB), is over the budget.
+const trialAllocBudget = 300_000
 
 func TestTrialAllocBudget(t *testing.T) {
 	const trials = 20

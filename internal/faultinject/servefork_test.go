@@ -438,3 +438,44 @@ func BenchmarkServeCampaignTrial(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(trials), "ms/trial")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(trials), "B/trial")
 }
+
+// serveTrialAllocBudget is what one warm forked ffccd serving trial may
+// allocate: about a quarter over the 0.37 MB it does (0.44 MB under the race
+// detector). Most of that is the serving run itself: values, the LRU, the
+// latency reservoir and the mark passes of its epochs. Its heaps' placement
+// indexes are sized to the frames they reach, and its device's cache arrays,
+// media pages and its contexts' TLB arrays (25 KB each, about ten contexts)
+// come from the pools. A trial that builds capacity-sized indexes and drops
+// every context's TLB arrays, as it did before both were fixed, allocates
+// 0.69 MB.
+const serveTrialAllocBudget = 480_000
+
+func TestServeTrialAllocBudget(t *testing.T) {
+	const trials = 10
+	c := new(campaign)
+	base := NewServeRepro("ffccd", 11)
+	base.Clients, base.Ops, base.Keys = 4, 1200, 400
+	census, err := c.runServe(base, TrialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			rep := base
+			rep.Site, rep.Policy = int64(uint64(i)*7919%census.Census.Total), Policies[i%len(Policies)]
+			if _, err := c.runServe(rep, TrialOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(trials)
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / trials
+	t.Logf("%d B per warm forked serving trial (budget %d)", per, serveTrialAllocBudget)
+	if per > serveTrialAllocBudget {
+		t.Errorf("a warm forked serving trial allocates %d B, budget %d B: something a trial is done with is not going back to its pool", per, serveTrialAllocBudget)
+	}
+}

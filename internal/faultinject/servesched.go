@@ -296,6 +296,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 
 			// recCtx bills the blackout — the cycles the server is gone.
 			recCtx := sim.NewCtx(&target.Cfg)
+			defer recCtx.Release()
 			var d2 *mesh.Defragmenter
 			rs := restart{
 				label: rep.Scheme, m: target.Machine, policy: policy, nested: rep.Nested,
@@ -330,6 +331,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			// Durable-ack and graph checks run on a non-billed context: the
 			// blackout bill is the restart work, not the validation harness.
 			chkCtx := sim.NewCtx(&target.Cfg)
+			defer chkCtx.Release()
 			var pw *checker.PendingWrite
 			if pending != nil {
 				pw = &checker.PendingWrite{Key: pending.Key, Val: pending.Val}
@@ -421,6 +423,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 		}
 	}
 	chkCtx := sim.NewCtx(&target.Cfg)
+	defer chkCtx.Release()
 	for i, m := range machines {
 		if _, err := checker.CheckGraph(chkCtx, m.Pool); err != nil {
 			if nsh > 1 {

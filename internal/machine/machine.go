@@ -112,10 +112,21 @@ func Build(s Spec) (*Machine, error) {
 // Device returns the machine's device.
 func (m *Machine) Device() *pmem.Device { return m.RT.Device() }
 
-// Release gives the machine's media pages and cache arrays back to the
-// process pools. The machine is unusable afterwards; a second call does
-// nothing.
-func (m *Machine) Release() { m.RT.Device().ReleaseMedia() }
+// Release gives the machine's media pages, cache arrays and the TLB arrays of
+// its contexts (Ctx, GC and the engine's own) back to the process pools. The
+// machine is unusable afterwards: any of those contexts panics on its next
+// translation, wherever else it is held. A second call does nothing.
+func (m *Machine) Release() {
+	m.RT.Device().ReleaseMedia()
+	for _, ctx := range [...]*sim.Ctx{m.Ctx, m.GC} {
+		if ctx != nil {
+			ctx.Release()
+		}
+	}
+	if m.Eng != nil {
+		m.Eng.Release()
+	}
+}
 
 // NewEngine attaches a fresh engine under opt and returns it. On a fork of an
 // image captured with an engine, the new engine's RBB and the contexts'

@@ -174,3 +174,37 @@ func TestForksOfOneImageOnWorkers(t *testing.T) {
 		t.Errorf("forking changed the source machine's media: %#x, was %#x", got, source)
 	}
 }
+
+// Release gives back the TLB arrays of every context the machine holds, so
+// each of them, and a context derived from one, fails on its next
+// translation instead of translating for free.
+func TestReleasedMachineContextsPanic(t *testing.T) {
+	m, err := Build(batchSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.GC = sim.NewCtx(&m.Cfg)
+	if m.Store, err = ds.NewList(m.Ctx, m.Pool); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 50; k++ {
+		if err := m.Store.Insert(m.Ctx, k, value(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.NewEngine(core.Options{Scheme: core.SchemeFFCCD}).RunCycle(m.GC)
+	m.Eng.Close()
+	derived := m.Ctx.Derived(sim.CatCopy)
+	m.Release()
+	m.Release() // a second call does nothing
+	for name, ctx := range map[string]*sim.Ctx{"application": m.Ctx, "defragmentation": m.GC, "derived": derived} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("the %s context translated after its machine was released", name)
+				}
+			}()
+			ctx.TLB.Access(m.Pool.VA(0), 12)
+		}()
+	}
+}

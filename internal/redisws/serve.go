@@ -676,6 +676,7 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	l.clients = make([]sim.CtxCheckpoint, len(clients))
 	for i, c := range clients {
 		c.CheckpointInto(&l.clients[i])
+		c.Release()
 	}
 	return l, nil
 }
@@ -734,6 +735,11 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		clients[i].ctx = sim.NewCtx(p.Config())
 		clients[i].ctx.Restore(&l.clients[i])
 	}
+	defer func() {
+		for i := range clients {
+			clients[i].ctx.Release()
+		}
+	}()
 	lo, hi := cfg.MinVal, cfg.MaxVal
 	meanInter := float64(cfg.Clients) * sim.CyclesPerSecond / l.rate // cycles, per client
 

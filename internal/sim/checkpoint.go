@@ -16,14 +16,8 @@ type setAssocState struct {
 }
 
 func (s *setAssoc) checkpointInto(c *setAssocState) {
-	if cap(c.Tags) < len(s.tags) {
-		c.Tags = make([]uint64, len(s.tags))
-		c.Age = make([]uint64, len(s.age))
-	}
-	c.Tags = c.Tags[:len(s.tags)]
-	c.Age = c.Age[:len(s.age)]
-	copy(c.Tags, s.tags)
-	copy(c.Age, s.age)
+	c.Tags = append(c.Tags[:0], s.tags...)
+	c.Age = append(c.Age[:0], s.age...)
 	c.Tick = s.tick
 }
 
@@ -35,7 +29,7 @@ func (s *setAssoc) restore(c *setAssocState) {
 
 // TLBCheckpoint captures the full translation hierarchy: resident tags, LRU
 // ages and ticks for both L1 structures and the unified L2, plus the miss
-// counters.
+// counters. The checkpoint of a TLB that has no arrays yet holds none.
 type TLBCheckpoint struct {
 	L14K, L12M, L2               setAssocState
 	Accesses, L1Misses, L2Misses uint64
@@ -61,11 +55,18 @@ func (t *TLB) CheckpointInto(c *TLBCheckpoint) {
 
 // Restore overwrites the TLB state from c. The TLB must have the same
 // geometry (entry/way configuration) as the one the checkpoint was taken
-// from.
+// from. A checkpoint without arrays leaves the TLB without any.
 func (t *TLB) Restore(c *TLBCheckpoint) {
-	t.l14k.restore(&c.L14K)
-	t.l12m.restore(&c.L12M)
-	t.l2.restore(&c.L2)
+	if len(c.L14K.Tags) == 0 {
+		t.disarm()
+	} else {
+		if t.buf == nil {
+			t.arm(false) // every entry is overwritten below
+		}
+		t.l14k.restore(&c.L14K)
+		t.l12m.restore(&c.L12M)
+		t.l2.restore(&c.L2)
+	}
 	t.Accesses, t.L1Misses, t.L2Misses = c.Accesses, c.L1Misses, c.L2Misses
 	// The same-page streak trusts its slot index without revalidation, so a
 	// restore (unlike the validated mruIdx/mruTag hints) must disarm it, and

@@ -96,6 +96,11 @@ func (c *Clock) Snapshot() [NumCategories]uint64 {
 // memory operation: a clock to charge, the category to attribute to, and the
 // thread's private TLB state. Ctx values are cheap to copy; WithCat returns a
 // derived context charging a different category to the same clock and TLB.
+//
+// A context whose driver is done with it gives its TLB arrays back with
+// Release. From then on it, and every context derived from it, panics on its
+// next translation; its clock and TLB counters stay readable. A nil TLB is
+// something else: a context that charges no translation at all.
 type Ctx struct {
 	Clock *Clock
 	TLB   *TLB
@@ -125,6 +130,14 @@ var ctxSeq atomic.Uint32
 // NewCtx returns a fresh per-thread context with its own clock and TLB.
 func NewCtx(cfg *Config) *Ctx {
 	return &Ctx{Clock: NewClock(), TLB: NewTLB(cfg), Cat: CatApp, Shard: ctxSeq.Add(1)}
+}
+
+// Release gives the context's TLB arrays back to the process pool. A second
+// call does nothing.
+func (x *Ctx) Release() {
+	if x.TLB != nil {
+		x.TLB.Release()
+	}
 }
 
 // Charge adds n cycles to the context's current category.

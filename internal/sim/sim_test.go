@@ -10,6 +10,9 @@ import (
 // accessNoStreak is the pre-streak Access algorithm, kept verbatim as the
 // reference the same-page fast path must match cycle-for-cycle.
 func accessNoStreak(t *TLB, va uint64, pageShift uint) uint64 {
+	if t.buf == nil {
+		t.arm(true)
+	}
 	t.Accesses++
 	vpn := (va >> pageShift) + 1
 	cycles := t.cfg.TLB1Latency
@@ -232,6 +235,13 @@ func TestTLBMoreDistinctPagesMoreCycles(t *testing.T) {
 	}
 }
 
+// newSetAssoc returns a stand-alone array with its own tags and ages.
+func newSetAssoc(entries, ways int) setAssoc {
+	s := geometry(entries, ways)
+	s.attach(make([]uint64, 2*s.sets*s.ways))
+	return s
+}
+
 func TestSetAssocProperty(t *testing.T) {
 	// Property: immediately after lookup(tag), contains(tag) is true.
 	f := func(tags []uint64) bool {
@@ -303,4 +313,87 @@ func TestTLBClockCrossesTwoToThe32(t *testing.T) {
 		t.Fatalf("after the wrap: holds 1 %v, 2 %v, 3 %v; want the least recently used tag 1 evicted",
 			s.contains(1), s.contains(2), s.contains(3))
 	}
+}
+
+// TestTLBArraysOnFirstUse: a TLB holds no arrays until it translates, its
+// checkpoint then holds none either, and restoring such a checkpoint into a
+// TLB that has arrays takes them away again. None of it changes a charge.
+func TestTLBArraysOnFirstUse(t *testing.T) {
+	cfg := DefaultConfig()
+	idle, warm := NewTLB(&cfg), NewTLB(&cfg)
+	if idle.buf != nil {
+		t.Fatal("a new TLB holds arrays before its first translation")
+	}
+	var empty, full TLBCheckpoint
+	idle.CheckpointInto(&empty)
+	if len(empty.L14K.Tags)+len(empty.L12M.Tags)+len(empty.L2.Tags) != 0 {
+		t.Fatal("the checkpoint of an untouched TLB holds arrays")
+	}
+	for i := uint64(0); i < 100; i++ {
+		warm.Access(i<<12, 12)
+	}
+	warm.CheckpointInto(&full)
+	pooled := &warm.buf[0]
+	warm.Restore(&empty)
+	if warm.buf != nil || warm.l2.tick != 0 || warm.Accesses != 0 {
+		t.Fatalf("restoring an empty checkpoint left arrays %v, L2 tick %d, %d accesses", warm.buf != nil, warm.l2.tick, warm.Accesses)
+	}
+	// A TLB on recycled arrays charges what a fresh one does.
+	fresh := NewTLB(&cfg)
+	fresh.buf = make([]uint64, fresh.words())
+	fresh.l2.attach(fresh.l12m.attach(fresh.l14k.attach(fresh.buf)))
+	for i := uint64(0); i < 200; i++ {
+		va := (i * 7919 % 300) << 12
+		if got, want := idle.Access(va, 12), fresh.Access(va, 12); got != want {
+			t.Fatalf("access %d: TLB on pooled arrays charged %d, fresh %d", i, got, want)
+		}
+	}
+	if &idle.buf[0] != pooled {
+		t.Fatal("the first translation did not take the arrays the restore gave back")
+	}
+	// Restoring a checkpoint with arrays arms a TLB that has none.
+	idle.Restore(&full)
+	var back TLBCheckpoint
+	idle.CheckpointInto(&back)
+	if !reflect.DeepEqual(back, full) {
+		t.Fatal("restore into a TLB without arrays lost state")
+	}
+}
+
+// TestReleasedCtxPanicsOnTranslation: a released context, and a context
+// derived from it, must fail loudly on the next translation rather than
+// translate for free; the clock and counters stay readable.
+func TestReleasedCtxPanicsOnTranslation(t *testing.T) {
+	cfg := DefaultConfig()
+	ctx := NewCtx(&cfg)
+	ctx.Charge(ctx.TLB.Access(0x5000, 12))
+	ctx.Charge(ctx.TLB.Access(0x5008, 12)) // a deferred streak hit
+	child := ctx.Derived(CatCopy)
+	ctx.Release()
+	ctx.Release() // a second call does nothing
+	if ctx.TLB.AccessCount() != 2 || ctx.Clock.Total() == 0 {
+		t.Fatalf("after release: %d accesses, %d cycles", ctx.TLB.AccessCount(), ctx.Clock.Total())
+	}
+	for name, c := range map[string]*Ctx{"released": ctx, "derived": child} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s context translated after release", name)
+				}
+			}()
+			c.TLB.Access(0x5000, 12) // the streak page: no fast path survives
+		}()
+	}
+	var c TLBCheckpoint
+	NewTLB(&cfg).CheckpointInto(&c)
+	ctx.TLB.Restore(&c) // an empty checkpoint gives it nothing to panic over
+	defer func() {
+		if recover() == nil {
+			t.Error("a released TLB restored a checkpoint with arrays")
+		}
+	}()
+	warm := NewTLB(&cfg)
+	warm.Access(0x1000, 12)
+	warm.CheckpointInto(&c)
+	ctx.TLB.Restore(&c)
 }

@@ -1,5 +1,12 @@
 package sim
 
+import (
+	"slices"
+	"sync"
+
+	"ffccd/internal/workpool"
+)
+
 // TLB models the per-core translation hierarchy from Table 2: a split L1
 // (separate 4 KB and 2 MB structures) backed by a unified L2. It is a
 // functional model — it tracks which virtual page numbers are resident and
@@ -15,6 +22,14 @@ type TLB struct {
 	l14k setAssoc // 4 KB pages
 	l12m setAssoc // 2 MB pages
 	l2   setAssoc // unified
+
+	// buf backs all three structures' tags and ages. It is nil until the
+	// first translation that is not a streak hit (a streak is only ever
+	// armed by such a translation), and a nil buf is exactly the power-on
+	// state: every entry invalid, every age and tick 0. released marks a TLB
+	// whose arrays went back to the pool (Release); it never gets new ones.
+	buf      []uint64
+	released bool
 
 	// Counters for reporting.
 	Accesses uint64
@@ -46,6 +61,8 @@ type TLB struct {
 }
 
 // setAssoc is a small set-associative array of tags with round-robin-ish LRU.
+// Its tags and ages are views into its TLB's arrays, nil while the TLB has
+// none.
 type setAssoc struct {
 	sets int
 	mask uint64 // sets-1 when sets is a power of two, else 0 (use modulo)
@@ -63,21 +80,32 @@ type setAssoc struct {
 	mruTag uint64
 }
 
-func newSetAssoc(entries, ways int) setAssoc {
+// geometry returns an array of entries entries in ways ways, without its
+// tags and ages.
+func geometry(entries, ways int) setAssoc {
 	sets := entries / ways
 	if sets < 1 {
 		sets = 1
 	}
-	s := setAssoc{
-		sets: sets,
-		ways: ways,
-		tags: make([]uint64, sets*ways),
-		age:  make([]uint64, sets*ways),
-	}
+	s := setAssoc{sets: sets, ways: ways}
 	if sets&(sets-1) == 0 {
 		s.mask = uint64(sets - 1)
 	}
 	return s
+}
+
+// attach points the array's tags and ages at the front of buf and returns
+// the rest of buf.
+func (s *setAssoc) attach(buf []uint64) []uint64 {
+	n := s.sets * s.ways
+	s.tags, s.age = buf[:n:n], buf[n:2*n:2*n]
+	return buf[2*n:]
+}
+
+// detach forgets the array's tags and ages and every hint into them, leaving
+// the power-on state of an array that has none.
+func (s *setAssoc) detach() {
+	s.tags, s.age, s.tick, s.mruIdx, s.mruTag = nil, nil, 0, 0, 0
 }
 
 // setBase returns the first slice index of tag's set. The set count is a
@@ -133,20 +161,59 @@ func (s *setAssoc) contains(tag uint64) bool {
 
 // flush invalidates all entries.
 func (s *setAssoc) flush() {
-	for i := range s.tags {
-		s.tags[i] = 0
-		s.age[i] = 0
-	}
+	clear(s.tags)
+	clear(s.age)
 }
 
-// NewTLB builds the Table 2 TLB hierarchy.
+// NewTLB builds the Table 2 TLB hierarchy. It holds no arrays until its first
+// translation (or the restore of a checkpoint that has some): a context that
+// never translates, such as an engine's own, costs the host a few words.
 func NewTLB(cfg *Config) *TLB {
 	return &TLB{
 		cfg:  cfg,
-		l14k: newSetAssoc(cfg.L1TLB4KEntries, cfg.L1TLB4KWays),
-		l12m: newSetAssoc(cfg.L1TLB2MEntries, cfg.L1TLB2MWays),
-		l2:   newSetAssoc(cfg.L2TLBEntries, cfg.L2TLBWays),
+		l14k: geometry(cfg.L1TLB4KEntries, cfg.L1TLB4KWays),
+		l12m: geometry(cfg.L1TLB2MEntries, cfg.L1TLB2MWays),
+		l2:   geometry(cfg.L2TLBEntries, cfg.L2TLBWays),
 	}
+}
+
+// words is the length of the TLB's one backing array: a tag and an age per
+// entry of its three structures.
+func (t *TLB) words() int {
+	return 2 * (t.l14k.sets*t.l14k.ways + t.l12m.sets*t.l12m.ways + t.l2.sets*t.l2.ways)
+}
+
+// arm gives the TLB its arrays, cleared to the power-on state when clean is
+// set; a caller that overwrites every entry passes false.
+func (t *TLB) arm(clean bool) {
+	if t.released {
+		panic("sim: translation on a released context")
+	}
+	t.buf = takeTLBArrays(t.words(), clean)
+	t.l2.attach(t.l12m.attach(t.l14k.attach(t.buf)))
+}
+
+// disarm gives the TLB's arrays back to the pool and returns it to the
+// power-on state. Its counters stay.
+func (t *TLB) disarm() {
+	if t.buf == nil {
+		return
+	}
+	putTLBArrays(t.buf)
+	t.buf = nil
+	t.l14k.detach()
+	t.l12m.detach()
+	t.l2.detach()
+	t.streakMask, t.streakLen = 0, 0
+}
+
+// Release gives the TLB's arrays back to the process pool for good. Its
+// counters stay readable; its next translation panics, as does the restore
+// of a checkpoint that holds arrays. A second call does nothing.
+func (t *TLB) Release() {
+	t.syncStreak()
+	t.disarm()
+	t.released = true
 }
 
 // Access translates virtual address va under the given page-size shift
@@ -157,6 +224,9 @@ func (t *TLB) Access(va uint64, pageShift uint) uint64 {
 		return t.cfg.TLB1Latency
 	}
 	t.syncStreak()
+	if t.buf == nil {
+		t.arm(true)
+	}
 	t.Accesses++
 	// Tags must be nonzero; VPN 0 would alias the invalid marker, so bias by 1.
 	vpn := (va >> pageShift) + 1
@@ -205,11 +275,53 @@ func (t *TLB) syncStreak() {
 // this instead of the Accesses field, which lags by the open streak.
 func (t *TLB) AccessCount() uint64 { return t.Accesses + t.streakLen }
 
-// Flush empties the whole hierarchy (e.g. on a simulated crash/restart).
+// Flush empties the whole hierarchy. No simulated crash or restart calls it:
+// batch recovery runs on the pre-crash application context, its TLB warm, and
+// serving recovery on a fresh context, its TLB cold.
 func (t *TLB) Flush() {
 	t.syncStreak()
 	t.l14k.flush()
 	t.l12m.flush()
 	t.l2.flush()
 	t.streakMask = 0
+}
+
+// tlbsPerWorker bounds the TLB arrays the pool keeps per pool worker: a
+// serving trial's machine releases about ten contexts at once (loader,
+// defragmentation thread, clients, recovery and check contexts).
+const tlbsPerWorker = 16
+
+// tlbPool holds released TLBs' arrays for the next contexts of the same
+// geometry, up to tlbsPerWorker per pool worker; beyond that the oldest go
+// to the garbage collector.
+var tlbPool struct {
+	sync.Mutex
+	free [][]uint64
+}
+
+// takeTLBArrays returns a backing array of n words, a pooled one if a
+// released TLB of the same geometry left one, cleared when clean is set.
+func takeTLBArrays(n int, clean bool) []uint64 {
+	tlbPool.Lock()
+	for i := len(tlbPool.free) - 1; i >= 0; i-- {
+		if buf := tlbPool.free[i]; len(buf) == n {
+			tlbPool.free = slices.Delete(tlbPool.free, i, i+1)
+			tlbPool.Unlock()
+			if clean {
+				clear(buf)
+			}
+			return buf
+		}
+	}
+	tlbPool.Unlock()
+	return make([]uint64, n)
+}
+
+func putTLBArrays(buf []uint64) {
+	tlbPool.Lock()
+	defer tlbPool.Unlock()
+	tlbPool.free = append(tlbPool.free, buf)
+	if len(tlbPool.free) > tlbsPerWorker*workpool.Parallelism() {
+		tlbPool.free = slices.Delete(tlbPool.free, 0, 1)
+	}
 }
