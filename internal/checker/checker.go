@@ -184,36 +184,6 @@ func (s slotSet) add(i uint64) {
 	}
 }
 
-// GC metadata layout inside the pool's reserved GC region, mirrored from
-// internal/core (core cannot be imported here: its in-package tests use this
-// checker). MetaLayoutFor keeps the two in lockstep — checker tests assert
-// it equals core.Meta byte for byte.
-const (
-	movedBytesPerFrame = alloc.SlotsPerFrame / 8
-	pmftEntrySize      = 8 + alloc.SlotsPerFrame
-	minorInvalid       = 0xFF
-)
-
-// MetaLayout locates the persistent GC metadata of a pool: the three
-// per-frame arrays and the relocation-frame list (u32 epoch, u32 count, count
-// × u32 frames), which sits where the auxiliary range ends.
-type MetaLayout struct {
-	ReachedOff, MovedOff, PMFTOff, RelocListOff uint64
-}
-
-// MetaLayoutFor computes the metadata offsets for p.
-func MetaLayoutFor(p *pmop.Pool) MetaLayout {
-	base, _ := p.GCMetaRange()
-	_, frames := p.HeapRange()
-	aux, auxSize := p.AuxMetaRange()
-	return MetaLayout{
-		ReachedOff:   base,
-		MovedOff:     base + frames*8,
-		PMFTOff:      base + frames*8 + frames*movedBytesPerFrame,
-		RelocListOff: aux + auxSize,
-	}
-}
-
 // checkMovedBits cross-checks the persistent moved bitmap against the PMFT:
 // the summary phase zeroes a frame's moved bytes when it persists the
 // frame's PMFT entry, and compaction only sets a moved bit at an object
@@ -231,22 +201,22 @@ func MetaLayoutFor(p *pmop.Pool) MetaLayout {
 // since a listed frame of another epoch is skipped); then the check scans
 // every PMFT entry for the epoch instead.
 func checkMovedBits(ctx *sim.Ctx, p *pmop.Pool) error {
-	epoch := p.GCPhase(ctx) >> 16 // phase word: [0,8) state, [8,16) scheme, [16,48) epoch
+	_, _, epoch := pmop.UnpackGCPhase(p.GCPhase(ctx))
 	if epoch == 0 {
 		return nil
 	}
-	ml := MetaLayoutFor(p)
+	ml := p.GCMeta()
 	check := func(f int) error {
-		entry := ml.PMFTOff + uint64(f)*pmftEntrySize
+		entry := ml.PMFTEntry(f)
 		if p.RawLoadU64(ctx, entry)&0xFFFFFFFF != epoch {
 			return nil
 		}
-		var moved [movedBytesPerFrame]byte
-		p.RawLoad(ctx, ml.MovedOff+uint64(f)*movedBytesPerFrame, moved[:])
+		var moved [pmop.MovedBytesPerFrame]byte
+		p.RawLoad(ctx, ml.Moved+uint64(f)*pmop.MovedBytesPerFrame, moved[:])
 		var minor [alloc.SlotsPerFrame]byte
 		p.RawLoad(ctx, entry+8, minor[:])
 		for slot := 0; slot < alloc.SlotsPerFrame; slot++ {
-			if moved[slot/8]&(1<<(slot%8)) != 0 && minor[slot] == minorInvalid {
+			if moved[slot/8]&(1<<(slot%8)) != 0 && minor[slot] == pmop.MinorInvalid {
 				return fmt.Errorf("checker: frame %d slot %d has a stale moved bit (epoch %d PMFT does not map it)",
 					f, slot, epoch)
 			}
@@ -254,11 +224,11 @@ func checkMovedBits(ctx *sim.Ctx, p *pmop.Pool) error {
 		return nil
 	}
 	frames := p.Heap().Frames()
-	hdr := p.RawLoadU64(ctx, ml.RelocListOff)
+	hdr := p.RawLoadU64(ctx, ml.RelocList)
 	if n := int(hdr >> 32); hdr&0xFFFFFFFF == epoch && n <= frames {
 		for i := 0; i < n; i++ {
 			var word [4]byte
-			p.RawLoad(ctx, ml.RelocListOff+8+4*uint64(i), word[:])
+			p.RawLoad(ctx, ml.RelocList+8+4*uint64(i), word[:])
 			if f := int(binary.LittleEndian.Uint32(word[:])); f < frames {
 				if err := check(f); err != nil {
 					return err

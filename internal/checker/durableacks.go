@@ -1,12 +1,12 @@
 package checker
 
-// Durable-ack validation for the serving path. The batch checkers validate a
-// workload model built by the driver; the serving path has a sharper,
-// client-visible contract: a SET the server *acknowledged* (its transaction
-// committed and the completion was handed back to the client in virtual
-// time) must survive any later power failure. DurableAcks is that statement
-// turned into a pass/fail check, run right after recovery while the cache is
-// cold so reads reflect the persistent image.
+// Durable-ack validation, checker step 1 after a crash. The serving path's
+// contract is client-visible: a SET the server *acknowledged* (its
+// transaction committed and the completion was handed back to the client in
+// virtual time) must survive any later power failure. DurableAcks is that
+// statement turned into a pass/fail check, run right after recovery while the
+// cache is cold so reads reflect the persistent image. A batch trial's model
+// is the same promise: every churn operation that returned.
 
 import (
 	"fmt"
@@ -53,15 +53,4 @@ func DurableAcks(ctx *sim.Ctx, s ds.Store, acked map[uint64][]byte, pending *Pen
 		return alt, nil
 	}
 	return nil, fmt.Errorf("checker: durable-ack violation: %w (still failing with the in-flight write applied)", err)
-}
-
-// DurableAcksShard is DurableAcks for one machine of a sharded deployment:
-// the same check, with the shard index stitched into the violation so a
-// multi-shard trial's verdict names the machine that lost the write.
-func DurableAcksShard(ctx *sim.Ctx, shard int, s ds.Store, acked map[uint64][]byte, pending *PendingWrite) (map[uint64][]byte, error) {
-	model, err := DurableAcks(ctx, s, acked, pending)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", shard, err)
-	}
-	return model, nil
 }

@@ -41,22 +41,6 @@ func defragged(t *testing.T) (*pmop.Pool, *sim.Ctx) {
 	return p, ctx
 }
 
-// TestMetaLayoutLockstep pins checker's mirrored metadata arithmetic to
-// core's authoritative layout (checker cannot import core from non-test
-// code, so the constants are duplicated and this test keeps them honest).
-func TestMetaLayoutLockstep(t *testing.T) {
-	p, _, _ := setup(t)
-	got := checker.MetaLayoutFor(p)
-	want := core.Meta(p)
-	if got.ReachedOff != want.ReachedOff || got.MovedOff != want.MovedOff || got.PMFTOff != want.PMFTOff ||
-		got.RelocListOff != want.RelocListOff {
-		t.Fatalf("layout drift: checker %+v vs core %+v", got, want)
-	}
-	if want.MovedBytesPerFrame != alloc.SlotsPerFrame/8 || want.PMFTEntrySize != 8+alloc.SlotsPerFrame {
-		t.Fatalf("core strides changed: %+v — update checker's mirror", want)
-	}
-}
-
 // TestDetectsDanglingForwardedPointer simulates a missed reference fixup:
 // after a completed epoch, a reachable pointer still aims into a released
 // relocation frame (the address its referent was forwarded away from).
@@ -87,16 +71,16 @@ func TestDetectsDanglingForwardedPointer(t *testing.T) {
 // explicitly unmapped, and sets that slot's moved bit.
 func plantStaleMovedBit(t *testing.T, p *pmop.Pool, ctx *sim.Ctx, frame, slot int) (epoch uint64) {
 	t.Helper()
-	_, _, epoch = core.UnpackPhaseWord(p.GCPhase(ctx))
+	_, _, epoch = pmop.UnpackGCPhase(p.GCPhase(ctx))
 	if epoch == 0 {
 		t.Fatal("defragged pool has phase epoch 0")
 	}
-	mv := core.Meta(p)
-	entry := mv.PMFTOff + uint64(frame)*mv.PMFTEntrySize
+	mv := p.GCMeta()
+	entry := mv.PMFTEntry(frame)
 	p.RawStoreU64(ctx, entry, epoch) // epoch u32 + destFrame u32 (0)
-	p.RawStore(ctx, entry+8+uint64(slot), []byte{mv.MinorInvalid})
-	off := mv.MovedOff + uint64(frame)*mv.MovedBytesPerFrame + uint64(slot/8)
-	p.RawStore(ctx, off, []byte{1 << (slot % 8)})
+	p.RawStore(ctx, entry+8+uint64(slot), []byte{pmop.MinorInvalid})
+	off, mask := mv.MovedBit(frame, slot)
+	p.RawStore(ctx, off, []byte{mask})
 	return epoch
 }
 
@@ -106,7 +90,7 @@ func plantStaleMovedBit(t *testing.T, p *pmop.Pool, ctx *sim.Ctx, frame, slot in
 // epoch's relocation-frame list names.
 func TestDetectsStaleMovedBit(t *testing.T) {
 	p, ctx := defragged(t)
-	listed := int(p.RawLoadU64(ctx, core.Meta(p).RelocListOff+8) & 0xFFFFFFFF)
+	listed := int(p.RawLoadU64(ctx, p.GCMeta().RelocList+8) & 0xFFFFFFFF)
 	plantStaleMovedBit(t, p, ctx, listed, 9)
 	_, err := checker.CheckGraph(ctx, p)
 	if err == nil || !strings.Contains(err.Error(), "stale moved bit") {
@@ -122,7 +106,7 @@ func TestDetectsStaleMovedBit(t *testing.T) {
 func TestDetectsStaleMovedBitWhenListLags(t *testing.T) {
 	for _, lag := range []int64{-1, 1} {
 		p, ctx := defragged(t)
-		list := core.Meta(p).RelocListOff
+		list := p.GCMeta().RelocList
 		unlisted := p.Heap().Frames() - 1
 		epoch := plantStaleMovedBit(t, p, ctx, unlisted, 9)
 		hdr := p.RawLoadU64(ctx, list)

@@ -116,7 +116,7 @@ func (e *Engine) storeMovedBit(ctx *sim.Ctx, obj *relocObj, flush, fence bool) {
 	p := e.pool
 	heap := p.Heap()
 	f, slot := heap.Locate(obj.srcHdr)
-	off, mask := movedBitOff(p, f, slot)
+	off, mask := p.GCMeta().MovedBit(f, slot)
 	var b [1]byte
 	p.RawLoad(ctx, off, b[:])
 	b[0] |= mask
@@ -131,6 +131,13 @@ func (e *Engine) storeMovedBit(ctx *sim.Ctx, obj *relocObj, flush, fence bool) {
 		p.Sfence(ctx)
 	}
 }
+
+// sfccdTombstone is the sentinel written into a moved object's *source*
+// header (reserved word at +8) when the application first modifies the
+// destination copy under SFCCD. It lets Fig. 7(b)'s content comparison
+// distinguish "memcpy never persisted" from "application legitimately
+// modified the moved object" — see DESIGN.md §SFCCD clarification.
+const sfccdTombstone = 0x544F4D4253544F4E // "TOMBSTON"
 
 // sfccdTxAddHook is installed on the pool under SFCCD. When the application
 // first logs (and therefore is about to modify) a range inside a moved
@@ -233,7 +240,7 @@ func (e *Engine) finishEpochPaused(ctx *sim.Ctx, ep *epochState) {
 	// Durably leave the compacting phase; the PMFT entries become stale by
 	// epoch number.
 	p.Device().Site(gctx, pmem.SiteEpochTransition)
-	p.SetGCPhase(gctx, packPhase(phaseIdle, ep.scheme, ep.epochNo))
+	p.SetGCPhase(gctx, pmop.PackGCPhase(pmop.PhaseIdle, uint64(ep.scheme), ep.epochNo))
 	p.Device().Site(gctx, pmem.SiteEpochTransition)
 
 	// Release relocation frames and open destination frames for allocation.

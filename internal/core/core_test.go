@@ -206,19 +206,19 @@ func TestPhaseWordLifecycle(t *testing.T) {
 	fx := buildFragmented(t, 100)
 	e := NewEngine(fx.p, DefaultOptions())
 	defer e.Close()
-	if st, _, _ := unpackPhase(fx.p.GCPhase(fx.ctx)); st != phaseIdle {
+	if st, _, _ := pmop.UnpackGCPhase(fx.p.GCPhase(fx.ctx)); st != pmop.PhaseIdle {
 		t.Fatal("not idle initially")
 	}
 	ep := e.prepare(fx.ctx)
 	if ep == nil {
 		t.Fatal("no epoch")
 	}
-	if st, sc, en := unpackPhase(fx.p.GCPhase(fx.ctx)); st != phaseCompacting || sc != e.opt.Scheme || en != ep.epochNo {
+	if st, sc, en := pmop.UnpackGCPhase(fx.p.GCPhase(fx.ctx)); st != pmop.PhaseCompacting || Scheme(sc) != e.opt.Scheme || en != ep.epochNo {
 		t.Fatalf("phase word wrong: %d/%v/%d", st, sc, en)
 	}
 	e.compact(fx.ctx, ep)
 	e.finishEpoch(fx.ctx, ep)
-	if st, _, _ := unpackPhase(fx.p.GCPhase(fx.ctx)); st != phaseIdle {
+	if st, _, _ := pmop.UnpackGCPhase(fx.p.GCPhase(fx.ctx)); st != pmop.PhaseIdle {
 		t.Fatal("not idle after finish")
 	}
 }
@@ -290,7 +290,7 @@ func TestCrashBeforeAnyRelocation(t *testing.T) {
 			p2, e2 := crashAndRecover(t, fx, e, opt)
 			defer e2.Close()
 			checkList(t, p2, fx.ctx, fx.n)
-			if st, _, _ := unpackPhase(p2.GCPhase(fx.ctx)); st != phaseIdle {
+			if st, _, _ := pmop.UnpackGCPhase(p2.GCPhase(fx.ctx)); st != pmop.PhaseIdle {
 				t.Error("recovery did not complete the epoch")
 			}
 		})
@@ -550,7 +550,7 @@ func TestReachedBitmapGatesRelease(t *testing.T) {
 	e.compact(fx.ctx, ep)
 	objs := ep.objects
 	e.finishEpoch(fx.ctx, ep)
-	reachedOff, _, _ := metaLayout(fx.p)
+	reachedOff := fx.p.GCMeta().Reached
 	heap := fx.p.Heap()
 	heapOff := heap.HeapOff()
 	for _, o := range objs {

@@ -119,7 +119,7 @@ func sized[T any](s []T, n int) []T {
 // noMinor is a minor-distance map with no slot mapped.
 var noMinor = func() (m [alloc.SlotsPerFrame]byte) {
 	for i := range m {
-		m[i] = minorInvalid
+		m[i] = pmop.MinorInvalid
 	}
 	return
 }()
@@ -241,7 +241,7 @@ func (ep *epochState) onRelocFrame(heap *alloc.Heap, off uint64) bool {
 func (ep *epochState) lookupSrc(p *pmop.Pool, srcOff uint64) (uint64, bool) {
 	heap := p.Heap()
 	ord, slot, ok := ep.ordinal(heap, srcOff)
-	if !ok || ep.minor[ord][slot] == minorInvalid && int(ep.lastSlotSrc[ord]) != slot {
+	if !ok || ep.minor[ord][slot] == pmop.MinorInvalid && int(ep.lastSlotSrc[ord]) != slot {
 		return 0, false
 	}
 	return heap.OffsetOf(int(ep.destFrame[ord]), int(ep.minor[ord][slot])), true

@@ -37,7 +37,7 @@ type refEpoch struct {
 	minor     map[int]*[alloc.SlotsPerFrame]byte
 	destFrame map[int]int
 	// lastSlotSrc[f] is the source slot of frame f placed at destination
-	// slot 255, whose minor byte equals minorInvalid.
+	// slot 255, whose minor byte equals pmop.MinorInvalid.
 	lastSlotSrc map[int]int
 }
 
@@ -56,7 +56,7 @@ func newRefEpoch(ep *epochState, p *pmop.Pool) *refEpoch {
 	for _, f := range ref.relocFrames {
 		var mm [alloc.SlotsPerFrame]byte
 		for i := range mm {
-			mm[i] = minorInvalid
+			mm[i] = pmop.MinorInvalid
 		}
 		ref.minor[f] = &mm
 	}
@@ -131,7 +131,7 @@ func (ep *refEpoch) lookupSrc(p *pmop.Pool, srcOff uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if last, has := ep.lastSlotSrc[f]; mm[slot] == minorInvalid && !(has && last == slot) {
+	if last, has := ep.lastSlotSrc[f]; mm[slot] == pmop.MinorInvalid && !(has && last == slot) {
 		return 0, false
 	}
 	df := ep.destFrame[f]
@@ -402,8 +402,8 @@ func TestDenseEpochMatchesMapReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				e2 := NewEngine(p2, opt)
-				_, scheme, epochNo := unpackPhase(p2.GCPhase(fx.ctx))
-				ep2, err := e2.loadEpoch(fx.ctx, scheme, epochNo)
+				_, scheme, epochNo := pmop.UnpackGCPhase(p2.GCPhase(fx.ctx))
+				ep2, err := e2.loadEpoch(fx.ctx, Scheme(scheme), epochNo)
 				if err != nil {
 					t.Fatal(err)
 				}

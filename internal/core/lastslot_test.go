@@ -161,8 +161,8 @@ func TestLastSlotForwarding(t *testing.T) {
 			}
 			// The epoch as recovery rebuilds it from the PMFT forwards too.
 			e2 := NewEngine(p2, opt)
-			_, scheme, epochNo := unpackPhase(p2.GCPhase(fx.ctx))
-			ep2, err := e2.loadEpoch(fx.ctx, scheme, epochNo)
+			_, scheme, epochNo := pmop.UnpackGCPhase(p2.GCPhase(fx.ctx))
+			ep2, err := e2.loadEpoch(fx.ctx, Scheme(scheme), epochNo)
 			if err != nil {
 				t.Fatal(err)
 			}

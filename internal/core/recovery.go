@@ -106,9 +106,9 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	dev := p.Device()
 	e.rec.stage = -1
 	e.progress(ctx, "load")
-	state, persistedScheme, epochNo := unpackPhase(p.GCPhase(ctx))
+	state, persistedScheme, epochNo := pmop.UnpackGCPhase(p.GCPhase(ctx))
 
-	if state != phaseCompacting {
+	if state != pmop.PhaseCompacting {
 		// Idle: application recovery + allocator rebuild only.
 		e.progress(ctx, "rollback")
 		p.RecoverTx(ctx)
@@ -122,7 +122,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	}
 
 	// An epoch was interrupted. Reconstruct it from the persistent PMFT.
-	ep, err := e.loadEpoch(ctx, persistedScheme, epochNo)
+	ep, err := e.loadEpoch(ctx, Scheme(persistedScheme), epochNo)
 	if err != nil {
 		return err
 	}
@@ -210,7 +210,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	// (5) Resume and complete the epoch.
 	e.progress(ctx, "resume")
 	if e.rbb != nil && ep.scheme.UsesRelocateInstruction() {
-		reachedOff, _, _ := metaLayout(p)
+		reachedOff := p.GCMeta().Reached
 		heapOff, frames := p.HeapRange()
 		e.rbb.Rearm(p.PA(reachedOff), p.PA(heapOff), frames)
 	}
@@ -244,7 +244,7 @@ func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochS
 		if f >= heap.Frames() {
 			return nil, fmt.Errorf("core: relocation-frame list names frame %d of a %d-frame heap", f, heap.Frames())
 		}
-		p.RawLoad(ctx, pmftEntryOff(p, f), entry)
+		p.RawLoad(ctx, p.GCMeta().PMFTEntry(f), entry)
 		if got := uint64(binary.LittleEndian.Uint32(entry[0:4])); got != epochNo {
 			return nil, fmt.Errorf("core: listed relocation frame %d has a PMFT entry of epoch %d, not %d", f, got, epochNo)
 		}
@@ -259,7 +259,7 @@ func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochS
 		// authoritative (persisted at allocation, never modified by a move;
 		// SFCCD's tombstone only touches the reserved word).
 		for s := 0; s < alloc.SlotsPerFrame; {
-			if mm[s] == minorInvalid {
+			if mm[s] == pmop.MinorInvalid {
 				s++
 				continue
 			}
@@ -293,7 +293,7 @@ func (e *Engine) loadEpoch(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*epochS
 // never a reason to scan the PMFT.
 func (e *Engine) loadRelocList(ctx *sim.Ctx, epochNo uint64) ([]byte, error) {
 	p, ss := e.pool, &e.summaryScratch
-	off := relocListOff(p)
+	off := p.GCMeta().RelocList
 	hdr := p.RawLoadU64(ctx, off)
 	if got := hdr & 0xFFFFFFFF; got != epochNo {
 		return nil, fmt.Errorf("core: relocation-frame list is of epoch %d, the phase word's is %d", got, epochNo)
@@ -353,7 +353,7 @@ func (e *Engine) recoverSFCCD(ctx *sim.Ctx, ep *epochState) {
 func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 	p := e.pool
 	heap := p.Heap()
-	reachedOff, _, _ := metaLayout(p)
+	reachedOff := p.GCMeta().Reached
 	heapOff := heap.HeapOff()
 
 	// Snapshot the reached bitmap before any repair.
@@ -461,7 +461,7 @@ func (e *Engine) rangesEqual(ctx *sim.Ctx, a, b, n uint64) bool {
 func (e *Engine) loadMovedBit(ctx *sim.Ctx, obj *relocObj) bool {
 	p := e.pool
 	f, slot := p.Heap().Locate(obj.srcHdr)
-	off, mask := movedBitOff(p, f, slot)
+	off, mask := p.GCMeta().MovedBit(f, slot)
 	var b [1]byte
 	p.RawLoad(ctx, off, b[:])
 	return b[0]&mask != 0
@@ -470,7 +470,7 @@ func (e *Engine) loadMovedBit(ctx *sim.Ctx, obj *relocObj) bool {
 func (e *Engine) clearMovedBit(ctx *sim.Ctx, obj *relocObj) {
 	p := e.pool
 	f, slot := p.Heap().Locate(obj.srcHdr)
-	off, mask := movedBitOff(p, f, slot)
+	off, mask := p.GCMeta().MovedBit(f, slot)
 	var b [1]byte
 	p.RawLoad(ctx, off, b[:])
 	b[0] &^= mask

@@ -1,9 +1,9 @@
 package core
 
-// Tests of the relocation-frame list (meta.go): recovery built from it equals
-// recovery built from a full PMFT scan, the list names exactly the frames a
-// full scan finds after every summary and recovery, and a crash anywhere
-// between the list's first store and the phase flip recovers.
+// Tests of the relocation-frame list (pmop/gcmeta.go): recovery built from it
+// equals recovery built from a full PMFT scan, the list names exactly the
+// frames a full scan finds after every summary and recovery, and a crash
+// anywhere between the list's first store and the phase flip recovers.
 
 import (
 	"encoding/binary"
@@ -30,7 +30,7 @@ func (e *Engine) loadEpochByScan(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*
 	ep.reset(epochNo, scheme)
 	entry := e.summaryScratch.entry[:]
 	for f := 0; f < heap.Frames(); f++ {
-		p.RawLoad(ctx, pmftEntryOff(p, f), entry)
+		p.RawLoad(ctx, p.GCMeta().PMFTEntry(f), entry)
 		if uint64(binary.LittleEndian.Uint32(entry[0:4])) != epochNo {
 			continue
 		}
@@ -45,7 +45,7 @@ func (e *Engine) loadEpochByScan(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*
 		// authoritative (persisted at allocation, never modified by a move;
 		// SFCCD's tombstone only touches the reserved word).
 		for s := 0; s < alloc.SlotsPerFrame; {
-			if mm[s] == minorInvalid {
+			if mm[s] == pmop.MinorInvalid {
 				s++
 				continue
 			}
@@ -75,7 +75,7 @@ func (e *Engine) loadEpochByScan(ctx *sim.Ctx, scheme Scheme, epochNo uint64) (*
 
 // peekRelocList reads p's relocation-frame list without simulating the reads.
 func peekRelocList(p *pmop.Pool) (epoch uint64, frames []int) {
-	off := relocListOff(p)
+	off := p.GCMeta().RelocList
 	hdr := p.PeekU64(off)
 	frames = make([]int, hdr>>32)
 	for i := range frames {
@@ -91,20 +91,20 @@ func peekRelocList(p *pmop.Pool) (epoch uint64, frames []int) {
 // the list is ahead, left by a summary that crashed before its flip.
 func checkRelocList(t *testing.T, p *pmop.Pool) {
 	t.Helper()
-	state, _, epoch := unpackPhase(p.GCPhase(sim.NewCtx(p.Config())))
+	state, _, epoch := pmop.UnpackGCPhase(p.GCPhase(sim.NewCtx(p.Config())))
 	if epoch == 0 {
 		return
 	}
 	listEpoch, list := peekRelocList(p)
 	if listEpoch != epoch {
-		if listEpoch < epoch || state != phaseIdle {
+		if listEpoch < epoch || state != pmop.PhaseIdle {
 			t.Fatalf("relocation-frame list of epoch %d, phase word state %d epoch %d", listEpoch, state, epoch)
 		}
 		return
 	}
 	var scan []int
 	for f := 0; f < p.Heap().Frames(); f++ {
-		if p.PeekU64(pmftEntryOff(p, f))&0xFFFFFFFF == epoch {
+		if p.PeekU64(p.GCMeta().PMFTEntry(f))&0xFFFFFFFF == epoch {
 			scan = append(scan, f)
 		}
 	}
@@ -184,12 +184,12 @@ func TestRelocListMatchesFullScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkRelocList(t, p2)
-				_, scheme, epochNo := unpackPhase(p2.GCPhase(fx.ctx))
-				fromList, err := NewEngine(p2, opt).loadEpoch(fx.ctx, scheme, epochNo)
+				_, scheme, epochNo := pmop.UnpackGCPhase(p2.GCPhase(fx.ctx))
+				fromList, err := NewEngine(p2, opt).loadEpoch(fx.ctx, Scheme(scheme), epochNo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fromScan, err := NewEngine(p2, opt).loadEpochByScan(fx.ctx, scheme, epochNo)
+				fromScan, err := NewEngine(p2, opt).loadEpochByScan(fx.ctx, Scheme(scheme), epochNo)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,7 +236,7 @@ func TestCrashFromListStoreToFlip(t *testing.T) {
 			t.Fatal("no epoch")
 		}
 		census := fx.rt.Device().DisarmSites()
-		if n := fx.p.PeekU64(relocListOff(fx.p)) >> 32; 8+4*n <= pmem.LineSize {
+		if n := fx.p.PeekU64(fx.p.GCMeta().RelocList) >> 32; 8+4*n <= pmem.LineSize {
 			t.Fatalf("a %d-frame list fits one line: no torn list to crash into", n)
 		}
 		if census.ByClass[pmem.SiteEpochTransition] != 2 {

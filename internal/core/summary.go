@@ -29,9 +29,9 @@ type summaryScratch struct {
 	free     []int // the lowest free frames, ascending: the destination frames in order
 	relocVAs []uint64
 	frames   []int  // the relocation frames, ascending
-	list     []byte // the relocation-frame list, as persisted (meta.go)
-	entry    [pmftEntrySize]byte
-	zeros    [movedBytesPerFrame]byte
+	list     []byte // the relocation-frame list, as persisted (pmop/gcmeta.go)
+	entry    [pmop.PMFTEntrySize]byte
+	zeros    [pmop.MovedBytesPerFrame]byte
 }
 
 // selUnit is one selection unit: its first used frame and the slots in use
@@ -176,8 +176,8 @@ unitLoop:
 	// The epoch is numbered past the phase word's and the list's: a summary
 	// that crashed before its flip left its list (and some PMFT entries) one
 	// epoch ahead, and no epoch that runs may share their number.
-	_, _, epochNo := unpackPhase(p.GCPhase(ctx))
-	epochNo = max(epochNo, p.RawLoadU64(ctx, relocListOff(p))&0xFFFFFFFF)
+	_, _, epochNo := pmop.UnpackGCPhase(p.GCPhase(ctx))
+	epochNo = max(epochNo, p.RawLoadU64(ctx, p.GCMeta().RelocList)&0xFFFFFFFF)
 	ep := &e.epochBuf
 	ep.reset(epochNo+1, e.opt.Scheme)
 
@@ -194,7 +194,7 @@ unitLoop:
 	// bitmap needs during fence-free recovery — a reached line carries
 	// consistent bytes for all its tenants (Observation 4) — without any
 	// placement alignment tax.
-	_, movedOff, _ := metaLayout(p)
+	movedOff := p.GCMeta().Moved
 	di := -1
 	curSlot := 0
 	for _, sel := range selected[:bestAt] {
@@ -230,12 +230,12 @@ unitLoop:
 		binary.LittleEndian.PutUint32(buf[0:4], uint32(ep.epochNo))
 		binary.LittleEndian.PutUint32(buf[4:8], uint32(df))
 		copy(buf[8:], mm[:])
-		entryOff := pmftEntryOff(p, sel.frame)
+		entryOff := p.GCMeta().PMFTEntry(sel.frame)
 		p.RawStore(ctx, entryOff, buf)
-		p.PersistRange(ctx, entryOff, pmftEntrySize)
-		mOff := movedOff + uint64(sel.frame)*movedBytesPerFrame
+		p.PersistRange(ctx, entryOff, pmop.PMFTEntrySize)
+		mOff := movedOff + uint64(sel.frame)*pmop.MovedBytesPerFrame
 		p.RawStore(ctx, mOff, ss.zeros[:])
-		p.PersistRange(ctx, mOff, movedBytesPerFrame)
+		p.PersistRange(ctx, mOff, pmop.MovedBytesPerFrame)
 	}
 	ep.destFrames = append(ep.destFrames, free[:di+1]...)
 	ep.buildIndexes(p)
@@ -253,7 +253,7 @@ unitLoop:
 
 	// Arm the reached bitmap for the fence-free schemes (§4.2).
 	if e.rbb != nil {
-		reachedOff, _, _ := metaLayout(p)
+		reachedOff := p.GCMeta().Reached
 		heapOff, nframes := p.HeapRange()
 		e.rbb.Configure(p.PA(reachedOff), p.PA(heapOff), nframes)
 	}
@@ -261,7 +261,7 @@ unitLoop:
 	// Durably enter the compacting phase. Everything above is idempotent;
 	// a crash before this store leaves the pool in the idle state.
 	p.Device().Site(ctx, pmem.SiteEpochTransition)
-	p.SetGCPhase(ctx, packPhase(phaseCompacting, e.opt.Scheme, ep.epochNo))
+	p.SetGCPhase(ctx, pmop.PackGCPhase(pmop.PhaseCompacting, uint64(e.opt.Scheme), ep.epochNo))
 	p.Device().Site(ctx, pmem.SiteEpochTransition)
 	return ep
 }
@@ -283,7 +283,7 @@ func (e *Engine) storeRelocList(ctx *sim.Ctx, epochNo uint64, sel []selPick) {
 	for i, f := range frames {
 		binary.LittleEndian.PutUint32(buf[8+4*i:], uint32(f))
 	}
-	off := relocListOff(p)
+	off := p.GCMeta().RelocList
 	p.RawStore(ctx, off, buf)
 	for a := off; a < off+uint64(len(buf)); a += pmem.LineSize {
 		p.Clwb(ctx, a)

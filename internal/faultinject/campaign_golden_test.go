@@ -38,11 +38,19 @@ func goldenCampaign(t *testing.T, b *strings.Builder, out CampaignOutcome, base 
 	fmt.Fprintf(b, "== %s passed=%d/%d sites=%d skipped=%v failures=%d coverage=%s\n", out.Label, out.Passed, out.Scheduled,
 		out.SitesTotal, out.Skipped, len(out.Failures), out.CoverageString())
 	firsts, _ := firstLevel(base, shardCensus, co)
+	// Recovery inherits nothing from the machine before the crash, so equal
+	// crashed images recover at equal cost.
+	recovery := map[uint64]uint64{}
 	for _, s := range firsts {
 		res, err := s.Run(TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.MarshalLine(), err)
 		}
+		if c, ok := recovery[res.PostCrashHash]; ok && c != res.RecoveryCycles {
+			t.Errorf("%s: recovery took %d cycles, another trial's recovery of the same crashed image %d",
+				s.MarshalLine(), res.RecoveryCycles, c)
+		}
+		recovery[res.PostCrashHash] = res.RecoveryCycles
 		fmt.Fprintf(b, "%s post=%#x final=%#x\n", s.MarshalLine(), res.PostCrashHash, res.FinalHash)
 	}
 }

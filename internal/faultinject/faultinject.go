@@ -27,9 +27,11 @@
 // Every machine is a machine.Machine: the batch driver builds its own
 // (machine.go, with the churner), the serving driver builds them with
 // redisws.NewMachine, and both prefixes are machine images the trials fork.
-// Both restart through one sequence (restart.run, machine.go): power
-// failure, Machine.Reopen, recovery with the site recorder armed, and on a
-// crash inside recovery a second power failure and an unscheduled recovery.
+// Both run one post-crash sequence (restart.run, machine.go): power failure,
+// Machine.Reopen, recovery on a fresh context with the site recorder armed
+// (on a crash inside recovery, a second power failure and an unscheduled
+// recovery), the store reopened, and the two-step checker on a context that
+// bills nothing.
 //
 // One campaign (campaign.go) sweeps or samples the site space of any Schedule
 // and one shrinker (shrink.go) minimizes failures into repro artifacts.
@@ -61,8 +63,8 @@ type TrialOptions struct {
 	Obs func(setting Setting, seed int64) *obsv.Obs
 
 	// AfterRecovery, when non-nil, runs after recovery completes and the
-	// store is reopened, before the checker (on the serving path: inside the
-	// blackout, before the durable-ack check). Tests use it to plant
+	// store is reopened, on the recovery context and before the checker (on
+	// the serving path: inside the blackout). Tests use it to plant
 	// synthetic corruption or ack loss (proving the failure→repro→replay loop
 	// end to end) or to stall (proving the watchdog).
 	AfterRecovery func(ctx *sim.Ctx, p *pmop.Pool, s ds.Store)

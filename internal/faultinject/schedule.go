@@ -22,8 +22,11 @@ import (
 	"strings"
 
 	"ffccd/internal/checker"
+	"ffccd/internal/ds"
 	"ffccd/internal/pmem"
+	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
+	"ffccd/internal/sim"
 )
 
 // Crash policies a schedule can name.
@@ -396,8 +399,7 @@ func (t *trial) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opt
 		e.Close()
 		dev.FlushAll(ctx)
 		res.FinalHash = dev.HashMedia()
-		model, _ := churn.model()
-		if err := checker.CheckStore(ctx, t.Store, model); err != nil {
+		if err := checker.CheckStore(ctx, t.Store, churn.model()); err != nil {
 			return res, fmt.Errorf("census check 1 (%s): %w", setting, err)
 		}
 		if _, err := checker.CheckGraph(ctx, t.Pool); err != nil {
@@ -411,5 +413,14 @@ func (t *trial) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opt
 	// contexts are abandoned wholesale — their volatile state is what the
 	// crash destroys.
 	res.Began = true
-	return res, t.restartAndCheck(&res, policy, rep.Nested, opt, opts, churn)
+	r := restart{label: setting.String(), m: t.Machine, policy: policy, nested: rep.Nested, opt: opt,
+		open:  func(ctx *sim.Ctx, p *pmop.Pool) (ds.Store, error) { return buildStore(ctx, p, setting.Store) },
+		after: opts.AfterRecovery, model: churn.model(), pending: churn.inFlight}
+	if _, _, err := r.run(&res); err != nil {
+		return res, err
+	}
+	defer t.Eng.Close()
+	dev.FlushAll(ctx)
+	res.FinalHash = dev.HashMedia()
+	return res, nil
 }

@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"ffccd/internal/checker"
+	"ffccd/internal/ds"
 	"ffccd/internal/machine"
 	"ffccd/internal/mesh"
 	"ffccd/internal/pmem"
@@ -95,6 +96,9 @@ func (r ServeRepro) normalized() (ServeRepro, []int, error) {
 	if r.Shard < 0 || r.Shard >= r.Shards {
 		return r, nil, fmt.Errorf("faultinject: shard %d out of range for %d shards", r.Shard, r.Shards)
 	}
+	if _, err := PolicyFor(r.Policy, r.Salt); err != nil {
+		return r, nil, err
+	}
 	return r, shardKeys, nil
 }
 
@@ -104,13 +108,8 @@ func ParseServeRepro(line string) (ServeRepro, error) {
 	if err := parseLine(line, &r); err != nil {
 		return r, err
 	}
-	if _, _, err := r.normalized(); err != nil {
-		return r, err
-	}
-	if _, err := PolicyFor(r.Policy, r.Salt); err != nil {
-		return r, err
-	}
-	return r, nil
+	_, _, err := r.normalized()
+	return r, err
 }
 
 func (r ServeRepro) MarshalLine() string { return marshalLine(r) }
@@ -181,20 +180,32 @@ func buildServePrefixes(rep ServeRepro, shardKeys []int) ([]*servePrefix, error)
 	cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
 	pres := make([]*servePrefix, len(cfgs))
 	return pres, workpool.ForEach(len(cfgs), func(i int) error {
-		m, err := redisws.NewMachine(trialSimConfig(), rep.Scheme, "serve", shardKeys[i], 16<<20)
+		m, loaded, err := loadServeMachine(rep.Scheme, shardKeys[i], cfgs[i])
 		if err != nil {
 			return err
 		}
 		defer m.Release()
-		// Loaded under a crash plan, the prefix keeps the durable-ack mirror
-		// a trial's crash-target shard needs; its siblings drop it.
-		loaded, err := redisws.Load(m.Ctx, m.Pool, m.Store, cfgs[i], redisws.ServeHooks{Crash: &redisws.CrashPlan{}})
-		if err != nil {
-			return err
-		}
 		pres[i] = &servePrefix{img: m.Capture(), loaded: loaded}
 		return nil
 	})
+}
+
+// loadServeMachine builds the serving machine of scheme that owns keys keys
+// and loads it under cfg: the machine a servePrefix captures. The caller
+// releases it like NewMachine's.
+func loadServeMachine(scheme string, keys int, cfg redisws.ServeConfig) (*redisws.Machine, *redisws.Loaded, error) {
+	m, err := redisws.NewMachine(trialSimConfig(), scheme, "serve", keys, 16<<20)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Loaded under a crash plan, the prefix keeps the durable-ack mirror a
+	// trial's crash-target shard needs; its siblings drop it.
+	loaded, err := redisws.Load(m.Ctx, m.Pool, m.Store, cfg, redisws.ServeHooks{Crash: &redisws.CrashPlan{}})
+	if err != nil {
+		m.Release()
+		return nil, nil, err
+	}
+	return m, loaded, nil
 }
 
 // fork materializes the prefix as a serving machine of scheme of the caller's
@@ -249,41 +260,49 @@ func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
 
 // runServe runs rep on machines forked from the campaign's loaded prefixes.
 func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
-	res := Result{Began: true}
 	rep, shardKeys, err := rep.normalized()
 	if err != nil {
-		return res, err
+		return Result{Began: true}, err
 	}
-	policy, err := PolicyFor(rep.Policy, rep.Salt)
-	if err != nil {
-		return res, err
-	}
-	res.Shard = rep.Shard
 	pres, err := c.servePrefixOf(rep, shardKeys)
 	if err != nil {
-		return res, err
+		return Result{Began: true, Shard: rep.Shard}, err
 	}
-
-	nsh := rep.Shards
-	machines := make([]*redisws.Machine, 0, nsh)
-	loaded := make([]*redisws.Loaded, nsh)
+	machines := make([]*redisws.Machine, len(pres))
+	loaded := make([]*redisws.Loaded, len(pres))
 	for i, pre := range pres {
-		m, err := pre.fork(rep.Scheme)
-		if err != nil {
-			for _, m := range machines {
+		if machines[i], err = pre.fork(rep.Scheme); err != nil {
+			for _, m := range machines[:i] {
 				m.Release()
 			}
-			return res, err
+			return Result{Began: true, Shard: rep.Shard}, err
 		}
-		if opts.Series != nil {
+		loaded[i] = pre.loaded
+	}
+	return runServeOn(rep, shardKeys, opts, machines, loaded)
+}
+
+// runServeOn runs rep (normalized; shard i owns shardKeys[i] keys) on
+// machines, one per shard, each as loaded[i] left it, and releases them.
+func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*redisws.Machine, loaded []*redisws.Loaded) (Result, error) {
+	res := Result{Began: true, Shard: rep.Shard}
+	policy, _ := PolicyFor(rep.Policy, rep.Salt) // normalized has checked the name
+	nsh := rep.Shards
+	label := rep.Scheme
+	if nsh > 1 {
+		label = fmt.Sprintf("%s, shard %d", rep.Scheme, rep.Shard)
+	}
+	if opts.Series != nil {
+		for i, m := range machines {
 			m.Hooks.Series = opts.Series(rep, i)
 		}
-		machines, loaded[i] = append(machines, m), pre.loaded
 	}
 
 	// The crash plan arms only the target shard; siblings never lose power.
 	// The pre-crash engine is abandoned wholesale at a crash, like the batch
 	// driver: its volatile state is exactly what the power failure destroys.
+	// The restart's recovery context bills the blackout — the cycles the
+	// server is gone.
 	target := machines[rep.Shard]
 	dev := target.Device()
 	crashed := false
@@ -293,68 +312,36 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 			crashed = true
 			res.Crash = crash
 			res.Census = dev.DisarmSites()
-
-			// recCtx bills the blackout — the cycles the server is gone.
-			recCtx := sim.NewCtx(&target.Cfg)
-			defer recCtx.Release()
 			var d2 *mesh.Defragmenter
-			rs := restart{
-				label: rep.Scheme, m: target.Machine, policy: policy, nested: rep.Nested,
-				ctx: recCtx, opt: redisws.SchemeOptions(rep.Scheme),
+			rs := restart{label: label, m: target.Machine, policy: policy, nested: rep.Nested,
+				opt: redisws.SchemeOptions(rep.Scheme), after: opts.AfterRecovery, model: acked,
+				open: func(ctx *sim.Ctx, p *pmop.Pool) (ds.Store, error) {
+					// After the allocator rebuild, re-pin meshed frames so
+					// later cycles cannot re-mesh over resident neighbours.
+					if d2 != nil {
+						d2.RestoreFrameStates()
+					}
+					return redisws.OpenStore(ctx, p, shardKeys[rep.Shard])
+				}}
+			if pending != nil {
+				rs.pending = &checker.PendingWrite{Key: pending.Key, Val: pending.Val}
 			}
 			if rep.Scheme == "mesh" {
 				// Mesh's remap table must be installed before reference
 				// marking reads the heap (see mesh.Recover).
-				rs.prepare = func(p *pmop.Pool) (err error) {
-					if d2, err = mesh.Recover(recCtx, p); err != nil {
+				rs.prepare = func(ctx *sim.Ctx, p *pmop.Pool) (err error) {
+					if d2, err = mesh.Recover(ctx, p); err != nil {
 						err = fmt.Errorf("mesh recovery (%s): %w", rep.Scheme, err)
 					}
 					return err
 				}
 			}
-			if err := rs.run(&res); err != nil {
-				return nil, err
-			}
-			p2, e2 := target.Pool, target.Eng
-			// After the allocator rebuild, re-pin meshed frames so later
-			// cycles cannot re-mesh over resident neighbours.
-			if d2 != nil {
-				d2.RestoreFrameStates()
-			}
-			s2, err := redisws.OpenStore(recCtx, p2, shardKeys[rep.Shard])
+			model, cycles, err := rs.run(&res)
 			if err != nil {
 				return nil, err
 			}
-			if opts.AfterRecovery != nil {
-				opts.AfterRecovery(recCtx, p2, s2)
-			}
-			// Durable-ack and graph checks run on a non-billed context: the
-			// blackout bill is the restart work, not the validation harness.
-			chkCtx := sim.NewCtx(&target.Cfg)
-			defer chkCtx.Release()
-			var pw *checker.PendingWrite
-			if pending != nil {
-				pw = &checker.PendingWrite{Key: pending.Key, Val: pending.Val}
-			}
-			var model map[uint64][]byte
-			if nsh > 1 {
-				model, err = checker.DurableAcksShard(chkCtx, rep.Shard, s2, acked, pw)
-			} else {
-				model, err = checker.DurableAcks(chkCtx, s2, acked, pw)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("durable-ack check (%s): %w", rep.Scheme, err)
-			}
-			if _, err := checker.CheckGraph(chkCtx, p2); err != nil {
-				return nil, fmt.Errorf("post-recovery graph check (%s): %w", rep.Scheme, err)
-			}
-			return &redisws.Recovered{
-				Store:  s2,
-				Pool:   p2,
-				Hooks:  redisws.SchemeHooks(rep.Scheme, p2, e2, d2, target.GC),
-				Cycles: recCtx.Clock.Total(),
-				Model:  model,
-			}, nil
+			return &redisws.Recovered{Store: target.Store, Pool: target.Pool, Cycles: cycles, Model: model,
+				Hooks: redisws.SchemeHooks(rep.Scheme, target.Pool, target.Eng, d2, target.GC)}, nil
 		},
 	}
 	// A sharded census pass census-arms the sibling shards too, so a single
@@ -375,7 +362,7 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	sharded, err := redisws.RunSharded(shards, loaded)
 	// Every shard job has returned, so this goroutine is the machines' only
 	// user from here on: give their pages and arrays back on the way out. (Not
-	// registered earlier — a panic leaving ServeSharded could leave sibling
+	// registered earlier — a panic leaving RunSharded could leave sibling
 	// shards running — and never by a watchdog that gave up on the trial.)
 	defer func() {
 		for _, m := range machines {

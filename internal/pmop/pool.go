@@ -46,20 +46,8 @@ const poolMagic = 0x46464343_44504D31 // "FFCCDPM1"
 const (
 	txSlotCount    = 8
 	txSlotBytes    = 64 * 1024
-	gcMetaPerFrame = 320 // reached bitmap (8) + moved bitmap (32) + PMFT (264) + slack
-
-	// gcMetaUsedPerFrame is the portion of gcMetaPerFrame the defragmentation
-	// schemes lay out per frame; the region's tail holds the relocation-frame
-	// list (relocListBytes), and the rest is auxiliary slack (AuxMetaRange).
-	gcMetaUsedPerFrame = 8 + 32 + 264
+	gcMetaPerFrame = 320 // gcMetaUsedPerFrame (304, see gcmeta.go) + slack
 )
-
-// relocListBytes is the GC-metadata tail the defragmentation engine persists
-// an epoch's relocation-frame list in: an 8-byte header and a u32 per heap
-// frame, in whole cachelines.
-func relocListBytes(frames uint64) uint64 {
-	return (8 + 4*frames + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
-}
 
 // Pool is a persistent memory object pool mapped into the simulated device.
 // Like its device, it is plain data that belongs to the goroutine that owns
@@ -176,20 +164,6 @@ func (p *Pool) PageShift() uint { return p.pageShift }
 // GCMetaRange returns the pool-offset range reserved for GC persistent
 // metadata (PMFT, moved bitmaps, reached bitmap, phase state).
 func (p *Pool) GCMetaRange() (off, size uint64) { return p.gcMetaOff, p.gcMetaSize }
-
-// AuxMetaRange returns the slack of the GC metadata region: persistent space
-// no defragmentation scheme touches, available to auxiliary comparators. It
-// runs from the end of the per-frame arrays (reached bitmap, moved bitmap,
-// PMFT) to the relocation-frame list, which the engine keeps in the region's
-// last 8 + 4×frames bytes (rounded up to whole lines) — so off+size is the
-// list's offset. The Mesh comparator persists its virtual→physical frame
-// remap at the start of the range. The range sits below the heap, so frame
-// remapping never applies to it.
-func (p *Pool) AuxMetaRange() (off, size uint64) {
-	used := p.heapFrames * gcMetaUsedPerFrame
-	end := p.gcMetaSize - relocListBytes(p.heapFrames)
-	return p.gcMetaOff + used, end - used
-}
 
 // HeapRange returns the heap's pool-offset start and frame count.
 func (p *Pool) HeapRange() (off uint64, frames uint64) { return p.heapOff, p.heapFrames }

@@ -35,7 +35,7 @@ func accessNoStreak(t *TLB, va uint64, pageShift uint) uint64 {
 
 func TestTLBStreakFastPathBitIdentical(t *testing.T) {
 	// Drive a locality-heavy trace (long same-page runs, page switches, 4K/2M
-	// mixes, flushes, checkpoint round-trips) through the streak fast path and
+	// mixes, checkpoint round-trips) through the streak fast path and
 	// the reference algorithm; cycles, counters, and array state must match
 	// access-for-access.
 	cfg := DefaultConfig()
@@ -54,9 +54,6 @@ func TestTLBStreakFastPathBitIdentical(t *testing.T) {
 			page = rng.Uint64() % (1 << 20)
 		case r < 20: // jump to another page
 			page = rng.Uint64() % (1 << 20)
-		case r == 20: // flush both
-			fast.Flush()
-			ref.Flush()
 		case r == 21: // checkpoint/restore round-trip on the fast TLB only
 			fast.CheckpointInto(&chk)
 			fast.Restore(&chk)
@@ -204,16 +201,6 @@ func TestTLBCapacityEviction(t *testing.T) {
 	tlb.Access(0, 12)
 	if tlb.L2Misses == missesBefore {
 		t.Error("expected evicted page to miss in L2 TLB")
-	}
-}
-
-func TestTLBFlush(t *testing.T) {
-	cfg := DefaultConfig()
-	tlb := NewTLB(&cfg)
-	tlb.Access(0x1000, 12)
-	tlb.Flush()
-	if got := tlb.Access(0x1000, 12); got == cfg.TLB1Latency {
-		t.Error("post-flush access should miss")
 	}
 }
 

@@ -159,12 +159,6 @@ func (s *setAssoc) contains(tag uint64) bool {
 	return false
 }
 
-// flush invalidates all entries.
-func (s *setAssoc) flush() {
-	clear(s.tags)
-	clear(s.age)
-}
-
 // NewTLB builds the Table 2 TLB hierarchy. It holds no arrays until its first
 // translation (or the restore of a checkpoint that has some): a context that
 // never translates, such as an engine's own, costs the host a few words.
@@ -274,17 +268,6 @@ func (t *TLB) syncStreak() {
 // bookkeeping is still deferred. Readers (snapshot groups, tests) must use
 // this instead of the Accesses field, which lags by the open streak.
 func (t *TLB) AccessCount() uint64 { return t.Accesses + t.streakLen }
-
-// Flush empties the whole hierarchy. No simulated crash or restart calls it:
-// batch recovery runs on the pre-crash application context, its TLB warm, and
-// serving recovery on a fresh context, its TLB cold.
-func (t *TLB) Flush() {
-	t.syncStreak()
-	t.l14k.flush()
-	t.l12m.flush()
-	t.l2.flush()
-	t.streakMask = 0
-}
 
 // tlbsPerWorker bounds the TLB arrays the pool keeps per pool worker: a
 // serving trial's machine releases about ten contexts at once (loader,
