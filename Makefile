@@ -72,6 +72,7 @@ fuzzsmoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 5s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCache$$' -fuzztime 5s ./internal/redisws/
 	$(GO) test -run '^$$' -fuzz '^FuzzTxCrash$$' -fuzztime 5s ./internal/pmop/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenMetrics$$' -fuzztime 5s ./internal/obsv/
 
 # check is the full CI target: gofmt + vet + race-detector short tests +
 # full tests + the reduced crash-schedule matrix + the measurement smoke +

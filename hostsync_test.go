@@ -18,23 +18,26 @@ var machinePackages = []string{
 }
 
 // hostSyncAllowed lists, as "package:Decl.field" (or "package:var"), the only
-// host locks and atomics those packages may hold, each with its reason.
+// host locks, atomics and workpool free lists those packages may hold, each
+// with its reason.
 var hostSyncAllowed = map[string]string{
 	"kv:Echo.mu":           "bench/store_test.go's TestDecoratorCountsConcurrentGets drives one Echo from 8 goroutines",
 	"pmop:Pool.Ops":        "the same bench test: Echo.Get's deferred EndOp runs outside Echo.mu",
 	"pmop:Registry.mu":     "a type registry may be shared by several machines; types_test.go tests it concurrently",
 	"pmop:Registry.frozen": "the registry's lock-free lookup snapshot, republished under Registry.mu",
 	"pmem:pagePool.Mutex":  "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
-	"pmem:arrayPool.Mutex": "process-wide pool of cache arrays that machines of one geometry on workpool workers share",
-	"sim:tlbPool.Mutex":    "process-wide pool of TLB arrays that contexts of one geometry on workpool workers share",
+	"pmem:arrayPool":       "process-wide free list of cache arrays that machines of one geometry on workpool workers share",
+	"sim:tlbPool":          "process-wide free list of TLB arrays that contexts of one geometry on workpool workers share",
+	"core:epochPool":       "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
 	"sim:ctxSeq":           "process-wide sim.Ctx numbering",
 }
 
 // TestNoHostSyncInMachine enforces that a simulated machine is plain data
 // owned by one goroutine (TestOneGoroutinePerMachine keeps a second goroutine
 // off it). It parses the non-test files of machinePackages and fails on any
-// struct field or variable whose type involves sync.Mutex, sync.RWMutex or a
-// sync/atomic type, unless hostSyncAllowed names it. An allowed item that no
+// struct field or variable whose type involves sync.Mutex, sync.RWMutex, a
+// sync/atomic type or a workpool.FreeList (a lock that machines on different
+// workers share), unless hostSyncAllowed names it. An allowed item that no
 // longer exists fails too, so the list stays the list of what is kept.
 func TestNoHostSyncInMachine(t *testing.T) {
 	fset := token.NewFileSet()
@@ -74,20 +77,24 @@ func TestNoHostSyncInMachine(t *testing.T) {
 	}
 }
 
+// workpoolPath is the import path of workpool, whose FreeList is a lock.
+const workpoolPath = "ffccd/internal/workpool"
+
 type hostSyncDecl struct {
 	name, typ string
 	pos       token.Pos
 }
 
 // hostSyncDecls returns the fields, variables and values of f whose type
-// mentions a sync mutex or a sync/atomic type, each named after the top-level
-// declaration it sits in: "ctxSeq" for a package variable, "Echo.mu" for a
+// mentions a sync mutex, a sync/atomic type or a workpool.FreeList, each named
+// after the top-level declaration it sits in: "ctxSeq" for a package variable
+// ("tlbPool" for one initialised with a composite literal), "Echo.mu" for a
 // field, "pagePool.Mutex" for an embedded one, "RunCycle.mu" for a local.
 func hostSyncDecls(f *ast.File) []hostSyncDecl {
-	pkgs := map[string]string{} // local import name -> "sync" or "sync/atomic"
+	pkgs := map[string]string{} // local import name -> "sync", "sync/atomic" or the workpool path
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
-		if path == "sync" || path == "sync/atomic" {
+		if path == "sync" || path == "sync/atomic" || path == workpoolPath {
 			name := filepath.Base(path)
 			if imp.Name != nil {
 				name = imp.Name.Name
@@ -114,6 +121,10 @@ func hostSyncDecls(f *ast.File) []hostSyncDecl {
 					case "sync":
 						if name == "Mutex" || name == "RWMutex" {
 							typ = "sync." + name
+						}
+					case workpoolPath:
+						if name == "FreeList" {
+							typ = "workpool." + name
 						}
 					}
 				}
@@ -169,12 +180,18 @@ func hostSyncDecls(f *ast.File) []hostSyncDecl {
 					report(s.Name.Name, s.Type, s.Pos())
 					visit(s.Name.Name+".", s.Type)
 				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						if s.Type != nil {
-							report(id.Name, s.Type, id.Pos())
-							visit(id.Name+".", s.Type)
+					for i, id := range s.Names {
+						typ, values := s.Type, s.Values
+						if typ == nil && i < len(values) {
+							if lit, ok := values[i].(*ast.CompositeLit); ok && lit.Type != nil {
+								typ, values = lit.Type, lit.Elts // var x = T{...} declares an x of type T
+							}
 						}
-						for _, v := range s.Values {
+						if typ != nil {
+							report(id.Name, typ, id.Pos())
+							visit(id.Name+".", typ)
+						}
+						for _, v := range values {
 							visit(id.Name+".", v)
 						}
 					}

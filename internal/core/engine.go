@@ -29,6 +29,7 @@ import (
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // Scheme selects the crash-consistency design for the compacting phase.
@@ -120,17 +121,8 @@ type Engine struct {
 
 	epoch *epochState // the open epoch; nil when idle
 
-	// Engine-owned epoch memory (mark.go, summary.go, epoch.go): the walk
-	// and summary scratch and the one epochState every epoch refills. All of
-	// it is allocated by the first epoch that needs it, not here, and is
-	// written only with the world stopped or in single-threaded recovery.
-	markScratch    markScratch
-	summaryScratch summaryScratch
-	epochBuf       epochState
-
-	// relocParts is the part list the fence-free cluster move assembles,
-	// reused from move to move.
-	relocParts []pmem.RelocatePart
+	// The epoch memory, nil once the engine is released.
+	*epochMem
 
 	rec recoveryClock // what Recover spent per stage
 
@@ -153,15 +145,43 @@ type Engine struct {
 	cluFree []*arch.CheckLookupUnit
 }
 
+// epochMem is the host memory an engine's epochs fill (mark.go, summary.go,
+// epoch.go): the walk and summary scratch, the one epochState every epoch
+// refills, and the part list the fence-free cluster move assembles. It is
+// written only with the world stopped or in single-threaded recovery, and
+// every table in it is emptied and refilled before it is read.
+//
+// It outlives its engine: NewEngine takes the memory the last released engine
+// handed to epochPool, and Release hands it on, so an engine starts with
+// tables as large as its predecessor's instead of growing them again. Which
+// memory an engine gets changes host allocation only, never a simulated
+// result.
+type epochMem struct {
+	markScratch    markScratch
+	summaryScratch summaryScratch
+	epochBuf       epochState
+	relocParts     []pmem.RelocatePart
+}
+
+// epochPool holds released engines' epoch memory, two per pool worker (a
+// crash trial releases the engine the power failure killed and recovery's).
+var epochPool = workpool.FreeList[*epochMem]{PerWorker: 2}
+
 // NewEngine attaches a defragmentation engine to a pool. For the FFCCD
-// schemes it wires the RBB into the device. Call Close when done.
+// schemes it wires the RBB into the device. Call Close when done, and then
+// Release.
 func NewEngine(p *pmop.Pool, opt Options) *Engine {
 	cfg := p.Config()
+	mem, ok := epochPool.Take(nil)
+	if !ok {
+		mem = new(epochMem)
+	}
 	e := &Engine{
-		pool:  p,
-		cfg:   cfg,
-		opt:   opt,
-		gcCtx: sim.NewCtx(cfg),
+		pool:     p,
+		cfg:      cfg,
+		opt:      opt,
+		gcCtx:    sim.NewCtx(cfg),
+		epochMem: mem,
 	}
 	if opt.Scheme.UsesRelocateInstruction() {
 		e.rbb = arch.NewRBB(cfg, p.Device())
@@ -264,6 +284,7 @@ func (e *Engine) Triggered() bool {
 // defragmentation (terminate(): finish pending relocations and reference
 // updates, release relocation pages, drop metadata) and stops the engine.
 func (e *Engine) Close() {
+	e.mustLive()
 	// Finish an epoch that a manual BeginCycle left open. It runs on the
 	// engine's own context, so its epoch overlay starts there too: an
 	// interval read off two clocks would be meaningless.
@@ -276,14 +297,37 @@ func (e *Engine) Close() {
 	e.pool.SetTxAddHook(nil)
 }
 
-// Release gives the TLB arrays of the engine's own context back to the
-// process pool. Call it once the engine is done with, after Close.
-func (e *Engine) Release() { e.gcCtx.Release() }
+// Release hands the engine's epoch memory on to the next NewEngine and
+// gives the TLB arrays of the engine's own context back to the process pool.
+// Call it once the engine is done with: after Close, or once a power failure
+// killed it mid-epoch (Machine.Reopen does). The memory goes on with no
+// pointer back into this engine or its pool. Afterwards BeginCycle, RunCycle,
+// RunCycleSTW, StepCompaction, FinishCycle and Close panic; Stats stays
+// readable. A second call does nothing.
+func (e *Engine) Release() {
+	mem := e.epochMem
+	if mem == nil {
+		return
+	}
+	e.epochMem, e.epoch = nil, nil
+	mem.epochBuf.reset(0, SchemeNone)
+	epochPool.Put(mem)
+	e.gcCtx.Release()
+}
+
+// mustLive panics when the engine has been released. The entry points check
+// it once per call, never the read barrier or the mover loop.
+func (e *Engine) mustLive() {
+	if e.epochMem == nil {
+		panic("core: engine used after Release")
+	}
+}
 
 // RunCycle executes one full defragmentation cycle synchronously:
 // mark → summary → concurrent compaction → finish. It is a no-op if an epoch
 // is already open or the scheme is SchemeNone. Returns true if a cycle ran.
 func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
+	e.mustLive()
 	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return false
 	}
@@ -303,6 +347,7 @@ func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
 // to construct mid-compaction states deterministically. Returns false if the
 // heap did not need compaction (or an epoch is already open).
 func (e *Engine) BeginCycle(ctx *sim.Ctx) bool {
+	e.mustLive()
 	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return false
 	}
@@ -312,6 +357,7 @@ func (e *Engine) BeginCycle(ctx *sim.Ctx) bool {
 // StepCompaction relocates up to n not-yet-moved objects of the open epoch
 // and returns how many it moved. Zero means compaction is complete.
 func (e *Engine) StepCompaction(ctx *sim.Ctx, n int) int {
+	e.mustLive()
 	ep := e.epoch
 	if ep == nil {
 		return 0
@@ -350,6 +396,7 @@ func (e *Engine) EpochPending() int {
 // FinishCycle completes an epoch opened by BeginCycle: it relocates the
 // remaining objects and runs the terminate path.
 func (e *Engine) FinishCycle(ctx *sim.Ctx) {
+	e.mustLive()
 	ep := e.epoch
 	if ep == nil {
 		return

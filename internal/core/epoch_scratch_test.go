@@ -171,3 +171,39 @@ func TestTombstonesDoNotOutliveTheirEpoch(t *testing.T) {
 	}
 	checkVarList(t, p, ctx, fx.n)
 }
+
+// TestReleasedEnginePanics: a released engine has handed its epoch memory
+// on, so its next cycle entry point panics instead of running on memory
+// another engine owns — the rule a released sim.Ctx follows on its next
+// translation. Its counters stay readable.
+func TestReleasedEnginePanics(t *testing.T) {
+	fx := buildRandomHeap(t, 3, 12, 300, 3, 200)
+	e := NewEngine(fx.p, DefaultOptions())
+	if !e.RunCycle(fx.ctx) {
+		t.Fatal("no epoch")
+	}
+	e.Close()
+	stats := e.Stats()
+	e.Release()
+	e.Release() // a second call does nothing
+	if e.Stats() != stats || stats.Cycles != 1 {
+		t.Fatalf("after release: %+v, before %+v", e.Stats(), stats)
+	}
+	for name, call := range map[string]func(){
+		"BeginCycle":     func() { e.BeginCycle(fx.ctx) },
+		"RunCycle":       func() { e.RunCycle(fx.ctx) },
+		"RunCycleSTW":    func() { e.RunCycleSTW(fx.ctx) },
+		"StepCompaction": func() { e.StepCompaction(fx.ctx, 1) },
+		"FinishCycle":    func() { e.FinishCycle(fx.ctx) },
+		"Close":          e.Close,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s ran on a released engine", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -12,6 +12,7 @@ import (
 // scheme for persistence (use SchemeEspresso for the paper's comparison).
 // Returns the pause length in simulated cycles and whether a cycle ran.
 func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
+	e.mustLive()
 	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return 0, false
 	}

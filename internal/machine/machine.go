@@ -112,10 +112,11 @@ func Build(s Spec) (*Machine, error) {
 // Device returns the machine's device.
 func (m *Machine) Device() *pmem.Device { return m.RT.Device() }
 
-// Release gives the machine's media pages, cache arrays and the TLB arrays of
-// its contexts (Ctx, GC and the engine's own) back to the process pools. The
-// machine is unusable afterwards: any of those contexts panics on its next
-// translation, wherever else it is held. A second call does nothing.
+// Release gives the machine's media pages, cache arrays, the TLB arrays of
+// its contexts (Ctx, GC and the engine's own) and the engine's epoch memory
+// back to the process pools. The machine is unusable afterwards: any of those
+// contexts panics on its next translation, and the engine on its next cycle,
+// wherever else they are held. A second call does nothing.
 func (m *Machine) Release() {
 	m.RT.Device().ReleaseMedia()
 	for _, ctx := range [...]*sim.Ctx{m.Ctx, m.GC} {
@@ -150,8 +151,13 @@ func (m *Machine) NewEngine(opt core.Options) *core.Engine {
 // Reopen is the restart after a power failure: a new runtime attached to the
 // machine's device, and the pool opened again with an empty allocator, which
 // recovery rebuilds. The store and engine died with the power; both are nil
-// until the caller makes new ones. The contexts carry on.
+// until the caller makes new ones. The dead engine is released, so the
+// engine recovery makes inherits its epoch memory. The contexts carry on.
 func (m *Machine) Reopen() error {
+	if m.Eng != nil {
+		m.Eng.Release()
+		m.Eng = nil
+	}
 	rt, err := pmop.Attach(&m.Cfg, m.Device())
 	if err != nil {
 		return err

@@ -337,7 +337,7 @@ func (d *Device) ReleaseMedia() {
 			putLeaf(l)
 		}
 	}
-	putArrays(cacheArrays{d.sets, d.lines})
+	arrayPool.Put(cacheArrays{d.sets, d.lines})
 	d.size, d.leaves = 0, nil
 	d.sets, d.lines = nil, nil
 	d.pend = nil

@@ -1,7 +1,6 @@
 package pmem
 
 import (
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -254,30 +253,12 @@ type cacheArrays struct {
 // arrayPool holds released devices' cache arrays, at most one set per pool
 // worker (the most devices a fan-out of single-machine jobs has live at
 // once); beyond that the oldest go to the garbage collector.
-var arrayPool struct {
-	sync.Mutex
-	free []cacheArrays
-}
+var arrayPool = workpool.FreeList[cacheArrays]{PerWorker: 1}
 
 // takeArrays returns pooled cache arrays of the geometry, most recently
 // released first, as they were left.
 func takeArrays(nset, nway int) (cacheArrays, bool) {
-	arrayPool.Lock()
-	defer arrayPool.Unlock()
-	for i := len(arrayPool.free) - 1; i >= 0; i-- {
-		if a := arrayPool.free[i]; len(a.sets) == nset && len(a.lines) == nset*nway*LineSize {
-			arrayPool.free = slices.Delete(arrayPool.free, i, i+1)
-			return a, true
-		}
-	}
-	return cacheArrays{}, false
-}
-
-func putArrays(a cacheArrays) {
-	arrayPool.Lock()
-	defer arrayPool.Unlock()
-	arrayPool.free = append(arrayPool.free, a)
-	if len(arrayPool.free) > workpool.Parallelism() {
-		arrayPool.free = slices.Delete(arrayPool.free, 0, 1)
-	}
+	return arrayPool.Take(func(a cacheArrays) bool {
+		return len(a.sets) == nset && len(a.lines) == nset*nway*LineSize
+	})
 }

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"slices"
-	"sync"
-
-	"ffccd/internal/workpool"
-)
+import "ffccd/internal/workpool"
 
 // TLB models the per-core translation hierarchy from Table 2: a split L1
 // (separate 4 KB and 2 MB structures) backed by a unified L2. It is a
@@ -193,7 +188,7 @@ func (t *TLB) disarm() {
 	if t.buf == nil {
 		return
 	}
-	putTLBArrays(t.buf)
+	tlbPool.Put(t.buf)
 	t.buf = nil
 	t.l14k.detach()
 	t.l12m.detach()
@@ -277,34 +272,17 @@ const tlbsPerWorker = 16
 // tlbPool holds released TLBs' arrays for the next contexts of the same
 // geometry, up to tlbsPerWorker per pool worker; beyond that the oldest go
 // to the garbage collector.
-var tlbPool struct {
-	sync.Mutex
-	free [][]uint64
-}
+var tlbPool = workpool.FreeList[[]uint64]{PerWorker: tlbsPerWorker}
 
 // takeTLBArrays returns a backing array of n words, a pooled one if a
 // released TLB of the same geometry left one, cleared when clean is set.
 func takeTLBArrays(n int, clean bool) []uint64 {
-	tlbPool.Lock()
-	for i := len(tlbPool.free) - 1; i >= 0; i-- {
-		if buf := tlbPool.free[i]; len(buf) == n {
-			tlbPool.free = slices.Delete(tlbPool.free, i, i+1)
-			tlbPool.Unlock()
-			if clean {
-				clear(buf)
-			}
-			return buf
-		}
+	buf, ok := tlbPool.Take(func(buf []uint64) bool { return len(buf) == n })
+	if !ok {
+		return make([]uint64, n)
 	}
-	tlbPool.Unlock()
-	return make([]uint64, n)
-}
-
-func putTLBArrays(buf []uint64) {
-	tlbPool.Lock()
-	defer tlbPool.Unlock()
-	tlbPool.free = append(tlbPool.free, buf)
-	if len(tlbPool.free) > tlbsPerWorker*workpool.Parallelism() {
-		tlbPool.free = slices.Delete(tlbPool.free, 0, 1)
+	if clean {
+		clear(buf)
 	}
+	return buf
 }

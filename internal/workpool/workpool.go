@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -230,4 +231,46 @@ spawn:
 		}
 	}
 	return nil
+}
+
+// FreeList is a bounded, process-wide free list of host memory that
+// simulated machines on different pool workers hand each other: cache
+// arrays, TLB arrays, an engine's epoch tables. It holds at most PerWorker ×
+// Parallelism() entries; Take returns the most recently put one that fits,
+// and beyond the bound Put leaves the oldest to the garbage collector. What
+// an entry holds is host memory only, so whether a machine gets a recycled
+// entry or a new one never changes a simulated result. Declare one as a
+// package variable with PerWorker set; the zero value of the rest is ready.
+type FreeList[T any] struct {
+	// PerWorker is the most entries the list keeps per pool worker: about
+	// how many a worker's job releases at once.
+	PerWorker int
+
+	mu   sync.Mutex
+	free []T
+}
+
+// Take removes and returns the most recently put entry for which fits
+// reports true (every entry when fits is nil); ok is false when none does.
+func (l *FreeList[T]) Take(fits func(T) bool) (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.free) - 1; i >= 0; i-- {
+		if v = l.free[i]; fits == nil || fits(v) {
+			l.free = slices.Delete(l.free, i, i+1)
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// Put adds v to the list, dropping the oldest entry past the bound.
+func (l *FreeList[T]) Put(v T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, v)
+	if len(l.free) > l.PerWorker*Parallelism() {
+		l.free = slices.Delete(l.free, 0, 1)
+	}
 }

@@ -293,3 +293,46 @@ func TestSerialPoolRunsInline(t *testing.T) {
 		}
 	})
 }
+
+// TestFreeList: Take returns the most recently put entry that fits, and Put
+// keeps at most PerWorker × Parallelism() entries, dropping the oldest.
+// Workers of one fan-out share the list.
+func TestFreeList(t *testing.T) {
+	withParallelism(t, 2, func() {
+		l := FreeList[int]{PerWorker: 2}
+		for v := 1; v <= 6; v++ {
+			l.Put(v)
+		}
+		odd := func(v int) bool { return v%2 == 1 }
+		for _, want := range []int{5, 3} {
+			if v, ok := l.Take(odd); !ok || v != want {
+				t.Fatalf("Take(odd) = %d, %v; want %d", v, ok, want)
+			}
+		}
+		if v, ok := l.Take(odd); ok {
+			t.Fatalf("Take(odd) = %d past the bound: 1 should have been dropped", v)
+		}
+		for _, want := range []int{6, 4} {
+			if v, ok := l.Take(nil); !ok || v != want {
+				t.Fatalf("Take(nil) = %d, %v; want %d", v, ok, want)
+			}
+		}
+		if _, ok := l.Take(nil); ok {
+			t.Fatal("an emptied list still holds an entry")
+		}
+
+		var taken atomic.Int64
+		if err := ForEach(64, func(i int) error {
+			l.Put(i)
+			if _, ok := l.Take(nil); ok {
+				taken.Add(1)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if taken.Load() == 0 {
+			t.Fatal("no worker took an entry back")
+		}
+	})
+}
