@@ -21,7 +21,8 @@ fmt:
 # race runs the short test suite under the race detector, then on four
 # workers, whatever the host has, the crash campaign's golden, oracle and
 # lifetime tests, batch and serving, four forks of one device checkpoint
-# writing copy-on-write, and four machines forked from one machine image. A simulated machine is plain data that one goroutine
+# writing copy-on-write, four machines forked from one machine image, and two
+# serving runs forked from one loaded shard. A simulated machine is plain data that one goroutine
 # owns (TestOneGoroutinePerMachine keeps a second goroutine off it,
 # TestNoHostSyncInMachine keeps locks and atomics out of it), so the detector
 # watches what is left: what workpool jobs share — a campaign's read-only
@@ -37,6 +38,8 @@ race:
 		-run 'TestCopyOnWriteMatchesDenseModels|TestForksOfOneCheckpointOnWorkers'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/machine/ \
 		-run 'TestForksOfOneImageOnWorkers'
+	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/redisws/ \
+		-run 'TestForkedLoadedRunsMatchServe'
 
 # crashmatrix is the reduced scheduled crash campaign: every one of the 26
 # settings, a pinned seed, stratified site sampling (each site class's first

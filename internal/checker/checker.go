@@ -16,7 +16,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/ds"
@@ -42,7 +42,7 @@ func CheckStore(ctx *sim.Ctx, s ds.Store, model map[uint64][]byte) error {
 	for k := range model {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, k := range keys {
 		want := model[k]
 		got, ok := s.Get(ctx, k)

@@ -21,8 +21,9 @@
 //   - RunServeScheduled (servesched.go): the same for a machine under
 //     open-loop serving traffic (redisws.Serve), which recovers online,
 //     validates every acknowledged write and resumes serving. Its machines
-//     are forked from prefixes loaded once per campaign (redisws.Load): the
-//     trials differ only once dispatch begins.
+//     and their loaded serving state are forked from prefixes loaded once
+//     per campaign (redisws.Load): the trials differ only once dispatch
+//     begins.
 //
 // Every machine is a machine.Machine: the batch driver builds its own
 // (machine.go, with the churner), the serving driver builds them with

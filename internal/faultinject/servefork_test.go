@@ -134,7 +134,7 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forked, err := pre.fork(scheme)
+			forked, forkedLoaded, err := pre.fork(scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,14 +153,16 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 				{"store length", forked.Store.Len(), built.Store.Len()},
 				{"engine", forked.Eng != nil, built.Eng != nil},
 				{"mesh", forked.Mesh != nil, built.Mesh != nil},
-				{"loaded state", pre.loaded, loaded},
+				{"loaded state", forkedLoaded.Capture(), loaded.Capture()},
 			} {
 				if !reflect.DeepEqual(c.got, c.want) {
 					t.Errorf("%s shard %d: forked %s differs from the loaded machine's", scheme, i, c.what)
 				}
 			}
 			forked.Release()
+			forkedLoaded.Release()
 			built.Release()
+			loaded.Release()
 		}
 	}
 }

@@ -15,7 +15,8 @@ package faultinject
 // Like a batch trial, a serving trial pays only for what follows its first
 // schedulable site: a campaign builds and loads (redisws.Load: prepopulation,
 // warm-up, calibration) each shard's machine once, and every trial forks the
-// loaded machines and runs from there (redisws.Loaded.Run).
+// loaded machines and their loaded state and runs from there
+// (redisws.LoadedImage.Fork, redisws.Loaded.Run).
 
 import (
 	"fmt"
@@ -162,20 +163,20 @@ func (r ServeRepro) shrinks() []Schedule {
 }
 
 // servePrefix is one shard of a serving trial's deployment up to its first
-// schedulable site: the machine built, loaded and captured. The prefixes are
-// a pure function of the serving line without its crash point and crash
-// target, so a campaign builds them once and every trial forks them — the
-// census pass, each first-level and each nested trial, and the census-armed
-// siblings too, since arming charges nothing. Like a batch prefix, nothing
-// writes a servePrefix once it is built.
+// schedulable site: the machine built and loaded, then captured with its
+// loaded serving state. The prefixes are a pure function of the serving line
+// without its crash point and crash target, so a campaign builds them once
+// and every trial forks them — the census pass, each first-level and each
+// nested trial, and the census-armed siblings too, since arming charges
+// nothing. Like a batch prefix, nothing writes a servePrefix once it is built.
 type servePrefix struct {
 	img    *machine.Image
-	loaded *redisws.Loaded
+	loaded *redisws.LoadedImage
 }
 
 // buildServePrefixes builds, loads and captures the machine of every shard of
 // rep (normalized; shard i owns shardKeys[i] keys), and releases each
-// machine as soon as it is captured.
+// machine and its loaded state as soon as they are captured.
 func buildServePrefixes(rep ServeRepro, shardKeys []int) ([]*servePrefix, error) {
 	cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
 	pres := make([]*servePrefix, len(cfgs))
@@ -185,14 +186,16 @@ func buildServePrefixes(rep ServeRepro, shardKeys []int) ([]*servePrefix, error)
 			return err
 		}
 		defer m.Release()
-		pres[i] = &servePrefix{img: m.Capture(), loaded: loaded}
+		defer loaded.Release()
+		pres[i] = &servePrefix{img: m.Capture(), loaded: loaded.Capture()}
 		return nil
 	})
 }
 
 // loadServeMachine builds the serving machine of scheme that owns keys keys
-// and loads it under cfg: the machine a servePrefix captures. The caller
-// releases it like NewMachine's.
+// and loads it under cfg: the machine and the loaded state a servePrefix
+// captures. The caller runs or releases the loaded state and releases the
+// machine like NewMachine's.
 func loadServeMachine(scheme string, keys int, cfg redisws.ServeConfig) (*redisws.Machine, *redisws.Loaded, error) {
 	m, err := redisws.NewMachine(trialSimConfig(), scheme, "serve", keys, 16<<20)
 	if err != nil {
@@ -209,14 +212,15 @@ func loadServeMachine(scheme string, keys int, cfg redisws.ServeConfig) (*redisw
 }
 
 // fork materializes the prefix as a serving machine of scheme of the caller's
-// own, sharing the prefix's media pages until it writes them. The caller
-// releases it like NewMachine's.
-func (pre *servePrefix) fork(scheme string) (*redisws.Machine, error) {
+// own, sharing the prefix's media pages until it writes them, and the loaded
+// state a run continues from on it. The caller runs or releases the loaded
+// state and releases the machine like NewMachine's.
+func (pre *servePrefix) fork(scheme string) (*redisws.Machine, *redisws.Loaded, error) {
 	m, err := pre.img.Fork()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return redisws.Equip(m, scheme), nil
+	return redisws.Equip(m, scheme), pre.loaded.Fork(&m.Cfg), nil
 }
 
 // servePrefixOf returns the prefixes of rep's deployment (rep normalized).
@@ -271,19 +275,19 @@ func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	machines := make([]*redisws.Machine, len(pres))
 	loaded := make([]*redisws.Loaded, len(pres))
 	for i, pre := range pres {
-		if machines[i], err = pre.fork(rep.Scheme); err != nil {
-			for _, m := range machines[:i] {
-				m.Release()
+		if machines[i], loaded[i], err = pre.fork(rep.Scheme); err != nil {
+			for j := range machines[:i] {
+				machines[j].Release()
+				loaded[j].Release()
 			}
 			return Result{Began: true, Shard: rep.Shard}, err
 		}
-		loaded[i] = pre.loaded
 	}
 	return runServeOn(rep, shardKeys, opts, machines, loaded)
 }
 
 // runServeOn runs rep (normalized; shard i owns shardKeys[i] keys) on
-// machines, one per shard, each as loaded[i] left it, and releases them.
+// machines, one per shard, each from loaded[i], and releases both.
 func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*redisws.Machine, loaded []*redisws.Loaded) (Result, error) {
 	res := Result{Began: true, Shard: rep.Shard}
 	policy, _ := PolicyFor(rep.Policy, rep.Salt) // normalized has checked the name
@@ -365,8 +369,9 @@ func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*
 	// registered earlier — a panic leaving RunSharded could leave sibling
 	// shards running — and never by a watchdog that gave up on the trial.)
 	defer func() {
-		for _, m := range machines {
+		for i, m := range machines {
 			m.Release()
+			loaded[i].Release()
 		}
 	}()
 	res.Serve = &sharded.Merged

@@ -86,7 +86,7 @@ func TestTimeSeriesMergeMatchesSingleStream(t *testing.T) {
 
 // TestTimeSeriesMergeOrderInvariant pins the fold-order independence the
 // sharded dispatcher relies on: merging the same per-shard series in any
-// order yields identical windows and exemplars (the exLess shard tie-break
+// order yields identical windows and exemplars (the exCmp shard tie-break
 // makes worst-K selection total).
 func TestTimeSeriesMergeOrderInvariant(t *testing.T) {
 	const shards, nops, width = 3, 600, 5_000

@@ -13,8 +13,9 @@
 package obsv
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -170,21 +171,16 @@ type window struct {
 	ex    []Exemplar // worst-K, sorted by latency descending
 }
 
-// exLess orders exemplars worst-first with a deterministic tie-break, so
+// exCmp orders exemplars worst-first with a deterministic tie-break, so
 // worst-K selection is independent of host scheduling and needs no RNG.
-func exLess(a, b Exemplar) bool {
-	if a.Latency != b.Latency {
-		return a.Latency > b.Latency
-	}
-	if a.Arrival != b.Arrival {
-		return a.Arrival < b.Arrival
-	}
-	if a.Cause.Key != b.Cause.Key {
-		return a.Cause.Key < b.Cause.Key
-	}
-	// Sharded merge: two shards can each complete a request with identical
-	// (latency, arrival, key); the shard id makes worst-K selection total.
-	return a.Cause.Shard < b.Cause.Shard
+func exCmp(a, b Exemplar) int {
+	return cmp.Or(
+		cmp.Compare(b.Latency, a.Latency),
+		cmp.Compare(a.Arrival, b.Arrival),
+		cmp.Compare(a.Cause.Key, b.Cause.Key),
+		// Sharded merge: two shards can each complete a request with identical
+		// (latency, arrival, key); the shard id makes worst-K selection total.
+		cmp.Compare(a.Cause.Shard, b.Cause.Shard))
 }
 
 // WindowSnap is the exported snapshot of one completed window.
@@ -268,12 +264,12 @@ func (ts *TimeSeries) ObserveOp(op OpSample) {
 	w.queue += op.Queue
 	if len(w.ex) < ts.k {
 		w.ex = append(w.ex, ex)
-		sort.SliceStable(w.ex, func(i, j int) bool { return exLess(w.ex[i], w.ex[j]) })
-	} else if exLess(ex, w.ex[len(w.ex)-1]) {
+		slices.SortStableFunc(w.ex, exCmp)
+	} else if exCmp(ex, w.ex[len(w.ex)-1]) < 0 {
 		w.ex[len(w.ex)-1] = ex
-		sort.SliceStable(w.ex, func(i, j int) bool { return exLess(w.ex[i], w.ex[j]) })
+		slices.SortStableFunc(w.ex, exCmp)
 	}
-	if ts.wex == nil || exLess(ex, *ts.wex) {
+	if ts.wex == nil || exCmp(ex, *ts.wex) < 0 {
 		cp := ex
 		ts.wex = &cp
 	}
@@ -288,7 +284,7 @@ func (ts *TimeSeries) AddInterval(kind string, start, end, epoch uint64) {
 
 // Merge folds another series (same window width required) into ts — the
 // sharded-serving merge. Per-window histograms merge exactly, cycle sums and
-// counts add, worst-K exemplars re-select under the total exLess order
+// counts add, worst-K exemplars re-select under the total exCmp order
 // (latency desc, arrival asc, key asc, shard asc), and overlay intervals
 // union. Windows fold in ascending index order and every per-window
 // operation is order-insensitive or totally ordered, so the merged series is
@@ -306,7 +302,7 @@ func (ts *TimeSeries) Merge(o *TimeSeries) error {
 	for idx := range o.win {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 
 	ts.mu.Lock()
 	for _, idx := range idxs {
@@ -323,12 +319,12 @@ func (ts *TimeSeries) Merge(o *TimeSeries) error {
 		w.stall += ow.stall
 		w.queue += ow.queue
 		w.ex = append(w.ex, ow.ex...)
-		sort.SliceStable(w.ex, func(i, j int) bool { return exLess(w.ex[i], w.ex[j]) })
+		slices.SortStableFunc(w.ex, exCmp)
 		if len(w.ex) > ts.k {
 			w.ex = w.ex[:ts.k:ts.k]
 		}
 	}
-	if o.wex != nil && (ts.wex == nil || exLess(*o.wex, *ts.wex)) {
+	if o.wex != nil && (ts.wex == nil || exCmp(*o.wex, *ts.wex) < 0) {
 		cp := *o.wex
 		ts.wex = &cp
 	}
@@ -344,7 +340,7 @@ func (ts *TimeSeries) Intervals() []Interval {
 	ts.mu.Lock()
 	out := append([]Interval(nil), ts.ivs...)
 	ts.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortStableFunc(out, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
 
@@ -400,7 +396,7 @@ func (ts *TimeSeries) Windows() []WindowSnap {
 		}
 		out = append(out, ws)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	slices.SortFunc(out, func(a, b WindowSnap) int { return cmp.Compare(a.Index, b.Index) })
 	return out
 }
 

@@ -46,6 +46,10 @@ func (m *lruModel) live() (b uint64) {
 	return b
 }
 
+func (m *lruModel) has(k uint64) bool {
+	return slices.ContainsFunc(m.ents, func(e lruEnt) bool { return e.key == k })
+}
+
 func (m *lruModel) touch(k uint64) bool {
 	i := slices.IndexFunc(m.ents, func(e lruEnt) bool { return e.key == k })
 	if i >= 0 {
@@ -72,20 +76,37 @@ func (m *lruModel) evict(maxLive uint64) {
 	}
 }
 
+// lruEntries lists c's keys with their sizes, most recently used first.
+func lruEntries(c *lruCache) []lruEnt {
+	var out []lruEnt
+	for i := c.head; i != noNode; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].lruEnt)
+	}
+	return out
+}
+
+// lruBound is the key bound of FuzzLRUCache's cache: its keys are in
+// [0, lruBound).
+const lruBound = 16
+
 // FuzzLRUCache drives the index-linked LRU and lruModel with the same random
 // sets, touches, evictions under a small cap and rebuilds from a durable-ack
 // model, and compares their entries, live bytes, evictions and the order in
-// which they delete keys. After a rebuild the cache keeps acked, so its sets
-// build fresh values; acked must still hold each one intact at the end.
+// which they delete keys; every live key must index its node and every other
+// key below the bound noNode. After a rebuild the cache keeps acked, so its
+// sets build fresh values; acked must still hold each one intact at the end.
 func FuzzLRUCache(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 2, 9, 0, 3, 9, 1, 1, 2, 40, 0, 4, 9})
 	f.Add([]byte{0, 5, 200, 0, 5, 3, 0, 6, 200, 2, 0, 0, 7, 1, 3, 3, 9, 9, 0, 9, 8, 1, 9})
 	f.Add([]byte{3, 4, 1, 7, 2, 8, 3, 9, 4, 0, 1, 30, 2, 20, 0, 3, 7, 1, 1, 3, 0, 2, 255, 2, 5})
 	f.Add([]byte{2, 100, 0, 1, 50, 0, 2, 50, 0, 3, 50, 0, 2, 60, 1, 1, 0, 4, 50, 2, 0, 3, 2, 1, 3, 0, 5, 9})
 	f.Add([]byte{3, 1, 5, 10, 0, 1, 20, 0, 2, 30, 1, 5, 0, 1, 40, 2, 70, 0, 3, 10})
+	// The ends of the index: key 0 and key lruBound-1, set, touched, evicted
+	// and rebuilt.
+	f.Add([]byte{0, 0, 9, 0, lruBound - 1, 9, 1, 0, 2, 12, 0, 0, 5, 3, 2, lruBound - 1, 7, 0, 3, 1, lruBound - 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		store := &recordingStore{t: t}
-		c := newLRUCache(store, 0, 4, nil, nil)
+		c := newLRUCache(store, 0, 4, lruBound, nil)
 		var m lruModel
 		var ctx *sim.Ctx // the store ignores it
 		next := func() byte {
@@ -98,14 +119,14 @@ func FuzzLRUCache(f *testing.F) {
 		}
 		for len(ops) > 0 {
 			switch next() % 4 {
-			case 0: // set a key of 16 to a value of 1..64 bytes
-				k, n := uint64(next()%16), uint64(next()%64+1)
+			case 0: // set a key to a value of 1..64 bytes
+				k, n := uint64(next()%lruBound), uint64(next()%64+1)
 				if err := c.set(ctx, k, int(n)); err != nil {
 					t.Fatal(err)
 				}
 				m.set(k, n, c.maxLive)
 			case 1:
-				k := uint64(next() % 16)
+				k := uint64(next() % lruBound)
 				c.touch(k)
 				m.touch(k)
 			case 2: // evict under a small cap, which later sets keep
@@ -117,7 +138,7 @@ func FuzzLRUCache(f *testing.F) {
 			case 3: // rebuild from a durable model of up to 8 keys
 				model := map[uint64][]byte{}
 				for i := next() % 9; i > 0; i-- {
-					k := uint64(next() % 16)
+					k := uint64(next() % lruBound)
 					model[k] = fillValue(nil, k, int(next()%64+1))
 				}
 				c.rebuild(model)
@@ -126,12 +147,25 @@ func FuzzLRUCache(f *testing.F) {
 					m.ents = slices.Insert(m.ents, 0, lruEnt{k, uint64(len(model[k]))})
 				}
 			}
-			if got, want := c.entries(), m.ents; !slices.Equal(got, want) {
+			if got, want := lruEntries(c), m.ents; !slices.Equal(got, want) {
 				t.Fatalf("entries %v, model %v", got, want)
 			}
-			if c.liveBytes != m.live() || c.evictions != m.evictions || len(c.index) != len(m.ents) {
+			indexed := 0
+			for k, i := range c.index {
+				if i == noNode {
+					if m.has(uint64(k)) {
+						t.Fatalf("live key %d indexes no node", k)
+					}
+					continue
+				}
+				indexed++
+				if c.nodes[i].key != uint64(k) {
+					t.Fatalf("key %d indexes the node of key %d", k, c.nodes[i].key)
+				}
+			}
+			if c.liveBytes != m.live() || c.evictions != m.evictions || indexed != len(m.ents) {
 				t.Fatalf("live %d B, %d evictions, %d indexed; model %d B, %d, %d",
-					c.liveBytes, c.evictions, len(c.index), m.live(), m.evictions, len(m.ents))
+					c.liveBytes, c.evictions, indexed, m.live(), m.evictions, len(m.ents))
 			}
 			if !slices.Equal(store.deletes, m.deletes) {
 				t.Fatalf("deleted %v, model %v", store.deletes, m.deletes)

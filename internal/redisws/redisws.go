@@ -95,7 +95,8 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 	// Volatile LRU bookkeeping (Redis keeps this in DRAM too). Redis stores
 	// an expired pair to disk; for the footprint study the PM side simply
 	// frees it.
-	cache := newLRUCache(s, cfg.MaxLiveBytes, cfg.InitialKeys+cfg.ExtraKeys, nil, nil)
+	keys := cfg.InitialKeys + cfg.ExtraKeys
+	cache := newLRUCache(s, cfg.MaxLiveBytes, keys, keys, nil)
 
 	res := Result{Lat: NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e)}
 	op := 0

@@ -337,13 +337,14 @@ func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] 
 //
 // The list is a table of nodes linked by index: head is the most recently
 // used key, tail the least, and the slots evicted keys leave chain from free
-// through next.
+// through next. index is dense over the keys the cache can see, [0, bound):
+// a key's node, or noNode when it is not live.
 type lruCache struct {
 	store            ds.Store
 	maxLive          uint64 // 0 disables eviction
 	nodes            []lruNode
 	head, tail, free int32
-	index            map[uint64]int32 // key → its node
+	index            []int32
 	liveBytes        uint64
 	evictions        int
 	val              []byte // the value set builds while acked is nil
@@ -360,16 +361,29 @@ type lruNode struct {
 
 const noNode = -1
 
-// newLRUCache returns the bookkeeping for ents, most recently used first,
-// with room for keys keys.
-func newLRUCache(store ds.Store, maxLive uint64, keys int, ents []lruEnt, acked map[uint64][]byte) *lruCache {
-	keys = max(keys, len(ents))
+// newLRUCache returns empty bookkeeping with room for keys live keys, all of
+// them below bound. The index is sized once: keys arrive in random order, so
+// one grown on demand reallocates all the way up.
+func newLRUCache(store ds.Store, maxLive uint64, keys, bound int, acked map[uint64][]byte) *lruCache {
 	c := &lruCache{store: store, maxLive: maxLive, nodes: make([]lruNode, 0, keys),
-		head: noNode, tail: noNode, free: noNode, index: make(map[uint64]int32, keys), acked: acked}
-	for i := len(ents) - 1; i >= 0; i-- {
-		c.pushFront(ents[i])
+		head: noNode, tail: noNode, free: noNode, index: make([]int32, bound), acked: acked}
+	for k := range c.index {
+		c.index[k] = noNode
 	}
 	return c
+}
+
+// clone returns a copy of c's tables, counters and durable-ack mirror that
+// shares nothing c writes, with no store.
+func (c *lruCache) clone() *lruCache {
+	d := *c
+	d.store, d.val, d.pending = nil, nil, nil
+	d.nodes = append(make([]lruNode, 0, cap(c.nodes)), c.nodes...)
+	d.index = slices.Clone(c.index)
+	if c.acked != nil {
+		d.acked = maps.Clone(c.acked)
+	}
+	return &d
 }
 
 // pushFront makes e, whose key is not live, the most recently used entry.
@@ -422,15 +436,6 @@ func (c *lruCache) moveToFront(i int32) {
 	}
 }
 
-// entries lists the keys with their sizes, most recently used first.
-func (c *lruCache) entries() []lruEnt {
-	out := make([]lruEnt, 0, len(c.index))
-	for i := c.head; i != noNode; i = c.nodes[i].next {
-		out = append(out, c.nodes[i].lruEnt)
-	}
-	return out
-}
-
 // set writes key k's n-byte value (fillValue) on ctx, makes k the most
 // recently used key and evicts down to the cap, also on ctx. Without a
 // durable-ack mirror the value is built in one buffer the cache reuses —
@@ -451,7 +456,7 @@ func (c *lruCache) set(ctx *sim.Ctx, k uint64, n int) error {
 		c.acked[k] = v
 		c.pending = nil
 	}
-	if i, ok := c.index[k]; ok {
+	if i := c.index[k]; i != noNode {
 		c.liveBytes = c.liveBytes - c.nodes[i].size + uint64(n)
 		c.nodes[i].size = uint64(n)
 		c.moveToFront(i)
@@ -481,7 +486,7 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 		}
 		c.unlink(i)
 		c.nodes[i].next, c.free = c.free, i
-		delete(c.index, ent.key)
+		c.index[ent.key] = noNode
 		c.liveBytes -= ent.size
 		c.evictions++
 	}
@@ -490,7 +495,7 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 
 // touch makes k, when live, the most recently used key.
 func (c *lruCache) touch(k uint64) {
-	if i, found := c.index[k]; found {
+	if i := c.index[k]; i != noNode {
 		c.moveToFront(i)
 	}
 }
@@ -498,9 +503,11 @@ func (c *lruCache) touch(k uint64) {
 // rebuild replaces the bookkeeping with model's keys, ascending (recency
 // order died with the power), and adopts model as the durable-ack mirror.
 func (c *lruCache) rebuild(model map[uint64][]byte) {
+	for i := c.head; i != noNode; i = c.nodes[i].next {
+		c.index[c.nodes[i].key] = noNode
+	}
 	c.nodes = c.nodes[:0]
 	c.head, c.tail, c.free = noNode, noNode, noNode
-	clear(c.index)
 	c.liveBytes = 0
 	for _, k := range slices.Sorted(maps.Keys(model)) {
 		c.pushFront(lruEnt{k, uint64(len(model[k]))})
@@ -521,31 +528,65 @@ func fillValue(buf []byte, k uint64, n int) []byte {
 	return buf
 }
 
-// Loaded is what a serving run has done before its first dispatch, apart
-// from the machine itself: the normalized config, where the random stream
-// stands, the LRU list and live bytes, the durable-ack mirror, the evictions
-// so far, the calibrated offered load and the client contexts (clock and
-// TLB). Run only reads it, so one Loaded starts any number of runs: on the
-// machine Load ran on, or on forks of that machine taken when Load returned
-// (a serving crash campaign loads each shard once and forks it per trial).
+// Loaded is a serving run up to its first dispatch, apart from the machine
+// itself: the normalized config, where the random stream stands, the
+// calibrated offered load, and the live LRU cache (with the durable-ack
+// mirror and the evictions so far) and client contexts (clock and TLB). Run
+// takes the cache and the contexts over, so a Loaded starts one run, on the
+// machine Load ran on. A crash campaign, which starts many runs from one
+// load, captures it next to the machine (Capture) and runs each trial on a
+// fork of both images (LoadedImage.Fork).
 type Loaded struct {
-	cfg       ServeConfig
-	owned     []uint64 // the shard's keys by rank; nil unsharded (key = rank)
-	zipf      Zipf     // its constants; every run draws from a stream of its own
-	draws     uint64   // the stream position
-	lru       []lruEnt // most recently used first
-	evictions int
-	acked     map[uint64][]byte // nil when loaded without a crash plan
-	rate      float64
-	clients   []sim.CtxCheckpoint
+	cfg     ServeConfig
+	owned   []uint64 // the shard's keys by rank; nil unsharded (key = rank)
+	zipf    Zipf     // its constants; every run draws from a stream of its own
+	draws   uint64   // the stream position
+	rate    float64
+	cache   *lruCache // nil once run or released
+	clients []*sim.Ctx
 }
 
-// ownedKeys is the number of keys the machine owns.
-func (l *Loaded) ownedKeys() int {
-	if l.owned == nil {
-		return l.cfg.Keyspace
+// LoadedImage is what a fork needs of a Loaded: its config, stream position
+// and rate, a copy of its LRU tables and durable-ack mirror, and every client
+// context's checkpoint. Nothing writes an image once it is captured, so any
+// number of goroutines fork one.
+type LoadedImage struct {
+	l       Loaded // its cache is the captured copy; it has no clients
+	clients []sim.CtxCheckpoint
+}
+
+// Capture returns l's image. l must not have run or been released.
+func (l *Loaded) Capture() *LoadedImage {
+	img := &LoadedImage{l: *l, clients: make([]sim.CtxCheckpoint, len(l.clients))}
+	img.l.cache, img.l.clients = l.cache.clone(), nil
+	for i, c := range l.clients {
+		c.CheckpointInto(&img.clients[i])
 	}
-	return len(l.owned)
+	return img
+}
+
+// Fork returns a Loaded of the caller's own that continues from the capture.
+// Its client contexts run under cfg, the config of the machine fork it will
+// run on.
+func (img *LoadedImage) Fork(cfg *sim.Config) *Loaded {
+	l := img.l
+	l.cache = img.l.cache.clone()
+	l.clients = make([]*sim.Ctx, len(img.clients))
+	for i := range l.clients {
+		l.clients[i] = sim.NewCtx(cfg)
+		l.clients[i].Restore(&img.clients[i])
+	}
+	return &l
+}
+
+// Release gives the client contexts' TLB arrays back to the process pool. Run
+// does it when it returns; the owner of a Loaded that never runs, such as a
+// captured one, calls it. A released Loaded does not run.
+func (l *Loaded) Release() {
+	l.cache = nil
+	for _, c := range l.clients {
+		c.Release()
+	}
 }
 
 // key maps a Zipf rank to the key it names.
@@ -578,10 +619,11 @@ const targetUtil = 0.6
 // Load is the part of a serving run before its first dispatch: it
 // prepopulates the owned keyspace on ctx, runs the warm-up on fresh client
 // contexts and calibrates the offered load. It calls no hook; hooks.Crash
-// decides only whether the durable-ack mirror is kept.
+// decides only whether the durable-ack mirror is kept. The caller runs the
+// Loaded it returns or releases it.
 func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (*Loaded, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
-		return nil, errors.New("redisws.Serve: Clients, Ops and Keyspace must be positive")
+		return nil, errors.New("redisws.Load: Clients, Ops and Keyspace must be positive")
 	}
 	if cfg.ZipfTheta <= 0 {
 		cfg.ZipfTheta = 0.99
@@ -614,16 +656,19 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 		l.owned = OwnedKeys(uint64(cfg.Keyspace), cfg.ShardIndex, cfg.ShardCount)
 		nOwned = uint64(len(l.owned))
 		if nOwned == 0 {
-			return nil, errors.New("redisws.Serve: shard owns no keys; Keyspace too small for ShardCount")
+			return nil, errors.New("redisws.Load: shard owns no keys; Keyspace too small for ShardCount")
 		}
 	}
 
 	rng := workload.NewRNG(cfg.Seed)
 	zipf := NewZipf(rng, nOwned, cfg.ZipfTheta)
+	var acked map[uint64][]byte
 	if hooks.Crash != nil {
-		l.acked = make(map[uint64][]byte, cfg.Keyspace)
+		acked = make(map[uint64][]byte, cfg.Keyspace)
 	}
-	cache := newLRUCache(store, cfg.MaxLiveBytes, int(nOwned), nil, l.acked)
+	// Sharded keys are global, so the index spans the whole keyspace.
+	cache := newLRUCache(store, cfg.MaxLiveBytes, int(nOwned), cfg.Keyspace, acked)
+	l.cache = cache
 
 	// Prepopulate the owned keyspace on the loader context.
 	lo, hi := cfg.MinVal, cfg.MaxVal
@@ -645,14 +690,14 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	// defrag activity yet) measures the same mean and lands on the same
 	// rate — equal offered load is what makes the per-scheme tails
 	// comparable.
-	clients := make([]*sim.Ctx, cfg.Clients)
-	for i := range clients {
-		clients[i] = sim.NewCtx(p.Config())
+	l.clients = make([]*sim.Ctx, cfg.Clients)
+	for i := range l.clients {
+		l.clients[i] = sim.NewCtx(p.Config())
 	}
 	warm := min(64*cfg.Clients, 8192)
 	var warmSvc uint64
 	for i := 0; i < warm; i++ {
-		c := clients[i%cfg.Clients]
+		c := l.clients[i%cfg.Clients]
 		t0 := c.Clock.Total()
 		if rng.Float64() < cfg.GetFraction {
 			store.Get(c, l.key(zipf.Next()))
@@ -672,32 +717,30 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 
 	l.zipf, l.zipf.rng = *zipf, nil
 	l.draws = rng.Draws()
-	l.lru, l.evictions = cache.entries(), cache.evictions
-	l.clients = make([]sim.CtxCheckpoint, len(clients))
-	for i, c := range clients {
-		c.CheckpointInto(&l.clients[i])
-		c.Release()
-	}
 	return l, nil
 }
 
 // Run is a serving run from l on: it arms hooks.Crash, dispatches the
 // config's Ops operations, resumes after a scheduled crash and drains the
-// last epoch. ctx, p and store are the machine l was loaded on, or a fork of
-// it taken when Load returned; Run never writes l. Like Serve, it owns the
-// machine until it returns.
+// last epoch. ctx, p and store are the machine l was loaded on, or the fork
+// of its machine that l's image was forked for. Run takes l's cache and
+// client contexts over and releases l when it returns. Like Serve, it owns
+// the machine until then.
 func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHooks) (ServeResult, error) {
 	cfg := l.cfg
 	plan := hooks.Crash
-	var acked map[uint64][]byte
-	if plan != nil {
-		if l.acked == nil {
-			return ServeResult{}, errors.New("redisws.Loaded.Run: a crash plan needs a machine loaded with one")
-		}
-		acked = maps.Clone(l.acked)
+	cache := l.cache
+	if cache == nil {
+		return ServeResult{}, errors.New("redisws.Loaded.Run: the Loaded has run or been released")
 	}
-	cache := newLRUCache(store, cfg.MaxLiveBytes, l.ownedKeys(), l.lru, acked)
-	cache.evictions = l.evictions
+	defer l.Release()
+	if plan != nil && cache.acked == nil {
+		return ServeResult{}, errors.New("redisws.Loaded.Run: a crash plan needs a machine loaded with one")
+	}
+	if plan == nil {
+		cache.acked = nil // nothing checks acknowledgements without a crash
+	}
+	cache.store = store
 	rng := workload.NewRNG(cfg.Seed)
 	rng.Skip(l.draws)
 	zipf := l.zipf
@@ -732,14 +775,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 
 	clients := make([]clientState, cfg.Clients)
 	for i := range clients {
-		clients[i].ctx = sim.NewCtx(p.Config())
-		clients[i].ctx.Restore(&l.clients[i])
+		clients[i].ctx = l.clients[i]
 	}
-	defer func() {
-		for i := range clients {
-			clients[i].ctx.Release()
-		}
-	}()
 	lo, hi := cfg.MinVal, cfg.MaxVal
 	meanInter := float64(cfg.Clients) * sim.CyclesPerSecond / l.rate // cycles, per client
 

@@ -161,8 +161,8 @@ func ServeSharded(shards []Shard, cfgs []ServeConfig) (ShardedResult, error) {
 }
 
 // RunSharded is ServeSharded from loaded shards: shard i runs from loaded[i],
-// which Load returned on that shard's machine or on the machine it is a fork
-// of.
+// which Load returned on that shard's machine, or which a LoadedImage forked
+// for it when the machine is a fork.
 func RunSharded(shards []Shard, loaded []*Loaded) (ShardedResult, error) {
 	if len(shards) == 0 || len(shards) != len(loaded) {
 		return ShardedResult{}, fmt.Errorf("redisws.RunSharded: %d shards vs %d loaded states", len(shards), len(loaded))
