@@ -143,10 +143,12 @@ benchrepo: build
 # servesmoke is the fast CI pass over the open-loop serving layer: a tiny
 # serving grid of every scheme (2 000 keys, 12 000 ops) through ffccd-bench
 # (exercising the virtual-time scheduler, batched dispatch, and the SLO
-# table), plus the dispatcher's output pin (testdata/serve.golden) from the
-# test suite.
+# table), the closed-loop Figure 16 run, which builds the same serving
+# machines and scheme hooks, plus the dispatcher's output pin
+# (testdata/serve.golden) from the test suite.
 servesmoke: build
 	$(GO) run ./cmd/ffccd-bench -experiment serving -scale 0.0001 >/dev/null
+	$(GO) run ./cmd/ffccd-bench -experiment fig16 -scale 0.0005 >/dev/null
 	$(GO) test ./internal/redisws/ -run 'TestServeGolden|TestServeShape' >/dev/null
 	@echo "servesmoke OK"
 

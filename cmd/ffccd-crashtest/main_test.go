@@ -28,8 +28,13 @@ func TestUnknownServeSchemeIsUsageError(t *testing.T) {
 	if code := run([]string{"-serve", "-scheme", "bogus"}); code != 2 {
 		t.Errorf("-serve -scheme bogus exited %d, want 2", code)
 	}
-	if code := run([]string{"-setting", "LL/1T/bogus"}); code != 2 {
-		t.Errorf("-setting LL/1T/bogus exited %d, want 2", code)
+	for _, setting := range []string{"LL/1T/bogus", "LL/100000T/ffccd"} {
+		if code := run([]string{"-setting", setting, "-max-sites", "1"}); code != 2 {
+			t.Errorf("-setting %s exited %d, want 2", setting, code)
+		}
+	}
+	if code := run([]string{"-repro", `{"setting":"LL/9T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`}); code != 2 {
+		t.Errorf("a repro line with 9 threads exited %d, want 2", code)
 	}
 }
 

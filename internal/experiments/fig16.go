@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ffccd/internal/alloc"
-	"ffccd/internal/core"
-	"ffccd/internal/kv"
-	"ffccd/internal/mesh"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
@@ -31,14 +27,13 @@ type Fig16Result struct {
 
 // Figure16 reproduces the §7.4 Redis case study: memory footprint over time
 // and tail latency for the PMDK baseline, FFCCD (concurrent), a
-// stop-the-world compactor (jemalloc-style) and Mesh.
+// stop-the-world compactor (jemalloc-style) and Mesh. Each scheme runs the
+// closed-loop driver (redisws.Run) on its serving machine and hooks
+// (redisws.NewMachine), so FFCCD's epochs overlap the application's
+// operations.
 func Figure16(scale float64) (Fig16Result, error) {
 	cfg := redisws.DefaultConfig()
-	cfg.InitialKeys = int(1_000_000 * scale * 20)
-	cfg.ExtraKeys = int(500_000 * scale * 20)
-	if cfg.InitialKeys < 2000 {
-		cfg.InitialKeys, cfg.ExtraKeys = 2000, 1000
-	}
+	cfg.InitialKeys = max(int(1_000_000*scale*20), 2000)
 	// Cap the live set at roughly half the key-volume so LRU expiry churns,
 	// and drift the value-size distribution in the second phase — the
 	// long-running-cache regime in which Redis fragments (§7.4).
@@ -47,30 +42,40 @@ func Figure16(scale float64) (Fig16Result, error) {
 	cfg.MinVal2, cfg.MaxVal2 = 367, 492
 	cfg.ExtraKeys = cfg.InitialKeys
 
-	var res Fig16Result
-	type variant struct {
-		name   string
-		scheme core.Scheme
-		mesh   bool
-	}
-	variants := []variant{
-		{"PMDK (baseline)", core.SchemeNone, false},
-		{"FFCCD", core.SchemeFFCCDCheckLookup, false},
-		{"STW defrag", core.SchemeEspresso, false},
-		{"Mesh", core.SchemeNone, true},
-	}
-	outs := make([]Fig16Variant, len(variants))
-	// Every variant drives its own simulated machine; fan them out.
-	err := parallelFor(len(variants), func(i int) error {
-		v := variants[i]
-		out, err := runFig16Variant(v.name, v.scheme, v.mesh, cfg)
-		outs[i] = out
-		return err
+	res := Fig16Result{Variants: make([]Fig16Variant, len(redisws.Schemes))}
+	// Every scheme drives its own simulated machine; fan them out.
+	err := parallelFor(len(redisws.Schemes), func(i int) error {
+		scheme := redisws.Schemes[i]
+		m, err := redisws.NewMachine(sim.DefaultConfig(), scheme, "bench", cfg.InitialKeys, 32<<20)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if m.Eng != nil {
+				m.Eng.Close()
+			}
+			m.Release()
+		}()
+		sh := m.Shard()
+		out, err := redisws.Run(sh.Ctx, sh.Pool, sh.Store, cfg, sh.Hooks)
+		if err != nil {
+			return err
+		}
+		res.Variants[i] = Fig16Variant{
+			Name:       servingNames[scheme],
+			Samples:    out.Samples,
+			FinalFragR: out.Final.FragRatio,
+			P90:        out.Lat.Percentile(90),
+			P95:        out.Lat.Percentile(95),
+			P99:        out.Lat.Percentile(99),
+			P999:       out.Lat.Percentile(99.9),
+			MaxPause:   out.Lat.Max(),
+		}
+		return nil
 	})
 	if err != nil {
-		return res, err
+		return Fig16Result{}, err
 	}
-	res.Variants = outs
 	// Fragmentation reduction vs baseline.
 	base := res.Variants[0]
 	baseFoot := float64(base.Samples[len(base.Samples)-1].Footprint)
@@ -83,76 +88,6 @@ func Figure16(scale float64) (Fig16Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func runFig16Variant(name string, scheme core.Scheme, useMesh bool, cfg redisws.Config) (Fig16Variant, error) {
-	env, err := NewEnv(uint64(cfg.InitialKeys)*512*6+(32<<20), 12)
-	if err != nil {
-		return Fig16Variant{}, err
-	}
-	defer env.Release()
-	store, err := kv.NewEcho(env.Ctx, env.Pool, cfg.InitialKeys/2+64)
-	if err != nil {
-		return Fig16Variant{}, err
-	}
-
-	var hook redisws.Hook
-	var foot redisws.FootprintFn
-	interval := cfg.InitialKeys / 8
-
-	switch {
-	case useMesh:
-		d := mesh.New(env.Pool)
-		meshCtx := sim.NewCtx(&env.Cfg)
-		hook = func(op int) uint64 {
-			if op%interval != interval-1 {
-				return 0
-			}
-			before := meshCtx.Clock.Total()
-			d.RunCycle(meshCtx)
-			return meshCtx.Clock.Total() - before // meshing pauses the world
-		}
-		foot = func() alloc.FragStats { return d.PhysFrag(12) }
-	case scheme != core.SchemeNone:
-		opt := core.Options{Scheme: scheme, TriggerRatio: 1.15, TargetRatio: 1.05}
-		eng := env.NewEngine(opt)
-		defer eng.Close()
-		env.GC = sim.NewCtx(&env.Cfg)
-		gc := env.GC.Clock
-		hook = func(op int) uint64 {
-			if op%interval != interval-1 || env.Pool.Heap().Frag(12).FragRatio <= opt.TriggerRatio {
-				return 0
-			}
-			if scheme == core.SchemeEspresso {
-				// Stop-the-world comparator: the full cycle stalls the
-				// in-flight op.
-				pause, _ := eng.RunCycleSTW(env.GC)
-				return pause
-			}
-			// Concurrent FFCCD: marking+summary stall (short); compaction
-			// runs via read barriers and the background mover on the GC
-			// clock. Only the STW phases stall the application (§2.3.2).
-			before := gc.Cycles(sim.CatMark) + gc.Cycles(sim.CatSummary)
-			eng.RunCycle(env.GC)
-			return gc.Cycles(sim.CatMark) + gc.Cycles(sim.CatSummary) - before
-		}
-	}
-
-	out, err := redisws.Run(env.Ctx, env.Pool, store, cfg, hook, foot)
-	if err != nil {
-		return Fig16Variant{}, err
-	}
-	v := Fig16Variant{
-		Name:       name,
-		Samples:    out.Samples,
-		FinalFragR: out.Final.FragRatio,
-		P90:        out.Lat.Percentile(90),
-		P95:        out.Lat.Percentile(95),
-		P99:        out.Lat.Percentile(99),
-		P999:       out.Lat.Percentile(99.9),
-		MaxPause:   out.Lat.Max(),
-	}
-	return v, nil
 }
 
 func (r Fig16Result) String() string {

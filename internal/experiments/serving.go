@@ -9,11 +9,12 @@ import (
 	"ffccd/internal/sim"
 )
 
-// ServingOptions parameterizes the serving grid. Zero values select
-// paper-regime defaults scaled by Scale (the same knob every other
-// experiment uses; 1.0 is the paper's full setup).
-// The offered load is always auto-calibrated, so every scheme lands on the
-// same rate.
+// ServingOptions parameterizes the serving grid. Zero values of Scale,
+// Clients, Ops, Keyspace, Seed and Schemes select paper-regime defaults
+// scaled by Scale (the same knob every other experiment uses; 1.0 is the
+// paper's full setup). Shards has no default: a count under 1 is
+// redisws.ErrShards. The offered load is always auto-calibrated, so every
+// scheme lands on the same rate.
 type ServingOptions struct {
 	Scale    float64
 	Clients  int
@@ -175,7 +176,8 @@ func Serving(o ServingOptions) (ServingResult, error) {
 	return res, nil
 }
 
-// servingNames are the grid's display names of the serving schemes.
+// servingNames are the display names of the serving schemes, in the serving
+// grid and in Figure 16.
 var servingNames = map[string]string{
 	"none": "PMDK (baseline)", "ffccd": "FFCCD", "stw": "STW defrag", "mesh": "Mesh",
 }

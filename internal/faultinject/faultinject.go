@@ -105,8 +105,13 @@ func (s Setting) String() string {
 	return fmt.Sprintf("%s/%dT/%s", s.Store, s.Threads, s.Scheme)
 }
 
+// maxThreads is the largest thread count of a setting, the largest AllSettings
+// runs.
+const maxThreads = 8
+
 // ParseSetting parses the String form ("BzTree/4T/ffccd") back into a
-// Setting — the format repro artifacts carry.
+// Setting — the format repro artifacts carry. Thread counts run from 1 to
+// maxThreads.
 func ParseSetting(str string) (Setting, error) {
 	parts := strings.Split(str, "/")
 	if len(parts) != 3 {
@@ -116,7 +121,7 @@ func ParseSetting(str string) (Setting, error) {
 	if !slices.Contains(MicroStores, s.Store) && !slices.Contains(ConcurrentStores, s.Store) {
 		return s, fmt.Errorf("faultinject: unknown store %q in %q", s.Store, str)
 	}
-	if _, err := fmt.Sscanf(parts[1], "%dT", &s.Threads); err != nil || s.Threads < 1 {
+	if _, err := fmt.Sscanf(parts[1], "%dT", &s.Threads); err != nil || s.Threads < 1 || s.Threads > maxThreads {
 		return s, fmt.Errorf("faultinject: bad thread count in %q", str)
 	}
 	for _, sc := range []core.Scheme{core.SchemeNone, core.SchemeEspresso,
@@ -146,7 +151,7 @@ func AllSettings() []Setting {
 			out = append(out, Setting{st, 1, scheme})
 		}
 		for _, st := range ConcurrentStores {
-			for _, th := range []int{1, 2, 4, 8} {
+			for _, th := range []int{1, 2, 4, maxThreads} {
 				out = append(out, Setting{st, th, scheme})
 			}
 		}

@@ -31,7 +31,7 @@ func FuzzParseSchedule(f *testing.F) {
 		`{"setting":"LL/1T/ffccd","policy":"bogus"}`,
 		`{"setting":"LL/0T/ffccd"}`, `{"setting":"LL/1T/"}`, `{"setting":"//"}`,
 		`{"setting":"LL/1T/ffccd"} trailing`,
-		"LL/0T/ffccd", "LL/1T/", "//", "LL/+1T/ffccd", "LL/1T/ffccd/extra", "SS/1T/none",
+		"LL/0T/ffccd", "LL/9T/ffccd", "LL/100000T/ffccd", "LL/1T/", "//", "LL/+1T/ffccd", "LL/1T/ffccd/extra", "SS/1T/none",
 		"", "{", "null", "[]", `"x"`, "7",
 	} {
 		f.Add(seed)

@@ -19,7 +19,7 @@ func TestValueSizeDrift(t *testing.T) {
 			cfg.MinVal, cfg.MaxVal = 24, 128
 			cfg.MinVal2, cfg.MaxVal2 = 256, 492
 		}
-		res, err := redisws.Run(ctx, p, store, cfg, nil, nil)
+		res, err := redisws.Run(ctx, p, store, cfg, redisws.ServeHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,19 +38,24 @@ func TestHookStallsAppearInLatencies(t *testing.T) {
 	cfg := smallCfg()
 	cfg.InitialKeys, cfg.ExtraKeys = 500, 100
 	const bigStall = 50_000_000
-	fired := 0
-	res, err := redisws.Run(ctx, p, store, cfg, func(op int) uint64 {
-		if op == 300 {
+	calls, fired := 0, 0
+	res, err := redisws.Run(ctx, p, store, cfg, redisws.ServeHooks{Maintenance: func(uint64) uint64 {
+		calls++
+		if calls == 5 {
 			fired++
 			return bigStall
 		}
 		return 0
-	}, nil)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
 		t.Fatalf("hook fired %d times", fired)
+	}
+	// 1 200 operations, a maintenance point before every 62nd (500/8).
+	if calls != 19 {
+		t.Errorf("maintenance ran %d times, want 19", calls)
 	}
 	if maxLat := res.Lat.Max(); maxLat < bigStall {
 		t.Errorf("stall not reflected in latencies: max=%.0f", maxLat)
@@ -69,7 +74,7 @@ func TestEvictionsAreLRU(t *testing.T) {
 		MaxVal:           100,
 		Seed:             7,
 	}
-	res, err := redisws.Run(ctx, p, store, cfg, nil, nil)
+	res, err := redisws.Run(ctx, p, store, cfg, redisws.ServeHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,17 @@
 // memory-footprint-over-time series and per-operation latencies behind
 // Figure 16 and the tail-latency comparison.
 //
-// Defragmentation is injected through the Hook: the harness runs concurrent
-// (FFCCD), stop-the-world (jemalloc-style) or Mesh cycles there, and any
-// returned stall cycles are charged to the in-flight operation's latency —
-// which is how STW pauses surface as tail latency.
+// Defragmentation is injected through ServeHooks, the same hooks the serving
+// layer runs (SchemeHooks wires the §7.4 schemes): concurrent FFCCD epochs
+// that the application's operations pass behind the read barrier,
+// stop-the-world (jemalloc-style) cycles or Mesh. Any pause a hook returns
+// is charged to the next operation's latency — which is how STW pauses
+// surface as tail latency.
 package redisws
 
 import (
+	"errors"
+
 	"ffccd/internal/alloc"
 	"ffccd/internal/ds"
 	"ffccd/internal/pmop"
@@ -33,7 +37,6 @@ type Config struct {
 	// host values from the new one).
 	MinVal2, MaxVal2 int
 	Seed             int64
-	SampleEvery      int
 	// ReservoirCap bounds the exact-latency reservoir sample (<=0 selects
 	// DefaultReservoirCap); the histogram always records every operation.
 	ReservoirCap int
@@ -49,9 +52,11 @@ func DefaultConfig() Config {
 		MinVal:           240,
 		MaxVal:           492,
 		Seed:             99,
-		SampleEvery:      200,
 	}
 }
+
+// sampleEvery is the number of operations between footprint samples.
+const sampleEvery = 200
 
 // Sample is one point of the footprint-over-time series.
 type Sample struct {
@@ -70,24 +75,25 @@ type Result struct {
 	Evictions int
 }
 
-// Hook is called before every operation with the operation index; it returns
-// extra stall cycles to charge to that operation's latency (e.g. an STW
-// pause that the operation had to wait out).
-type Hook func(op int) uint64
-
 // FootprintFn lets a comparator report its own footprint (Mesh reports
 // physical frames); nil uses the allocator's view.
 type FootprintFn func() alloc.FragStats
 
 // Run executes the case study against store s (an Echo-style hash store in
-// the paper's configuration).
-func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot FootprintFn) (Result, error) {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 200
+// the paper's configuration), one operation at a time on ctx. Before every
+// max(InitialKeys/8, 1)th operation hooks.Maintenance runs; while an epoch is
+// open hooks.Step(1) runs after each operation, so operations overlap it. A
+// pause either returns stalls the next operation, and an epoch still open at
+// the end is drained. Run has no recovery path: a crash plan is an error.
+func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hooks ServeHooks) (Result, error) {
+	if hooks.Crash != nil {
+		return Result{}, errors.New("redisws.Run: a crash plan needs Serve; Run has no recovery path")
 	}
+	foot := hooks.Foot
 	if foot == nil {
 		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
 	}
+	epochOpen := func() bool { return hooks.Step != nil && hooks.EpochOpen != nil && hooks.EpochOpen() }
 	// The counter-based RNG makes the run checkpoint/forkable in O(1) like
 	// every other workload (the stream position is the draw counter).
 	rng := workload.NewRNG(cfg.Seed)
@@ -99,64 +105,56 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hook Hook, foot Foo
 	cache := newLRUCache(s, cfg.MaxLiveBytes, keys, keys, nil)
 
 	res := Result{Lat: NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e)}
-	op := 0
-
-	record := func(stall, start uint64) {
-		res.Lat.Observe(stall + ctx.Clock.Total() - start)
-		if op%cfg.SampleEvery == 0 {
-			st := foot()
-			res.Samples = append(res.Samples, Sample{Op: op, Footprint: st.FootprintBytes, Live: st.LiveBytes})
-		}
-		op++
-	}
-
+	op, maintEvery := 0, max(cfg.InitialKeys/8, 1)
+	var stall uint64 // pause cycles the next operation waits out
 	lo, hi := cfg.MinVal, cfg.MaxVal
-	insert := func(k uint64) error {
-		stall := uint64(0)
-		if hook != nil {
-			stall = hook(op)
+	// do runs one operation, a SET of k or a GET of it.
+	do := func(k uint64, set bool) error {
+		if hooks.Maintenance != nil && op%maintEvery == maintEvery-1 {
+			stall += hooks.Maintenance(ctx.Clock.Total())
 		}
 		start := ctx.Clock.Total()
-		err := cache.set(ctx, k, lo+rng.Intn(hi-lo+1))
-		res.Evictions = cache.evictions
-		if err != nil {
-			return err
-		}
-		record(stall, start)
-		return nil
-	}
-	query := func(k uint64) {
-		stall := uint64(0)
-		if hook != nil {
-			stall = hook(op)
-		}
-		start := ctx.Clock.Total()
-		if _, ok := s.Get(ctx, k); ok {
+		if set {
+			err := cache.set(ctx, k, lo+rng.Intn(hi-lo+1))
+			res.Evictions = cache.evictions
+			if err != nil {
+				return err
+			}
+		} else if _, ok := s.Get(ctx, k); ok {
 			cache.touch(k)
 		}
-		record(stall, start)
+		res.Lat.Observe(stall + ctx.Clock.Total() - start)
+		stall = 0
+		if op%sampleEvery == 0 {
+			fs := foot()
+			res.Samples = append(res.Samples, Sample{Op: op, Footprint: fs.FootprintBytes, Live: fs.LiveBytes})
+		}
+		op++
+		if epochOpen() {
+			_, pause := hooks.Step(1)
+			stall += pause
+		}
+		return nil
 	}
 
-	keyspace := uint64(cfg.InitialKeys)
-	for i := 0; i < cfg.InitialKeys; i++ {
-		if err := insert(rng.Uint64() % keyspace); err != nil {
-			return res, err
+	keyspace := uint64(0)
+	for phase, n := range []int{cfg.InitialKeys, cfg.ExtraKeys} {
+		keyspace += uint64(n)
+		if phase == 1 && cfg.MinVal2 > 0 && cfg.MaxVal2 >= cfg.MinVal2 {
+			lo, hi = cfg.MinVal2, cfg.MaxVal2
 		}
-		for q := 0; q < cfg.QueriesPerInsert; q++ {
-			query(rng.Uint64() % keyspace)
+		for i := 0; i < n; i++ {
+			if err := do(rng.Uint64()%keyspace, true); err != nil {
+				return res, err
+			}
+			for q := 0; q < cfg.QueriesPerInsert; q++ {
+				_ = do(rng.Uint64()%keyspace, false) // a GET returns no error
+			}
 		}
 	}
-	keyspace += uint64(cfg.ExtraKeys)
-	if cfg.MinVal2 > 0 && cfg.MaxVal2 >= cfg.MinVal2 {
-		lo, hi = cfg.MinVal2, cfg.MaxVal2
-	}
-	for i := 0; i < cfg.ExtraKeys; i++ {
-		if err := insert(rng.Uint64() % keyspace); err != nil {
-			return res, err
-		}
-		for q := 0; q < cfg.QueriesPerInsert; q++ {
-			query(rng.Uint64() % keyspace)
-		}
+	// Drain an open epoch so Final reflects a quiesced machine.
+	for epochOpen() {
+		hooks.Step(maxBatch)
 	}
 	res.Final = foot()
 	return res, nil

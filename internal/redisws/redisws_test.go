@@ -3,6 +3,7 @@ package redisws_test
 import (
 	"testing"
 
+	"ffccd/internal/checker"
 	"ffccd/internal/core"
 	"ffccd/internal/kv"
 	"ffccd/internal/pmop"
@@ -38,7 +39,7 @@ func TestRedisLRUCapHolds(t *testing.T) {
 	p, ctx := setup(t)
 	store, _ := kv.NewEcho(ctx, p, 2048)
 	cfg := smallCfg()
-	res, err := redisws.Run(ctx, p, store, cfg, nil, nil)
+	res, err := redisws.Run(ctx, p, store, cfg, redisws.ServeHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,24 @@ func TestRedisLRUCapHolds(t *testing.T) {
 	}
 }
 
+// schemeHooks wires scheme's serving hooks over p, as redisws.Equip does, on
+// an engine of its own (ffccd, stw) and a fresh defragmentation context. It
+// returns the hooks and the engine (nil for "none" and "mesh").
+func schemeHooks(t *testing.T, scheme string, p *pmop.Pool) (redisws.ServeHooks, *core.Engine) {
+	t.Helper()
+	var eng *core.Engine
+	if opt := redisws.SchemeOptions(scheme); opt.Scheme != core.SchemeNone {
+		eng = core.NewEngine(p, opt)
+		t.Cleanup(eng.Close)
+	}
+	return redisws.SchemeHooks(scheme, p, eng, nil, sim.NewCtx(p.Config())), eng
+}
+
 func TestRedisWithFFCCDReducesFootprint(t *testing.T) {
 	base := func() float64 {
 		p, ctx := setup(t)
 		store, _ := kv.NewEcho(ctx, p, 2048)
-		res, err := redisws.Run(ctx, p, store, smallCfg(), nil, nil)
+		res, err := redisws.Run(ctx, p, store, smallCfg(), redisws.ServeHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,22 +88,15 @@ func TestRedisWithFFCCDReducesFootprint(t *testing.T) {
 	withGC := func() float64 {
 		p, ctx := setup(t)
 		store, _ := kv.NewEcho(ctx, p, 2048)
-		opt := core.DefaultOptions()
-		opt.TriggerRatio = 1.05
-		opt.TargetRatio = 1.02
-		eng := core.NewEngine(p, opt)
-		defer eng.Close()
-		// Run defrag synchronously through the hook on a GC context: the
-		// pause the application observes is only the barrier cost.
-		gcCtx := sim.NewCtx(p.Config())
-		res, err := redisws.Run(ctx, p, store, smallCfg(), func(op int) uint64 {
-			if op%500 == 499 {
-				eng.RunCycle(gcCtx)
-			}
-			return 0
-		}, nil)
+		// Concurrent FFCCD epochs on a GC context: the application only
+		// waits out mark+summary and terminate, and pays the barrier cost.
+		hooks, eng := schemeHooks(t, "ffccd", p)
+		res, err := redisws.Run(ctx, p, store, smallCfg(), hooks)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if eng.Stats().Cycles == 0 {
+			t.Fatal("FFCCD never ran an epoch")
 		}
 		return res.Final.FragRatio
 	}()
@@ -102,28 +109,78 @@ func TestRedisWithFFCCDReducesFootprint(t *testing.T) {
 	}
 }
 
+// TestRunOverlapsFFCCDEpochs: under the ffccd scheme hooks, Run's operations
+// run while an epoch is open (each one is followed by a one-unit compaction
+// step) and pass the read barrier, which charges the loader context outside
+// CatApp; the last epoch is drained before Run returns, leaving a consistent
+// graph.
+func TestRunOverlapsFFCCDEpochs(t *testing.T) {
+	p, ctx := setup(t)
+	store, _ := kv.NewEcho(ctx, p, 2048)
+	hooks, eng := schemeHooks(t, "ffccd", p)
+	stepped, stillOpen := 0, 0
+	step := hooks.Step
+	hooks.Step = func(n int) (bool, uint64) {
+		if n == 1 {
+			stepped++
+		}
+		open, pause := step(n)
+		if open {
+			stillOpen++
+		}
+		return open, pause
+	}
+	if _, err := redisws.Run(ctx, p, store, smallCfg(), hooks); err != nil {
+		t.Fatal(err)
+	}
+	if stepped == 0 || stillOpen == 0 {
+		t.Fatalf("no operation ran with an epoch open (%d steps, %d left it open; %d cycles)", stepped, stillOpen, eng.Stats().Cycles)
+	}
+	var nonApp uint64
+	for c := sim.Category(0); int(c) < sim.NumCategories; c++ {
+		if c != sim.CatApp {
+			nonApp += ctx.Clock.Cycles(c)
+		}
+	}
+	if nonApp == 0 {
+		t.Error("the loader context was charged no cycle outside CatApp: no operation met the read barrier")
+	}
+	t.Logf("%d operations ran with an epoch open, %d steps left it open; loader non-App cycles %d", stepped, stillOpen, nonApp)
+	if hooks.EpochOpen() {
+		t.Fatal("an epoch is still open after Run")
+	}
+	if _, err := checker.CheckGraph(sim.NewCtx(p.Config()), p); err != nil {
+		t.Fatalf("graph after Run: %v", err)
+	}
+}
+
+// TestRunRefusesCrashPlan: Run has no recovery path, so a crash plan is an
+// input error, not a run that ignores it.
+func TestRunRefusesCrashPlan(t *testing.T) {
+	p, ctx := setup(t)
+	store, _ := kv.NewEcho(ctx, p, 2048)
+	armed := false
+	plan := &redisws.CrashPlan{Arm: func() { armed = true }}
+	before := ctx.Clock.Total()
+	if _, err := redisws.Run(ctx, p, store, smallCfg(), redisws.ServeHooks{Crash: plan}); err == nil {
+		t.Fatal("Run accepted a crash plan")
+	}
+	if armed || ctx.Clock.Total() != before {
+		t.Errorf("Run worked before refusing the plan: armed %v, loader cycles %d", armed, ctx.Clock.Total()-before)
+	}
+}
+
 func TestRedisSTWPausesVisibleInTail(t *testing.T) {
 	p, ctx := setup(t)
 	store, _ := kv.NewEcho(ctx, p, 2048)
-	opt := core.DefaultOptions()
-	opt.Scheme = core.SchemeEspresso
-	opt.TriggerRatio = 1.05
-	opt.TargetRatio = 1.02
-	eng := core.NewEngine(p, opt)
-	defer eng.Close()
-	stwCtx := sim.NewCtx(p.Config())
+	hooks, eng := schemeHooks(t, "stw", p)
 	cfg := smallCfg()
 	cfg.ReservoirCap = 1 << 20 // hold every observation: exact cross-check below
-	res, err := redisws.Run(ctx, p, store, cfg, func(op int) uint64 {
-		if op%400 == 399 {
-			pause, _ := eng.RunCycleSTW(stwCtx)
-			return pause
-		}
-		return 0
-	}, nil)
+	res, err := redisws.Run(ctx, p, store, cfg, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d STW cycles", eng.Stats().Cycles)
 	p50 := res.Lat.Percentile(50)
 	p999 := res.Lat.Percentile(99.9)
 	if p999 < 10*p50 {

@@ -68,10 +68,8 @@ type ServeConfig struct {
 	MinVal, MaxVal   int    // value sizes (default 240..492)
 	MinVal2, MaxVal2 int    // post-drift sizes, switched at Ops/2 when set
 
-	Seed         int64
-	MaxBatch     int // parallel batch size limit (default 64)
-	MaintEvery   int // ops between maintenance-hook calls (default Keyspace/4)
-	ReservoirCap int
+	Seed       int64
+	MaintEvery int // ops between maintenance-hook calls (default Keyspace/4)
 
 	// ShardIndex/ShardCount place this run inside a sharded deployment: the
 	// machine owns only the keys of Keyspace whose hash maps to ShardIndex
@@ -143,7 +141,9 @@ type CrashPlan struct {
 	Recover func(crash *pmem.CrashAtSite, acked map[uint64][]byte, pending *PendingWrite) (*Recovered, error)
 }
 
-// ServeHooks injects a defragmentation scheme into the serving loop.
+// ServeHooks injects a defragmentation scheme into the serving loop, and
+// into the closed-loop case study (Run), which calls Maintenance, Step and
+// EpochOpen on its own cadence.
 type ServeHooks struct {
 	// Maintenance runs every MaintEvery dispatched ops at virtual time now;
 	// returned cycles stall every client (an STW pause: arrivals during the
@@ -612,6 +612,10 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 	return l.Run(ctx, p, store, hooks)
 }
 
+// maxBatch bounds the GETs of one batch, and the compaction units an epoch
+// drained at the end of a run steps at a time.
+const maxBatch = 64
+
 // targetUtil is the utilization a run's offered load is calibrated to when
 // RatePerSec is unset.
 const targetUtil = 0.6
@@ -633,9 +637,6 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	}
 	if cfg.MinVal <= 0 || cfg.MaxVal < cfg.MinVal {
 		cfg.MinVal, cfg.MaxVal = 240, 492
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
 	}
 	if cfg.MaintEvery <= 0 {
 		cfg.MaintEvery = cfg.Keyspace / 4
@@ -752,7 +753,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	}
 	dev := p.Device()
 	res := ServeResult{
-		Lat:        NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e),
+		Lat:        NewLatencyRecorder(DefaultReservoirCap, cfg.Seed^0x5ca1ab1e),
 		AppHist:    &obsv.Histogram{},
 		InterfHist: &obsv.Histogram{},
 		StallHist:  &obsv.Histogram{},
@@ -1122,7 +1123,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 				} else {
 					break // every client is already in the batch
 				}
-				if canBatch && op.isGet && len(batch) < cfg.MaxBatch && !footprintSets(op.key) {
+				if canBatch && op.isGet && len(batch) < maxBatch && !footprintSets(op.key) {
 					acceptCand()
 					op.set = marks.cand[0]
 					batch = append(batch, op)
@@ -1152,7 +1153,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		// Drain any open epoch so Final reflects a quiesced machine.
 		if hooks.Step != nil {
 			for epochOpen {
-				epochOpen, _ = hooks.Step(cfg.MaxBatch)
+				epochOpen, _ = hooks.Step(maxBatch)
 			}
 			noteEpoch(vHigh)
 		}
