@@ -9,8 +9,8 @@ import (
 
 // The ladder prices the device as the micro and serving machines drive it:
 // one owner goroutine, default geometry, and addresses drawn
-// pseudo-randomly from a region, so the host cache holds neither the modelled
-// cache's 3 MB of line bodies nor its per-set state. "Resident" is a 2 MB
+// pseudo-randomly from a region, so the host cache holds neither the lines
+// the modelled cache reads nor its per-set state. "Resident" is a 2 MB
 // region loaded once (about 11 of each set's 16 ways), so a random line of it
 // hits but is rarely its set's MRU way.
 const (
@@ -95,8 +95,8 @@ func BenchmarkStoreClwbSfence(b *testing.B) {
 // device and restore it into a fresh one. Media moves as page references, not
 // bytes. dirty: 8 MB of stores leave every way dirty, so the image holds all
 // 3 MB of line bodies. clean: the same stores flushed and 2 MB loaded back —
-// the state the fork drivers capture — so the image holds the set blocks and
-// no body, and Restore refills every valid way from media.
+// the state the fork drivers capture — so no way holds a body, and the image
+// holds the set blocks and nothing else of the cache.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	for _, clean := range []bool{false, true} {
 		name := "dirty"

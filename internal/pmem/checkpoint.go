@@ -8,7 +8,7 @@ import (
 // Device checkpoint/restore for the fork drivers (DESIGN.md §7,
 // "Checkpoint/fork"): capture the complete simulated machine-memory state —
 // persistent media, the cache's set blocks (tags, recency stacks, fill counts,
-// dirty/pending masks), the in-flight (clwb'd, unfenced) lines, the
+// dirty/pending/body masks), the in-flight (clwb'd, unfenced) lines, the
 // pending-set list, eADR mode and the cumulative counters — and later
 // reproduce it bit-identically on a fresh device of the same geometry.
 //
@@ -21,8 +21,9 @@ import (
 // never pooled, so any number of devices may restore one checkpoint
 // concurrently. CheckpointInto reuses the checkpoint's buffers.
 //
-// A checkpoint holds only the line bodies a fill cannot rebuild: dirty ways,
-// and clean ones that MediaWrite or MediaZero changed media under.
+// A checkpoint copies the line bodies the device holds, which are the ones
+// the persistence domain cannot rebuild: dirty ways, and clean ones that
+// MediaWrite or MediaZero changed media under.
 
 // DeviceCheckpoint is a deep, immutable-by-convention copy of a device's
 // state. One checkpoint may be restored into any number of devices (fork
@@ -40,7 +41,7 @@ type DeviceCheckpoint struct {
 	// Inflight holds every set's in-flight lines, in set order.
 	Sets     []cacheSet
 	Inflight []inflightEntry
-	// Slots lists, ascending, the ways media cannot rebuild; Lines their bodies.
+	// Slots lists, ascending, the ways that hold a body; Lines their bodies.
 	Slots []int
 	Lines [][LineSize]byte
 	Pend  []int
@@ -86,22 +87,19 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 	clear(c.Refs[len(c.Refs):cap(c.Refs)]) // no stale reference keeps a page alive
 
 	c.Sets = append(c.Sets[:0], d.sets...)
-	dirty := 0
+	n := 0
 	for i := range d.sets {
-		dirty += bits.OnesCount32(d.sets[i].dirty)
+		n += bits.OnesCount32(d.sets[i].body)
 	}
-	c.Inflight, c.Slots, c.Lines = c.Inflight[:0], slices.Grow(c.Slots[:0], dirty), slices.Grow(c.Lines[:0], dirty)
+	c.Inflight, c.Slots, c.Lines = c.Inflight[:0], slices.Grow(c.Slots[:0], n), slices.Grow(c.Lines[:0], n)
 	for si := range d.sets {
 		set := &d.sets[si]
 		c.Sets[si].inflight = nil
 		c.Inflight = append(c.Inflight, set.inflight...)
-		for w, t := range set.tags[:set.fill] {
-			slot := si*d.nway + w
-			if set.dirty>>w&1 == 0 && *d.persisted(set, uint64(t-1)) == *d.body(slot) {
-				continue
-			}
+		for m := set.body; m != 0; m &= m - 1 {
+			slot := si*d.nway + bits.TrailingZeros32(m)
 			c.Slots = append(c.Slots, slot)
-			c.Lines = append(c.Lines, *d.body(slot))
+			c.Lines = append(c.Lines, *d.bodies.get(slot))
 		}
 	}
 	c.Pend = append(c.Pend[:0], d.pend...)
@@ -116,7 +114,7 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 // only on a quiescent device; the checkpoint itself is not modified, so
 // several devices may restore from the same checkpoint concurrently.
 func (d *Device) Restore(c *DeviceCheckpoint) {
-	if c.MediaLen != int(d.size) || len(c.Sets) != len(d.sets) || len(c.Sets)*d.nway*LineSize != len(d.lines) {
+	if c.MediaLen != int(d.size) || len(c.Sets) != len(d.sets) || len(c.Sets)*d.nway != len(d.bodies.of) {
 		panic("pmem: Restore geometry mismatch")
 	}
 	d.dropPages()
@@ -139,19 +137,9 @@ func (d *Device) Restore(c *DeviceCheckpoint) {
 		set := &d.sets[d.setIndex(fl.lineIdx)]
 		set.inflight = append(set.inflight, fl)
 	}
-	// Refill from the restored media and in-flight lines what they rebuild.
-	next := 0
-	for si := range d.sets {
-		set := &d.sets[si]
-		for w, t := range set.tags[:set.fill] {
-			slot := si*d.nway + w
-			if next < len(c.Slots) && c.Slots[next] == slot {
-				copyLine(d.body(slot), &c.Lines[next])
-				next++
-			} else {
-				copyLine(d.body(slot), d.persisted(set, uint64(t-1)))
-			}
-		}
+	d.bodies.reset()
+	for k, slot := range c.Slots {
+		d.bodies.add(slot, &c.Lines[k])
 	}
 	d.pend = append(d.pend[:0], c.Pend...)
 	d.eADR = c.EADR

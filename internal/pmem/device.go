@@ -32,12 +32,13 @@
 //
 // The modelled cache is laid out for the host's cache (DESIGN.md §7, "A cache
 // laid out for the host"): each set is one 128-byte block of tags, masks,
-// in-flight lines and an exact LRU stack, and line bodies are one device-wide
-// array indexed by slot = set*nway + way. An MRU hit reads the block and the
-// body, nothing else. Two invariants are fixed at construction and checked
-// there, because only a bug in a caller's geometry can break them: at most 16
-// ways (the stack holds 16 4-bit way indices) and at most 2³²−2 media lines
-// ≈ 256 GB (tags are uint32).
+// in-flight lines and an exact LRU stack. A way holds a line body only where
+// the persistence domain cannot rebuild it: it is dirty, or media changed
+// under it. Every other way reads its in-flight copy or media. An MRU hit
+// reads the block and one line, its body or media's. Two invariants are fixed
+// at construction and checked there, because only a bug in a caller's
+// geometry can break them: at most 16 ways (the stack holds 16 4-bit way
+// indices) and at most 2³²−2 media lines ≈ 256 GB (tags are uint32).
 package pmem
 
 import (
@@ -125,7 +126,8 @@ type inflightEntry struct {
 }
 
 // cacheSet is one set of the modelled cache, one 128-byte host block. An MRU
-// hit reads stack and one tag; ways 0–13 share the first host line with stack.
+// hit reads stack, one tag (ways 0–13 share the first host line with stack)
+// and, in the second line, the body mask and the in-flight slice.
 type cacheSet struct {
 	// stack is the exact LRU order of the valid ways: nibble i is the way
 	// touched i-th most recently, for i < fill. The head is the MRU way, and
@@ -138,6 +140,7 @@ type cacheSet struct {
 	fill    uint32
 	dirty   uint32 // bit w: way w differs from the persistence domain
 	pending uint32 // bit w: way w is a relocate destination not yet persistent
+	body    uint32 // bit w: way w holds a body (it is dirty, or media changed under it)
 	// enqueued records whether this set is already on the device's
 	// pending-set list.
 	enqueued bool
@@ -146,7 +149,7 @@ type cacheSet struct {
 	// nothing.
 	inflight []inflightEntry
 
-	_ [16]byte
+	_ [8]byte
 }
 
 // A cacheSet is two host lines, 128-byte aligned: the Go allocator gives a set
@@ -179,13 +182,12 @@ func (set *cacheSet) touch(w int) {
 // Stats, like the observability groups built on it, is read on that goroutine
 // or after the run.
 type Device struct {
-	cfg  *sim.Config
-	size uint64 // media bytes; 0 once released
-	nset int
-	nway int
-	sets []cacheSet
-	// lines holds the way bodies, LineSize bytes per slot = set*nway + way.
-	lines []byte
+	cfg    *sim.Config
+	size   uint64 // media bytes; 0 once released
+	nset   int
+	nway   int
+	sets   []cacheSet
+	bodies bodyStore // the bodies of the ways that hold one, by slot = set*nway + way
 
 	// setMagic is ⌈2⁶⁴/nset⌉ (mod 2⁶⁴), the multiplier of the division-free
 	// set mapping (Lemire's fastmod), exact for every 32-bit line index.
@@ -283,7 +285,8 @@ func NewDevice(cfg *sim.Config, size uint64) *Device {
 
 // NewDeviceForRestore creates a device that the caller will Restore a
 // checkpoint into before anything else touches it. Its cache arrays may be
-// a released device's, and are not cleared: Restore overwrites every slot.
+// a released device's, and are not cleared: Restore overwrites every set
+// block and the index of every way the image holds a body for.
 func NewDeviceForRestore(cfg *sim.Config, size uint64) *Device {
 	return newDevice(cfg, size, false)
 }
@@ -311,13 +314,13 @@ func newDevice(cfg *sim.Config, size uint64, clean bool) *Device {
 		policy:   DropAllInflight,
 	}
 	if a, ok := takeArrays(nset, nway); ok {
-		d.sets, d.lines = a.sets, a.lines
+		d.sets, d.bodies.of = a.sets, a.bodyOf
 		if clean {
 			d.dropVolatile(nil)
 		}
 	} else {
 		d.sets = make([]cacheSet, max(nset, minSetAlloc))[:nset]
-		d.lines = make([]byte, nset*nway*LineSize)
+		d.bodies.of = make([]int32, nset*nway)
 	}
 	return d
 }
@@ -337,9 +340,14 @@ func (d *Device) ReleaseMedia() {
 			putLeaf(l)
 		}
 	}
-	arrayPool.Put(cacheArrays{d.sets, d.lines})
+	pagePool.Lock()
+	for _, pg := range d.bodies.pages {
+		putPage(pg, false)
+	}
+	pagePool.Unlock()
+	arrayPool.Put(cacheArrays{d.sets, d.bodies.of})
 	d.size, d.leaves = 0, nil
-	d.sets, d.lines = nil, nil
+	d.sets, d.bodies = nil, bodyStore{}
 	d.pend = nil
 }
 
@@ -364,11 +372,6 @@ func (d *Device) SetCrashPolicy(p CrashPolicy) {
 func (d *Device) setIndex(lineIdx uint64) int {
 	hi, _ := bits.Mul64(d.setMagic*lineIdx, uint64(d.nset))
 	return int(hi)
-}
-
-// body returns the line body of slot.
-func (d *Device) body(slot int) *[LineSize]byte {
-	return (*[LineSize]byte)(d.lines[slot<<LineShift:])
 }
 
 // findWay returns the way of set that holds lineIdx, or -1, without
@@ -445,10 +448,9 @@ func (d *Device) RestoreMedia(img []byte) {
 	d.dropVolatile(nil)
 }
 
-// dropVolatile invalidates every cached line and drops all in-flight state
-// and the pending-set list, returning the in-flight lines it dropped appended
-// to harvest (nil to discard them). The bodies stay: no invalid way's body is
-// ever read.
+// dropVolatile invalidates every cached line, drops every body, all
+// in-flight state and the pending-set list, and returns the in-flight lines
+// it dropped appended to harvest (nil to discard them).
 func (d *Device) dropVolatile(harvest *[]inflightEntry) {
 	for i := range d.sets {
 		set := &d.sets[i]
@@ -457,6 +459,7 @@ func (d *Device) dropVolatile(harvest *[]inflightEntry) {
 		}
 		*set = cacheSet{inflight: set.inflight[:0]}
 	}
+	d.bodies.reset()
 	d.pend = d.pend[:0]
 }
 
@@ -477,6 +480,7 @@ func (d *Device) MediaRead(addr uint64, buf []byte) {
 // reached bitmap, and by tests to construct post-crash states.
 func (d *Device) MediaWrite(addr uint64, data []byte) {
 	d.checkRange(addr, uint64(len(data)))
+	d.stale(addr, uint64(len(data)))
 	for len(data) > 0 {
 		off := addr & (DirtyPageSize - 1)
 		n := copy(bytesOf(d.writable(addr >> DirtyPageShift))[off:], data)
@@ -495,6 +499,7 @@ func (d *Device) MediaWrite(addr uint64, data []byte) {
 // the start of every epoch.
 func (d *Device) MediaZero(addr, n uint64) {
 	d.checkRange(addr, n)
+	d.stale(addr, n)
 	d.stat[cMediaWrites]++
 	for end := addr + n; addr < end; {
 		p := addr >> DirtyPageShift
@@ -603,16 +608,13 @@ func (d *Device) NumSets() int { return d.nset }
 func (d *Device) SetOfAddr(addr uint64) int { return d.setIndex(addr >> LineShift) }
 
 // newest returns the newest copy of lineIdx's bytes, from the line's first
-// byte on — cached way first, then in-flight copy, then media. set is si,
-// the line's set.
+// byte on — a cached way's body first, then in-flight copy, then media. set
+// is si, the line's set.
 func (d *Device) newest(set *cacheSet, si int, lineIdx uint64) []byte {
-	if w := set.findWay(lineIdx); w >= 0 {
-		return d.body(si*d.nway + w)[:]
+	if w := set.findWay(lineIdx); w >= 0 && set.body>>w&1 != 0 {
+		return d.bodies.get(si*d.nway + w)[:]
 	}
-	if i := set.inflightIndex(lineIdx); i >= 0 {
-		return set.inflight[i].data[:]
-	}
-	return d.mediaLine(lineIdx)[:]
+	return d.persisted(set, lineIdx)[:]
 }
 
 // Peek copies the newest value of [addr, addr+len(buf)) into buf — cached

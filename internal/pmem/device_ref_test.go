@@ -576,8 +576,8 @@ func (set *refCacheSet) recency() []uint64 {
 }
 
 // check compares the cheap observables after every step, and the media bytes
-// and every set's tags, recency order, flags and valid bodies when deep is
-// set. An invalid way's body is never read, so it is not compared.
+// and every set's tags, recency order, flags and the newest bytes of every
+// valid way — its body or the persisted line it reads — when deep is set.
 func (p *diffPair) check(touched []uint64, deep bool) {
 	p.t.Helper()
 	if got, want := p.dev.Stats(), p.ref.stat; got != want {
@@ -620,7 +620,7 @@ func (p *diffPair) check(touched []uint64, deep bool) {
 			l := &rs.ways[w]
 			bit := uint32(1) << w
 			if set.dirty&bit != 0 != l.dirty || set.pending&bit != 0 != l.pending ||
-				rs.tags[w] != 0 && *p.dev.body(si*p.dev.nway + w) != l.data {
+				rs.tags[w] != 0 && !bytes.Equal(p.dev.newest(set, si, rs.tags[w]-1)[:LineSize], l.data[:]) {
 				p.failf("set %d way %d differs (dirty/pending/body)", si, w)
 			}
 		}

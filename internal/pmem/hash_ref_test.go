@@ -555,7 +555,8 @@ func TestCopyOnWriteMatchesDenseModels(t *testing.T) {
 // TestForksOfOneCheckpointOnWorkers runs four forks of one checkpoint at once
 // on the worker pool, each against its own model. Under the race detector
 // with four workers (make race) it is the check that forks only read the
-// pages they share.
+// pages they share, and restore the image's dirty and stale line bodies into
+// body pages they take from the page pool at once.
 func TestForksOfOneCheckpointOnWorkers(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	rng := rand.New(rand.NewSource(43))
@@ -566,7 +567,27 @@ func TestForksOfOneCheckpointOnWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// End on a stale line, which media changed under, and a dirty one.
+	src.d.FlushAll(src.ctx)
+	src.m.flushAll()
+	src.d.Load(src.ctx, LineSize, make([]byte, 1))
+	src.m.load(LineSize, 1)
+	src.d.MediaWrite(LineSize, []byte{2})
+	src.m.media[LineSize] = 2
+	src.d.Store(src.ctx, 0, []byte{1})
+	src.m.store(0, []byte{1})
 	f := &frozenCheckpoint{src.d.Checkpoint(), src.m.clone()}
+	var dirty, stale int
+	for _, slot := range f.c.Slots {
+		if f.c.Sets[slot/src.d.nway].dirty>>(slot%src.d.nway)&1 != 0 {
+			dirty++
+		} else {
+			stale++
+		}
+	}
+	if dirty == 0 || stale == 0 {
+		t.Fatalf("the checkpoint holds %d dirty and %d stale bodies, want some of each", dirty, stale)
+	}
 	src.d.ReleaseMedia()
 	steps := 600
 	if testing.Short() {

@@ -2,8 +2,10 @@ package pmem
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -186,9 +188,11 @@ func TestHitsPlusMissesEqualLinesTouched(t *testing.T) {
 }
 
 // TestNewDeviceAllocs: building a device costs four allocations (the device,
-// its page directory, its set blocks and its line bodies)
+// its page directory, its set blocks and its way-to-body index)
 // however many sets it has and however large its media — a crash trial
 // builds one per machine incarnation, and no media page exists until written.
+// At the default geometry they come to at most 0.75 MB: no way has a body
+// until it is written.
 func TestNewDeviceAllocs(t *testing.T) {
 	for _, size := range []uint64{1 << 20, 64 << 30} {
 		for _, scale := range []int{1, 8} {
@@ -199,6 +203,145 @@ func TestNewDeviceAllocs(t *testing.T) {
 					size, cfg.CacheBytes/cfg.CacheLineSize/cfg.CacheWays, allocs)
 			}
 		}
+	}
+	cfg := sim.DefaultConfig()
+	nset := cfg.CacheBytes / cfg.CacheLineSize / cfg.CacheWays
+	for _, ok := takeArrays(nset, cfg.CacheWays); ok; _, ok = takeArrays(nset, cfg.CacheWays) {
+	} // no pooled arrays: the device allocates its own
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	newDevice(&cfg, 1<<30, true)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 3<<18 {
+		t.Errorf("newDevice allocated %d B at the default geometry, want <= 0.75 MB", b)
+	}
+}
+
+// bodiesInUse returns the bodies d's store has handed out and not taken
+// back, after checking that the bodied ways hold distinct bodies, none of
+// them on the free list.
+func bodiesInUse(t *testing.T, d *Device) int {
+	t.Helper()
+	owner := make(map[int32]int)
+	for si := range d.sets {
+		for m := d.sets[si].body; m != 0; m &= m - 1 {
+			slot := si*d.nway + bits.TrailingZeros32(m)
+			b := d.bodies.of[slot]
+			if b < 0 || b >= d.bodies.next {
+				t.Fatalf("slot %d holds body %d, outside the [0, %d) the store handed out", slot, b, d.bodies.next)
+			}
+			if o, ok := owner[b]; ok {
+				t.Fatalf("slots %d and %d hold the same body %d", o, slot, b)
+			}
+			owner[b] = slot
+		}
+	}
+	free := 0
+	for f := d.bodies.free; f != 0; f = int32(binary.LittleEndian.Uint32(d.bodies.line(f - 1)[:])) {
+		if slot, ok := owner[f-1]; ok {
+			t.Fatalf("body %d is on the free list and held by slot %d", f-1, slot)
+		}
+		if free++; free > int(d.bodies.next) {
+			t.Fatal("the free list has a cycle")
+		}
+	}
+	return int(d.bodies.next) - free
+}
+
+// TestCacheBodiesOnlyWhereMediaCannotRebuild drives random stores, loads,
+// relocates, flushes, fences, media writes and zeroes, crashes and checkpoint
+// round trips, and checks the body store after every step: every dirty way
+// holds a body, and the store hands out exactly the bodies the ways hold.
+// After FlushAll a way holds a body only if a media write covered its line
+// since the last crash emptied the cache: with no media write since, no way
+// holds one.
+func TestCacheBodiesOnlyWhereMediaCannotRebuild(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.CacheBytes, cfg.CacheWays = 16*1024, 4
+	const size = 1 << 18
+	d, ctx := NewDevice(&cfg, size), sim.NewCtx(&cfg)
+	defer func() { d.ReleaseMedia() }()
+	rng := rand.New(rand.NewSource(17))
+	written := map[uint64]bool{} // lines media writes covered since the last crash
+	mediaWrite := func(a, n uint64) {
+		for l := a >> LineShift; n > 0 && l <= (a+n-1)>>LineShift; l++ {
+			written[l] = true
+		}
+	}
+	var flushes, stales, restores int
+	for step := 0; step < 20000; step++ {
+		a := uint64(rng.Intn(size - 600))
+		op := rng.Intn(100)
+		switch {
+		case op < 25:
+			d.Store(ctx, a, make([]byte, rng.Intn(300)+1))
+		case op < 40:
+			d.StoreU64(ctx, a&^7, uint64(step))
+		case op < 55:
+			d.LoadU64(ctx, a&^7)
+		case op < 62:
+			d.Load(ctx, a, make([]byte, rng.Intn(300)))
+		case op < 70:
+			d.Relocate(ctx, uint64(rng.Intn(size-600)), a, uint64(rng.Intn(200)))
+		case op < 82:
+			d.Clwb(ctx, a)
+		case op < 87:
+			d.Sfence(ctx)
+		case op < 90:
+			n := uint64(rng.Intn(200))
+			d.MediaWrite(a, make([]byte, n))
+			mediaWrite(a, n)
+		case op < 91:
+			a, n := a&^(DirtyPageSize-1), uint64(rng.Intn(2*DirtyPageSize))
+			d.MediaZero(a, n)
+			mediaWrite(a, n)
+		case op < 95:
+			d.FlushAll(ctx)
+			for si := range d.sets {
+				set := &d.sets[si]
+				for m := set.body; m != 0; m &= m - 1 {
+					if line := uint64(set.tags[bits.TrailingZeros32(m)] - 1); !written[line] {
+						t.Fatalf("step %d: after FlushAll line %#x holds a body, and no media write covered it since the last crash", step, line)
+					}
+				}
+			}
+			flushes++
+		case op < 97:
+			d.SetCrashPolicy([]CrashPolicy{DropAllInflight, KeepAllInflight}[rng.Intn(2)])
+			d.Crash()
+			clear(written)
+		default:
+			c := d.Checkpoint()
+			if rng.Intn(2) == 0 {
+				d.ReleaseMedia()
+				d = NewDeviceForRestore(&cfg, size)
+			}
+			d.Restore(c)
+			if len(c.Slots) != bodiesInUse(t, d) {
+				t.Fatalf("step %d: the image holds %d bodies, the restored device %d", step, len(c.Slots), bodiesInUse(t, d))
+			}
+			restores++
+		}
+		held := 0
+		for si := range d.sets {
+			set := &d.sets[si]
+			if set.dirty&^set.body != 0 {
+				t.Fatalf("step %d: set %d has dirty ways %#x without a body (bodies %#x)", step, si, set.dirty, set.body)
+			}
+			if set.body&^(1<<set.fill-1) != 0 {
+				t.Fatalf("step %d: set %d has invalid ways with bodies %#x (fill %d)", step, si, set.body, set.fill)
+			}
+			if set.body&^set.dirty != 0 {
+				stales++
+			}
+			held += bits.OnesCount32(set.body)
+		}
+		if n := bodiesInUse(t, d); n != held {
+			t.Fatalf("step %d: the store has %d bodies out, the ways hold %d", step, n, held)
+		}
+	}
+	if flushes == 0 || stales == 0 || restores == 0 || d.Stats().Evictions == 0 {
+		t.Fatalf("%d flushes, %d stale-way sightings, %d restores, %+v: vacuous", flushes, stales, restores, d.Stats())
 	}
 }
 

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"sync"
 	"unsafe"
 
@@ -98,7 +99,7 @@ func (d *Device) newLeaf(k uint64) *pageLeaf {
 // held, or a zeroed one.
 func (l *pageLeaf) materialize(i uint64) *mediaPage {
 	old := l.pages[i]
-	pg := takePage(old == nil)
+	pg := takePage(old == nil, true)
 	if old != nil {
 		copy(bytesOf(pg), old[:])
 		l.shared[i>>6] &^= 1 << (i & 63)
@@ -118,7 +119,7 @@ func (d *Device) dropPage(p uint64) {
 	if pg := l.pages[i]; pg != nil {
 		if !l.isShared(i) {
 			pagePool.Lock()
-			putPage(pg)
+			putPage(pg, true)
 			pagePool.Unlock()
 		}
 		l.pages[i] = nil
@@ -140,7 +141,7 @@ func (l *pageLeaf) release() {
 	pagePool.Lock()
 	for i, pg := range &l.pages {
 		if pg != nil && !l.isShared(uint64(i)) {
-			putPage(pg)
+			putPage(pg, true)
 		}
 	}
 	pagePool.Unlock()
@@ -163,8 +164,8 @@ var pagePool struct {
 	sync.Mutex
 	pages  []*mediaPage
 	leaves []*pageLeaf
-	// materialized counts takePage calls: pages written for the first time
-	// or copied from a checkpoint's. returned counts putPage calls.
+	// materialized counts media pages taken: pages written for the first
+	// time or copied from a checkpoint's. returned counts media pages put.
 	materialized, returned uint64
 }
 
@@ -189,10 +190,12 @@ func ReturnedPages() uint64 {
 }
 
 // takePage returns a private page, pooled when one is, zeroed when zero is
-// set.
-func takePage(zero bool) *mediaPage {
+// set; media says whether it is a media page, which MaterializedPages counts.
+func takePage(zero, media bool) *mediaPage {
 	pagePool.Lock()
-	pagePool.materialized++
+	if media {
+		pagePool.materialized++
+	}
 	n := len(pagePool.pages)
 	if n == 0 {
 		slab := new([pageSlab]mediaPage)
@@ -212,14 +215,60 @@ func takePage(zero bool) *mediaPage {
 	return pg
 }
 
-// putPage pools a private page the caller no longer holds. Call with
-// pagePool locked.
-func putPage(pg *mediaPage) {
-	pagePool.returned++
+// putPage pools a private page the caller no longer holds, counting it in
+// ReturnedPages when it is a media page. Call with pagePool locked.
+func putPage(pg *mediaPage, media bool) {
+	if media {
+		pagePool.returned++
+	}
 	if len(pagePool.pages) < maxPooledPages {
 		pagePool.pages = append(pagePool.pages, pg)
 	}
 }
+
+// bodyStore holds a device's cache-line bodies, 64 to a page from the page
+// pool; body pages are not media, so MaterializedPages and ReturnedPages do
+// not count them. of[slot] indexes the body of a way that holds one: line
+// b&63 of pages[b>>6]. A free body's first four bytes link it to the next.
+type bodyStore struct {
+	of    []int32
+	pages []*mediaPage
+	free  int32 // first free body + 1; 0 when none is
+	next  int32 // first body not handed out since the last reset
+}
+
+func (s *bodyStore) line(b int32) *[LineSize]byte {
+	return lineOf(s.pages[b>>pageLineShift], uint64(b))
+}
+
+// get returns slot's body.
+func (s *bodyStore) get(slot int) *[LineSize]byte { return s.line(s.of[slot]) }
+
+// add gives slot a body holding a copy of src, and returns it.
+func (s *bodyStore) add(slot int, src *[LineSize]byte) *[LineSize]byte {
+	b := s.free - 1
+	if b >= 0 {
+		s.free = int32(binary.LittleEndian.Uint32(s.line(b)[:]))
+	} else {
+		if int(s.next)>>pageLineShift == len(s.pages) {
+			s.pages = append(s.pages, takePage(false, false))
+		}
+		b = s.next
+		s.next++
+	}
+	s.of[slot] = b
+	copyLine(s.line(b), src)
+	return s.line(b)
+}
+
+// drop frees slot's body.
+func (s *bodyStore) drop(slot int) {
+	binary.LittleEndian.PutUint32(s.get(slot)[:], uint32(s.free))
+	s.free = s.of[slot] + 1
+}
+
+// reset frees every body, keeping the pages.
+func (s *bodyStore) reset() { s.free, s.next = 0, 0 }
 
 func takeLeaf() *pageLeaf {
 	pagePool.Lock()
@@ -246,8 +295,8 @@ func putLeaf(l *pageLeaf) {
 // cacheArrays are a device's cache state: what one geometry's devices can
 // hand each other.
 type cacheArrays struct {
-	sets  []cacheSet
-	lines []byte
+	sets   []cacheSet
+	bodyOf []int32
 }
 
 // arrayPool holds released devices' cache arrays, at most one set per pool
@@ -259,6 +308,6 @@ var arrayPool = workpool.FreeList[cacheArrays]{PerWorker: 1}
 // released first, as they were left.
 func takeArrays(nset, nway int) (cacheArrays, bool) {
 	return arrayPool.Take(func(a cacheArrays) bool {
-		return len(a.sets) == nset && len(a.lines) == nset*nway*LineSize
+		return len(a.sets) == nset && len(a.bodyOf) == nset*nway
 	})
 }

@@ -9,8 +9,8 @@ import (
 	"ffccd/internal/sim"
 )
 
-// persisted returns the newest persistent copy of lineIdx, which a miss fills
-// the line from: in-flight beats media. set is the line's set.
+// persisted returns the newest persistent copy of lineIdx, which a way with
+// no body reads: in-flight beats media. set is the line's set.
 func (d *Device) persisted(set *cacheSet, lineIdx uint64) *[LineSize]byte {
 	if i := set.inflightIndex(lineIdx); i >= 0 {
 		return &set.inflight[i].data
@@ -18,18 +18,51 @@ func (d *Device) persisted(set *cacheSet, lineIdx uint64) *[LineSize]byte {
 	return d.mediaLine(lineIdx)
 }
 
+// write marks the set's MRU way, at slot, dirty and returns its body, giving
+// it a copy of line, the bytes it reads, first when it has none.
+func (d *Device) write(set *cacheSet, slot int, line *[LineSize]byte) *[LineSize]byte {
+	bit := uint32(1) << set.mru()
+	set.dirty |= bit
+	if set.body&bit == 0 {
+		set.body |= bit
+		return d.bodies.add(slot, line)
+	}
+	return line
+}
+
+// stale gives every resident bodiless way of [addr, addr+n) a body holding
+// its persisted line, before a media write changes the media under it.
+func (d *Device) stale(addr, n uint64) {
+	for l := addr >> LineShift; n > 0 && l <= (addr+n-1)>>LineShift; l++ {
+		si := d.setIndex(l)
+		set := &d.sets[si]
+		if w := set.findWay(l); w >= 0 && set.body>>w&1 == 0 {
+			set.body |= 1 << w
+			d.bodies.add(si*d.nway+w, d.persisted(set, l))
+		}
+	}
+}
+
 // cached ensures lineIdx is resident, filling from the persistence domain on a
 // miss (evicting a victim if needed). It returns the line's set, its slot —
-// the set's MRU way — and 1 if the access missed in the cache, 0 if it hit.
-// The caller accesses the body and updates the set's masks.
-func (d *Device) cached(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int, miss uint64) {
+// the set's MRU way —, the bytes the way reads and 1 if the access missed in
+// the cache, 0 if it hit. A way reads its body, or the persisted line when it
+// has none: a filled way has none until it is written (write).
+func (d *Device) cached(ctx *sim.Ctx, lineIdx uint64) (set *cacheSet, slot int, line *[LineSize]byte, miss uint64) {
 	si := d.setIndex(lineIdx)
 	set = &d.sets[si]
 	if w := set.mru(); set.tags[w] == uint32(lineIdx+1) {
-		return set, si*d.nway + w, 0
+		slot = si*d.nway + w
+	} else {
+		slot, miss = d.resident(ctx, set, si*d.nway, lineIdx)
 	}
-	slot, miss = d.resident(ctx, set, si*d.nway, lineIdx)
-	return set, slot, miss
+	if set.body>>set.mru()&1 != 0 {
+		return set, slot, d.bodies.get(slot), miss
+	}
+	if len(set.inflight) != 0 {
+		return set, slot, d.persisted(set, lineIdx), miss
+	}
+	return set, slot, d.mediaLine(lineIdx), miss // persisted, without its call
 }
 
 // resident is cached off the MRU way: it makes lineIdx resident in set, whose
@@ -53,12 +86,15 @@ func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64)
 	bit := uint32(1) << victim
 	if set.dirty&bit != 0 {
 		d.stat[cEvictions]++
-		d.writeMediaLine(ctx, set, uint64(set.tags[victim]-1), d.body(slot), set.pending&bit != 0)
+		d.writeMediaLine(ctx, set, uint64(set.tags[victim]-1), d.bodies.get(slot), set.pending&bit != 0)
+	}
+	if set.body&bit != 0 {
+		d.bodies.drop(slot)
 	}
 	set.tags[victim] = uint32(lineIdx + 1)
 	set.dirty &^= bit
 	set.pending &^= bit
-	copyLine(d.body(slot), d.persisted(set, lineIdx))
+	set.body &^= bit
 	return slot, 1
 }
 
@@ -83,8 +119,8 @@ func (d *Device) Load(ctx *sim.Ctx, addr uint64, buf []byte) {
 	var lines, misses uint64
 	for {
 		n := min(LineSize-off, uint64(len(buf)))
-		_, slot, miss := d.cached(ctx, lineIdx)
-		copy(buf[:n], d.body(slot)[off:])
+		_, _, line, miss := d.cached(ctx, lineIdx)
+		copy(buf[:n], line[off:])
 		lines++
 		misses += miss
 		if buf = buf[n:]; len(buf) == 0 {
@@ -108,8 +144,8 @@ func (d *Device) LoadU64(ctx *sim.Ctx, addr uint64) uint64 {
 	}
 	d.checkRange(addr, 8)
 	lineIdx := addr >> LineShift
-	_, slot, miss := d.cached(ctx, lineIdx)
-	v := binary.LittleEndian.Uint64(d.body(slot)[off:])
+	_, _, line, miss := d.cached(ctx, lineIdx)
+	v := binary.LittleEndian.Uint64(line[off:])
 	d.account(ctx, cLoads, 1, miss)
 	return v
 }
@@ -128,9 +164,8 @@ func (d *Device) store(ctx *sim.Ctx, addr uint64, data []byte, pending bool) {
 	var lines, misses uint64
 	for {
 		n := min(LineSize-off, uint64(len(data)))
-		set, slot, miss := d.cached(ctx, lineIdx)
-		copy(d.body(slot)[off:], data[:n])
-		set.dirty |= 1 << set.mru()
+		set, slot, line, miss := d.cached(ctx, lineIdx)
+		copy(d.write(set, slot, line)[off:], data[:n])
 		if pending {
 			set.pending |= 1 << set.mru()
 		}
@@ -156,14 +191,13 @@ func (d *Device) StoreU64(ctx *sim.Ctx, addr, v uint64) {
 	}
 	d.checkRange(addr, 8)
 	lineIdx := addr >> LineShift
-	set, slot, miss := d.cached(ctx, lineIdx)
-	binary.LittleEndian.PutUint64(d.body(slot)[off:], v)
-	set.dirty |= 1 << set.mru()
+	set, slot, line, miss := d.cached(ctx, lineIdx)
+	binary.LittleEndian.PutUint64(d.write(set, slot, line)[off:], v)
 	d.account(ctx, cStores, 1, miss)
 }
 
 // Clwb initiates write-back of the line containing addr. The line becomes
-// clean in the cache and its contents move to the in-flight buffer: durable
+// clean in the cache and its body moves to the in-flight buffer: durable
 // only after the next Sfence (or if the crash policy is merciful). A clwb of
 // a line that is not dirty is a no-op beyond its access cost.
 func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
@@ -184,10 +218,13 @@ func (d *Device) Clwb(ctx *sim.Ctx, addr uint64) {
 			}
 		}
 		fl := &set.inflight[i]
-		fl.data = *d.body(si*d.nway + w)
+		slot := si*d.nway + w
+		fl.data = *d.bodies.get(slot)
 		fl.pending = fl.pending || set.pending&bit != 0
+		d.bodies.drop(slot)
 		set.dirty &^= bit
 		set.pending &^= bit
+		set.body &^= bit
 		ctx.PendingFlushes++
 	}
 	ctx.Charge(d.cfg.L2Latency + d.cfg.WPQLatency)
@@ -274,8 +311,10 @@ func (d *Device) FlushAll(ctx *sim.Ctx) {
 		for m := set.dirty; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros32(m)
 			slot := si*d.nway + w
-			d.writeMediaLine(ctx, set, uint64(set.tags[w]-1), d.body(slot), set.pending&(1<<w) != 0)
+			d.writeMediaLine(ctx, set, uint64(set.tags[w]-1), d.bodies.get(slot), set.pending&(1<<w) != 0)
+			d.bodies.drop(slot)
 		}
+		set.body &^= set.dirty
 		set.dirty, set.pending = 0, 0
 	}
 	d.Sfence(ctx)
