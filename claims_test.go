@@ -12,6 +12,12 @@ import (
 // driver's seed is 11). A drift in any scheme's cost model fails here, not in
 // a reader's comparison of EXPERIMENTS.md with a fresh run. The bands are the
 // reproduction's, not the paper's: a failure is recorded, never widened.
+// At this scale the heap's peak footprint is 0.26–0.41 of the modelled cache.
+// Out of the cache the copy bands fail (EXPERIMENTS.md, "Regime record"):
+// FFCCD's cut against Espresso, at least 60 % here, is 58/54/50/48/55 % on
+// LL/AVL/SS/BT/RBT at scale 0.01 (peak footprint 2.6–4.1 times the cache)
+// and 53/48/43/44/48 % at 0.02 (5.1–8.2 times), and SFCCD's falls below
+// 15 % on SS and BT at 0.01 and on four micros at 0.02.
 // -short skips it: the figure is the same simulated result under any flags,
 // and its 2.5 s run takes about a minute under the race detector, which
 // `make race` runs with -short.

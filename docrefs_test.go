@@ -33,6 +33,12 @@ var (
 	docPkgRef = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	docPath   = regexp.MustCompile(`^[\w./-]+\.(go|md|json|golden|sh)(:\d+)?$`)
 	docMake   = regexp.MustCompile(`^make ([\w -]+)$`)
+	// docCmd is a command of cmd/ and the arguments after it, and docFlag
+	// one flag among them, bracketed when optional.
+	docCmd  = regexp.MustCompile(`\b(ffccd-(?:bench|crashtest|inspect))\b(.*)`)
+	docFlag = regexp.MustCompile(`(?:^|\s)\[?--?([A-Za-z][\w-]*)`)
+	// flagDecl names the flag.FlagSet methods that declare a flag.
+	flagDecl = regexp.MustCompile(`^((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|BoolFunc|Func|TextVar|Var)$`)
 )
 
 // TestDocReferencesResolve fails on a code reference in referenceDocs that
@@ -40,8 +46,10 @@ var (
 // name of a package directory, that no non-test file of that package
 // declares (as a top-level name or a method); a backticked path ending .go,
 // .md, .json, .golden or .sh (with an optional :line) that exists neither from
-// the root nor from any package directory or its testdata; and a backticked
-// `make X` whose X is no Makefile target. An allowed reference that resolves
+// the root nor from any package directory or its testdata; a backticked
+// `make X` whose X is no Makefile target; and a backticked `ffccd-bench -x`
+// (or ffccd-crashtest, ffccd-inspect) whose -x that command's main.go does not
+// declare. An allowed reference that resolves
 // again, or that no document names any more, fails too.
 func TestDocReferencesResolve(t *testing.T) {
 	decls := map[string]map[string]bool{} // package directory name → its top-level names and method names
@@ -96,6 +104,7 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := makeTargets(t)
+	flags := cmdFlags(t)
 
 	resolves := func(ref string) bool {
 		if m := docMake.FindStringSubmatch(ref); m != nil {
@@ -116,6 +125,9 @@ func TestDocReferencesResolve(t *testing.T) {
 				}
 			}
 			return false
+		}
+		if cmd, flag, ok := strings.Cut(ref, " -"); ok {
+			return flags[cmd][flag]
 		}
 		pkg, name, _ := strings.Cut(ref, ".")
 		return decls[pkg][name]
@@ -139,6 +151,10 @@ func TestDocReferencesResolve(t *testing.T) {
 			var refs []string
 			if docMake.MatchString(code) || docPath.MatchString(code) {
 				refs = append(refs, code)
+			} else if m := docCmd.FindStringSubmatch(code); m != nil {
+				for _, f := range docFlag.FindAllStringSubmatch(m[2], -1) {
+					refs = append(refs, m[1]+" -"+f[1])
+				}
 			} else {
 				for _, m := range docPkgRef.FindAllStringSubmatch(code, -1) {
 					if decls[m[1]] != nil {
@@ -172,4 +188,66 @@ func makeTargets(t *testing.T) map[string]bool {
 		targets[m[1]] = true
 	}
 	return targets
+}
+
+// cmdFlags returns, per command directory under cmd/, the flags its main.go
+// declares: the name argument of each flag-declaring call (String, IntVar,
+// Func, ...) on the flag package or on a FlagSet it made.
+func cmdFlags(t *testing.T) map[string]map[string]bool {
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no command found (%v)", err)
+	}
+	flags := map[string]map[string]bool{}
+	for _, path := range mains {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := map[string]bool{"flag": true} // the package and its FlagSets
+		declared := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if a, ok := n.(*ast.AssignStmt); ok && len(a.Lhs) == 1 && len(a.Rhs) == 1 {
+				if id, ok := a.Lhs[0].(*ast.Ident); ok {
+					if x, m, _ := callee(a.Rhs[0]); x == "flag" && m == "NewFlagSet" {
+						sets[id.Name] = true
+					}
+				}
+			}
+			x, m, call := callee(n)
+			if !sets[x] || !flagDecl.MatchString(m) {
+				return true
+			}
+			arg := 0 // flag.Int("name", ...), but flag.IntVar(&v, "name", ...)
+			if strings.HasSuffix(m, "Var") {
+				arg = 1
+			}
+			if arg < len(call.Args) {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					declared[strings.Trim(lit.Value, "`\"")] = true
+				}
+			}
+			return true
+		})
+		flags[filepath.Base(filepath.Dir(path))] = declared
+	}
+	return flags
+}
+
+// callee returns x and m of a call x.m(...) whose x is an identifier, and
+// the call; empty names when n is no such call.
+func callee(n ast.Node) (x, m string, call *ast.CallExpr) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", "", nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", "", nil
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", "", nil
+	}
+	return id.Name, sel.Sel.Name, call
 }

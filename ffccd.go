@@ -24,7 +24,7 @@
 //	list.Insert(ctx, 1, []byte("hello"))
 //
 //	eng := ffccd.NewEngine(pool, ffccd.DefaultEngineOptions())
-//	defer eng.Close()
+//	defer eng.Close() // the last call: the next NewEngine reuses its tables
 //	eng.RunCycle(ctx) // one defragmentation cycle
 //
 // See examples/ for complete programs and DESIGN.md for the system map.

@@ -151,11 +151,11 @@ type Engine struct {
 // written only with the world stopped or in single-threaded recovery, and
 // every table in it is emptied and refilled before it is read.
 //
-// It outlives its engine: NewEngine takes the memory the last released engine
-// handed to epochPool, and Release hands it on, so an engine starts with
-// tables as large as its predecessor's instead of growing them again. Which
-// memory an engine gets changes host allocation only, never a simulated
-// result.
+// It outlives its engine: NewEngine takes the memory the last closed or
+// released engine handed to epochPool, and Close hands it on, so an engine
+// starts with tables as large as its predecessor's instead of growing them
+// again. Which memory an engine gets changes host allocation only, never a
+// simulated result.
 type epochMem struct {
 	markScratch    markScratch
 	summaryScratch summaryScratch
@@ -163,13 +163,14 @@ type epochMem struct {
 	relocParts     []pmem.RelocatePart
 }
 
-// epochPool holds released engines' epoch memory, two per pool worker (a
-// crash trial releases the engine the power failure killed and recovery's).
+// epochPool holds closed and released engines' epoch memory, two per pool
+// worker (a crash trial releases the engine the power failure killed and
+// recovery's).
 var epochPool = workpool.FreeList[*epochMem]{PerWorker: 2}
 
-// NewEngine attaches a defragmentation engine to a pool. For the FFCCD
-// schemes it wires the RBB into the device. Call Close when done, and then
-// Release.
+// NewEngine attaches a defragmentation engine to a pool, on the epoch memory
+// the last closed or released engine handed on when there is some. For the FFCCD schemes
+// it wires the RBB into the device. Call Close when done.
 func NewEngine(p *pmop.Pool, opt Options) *Engine {
 	cfg := p.Config()
 	mem, ok := epochPool.Take(nil)
@@ -280,11 +281,15 @@ func (e *Engine) Triggered() bool {
 	return fr.FragRatio > e.opt.TriggerRatio && fr.LiveBytes > 0
 }
 
-// Close implements the paper's exit(): it completes any in-flight
-// defragmentation (terminate(): finish pending relocations and reference
-// updates, release relocation pages, drop metadata) and stops the engine.
+// Close implements the paper's exit(), the engine's last call: it completes
+// any in-flight defragmentation (terminate(): finish pending relocations and
+// reference updates, release relocation pages, drop metadata), unhooks the
+// pool and then releases the engine (Release). A second Close, or a Close
+// after Release, does nothing.
 func (e *Engine) Close() {
-	e.mustLive()
+	if e.epochMem == nil {
+		return
+	}
 	// Finish an epoch that a manual BeginCycle left open. It runs on the
 	// engine's own context, so its epoch overlay starts there too: an
 	// interval read off two clocks would be meaningless.
@@ -295,15 +300,17 @@ func (e *Engine) Close() {
 		e.finishEpoch(e.gcCtx, ep)
 	}
 	e.pool.SetTxAddHook(nil)
+	e.Release()
 }
 
 // Release hands the engine's epoch memory on to the next NewEngine and
 // gives the TLB arrays of the engine's own context back to the process pool.
-// Call it once the engine is done with: after Close, or once a power failure
-// killed it mid-epoch (Machine.Reopen does). The memory goes on with no
-// pointer back into this engine or its pool. Afterwards BeginCycle, RunCycle,
-// RunCycleSTW, StepCompaction, FinishCycle and Close panic; Stats stays
-// readable. A second call does nothing.
+// Close calls it; call it directly only for an engine that is never closed,
+// because a power failure killed it mid-epoch (Machine.Reopen does) or its
+// machine is dropped with it (Machine.Release). The memory goes on with no
+// pointer back into this engine or its pool. Afterwards BeginCycle,
+// RunCycle, RunCycleSTW, StepCompaction and FinishCycle panic, Close does
+// nothing, and Stats and GCClock stay readable. A second call does nothing.
 func (e *Engine) Release() {
 	mem := e.epochMem
 	if mem == nil {
@@ -315,11 +322,11 @@ func (e *Engine) Release() {
 	e.gcCtx.Release()
 }
 
-// mustLive panics when the engine has been released. The entry points check
-// it once per call, never the read barrier or the mover loop.
+// mustLive panics when the engine has been closed or released. The entry
+// points check it once per call, never the read barrier or the mover loop.
 func (e *Engine) mustLive() {
 	if e.epochMem == nil {
-		panic("core: engine used after Release")
+		panic("core: engine used after Close or Release")
 	}
 }
 

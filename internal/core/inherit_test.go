@@ -125,15 +125,15 @@ func TestInheritedEpochMemoryIsInvisible(t *testing.T) {
 					t.Fatal("B's first epoch did not open")
 				}
 			}
-			// runA runs A and returns its epoch memory, released.
+			// runA runs A and returns its epoch memory, handed on.
 			runA := func(m *machine.Machine) any {
 				eng := m.NewEngine(opt)
 				if !c.kill {
 					if !eng.RunCycle(m.Ctx) {
 						t.Fatal("A's epoch did not open")
 					}
-					eng.Close()
 					mem := core.EpochMemOf(eng)
+					eng.Close()
 					m.Release()
 					return mem
 				}
@@ -192,4 +192,57 @@ func TestInheritedEpochMemoryIsInvisible(t *testing.T) {
 			twin.Eng.Close()
 		})
 	}
+}
+
+// TestCloseHandsEpochMemoryOn: Close is an engine's last call. An engine that
+// is only closed hands its epoch memory to the next NewEngine, whose first
+// epoch then allocates under an eighth of what a twin's on fresh memory does
+// and shows the twin's outcome. A second Close does nothing, a cycle after
+// Close panics, and the counters stay readable.
+func TestCloseHandsEpochMemoryOn(t *testing.T) {
+	opt := core.DefaultOptions()
+	opt.TargetRatio = 1 // compact whatever has a net gain
+	heir, twin := fragmentedMachine(t, 1500), fragmentedMachine(t, 1500)
+	firstEpoch := func(m *machine.Machine) {
+		if !m.NewEngine(opt).RunCycle(m.Ctx) {
+			t.Fatal("the first epoch did not open")
+		}
+	}
+	core.DrainEpochPool()
+	fresh := allocated(func() { firstEpoch(twin) })
+
+	a := fragmentedMachine(t, 6000)
+	eng := a.NewEngine(opt)
+	if !eng.RunCycle(a.Ctx) {
+		t.Fatal("A's epoch did not open")
+	}
+	mem, stats := core.EpochMemOf(eng), eng.Stats()
+	eng.Close()
+	eng.Close() // a second call does nothing
+	if core.EpochMemOf(eng) != nil || eng.Stats() != stats {
+		t.Fatalf("after Close: epoch memory kept %v, stats %+v, before %+v", core.EpochMemOf(eng) != nil, eng.Stats(), stats)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("BeginCycle ran on a closed engine")
+			}
+		}()
+		eng.BeginCycle(a.Ctx)
+	}()
+	a.Release() // its media pages go back to the pool, as in the cases above
+
+	inherited := allocated(func() { firstEpoch(heir) })
+	t.Logf("the first epoch allocated %d B on a closed engine's memory, %d B on fresh memory", inherited, fresh)
+	if got := core.EpochMemOf(heir.Eng); got != mem {
+		t.Fatal("the next engine did not inherit the closed engine's epoch memory")
+	}
+	if !core.RaceEnabled && inherited > fresh/8 {
+		t.Errorf("the first epoch allocated %d B on a closed engine's memory, over an eighth of the %d B on fresh memory", inherited, fresh)
+	}
+	if got, want := outcomeOf(heir), outcomeOf(twin); got != want {
+		t.Fatalf("on a closed engine's memory\n%+v\non fresh memory\n%+v", got, want)
+	}
+	heir.Eng.Close()
+	twin.Eng.Close()
 }

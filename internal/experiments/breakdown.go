@@ -29,6 +29,9 @@ type BreakdownRow struct {
 	// SimCycles is the run's total simulated cycles (app + GC), for the
 	// machine-readable benchmark record.
 	SimCycles uint64
+	// CacheFit is the run's Outcome.CacheFit: its peak footprint over the
+	// modelled cache.
+	CacheFit float64
 }
 
 // BreakdownResult is a whole figure.
@@ -93,6 +96,7 @@ func runBreakdowns(cells []breakdownCell, scale float64, schemes []core.Scheme) 
 				MiscPct:        pct(out.Cycles[sim.CatGCMisc], baseline),
 				NormalizedTime: float64(out.TotalCycles()) / baseline,
 				SimCycles:      out.TotalCycles(),
+				CacheFit:       out.CacheFit,
 			}
 			row.GCPct = row.MarkPct + row.SummaryPct + row.CopyPct + row.CheckLookupPct + row.MiscPct
 			row.FragReduction = fragReduction(baseOut, out)
@@ -167,10 +171,10 @@ func Figure15(scale float64) (BreakdownResult, error) {
 func (r BreakdownResult) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, r.Title)
-	t := obsv.NewTable("store", "scheme", "mark%", "summary%", "copy%", "chk+lkp%", "misc%", "gc-total%", "norm-time", "frag-red%")
+	t := obsv.NewTable("store", "scheme", "mark%", "summary%", "copy%", "chk+lkp%", "misc%", "gc-total%", "norm-time", "frag-red%", "cachefit")
 	for _, row := range r.Rows {
 		t.Add(row.Store, row.Scheme.String(), row.MarkPct, row.SummaryPct, row.CopyPct,
-			row.CheckLookupPct, row.MiscPct, row.GCPct, row.NormalizedTime, row.FragReduction)
+			row.CheckLookupPct, row.MiscPct, row.GCPct, row.NormalizedTime, row.FragReduction, row.CacheFit)
 	}
 	b.WriteString(t.String())
 	b.WriteString("\n")

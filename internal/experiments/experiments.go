@@ -63,6 +63,10 @@ type Outcome struct {
 	// Device traffic over the whole run (PM write endurance, §3.3.3's
 	// "fewer PM writes" claim).
 	Device pmem.Stats
+	// CacheFit is the run's peak footprint, its largest phase-end
+	// FootprintBytes, over the modelled cache's CacheBytes: above 1 the heap
+	// no longer fits in the cache.
+	CacheFit float64
 }
 
 // AppCycles is application work including read-barrier costs charged to GC
@@ -236,6 +240,9 @@ func assembleOutcome(spec Spec, res workload.Result, m *Env) Outcome {
 		AvgFootprintMB: res.AvgFootprint / (1 << 20),
 		AvgLiveMB:      res.AvgLive / (1 << 20),
 		TotalOps:       res.TotalOps + res.Phases[0].Ops,
+	}
+	for _, ph := range res.Phases {
+		out.CacheFit = max(out.CacheFit, float64(ph.End.FootprintBytes)/float64(m.Cfg.CacheBytes))
 	}
 	clk := sim.NewClock()
 	clk.Merge(m.Ctx.Clock)

@@ -112,11 +112,12 @@ func Build(s Spec) (*Machine, error) {
 // Device returns the machine's device.
 func (m *Machine) Device() *pmem.Device { return m.RT.Device() }
 
-// Release gives the machine's media pages, cache arrays, the TLB arrays of
-// its contexts (Ctx, GC and the engine's own) and the engine's epoch memory
-// back to the process pools. The machine is unusable afterwards: any of those
-// contexts panics on its next translation, and the engine on its next cycle,
-// wherever else they are held. A second call does nothing.
+// Release gives the machine's media pages, cache arrays and the TLB arrays of
+// its contexts (Ctx and GC) back to the process pools, and releases an engine
+// still attached (a closed one has handed its memory on already). The machine
+// is unusable afterwards: any of those contexts panics on its next
+// translation, and the engine on its next cycle, wherever else they are held.
+// A second call does nothing.
 func (m *Machine) Release() {
 	m.RT.Device().ReleaseMedia()
 	for _, ctx := range [...]*sim.Ctx{m.Ctx, m.GC} {

@@ -40,6 +40,7 @@ type DeviceCheckpoint struct {
 	// Sets are the cache's set blocks with their in-flight slices nil;
 	// Inflight holds every set's in-flight lines, in set order.
 	Sets     []cacheSet
+	Valid    int // the valid ways
 	Inflight []inflightEntry
 	// Slots lists, ascending, the ways that hold a body; Lines their bodies.
 	Slots []int
@@ -86,7 +87,7 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 	}
 	clear(c.Refs[len(c.Refs):cap(c.Refs)]) // no stale reference keeps a page alive
 
-	c.Sets = append(c.Sets[:0], d.sets...)
+	c.Sets, c.Valid = append(c.Sets[:0], d.sets...), d.valid
 	n := 0
 	for i := range d.sets {
 		n += bits.OnesCount32(d.sets[i].body)
@@ -133,6 +134,7 @@ func (d *Device) Restore(c *DeviceCheckpoint) {
 		*set = c.Sets[si]
 		set.inflight = inflight
 	}
+	d.valid = c.Valid
 	for _, fl := range c.Inflight {
 		set := &d.sets[d.setIndex(fl.lineIdx)]
 		set.inflight = append(set.inflight, fl)

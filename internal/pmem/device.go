@@ -188,6 +188,7 @@ type Device struct {
 	nway   int
 	sets   []cacheSet
 	bodies bodyStore // the bodies of the ways that hold one, by slot = set*nway + way
+	valid  int       // the valid ways, every set's fill summed
 
 	// setMagic is ⌈2⁶⁴/nset⌉ (mod 2⁶⁴), the multiplier of the division-free
 	// set mapping (Lemire's fastmod), exact for every 32-bit line index.
@@ -459,6 +460,7 @@ func (d *Device) dropVolatile(harvest *[]inflightEntry) {
 		}
 		*set = cacheSet{inflight: set.inflight[:0]}
 	}
+	d.valid = 0
 	d.bodies.reset()
 	d.pend = d.pend[:0]
 }

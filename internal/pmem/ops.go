@@ -31,8 +31,12 @@ func (d *Device) write(set *cacheSet, slot int, line *[LineSize]byte) *[LineSize
 }
 
 // stale gives every resident bodiless way of [addr, addr+n) a body holding
-// its persisted line, before a media write changes the media under it.
+// its persisted line, before a media write changes the media under it. With
+// no way valid there is none to look for.
 func (d *Device) stale(addr, n uint64) {
+	if d.valid == 0 {
+		return
+	}
 	for l := addr >> LineShift; n > 0 && l <= (addr+n-1)>>LineShift; l++ {
 		si := d.setIndex(l)
 		set := &d.sets[si]
@@ -76,6 +80,7 @@ func (d *Device) resident(ctx *sim.Ctx, set *cacheSet, base int, lineIdx uint64)
 	victim := int(set.fill)
 	if victim < d.nway {
 		set.fill++
+		d.valid++
 		set.stack = set.stack<<4 | uint64(victim)
 	} else {
 		at := 4 * (d.nway - 1)

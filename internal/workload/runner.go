@@ -138,15 +138,41 @@ func NewRunner(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config) *Runner {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 500
 	}
-	r := &Runner{
-		ctx: ctx, p: p, s: s, cfg: cfg,
-		src:      newCountingSource(cfg.Seed),
-		freeKeys: []uint64{},
-	}
+	r := &Runner{ctx: ctx, p: p, s: s, cfg: cfg, src: newCountingSource(cfg.Seed)}
 	r.rng = rand.New(r.src)
 	r.phases = r.phaseDefs()
+	r.live, r.freeKeys = r.reserve(nil, nil)
 	r.startPhase()
 	return r
+}
+
+// reserve returns live and free copied into lists that hold every key the
+// rest of the run, from the runner's position on, can put in them, so that
+// neither list grows again. Each insert adds one live key and takes a free
+// one while there are any; each delete of a live key frees it when the key
+// space is bounded. Walking the remaining phases with those counts gives
+// each list's peak.
+func (r *Runner) reserve(live, free []uint64) (l, f []uint64) {
+	nl, nf := len(live), len(free)
+	maxL, maxF := nl, nf
+	i := r.i
+	if r.stage != stageBody {
+		i++ // op i has run
+	}
+	for ph := r.ph; ph < len(r.phases); ph, i = ph+1, 0 {
+		n := max(r.phases[ph].ops-i, 0)
+		if r.phases[ph].insert {
+			nl, nf = nl+n, max(nf-n, 0)
+		} else {
+			n = min(n, nl)
+			nl, nf = nl-n, nf+n
+		}
+		maxL, maxF = max(maxL, nl), max(maxF, nf)
+	}
+	if r.cfg.KeyCap == 0 {
+		maxF = len(free) // an unbounded key space frees no key
+	}
+	return append(make([]uint64, 0, maxL), live...), append(make([]uint64, 0, maxF), free...)
 }
 
 func (r *Runner) startPhase() {
@@ -380,13 +406,11 @@ func ResumeRunner(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, c *RunnerC
 	}
 	r := &Runner{
 		ctx: ctx, p: p, s: s, cfg: cfg,
-		src:      newCountingSource(cfg.Seed),
-		live:     append([]uint64(nil), c.Live...),
-		nextKey:  c.NextKey,
-		freeKeys: append([]uint64{}, c.FreeKeys...),
-		samples:  c.Samples,
-		sumFoot:  c.SumFoot,
-		sumLive:  c.SumLive,
+		src:     newCountingSource(cfg.Seed),
+		nextKey: c.NextKey,
+		samples: c.Samples,
+		sumFoot: c.SumFoot,
+		sumLive: c.SumLive,
 	}
 	r.rng = rand.New(r.src)
 	r.src.skip(c.Draws)
@@ -398,6 +422,7 @@ func ResumeRunner(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, c *RunnerC
 	r.ph = c.Phase
 	r.i = c.Index
 	r.stage = runnerStage(c.Stage)
+	r.live, r.freeKeys = r.reserve(c.Live, c.FreeKeys)
 	r.startCycles = c.StartCycles
 	r.phSamples = c.PhSamples
 	r.phFoot, r.phLive = c.PhFoot, c.PhLive
