@@ -100,7 +100,9 @@ loc:
 	done; \
 	printf '%-26s %9d %9d\n' total $$(count . -name '*.go' ! -name '*_test.go') $$(count . -name '*_test.go')
 
-# bench runs the Go benchmarks (figure drivers + device micro-benchmarks).
+# bench runs every Go micro-benchmark once: the root read-barrier benchmark
+# and the package ladders. The paper's tables and figures run through
+# ffccd-bench, not testing.B.
 bench:
 	$(GO) test -run XXX -bench . -benchtime=1x ./...
 

@@ -83,12 +83,6 @@ type Options struct {
 	// Obs enables observability from construction (equivalent to SetObs right
 	// after NewEngine, but also covers activity during Recover). Nil = off.
 	Obs *obsv.Obs
-	// RecoveryProgress, when non-nil, is invoked at each stage boundary of
-	// Recover with a short stage label (one of RecoveryStages, then "done").
-	// Purely observational: it charges no simulated cycles, so recovery
-	// results are identical with or without it. The serving crash harness
-	// uses it to decompose blackout time.
-	RecoveryProgress func(stage string)
 }
 
 // NormalParams are the paper's normal defragmentation parameters (Redis
@@ -334,17 +328,10 @@ func (e *Engine) mustLive() {
 // mark → summary → concurrent compaction → finish. It is a no-op if an epoch
 // is already open or the scheme is SchemeNone. Returns true if a cycle ran.
 func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
-	e.mustLive()
-	if e.opt.Scheme == SchemeNone || e.epoch != nil {
+	if !e.BeginCycle(ctx) {
 		return false
 	}
-	ep := e.prepare(ctx)
-	if ep == nil {
-		return false
-	}
-	e.compact(ctx, ep)
-	e.finishEpoch(ctx, ep)
-	e.stats.Cycles++
+	e.FinishCycle(ctx)
 	return true
 }
 

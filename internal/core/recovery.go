@@ -47,9 +47,8 @@ func Recover(ctx *sim.Ctx, p *pmop.Pool, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// RecoveryStages names the stages Recover times, in order, by the
-// RecoveryProgress label that opens each; "done" closes the last. Recovering
-// an idle pool runs only load, rollback and rebuild.
+// RecoveryStages names the stages Recover times, in order. Recovering an
+// idle pool runs only load, rollback and rebuild.
 var RecoveryStages = [...]string{"load", "reconcile", "rollback", "fixup", "rebuild", "resume"}
 
 // RecoveryCost is the simulated cycles one Recover spent in each stage,
@@ -88,17 +87,13 @@ type recoveryClock struct {
 	since uint64
 }
 
-// progress closes the stage being timed, opens stage, and reports the
-// boundary to the RecoveryProgress hook.
+// progress closes the stage being timed and opens stage ("done": none).
 func (e *Engine) progress(ctx *sim.Ctx, stage string) {
 	r, now := &e.rec, ctx.Clock.Total()
 	if r.stage >= 0 {
 		r.cost[r.stage] += now - r.since
 	}
 	r.stage, r.since = slices.Index(RecoveryStages[:], stage), now
-	if e.opt.RecoveryProgress != nil {
-		e.opt.RecoveryProgress(stage)
-	}
 }
 
 func (e *Engine) recover(ctx *sim.Ctx) error {

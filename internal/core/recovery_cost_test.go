@@ -13,9 +13,9 @@ import (
 
 // crashedEpochRecovery builds one fixed live set on a pool of poolBytes, opens
 // an FFCCD epoch on it, moves a third of the epoch, loses power and recovers
-// under opt. It returns the recovered engine, the stage labels the progress
-// hook saw and the cycles Recover charged the driver's clock.
-func crashedEpochRecovery(t *testing.T, poolBytes uint64, opt Options) (*Engine, []string, uint64) {
+// under opt. It returns the recovered engine and the cycles Recover charged
+// the driver's clock.
+func crashedEpochRecovery(t *testing.T, poolBytes uint64, opt Options) (*Engine, uint64) {
 	t.Helper()
 	fx := buildRandomHeapIn(t, poolBytes, 4, 12, 400, 3, 200)
 	opt.Scheme = SchemeFFCCD
@@ -35,8 +35,6 @@ func crashedEpochRecovery(t *testing.T, poolBytes uint64, opt Options) (*Engine,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stages []string
-	opt.RecoveryProgress = func(s string) { stages = append(stages, s) }
 	before := fx.ctx.Clock.Total()
 	e2, err := Recover(fx.ctx, p, opt)
 	if err != nil {
@@ -45,26 +43,22 @@ func crashedEpochRecovery(t *testing.T, poolBytes uint64, opt Options) (*Engine,
 	charged := fx.ctx.Clock.Total() - before
 	t.Cleanup(e2.Close)
 	checkVarList(t, p, fx.ctx, fx.n)
-	return e2, stages, charged
+	return e2, charged
 }
 
 // TestRecoveryCostAccountsForRecover: the per-stage cost covers every cycle
-// Recover charged (rebuild's share is host work, zero cycles), one stage per
-// progress label, and reading it charges nothing — the same recovery with observability on costs the same, and its
-// "recovery" group reports the same numbers.
+// Recover charged (rebuild's share is host work, zero cycles), and reading it
+// charges nothing — the same recovery with observability on costs the same,
+// and its "recovery" group reports the same numbers.
 func TestRecoveryCostAccountsForRecover(t *testing.T) {
 	opt := DefaultOptions()
-	plain, stages, charged := crashedEpochRecovery(t, 16<<20, opt)
-	want := append(RecoveryStages[:], "done")
-	if !slices.Equal(stages, want) {
-		t.Fatalf("progress labels %v, want %v", stages, want)
-	}
+	plain, charged := crashedEpochRecovery(t, 16<<20, opt)
 	cost := plain.RecoveryCost()
 	if cost.Total() != charged {
 		t.Fatalf("stages sum to %d cycles, Recover charged %d", cost.Total(), charged)
 	}
 	opt.Obs = obsv.New(0)
-	observed, _, obsCharged := crashedEpochRecovery(t, 16<<20, opt)
+	observed, obsCharged := crashedEpochRecovery(t, 16<<20, opt)
 	if obsCharged != charged || observed.RecoveryCost() != cost {
 		t.Fatalf("observed recovery charged %d cycles (%v), unobserved %d (%v)",
 			obsCharged, observed.RecoveryCost(), charged, cost)
@@ -93,7 +87,7 @@ func TestRecoveryCostIndependentOfCapacity(t *testing.T) {
 	sizes := []uint64{16 << 20, 64 << 20, 128 << 20}
 	costs := make([]RecoveryCost, len(sizes))
 	for i, size := range sizes {
-		e, _, _ := crashedEpochRecovery(t, size, DefaultOptions())
+		e, _ := crashedEpochRecovery(t, size, DefaultOptions())
 		costs[i] = e.RecoveryCost()
 	}
 	var b strings.Builder

@@ -51,7 +51,7 @@ func AblationRBB(scale float64, sizes []int) (AblationRBBResult, error) {
 		eng := m.NewEngine(core.Options{Scheme: core.SchemeFFCCD, TriggerRatio: tr, TargetRatio: tg})
 		gcCtx := sim.NewCtx(&m.Cfg)
 		wl.Maintenance = func() {
-			if p.Heap().Frag(12).FragRatio > tr {
+			if eng.Triggered() {
 				eng.RunCycle(gcCtx)
 			}
 		}

@@ -162,7 +162,7 @@ func Run(spec Spec) (Outcome, error) {
 	defer m.Release()
 	obs := newRunObs(spec, "", m)
 	if spec.Scheme != core.SchemeNone {
-		installSchemeHooks(&wl, spec, m.Pool, m.NewEngine(engineOptions(spec, spec.Scheme, obs)), m.GC)
+		installSchemeHooks(&wl, m.NewEngine(engineOptions(spec, spec.Scheme, obs)), m.GC)
 	}
 	registerRunGroups(obs, m)
 
@@ -214,7 +214,7 @@ func engineOptions(spec Spec, scheme core.Scheme, obs *obsv.Obs) core.Options {
 // footprint samples always see quiesced state. With several workload threads
 // every thread finishes an open epoch before sampling and only thread 0
 // begins epochs (see runInterleaved).
-func installSchemeHooks(wl *workload.Config, spec Spec, pool *pmop.Pool, eng *core.Engine, gcCtx *sim.Ctx) {
+func installSchemeHooks(wl *workload.Config, eng *core.Engine, gcCtx *sim.Ctx) {
 	epochOpen := false
 	wl.PreSample = func() {
 		if epochOpen {
@@ -224,7 +224,7 @@ func installSchemeHooks(wl *workload.Config, spec Spec, pool *pmop.Pool, eng *co
 		}
 	}
 	wl.Maintenance = func() {
-		if !epochOpen && pool.Heap().Frag(spec.PageShift).FragRatio > spec.Trigger {
+		if !epochOpen && eng.Triggered() {
 			epochOpen = eng.BeginCycle(gcCtx)
 		}
 	}

@@ -39,18 +39,9 @@ import (
 // bookkeeping, which is scheme-independent) and runFork folds them into each
 // forked outcome.
 
-// forkEnabled gates the fork driver (on by default). Scratch and fork are
-// pinned bit-identical by TestForkMatchesScratch,
-// TestRunSpecsForkedMatchesRunSpecs and the golden replays.
-var forkEnabled atomic.Bool
-
-func init() { forkEnabled.Store(true) }
-
-// SetFork enables or disables the checkpoint/fork driver.
-func SetFork(on bool) { forkEnabled.Store(on) }
-
-// ForkEnabled reports whether the fork driver is active.
-func ForkEnabled() bool { return forkEnabled.Load() }
+// SetFork is ignored: the fork driver is always on. It remains for the repo
+// benchmark's fig14-grid workload, which still calls it.
+func SetFork(bool) {}
 
 // Fork-driver counters (bench/ reports them for the fig14-grid workload).
 var (
@@ -145,7 +136,7 @@ func buildPrefix(spec Spec) (*prefixState, error) {
 	// ever open, so the scratch path's "finish an open epoch" hook is a
 	// simulated no-op there too.
 	wl.Maintenance = func() {
-		if m.Pool.Heap().Frag(spec.PageShift).FragRatio <= spec.Trigger {
+		if !eng.Triggered() {
 			return
 		}
 		// Capture before the attempt: a failed attempt still reclaims leaks
@@ -198,7 +189,7 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	registerRunGroups(obs, m)
 	// The resumed runner's first action is the Maintenance hook, re-running
 	// the divergence attempt under spec.Scheme.
-	installSchemeHooks(&wl, spec, m.Pool, eng, m.GC)
+	installSchemeHooks(&wl, eng, m.GC)
 	r, err := workload.ResumeRunner(m.Ctx, m.Pool, m.Store, wl, pre.runner)
 	if err != nil {
 		return Outcome{}, err
@@ -256,9 +247,6 @@ func forkGroupKey(s Spec) Spec {
 // specs, and singleton groups run from scratch — a lone scheme gains
 // nothing from checkpointing.
 func RunSpecsForked(specs []Spec) ([]Outcome, error) {
-	if !ForkEnabled() {
-		return RunSpecs(specs)
-	}
 	groups := make(map[Spec][]int)
 	var groupOrder []Spec
 	for i, s := range specs {

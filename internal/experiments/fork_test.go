@@ -125,23 +125,3 @@ func TestRunSpecsForkedMatchesRunSpecs(t *testing.T) {
 	}
 	t.Logf("fork counters: prefixes=%d checkpoints=%d forks=%d", prefixes, checkpoints, forks)
 }
-
-// TestForkDisabledFallsBack checks that SetFork(false) routes everything
-// through the scratch driver.
-func TestForkDisabledFallsBack(t *testing.T) {
-	SetFork(false)
-	defer SetFork(true)
-	if ForkEnabled() {
-		t.Fatal("ForkEnabled after SetFork(false)")
-	}
-	spec := Spec{Store: "LL", Threads: 1, Scheme: core.SchemeEspresso,
-		Scale: 0.001, PageShift: 12, Seed: 3}
-	spec.Trigger, spec.Target = core.NormalParams()
-	ResetForkCounters()
-	if _, err := RunSpecsForked([]Spec{spec, spec}); err != nil {
-		t.Fatal(err)
-	}
-	if p, c, f := ForkCounters(); p != 0 || c != 0 || f != 0 {
-		t.Errorf("fork counters moved while disabled: %d/%d/%d", p, c, f)
-	}
-}

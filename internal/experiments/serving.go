@@ -30,11 +30,6 @@ type ServingOptions struct {
 	// host-parallel as workpool jobs and their results merge
 	// deterministically (see internal/redisws/shard.go).
 	Shards int
-
-	// NoWindows disables the windowed time series. The layer is
-	// non-perturbing either way; the knob exists for the bit-identity tests
-	// that pin exactly that.
-	NoWindows bool
 }
 
 // ServingVariant is one scheme's serving run.
@@ -58,9 +53,8 @@ type ServingVariant struct {
 	Evictions  int
 
 	// Series is the run's windowed time series (per-window SLO metrics,
-	// worst-request exemplars, GC overlay intervals); nil when
-	// ServingOptions.NoWindows was set. In a sharded run this is the
-	// deterministic merge of the per-shard series.
+	// worst-request exemplars, GC overlay intervals). In a sharded run this
+	// is the deterministic merge of the per-shard series.
 	Series *obsv.TimeSeries
 
 	// Shards is the machine count this variant ran on; PerShard and
@@ -193,11 +187,9 @@ func newServingMachine(scheme string, o ServingOptions, keys, shard, shards int)
 	if err != nil {
 		return nil, fmt.Errorf("experiments.Serving: %w", err)
 	}
-	if !o.NoWindows {
-		// The series label is the scheme on every shard; exemplar stall
-		// causes carry the shard id, which the merge's total order uses.
-		m.Hooks.Series = obsv.NewTimeSeries(scheme, servingWindow(o.Scale), 0)
-	}
+	// The series label is the scheme on every shard; exemplar stall causes
+	// carry the shard id, which the merge's total order uses.
+	m.Hooks.Series = obsv.NewTimeSeries(scheme, servingWindow(o.Scale), 0)
 	if col := obsCollector.Load(); col != nil {
 		label := "serving/" + scheme
 		if shards > 1 {
@@ -246,20 +238,16 @@ func runServingVariant(scheme string, o ServingOptions, shardKeys []int) (Servin
 	}
 	out := sh.Merged
 
-	var series *obsv.TimeSeries
+	series := machines[0].Hooks.Series
 	var shardSeries []*obsv.TimeSeries
-	if !o.NoWindows {
-		if n == 1 {
-			series = machines[0].Hooks.Series
-		} else {
-			shardSeries = make([]*obsv.TimeSeries, n)
-			for i, m := range machines {
-				shardSeries[i] = m.Hooks.Series
-			}
-			series, err = redisws.MergeShardSeries(scheme, servingWindow(o.Scale), 0, shardSeries)
-			if err != nil {
-				return ServingVariant{}, 0, err
-			}
+	if n > 1 {
+		shardSeries = make([]*obsv.TimeSeries, n)
+		for i, m := range machines {
+			shardSeries[i] = m.Hooks.Series
+		}
+		series, err = redisws.MergeShardSeries(scheme, servingWindow(o.Scale), 0, shardSeries)
+		if err != nil {
+			return ServingVariant{}, 0, err
 		}
 	}
 
@@ -340,7 +328,7 @@ func (r ServingResult) String() string {
 		b.WriteString(st.String())
 	}
 	for _, v := range r.Variants {
-		if v.Series == nil || v.Series.Count() == 0 {
+		if v.Series.Count() == 0 {
 			continue
 		}
 		writeShardLanes(&b, v.Name, v.ShardSeries)
@@ -372,9 +360,7 @@ func (r ServingResult) CSV() string {
 	var b strings.Builder
 	b.WriteString(obsv.CSVHeader + "\n")
 	for _, v := range r.Variants {
-		if v.Series != nil {
-			b.WriteString(v.Series.CSV())
-		}
+		b.WriteString(v.Series.CSV())
 	}
 	return b.String()
 }
@@ -407,17 +393,15 @@ func (r ServingResult) Metrics() map[string]float64 {
 		m[k+"parallel_ops"] = float64(v.Parallel)
 		m[k+"serial_ops"] = float64(v.Serial)
 		m[k+"batches"] = float64(v.Batches)
-		if v.Series != nil {
-			wins := v.Series.Windows()
-			m[k+"windows"] = float64(len(wins))
-			var worst uint64
-			for _, w := range wins {
-				if w.P999 > worst {
-					worst = w.P999
-				}
+		wins := v.Series.Windows()
+		m[k+"windows"] = float64(len(wins))
+		var worst uint64
+		for _, w := range wins {
+			if w.P999 > worst {
+				worst = w.P999
 			}
-			m[k+"worst_window_p999_cycles"] = float64(worst)
 		}
+		m[k+"worst_window_p999_cycles"] = float64(worst)
 		for _, s := range v.PerShard {
 			sk := fmt.Sprintf("%sshard%d.", k, s.Shard)
 			m[sk+"ops"] = float64(s.Ops)

@@ -28,10 +28,9 @@ type CampaignOptions struct {
 	// Seed is the base workload seed (schedules inherit it verbatim).
 	Seed int64
 	// Ops overrides a batch campaign's per-thread build churn or a serving
-	// campaign's op budget per trial; TailOps (batch) the per-thread
-	// compaction-concurrent churn; Clients and Keys (serving) the connection
-	// count and the keyspace (0 = defaults).
-	Ops, TailOps, Clients, Keys int
+	// campaign's op budget per trial; Clients and Keys (serving) the
+	// connection count and the keyspace (0 = defaults).
+	Ops, Clients, Keys int
 	// MaxSites bounds the scheduled sites per campaign; 0 sweeps
 	// exhaustively. Every site class's first occurrence is always kept, so
 	// the real floor is the number of populated classes. For a sharded
@@ -258,9 +257,6 @@ func ExploreSetting(setting Setting, co CampaignOptions) CampaignOutcome {
 	base := NewRepro(setting, co.Seed)
 	if co.Ops > 0 {
 		base.Ops = co.Ops
-	}
-	if co.TailOps > 0 {
-		base.TailOps = co.TailOps
 	}
 	return new(campaign).explore(setting.String(), base, co)
 }

@@ -109,13 +109,13 @@ func (pre *prefix) fork() (*trial, *churner, error) {
 	return t, churn, nil
 }
 
-// engineOptions is the configuration trials defragment and recover under:
-// thresholds low enough that any fragmentation opens an epoch. opts.Obs, when
+// engineOptions is the configuration trials defragment and recover under: a
+// target low enough that any fragmentation opens an epoch (trials call
+// BeginCycle themselves, so no trigger is consulted). opts.Obs, when
 // set, supplies the trial's observability bundle, installed on the device too.
 func (t *trial) engineOptions(opts TrialOptions, seed int64) core.Options {
 	opt := core.DefaultOptions()
 	opt.Scheme = t.setting.Scheme
-	opt.TriggerRatio = 1.01
 	opt.TargetRatio = 1.05
 	if opts.Obs != nil {
 		if opt.Obs = opts.Obs(t.setting, seed); opt.Obs != nil {
@@ -269,11 +269,10 @@ type restart struct {
 
 // run performs the sequence, leaving the recovered pool, engine and store in
 // the machine, and records the post-crash hash, the recovery census, the
-// nested crash and the last recovery's stages and cycles in res. It returns
+// nested crash and the last recovery's cycles in res. It returns
 // the model that verified and the cycles the recovery context was billed —
 // for a server, its blackout.
 func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err error) {
-	r.opt.RecoveryProgress = func(stage string) { res.RecoveryStages = append(res.RecoveryStages, stage) }
 	m, dev := r.m, r.m.Device()
 	ctx := sim.NewCtx(&m.Cfg)
 	defer ctx.Release()
@@ -285,7 +284,6 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 		if err = m.Reopen(); err == nil && r.prepare != nil {
 			err = r.prepare(ctx, m.Pool)
 		}
-		res.RecoveryStages = res.RecoveryStages[:0]
 		return err
 	}
 	powerFail()

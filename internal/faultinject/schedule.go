@@ -147,10 +147,8 @@ type Result struct {
 	// NestedCrash is the power failure injected inside it, if any.
 	RecoveryCensus pmem.SiteCensus
 	NestedCrash    *pmem.CrashAtSite
-	// RecoveryStages records the core.Recover stage labels of the last
-	// completed recovery, in order, and RecoveryCycles what it cost
+	// RecoveryCycles is what the last completed recovery cost
 	// (core.RecoveryCost.Total).
-	RecoveryStages []string
 	RecoveryCycles uint64
 	// PostCrashHash digests the media image right after the (first) crash;
 	// FinalHash digests it after recovery and checking (a serving trial:

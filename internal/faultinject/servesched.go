@@ -345,7 +345,7 @@ func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*
 				return nil, err
 			}
 			return &redisws.Recovered{Store: target.Store, Pool: target.Pool, Cycles: cycles, Model: model,
-				Hooks: redisws.SchemeHooks(rep.Scheme, target.Pool, target.Eng, d2, target.GC)}, nil
+				Hooks: redisws.SchemeHooks(rep.Scheme, target.Eng, d2, target.GC)}, nil
 		},
 	}
 	// A sharded census pass census-arms the sibling shards too, so a single

@@ -9,7 +9,7 @@
 // loop has already committed (virtual-time cycles, per-op decompositions), it
 // never charges a simulated cycle, and it draws from no RNG stream — enabling
 // it reproduces simulated results bit-identically (pinned by
-// TestServeWindowsDoNotPerturb and TestServingWindowsDoNotPerturb).
+// TestServeWindowsDoNotPerturb).
 package obsv
 
 import (

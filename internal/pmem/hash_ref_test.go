@@ -34,8 +34,9 @@ func refHashMedia(media []byte) uint64 {
 	return h
 }
 
-// checkPageTable asserts the page table's own invariant: a shared mark
-// names a page the device holds.
+// checkPageTable asserts the device's own bookkeeping invariants: a shared
+// mark names a page the device holds, and the valid-way count is every set's
+// fill summed.
 func checkPageTable(t *testing.T, d *Device, when string) {
 	t.Helper()
 	for k, l := range d.leaves {
@@ -47,6 +48,13 @@ func checkPageTable(t *testing.T, d *Device, when string) {
 				t.Fatalf("%s: page %d is marked shared but not held", when, k<<leafShift+i)
 			}
 		}
+	}
+	fill := 0
+	for i := range d.sets {
+		fill += int(d.sets[i].fill)
+	}
+	if d.valid != fill {
+		t.Fatalf("%s: the device counts %d valid ways, its sets fill %d", when, d.valid, fill)
 	}
 }
 

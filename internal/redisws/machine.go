@@ -51,17 +51,17 @@ func SchemeOptions(scheme string) core.Options {
 // SchemeHooks wires scheme into the serving loop over an existing machine:
 // over a fresh engine when the machine is built, over the recovered one after
 // a crash. gc is the defragmentation thread's clock domain; it carries across
-// a crash (pause accounting is delta-based). eng is nil for "none" and
-// "mesh", d is nil for every scheme but "mesh".
-func SchemeHooks(scheme string, p *pmop.Pool, eng *core.Engine, d *mesh.Defragmenter, gc *sim.Ctx) ServeHooks {
+// a crash (pause accounting is delta-based). ffccd and stw start a cycle at
+// a maintenance point when eng.Triggered. eng is nil for "none" and "mesh",
+// d is nil for every scheme but "mesh".
+func SchemeHooks(scheme string, eng *core.Engine, d *mesh.Defragmenter, gc *sim.Ctx) ServeHooks {
 	var hooks ServeHooks
-	compact := func() bool { return p.Heap().Frag(12).FragRatio <= schemeTrigger }
 	switch scheme {
 	case "ffccd":
 		open := false
 		stw := func() uint64 { return gc.Clock.Cycles(sim.CatMark) + gc.Clock.Cycles(sim.CatSummary) }
 		hooks.Maintenance = func(uint64) uint64 {
-			if open || compact() {
+			if open || !eng.Triggered() {
 				return 0
 			}
 			before := stw()
@@ -88,7 +88,7 @@ func SchemeHooks(scheme string, p *pmop.Pool, eng *core.Engine, d *mesh.Defragme
 		}
 	case "stw":
 		hooks.Maintenance = func(uint64) uint64 {
-			if compact() {
+			if !eng.Triggered() {
 				return 0
 			}
 			pause, _ := eng.RunCycleSTW(gc)
@@ -154,7 +154,7 @@ func Equip(m *machine.Machine, scheme string) *Machine {
 	if scheme == "mesh" {
 		sm.Mesh = mesh.New(m.Pool)
 	}
-	sm.Hooks = SchemeHooks(scheme, m.Pool, m.Eng, sm.Mesh, m.GC)
+	sm.Hooks = SchemeHooks(scheme, m.Eng, sm.Mesh, m.GC)
 	return sm
 }
 

@@ -37,9 +37,6 @@ type Config struct {
 	// host values from the new one).
 	MinVal2, MaxVal2 int
 	Seed             int64
-	// ReservoirCap bounds the exact-latency reservoir sample (<=0 selects
-	// DefaultReservoirCap); the histogram always records every operation.
-	ReservoirCap int
 }
 
 // DefaultConfig returns the scaled §7.4 parameters.
@@ -66,8 +63,8 @@ type Sample struct {
 }
 
 // Result is a completed run. Per-operation latencies stream into Lat (a
-// log-linear histogram plus a bounded reservoir) instead of an unbounded
-// slice, so million-op serving runs stay constant-memory.
+// log-linear histogram) instead of an unbounded slice, so million-op serving
+// runs stay constant-memory.
 type Result struct {
 	Samples   []Sample
 	Lat       *LatencyRecorder // simulated cycles per operation
@@ -104,7 +101,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hooks ServeHooks) (
 	keys := cfg.InitialKeys + cfg.ExtraKeys
 	cache := newLRUCache(s, cfg.MaxLiveBytes, keys, keys, nil)
 
-	res := Result{Lat: NewLatencyRecorder(cfg.ReservoirCap, cfg.Seed^0x5ca1ab1e)}
+	res := Result{Lat: NewLatencyRecorder(0, 0)}
 	op, maintEvery := 0, max(cfg.InitialKeys/8, 1)
 	var stall uint64 // pause cycles the next operation waits out
 	lo, hi := cfg.MinVal, cfg.MaxVal

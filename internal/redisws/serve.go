@@ -753,7 +753,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	}
 	dev := p.Device()
 	res := ServeResult{
-		Lat:        NewLatencyRecorder(DefaultReservoirCap, cfg.Seed^0x5ca1ab1e),
+		Lat:        NewLatencyRecorder(0, 0),
 		AppHist:    &obsv.Histogram{},
 		InterfHist: &obsv.Histogram{},
 		StallHist:  &obsv.Histogram{},

@@ -31,7 +31,6 @@ type serveSummary struct {
 	Rate                                     float64
 	LatCount                                 uint64
 	LatP50, LatP99, LatP999                  float64
-	ExactP999                                float64
 	Hists                                    [4]obsv.HistSnapshot
 }
 
@@ -44,13 +43,10 @@ func summarize(res redisws.ServeResult) serveSummary {
 		Stall: res.StallWaitCycles, Queue: res.QueueWaitCycles,
 		SimCycles: res.SimCycles, Makespan: res.Makespan,
 		Rate:     res.RateUsed,
-		LatCount: res.Lat.Count(),
+		LatCount: res.Lat.Hist.Count(),
 		LatP50:   res.Lat.Percentile(50),
 		LatP99:   res.Lat.Percentile(99),
 		LatP999:  res.Lat.Percentile(99.9),
-		// The reservoir is sampled from its own counter stream, so even the
-		// sampled exact percentile must reproduce bit-for-bit.
-		ExactP999: res.Lat.ReservoirPercentile(99.9),
 		Hists: [4]obsv.HistSnapshot{
 			res.AppHist.Snapshot(""), res.InterfHist.Snapshot(""),
 			res.StallHist.Snapshot(""), res.QueueHist.Snapshot(""),

@@ -193,9 +193,8 @@ func runShards(shards []Shard, run func(i int, sh Shard) (ServeResult, error)) (
 
 // MergeServeResults folds per-shard results, in shard-index order, into one
 // deployment-wide result: counters and cycle sums add, histograms merge
-// exactly (obsv.Histogram.Merge), latency reservoirs merge deterministically
-// (LatencyRecorder.Merge), makespan is the slowest shard's, offered load
-// sums, and crash fields surface the crashed shard's outage. One input is
+// exactly (obsv.Histogram.Merge), makespan is the slowest shard's, offered
+// load sums, and crash fields surface the crashed shard's outage. One input is
 // returned as-is, so a one-shard deployment is bit-identical to the
 // unsharded run it wraps.
 func MergeServeResults(rs []ServeResult) ServeResult {
@@ -206,7 +205,7 @@ func MergeServeResults(rs []ServeResult) ServeResult {
 		return rs[0]
 	}
 	m := ServeResult{
-		Lat:        NewLatencyRecorder(rs[0].Lat.Cap(), 0),
+		Lat:        NewLatencyRecorder(0, 0),
 		AppHist:    &obsv.Histogram{},
 		InterfHist: &obsv.Histogram{},
 		StallHist:  &obsv.Histogram{},

@@ -210,10 +210,10 @@ func TestServeShardedRaceHammer(t *testing.T) {
 // answers (count, percentiles, snapshot), since the histogram merge is exact.
 func TestLatencyRecorderMergeMatchesSingleStream(t *testing.T) {
 	const n, vals = 3, 5000
-	ref := redisws.NewLatencyRecorder(256, 0)
+	ref := redisws.NewLatencyRecorder(0, 0)
 	parts := make([]*redisws.LatencyRecorder, n)
 	for i := range parts {
-		parts[i] = redisws.NewLatencyRecorder(256, 0)
+		parts[i] = redisws.NewLatencyRecorder(0, 0)
 	}
 	// Deterministic pseudo-random latencies (LCG), partitioned round-robin.
 	x := uint64(0x2545F4914F6CDD1D)
@@ -223,12 +223,12 @@ func TestLatencyRecorderMergeMatchesSingleStream(t *testing.T) {
 		ref.Observe(v)
 		parts[i%n].Observe(v)
 	}
-	merged := redisws.NewLatencyRecorder(256, 0)
+	merged := redisws.NewLatencyRecorder(0, 0)
 	for _, p := range parts {
 		merged.Merge(p)
 	}
-	if merged.Count() != ref.Count() {
-		t.Fatalf("merged count %d != %d", merged.Count(), ref.Count())
+	if merged.Hist.Count() != ref.Hist.Count() {
+		t.Fatalf("merged count %d != %d", merged.Hist.Count(), ref.Hist.Count())
 	}
 	for _, q := range []float64{50, 90, 99, 99.9} {
 		if m, r := merged.Percentile(q), ref.Percentile(q); m != r {
