@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,11 @@ var (
 	// one flag among them, bracketed when optional.
 	docCmd  = regexp.MustCompile(`\b(ffccd-(?:bench|crashtest|inspect))\b(.*)`)
 	docFlag = regexp.MustCompile(`(?:^|\s)\[?--?([A-Za-z][\w-]*)`)
+	// docTest is a test, fuzz target or benchmark named outright, a trailing
+	// * naming every one it prefixes; docTestFlag a go test -run, -bench or
+	// -fuzz pattern, quoted or not.
+	docTest     = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z_]\w*\*?`)
+	docTestFlag = regexp.MustCompile(`(?:^|\s)-(run|bench|fuzz)[ =]('[^']*'|\S+)`)
 	// flagDecl names the flag.FlagSet methods that declare a flag.
 	flagDecl = regexp.MustCompile(`^((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|BoolFunc|Func|TextVar|Var)$`)
 )
@@ -47,13 +53,17 @@ var (
 // declares (as a top-level name or a method); a backticked path ending .go,
 // .md, .json, .golden or .sh (with an optional :line) that exists neither from
 // the root nor from any package directory or its testdata; a backticked
-// `make X` whose X is no Makefile target; and a backticked `ffccd-bench -x`
+// `make X` whose X is no Makefile target; a backticked `ffccd-bench -x`
 // (or ffccd-crashtest, ffccd-inspect) whose -x that command's main.go does not
-// declare. An allowed reference that resolves
-// again, or that no document names any more, fails too.
+// declare; a backticked TestX, FuzzX or BenchmarkX (or TestX*) that no
+// _test.go file declares as a function; and a backticked go test -run, -bench
+// or -fuzz pattern one of whose |-alternatives matches no such function. An
+// allowed reference that resolves again, or that no document names any more,
+// fails too.
 func TestDocReferencesResolve(t *testing.T) {
 	decls := map[string]map[string]bool{} // package directory name → its top-level names and method names
 	var pkgDirs []string
+	var tests []string // every Test, Fuzz and Benchmark function of a _test.go file
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -65,12 +75,20 @@ func TestDocReferencesResolve(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && docTest.MatchString(fn.Name.Name) {
+					tests = append(tests, fn.Name.Name)
+				}
+			}
+			return nil
 		}
 		dir := filepath.Dir(path)
 		name := filepath.Base(dir)
@@ -106,7 +124,28 @@ func TestDocReferencesResolve(t *testing.T) {
 	targets := makeTargets(t)
 	flags := cmdFlags(t)
 
+	// testNamed reports whether ref names a test function, or prefixes one
+	// when it ends in *.
+	testNamed := func(ref string) bool {
+		prefix, wild := strings.CutSuffix(ref, "*")
+		return slices.ContainsFunc(tests, func(name string) bool {
+			return name == ref || wild && strings.HasPrefix(name, prefix)
+		})
+	}
+	// testMatched reports whether a go test pattern matches a test function;
+	// one that does not compile matches nothing.
+	testMatched := func(pattern string) bool {
+		re, err := regexp.Compile(pattern)
+		return err == nil && slices.ContainsFunc(tests, re.MatchString)
+	}
 	resolves := func(ref string) bool {
+		if pattern, ok := strings.CutPrefix(ref, "go test -"); ok {
+			_, pattern, _ = strings.Cut(pattern, " ")
+			return testMatched(pattern)
+		}
+		if docTest.FindString(ref) == ref {
+			return testNamed(ref)
+		}
 		if m := docMake.FindStringSubmatch(ref); m != nil {
 			for _, target := range strings.Fields(m[1]) {
 				if !targets[target] {
@@ -149,6 +188,15 @@ func TestDocReferencesResolve(t *testing.T) {
 		for _, span := range docSpan.FindAllStringSubmatchIndex(body, -1) {
 			code := strings.Join(strings.Fields(body[span[2]:span[3]]), " ")
 			var refs []string
+			for _, m := range docTestFlag.FindAllStringSubmatch(code, -1) {
+				for _, alt := range alternatives(strings.Trim(m[2], "'")) {
+					if alt != "^$" && alt != "." {
+						refs = append(refs, "go test -"+m[1]+" "+alt)
+					}
+				}
+			}
+			code = docTestFlag.ReplaceAllString(code, "")
+			refs = append(refs, docTest.FindAllString(code, -1)...)
 			if docMake.MatchString(code) || docPath.MatchString(code) {
 				refs = append(refs, code)
 			} else if m := docCmd.FindStringSubmatch(code); m != nil {
@@ -175,6 +223,28 @@ func TestDocReferencesResolve(t *testing.T) {
 			t.Errorf("allowed %s (%s) is no longer quoted or resolves again; drop it from docRefAllowed", ref, why)
 		}
 	}
+}
+
+// alternatives splits a go test pattern at its top-level |s, and each
+// alternative at its first /, which go test matches against subtests.
+func alternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range pattern + "|" {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alt, _, _ := strings.Cut(pattern[start:i], "/")
+				alts = append(alts, alt)
+				start = i + 1
+			}
+		}
+	}
+	return alts
 }
 
 // makeTargets returns the Makefile's targets.

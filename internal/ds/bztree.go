@@ -1,7 +1,8 @@
 package ds
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -20,6 +21,10 @@ type BzTree struct {
 	nodeT pmop.TypeID
 	root  pmop.Ptr // holder: root node @0
 	count int
+	// liveEntries' scratch, reused: the keys it has read and its result.
+	// Each fork grows its own.
+	seen []uint64
+	live []bzKV
 }
 
 // BzTree node layout: count u64 @0, leaf u64 @8, status u64 @16 (PMwCAS
@@ -57,7 +62,7 @@ func NewBzTree(ctx *sim.Ctx, p *pmop.Pool) (*BzTree, error) {
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { t.root = remap(t.root) })
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
-		t.count = len(t.collectLive(ctx, p.ReadPtr(ctx, r, 0)))
+		t.count = t.countLive(ctx, p.ReadPtr(ctx, r, 0))
 		return t, nil
 	}
 	r, err := p.Alloc(ctx, holderT.ID, 0)
@@ -75,44 +80,45 @@ type bzKV struct {
 }
 
 // liveEntries resolves a leaf's append log: newest record per key wins,
-// tombstones remove.
+// tombstones remove. The entries, ascending by key, stay valid until the
+// next call.
 func (t *BzTree) liveEntries(ctx *sim.Ctx, leaf pmop.Ptr) []bzKV {
 	p := t.p
 	n := int(p.ReadU64(ctx, leaf, bzCount))
-	seen := make(map[uint64]bool, n)
-	var out []bzKV
+	t.seen, t.live = t.seen[:0], t.live[:0]
 	for i := n - 1; i >= 0; i-- {
 		meta := p.ReadU64(ctx, leaf, bzMetaOff(i))
 		if meta&bzMetaVisible == 0 {
 			continue
 		}
 		k := p.ReadU64(ctx, leaf, bzKeyOff(i))
-		if seen[k] {
+		if slices.Contains(t.seen, k) {
 			continue
 		}
-		seen[k] = true
+		t.seen = append(t.seen, k)
 		if meta&bzMetaTombstone == 0 {
-			out = append(out, bzKV{k, p.ReadPtr(ctx, leaf, bzPtrOff(i))})
+			t.live = append(t.live, bzKV{k, p.ReadPtr(ctx, leaf, bzPtrOff(i))})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].key < out[b].key })
-	return out
+	slices.SortFunc(t.live, func(a, b bzKV) int { return cmp.Compare(a.key, b.key) })
+	return t.live
 }
 
-func (t *BzTree) collectLive(ctx *sim.Ctx, n pmop.Ptr) []bzKV {
+// countLive counts the live entries of the subtree at n.
+func (t *BzTree) countLive(ctx *sim.Ctx, n pmop.Ptr) int {
 	if n.IsNull() {
-		return nil
+		return 0
 	}
 	p := t.p
 	if p.ReadU64(ctx, n, bzLeafF) == 1 {
-		return t.liveEntries(ctx, n)
+		return len(t.liveEntries(ctx, n))
 	}
-	var out []bzKV
+	live := 0
 	cnt := int(p.ReadU64(ctx, n, bzCount))
 	for i := 0; i < cnt; i++ {
-		out = append(out, t.collectLive(ctx, p.ReadPtr(ctx, n, bzPtrOff(i)))...)
+		live += t.countLive(ctx, p.ReadPtr(ctx, n, bzPtrOff(i)))
 	}
-	return out
+	return live
 }
 
 // Name implements Store.
@@ -314,7 +320,7 @@ func (t *BzTree) Insert(ctx *sim.Ctx, key uint64, val []byte) error {
 		merged = append(merged, kv)
 	}
 	merged = append(merged, bzKV{key, v})
-	sort.Slice(merged, func(a, b int) bool { return merged[a].key < merged[b].key })
+	slices.SortFunc(merged, func(a, b bzKV) int { return cmp.Compare(a.key, b.key) })
 
 	var repl, sib pmop.Ptr
 	var sep uint64

@@ -5,6 +5,7 @@ package faultinject
 // churn it, and restart it after a power failure.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -60,8 +61,8 @@ type prefix struct {
 	setting Setting
 	ops     int
 
-	img    *machine.Image
-	models []map[uint64][]byte // the churner's, one per thread
+	img   *machine.Image
+	model map[uint64][]byte // the churner's
 }
 
 // buildTrial builds the machine, runs the build churn of every thread in
@@ -72,7 +73,7 @@ func buildTrial(setting Setting, seed int64, ops int) (*trial, *churner, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	churn := newChurner(t, uint64(4*ops))
+	churn := newChurner(t, uint64(4*ops), make(map[uint64][]byte))
 	for th := 0; th < setting.Threads; th++ {
 		if err := churn.build(t.Ctx, th, ops, rand.New(rand.NewSource(seed+int64(th)+1))); err != nil {
 			t.Release()
@@ -90,7 +91,7 @@ func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
 		return nil, err
 	}
 	defer t.Release()
-	return &prefix{setting: setting, ops: ops, img: t.Capture(), models: churn.models}, nil
+	return &prefix{setting: setting, ops: ops, img: t.Capture(), model: churn.model}, nil
 }
 
 // fork materializes the prefix as a machine of the caller's own, sharing the
@@ -102,11 +103,7 @@ func (pre *prefix) fork() (*trial, *churner, error) {
 		return nil, nil, err
 	}
 	t := &trial{m, pre.setting}
-	churn := newChurner(t, uint64(4*pre.ops))
-	for th := range churn.models {
-		churn.models[th] = maps.Clone(pre.models[th])
-	}
-	return t, churn, nil
+	return t, newChurner(t, uint64(4*pre.ops), maps.Clone(pre.model)), nil
 }
 
 // engineOptions is the configuration trials defragment and recover under: a
@@ -128,26 +125,24 @@ func (t *trial) engineOptions(opts TrialOptions, seed int64) core.Options {
 
 // churner drives application traffic against a batch machine's store and
 // keeps the model the checker compares the recovered store with. Each
-// simulated thread owns a disjoint key range (tid<<20 + [0, span)) and its own
-// model; the driver interleaves the threads' ops, one at a time, so at most
-// one operation's store transaction is in flight. A crash there leaves the
+// simulated thread draws its keys from a range of its own (tid<<20 + [0,
+// span), wrapped at the store's key cap, so threads of a slot-addressed store
+// share keys); the driver interleaves the threads' ops, one at a time, on one
+// goroutine, so one model of the whole store is exact and at most one
+// operation's store transaction is in flight. A crash there leaves the
 // operation either fully applied or not at all, and the checker accepts both.
 type churner struct {
 	store    ds.Store
 	keyCap   uint64
 	span     uint64
-	models   []map[uint64][]byte
+	model    map[uint64][]byte
 	inFlight *checker.PendingWrite // nil, or &op: the operation under way
 	op       checker.PendingWrite
 }
 
-func newChurner(t *trial, span uint64) *churner {
-	c := &churner{store: t.Store, keyCap: keyCapFor(t.setting.Store), span: span,
-		models: make([]map[uint64][]byte, t.setting.Threads)}
-	for i := range c.models {
-		c.models[i] = make(map[uint64][]byte)
-	}
-	return c
+// newChurner returns the churner of t's store, which holds what model says.
+func newChurner(t *trial, span uint64, model map[uint64][]byte) *churner {
+	return &churner{store: t.Store, keyCap: keyCapFor(t.setting.Store), span: span, model: model}
 }
 
 func (c *churner) key(tid int, r *rand.Rand) uint64 {
@@ -158,27 +153,44 @@ func (c *churner) key(tid int, r *rand.Rand) uint64 {
 	return key
 }
 
-// insert stores a fresh 16..128-byte value, a function of key and i, at key.
-func (c *churner) insert(ctx *sim.Ctx, tid int, key uint64, i int, r *rand.Rand) error {
-	v := make([]byte, 16+r.Intn(113))
-	for j := range v {
-		v[j] = byte(key) ^ byte(j) ^ byte(i)
+// churnValues holds every value the churner stores: row r is the 128-byte
+// value t[r][j] = r^j. Nothing writes it once it is built, so every trial
+// shares it, and the store, the model and the in-flight write all hold
+// windows of it (Insert stores a copy).
+var churnValues [256][128]byte
+
+func init() {
+	// Eight bytes at a time: bytes j..j+7 of row r are (j+k)^r, and j+k
+	// never carries out of its byte. Every program that links the package
+	// pays this at start-up.
+	const ones = 0x0101010101010101
+	for r := range churnValues {
+		for j := 0; j < len(churnValues[r]); j += 8 {
+			binary.LittleEndian.PutUint64(churnValues[r][j:], (0x0706050403020100+uint64(j)*ones)^uint64(r)*ones)
+		}
 	}
+}
+
+// insert stores a 16..128-byte value, a function of key and i, at key: the
+// value byte j is key^j^i, the head of churnValues' row key^i.
+func (c *churner) insert(ctx *sim.Ctx, key uint64, i int, r *rand.Rand) error {
+	n := 16 + r.Intn(113)
+	v := churnValues[byte(key)^byte(i)][:n:n]
 	c.op, c.inFlight = checker.PendingWrite{Key: key, Val: v}, &c.op
 	if err := c.store.Insert(ctx, key, v); err != nil {
 		return err
 	}
-	c.models[tid][key] = v
+	c.model[key] = v
 	c.inFlight = nil
 	return nil
 }
 
-func (c *churner) remove(ctx *sim.Ctx, tid int, key uint64) error {
+func (c *churner) remove(ctx *sim.Ctx, key uint64) error {
 	c.op, c.inFlight = checker.PendingWrite{Key: key}, &c.op
 	if _, err := c.store.Delete(ctx, key); err != nil {
 		return err
 	}
-	delete(c.models[tid], key)
+	delete(c.model, key)
 	c.inFlight = nil
 	return nil
 }
@@ -191,9 +203,9 @@ func (c *churner) churn(ctx *sim.Ctx, tid, ops int, r *rand.Rand) error {
 		var err error
 		switch r.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
-			err = c.insert(ctx, tid, key, i, r)
+			err = c.insert(ctx, key, i, r)
 		case 6, 7:
-			err = c.remove(ctx, tid, key)
+			err = c.remove(ctx, key)
 		default:
 			c.store.Get(ctx, key)
 		}
@@ -212,7 +224,7 @@ func (c *churner) build(ctx *sim.Ctx, tid, ops int, r *rand.Rand) error {
 	keys := make([]uint64, ops)
 	for i := range keys {
 		keys[i] = c.key(tid, r)
-		if err := c.insert(ctx, tid, keys[i], i, r); err != nil {
+		if err := c.insert(ctx, keys[i], i, r); err != nil {
 			return err
 		}
 	}
@@ -220,20 +232,11 @@ func (c *churner) build(ctx *sim.Ctx, tid, ops int, r *rand.Rand) error {
 		if i%4 == 0 {
 			continue // survivor — keeps its frame sparsely occupied
 		}
-		if err := c.remove(ctx, tid, key); err != nil {
+		if err := c.remove(ctx, key); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// model merges the per-thread models.
-func (c *churner) model() map[uint64][]byte {
-	model := make(map[uint64][]byte)
-	for _, m := range c.models {
-		maps.Copy(model, m)
-	}
-	return model
 }
 
 // restart is the one post-crash sequence of every crash driver — §7.1's
@@ -316,6 +319,10 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 	if r.after != nil {
 		r.after(ctx, m.Pool, m.Store)
 	}
+	// The restart is over: the checker's context takes the recovery
+	// context's TLB arrays.
+	cycles = ctx.Clock.Total()
+	ctx.Release()
 	chk := sim.NewCtx(&m.Cfg)
 	defer chk.Release()
 	if model, err = checker.DurableAcks(chk, m.Store, r.model, r.pending); err != nil {
@@ -324,5 +331,5 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 	if _, err := checker.CheckGraph(chk, m.Pool); err != nil {
 		return nil, 0, fmt.Errorf("checker step 2 (%s): %w", r.label, err)
 	}
-	return model, ctx.Clock.Total(), nil
+	return model, cycles, nil
 }

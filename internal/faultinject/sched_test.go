@@ -224,6 +224,18 @@ func TestCampaignCleanSweep(t *testing.T) {
 	}
 }
 
+// SS caps its keys at its slot count, so the threads of an SS/nT setting
+// draw keys that collide once wrapped: a delete by one thread removes a key
+// another inserted. The census check and every crash trial must still pass,
+// which takes one model of the whole store, not one per thread.
+func TestThreadsSharingSlotKeysCheckClean(t *testing.T) {
+	s := faultinject.Setting{Store: "SS", Threads: 2, Scheme: core.SchemeFFCCD}
+	out := faultinject.ExploreSetting(s, faultinject.CampaignOptions{Seed: 1, MaxSites: 4, Nested: true, MaxNested: 2})
+	if out.Skipped || out.Scheduled == 0 || out.Passed != out.Scheduled || len(out.Failures) > 0 {
+		t.Fatalf("%s: skipped=%v, %d/%d passed, failures: %+v", s, out.Skipped, out.Passed, out.Scheduled, out.Failures)
+	}
+}
+
 func TestNestedCrashAllSettings(t *testing.T) {
 	// Crash mid-compaction, crash again mid-recovery, then demand the final
 	// unscheduled recovery satisfies the two-step checker — for all 26

@@ -27,6 +27,7 @@ import (
 	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // Crash policies a schedule can name.
@@ -303,9 +304,8 @@ func (r Repro) shrinks() []Schedule {
 
 // RunScheduled executes one deterministic batch trial, as a campaign of one.
 // It runs on one goroutine end to end — the simulated threads' churn, each
-// with its own RNG stream and disjoint key range, is interleaved in a fixed
-// order — so the sequence of crash-site passages is a pure function of the
-// Repro.
+// with its own RNG stream and key range, is interleaved in a fixed order — so
+// the sequence of crash-site passages is a pure function of the Repro.
 func RunScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	return new(campaign).runScheduled(rep, opts)
 }
@@ -338,6 +338,21 @@ func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	return t.runArmed(rep, policy, churn, opts)
 }
 
+// rands pools the tail churn's random streams across trials: a math/rand
+// source is 4.9 KB, and reseeding one yields the stream a new one seeded
+// alike would.
+var rands = workpool.FreeList[*rand.Rand]{PerWorker: maxThreads}
+
+// takeRand returns a stream seeded with seed, on a pooled source when there
+// is one. The caller puts it back in rands once it is done with it.
+func takeRand(seed int64) *rand.Rand {
+	if r, ok := rands.Take(nil); ok {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
 // runArmed is the trial from the built, flushed machine on: everything a
 // schedule can crash. One goroutine does the churn, the engine stepping, the
 // crash, the recovery and the checking: the threads' tail churn and the
@@ -355,9 +370,14 @@ func (t *trial) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opt
 	tailRngs := make([]*rand.Rand, setting.Threads)
 	tailLeft := make([]int, setting.Threads)
 	for th := range tailRngs {
-		tailRngs[th] = rand.New(rand.NewSource(rep.Seed ^ 0x5a5a + int64(th)))
+		tailRngs[th] = takeRand(rep.Seed ^ 0x5a5a + int64(th))
 		tailLeft[th] = rep.TailOps
 	}
+	defer func() {
+		for _, r := range tailRngs {
+			rands.Put(r)
+		}
+	}()
 	var churnErr error
 	dev.ArmSites(rep.Site)
 	res.Crash = pmem.CatchCrash(func() {
@@ -397,7 +417,7 @@ func (t *trial) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opt
 		e.Close()
 		dev.FlushAll(ctx)
 		res.FinalHash = dev.HashMedia()
-		if err := checker.CheckStore(ctx, t.Store, churn.model()); err != nil {
+		if err := checker.CheckStore(ctx, t.Store, churn.model); err != nil {
 			return res, fmt.Errorf("census check 1 (%s): %w", setting, err)
 		}
 		if _, err := checker.CheckGraph(ctx, t.Pool); err != nil {
@@ -413,7 +433,7 @@ func (t *trial) runArmed(rep Repro, policy pmem.CrashPolicy, churn *churner, opt
 	res.Began = true
 	r := restart{label: setting.String(), m: t.Machine, policy: policy, nested: rep.Nested, opt: opt,
 		open:  func(ctx *sim.Ctx, p *pmop.Pool) (ds.Store, error) { return buildStore(ctx, p, setting.Store) },
-		after: opts.AfterRecovery, model: churn.model(), pending: churn.inFlight}
+		after: opts.AfterRecovery, model: churn.model, pending: churn.inFlight}
 	if _, _, err := r.run(&res); err != nil {
 		return res, err
 	}

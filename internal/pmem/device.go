@@ -571,19 +571,6 @@ func (d *Device) powerLossFlushRBB() {
 	}
 }
 
-// InflightLines returns the addresses of clwb'd-but-unfenced lines in
-// ascending order (for fault injection to enumerate crash outcomes).
-func (d *Device) InflightLines() []uint64 {
-	var out []uint64
-	for i := range d.sets {
-		for _, fl := range d.sets[i].inflight {
-			out = append(out, fl.lineIdx<<LineShift)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // LineState reports, for tests, where the newest copy of the line containing
 // addr currently lives.
 type LineState int

@@ -69,8 +69,20 @@ func checkHash(t *testing.T, d *Device, when string) {
 // TestHashMediaMatchesDenseReference drives random sequences of every
 // operation that writes media (or drops pages) and compares the page walk
 // with the dense loop along the way. Sizes cover a media smaller than a word,
-// an unaligned tail, exactly whole pages, a page count that is not a multiple
-// of a leaf, and a device large enough that unheld runs span many leaves.
+// an unaligned tail, a media the cache holds whole, exactly whole pages, a
+// page count that is not a multiple of a leaf, and a device large enough that
+// unheld runs span many leaves.
+//
+// The same steps drive the persistence oracle (oracle_test.go), which is also
+// the device's RBB sink: after every crash, under each of the three policies,
+// and after every FlushAll, each line the steps touched must hold an image
+// the oracle allows, and at every dense check every line must. Where the
+// cache holds the whole media nothing is evicted and the oracle knows which
+// lines are dirty; elsewhere it allows every write-back an eviction could
+// have made. Mutations each fail it (checked by hand): a bodiless
+// load reading media ahead of the in-flight copy; a crash landing every
+// in-flight line whatever the policy; a clwb dropping the relocate pending
+// bit; a fence reporting every line it drains to the RBB.
 func TestHashMediaMatchesDenseReference(t *testing.T) {
 	cases := []struct {
 		size  uint64
@@ -79,6 +91,7 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 	}{
 		{7, 400, 1},
 		{5000, 1500, 7},
+		{16 << 10, 3000, 25},
 		{1 << 20, 3000, 50},
 		{1<<20 + 4096 + 13, 3000, 50},
 		{64 << 20, 2000, 500},
@@ -97,6 +110,8 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + ci)))
 			d := NewDevice(&cfg, tc.size)
 			defer func() { d.ReleaseMedia() }()
+			o := newPersistOracle(tc.size > uint64(cfg.CacheBytes)) // the device's RBB sink too
+			d.SetRBB(o)
 			checkHash(t, d, "fresh")
 
 			// The cache works in whole lines, so cached operations stay below
@@ -137,6 +152,8 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 				return addr, 1 + uint64(rng.Int63n(int64(end-addr)))
 			}
 			var cp *DeviceCheckpoint
+			var ocp *persistOracle
+			var err error // what the oracle finds wrong with the step
 			for step := 1; step <= tc.steps; step++ {
 				zeroed := false // a dense check after every MediaZero on the small devices
 				op := rng.Intn(100)
@@ -146,9 +163,13 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 				switch {
 				case op < 40:
 					addr, n := span(cached, 300)
+					if rng.Intn(3) == 0 { // over a recent write, maybe in flight
+						addr = min(recent[rng.Intn(len(recent))], cached-n)
+					}
 					data := make([]byte, n)
 					rng.Read(data)
 					d.Store(ctx, addr, data)
+					o.store(addr, data)
 					recent[step%len(recent)] = addr
 				case op < 55:
 					addr := recent[rng.Intn(len(recent))]
@@ -156,16 +177,21 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 						addr, _ = span(cached, 1)
 					}
 					d.Clwb(ctx, addr)
+					o.clwb(addr)
 				case op < 65:
 					d.Sfence(ctx)
+					err = o.sfence()
 				case op < 75:
 					dst, n := span(cached, 200)
 					src, _ := span(cached-n+1, 1)
 					d.Relocate(ctx, dst, src, n)
+					o.relocate(dst, src, n)
 					recent[step%len(recent)] = dst
 				case op < 82:
 					if rng.Intn(4) == 0 {
-						d.MediaZero(zeroSpan())
+						addr, n := zeroSpan()
+						d.MediaZero(addr, n)
+						o.mediaWrite(addr, make([]byte, n))
 						zeroed = true
 						break
 					}
@@ -173,51 +199,68 @@ func TestHashMediaMatchesDenseReference(t *testing.T) {
 					data := make([]byte, n)
 					rng.Read(data)
 					d.MediaWrite(addr, data)
+					o.mediaWrite(addr, data)
 					recent[step%len(recent)] = addr
 				case op < 85:
 					d.FlushAll(ctx)
+					err = o.flushAll(d)
 				case op < 90:
+					policy := DropAllInflight
 					switch rng.Intn(3) {
-					case 0:
-						d.SetCrashPolicy(DropAllInflight)
 					case 1:
-						d.SetCrashPolicy(KeepAllInflight)
-					default:
+						policy = KeepAllInflight
+					case 2:
 						salt := rng.Uint64()
-						d.SetCrashPolicy(func(line uint64) bool {
+						policy = func(line uint64) bool {
 							return (line*0x9E3779B97F4A7C15+salt)&1 == 0
-						})
+						}
 					}
+					d.SetCrashPolicy(policy)
 					d.Crash()
+					err = o.crash(d, func(l uint64) bool { return policy(l << LineShift) })
 				case op < 91:
 					if tc.size <= 1<<21 { // a dense image: keep it off the big device
 						img := d.SnapshotMedia()
 						img[rng.Intn(len(img))] ^= 0x5a
 						d.RestoreMedia(img)
+						o.restoreMedia(img)
 					}
 				case op < 95:
-					cp = d.Checkpoint()
+					cp, ocp = d.Checkpoint(), o.clone()
 				case op < 98:
 					if cp != nil {
 						// Into the same device: zeroes the pages dirtied since.
 						d.Restore(cp)
+						*o = *ocp.clone()
 					}
 				default:
 					if cp != nil {
 						// Into a fresh device; the old one's pages and arrays go
 						// back for reuse.
 						nd := NewDevice(&cfg, tc.size)
+						nd.SetRBB(o)
 						nd.Restore(cp)
 						d.ReleaseMedia()
 						d = nd
+						*o = *ocp.clone()
 					}
 				}
-				if step%tc.every == 0 || zeroed && tc.size <= 2<<20 {
+				if err == nil && (step%tc.every == 0 || zeroed && tc.size <= 2<<20) {
 					checkHash(t, d, fmt.Sprintf("step %d", step))
+					err = o.checkAll(d.SnapshotMedia())
+				}
+				if err != nil {
+					t.Fatalf("step %d: the persistence oracle: %v", step, err)
 				}
 			}
 			d.FlushAll(ctx)
 			checkHash(t, d, "final")
+			if err := o.flushAll(d); err != nil {
+				t.Fatalf("final flush: the persistence oracle: %v", err)
+			}
+			if ev := d.Stats().Evictions; !o.evicts && ev != 0 {
+				t.Fatalf("a cache larger than the media evicted %d lines", ev)
+			}
 		})
 	}
 }

@@ -86,3 +86,25 @@ func TestEvictionsAreLRU(t *testing.T) {
 		t.Errorf("store holds %d entries, cap allows ~102", store.Len())
 	}
 }
+
+// Every value is a window of one shared table sized for MaxValue bytes, so a
+// config that asks for longer values is an error of Run and Serve, not a
+// slice past the table's end.
+func TestValuesPastMaxValueAreRejected(t *testing.T) {
+	p, ctx := setup(t)
+	store, _ := kv.NewEcho(ctx, p, 64)
+	cfg := redisws.Config{InitialKeys: 4, MinVal: 8, MaxVal: redisws.MaxValue + 1, Seed: 7}
+	if _, err := redisws.Run(ctx, p, store, cfg, redisws.ServeHooks{}); err == nil {
+		t.Error("Run accepted values of MaxValue+1 bytes")
+	}
+	scfg := redisws.DefaultServeConfig()
+	scfg.Keyspace, scfg.Ops = 16, 16
+	scfg.MinVal2, scfg.MaxVal2 = 8, redisws.MaxValue+1
+	if _, err := redisws.Serve(ctx, p, store, scfg, redisws.ServeHooks{}); err == nil {
+		t.Error("Serve accepted post-drift values of MaxValue+1 bytes")
+	}
+	scfg.MaxVal2 = redisws.MaxValue
+	if _, err := redisws.Serve(ctx, p, store, scfg, redisws.ServeHooks{}); err != nil {
+		t.Errorf("values of MaxValue bytes: %v", err)
+	}
+}

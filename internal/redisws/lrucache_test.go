@@ -19,7 +19,7 @@ func (s *recordingStore) Name() string { return "recording" }
 func (s *recordingStore) Len() int     { return 0 }
 
 func (s *recordingStore) Insert(_ *sim.Ctx, k uint64, v []byte) error {
-	if want := fillValue(nil, k, len(v)); !slices.Equal(v, want) {
+	if want := wantValue(k, len(v)); !slices.Equal(v, want) {
 		s.t.Fatalf("Insert(%d) got % x, want % x", k, v, want)
 	}
 	return nil
@@ -31,6 +31,15 @@ func (s *recordingStore) Delete(_ *sim.Ctx, k uint64) (bool, error) {
 }
 
 func (s *recordingStore) Get(*sim.Ctx, uint64) ([]byte, bool) { return nil, false }
+
+// wantValue is the n-byte value a write stores at key k: byte i is k+i.
+func wantValue(k uint64, n int) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = byte(k) + byte(i)
+	}
+	return v
+}
 
 // lruModel is the reference LRU: a slice, most recently used first.
 type lruModel struct {
@@ -94,7 +103,8 @@ const lruBound = 16
 // model, and compares their entries, live bytes, evictions and the order in
 // which they delete keys; every live key must index its node and every other
 // key below the bound noNode. After a rebuild the cache keeps acked, so its
-// sets build fresh values; acked must still hold each one intact at the end.
+// sets store windows of the shared value table there; acked must still hold
+// each one intact at the end.
 func FuzzLRUCache(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 2, 9, 0, 3, 9, 1, 1, 2, 40, 0, 4, 9})
 	f.Add([]byte{0, 5, 200, 0, 5, 3, 0, 6, 200, 2, 0, 0, 7, 1, 3, 3, 9, 9, 0, 9, 8, 1, 9})
@@ -139,7 +149,7 @@ func FuzzLRUCache(f *testing.F) {
 				model := map[uint64][]byte{}
 				for i := next() % 9; i > 0; i-- {
 					k := uint64(next() % lruBound)
-					model[k] = fillValue(nil, k, int(next()%64+1))
+					model[k] = wantValue(k, int(next()%64+1))
 				}
 				c.rebuild(model)
 				m.ents = m.ents[:0]
@@ -178,7 +188,7 @@ func FuzzLRUCache(f *testing.F) {
 			t.Fatalf("acked holds %d keys, %d live", len(c.acked), len(m.ents))
 		}
 		for _, e := range m.ents {
-			if v, want := c.acked[e.key], fillValue(nil, e.key, int(e.size)); !slices.Equal(v, want) {
+			if v, want := c.acked[e.key], wantValue(e.key, int(e.size)); !slices.Equal(v, want) {
 				t.Fatalf("acked[%d] = % x, want % x", e.key, v, want)
 			}
 		}

@@ -30,7 +30,7 @@ type Config struct {
 	InitialKeys      int
 	ExtraKeys        int
 	QueriesPerInsert int
-	MinVal, MaxVal   int
+	MinVal, MaxVal   int // value sizes; MaxVal and MaxVal2 at most MaxValue
 	// MinVal2/MaxVal2, when nonzero, change the value-size distribution for
 	// the post-initial insert phase — the size-class drift that makes
 	// long-running caches fragment (holes from the old distribution cannot
@@ -85,6 +85,9 @@ type FootprintFn func() alloc.FragStats
 func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hooks ServeHooks) (Result, error) {
 	if hooks.Crash != nil {
 		return Result{}, errors.New("redisws.Run: a crash plan needs Serve; Run has no recovery path")
+	}
+	if err := checkValueSizes(cfg.MaxVal, cfg.MaxVal2); err != nil {
+		return Result{}, err
 	}
 	foot := hooks.Foot
 	if foot == nil {

@@ -2,6 +2,7 @@ package redisws
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 
@@ -65,7 +66,7 @@ type ServeConfig struct {
 	GetFraction float64 // fraction of GETs (default 0.9)
 
 	MaxLiveBytes     uint64 // LRU cap; 0 disables eviction
-	MinVal, MaxVal   int    // value sizes (default 240..492)
+	MinVal, MaxVal   int    // value sizes (default 240..492; at most MaxValue)
 	MinVal2, MaxVal2 int    // post-drift sizes, switched at Ops/2 when set
 
 	Seed       int64
@@ -347,9 +348,9 @@ type lruCache struct {
 	index            []int32
 	liveBytes        uint64
 	evictions        int
-	val              []byte // the value set builds while acked is nil
 	acked            map[uint64][]byte
-	pending          *PendingWrite
+	pending          *PendingWrite // nil, or &op: the operation under way
+	op               PendingWrite
 }
 
 // lruNode is one key's node: its entry and its neighbours towards the head
@@ -377,7 +378,7 @@ func newLRUCache(store ds.Store, maxLive uint64, keys, bound int, acked map[uint
 // shares nothing c writes, with no store.
 func (c *lruCache) clone() *lruCache {
 	d := *c
-	d.store, d.val, d.pending = nil, nil, nil
+	d.store, d.pending = nil, nil
 	d.nodes = append(make([]lruNode, 0, cap(c.nodes)), c.nodes...)
 	d.index = slices.Clone(c.index)
 	if c.acked != nil {
@@ -436,18 +437,13 @@ func (c *lruCache) moveToFront(i int32) {
 	}
 }
 
-// set writes key k's n-byte value (fillValue) on ctx, makes k the most
-// recently used key and evicts down to the cap, also on ctx. Without a
-// durable-ack mirror the value is built in one buffer the cache reuses —
-// Insert stores a copy; with one, acked keeps the value, so it is fresh.
+// set writes key k's n-byte value (Value) on ctx, makes k the most recently
+// used key and evicts down to the cap, also on ctx. Insert stores a copy, and
+// the durable-ack mirror keeps the window.
 func (c *lruCache) set(ctx *sim.Ctx, k uint64, n int) error {
-	var v []byte
+	v := Value(k, n)
 	if c.acked != nil {
-		v = fillValue(nil, k, n)
-		c.pending = &PendingWrite{Key: k, Val: v}
-	} else {
-		c.val = fillValue(c.val, k, n)
-		v = c.val
+		c.op, c.pending = PendingWrite{Key: k, Val: v}, &c.op
 	}
 	if err := c.store.Insert(ctx, k, v); err != nil {
 		return err
@@ -475,7 +471,7 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 		i := c.tail
 		ent := c.nodes[i].lruEnt
 		if c.acked != nil {
-			c.pending = &PendingWrite{Key: ent.key}
+			c.op, c.pending = PendingWrite{Key: ent.key}, &c.op
 		}
 		if _, err := c.store.Delete(ctx, ent.key); err != nil {
 			return err
@@ -515,17 +511,34 @@ func (c *lruCache) rebuild(model map[uint64][]byte) {
 	c.acked, c.pending = model, nil
 }
 
-// fillValue fills buf, grown when it is short, with the n-byte value a write
-// stores at key k and returns it.
-func fillValue(buf []byte, k uint64, n int) []byte {
-	if cap(buf) < n {
-		buf = make([]byte, n)
+// MaxValue is the largest value a run writes: a config's MaxVal and MaxVal2
+// are at most MaxValue.
+const MaxValue = 4096
+
+// values holds every value a run writes: t[x] = x, long enough for an
+// n-byte window at any offset below 256 when n <= MaxValue. Nothing writes
+// it once it is built, so every machine shares it.
+var values [255 + MaxValue]byte
+
+func init() {
+	for x := range values {
+		values[x] = byte(x)
 	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = byte(k) + byte(i)
+}
+
+// Value returns the n-byte value a write stores at key k, whose byte i is
+// k+i: the window of values at k's low byte. Callers must not write it.
+func Value(k uint64, n int) []byte {
+	o := int(byte(k))
+	return values[o : o+n : o+n]
+}
+
+// checkValueSizes reports whether a config's value sizes fit Value.
+func checkValueSizes(maxVal, maxVal2 int) error {
+	if max(maxVal, maxVal2) > MaxValue {
+		return fmt.Errorf("redisws: values of up to %d bytes configured, at most %d supported", max(maxVal, maxVal2), MaxValue)
 	}
-	return buf
+	return nil
 }
 
 // Loaded is a serving run up to its first dispatch, apart from the machine
@@ -637,6 +650,9 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	}
 	if cfg.MinVal <= 0 || cfg.MaxVal < cfg.MinVal {
 		cfg.MinVal, cfg.MaxVal = 240, 492
+	}
+	if err := checkValueSizes(cfg.MaxVal, cfg.MaxVal2); err != nil {
+		return nil, err
 	}
 	if cfg.MaintEvery <= 0 {
 		cfg.MaintEvery = cfg.Keyspace / 4
