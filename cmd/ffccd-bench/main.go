@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -290,15 +291,15 @@ func metricsHandler(finished *atomic.Pointer[obsv.Collector]) http.HandlerFunc {
 	}
 }
 
-// parseScale resolves the -scale argument: a float, or the shorthand
-// "paper" for 1.0 (the paper's full 5M-insert setup).
+// parseScale resolves the -scale argument: a finite positive float, or the
+// shorthand "paper" for 1.0 (the paper's full 5M-insert setup).
 func parseScale(s string) (float64, error) {
 	if s == "paper" {
 		return 1.0, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("want a positive number or 'paper', got %q", s)
+	if err != nil || !(v > 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("want a finite positive number or 'paper', got %q", s)
 	}
 	return v, nil
 }

@@ -57,14 +57,18 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 }
 
 // TestUsageErrorsExitTwo: what the command line gets wrong is reported before
-// any experiment runs, with the usage exit code. -fork and -repeat are flags
-// this command no longer has. An unknown -scheme is refused before table1
+// any experiment runs, with the usage exit code. A -scale must be finite and
+// positive (NaN passes a plain <= 0 test). -fork and -repeat are flags this
+// command no longer has. An unknown -scheme is refused before table1
 // runs under -experiment all.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-experiment", "fig99"},
 		{"-experiment", "table1", "-scale", "-1"},
 		{"-experiment", "table1", "-scale", "big"},
+		{"-experiment", "fig5", "-scale", "NaN"},
+		{"-experiment", "fig1", "-scale", "Inf"},
+		{"-experiment", "fig1", "-scale", "-Inf"},
 		{"-experiment", "serving", "-shards", "0"},
 		{"-experiment", "serving", "-scale", "0.0002", "-shards", "5000"},
 		{"-experiment", "table1", "-fork=false"},

@@ -31,7 +31,7 @@ var (
 	// out first.
 	docSpan   = regexp.MustCompile("`([^`]+)`")
 	docFence  = regexp.MustCompile("(?s)```.*?```")
-	docPkgRef = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	docPkgRef = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
 	docPath   = regexp.MustCompile(`^[\w./-]+\.(go|md|json|golden|sh)(:\d+)?$`)
 	docMake   = regexp.MustCompile(`^make ([\w -]+)$`)
 	// docCmd is a command of cmd/ and the arguments after it, and docFlag
@@ -50,7 +50,9 @@ var (
 // TestDocReferencesResolve fails on a code reference in referenceDocs that
 // names nothing in the tree: a backticked exported pkg.Name, where pkg is the
 // name of a package directory, that no non-test file of that package
-// declares (as a top-level name or a method); a backticked path ending .go,
+// declares (as a top-level name or a method); a backticked pkg.Type.Member
+// chain whose Member is no field or method of that type (nor promoted from a
+// type it embeds); a backticked path ending .go,
 // .md, .json, .golden or .sh (with an optional :line) that exists neither from
 // the root nor from any package directory or its testdata; a backticked
 // `make X` whose X is no Makefile target; a backticked `ffccd-bench -x`
@@ -61,7 +63,15 @@ var (
 // allowed reference that resolves again, or that no document names any more,
 // fails too.
 func TestDocReferencesResolve(t *testing.T) {
-	decls := map[string]map[string]bool{} // package directory name → its top-level names and method names
+	decls := map[string]map[string]bool{}   // package directory name → its top-level names and method names
+	members := map[string]map[string]bool{} // "pkg.Type" → its fields and methods
+	embeds := map[string][]string{}         // "pkg.Type" → the "pkg.Type" of each type it embeds
+	member := func(typ, m string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][m] = true
+	}
 	var pkgDirs []string
 	var tests []string // every Test, Fuzz and Benchmark function of a _test.go file
 	fset := token.NewFileSet()
@@ -103,11 +113,35 @@ func TestDocReferencesResolve(t *testing.T) {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				decls[name][d.Name.Name] = true
+				if d.Recv != nil {
+					member(typeKey(name, d.Recv.List[0].Type), d.Name.Name)
+				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						decls[name][s.Name.Name] = true
+						typ := name + "." + s.Name.Name
+						member(typ, "") // a type, even with no members
+						fields := &ast.FieldList{}
+						switch t := s.Type.(type) {
+						case *ast.StructType:
+							fields = t.Fields
+						case *ast.InterfaceType:
+							fields = t.Methods
+						}
+						for _, f := range fields.List {
+							for _, n := range f.Names {
+								member(typ, n.Name)
+							}
+							if len(f.Names) == 0 {
+								// An embedded type is a field under its own
+								// name, and its members are promoted.
+								e := typeKey(name, f.Type)
+								member(typ, e[strings.LastIndex(e, ".")+1:])
+								embeds[typ] = append(embeds[typ], e)
+							}
+						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							decls[name][n.Name] = true
@@ -123,6 +157,18 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 	targets := makeTargets(t)
 	flags := cmdFlags(t)
+
+	// hasMember reports whether typ has m as a field or method, its own or
+	// promoted from a type it embeds.
+	var hasMember func(typ, m string, depth int) bool
+	hasMember = func(typ, m string, depth int) bool {
+		if members[typ][m] {
+			return true
+		}
+		return depth < 8 && slices.ContainsFunc(embeds[typ], func(e string) bool {
+			return hasMember(e, m, depth+1)
+		})
+	}
 
 	// testNamed reports whether ref names a test function, or prefixes one
 	// when it ends in *.
@@ -169,6 +215,9 @@ func TestDocReferencesResolve(t *testing.T) {
 			return flags[cmd][flag]
 		}
 		pkg, name, _ := strings.Cut(ref, ".")
+		if typ, m, ok := strings.Cut(name, "."); ok {
+			return decls[pkg][typ] && hasMember(pkg+"."+typ, m, 0)
+		}
 		return decls[pkg][name]
 	}
 
@@ -205,7 +254,11 @@ func TestDocReferencesResolve(t *testing.T) {
 				}
 			} else {
 				for _, m := range docPkgRef.FindAllStringSubmatch(code, -1) {
-					if decls[m[1]] != nil {
+					switch {
+					case decls[m[1]] == nil:
+					case m[3] != "" && members[m[1]+"."+m[2]] != nil:
+						refs = append(refs, m[1]+"."+m[2]+"."+m[3])
+					default:
 						refs = append(refs, m[1]+"."+m[2])
 					}
 				}
@@ -302,6 +355,30 @@ func cmdFlags(t *testing.T) map[string]map[string]bool {
 		flags[filepath.Base(filepath.Dir(path))] = declared
 	}
 	return flags
+}
+
+// typeKey returns "pkg.Type" for a receiver or embedded-field type expression
+// of a file in package pkg: T, *T, T[P] and q.T (q's own package).
+func typeKey(pkg string, x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.SelectorExpr:
+			if q, ok := t.X.(*ast.Ident); ok {
+				return q.Name + "." + t.Sel.Name
+			}
+			return ""
+		case *ast.Ident:
+			return pkg + "." + t.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // callee returns x and m of a call x.m(...) whose x is an identifier, and

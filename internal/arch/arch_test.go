@@ -86,6 +86,35 @@ func TestRBBPowerLossFlushSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestRBBCrashKeepsEvictedAndResidentBits: past the RBB's capacity some
+// reached words are already written back and the rest sit dirty in the
+// buffer; after a crash and the ADR flush, media holds every one of them.
+func TestRBBCrashKeepsEvictedAndResidentBits(t *testing.T) {
+	cfg, dev, ctx := testSetup()
+	rbb := NewRBB(cfg, dev)
+	rbb.Configure(1<<20, 0, 256)
+	dev.SetRBB(rbb)
+	n := cfg.RBBEntries + 5
+	for f := 0; f < n; f++ {
+		dst := uint64(f) << FrameShift
+		dev.Relocate(ctx, dst, 1<<19, 64)
+		dev.Clwb(ctx, dst)
+		dev.Sfence(ctx)
+	}
+	if rbb.Writebacks == 0 {
+		t.Fatal("no entry was evicted; the test needs written-back words")
+	}
+	dev.Crash()
+	rbb.PowerLossFlush()
+	var buf [8]byte
+	for f := 0; f < n; f++ {
+		dev.MediaRead(1<<20+uint64(f)*8, buf[:])
+		if binary.LittleEndian.Uint64(buf[:])&1 == 0 {
+			t.Fatalf("frame %d's reached bit lost across the crash", f)
+		}
+	}
+}
+
 func TestRBBUnreachedLineLeavesNoBit(t *testing.T) {
 	cfg, dev, ctx := testSetup()
 	rbb := NewRBB(cfg, dev)

@@ -7,13 +7,11 @@ import (
 	"ffccd/internal/sim"
 )
 
-// CLUStats is an optional shared sink for checklookup-unit counters. Units
-// are transient — one per read-barrier resolve context — so their own
-// counters vanish with them; an engine that wants machine-wide BFC/PMFTLB
-// totals (the obsv snapshot groups) hands every unit it creates the same
-// CLUStats. Plain counters: every simulated thread's resolves run on the
-// machine's one goroutine. Purely host-side bookkeeping: it never charges
-// cycles.
+// CLUStats is an optional shared sink for checklookup-unit counters. An
+// engine that wants machine-wide BFC/PMFTLB totals (the obsv snapshot
+// groups) points its unit's Shared at one CLUStats. Plain counters: every
+// simulated thread's resolves run on the machine's one goroutine. Purely
+// host-side bookkeeping: it never charges cycles.
 type CLUStats struct {
 	BFCHits, BFCMisses       uint64
 	PMFTLBHits, PMFTLBMisses uint64
@@ -163,8 +161,8 @@ func NewCheckLookupUnit(cfg *sim.Config) *CheckLookupUnit {
 
 // Reset restores power-on state: BFC and PMFTLB invalid, LRU clock at zero.
 // A reset unit simulates bit-identically to a freshly constructed one (the
-// counters are host-side totals and charge nothing), which is what lets
-// engines recycle units across resolves instead of allocating each time.
+// counters are host-side totals and charge nothing). The engine resets its
+// one unit before every read-barrier resolve, so each resolve starts cold.
 func (u *CheckLookupUnit) Reset() {
 	u.bfcValid = false
 	for i := range u.tlb {

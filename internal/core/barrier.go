@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ffccd/internal/arch"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -15,46 +14,6 @@ import (
 type readBarrier struct {
 	e  *Engine
 	ep *epochState
-}
-
-// cluFor returns the checklookup unit for one resolve. A unit already
-// attached to the context (planted there by a checkpoint restore, so a fork
-// resumes with the warm BFC/PMFTLB it captured) is used as-is. Otherwise a
-// unit comes from the engine's pool, Reset to power-on state — simulating
-// identically to the fresh allocation this replaces — and the caller must
-// hand it back with cluDone. pooled reports which case applied.
-func (e *Engine) cluFor(ctx *sim.Ctx) (u *arch.CheckLookupUnit, pooled bool) {
-	if u, ok := ctx.HW.(*arch.CheckLookupUnit); ok {
-		u.Shared = e.cluStats
-		return u, false
-	}
-	if n := len(e.cluFree); n > 0 {
-		u, e.cluFree = e.cluFree[n-1], e.cluFree[:n-1]
-		u.Reset()
-	} else {
-		u = arch.NewCheckLookupUnit(e.cfg)
-	}
-	u.Shared = e.cluStats
-	return u, true
-}
-
-// cluDone returns a pooled unit; units found on the context stay attached.
-func (e *Engine) cluDone(u *arch.CheckLookupUnit, pooled bool) {
-	if pooled {
-		e.cluFree = append(e.cluFree, u)
-	}
-}
-
-// RestoreCLU rebuilds a checklookup unit from a machine checkpoint, wires it
-// to this engine's counter sink, and attaches it to ctx so subsequent
-// resolves on ctx use the restored (warm) unit instead of pooled cold ones.
-// Used by drivers that fork a machine captured inside an open epoch.
-func (e *Engine) RestoreCLU(ctx *sim.Ctx, c *arch.CheckLookupUnitCheckpoint) *arch.CheckLookupUnit {
-	u := arch.NewCheckLookupUnit(e.cfg)
-	u.Restore(c)
-	u.Shared = e.cluStats
-	ctx.HW = u
-	return u
 }
 
 // Resolve wraps resolve with the read-barrier latency histogram when
@@ -85,10 +44,10 @@ func (b *readBarrier) resolve(ctx *sim.Ctx, ref pmop.Ptr) pmop.Ptr {
 	clCtx := ctx.Derived(sim.CatCheckLookup)
 	var dstOff uint64
 	if ep.scheme == SchemeFFCCDCheckLookup {
-		// Hardware checklookup: BFC + PMFTLB (§4.3.2).
-		u, pooled := e.cluFor(clCtx)
-		dstVA, ok := u.CheckLookup(clCtx, p.VA(off), ep.blooms, &ep.fwd)
-		e.cluDone(u, pooled)
+		// Hardware checklookup: BFC + PMFTLB (§4.3.2), cold on every
+		// resolve.
+		e.clu.Reset()
+		dstVA, ok := e.clu.CheckLookup(clCtx, p.VA(off), ep.blooms, &ep.fwd)
 		if !ok {
 			return ref
 		}

@@ -122,21 +122,19 @@ type Engine struct {
 
 	stats EngineStats // read via Stats()
 
+	// clu is the checklookup unit the read barrier resets and uses on every
+	// resolve; nil unless the engine runs SchemeFFCCDCheckLookup. (An epoch
+	// of that scheme that Recover resumes under another scheme finishes
+	// inside Recover, which resolves nothing.)
+	clu *arch.CheckLookupUnit
+
 	// Observability (nil when disabled — every emit site checks). The
 	// histogram pointers are resolved once in SetObs so hot paths never touch
-	// the registry; cluStats is the shared sink transient checklookup units
-	// report into.
+	// the registry.
 	obs      *obsv.Obs
 	hSTW     *obsv.Histogram
 	hBatch   *obsv.Histogram
 	hBarrier *obsv.Histogram
-	cluStats *arch.CLUStats
-
-	// cluFree recycles the per-resolve checklookup units. Units are
-	// architecturally transient — one cold unit per read-barrier resolve —
-	// and cluFor resets recycled ones to power-on state, so recycling changes
-	// host allocation pressure only, never simulated cycles.
-	cluFree []*arch.CheckLookupUnit
 }
 
 // epochMem is the host memory an engine's epochs fill (mark.go, summary.go,
@@ -181,6 +179,9 @@ func NewEngine(p *pmop.Pool, opt Options) *Engine {
 	if opt.Scheme.UsesRelocateInstruction() {
 		e.rbb = arch.NewRBB(cfg, p.Device())
 		p.Device().SetRBB(e.rbb)
+	}
+	if opt.Scheme == SchemeFFCCDCheckLookup {
+		e.clu = arch.NewCheckLookupUnit(cfg)
 	}
 	if opt.Scheme == SchemeSFCCD {
 		p.SetTxAddHook(e.sfccdTxAddHook)
@@ -231,25 +232,28 @@ func (s *EngineStats) Add(other EngineStats) {
 // only — so enabling it leaves golden cycle totals bit-identical.
 func (e *Engine) SetObs(o *obsv.Obs) {
 	e.obs = o
-	if o == nil {
-		e.hSTW, e.hBatch, e.hBarrier, e.cluStats = nil, nil, nil, nil
-		return
+	e.hSTW, e.hBatch, e.hBarrier = nil, nil, nil
+	var clu *arch.CLUStats // the sink the checklookup unit reports into
+	if o != nil {
+		e.hSTW = o.Metrics.Hist("stw_pause_cycles")
+		e.hBatch = o.Metrics.Hist("relocate_batch_objects")
+		e.hBarrier = o.Metrics.Hist("read_barrier_cycles")
+		clu = &arch.CLUStats{}
+		o.Metrics.RegisterGroup("engine", func() map[string]uint64 {
+			s := e.Stats()
+			return map[string]uint64{
+				"cycles":          s.Cycles,
+				"frames_released": s.FramesReleased,
+				"objects_moved":   s.ObjectsMoved,
+				"barrier_moves":   s.BarrierMoves,
+				"leaks_reclaimed": s.LeaksReclaimed,
+			}
+		})
+		o.Metrics.RegisterGroup("checklookup", clu.Map)
 	}
-	e.hSTW = o.Metrics.Hist("stw_pause_cycles")
-	e.hBatch = o.Metrics.Hist("relocate_batch_objects")
-	e.hBarrier = o.Metrics.Hist("read_barrier_cycles")
-	e.cluStats = &arch.CLUStats{}
-	o.Metrics.RegisterGroup("engine", func() map[string]uint64 {
-		s := e.Stats()
-		return map[string]uint64{
-			"cycles":          s.Cycles,
-			"frames_released": s.FramesReleased,
-			"objects_moved":   s.ObjectsMoved,
-			"barrier_moves":   s.BarrierMoves,
-			"leaks_reclaimed": s.LeaksReclaimed,
-		}
-	})
-	o.Metrics.RegisterGroup("checklookup", e.cluStats.Map)
+	if e.clu != nil {
+		e.clu.Shared = clu
+	}
 }
 
 // OpenEpoch reports the number of the currently open defragmentation epoch

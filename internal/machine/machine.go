@@ -15,7 +15,6 @@ package machine
 import (
 	"fmt"
 
-	"ffccd/internal/arch"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
 	"ffccd/internal/kv"
@@ -92,7 +91,6 @@ type Machine struct {
 	Eng   *core.Engine // nil until NewEngine
 
 	name string
-	from *Image // the image the machine was forked from; nil when built
 }
 
 // Build creates the machine of s with an empty pool and a fresh application
@@ -130,22 +128,9 @@ func (m *Machine) Release() {
 	}
 }
 
-// NewEngine attaches a fresh engine under opt and returns it. On a fork of an
-// image captured with an engine, the new engine's RBB and the contexts'
-// checklookup units start from the image's.
+// NewEngine attaches a fresh engine under opt and returns it.
 func (m *Machine) NewEngine(opt core.Options) *core.Engine {
 	m.Eng = core.NewEngine(m.Pool, opt)
-	if img := m.from; img != nil {
-		if rbb := m.Eng.RBB(); rbb != nil && img.rbb != nil {
-			rbb.Restore(img.rbb)
-		}
-		if img.ctxCLU != nil {
-			m.Eng.RestoreCLU(m.Ctx, img.ctxCLU)
-		}
-		if img.gcCLU != nil {
-			m.Eng.RestoreCLU(m.GC, img.gcCLU)
-		}
-	}
 	return m.Eng
 }
 
@@ -173,53 +158,46 @@ func (m *Machine) Reopen() error {
 
 // Image is what a fork needs of a quiescent machine: the pool's image, every
 // context's checkpoint and the store handle, whose volatile state each fork
-// clones. When an engine is attached, the image also holds the engine's
-// counters and its hot architectural state: the RBB and the checklookup unit
-// each context carries. Nothing writes an image once it is captured.
+// clones, plus the counters of an attached engine. Nothing writes an image
+// once it is captured.
 type Image struct {
 	Pool pmop.Image
 	// EngineStats are the engine's counters at the capture.
 	EngineStats core.EngineStats
 
-	cfg           sim.Config
-	name          string
-	ctx, gc       sim.CtxCheckpoint
-	hasGC         bool
-	store         ds.Store
-	rbb           *arch.RBBCheckpoint
-	ctxCLU, gcCLU *arch.CheckLookupUnitCheckpoint
+	cfg     sim.Config
+	name    string
+	ctx, gc sim.CtxCheckpoint
+	hasGC   bool
+	store   ds.Store
 }
 
-// Capture returns the machine's image. The machine must be quiescent.
+// Capture returns the machine's image. The machine must be quiescent: no
+// defragmentation epoch may be open, since an image holds none of an epoch's
+// volatile state (see CaptureInto).
 func (m *Machine) Capture() *Image {
 	img := new(Image)
 	m.CaptureInto(img)
 	return img
 }
 
-// CaptureInto captures the machine's image into img, reusing its buffers.
+// CaptureInto captures the machine's image into img, reusing its buffers. It
+// panics when the attached engine has an epoch open.
 func (m *Machine) CaptureInto(img *Image) {
+	if m.Eng != nil {
+		if n, open := m.Eng.OpenEpoch(); open {
+			panic(fmt.Sprintf("machine: capture inside open epoch %d", n))
+		}
+	}
 	m.Pool.CaptureInto(&img.Pool)
 	img.cfg, img.name, img.store = m.Cfg, m.name, m.Store
 	m.Ctx.CheckpointInto(&img.ctx)
 	if img.hasGC = m.GC != nil; img.hasGC {
 		m.GC.CheckpointInto(&img.gc)
 	}
-	img.EngineStats, img.rbb, img.ctxCLU, img.gcCLU = core.EngineStats{}, nil, nil, nil
-	if m.Eng == nil {
-		return
-	}
-	img.EngineStats = m.Eng.Stats()
-	if rbb := m.Eng.RBB(); rbb != nil {
-		img.rbb = rbb.Checkpoint()
-	}
-	if u, ok := m.Ctx.HW.(*arch.CheckLookupUnit); ok {
-		img.ctxCLU = u.Checkpoint()
-	}
-	if m.GC != nil {
-		if u, ok := m.GC.HW.(*arch.CheckLookupUnit); ok {
-			img.gcCLU = u.Checkpoint()
-		}
+	img.EngineStats = core.EngineStats{}
+	if m.Eng != nil {
+		img.EngineStats = m.Eng.Stats()
 	}
 }
 
@@ -229,7 +207,7 @@ func (m *Machine) CaptureInto(img *Image) {
 // and it has no engine until NewEngine. The caller releases it like a built
 // machine; on error Fork has released it.
 func (img *Image) Fork() (*Machine, error) {
-	m := &Machine{Cfg: img.cfg, name: img.name, from: img}
+	m := &Machine{Cfg: img.cfg, name: img.name}
 	var err error
 	if m.RT, m.Pool, err = img.Pool.Fork(&m.Cfg, img.name, registry); err != nil {
 		return nil, err

@@ -208,3 +208,45 @@ func TestReleasedMachineContextsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// An image holds none of an open epoch's volatile state, so capturing a
+// machine whose engine is inside an epoch panics; once the epoch closes, the
+// same machine captures.
+func TestCaptureInsideOpenEpochPanics(t *testing.T) {
+	m, err := Build(batchSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	m.GC = sim.NewCtx(&m.Cfg)
+	if m.Store, err = ds.NewList(m.Ctx, m.Pool); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 2000; k++ {
+		if err := m.Store.Insert(m.Ctx, k, value(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < 2000; k += 4 {
+		if _, err := m.Store.Delete(m.Ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := m.NewEngine(core.Options{Scheme: core.SchemeFFCCDCheckLookup})
+	defer eng.Close()
+	if !eng.BeginCycle(m.GC) {
+		t.Fatal("the fragmented heap opened no epoch")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a capture inside an open epoch did not panic")
+			}
+		}()
+		m.Capture()
+	}()
+	eng.FinishCycle(m.GC)
+	if img := m.Capture(); img.EngineStats.Cycles != 1 {
+		t.Errorf("the image after the epoch counts %d engine cycles, want 1", img.EngineStats.Cycles)
+	}
+}

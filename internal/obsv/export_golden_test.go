@@ -26,20 +26,20 @@ func goldenTraceCollector() *Collector {
 	o.Tracer.Instant(gc, KindTrigger, 1)
 	epochStart := Now(gc)
 	stwStart := Now(gc)
-	gc.ChargeCat(sim.CatMark, 2600)
+	gc.Clock.Add(sim.CatMark, 2600)
 	o.Tracer.Span(gc, KindMark, stwStart, 11)
 	o.Tracer.Span(gc, KindSTW, stwStart, 0)
 	copyStart := Now(gc)
-	gc.ChargeCat(sim.CatCopy, 5200)
+	gc.Clock.Add(sim.CatCopy, 5200)
 	o.Tracer.Span(gc, KindCopy, copyStart, 7)
 	fixStart := Now(gc)
-	gc.ChargeCat(sim.CatGCMisc, 1300)
+	gc.Clock.Add(sim.CatGCMisc, 1300)
 	o.Tracer.Span(gc, KindBarrierFix, fixStart, 0)
 	o.Tracer.Span(gc, KindEpoch, epochStart, 1)
 
 	app := sim.NewCtx(&cfg)
 	o.Tracer.Name(app, "app")
-	app.ChargeCat(sim.CatApp, 999)
+	app.Clock.Add(sim.CatApp, 999)
 	o.Tracer.Instant(app, KindWPQDrain, 3)
 
 	o.Tracer.MarkCrash()

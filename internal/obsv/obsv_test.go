@@ -154,7 +154,7 @@ func TestSpanUsesSimulatedCycles(t *testing.T) {
 	ctx := sim.NewCtx(&cfg)
 	tr := NewTracer(0)
 	start := Now(ctx)
-	ctx.ChargeCat(sim.CatMark, 1234)
+	ctx.Clock.Add(sim.CatMark, 1234)
 	tr.Span(ctx, KindMark, start, 7)
 	e := tr.Threads()[0].Events()[0]
 	if e.Start != start || e.End != start+1234 || e.Arg != 7 {
@@ -166,7 +166,7 @@ func TestMarkCrashPlacesInstantAtLatestCycle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	ctx := sim.NewCtx(&cfg)
 	tr := NewTracer(0)
-	ctx.ChargeCat(sim.CatApp, 500)
+	ctx.Clock.Add(sim.CatApp, 500)
 	tr.Instant(ctx, KindTrigger, 0)
 	tr.MarkCrash()
 	if !tr.Crashed() {
@@ -212,7 +212,7 @@ func TestChromeTraceExport(t *testing.T) {
 	ctx := sim.NewCtx(&cfg)
 	o.Tracer.Name(ctx, "gc")
 	start := Now(ctx)
-	ctx.ChargeCat(sim.CatMark, 2600) // 1µs at 2.6GHz
+	ctx.Clock.Add(sim.CatMark, 2600) // 1µs at 2.6GHz
 	o.Tracer.Span(ctx, KindMark, start, 11)
 	o.Tracer.Instant(ctx, KindTrigger, 1)
 
@@ -256,7 +256,7 @@ func TestTimelineAndFlightRecorderDump(t *testing.T) {
 	ctx := sim.NewCtx(&cfg)
 	o.Tracer.Name(ctx, "app")
 	for i := uint64(0); i < 5; i++ {
-		ctx.ChargeCat(sim.CatApp, 100)
+		ctx.Clock.Add(sim.CatApp, 100)
 		o.Tracer.Instant(ctx, KindWPQDrain, i)
 	}
 	o.Tracer.MarkCrash()

@@ -81,11 +81,7 @@ func (c *Clock) Restore(snap [NumCategories]uint64) {
 }
 
 // CtxCheckpoint captures one simulation context: its clock's per-category
-// cycle counters, attribution category, pending-flush count, and TLB. HW is
-// deliberately absent — every fork point in the experiment driver sits
-// outside any defragmentation epoch, where parent contexts carry no
-// per-core hardware state (the checklookup unit lives only on transient
-// derived contexts).
+// cycle counters, attribution category, pending-flush count, and TLB.
 type CtxCheckpoint struct {
 	Cycles         [NumCategories]uint64
 	Cat            Category
@@ -111,11 +107,10 @@ func (x *Ctx) CheckpointInto(c *CtxCheckpoint) {
 
 // Restore overwrites the context's simulated state from c. The context keeps
 // its own Clock/TLB instances (their contents are overwritten) and its host
-// Shard; HW is cleared.
+// Shard.
 func (x *Ctx) Restore(c *CtxCheckpoint) {
 	x.Clock.Restore(c.Cycles)
 	x.Cat = c.Cat
 	x.PendingFlushes = c.PendingFlushes
 	x.TLB.Restore(&c.TLB)
-	x.HW = nil
 }

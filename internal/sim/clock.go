@@ -94,8 +94,8 @@ func (c *Clock) Snapshot() [NumCategories]uint64 {
 
 // Ctx is the per-thread simulation context threaded through every simulated
 // memory operation: a clock to charge, the category to attribute to, and the
-// thread's private TLB state. Ctx values are cheap to copy; WithCat returns a
-// derived context charging a different category to the same clock and TLB.
+// thread's private TLB state. Derived returns a context charging a different
+// category to the same clock and TLB.
 //
 // A context whose driver is done with it gives its TLB arrays back with
 // Release. From then on it, and every context derived from it, panics on its
@@ -110,18 +110,14 @@ type Ctx struct {
 	// sfence; the device uses it to decide whether a fence stalls.
 	PendingFlushes int
 
-	// HW carries per-thread (per-core) hardware model state such as the
-	// checklookup unit, opaque to this package.
-	HW any
-
 	// Shard is a small per-context integer assigned at NewCtx, unique in the
 	// process. The obsv tracer keys each thread's event buffer by it. It never
 	// influences simulated cycles.
 	Shard uint32
 
 	// derived holds one reusable child context per category for Derived.
-	// Host-only: it spares the per-operation heap allocation WithCat pays
-	// when the derived context escapes into an interface call.
+	// Host-only: it spares a heap allocation per derived context, which
+	// escapes into interface calls.
 	derived [numCategories]*Ctx
 }
 
@@ -147,28 +143,12 @@ func (x *Ctx) Charge(n uint64) {
 	}
 }
 
-// ChargeCat adds n cycles to an explicit category.
-func (x *Ctx) ChargeCat(cat Category, n uint64) {
-	if x.Clock != nil {
-		x.Clock.Add(cat, n)
-	}
-}
-
-// WithCat returns a copy of the context attributing to cat. The clock and TLB
-// are shared with the receiver.
-func (x *Ctx) WithCat(cat Category) *Ctx {
-	c := *x
-	c.Cat = cat
-	c.derived = [numCategories]*Ctx{}
-	return &c
-}
-
-// Derived returns a context equivalent to WithCat(cat) but backed by a
-// per-category scratch slot on the receiver, so repeated calls on a hot path
-// do not allocate. The returned context has exactly WithCat's semantics: it
-// shares the clock and TLB, and receives a *copy* of PendingFlushes and HW —
-// mutations of either on the child never propagate back to the parent (the
-// fence-stall accounting in Device.Sfence depends on that isolation).
+// Derived returns a context attributing to cat, backed by a per-category
+// scratch slot on the receiver, so repeated calls on a hot path do not
+// allocate. It shares the receiver's clock, TLB and Shard, and receives a
+// *copy* of PendingFlushes — the child's changes to it never propagate back
+// to the parent (the fence-stall accounting in Device.Sfence depends on that
+// isolation).
 //
 // The scratch slot is reused by the next Derived(cat) call on the same
 // receiver, so callers must not retain the result across a subsequent call
@@ -182,7 +162,7 @@ func (x *Ctx) Derived(cat Category) *Ctx {
 	}
 	// Reinitialize field-by-field rather than assigning a whole Ctx value:
 	// a struct assignment would wipe the child's own scratch slots.
-	d.Clock, d.TLB, d.Cat, d.PendingFlushes, d.HW, d.Shard =
-		x.Clock, x.TLB, cat, x.PendingFlushes, x.HW, x.Shard
+	d.Clock, d.TLB, d.Cat, d.PendingFlushes, d.Shard =
+		x.Clock, x.TLB, cat, x.PendingFlushes, x.Shard
 	return d
 }

@@ -133,18 +133,24 @@ func TestClockMerge(t *testing.T) {
 	}
 }
 
-func TestCtxWithCat(t *testing.T) {
+// TestCtxDerived: a derived context charges its own category to the parent's
+// clock and TLB, and its pending flushes are a copy the parent never sees.
+func TestCtxDerived(t *testing.T) {
 	cfg := DefaultConfig()
 	ctx := NewCtx(&cfg)
 	ctx.Charge(5)
-	gc := ctx.WithCat(CatCopy)
+	ctx.PendingFlushes = 2
+	gc := ctx.Derived(CatCopy)
 	gc.Charge(9)
 	if ctx.Clock.Cycles(CatApp) != 5 || ctx.Clock.Cycles(CatCopy) != 9 {
-		t.Errorf("WithCat must share the clock: app=%d copy=%d",
+		t.Errorf("Derived must share the clock: app=%d copy=%d",
 			ctx.Clock.Cycles(CatApp), ctx.Clock.Cycles(CatCopy))
 	}
-	if gc.TLB != ctx.TLB {
-		t.Error("WithCat must share the TLB")
+	if gc.TLB != ctx.TLB || gc.Shard != ctx.Shard {
+		t.Error("Derived must share the TLB and shard")
+	}
+	if gc.PendingFlushes++; ctx.PendingFlushes != 2 {
+		t.Errorf("a derived context's flush moved the parent's count to %d", ctx.PendingFlushes)
 	}
 }
 
@@ -269,20 +275,9 @@ func TestTLBWalkPenaltyExtra(t *testing.T) {
 	}
 }
 
-func TestChargeCatIndependentOfCurrent(t *testing.T) {
-	cfg := DefaultConfig()
-	ctx := NewCtx(&cfg)
-	ctx.Cat = CatApp
-	ctx.ChargeCat(CatRecovery, 42)
-	if ctx.Clock.Cycles(CatRecovery) != 42 || ctx.Clock.Cycles(CatApp) != 0 {
-		t.Error("ChargeCat attributed to the wrong category")
-	}
-}
-
 func TestNilClockChargeSafe(t *testing.T) {
-	ctx := &Ctx{} // no clock, no TLB
+	ctx := &Ctx{} // no clock, no TLB: charging must not panic
 	ctx.Charge(100)
-	ctx.ChargeCat(CatMark, 100) // must not panic
 }
 
 // TestTLBClockCrossesTwoToThe32: a structure whose clock passes 2³² still
