@@ -58,12 +58,13 @@ crashmatrix: build
 # nested crash-during-recovery schedules, and per-trial durable-ack
 # validation — the server must resume and every acknowledged SET must read
 # back after recovery. Failures print a `ffccd-crashtest -serve -repro`
-# command that replays bit-identically. Prints its wall time like crashmatrix.
+# command that replays bit-identically. It runs the campaign's default volumes
+# (8 clients, 4 000 ops, 800 keys per trial). Prints its wall time like
+# crashmatrix.
 servecrash: build
 	@t0=$$(date +%s); \
 	$(GO) run ./cmd/ffccd-crashtest -serve -seed 1 -max-sites 10 \
-		-nested -max-nested 3 -timeout 2m \
-		-serve-clients 4 -serve-ops 1200 -serve-keys 400 || exit 1; \
+		-nested -max-nested 3 -timeout 2m || exit 1; \
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
 # fuzzsmoke runs every fuzz target for 5 s of coverage-guided fuzzing past

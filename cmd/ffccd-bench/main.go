@@ -147,6 +147,13 @@ func run(args []string) int {
 		}
 		selected = all[i : i+1]
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	serving := slices.ContainsFunc(selected, func(e exp) bool { return e.id == "serving" || e.id == "servingcrash" })
+	if (set["shards"] || set["scheme"]) && !serving {
+		fmt.Fprintf(os.Stderr, "-shards and -scheme apply only to the serving experiments (serving, servingcrash), not %q\n", *experiment)
+		return 2
+	}
 
 	if *parallel > 0 {
 		workpool.SetParallelism(*parallel)

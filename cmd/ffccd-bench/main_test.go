@@ -75,6 +75,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-experiment", "table1", "-repeat", "2"},
 		{"-experiment", "serving", "-scheme", "bogus"},
 		{"-experiment", "all", "-scheme", "bogus"},
+		{"-experiment", "fig5", "-scale", "0.0005", "-shards", "3000", "-scheme", "mesh"},
+		{"-experiment", "table1", "-shards", "2"},
+		{"-experiment", "table1", "-scheme", "ffccd"},
 	} {
 		code, out, stderr := capture(t, args...)
 		if code != 2 || strings.Contains(out, "====") || stderr == "" {

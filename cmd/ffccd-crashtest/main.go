@@ -73,11 +73,19 @@ func run(args []string) int {
 	flightrec := fs.Int("flightrec", 0, "dump a flight-recorder ring of the newest N events per simulated thread at each injected crash (0 = off)")
 	serve := fs.Bool("serve", false, "run the serving-path campaign (online crash-recovery-resume) instead of the batch campaigns")
 	scheme := fs.String("scheme", "all", "serving campaign: scheme to crash (none|ffccd|stw|mesh|all)")
-	serveClients := fs.Int("serve-clients", 0, "serving campaign: client connections (0 = default)")
-	serveOps := fs.Int("serve-ops", 0, "serving campaign: op budget per trial (0 = default)")
-	serveKeys := fs.Int("serve-keys", 0, "serving campaign: keyspace (0 = default)")
 	serveShards := fs.Int("serve-shards", 1, "serving campaign: shard the deployment across N simulated machines")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// A flag of the campaign not chosen would be ignored: refuse it.
+	misplaced, ignored := map[string]bool{"scheme": !*serve, "serve-shards": !*serve, "setting": *serve}, ""
+	fs.Visit(func(f *flag.Flag) {
+		if misplaced[f.Name] {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		fmt.Fprintf(os.Stderr, "ffccd-crashtest: -%s does not apply with -serve=%v\n", ignored, *serve)
 		return 2
 	}
 
@@ -113,12 +121,8 @@ func run(args []string) int {
 			}
 			schemes = []string{*scheme}
 		}
-		co.Clients, co.Ops, co.Keys, co.Shards = *serveClients, *serveOps, *serveKeys, *serveShards
-		keys := co.Keys
-		if keys <= 0 {
-			keys = faultinject.DefaultServeKeys
-		}
-		if _, err := redisws.ShardKeys(keys, co.Shards); err != nil {
+		co.Shards = *serveShards
+		if _, err := redisws.ShardKeys(faultinject.DefaultServeKeys, co.Shards); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}

@@ -72,3 +72,18 @@ func TestServeShardCountIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagsOfTheOtherCampaignAreUsageErrors: a flag the chosen campaign would
+// ignore — -scheme or -serve-shards without -serve, -setting with it — exits
+// 2 before any trial instead of running the campaign without it.
+func TestFlagsOfTheOtherCampaignAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scheme", "ffccd", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
+		{"-serve-shards", "2", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
+		{"-serve", "-scheme", "ffccd", "-setting", "bogus/9T/x", "-max-sites", "1"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("run(%q) = %d, want 2", args, code)
+		}
+	}
+}

@@ -135,17 +135,28 @@ var unwrittenAllowed = map[string]string{
 	"internal/faultinject:TrialOptions.AfterRecovery": "the fault-injection hook that proves the failure → repro → replay loop catches a broken recovery",
 }
 
+// parameterTables lists, as "dir:Func", the Default… funcs whose keyed
+// literals still count as writes, each with the reason: such a func is a
+// model's parameter table, the one place its values are set, not a default
+// fill for a knob some caller should set.
+var parameterTables = map[string]string{
+	"internal/sim:DefaultConfig": "Table 2's machine parameters: the cost model reads them and Table2 prints them",
+}
+
 // knobSuffixes are the struct name endings TestEveryKnobIsWritten checks.
 var knobSuffixes = []string{"Options", "Config", "Hooks", "Spec"}
 
 // TestEveryKnobIsWritten fails on any exported field of an exported struct
 // type named …Options, …Config, …Hooks or …Spec, declared outside bench/,
 // that no non-test code writes: no composite literal keys it and no
-// assignment or ++/-- has it on the left. A knob only tests set selects a
-// second path the product never takes; its test belongs next to the code the
-// test drives instead. It matches fields by name alone, like
-// TestEveryFuncIsReferenced, so a name some other struct's write shares
-// passes. An allowed entry that is written or gone fails too.
+// assignment or ++/-- has it on the left. Default fills do not count as
+// writes: a keyed literal inside a func named Default…, and an assignment
+// inside an if that tests the same field for its zero value. A knob only
+// tests and its defaults set selects a second path the product never takes;
+// its test belongs next to the code the test drives instead. It matches
+// fields by name alone, like TestEveryFuncIsReferenced, so a name some other
+// struct's write shares passes. An allowed entry that is written or gone
+// fails too.
 func TestEveryKnobIsWritten(t *testing.T) {
 	fset := token.NewFileSet()
 	written := map[string]bool{}
@@ -154,8 +165,10 @@ func TestEveryKnobIsWritten(t *testing.T) {
 		pos token.Pos
 	}
 	var fields []field
+	var fills map[ast.Node]bool
+	tables := map[string]bool{} // the parameterTables found
 	lhs := func(e ast.Expr) {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
+		if sel, ok := e.(*ast.SelectorExpr); ok && !fills[sel] {
 			written[sel.Sel.Name] = true
 		}
 	}
@@ -163,11 +176,12 @@ func TestEveryKnobIsWritten(t *testing.T) {
 		if mf.test {
 			continue
 		}
+		fills = defaultFills(mf.dir, mf.f, tables)
 		ast.Inspect(mf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if kv, ok := el.(*ast.KeyValueExpr); ok && !fills[kv] {
 						if id, ok := kv.Key.(*ast.Ident); ok {
 							written[id.Name] = true
 						}
@@ -228,4 +242,73 @@ func TestEveryKnobIsWritten(t *testing.T) {
 			t.Errorf("allowed %s (%s) is written or gone; drop it from unwrittenAllowed", key, why)
 		}
 	}
+	for key, why := range parameterTables {
+		if !tables[key] {
+			t.Errorf("parameter table %s (%s) is gone; drop it from parameterTables", key, why)
+		}
+	}
+}
+
+// defaultFills returns the writes of f, a file of directory dir, that only
+// fill in a default: every keyed element of a composite literal inside a func
+// named Default… that parameterTables does not list, and the left-hand
+// selector of an assignment inside an if whose condition compares that field
+// with its zero value (== or <= against 0, "" or nil). It records the
+// parameter tables it meets in tables.
+func defaultFills(dir string, f *ast.File, tables map[string]bool) map[ast.Node]bool {
+	fills := map[ast.Node]bool{}
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "Default") {
+			continue
+		}
+		if key := dir + ":" + fn.Name.Name; parameterTables[key] != "" {
+			tables[key] = true
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if kv, ok := n.(*ast.KeyValueExpr); ok {
+				fills[kv] = true
+			}
+			return true
+		})
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		zeroTested := map[string]bool{}
+		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+			if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.EQL || be.Op == token.LEQ) && isZero(be.Y) {
+				if sel, ok := be.X.(*ast.SelectorExpr); ok {
+					zeroTested[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(ifs.Body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, e := range as.Lhs {
+					if sel, ok := e.(*ast.SelectorExpr); ok && zeroTested[sel.Sel.Name] {
+						fills[sel] = true
+					}
+				}
+			}
+			return true
+		})
+		return true
+	})
+	return fills
+}
+
+// isZero reports whether e is the literal 0, "" or nil.
+func isZero(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return e.Value == "0" || e.Value == `""`
+	case *ast.Ident:
+		return e.Name == "nil"
+	}
+	return false
 }

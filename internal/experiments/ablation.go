@@ -10,6 +10,7 @@ import (
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
+	"ffccd/internal/workpool"
 )
 
 // AblationRBBRow is one RBB-size data point.
@@ -30,7 +31,7 @@ type AblationRBBResult struct{ Rows []AblationRBBRow }
 func AblationRBB(scale float64, sizes []int) (AblationRBBResult, error) {
 	var res AblationRBBResult
 	rows := make([]AblationRBBRow, len(sizes))
-	err := parallelFor(len(sizes), func(i int) error {
+	err := workpool.ForEach(len(sizes), func(i int) error {
 		entries := sizes[i]
 		wl := workload.Scaled(scale / DefaultScale)
 		wl.Seed = 21
@@ -85,6 +86,18 @@ func (r AblationRBBResult) String() string {
 	return b.String()
 }
 
+// llGrid runs the LL workload at seed under each of schemes with the Normal
+// parameters on 4 KB pages through the fork driver (RunSpecsForked) and
+// returns the outcomes in scheme order.
+func llGrid(scale float64, seed int64, schemes []core.Scheme) ([]Outcome, error) {
+	specs := make([]Spec, len(schemes))
+	for i, scheme := range schemes {
+		specs[i] = Spec{Store: "LL", Threads: 1, Scheme: scheme, Scale: scale, PageShift: 12, Seed: seed}
+		specs[i].Trigger, specs[i].Target = core.NormalParams()
+	}
+	return RunSpecsForked(specs)
+}
+
 // AblationPMFTRow compares forwarding-lookup models.
 type AblationPMFTRow struct {
 	Model          string
@@ -111,12 +124,11 @@ func AblationPMFT(scale float64) (AblationPMFTResult, error) {
 		{"PMFT, software walk (FFCCD)", core.SchemeFFCCD, 6.32},
 		{"PMFT + BFC/PMFTLB (checklookup)", core.SchemeFFCCDCheckLookup, 6.32},
 	}
-	specs := make([]Spec, len(models))
+	schemes := make([]core.Scheme, len(models))
 	for i, m := range models {
-		specs[i] = Spec{Store: "LL", Threads: 1, Scheme: m.scheme, Scale: scale, PageShift: 12, Seed: 31}
-		specs[i].Trigger, specs[i].Target = core.NormalParams()
+		schemes[i] = m.scheme
 	}
-	outs, err := RunSpecsForked(specs)
+	outs, err := llGrid(scale, 31, schemes)
 	if err != nil {
 		return res, err
 	}
@@ -165,12 +177,7 @@ func AblationWrites(scale float64) (AblationWritesResult, error) {
 	var res AblationWritesResult
 	schemes := []core.Scheme{core.SchemeNone, core.SchemeEspresso, core.SchemeSFCCD,
 		core.SchemeFFCCD, core.SchemeFFCCDCheckLookup}
-	specs := make([]Spec, len(schemes))
-	for i, scheme := range schemes {
-		specs[i] = Spec{Store: "LL", Threads: 1, Scheme: scheme, Scale: scale, PageShift: 12, Seed: 41}
-		specs[i].Trigger, specs[i].Target = core.NormalParams()
-	}
-	outs, err := RunSpecsForked(specs)
+	outs, err := llGrid(scale, 41, schemes)
 	if err != nil {
 		return res, err
 	}

@@ -97,10 +97,7 @@ func wlFor(spec Spec) workload.Config {
 	wl := workload.Scaled(spec.Scale / DefaultScale)
 	wl.Seed = spec.Seed + 1
 	// Keep ~40 maintenance ticks per phase regardless of scale.
-	wl.SampleEvery = wl.PhaseOps / 40
-	if wl.SampleEvery < 25 {
-		wl.SampleEvery = 25
-	}
+	wl.SampleEvery = max(wl.PhaseOps/40, 25)
 	if spec.Store == "SS" {
 		wl.KeyCap = uint64(wl.InitInserts + 16)
 		wl.ValueJitter = 64 // string swap exercises varied sizes
@@ -112,27 +109,16 @@ func wlFor(spec Spec) workload.Config {
 func poolSizeFor(wl workload.Config) uint64 {
 	// Peak live ≈ InitInserts × (value+node+header overheads ≈ 280 B),
 	// fragmentation can triple it; PMFT metadata adds ~8 %.
-	need := uint64(wl.InitInserts+wl.PhaseOps) * 512 * 4
-	if need < 16<<20 {
-		need = 16 << 20
-	}
-	return need
+	return max(uint64(wl.InitInserts+wl.PhaseOps)*512*4, 16<<20)
 }
 
-// Host-side fan-out runs on the process-wide worker pool shared with the
-// fault-injection campaign (internal/workpool). Every Run builds its own
-// machine, so runs are hermetic; the pool size changes host
-// wall-clock only, never a simulated result. Defaults to GOMAXPROCS,
-// overridable with the FFCCD_PARALLEL environment variable or
-// workpool.SetParallelism.
-
-// RunSpecs executes every spec, fanning them out across workpool.Parallelism()
-// workers, and returns the outcomes in spec order (the output is
-// deterministic regardless of worker count). The first error in spec order
-// is returned.
+// RunSpecs executes every spec, fanning them out on the process-wide worker
+// pool (internal/workpool), and returns the outcomes in spec order. Every Run
+// builds its own machine, so the pool size changes host wall-clock only,
+// never an outcome. The first error in spec order is returned.
 func RunSpecs(specs []Spec) ([]Outcome, error) {
 	outs := make([]Outcome, len(specs))
-	err := parallelFor(len(specs), func(i int) error {
+	err := workpool.ForEach(len(specs), func(i int) error {
 		var err error
 		outs[i], err = Run(specs[i])
 		return err
@@ -141,15 +127,6 @@ func RunSpecs(specs []Spec) ([]Outcome, error) {
 		return nil, err
 	}
 	return outs, nil
-}
-
-// parallelFor runs f(0..n-1) on the shared worker pool and returns the first
-// error in index order. It is the fan-out primitive for experiments whose
-// units of work are not plain Specs (custom envs, multi-run series); nested
-// calls — the fork driver fans a group's schemes out from inside the
-// per-cell fan-out — share the pool's slots instead of oversubscribing.
-func parallelFor(n int, f func(i int) error) error {
-	return workpool.ForEach(n, f)
 }
 
 // Run executes one spec and returns its outcome.

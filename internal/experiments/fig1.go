@@ -10,6 +10,7 @@ import (
 	"ffccd/internal/machine"
 	"ffccd/internal/obsv"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // Fig1Run is one run of the Figure 1 experiment.
@@ -38,7 +39,7 @@ func Figure1(scale float64) (Fig1Result, error) {
 	series := make([][]Fig1Run, len(configs))
 	// The three runs of one page config share a device and must stay
 	// sequential; the two page configs are independent machines.
-	err := parallelFor(len(configs), func(i int) error {
+	err := workpool.ForEach(len(configs), func(i int) error {
 		runs, err := figure1Runs(scale, configs[i].shift)
 		series[i] = runs
 		return err
@@ -53,10 +54,7 @@ func Figure1(scale float64) (Fig1Result, error) {
 }
 
 func figure1Runs(scale float64, pageShift uint) ([]Fig1Run, error) {
-	n := int(5_000_000 * scale)
-	if n < 1000 {
-		n = 1000
-	}
+	n := max(int(5_000_000*scale), 1000)
 	churnOps := n * 4 / 5 // the paper churns 4M of 5M objects per run
 
 	// Figure 1 measures the throughput cost of a bloated footprint on real

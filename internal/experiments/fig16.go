@@ -7,6 +7,7 @@ import (
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // Fig16Variant is one scheme's Redis run.
@@ -32,21 +33,15 @@ type Fig16Result struct {
 // (redisws.NewMachine), so FFCCD's epochs overlap the application's
 // operations.
 func Figure16(scale float64) (Fig16Result, error) {
-	cfg := redisws.DefaultConfig()
-	cfg.InitialKeys = max(int(1_000_000*scale*20), 2000)
-	// Cap the live set at roughly half the key-volume so LRU expiry churns,
-	// and drift the value-size distribution in the second phase — the
-	// long-running-cache regime in which Redis fragments (§7.4).
-	cfg.MaxLiveBytes = uint64(cfg.InitialKeys) * 300 / 2
-	cfg.MinVal, cfg.MaxVal = 240, 366
-	cfg.MinVal2, cfg.MaxVal2 = 367, 492
-	cfg.ExtraKeys = cfg.InitialKeys
-
+	// The run's regime (redisws.RegimeConfig): LRU expiry near the cap and a
+	// value-size drift halfway through — the long-running-cache regime in
+	// which Redis fragments (§7.4).
+	keys := max(int(1_000_000*scale*20), 2000)
 	res := Fig16Result{Variants: make([]Fig16Variant, len(redisws.Schemes))}
 	// Every scheme drives its own simulated machine; fan them out.
-	err := parallelFor(len(redisws.Schemes), func(i int) error {
+	err := workpool.ForEach(len(redisws.Schemes), func(i int) error {
 		scheme := redisws.Schemes[i]
-		m, err := redisws.NewMachine(sim.DefaultConfig(), scheme, "bench", cfg.InitialKeys, 32<<20)
+		m, err := redisws.NewMachine(sim.DefaultConfig(), scheme, "bench", keys, 32<<20)
 		if err != nil {
 			return err
 		}
@@ -57,7 +52,7 @@ func Figure16(scale float64) (Fig16Result, error) {
 			m.Release()
 		}()
 		sh := m.Shard()
-		out, err := redisws.Run(sh.Ctx, sh.Pool, sh.Store, cfg, sh.Hooks)
+		out, err := redisws.Run(sh.Ctx, sh.Pool, sh.Store, keys, sh.Hooks)
 		if err != nil {
 			return err
 		}
@@ -99,13 +94,14 @@ func (r Fig16Result) String() string {
 	}
 	b.WriteString(t.String())
 	fmt.Fprintln(&b, "\nfootprint series (MB at sampled ops):")
-	st := obsv.NewTable(append([]string{"op"}, variantNames(r)...)...)
+	cols := []string{"op"}
+	for _, v := range r.Variants {
+		cols = append(cols, v.Name)
+	}
+	st := obsv.NewTable(cols...)
 	if len(r.Variants) > 0 {
 		n := len(r.Variants[0].Samples)
-		step := n / 20
-		if step == 0 {
-			step = 1
-		}
+		step := max(n/20, 1)
 		for i := 0; i < n; i += step {
 			cells := []any{r.Variants[0].Samples[i].Op}
 			for _, v := range r.Variants {
@@ -120,14 +116,6 @@ func (r Fig16Result) String() string {
 	}
 	b.WriteString(st.String())
 	return b.String()
-}
-
-func variantNames(r Fig16Result) []string {
-	var out []string
-	for _, v := range r.Variants {
-		out = append(out, v.Name)
-	}
-	return out
 }
 
 // CSV renders the footprint-over-time series as comma-separated values

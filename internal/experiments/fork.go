@@ -8,6 +8,7 @@ import (
 	"ffccd/internal/core"
 	"ffccd/internal/machine"
 	"ffccd/internal/workload"
+	"ffccd/internal/workpool"
 )
 
 // The fork driver (DESIGN.md §7, "Checkpoint/fork"): every scheme of a
@@ -286,7 +287,7 @@ func RunSpecsForked(specs []Spec) ([]Outcome, error) {
 	}
 
 	outs := make([]Outcome, len(specs))
-	err := parallelFor(len(units), func(u int) error {
+	err := workpool.ForEach(len(units), func(u int) error {
 		if i := units[u].specIdx; i >= 0 {
 			var err error
 			outs[i], err = Run(specs[i])
@@ -304,7 +305,7 @@ func RunSpecsForked(specs []Spec) ([]Outcome, error) {
 			}
 			return nil
 		}
-		return parallelFor(len(idxs), func(j int) error {
+		return workpool.ForEach(len(idxs), func(j int) error {
 			var err error
 			outs[idxs[j]], err = runFork(pre, specs[idxs[j]])
 			return err

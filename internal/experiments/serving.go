@@ -7,6 +7,7 @@ import (
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // ServingOptions parameterizes the serving grid. Zero values of Scale,
@@ -92,10 +93,7 @@ func servingDefaults(o ServingOptions) ServingOptions {
 		o.Scale = 0.002
 	}
 	if o.Keyspace <= 0 {
-		o.Keyspace = int(1_000_000 * o.Scale * 20)
-		if o.Keyspace < 2000 {
-			o.Keyspace = 2000
-		}
+		o.Keyspace = max(int(1_000_000*o.Scale*20), 2000)
 	}
 	if o.Ops <= 0 {
 		o.Ops = 6 * o.Keyspace
@@ -122,18 +120,13 @@ func servingWindow(scale float64) uint64 {
 	return min(max(w, 250_000), obsv.DefaultWindowCycles)
 }
 
+// servingConfig is the serving grid's workload: the §7.4 regime under o's
+// traffic.
 func servingConfig(o ServingOptions) redisws.ServeConfig {
-	cfg := redisws.DefaultServeConfig()
+	cfg := redisws.RegimeConfig(o.Keyspace)
 	cfg.Clients = o.Clients
 	cfg.Ops = o.Ops
-	cfg.Keyspace = o.Keyspace
 	cfg.Seed = o.Seed
-	// The Figure 16 fragmentation regime: LRU churn near the cap plus a
-	// value-size drift halfway through, so defrag has holes to reclaim.
-	cfg.MinVal, cfg.MaxVal = 240, 366
-	cfg.MinVal2, cfg.MaxVal2 = 367, 492
-	cfg.MaxLiveBytes = uint64(o.Keyspace) * 300 / 2
-	cfg.MaintEvery = o.Keyspace / 8
 	return cfg
 }
 
@@ -152,7 +145,7 @@ func Serving(o ServingOptions) (ServingResult, error) {
 	}
 	outs := make([]ServingVariant, len(o.Schemes))
 	rates := make([]float64, len(o.Schemes))
-	err = parallelFor(len(o.Schemes), func(i int) error {
+	err = workpool.ForEach(len(o.Schemes), func(i int) error {
 		v, rate, err := runServingVariant(o.Schemes[i], o, shardKeys)
 		outs[i], rates[i] = v, rate
 		return err

@@ -7,6 +7,7 @@ import (
 	"ffccd/internal/faultinject"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
+	"ffccd/internal/workpool"
 )
 
 // ServingCrashOptions parameterizes the serving-availability grid: one
@@ -97,7 +98,7 @@ func ServingCrash(o ServingCrashOptions) (ServingCrashResult, error) {
 		return res, err
 	}
 	outs := make([]ServingCrashVariant, len(o.Schemes))
-	err := parallelFor(len(o.Schemes), func(i int) error {
+	err := workpool.ForEach(len(o.Schemes), func(i int) error {
 		v, err := runServingCrashVariant(o.Schemes[i], o)
 		outs[i] = v
 		return err

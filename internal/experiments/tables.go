@@ -28,16 +28,48 @@ type Table3Result struct{ Rows []Table3Row }
 // runs at small scale are noisy).
 var tableSeeds = []int64{3, 109, 271}
 
-// seededSpecs expands spec into one copy per table seed. averageOutcomes
-// merges the corresponding outcomes back into one averaged cell; the split
-// lets a whole table's runs fan out through RunSpecs at once.
-func seededSpecs(spec Spec) []Spec {
-	specs := make([]Spec, len(tableSeeds))
-	for i, seed := range tableSeeds {
-		specs[i] = spec
-		specs[i].Seed = seed
+// tableCell is one (store, threads) row of Table 3 or Table 4.
+type tableCell struct {
+	store   string
+	threads int
+}
+
+// runTable runs every cell's baseline and one FFCCD+checklookup run per
+// (trigger, target) pair that params return, on 64 KB pages, the scaled
+// stand-in for the paper's 2 MB pages, each averaged over tableSeeds. All of
+// a table's runs fan out through RunSpecsForked at once. outs[i][0] is cell
+// i's baseline and outs[i][1+j] its run under params[j].
+func runTable(scale float64, cells []tableCell, params ...func() (trigger, target float64)) ([][]Outcome, error) {
+	var specs []Spec
+	seeded := func(spec Spec) {
+		for _, seed := range tableSeeds {
+			spec.Seed = seed
+			specs = append(specs, spec)
+		}
 	}
-	return specs
+	for _, c := range cells {
+		base := Spec{Store: c.store, Threads: c.threads, Scheme: core.SchemeNone, Scale: scale, PageShift: 16}
+		seeded(base)
+		for _, param := range params {
+			ours := base
+			ours.Scheme = core.SchemeFFCCDCheckLookup
+			ours.Trigger, ours.Target = param()
+			seeded(ours)
+		}
+	}
+	runs, err := RunSpecsForked(specs)
+	if err != nil {
+		return nil, err
+	}
+	ns, per := len(tableSeeds), 1+len(params)
+	outs := make([][]Outcome, len(cells))
+	for i := range outs {
+		outs[i] = make([]Outcome, per)
+		for j := range outs[i] {
+			outs[i][j] = averageOutcomes(runs[(i*per+j)*ns : (i*per+j+1)*ns])
+		}
+	}
+	return outs, nil
 }
 
 func averageOutcomes(outs []Outcome) Outcome {
@@ -59,39 +91,24 @@ func averageOutcomes(outs []Outcome) Outcome {
 // 64 KB huge page (see EXPERIMENTS.md). Each cell averages three seeds.
 func Table3(scale float64) (Table3Result, error) {
 	var res Table3Result
-	const pageShift = 16 // scaled stand-in for 2 MB pages
-	// Three averaged cells (baseline, Normal, Relaxed) of three seeded runs
-	// each, per store — all 9×len(Micros) runs fan out together.
-	var specs []Spec
-	for _, store := range Micros {
-		base := Spec{Store: store, Threads: 1, Scheme: core.SchemeNone, Scale: scale, PageShift: pageShift}
-		normal := base
-		normal.Scheme = core.SchemeFFCCDCheckLookup
-		normal.Trigger, normal.Target = core.NormalParams()
-		relaxed := normal
-		relaxed.Trigger, relaxed.Target = core.RelaxedParams()
-		specs = append(specs, seededSpecs(base)...)
-		specs = append(specs, seededSpecs(normal)...)
-		specs = append(specs, seededSpecs(relaxed)...)
+	cells := make([]tableCell, len(Micros))
+	for i, store := range Micros {
+		cells[i] = tableCell{store, 1}
 	}
-	outs, err := RunSpecsForked(specs)
+	outs, err := runTable(scale, cells, core.NormalParams, core.RelaxedParams)
 	if err != nil {
 		return res, err
 	}
-	ns := len(tableSeeds)
-	for i, store := range Micros {
-		cell := outs[i*3*ns:]
-		baseOut := averageOutcomes(cell[:ns])
-		nOut := averageOutcomes(cell[ns : 2*ns])
-		rOut := averageOutcomes(cell[2*ns : 3*ns])
+	for i, c := range cells {
+		base, n, r := outs[i][0], outs[i][1], outs[i][2]
 		res.Rows = append(res.Rows, Table3Row{
-			Store:         store,
-			PMDKMB:        baseOut.AvgFootprintMB,
-			ActualMB:      baseOut.AvgLiveMB,
-			OursNormalMB:  nOut.AvgFootprintMB,
-			OursRelaxedMB: rOut.AvgFootprintMB,
-			ReductionN:    fragReduction(baseOut, nOut),
-			ReductionR:    fragReduction(baseOut, rOut),
+			Store:         c.store,
+			PMDKMB:        base.AvgFootprintMB,
+			ActualMB:      base.AvgLiveMB,
+			OursNormalMB:  n.AvgFootprintMB,
+			OursRelaxedMB: r.AvgFootprintMB,
+			ReductionN:    fragReduction(base, n),
+			ReductionR:    fragReduction(base, r),
 		})
 	}
 	return res, nil
@@ -134,38 +151,20 @@ type Table4Result struct{ Rows []Table4Row }
 // PM data structures and KV applications with Normal parameters.
 func Table4(scale float64) (Table4Result, error) {
 	var res Table4Result
-	const pageShift = 16
-	apps := []struct {
-		store   string
-		threads int
-	}{
-		{"BzTree", 1}, {"BzTree", 4}, {"FPTree", 1}, {"FPTree", 4}, {"Echo", 1}, {"pmemkv", 1},
-	}
-	var specs []Spec
-	for _, app := range apps {
-		base := Spec{Store: app.store, Threads: app.threads, Scheme: core.SchemeNone, Scale: scale, PageShift: pageShift}
-		ours := base
-		ours.Scheme = core.SchemeFFCCDCheckLookup
-		ours.Trigger, ours.Target = core.NormalParams()
-		specs = append(specs, seededSpecs(base)...)
-		specs = append(specs, seededSpecs(ours)...)
-	}
-	outs, err := RunSpecsForked(specs)
+	cells := []tableCell{{"BzTree", 1}, {"BzTree", 4}, {"FPTree", 1}, {"FPTree", 4}, {"Echo", 1}, {"pmemkv", 1}}
+	outs, err := runTable(scale, cells, core.NormalParams)
 	if err != nil {
 		return res, err
 	}
-	ns := len(tableSeeds)
-	for i, app := range apps {
-		cell := outs[i*2*ns:]
-		baseOut := averageOutcomes(cell[:ns])
-		oOut := averageOutcomes(cell[ns : 2*ns])
+	for i, c := range cells {
+		base, ours := outs[i][0], outs[i][1]
 		res.Rows = append(res.Rows, Table4Row{
-			Store:     app.store,
-			Threads:   app.threads,
-			PMDKMB:    baseOut.AvgFootprintMB,
-			ActualMB:  baseOut.AvgLiveMB,
-			OursMB:    oOut.AvgFootprintMB,
-			Reduction: fragReduction(baseOut, oOut),
+			Store:     c.store,
+			Threads:   c.threads,
+			PMDKMB:    base.AvgFootprintMB,
+			ActualMB:  base.AvgLiveMB,
+			OursMB:    ours.AvgFootprintMB,
+			Reduction: fragReduction(base, ours),
 		})
 	}
 	return res, nil

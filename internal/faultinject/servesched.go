@@ -232,19 +232,13 @@ func (c *campaign) servePrefixOf(rep ServeRepro, shardKeys []int) ([]*servePrefi
 	})
 }
 
-// serveConfigFor builds the serving workload for a schedule: the Figure 16
-// fragmentation regime (LRU churn near the cap, value-size drift at Ops/2)
-// scaled down to trial volumes.
+// serveConfigFor builds the serving workload for a schedule: the §7.4
+// regime (redisws.RegimeConfig) at the schedule's trial volumes.
 func serveConfigFor(rep ServeRepro) redisws.ServeConfig {
-	cfg := redisws.DefaultServeConfig()
+	cfg := redisws.RegimeConfig(rep.Keys)
 	cfg.Clients = rep.Clients
 	cfg.Ops = rep.Ops
-	cfg.Keyspace = rep.Keys
 	cfg.Seed = rep.Seed
-	cfg.MinVal, cfg.MaxVal = 240, 366
-	cfg.MinVal2, cfg.MaxVal2 = 367, 492
-	cfg.MaxLiveBytes = uint64(rep.Keys) * 300 / 2
-	cfg.MaintEvery = max(rep.Keys/8, 1)
 	return cfg
 }
 

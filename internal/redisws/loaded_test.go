@@ -117,6 +117,35 @@ func TestLoadErrorsNameLoad(t *testing.T) {
 	if _, err := Load(nil, nil, nil, bad, ServeHooks{}); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
 		t.Errorf("no clients: %v", err)
 	}
+	// A GET share outside [0, 1] and an inverted value range are errors, not
+	// replaced by defaults; an unset MinVal still takes its default.
+	for name, edit := range map[string]func(*ServeConfig){
+		"GetFraction 1.5":  func(c *ServeConfig) { c.GetFraction = 1.5 },
+		"GetFraction -0.1": func(c *ServeConfig) { c.GetFraction = -0.1 },
+		"values 300..200":  func(c *ServeConfig) { c.MinVal, c.MaxVal = 300, 200 },
+	} {
+		cfg := DefaultServeConfig()
+		edit(&cfg)
+		if _, err := Load(nil, nil, nil, cfg, ServeHooks{}); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	m, err := NewMachine(sim.DefaultConfig(), "none", "unset", 16, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	unset := DefaultServeConfig()
+	unset.Keyspace, unset.Ops = 16, 16
+	unset.MinVal, unset.MaxVal = 0, 0
+	l, err := Load(m.Ctx, m.Pool, m.Store, unset, ServeHooks{})
+	if err != nil {
+		t.Fatalf("unset value sizes: %v", err)
+	}
+	if l.cfg.MinVal != 240 || l.cfg.MaxVal != 492 {
+		t.Errorf("unset value sizes became %d..%d, want 240..492", l.cfg.MinVal, l.cfg.MaxVal)
+	}
+	l.Release()
 	// One key between two shards: one of them owns none.
 	empty := 0
 	for i := range 2 {

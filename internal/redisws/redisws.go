@@ -23,33 +23,26 @@ import (
 	"ffccd/internal/workload"
 )
 
-// Config matches the paper's setup, scaled (200 MB cap → default 8 MB,
-// 1M initial + 500k extra keys → 20k + 10k).
-type Config struct {
-	MaxLiveBytes     uint64 // LRU cap; 0 disables eviction
-	InitialKeys      int
-	ExtraKeys        int
-	QueriesPerInsert int
-	MinVal, MaxVal   int // value sizes; MaxVal and MaxVal2 at most MaxValue
-	// MinVal2/MaxVal2, when nonzero, change the value-size distribution for
-	// the post-initial insert phase — the size-class drift that makes
-	// long-running caches fragment (holes from the old distribution cannot
-	// host values from the new one).
-	MinVal2, MaxVal2 int
-	Seed             int64
-}
+// The closed loop's shape: every SET is followed by getsPerSet GETs of keys
+// drawn from the same keyspace.
+const getsPerSet = 2
 
-// DefaultConfig returns the scaled §7.4 parameters.
-func DefaultConfig() Config {
-	return Config{
-		MaxLiveBytes:     8 << 20,
-		InitialKeys:      20000,
-		ExtraKeys:        10000,
-		QueriesPerInsert: 2,
-		MinVal:           240,
-		MaxVal:           492,
-		Seed:             99,
-	}
+// RegimeConfig returns the §7.4 fragmentation regime over keys owned keys,
+// the one Figure 16, the serving grid and serving crash campaigns run: values
+// of 240–366 bytes that drift to 367–492 bytes at the run's midpoint (holes
+// left by the old sizes cannot host the new ones, as in a long-running
+// cache), an LRU cap of 150 bytes per key so that expiry churns near it, a
+// maintenance point every keys/8 operations, and seed 99. Serving callers
+// set the traffic (clients, ops, seed) on top.
+func RegimeConfig(keys int) ServeConfig {
+	cfg := DefaultServeConfig()
+	cfg.Keyspace = keys
+	cfg.MinVal, cfg.MaxVal = 240, 366
+	cfg.MinVal2, cfg.MaxVal2 = 367, 492
+	cfg.MaxLiveBytes = uint64(keys) * 150
+	cfg.MaintEvery = max(keys/8, 1)
+	cfg.Seed = 99
+	return cfg
 }
 
 // sampleEvery is the number of operations between footprint samples.
@@ -72,23 +65,20 @@ type Result struct {
 	Evictions int
 }
 
-// FootprintFn lets a comparator report its own footprint (Mesh reports
-// physical frames); nil uses the allocator's view.
-type FootprintFn func() alloc.FragStats
-
 // Run executes the case study against store s (an Echo-style hash store in
-// the paper's configuration), one operation at a time on ctx. Before every
-// max(InitialKeys/8, 1)th operation hooks.Maintenance runs; while an epoch is
-// open hooks.Step(1) runs after each operation, so operations overlap it. A
-// pause either returns stalls the next operation, and an epoch still open at
-// the end is drained. Run has no recovery path: a crash plan is an error.
-func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hooks ServeHooks) (Result, error) {
+// the paper's configuration), one operation at a time on ctx, in the regime
+// RegimeConfig(keys) fixes: keys SETs of keys drawn from [0, keys), then keys
+// more from [0, 2·keys) with the drifted sizes, each followed by getsPerSet
+// GETs. Before every MaintEvery-th operation hooks.Maintenance runs; while an
+// epoch is open hooks.Step(1) runs after each operation, so operations
+// overlap it. A pause either returns stalls the next operation, and an epoch
+// still open at the end is drained. Run has no recovery path: a crash plan is
+// an error.
+func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Result, error) {
 	if hooks.Crash != nil {
 		return Result{}, errors.New("redisws.Run: a crash plan needs Serve; Run has no recovery path")
 	}
-	if err := checkValueSizes(cfg.MaxVal, cfg.MaxVal2); err != nil {
-		return Result{}, err
-	}
+	cfg := RegimeConfig(keys)
 	foot := hooks.Foot
 	if foot == nil {
 		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
@@ -101,11 +91,10 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hooks ServeHooks) (
 	// Volatile LRU bookkeeping (Redis keeps this in DRAM too). Redis stores
 	// an expired pair to disk; for the footprint study the PM side simply
 	// frees it.
-	keys := cfg.InitialKeys + cfg.ExtraKeys
-	cache := newLRUCache(s, cfg.MaxLiveBytes, keys, keys, nil)
+	cache := newLRUCache(s, cfg.MaxLiveBytes, 2*keys, 2*keys, nil)
 
 	res := Result{Lat: NewLatencyRecorder(0, 0)}
-	op, maintEvery := 0, max(cfg.InitialKeys/8, 1)
+	op, maintEvery := 0, cfg.MaintEvery
 	var stall uint64 // pause cycles the next operation waits out
 	lo, hi := cfg.MinVal, cfg.MaxVal
 	// do runs one operation, a SET of k or a GET of it.
@@ -138,16 +127,16 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, cfg Config, hooks ServeHooks) (
 	}
 
 	keyspace := uint64(0)
-	for phase, n := range []int{cfg.InitialKeys, cfg.ExtraKeys} {
-		keyspace += uint64(n)
-		if phase == 1 && cfg.MinVal2 > 0 && cfg.MaxVal2 >= cfg.MinVal2 {
+	for phase := range 2 {
+		keyspace += uint64(keys)
+		if phase == 1 {
 			lo, hi = cfg.MinVal2, cfg.MaxVal2
 		}
-		for i := 0; i < n; i++ {
+		for range keys {
 			if err := do(rng.Uint64()%keyspace, true); err != nil {
 				return res, err
 			}
-			for q := 0; q < cfg.QueriesPerInsert; q++ {
+			for range getsPerSet {
 				_ = do(rng.Uint64()%keyspace, false) // a GET returns no error
 			}
 		}

@@ -25,21 +25,14 @@ func setup(t *testing.T) (*pmop.Pool, *sim.Ctx) {
 	return p, sim.NewCtx(&cfg)
 }
 
-func smallCfg() redisws.Config {
-	c := redisws.DefaultConfig()
-	c.MaxLiveBytes = 300 << 10 // force LRU expiry (the Figure 16 regime)
-	c.InitialKeys = 2500
-	c.ExtraKeys = 1200
-	c.QueriesPerInsert = 1
-	c.MinVal = 24 // a wide size mix fragments the heap hard
-	return c
-}
+// testKeys is the owned-key count the closed-loop tests run: 4 000 SETs and
+// 8 000 GETs under a 300 000-byte LRU cap.
+const testKeys = 2000
 
 func TestRedisLRUCapHolds(t *testing.T) {
 	p, ctx := setup(t)
 	store, _ := kv.NewEcho(ctx, p, 2048)
-	cfg := smallCfg()
-	res, err := redisws.Run(ctx, p, store, cfg, redisws.ServeHooks{})
+	res, err := redisws.Run(ctx, p, store, testKeys, redisws.ServeHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +44,8 @@ func TestRedisLRUCapHolds(t *testing.T) {
 	// The allocator's live view includes entry/bucket overhead on top of
 	// the value bytes the LRU cap governs.
 	last := res.Samples[len(res.Samples)-1]
-	if last.Live > cfg.MaxLiveBytes*7/4 {
-		t.Errorf("live %d far exceeds cap %d", last.Live, cfg.MaxLiveBytes)
+	if limit := redisws.RegimeConfig(testKeys).MaxLiveBytes; last.Live > limit*7/4 {
+		t.Errorf("live %d far exceeds cap %d", last.Live, limit)
 	}
 	if res.Final.FragRatio < 1.1 {
 		t.Errorf("baseline fragR = %.2f, expected fragmentation", res.Final.FragRatio)
@@ -79,7 +72,7 @@ func TestRedisWithFFCCDReducesFootprint(t *testing.T) {
 	base := func() float64 {
 		p, ctx := setup(t)
 		store, _ := kv.NewEcho(ctx, p, 2048)
-		res, err := redisws.Run(ctx, p, store, smallCfg(), redisws.ServeHooks{})
+		res, err := redisws.Run(ctx, p, store, testKeys, redisws.ServeHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +84,7 @@ func TestRedisWithFFCCDReducesFootprint(t *testing.T) {
 		// Concurrent FFCCD epochs on a GC context: the application only
 		// waits out mark+summary and terminate, and pays the barrier cost.
 		hooks, eng := schemeHooks(t, "ffccd", p)
-		res, err := redisws.Run(ctx, p, store, smallCfg(), hooks)
+		res, err := redisws.Run(ctx, p, store, testKeys, hooks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +123,7 @@ func TestRunOverlapsFFCCDEpochs(t *testing.T) {
 		}
 		return open, pause
 	}
-	if _, err := redisws.Run(ctx, p, store, smallCfg(), hooks); err != nil {
+	if _, err := redisws.Run(ctx, p, store, testKeys, hooks); err != nil {
 		t.Fatal(err)
 	}
 	if stepped == 0 || stillOpen == 0 {
@@ -162,7 +155,7 @@ func TestRunRefusesCrashPlan(t *testing.T) {
 	armed := false
 	plan := &redisws.CrashPlan{Arm: func() { armed = true }}
 	before := ctx.Clock.Total()
-	if _, err := redisws.Run(ctx, p, store, smallCfg(), redisws.ServeHooks{Crash: plan}); err == nil {
+	if _, err := redisws.Run(ctx, p, store, testKeys, redisws.ServeHooks{Crash: plan}); err == nil {
 		t.Fatal("Run accepted a crash plan")
 	}
 	if armed || ctx.Clock.Total() != before {
@@ -174,7 +167,7 @@ func TestRedisSTWPausesVisibleInTail(t *testing.T) {
 	p, ctx := setup(t)
 	store, _ := kv.NewEcho(ctx, p, 2048)
 	hooks, eng := schemeHooks(t, "stw", p)
-	res, err := redisws.Run(ctx, p, store, smallCfg(), hooks)
+	res, err := redisws.Run(ctx, p, store, testKeys, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}

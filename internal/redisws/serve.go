@@ -63,10 +63,10 @@ type ServeConfig struct {
 	RatePerSec float64
 
 	ZipfTheta   float64 // key-popularity skew (default 0.99)
-	GetFraction float64 // fraction of GETs (default 0.9)
+	GetFraction float64 // fraction of GETs, in [0, 1]
 
 	MaxLiveBytes     uint64 // LRU cap; 0 disables eviction
-	MinVal, MaxVal   int    // value sizes (default 240..492; at most MaxValue)
+	MinVal, MaxVal   int    // value sizes (240..492 when MinVal is 0; at most MaxValue)
 	MinVal2, MaxVal2 int    // post-drift sizes, switched at Ops/2 when set
 
 	Seed       int64
@@ -160,7 +160,7 @@ type ServeHooks struct {
 	// dispatch is disabled and everything runs serially.
 	EpochOpen func() bool
 	// Foot overrides the footprint source (Mesh reports physical frames).
-	Foot FootprintFn
+	Foot func() alloc.FragStats
 
 	// Series, when non-nil, receives the run's windowed time series: per-op
 	// samples with a full stall-cause record, plus epoch/STW overlay
@@ -533,14 +533,6 @@ func Value(k uint64, n int) []byte {
 	return values[o : o+n : o+n]
 }
 
-// checkValueSizes reports whether a config's value sizes fit Value.
-func checkValueSizes(maxVal, maxVal2 int) error {
-	if max(maxVal, maxVal2) > MaxValue {
-		return fmt.Errorf("redisws: values of up to %d bytes configured, at most %d supported", max(maxVal, maxVal2), MaxValue)
-	}
-	return nil
-}
-
 // Loaded is a serving run up to its first dispatch, apart from the machine
 // itself: the normalized config, where the random stream stands, the
 // calibrated offered load, and the live LRU cache (with the durable-ack
@@ -646,19 +638,18 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 		cfg.ZipfTheta = 0.99
 	}
 	if cfg.GetFraction < 0 || cfg.GetFraction > 1 {
-		cfg.GetFraction = 0.9
+		return nil, fmt.Errorf("redisws.Load: GetFraction %v outside [0, 1]", cfg.GetFraction)
 	}
-	if cfg.MinVal <= 0 || cfg.MaxVal < cfg.MinVal {
+	if cfg.MinVal <= 0 {
 		cfg.MinVal, cfg.MaxVal = 240, 492
+	} else if cfg.MaxVal < cfg.MinVal {
+		return nil, fmt.Errorf("redisws.Load: value sizes %d..%d are inverted", cfg.MinVal, cfg.MaxVal)
 	}
-	if err := checkValueSizes(cfg.MaxVal, cfg.MaxVal2); err != nil {
-		return nil, err
+	if n := max(cfg.MaxVal, cfg.MaxVal2); n > MaxValue {
+		return nil, fmt.Errorf("redisws.Load: values of up to %d bytes configured, at most %d supported", n, MaxValue)
 	}
 	if cfg.MaintEvery <= 0 {
-		cfg.MaintEvery = cfg.Keyspace / 4
-		if cfg.MaintEvery == 0 {
-			cfg.MaintEvery = 1
-		}
+		cfg.MaintEvery = max(cfg.Keyspace/4, 1)
 	}
 	l := &Loaded{cfg: cfg}
 

@@ -117,10 +117,7 @@ func ShardConfigs(cfg ServeConfig, n int) []ServeConfig {
 		if i < total%n {
 			s++
 		}
-		if s < 1 {
-			s = 1
-		}
-		return s
+		return max(s, 1)
 	}
 	maint := cfg.MaintEvery
 	if maint <= 0 {
@@ -133,10 +130,7 @@ func ShardConfigs(cfg ServeConfig, n int) []ServeConfig {
 		c.Clients = share(cfg.Clients, i)
 		c.Ops = share(cfg.Ops, i)
 		c.MaxLiveBytes = cfg.MaxLiveBytes / uint64(n)
-		c.MaintEvery = maint / n
-		if c.MaintEvery < 1 {
-			c.MaintEvery = 1
-		}
+		c.MaintEvery = max(maint/n, 1)
 		if cfg.RatePerSec > 0 {
 			c.RatePerSec = cfg.RatePerSec / float64(n)
 		}

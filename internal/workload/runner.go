@@ -198,7 +198,7 @@ func (r *Runner) takeKey() uint64 {
 }
 
 func (r *Runner) val(k uint64) []byte {
-	n := r.cfg.ValueSize
+	n := valueSize
 	if r.cfg.ValueJitter > 0 {
 		n += r.rng.Intn(2*r.cfg.ValueJitter) - r.cfg.ValueJitter
 		if n < 8 {

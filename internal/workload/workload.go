@@ -15,11 +15,12 @@ import (
 	"ffccd/internal/sim"
 )
 
+const valueSize = 128 // bytes per value before jitter, as in the paper
+
 // Config parameterises a run.
 type Config struct {
 	InitInserts int    // paper: 5,000,000
 	PhaseOps    int    // paper: 4,000,000
-	ValueSize   int    // paper: 128 bytes
 	ValueJitter int    // ± bytes of size variation (string-swap style); 0 = fixed
 	KeyCap      uint64 // >0 bounds the key space (slot-addressed stores)
 	KeyBase     uint64 // added to every key: disjoint ranges for threads
@@ -42,7 +43,6 @@ func DefaultConfig() Config {
 	return Config{
 		InitInserts: 20000,
 		PhaseOps:    16000,
-		ValueSize:   128,
 		Seed:        1,
 		SampleEvery: 500,
 	}

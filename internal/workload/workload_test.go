@@ -144,7 +144,7 @@ func TestScaledConfig(t *testing.T) {
 		t.Errorf("Scaled(0.5) = %d/%d, want %d/%d",
 			half.InitInserts, half.PhaseOps, base.InitInserts/2, base.PhaseOps/2)
 	}
-	if half.ValueSize != base.ValueSize || half.SampleEvery != base.SampleEvery {
+	if half.SampleEvery != base.SampleEvery {
 		t.Error("Scaled must only change the op counts")
 	}
 }
@@ -173,7 +173,7 @@ func TestRunIsSeedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wcfg := workload.Config{InitInserts: 800, PhaseOps: 600, ValueSize: 64, Seed: 5, SampleEvery: 100}
+		wcfg := workload.Config{InitInserts: 800, PhaseOps: 600, Seed: 5, SampleEvery: 100}
 		res, err := workload.Run(ctx, p, s, wcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestValueJitterVariesSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcfg := workload.Config{InitInserts: 400, PhaseOps: 200, ValueSize: 64, ValueJitter: 48, Seed: 9, SampleEvery: 100}
+	wcfg := workload.Config{InitInserts: 400, PhaseOps: 200, ValueJitter: 48, Seed: 9, SampleEvery: 100}
 	if _, err := workload.Run(ctx, p, s, wcfg); err != nil {
 		t.Fatal(err)
 	}
