@@ -21,15 +21,13 @@ var machinePackages = []string{
 // host locks, atomics and workpool free lists those packages may hold, each
 // with its reason.
 var hostSyncAllowed = map[string]string{
-	"kv:Echo.mu":           "bench/store_test.go's TestDecoratorCountsConcurrentGets drives one Echo from 8 goroutines",
-	"pmop:Pool.Ops":        "the same bench test: Echo.Get's deferred EndOp runs outside Echo.mu",
-	"pmop:Registry.mu":     "a type registry may be shared by several machines; types_test.go tests it concurrently",
-	"pmop:Registry.frozen": "the registry's lock-free lookup snapshot, republished under Registry.mu",
-	"pmem:pagePool.Mutex":  "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
-	"pmem:arrayPool":       "process-wide free list of cache arrays that machines of one geometry on workpool workers share",
-	"sim:tlbPool":          "process-wide free list of TLB arrays that contexts of one geometry on workpool workers share",
-	"core:epochPool":       "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
-	"sim:ctxSeq":           "process-wide sim.Ctx numbering",
+	"kv:Echo.mu":          "bench/store_test.go's TestDecoratorCountsConcurrentGets drives one Echo from 8 goroutines",
+	"pmop:Pool.Ops":       "the same bench test: Echo.Get's deferred EndOp runs outside Echo.mu",
+	"pmem:pagePool.Mutex": "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
+	"pmem:arrayPool":      "process-wide free list of cache arrays that machines of one geometry on workpool workers share",
+	"sim:tlbPool":         "process-wide free list of TLB arrays that contexts of one geometry on workpool workers share",
+	"core:epochPool":      "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
+	"sim:ctxSeq":          "process-wide sim.Ctx numbering",
 }
 
 // TestNoHostSyncInMachine enforces that a simulated machine is plain data

@@ -75,6 +75,30 @@ func BenchmarkEpochCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkStepCompaction steps large epochs (≈ 27 000 objects) one object
+// at a time, as a serving run's dispatch rounds and a crash campaign's rounds
+// drive the mover. When an epoch has no object left, a new heap is built and
+// its epoch opened, off the clock.
+func BenchmarkStepCompaction(b *testing.B) {
+	var fx *fixture
+	var e *Engine
+	for i := 0; i < b.N; i++ {
+		if e == nil || e.EpochPending() == 0 {
+			b.StopTimer()
+			if e != nil {
+				e.Close()
+				fx.rt.Device().ReleaseMedia()
+			}
+			fx, e = benchHeap(b, SchemeFFCCDCheckLookup)
+			if !e.BeginCycle(fx.ctx) {
+				b.Fatal("no epoch")
+			}
+			b.StartTimer()
+		}
+		e.StepCompaction(fx.ctx, 1)
+	}
+}
+
 // BenchmarkBarrierResolve times the read barrier forwarding references to
 // objects that have already moved: check, lookup and the object-index probe.
 func BenchmarkBarrierResolve(b *testing.B) {
@@ -85,7 +109,7 @@ func BenchmarkBarrierResolve(b *testing.B) {
 			if ep == nil {
 				b.Fatal("no epoch")
 			}
-			e.compact(fx.ctx, ep)
+			e.StepCompaction(fx.ctx, len(ep.objects))
 			var refs []pmop.Ptr
 			for i := range ep.objects {
 				refs = append(refs, pmop.MakePtr(fx.p.ID(), ep.objects[i].srcPayload()))

@@ -12,8 +12,8 @@ import (
 // object sharing its destination cacheline — the cluster) from its
 // relocation page to its PMFT-determined destination using the active
 // scheme's persistence protocol (Fig. 6a, Fig. 7a, Fig. 9a). The read
-// barrier and the background mover both call it; an object that has already
-// moved is left alone.
+// barrier and the mover (move) are its only callers; an object that has
+// already moved is left alone.
 func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarrier bool) {
 	if ep.isMoved(idx) {
 		return
@@ -164,41 +164,17 @@ func (e *Engine) sfccdTxAddHook(ctx *sim.Ctx, off, n uint64) {
 	p.Sfence(ctx)
 }
 
-// finishEpoch is §5 terminate(): after every object has moved, stop the
-// world once more, rewrite all remaining references into relocation pages,
-// flush everything durable, release the relocation pages, and leave the
-// compacting phase.
+// finishEpoch is §5 terminate(), run with the world stopped once every
+// object has moved: rewrite all remaining references into relocation pages,
+// flush everything durable, release the relocation pages, leave the
+// compacting phase and count the cycle. Every epoch ends here — FinishCycle's,
+// Close's, RunCycleSTW's and the one recovery resumes.
 func (e *Engine) finishEpoch(ctx *sim.Ctx, ep *epochState) {
-	// Belt and braces: relocate anything the background mover missed.
-	for i := range ep.objects {
-		if !ep.isMoved(i) {
-			e.relocateObject(ctx.Derived(sim.CatCopy), ep, i, false)
-		}
-	}
-
-	o := e.obs
-	var t0 uint64
-	if o != nil {
-		t0 = obsv.Now(ctx)
-	}
-	e.finishEpochPaused(ctx, ep)
-	if o != nil {
-		o.Tracer.Span(ctx, obsv.KindSTW, t0, 0)
-		e.hSTW.Observe(obsv.Now(ctx) - t0)
-	}
-}
-
-// finishEpochPaused is the stop-the-world tail of finishEpoch: no application
-// operation runs until it returns.
-func (e *Engine) finishEpochPaused(ctx *sim.Ctx, ep *epochState) {
 	p := e.pool
 	gctx := ctx.Derived(sim.CatGCMisc)
 
 	o := e.obs
-	var tFix uint64
-	if o != nil {
-		tFix = obsv.Now(ctx)
-	}
+	tFix := e.now(ctx)
 
 	// Final reference fixup: one reachability pass rewriting every pointer
 	// that still aims into a relocation frame (§5: "defragmentation runs
@@ -259,6 +235,7 @@ func (e *Engine) finishEpochPaused(ctx *sim.Ctx, ep *epochState) {
 	}
 	p.SetBarrier(nil)
 	e.epoch = nil
+	e.stats.Cycles++
 	if o != nil {
 		// The whole epoch, opening stop-the-world through terminate. The
 		// barrier (and checklookup hardware, when configured) was live from

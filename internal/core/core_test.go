@@ -196,7 +196,7 @@ func TestBarrierForwardsDuringCompaction(t *testing.T) {
 			if e.Stats().BarrierMoves == 0 {
 				t.Error("no barrier-driven relocations")
 			}
-			e.finishEpoch(fx.ctx, ep)
+			e.FinishCycle(fx.ctx)
 			checkList(t, fx.p, fx.ctx, fx.n)
 		})
 	}
@@ -216,8 +216,7 @@ func TestPhaseWordLifecycle(t *testing.T) {
 	if st, sc, en := pmop.UnpackGCPhase(fx.p.GCPhase(fx.ctx)); st != pmop.PhaseCompacting || Scheme(sc) != e.opt.Scheme || en != ep.epochNo {
 		t.Fatalf("phase word wrong: %d/%v/%d", st, sc, en)
 	}
-	e.compact(fx.ctx, ep)
-	e.finishEpoch(fx.ctx, ep)
+	e.FinishCycle(fx.ctx)
 	if st, _, _ := pmop.UnpackGCPhase(fx.p.GCPhase(fx.ctx)); st != pmop.PhaseIdle {
 		t.Fatal("not idle after finish")
 	}
@@ -239,7 +238,7 @@ func TestPMFTDeterminism(t *testing.T) {
 		for _, o := range ep.objects {
 			out[o.srcHdr] = o.dstHdr
 		}
-		e.finishEpoch(fx.ctx, ep)
+		e.FinishCycle(fx.ctx)
 		return out
 	}
 	a, b := mk(), mk()
@@ -310,9 +309,7 @@ func TestCrashMidCompaction(t *testing.T) {
 			}
 			// Move roughly half the objects, then crash with everything
 			// still volatile (FFCCD) or partially persisted.
-			for i := 0; i < len(ep.objects)/2; i++ {
-				e.relocateObject(fx.ctx, ep, i, false)
-			}
+			e.StepCompaction(fx.ctx, len(ep.objects)/2)
 			// Touch part of the list so some references self-healed.
 			cur := fx.p.Root(fx.ctx)
 			for i := 0; i < 30 && !cur.IsNull(); i++ {
@@ -343,9 +340,7 @@ func TestCrashMidCompactionKeepInflight(t *testing.T) {
 			if ep == nil {
 				t.Fatal("no epoch")
 			}
-			for i := 0; i < len(ep.objects)*2/3; i++ {
-				e.relocateObject(fx.ctx, ep, i, false)
-			}
+			e.StepCompaction(fx.ctx, len(ep.objects)*2/3)
 			p2, e2 := crashAndRecover(t, fx, e, opt)
 			defer e2.Close()
 			checkList(t, p2, fx.ctx, fx.n)
@@ -425,9 +420,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	opt.Scheme = SchemeFFCCD
 	e := NewEngine(fx.p, opt)
 	ep := e.prepare(fx.ctx)
-	for i := 0; i < len(ep.objects)/3; i++ {
-		e.relocateObject(fx.ctx, ep, i, false)
-	}
+	e.StepCompaction(fx.ctx, len(ep.objects)/3)
 	p2, e2 := crashAndRecover(t, fx, e, opt)
 	e2.Close()
 	// Crash again immediately after recovery (idle state) and recover again.
@@ -547,9 +540,8 @@ func TestReachedBitmapGatesRelease(t *testing.T) {
 	if ep == nil {
 		t.Fatal("no epoch")
 	}
-	e.compact(fx.ctx, ep)
 	objs := ep.objects
-	e.finishEpoch(fx.ctx, ep)
+	e.FinishCycle(fx.ctx)
 	reachedOff := fx.p.GCMeta().Reached
 	heap := fx.p.Heap()
 	heapOff := heap.HeapOff()
@@ -579,10 +571,7 @@ func TestEADRMakesFenceFreeTrivial(t *testing.T) {
 	if ep == nil {
 		t.Fatal("no epoch")
 	}
-	moved := len(ep.objects) / 2
-	for i := 0; i < moved; i++ {
-		e.relocateObject(fx.ctx, ep, i, false)
-	}
+	e.StepCompaction(fx.ctx, len(ep.objects)/2)
 	p2, e2 := crashAndRecover(t, fx, e, opt)
 	defer e2.Close()
 	checkList(t, p2, fx.ctx, fx.n)

@@ -280,10 +280,11 @@ func (e *Engine) Triggered() bool {
 }
 
 // Close implements the paper's exit(), the engine's last call: it completes
-// any in-flight defragmentation (terminate(): finish pending relocations and
-// reference updates, release relocation pages, drop metadata), unhooks the
-// pool and then releases the engine (Release). A second Close, or a Close
-// after Release, does nothing.
+// any in-flight defragmentation as FinishCycle does (finish pending
+// relocations and reference updates, release relocation pages, drop
+// metadata; the epoch counts in Stats().Cycles), unhooks the pool and then
+// releases the engine (Release). A second Close, or a Close after Release,
+// does nothing.
 func (e *Engine) Close() {
 	if e.epochMem == nil {
 		return
@@ -292,10 +293,8 @@ func (e *Engine) Close() {
 	// engine's own context, so its epoch overlay starts there too: an
 	// interval read off two clocks would be meaningless.
 	if ep := e.epoch; ep != nil {
-		if e.obs != nil {
-			ep.obsStart = obsv.Now(e.gcCtx)
-		}
-		e.finishEpoch(e.gcCtx, ep)
+		ep.obsStart = e.now(e.gcCtx)
+		e.FinishCycle(e.gcCtx)
 	}
 	e.pool.SetTxAddHook(nil)
 	e.Release()
@@ -339,6 +338,28 @@ func (e *Engine) RunCycle(ctx *sim.Ctx) bool {
 	return true
 }
 
+// RunCycleSTW performs one complete stop-the-world defragmentation cycle —
+// the jemalloc-style comparator of §7.4: the same marking, summary, mover and
+// terminate as RunCycle, all inside a single application pause, so no
+// application operation ever meets the read barrier. Object moves still
+// follow the engine's scheme for persistence (use SchemeEspresso for the
+// paper's comparison). Returns the pause length in simulated cycles and
+// whether a cycle ran.
+func (e *Engine) RunCycleSTW(ctx *sim.Ctx) (uint64, bool) {
+	e.mustLive()
+	if e.opt.Scheme == SchemeNone || e.epoch != nil {
+		return 0, false
+	}
+	start := ctx.Clock.Total()
+	ep := e.prepare(ctx)
+	if ep != nil {
+		e.move(ctx, ep, len(ep.objects))
+		e.finishEpoch(ctx, ep)
+	}
+	e.pause(ctx, start)
+	return ctx.Clock.Total() - start, ep != nil
+}
+
 // BeginCycle runs only the stop-the-world phases (marking + summary) and
 // installs the read barrier, leaving the epoch open with no object moved
 // yet. Crash-injection harnesses use it with StepCompaction and FinishCycle
@@ -349,37 +370,21 @@ func (e *Engine) BeginCycle(ctx *sim.Ctx) bool {
 	if e.opt.Scheme == SchemeNone || e.epoch != nil {
 		return false
 	}
-	return e.prepare(ctx) != nil
+	t0 := e.now(ctx)
+	ep := e.prepare(ctx)
+	e.pause(ctx, t0)
+	return ep != nil
 }
 
-// StepCompaction relocates up to n not-yet-moved objects of the open epoch
-// and returns how many it moved. Zero means compaction is complete.
+// StepCompaction relocates up to n not-yet-moved objects of the open epoch,
+// lowest index first, and returns how many it moved. Zero means compaction
+// is complete.
 func (e *Engine) StepCompaction(ctx *sim.Ctx, n int) int {
 	e.mustLive()
-	ep := e.epoch
-	if ep == nil {
+	if e.epoch == nil {
 		return 0
 	}
-	o := e.obs
-	var t0 uint64
-	if o != nil {
-		t0 = obsv.Now(ctx)
-	}
-	moved := 0
-	for i := range ep.objects {
-		if moved >= n {
-			break
-		}
-		if !ep.isMoved(i) {
-			e.relocateObject(ctx.Derived(sim.CatCopy), ep, i, false)
-			moved++
-		}
-	}
-	if o != nil && moved > 0 {
-		o.Tracer.Span(ctx, obsv.KindCopy, t0, uint64(moved))
-		e.hBatch.Observe(uint64(moved))
-	}
-	return moved
+	return e.move(ctx, e.epoch, n)
 }
 
 // EpochPending returns the number of not-yet-moved objects in the open
@@ -391,31 +396,50 @@ func (e *Engine) EpochPending() int {
 	return e.epoch.pending
 }
 
-// FinishCycle completes an epoch opened by BeginCycle: it relocates the
-// remaining objects and runs the terminate path.
+// FinishCycle completes an epoch opened by BeginCycle: the mover relocates
+// the remaining objects, then terminate runs in a pause of its own.
 func (e *Engine) FinishCycle(ctx *sim.Ctx) {
 	e.mustLive()
-	ep := e.epoch
-	if ep == nil {
-		return
+	if ep := e.epoch; ep != nil {
+		e.move(ctx, ep, len(ep.objects))
+		e.terminate(ctx, ep)
 	}
-	e.compact(ctx, ep)
+}
+
+// terminate runs finishEpoch as one stop-the-world pause.
+func (e *Engine) terminate(ctx *sim.Ctx, ep *epochState) {
+	t0 := e.now(ctx)
 	e.finishEpoch(ctx, ep)
-	e.stats.Cycles++
+	e.pause(ctx, t0)
+}
+
+// now reads ctx's clock for a span that observability records (0 when it is
+// off).
+func (e *Engine) now(ctx *sim.Ctx) uint64 {
+	if e.obs == nil {
+		return 0
+	}
+	return obsv.Now(ctx)
+}
+
+// pause records one stop-the-world pause that began at t0: a KindSTW span
+// and a stw_pause_cycles observation.
+func (e *Engine) pause(ctx *sim.Ctx, t0 uint64) {
+	if o := e.obs; o != nil {
+		o.Tracer.Span(ctx, obsv.KindSTW, t0, 0)
+		e.hSTW.Observe(obsv.Now(ctx) - t0)
+	}
 }
 
 // prepare runs the stop-the-world phases (marking + summary) and installs
-// the read barrier. Returns nil when fragmentation is already at target.
+// the read barrier. Returns nil when fragmentation is already at target. The
+// caller accounts for the pause.
 func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
-	p := e.pool
 	o := e.obs
-	var t0, t1 uint64
-	if o != nil {
-		t0 = obsv.Now(ctx)
-	}
+	t0 := e.now(ctx)
 	live := e.mark(ctx.Derived(sim.CatMark), nil, true)
+	t1 := e.now(ctx)
 	if o != nil {
-		t1 = obsv.Now(ctx)
 		o.Tracer.Span(ctx, obsv.KindMark, t0, uint64(len(live)))
 	}
 	ep := e.summary(ctx.Derived(sim.CatSummary), live)
@@ -425,8 +449,6 @@ func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
 			objs, began = uint64(len(ep.objects)), 1
 		}
 		o.Tracer.Span(ctx, obsv.KindSummary, t1, objs)
-		o.Tracer.Span(ctx, obsv.KindSTW, t0, 0)
-		e.hSTW.Observe(obsv.Now(ctx) - t0)
 		o.Tracer.Instant(ctx, obsv.KindTrigger, began)
 	}
 	if ep == nil {
@@ -434,29 +456,26 @@ func (e *Engine) prepare(ctx *sim.Ctx) *epochState {
 	}
 	ep.obsStart = t0
 	e.epoch = ep
-	p.SetBarrier(&readBarrier{e: e, ep: ep})
+	e.pool.SetBarrier(&readBarrier{e: e, ep: ep})
 	return ep
 }
 
-// compact runs the background mover until every relocation object has moved.
-// Application threads interleaved with an open epoch (StepCompaction) have
-// relocated some on demand through the read barrier already.
-func (e *Engine) compact(ctx *sim.Ctx, ep *epochState) {
+// move is the engine's one mover: it relocates up to n not-yet-moved objects
+// of ep in index order, starting at ep.cursor, and returns how many it moved.
+// Objects the read barrier moved on demand are skipped.
+func (e *Engine) move(ctx *sim.Ctx, ep *epochState, n int) int {
 	o := e.obs
-	var t0 uint64
-	if o != nil {
-		t0 = obsv.Now(ctx)
-	}
+	t0 := e.now(ctx)
 	moved := 0
-	for i := range ep.objects {
-		if ep.isMoved(i) {
-			continue
+	for ; ep.cursor < len(ep.objects) && moved < n; ep.cursor++ {
+		if !ep.isMoved(ep.cursor) {
+			e.relocateObject(ctx.Derived(sim.CatCopy), ep, ep.cursor, false)
+			moved++
 		}
-		e.relocateObject(ctx.Derived(sim.CatCopy), ep, i, false)
-		moved++
 	}
-	if o != nil {
+	if o != nil && moved > 0 {
 		o.Tracer.Span(ctx, obsv.KindCopy, t0, uint64(moved))
 		e.hBatch.Observe(uint64(moved))
 	}
+	return moved
 }

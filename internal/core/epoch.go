@@ -83,6 +83,7 @@ type epochState struct {
 
 	moved    []bool // set once the object's move completed
 	pending  int    // objects not yet moved
+	cursor   int    // the mover's next index; every object below it has moved
 	dupBytes uint64 // double-counted bytes registered with the heap
 
 	blooms *arch.BloomSet
@@ -205,7 +206,7 @@ func (ep *epochState) buildIndexes(p *pmop.Pool) {
 	clear(ep.moved)
 	ep.tomb = sized(ep.tomb, (n+63)/64)
 	clear(ep.tomb)
-	ep.pending = n
+	ep.pending, ep.cursor = n, 0
 	ep.fwd = pmftForwarder{p: p, ep: ep}
 }
 

@@ -137,8 +137,7 @@ func TestLastSlotForwarding(t *testing.T) {
 					t.Fatalf("Resolve(object %d) = %v, want %v", i, got, want)
 				}
 			}
-			e.compact(fx.ctx, ep)
-			e.finishEpoch(fx.ctx, ep)
+			e.FinishCycle(fx.ctx)
 			checkVarList(t, fx.p, fx.ctx, fx.n)
 			if _, err := checker.CheckGraph(fx.ctx, fx.p); err != nil {
 				t.Fatal(err)
@@ -200,8 +199,7 @@ func TestNoCrashCycleGraph(t *testing.T) {
 				}
 				two, _ := lastSlotObjects(ep, fx.p)
 				lastSlot += two
-				e.compact(fx.ctx, ep)
-				e.finishEpoch(fx.ctx, ep)
+				e.FinishCycle(fx.ctx)
 				e.Close()
 				checkVarList(t, fx.p, fx.ctx, fx.n)
 				if _, err := checker.CheckGraph(fx.ctx, fx.p); err != nil {

@@ -33,10 +33,7 @@ import (
 func Recover(ctx *sim.Ctx, p *pmop.Pool, opt Options) (*Engine, error) {
 	e := NewEngine(p, opt)
 	rctx := ctx.Derived(sim.CatRecovery)
-	var t0 uint64
-	if e.obs != nil {
-		t0 = obsv.Now(rctx)
-	}
+	t0 := e.now(rctx)
 	if err := e.recover(rctx); err != nil {
 		return nil, err
 	}
@@ -212,10 +209,9 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	e.epoch = ep
 	p.SetBarrier(&readBarrier{e: e, ep: ep})
 	dev.Site(ctx, pmem.SiteRecoveryStep)
-	e.compact(ctx, ep)
+	e.move(ctx, ep, len(ep.objects))
 	dev.Site(ctx, pmem.SiteRecoveryStep)
-	e.finishEpoch(ctx, ep)
-	e.stats.Cycles++
+	e.terminate(ctx, ep)
 	e.progress(ctx, "done")
 	return nil
 }

@@ -66,10 +66,6 @@ func RegisterTypes(reg *pmop.Registry) {
 	reg.Register(pmop.TypeInfo{Name: typeBzNode, Kind: pmop.KindFixed, Size: bzNodeSize, PtrOffsets: bzNodePtrOffsets()})
 	// FPTree leaf (layout in fptree.go).
 	reg.Register(pmop.TypeInfo{Name: typeFPLeaf, Kind: pmop.KindFixed, Size: fpLeafSize, PtrOffsets: fpLeafPtrOffsets()})
-	// Registration batch complete: compile the registry for lock-free
-	// lookup (the Alloc/mark hot path). Later Registers — e.g. a following
-	// kv.RegisterTypes on the same registry — copy-on-write and republish.
-	reg.Freeze()
 }
 
 // allocValue clones val into a fresh persistent value object and persists

@@ -192,17 +192,10 @@ func engineOptions(spec Spec, scheme core.Scheme, obs *obsv.Obs) core.Options {
 // every thread finishes an open epoch before sampling and only thread 0
 // begins epochs (see runInterleaved).
 func installSchemeHooks(wl *workload.Config, eng *core.Engine, gcCtx *sim.Ctx) {
-	epochOpen := false
-	wl.PreSample = func() {
-		if epochOpen {
-			eng.StepCompaction(gcCtx, 1<<30)
-			eng.FinishCycle(gcCtx)
-			epochOpen = false
-		}
-	}
+	wl.PreSample = func() { eng.FinishCycle(gcCtx) }
 	wl.Maintenance = func() {
-		if !epochOpen && eng.Triggered() {
-			epochOpen = eng.BeginCycle(gcCtx)
+		if eng.Triggered() {
+			eng.BeginCycle(gcCtx)
 		}
 	}
 }

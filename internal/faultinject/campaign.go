@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"ffccd/internal/pmem"
+	"ffccd/internal/workpool"
 )
 
 // CampaignOptions tunes a scheduled-crash campaign. The zero value is an
@@ -208,11 +209,15 @@ func (c *campaign) runWatched(s Schedule, topts TrialOptions, timeout time.Durat
 	}
 }
 
-// runAll runs the schedules on the worker pool, results in schedule order.
+// runAll runs the schedules on the process-wide worker pool shared with the
+// experiments driver, results in schedule order. Every trial runs on a
+// simulated machine of its own — a fork of its campaign's read-only prefix —
+// so the pool size changes host wall-clock only, never a trial verdict.
 func (c *campaign) runAll(scheds []Schedule, co CampaignOptions) []trialOut {
 	outs := make([]trialOut, len(scheds))
-	parallelFor(len(scheds), func(i int) {
+	_ = workpool.ForEach(len(scheds), func(i int) error {
 		outs[i] = c.runWatched(scheds[i], co.Trial, co.Timeout)
+		return nil
 	})
 	return outs
 }

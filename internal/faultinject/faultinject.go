@@ -49,7 +49,6 @@ import (
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
-	"ffccd/internal/workpool"
 )
 
 // TrialOptions carries per-campaign hooks. The zero value is a plain trial.
@@ -74,24 +73,6 @@ type TrialOptions struct {
 	// serving trial (shard in [0, rep.Shards); 0 when unsharded). The run's
 	// recovery/backoff overlay intervals land in it.
 	Series func(rep ServeRepro, shard int) *obsv.TimeSeries
-}
-
-// Host-side fan-out runs on the process-wide worker pool shared with the
-// experiments driver (internal/workpool). Every trial runs on a simulated
-// machine of its own — a fork of its campaign's read-only prefix — so trials
-// are hermetic; the pool size changes host wall-clock
-// only, never a trial verdict. Defaults to GOMAXPROCS,
-// overridable with FFCCD_PARALLEL or workpool.SetParallelism.
-
-// parallelFor runs f(0..n-1) on the shared worker pool. Results must be
-// written into index-addressed slots by f, so output order is deterministic
-// regardless of worker count; nested fan-outs (campaign sweeps running
-// trial grids) share the pool's slots instead of oversubscribing.
-func parallelFor(n int, f func(i int)) {
-	_ = workpool.ForEach(n, func(i int) error {
-		f(i)
-		return nil
-	})
 }
 
 // Setting is one validation configuration.

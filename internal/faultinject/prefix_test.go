@@ -24,6 +24,7 @@ import (
 	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 func scratchRunScheduled(rep Repro, opts TrialOptions, dp *ctxProbe) (Result, error) {
@@ -149,8 +150,9 @@ func TestForkedTrialMatchesScratch(t *testing.T) {
 		var gotErr [crashesPer]error
 		var gotProbe [crashesPer]machineProbe
 		var gotDriver [crashesPer]ctxProbe
-		parallelFor(crashesPer, func(k int) {
+		_ = workpool.ForEach(crashesPer, func(k int) error {
 			got[k], gotErr[k] = forkedRunScheduled(c, reps[k], gotProbe[k].options(), &gotDriver[k])
+			return nil
 		})
 		for k, rep := range reps {
 			var wantProbe machineProbe

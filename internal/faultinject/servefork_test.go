@@ -21,6 +21,7 @@ import (
 	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // scratchRunServe runs rep on machines built and loaded in place, as
@@ -89,7 +90,10 @@ func TestForkedServeTrialMatchesScratch(t *testing.T) {
 		var got [crashesPer]Result
 		var gotErr [crashesPer]error
 		var gotProbe [crashesPer]machineProbe
-		parallelFor(crashesPer, func(k int) { got[k], gotErr[k] = c.runServe(reps[k], gotProbe[k].options()) })
+		_ = workpool.ForEach(crashesPer, func(k int) error {
+			got[k], gotErr[k] = c.runServe(reps[k], gotProbe[k].options())
+			return nil
+		})
 		for k, rep := range reps {
 			var wantProbe machineProbe
 			want, werr := scratchRunServe(rep, wantProbe.options())

@@ -35,9 +35,6 @@ func RegisterTypes(reg *pmop.Registry) {
 	reg.Register(pmop.TypeInfo{Name: typeBuckets, Kind: pmop.KindPtrArray})
 	reg.Register(pmop.TypeInfo{Name: typeEntry, Kind: pmop.KindFixed, Size: 24, PtrOffsets: []uint64{8, 16}})
 	reg.Register(pmop.TypeInfo{Name: typeValue, Kind: pmop.KindBytes})
-	// Compile for lock-free lookup; on a registry ds.RegisterTypes already
-	// froze, the Registers above took the copy-on-write republish path.
-	reg.Freeze()
 }
 
 // Echo is the Echo-style store: a fixed-size persistent hash table whose

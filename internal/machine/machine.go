@@ -24,8 +24,9 @@ import (
 )
 
 // registry holds every persistent type, ds types first, so a ds type has the
-// same id as in a registry of ds types alone. It is built and frozen when the
-// package loads and only looked up from then on.
+// same id as in a registry of ds types alone. It is built when the package
+// loads and only looked up from then on, so machines on several workers share
+// it without a lock.
 var registry = func() *pmop.Registry {
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)

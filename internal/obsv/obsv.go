@@ -49,7 +49,8 @@ const (
 	// KindBarrierFix is the terminate-phase reference fixup pass (span).
 	KindBarrierFix
 	// KindSTW is a stop-the-world window (span; the mark+summary pause or the
-	// terminate pause).
+	// terminate pause of a concurrent cycle, or a whole stop-the-world
+	// cycle).
 	KindSTW
 	// KindEpoch is a whole defragmentation epoch, from the opening
 	// stop-the-world to terminate (span; Arg=epoch number).

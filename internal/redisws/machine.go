@@ -58,22 +58,20 @@ func SchemeHooks(scheme string, eng *core.Engine, d *mesh.Defragmenter, gc *sim.
 	var hooks ServeHooks
 	switch scheme {
 	case "ffccd":
-		open := false
 		stw := func() uint64 { return gc.Clock.Cycles(sim.CatMark) + gc.Clock.Cycles(sim.CatSummary) }
 		hooks.Maintenance = func(uint64) uint64 {
-			if open || !eng.Triggered() {
+			if !eng.Triggered() {
 				return 0
 			}
 			before := stw()
 			if !eng.BeginCycle(gc) {
 				return 0
 			}
-			open = true
 			// Only the mark+summary phases stall the application (§2.3.2);
 			// compaction proceeds concurrently behind the read barrier.
 			return stw() - before
 		}
-		hooks.EpochOpen = func() bool { return open }
+		hooks.EpochOpen = func() bool { _, ok := eng.OpenEpoch(); return ok }
 		hooks.EpochInfo = eng.OpenEpoch
 		hooks.Step = func(n int) (bool, uint64) {
 			eng.StepCompaction(gc, n)
@@ -83,7 +81,6 @@ func SchemeHooks(scheme string, eng *core.Engine, d *mesh.Defragmenter, gc *sim.
 			// Terminate: reference fixup + flush run stop-the-world.
 			t0 := gc.Clock.Total()
 			eng.FinishCycle(gc)
-			open = false
 			return false, gc.Clock.Total() - t0
 		}
 	case "stw":
