@@ -33,7 +33,7 @@ fmt:
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \
-		-run 'TestCampaignGolden|TestForked(Serve)?TrialMatchesScratch|Test(Serve)?CampaignLeavesNoPrefixBehind'
+		-run 'TestCampaignGolden|TestForked(Serve)?TrialMatchesScratch|Test(Serve)?CampaignLeavesNoPrefixBehind|TestPooledTrialsMatchSerial'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/pmem/ \
 		-run 'TestCopyOnWriteMatchesDenseModels|TestForksOfOneCheckpointOnWorkers'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/machine/ \

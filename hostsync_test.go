@@ -27,6 +27,7 @@ var hostSyncAllowed = map[string]string{
 	"pmem:arrayPool":      "process-wide free list of cache arrays that machines of one geometry on workpool workers share",
 	"sim:tlbPool":         "process-wide free list of TLB arrays that contexts of one geometry on workpool workers share",
 	"core:epochPool":      "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
+	"redisws:lruPool":     "process-wide free list of the LRU tables released serving runs hand to the next forks on workpool workers",
 	"sim:ctxSeq":          "process-wide sim.Ctx numbering",
 }
 

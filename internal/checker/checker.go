@@ -38,14 +38,42 @@ type GraphStats struct {
 // state the check leaves behind must not depend on Go's map iteration
 // order.
 func CheckStore(ctx *sim.Ctx, s ds.Store, model map[uint64][]byte) error {
-	keys := make([]uint64, 0, len(model))
+	return checkKeys(ctx, s, model, sortedKeys(model, 0))
+}
+
+// sortedKeys returns model's keys in ascending order, with room for extra
+// more.
+func sortedKeys(model map[uint64][]byte, extra int) []uint64 {
+	keys := make([]uint64, 0, len(model)+extra)
 	for k := range model {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
+	return keys
+}
+
+// inPlaceReader is a store that reads a value into a caller's buffer, with
+// the loads Get makes: every ds and kv store.
+type inPlaceReader interface {
+	GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool)
+}
+
+// checkKeys is CheckStore with model's keys given, ascending. It only
+// compares what it reads, so it reads every value into one buffer, through
+// Get only for a store that cannot read in place.
+func checkKeys(ctx *sim.Ctx, s ds.Store, model map[uint64][]byte, keys []uint64) error {
+	r, inPlace := s.(inPlaceReader)
+	var buf []byte
 	for _, k := range keys {
 		want := model[k]
-		got, ok := s.Get(ctx, k)
+		var got []byte
+		var ok bool
+		if inPlace {
+			buf, ok = r.GetInto(ctx, k, buf)
+			got = buf
+		} else {
+			got, ok = s.Get(ctx, k)
+		}
 		if !ok {
 			return fmt.Errorf("checker: key %d lost", k)
 		}

@@ -10,6 +10,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 
 	"ffccd/internal/ds"
 	"ffccd/internal/sim"
@@ -31,26 +32,39 @@ type PendingWrite struct {
 // half-relocated object is reachable — CheckStore's length check plus the
 // read path's header validation cover that). The check passes against either
 // the acked model or acked±pending and returns the variant that verified —
-// the model the resumed server continues against.
+// the model the resumed server continues against. That is acked itself,
+// with the pending write applied in place when only that variant verified;
+// acked is left as it was when neither does.
 func DurableAcks(ctx *sim.Ctx, s ds.Store, acked map[uint64][]byte, pending *PendingWrite) (map[uint64][]byte, error) {
-	err := CheckStore(ctx, s, acked)
+	keys := sortedKeys(acked, 1)
+	err := checkKeys(ctx, s, acked, keys)
 	if err == nil {
 		return acked, nil
 	}
 	if pending == nil {
 		return nil, fmt.Errorf("checker: durable-ack violation: %w", err)
 	}
-	alt := make(map[uint64][]byte, len(acked)+1)
-	for k, v := range acked {
-		alt[k] = v
+	// Apply the pending write, keeping keys the ascending list of acked's
+	// keys, so the second check reads in the order CheckStore would.
+	old, had := acked[pending.Key]
+	i, _ := slices.BinarySearch(keys, pending.Key)
+	switch {
+	case pending.Val != nil:
+		acked[pending.Key] = pending.Val
+		if !had {
+			keys = slices.Insert(keys, i, pending.Key)
+		}
+	case had:
+		delete(acked, pending.Key)
+		keys = slices.Delete(keys, i, i+1)
 	}
-	if pending.Val != nil {
-		alt[pending.Key] = pending.Val
+	if checkKeys(ctx, s, acked, keys) == nil {
+		return acked, nil
+	}
+	if had {
+		acked[pending.Key] = old
 	} else {
-		delete(alt, pending.Key)
-	}
-	if err2 := CheckStore(ctx, s, alt); err2 == nil {
-		return alt, nil
+		delete(acked, pending.Key)
 	}
 	return nil, fmt.Errorf("checker: durable-ack violation: %w (still failing with the in-flight write applied)", err)
 }

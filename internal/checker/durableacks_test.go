@@ -107,6 +107,38 @@ func TestDurableAcksLostAckCaught(t *testing.T) {
 	}
 }
 
+// A violation leaves acked as the caller passed it, whichever write was in
+// flight: DurableAcks applies the pending write to acked in place to check
+// the second variant, and must take it back.
+func TestDurableAcksViolationRestoresAcked(t *testing.T) {
+	for _, pend := range []*checker.PendingWrite{
+		{Key: 500, Val: []byte{0xaa}}, // a new key
+		{Key: 9, Val: []byte{0xbb}},   // an overwrite
+		{Key: 11},                     // a delete
+	} {
+		_, ctx, l := setup(t)
+		acked := populate(t, ctx, l, 100)
+		if _, err := l.Delete(ctx, 7); err != nil { // 7 was acked, then silently lost
+			t.Fatal(err)
+		}
+		want := make(map[uint64][]byte, len(acked))
+		for k, v := range acked {
+			want[k] = v
+		}
+		if _, err := checker.DurableAcks(ctx, l, acked, pend); err == nil {
+			t.Fatalf("pending %d: lost acknowledged write not caught", pend.Key)
+		}
+		if len(acked) != len(want) {
+			t.Fatalf("pending %d: acked has %d keys after the violation, want %d", pend.Key, len(acked), len(want))
+		}
+		for k, v := range want {
+			if string(acked[k]) != string(v) {
+				t.Fatalf("pending %d: acked[%d] = %x after the violation, want %x", pend.Key, k, acked[k], v)
+			}
+		}
+	}
+}
+
 // A stale value (the store kept an older version of an acked overwrite) is a
 // violation too: acks promise the LAST acknowledged value.
 func TestDurableAcksStaleValueCaught(t *testing.T) {

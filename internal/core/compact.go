@@ -151,7 +151,7 @@ func (e *Engine) sfccdTxAddHook(ctx *sim.Ctx, off, n uint64) {
 		return
 	}
 	idx, ok := ep.findDestObject(off)
-	if !ok || !ep.isMoved(idx) {
+	if !ok || !ep.isMoved(idx) || mutant == MutantNoTombstone {
 		return
 	}
 	obj := &ep.objects[idx]

@@ -147,7 +147,9 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 	// before reference fixup, and it may resurrect stale references that
 	// step 3 then normalises).
 	e.progress(ctx, "rollback")
-	p.RecoverTx(ctx)
+	if mutant != MutantUndoAfterFixup {
+		p.RecoverTx(ctx)
+	}
 	dev.Site(ctx, pmem.SiteRecoveryStep)
 
 	// (3) Unified reference fixup + reachability:
@@ -169,7 +171,9 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 		}
 		return ref
 	}, true)
-
+	if mutant == MutantUndoAfterFixup {
+		p.RecoverTx(ctx)
+	}
 	dev.Site(ctx, pmem.SiteBarrierFixup)
 
 	// Recovery itself is conservative (§4.1): make everything durable.

@@ -306,7 +306,10 @@ func (t *AVL) remove(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64) (pmop.Ptr
 }
 
 // Get implements Store.
-func (t *AVL) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (t *AVL) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return t.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (t *AVL) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer t.p.EndOp()
 	p := t.p
 	n := p.ReadPtr(ctx, t.root, 0)
@@ -316,14 +319,14 @@ func (t *AVL) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 		case key == k:
 			v := p.ReadPtr(ctx, n, avVal)
 			if v.IsNull() {
-				return nil, false
+				return buf, false
 			}
-			return readValue(ctx, p, v), true
+			return readValueInto(ctx, p, v, buf), true
 		case key < k:
 			n = p.ReadPtr(ctx, n, avLeft)
 		default:
 			n = p.ReadPtr(ctx, n, avRight)
 		}
 	}
-	return nil, false
+	return buf, false
 }

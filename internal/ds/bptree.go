@@ -369,22 +369,25 @@ func (t *BPTree) remove(ctx *sim.Ctx, ls *logset, n pmop.Ptr, key uint64, freedV
 }
 
 // Get implements Store.
-func (t *BPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (t *BPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return t.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (t *BPTree) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer t.p.EndOp()
 	p := t.p
 	leaf := t.findLeaf(ctx, key)
 	if leaf.IsNull() {
-		return nil, false
+		return buf, false
 	}
 	nk := int(p.ReadU64(ctx, leaf, btNKeys))
 	for i := 0; i < nk; i++ {
 		if p.ReadU64(ctx, leaf, btKeyOff(i)) == key {
 			v := p.ReadPtr(ctx, leaf, btSlotOff(i))
 			if v.IsNull() {
-				return nil, false
+				return buf, false
 			}
-			return readValue(ctx, p, v), true
+			return readValueInto(ctx, p, v, buf), true
 		}
 	}
-	return nil, false
+	return buf, false
 }

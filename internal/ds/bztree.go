@@ -478,12 +478,15 @@ func (t *BzTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 }
 
 // Get implements Store.
-func (t *BzTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (t *BzTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return t.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (t *BzTree) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer t.p.EndOp()
 	p := t.p
 	leaf, _, _ := t.findLeafPath(ctx, key)
 	if leaf.IsNull() {
-		return nil, false
+		return buf, false
 	}
 	n := int(p.ReadU64(ctx, leaf, bzCount))
 	for i := n - 1; i >= 0; i-- {
@@ -492,9 +495,9 @@ func (t *BzTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
 			continue
 		}
 		if meta&bzMetaTombstone != 0 {
-			return nil, false
+			return buf, false
 		}
-		return readValue(ctx, p, p.ReadPtr(ctx, leaf, bzPtrOff(i))), true
+		return readValueInto(ctx, p, p.ReadPtr(ctx, leaf, bzPtrOff(i)), buf), true
 	}
-	return nil, false
+	return buf, false
 }

@@ -83,10 +83,16 @@ func allocValue(ctx *sim.Ctx, p *pmop.Pool, val []byte) (pmop.Ptr, error) {
 	return v, nil
 }
 
-// readValue copies a value object's payload out.
-func readValue(ctx *sim.Ctx, p *pmop.Pool, v pmop.Ptr) []byte {
+// readValueInto loads a value object's payload into buf's storage, or a
+// fresh buffer when buf is nil or too small, and returns it. Every store's
+// GetInto reads through it, and Get is GetInto with no buffer, so a read
+// into a caller's buffer makes the same loads as one into a fresh copy.
+func readValueInto(ctx *sim.Ctx, p *pmop.Pool, v pmop.Ptr, buf []byte) []byte {
 	_, n := p.Header(ctx, p.Resolve(ctx, v))
-	buf := make([]byte, n)
+	if buf == nil || uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	p.ReadBytes(ctx, v, 0, buf)
 	return buf
 }

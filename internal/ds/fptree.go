@@ -304,16 +304,19 @@ func (t *FPTree) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 }
 
 // Get implements Store.
-func (t *FPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (t *FPTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return t.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (t *FPTree) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer t.p.EndOp()
 	leaf := t.index[t.leafFor(key)].leaf
 	s := t.findSlot(ctx, leaf, key)
 	if s < 0 {
-		return nil, false
+		return buf, false
 	}
 	v := t.p.ReadPtr(ctx, leaf, fpValOff(s))
 	if v.IsNull() {
-		return nil, false
+		return buf, false
 	}
-	return readValue(ctx, t.p, v), true
+	return readValueInto(ctx, t.p, v, buf), true
 }

@@ -152,17 +152,20 @@ func (l *List) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 }
 
 // Get implements Store.
-func (l *List) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (l *List) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return l.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (l *List) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer l.p.EndOp()
 	n, ok := l.handles[key]
 	if !ok {
-		return nil, false
+		return buf, false
 	}
 	v := l.p.ReadPtr(ctx, n, lnVal)
 	if v.IsNull() {
-		return nil, false
+		return buf, false
 	}
-	return readValue(ctx, l.p, v), true
+	return readValueInto(ctx, l.p, v, buf), true
 }
 
 // Walk traverses the persistent chain from head, calling fn for each

@@ -332,11 +332,14 @@ func (t *RBTree) get(ctx *sim.Ctx, key uint64) (pmop.Ptr, bool) {
 }
 
 // Get implements Store.
-func (t *RBTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (t *RBTree) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return t.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (t *RBTree) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer t.p.EndOp()
 	v, ok := t.get(ctx, key)
 	if !ok || v.IsNull() {
-		return nil, ok && !v.IsNull()
+		return buf, false
 	}
-	return readValue(ctx, t.p, v), true
+	return readValueInto(ctx, t.p, v, buf), true
 }

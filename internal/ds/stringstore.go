@@ -138,17 +138,20 @@ func (s *StringStore) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 }
 
 // Get implements Store.
-func (s *StringStore) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (s *StringStore) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return s.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (readValueInto); a miss returns (buf, false).
+func (s *StringStore) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer s.p.EndOp()
 	seg, off, err := s.slotOf(key)
 	if err != nil {
-		return nil, false
+		return buf, false
 	}
 	v := s.p.ReadPtr(ctx, seg, off)
 	if v.IsNull() {
-		return nil, false
+		return buf, false
 	}
-	return readValue(ctx, s.p, v), true
+	return readValueInto(ctx, s.p, v, buf), true
 }
 
 // Swap exchanges the strings in slots i and j — the benchmark's namesake

@@ -193,20 +193,30 @@ func (c *campaign) prefixOf(setting Setting, seed int64, ops int) (*prefix, erro
 // expiry is the verdict.
 func (c *campaign) runWatched(s Schedule, topts TrialOptions, timeout time.Duration) trialOut {
 	if timeout <= 0 {
-		res, err := s.runIn(c, topts)
-		return trialOut{res: res, err: err}
+		return c.runTrial(s, topts)
 	}
 	ch := make(chan trialOut, 1)
-	go func() {
-		res, err := s.runIn(c, topts)
-		ch <- trialOut{res: res, err: err}
-	}()
+	go func() { ch <- c.runTrial(s, topts) }()
 	select {
 	case o := <-ch:
 		return o
 	case <-time.After(timeout):
 		return trialOut{err: fmt.Errorf("watchdog: trial exceeded %s", timeout), hung: true}
 	}
+}
+
+// runTrial executes one schedule. A panic other than the scheduled power
+// failure, which the trial catches itself, is the trial's verdict: a store
+// that recovery left corrupt can send a read out of the pool, and the
+// campaign reports that schedule with its repro line like any other failure.
+func (c *campaign) runTrial(s Schedule, topts TrialOptions) (o trialOut) {
+	defer func() {
+		if r := recover(); r != nil {
+			o = trialOut{err: fmt.Errorf("trial panicked: %v", r)}
+		}
+	}()
+	o.res, o.err = s.runIn(c, topts)
+	return o
 }
 
 // runAll runs the schedules on the process-wide worker pool shared with the

@@ -17,6 +17,7 @@ import (
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // trial is the machine a batch trial runs on, with its setting: a 64 MB pool
@@ -24,6 +25,23 @@ import (
 type trial struct {
 	*machine.Machine
 	setting Setting
+	// model is a forked trial's copy of its prefix's model, taken from
+	// models; Release gives it back. Nil on a built trial.
+	model map[uint64][]byte
+}
+
+// models pools forked trials' churner models: a trial copies its prefix's
+// model into one instead of cloning it.
+var models = workpool.FreeList[map[uint64][]byte]{PerWorker: 1}
+
+// Release gives the machine's pages and arrays back, and a forked trial's
+// model to models.
+func (t *trial) Release() {
+	if t.model != nil {
+		models.Put(t.model)
+		t.model = nil
+	}
+	t.Machine.Release()
 }
 
 // trialSimConfig is the simulated configuration of every trial machine, batch
@@ -47,7 +65,7 @@ func newTrial(setting Setting) (*trial, error) {
 		m.Release()
 		return nil, err
 	}
-	return &trial{m, setting}, nil
+	return &trial{Machine: m, setting: setting}, nil
 }
 
 // prefix is the part of a scheduled batch trial that lies before its first
@@ -96,14 +114,21 @@ func buildPrefix(setting Setting, seed int64, ops int) (*prefix, error) {
 
 // fork materializes the prefix as a machine of the caller's own, sharing the
 // prefix's media pages until it writes them, with the churner that goes on
-// from the build. The caller releases the machine like newTrial's.
+// from the build, on a pooled copy of the prefix's model. The caller releases
+// the machine like newTrial's.
 func (pre *prefix) fork() (*trial, *churner, error) {
 	m, err := pre.img.Fork()
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &trial{m, pre.setting}
-	return t, newChurner(t, uint64(4*pre.ops), maps.Clone(pre.model)), nil
+	model, ok := models.Take(nil)
+	if !ok {
+		model = make(map[uint64][]byte, len(pre.model))
+	}
+	clear(model)
+	maps.Copy(model, pre.model)
+	t := &trial{Machine: m, setting: pre.setting, model: model}
+	return t, newChurner(t, uint64(4*pre.ops), model), nil
 }
 
 // engineOptions is the configuration trials defragment and recover under: a

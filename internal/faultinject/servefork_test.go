@@ -271,18 +271,21 @@ func BenchmarkServeCampaignTrial(b *testing.B) {
 }
 
 // serveTrialAllocBudget is what one warm forked ffccd serving trial may
-// allocate: about a quarter over the 191 KB it does (261 KB under the race
-// detector, whose budget is serveTrialAllocBudgetRace). Most of that is the
-// serving run itself: the fork's copy of the LRU tables and durable-ack
-// mirror, the run's five latency histograms (8 KB each), the checker's reads
-// and the mark passes of its epochs. Its values are windows of one shared
-// table, its heaps' placement indexes are sized to the frames they reach, and
-// its device's cache arrays, media pages and its contexts' TLB arrays (25 KB
-// each, about ten contexts) come from the pools. A fresh value per SET kept
-// by the mirror (250 KB) is over the budget.
+// allocate: about a sixth over the 76 KB it does (about 150 KB under the
+// race detector, whose budget is serveTrialAllocBudgetRace). Most of that is
+// the serving run itself: its latency histogram (8 KB) and the mark passes
+// of its epochs. Its values are windows of one shared table, the checker
+// reads every value into one buffer, its LRU tables and durable-ack mirror
+// are pooled tables its prefix's are copied into, its heaps' placement
+// indexes are sized to the frames they reach, and its device's cache arrays,
+// media pages and its contexts' TLB arrays (25 KB each, about ten contexts)
+// come from the pools. Each of these copies alone is over the budget: LRU
+// tables and mirror cloned per trial (96 KB per trial), a checker that reads
+// a fresh copy of every value (136 KB), or a fresh value per SET kept by the
+// mirror (250 KB).
 const (
-	serveTrialAllocBudget     = 240_000
-	serveTrialAllocBudgetRace = 330_000
+	serveTrialAllocBudget     = 88_000
+	serveTrialAllocBudgetRace = 180_000
 )
 
 func TestServeTrialAllocBudget(t *testing.T) {

@@ -232,14 +232,17 @@ func (e *Echo) Delete(ctx *sim.Ctx, key uint64) (bool, error) {
 }
 
 // Get implements ds.Store.
-func (e *Echo) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) {
+func (e *Echo) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return e.GetInto(ctx, key, nil) }
+
+// GetInto is Get into buf's storage (getUnlocked); a miss returns (buf, false).
+func (e *Echo) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	defer e.p.EndOp()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.getUnlocked(ctx, key, nil)
+	return e.getUnlocked(ctx, key, buf)
 }
 
-// getUnlocked is Get's body under e.mu. It loads key's value into
+// getUnlocked is GetInto's body under e.mu. It loads key's value into
 // buf's storage, or a fresh buffer when buf is nil or too small, and returns
 // it; on a miss it returns buf unchanged.
 func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {

@@ -40,4 +40,9 @@ func (k *PmemKV) Delete(ctx *sim.Ctx, key uint64) (bool, error) { return k.e.Del
 // Get implements ds.Store.
 func (k *PmemKV) Get(ctx *sim.Ctx, key uint64) ([]byte, bool) { return k.e.Get(ctx, key) }
 
+// GetInto is Echo.GetInto.
+func (k *PmemKV) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
+	return k.e.GetInto(ctx, key, buf)
+}
+
 var _ ds.Store = (*PmemKV)(nil)

@@ -13,6 +13,7 @@ import (
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 	"ffccd/internal/workload"
+	"ffccd/internal/workpool"
 )
 
 // This file is the serving layer: many simulated client connections against
@@ -189,14 +190,16 @@ type ServeResult struct {
 
 	// Lat is the per-op latency (arrival → completion, simulated cycles).
 	Lat *LatencyRecorder
-	// Decomposition histograms, one observation per op:
-	AppHist    *obsv.Histogram // service cycles in CatApp (the op's own work)
-	InterfHist *obsv.Histogram // service cycles outside CatApp (barrier fixups, checklookup)
-	StallHist  *obsv.Histogram // dispatch delay from STW pauses
-	QueueHist  *obsv.Histogram // waiting behind the connection's previous op
-
-	AppCycles, InterfCycles          uint64 // sums of the above
+	// The per-op latency decomposition, summed over the run: service
+	// cycles in CatApp (the op's own work), service cycles outside it
+	// (barrier fixups, checklookup), dispatch delay from STW pauses, and
+	// waiting behind the connection's previous op.
+	AppCycles, InterfCycles          uint64
 	StallWaitCycles, QueueWaitCycles uint64
+	// AppHist, InterfHist, StallHist and QueueHist are unset: neither Run nor
+	// MergeServeResults fills them, and nothing in the product reads them.
+	// They remain for the benchmark's merge rung, which builds its own.
+	AppHist, InterfHist, StallHist, QueueHist *obsv.Histogram
 
 	RateUsed  float64 // offered load actually used (ops/sec)
 	Makespan  uint64  // virtual time of the last completion
@@ -374,15 +377,39 @@ func newLRUCache(store ds.Store, maxLive uint64, keys, bound int, acked map[uint
 	return c
 }
 
+// lruTables is the host memory of an lruCache: its node table, its key
+// index and its durable-ack mirror.
+type lruTables struct {
+	nodes []lruNode
+	index []int32
+	acked map[uint64][]byte
+}
+
+// lruPool pools the tables of released Loaded values for the next clone: a
+// fork copies its image's tables into them instead of allocating its own.
+var lruPool = workpool.FreeList[lruTables]{PerWorker: 1}
+
 // clone returns a copy of c's tables, counters and durable-ack mirror that
-// shares nothing c writes, with no store.
+// shares nothing c writes, with no store, on tables from lruPool when one
+// is large enough.
 func (c *lruCache) clone() *lruCache {
 	d := *c
 	d.store, d.pending = nil, nil
-	d.nodes = append(make([]lruNode, 0, cap(c.nodes)), c.nodes...)
-	d.index = slices.Clone(c.index)
+	t, ok := lruPool.Take(func(t lruTables) bool {
+		return cap(t.nodes) >= cap(c.nodes) && cap(t.index) >= len(c.index)
+	})
+	if !ok {
+		t = lruTables{nodes: make([]lruNode, 0, cap(c.nodes)), index: make([]int32, 0, len(c.index))}
+	}
+	d.nodes = append(t.nodes[:0], c.nodes...)
+	d.index = append(t.index[:0], c.index...)
+	d.acked = nil
 	if c.acked != nil {
-		d.acked = maps.Clone(c.acked)
+		if d.acked = t.acked; d.acked == nil {
+			d.acked = make(map[uint64][]byte, len(c.acked))
+		}
+		clear(d.acked)
+		maps.Copy(d.acked, c.acked)
 	}
 	return &d
 }
@@ -554,7 +581,8 @@ type Loaded struct {
 // LoadedImage is what a fork needs of a Loaded: its config, stream position
 // and rate, a copy of its LRU tables and durable-ack mirror, and every client
 // context's checkpoint. Nothing writes an image once it is captured, so any
-// number of goroutines fork one.
+// number of goroutines fork one; a fork copies the tables into pooled ones,
+// which its Release gives back.
 type LoadedImage struct {
 	l       Loaded // its cache is the captured copy; it has no clients
 	clients []sim.CtxCheckpoint
@@ -584,11 +612,15 @@ func (img *LoadedImage) Fork(cfg *sim.Config) *Loaded {
 	return &l
 }
 
-// Release gives the client contexts' TLB arrays back to the process pool. Run
-// does it when it returns; the owner of a Loaded that never runs, such as a
-// captured one, calls it. A released Loaded does not run.
+// Release gives the LRU tables and the client contexts' TLB arrays back to
+// the process pools. Run does it when it returns; the owner of a Loaded that
+// never runs, such as a captured one, calls it. A released Loaded does not
+// run.
 func (l *Loaded) Release() {
-	l.cache = nil
+	if c := l.cache; c != nil {
+		lruPool.Put(lruTables{c.nodes, c.index, c.acked})
+		l.cache = nil
+	}
 	for _, c := range l.clients {
 		c.Release()
 	}
@@ -759,14 +791,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
 	}
 	dev := p.Device()
-	res := ServeResult{
-		Lat:        NewLatencyRecorder(0, 0),
-		AppHist:    &obsv.Histogram{},
-		InterfHist: &obsv.Histogram{},
-		StallHist:  &obsv.Histogram{},
-		QueueHist:  &obsv.Histogram{},
-		RateUsed:   l.rate,
-	}
+	res := ServeResult{Lat: NewLatencyRecorder(0, 0), RateUsed: l.rate}
 
 	// held[i] is client i's lost-in-flight op awaiting retry after a crash;
 	// inFlight is the op currently executing serially; awaitFirstAck marks the
@@ -965,10 +990,6 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		queueWait := base - op.arrival // waiting behind this connection's previous op
 		stallWait := start - base
 		res.Lat.Observe(comp - op.arrival)
-		res.AppHist.Observe(op.app)
-		res.InterfHist.Observe(op.svc - op.app)
-		res.StallHist.Observe(stallWait)
-		res.QueueHist.Observe(queueWait)
 		res.AppCycles += op.app
 		res.InterfCycles += op.svc - op.app
 		res.StallWaitCycles += stallWait

@@ -3,7 +3,7 @@ package redisws_test
 // TestServeGolden pins what a serving run does, not just that it is
 // self-consistent: for an FFCCD machine served with a time series (at workpool
 // parallelism 1 and 4) and for a three-shard FFCCD deployment, the flattened
-// serveSummary (counters, dispatch shape, cycle sums, histogram snapshots),
+// serveSummary (counters, dispatch shape, cycle sums, latency percentiles),
 // the overlay intervals and every window with every exemplar line — stall
 // cause, STW chain reference and cache set included. A change to how the
 // dispatcher executes what it dispatches must leave testdata/serve.golden

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ffccd/internal/kv"
-	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 )
 
@@ -22,7 +21,7 @@ func serveCfg() redisws.ServeConfig {
 }
 
 // serveSummary flattens every deterministic outcome of a run into one
-// comparable value: counters, cycle sums, and full histogram snapshots.
+// comparable value: counters, cycle sums and latency percentiles.
 type serveSummary struct {
 	Ops, Gets, Sets, Hits, Misses, Evictions int
 	Parallel, Serial, Batches                int
@@ -31,7 +30,6 @@ type serveSummary struct {
 	Rate                                     float64
 	LatCount                                 uint64
 	LatP50, LatP99, LatP999                  float64
-	Hists                                    [4]obsv.HistSnapshot
 }
 
 func summarize(res redisws.ServeResult) serveSummary {
@@ -47,10 +45,6 @@ func summarize(res redisws.ServeResult) serveSummary {
 		LatP50:   res.Lat.Percentile(50),
 		LatP99:   res.Lat.Percentile(99),
 		LatP999:  res.Lat.Percentile(99.9),
-		Hists: [4]obsv.HistSnapshot{
-			res.AppHist.Snapshot(""), res.InterfHist.Snapshot(""),
-			res.StallHist.Snapshot(""), res.QueueHist.Snapshot(""),
-		},
 	}
 }
 

@@ -186,11 +186,11 @@ func runShards(shards []Shard, run func(i int, sh Shard) (ServeResult, error)) (
 }
 
 // MergeServeResults folds per-shard results, in shard-index order, into one
-// deployment-wide result: counters and cycle sums add, histograms merge
-// exactly (obsv.Histogram.Merge), makespan is the slowest shard's, offered
-// load sums, and crash fields surface the crashed shard's outage. One input is
-// returned as-is, so a one-shard deployment is bit-identical to the
-// unsharded run it wraps.
+// deployment-wide result: counters and cycle sums add, the latency
+// histograms merge exactly (obsv.Histogram.Merge), makespan is the slowest
+// shard's, offered load sums, and crash fields surface the crashed shard's
+// outage. One input is returned as-is, so a one-shard deployment is
+// bit-identical to the unsharded run it wraps.
 func MergeServeResults(rs []ServeResult) ServeResult {
 	if len(rs) == 0 {
 		return ServeResult{}
@@ -198,13 +198,7 @@ func MergeServeResults(rs []ServeResult) ServeResult {
 	if len(rs) == 1 {
 		return rs[0]
 	}
-	m := ServeResult{
-		Lat:        NewLatencyRecorder(0, 0),
-		AppHist:    &obsv.Histogram{},
-		InterfHist: &obsv.Histogram{},
-		StallHist:  &obsv.Histogram{},
-		QueueHist:  &obsv.Histogram{},
-	}
+	m := ServeResult{Lat: NewLatencyRecorder(0, 0)}
 	for i := range rs {
 		r := &rs[i]
 		m.Ops += r.Ops
@@ -214,10 +208,6 @@ func MergeServeResults(rs []ServeResult) ServeResult {
 		m.Misses += r.Misses
 		m.Evictions += r.Evictions
 		m.Lat.Merge(r.Lat)
-		m.AppHist.Merge(r.AppHist)
-		m.InterfHist.Merge(r.InterfHist)
-		m.StallHist.Merge(r.StallHist)
-		m.QueueHist.Merge(r.QueueHist)
 		m.AppCycles += r.AppCycles
 		m.InterfCycles += r.InterfCycles
 		m.StallWaitCycles += r.StallWaitCycles
