@@ -471,25 +471,21 @@ func (h *Heap) SubDup(n uint64) {
 	h.dupBytes -= n
 }
 
-// RebuildEntry describes one live object found by a reachability pass.
-type RebuildEntry struct {
-	Off   uint64 // header offset
-	Slots int
-}
-
 // RebuildFromMark reconstructs the bitmaps from the live-object set — the
-// post-crash/reopen path. Unreachable allocations are implicitly reclaimed
-// (the paper's persistent-leak fix).
-func (h *Heap) RebuildFromMark(live []RebuildEntry) {
+// post-crash/reopen path. The set is the n objects a reachability pass found;
+// at(i) returns the header offset and slot count of the i-th. Unreachable
+// allocations are implicitly reclaimed (the paper's persistent-leak fix).
+func (h *Heap) RebuildFromMark(n int, at func(i int) (hdrOff uint64, slots int)) {
 	h.reset()
-	for _, e := range live {
-		f, s := h.Locate(e.Off)
+	for i := range n {
+		off, slots := at(i)
+		f, s := h.Locate(off)
 		h.cover(f)
 		if h.state[f] == FrameFree {
 			h.state[f] = FrameActive
 			h.usedFrames++
 		}
-		h.commitAlloc(f, s, e.Slots)
+		h.commitAlloc(f, s, slots)
 	}
 	h.buildIndex()
 }

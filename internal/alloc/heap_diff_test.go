@@ -298,12 +298,9 @@ func (d *differ) rebuild(drop int) {
 	d.tb.Helper()
 	drop = min(drop, len(d.live))
 	d.live = d.live[drop:]
-	entries := make([]RebuildEntry, len(d.live))
-	for i, o := range d.live {
-		entries[i] = RebuildEntry{Off: o.off, Slots: o.slots}
-	}
-	d.h.RebuildFromMark(entries)
-	d.ref.RebuildFromMark(entries)
+	at := func(i int) (uint64, int) { return d.live[i].off, d.live[i].slots }
+	d.h.RebuildFromMark(len(d.live), at)
+	d.ref.RebuildFromMark(len(d.live), at)
 	d.after(-1)
 	d.full()
 }

@@ -257,18 +257,19 @@ func (h *refHeap) Reset() {
 	h.cursor = 0
 }
 
-func (h *refHeap) RebuildFromMark(live []RebuildEntry) {
+func (h *refHeap) RebuildFromMark(n int, at func(i int) (hdrOff uint64, slots int)) {
 	h.Reset()
-	for _, e := range live {
-		f, s := h.Locate(e.Off)
+	for i := range n {
+		off, slots := at(i)
+		f, s := h.Locate(off)
 		if h.state[f] == FrameFree {
 			h.state[f] = FrameActive
 			h.usedFrames++
 		}
-		h.setRange(h.slotBits, f, s, e.Slots, true)
+		h.setRange(h.slotBits, f, s, slots, true)
 		h.setRange(h.startBits, f, s, 1, true)
-		h.freeSlots[f] -= uint16(e.Slots)
-		h.liveBytes += uint64(e.Slots) * SlotSize
+		h.freeSlots[f] -= uint16(slots)
+		h.liveBytes += uint64(slots) * SlotSize
 	}
 }
 

@@ -213,7 +213,8 @@ func TestRebuildFromMark(t *testing.T) {
 	c, _ := h.Alloc(112)
 	_ = b
 	// Rebuild keeping only a and c: b becomes reclaimable (a "leak" fixed).
-	h.RebuildFromMark([]RebuildEntry{{a, 8}, {c, 8}})
+	live := []uint64{a, c}
+	h.RebuildFromMark(len(live), func(i int) (uint64, int) { return live[i], 8 })
 	if h.LiveBytes() != 2*8*SlotSize {
 		t.Errorf("live = %d after rebuild", h.LiveBytes())
 	}

@@ -24,7 +24,7 @@ func TestMarkingIdempotent(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatalf("marking not idempotent: %d vs %d objects", len(a), len(b))
 	}
-	seen := make(map[uint64]uint64, len(a))
+	seen := make(map[uint64]uint32, len(a))
 	for _, m := range a {
 		seen[m.payloadOff] = m.payload
 	}

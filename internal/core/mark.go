@@ -1,19 +1,28 @@
 package core
 
 import (
+	"unsafe"
+
 	"ffccd/internal/alloc"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
 
-// markObj is one reachable object found by the marking phase.
+// markObj is one reachable object found by the marking phase. A header holds
+// the payload length as a u32, so the record packs into 16 bytes.
 type markObj struct {
 	payloadOff uint64
 	typeID     pmop.TypeID
-	payload    uint64
+	payload    uint32
 }
 
-func (m *markObj) slots() int { return alloc.SlotsFor(m.payload) }
+// A walk's live list holds one markObj per live object: keep it at 16 bytes.
+var (
+	_ [unsafe.Sizeof(markObj{}) - 16]struct{}
+	_ [16 - unsafe.Sizeof(markObj{})]struct{}
+)
+
+func (m *markObj) slots() int { return alloc.SlotsFor(uint64(m.payload)) }
 
 // refVisitor lets a walk rewrite a pointer field. field is the pool offset of
 // the cell holding ref; the return value replaces ref both in the cell (when
@@ -22,8 +31,8 @@ type refVisitor func(ctx *sim.Ctx, fieldOff uint64, ref pmop.Ptr) pmop.Ptr
 
 // markScratch is the epoch memory of a reachability walk: the visited bitset
 // (one bit per heap slot, reaching as far as the highest object the walk has
-// met, not to the end of the heap), the traversal stack, the result and the
-// allocator rebuild entries derived from it. A walk empties and refills it,
+// met, not to the end of the heap), the traversal stack and the result, which
+// the allocator rebuilds from in place. A walk empties and refills it,
 // so only a walk that reaches higher or finds more than any walk on this
 // memory before it allocates. Walks run with the world stopped or in
 // single-threaded recovery, never concurrently.
@@ -31,7 +40,6 @@ type markScratch struct {
 	visited []uint64
 	stack   []pmop.Ptr
 	live    []markObj
-	rebuild []alloc.RebuildEntry
 }
 
 // mark runs reachability analysis from the pool root (§5 marking()): it
@@ -105,7 +113,7 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor, collect bool) []markObj {
 		typeID, payload := p.Header(ctx, obj)
 		ti, ok := p.Types().Lookup(typeID)
 		if collect {
-			out = append(out, markObj{payloadOff: off, typeID: typeID, payload: payload})
+			out = append(out, markObj{payloadOff: off, typeID: typeID, payload: uint32(payload)})
 		}
 		if !ok {
 			// Unregistered type: treated as raw bytes (conservative — no
@@ -139,13 +147,10 @@ func (e *Engine) mark(ctx *sim.Ctx, visit refVisitor, collect bool) []markObj {
 	return out
 }
 
-// rebuildEntries converts marked objects to allocator rebuild entries, in
-// the engine's reused buffer.
-func (e *Engine) rebuildEntries(live []markObj) []alloc.RebuildEntry {
-	out := sized(e.markScratch.rebuild, len(live))
-	for i, m := range live {
-		out[i] = alloc.RebuildEntry{Off: m.payloadOff - pmop.HeaderSize, Slots: m.slots()}
-	}
-	e.markScratch.rebuild = out
-	return out
+// rebuildHeap resyncs the allocator to live, the objects a walk found: it
+// holds them and nothing else afterwards.
+func (e *Engine) rebuildHeap(live []markObj) {
+	e.pool.Heap().RebuildFromMark(len(live), func(i int) (uint64, int) {
+		return live[i].payloadOff - pmop.HeaderSize, live[i].slots()
+	})
 }

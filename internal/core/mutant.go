@@ -16,10 +16,21 @@ const (
 	// pass instead of before it (DESIGN.md §5 item 3), so a reference the
 	// undo resurrects is never forwarded.
 	MutantUndoAfterFixup Mutant = "undo-after-fixup"
+	// MutantReachedEarly publishes each member's reached bits as soon as its
+	// own bytes are durable when recovery finishes an FFCCD component
+	// (DESIGN.md §5 item 1), so a crash during that repair leaves a
+	// line-sharing neighbour's half of a reached line unwritten, and the
+	// next recovery trusts the line.
+	MutantReachedEarly Mutant = "reached-bit-early"
+	// MutantEpochPastPhaseOnly numbers a new epoch past the phase word's
+	// alone, not past the relocation-frame list's too, so a summary that
+	// crashed before its flip leaves PMFT entries and a list that carry the
+	// number of the next epoch to run.
+	MutantEpochPastPhaseOnly Mutant = "epoch-past-phase-only"
 )
 
 // Mutants lists every named mutant.
-var Mutants = []Mutant{MutantNoTombstone, MutantUndoAfterFixup}
+var Mutants = []Mutant{MutantNoTombstone, MutantUndoAfterFixup, MutantReachedEarly, MutantEpochPastPhaseOnly}
 
 // mutant is the mutant in effect, "" for none.
 var mutant Mutant

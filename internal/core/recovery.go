@@ -107,7 +107,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 		dev.Site(ctx, pmem.SiteRecoveryStep)
 		e.progress(ctx, "rebuild")
 		live := e.mark(ctx, nil, true)
-		p.Heap().RebuildFromMark(e.rebuildEntries(live))
+		e.rebuildHeap(live)
 		dev.Site(ctx, pmem.SiteRecoveryStep)
 		e.progress(ctx, "done")
 		return nil
@@ -182,7 +182,7 @@ func (e *Engine) recover(ctx *sim.Ctx) error {
 
 	// (4) Allocator rebuild + epoch reservations.
 	e.progress(ctx, "rebuild")
-	heap.RebuildFromMark(e.rebuildEntries(live))
+	e.rebuildHeap(live)
 	for _, f := range ep.relocFrames {
 		heap.SetState(f, alloc.FrameRelocation)
 	}
@@ -366,6 +366,46 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 		return
 	}
 
+	// finish copies member ci's bytes on lines its snapshot word has not
+	// reached and makes the whole object durable; publish then sets its
+	// lines' reached bits and its moved bit, durably.
+	finish := func(ci int32) {
+		obj := &ep.objects[ci]
+		df, first, last := lineRange(obj)
+		word := snapshot[df]
+		start := obj.dstHdr
+		end := obj.dstHdr + obj.bytes()
+		lineBase := heapOff + uint64(df)*alloc.FrameSize
+		for l := first; l <= last; l++ {
+			if word&(1<<l) != 0 {
+				continue
+			}
+			ds := lineBase + l<<pmem.LineShift
+			de := ds + pmem.LineSize
+			if ds < start {
+				ds = start
+			}
+			if de > end {
+				de = end
+			}
+			ss := obj.srcHdr + (ds - start)
+			e.copyObject(ctx, ss, ds, de-ds)
+		}
+		p.PersistRange(ctx, obj.dstHdr, obj.bytes())
+	}
+	publish := func(ci int32) {
+		obj := &ep.objects[ci]
+		df, first, last := lineRange(obj)
+		newWord := p.RawLoadU64(ctx, reachedOff+uint64(df)*8)
+		for l := first; l <= last; l++ {
+			newWord |= 1 << l
+		}
+		p.RawStoreU64(ctx, reachedOff+uint64(df)*8, newWord)
+		p.PersistRange(ctx, reachedOff+uint64(df)*8, 8)
+		e.setMovedBitDurable(ctx, obj)
+		ep.setMoved(int(ci))
+	}
+
 	for c := 0; c < ep.numComponents(); c++ {
 		comp := ep.component(c)
 		reached := 0
@@ -393,41 +433,18 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 		// *during this repair* strand a neighbour's half-line as zeros
 		// (the next recovery trusts reached lines verbatim and would not
 		// re-copy them).
-		for _, ci := range comp {
-			obj := &ep.objects[ci]
-			df, first, last := lineRange(obj)
-			word := snapshot[df]
-			start := obj.dstHdr
-			end := obj.dstHdr + obj.bytes()
-			lineBase := heapOff + uint64(df)*alloc.FrameSize
-			for l := first; l <= last; l++ {
-				if word&(1<<l) != 0 {
-					continue
-				}
-				ds := lineBase + l<<pmem.LineShift
-				de := ds + pmem.LineSize
-				if ds < start {
-					ds = start
-				}
-				if de > end {
-					de = end
-				}
-				ss := obj.srcHdr + (ds - start)
-				e.copyObject(ctx, ss, ds, de-ds)
+		if mutant == MutantReachedEarly {
+			for _, ci := range comp {
+				finish(ci)
+				publish(ci)
 			}
-			p.PersistRange(ctx, obj.dstHdr, obj.bytes())
+			continue
 		}
 		for _, ci := range comp {
-			obj := &ep.objects[ci]
-			df, first, last := lineRange(obj)
-			newWord := p.RawLoadU64(ctx, reachedOff+uint64(df)*8)
-			for l := first; l <= last; l++ {
-				newWord |= 1 << l
-			}
-			p.RawStoreU64(ctx, reachedOff+uint64(df)*8, newWord)
-			p.PersistRange(ctx, reachedOff+uint64(df)*8, 8)
-			e.setMovedBitDurable(ctx, obj)
-			ep.setMoved(int(ci))
+			finish(ci)
+		}
+		for _, ci := range comp {
+			publish(ci)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (e *Engine) summary(ctx *sim.Ctx, live []markObj) *epochState {
 	// Leak reclamation: everything not reached by marking is returned to the
 	// free lists (§5: "The unreachable objects are returned to the freelist").
 	allocatedBefore := heap.Objects()
-	heap.RebuildFromMark(e.rebuildEntries(live))
+	e.rebuildHeap(live)
 	if leaked := allocatedBefore - len(live); leaked > 0 {
 		e.stats.LeaksReclaimed += uint64(leaked)
 	}
@@ -177,7 +177,9 @@ unitLoop:
 	// that crashed before its flip left its list (and some PMFT entries) one
 	// epoch ahead, and no epoch that runs may share their number.
 	_, _, epochNo := pmop.UnpackGCPhase(p.GCPhase(ctx))
-	epochNo = max(epochNo, p.RawLoadU64(ctx, p.GCMeta().RelocList)&0xFFFFFFFF)
+	if mutant != MutantEpochPastPhaseOnly {
+		epochNo = max(epochNo, p.RawLoadU64(ctx, p.GCMeta().RelocList)&0xFFFFFFFF)
+	}
 	ep := &e.epochBuf
 	ep.reset(epochNo+1, e.opt.Scheme)
 
@@ -220,7 +222,7 @@ unitLoop:
 				srcHdr:  m.payloadOff - pmop.HeaderSize,
 				dstHdr:  heap.OffsetOf(df, dstSlot),
 				slots:   n,
-				payload: m.payload,
+				payload: uint64(m.payload),
 			})
 		}
 		heap.SetState(sel.frame, alloc.FrameRelocation)

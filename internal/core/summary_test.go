@@ -22,7 +22,7 @@ func TestSummaryGroupingMatchesSort(t *testing.T) {
 	defer e.Close()
 	heap := fx.p.Heap()
 	obj := func(frame, slot, slots int) markObj {
-		return markObj{payloadOff: heap.OffsetOf(frame, slot) + pmop.HeaderSize, payload: uint64(slots*alloc.SlotSize - pmop.HeaderSize)}
+		return markObj{payloadOff: heap.OffsetOf(frame, slot) + pmop.HeaderSize, payload: uint32(slots*alloc.SlotSize - pmop.HeaderSize)}
 	}
 	byOffset := func(a, b markObj) int { return cmp.Compare(a.payloadOff, b.payloadOff) }
 	rng := rand.New(rand.NewSource(1))

@@ -1,6 +1,8 @@
 package ds
 
 import (
+	"fmt"
+
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -32,7 +34,11 @@ func NewRBTree(ctx *sim.Ctx, p *pmop.Pool) (*RBTree, error) {
 	p.RegisterRemapHook(func(remap func(pmop.Ptr) pmop.Ptr) { t.root = remap(t.root) })
 	if r := p.Root(ctx); !r.IsNull() {
 		t.root = r
-		t.count = t.countFrom(ctx, p.ReadPtr(ctx, r, 0))
+		n, err := t.countFrom(ctx, p.ReadPtr(ctx, r, 0))
+		if err != nil {
+			return nil, err
+		}
+		t.count = n
 		return t, nil
 	}
 	r, err := p.Alloc(ctx, holderT.ID, 0)
@@ -44,12 +50,29 @@ func NewRBTree(ctx *sim.Ctx, p *pmop.Pool) (*RBTree, error) {
 	return t, nil
 }
 
-func (t *RBTree) countFrom(ctx *sim.Ctx, n pmop.Ptr) int {
-	if n.IsNull() {
-		return 0
+// countFrom counts the nodes of the subtree at n, preorder: it reads a node's
+// left pointer, walks the left subtree, then reads the right pointer. A
+// reopened tree is recovered media, so its links may form a cycle: the walk
+// keeps its own stack and stops with an error once it has counted more nodes
+// than the heap holds objects.
+func (t *RBTree) countFrom(ctx *sim.Ctx, n pmop.Ptr) (int, error) {
+	limit := t.p.Heap().Objects()
+	var buf [64]pmop.Ptr
+	stack := buf[:0] // nodes whose right pointer is still to be read
+	count := 0
+	for {
+		for ; !n.IsNull(); n = t.p.ReadPtr(ctx, n, rbLeft) {
+			if count++; count > limit {
+				return 0, fmt.Errorf("ds: RBT reopen: more than %d nodes reachable from the root (the heap's object count): its links do not form a tree", limit)
+			}
+			stack = append(stack, n)
+		}
+		if len(stack) == 0 {
+			return count, nil
+		}
+		n = t.p.ReadPtr(ctx, stack[len(stack)-1], rbRight)
+		stack = stack[:len(stack)-1]
 	}
-	return 1 + t.countFrom(ctx, t.p.ReadPtr(ctx, n, rbLeft)) +
-		t.countFrom(ctx, t.p.ReadPtr(ctx, n, rbRight))
 }
 
 // Name implements Store.

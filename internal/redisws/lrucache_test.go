@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"ffccd/internal/sim"
 )
@@ -39,6 +40,12 @@ func wantValue(k uint64, n int) []byte {
 		v[i] = byte(k) + byte(i)
 	}
 	return v
+}
+
+// lruEnt is one live key of the reference LRU and its value's size.
+type lruEnt struct {
+	key  uint64
+	size uint64
 }
 
 // lruModel is the reference LRU: a slice, most recently used first.
@@ -89,36 +96,40 @@ func (m *lruModel) evict(maxLive uint64) {
 func lruEntries(c *lruCache) []lruEnt {
 	var out []lruEnt
 	for i := c.head; i != noNode; i = c.nodes[i].next {
-		out = append(out, c.nodes[i].lruEnt)
+		out = append(out, lruEnt{c.owned.key(i), uint64(c.nodes[i].size)})
 	}
 	return out
 }
 
-// lruBound is the key bound of FuzzLRUCache's cache: its keys are in
-// [0, lruBound).
-const lruBound = 16
+// lruKeyspace is the keyspace FuzzLRUCache's deployments share: a machine
+// owns the keys of [0, lruKeyspace) that hash to its shard.
+const lruKeyspace = 16
 
-// FuzzLRUCache drives the index-linked LRU and lruModel with the same random
+// FuzzLRUCache drives the rank-indexed LRU and lruModel with the same random
 // sets, touches, evictions under a small cap and rebuilds from a durable-ack
 // model, and compares their entries, live bytes, evictions and the order in
-// which they delete keys; every live key must index its node and every other
-// key below the bound noNode. After a rebuild the cache keeps acked, so its
+// which they delete keys; a rank's node must be live exactly when the model
+// holds its key. The first byte picks the machine: 1 + b%4 shards, shard
+// (b/4) mod that, whose owned keys of lruKeyspace the cache tracks (one shard
+// owns them all, with no key list, as an unsharded machine does); every later
+// key byte picks an owned rank. After a rebuild the cache keeps acked, so its
 // sets store windows of the shared value table there; acked must still hold
 // each one intact at the end.
 func FuzzLRUCache(f *testing.F) {
-	f.Add([]byte{0, 1, 9, 0, 2, 9, 0, 3, 9, 1, 1, 2, 40, 0, 4, 9})
-	f.Add([]byte{0, 5, 200, 0, 5, 3, 0, 6, 200, 2, 0, 0, 7, 1, 3, 3, 9, 9, 0, 9, 8, 1, 9})
-	f.Add([]byte{3, 4, 1, 7, 2, 8, 3, 9, 4, 0, 1, 30, 2, 20, 0, 3, 7, 1, 1, 3, 0, 2, 255, 2, 5})
-	f.Add([]byte{2, 100, 0, 1, 50, 0, 2, 50, 0, 3, 50, 0, 2, 60, 1, 1, 0, 4, 50, 2, 0, 3, 2, 1, 3, 0, 5, 9})
-	f.Add([]byte{3, 1, 5, 10, 0, 1, 20, 0, 2, 30, 1, 5, 0, 1, 40, 2, 70, 0, 3, 10})
-	// The ends of the index: key 0 and key lruBound-1, set, touched, evicted
-	// and rebuilt.
-	f.Add([]byte{0, 0, 9, 0, lruBound - 1, 9, 1, 0, 2, 12, 0, 0, 5, 3, 2, lruBound - 1, 7, 0, 3, 1, lruBound - 1})
+	f.Add([]byte{0, 0, 1, 9, 0, 2, 9, 0, 3, 9, 1, 1, 2, 40, 0, 4, 9})
+	f.Add([]byte{0, 0, 5, 200, 0, 5, 3, 0, 6, 200, 2, 0, 0, 7, 1, 3, 3, 9, 9, 0, 9, 8, 1, 9})
+	f.Add([]byte{0, 3, 4, 1, 7, 2, 8, 3, 9, 4, 0, 1, 30, 2, 20, 0, 3, 7, 1, 1, 3, 0, 2, 255, 2, 5})
+	f.Add([]byte{0, 2, 100, 0, 1, 50, 0, 2, 50, 0, 3, 50, 0, 2, 60, 1, 1, 0, 4, 50, 2, 0, 3, 2, 1, 3, 0, 5, 9})
+	f.Add([]byte{0, 3, 1, 5, 10, 0, 1, 20, 0, 2, 30, 1, 5, 0, 1, 40, 2, 70, 0, 3, 10})
+	// The ends of each owned list, set, touched, evicted and rebuilt: keys 0
+	// and 15 unsharded; ranks 0 and 7 (keys 4 and 15) of shard 1 of 4; ranks
+	// 0 and 4 (keys 0 and 14) of shard 0 of 2; shard 2 of 4, whose one key
+	// (3) is both ends.
+	f.Add([]byte{0, 0, 0, 9, 0, lruKeyspace - 1, 9, 1, 0, 2, 12, 0, 0, 5, 3, 2, lruKeyspace - 1, 7, 0, 3, 1, lruKeyspace - 1})
+	f.Add([]byte{7, 0, 0, 9, 0, 7, 9, 1, 0, 2, 12, 0, 0, 5, 3, 2, 7, 7, 0, 3, 1, 7})
+	f.Add([]byte{1, 0, 4, 30, 0, 0, 20, 0, 2, 10, 1, 4, 2, 40, 3, 2, 4, 8, 0, 9, 1, 0})
+	f.Add([]byte{11, 0, 0, 9, 1, 0, 2, 5, 0, 0, 3, 3, 1, 0, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		store := &recordingStore{t: t}
-		c := newLRUCache(store, 0, 4, lruBound, nil)
-		var m lruModel
-		var ctx *sim.Ctx // the store ignores it
 		next := func() byte {
 			if len(ops) == 0 {
 				return 0
@@ -127,18 +138,32 @@ func FuzzLRUCache(f *testing.F) {
 			ops = ops[1:]
 			return b
 		}
+		b := int(next())
+		shards := 1 + b%4
+		var owned ownedKeys
+		n := lruKeyspace
+		if shards > 1 {
+			owned = OwnedKeys(lruKeyspace, b/4%shards, shards)
+			n = len(owned)
+		}
+		rank := func() int32 { return int32(int(next()) % n) }
+		store := &recordingStore{t: t}
+		c := newLRUCache(store, 0, owned, n, nil)
+		var m lruModel
+		var ctx *sim.Ctx // the store ignores it
 		for len(ops) > 0 {
 			switch next() % 4 {
 			case 0: // set a key to a value of 1..64 bytes
-				k, n := uint64(next()%lruBound), uint64(next()%64+1)
-				if err := c.set(ctx, k, int(n)); err != nil {
+				r := rank()
+				k, size := owned.key(r), uint64(next()%64+1)
+				if err := c.set(ctx, r, int(size)); err != nil {
 					t.Fatal(err)
 				}
-				m.set(k, n, c.maxLive)
+				m.set(k, size, c.maxLive)
 			case 1:
-				k := uint64(next() % lruBound)
-				c.touch(k)
-				m.touch(k)
+				r := rank()
+				c.touch(r)
+				m.touch(owned.key(r))
 			case 2: // evict under a small cap, which later sets keep
 				c.maxLive = uint64(next())
 				if err := c.evict(ctx); err != nil {
@@ -148,7 +173,7 @@ func FuzzLRUCache(f *testing.F) {
 			case 3: // rebuild from a durable model of up to 8 keys
 				model := map[uint64][]byte{}
 				for i := next() % 9; i > 0; i-- {
-					k := uint64(next() % lruBound)
+					k := owned.key(rank())
 					model[k] = wantValue(k, int(next()%64+1))
 				}
 				c.rebuild(model)
@@ -160,22 +185,19 @@ func FuzzLRUCache(f *testing.F) {
 			if got, want := lruEntries(c), m.ents; !slices.Equal(got, want) {
 				t.Fatalf("entries %v, model %v", got, want)
 			}
-			indexed := 0
-			for k, i := range c.index {
-				if i == noNode {
-					if m.has(uint64(k)) {
-						t.Fatalf("live key %d indexes no node", k)
+			live := 0
+			for i := range int32(n) {
+				if c.nodes[i].prev == notLive {
+					if m.has(owned.key(i)) {
+						t.Fatalf("live key %d (rank %d) has no live node", owned.key(i), i)
 					}
 					continue
 				}
-				indexed++
-				if c.nodes[i].key != uint64(k) {
-					t.Fatalf("key %d indexes the node of key %d", k, c.nodes[i].key)
-				}
+				live++
 			}
-			if c.liveBytes != m.live() || c.evictions != m.evictions || indexed != len(m.ents) {
-				t.Fatalf("live %d B, %d evictions, %d indexed; model %d B, %d, %d",
-					c.liveBytes, c.evictions, indexed, m.live(), m.evictions, len(m.ents))
+			if c.liveBytes != m.live() || c.evictions != m.evictions || live != len(m.ents) {
+				t.Fatalf("live %d B, %d evictions, %d live nodes; model %d B, %d, %d",
+					c.liveBytes, c.evictions, live, m.live(), m.evictions, len(m.ents))
 			}
 			if !slices.Equal(store.deletes, m.deletes) {
 				t.Fatalf("deleted %v, model %v", store.deletes, m.deletes)
@@ -193,4 +215,37 @@ func FuzzLRUCache(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A loaded machine's LRU tables hold 12 bytes per key it owns and nothing per
+// key of the keyspace: shard 0 of 4 at keyspaces K and 2K holds one node per
+// owned key, its owned list is the only key table it shares, and no table
+// grows with K.
+func TestServeLRUTablesPerOwnedKey(t *testing.T) {
+	for _, keyspace := range []int{2000, 4000} {
+		base := DefaultServeConfig()
+		base.Keyspace, base.Clients, base.Ops = keyspace, 4, 400
+		cfg := ShardConfigs(base, 4)[0]
+		keys, err := ShardKeys(keyspace, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMachine(sim.DefaultConfig(), "none", "lru", keys[0], 16<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := Load(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := l.cache
+		if got, want := cap(c.nodes)*int(unsafe.Sizeof(lruNode{})), 12*keys[0]; len(c.nodes) != keys[0] || got != want {
+			t.Errorf("keyspace %d: %d nodes, %d B of node table; want %d nodes, %d B", keyspace, len(c.nodes), got, keys[0], want)
+		}
+		if len(c.owned) != keys[0] || c.acked != nil {
+			t.Errorf("keyspace %d: %d owned keys (want %d), acked mirror %v without a crash plan", keyspace, len(c.owned), keys[0], c.acked != nil)
+		}
+		l.Release()
+		m.Release()
+	}
 }

@@ -91,7 +91,8 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 	// Volatile LRU bookkeeping (Redis keeps this in DRAM too). Redis stores
 	// an expired pair to disk; for the footprint study the PM side simply
 	// frees it.
-	cache := newLRUCache(s, cfg.MaxLiveBytes, 2*keys, 2*keys, nil)
+	cache := newLRUCache(s, cfg.MaxLiveBytes, nil, 2*keys, nil)
+	reader := hitReader{store: s}
 
 	res := Result{Lat: NewLatencyRecorder(0, 0)}
 	op, maintEvery := 0, cfg.MaintEvery
@@ -104,13 +105,13 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 		}
 		start := ctx.Clock.Total()
 		if set {
-			err := cache.set(ctx, k, lo+rng.Intn(hi-lo+1))
+			err := cache.set(ctx, int32(k), lo+rng.Intn(hi-lo+1))
 			res.Evictions = cache.evictions
 			if err != nil {
 				return err
 			}
-		} else if _, ok := s.Get(ctx, k); ok {
-			cache.touch(k)
+		} else if reader.hit(ctx, k) {
+			cache.touch(int32(k))
 		}
 		res.Lat.Observe(stall + ctx.Clock.Total() - start)
 		stall = 0
@@ -147,9 +148,4 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 	}
 	res.Final = foot()
 	return res, nil
-}
-
-type lruEnt struct {
-	key  uint64
-	size uint64
 }

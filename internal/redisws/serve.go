@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
+	"unsafe"
 
 	"ffccd/internal/alloc"
 	"ffccd/internal/ds"
@@ -237,6 +237,7 @@ type parallelStore interface {
 type pendingOp struct {
 	cli     int
 	key     uint64
+	rank    int32 // the key's owned rank, its LRU node
 	isGet   bool
 	valSize int
 	arrival uint64
@@ -339,49 +340,68 @@ func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] 
 // flight, so at any crash site the durable image equals acked or
 // acked±pending. A nil acked keeps the crash-free path free of both.
 //
-// The list is a table of nodes linked by index: head is the most recently
-// used key, tail the least, and the slots evicted keys leave chain from free
-// through next. index is dense over the keys the cache can see, [0, bound):
-// a key's node, or noNode when it is not live.
+// The list is a table of nodes linked by index, one per owned key: node i is
+// the key of rank i (owned.key(i)). head is the most recently used key, tail
+// the least. The table is sized by the keys the machine owns, not by the
+// keyspace they are drawn from.
 type lruCache struct {
-	store            ds.Store
-	maxLive          uint64 // 0 disables eviction
-	nodes            []lruNode
-	head, tail, free int32
-	index            []int32
-	liveBytes        uint64
-	evictions        int
-	acked            map[uint64][]byte
-	pending          *PendingWrite // nil, or &op: the operation under way
-	op               PendingWrite
+	store      ds.Store
+	maxLive    uint64 // 0 disables eviction
+	owned      ownedKeys
+	nodes      []lruNode
+	head, tail int32
+	liveBytes  uint64
+	evictions  int
+	acked      map[uint64][]byte
+	pending    *PendingWrite // nil, or &op: the operation under way
+	op         PendingWrite
 }
 
-// lruNode is one key's node: its entry and its neighbours towards the head
-// (prev) and the tail (next), noNode at either end.
+// lruNode is one owned key's node: the size of its value and its neighbours
+// towards the head (prev) and the tail (next), noNode at either end. prev is
+// notLive while the key is not live.
 type lruNode struct {
-	lruEnt
+	size       uint32
 	prev, next int32
 }
 
-const noNode = -1
+// A machine holds one lruNode per owned key: keep it at 12 bytes.
+var (
+	_ [unsafe.Sizeof(lruNode{}) - 12]struct{}
+	_ [12 - unsafe.Sizeof(lruNode{})]struct{}
+)
 
-// newLRUCache returns empty bookkeeping with room for keys live keys, all of
-// them below bound. The index is sized once: keys arrive in random order, so
-// one grown on demand reallocates all the way up.
-func newLRUCache(store ds.Store, maxLive uint64, keys, bound int, acked map[uint64][]byte) *lruCache {
-	c := &lruCache{store: store, maxLive: maxLive, nodes: make([]lruNode, 0, keys),
-		head: noNode, tail: noNode, free: noNode, index: make([]int32, bound), acked: acked}
-	for k := range c.index {
-		c.index[k] = noNode
+const (
+	noNode  = -1
+	notLive = -2
+)
+
+// ownedKeys maps a machine's key ranks to its keys, ascending; nil is the
+// identity (an unsharded machine owns the whole keyspace).
+type ownedKeys []uint64
+
+func (o ownedKeys) key(rank int32) uint64 {
+	if o == nil {
+		return uint64(rank)
+	}
+	return o[rank]
+}
+
+// newLRUCache returns empty bookkeeping over keys owned keys, ranks
+// [0, keys), whose keys owned maps.
+func newLRUCache(store ds.Store, maxLive uint64, owned ownedKeys, keys int, acked map[uint64][]byte) *lruCache {
+	c := &lruCache{store: store, maxLive: maxLive, owned: owned, nodes: make([]lruNode, keys),
+		head: noNode, tail: noNode, acked: acked}
+	for i := range c.nodes {
+		c.nodes[i].prev = notLive
 	}
 	return c
 }
 
-// lruTables is the host memory of an lruCache: its node table, its key
-// index and its durable-ack mirror.
+// lruTables is the host memory of an lruCache: its node table and its
+// durable-ack mirror.
 type lruTables struct {
 	nodes []lruNode
-	index []int32
 	acked map[uint64][]byte
 }
 
@@ -395,14 +415,11 @@ var lruPool = workpool.FreeList[lruTables]{PerWorker: 1}
 func (c *lruCache) clone() *lruCache {
 	d := *c
 	d.store, d.pending = nil, nil
-	t, ok := lruPool.Take(func(t lruTables) bool {
-		return cap(t.nodes) >= cap(c.nodes) && cap(t.index) >= len(c.index)
-	})
+	t, ok := lruPool.Take(func(t lruTables) bool { return cap(t.nodes) >= len(c.nodes) })
 	if !ok {
-		t = lruTables{nodes: make([]lruNode, 0, cap(c.nodes)), index: make([]int32, 0, len(c.index))}
+		t = lruTables{nodes: make([]lruNode, 0, len(c.nodes))}
 	}
 	d.nodes = append(t.nodes[:0], c.nodes...)
-	d.index = append(t.index[:0], c.index...)
 	d.acked = nil
 	if c.acked != nil {
 		if d.acked = t.acked; d.acked == nil {
@@ -414,19 +431,12 @@ func (c *lruCache) clone() *lruCache {
 	return &d
 }
 
-// pushFront makes e, whose key is not live, the most recently used entry.
-func (c *lruCache) pushFront(e lruEnt) {
-	i := c.free
-	if i == noNode {
-		i = int32(len(c.nodes))
-		c.nodes = append(c.nodes, lruNode{})
-	} else {
-		c.free = c.nodes[i].next
-	}
-	c.nodes[i].lruEnt = e
-	c.index[e.key] = i
+// pushFront makes rank i, whose key is not live, the most recently used key,
+// with an n-byte value.
+func (c *lruCache) pushFront(i int32, n int) {
+	c.nodes[i].size = uint32(n)
 	c.link(i)
-	c.liveBytes += e.size
+	c.liveBytes += uint64(n)
 }
 
 // link puts the unlinked node i at the head.
@@ -464,10 +474,11 @@ func (c *lruCache) moveToFront(i int32) {
 	}
 }
 
-// set writes key k's n-byte value (Value) on ctx, makes k the most recently
-// used key and evicts down to the cap, also on ctx. Insert stores a copy, and
-// the durable-ack mirror keeps the window.
-func (c *lruCache) set(ctx *sim.Ctx, k uint64, n int) error {
+// set writes the n-byte value (Value) of rank i's key on ctx, makes the key
+// the most recently used and evicts down to the cap, also on ctx. Insert
+// stores a copy, and the durable-ack mirror keeps the window.
+func (c *lruCache) set(ctx *sim.Ctx, i int32, n int) error {
+	k := c.owned.key(i)
 	v := Value(k, n)
 	if c.acked != nil {
 		c.op, c.pending = PendingWrite{Key: k, Val: v}, &c.op
@@ -479,12 +490,12 @@ func (c *lruCache) set(ctx *sim.Ctx, k uint64, n int) error {
 		c.acked[k] = v
 		c.pending = nil
 	}
-	if i := c.index[k]; i != noNode {
-		c.liveBytes = c.liveBytes - c.nodes[i].size + uint64(n)
-		c.nodes[i].size = uint64(n)
+	if nd := &c.nodes[i]; nd.prev != notLive {
+		c.liveBytes = c.liveBytes - uint64(nd.size) + uint64(n)
+		nd.size = uint32(n)
 		c.moveToFront(i)
 	} else {
-		c.pushFront(lruEnt{k, uint64(n)})
+		c.pushFront(i, n)
 	}
 	return c.evict(ctx)
 }
@@ -496,46 +507,71 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 	}
 	for c.liveBytes > c.maxLive && c.tail != noNode {
 		i := c.tail
-		ent := c.nodes[i].lruEnt
+		k := c.owned.key(i)
 		if c.acked != nil {
-			c.op, c.pending = PendingWrite{Key: ent.key}, &c.op
+			c.op, c.pending = PendingWrite{Key: k}, &c.op
 		}
-		if _, err := c.store.Delete(ctx, ent.key); err != nil {
+		if _, err := c.store.Delete(ctx, k); err != nil {
 			return err
 		}
 		if c.acked != nil {
-			delete(c.acked, ent.key)
+			delete(c.acked, k)
 			c.pending = nil
 		}
 		c.unlink(i)
-		c.nodes[i].next, c.free = c.free, i
-		c.index[ent.key] = noNode
-		c.liveBytes -= ent.size
+		c.nodes[i].prev = notLive
+		c.liveBytes -= uint64(c.nodes[i].size)
 		c.evictions++
 	}
 	return nil
 }
 
-// touch makes k, when live, the most recently used key.
-func (c *lruCache) touch(k uint64) {
-	if i := c.index[k]; i != noNode {
+// touch makes rank i's key, when live, the most recently used.
+func (c *lruCache) touch(i int32) {
+	if c.nodes[i].prev != notLive {
 		c.moveToFront(i)
 	}
 }
 
 // rebuild replaces the bookkeeping with model's keys, ascending (recency
 // order died with the power), and adopts model as the durable-ack mirror.
+// Owned keys ascend with their ranks, so the walk over ranks is that order.
 func (c *lruCache) rebuild(model map[uint64][]byte) {
-	for i := c.head; i != noNode; i = c.nodes[i].next {
-		c.index[c.nodes[i].key] = noNode
+	for i := c.head; i != noNode; {
+		n := &c.nodes[i]
+		i, n.prev = n.next, notLive
 	}
-	c.nodes = c.nodes[:0]
-	c.head, c.tail, c.free = noNode, noNode, noNode
+	c.head, c.tail = noNode, noNode
 	c.liveBytes = 0
-	for _, k := range slices.Sorted(maps.Keys(model)) {
-		c.pushFront(lruEnt{k, uint64(len(model[k]))})
+	for i := range int32(len(c.nodes)) {
+		if v, ok := model[c.owned.key(i)]; ok {
+			c.pushFront(i, len(v))
+		}
 	}
 	c.acked, c.pending = model, nil
+}
+
+// inPlaceReader is a store that reads a value into a caller's buffer, with
+// the loads Get makes: every ds and kv store.
+type inPlaceReader interface {
+	GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool)
+}
+
+// hitReader reads values only for their hit flag: into one buffer, through
+// Get only for a store that cannot read in place.
+type hitReader struct {
+	store ds.Store
+	buf   []byte
+}
+
+func (h *hitReader) hit(ctx *sim.Ctx, key uint64) bool {
+	r, ok := h.store.(inPlaceReader)
+	if !ok {
+		_, ok = h.store.Get(ctx, key)
+		return ok
+	}
+	h.buf, ok = r.GetInto(ctx, key, h.buf)
+	return ok
 }
 
 // MaxValue is the largest value a run writes: a config's MaxVal and MaxVal2
@@ -570,9 +606,9 @@ func Value(k uint64, n int) []byte {
 // fork of both images (LoadedImage.Fork).
 type Loaded struct {
 	cfg     ServeConfig
-	owned   []uint64 // the shard's keys by rank; nil unsharded (key = rank)
-	zipf    Zipf     // its constants; every run draws from a stream of its own
-	draws   uint64   // the stream position
+	owned   ownedKeys // the shard's keys by rank; nil unsharded (key = rank)
+	zipf    Zipf      // its constants; every run draws from a stream of its own
+	draws   uint64    // the stream position
 	rate    float64
 	cache   *lruCache // nil once run or released
 	clients []*sim.Ctx
@@ -618,20 +654,12 @@ func (img *LoadedImage) Fork(cfg *sim.Config) *Loaded {
 // run.
 func (l *Loaded) Release() {
 	if c := l.cache; c != nil {
-		lruPool.Put(lruTables{c.nodes, c.index, c.acked})
+		lruPool.Put(lruTables{c.nodes, c.acked})
 		l.cache = nil
 	}
 	for _, c := range l.clients {
 		c.Release()
 	}
-}
-
-// key maps a Zipf rank to the key it names.
-func (l *Loaded) key(rank uint64) uint64 {
-	if l.owned == nil {
-		return rank
-	}
-	return l.owned[rank]
 }
 
 // Serve runs the serving scenario: Load, then Run. ctx is the loader context
@@ -704,17 +732,15 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	zipf := NewZipf(rng, nOwned, cfg.ZipfTheta)
 	var acked map[uint64][]byte
 	if hooks.Crash != nil {
-		acked = make(map[uint64][]byte, cfg.Keyspace)
+		acked = make(map[uint64][]byte, nOwned)
 	}
-	// Sharded keys are global, so the index spans the whole keyspace.
-	cache := newLRUCache(store, cfg.MaxLiveBytes, int(nOwned), cfg.Keyspace, acked)
+	cache := newLRUCache(store, cfg.MaxLiveBytes, l.owned, int(nOwned), acked)
 	l.cache = cache
 
 	// Prepopulate the owned keyspace on the loader context.
 	lo, hi := cfg.MinVal, cfg.MaxVal
-	for i := uint64(0); i < nOwned; i++ {
-		k := l.key(i)
-		if err := cache.set(ctx, k, lo+rng.Intn(hi-lo+1)); err != nil {
+	for i := range int32(nOwned) {
+		if err := cache.set(ctx, i, lo+rng.Intn(hi-lo+1)); err != nil {
 			return nil, err
 		}
 	}
@@ -736,16 +762,14 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 	}
 	warm := min(64*cfg.Clients, 8192)
 	var warmSvc uint64
+	reader := hitReader{store: store}
 	for i := 0; i < warm; i++ {
 		c := l.clients[i%cfg.Clients]
 		t0 := c.Clock.Total()
 		if rng.Float64() < cfg.GetFraction {
-			store.Get(c, l.key(zipf.Next()))
-		} else {
-			k := l.key(zipf.Next())
-			if err := cache.set(c, k, lo+rng.Intn(hi-lo+1)); err != nil {
-				return nil, err
-			}
+			reader.hit(c, l.owned.key(int32(zipf.Next())))
+		} else if err := cache.set(c, int32(zipf.Next()), lo+rng.Intn(hi-lo+1)); err != nil {
+			return nil, err
 		}
 		warmSvc += c.Clock.Total() - t0
 	}
@@ -804,6 +828,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	}
 
 	ps, _ := store.(parallelStore)
+	reader := hitReader{store: store}
 	marks := newSetMarks(dev.NumSets())
 
 	clients := make([]clientState, cfg.Clients)
@@ -937,7 +962,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		op := pendingOp{cli: id, arrival: c.nextArrival, retryAt: c.resubmitAt}
 		c.resubmitAt = 0
 		op.isGet = rng.Float64() < cfg.GetFraction
-		op.key = l.key(zipf.Next())
+		op.rank = int32(zipf.Next())
+		op.key = l.owned.key(op.rank)
 		if !op.isGet {
 			op.valSize = lo + rng.Intn(hi-lo+1)
 		}
@@ -1047,7 +1073,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 			res.Gets++
 			if op.hit {
 				res.Hits++
-				cache.touch(op.key)
+				cache.touch(op.rank)
 			} else {
 				res.Misses++
 			}
@@ -1079,8 +1105,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		// A SET's evictions run on the owning client's clock: the deletes are
 		// that connection's work.
 		if op.isGet {
-			_, op.hit = store.Get(c.ctx, op.key)
-		} else if err := cache.set(c.ctx, op.key, op.valSize); err != nil {
+			op.hit = reader.hit(c.ctx, op.key)
+		} else if err := cache.set(c.ctx, op.rank, op.valSize); err != nil {
 			return err
 		}
 		op.svc = c.ctx.Clock.Total() - t0
@@ -1203,7 +1229,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		}
 		// Swap the machine. The recovered pool reopens the same device, so the
 		// drain probe and set geometry carry over.
-		store, cache.store = rec.Store, rec.Store
+		store, cache.store, reader.store = rec.Store, rec.Store, rec.Store
 		ps, _ = store.(parallelStore)
 		if rec.Pool != nil {
 			p = rec.Pool

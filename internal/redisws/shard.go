@@ -56,7 +56,15 @@ func OwnedKeys(keyspace uint64, shard, shards int) []uint64 {
 		}
 		return out
 	}
-	out := make([]uint64, 0, keyspace/uint64(shards)+1)
+	// Count first, as ShardKeys does, so the list is allocated once at its
+	// exact size.
+	n := 0
+	for k := uint64(0); k < keyspace; k++ {
+		if shardOfKey(k, shards) == shard {
+			n++
+		}
+	}
+	out := make([]uint64, 0, n)
 	for k := uint64(0); k < keyspace; k++ {
 		if shardOfKey(k, shards) == shard {
 			out = append(out, k)
