@@ -29,6 +29,8 @@ var hostSyncAllowed = map[string]string{
 	"core:epochPool":      "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
 	"redisws:lruPool":     "process-wide free list of the LRU tables released serving runs hand to the next forks on workpool workers",
 	"sim:ctxSeq":          "process-wide sim.Ctx numbering",
+	"machine:Image.forks": "an image's live-fork count, which forks on workpool workers change",
+	"machine:imagePool":   "process-wide free list of released machine images that the next captures on workpool workers fill",
 }
 
 // TestNoHostSyncInMachine enforces that a simulated machine is plain data

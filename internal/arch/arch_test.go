@@ -2,6 +2,9 @@ package arch
 
 import (
 	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ffccd/internal/pmem"
@@ -270,5 +273,35 @@ func TestBloomSetTightRanges(t *testing.T) {
 	}
 	if NewBloomSetFromPages(nil, 8, 1024).rangeFor(0) >= 0 {
 		t.Fatal("empty set covered an address")
+	}
+}
+
+// A set rebuilt in place, over the filters and scratch of every set before
+// it, has the ranges and bits a fresh NewBloomSetFromPages builds: random
+// page sets, clustered and scattered, of growing and shrinking size, under
+// filter counts and sizes that change between rebuilds.
+func TestRebuiltBloomSetMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var bs BloomSet
+	for i := 0; i < 300; i++ {
+		pages := make([]uint64, r.Intn(200))
+		base := uint64(r.Intn(1 << 12))
+		for j := range pages {
+			if r.Intn(8) == 0 {
+				base += uint64(r.Intn(1 << 10)) // a gap: a new cluster, maybe
+			}
+			pages[j] = (base + uint64(r.Intn(64))) << FrameShift
+		}
+		n, filterBytes := 1+r.Intn(10), []int{8, 64, 1024}[r.Intn(3)]
+		in := append([]uint64(nil), pages...)
+		bs.Rebuild(pages, n, filterBytes)
+		fresh := NewBloomSetFromPages(pages, n, filterBytes)
+		if !slices.Equal(pages, in) {
+			t.Fatalf("rebuild %d reordered its input", i)
+		}
+		if len(bs.Ranges) != len(fresh.Ranges) || len(bs.Ranges) > 0 && !reflect.DeepEqual(bs.Ranges, fresh.Ranges) {
+			t.Fatalf("rebuild %d (%d pages, %d filters of %d B): ranges\n rebuilt %+v\n fresh   %+v",
+				i, len(pages), n, filterBytes, bs.Ranges, fresh.Ranges)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"slices"
 	"sort"
 
 	"ffccd/internal/bloom"
@@ -47,9 +48,23 @@ type BloomRange struct {
 	Filter     *bloom.Filter
 }
 
-// BloomSet holds the epoch's filters, ordered by Start.
+// BloomSet holds the epoch's filters, ordered by Start. Rebuild refills a
+// set in place, so an engine builds every epoch's set in the filters and
+// scratch of the last one.
 type BloomSet struct {
 	Ranges []BloomRange
+
+	filters []*bloom.Filter // every filter the set has built, Ranges' first
+	pages   []uint64
+	gaps    []bloomGap
+	splits  []int
+}
+
+// bloomGap is a split candidate: split before pages[at], size bytes past the
+// page before it.
+type bloomGap struct {
+	at   int
+	size uint64
 }
 
 // NewBloomSetFromPages builds filters of filterBytes each over the given
@@ -60,52 +75,62 @@ type BloomSet struct {
 // a single filter that keeps the one-entry Bloom Filter Cache stable. Both
 // are the cheap paths that give checklookup its ≈80 % check+lookup reduction.
 func NewBloomSetFromPages(pageVAs []uint64, n, filterBytes int) *BloomSet {
+	bs := &BloomSet{}
+	bs.Rebuild(pageVAs, n, filterBytes)
+	return bs
+}
+
+// Rebuild makes bs the set NewBloomSetFromPages(pageVAs, n, filterBytes)
+// returns, reusing its filters and scratch. pageVAs is not modified.
+func (bs *BloomSet) Rebuild(pageVAs []uint64, n, filterBytes int) {
 	if n < 1 {
 		n = 1
 	}
-	bs := &BloomSet{}
+	bs.Ranges = bs.Ranges[:0]
 	if len(pageVAs) == 0 {
-		return bs
+		return
 	}
-	pages := append([]uint64(nil), pageVAs...)
-	sort.Slice(pages, func(a, b int) bool { return pages[a] < pages[b] })
+	pages := append(bs.pages[:0], pageVAs...)
+	slices.Sort(pages)
+	bs.pages = pages
 
 	// Choose up to n-1 split points at the largest gaps ≥ 64 pages.
 	const minGap = 64 << FrameShift
-	type gap struct {
-		at   int // split before pages[at]
-		size uint64
-	}
-	var gaps []gap
+	gaps := bs.gaps[:0]
 	for i := 1; i < len(pages); i++ {
 		if g := pages[i] - pages[i-1]; g >= minGap {
-			gaps = append(gaps, gap{i, g})
+			gaps = append(gaps, bloomGap{i, g})
 		}
 	}
+	bs.gaps = gaps
 	sort.Slice(gaps, func(a, b int) bool { return gaps[a].size > gaps[b].size })
 	if len(gaps) > n-1 {
 		gaps = gaps[:n-1]
 	}
-	splits := []int{0}
+	splits := append(bs.splits[:0], 0)
 	for _, g := range gaps {
 		splits = append(splits, g.at)
 	}
-	sort.Ints(splits)
+	slices.Sort(splits)
 	splits = append(splits, len(pages))
+	bs.splits = splits
 
 	for i := 0; i+1 < len(splits); i++ {
 		chunk := pages[splits[i]:splits[i+1]]
-		r := BloomRange{
+		if i == len(bs.filters) {
+			bs.filters = append(bs.filters, new(bloom.Filter))
+		}
+		f := bs.filters[i]
+		f.Init(filterBytes, 4)
+		for _, pg := range chunk {
+			f.Add(pg >> FrameShift)
+		}
+		bs.Ranges = append(bs.Ranges, BloomRange{
 			Start:  chunk[0],
 			End:    chunk[len(chunk)-1] + (1 << FrameShift),
-			Filter: bloom.New(filterBytes, 4),
-		}
-		for _, pg := range chunk {
-			r.Filter.Add(pg >> FrameShift)
-		}
-		bs.Ranges = append(bs.Ranges, r)
+			Filter: f,
+		})
 	}
-	return bs
 }
 
 // rangeFor returns the index of the filter covering va, or -1.

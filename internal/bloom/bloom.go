@@ -15,17 +15,28 @@ type Filter struct {
 // New creates a filter with the given size in bytes and number of hash
 // functions. The paper's BFC holds 1024-byte filters.
 func New(sizeBytes, hashes int) *Filter {
+	f := new(Filter)
+	f.Init(sizeBytes, hashes)
+	return f
+}
+
+// Init makes f the empty filter New(sizeBytes, hashes) returns, in f's own
+// bit array when it is large enough.
+func (f *Filter) Init(sizeBytes, hashes int) {
 	if sizeBytes < 8 {
 		sizeBytes = 8
 	}
 	if hashes < 1 {
 		hashes = 1
 	}
-	return &Filter{
-		bits:   make([]uint64, (sizeBytes+7)/8),
-		nbits:  uint64(sizeBytes) * 8,
-		hashes: hashes,
+	n := (sizeBytes + 7) / 8
+	if cap(f.bits) < n {
+		f.bits = make([]uint64, n)
+	} else {
+		f.bits = f.bits[:n]
+		clear(f.bits)
 	}
+	f.nbits, f.hashes, f.count = uint64(sizeBytes)*8, hashes, 0
 }
 
 const (

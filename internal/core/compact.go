@@ -57,6 +57,10 @@ func (e *Engine) relocateObject(ctx *sim.Ctx, ep *epochState, idx int, fromBarri
 		// post-move application writes. The line assembly preserves their
 		// destination bytes by loading gaps from current contents.
 		cluster := ep.clusterOf(idx)
+		if mutant == MutantSharedLineTear {
+			one := [1]int32{int32(idx)}
+			cluster = one[:]
+		}
 		parts := e.relocParts[:0]
 		for _, c := range cluster {
 			if ep.isMoved(int(c)) {

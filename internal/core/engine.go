@@ -139,7 +139,8 @@ type Engine struct {
 
 // epochMem is the host memory an engine's epochs fill (mark.go, summary.go,
 // epoch.go): the walk and summary scratch, the one epochState every epoch
-// refills, and the part list the fence-free cluster move assembles. It is
+// refills, the Bloom filters summary rebuilds over its relocation pages, and
+// the part list the fence-free cluster move assembles. It is
 // written only with the world stopped or in single-threaded recovery, and
 // every table in it is emptied and refilled before it is read.
 //
@@ -152,6 +153,7 @@ type epochMem struct {
 	markScratch    markScratch
 	summaryScratch summaryScratch
 	epochBuf       epochState
+	bloomSet       arch.BloomSet
 	relocParts     []pmem.RelocatePart
 }
 

@@ -247,7 +247,7 @@ func (ep *epochState) onRelocFrame(heap *alloc.Heap, off uint64) bool {
 func (ep *epochState) lookupSrc(p *pmop.Pool, srcOff uint64) (uint64, bool) {
 	heap := p.Heap()
 	ord, slot, ok := ep.ordinal(heap, srcOff)
-	if !ok || ep.minor[ord][slot] == pmop.MinorInvalid && int(ep.lastSlotSrc[ord]) != slot {
+	if !ok || ep.minor[ord][slot] == pmop.MinorInvalid && (int(ep.lastSlotSrc[ord]) != slot || mutant == MutantSlot255) {
 		return 0, false
 	}
 	return heap.OffsetOf(int(ep.destFrame[ord]), int(ep.minor[ord][slot])), true

@@ -345,7 +345,8 @@ func (e *Engine) groupByFrame(live []markObj) []int32 {
 	return start
 }
 
-// relocBlooms builds the epoch's bloom filters over its relocation pages.
+// relocBlooms rebuilds the engine's bloom filters over the epoch's
+// relocation pages.
 func (e *Engine) relocBlooms(ep *epochState) *arch.BloomSet {
 	p := e.pool
 	vas := e.summaryScratch.relocVAs[:0]
@@ -353,5 +354,6 @@ func (e *Engine) relocBlooms(ep *epochState) *arch.BloomSet {
 		vas = append(vas, p.VA(p.Heap().OffsetOf(f, 0)))
 	}
 	e.summaryScratch.relocVAs = vas
-	return arch.NewBloomSetFromPages(vas, e.cfg.BloomFilters, e.cfg.BloomFilterBytes)
+	e.bloomSet.Rebuild(vas, e.cfg.BloomFilters, e.cfg.BloomFilterBytes)
+	return &e.bloomSet
 }

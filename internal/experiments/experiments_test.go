@@ -215,6 +215,16 @@ func TestExperimentsReleaseTheirMachines(t *testing.T) {
 		{"fig1", func() error { _, err := Figure1(testScale); return err }},
 		{"ablation-rbb", func() error { _, err := AblationRBB(testScale, []int{4}); return err }},
 		{"fig16", func() error { _, err := Figure16(testScale / 10); return err }},
+		{"fig14 cell, forked", func() error {
+			ResetForkCounters()
+			if _, err := RunSpecsForked(fig14Cell("LL", testScale)); err != nil {
+				return err
+			}
+			if _, _, forks := ForkCounters(); forks == 0 {
+				return errors.New("the cell forked no run")
+			}
+			return nil
+		}},
 		{"serving", func() error {
 			_, err := Serving(ServingOptions{Clients: 4, Ops: 1200, Keyspace: 400, Shards: 1, Schemes: []string{"ffccd", "mesh"}})
 			return err

@@ -115,23 +115,29 @@ type prefixState struct {
 // buildPrefix runs spec's workload up to the scheme-divergence point.
 // spec's own Scheme is irrelevant (the prefix engine is the neutral
 // Espresso one); Trigger/Target must match the specs that will fork from it,
-// since failed BeginCycle attempts depend on them.
-func buildPrefix(spec Spec) (*prefixState, error) {
+// since failed BeginCycle attempts depend on them. The caller releases the
+// image of the prefix it returns once its last fork is released.
+func buildPrefix(spec Spec) (pre *prefixState, err error) {
 	forkPrefixes.Add(1)
 	wl := wlFor(spec)
 	m, err := newRunMachine(spec, wl)
 	if err != nil {
 		return nil, err
 	}
-	// Forks share the media pages the image references; the prefix machine
-	// itself is done once the image is taken.
-	defer m.Release()
+	// Every capture goes into one image, and takes over the pages the last
+	// one owned that the machine still holds. The machine is released
+	// before its image, which goes with it unless forks will read it.
+	var img *machine.Image
+	defer func() {
+		m.Release()
+		if img != nil && (pre == nil || pre.img == nil) {
+			img.Release()
+		}
+	}()
 	obs := newRunObs(spec, "/prefix", m)
 	eng := m.NewEngine(engineOptions(spec, core.SchemeEspresso, obs))
 	registerRunGroups(obs, m)
-	pre := &prefixState{}
 
-	var img machine.Image
 	var r *workload.Runner
 	// No PreSample hook: before the first successful BeginCycle no epoch is
 	// ever open, so the scratch path's "finish an open epoch" hook is a
@@ -143,7 +149,11 @@ func buildPrefix(spec Spec) (*prefixState, error) {
 		// Capture before the attempt: a failed attempt still reclaims leaks
 		// and charges mark/summary cycles, all of which is shared prefix; a
 		// successful one diverges, so the forks must re-run it.
-		m.CaptureInto(&img)
+		if img == nil {
+			img = m.Capture()
+		} else {
+			m.CaptureInto(img)
+		}
 		forkCheckpoints.Add(1)
 		forkCapturedBytes.Add(img.Pool.Dev.CapturedBytes())
 		forkMediaBytes.Add(img.Pool.Dev.MediaBytes())
@@ -160,16 +170,14 @@ func buildPrefix(spec Spec) (*prefixState, error) {
 		// Fragmentation never produced a viable epoch: no scheme-dependent
 		// machinery ever engaged, so this completed run is every scheme's
 		// result.
-		pre.outcome = assembleOutcome(spec, res, m)
-		return pre, nil
+		return &prefixState{outcome: assembleOutcome(spec, res, m)}, nil
 	}
 	// Suspended inside the successful attempt's Maintenance call: the image
 	// predates the attempt, and the runner checkpoint (position, RNG draw
 	// count, accumulators) re-enters Maintenance first on resume. BeginCycle
 	// itself mutates no store/runner state, so the runner checkpoint taken
 	// now, and the store each fork clones, match the image.
-	pre.img, pre.runner = &img, r.Checkpoint()
-	return pre, nil
+	return &prefixState{img: img, runner: r.Checkpoint()}, nil
 }
 
 // runFork forks a machine from pre's image and finishes the workload under
@@ -228,6 +236,7 @@ func runForked(spec Spec) (Outcome, error) {
 		out.Spec = spec
 		return out, nil
 	}
+	defer pre.img.Release()
 	return runFork(pre, spec)
 }
 
@@ -305,11 +314,14 @@ func RunSpecsForked(specs []Spec) ([]Outcome, error) {
 			}
 			return nil
 		}
-		return workpool.ForEach(len(idxs), func(j int) error {
+		err = workpool.ForEach(len(idxs), func(j int) error {
 			var err error
 			outs[idxs[j]], err = runFork(pre, specs[idxs[j]])
 			return err
 		})
+		// Every fork has been released: the group's image goes back.
+		pre.img.Release()
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ffccd/internal/core"
+	"ffccd/internal/workpool"
 )
 
 // sameSimulatedMachine fails the test unless two outcomes agree on every
@@ -125,3 +127,76 @@ func TestRunSpecsForkedMatchesRunSpecs(t *testing.T) {
 	}
 	t.Logf("fork counters: prefixes=%d checkpoints=%d forks=%d", prefixes, checkpoints, forks)
 }
+
+// fig14Cell is one Figure 14 cell: store's run under each scheme, which
+// RunSpecsForked runs as one fork group.
+func fig14Cell(store string, scale float64) []Spec {
+	var specs []Spec
+	for _, scheme := range allSchemes {
+		s := Spec{Store: store, Threads: 1, Scheme: scheme, Scale: scale, PageShift: 12, Seed: 11}
+		s.Trigger, s.Target = core.NormalParams()
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// TestRunSpecsForkedWarmMatchesCold runs an LL and an AVL cell twice in one
+// process. The second run captures into the images the first released and
+// forks onto the pages and arrays its machines gave back, and must give
+// bit-identical outcomes.
+func TestRunSpecsForkedWarmMatchesCold(t *testing.T) {
+	specs := append(fig14Cell("LL", testScale), fig14Cell("AVL", testScale)...)
+	ResetForkCounters()
+	cold, err := RunSpecsForked(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, forks := ForkCounters(); forks == 0 {
+		t.Fatal("no run forked: the test is vacuous")
+	}
+	warm, err := RunSpecsForked(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if warm[i] != cold[i] {
+			t.Errorf("%s/%s: warm outcome %+v, cold %+v", specs[i].Store, specs[i].Scheme, warm[i], cold[i])
+		}
+	}
+}
+
+// TestWarmForkGroupAllocBudget runs an LL cell's fork group warm, on one
+// worker, and fails if it allocates over the budget: a group that keeps its
+// image — its pages, set blocks and heap tables — instead of handing it to
+// the next group's capture allocates them again every time.
+func TestWarmForkGroupAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector enlarges every allocation")
+	}
+	defer workpool.SetParallelism(workpool.Parallelism())
+	workpool.SetParallelism(1)
+	specs := fig14Cell("LL", testScale)
+	for range 2 {
+		if _, err := RunSpecsForked(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := RunSpecsForked(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B per warm fork group (budget %d)", per, forkGroupAllocBudget)
+	if per > forkGroupAllocBudget {
+		t.Errorf("a warm fork group allocates %d B, budget %d B: an image, its pages or a machine's arrays are no longer handed on", per, forkGroupAllocBudget)
+	}
+}
+
+// forkGroupAllocBudget bounds what one warm LL fork group allocates at the
+// test scale: it makes 1.94 MB, and 3.44 MB when the group keeps its image.
+const forkGroupAllocBudget = 2_300_000

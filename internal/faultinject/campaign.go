@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ffccd/internal/pmem"
@@ -143,10 +144,36 @@ type trialOut struct {
 // then on. A campaign's own schedules name one machine (a serving one has a
 // prefix per shard); a shrink adds one per distinct machine its candidates
 // name. A schedule run on its own — Run, -repro — is a campaign of one trial.
+// Once its last trial has returned, the campaign releases its prefixes.
 type campaign struct {
 	mu    sync.Mutex
 	batch map[batchMachine]*built[*prefix]
 	serve map[ServeRepro]*built[[]*servePrefix] // keyed by the line without its crash point and shard
+	// abandoned is set when a trial hung or panicked: a fork of a prefix, or
+	// a prefix being built, may outlive the campaign, so release leaves the
+	// prefixes to the garbage collector.
+	abandoned atomic.Bool
+}
+
+// release gives back the media pages and tables of every prefix the campaign
+// built, unless it abandoned a trial. Call it once every trial has returned.
+func (c *campaign) release() {
+	if c.abandoned.Load() {
+		return
+	}
+	for _, b := range c.batch {
+		if b.pre != nil {
+			b.pre.release()
+		}
+	}
+	for _, b := range c.serve {
+		for _, pre := range b.pre {
+			if pre != nil {
+				pre.img.Release()
+				pre.loaded.Release()
+			}
+		}
+	}
 }
 
 // batchMachine is what a batch prefix is a function of.
@@ -201,6 +228,7 @@ func (c *campaign) runWatched(s Schedule, topts TrialOptions, timeout time.Durat
 	case o := <-ch:
 		return o
 	case <-time.After(timeout):
+		c.abandoned.Store(true)
 		return trialOut{err: fmt.Errorf("watchdog: trial exceeded %s", timeout), hung: true}
 	}
 }
@@ -212,6 +240,7 @@ func (c *campaign) runWatched(s Schedule, topts TrialOptions, timeout time.Durat
 func (c *campaign) runTrial(s Schedule, topts TrialOptions) (o trialOut) {
 	defer func() {
 		if r := recover(); r != nil {
+			c.abandoned.Store(true)
 			o = trialOut{err: fmt.Errorf("trial panicked: %v", r)}
 		}
 	}()
@@ -293,8 +322,10 @@ func ExploreServeScheme(scheme string, co CampaignOptions) CampaignOutcome {
 	return new(campaign).explore("serve/"+scheme, base, co)
 }
 
-// explore runs the campaign whose census pass is base.
+// explore runs the campaign whose census pass is base, then releases its
+// prefixes.
 func (c *campaign) explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
+	defer c.release()
 	out := CampaignOutcome{Label: label}
 
 	// Census pass: count the sites (and verify the no-crash run end to end).

@@ -74,13 +74,21 @@ func newTrial(setting Setting) (*trial, error) {
 // campaign builds it once and every trial — the census pass, each first-level
 // and each nested one — forks its own machine from it. Nothing writes a prefix
 // once buildPrefix has returned: forks only read it, also the fork of a trial
-// the watchdog gave up on, which may still be running.
+// the watchdog gave up on, which may still be running. The campaign releases
+// it once its last trial has returned, unless it gave up on one.
 type prefix struct {
 	setting Setting
 	ops     int
 
 	img   *machine.Image
 	model map[uint64][]byte // the churner's
+}
+
+// release gives the prefix's pages back, and its model to models. Every fork
+// of it must have been released.
+func (pre *prefix) release() {
+	pre.img.Release()
+	models.Put(pre.model)
 }
 
 // buildTrial builds the machine, runs the build churn of every thread in
@@ -304,6 +312,10 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 	m, dev := r.m, r.m.Device()
 	ctx := sim.NewCtx(&m.Cfg)
 	defer ctx.Release()
+	start := uint64(0)
+	if core.Mutated(core.MutantRecoverOnCrashedContext) {
+		ctx, start = m.Ctx, m.Ctx.Clock.Total()
+	}
 	powerFail := func() {
 		dev.SetCrashPolicy(r.policy)
 		dev.Crash()
@@ -346,8 +358,10 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 	}
 	// The restart is over: the checker's context takes the recovery
 	// context's TLB arrays.
-	cycles = ctx.Clock.Total()
-	ctx.Release()
+	cycles = ctx.Clock.Total() - start
+	if ctx != m.Ctx {
+		ctx.Release()
+	}
 	chk := sim.NewCtx(&m.Cfg)
 	defer chk.Release()
 	if model, err = checker.DurableAcks(chk, m.Store, r.model, r.pending); err != nil {

@@ -19,11 +19,19 @@ func TestCampaignKillsNamedMutants(t *testing.T) {
 		core.MutantNoTombstone:    "LL/1T/sfccd",
 		core.MutantUndoAfterFixup: "BT/1T/sfccd",
 		core.MutantReachedEarly:   "AVL/1T/ffccd",
+		core.MutantSharedLineTear: "LL/1T/ffccd",
 	}
-	// A trial runs no epoch after its recovery, so a summary crashed before
-	// its flip is never followed by the epoch that would reuse its number.
 	holes := map[core.Mutant]string{
+		// A trial runs no epoch after its recovery, so a summary crashed
+		// before its flip is never followed by the epoch that would reuse
+		// its number.
 		core.MutantEpochPastPhaseOnly: "LL/1T/ffccd",
+		// No churned heap places an object in its destination frame's last
+		// slot.
+		core.MutantSlot255: "LL/1T/ffccd",
+		// The mutant costs recovery cycles and corrupts nothing; no verdict
+		// reads a cost.
+		core.MutantRecoverOnCrashedContext: "LL/1T/sfccd",
 	}
 	co := CampaignOptions{Seed: 1, MaxSites: 56, Nested: true, MaxNested: 16}
 	// explore runs the named setting's campaign with m in every engine.

@@ -27,6 +27,19 @@ import (
 	"ffccd/internal/workpool"
 )
 
+// deviceState is the device state a checkpoint of d captures: its exported
+// fields, without which pages the checkpoint owns and of which device.
+func deviceState(d *pmem.Device) []any {
+	v := reflect.ValueOf(d.Checkpoint()).Elem()
+	var state []any
+	for i := range v.NumField() {
+		if v.Type().Field(i).IsExported() {
+			state = append(state, v.Field(i).Interface())
+		}
+	}
+	return state
+}
+
 func scratchRunScheduled(rep Repro, opts TrialOptions, dp *ctxProbe) (Result, error) {
 	return runProbed(rep, opts, dp, func(setting Setting, rep Repro) (*trial, *churner, error) {
 		return buildTrial(setting, rep.Seed, rep.Ops)
@@ -196,7 +209,7 @@ func TestForkReproducesTheBuiltMachine(t *testing.T) {
 			what      string
 			got, want any
 		}{
-			{"device", forked.Device().Checkpoint(), built.Device().Checkpoint()},
+			{"device", deviceState(forked.Device()), deviceState(built.Device())},
 			{"media hash", forked.Device().HashMedia(), built.Device().HashMedia()},
 			{"heap", forked.Pool.Heap().Checkpoint(), built.Pool.Heap().Checkpoint()},
 			{"context", forked.Ctx.Checkpoint(), built.Ctx.Checkpoint()},
@@ -544,4 +557,62 @@ func BenchmarkCampaignTrial(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(trials), "ms/trial")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(trials), "B/trial")
+}
+
+// A campaign gives back every media page it materialises, its prefixes' as
+// well as its trials': batch and sharded serving alike.
+func TestCampaignsReturnTheirPages(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func() CampaignOutcome
+	}{
+		{"LL/1T/ffccd", func() CampaignOutcome {
+			return ExploreSetting(Setting{"LL", 1, core.SchemeFFCCD}, CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Nested: true, MaxNested: 1})
+		}},
+		{"serve/ffccd, 2 shards", func() CampaignOutcome {
+			return ExploreServeScheme("ffccd", CampaignOptions{Seed: 3, Clients: 4, Ops: 600, Keys: 256, Shards: 2, MaxSites: 4, Nested: true, MaxNested: 1})
+		}},
+	} {
+		taken, returned := pmem.MaterializedPages(), pmem.ReturnedPages()
+		if out := c.run(); len(out.Failures) > 0 || out.Scheduled == 0 {
+			t.Fatalf("%s: %+v", c.name, out)
+		}
+		if dt, dr := pmem.MaterializedPages()-taken, pmem.ReturnedPages()-returned; dt != dr || dt == 0 {
+			t.Errorf("%s materialised %d media pages and returned %d", c.name, dt, dr)
+		}
+	}
+}
+
+// A campaign whose trial hung keeps its prefixes: the abandoned trial's fork
+// may still read their pages, and releasing an image under a live fork
+// panics. The census trial blocks in its Obs hook past the watchdog.
+func TestHungCampaignKeepsItsPrefixes(t *testing.T) {
+	block := make(chan struct{}) // never closed: the abandoned trial keeps its fork for good
+	forked := make(chan struct{})
+	var calls atomic.Int32
+	setting := Setting{"LL", 1, core.SchemeFFCCD}
+	co := CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Timeout: 100 * time.Millisecond,
+		Trial: TrialOptions{Obs: func(Setting, int64) *obsv.Obs {
+			if calls.Add(1) == 1 {
+				close(forked)
+				<-block
+			}
+			return nil
+		}}}
+	base := NewRepro(setting, co.Seed)
+	base.Ops = co.Ops
+	c := new(campaign)
+	out := c.explore(setting.String(), base, co)
+	if len(out.Failures) != 1 || !out.Failures[0].Hung {
+		t.Fatalf("the blocked census is not the campaign's one hung failure: %+v", out.Failures)
+	}
+	<-forked // the abandoned trial built the prefix before it blocked
+	if len(c.batch) != 1 {
+		t.Fatalf("the campaign built %d prefixes", len(c.batch))
+	}
+	for _, b := range c.batch {
+		if b.pre == nil || len(b.pre.img.Pool.Dev.Pages) == 0 {
+			t.Error("the campaign released the prefix its hung trial forked")
+		}
+	}
 }

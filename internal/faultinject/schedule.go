@@ -307,7 +307,9 @@ func (r Repro) shrinks() []Schedule {
 // with its own RNG stream and key range, is interleaved in a fixed order — so
 // the sequence of crash-site passages is a pure function of the Repro.
 func RunScheduled(rep Repro, opts TrialOptions) (Result, error) {
-	return new(campaign).runScheduled(rep, opts)
+	c := new(campaign)
+	defer c.release()
+	return c.runScheduled(rep, opts)
 }
 
 // runScheduled runs rep on a machine forked from the campaign's prefix: the

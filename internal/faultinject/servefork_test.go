@@ -146,7 +146,7 @@ func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 				what      string
 				got, want any
 			}{
-				{"device", forked.Device().Checkpoint(), built.Device().Checkpoint()},
+				{"device", deviceState(forked.Device()), deviceState(built.Device())},
 				{"media hash", forked.Device().HashMedia(), built.Device().HashMedia()},
 				{"heap", forked.Pool.Heap().Checkpoint(), built.Pool.Heap().Checkpoint()},
 				{"loader context", forked.Ctx.Checkpoint(), built.Ctx.Checkpoint()},

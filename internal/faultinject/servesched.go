@@ -168,7 +168,8 @@ func (r ServeRepro) shrinks() []Schedule {
 // without its crash point and crash target, so a campaign builds them once
 // and every trial forks them — the census pass, each first-level and each
 // nested trial, and the census-armed siblings too, since arming charges
-// nothing. Like a batch prefix, nothing writes a servePrefix once it is built.
+// nothing. Like a batch prefix, nothing writes a servePrefix once it is
+// built, and the campaign releases both images with it.
 type servePrefix struct {
 	img    *machine.Image
 	loaded *redisws.LoadedImage
@@ -253,7 +254,9 @@ func serveConfigFor(rep ServeRepro) redisws.ServeConfig {
 // deterministically. A sharded census pass (Site = -1) census-arms every
 // shard, so one run yields each shard's own site census (ShardCensus).
 func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
-	return new(campaign).runServe(rep, opts)
+	c := new(campaign)
+	defer c.release()
+	return c.runServe(rep, opts)
 }
 
 // runServe runs rep on machines forked from the campaign's loaded prefixes.

@@ -24,7 +24,9 @@ const ShrinkBudget = 48
 // whether it improves on the input. The input must fail (callers pass
 // schedules a campaign just saw fail); if it somehow passes now, ok is false.
 func Shrink(s Schedule, topts TrialOptions, timeout time.Duration, budget int) (Schedule, bool) {
-	return new(campaign).shrink(s, topts, timeout, budget)
+	c := new(campaign)
+	defer c.release()
+	return c.shrink(s, topts, timeout, budget)
 }
 
 // shrink is Shrink with its candidates run in campaign c.

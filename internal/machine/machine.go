@@ -9,11 +9,14 @@
 // §5.5).
 //
 // A machine is plain data on the goroutine that owns it. An image is only
-// read once captured, so any number of goroutines may fork it at once.
+// read once captured, so any number of goroutines may fork it at once; it
+// counts the forks not yet released, and once the last is, Release gives its
+// pages and buffers back for the next capture.
 package machine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
@@ -21,6 +24,7 @@ import (
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // registry holds every persistent type, ds types first, so a ds type has the
@@ -92,6 +96,7 @@ type Machine struct {
 	Eng   *core.Engine // nil until NewEngine
 
 	name string
+	img  *Image // the image the machine was forked from; nil on a built one
 }
 
 // Build creates the machine of s with an empty pool and a fresh application
@@ -116,8 +121,13 @@ func (m *Machine) Device() *pmem.Device { return m.RT.Device() }
 // still attached (a closed one has handed its memory on already). The machine
 // is unusable afterwards: any of those contexts panics on its next
 // translation, and the engine on its next cycle, wherever else they are held.
-// A second call does nothing.
+// A forked machine no longer counts as a fork of its image. A second call
+// does nothing.
 func (m *Machine) Release() {
+	if m.img != nil {
+		m.img.forks.Add(-1)
+		m.img = nil
+	}
 	m.RT.Device().ReleaseMedia()
 	for _, ctx := range [...]*sim.Ctx{m.Ctx, m.GC} {
 		if ctx != nil {
@@ -160,7 +170,7 @@ func (m *Machine) Reopen() error {
 // Image is what a fork needs of a quiescent machine: the pool's image, every
 // context's checkpoint and the store handle, whose volatile state each fork
 // clones, plus the counters of an attached engine. Nothing writes an image
-// once it is captured.
+// once it is captured, until Release.
 type Image struct {
 	Pool pmop.Image
 	// EngineStats are the engine's counters at the capture.
@@ -171,27 +181,45 @@ type Image struct {
 	ctx, gc sim.CtxCheckpoint
 	hasGC   bool
 	store   ds.Store
+
+	// forks counts the machines forked from the image and not yet released;
+	// they run on any worker.
+	forks atomic.Int32
+	live  bool // captured and not released since
 }
 
-// Capture returns the machine's image. The machine must be quiescent: no
-// defragmentation epoch may be open, since an image holds none of an epoch's
-// volatile state (see CaptureInto).
+// imagePool holds released images, whose buffers (set blocks, line bodies,
+// heap tables, TLB arrays) the next Capture fills again.
+var imagePool = workpool.FreeList[*Image]{PerWorker: 2}
+
+// Capture returns the machine's image, in a released image's buffers when
+// there is one. The machine must be quiescent: no defragmentation epoch may
+// be open, since an image holds none of an epoch's volatile state (see
+// CaptureInto).
 func (m *Machine) Capture() *Image {
-	img := new(Image)
+	img, ok := imagePool.Take(nil)
+	if !ok {
+		img = new(Image)
+	}
 	m.CaptureInto(img)
 	return img
 }
 
-// CaptureInto captures the machine's image into img, reusing its buffers. It
-// panics when the attached engine has an epoch open.
+// CaptureInto captures the machine's image into img, reusing its buffers; the
+// pages an earlier capture of the same machine shares stay img's where the
+// machine still holds them. It panics when the attached engine has an epoch
+// open, and when a fork of img is live.
 func (m *Machine) CaptureInto(img *Image) {
 	if m.Eng != nil {
 		if n, open := m.Eng.OpenEpoch(); open {
 			panic(fmt.Sprintf("machine: capture inside open epoch %d", n))
 		}
 	}
+	if n := img.forks.Load(); n != 0 {
+		panic(fmt.Sprintf("machine: capture into an image with %d live forks", n))
+	}
 	m.Pool.CaptureInto(&img.Pool)
-	img.cfg, img.name, img.store = m.Cfg, m.name, m.Store
+	img.cfg, img.name, img.store, img.live = m.Cfg, m.name, m.Store, true
 	m.Ctx.CheckpointInto(&img.ctx)
 	if img.hasGC = m.GC != nil; img.hasGC {
 		m.GC.CheckpointInto(&img.gc)
@@ -202,17 +230,40 @@ func (m *Machine) CaptureInto(img *Image) {
 	}
 }
 
+// Release gives the media pages the image owns back to the page pool and the
+// image to the next Capture; the image is unusable afterwards. The captured
+// machine must have been released (the pages would still be its), and every
+// fork of the image: Release panics while one is live. A second call does
+// nothing.
+func (img *Image) Release() {
+	if !img.live {
+		return
+	}
+	if n := img.forks.Load(); n != 0 {
+		panic(fmt.Sprintf("machine: image released with %d live forks", n))
+	}
+	img.Pool.Release()
+	img.store, img.live = nil, false
+	imagePool.Put(img)
+}
+
 // Fork materializes the image as a machine of the caller's own: its device
 // shares the image's media pages until it writes them, its pool has the
 // captured pool's VA base, its contexts and store continue from the capture,
 // and it has no engine until NewEngine. The caller releases it like a built
-// machine; on error Fork has released it.
+// machine; on error Fork has released it. The fork counts as live until
+// then.
 func (img *Image) Fork() (*Machine, error) {
+	if !img.live {
+		panic("machine: fork of a released image")
+	}
 	m := &Machine{Cfg: img.cfg, name: img.name}
 	var err error
 	if m.RT, m.Pool, err = img.Pool.Fork(&m.Cfg, img.name, registry); err != nil {
 		return nil, err
 	}
+	img.forks.Add(1)
+	m.img = img
 	m.Ctx = sim.NewCtx(&m.Cfg)
 	m.Ctx.Restore(&img.ctx)
 	if img.hasGC {

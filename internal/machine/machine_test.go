@@ -250,3 +250,53 @@ func TestCaptureInsideOpenEpochPanics(t *testing.T) {
 		t.Errorf("the image after the epoch counts %d engine cycles, want 1", img.EngineStats.Cycles)
 	}
 }
+
+// An image counts its live forks: releasing it under one panics, since the
+// fork still reads the pages the image would give back, and so does capturing
+// into it. Once the source machine and every fork are released, Release
+// returns every page the machines materialised, and a released image forks
+// nothing.
+func TestImageReleasePanicsWhileAForkIsLive(t *testing.T) {
+	taken, returned := pmem.MaterializedPages(), pmem.ReturnedPages()
+	m, err := Build(batchSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Store, err = ds.NewList(m.Ctx, m.Pool); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := m.Store.Insert(m.Ctx, k, value(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := m.Capture()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("releasing an image its source machine still holds the pages of", img.Release)
+	m.Release()
+	fork, err := img.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Store.Insert(fork.Ctx, 1000, value(1000)); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("releasing an image under a live fork", img.Release)
+	mustPanic("capturing into an image under a live fork", func() { fork.CaptureInto(img) })
+	fork.Release()
+	fork.Release() // a second call does not count the fork out twice
+	img.Release()
+	img.Release() // a second call does nothing
+	mustPanic("forking a released image", func() { img.Fork() })
+	if dt, dr := pmem.MaterializedPages()-taken, pmem.ReturnedPages()-returned; dt != dr || dt == 0 {
+		t.Errorf("the source, its fork and their image materialised %d media pages and returned %d", dt, dr)
+	}
+}

@@ -17,9 +17,18 @@ import (
 // source, which from then on copies a page before it writes it. Restore
 // adopts the references as shared in the same way, so capture and restore
 // cost the number of pages held, and each fork of a checkpoint holds private
-// copies only of the pages it writes. A shared page is never written and
-// never pooled, so any number of devices may restore one checkpoint
-// concurrently. CheckpointInto reuses the checkpoint's buffers.
+// copies only of the pages it writes. No device writes or pools a shared
+// page, so any number of devices may restore one checkpoint concurrently.
+//
+// The pages that were private in the source when it was captured belong to
+// the checkpoint, and Release puts them into the page pool; pages the source
+// itself shared (restored from, or captured by, another checkpoint) stay with
+// that one. Release a checkpoint once its source has let go of its pages
+// (ReleaseMedia or a Restore; Release panics before that) and every device
+// restored from it has been released. CheckpointInto reuses the
+// checkpoint's buffers, and a second capture of the same source takes over
+// the pages the first one owned that the source still holds, pooling the
+// rest.
 //
 // A checkpoint copies the line bodies the device holds, which are the ones
 // the persistence domain cannot rebuild: dirty ways, and clean ones that
@@ -27,15 +36,22 @@ import (
 
 // DeviceCheckpoint is a deep, immutable-by-convention copy of a device's
 // state. One checkpoint may be restored into any number of devices (fork
-// fan-out reads it concurrently; Restore only reads the checkpoint).
+// fan-out reads it concurrently; Restore only reads the checkpoint) until it
+// is released.
 type DeviceCheckpoint struct {
 	// MediaLen is the source device's media size in bytes.
 	MediaLen int
 	// Pages lists the page indices the source held, ascending, and Refs the
 	// pages themselves, which the checkpoint shares with the source and with
-	// every device restored from it.
+	// every device restored from it. Bit k of own is set when the checkpoint
+	// owns Refs[k]: Release pools it.
 	Pages []uint32
 	Refs  []*mediaPage
+	own   []uint64
+
+	// src is the captured device, at generation srcGen; nil once released.
+	src    *Device
+	srcGen uint64
 
 	// Sets are the cache's set blocks with their in-flight slices nil;
 	// Inflight holds every set's in-flight lines, in set order.
@@ -70,19 +86,33 @@ func (d *Device) Checkpoint() *DeviceCheckpoint {
 
 // CheckpointInto captures the device state into c, reusing c's buffers, and
 // marks every page the device holds shared. Call only on a quiescent device.
+// The pages c owns from an earlier capture stay c's where d still holds them;
+// the rest go to the pool, as Release would put them.
 func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
-	c.MediaLen = int(d.size)
-	c.Pages, c.Refs = c.Pages[:0], c.Refs[:0]
+	if c.src != d {
+		c.mustBeLetGo()
+	}
+	d.reclaim(c)
+	c.MediaLen, c.src, c.srcGen = int(d.size), d, d.gen
+	c.Pages, c.Refs, c.own = c.Pages[:0], c.Refs[:0], c.own[:0]
 	for k, l := range d.leaves {
 		if l == nil {
 			continue
 		}
 		for i, pg := range &l.pages {
-			if pg != nil {
-				c.Pages = append(c.Pages, uint32(k<<leafShift+i))
-				c.Refs = append(c.Refs, pg)
+			if pg == nil {
+				continue
+			}
+			n := len(c.Refs)
+			if n&63 == 0 {
+				c.own = append(c.own, 0)
+			}
+			if !l.isShared(uint64(i)) {
+				c.own[n>>6] |= 1 << (n & 63)
 				l.shared[i>>6] |= 1 << (i & 63)
 			}
+			c.Pages = append(c.Pages, uint32(k<<leafShift+i))
+			c.Refs = append(c.Refs, pg)
 		}
 	}
 	clear(c.Refs[len(c.Refs):cap(c.Refs)]) // no stale reference keeps a page alive
@@ -107,6 +137,55 @@ func (d *Device) CheckpointInto(c *DeviceCheckpoint) {
 	c.EADR = d.eADR
 
 	c.Stats = d.stat
+}
+
+// reclaim hands the pages c owns back to d before d is captured into c: a
+// page d holds becomes private to d again, so the new capture owns it, and
+// one d has copied, dropped or never held is pooled.
+func (d *Device) reclaim(c *DeviceCheckpoint) {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	for k, p := range c.Pages {
+		if c.own[k>>6]>>(k&63)&1 == 0 {
+			continue
+		}
+		i := p & (leafPages - 1)
+		if l := d.leaves[p>>leafShift]; l != nil && l.pages[i] == c.Refs[k] {
+			l.shared[i>>6] &^= 1 << (i & 63)
+		} else {
+			putPage(c.Refs[k], true)
+		}
+	}
+}
+
+// Release puts the pages c owns into the page pool, counting them in
+// ReturnedPages, and empties c; its buffers stay for the next CheckpointInto.
+// c's source must have let go of its pages (ReleaseMedia or a Restore), and
+// no device restored from c may still be live: they would read pages others
+// reuse. Release panics when the source still holds them, and so does a
+// Restore from a released checkpoint. A second Release does nothing.
+func (c *DeviceCheckpoint) Release() {
+	if c.src == nil {
+		return
+	}
+	c.mustBeLetGo()
+	pagePool.Lock()
+	for k, pg := range c.Refs {
+		if c.own[k>>6]>>(k&63)&1 != 0 {
+			putPage(pg, true)
+		}
+	}
+	pagePool.Unlock()
+	clear(c.Refs)
+	c.MediaLen, c.src = 0, nil
+	c.Pages, c.Refs, c.own = c.Pages[:0], c.Refs[:0], c.own[:0]
+}
+
+// mustBeLetGo panics when c's source still holds the pages c captured.
+func (c *DeviceCheckpoint) mustBeLetGo() {
+	if c.src != nil && c.src.gen == c.srcGen {
+		panic("pmem: checkpoint released while its source device still holds its pages")
+	}
 }
 
 // Restore overwrites the device's state from c. The device must have the

@@ -199,6 +199,10 @@ type Device struct {
 	// written. Readers go through page and mediaLine, writers through
 	// writable, the one place a page is allocated or copied.
 	leaves []*pageLeaf
+	// gen counts the times the device let go of every page it held (a
+	// Restore, RestoreMedia or ReleaseMedia): a checkpoint taken at an
+	// earlier gen shares no page with the device any more.
+	gen uint64
 
 	// pend lists the indices of sets that currently hold in-flight lines, so
 	// Sfence visits only those sets instead of scanning the whole cache.
@@ -328,7 +332,7 @@ func newDevice(cfg *sim.Config, size uint64, clean bool) *Device {
 
 // ReleaseMedia returns the device's private media pages, page-table leaves
 // and cache arrays to the process pools; pages a checkpoint shares are left
-// to it. The device is unusable afterwards (Size reports 0); callers do this
+// to it, which returns them when it is released. The device is unusable afterwards (Size reports 0); callers do this
 // only when dropping it, and only once nothing else can still touch it (the
 // next NewDevice may adopt its arrays at once). A second call does nothing.
 func (d *Device) ReleaseMedia() {
@@ -347,6 +351,7 @@ func (d *Device) ReleaseMedia() {
 	}
 	pagePool.Unlock()
 	arrayPool.Put(cacheArrays{d.sets, d.bodies.of})
+	d.gen++
 	d.size, d.leaves = 0, nil
 	d.sets, d.bodies = nil, bodyStore{}
 	d.pend = nil

@@ -14,6 +14,19 @@ import (
 	"ffccd/internal/sim"
 )
 
+// stateOf is the device state a checkpoint of d captures: its exported
+// fields, without which pages the checkpoint owns and of which device.
+func stateOf(d *Device) []any {
+	v := reflect.ValueOf(d.Checkpoint()).Elem()
+	var state []any
+	for i := range v.NumField() {
+		if v.Type().Field(i).IsExported() {
+			state = append(state, v.Field(i).Interface())
+		}
+	}
+	return state
+}
+
 // Tests of the invariants the cache layout introduced: the set blocks and
 // their recency stacks, images that hold only the bodies media cannot
 // rebuild, the typed 8-byte accesses, derived counters, and construction cost
@@ -83,7 +96,7 @@ func TestCheckpointWithMidFillSets(t *testing.T) {
 	if fork.HashMedia() != d.HashMedia() {
 		t.Error("media differ after the tail")
 	}
-	if !reflect.DeepEqual(fork.Checkpoint(), d.Checkpoint()) {
+	if !reflect.DeepEqual(stateOf(fork), stateOf(d)) {
 		t.Error("device state differs after the tail")
 	}
 }
@@ -141,7 +154,7 @@ func TestLoadU64MatchesLoad(t *testing.T) {
 			if tctx.Clock.Total() != pctx.Clock.Total() {
 				t.Fatalf("%s off %d: cycles %d vs %d", state, off, tctx.Clock.Total(), pctx.Clock.Total())
 			}
-			if !reflect.DeepEqual(typed.Checkpoint(), plain.Checkpoint()) {
+			if !reflect.DeepEqual(stateOf(typed), stateOf(plain)) {
 				t.Fatalf("%s off %d: device state differs", state, off)
 			}
 			typed.ReleaseMedia()
@@ -528,7 +541,7 @@ func TestImageStoresOnlyIrreproducibleLines(t *testing.T) {
 	if got := fork.LoadU64(fctx, stale); got != 1 || d.LoadU64(ctx, stale) != 1 {
 		t.Errorf("fork loads %d from the stale line, want the cached 1", got)
 	}
-	if fork.Stats() != d.Stats() || !reflect.DeepEqual(fork.Checkpoint(), d.Checkpoint()) {
+	if fork.Stats() != d.Stats() || !reflect.DeepEqual(stateOf(fork), stateOf(d)) {
 		t.Error("fork and parent differ")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // pageLeaf maps leafPages consecutive media pages. A nil page is one the
 // device does not hold, and reads as zeros. shared marks pages a checkpoint
 // also references: the device never writes such a page in place — writable
-// copies it first — and never pools it.
+// copies it first — and never pools it; the checkpoint that owns it does,
+// once released.
 type pageLeaf struct {
 	pages  [leafPages]*mediaPage
 	shared [leafPages / 64]uint64
@@ -134,6 +135,7 @@ func (d *Device) dropPages() {
 			l.release()
 		}
 	}
+	d.gen++
 }
 
 // release returns the leaf's private pages to the pool and empties it.
@@ -150,8 +152,9 @@ func (l *pageLeaf) release() {
 
 // The pools are bounded free lists rather than sync.Pools: a Pool is emptied
 // by every GC cycle, and the fork drivers allocate enough between two devices
-// to trigger one. Pooled pages and leaves are private — no checkpoint
-// references them — so a device that takes one is its only holder. Fresh
+// to trigger one. Pooled pages and leaves are private — no device or
+// unreleased checkpoint references them — so a device that takes one is its
+// only holder. Fresh
 // pages come pageSlab at a time, so a machine whose footprint grows makes one
 // host allocation per pageSlab pages it writes.
 const (
@@ -178,11 +181,11 @@ func MaterializedPages() uint64 {
 	return pagePool.materialized
 }
 
-// ReturnedPages reports how many materialised pages devices have given back:
-// released with their device, zeroed again, or dropped by a Restore. A page a
-// checkpoint shares is never given back; it goes with the checkpoint. So
-// devices that no checkpoint has seen return every page they materialised
-// once they are released.
+// ReturnedPages reports how many materialised pages have been given back:
+// by a device that releases, zeroes or drops by a Restore a page no
+// checkpoint shares, and by a released checkpoint for the pages it owns (see
+// DeviceCheckpoint.Release). So once every device and every checkpoint is
+// released, the pages returned equal the pages materialised.
 func ReturnedPages() uint64 {
 	pagePool.Lock()
 	defer pagePool.Unlock()

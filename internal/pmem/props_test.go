@@ -246,3 +246,66 @@ func TestRelocatePartsLineAtomicity(t *testing.T) {
 		}
 	}
 }
+
+// A checkpoint captured again and again from one source — the fork driver's
+// prefix, which captures before every trigger attempt — owns the pages its
+// last capture found private or took over, and pools the ones its source
+// wrote or dropped since. Every capture restores into a fork with its
+// source's media; once source and forks are released, releasing the
+// checkpoint returns every page the devices materialised. Releasing it
+// earlier panics, and so does restoring a released checkpoint.
+func TestRecapturedCheckpointReturnsEveryPage(t *testing.T) {
+	const size = 4 << 20
+	cfg := sim.DefaultConfig()
+	taken, returned := MaterializedPages(), ReturnedPages()
+	d, ctx := NewDevice(&cfg, size), sim.NewCtx(&cfg)
+	rng := rand.New(rand.NewSource(7))
+	var c DeviceCheckpoint
+	line := make([]byte, LineSize)
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 200; i++ {
+			a := uint64(rng.Int63n(size/LineSize)) * LineSize
+			switch rng.Intn(4) {
+			case 0:
+				d.MediaZero(a&^(DirtyPageSize-1), DirtyPageSize) // drops the page
+			case 1:
+				rng.Read(line)
+				d.MediaWrite(a, line)
+			default:
+				d.StoreU64(ctx, a, rng.Uint64())
+			}
+		}
+		d.CheckpointInto(&c)
+		fork := NewDeviceForRestore(&cfg, size)
+		fork.Restore(&c)
+		if fork.HashMedia() != d.HashMedia() {
+			t.Fatalf("round %d: a fork of the checkpoint holds other media than its source", round)
+		}
+		// The fork's copy of the page it writes comes from the pool, which
+		// must hold no page the source still reads.
+		want := d.HashMedia()
+		fork.StoreU64(sim.NewCtx(&cfg), 0, ^uint64(0))
+		fork.FlushAll(ctx)
+		if d.HashMedia() != want {
+			t.Fatalf("round %d: a fork's write changed its source's media", round)
+		}
+		fork.ReleaseMedia()
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("releasing a checkpoint its source still holds the pages of", c.Release)
+	d.ReleaseMedia()
+	c.Release()
+	c.Release() // a second call does nothing
+	mustPanic("restoring a released checkpoint", func() { NewDeviceForRestore(&cfg, size).Restore(&c) })
+	if dt, dr := MaterializedPages()-taken, ReturnedPages()-returned; dt != dr || dt == 0 {
+		t.Errorf("materialised %d media pages and returned %d", dt, dr)
+	}
+}

@@ -10,7 +10,7 @@ import (
 // (references to its media pages, the cache, in-flight lines, counters), the
 // heap's volatile tables, the op count and the transaction-slot order. A
 // machine image (internal/machine) holds one. Fork only reads an image, so
-// one image may be forked any number of times, concurrently.
+// one image may be forked any number of times, concurrently, until Release.
 type Image struct {
 	Dev     pmem.DeviceCheckpoint
 	heap    alloc.HeapCheckpoint
@@ -25,6 +25,12 @@ func (p *Pool) CaptureInto(img *Image) {
 	p.heap.CheckpointInto(&img.heap)
 	img.ops, img.txOrder = p.Ops.Load(), p.TxSlotOrder()
 }
+
+// Release gives the media pages img owns back to the page pool
+// (pmem.DeviceCheckpoint.Release), keeping its buffers for the next
+// CaptureInto. The captured pool's device must have released its media, and
+// every fork of img too.
+func (img *Image) Release() { img.Dev.Release() }
 
 // Fork restores img into a new device, which shares the image's media pages
 // until it writes them, and reopens the pool named name with reg at attach

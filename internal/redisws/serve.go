@@ -618,7 +618,8 @@ type Loaded struct {
 // and rate, a copy of its LRU tables and durable-ack mirror, and every client
 // context's checkpoint. Nothing writes an image once it is captured, so any
 // number of goroutines fork one; a fork copies the tables into pooled ones,
-// which its Release gives back.
+// which its Release gives back, and the image's own Release gives back the
+// copy it holds.
 type LoadedImage struct {
 	l       Loaded // its cache is the captured copy; it has no clients
 	clients []sim.CtxCheckpoint
@@ -647,6 +648,11 @@ func (img *LoadedImage) Fork(cfg *sim.Config) *Loaded {
 	}
 	return &l
 }
+
+// Release gives the image's LRU tables back to the process pool. Call it once
+// no fork of the image is being made; the image forks nothing afterwards. A
+// second call does nothing.
+func (img *LoadedImage) Release() { img.l.Release() }
 
 // Release gives the LRU tables and the client contexts' TLB arrays back to
 // the process pools. Run does it when it returns; the owner of a Loaded that
