@@ -202,9 +202,7 @@ func loadServeMachine(scheme string, keys int, cfg redisws.ServeConfig) (*redisw
 	if err != nil {
 		return nil, nil, err
 	}
-	// Loaded under a crash plan, the prefix keeps the durable-ack mirror a
-	// trial's crash-target shard needs; its siblings drop it.
-	loaded, err := redisws.Load(m.Ctx, m.Pool, m.Store, cfg, redisws.ServeHooks{Crash: &redisws.CrashPlan{}})
+	loaded, err := redisws.Load(m.Ctx, m.Pool, m.Store, cfg)
 	if err != nil {
 		m.Release()
 		return nil, nil, err

@@ -67,7 +67,7 @@ func TestForkedLoadedRunsMatchServe(t *testing.T) {
 				served := finish(a, res, nil)
 
 				b := twin()
-				l, err := Load(b.Ctx, b.Pool, b.Store, cfg, b.Hooks)
+				l, err := Load(b.Ctx, b.Pool, b.Store, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,19 +114,23 @@ func TestForkedLoadedRunsMatchServe(t *testing.T) {
 func TestLoadErrorsNameLoad(t *testing.T) {
 	bad := DefaultServeConfig()
 	bad.Clients = 0
-	if _, err := Load(nil, nil, nil, bad, ServeHooks{}); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
+	if _, err := Load(nil, nil, nil, bad); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
 		t.Errorf("no clients: %v", err)
 	}
-	// A GET share outside [0, 1] and an inverted value range are errors, not
-	// replaced by defaults; an unset MinVal still takes its default.
+	// A GET share outside [0, 1], an inverted value range and an inverted or
+	// half-set drift range are errors, not replaced by defaults or a run that
+	// never drifts; an unset MinVal still takes its default.
 	for name, edit := range map[string]func(*ServeConfig){
 		"GetFraction 1.5":  func(c *ServeConfig) { c.GetFraction = 1.5 },
 		"GetFraction -0.1": func(c *ServeConfig) { c.GetFraction = -0.1 },
 		"values 300..200":  func(c *ServeConfig) { c.MinVal, c.MaxVal = 300, 200 },
+		"drift 500..400":   func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 500, 400 },
+		"drift 367..unset": func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 367, 0 },
+		"drift unset..492": func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 0, 492 },
 	} {
 		cfg := DefaultServeConfig()
 		edit(&cfg)
-		if _, err := Load(nil, nil, nil, cfg, ServeHooks{}); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
+		if _, err := Load(nil, nil, nil, cfg); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -138,7 +142,7 @@ func TestLoadErrorsNameLoad(t *testing.T) {
 	unset := DefaultServeConfig()
 	unset.Keyspace, unset.Ops = 16, 16
 	unset.MinVal, unset.MaxVal = 0, 0
-	l, err := Load(m.Ctx, m.Pool, m.Store, unset, ServeHooks{})
+	l, err := Load(m.Ctx, m.Pool, m.Store, unset)
 	if err != nil {
 		t.Fatalf("unset value sizes: %v", err)
 	}
@@ -155,7 +159,7 @@ func TestLoadErrorsNameLoad(t *testing.T) {
 			continue
 		}
 		empty++
-		if _, err := Load(nil, nil, nil, cfg, ServeHooks{}); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
+		if _, err := Load(nil, nil, nil, cfg); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
 			t.Errorf("shard %d owns no key: %v", i, err)
 		}
 	}

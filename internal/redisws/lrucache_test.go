@@ -112,9 +112,9 @@ const lruKeyspace = 16
 // holds its key. The first byte picks the machine: 1 + b%4 shards, shard
 // (b/4) mod that, whose owned keys of lruKeyspace the cache tracks (one shard
 // owns them all, with no key list, as an unsharded machine does); every later
-// key byte picks an owned rank. After a rebuild the cache keeps acked, so its
-// sets store windows of the shared value table there; acked must still hold
-// each one intact at the end.
+// key byte picks an owned rank. After every step the cache's durable-ack
+// model (what a crash hands recovery) must hold exactly lruModel's keys, each
+// with the value its last write stored.
 func FuzzLRUCache(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 9, 0, 2, 9, 0, 3, 9, 1, 1, 2, 40, 0, 4, 9})
 	f.Add([]byte{0, 0, 5, 200, 0, 5, 3, 0, 6, 200, 2, 0, 0, 7, 1, 3, 3, 9, 9, 0, 9, 8, 1, 9})
@@ -148,7 +148,7 @@ func FuzzLRUCache(f *testing.F) {
 		}
 		rank := func() int32 { return int32(int(next()) % n) }
 		store := &recordingStore{t: t}
-		c := newLRUCache(store, 0, owned, n, nil)
+		c := newLRUCache(store, 0, owned, n)
 		var m lruModel
 		var ctx *sim.Ctx // the store ignores it
 		for len(ops) > 0 {
@@ -202,16 +202,14 @@ func FuzzLRUCache(f *testing.F) {
 			if !slices.Equal(store.deletes, m.deletes) {
 				t.Fatalf("deleted %v, model %v", store.deletes, m.deletes)
 			}
-		}
-		if c.acked == nil {
-			return
-		}
-		if len(c.acked) != len(m.ents) {
-			t.Fatalf("acked holds %d keys, %d live", len(c.acked), len(m.ents))
-		}
-		for _, e := range m.ents {
-			if v, want := c.acked[e.key], wantValue(e.key, int(e.size)); !slices.Equal(v, want) {
-				t.Fatalf("acked[%d] = % x, want % x", e.key, v, want)
+			acks := c.model()
+			if len(acks) != len(m.ents) {
+				t.Fatalf("durable-ack model holds %d keys, %d live", len(acks), len(m.ents))
+			}
+			for _, e := range m.ents {
+				if v, want := acks[e.key], wantValue(e.key, int(e.size)); !slices.Equal(v, want) {
+					t.Fatalf("durable-ack model [%d] = % x, want % x", e.key, v, want)
+				}
 			}
 		}
 	})
@@ -234,7 +232,7 @@ func TestServeLRUTablesPerOwnedKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := Load(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
+		l, err := Load(m.Ctx, m.Pool, m.Store, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,8 +240,8 @@ func TestServeLRUTablesPerOwnedKey(t *testing.T) {
 		if got, want := cap(c.nodes)*int(unsafe.Sizeof(lruNode{})), 12*keys[0]; len(c.nodes) != keys[0] || got != want {
 			t.Errorf("keyspace %d: %d nodes, %d B of node table; want %d nodes, %d B", keyspace, len(c.nodes), got, keys[0], want)
 		}
-		if len(c.owned) != keys[0] || c.acked != nil {
-			t.Errorf("keyspace %d: %d owned keys (want %d), acked mirror %v without a crash plan", keyspace, len(c.owned), keys[0], c.acked != nil)
+		if len(c.owned) != keys[0] {
+			t.Errorf("keyspace %d: %d owned keys, want %d", keyspace, len(c.owned), keys[0])
 		}
 		l.Release()
 		m.Release()

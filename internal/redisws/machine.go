@@ -71,7 +71,6 @@ func SchemeHooks(scheme string, eng *core.Engine, d *mesh.Defragmenter, gc *sim.
 			// compaction proceeds concurrently behind the read barrier.
 			return stw() - before
 		}
-		hooks.EpochOpen = func() bool { _, ok := eng.OpenEpoch(); return ok }
 		hooks.EpochInfo = eng.OpenEpoch
 		hooks.Step = func(n int) (bool, uint64) {
 			eng.StepCompaction(gc, n)

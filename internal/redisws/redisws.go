@@ -79,11 +79,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 		return Result{}, errors.New("redisws.Run: a crash plan needs Serve; Run has no recovery path")
 	}
 	cfg := RegimeConfig(keys)
-	foot := hooks.Foot
-	if foot == nil {
-		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
-	}
-	epochOpen := func() bool { return hooks.Step != nil && hooks.EpochOpen != nil && hooks.EpochOpen() }
+	epochOpen := func() bool { return hooks.Step != nil && hooks.epochOpen() }
 	// The counter-based RNG makes the run checkpoint/forkable in O(1) like
 	// every other workload (the stream position is the draw counter).
 	rng := workload.NewRNG(cfg.Seed)
@@ -91,7 +87,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 	// Volatile LRU bookkeeping (Redis keeps this in DRAM too). Redis stores
 	// an expired pair to disk; for the footprint study the PM side simply
 	// frees it.
-	cache := newLRUCache(s, cfg.MaxLiveBytes, nil, 2*keys, nil)
+	cache := newLRUCache(s, cfg.MaxLiveBytes, nil, 2*keys)
 	reader := hitReader{store: s}
 
 	res := Result{Lat: NewLatencyRecorder(0, 0)}
@@ -116,7 +112,7 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 		res.Lat.Observe(stall + ctx.Clock.Total() - start)
 		stall = 0
 		if op%sampleEvery == 0 {
-			fs := foot()
+			fs := hooks.footprint(p)
 			res.Samples = append(res.Samples, Sample{Op: op, Footprint: fs.FootprintBytes, Live: fs.LiveBytes})
 		}
 		op++
@@ -146,6 +142,6 @@ func Run(ctx *sim.Ctx, p *pmop.Pool, s ds.Store, keys int, hooks ServeHooks) (Re
 	for epochOpen() {
 		hooks.Step(maxBatch)
 	}
-	res.Final = foot()
+	res.Final = hooks.footprint(p)
 	return res, nil
 }

@@ -139,7 +139,7 @@ func TestRunOverlapsFFCCDEpochs(t *testing.T) {
 		t.Error("the loader context was charged no cycle outside CatApp: no operation met the read barrier")
 	}
 	t.Logf("%d operations ran with an epoch open, %d steps left it open; loader non-App cycles %d", stepped, stillOpen, nonApp)
-	if hooks.EpochOpen() {
+	if _, open := hooks.EpochInfo(); open {
 		t.Fatal("an epoch is still open after Run")
 	}
 	if _, err := checker.CheckGraph(sim.NewCtx(p.Config()), p); err != nil {

@@ -3,7 +3,6 @@ package redisws
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"unsafe"
 
 	"ffccd/internal/alloc"
@@ -68,7 +67,7 @@ type ServeConfig struct {
 
 	MaxLiveBytes     uint64 // LRU cap; 0 disables eviction
 	MinVal, MaxVal   int    // value sizes (240..492 when MinVal is 0; at most MaxValue)
-	MinVal2, MaxVal2 int    // post-drift sizes, switched at Ops/2 when set
+	MinVal2, MaxVal2 int    // post-drift sizes, switched at Ops/2; set both or neither
 
 	Seed       int64
 	MaintEvery int // ops between maintenance-hook calls (default Keyspace/4)
@@ -110,12 +109,12 @@ type PendingWrite struct {
 // store and pool, replacement scheme hooks (the pre-crash engine died with
 // the power), how many simulated cycles the restart took, and the durable
 // key/value model the recovery checker verified (the dispatcher rebuilds its
-// volatile LRU from it and continues acknowledging against it).
+// LRU table from it and continues acknowledging against it).
 type Recovered struct {
 	Store ds.Store
 	Pool  *pmop.Pool
-	// Hooks replace Maintenance/Step/EpochOpen/EpochInfo/Foot; the run keeps
-	// its original Series (the time series spans the crash).
+	// Hooks replace the run's hooks but for Series and Crash, which the run
+	// keeps (the time series spans the crash).
 	Hooks  ServeHooks
 	Cycles uint64
 	Model  map[uint64][]byte
@@ -126,7 +125,8 @@ type Recovered struct {
 // census covers exactly the dispatch phase). When a crash site fires — the
 // dispatch goroutine panics with *pmem.CrashAtSite — Serve catches it,
 // records the crash at the current completion high-water mark, and calls
-// Recover with the acknowledged-write model and the in-flight transaction.
+// Recover with the acknowledged-write model (the LRU table's live keys, a map
+// Recover may edit and return but not keep) and the in-flight transaction.
 // Recover's error is the trial verdict and aborts the run; on success the
 // dispatcher swaps in the recovered machine and resumes the arrival process.
 //
@@ -145,7 +145,7 @@ type CrashPlan struct {
 
 // ServeHooks injects a defragmentation scheme into the serving loop, and
 // into the closed-loop case study (Run), which calls Maintenance, Step and
-// EpochOpen on its own cadence.
+// EpochInfo on its own cadence.
 type ServeHooks struct {
 	// Maintenance runs every MaintEvery dispatched ops at virtual time now;
 	// returned cycles stall every client (an STW pause: arrivals during the
@@ -156,9 +156,8 @@ type ServeHooks struct {
 	// is still open, plus any STW pause cycles the step incurred (the
 	// terminate phase stops the world to fix references and flush).
 	Step func(n int) (open bool, pause uint64)
-	// EpochOpen reports whether a concurrent-defrag epoch is mid-flight —
-	// read barriers installed, so batched (peek-predicted)
-	// dispatch is disabled and everything runs serially.
+	// EpochOpen is unread: both serving loops take the open-epoch flag
+	// from EpochInfo. It remains because bench/machine.go still sets it.
 	EpochOpen func() bool
 	// Foot overrides the footprint source (Mesh reports physical frames).
 	Foot func() alloc.FragStats
@@ -171,15 +170,33 @@ type ServeHooks struct {
 	// simulated results are bit-identical with or without it (pinned by
 	// TestServeWindowsDoNotPerturb).
 	Series *obsv.TimeSeries
-	// EpochInfo reports the open defragmentation epoch for exemplar tagging
-	// (0, false when idle). Must be observability-safe (no cycle charges);
-	// core.Engine.OpenEpoch qualifies. Optional.
+	// EpochInfo reports the open defragmentation epoch (0, false when idle;
+	// nil: never open). While one is open, read barriers are installed, so
+	// batched (peek-predicted) dispatch is off. Must charge no cycles;
+	// core.Engine.OpenEpoch qualifies.
 	EpochInfo func() (epoch uint64, open bool)
 
 	// Crash, when non-nil, arms a scheduled power failure and supplies the
 	// online recovery path (see CrashPlan). Nil leaves the serving loop
 	// byte-for-byte on its crash-free path.
 	Crash *CrashPlan
+}
+
+// epochOpen reports whether h's scheme has an epoch open.
+func (h *ServeHooks) epochOpen() bool {
+	if h.EpochInfo == nil {
+		return false
+	}
+	_, open := h.EpochInfo()
+	return open
+}
+
+// footprint is h.Foot's reading, or by default p's heap at its page size.
+func (h *ServeHooks) footprint(p *pmop.Pool) alloc.FragStats {
+	if h.Foot != nil {
+		return h.Foot()
+	}
+	return p.Heap().Frag(p.PageShift())
 }
 
 // ServeResult is a completed serving run.
@@ -334,11 +351,11 @@ func (m *setMarks) newBatch() { m.tag++; m.batchTag = m.tag }
 func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] }
 
 // lruCache is a serving machine's volatile LRU bookkeeping over its store —
-// one list for all clients, as Redis keeps — and, in a run with a crash plan,
-// the durable-ack mirror: acked holds every write whose transaction
-// committed, in dispatch order, and pending the one sub-transaction in
-// flight, so at any crash site the durable image equals acked or
-// acked±pending. A nil acked keeps the crash-free path free of both.
+// one list for all clients, as Redis keeps — and its record of acknowledged
+// writes: a live key's last committed write stored Value(key, size), and
+// pending is the one sub-transaction in flight. set and evict change the
+// store and then the table with no crash site between, so at any crash site
+// the durable image equals model() or model()±pending.
 //
 // The list is a table of nodes linked by index, one per owned key: node i is
 // the key of rank i (owned.key(i)). head is the most recently used key, tail
@@ -352,9 +369,9 @@ type lruCache struct {
 	head, tail int32
 	liveBytes  uint64
 	evictions  int
-	acked      map[uint64][]byte
 	pending    *PendingWrite // nil, or &op: the operation under way
 	op         PendingWrite
+	scratch    map[uint64][]byte // the map model fills; nil until it first runs
 }
 
 // lruNode is one owned key's node: the size of its value and its neighbours
@@ -389,29 +406,28 @@ func (o ownedKeys) key(rank int32) uint64 {
 
 // newLRUCache returns empty bookkeeping over keys owned keys, ranks
 // [0, keys), whose keys owned maps.
-func newLRUCache(store ds.Store, maxLive uint64, owned ownedKeys, keys int, acked map[uint64][]byte) *lruCache {
+func newLRUCache(store ds.Store, maxLive uint64, owned ownedKeys, keys int) *lruCache {
 	c := &lruCache{store: store, maxLive: maxLive, owned: owned, nodes: make([]lruNode, keys),
-		head: noNode, tail: noNode, acked: acked}
+		head: noNode, tail: noNode}
 	for i := range c.nodes {
 		c.nodes[i].prev = notLive
 	}
 	return c
 }
 
-// lruTables is the host memory of an lruCache: its node table and its
-// durable-ack mirror.
+// lruTables is the host memory of an lruCache: its node table and the map
+// its model fills.
 type lruTables struct {
-	nodes []lruNode
-	acked map[uint64][]byte
+	nodes   []lruNode
+	scratch map[uint64][]byte
 }
 
 // lruPool pools the tables of released Loaded values for the next clone: a
 // fork copies its image's tables into them instead of allocating its own.
 var lruPool = workpool.FreeList[lruTables]{PerWorker: 1}
 
-// clone returns a copy of c's tables, counters and durable-ack mirror that
-// shares nothing c writes, with no store, on tables from lruPool when one
-// is large enough.
+// clone returns a copy of c's node table and counters that shares nothing c
+// writes, with no store, on tables from lruPool when one is large enough.
 func (c *lruCache) clone() *lruCache {
 	d := *c
 	d.store, d.pending = nil, nil
@@ -419,15 +435,7 @@ func (c *lruCache) clone() *lruCache {
 	if !ok {
 		t = lruTables{nodes: make([]lruNode, 0, len(c.nodes))}
 	}
-	d.nodes = append(t.nodes[:0], c.nodes...)
-	d.acked = nil
-	if c.acked != nil {
-		if d.acked = t.acked; d.acked == nil {
-			d.acked = make(map[uint64][]byte, len(c.acked))
-		}
-		clear(d.acked)
-		maps.Copy(d.acked, c.acked)
-	}
+	d.nodes, d.scratch = append(t.nodes[:0], c.nodes...), t.scratch
 	return &d
 }
 
@@ -475,21 +483,15 @@ func (c *lruCache) moveToFront(i int32) {
 }
 
 // set writes the n-byte value (Value) of rank i's key on ctx, makes the key
-// the most recently used and evicts down to the cap, also on ctx. Insert
-// stores a copy, and the durable-ack mirror keeps the window.
+// the most recently used and evicts down to the cap, also on ctx.
 func (c *lruCache) set(ctx *sim.Ctx, i int32, n int) error {
 	k := c.owned.key(i)
 	v := Value(k, n)
-	if c.acked != nil {
-		c.op, c.pending = PendingWrite{Key: k, Val: v}, &c.op
-	}
+	c.op, c.pending = PendingWrite{Key: k, Val: v}, &c.op
 	if err := c.store.Insert(ctx, k, v); err != nil {
 		return err
 	}
-	if c.acked != nil {
-		c.acked[k] = v
-		c.pending = nil
-	}
+	c.pending = nil
 	if nd := &c.nodes[i]; nd.prev != notLive {
 		c.liveBytes = c.liveBytes - uint64(nd.size) + uint64(n)
 		nd.size = uint32(n)
@@ -508,16 +510,11 @@ func (c *lruCache) evict(ctx *sim.Ctx) error {
 	for c.liveBytes > c.maxLive && c.tail != noNode {
 		i := c.tail
 		k := c.owned.key(i)
-		if c.acked != nil {
-			c.op, c.pending = PendingWrite{Key: k}, &c.op
-		}
+		c.op, c.pending = PendingWrite{Key: k}, &c.op
 		if _, err := c.store.Delete(ctx, k); err != nil {
 			return err
 		}
-		if c.acked != nil {
-			delete(c.acked, k)
-			c.pending = nil
-		}
+		c.pending = nil
 		c.unlink(i)
 		c.nodes[i].prev = notLive
 		c.liveBytes -= uint64(c.nodes[i].size)
@@ -533,9 +530,24 @@ func (c *lruCache) touch(i int32) {
 	}
 }
 
+// model returns the acknowledged writes: every live key with the value its
+// last write stored. The map is the cache's scratch, which the next call
+// overwrites.
+func (c *lruCache) model() map[uint64][]byte {
+	if c.scratch == nil {
+		c.scratch = make(map[uint64][]byte, len(c.nodes))
+	}
+	clear(c.scratch)
+	for i := c.head; i != noNode; i = c.nodes[i].next {
+		k := c.owned.key(i)
+		c.scratch[k] = Value(k, int(c.nodes[i].size))
+	}
+	return c.scratch
+}
+
 // rebuild replaces the bookkeeping with model's keys, ascending (recency
-// order died with the power), and adopts model as the durable-ack mirror.
-// Owned keys ascend with their ranks, so the walk over ranks is that order.
+// order died with the power). Owned keys ascend with their ranks, so the walk
+// over ranks is that order.
 func (c *lruCache) rebuild(model map[uint64][]byte) {
 	for i := c.head; i != noNode; {
 		n := &c.nodes[i]
@@ -548,7 +560,7 @@ func (c *lruCache) rebuild(model map[uint64][]byte) {
 			c.pushFront(i, len(v))
 		}
 	}
-	c.acked, c.pending = model, nil
+	c.pending = nil
 }
 
 // inPlaceReader is a store that reads a value into a caller's buffer, with
@@ -598,8 +610,8 @@ func Value(k uint64, n int) []byte {
 
 // Loaded is a serving run up to its first dispatch, apart from the machine
 // itself: the normalized config, where the random stream stands, the
-// calibrated offered load, and the live LRU cache (with the durable-ack
-// mirror and the evictions so far) and client contexts (clock and TLB). Run
+// calibrated offered load, and the live LRU cache (with the evictions so far)
+// and client contexts (clock and TLB). Run
 // takes the cache and the contexts over, so a Loaded starts one run, on the
 // machine Load ran on. A crash campaign, which starts many runs from one
 // load, captures it next to the machine (Capture) and runs each trial on a
@@ -615,8 +627,8 @@ type Loaded struct {
 }
 
 // LoadedImage is what a fork needs of a Loaded: its config, stream position
-// and rate, a copy of its LRU tables and durable-ack mirror, and every client
-// context's checkpoint. Nothing writes an image once it is captured, so any
+// and rate, a copy of its LRU node table, and every client context's
+// checkpoint. Nothing writes an image once it is captured, so any
 // number of goroutines fork one; a fork copies the tables into pooled ones,
 // which its Release gives back, and the image's own Release gives back the
 // copy it holds.
@@ -660,7 +672,7 @@ func (img *LoadedImage) Release() { img.l.Release() }
 // run.
 func (l *Loaded) Release() {
 	if c := l.cache; c != nil {
-		lruPool.Put(lruTables{c.nodes, c.acked})
+		lruPool.Put(lruTables{c.nodes, c.scratch})
 		l.cache = nil
 	}
 	for _, c := range l.clients {
@@ -676,7 +688,7 @@ func (l *Loaded) Release() {
 // crash-resume — as every owner of a simulated machine does: nothing else may
 // touch p's device until Serve returns.
 func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (ServeResult, error) {
-	l, err := Load(ctx, p, store, cfg, hooks)
+	l, err := Load(ctx, p, store, cfg)
 	if err != nil {
 		return ServeResult{}, err
 	}
@@ -693,10 +705,9 @@ const targetUtil = 0.6
 
 // Load is the part of a serving run before its first dispatch: it
 // prepopulates the owned keyspace on ctx, runs the warm-up on fresh client
-// contexts and calibrates the offered load. It calls no hook; hooks.Crash
-// decides only whether the durable-ack mirror is kept. The caller runs the
-// Loaded it returns or releases it.
-func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks ServeHooks) (*Loaded, error) {
+// contexts and calibrates the offered load. The caller runs the Loaded it
+// returns or releases it.
+func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig) (*Loaded, error) {
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
 		return nil, errors.New("redisws.Load: Clients, Ops and Keyspace must be positive")
 	}
@@ -710,6 +721,9 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 		cfg.MinVal, cfg.MaxVal = 240, 492
 	} else if cfg.MaxVal < cfg.MinVal {
 		return nil, fmt.Errorf("redisws.Load: value sizes %d..%d are inverted", cfg.MinVal, cfg.MaxVal)
+	}
+	if (cfg.MinVal2 > 0 || cfg.MaxVal2 > 0) && (cfg.MinVal2 <= 0 || cfg.MaxVal2 < cfg.MinVal2) {
+		return nil, fmt.Errorf("redisws.Load: drifted value sizes %d..%d are inverted or half set", cfg.MinVal2, cfg.MaxVal2)
 	}
 	if n := max(cfg.MaxVal, cfg.MaxVal2); n > MaxValue {
 		return nil, fmt.Errorf("redisws.Load: values of up to %d bytes configured, at most %d supported", n, MaxValue)
@@ -736,11 +750,7 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Ser
 
 	rng := workload.NewRNG(cfg.Seed)
 	zipf := NewZipf(rng, nOwned, cfg.ZipfTheta)
-	var acked map[uint64][]byte
-	if hooks.Crash != nil {
-		acked = make(map[uint64][]byte, nOwned)
-	}
-	cache := newLRUCache(store, cfg.MaxLiveBytes, l.owned, int(nOwned), acked)
+	cache := newLRUCache(store, cfg.MaxLiveBytes, l.owned, int(nOwned))
 	l.cache = cache
 
 	// Prepopulate the owned keyspace on the loader context.
@@ -804,22 +814,12 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		return ServeResult{}, errors.New("redisws.Loaded.Run: the Loaded has run or been released")
 	}
 	defer l.Release()
-	if plan != nil && cache.acked == nil {
-		return ServeResult{}, errors.New("redisws.Loaded.Run: a crash plan needs a machine loaded with one")
-	}
-	if plan == nil {
-		cache.acked = nil // nothing checks acknowledgements without a crash
-	}
 	cache.store = store
 	rng := workload.NewRNG(cfg.Seed)
 	rng.Skip(l.draws)
 	zipf := l.zipf
 	zipf.rng = rng
 
-	foot := hooks.Foot
-	if foot == nil {
-		foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
-	}
 	dev := p.Device()
 	res := ServeResult{Lat: NewLatencyRecorder(0, 0), RateUsed: l.rate}
 
@@ -881,7 +881,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 		})
 		defer dev.SetDrainProbe(nil)
 	}
-	// epTrack mirrors epochOpen transitions into overlay intervals.
+	// epTrack mirrors epochOpen transitions into overlay intervals. Only
+	// hooks.EpochInfo opens an epoch, so it is set when one opens.
 	var epTrack struct {
 		open  bool
 		start uint64
@@ -892,10 +893,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 			return
 		}
 		if epochOpen {
-			epTrack.open, epTrack.start, epTrack.id = true, now, 0
-			if hooks.EpochInfo != nil {
-				epTrack.id, _ = hooks.EpochInfo()
-			}
+			epTrack.open, epTrack.start = true, now
+			epTrack.id, _ = hooks.EpochInfo()
 		} else {
 			series.AddInterval(obsv.IntervalEpoch, epTrack.start, now, epTrack.id)
 			epTrack.open, epTrack.id = false, 0
@@ -1099,9 +1098,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	// goroutine.
 	execSerial := func(op *pendingOp) error {
 		c := &clients[op.cli]
-		if plan != nil {
-			inFlight = op
-		}
+		inFlight = op
 		t0 := c.ctx.Clock.Total()
 		a0 := c.ctx.Clock.Cycles(sim.CatApp)
 		var d0 uint64
@@ -1144,10 +1141,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	// dispatch runs the serving loop to completion (or until a crash site
 	// fires, unwinding through it as a *pmem.CrashAtSite panic).
 	dispatch := func() error {
-		if hooks.EpochOpen != nil {
-			epochOpen = hooks.EpochOpen()
-			noteEpoch(vHigh)
-		}
+		epochOpen = hooks.epochOpen()
+		noteEpoch(vHigh)
 		for dispatched < cfg.Ops {
 			if dispatched >= nextMaint {
 				nextMaint += cfg.MaintEvery
@@ -1161,12 +1156,10 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 						}
 					}
 				}
-				if hooks.EpochOpen != nil {
-					epochOpen = hooks.EpochOpen()
-					noteEpoch(vHigh)
-				}
+				epochOpen = hooks.epochOpen()
+				noteEpoch(vHigh)
 			}
-			if cfg.MinVal2 > 0 && cfg.MaxVal2 >= cfg.MinVal2 && dispatched >= driftAt {
+			if cfg.MinVal2 > 0 && dispatched >= driftAt {
 				lo, hi = cfg.MinVal2, cfg.MaxVal2
 			}
 
@@ -1229,7 +1222,7 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	// run is a pure function of the repro at any host thread count.
 	resumeFromCrash := func(crash *pmem.CrashAtSite) error {
 		crashAt := vHigh
-		rec, err := plan.Recover(crash, cache.acked, cache.pending)
+		rec, err := plan.Recover(crash, cache.model(), cache.pending)
 		if err != nil {
 			return err
 		}
@@ -1241,15 +1234,8 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 			p = rec.Pool
 			dev = p.Device()
 		}
-		hooks.Maintenance = rec.Hooks.Maintenance
-		hooks.Step = rec.Hooks.Step
-		hooks.EpochOpen = rec.Hooks.EpochOpen
-		hooks.EpochInfo = rec.Hooks.EpochInfo
-		if rec.Hooks.Foot != nil {
-			foot = rec.Hooks.Foot
-		} else {
-			foot = func() alloc.FragStats { return p.Heap().Frag(p.PageShift()) }
-		}
+		rec.Hooks.Series, rec.Hooks.Crash = hooks.Series, hooks.Crash
+		hooks = rec.Hooks
 		// The pre-crash epoch (if any) died with the power: close its overlay.
 		epochOpen = false
 		noteEpoch(crashAt)
@@ -1397,6 +1383,6 @@ func (l *Loaded) Run(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, hooks ServeHook
 	for i := range clients {
 		res.SimCycles += clients[i].ctx.Clock.Total()
 	}
-	res.Final = foot()
+	res.Final = hooks.footprint(p)
 	return res, nil
 }

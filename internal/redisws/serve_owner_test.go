@@ -52,7 +52,7 @@ func TestServeOwnsDevice(t *testing.T) {
 	maint, steps := 0, 0
 	hooks := redisws.ServeHooks{
 		Maintenance: func(uint64) uint64 { maint++; return 0 },
-		EpochOpen:   func() bool { return maint == 2 && steps < 3 },
+		EpochInfo:   func() (uint64, bool) { return 1, maint == 2 && steps < 3 },
 		Step:        func(int) (bool, uint64) { steps++; return steps < 3, 0 },
 	}
 	res, err := redisws.Serve(ctx, p, spy, serveCfg(), hooks)

@@ -127,7 +127,7 @@ func TestServeStallSurfacesInTail(t *testing.T) {
 func TestServeEpochForcesSerial(t *testing.T) {
 	cfg := serveCfg()
 	cfg.Ops = 1000
-	hooks := redisws.ServeHooks{EpochOpen: func() bool { return true }}
+	hooks := redisws.ServeHooks{EpochInfo: func() (uint64, bool) { return 1, true }}
 	res := runServe(t, cfg, hooks)
 	if res.ParallelOps != 0 {
 		t.Errorf("%d ops batched while an epoch was open", res.ParallelOps)
