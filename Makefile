@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard golden crashmatrix fuzzsmoke loc clean
+.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard golden pins crashmatrix fuzzsmoke loc clean
 
 all: check
 
@@ -71,6 +71,13 @@ servecrash: build
 	$(GO) run ./cmd/ffccd-crashtest -serve -seed 1 -max-sites 10 \
 		-nested -max-nested 3 -timeout 2m || exit 1; \
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
+
+# pins rewrites testdata/pins.txt, the SHA-256 of every line crashmatrix and
+# servecrash print with their wall times stripped, and names the lines that
+# moved. The root TestPins checks the manifest; rewrite it only for an
+# intentional change of the simulated machine or the schedule space.
+pins:
+	$(GO) test -count=1 -v -run '^TestPins$$' . -args -update-pins | grep -e 'moved:' -e '^ok' -e FAIL
 
 # fuzzsmoke runs every fuzz target for 5 s of coverage-guided fuzzing past
 # its seed corpus, which plain `go test` already replays. A failure leaves

@@ -166,20 +166,8 @@ func runCampaign(kind string, n int, explore func(i int) faultinject.CampaignOut
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
 		out := explore(i)
-		status := "PASS"
-		switch {
-		case out.Skipped:
-			status = "SKIP (not fragmented)"
-		case len(out.Failures) > 0:
-			status = "FAIL"
-			failures += len(out.Failures)
-		}
-		width, coverage := 22, ""
-		if kind == "serving" {
-			width, coverage = 12, "  coverage: "+out.CoverageString()
-		}
-		fmt.Printf("%-*s %s  %d/%d schedules, %d sites%s  (%.1fs)\n", width, out.Label, status,
-			out.Passed, out.Scheduled, out.SitesTotal, coverage, time.Since(t0).Seconds())
+		failures += len(out.Failures)
+		fmt.Printf("%s  (%.1fs)\n", out.Summary(kind == "serving"), time.Since(t0).Seconds())
 		printFailures(out.Failures)
 	}
 	fmt.Printf("\n%s campaign: %d failures, %.1fs\n", kind, failures, time.Since(start).Seconds())

@@ -104,6 +104,32 @@ type CampaignOutcome struct {
 	Covered      [pmem.NumSiteClasses]int
 	ShardCovered [][pmem.NumSiteClasses]int
 	Failures     []Failure
+	// Digest folds, in schedule order from the census pass on, each trial's
+	// media hashes after the crash and at the end and its recovery's
+	// simulated cycles: equal digests are the campaign's bit-identity witness.
+	// Recovery lists those cycles per trial in the same order: a verdict
+	// reads what recovery leaves, Recovery what it cost.
+	Digest   uint64
+	Recovery []uint64
+}
+
+// Summary is the line ffccd-crashtest prints for the campaign, without its
+// wall time: the label, the verdict, the schedule and site counts, the
+// digest, and for a serving campaign the sites-per-class coverage.
+func (o CampaignOutcome) Summary(serving bool) string {
+	status := "PASS"
+	switch {
+	case o.Skipped:
+		status = "SKIP (not fragmented)"
+	case len(o.Failures) > 0:
+		status = "FAIL"
+	}
+	width, coverage := 22, ""
+	if serving {
+		width, coverage = 12, "  coverage: "+o.CoverageString()
+	}
+	return fmt.Sprintf("%-*s %s  %d/%d schedules, %d sites  digest %016x%s", width, o.Label, status, o.Passed,
+		o.Scheduled, o.SitesTotal, o.Digest, coverage)
 }
 
 // CoverageString renders the sites-per-class coverage line a campaign summary
@@ -129,6 +155,14 @@ func (o CampaignOutcome) CoverageString() string {
 		parts = append(parts, fmt.Sprintf("s%d[%s]", s, classes(cov)))
 	}
 	return strings.Join(parts, " ")
+}
+
+// fold adds one trial's media hashes and recovery cycles to the digest.
+func (o *CampaignOutcome) fold(r Result) {
+	o.Recovery = append(o.Recovery, r.RecoveryCycles)
+	for _, v := range [...]uint64{r.PostCrashHash, r.FinalHash, r.RecoveryCycles} {
+		o.Digest = (o.Digest ^ v) * 0x100000001b3
+	}
 }
 
 // trialOut is one watched trial's outcome.
@@ -332,6 +366,7 @@ func (c *campaign) explore(label string, base Schedule, co CampaignOptions) Camp
 	// A sharded pass census-arms every shard, so one run yields each shard's
 	// own site space.
 	census := c.runWatched(base, co.Trial, co.Timeout)
+	out.fold(census.res)
 	if census.err != nil {
 		out.Failures = append(out.Failures, Failure{Repro: base, Err: census.err.Error(), Hung: census.hung})
 		return out
@@ -395,6 +430,7 @@ func (c *campaign) explore(label string, base Schedule, co CampaignOptions) Camp
 	// Aggregate in schedule order (deterministic under any worker count).
 	collect := func(scheds []Schedule, outs []trialOut, firstLevel bool) {
 		for i, o := range outs {
+			out.fold(o.res)
 			out.Scheduled++
 			if o.err == nil {
 				out.Passed++

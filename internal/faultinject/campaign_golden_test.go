@@ -2,8 +2,9 @@ package faultinject
 
 // TestCampaignGolden pins what a campaign does, not just that it passes: for
 // three batch settings and two serving schemes, the summary line a campaign
-// prints and every first-level schedule it runs — the repro line and the
-// media hashes right after the crash and at the end of the trial. A refactor
+// prints and every first-level schedule it runs — the repro line, the
+// media hashes right after the crash and at the end of the trial, and what
+// recovery cost in simulated cycles. A refactor
 // of the campaign, the trial drivers or the restart sequence must leave
 // testdata/campaign.golden untouched; regenerate it only for an intentional
 // change of the schedule space or the simulated machine:
@@ -51,7 +52,8 @@ func goldenCampaign(t *testing.T, b *strings.Builder, out CampaignOutcome, base 
 				s.MarshalLine(), res.RecoveryCycles, c)
 		}
 		recovery[res.PostCrashHash] = res.RecoveryCycles
-		fmt.Fprintf(b, "%s post=%#x final=%#x\n", s.MarshalLine(), res.PostCrashHash, res.FinalHash)
+		fmt.Fprintf(b, "%s post=%#x final=%#x recovery=%d\n", s.MarshalLine(), res.PostCrashHash, res.FinalHash,
+			res.RecoveryCycles)
 	}
 }
 

@@ -117,16 +117,17 @@ func TestLoadErrorsNameLoad(t *testing.T) {
 	if _, err := Load(nil, nil, nil, bad); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
 		t.Errorf("no clients: %v", err)
 	}
-	// A GET share outside [0, 1], an inverted value range and an inverted or
-	// half-set drift range are errors, not replaced by defaults or a run that
-	// never drifts; an unset MinVal still takes its default.
+	// A GET share outside [0, 1], an inverted or half-set value range and an
+	// inverted or half-set drift range are errors, not replaced by defaults
+	// or a run that never drifts; an unset range still takes its default.
 	for name, edit := range map[string]func(*ServeConfig){
-		"GetFraction 1.5":  func(c *ServeConfig) { c.GetFraction = 1.5 },
-		"GetFraction -0.1": func(c *ServeConfig) { c.GetFraction = -0.1 },
-		"values 300..200":  func(c *ServeConfig) { c.MinVal, c.MaxVal = 300, 200 },
-		"drift 500..400":   func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 500, 400 },
-		"drift 367..unset": func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 367, 0 },
-		"drift unset..492": func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 0, 492 },
+		"GetFraction 1.5":   func(c *ServeConfig) { c.GetFraction = 1.5 },
+		"GetFraction -0.1":  func(c *ServeConfig) { c.GetFraction = -0.1 },
+		"values 300..200":   func(c *ServeConfig) { c.MinVal, c.MaxVal = 300, 200 },
+		"values unset..300": func(c *ServeConfig) { c.MinVal, c.MaxVal = 0, 300 },
+		"drift 500..400":    func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 500, 400 },
+		"drift 367..unset":  func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 367, 0 },
+		"drift unset..492":  func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 0, 492 },
 	} {
 		cfg := DefaultServeConfig()
 		edit(&cfg)

@@ -66,7 +66,7 @@ type ServeConfig struct {
 	GetFraction float64 // fraction of GETs, in [0, 1]
 
 	MaxLiveBytes     uint64 // LRU cap; 0 disables eviction
-	MinVal, MaxVal   int    // value sizes (240..492 when MinVal is 0; at most MaxValue)
+	MinVal, MaxVal   int    // value sizes (240..492 when both are 0; at most MaxValue)
 	MinVal2, MaxVal2 int    // post-drift sizes, switched at Ops/2; set both or neither
 
 	Seed       int64
@@ -717,10 +717,11 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig) (*Loaded,
 	if cfg.GetFraction < 0 || cfg.GetFraction > 1 {
 		return nil, fmt.Errorf("redisws.Load: GetFraction %v outside [0, 1]", cfg.GetFraction)
 	}
-	if cfg.MinVal <= 0 {
+	switch {
+	case cfg.MinVal <= 0 && cfg.MaxVal <= 0:
 		cfg.MinVal, cfg.MaxVal = 240, 492
-	} else if cfg.MaxVal < cfg.MinVal {
-		return nil, fmt.Errorf("redisws.Load: value sizes %d..%d are inverted", cfg.MinVal, cfg.MaxVal)
+	case cfg.MinVal <= 0 || cfg.MaxVal < cfg.MinVal:
+		return nil, fmt.Errorf("redisws.Load: value sizes %d..%d are inverted or half set", cfg.MinVal, cfg.MaxVal)
 	}
 	if (cfg.MinVal2 > 0 || cfg.MaxVal2 > 0) && (cfg.MinVal2 <= 0 || cfg.MaxVal2 < cfg.MinVal2) {
 		return nil, fmt.Errorf("redisws.Load: drifted value sizes %d..%d are inverted or half set", cfg.MinVal2, cfg.MaxVal2)
