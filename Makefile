@@ -20,8 +20,9 @@ fmt:
 
 # race runs the short test suite under the race detector, then on four
 # workers, whatever the host has, the crash campaign's golden, oracle and
-# lifetime tests, batch and serving, four forks of one device checkpoint
-# writing copy-on-write, four machines forked from one machine image, two
+# lifetime tests, batch and serving, pools created and reopened on the heap
+# tables and transaction slots other workers' pools released, four forks of
+# one device checkpoint writing copy-on-write, four machines forked from one machine image, two
 # serving runs forked from one loaded shard, and two fig14 cells run twice,
 # the second time on the images, pages and arrays the first gave back. A
 # simulated machine is plain data that one goroutine
@@ -29,14 +30,16 @@ fmt:
 # TestNoHostSyncInMachine keeps locks and atomics out of it), so the detector
 # watches what is left: what workpool jobs share — a campaign's read-only
 # prefixes, the media pages forks share until they write them, an image's
-# fork count, the page, image, cache-array and TLB-array pools, the worker
-# pool itself — and -httpobs, which may read
+# fork count, the page, image, cache-array, TLB-array, epoch-memory,
+# pool-state and latency-histogram free lists, the worker pool itself — and -httpobs, which may read
 # only finished experiments (TestMetricsScrapeDuringRun scrapes /metrics
 # during a run).
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \
 		-run 'TestCampaignGolden|TestForked(Serve)?TrialMatchesScratch|Test(Serve)?CampaignLeavesNoPrefixBehind|TestPooledTrialsMatchSerial|TestCampaignsReturnTheirPages'
+	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/pmop/ \
+		-run 'TestReopenedPoolMatchesFresh'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/pmem/ \
 		-run 'TestCopyOnWriteMatchesDenseModels|TestForksOfOneCheckpointOnWorkers'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/machine/ \

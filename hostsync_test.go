@@ -21,16 +21,18 @@ var machinePackages = []string{
 // host locks, atomics and workpool free lists those packages may hold, each
 // with its reason.
 var hostSyncAllowed = map[string]string{
-	"kv:Echo.mu":          "bench/store_test.go's TestDecoratorCountsConcurrentGets drives one Echo from 8 goroutines",
-	"pmop:Pool.Ops":       "the same bench test: Echo.Get's deferred EndOp runs outside Echo.mu",
-	"pmem:pagePool.Mutex": "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
-	"pmem:arrayPool":      "process-wide free list of cache arrays that machines of one geometry on workpool workers share",
-	"sim:tlbPool":         "process-wide free list of TLB arrays that contexts of one geometry on workpool workers share",
-	"core:epochPool":      "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
-	"redisws:lruPool":     "process-wide free list of the LRU tables released serving runs hand to the next forks on workpool workers",
-	"sim:ctxSeq":          "process-wide sim.Ctx numbering",
-	"machine:Image.forks": "an image's live-fork count, which forks on workpool workers change",
-	"machine:imagePool":   "process-wide free list of released machine images that the next captures on workpool workers fill",
+	"kv:Echo.mu":           "bench/store_test.go's TestDecoratorCountsConcurrentGets drives one Echo from 8 goroutines",
+	"pmop:Pool.Ops":        "the same bench test: Echo.Get's deferred EndOp runs outside Echo.mu",
+	"pmem:pagePool.Mutex":  "process-wide pools of media pages and page-table leaves that machines on workpool workers share",
+	"pmem:arrayPool":       "process-wide free list of cache arrays that machines of one geometry on workpool workers share",
+	"sim:tlbPool":          "process-wide free list of TLB arrays that contexts of one geometry on workpool workers share",
+	"core:epochPool":       "process-wide free list of the epoch memory released engines hand to the next ones on workpool workers",
+	"redisws:lruPool":      "process-wide free list of the LRU tables released serving runs hand to the next forks on workpool workers",
+	"pmop:volatiles":       "process-wide free list of the heap tables and transaction slots released pools hand to the next forked or reopened pools on workpool workers",
+	"redisws:latencyHists": "process-wide free list of the latency histograms released serving runs hand to the next runs on workpool workers",
+	"sim:ctxSeq":           "process-wide sim.Ctx numbering",
+	"machine:Image.forks":  "an image's live-fork count, which forks on workpool workers change",
+	"machine:imagePool":    "process-wide free list of released machine images that the next captures on workpool workers fill",
 }
 
 // TestNoHostSyncInMachine enforces that a simulated machine is plain data

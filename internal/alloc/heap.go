@@ -94,10 +94,25 @@ type Heap struct {
 
 // NewHeap creates an empty heap of the given geometry.
 func NewHeap(heapOff uint64, frames int) *Heap {
-	h := &Heap{heapOff: heapOff, frames: frames}
-	h.freeBits = make([]uint64, (frames+63)/64)
-	h.buildIndex()
+	h := new(Heap)
+	h.Init(heapOff, frames)
 	return h
+}
+
+// Init empties h and gives it the geometry (heapOff, frames), keeping the
+// memory of its tables: a heap a released pool left behind serves the next
+// pool, of any geometry, without growing its tables again. The heap is then
+// what NewHeap(heapOff, frames) returns, whatever it held before; its memory
+// is host state only and never changes where an allocation lands.
+func (h *Heap) Init(heapOff uint64, frames int) {
+	h.heapOff, h.frames = heapOff, frames
+	h.reset()
+	if n := (frames + 63) / 64; cap(h.freeBits) >= n {
+		h.freeBits = h.freeBits[:n] // buildIndex writes every word
+	} else {
+		h.freeBits = make([]uint64, n)
+	}
+	h.buildIndex()
 }
 
 // Frames returns the heap size in frames.

@@ -155,13 +155,23 @@ func (h *Heap) buildIndex() {
 	h.buildLevels(bounded)
 }
 
-// growIndex widens the index to the tables' reach, keeping every bound.
+// growIndex widens the index to the tables' reach, keeping every bound. The
+// new leaves start at or past the old ones' end, so the bounds move up within
+// the tree's memory when it has room.
 func (h *Heap) growIndex() {
-	old := h.fit[h.leaves:]
+	old := h.leaves
 	h.leaves = indexLeaves(len(h.state))
-	h.fit = make([]uint16, 2*h.leaves)
-	copy(h.fit[h.leaves:], old)
-	h.buildLevels(len(old))
+	if cap(h.fit) < 2*h.leaves {
+		fit := make([]uint16, 2*h.leaves)
+		copy(fit[h.leaves:], h.fit[old:])
+		h.fit = fit
+	} else {
+		h.fit = h.fit[:2*h.leaves]
+		copy(h.fit[h.leaves:], h.fit[old:2*old])
+		clear(h.fit[:h.leaves])
+		clear(h.fit[h.leaves+old:])
+	}
+	h.buildLevels(old)
 }
 
 // buildLevels recomputes the tree's inner nodes from its leaves, as far as

@@ -91,6 +91,13 @@ type epochState struct {
 
 	tomb []uint64 // bit i: object i's source header is already tombstoned (SFCCD)
 
+	// reached is recoverFFCCD's pre-repair copy of the reached-bitmap words
+	// of the destination frames, in the order the objects first name them;
+	// reachedOf[f] is 1 + the index of frame f's word, or 0, and reaches as
+	// far as the highest destination frame any recovery on this memory read.
+	reached   []reachedWord
+	reachedOf []int32
+
 	// obsStart is the simulated cycle the epoch's opening stop-the-world
 	// began at, recorded only when observability is enabled so terminate can
 	// emit the whole-epoch span. Host-side bookkeeping; never charged.
@@ -143,9 +150,34 @@ func (ep *epochState) reset(epochNo uint64, scheme Scheme) {
 	ep.destFrame = ep.destFrame[:0]
 	ep.srcObj = ep.srcObj[:0]
 	ep.lastSlotSrc = ep.lastSlotSrc[:0]
+	for _, w := range ep.reached {
+		ep.reachedOf[w.frame] = 0
+	}
+	ep.reached = ep.reached[:0]
 	ep.dupBytes, ep.obsStart = 0, 0
 	ep.blooms, ep.fwd = nil, pmftForwarder{}
 }
+
+// reachedWord is one destination frame's reached-bitmap word.
+type reachedWord struct {
+	frame int
+	word  uint64
+}
+
+// snapReached adds destination frame f's reached-bitmap word, read from the
+// bitmap at off, to the recovery's snapshot unless it holds the word already.
+func (ep *epochState) snapReached(ctx *sim.Ctx, p *pmop.Pool, off uint64, f int) {
+	if f >= len(ep.reachedOf) {
+		ep.reachedOf = append(ep.reachedOf, make([]int32, f+1-len(ep.reachedOf))...)
+	}
+	if ep.reachedOf[f] == 0 {
+		ep.reached = append(ep.reached, reachedWord{f, p.RawLoadU64(ctx, off+uint64(f)*8)})
+		ep.reachedOf[f] = int32(len(ep.reached))
+	}
+}
+
+// reachedWordOf returns destination frame f's word in the snapshot.
+func (ep *epochState) reachedWordOf(f int) uint64 { return ep.reached[ep.reachedOf[f]-1].word }
 
 // addFrame appends relocation frame f with major distance df and returns its
 // minor-distance map, no slot mapped yet, for the caller to fill.

@@ -32,11 +32,21 @@ import (
 // tx rollback + allocator rebuild).
 func Recover(ctx *sim.Ctx, p *pmop.Pool, opt Options) (*Engine, error) {
 	e := NewEngine(p, opt)
+	// An engine Recover does not return — a failed recovery's, or one a power
+	// failure killed inside it — hands its epoch memory on here, since no
+	// caller holds it to release.
+	returned := false
+	defer func() {
+		if !returned {
+			e.Release()
+		}
+	}()
 	rctx := ctx.Derived(sim.CatRecovery)
 	t0 := e.now(rctx)
 	if err := e.recover(rctx); err != nil {
 		return nil, err
 	}
+	returned = true
 	if o := e.obs; o != nil {
 		o.Tracer.Span(rctx, obsv.KindRecovery, t0, 0)
 		o.Metrics.RegisterGroup("recovery", e.rec.cost.Map)
@@ -352,12 +362,8 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 	heapOff := heap.HeapOff()
 
 	// Snapshot the reached bitmap before any repair.
-	snapshot := make(map[int]uint64)
 	for i := range ep.objects {
-		df := heap.FrameOf(ep.objects[i].dstHdr)
-		if _, ok := snapshot[df]; !ok {
-			snapshot[df] = p.RawLoadU64(ctx, reachedOff+uint64(df)*8)
-		}
+		ep.snapReached(ctx, p, reachedOff, heap.FrameOf(ep.objects[i].dstHdr))
 	}
 	lineRange := func(obj *relocObj) (df int, first, last uint64) {
 		df = heap.FrameOf(obj.dstHdr)
@@ -372,7 +378,7 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 	finish := func(ci int32) {
 		obj := &ep.objects[ci]
 		df, first, last := lineRange(obj)
-		word := snapshot[df]
+		word := ep.reachedWordOf(df)
 		start := obj.dstHdr
 		end := obj.dstHdr + obj.bytes()
 		lineBase := heapOff + uint64(df)*alloc.FrameSize
@@ -412,7 +418,7 @@ func (e *Engine) recoverFFCCD(ctx *sim.Ctx, ep *epochState) {
 		for _, ci := range comp {
 			df, first, last := lineRange(&ep.objects[ci])
 			for l := first; l <= last; l++ {
-				if snapshot[df]&(1<<l) != 0 {
+				if ep.reachedWordOf(df)&(1<<l) != 0 {
 					reached++
 				}
 			}

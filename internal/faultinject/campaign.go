@@ -271,6 +271,8 @@ func (c *campaign) runWatched(s Schedule, topts TrialOptions, timeout time.Durat
 // failure, which the trial catches itself, is the trial's verdict: a store
 // that recovery left corrupt can send a read out of the pool, and the
 // campaign reports that schedule with its repro line like any other failure.
+// A campaign reads no latency, so a serving trial's recorders go back as
+// soon as it returns.
 func (c *campaign) runTrial(s Schedule, topts TrialOptions) (o trialOut) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -279,6 +281,7 @@ func (c *campaign) runTrial(s Schedule, topts TrialOptions) (o trialOut) {
 		}
 	}()
 	o.res, o.err = s.runIn(c, topts)
+	o.res.release()
 	return o
 }
 

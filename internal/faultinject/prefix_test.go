@@ -466,22 +466,24 @@ func forkedTrials(tb testing.TB, c *campaign, base Repro, sites uint64, n int) {
 }
 
 // trialAllocBudget is what one warm forked LL/1T/ffccd trial may allocate:
-// about an eighth over the 41 KB it does (91 KB under the race detector,
-// whose budget is trialAllocBudgetRace), most of which is the engine's epoch
-// tables and the recovered pool's volatile state. Its values are windows of
-// one shared table, the checker reads every value into one buffer, its
-// model is a pooled map its prefix's model is copied into, its tail churn's
-// random sources are pooled, its heap incarnations' tables and placement
+// about a seventh over the 22.5 KB it does (72 KB under the race detector,
+// whose budget is trialAllocBudgetRace), most of which is the engine's and
+// the contexts' small structs and the checker's tables. Its values are
+// windows of one shared table, the checker reads every value into one
+// buffer, its model is a pooled map its prefix's model is copied into, its
+// tail churn's random sources are pooled, its heap incarnations' placement
 // indexes are sized to the frames they reach, and its device's cache arrays,
-// media pages and its contexts' TLB arrays come from the pools. The margin
-// is tight enough that each of these copies alone is over the budget: a
-// checker that reads a fresh copy of every value (49.6 KB per trial), a
-// model cloned per trial (49.1 KB), a fresh value per insert, a placement
+// media pages, its contexts' TLB arrays, its engines' epoch tables and its
+// pools' heap tables and transaction slots come from the pools. The margin
+// is tight enough that each of these copies alone is over the budget: pools
+// that build their heap tables and transaction slots afresh at every fork
+// and reopen (37.5 KB per trial), a checker that reads a fresh copy of every
+// value, a model cloned per trial, a fresh value per insert, a placement
 // index sized by the pool's 16 384 frames (64 KB per heap), or a device that
 // does not take pooled cache arrays (0.3 MB).
 const (
-	trialAllocBudget     = 46_000
-	trialAllocBudgetRace = 104_000
+	trialAllocBudget     = 26_000
+	trialAllocBudgetRace = 80_000
 )
 
 func TestTrialAllocBudget(t *testing.T) {

@@ -172,6 +172,17 @@ type Result struct {
 	ShardHashes []uint64
 }
 
+// release gives a serving trial's latency recorders back
+// (redisws.LatencyRecorder.Release).
+func (r *Result) release() {
+	if r.Serve != nil {
+		r.Serve.Lat.Release()
+	}
+	for i := range r.PerShard {
+		r.PerShard[i].Lat.Release()
+	}
+}
+
 // Summary renders the trial on one line, the way ffccd-crashtest -repro
 // prints it.
 func (r Result) Summary() string {

@@ -270,22 +270,25 @@ func BenchmarkServeCampaignTrial(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(trials), "B/trial")
 }
 
-// serveTrialAllocBudget is what one warm forked ffccd serving trial may
-// allocate: about a sixth over the 76 KB it does (about 150 KB under the
-// race detector, whose budget is serveTrialAllocBudgetRace). Most of that is
-// the serving run itself: its latency histogram (8 KB) and the mark passes
-// of its epochs. Its values are windows of one shared table, the checker
-// reads every value into one buffer, its LRU tables and durable-ack mirror
-// are pooled tables its prefix's are copied into, its heaps' placement
-// indexes are sized to the frames they reach, and its device's cache arrays,
-// media pages and its contexts' TLB arrays (25 KB each, about ten contexts)
-// come from the pools. Each of these copies alone is over the budget: LRU
-// tables and mirror cloned per trial (96 KB per trial), a checker that reads
-// a fresh copy of every value (136 KB), or a fresh value per SET kept by the
-// mirror (250 KB).
+// serveTrialAllocBudget is what one warm forked ffccd serving trial, run the
+// way a campaign runs it, may allocate: about a ninth over the 31–33 KB it
+// does (108 KB under the race detector, whose budget is
+// serveTrialAllocBudgetRace). Most of that is the serving run itself: the
+// mark passes of its epochs and its contexts' small structs. Its values are
+// windows of one shared table, the checker reads every value into one
+// buffer, its LRU tables are pooled tables its prefix's are copied into, its
+// heaps' placement indexes are sized to the frames they reach, its store's
+// read buffers grow once per doubling of the values they read, and its
+// device's cache arrays, media pages, its contexts' TLB arrays, its pools'
+// heap tables and transaction slots and its latency histogram (8 KB) come
+// from the pools. Each of these alone is over the budget: pools that build
+// their heap tables afresh (45 KB per trial), a latency histogram per run
+// (39.6 KB), store buffers that regrow for every larger value (39.6 KB), LRU
+// tables cloned per trial, or a checker that reads a fresh copy of every
+// value.
 const (
-	serveTrialAllocBudget     = 88_000
-	serveTrialAllocBudgetRace = 180_000
+	serveTrialAllocBudget     = 37_000
+	serveTrialAllocBudgetRace = 122_000
 )
 
 func TestServeTrialAllocBudget(t *testing.T) {
@@ -301,8 +304,8 @@ func TestServeTrialAllocBudget(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rep := base
 			rep.Site, rep.Policy = int64(uint64(i)*7919%census.Census.Total), Policies[i%len(Policies)]
-			if _, err := c.runServe(rep, TrialOptions{}); err != nil {
-				t.Fatal(err)
+			if o := c.runTrial(rep, TrialOptions{}); o.err != nil {
+				t.Fatal(o.err)
 			}
 		}
 	}

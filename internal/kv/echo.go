@@ -244,7 +244,11 @@ func (e *Echo) GetInto(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 
 // getUnlocked is GetInto's body under e.mu. It loads key's value into
 // buf's storage, or a fresh buffer when buf is nil or too small, and returns
-// it; on a miss it returns buf unchanged.
+// it; on a miss it returns buf unchanged. A fresh buffer for a nil buf holds
+// the value exactly (Get's copy); one that replaces a buffer too small has
+// room for twice the value, so a buffer read into again and again — the
+// store's probe and got, a checker's, a serving run's — grows once per
+// doubling of the values it reads, not once per larger value.
 func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) {
 	p := e.p
 	seg, off := e.bucket(key)
@@ -257,8 +261,11 @@ func (e *Echo) getUnlocked(ctx *sim.Ctx, key uint64, buf []byte) ([]byte, bool) 
 		return buf, false
 	}
 	_, n := p.Header(ctx, p.Resolve(ctx, v))
-	if buf == nil || uint64(cap(buf)) < n {
+	switch {
+	case buf == nil:
 		buf = make([]byte, n)
+	case uint64(cap(buf)) < n:
+		buf = make([]byte, n, 2*n)
 	}
 	buf = buf[:n]
 	p.ReadBytes(ctx, v, 0, buf)

@@ -116,11 +116,12 @@ func Build(s Spec) (*Machine, error) {
 // Device returns the machine's device.
 func (m *Machine) Device() *pmem.Device { return m.RT.Device() }
 
-// Release gives the machine's media pages, cache arrays and the TLB arrays of
-// its contexts (Ctx and GC) back to the process pools, and releases an engine
-// still attached (a closed one has handed its memory on already). The machine
-// is unusable afterwards: any of those contexts panics on its next
-// translation, and the engine on its next cycle, wherever else they are held.
+// Release gives the machine's media pages, cache arrays, the TLB arrays of
+// its contexts (Ctx and GC) and its pool's heap tables and transaction slots
+// back to the process pools, and releases an engine still attached (a closed
+// one has handed its memory on already). The machine is unusable afterwards:
+// any of those contexts panics on its next translation, the engine on its
+// next cycle and the pool on its next allocation, wherever else they are held.
 // A forked machine no longer counts as a fork of its image. A second call
 // does nothing.
 func (m *Machine) Release() {
@@ -137,6 +138,7 @@ func (m *Machine) Release() {
 	if m.Eng != nil {
 		m.Eng.Release()
 	}
+	m.Pool.Release()
 }
 
 // NewEngine attaches a fresh engine under opt and returns it.
@@ -148,13 +150,15 @@ func (m *Machine) NewEngine(opt core.Options) *core.Engine {
 // Reopen is the restart after a power failure: a new runtime attached to the
 // machine's device, and the pool opened again with an empty allocator, which
 // recovery rebuilds. The store and engine died with the power; both are nil
-// until the caller makes new ones. The dead engine is released, so the
-// engine recovery makes inherits its epoch memory. The contexts carry on.
+// until the caller makes new ones. The dead engine and pool are released, so
+// the engine recovery makes inherits the epoch memory and the reopened pool
+// the heap tables and transaction slots. The contexts carry on.
 func (m *Machine) Reopen() error {
 	if m.Eng != nil {
 		m.Eng.Release()
 		m.Eng = nil
 	}
+	m.Pool.Release()
 	rt, err := pmop.Attach(&m.Cfg, m.Device())
 	if err != nil {
 		return err

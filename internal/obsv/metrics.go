@@ -147,6 +147,14 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.quantileLocked(q)
 }
 
+// Reset empties the histogram.
+func (h *Histogram) Reset() {
+	h.mu.Lock()
+	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+	clear(h.buckets[:])
+	h.mu.Unlock()
+}
+
 // Count returns the number of observed values.
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()

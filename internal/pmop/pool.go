@@ -9,6 +9,7 @@ import (
 	"ffccd/internal/alloc"
 	"ffccd/internal/pmem"
 	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
 // ReadBarrier is the hook the defragmenter installs on a pool during its
@@ -73,15 +74,15 @@ type Pool struct {
 
 	dev   *pmem.Device
 	cfg   *sim.Config
-	heap  *alloc.Heap
 	types *Registry
+
+	// The allocator's tables and the transaction slots; nil once the pool is
+	// released.
+	*volatile
 
 	barrier   ReadBarrier
 	allocHook func()
 	txAddHook func(ctx *sim.Ctx, off, n uint64)
-
-	txFree  []int // free transaction slots, handed out first in first out
-	txSlots []*Tx
 
 	remapHooks []func(remap func(Ptr) Ptr)
 
@@ -111,14 +112,57 @@ func layout(size uint64) (txLogOff, gcMetaOff, gcMetaSize, heapOff, heapFrames u
 	return txLogOff, gcMetaOff, gcMetaSize, heapOff, heapFrames, nil
 }
 
+// volatile is a pool's host-only state, the part a power failure destroys:
+// the allocator's tables and the transaction slots with their staging
+// buffers. It outlives its pool: Create and Open take the state the last
+// released pool handed to volatiles, and Release hands it on, so a forked or
+// reopened pool starts with tables as large as its predecessor's instead of
+// growing them again. Which memory a pool gets changes host allocation only,
+// never a simulated result.
+type volatile struct {
+	heap   alloc.Heap
+	txFree []int // free transaction slots, handed out first in first out
+	txSlot [txSlotCount]Tx
+}
+
+// volatiles holds released pools' volatile state, two per pool worker (a
+// crash trial releases the pool the power failure killed and the recovered
+// one).
+var volatiles = workpool.FreeList[*volatile]{PerWorker: 2}
+
+// initVolatile gives p an empty heap of its geometry and idle transaction
+// slots, on the state a released pool handed on when there is some.
 func (p *Pool) initVolatile() {
-	p.heap = alloc.NewHeap(p.heapOff, int(p.heapFrames))
-	p.txFree = make([]int, txSlotCount)
-	p.txSlots = make([]*Tx, txSlotCount)
-	for i := range p.txSlots {
-		p.txSlots[i] = &Tx{pool: p, slot: i}
-		p.txFree[i] = i
+	v, ok := volatiles.Take(nil)
+	if !ok {
+		v = new(volatile)
 	}
+	v.heap.Init(p.heapOff, int(p.heapFrames))
+	v.txFree = v.txFree[:0]
+	for i := range v.txSlot {
+		t := &v.txSlot[i]
+		*t = Tx{pool: p, slot: i, ranges: t.ranges[:0], scratch: t.scratch}
+		v.txFree = append(v.txFree, i)
+	}
+	p.volatile = v
+}
+
+// Release hands the pool's volatile state — the allocator's tables and the
+// transaction slots — on to the next pool Create or Open makes, on any
+// worker. Call it once nothing will read the pool again: its machine is
+// dropped, or a power failure killed it and the restart opens the pool
+// anew. The pool is unusable afterwards (its heap and transactions are nil);
+// its device is untouched. A second call does nothing.
+func (p *Pool) Release() {
+	v := p.volatile
+	if v == nil {
+		return
+	}
+	p.volatile = nil
+	for i := range v.txSlot {
+		v.txSlot[i].pool = nil
+	}
+	volatiles.Put(v)
 }
 
 // TxSlotOrder returns the free-transaction-slot queue order. The pool must
@@ -146,7 +190,7 @@ func (p *Pool) ID() uint16 { return p.id }
 func (p *Pool) Name() string { return p.name }
 
 // Heap exposes the allocator (the GC works with it directly).
-func (p *Pool) Heap() *alloc.Heap { return p.heap }
+func (p *Pool) Heap() *alloc.Heap { return &p.heap }
 
 // Types returns the pool's type registry.
 func (p *Pool) Types() *Registry { return p.types }

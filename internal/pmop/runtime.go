@@ -17,8 +17,7 @@ type Runtime struct {
 	cfg *sim.Config
 	dev *pmem.Device
 
-	pools   map[uint16]*Pool
-	byName  map[string]*Pool
+	pools   []*Pool // created or opened, in that order
 	nextOff uint64
 	epoch   uint64 // bumped per attach: pools get fresh VA bases
 }
@@ -67,13 +66,17 @@ func attachAt(cfg *sim.Config, dev *pmem.Device, epoch uint64) (*Runtime, error)
 func (rt *Runtime) Epoch() uint64 { return rt.epoch }
 
 func attach(cfg *sim.Config, dev *pmem.Device) *Runtime {
-	return &Runtime{
-		cfg:     cfg,
-		dev:     dev,
-		pools:   make(map[uint16]*Pool),
-		byName:  make(map[string]*Pool),
-		nextOff: sbFrame,
+	return &Runtime{cfg: cfg, dev: dev, nextOff: sbFrame}
+}
+
+// pool returns the pool named name that rt created or opened, or nil.
+func (rt *Runtime) pool(name string) *Pool {
+	for _, p := range rt.pools {
+		if p.name == name {
+			return p
+		}
 	}
+	return nil
 }
 
 // Device returns the underlying device.
@@ -96,28 +99,30 @@ func (rt *Runtime) scanSuperblock() {
 	rt.nextOff = end
 }
 
-func (rt *Runtime) superblockEntries() []sbEntry {
+// superblockEntry returns the superblock's entry for the pool named name.
+func (rt *Runtime) superblockEntry(name string) (sbEntry, bool) {
 	var b [8]byte
 	rt.dev.MediaRead(sbCountOff, b[:])
 	n := binary.LittleEndian.Uint64(b[:])
-	out := make([]sbEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
-		e := make([]byte, sbEntrySize)
-		rt.dev.MediaRead(sbEntriesOff+i*sbEntrySize, e)
-		name := e[24:]
-		l := 0
-		for l < len(name) && name[l] != 0 {
+		var e [sbEntrySize]byte
+		rt.dev.MediaRead(sbEntriesOff+i*sbEntrySize, e[:])
+		l := 24
+		for l < len(e) && e[l] != 0 {
 			l++
 		}
-		out = append(out, sbEntry{
+		if string(e[24:l]) != name {
+			continue
+		}
+		return sbEntry{
 			id:        uint16(binary.LittleEndian.Uint16(e[0:2])),
 			pageShift: uint(e[2]),
 			region:    binary.LittleEndian.Uint64(e[8:16]),
 			size:      binary.LittleEndian.Uint64(e[16:24]),
-			name:      string(name[:l]),
-		})
+			name:      name,
+		}, true
 	}
-	return out
+	return sbEntry{}, false
 }
 
 type sbEntry struct {
@@ -152,7 +157,7 @@ func (rt *Runtime) vaBase(id uint16, region uint64) uint64 {
 // Create builds a new pool. pageShift selects the OS page size used for
 // footprint and TLB accounting (12 = 4 KB, 21 = 2 MB huge pages).
 func (rt *Runtime) Create(name string, size uint64, pageShift uint, types *Registry) (*Pool, error) {
-	if _, exists := rt.byName[name]; exists {
+	if rt.pool(name) != nil {
 		return nil, fmt.Errorf("pmop: pool %q already exists", name)
 	}
 	if len(name) > 39 {
@@ -200,8 +205,7 @@ func (rt *Runtime) Create(name string, size uint64, pageShift uint, types *Regis
 	rt.dev.MediaZero(p.region+txLogOff, txSlotCount*txSlotBytes)
 
 	rt.appendSuperblock(sbEntry{id: id, pageShift: pageShift, region: p.region, size: size, name: name})
-	rt.pools[id] = p
-	rt.byName[name] = p
+	rt.pools = append(rt.pools, p)
 	return p, nil
 }
 
@@ -209,32 +213,29 @@ func (rt *Runtime) Create(name string, size uint64, pageShift uint, types *Regis
 // The volatile allocator state is empty: a reachability rebuild (the core
 // package's Recover/Attach) must run before new allocations.
 func (rt *Runtime) Open(name string, types *Registry) (*Pool, error) {
-	if p, ok := rt.byName[name]; ok {
+	if p := rt.pool(name); p != nil {
 		return p, nil
 	}
-	for _, e := range rt.superblockEntries() {
-		if e.name != name {
-			continue
-		}
-		hdr := make([]byte, 96)
-		rt.dev.MediaRead(e.region, hdr)
-		get := func(off int) uint64 { return binary.LittleEndian.Uint64(hdr[off:]) }
-		if get(hdrMagic) != poolMagic {
-			return nil, fmt.Errorf("pmop: pool %q header corrupt", name)
-		}
-		p := &Pool{
-			rt: rt, id: e.id, name: name,
-			region: e.region, size: e.size,
-			heapOff: get(hdrHeapOff), heapFrames: get(hdrHeapFrames),
-			txLogOff: get(hdrTxLogOff), gcMetaOff: get(hdrGCMetaOff), gcMetaSize: get(hdrGCMetaSize),
-			pageShift: uint(get(hdrPageShift)),
-			dev:       rt.dev, cfg: rt.cfg, types: types,
-		}
-		p.vaBase = rt.vaBase(e.id, e.region)
-		p.initVolatile()
-		rt.pools[e.id] = p
-		rt.byName[name] = p
-		return p, nil
+	e, ok := rt.superblockEntry(name)
+	if !ok {
+		return nil, fmt.Errorf("pmop: pool %q not found", name)
 	}
-	return nil, fmt.Errorf("pmop: pool %q not found", name)
+	var hdr [96]byte
+	rt.dev.MediaRead(e.region, hdr[:])
+	get := func(off int) uint64 { return binary.LittleEndian.Uint64(hdr[off:]) }
+	if get(hdrMagic) != poolMagic {
+		return nil, fmt.Errorf("pmop: pool %q header corrupt", name)
+	}
+	p := &Pool{
+		rt: rt, id: e.id, name: name,
+		region: e.region, size: e.size,
+		heapOff: get(hdrHeapOff), heapFrames: get(hdrHeapFrames),
+		txLogOff: get(hdrTxLogOff), gcMetaOff: get(hdrGCMetaOff), gcMetaSize: get(hdrGCMetaSize),
+		pageShift: uint(get(hdrPageShift)),
+		dev:       rt.dev, cfg: rt.cfg, types: types,
+	}
+	p.vaBase = rt.vaBase(e.id, e.region)
+	p.initVolatile()
+	rt.pools = append(rt.pools, p)
+	return p, nil
 }

@@ -51,7 +51,7 @@ func (p *Pool) Begin(ctx *sim.Ctx) *Tx {
 	}
 	slot := p.txFree[0]
 	p.txFree = append(p.txFree[:0], p.txFree[1:]...)
-	t := p.txSlots[slot]
+	t := &p.txSlot[slot]
 	t.cursor = txHeaderBytes
 	t.count = 0
 	t.ranges = t.ranges[:0]

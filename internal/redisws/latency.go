@@ -1,6 +1,9 @@
 package redisws
 
-import "ffccd/internal/obsv"
+import (
+	"ffccd/internal/obsv"
+	"ffccd/internal/workpool"
+)
 
 // LatencyRecorder streams per-operation latencies (simulated cycles) into a
 // log-linear obsv.Histogram, so memory is O(histogram buckets) regardless of
@@ -10,11 +13,31 @@ type LatencyRecorder struct {
 	Hist *obsv.Histogram
 }
 
-// NewLatencyRecorder returns an empty recorder. Both parameters are
-// ignored; they remain for the repo benchmark's ladder, which still passes
-// them.
+// latencyHists holds released recorders' histograms, two per pool worker (a
+// crash campaign releases a trial's recorder once it has read the trial).
+var latencyHists = workpool.FreeList[*obsv.Histogram]{PerWorker: 2}
+
+// NewLatencyRecorder returns an empty recorder, on the histogram a released
+// recorder handed on when there is one. Both parameters are ignored; they
+// remain for the repo benchmark's ladder, which still passes them.
 func NewLatencyRecorder(int, int64) *LatencyRecorder {
-	return &LatencyRecorder{Hist: &obsv.Histogram{}}
+	h, ok := latencyHists.Take(nil)
+	if !ok {
+		h = new(obsv.Histogram)
+	}
+	return &LatencyRecorder{Hist: h}
+}
+
+// Release empties the recorder's histogram and hands it to the next
+// NewLatencyRecorder. The recorder is unusable afterwards; releasing a nil
+// or released recorder does nothing.
+func (r *LatencyRecorder) Release() {
+	if r == nil || r.Hist == nil {
+		return
+	}
+	r.Hist.Reset()
+	latencyHists.Put(r.Hist)
+	r.Hist = nil
 }
 
 // Observe records one latency.

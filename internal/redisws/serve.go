@@ -628,10 +628,10 @@ type Loaded struct {
 
 // LoadedImage is what a fork needs of a Loaded: its config, stream position
 // and rate, a copy of its LRU node table, and every client context's
-// checkpoint. Nothing writes an image once it is captured, so any
-// number of goroutines fork one; a fork copies the tables into pooled ones,
-// which its Release gives back, and the image's own Release gives back the
-// copy it holds.
+// checkpoint, whose TLB arrays come from the TLB-array pool. Nothing writes
+// an image once it is captured, so any number of goroutines fork one; a fork
+// copies the tables into pooled ones, which its Release gives back, and the
+// image's own Release gives back the copies it holds.
 type LoadedImage struct {
 	l       Loaded // its cache is the captured copy; it has no clients
 	clients []sim.CtxCheckpoint
@@ -661,10 +661,17 @@ func (img *LoadedImage) Fork(cfg *sim.Config) *Loaded {
 	return &l
 }
 
-// Release gives the image's LRU tables back to the process pool. Call it once
-// no fork of the image is being made; the image forks nothing afterwards. A
-// second call does nothing.
-func (img *LoadedImage) Release() { img.l.Release() }
+// Release gives the image's LRU tables and its client checkpoints' TLB
+// arrays back to the process pools. Call it once no fork of the image is
+// being made; the image forks nothing afterwards. A second call does
+// nothing.
+func (img *LoadedImage) Release() {
+	img.l.Release()
+	for i := range img.clients {
+		img.clients[i].Release()
+	}
+	img.clients = nil
+}
 
 // Release gives the LRU tables and the client contexts' TLB arrays back to
 // the process pools. Run does it when it returns; the owner of a Loaded that

@@ -15,10 +15,15 @@ type setAssocState struct {
 	Tick uint64
 }
 
-func (s *setAssoc) checkpointInto(c *setAssocState) {
-	c.Tags = append(c.Tags[:0], s.tags...)
-	c.Age = append(c.Age[:0], s.age...)
+// checkpointInto copies the array's contents into c, on the head of buf, and
+// returns the rest of buf.
+func (s *setAssoc) checkpointInto(c *setAssocState, buf []uint64) []uint64 {
+	n := len(s.tags)
+	c.Tags, c.Age = buf[:n:n], buf[n:2*n:2*n]
+	copy(c.Tags, s.tags)
+	copy(c.Age, s.age)
 	c.Tick = s.tick
+	return buf[2*n:]
 }
 
 func (s *setAssoc) restore(c *setAssocState) {
@@ -29,10 +34,23 @@ func (s *setAssoc) restore(c *setAssocState) {
 
 // TLBCheckpoint captures the full translation hierarchy: resident tags, LRU
 // ages and ticks for both L1 structures and the unified L2, plus the miss
-// counters. The checkpoint of a TLB that has no arrays yet holds none.
+// counters. The checkpoint of a TLB that has no arrays yet holds none. Its
+// arrays are one block from the TLB-array pool, like a TLB's, which Release
+// gives back.
 type TLBCheckpoint struct {
 	L14K, L12M, L2               setAssocState
 	Accesses, L1Misses, L2Misses uint64
+
+	buf []uint64
+}
+
+// Release gives the checkpoint's arrays back to the TLB-array pool; the
+// checkpoint holds none afterwards, like that of a TLB without arrays.
+func (c *TLBCheckpoint) Release() {
+	if c.buf != nil {
+		tlbPool.Put(c.buf)
+	}
+	c.buf, c.L14K, c.L12M, c.L2 = nil, setAssocState{}, setAssocState{}, setAssocState{}
 }
 
 // Checkpoint returns a deep copy of the TLB state.
@@ -42,14 +60,21 @@ func (t *TLB) Checkpoint() *TLBCheckpoint {
 	return c
 }
 
-// CheckpointInto captures the TLB state into c, reusing c's buffers. Any
-// deferred streak bookkeeping is materialized first so the captured arrays
-// and counters are exact.
+// CheckpointInto captures the TLB state into c, reusing c's arrays, or
+// taking them from the TLB-array pool. Any deferred streak bookkeeping is
+// materialized first so the captured arrays and counters are exact.
 func (t *TLB) CheckpointInto(c *TLBCheckpoint) {
 	t.syncStreak()
-	t.l14k.checkpointInto(&c.L14K)
-	t.l12m.checkpointInto(&c.L12M)
-	t.l2.checkpointInto(&c.L2)
+	switch {
+	case t.buf == nil:
+		c.Release()
+	case len(c.buf) != len(t.buf):
+		c.Release()
+		c.buf = takeTLBArrays(len(t.buf), false) // every word is overwritten below
+		fallthrough
+	default:
+		t.l2.checkpointInto(&c.L2, t.l12m.checkpointInto(&c.L12M, t.l14k.checkpointInto(&c.L14K, c.buf)))
+	}
 	c.Accesses, c.L1Misses, c.L2Misses = t.Accesses, t.L1Misses, t.L2Misses
 }
 
@@ -104,6 +129,9 @@ func (x *Ctx) CheckpointInto(c *CtxCheckpoint) {
 	c.PendingFlushes = x.PendingFlushes
 	x.TLB.CheckpointInto(&c.TLB)
 }
+
+// Release gives the checkpoint's TLB arrays back to the TLB-array pool.
+func (c *CtxCheckpoint) Release() { c.TLB.Release() }
 
 // Restore overwrites the context's simulated state from c. The context keeps
 // its own Clock/TLB instances (their contents are overwritten) and its host
