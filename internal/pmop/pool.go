@@ -160,7 +160,7 @@ func (p *Pool) Release() {
 	}
 	p.volatile = nil
 	for i := range v.txSlot {
-		v.txSlot[i].pool = nil
+		v.txSlot[i].pool = nil // the free list keeps no released pool alive
 	}
 	volatiles.Put(v)
 }

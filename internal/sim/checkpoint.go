@@ -65,14 +65,13 @@ func (t *TLB) Checkpoint() *TLBCheckpoint {
 // materialized first so the captured arrays and counters are exact.
 func (t *TLB) CheckpointInto(c *TLBCheckpoint) {
 	t.syncStreak()
-	switch {
-	case t.buf == nil:
+	if t.buf == nil {
 		c.Release()
-	case len(c.buf) != len(t.buf):
-		c.Release()
-		c.buf = takeTLBArrays(len(t.buf), false) // every word is overwritten below
-		fallthrough
-	default:
+	} else {
+		if len(c.buf) != len(t.buf) {
+			c.Release()
+			c.buf = takeTLBArrays(len(t.buf), false) // every word is overwritten below
+		}
 		t.l2.checkpointInto(&c.L2, t.l12m.checkpointInto(&c.L12M, t.l14k.checkpointInto(&c.L14K, c.buf)))
 	}
 	c.Accesses, c.L1Misses, c.L2Misses = t.Accesses, t.L1Misses, t.L2Misses

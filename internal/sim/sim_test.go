@@ -299,7 +299,8 @@ func TestTLBClockCrossesTwoToThe32(t *testing.T) {
 
 // TestTLBArraysOnFirstUse: a TLB holds no arrays until it translates, its
 // checkpoint then holds none either, and restoring such a checkpoint into a
-// TLB that has arrays takes them away again. None of it changes a charge.
+// TLB that has arrays takes them away again. None of it changes a charge. A
+// checkpoint's arrays come from the pool and go back to it on Release.
 func TestTLBArraysOnFirstUse(t *testing.T) {
 	cfg := DefaultConfig()
 	idle, warm := NewTLB(&cfg), NewTLB(&cfg)
@@ -339,6 +340,16 @@ func TestTLBArraysOnFirstUse(t *testing.T) {
 	idle.CheckpointInto(&back)
 	if !reflect.DeepEqual(back, full) {
 		t.Fatal("restore into a TLB without arrays lost state")
+	}
+	// A checkpoint's arrays are one block of the pool, which Release gives
+	// back to the next taker.
+	block := &full.buf[0]
+	full.Release()
+	if full.buf != nil || len(full.L14K.Tags)+len(full.L12M.Tags)+len(full.L2.Tags) != 0 {
+		t.Fatal("a released checkpoint still holds arrays")
+	}
+	if got := takeTLBArrays(idle.words(), false); &got[0] != block {
+		t.Fatal("the next taker did not get the arrays a released checkpoint gave back")
 	}
 }
 
