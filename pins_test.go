@@ -52,8 +52,9 @@ func pinnedOutputs() (keys, lines []string) {
 // crashmatrix and servecrash outputs, and fails on every line whose hash
 // moved. A host-side change must move none; an intentional change of the
 // simulated machine rewrites the manifest with `make pins`, which lists the
-// lines that moved. -short skips it: its 3 s take about a minute under the
-// race detector.
+// lines that moved. -short skips it: the pins do not depend on -short, and
+// its 3 s of campaigns take many times that under the race detector, which
+// `make race` runs with -short.
 func TestPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs both crash campaigns; the pins do not depend on -short")
