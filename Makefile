@@ -22,18 +22,18 @@ fmt:
 # workers, whatever the host has, the crash campaign's golden, oracle and
 # lifetime tests, batch and serving, pools created and reopened on the heap
 # tables and transaction slots other workers' pools released, four forks of
-# one device checkpoint writing copy-on-write, four machines forked from one machine image, two
-# serving runs forked from one loaded shard, and two fig14 cells run twice,
-# the second time on the images, pages and arrays the first gave back. A
-# simulated machine is plain data that one goroutine
+# one device checkpoint writing copy-on-write, four machines forked from one
+# machine image, two serving runs forked from one loaded shard, and two
+# fig14 cells run twice, the second time on the images, pages and arrays the
+# first gave back. A simulated machine is plain data that one goroutine
 # owns (TestOneGoroutinePerMachine keeps a second goroutine off it,
 # TestNoHostSyncInMachine keeps locks and atomics out of it), so the detector
 # watches what is left: what workpool jobs share — a campaign's read-only
 # prefixes, the media pages forks share until they write them, an image's
 # fork count, the page, image, cache-array, TLB-array, epoch-memory,
-# pool-state and latency-histogram free lists, the worker pool itself — and -httpobs, which may read
-# only finished experiments (TestMetricsScrapeDuringRun scrapes /metrics
-# during a run).
+# pool-state and latency-histogram free lists, the worker pool itself — and
+# -httpobs, which may read only finished experiments
+# (TestMetricsScrapeDuringRun scrapes /metrics during a run).
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \

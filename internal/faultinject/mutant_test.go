@@ -10,11 +10,11 @@ import (
 // and runs the batch campaign at make crashmatrix's budget (seed 1, 56 sites,
 // 16 nested) on a setting that exercises the mutated code: the campaign must
 // report a failing schedule or a trial whose recovery cost other simulated
-// cycles than the unmutated campaign's. The settings are the cheapest of those that
-// kill each mutant in the full matrix (EXPERIMENTS.md §7.1). A mutant no
-// setting kills is a hole in the campaign's coverage: it is listed in holes
-// with the reason, and must still survive there, so a campaign that closes
-// the hole moves it to killer.
+// cycles than the unmutated campaign's. The settings are the cheapest of
+// those that kill each mutant in the full matrix (EXPERIMENTS.md §7.1). A
+// mutant no setting kills is a hole in the campaign's coverage: it is listed
+// in holes with the reason, and must still survive there, so a campaign that
+// closes the hole moves it to killer.
 func TestCampaignKillsNamedMutants(t *testing.T) {
 	killer := map[core.Mutant]string{
 		core.MutantNoTombstone:    "LL/1T/sfccd",

@@ -14,7 +14,8 @@ type LatencyRecorder struct {
 }
 
 // latencyHists holds released recorders' histograms, two per pool worker (a
-// crash campaign releases a trial's recorder once it has read the trial).
+// crash campaign releases a serving trial's recorders when the trial
+// returns).
 var latencyHists = workpool.FreeList[*obsv.Histogram]{PerWorker: 2}
 
 // NewLatencyRecorder returns an empty recorder, on the histogram a released
