@@ -61,18 +61,17 @@ crashmatrix: build
 		-nested -max-nested 16 -timeout 2m || exit 1; \
 	echo "crashmatrix wall time: $$(( $$(date +%s) - t0 ))s"
 
-# servecrash is the reduced SERVING-PATH crash campaign: every scheme, a
-# pinned seed, stratified site sampling over the open-loop dispatch phase,
-# nested crash-during-recovery schedules, and per-trial durable-ack
-# validation — the server must resume and every acknowledged SET must read
-# back after recovery. Failures print a `ffccd-crashtest -serve -repro`
-# command that replays bit-identically. It runs the campaign's default volumes
-# (8 clients, 4 000 ops, 800 keys per trial). Prints its wall time like
-# crashmatrix.
+# servecrash is the same campaign over the serving settings, at a budget of
+# its own: every scheme, a pinned seed, stratified site sampling over the
+# open-loop dispatch phase, nested crash-during-recovery schedules, and
+# per-trial durable-ack validation — the server must resume and every
+# acknowledged SET must read back after recovery. It runs the campaign's
+# default volumes (8 clients, 4 000 ops, 800 keys per trial). Prints its wall
+# time like crashmatrix.
 servecrash: build
 	@t0=$$(date +%s); \
-	$(GO) run ./cmd/ffccd-crashtest -serve -seed 1 -max-sites 10 \
-		-nested -max-nested 3 -timeout 2m || exit 1; \
+	$(GO) run ./cmd/ffccd-crashtest -setting serve/none,serve/ffccd,serve/stw,serve/mesh \
+		-seed 1 -max-sites 10 -nested -max-nested 3 -timeout 2m || exit 1; \
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
 # pins rewrites testdata/pins.txt, the SHA-256 of every line crashmatrix and

@@ -9,26 +9,41 @@ import (
 
 const serveLine = `{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`
 
-// TestReproKindReadFromLine: a serving repro line replays with or without
-// -serve (it used to fail as an unknown batch field without it).
+// runPrinting is run with its standard output captured.
+func runPrinting(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = out
+	code := run(args)
+	os.Stdout = old
+	out.Close()
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(printed)
+}
+
+// TestReproKindReadFromLine: a serving repro line replays like a batch one,
+// the kind read from the line, and -flightrec dumps its ring at the crash.
 func TestReproKindReadFromLine(t *testing.T) {
-	for _, args := range [][]string{{"-repro", serveLine}, {"-serve", "-repro", serveLine}} {
-		if code := run(args); code != 0 {
-			t.Errorf("run(%q) = %d, want 0", args, code)
-		}
+	code, printed := runPrinting(t, "-flightrec", "8", "-repro", serveLine)
+	if code != 0 || !strings.Contains(printed, "-- flight recorder at injected crash: serve/ffccd seed 1 --") {
+		t.Errorf("-flightrec 8 -repro <serving line> exited %d and printed %q, want 0 and a flight-recorder dump", code, printed)
 	}
 	if code := run([]string{"-repro", `{"scheme":"ffccd","typo":1}`}); code != 2 {
 		t.Errorf("a malformed repro line exited %d, want 2 (usage)", code)
 	}
 }
 
-// TestUnknownServeSchemeIsUsageError: -scheme is validated like -setting, not
-// reported as a crash-consistency failure with a repro line.
+// TestUnknownServeSchemeIsUsageError: a serving scheme is validated like any
+// setting, not reported as a crash-consistency failure with a repro line.
 func TestUnknownServeSchemeIsUsageError(t *testing.T) {
-	if code := run([]string{"-serve", "-scheme", "bogus"}); code != 2 {
-		t.Errorf("-serve -scheme bogus exited %d, want 2", code)
-	}
-	for _, setting := range []string{"LL/1T/bogus", "LL/100000T/ffccd"} {
+	for _, setting := range []string{"serve/bogus", "LL/1T/bogus", "LL/100000T/ffccd", "LL/1T/ffccd,serve/"} {
 		if code := run([]string{"-setting", setting, "-max-sites", "1"}); code != 2 {
 			t.Errorf("-setting %s exited %d, want 2", setting, code)
 		}
@@ -53,37 +68,37 @@ func TestRandomDriverFlagsAreUsageErrors(t *testing.T) {
 // is refused before the campaign starts — exit 2 and no repro line, not a
 // crash-consistency FAIL.
 func TestServeShardCountIsUsageError(t *testing.T) {
-	for _, shards := range []string{"3000", "0", "-2"} {
-		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := os.Stdout
-		os.Stdout = out
-		code := run([]string{"-serve", "-scheme", "ffccd", "-serve-shards", shards})
-		os.Stdout = old
-		out.Close()
-		printed, err := os.ReadFile(out.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code != 2 || strings.Contains(string(printed), "repro") {
-			t.Errorf("-serve -serve-shards %s exited %d and printed %q, want 2 and no repro line", shards, code, printed)
+	for _, setting := range []string{"serve/3000S/ffccd", "serve/0S/ffccd", "serve/-2S/ffccd"} {
+		code, printed := runPrinting(t, "-setting", setting)
+		if code != 2 || strings.Contains(printed, "repro") {
+			t.Errorf("-setting %s exited %d and printed %q, want 2 and no repro line", setting, code, printed)
 		}
 	}
 }
 
-// TestFlagsOfTheOtherCampaignAreUsageErrors: a flag the chosen campaign would
-// ignore — -scheme or -serve-shards without -serve, -setting with it — exits
-// 2 before any trial instead of running the campaign without it.
-func TestFlagsOfTheOtherCampaignAreUsageErrors(t *testing.T) {
+// TestIgnoredFlagsAreUsageErrors: a flag the run would ignore exits 2 before
+// any trial instead of running without it. A replay reads only -flightrec,
+// and -parallel for a sharded line; the flags of the serving mode that
+// -setting replaced are unknown.
+func TestIgnoredFlagsAreUsageErrors(t *testing.T) {
+	batchLine := `{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`
 	for _, args := range [][]string{
+		{"-setting", "BT/1T/sfccd", "-seed", "9", "-max-sites", "3", "-nested", "-shrink", "-repro", batchLine},
+		{"-seed", "9", "-repro", batchLine},
+		{"-parallel", "2", "-repro", batchLine},
+		{"-parallel", "2", "-repro", serveLine},
+		{"-timeout", "1s", "-repro", serveLine},
+		{"-max-nested", "1", "-repro", serveLine},
+		{"-serve", "-setting", "serve/ffccd", "-max-sites", "1"},
 		{"-scheme", "ffccd", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-serve-shards", "2", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
-		{"-serve", "-scheme", "ffccd", "-setting", "bogus/9T/x", "-max-sites", "1"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("run(%q) = %d, want 2", args, code)
 		}
+	}
+	sharded := `{"scheme":"ffccd","clients":4,"ops":300,"keys":128,"seed":1,"site":-1,"nested":-1,"policy":"drop","salt":0,"shards":2,"shard":0}`
+	if code := run([]string{"-parallel", "2", "-repro", sharded}); code != 0 {
+		t.Errorf("-parallel 2 -repro <sharded line> exited %d, want 0", code)
 	}
 }

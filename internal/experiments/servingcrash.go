@@ -111,10 +111,9 @@ func ServingCrash(o ServingCrashOptions) (ServingCrashResult, error) {
 }
 
 func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashVariant, error) {
-	base := faultinject.NewServeRepro(scheme, servingCrashSeed)
-	base.Shards = o.Shards
+	base := faultinject.NewRepro(faultinject.Setting{Serve: scheme, Shards: o.Shards}, servingCrashSeed).(faultinject.ServeRepro)
 
-	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
+	census, err := base.Run(faultinject.TrialOptions{})
 	if err != nil {
 		return ServingCrashVariant{}, fmt.Errorf("experiments.ServingCrash: %s census: %w", scheme, err)
 	}
@@ -134,7 +133,7 @@ func runServingCrashVariant(scheme string, o ServingCrashOptions) (ServingCrashV
 	for i := range shardSeries {
 		shardSeries[i] = obsv.NewTimeSeries(scheme, servingCrashWindow, 0)
 	}
-	out, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{
+	out, err := armed.Run(faultinject.TrialOptions{
 		Series: func(_ faultinject.ServeRepro, shard int) *obsv.TimeSeries { return shardSeries[shard] },
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ package faultinject
 // replays it bit-identically.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -35,15 +36,12 @@ type CampaignOptions struct {
 	Ops, Clients, Keys int
 	// MaxSites bounds the scheduled sites per campaign; 0 sweeps
 	// exhaustively. Every site class's first occurrence is always kept, so
-	// the real floor is the number of populated classes. For a sharded
-	// campaign the budget is split evenly across shards (minimum one site
-	// per shard).
-	MaxSites int
-	// Shards runs each serving trial as a sharded deployment (0/1 =
-	// unsharded). One census pass yields every shard's site census; each
-	// shard's site space is then swept with that shard as the crash target
+	// the real floor is the number of populated classes. A sharded serving
+	// campaign's census pass yields every shard's site census, and the
+	// budget is split evenly across shards (minimum one site per shard):
+	// each shard's site space is swept with that shard as the crash target
 	// while its siblings keep serving.
-	Shards int
+	MaxSites int
 	// Nested adds crash-during-recovery schedules; MaxNested caps them
 	// (0 = same as the number of first-level sites selected).
 	Nested    bool
@@ -58,8 +56,8 @@ type CampaignOptions struct {
 	Trial TrialOptions
 }
 
-// ServeCampaignOptions is CampaignOptions under the name serving campaigns
-// were configured with.
+// ServeCampaignOptions is CampaignOptions under the name bench/, which is
+// frozen with the benchmark, configures serving campaigns with.
 type ServeCampaignOptions = CampaignOptions
 
 // Failure is one failing schedule with its replay artifact.
@@ -86,9 +84,8 @@ func (f Failure) String() string {
 
 // CampaignOutcome summarises one campaign.
 type CampaignOutcome struct {
-	// Label names what was crashed: a setting ("LL/1T/ffccd") or a serving
-	// scheme ("serve/ffccd").
-	Label string
+	// Setting is what was crashed.
+	Setting Setting
 	// SitesTotal is the census site count (summed over shards when sharded);
 	// Scheduled the trials actually run (first-level + nested, census
 	// excluded).
@@ -114,9 +111,9 @@ type CampaignOutcome struct {
 }
 
 // Summary is the line ffccd-crashtest prints for the campaign, without its
-// wall time: the label, the verdict, the schedule and site counts, the
+// wall time: the setting, the verdict, the schedule and site counts, the
 // digest, and for a serving campaign the sites-per-class coverage.
-func (o CampaignOutcome) Summary(serving bool) string {
+func (o CampaignOutcome) Summary() string {
 	status := "PASS"
 	switch {
 	case o.Skipped:
@@ -125,10 +122,10 @@ func (o CampaignOutcome) Summary(serving bool) string {
 		status = "FAIL"
 	}
 	width, coverage := 22, ""
-	if serving {
+	if o.Setting.Serve != "" {
 		width, coverage = 12, "  coverage: "+o.CoverageString()
 	}
-	return fmt.Sprintf("%-*s %s  %d/%d schedules, %d sites  digest %016x%s", width, o.Label, status, o.Passed,
+	return fmt.Sprintf("%-*s %s  %d/%d schedules, %d sites  digest %016x%s", width, o.Setting, status, o.Passed,
 		o.Scheduled, o.SitesTotal, o.Digest, coverage)
 }
 
@@ -333,37 +330,36 @@ func selectSites(c pmem.SiteCensus, maxSites int) []int64 {
 	return out
 }
 
-// ExploreSetting runs the scheduled-crash campaign for one batch setting.
+// ExploreSetting runs the scheduled-crash campaign of one setting, batch or
+// serving: for a serving one, online crash-recovery-resume trials under
+// open-loop traffic.
 func ExploreSetting(setting Setting, co CampaignOptions) CampaignOutcome {
+	// A volume of 0 or less keeps the default.
 	base := NewRepro(setting, co.Seed)
-	if co.Ops > 0 {
-		base.Ops = co.Ops
+	switch r := base.(type) {
+	case Repro:
+		r.Ops = cmp.Or(max(co.Ops, 0), r.Ops)
+		base = r
+	case ServeRepro:
+		r.Clients = cmp.Or(max(co.Clients, 0), r.Clients)
+		r.Ops = cmp.Or(max(co.Ops, 0), r.Ops)
+		r.Keys = cmp.Or(max(co.Keys, 0), r.Keys)
+		base = r
 	}
-	return new(campaign).explore(setting.String(), base, co)
+	return new(campaign).explore(setting, base, co)
 }
 
-// ExploreServeScheme runs the serving crash campaign for one scheme: online
-// crash-recovery-resume trials under open-loop traffic.
+// ExploreServeScheme is ExploreSetting of the unsharded serving setting of
+// scheme, under the name bench/, which is frozen with the benchmark, calls.
 func ExploreServeScheme(scheme string, co CampaignOptions) CampaignOutcome {
-	base := NewServeRepro(scheme, co.Seed)
-	base.Shards = max(co.Shards, 1)
-	if co.Clients > 0 {
-		base.Clients = co.Clients
-	}
-	if co.Ops > 0 {
-		base.Ops = co.Ops
-	}
-	if co.Keys > 0 {
-		base.Keys = co.Keys
-	}
-	return new(campaign).explore("serve/"+scheme, base, co)
+	return ExploreSetting(Setting{Serve: scheme}, co)
 }
 
-// explore runs the campaign whose census pass is base, then releases its
-// prefixes.
-func (c *campaign) explore(label string, base Schedule, co CampaignOptions) CampaignOutcome {
+// explore runs the campaign of setting whose census pass is base, then
+// releases its prefixes.
+func (c *campaign) explore(setting Setting, base Schedule, co CampaignOptions) CampaignOutcome {
 	defer c.release()
-	out := CampaignOutcome{Label: label}
+	out := CampaignOutcome{Setting: setting}
 
 	// Census pass: count the sites (and verify the no-crash run end to end).
 	// A sharded pass census-arms every shard, so one run yields each shard's

@@ -7,23 +7,24 @@
 // threaded microbenchmarks plus BzTree/FPTree at 1, 2, 4, 8 threads, each
 // under SFCCD and FFCCD) are enumerated by AllSettings.
 //
-// Two drivers put a machine in front of a power failure, and they share
-// everything after it. Each runs its machine on one goroutine — the
-// application threads of an nT setting and the compactor are simulated
-// threads interleaved in a fixed order — so a crash point is an exact
-// crash-site index (see pmem.SiteClass), and every failing schedule replays
-// bit-identically from its Repro line:
+// A Setting names a batch store or a serving deployment of ServeSchemes, and
+// a schedule (Schedule, from NewRepro) names one of its trials: a machine, its
+// traffic and a crash point. There are two kinds of trial machine, and they
+// share everything after the power failure. Each runs its machine on one
+// goroutine — the application threads of an nT setting and the compactor are
+// simulated threads interleaved in a fixed order — so a crash point is an
+// exact crash-site index (see pmem.SiteClass), and every failing schedule
+// replays bit-identically from its repro line (ParseSchedule, Schedule.Run):
 //
-//   - RunScheduled (schedule.go): the batch driver. Its machine is forked
-//     from a prefix built once per campaign (machine.go): the trials of a
-//     campaign differ only after the store is built. Optionally a second
-//     crash fires inside recovery.
-//   - RunServeScheduled (servesched.go): the same for a machine under
-//     open-loop serving traffic (redisws.Serve), which recovers online,
-//     validates every acknowledged write and resumes serving. Its machines
-//     and their loaded serving state are forked from prefixes loaded once
-//     per campaign (redisws.Load): the trials differ only once dispatch
-//     begins.
+//   - Repro (schedule.go): a batch trial. Its machine is forked from a
+//     prefix built once per campaign (machine.go): the trials of a campaign
+//     differ only after the store is built. Optionally a second crash fires
+//     inside recovery.
+//   - ServeRepro (servesched.go): the same for a machine under open-loop
+//     serving traffic (redisws.Serve), which recovers online, validates every
+//     acknowledged write and resumes serving. Its machines and their loaded
+//     serving state are forked from prefixes loaded once per campaign
+//     (redisws.Load): the trials differ only once dispatch begins.
 //
 // Every machine is a machine.Machine: the batch driver builds its own
 // (machine.go, with the churner), the serving driver builds them with
@@ -34,8 +35,9 @@
 // recovery), the store reopened, and the two-step checker on a context that
 // bills nothing.
 //
-// One campaign (campaign.go) sweeps or samples the site space of any Schedule
-// and one shrinker (shrink.go) minimizes failures into repro artifacts.
+// One campaign (ExploreSetting, campaign.go) sweeps or samples the site space
+// of any setting and one shrinker (shrink.go) minimizes failures into repro
+// artifacts.
 package faultinject
 
 import (
@@ -48,6 +50,7 @@ import (
 	"ffccd/internal/machine"
 	"ffccd/internal/obsv"
 	"ffccd/internal/pmop"
+	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
 )
 
@@ -55,11 +58,12 @@ import (
 // Options travel by value with each campaign, so concurrent campaigns with
 // different settings never race.
 type TrialOptions struct {
-	// Obs, when non-nil, supplies a fresh observability bundle per batch
-	// trial. An injected crash fires the bundle's OnCrash hook
-	// (flight-recorder dump) at the fault, before recovery runs. Tracing reads
-	// simulated clocks but never charges them, so trial outcomes are
-	// unaffected.
+	// Obs, when non-nil, supplies a fresh observability bundle per trial,
+	// installed on the machine that can lose power (a serving trial's
+	// crash-target shard): its engine, its device and its recovery. An
+	// injected crash fires the bundle's OnCrash hook (flight-recorder dump)
+	// at the fault, before recovery runs. Tracing reads simulated clocks but
+	// never charges them, so trial outcomes are unaffected.
 	Obs func(setting Setting, seed int64) *obsv.Obs
 
 	// AfterRecovery, when non-nil, runs after recovery completes and the
@@ -75,47 +79,74 @@ type TrialOptions struct {
 	Series func(rep ServeRepro, shard int) *obsv.TimeSeries
 }
 
-// Setting is one validation configuration.
+// Setting is one validation configuration: a batch store with its
+// application threads under a defragmentation scheme ("BzTree/4T/ffccd"), or a
+// serving deployment of one of ServeSchemes ("serve/ffccd"; sharded across N
+// machines, "serve/4S/ffccd").
 type Setting struct {
 	Store   string
 	Threads int
 	Scheme  core.Scheme
+	// Serve is a serving setting's scheme, "" for a batch one. It is a name,
+	// not a core.Scheme: Mesh has none. Shards is a serving setting's
+	// machine count (0 or 1: unsharded).
+	Serve  string
+	Shards int
 }
 
 func (s Setting) String() string {
-	return fmt.Sprintf("%s/%dT/%s", s.Store, s.Threads, s.Scheme)
+	switch {
+	case s.Serve == "":
+		return fmt.Sprintf("%s/%dT/%s", s.Store, s.Threads, s.Scheme)
+	case s.Shards > 1:
+		return fmt.Sprintf("serve/%dS/%s", s.Shards, s.Serve)
+	}
+	return "serve/" + s.Serve
 }
 
 // maxThreads is the largest thread count of a setting, the largest AllSettings
 // runs.
 const maxThreads = 8
 
-// ParseSetting parses the String form ("BzTree/4T/ffccd") back into a
-// Setting — the format repro artifacts carry. Thread counts run from 1 to
-// maxThreads.
+// ParseSetting parses the String form ("BzTree/4T/ffccd", "serve/4S/ffccd")
+// back into a Setting — the form the CLI and repro artifacts carry. Thread
+// counts run from 1 to maxThreads; a shard count must give every shard of the
+// default keyspace a key.
 func ParseSetting(str string) (Setting, error) {
+	var s Setting
+	bad := func(what string) (Setting, error) { return s, fmt.Errorf("faultinject: %s in setting %q", what, str) }
 	parts := strings.Split(str, "/")
-	if len(parts) != 3 {
-		return Setting{}, fmt.Errorf("faultinject: bad setting %q", str)
-	}
-	s := Setting{Store: parts[0]}
-	if !slices.Contains(MicroStores, s.Store) && !slices.Contains(ConcurrentStores, s.Store) {
-		return s, fmt.Errorf("faultinject: unknown store %q in %q", s.Store, str)
-	}
-	if _, err := fmt.Sscanf(parts[1], "%dT", &s.Threads); err != nil || s.Threads < 1 || s.Threads > maxThreads {
-		return s, fmt.Errorf("faultinject: bad thread count in %q", str)
-	}
-	for _, sc := range []core.Scheme{core.SchemeNone, core.SchemeEspresso,
-		core.SchemeSFCCD, core.SchemeFFCCD, core.SchemeFFCCDCheckLookup} {
-		if sc.String() == parts[2] {
-			s.Scheme = sc
-			if s.String() != str {
-				return s, fmt.Errorf("faultinject: bad setting %q", str)
+	if parts[0] == "serve" {
+		if s.Serve = parts[len(parts)-1]; len(parts) == 3 {
+			if _, err := fmt.Sscanf(parts[1], "%dS", &s.Shards); err != nil {
+				return bad("bad shard count")
 			}
-			return s, nil
 		}
+		if !slices.Contains(ServeSchemes, s.Serve) {
+			return bad("unknown serving scheme")
+		}
+		if _, err := redisws.ShardKeys(DefaultServeKeys, max(s.Shards, 1)); err != nil {
+			return bad(err.Error())
+		}
+	} else if len(parts) == 3 {
+		s.Store = parts[0]
+		if !slices.Contains(MicroStores, s.Store) && !slices.Contains(ConcurrentStores, s.Store) {
+			return bad("unknown store")
+		}
+		if _, err := fmt.Sscanf(parts[1], "%dT", &s.Threads); err != nil || s.Threads < 1 || s.Threads > maxThreads {
+			return bad("bad thread count")
+		}
+		schemes := []core.Scheme{core.SchemeNone, core.SchemeEspresso, core.SchemeSFCCD, core.SchemeFFCCD, core.SchemeFFCCDCheckLookup}
+		i := slices.IndexFunc(schemes, func(sc core.Scheme) bool { return sc.String() == parts[2] })
+		if i < 0 {
+			return bad("unknown scheme")
+		}
+		s.Scheme = schemes[i]
 	}
-	return s, fmt.Errorf("faultinject: unknown scheme %q in %q", parts[2], str)
+	if s.String() != str {
+		return bad("no canonical form")
+	}
+	return s, nil
 }
 
 // MicroStores are the five single-threaded microbenchmarks.
@@ -129,11 +160,11 @@ func AllSettings() []Setting {
 	var out []Setting
 	for _, scheme := range []core.Scheme{core.SchemeSFCCD, core.SchemeFFCCD} {
 		for _, st := range MicroStores {
-			out = append(out, Setting{st, 1, scheme})
+			out = append(out, Setting{Store: st, Threads: 1, Scheme: scheme})
 		}
 		for _, st := range ConcurrentStores {
 			for _, th := range []int{1, 2, 4, maxThreads} {
-				out = append(out, Setting{st, th, scheme})
+				out = append(out, Setting{Store: st, Threads: th, Scheme: scheme})
 			}
 		}
 	}

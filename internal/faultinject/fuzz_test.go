@@ -33,6 +33,9 @@ func FuzzParseSchedule(f *testing.F) {
 		`{"setting":"LL/1T/ffccd"} trailing`,
 		"LL/0T/ffccd", "LL/9T/ffccd", "LL/100000T/ffccd", "LL/1T/", "//", "LL/+1T/ffccd", "LL/1T/ffccd/extra", "SS/1T/none",
 		"", "{", "null", "[]", `"x"`, "7",
+		// Serving settings, and a batch line that names one.
+		"serve/ffccd", "serve/4S/stw", "serve/1S/ffccd", "serve/0S/ffccd", "serve/3000S/ffccd", "serve/", "serve/4S",
+		`{"setting":"serve/ffccd"}`,
 	} {
 		f.Add(seed)
 	}

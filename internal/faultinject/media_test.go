@@ -46,12 +46,14 @@ func TestReproHashesPinned(t *testing.T) {
 			0xf47dbdb12e3fbf2e, 0x5891cd118c984885},
 		{`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
 			0x22fc2a729207472e, 0x797d1598964c38},
+		{`{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`,
+			0x4e8a92ebb88ae1eb, 0x173759f358a139dd},
 	} {
-		rep, err := faultinject.ParseRepro(tc.line)
+		rep, err := faultinject.ParseSchedule(tc.line)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+		res, err := rep.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.line, err)
 		}
@@ -59,20 +61,6 @@ func TestReproHashesPinned(t *testing.T) {
 			t.Errorf("%s:\n  post_crash_hash=%#x final_hash=%#x, pinned %#x / %#x",
 				tc.line, res.PostCrashHash, res.FinalHash, tc.post, tc.final)
 		}
-	}
-
-	const serveLine = `{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`
-	srep, err := faultinject.ParseServeRepro(serveLine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := faultinject.RunServeScheduled(srep, faultinject.TrialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.PostCrashHash != 0x4e8a92ebb88ae1eb || sres.FinalHash != 0x173759f358a139dd {
-		t.Errorf("%s:\n  post_crash_hash=%#x final_hash=%#x, pinned 0x4e8a92ebb88ae1eb / 0x173759f358a139dd",
-			serveLine, sres.PostCrashHash, sres.FinalHash)
 	}
 }
 
@@ -86,16 +74,16 @@ func TestReproHashesPinned(t *testing.T) {
 // TestForkedTrialMaterialisesOnlyItsWrites.
 func TestTrialMediaReleasedAndRecycled(t *testing.T) {
 	var batchDev, serveDev *pmem.Device
-	rep := faultinject.NewRepro(ffccdSetting(), 3)
+	rep := faultinject.NewRepro(ffccdSetting(), 3).(faultinject.Repro)
 	rep.Site = 40
-	if _, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{
+	if _, err := rep.Run(faultinject.TrialOptions{
 		AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool, _ ds.Store) { batchDev = p.Device() },
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srep := faultinject.NewServeRepro("ffccd", 3)
+	srep := faultinject.NewRepro(faultinject.Setting{Serve: "ffccd"}, 3).(faultinject.ServeRepro)
 	srep.Clients, srep.Ops, srep.Keys, srep.Site = 4, 1200, 400, 700
-	sres, err := faultinject.RunServeScheduled(srep, faultinject.TrialOptions{
+	sres, err := srep.Run(faultinject.TrialOptions{
 		AfterRecovery: func(_ *sim.Ctx, p *pmop.Pool, _ ds.Store) { serveDev = p.Device() },
 	})
 	if err != nil {
@@ -122,7 +110,7 @@ func TestTrialMediaReleasedAndRecycled(t *testing.T) {
 
 	// A serving campaign too: its census pass builds and releases the loaded
 	// machine, and every trial forks it.
-	sout := faultinject.ExploreServeScheme("ffccd", faultinject.CampaignOptions{
+	sout := faultinject.ExploreSetting(faultinject.Setting{Serve: "ffccd"}, faultinject.CampaignOptions{
 		Seed: 7, Clients: 4, Ops: 1200, Keys: 400, MaxSites: 10, Nested: true, MaxNested: 4,
 	})
 	if sout.Scheduled < 10 || sout.Passed != sout.Scheduled {

@@ -25,8 +25,8 @@ func TestPooledTrialsMatchSerial(t *testing.T) {
 		}
 		return cp
 	}
-	for _, s := range []Setting{{"LL", 1, core.SchemeFFCCD}, {"BzTree", 2, core.SchemeSFCCD}, {"SS", 1, core.SchemeSFCCD}} {
-		base := NewRepro(s, 5)
+	for _, s := range []Setting{{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, {Store: "BzTree", Threads: 2, Scheme: core.SchemeSFCCD}, {Store: "SS", Threads: 1, Scheme: core.SchemeSFCCD}} {
+		base := NewRepro(s, 5).(Repro)
 		census, err := c.runScheduled(base, TrialOptions{})
 		if err != nil || !census.Began {
 			t.Fatalf("%s census: began=%v err=%v", s, census.Began, err)
@@ -36,7 +36,7 @@ func TestPooledTrialsMatchSerial(t *testing.T) {
 		}
 	}
 	for _, scheme := range []string{"ffccd", "stw"} {
-		base := NewServeRepro(scheme, 5)
+		base := NewRepro(Setting{Serve: scheme}, 5).(ServeRepro)
 		base.Clients, base.Ops, base.Keys = 4, 600, 200
 		census, err := c.runServe(base, TrialOptions{})
 		if err != nil {

@@ -1,7 +1,7 @@
 package faultinject
 
 // A forked trial against the same driver on a machine of its own.
-// scratchRunScheduled runs a schedule the way RunScheduled does, on a machine
+// scratchRunScheduled runs a schedule the way Repro.Run does, on a machine
 // built in place (buildTrial) instead of forked from a campaign's prefix, as
 // the oracle: whatever a schedule names, the forked trial must report what
 // this one does.
@@ -124,9 +124,11 @@ func same(t *testing.T, rep Schedule, what string, got, want any) {
 
 func TestForkedTrialMatchesScratch(t *testing.T) {
 	settings := []Setting{
-		{"LL", 1, core.SchemeFFCCD}, {"AVL", 1, core.SchemeSFCCD}, {"SS", 1, core.SchemeFFCCD},
-		{"BT", 1, core.SchemeSFCCD}, {"RBT", 1, core.SchemeFFCCD}, {"BzTree", 1, core.SchemeSFCCD},
-		{"FPTree", 2, core.SchemeFFCCD}, {"BzTree", 4, core.SchemeFFCCD}, {"FPTree", 4, core.SchemeSFCCD},
+		{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, {Store: "AVL", Threads: 1, Scheme: core.SchemeSFCCD},
+		{Store: "SS", Threads: 1, Scheme: core.SchemeFFCCD}, {Store: "BT", Threads: 1, Scheme: core.SchemeSFCCD},
+		{Store: "RBT", Threads: 1, Scheme: core.SchemeFFCCD}, {Store: "BzTree", Threads: 1, Scheme: core.SchemeSFCCD},
+		{Store: "FPTree", Threads: 2, Scheme: core.SchemeFFCCD}, {Store: "BzTree", Threads: 4, Scheme: core.SchemeFFCCD},
+		{Store: "FPTree", Threads: 4, Scheme: core.SchemeSFCCD},
 	}
 	campaigns := 18
 	if testing.Short() {
@@ -136,7 +138,7 @@ func TestForkedTrialMatchesScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	lines, crashed, nested := 0, 0, 0
 	for i := 0; i < campaigns; i++ {
-		base := NewRepro(settings[i%len(settings)], r.Int63n(1<<40))
+		base := NewRepro(settings[i%len(settings)], r.Int63n(1<<40)).(Repro)
 		base.Ops, base.TailOps = 80+r.Intn(320), r.Intn(40)
 		c := new(campaign)
 		var censusDriver, wantDriver ctxProbe
@@ -191,7 +193,7 @@ func TestForkedTrialMatchesScratch(t *testing.T) {
 // What a trial's Result and probe cannot see of the fork point itself: a forked
 // machine against one built in place, state by state.
 func TestForkReproducesTheBuiltMachine(t *testing.T) {
-	for _, setting := range []Setting{{"LL", 1, core.SchemeFFCCD}, {"SS", 1, core.SchemeSFCCD}, {"BzTree", 4, core.SchemeFFCCD}} {
+	for _, setting := range []Setting{{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, {Store: "SS", Threads: 1, Scheme: core.SchemeSFCCD}, {Store: "BzTree", Threads: 4, Scheme: core.SchemeFFCCD}} {
 		const seed, ops = 5, 150
 		built, churn, err := buildTrial(setting, seed, ops)
 		if err != nil {
@@ -235,7 +237,7 @@ func TestForkReproducesTheBuiltMachine(t *testing.T) {
 // finds nothing in flight: an inherited clwb count would make it stall a full
 // PM write there.
 func TestRecoveryInheritsNothingFromTheDriver(t *testing.T) {
-	base := NewRepro(Setting{"LL", 1, core.SchemeFFCCD}, 11)
+	base := NewRepro(Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 11).(Repro)
 	census, err := scratchRunScheduled(base, TrialOptions{}, nil)
 	if err != nil || !census.Began {
 		t.Fatalf("census: began=%v err=%v", census.Began, err)
@@ -267,8 +269,8 @@ func TestRecoveryInheritsNothingFromTheDriver(t *testing.T) {
 // schedule naming another machine gets that machine's verdict, not the error.
 func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 	c := new(campaign)
-	setting := Setting{"LL", 1, core.SchemeFFCCD}
-	base := NewRepro(setting, 1)
+	setting := Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}
+	base := NewRepro(setting, 1).(Repro)
 	builds := 0
 	buildErr := errors.New("planted prefix build failure")
 	for range 2 {
@@ -297,7 +299,7 @@ func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 	}
 	// In a campaign proper the census pass meets the error, and it is the
 	// campaign's one failure.
-	out := c.explore("poisoned", base, CampaignOptions{})
+	out := c.explore(setting, base, CampaignOptions{})
 	if len(out.Failures) != 1 || out.Failures[0].Err != buildErr.Error() || out.Scheduled != 0 {
 		t.Errorf("campaign on a failed build: %+v", out)
 	}
@@ -312,7 +314,7 @@ func TestPrefixBuildErrorReachesEveryTrial(t *testing.T) {
 // the campaign's: it gets the machine its own line names.
 func TestCampaignRunsAnotherMachinesScheduleOnItsOwn(t *testing.T) {
 	c := new(campaign)
-	mine := NewRepro(Setting{"LL", 1, core.SchemeFFCCD}, 4)
+	mine := NewRepro(Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 4).(Repro)
 	mine.Ops = 100
 	if _, err := c.runScheduled(mine, TrialOptions{}); err != nil {
 		t.Fatal(err)
@@ -326,7 +328,7 @@ func TestCampaignRunsAnotherMachinesScheduleOnItsOwn(t *testing.T) {
 		want, werr := scratchRunScheduled(other, TrialOptions{}, nil)
 		sameTrial(t, other, got, gerr, want, werr)
 	}
-	if _, ok := c.batch[batchMachine{Setting{"LL", 1, core.SchemeFFCCD}, mine.Seed, mine.Ops}]; !ok || len(c.batch) != 4 {
+	if _, ok := c.batch[batchMachine{Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, mine.Seed, mine.Ops}]; !ok || len(c.batch) != 4 {
 		t.Errorf("%d prefixes for 4 machines, the campaign's own among them: %v", len(c.batch), ok)
 	}
 }
@@ -337,11 +339,11 @@ func TestCampaignRunsAnotherMachinesScheduleOnItsOwn(t *testing.T) {
 func TestCampaignLeavesNoPrefixBehind(t *testing.T) {
 	co := CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Nested: true, MaxNested: 1}
 	run := func(freed *atomic.Int32) {
-		for _, setting := range []Setting{{"LL", 1, core.SchemeFFCCD}, {"FPTree", 2, core.SchemeSFCCD}} {
+		for _, setting := range []Setting{{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, {Store: "FPTree", Threads: 2, Scheme: core.SchemeSFCCD}} {
 			c := new(campaign)
-			base := NewRepro(setting, co.Seed)
+			base := NewRepro(setting, co.Seed).(Repro)
 			base.Ops = co.Ops
-			out := c.explore(setting.String(), base, co)
+			out := c.explore(setting, base, co)
 			if len(out.Failures) > 0 || out.Scheduled == 0 {
 				t.Fatalf("%s: %+v", setting, out)
 			}
@@ -405,12 +407,12 @@ func TestForkedTrialMaterialisesOnlyItsWrites(t *testing.T) {
 		written += w
 	}
 	c := new(campaign)
-	base := NewRepro(Setting{"LL", 1, core.SchemeFFCCD}, 11)
+	base := NewRepro(Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 11).(Repro)
 	census, err := c.runScheduled(base, TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := c.prefixOf(Setting{"LL", 1, core.SchemeFFCCD}, base.Seed, base.Ops)
+	pre, err := c.prefixOf(Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, base.Seed, base.Ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +428,7 @@ func TestForkedTrialMaterialisesOnlyItsWrites(t *testing.T) {
 		})
 	}
 
-	srep := NewServeRepro("ffccd", 3)
+	srep := NewRepro(Setting{Serve: "ffccd"}, 3).(ServeRepro)
 	srep.Clients, srep.Ops, srep.Keys = 4, 1200, 400
 	if _, err := c.runServe(srep, TrialOptions{}); err != nil {
 		t.Fatal(err)
@@ -489,7 +491,7 @@ const (
 func TestTrialAllocBudget(t *testing.T) {
 	const trials = 20
 	c := new(campaign)
-	base := NewRepro(Setting{"LL", 1, core.SchemeFFCCD}, 11)
+	base := NewRepro(Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, 11).(Repro)
 	census, err := c.runScheduled(base, TrialOptions{})
 	if err != nil || !census.Began {
 		t.Fatalf("census: began=%v err=%v", census.Began, err)
@@ -527,12 +529,12 @@ func TestValueTablesStayUnwritten(t *testing.T) {
 	}
 	before := hash()
 	co := CampaignOptions{Seed: 3, MaxSites: 4, Nested: true, MaxNested: 1}
-	batch := ExploreSetting(Setting{"BzTree", 2, core.SchemeFFCCD}, co)
+	batch := ExploreSetting(Setting{Store: "BzTree", Threads: 2, Scheme: core.SchemeFFCCD}, co)
 	co.Clients, co.Ops, co.Keys = 4, 600, 200
-	serve := ExploreServeScheme("ffccd", co)
+	serve := ExploreSetting(Setting{Serve: "ffccd"}, co)
 	for _, out := range []CampaignOutcome{batch, serve} {
 		if out.Skipped || out.Scheduled == 0 || len(out.Failures) > 0 {
-			t.Fatalf("%s: skipped=%v, %d scheduled, failures: %+v", out.Label, out.Skipped, out.Scheduled, out.Failures)
+			t.Fatalf("%s: skipped=%v, %d scheduled, failures: %+v", out.Setting, out.Skipped, out.Scheduled, out.Failures)
 		}
 	}
 	if after := hash(); after != before {
@@ -544,7 +546,7 @@ func TestValueTablesStayUnwritten(t *testing.T) {
 // batch setting, per trial: the census pass (which builds the prefix), the
 // first-level crashes and a nested one.
 func BenchmarkCampaignTrial(b *testing.B) {
-	setting := Setting{"LL", 1, core.SchemeFFCCD}
+	setting := Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}
 	co := CampaignOptions{Seed: 11, MaxSites: 3, Nested: true, MaxNested: 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -569,10 +571,11 @@ func TestCampaignsReturnTheirPages(t *testing.T) {
 		run  func() CampaignOutcome
 	}{
 		{"LL/1T/ffccd", func() CampaignOutcome {
-			return ExploreSetting(Setting{"LL", 1, core.SchemeFFCCD}, CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Nested: true, MaxNested: 1})
+			return ExploreSetting(Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}, CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Nested: true, MaxNested: 1})
 		}},
 		{"serve/ffccd, 2 shards", func() CampaignOutcome {
-			return ExploreServeScheme("ffccd", CampaignOptions{Seed: 3, Clients: 4, Ops: 600, Keys: 256, Shards: 2, MaxSites: 4, Nested: true, MaxNested: 1})
+			return ExploreSetting(Setting{Serve: "ffccd", Shards: 2},
+				CampaignOptions{Seed: 3, Clients: 4, Ops: 600, Keys: 256, MaxSites: 4, Nested: true, MaxNested: 1})
 		}},
 	} {
 		taken, returned := pmem.MaterializedPages(), pmem.ReturnedPages()
@@ -592,7 +595,7 @@ func TestHungCampaignKeepsItsPrefixes(t *testing.T) {
 	block := make(chan struct{}) // never closed: the abandoned trial keeps its fork for good
 	forked := make(chan struct{})
 	var calls atomic.Int32
-	setting := Setting{"LL", 1, core.SchemeFFCCD}
+	setting := Setting{Store: "LL", Threads: 1, Scheme: core.SchemeFFCCD}
 	co := CampaignOptions{Seed: 3, Ops: 120, MaxSites: 4, Timeout: 100 * time.Millisecond,
 		Trial: TrialOptions{Obs: func(Setting, int64) *obsv.Obs {
 			if calls.Add(1) == 1 {
@@ -601,10 +604,10 @@ func TestHungCampaignKeepsItsPrefixes(t *testing.T) {
 			}
 			return nil
 		}}}
-	base := NewRepro(setting, co.Seed)
+	base := NewRepro(setting, co.Seed).(Repro)
 	base.Ops = co.Ops
 	c := new(campaign)
-	out := c.explore(setting.String(), base, co)
+	out := c.explore(setting, base, co)
 	if len(out.Failures) != 1 || !out.Failures[0].Hung {
 		t.Fatalf("the blocked census is not the campaign's one hung failure: %+v", out.Failures)
 	}

@@ -29,8 +29,8 @@ func plantPhaseCorruption(ctx *sim.Ctx, p *pmop.Pool, _ ds.Store) {
 }
 
 func TestScheduledTrialDeterministic(t *testing.T) {
-	rep := faultinject.NewRepro(ffccdSetting(), 3)
-	census, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+	rep := faultinject.NewRepro(ffccdSetting(), 3).(faultinject.Repro)
+	census, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestScheduledTrialDeterministic(t *testing.T) {
 	rep.Site = int64(census.Census.Total) / 2
 	rep.Policy = faultinject.PolicySalt
 	rep.Salt = 0xfeed
-	a, errA := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
-	b, errB := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+	a, errA := rep.Run(faultinject.TrialOptions{})
+	b, errB := rep.Run(faultinject.TrialOptions{})
 	if errA != nil || errB != nil {
 		t.Fatalf("scheduled runs failed: %v / %v", errA, errB)
 	}
@@ -65,8 +65,8 @@ func TestScheduledTrialDeterministic(t *testing.T) {
 func TestSiteClassCoverage(t *testing.T) {
 	// The census of one FFCCD trial must contain every compaction-side site
 	// class; a crash's recovery census must contain recovery steps.
-	rep := faultinject.NewRepro(ffccdSetting(), 1)
-	res, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+	rep := faultinject.NewRepro(ffccdSetting(), 1).(faultinject.Repro)
+	res, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSiteClassCoverage(t *testing.T) {
 		}
 	}
 	rep.Site = int64(res.Census.Total) / 2
-	crashed, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+	crashed, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestGoldenUnaffectedByDisarmedSites(t *testing.T) {
 	// With no schedule armed the site hooks must not perturb the machine:
 	// two plain trials and one scheduled census of the same seed must agree
 	// on the final media image.
-	rep := faultinject.NewRepro(ffccdSetting(), 11)
-	a, errA := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
-	b, errB := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+	rep := faultinject.NewRepro(ffccdSetting(), 11).(faultinject.Repro)
+	a, errA := rep.Run(faultinject.TrialOptions{})
+	b, errB := rep.Run(faultinject.TrialOptions{})
 	if errA != nil || errB != nil {
 		t.Fatalf("census runs failed: %v / %v", errA, errB)
 	}
@@ -133,15 +133,15 @@ func TestSyntheticFailureReproReplaysBitIdentically(t *testing.T) {
 	}
 
 	line := f.Repro.MarshalLine()
-	parsed, err := faultinject.ParseRepro(line)
+	parsed, err := faultinject.ParseSchedule(line)
 	if err != nil {
 		t.Fatalf("emitted repro line does not parse: %v", err)
 	}
 	if parsed != f.Repro {
 		t.Fatalf("repro round trip drifted: %+v vs %+v", parsed, f.Repro)
 	}
-	r1, err1 := faultinject.RunScheduled(parsed, opts)
-	r2, err2 := faultinject.RunScheduled(parsed, opts)
+	r1, err1 := parsed.Run(opts)
+	r2, err2 := parsed.Run(opts)
 	if err1 == nil || err2 == nil {
 		t.Fatalf("replay did not reproduce the failure: %v / %v", err1, err2)
 	}
@@ -155,13 +155,13 @@ func TestSyntheticFailureReproReplaysBitIdentically(t *testing.T) {
 
 func TestShrinkFindsSmallerFailingSchedule(t *testing.T) {
 	opts := faultinject.TrialOptions{AfterRecovery: plantPhaseCorruption}
-	rep := faultinject.NewRepro(ffccdSetting(), 5)
-	census, err := faultinject.RunScheduled(rep, opts)
+	rep := faultinject.NewRepro(ffccdSetting(), 5).(faultinject.Repro)
+	census, err := rep.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.Site = int64(census.Census.Total) / 2
-	if _, err := faultinject.RunScheduled(rep, opts); err == nil {
+	if _, err := rep.Run(opts); err == nil {
 		t.Fatal("seed schedule unexpectedly passes")
 	}
 	shrunk, ok := faultinject.Shrink(rep, opts, 0, faultinject.ShrinkBudget)
@@ -172,7 +172,7 @@ func TestShrinkFindsSmallerFailingSchedule(t *testing.T) {
 	if min.Ops > rep.Ops || min.Site > rep.Site {
 		t.Fatalf("shrunk schedule is not smaller: %+v vs %+v", min, rep)
 	}
-	if _, err := faultinject.RunScheduled(min, opts); err == nil {
+	if _, err := min.Run(opts); err == nil {
 		t.Fatalf("shrunk schedule does not fail: %+v", min)
 	}
 }
@@ -258,8 +258,8 @@ func TestNestedCrashAllSettings(t *testing.T) {
 				}
 				hashed++
 			}}
-			rep := faultinject.NewRepro(s, 9)
-			census, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+			rep := faultinject.NewRepro(s, 9).(faultinject.Repro)
+			census, err := rep.Run(faultinject.TrialOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestNestedCrashAllSettings(t *testing.T) {
 				t.Fatal("no epoch opened")
 			}
 			rep.Site = int64(census.Census.Total) / 2
-			first, err := faultinject.RunScheduled(rep, checkHash)
+			first, err := rep.Run(checkHash)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestNestedCrashAllSettings(t *testing.T) {
 				t.Fatal("recovery exposed no crash sites")
 			}
 			rep.Nested = int64(first.RecoveryCensus.Total) / 2
-			nested, err := faultinject.RunScheduled(rep, checkHash)
+			nested, err := rep.Run(checkHash)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,11 @@ func TestNestedCrashAllSettings(t *testing.T) {
 }
 
 func TestParseSettingRoundTrip(t *testing.T) {
-	for _, s := range faultinject.AllSettings() {
+	settings := append(faultinject.AllSettings(), faultinject.Setting{Serve: "stw", Shards: 4})
+	for _, scheme := range faultinject.ServeSchemes {
+		settings = append(settings, faultinject.Setting{Serve: scheme})
+	}
+	for _, s := range settings {
 		got, err := faultinject.ParseSetting(s.String())
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -302,8 +306,17 @@ func TestParseSettingRoundTrip(t *testing.T) {
 			t.Fatalf("round trip drifted: %+v vs %+v", got, s)
 		}
 	}
+	for _, name := range []string{"serve/ffccd", "serve/4S/stw"} {
+		if s, err := faultinject.ParseSetting(name); err != nil || s.String() != name {
+			t.Errorf("ParseSetting(%q) = %v, %v", name, s, err)
+		}
+	}
 	for _, bad := range []string{"", "LL", "LL/1T", "LL/xT/ffccd", "LL/0T/ffccd",
-		"LL/1T/bogus", "LL/1T/ffccd/extra", "ll/1T/ffccd"} {
+		"LL/1T/bogus", "LL/1T/ffccd/extra", "ll/1T/ffccd",
+		// The canonical unsharded form has no shard count, and 3000 shards
+		// leave some of the default keyspace's shards without a key.
+		"serve/", "serve/bogus", "serve/1S/ffccd", "serve/0S/ffccd", "serve/3000S/ffccd",
+		"serve/4S", "serve/4S/ffccd/extra", "serve/xS/ffccd"} {
 		if _, err := faultinject.ParseSetting(bad); err == nil {
 			t.Errorf("ParseSetting(%q) accepted", bad)
 		}
@@ -312,7 +325,7 @@ func TestParseSettingRoundTrip(t *testing.T) {
 
 func TestParseReproRejectsGarbage(t *testing.T) {
 	good := faultinject.NewRepro(ffccdSetting(), 1).MarshalLine()
-	if _, err := faultinject.ParseRepro(good); err != nil {
+	if _, err := faultinject.ParseSchedule(good); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{
@@ -320,10 +333,11 @@ func TestParseReproRejectsGarbage(t *testing.T) {
 		"{",
 		`{"setting":"LL/1T/ffccd","seed":1,"ops":1,"tail_ops":0,"site":-1,"nested":-1,"policy":"bogus","salt":0}`,
 		`{"setting":"nope","seed":1,"ops":1,"tail_ops":0,"site":-1,"nested":-1,"policy":"drop","salt":0}`,
+		`{"setting":"serve/ffccd","seed":1,"ops":1,"tail_ops":0,"site":-1,"nested":-1,"policy":"drop","salt":0}`,
 		`{"setting":"LL/1T/ffccd","seed":1,"typo_field":3}`,
 	} {
-		if _, err := faultinject.ParseRepro(bad); err == nil {
-			t.Errorf("ParseRepro(%q) accepted", bad)
+		if _, err := faultinject.ParseSchedule(bad); err == nil {
+			t.Errorf("ParseSchedule(%q) accepted", bad)
 		}
 	}
 }

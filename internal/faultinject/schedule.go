@@ -1,12 +1,13 @@
 package faultinject
 
 // Deterministic crash schedules. A schedule is a plain value — a batch Repro
-// or a serving ServeRepro — that names a machine, its traffic and a crash
-// point, and whose one-line JSON form is the bug report: running it is a pure
-// function of that line, so the same line produces the same site census, the
-// same crash, the same post-crash media image and the same verdict on every
-// run. The campaign, the watchdog, the shrinker and the CLI see schedules only
-// through the Schedule interface.
+// or a serving ServeRepro, as NewRepro returns for a setting of either kind —
+// that names a machine, its traffic and a crash point, and whose one-line JSON
+// form is the bug report: running it is a pure function of that line, so the
+// same line produces the same site census, the same crash, the same
+// post-crash media image and the same verdict on every run. The campaign, the
+// watchdog, the shrinker and the CLI see schedules only through the Schedule
+// interface.
 //
 // Site = -1 runs the trial to completion, counting sites (the census pass a
 // campaign uses to enumerate the schedule space). Site >= 0 fires a power
@@ -74,8 +75,10 @@ type Schedule interface {
 	// At returns the schedule with its crash point replaced; shard names the
 	// machine of a sharded deployment that loses power (ignored otherwise).
 	At(shard int, cp CrashPoint) Schedule
-	// Run executes the trial. The error is the verdict (nil = consistent);
-	// the Result is populated as far as the trial got even on failure.
+	// Run executes the trial, as a campaign of one. The error is the verdict
+	// (nil = consistent; recovery failures and durable-ack violations are
+	// verdicts); the Result is populated as far as the trial got even on
+	// failure.
 	Run(TrialOptions) (Result, error)
 	// MarshalLine renders the canonical one-line JSON, Command the shell
 	// command that replays it.
@@ -100,6 +103,18 @@ func marshalLine(v any) string {
 	return string(b)
 }
 
+// runAlone runs s as a campaign of one trial.
+func runAlone(s Schedule, opts TrialOptions) (Result, error) {
+	c := new(campaign)
+	defer c.release()
+	return s.runIn(c, opts)
+}
+
+// replayCommand is the shell command that replays s.
+func replayCommand(s Schedule) string {
+	return fmt.Sprintf("ffccd-crashtest -repro '%s'", s.MarshalLine())
+}
+
 // parseLine decodes a repro line into v, rejecting unknown fields so typos in
 // hand-edited lines fail loudly.
 func parseLine(line string, v any) error {
@@ -112,20 +127,32 @@ func parseLine(line string, v any) error {
 }
 
 // ParseSchedule parses a repro line of either kind: a line with a "scheme"
-// field is a serving schedule, any other a batch one.
+// field is a serving schedule (pre-sharding lines parse as one shard), any
+// other a batch one.
 func ParseSchedule(line string) (Schedule, error) {
 	var kind struct {
 		Scheme *string `json:"scheme"`
 	}
 	if err := json.Unmarshal([]byte(line), &kind); err == nil && kind.Scheme != nil {
-		r, err := ParseServeRepro(line)
-		if err != nil {
+		r := ServeRepro{CrashPoint: CrashPoint{Site: -1, Nested: -1}, Shards: 1}
+		if err := parseLine(line, &r); err != nil {
+			return nil, err
+		}
+		if _, _, err := r.normalized(); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
-	r, err := ParseRepro(line)
-	if err != nil {
+	r := Repro{CrashPoint: CrashPoint{Site: -1, Nested: -1}}
+	if err := parseLine(line, &r); err != nil {
+		return nil, err
+	}
+	if s, err := ParseSetting(r.Setting); err != nil {
+		return nil, err
+	} else if s.Serve != "" {
+		return nil, fmt.Errorf("faultinject: a batch repro line names the serving setting %q", r.Setting)
+	}
+	if _, err := PolicyFor(r.Policy, r.Salt); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -231,48 +258,40 @@ type Repro struct {
 	CrashPoint
 }
 
-// NewRepro returns a census-pass Repro for one setting with default churn.
-func NewRepro(setting Setting, seed int64) Repro {
+// NewRepro returns the census-pass schedule of setting with default volumes:
+// a Repro for a batch setting, a ServeRepro for a serving one.
+func NewRepro(setting Setting, seed int64) Schedule {
+	census := CrashPoint{Site: -1, Nested: -1, Policy: PolicyDrop}
+	if setting.Serve != "" {
+		return ServeRepro{
+			Scheme: setting.Serve, Seed: seed,
+			Clients: DefaultServeClients, Ops: DefaultServeOps, Keys: DefaultServeKeys,
+			CrashPoint: census, Shards: max(setting.Shards, 1),
+		}
+	}
 	return Repro{
 		Setting: setting.String(), Seed: seed,
 		Ops: DefaultOps, TailOps: DefaultTailOps,
-		CrashPoint: CrashPoint{Site: -1, Nested: -1, Policy: PolicyDrop},
+		CrashPoint: census,
 	}
-}
-
-// ParseRepro parses a batch repro line.
-func ParseRepro(line string) (Repro, error) {
-	r := Repro{CrashPoint: CrashPoint{Site: -1, Nested: -1}}
-	if err := parseLine(line, &r); err != nil {
-		return r, err
-	}
-	if _, err := ParseSetting(r.Setting); err != nil {
-		return r, err
-	}
-	if _, err := PolicyFor(r.Policy, r.Salt); err != nil {
-		return r, err
-	}
-	return r, nil
 }
 
 func (r Repro) MarshalLine() string { return marshalLine(r) }
 
-func (r Repro) Command() string {
-	return fmt.Sprintf("ffccd-crashtest -repro '%s'", r.MarshalLine())
-}
+func (r Repro) Command() string { return replayCommand(r) }
 
 func (r Repro) At(_ int, cp CrashPoint) Schedule {
 	r.CrashPoint = cp
 	return r
 }
 
-func (r Repro) Run(opts TrialOptions) (Result, error) { return RunScheduled(r, opts) }
+func (r Repro) Run(opts TrialOptions) (Result, error) { return runAlone(r, opts) }
 
 func (r Repro) runIn(c *campaign, opts TrialOptions) (Result, error) {
 	return c.runScheduled(r, opts)
 }
 
-// normalized fills the defaults RunScheduled runs under.
+// normalized fills the defaults a batch trial runs under.
 func (r Repro) normalized() Repro {
 	if r.Ops <= 0 {
 		r.Ops = DefaultOps
@@ -313,18 +332,11 @@ func (r Repro) shrinks() []Schedule {
 	return out
 }
 
-// RunScheduled executes one deterministic batch trial, as a campaign of one.
-// It runs on one goroutine end to end — the simulated threads' churn, each
-// with its own RNG stream and key range, is interleaved in a fixed order — so
-// the sequence of crash-site passages is a pure function of the Repro.
-func RunScheduled(rep Repro, opts TrialOptions) (Result, error) {
-	c := new(campaign)
-	defer c.release()
-	return c.runScheduled(rep, opts)
-}
-
-// runScheduled runs rep on a machine forked from the campaign's prefix: the
-// trial executes, and pays for, only what follows the build.
+// runScheduled runs the batch trial rep on a machine forked from the
+// campaign's prefix: the trial executes, and pays for, only what follows the
+// build. It runs on one goroutine end to end — the simulated threads' churn,
+// each with its own RNG stream and key range, is interleaved in a fixed order
+// — so the sequence of crash-site passages is a pure function of the Repro.
 func (c *campaign) runScheduled(rep Repro, opts TrialOptions) (Result, error) {
 	setting, err := ParseSetting(rep.Setting)
 	if err != nil {

@@ -23,15 +23,15 @@ func TestCrashPointSchedule(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			s := faultinject.Setting{Store: "LL", Threads: 1, Scheme: scheme}
 			t.Run(fmt.Sprintf("%s/seed%d", scheme, i), func(t *testing.T) {
-				rep := faultinject.NewRepro(s, int64(2000+i*37))
-				census, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+				rep := faultinject.NewRepro(s, int64(2000+i*37)).(faultinject.Repro)
+				census, err := rep.Run(faultinject.TrialOptions{})
 				if err != nil || !census.Began {
 					t.Fatalf("census: began=%v err=%v", census.Began, err)
 				}
 				last := int64(census.Census.Total) - 1
 				rep.Site = last * int64(i%5) / 4
 				rep.Policy, rep.Salt = faultinject.Policies[i%3], uint64(i)
-				res, err := faultinject.RunScheduled(rep, faultinject.TrialOptions{})
+				res, err := rep.Run(faultinject.TrialOptions{})
 				if err != nil {
 					t.Fatalf("%s: %v", rep.Command(), err)
 				}

@@ -1,13 +1,12 @@
 package faultinject
 
 // A forked serving trial against the same driver on machines of its own.
-// scratchRunServe runs a serving line the way RunServeScheduled does, on
+// scratchRunServe runs a serving line the way ServeRepro.Run does, on
 // machines built and loaded in place instead of forked from a campaign's
 // prefixes, as the oracle: whatever a serving line names, the forked trial
 // must report what this one does.
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -47,7 +46,7 @@ func scratchRunServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 
 // smallServeRepro is a serving line at trial volumes a test can afford.
 func smallServeRepro(r *rand.Rand, scheme string, shards int) ServeRepro {
-	rep := NewServeRepro(scheme, r.Int63n(1<<40))
+	rep := NewRepro(Setting{Serve: scheme}, r.Int63n(1<<40)).(ServeRepro)
 	rep.Shards = shards
 	rep.Clients, rep.Ops, rep.Keys = 2+r.Intn(5), 400+r.Intn(800), 160+r.Intn(240)
 	return rep
@@ -122,7 +121,7 @@ func TestForkedServeTrialMatchesScratch(t *testing.T) {
 // shard of a forked deployment against one loaded in place, state by state.
 func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
 	for _, scheme := range []string{"ffccd", "mesh"} {
-		rep := NewServeRepro(scheme, 5)
+		rep := NewRepro(Setting{Serve: scheme}, 5).(ServeRepro)
 		rep.Clients, rep.Ops, rep.Keys, rep.Shards = 4, 600, 300, 2
 		rep, shardKeys, err := rep.normalized()
 		if err != nil {
@@ -177,9 +176,10 @@ func TestServeCampaignLeavesNoPrefixBehind(t *testing.T) {
 	run := func(freed *atomic.Int32) {
 		for shards := 1; shards <= 2; shards++ {
 			c := new(campaign)
-			base := NewServeRepro("ffccd", co.Seed)
-			base.Clients, base.Ops, base.Keys, base.Shards = co.Clients, co.Ops, co.Keys, shards
-			out := c.explore(fmt.Sprintf("serve/ffccd/%ds", shards), base, co)
+			setting := Setting{Serve: "ffccd", Shards: shards}
+			base := NewRepro(setting, co.Seed).(ServeRepro)
+			base.Clients, base.Ops, base.Keys = co.Clients, co.Ops, co.Keys
+			out := c.explore(setting, base, co)
 			if len(out.Failures) > 0 || out.Scheduled == 0 {
 				t.Fatalf("%d shards: %+v", shards, out)
 			}
@@ -208,9 +208,9 @@ func TestServeCampaignLeavesNoPrefixBehind(t *testing.T) {
 // point forks a prefix already built, so the shrink builds exactly one
 // deployment per distinct machine its candidates name.
 func TestShrinkBuildsOnePrefixPerMachine(t *testing.T) {
-	rep := NewServeRepro("none", 41)
+	rep := NewRepro(Setting{Serve: "none"}, 41).(ServeRepro)
 	rep.Clients, rep.Ops, rep.Keys = 4, 1200, 400
-	census, err := RunServeScheduled(rep, TrialOptions{})
+	census, err := rep.Run(TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func BenchmarkServeCampaignTrial(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	trials := 0
 	for i := 0; i < b.N; i++ {
-		out := ExploreServeScheme("ffccd", co)
+		out := ExploreSetting(Setting{Serve: "ffccd"}, co)
 		if len(out.Failures) > 0 {
 			b.Fatalf("%+v", out)
 		}
@@ -294,7 +294,7 @@ const (
 func TestServeTrialAllocBudget(t *testing.T) {
 	const trials = 10
 	c := new(campaign)
-	base := NewServeRepro("ffccd", 11)
+	base := NewRepro(Setting{Serve: "ffccd"}, 11).(ServeRepro)
 	base.Clients, base.Ops, base.Keys = 4, 1200, 400
 	census, err := c.runServe(base, TrialOptions{})
 	if err != nil {

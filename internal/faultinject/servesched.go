@@ -1,7 +1,7 @@
 package faultinject
 
 // Deterministic crash schedules for the serving path (redisws.Serve). A
-// serving trial is the online analogue of RunScheduled: the same machine runs
+// serving trial is the online analogue of a batch one: the same machine runs
 // under open-loop traffic, a site census enumerates every persistence-relevant
 // event of the dispatch phase, and an armed replay fires a power failure at an
 // exact site index — including a nested crash inside the recovery that
@@ -65,17 +65,7 @@ type ServeRepro struct {
 	Shard  int `json:"shard"`
 }
 
-// NewServeRepro returns a census-pass schedule for one scheme with default
-// volumes.
-func NewServeRepro(scheme string, seed int64) ServeRepro {
-	return ServeRepro{
-		Scheme: scheme, Seed: seed,
-		Clients: DefaultServeClients, Ops: DefaultServeOps, Keys: DefaultServeKeys,
-		CrashPoint: CrashPoint{Site: -1, Nested: -1, Policy: PolicyDrop}, Shards: 1,
-	}
-}
-
-// normalized fills the defaults RunServeScheduled runs under, checks what no
+// normalized fills the defaults a serving trial runs under, checks what no
 // default can fix, and returns the keys each shard owns.
 func (r ServeRepro) normalized() (ServeRepro, []int, error) {
 	if !slices.Contains(ServeSchemes, r.Scheme) {
@@ -103,28 +93,21 @@ func (r ServeRepro) normalized() (ServeRepro, []int, error) {
 	return r, shardKeys, nil
 }
 
-// ParseServeRepro parses a serving repro line.
-func ParseServeRepro(line string) (ServeRepro, error) {
-	r := ServeRepro{CrashPoint: CrashPoint{Site: -1, Nested: -1}, Shards: 1}
-	if err := parseLine(line, &r); err != nil {
-		return r, err
-	}
-	_, _, err := r.normalized()
-	return r, err
-}
-
 func (r ServeRepro) MarshalLine() string { return marshalLine(r) }
 
-func (r ServeRepro) Command() string {
-	return fmt.Sprintf("ffccd-crashtest -serve -repro '%s'", r.MarshalLine())
-}
+func (r ServeRepro) Command() string { return replayCommand(r) }
 
 func (r ServeRepro) At(shard int, cp CrashPoint) Schedule {
 	r.Shard, r.CrashPoint = shard, cp
 	return r
 }
 
-func (r ServeRepro) Run(opts TrialOptions) (Result, error) { return RunServeScheduled(r, opts) }
+// Run is Schedule.Run. With r.Shards > 1 the trial runs one machine per
+// shard: the crash plan arms only shard r.Shard — its power failure blacks
+// out that shard while the siblings keep serving — and the per-shard results
+// merge deterministically. A sharded census pass (Site = -1) census-arms
+// every shard, so one run yields each shard's own site census (ShardCensus).
+func (r ServeRepro) Run(opts TrialOptions) (Result, error) { return runAlone(r, opts) }
 
 // A serving trial forks the loaded machines of its campaign.
 func (r ServeRepro) runIn(c *campaign, opts TrialOptions) (Result, error) {
@@ -241,22 +224,6 @@ func serveConfigFor(rep ServeRepro) redisws.ServeConfig {
 	return cfg
 }
 
-// RunServeScheduled executes one deterministic serving crash trial, as a
-// campaign of one. The returned error is the trial verdict (nil = consistent;
-// recovery failures and durable-ack violations are verdicts). The Result is
-// populated as far as the trial got even on failure.
-//
-// With rep.Shards > 1 the trial runs one machine per shard: the crash plan
-// arms only shard rep.Shard — its power failure blacks out that shard while
-// the siblings keep serving — and the per-shard results merge
-// deterministically. A sharded census pass (Site = -1) census-arms every
-// shard, so one run yields each shard's own site census (ShardCensus).
-func RunServeScheduled(rep ServeRepro, opts TrialOptions) (Result, error) {
-	c := new(campaign)
-	defer c.release()
-	return c.runServe(rep, opts)
-}
-
 // runServe runs rep on machines forked from the campaign's loaded prefixes.
 func (c *campaign) runServe(rep ServeRepro, opts TrialOptions) (Result, error) {
 	rep, shardKeys, err := rep.normalized()
@@ -304,6 +271,16 @@ func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*
 	// server is gone.
 	target := machines[rep.Shard]
 	dev := target.Device()
+	opt := redisws.SchemeOptions(rep.Scheme)
+	if opts.Obs != nil {
+		if opt.Obs = opts.Obs(Setting{Serve: rep.Scheme, Shards: rep.Shards}, rep.Seed); opt.Obs != nil {
+			opt.Obs.Tracer.Name(target.GC, "gc")
+			dev.SetObs(opt.Obs)
+			if target.Eng != nil {
+				target.Eng.SetObs(opt.Obs)
+			}
+		}
+	}
 	crashed := false
 	target.Hooks.Crash = &redisws.CrashPlan{
 		Arm: func() { dev.ArmSites(rep.Site) },
@@ -313,7 +290,7 @@ func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*
 			res.Census = dev.DisarmSites()
 			var d2 *mesh.Defragmenter
 			rs := restart{label: label, m: target.Machine, policy: policy, nested: rep.Nested,
-				opt: redisws.SchemeOptions(rep.Scheme), after: opts.AfterRecovery, model: acked,
+				opt: opt, after: opts.AfterRecovery, model: acked,
 				open: func(ctx *sim.Ctx, p *pmop.Pool) (ds.Store, error) {
 					// After the allocator rebuild, re-pin meshed frames so
 					// later cycles cannot re-mesh over resident neighbours.

@@ -22,7 +22,7 @@ func shardedServe(scheme string, seed int64, shards, target int) faultinject.Ser
 func TestServeReproShardRoundTrip(t *testing.T) {
 	rep := shardedServe("ffccd", 7, 4, 2)
 	rep.Site = 55
-	got, err := faultinject.ParseServeRepro(rep.MarshalLine())
+	got, err := faultinject.ParseSchedule(rep.MarshalLine())
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -30,14 +30,14 @@ func TestServeReproShardRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %+v want %+v", got, rep)
 	}
 	// Pre-sharding lines parse as a one-shard deployment.
-	legacy, err := faultinject.ParseServeRepro(`{"scheme":"ffccd","clients":4,"ops":100,"keys":64,"seed":1,"site":-1,"nested":-1,"policy":"drop","salt":0}`)
+	parsed, err := faultinject.ParseSchedule(`{"scheme":"ffccd","clients":4,"ops":100,"keys":64,"seed":1,"site":-1,"nested":-1,"policy":"drop","salt":0}`)
 	if err != nil {
 		t.Fatalf("legacy line: %v", err)
 	}
-	if legacy.Shards != 1 || legacy.Shard != 0 {
+	if legacy := parsed.(faultinject.ServeRepro); legacy.Shards != 1 || legacy.Shard != 0 {
 		t.Fatalf("legacy line normalized to shards=%d shard=%d", legacy.Shards, legacy.Shard)
 	}
-	if _, err := faultinject.ParseServeRepro(`{"scheme":"ffccd","shards":2,"shard":2}`); err == nil {
+	if _, err := faultinject.ParseSchedule(`{"scheme":"ffccd","shards":2,"shard":2}`); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }
@@ -46,7 +46,7 @@ func TestServeReproShardRoundTrip(t *testing.T) {
 // shard's own site space in one run.
 func TestServeShardedCensusPerShard(t *testing.T) {
 	rep := shardedServe("ffccd", 11, 2, 0)
-	res, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
+	res, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -78,13 +78,13 @@ func TestServeShardedCensusPerShard(t *testing.T) {
 // and the merged run still completes the whole deployment budget.
 func TestServeShardedCrashSiblingsKeepServing(t *testing.T) {
 	base := shardedServe("ffccd", 11, 2, 1)
-	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
+	census, err := base.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
 	armed := base
 	armed.Site = int64(census.ShardCensus[1].Total / 2)
-	res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
+	res, err := armed.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("armed: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestServeShardedCrashSiblingsKeepServing(t *testing.T) {
 // and merged counters at host parallelism 1 and 4.
 func TestServeShardedDeterministicAcrossHostParallelism(t *testing.T) {
 	base := shardedServe("stw", 23, 2, 0)
-	census, err := faultinject.RunServeScheduled(base, faultinject.TrialOptions{})
+	census, err := base.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestServeShardedDeterministicAcrossHostParallelism(t *testing.T) {
 	}
 	run := func(par int) pin {
 		workpool.SetParallelism(par)
-		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
+		res, err := armed.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}

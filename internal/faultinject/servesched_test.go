@@ -12,6 +12,7 @@ import (
 
 	"ffccd/internal/ds"
 	"ffccd/internal/faultinject"
+	"ffccd/internal/obsv"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 	"ffccd/internal/workpool"
@@ -19,30 +20,69 @@ import (
 
 // smallServe returns fast trial volumes for one scheme.
 func smallServe(scheme string, seed int64) faultinject.ServeRepro {
-	rep := faultinject.NewServeRepro(scheme, seed)
+	rep := faultinject.NewRepro(faultinject.Setting{Serve: scheme}, seed).(faultinject.ServeRepro)
 	rep.Clients, rep.Ops, rep.Keys = 4, 1200, 400
 	return rep
 }
 
 func TestServeReproRoundTrip(t *testing.T) {
-	rep := faultinject.NewServeRepro("ffccd", 7)
+	rep := faultinject.NewRepro(faultinject.Setting{Serve: "ffccd"}, 7).(faultinject.ServeRepro)
 	rep.Site, rep.Nested, rep.Policy, rep.Salt = 123, 4, faultinject.PolicySalt, 99
 	line := rep.MarshalLine()
-	got, err := faultinject.ParseServeRepro(line)
+	got, err := faultinject.ParseSchedule(line)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if got != rep {
 		t.Fatalf("round trip: got %+v want %+v", got, rep)
 	}
-	if !strings.Contains(rep.Command(), "-serve") {
-		t.Fatalf("command %q does not select serve mode", rep.Command())
+	if want := "ffccd-crashtest -repro '" + line + "'"; rep.Command() != want {
+		t.Fatalf("command %q, want %q: a serving line replays like a batch one", rep.Command(), want)
 	}
-	if _, err := faultinject.ParseServeRepro(`{"scheme":"ffccd","bogus":1}`); err == nil {
+	if _, err := faultinject.ParseSchedule(`{"scheme":"ffccd","bogus":1}`); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := faultinject.ParseServeRepro(`{"scheme":"espresso"}`); err == nil {
+	if _, err := faultinject.ParseSchedule(`{"scheme":"espresso"}`); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// TestServeTrialObsFiresAtTheCrash: a serving trial installs TrialOptions.Obs
+// on its crash-target shard, whose injected crash fires the bundle's OnCrash
+// exactly once, and observing changes nothing the trial simulates.
+func TestServeTrialObsFiresAtTheCrash(t *testing.T) {
+	for _, rep := range []faultinject.ServeRepro{smallServe("ffccd", 11), shardedServe("ffccd", 11, 2, 1)} {
+		census, err := rep.Run(faultinject.TrialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Site = int64(census.Census.Total / 2)
+		plain, err := rep.Run(faultinject.TrialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fired int
+		var named []faultinject.Setting
+		observed, err := rep.Run(faultinject.TrialOptions{Obs: func(s faultinject.Setting, _ int64) *obsv.Obs {
+			named = append(named, s)
+			o := obsv.New(8)
+			o.OnCrash = func(*obsv.Obs) { fired++ }
+			return o
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "serve/ffccd"
+		if rep.Shards > 1 {
+			want = "serve/2S/ffccd"
+		}
+		if fired != 1 || len(named) != 1 || named[0].String() != want {
+			t.Errorf("%s: OnCrash fired %d times, Obs asked for %v; want once, for %s", rep.MarshalLine(), fired, named, want)
+		}
+		if observed.PostCrashHash != plain.PostCrashHash || observed.FinalHash != plain.FinalHash ||
+			observed.RecoveryCycles != plain.RecoveryCycles {
+			t.Errorf("%s: observed trial %s, unobserved %s", rep.MarshalLine(), observed.Summary(), plain.Summary())
+		}
 	}
 }
 
@@ -51,7 +91,7 @@ func TestServeReproRoundTrip(t *testing.T) {
 func TestServeScheduledCrashAllSchemes(t *testing.T) {
 	for _, scheme := range faultinject.ServeSchemes {
 		rep := smallServe(scheme, 11)
-		census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
+		census, err := rep.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s census: %v", scheme, err)
 		}
@@ -60,7 +100,7 @@ func TestServeScheduledCrashAllSchemes(t *testing.T) {
 		}
 		armed := rep
 		armed.Site = int64(census.Census.Total / 2)
-		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
+		res, err := armed.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s armed: %v", scheme, err)
 		}
@@ -91,7 +131,7 @@ func TestServeScheduledCrashAllSchemes(t *testing.T) {
 // counters and media at host parallelism 1 and 4.
 func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 	rep := smallServe("ffccd", 23)
-	census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
+	census, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -112,7 +152,7 @@ func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 	}
 	run := func(par int) pin {
 		workpool.SetParallelism(par)
-		res, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
+		res, err := armed.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -137,13 +177,13 @@ func TestServeResumedDeterministicAcrossHostParallelism(t *testing.T) {
 func TestServeScheduledDoubleCrash(t *testing.T) {
 	for _, scheme := range faultinject.ServeSchemes {
 		rep := smallServe(scheme, 31)
-		census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
+		census, err := rep.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s census: %v", scheme, err)
 		}
 		armed := rep
 		armed.Site = int64(census.Census.Total / 2)
-		first, err := faultinject.RunServeScheduled(armed, faultinject.TrialOptions{})
+		first, err := armed.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s armed: %v", scheme, err)
 		}
@@ -152,7 +192,7 @@ func TestServeScheduledDoubleCrash(t *testing.T) {
 		}
 		nested := armed
 		nested.Nested = int64(first.RecoveryCensus.Total / 2)
-		res, err := faultinject.RunServeScheduled(nested, faultinject.TrialOptions{})
+		res, err := nested.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s nested: %v", scheme, err)
 		}
@@ -163,7 +203,7 @@ func TestServeScheduledDoubleCrash(t *testing.T) {
 			t.Fatalf("%s nested: completed %d ops, want %d", scheme, res.Serve.Ops, rep.Ops)
 		}
 		// Determinism witness: the same nested schedule twice, bit-identical.
-		res2, err := faultinject.RunServeScheduled(nested, faultinject.TrialOptions{})
+		res2, err := nested.Run(faultinject.TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s nested replay: %v", scheme, err)
 		}
@@ -191,7 +231,7 @@ func deleteAcked(ctx *sim.Ctx, s ds.Store, keys, n int) int {
 // check.
 func TestServeAckLossCaught(t *testing.T) {
 	rep := smallServe("none", 41)
-	census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
+	census, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -204,7 +244,7 @@ func TestServeAckLossCaught(t *testing.T) {
 			}
 		},
 	}
-	_, err = faultinject.RunServeScheduled(armed, opts)
+	_, err = armed.Run(opts)
 	if err == nil {
 		t.Fatal("planted ack loss not caught")
 	}
@@ -226,7 +266,7 @@ func TestServeCampaignWatchdog(t *testing.T) {
 			AfterRecovery: func(*sim.Ctx, *pmop.Pool, ds.Store) { <-block },
 		},
 	}
-	out := faultinject.ExploreServeScheme("none", co)
+	out := faultinject.ExploreSetting(faultinject.Setting{Serve: "none"}, co)
 	if len(out.Failures) == 0 {
 		t.Fatal("hung trial not reported")
 	}
@@ -248,7 +288,7 @@ func TestServeCampaignStratified(t *testing.T) {
 		Seed: 9, Clients: 4, Ops: 1200, Keys: 400,
 		MaxSites: 6, Nested: true, MaxNested: 2,
 	}
-	out := faultinject.ExploreServeScheme("ffccd", co)
+	out := faultinject.ExploreSetting(faultinject.Setting{Serve: "ffccd"}, co)
 	if len(out.Failures) != 0 {
 		t.Fatalf("campaign failures:\n%v", out.Failures)
 	}
@@ -271,7 +311,7 @@ func TestServeCampaignStratified(t *testing.T) {
 // the minimized schedule still fails and is no more expensive.
 func TestServeShrinkStillFails(t *testing.T) {
 	rep := smallServe("none", 41)
-	census, err := faultinject.RunServeScheduled(rep, faultinject.TrialOptions{})
+	census, err := rep.Run(faultinject.TrialOptions{})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
@@ -282,7 +322,7 @@ func TestServeShrinkStillFails(t *testing.T) {
 			deleteAcked(ctx, s, rep.Keys, 2)
 		},
 	}
-	if _, err := faultinject.RunServeScheduled(armed, opts); err == nil {
+	if _, err := armed.Run(opts); err == nil {
 		t.Fatal("fixture schedule does not fail")
 	}
 	min, ok := faultinject.Shrink(armed, opts, 0, 12)

@@ -4,7 +4,7 @@ package redisws
 // the §7.4 comparison with what serving adds to it, the scheme's hooks and
 // Mesh's defragmenter. The SLO grid (experiments.Serving) builds one per
 // scheme and shard, and Figure 16 (experiments.Figure16) one per scheme for
-// the closed-loop Run; serving crash campaigns (faultinject.RunServeScheduled)
+// the closed-loop Run; serving crash campaigns (faultinject.ServeRepro)
 // build and load one per shard, capture it, turn every fork of it into a
 // serving machine with Equip, and rewire the scheme's hooks over the
 // recovered pool after a power failure. The callers differ only in what

@@ -18,33 +18,34 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/pins.txt and 
 const pinsPath = "testdata/pins.txt"
 
 // pinnedOutputs returns every line `make crashmatrix` and `make servecrash`
-// print, wall times stripped, keyed by "<target> <campaign label>" (the
-// closing totals line is "<target> total"). The campaign options are those
-// two Makefile targets' ffccd-crashtest flags.
+// print, wall times stripped, keyed by "<target> <setting>" (the closing
+// totals line is "<target> total"). The settings and campaign options are
+// those two Makefile targets' ffccd-crashtest flags.
 func pinnedOutputs() (keys, lines []string) {
-	add := func(target, label, line string) {
-		keys = append(keys, target+" "+label)
-		lines = append(lines, line)
+	var serving []faultinject.Setting
+	for _, scheme := range faultinject.ServeSchemes {
+		serving = append(serving, faultinject.Setting{Serve: scheme})
 	}
-	campaign := func(target, kind string, n int, explore func(i int) faultinject.CampaignOutcome) {
+	for _, target := range []struct {
+		name     string
+		settings []faultinject.Setting
+		co       faultinject.CampaignOptions
+	}{
+		{"crashmatrix", faultinject.AllSettings(),
+			faultinject.CampaignOptions{Seed: 1, MaxSites: 56, Nested: true, MaxNested: 16, Timeout: 2 * time.Minute}},
+		{"servecrash", serving,
+			faultinject.CampaignOptions{Seed: 1, MaxSites: 10, Nested: true, MaxNested: 3, Timeout: 2 * time.Minute}},
+	} {
 		failures := 0
-		for i := 0; i < n; i++ {
-			out := explore(i)
+		for _, s := range target.settings {
+			out := faultinject.ExploreSetting(s, target.co)
 			failures += len(out.Failures)
-			add(target, out.Label, out.Summary(kind == "serving"))
+			keys = append(keys, target.name+" "+s.String())
+			lines = append(lines, out.Summary())
 		}
-		add(target, "total", fmt.Sprintf("%s campaign: %d failures", kind, failures))
+		keys = append(keys, target.name+" total")
+		lines = append(lines, fmt.Sprintf("crash campaign: %d failures", failures))
 	}
-	settings := faultinject.AllSettings()
-	batch := faultinject.CampaignOptions{Seed: 1, MaxSites: 56, Nested: true, MaxNested: 16, Timeout: 2 * time.Minute}
-	campaign("crashmatrix", "scheduled", len(settings), func(i int) faultinject.CampaignOutcome {
-		return faultinject.ExploreSetting(settings[i], batch)
-	})
-	schemes := faultinject.ServeSchemes
-	serve := faultinject.CampaignOptions{Seed: 1, MaxSites: 10, Nested: true, MaxNested: 3, Timeout: 2 * time.Minute, Shards: 1}
-	campaign("servecrash", "serving", len(schemes), func(i int) faultinject.CampaignOutcome {
-		return faultinject.ExploreServeScheme(schemes[i], serve)
-	})
 	return keys, lines
 }
 

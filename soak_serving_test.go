@@ -19,7 +19,7 @@ func TestSoakServingDoubleCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	co := faultinject.ServeCampaignOptions{
+	co := faultinject.CampaignOptions{
 		Seed:    77,
 		Clients: 4,
 		Ops:     1600,
@@ -36,7 +36,7 @@ func TestSoakServingDoubleCrash(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
-			out := faultinject.ExploreServeScheme(scheme, co)
+			out := faultinject.ExploreSetting(faultinject.Setting{Serve: scheme}, co)
 			if out.Scheduled == 0 {
 				t.Fatalf("%s: no schedules ran (census %d sites)", scheme, out.SitesTotal)
 			}
