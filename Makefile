@@ -70,7 +70,7 @@ crashmatrix: build
 # time like crashmatrix.
 servecrash: build
 	@t0=$$(date +%s); \
-	$(GO) run ./cmd/ffccd-crashtest -setting serve/none,serve/ffccd,serve/stw,serve/mesh \
+	$(GO) run ./cmd/ffccd-crashtest -setting serve/none,serve/ffccd,serve/stw \
 		-seed 1 -max-sites 10 -nested -max-nested 3 -timeout 2m || exit 1; \
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
@@ -158,10 +158,11 @@ benchrepo: build
 	@echo "benchrepo OK"
 
 # servesmoke is the fast CI pass over the open-loop serving layer: a tiny
-# serving grid of every scheme (2 000 keys, 12 000 ops) through ffccd-bench
-# (exercising the virtual-time scheduler, batched dispatch, and the SLO
-# table), the closed-loop Figure 16 run, which builds the same serving
-# machines and scheme hooks, plus the dispatcher's output pin
+# serving grid of every serving scheme (2 000 keys, 12 000 ops) through
+# ffccd-bench (exercising the virtual-time scheduler, batched dispatch, and
+# the SLO table), the closed-loop Figure 16 run, which builds the same serving
+# machines and scheme hooks and adds its Mesh comparator, plus the
+# dispatcher's output pin
 # (testdata/serve.golden) from the test suite.
 servesmoke: build
 	$(GO) run ./cmd/ffccd-bench -experiment serving -scale 0.0001 >/dev/null

@@ -84,7 +84,7 @@ func run(args []string) int {
 	traceRing := fs.Int("trace-ring", 0, "flight-recorder mode: keep only the newest N events per simulated thread (0 = full trace)")
 	httpObs := fs.String("httpobs", "", "serve pprof (/debug/pprof) on this address, and the latest finished experiment's metrics (/metrics)")
 	shards := fs.Int("shards", 1, "serving experiments: shard the keyspace across N independent simulated machines")
-	scheme := fs.String("scheme", "", "serving experiments: run only this defrag scheme (none|ffccd|stw|mesh; empty = all)")
+	scheme := fs.String("scheme", "", "serving experiments: run only this defrag scheme (none|ffccd|stw; empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -60,7 +60,8 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 // any experiment runs, with the usage exit code. A -scale must be finite and
 // positive (NaN passes a plain <= 0 test). -fork and -repeat are flags this
 // command no longer has. An unknown -scheme is refused before table1
-// runs under -experiment all.
+// runs under -experiment all, and so is mesh: Figure 16 runs Mesh, the
+// serving experiments do not.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-experiment", "fig99"},
@@ -75,7 +76,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-experiment", "table1", "-repeat", "2"},
 		{"-experiment", "serving", "-scheme", "bogus"},
 		{"-experiment", "all", "-scheme", "bogus"},
-		{"-experiment", "fig5", "-scale", "0.0005", "-shards", "3000", "-scheme", "mesh"},
+		{"-experiment", "fig5", "-scale", "0.0005", "-shards", "3000", "-scheme", "stw"},
+		{"-experiment", "serving", "-scheme", "mesh"},
+		{"-experiment", "servingcrash", "-scheme", "mesh"},
 		{"-experiment", "table1", "-shards", "2"},
 		{"-experiment", "table1", "-scheme", "ffccd"},
 	} {

@@ -23,7 +23,7 @@
 // siblings keep serving, and the coverage line splits counts by crash-target
 // shard. -setting takes a comma-separated list:
 //
-//	ffccd-crashtest -setting serve/none,serve/ffccd,serve/stw,serve/mesh -max-sites 24 -nested
+//	ffccd-crashtest -setting serve/none,serve/ffccd,serve/stw -max-sites 24 -nested
 //	ffccd-crashtest -setting serve/4S/ffccd -max-sites 32
 //
 // Replay one schedule (the line a failing campaign printed, of either kind);
@@ -56,7 +56,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 // passed, 1 a trial failed, 2 the command line could not be used.
 func run(args []string) int {
 	fs := flag.NewFlagSet("ffccd-crashtest", flag.ContinueOnError)
-	setting := fs.String("setting", "", "run only these settings, comma-separated (e.g. LL/1T/ffccd,serve/ffccd,serve/4S/mesh)")
+	setting := fs.String("setting", "", "run only these settings, comma-separated (e.g. LL/1T/ffccd,serve/ffccd,serve/4S/stw)")
 	seed := fs.Int64("seed", 1, "base churn seed")
 	maxSites := fs.Int("max-sites", 128, "scheduled sites per setting (0 = exhaustive; class-first sites always kept)")
 	nested := fs.Bool("nested", false, "add crash-during-recovery schedules")

@@ -42,10 +42,12 @@ func TestReproKindReadFromLine(t *testing.T) {
 
 // TestUnknownServeSchemeIsUsageError: a serving scheme is validated like any
 // setting, not reported as a crash-consistency failure with a repro line.
+// Mesh is Figure 16's comparator, no serving scheme, so serve/mesh is one too.
 func TestUnknownServeSchemeIsUsageError(t *testing.T) {
-	for _, setting := range []string{"serve/bogus", "LL/1T/bogus", "LL/100000T/ffccd", "LL/1T/ffccd,serve/"} {
-		if code := run([]string{"-setting", setting, "-max-sites", "1"}); code != 2 {
-			t.Errorf("-setting %s exited %d, want 2", setting, code)
+	for _, setting := range []string{"serve/bogus", "serve/mesh", "LL/1T/bogus", "LL/100000T/ffccd", "LL/1T/ffccd,serve/"} {
+		code, printed := runPrinting(t, "-setting", setting, "-max-sites", "1")
+		if code != 2 || strings.Contains(printed, "repro") {
+			t.Errorf("-setting %s exited %d and printed %q, want 2 and no repro line", setting, code, printed)
 		}
 	}
 	if code := run([]string{"-repro", `{"setting":"LL/9T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`}); code != 2 {

@@ -226,7 +226,7 @@ func TestExperimentsReleaseTheirMachines(t *testing.T) {
 			return nil
 		}},
 		{"serving", func() error {
-			_, err := Serving(ServingOptions{Clients: 4, Ops: 1200, Keyspace: 400, Shards: 1, Schemes: []string{"ffccd", "mesh"}})
+			_, err := Serving(ServingOptions{Clients: 4, Ops: 1200, Keyspace: 400, Shards: 1, Schemes: []string{"ffccd", "stw"}})
 			return err
 		}},
 		{"run error", func() error {

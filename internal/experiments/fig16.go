@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"ffccd/internal/alloc"
+	"ffccd/internal/mesh"
 	"ffccd/internal/obsv"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
@@ -31,16 +33,21 @@ type Fig16Result struct {
 // stop-the-world compactor (jemalloc-style) and Mesh. Each scheme runs the
 // closed-loop driver (redisws.Run) on its serving machine and hooks
 // (redisws.NewMachine), so FFCCD's epochs overlap the application's
-// operations.
+// operations. Mesh is no serving scheme: it runs on a "none" machine whose
+// maintenance point meshes frames and whose footprint is the physical one.
 func Figure16(scale float64) (Fig16Result, error) {
 	// The run's regime (redisws.RegimeConfig): LRU expiry near the cap and a
 	// value-size drift halfway through — the long-running-cache regime in
 	// which Redis fragments (§7.4).
 	keys := max(int(1_000_000*scale*20), 2000)
-	res := Fig16Result{Variants: make([]Fig16Variant, len(redisws.Schemes))}
-	// Every scheme drives its own simulated machine; fan them out.
-	err := workpool.ForEach(len(redisws.Schemes), func(i int) error {
-		scheme := redisws.Schemes[i]
+	res := Fig16Result{Variants: make([]Fig16Variant, len(redisws.Schemes)+1)}
+	// Every scheme drives its own simulated machine; fan them out. Mesh's
+	// is the last.
+	err := workpool.ForEach(len(res.Variants), func(i int) error {
+		scheme := "none"
+		if i < len(redisws.Schemes) {
+			scheme = redisws.Schemes[i]
+		}
 		m, err := redisws.NewMachine(sim.DefaultConfig(), scheme, "bench", keys, 32<<20)
 		if err != nil {
 			return err
@@ -51,13 +58,24 @@ func Figure16(scale float64) (Fig16Result, error) {
 			}
 			m.Release()
 		}()
+		name := servingNames[scheme]
+		if i == len(redisws.Schemes) {
+			name = "Mesh"
+			d := mesh.New(m.Pool)
+			m.Hooks.Maintenance = func(uint64) uint64 {
+				before := m.GC.Clock.Total()
+				d.RunCycle(m.GC)
+				return m.GC.Clock.Total() - before // meshing pauses the world
+			}
+			m.Hooks.Foot = func() alloc.FragStats { return d.PhysFrag(12) }
+		}
 		sh := m.Shard()
 		out, err := redisws.Run(sh.Ctx, sh.Pool, sh.Store, keys, sh.Hooks)
 		if err != nil {
 			return err
 		}
 		res.Variants[i] = Fig16Variant{
-			Name:       servingNames[scheme],
+			Name:       name,
 			Samples:    out.Samples,
 			FinalFragR: out.Final.FragRatio,
 			P90:        out.Lat.Percentile(90),

@@ -22,7 +22,7 @@ type ServingOptions struct {
 	Ops      int
 	Keyspace int
 	Seed     int64
-	Schemes  []string // subset of "none", "ffccd", "stw", "mesh"; nil = all
+	Schemes  []string // subset of redisws.Schemes; nil = all
 
 	// Shards is the number of independent simulated machines the keyspace is
 	// hash-partitioned across (1 = one machine, the pre-sharding setup; every
@@ -166,7 +166,7 @@ func Serving(o ServingOptions) (ServingResult, error) {
 // servingNames are the display names of the serving schemes, in the serving
 // grid and in Figure 16.
 var servingNames = map[string]string{
-	"none": "PMDK (baseline)", "ffccd": "FFCCD", "stw": "STW defrag", "mesh": "Mesh",
+	"none": "PMDK (baseline)", "ffccd": "FFCCD", "stw": "STW defrag",
 }
 
 // newServingMachine builds one machine for scheme (redisws.NewMachine) with

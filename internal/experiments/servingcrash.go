@@ -46,7 +46,7 @@ type ServingCrashVariant struct {
 	ResumeCycle    uint64
 	BlackoutCycles uint64
 	// RecoveryCycles is core.Recover's part of the blackout; the rest is
-	// reopening the pool (Mesh's remap table included) and the store.
+	// reopening the pool and the store.
 	RecoveryCycles uint64
 	TimeToFirstAck uint64
 	// RampCycles is the post-recovery p999 ramp: cycles from resume until the

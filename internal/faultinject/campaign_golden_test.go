@@ -83,7 +83,6 @@ func TestCampaignGolden(t *testing.T) {
 		goldenBatch(t, &b, s)
 	}
 	goldenServe(t, &b, "ffccd", 2)
-	goldenServe(t, &b, "mesh", 0)
 	got := b.String()
 	if *updateCampaignGolden {
 		if err := os.WriteFile(campaignGoldenPath, []byte(got), 0o644); err != nil {

@@ -87,9 +87,9 @@ type Setting struct {
 	Store   string
 	Threads int
 	Scheme  core.Scheme
-	// Serve is a serving setting's scheme, "" for a batch one. It is a name,
-	// not a core.Scheme: Mesh has none. Shards is a serving setting's
-	// machine count (0 or 1: unsharded).
+	// Serve is a serving setting's scheme, "" for a batch one: a name of
+	// ServeSchemes, as the repro line spells it. Shards is a serving
+	// setting's machine count (0 or 1: unsharded).
 	Serve  string
 	Shards int
 }

@@ -18,7 +18,7 @@ func FuzzParseSchedule(f *testing.F) {
 		`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
 		`{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`,
 		// A sharded line, a pre-sharding line, minimal lines, bad fields.
-		`{"scheme":"mesh","clients":4,"ops":1200,"keys":400,"seed":1,"site":-1,"nested":-1,"policy":"drop","salt":0,"shards":2,"shard":1}`,
+		`{"scheme":"stw","clients":4,"ops":1200,"keys":400,"seed":1,"site":-1,"nested":-1,"policy":"drop","salt":0,"shards":2,"shard":1}`,
 		`{"scheme":"ffccd","clients":4,"ops":100,"keys":64,"seed":1,"site":-1,"nested":-1,"policy":"drop","salt":0}`,
 		`{"scheme":"stw"}`,
 		`{"setting":"BzTree/8T/sfccd"}`,

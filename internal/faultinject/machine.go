@@ -290,9 +290,6 @@ type restart struct {
 	policy pmem.CrashPolicy
 	nested int64 // recovery crash-site index; < 0 only counts the sites
 	opt    core.Options
-	// prepare, when non-nil, runs on each reopened pool before core.Recover
-	// and outside the nested schedule's site census.
-	prepare func(*sim.Ctx, *pmop.Pool) error
 	// open opens the store on the recovered pool.
 	open func(*sim.Ctx, *pmop.Pool) (ds.Store, error)
 	// after, when non-nil, runs once the store is open (TrialOptions.AfterRecovery).
@@ -320,15 +317,9 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 		dev.SetCrashPolicy(r.policy)
 		dev.Crash()
 	}
-	reopen := func() (err error) {
-		if err = m.Reopen(); err == nil && r.prepare != nil {
-			err = r.prepare(ctx, m.Pool)
-		}
-		return err
-	}
 	powerFail()
 	res.PostCrashHash = dev.HashMedia()
-	if err := reopen(); err != nil {
+	if err := m.Reopen(); err != nil {
 		return nil, 0, err
 	}
 	if r.opt.Obs != nil {
@@ -342,7 +333,7 @@ func (r *restart) run(res *Result) (model map[uint64][]byte, cycles uint64, err 
 	}
 	if res.NestedCrash != nil {
 		powerFail()
-		if err := reopen(); err != nil {
+		if err := m.Reopen(); err != nil {
 			return nil, 0, err
 		}
 		if m.Eng, err = core.Recover(ctx, m.Pool, r.opt); err != nil {

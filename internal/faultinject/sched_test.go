@@ -316,7 +316,9 @@ func TestParseSettingRoundTrip(t *testing.T) {
 		// The canonical unsharded form has no shard count, and 3000 shards
 		// leave some of the default keyspace's shards without a key.
 		"serve/", "serve/bogus", "serve/1S/ffccd", "serve/0S/ffccd", "serve/3000S/ffccd",
-		"serve/4S", "serve/4S/ffccd/extra", "serve/xS/ffccd"} {
+		"serve/4S", "serve/4S/ffccd/extra", "serve/xS/ffccd",
+		// Mesh is Figure 16's comparator, not a serving scheme.
+		"serve/mesh", "serve/2S/mesh"} {
 		if _, err := faultinject.ParseSetting(bad); err == nil {
 			t.Errorf("ParseSetting(%q) accepted", bad)
 		}
@@ -335,6 +337,8 @@ func TestParseReproRejectsGarbage(t *testing.T) {
 		`{"setting":"nope","seed":1,"ops":1,"tail_ops":0,"site":-1,"nested":-1,"policy":"drop","salt":0}`,
 		`{"setting":"serve/ffccd","seed":1,"ops":1,"tail_ops":0,"site":-1,"nested":-1,"policy":"drop","salt":0}`,
 		`{"setting":"LL/1T/ffccd","seed":1,"typo_field":3}`,
+		// A serving line that names Mesh, which is no serving scheme.
+		`{"scheme":"mesh","clients":4,"ops":1200,"keys":400,"seed":1,"site":651,"nested":-1,"policy":"salt","salt":6274229748162464104,"shards":1,"shard":0}`,
 	} {
 		if _, err := faultinject.ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted", bad)

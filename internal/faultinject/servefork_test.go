@@ -81,7 +81,13 @@ func TestForkedServeTrialMatchesScratch(t *testing.T) {
 			}
 			cp := CrashPoint{Site: r.Int63n(int64(sites)), Nested: -1,
 				Policy: Policies[r.Intn(len(Policies))], Salt: r.Uint64()}
-			if r.Intn(2) == 0 {
+			switch {
+			case k == 0:
+				// A recovery passes two sites at least, so this one fires.
+				cp.Nested = r.Int63n(2)
+			case r.Intn(2) == 0:
+				// Most of these fire only in a recovery that resumes an
+				// epoch; an idle pool's passes 2 to 8 sites.
 				cp.Nested = r.Int63n(60)
 			}
 			reps[k] = base.At(sh, cp).(ServeRepro)
@@ -120,53 +126,51 @@ func TestForkedServeTrialMatchesScratch(t *testing.T) {
 // What a trial's Result and probe cannot see of the fork point itself: every
 // shard of a forked deployment against one loaded in place, state by state.
 func TestServeForkReproducesTheLoadedMachine(t *testing.T) {
-	for _, scheme := range []string{"ffccd", "mesh"} {
-		rep := NewRepro(Setting{Serve: scheme}, 5).(ServeRepro)
-		rep.Clients, rep.Ops, rep.Keys, rep.Shards = 4, 600, 300, 2
-		rep, shardKeys, err := rep.normalized()
+	const scheme = "ffccd"
+	rep := NewRepro(Setting{Serve: scheme}, 5).(ServeRepro)
+	rep.Clients, rep.Ops, rep.Keys, rep.Shards = 4, 600, 300, 2
+	rep, shardKeys, err := rep.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := buildServePrefixes(rep, shardKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
+	for i, pre := range pres {
+		built, loaded, err := loadServeMachine(scheme, shardKeys[i], cfgs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := buildServePrefixes(rep, shardKeys)
+		forked, forkedLoaded, err := pre.fork(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgs := redisws.ShardConfigs(serveConfigFor(rep), rep.Shards)
-		for i, pre := range pres {
-			built, loaded, err := loadServeMachine(scheme, shardKeys[i], cfgs[i])
-			if err != nil {
-				t.Fatal(err)
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{
+			{"device", deviceState(forked.Device()), deviceState(built.Device())},
+			{"media hash", forked.Device().HashMedia(), built.Device().HashMedia()},
+			{"heap", forked.Pool.Heap().Checkpoint(), built.Pool.Heap().Checkpoint()},
+			{"loader context", forked.Ctx.Checkpoint(), built.Ctx.Checkpoint()},
+			{"defrag context", forked.GC.Checkpoint(), built.GC.Checkpoint()},
+			{"pool ops", forked.Pool.Ops.Load(), built.Pool.Ops.Load()},
+			{"tx slot order", forked.Pool.TxSlotOrder(), built.Pool.TxSlotOrder()},
+			{"pool VA base", forked.Pool.VA(0), built.Pool.VA(0)},
+			{"store length", forked.Store.Len(), built.Store.Len()},
+			{"engine", forked.Eng != nil, built.Eng != nil},
+			{"loaded state", forkedLoaded.Capture(), loaded.Capture()},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s shard %d: forked %s differs from the loaded machine's", scheme, i, c.what)
 			}
-			forked, forkedLoaded, err := pre.fork(scheme)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []struct {
-				what      string
-				got, want any
-			}{
-				{"device", deviceState(forked.Device()), deviceState(built.Device())},
-				{"media hash", forked.Device().HashMedia(), built.Device().HashMedia()},
-				{"heap", forked.Pool.Heap().Checkpoint(), built.Pool.Heap().Checkpoint()},
-				{"loader context", forked.Ctx.Checkpoint(), built.Ctx.Checkpoint()},
-				{"defrag context", forked.GC.Checkpoint(), built.GC.Checkpoint()},
-				{"pool ops", forked.Pool.Ops.Load(), built.Pool.Ops.Load()},
-				{"tx slot order", forked.Pool.TxSlotOrder(), built.Pool.TxSlotOrder()},
-				{"pool VA base", forked.Pool.VA(0), built.Pool.VA(0)},
-				{"store length", forked.Store.Len(), built.Store.Len()},
-				{"engine", forked.Eng != nil, built.Eng != nil},
-				{"mesh", forked.Mesh != nil, built.Mesh != nil},
-				{"loaded state", forkedLoaded.Capture(), loaded.Capture()},
-			} {
-				if !reflect.DeepEqual(c.got, c.want) {
-					t.Errorf("%s shard %d: forked %s differs from the loaded machine's", scheme, i, c.what)
-				}
-			}
-			forked.Release()
-			forkedLoaded.Release()
-			built.Release()
-			loaded.Release()
 		}
+		forked.Release()
+		forkedLoaded.Release()
+		built.Release()
+		loaded.Release()
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"ffccd/internal/checker"
 	"ffccd/internal/ds"
 	"ffccd/internal/machine"
-	"ffccd/internal/mesh"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/redisws"
@@ -34,7 +33,7 @@ import (
 )
 
 // ServeSchemes are the serving-path defragmentation schemes a schedule can
-// name — the four machines of the §7.4 comparison.
+// name (redisws.Schemes).
 var ServeSchemes = redisws.Schemes
 
 // Default serving-trial volumes. Small enough for a stratified campaign in CI,
@@ -275,6 +274,7 @@ func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*
 	if opts.Obs != nil {
 		if opt.Obs = opts.Obs(Setting{Serve: rep.Scheme, Shards: rep.Shards}, rep.Seed); opt.Obs != nil {
 			opt.Obs.Tracer.Name(target.GC, "gc")
+			loaded[rep.Shard].NameClients(opt.Obs.Tracer)
 			dev.SetObs(opt.Obs)
 			if target.Eng != nil {
 				target.Eng.SetObs(opt.Obs)
@@ -288,36 +288,20 @@ func runServeOn(rep ServeRepro, shardKeys []int, opts TrialOptions, machines []*
 			crashed = true
 			res.Crash = crash
 			res.Census = dev.DisarmSites()
-			var d2 *mesh.Defragmenter
 			rs := restart{label: label, m: target.Machine, policy: policy, nested: rep.Nested,
 				opt: opt, after: opts.AfterRecovery, model: acked,
 				open: func(ctx *sim.Ctx, p *pmop.Pool) (ds.Store, error) {
-					// After the allocator rebuild, re-pin meshed frames so
-					// later cycles cannot re-mesh over resident neighbours.
-					if d2 != nil {
-						d2.RestoreFrameStates()
-					}
 					return redisws.OpenStore(ctx, p, shardKeys[rep.Shard])
 				}}
 			if pending != nil {
 				rs.pending = &checker.PendingWrite{Key: pending.Key, Val: pending.Val}
-			}
-			if rep.Scheme == "mesh" {
-				// Mesh's remap table must be installed before reference
-				// marking reads the heap (see mesh.Recover).
-				rs.prepare = func(ctx *sim.Ctx, p *pmop.Pool) (err error) {
-					if d2, err = mesh.Recover(ctx, p); err != nil {
-						err = fmt.Errorf("mesh recovery (%s): %w", rep.Scheme, err)
-					}
-					return err
-				}
 			}
 			model, cycles, err := rs.run(&res)
 			if err != nil {
 				return nil, err
 			}
 			return &redisws.Recovered{Store: target.Store, Pool: target.Pool, Cycles: cycles, Model: model,
-				Hooks: redisws.SchemeHooks(rep.Scheme, target.Eng, d2, target.GC)}, nil
+				Hooks: redisws.SchemeHooks(rep.Scheme, target.Eng, target.GC)}, nil
 		},
 	}
 	// A sharded census pass census-arms the sibling shards too, so a single

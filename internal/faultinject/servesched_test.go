@@ -49,7 +49,8 @@ func TestServeReproRoundTrip(t *testing.T) {
 
 // TestServeTrialObsFiresAtTheCrash: a serving trial installs TrialOptions.Obs
 // on its crash-target shard, whose injected crash fires the bundle's OnCrash
-// exactly once, and observing changes nothing the trial simulates.
+// exactly once, the dump it writes names every thread (the shard's clients
+// are client0, client1, …), and observing changes nothing the trial simulates.
 func TestServeTrialObsFiresAtTheCrash(t *testing.T) {
 	for _, rep := range []faultinject.ServeRepro{smallServe("ffccd", 11), shardedServe("ffccd", 11, 2, 1)} {
 		census, err := rep.Run(faultinject.TrialOptions{})
@@ -63,14 +64,23 @@ func TestServeTrialObsFiresAtTheCrash(t *testing.T) {
 		}
 		var fired int
 		var named []faultinject.Setting
+		var dump strings.Builder
 		observed, err := rep.Run(faultinject.TrialOptions{Obs: func(s faultinject.Setting, _ int64) *obsv.Obs {
 			named = append(named, s)
 			o := obsv.New(8)
-			o.OnCrash = func(*obsv.Obs) { fired++ }
+			o.OnCrash = func(o *obsv.Obs) {
+				fired++
+				if err := obsv.WriteFlightRecorder(&dump, o); err != nil {
+					t.Error(err)
+				}
+			}
 			return o
 		}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if d := dump.String(); strings.Contains(d, "()") || !strings.Contains(d, "(client0)") {
+			t.Errorf("%s: the flight-recorder dump leaves a thread unnamed or names no client:\n%s", rep.MarshalLine(), d)
 		}
 		want := "serve/ffccd"
 		if rep.Shards > 1 {

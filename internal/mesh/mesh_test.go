@@ -1,11 +1,15 @@
 package mesh_test
 
 import (
+	"slices"
 	"testing"
 
 	"ffccd/internal/alloc"
+	"ffccd/internal/core"
 	"ffccd/internal/ds"
+	"ffccd/internal/machine"
 	"ffccd/internal/mesh"
+	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
@@ -167,4 +171,160 @@ func TestMeshRepeatedCyclesConverge(t *testing.T) {
 	if again := d.RunCycle(ctx); again > 10 {
 		t.Errorf("meshing did not converge: %d new pairs on 6th cycle", again)
 	}
+}
+
+// installedRemap reads the virtual→physical heap-frame mapping p resolves
+// addresses through, one physical frame per virtual frame.
+func installedRemap(p *pmop.Pool) []uint64 {
+	heapOff, frames := p.HeapRange()
+	base := p.PA(0) + heapOff // offsets below the heap are never remapped
+	m := make([]uint64, frames)
+	for f := range m {
+		m[f] = (p.PA(heapOff+uint64(f)*alloc.FrameSize) - base) / alloc.FrameSize
+	}
+	return m
+}
+
+// pairedFrames returns every frame a mapping pairs: each remapped frame and
+// the frame it maps to.
+func pairedFrames(m []uint64) map[int]bool {
+	paired := map[int]bool{}
+	for f, ph := range m {
+		if ph != uint64(f) {
+			paired[f], paired[int(ph)] = true, true
+		}
+	}
+	return paired
+}
+
+// TestRecoverAtEveryCycleSite crashes one RunCycle at each of its sites — the
+// Sfences of the pair copies, then those of persist's table copy and
+// generation flip — and once after it returns, under the drop and keep
+// policies. Each crashed machine is reopened and recovered as a restart does:
+// mesh.Recover installs the persisted table, core.Recover rebuilds the
+// allocator through it, and RestoreFrameStates re-pins the pairs. The
+// recovered mapping must be the old generation (identity) or the new one, and
+// the new one from the first crash that recovers it on; every list element
+// reads back; exactly the paired frames are FrameMeshed; and a following
+// RunCycle pairs none of them.
+func TestRecoverAtEveryCycleSite(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.CacheBytes = 128 * 1024
+	m, err := machine.Build(machine.Spec{Name: "mesh", PoolBytes: 16 << 20, PageShift: 12, Sim: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	fragmentComplementary(t, m.Pool, m.Ctx)
+	img := m.Capture()
+	m.Release()            // a checkpoint is released after its source
+	t.Cleanup(img.Release) // after the cleanups of its forks
+
+	// The uncrashed cycle maps the new generation.
+	ref, err := img.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := installedRemap(ref.Pool)
+	released := mesh.New(ref.Pool).RunCycle(ref.Ctx)
+	next := installedRemap(ref.Pool)
+	ref.Release()
+	if released == 0 {
+		t.Fatal("the complementary heap meshed no pair")
+	}
+
+	for _, policy := range []struct {
+		name string
+		fate pmem.CrashPolicy
+	}{{"drop", pmem.DropAllInflight}, {"keep", pmem.KeepAllInflight}} {
+		olds := 0
+		// The first site past the cycle's last crashes after RunCycle returns.
+		for site := int64(0); ; site++ {
+			crashed, d, after := crashCycleAt(t, img, site, policy.fate)
+			got := installedRemap(crashed.Pool)
+			switch {
+			case slices.Equal(got, old) && olds == int(site):
+				olds++
+			case !slices.Equal(got, next):
+				t.Fatalf("%s, site %d: recovered a mapping that is neither the old generation nor the new one, or the old after the new",
+					policy.name, site)
+			}
+			checkRecovered(t, crashed, d, site)
+			crashed.Release()
+			if after {
+				t.Logf("%s: %d pairs; crashes at sites 0..%d recover the old generation, at %d..%d the new",
+					policy.name, released, olds-1, olds, site)
+				if olds == 0 || olds > int(site) {
+					t.Errorf("%s: the crashes recover only one generation", policy.name)
+				}
+				break
+			}
+		}
+	}
+}
+
+// crashCycleAt forks img and crashes a RunCycle on it at site under policy,
+// or after the cycle returns if it passes fewer sites (after reports which).
+// It reopens the machine and installs the persisted mapping with
+// mesh.Recover. The caller releases the machine; a failed test leaves that
+// to the cleanup.
+func crashCycleAt(t *testing.T, img *machine.Image, site int64, policy pmem.CrashPolicy) (m *machine.Machine, d *mesh.Defragmenter, after bool) {
+	t.Helper()
+	m, err := img.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Release)
+	dev := m.Device()
+	dev.ArmSites(site)
+	after = pmem.CatchCrash(func() { mesh.New(m.Pool).RunCycle(m.Ctx) }) == nil
+	dev.DisarmSites()
+	dev.SetCrashPolicy(policy)
+	dev.Crash()
+	if err := m.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = mesh.Recover(m.Ctx, m.Pool); err != nil {
+		t.Fatalf("site %d: %v", site, err)
+	}
+	return m, d, after
+}
+
+// checkRecovered finishes the restart of m, crashed at site, whose mapping d
+// holds, and checks what TestRecoverAtEveryCycleSite says of it.
+func checkRecovered(t *testing.T, m *machine.Machine, d *mesh.Defragmenter, site int64) {
+	t.Helper()
+	ctx := m.Ctx
+	var err error
+	if m.Eng, err = core.Recover(ctx, m.Pool, core.Options{}); err != nil {
+		t.Fatalf("site %d: %v", site, err)
+	}
+	d.RestoreFrameStates()
+	l, err := ds.NewList(ctx, m.Pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBack := func(when string) {
+		for k := uint64(1); k < 3000; k += 2 {
+			if v, ok := l.Get(ctx, k); !ok || v[0] != byte(k) {
+				t.Fatalf("site %d: key %d unreadable %s", site, k, when)
+			}
+		}
+	}
+	readBack("after recovery")
+	got := installedRemap(m.Pool)
+	paired := pairedFrames(got)
+	heap := m.Pool.Heap()
+	for f := 0; f < heap.Frames(); f++ {
+		if meshed := heap.State(f) == alloc.FrameMeshed; meshed != paired[f] {
+			t.Fatalf("site %d: frame %d is meshed=%v, paired=%v", site, f, meshed, paired[f])
+		}
+	}
+	d.RunCycle(ctx)
+	for f, ph := range installedRemap(m.Pool) {
+		if ph != got[f] && (paired[f] || paired[int(ph)]) {
+			t.Fatalf("site %d: the next cycle pairs frame %d with %d, one of them already paired", site, f, ph)
+		}
+	}
+	readBack("after the next cycle")
 }

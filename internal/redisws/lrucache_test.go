@@ -2,6 +2,7 @@ package redisws
 
 import (
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -245,5 +246,25 @@ func TestServeLRUTablesPerOwnedKey(t *testing.T) {
 		}
 		l.Release()
 		m.Release()
+	}
+}
+
+// TestCloneIgnoresPooledTables: a clone's state is the same whichever tables
+// the pool hands it, fresh ones or ones whose last owner filled its model, so
+// a fork's loaded state compares equal to a capture of the machine it forks.
+func TestCloneIgnoresPooledTables(t *testing.T) {
+	c := newLRUCache(nil, 1<<20, nil, 64)
+	for i := int32(0); i < 8; i++ {
+		c.pushFront(i, 100+int(i))
+	}
+	fresh := c.clone()
+	used := c.clone()
+	if len(used.model()) != 8 {
+		t.Fatal("the model does not hold the 8 live keys")
+	}
+	lruPool.Put(lruTables{used.nodes, used.scratch})
+	if got := c.clone(); !reflect.DeepEqual(got, fresh) {
+		t.Errorf("a clone on tables whose model was filled differs from one on other tables: scratch %d keys, want %d",
+			len(got.scratch), len(fresh.scratch))
 	}
 }

@@ -1,13 +1,13 @@
 package redisws
 
-// The serving machine: one simulated machine (machine.Machine) per scheme of
-// the §7.4 comparison with what serving adds to it, the scheme's hooks and
-// Mesh's defragmenter. The SLO grid (experiments.Serving) builds one per
-// scheme and shard, and Figure 16 (experiments.Figure16) one per scheme for
-// the closed-loop Run; serving crash campaigns (faultinject.ServeRepro)
-// build and load one per shard, capture it, turn every fork of it into a
-// serving machine with Equip, and rewire the scheme's hooks over the
-// recovered pool after a power failure. The callers differ only in what
+// The serving machine: one simulated machine (machine.Machine) per serving
+// scheme with what serving adds to it, the scheme's hooks. The SLO grid
+// (experiments.Serving) builds one per scheme and shard, and Figure 16
+// (experiments.Figure16) one per scheme for the closed-loop Run, its Mesh
+// comparator on a "none" machine; serving crash campaigns
+// (faultinject.ServeRepro) build and load one per shard, capture it, turn
+// every fork of it into a serving machine with Equip, and rewire the
+// scheme's hooks over the recovered pool after a power failure. The callers differ only in what
 // they pass: the pool's name, its slack over the keyspace's needs, and the
 // config's cache size.
 
@@ -15,26 +15,24 @@ import (
 	"fmt"
 	"slices"
 
-	"ffccd/internal/alloc"
 	"ffccd/internal/core"
 	"ffccd/internal/ds"
 	"ffccd/internal/kv"
 	"ffccd/internal/machine"
-	"ffccd/internal/mesh"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
 )
 
 // Schemes are the serving-path defragmentation schemes: no defragmentation,
-// FFCCD with checklookup, stop-the-world (Espresso) cycles, and Mesh.
-var Schemes = []string{"none", "ffccd", "stw", "mesh"}
+// FFCCD with checklookup, and stop-the-world (Espresso) cycles.
+var Schemes = []string{"none", "ffccd", "stw"}
 
 // schemeTrigger is the fragmentation ratio above which ffccd and stw start a
 // cycle at a maintenance point.
 const schemeTrigger = 1.10
 
 // SchemeOptions is the engine configuration a serving scheme runs and
-// recovers under. "none" and "mesh" have no engine: their Scheme is
+// recovers under. "none" has no engine: its Scheme is
 // core.SchemeNone, under which core.Recover takes the scheme-independent idle
 // path.
 func SchemeOptions(scheme string) core.Options {
@@ -52,9 +50,8 @@ func SchemeOptions(scheme string) core.Options {
 // over a fresh engine when the machine is built, over the recovered one after
 // a crash. gc is the defragmentation thread's clock domain; it carries across
 // a crash (pause accounting is delta-based). ffccd and stw start a cycle at
-// a maintenance point when eng.Triggered. eng is nil for "none" and "mesh",
-// d is nil for every scheme but "mesh".
-func SchemeHooks(scheme string, eng *core.Engine, d *mesh.Defragmenter, gc *sim.Ctx) ServeHooks {
+// a maintenance point when eng.Triggered. eng is nil for "none".
+func SchemeHooks(scheme string, eng *core.Engine, gc *sim.Ctx) ServeHooks {
 	var hooks ServeHooks
 	switch scheme {
 	case "ffccd":
@@ -90,13 +87,6 @@ func SchemeHooks(scheme string, eng *core.Engine, d *mesh.Defragmenter, gc *sim.
 			pause, _ := eng.RunCycleSTW(gc)
 			return pause
 		}
-	case "mesh":
-		hooks.Maintenance = func(uint64) uint64 {
-			before := gc.Clock.Total()
-			d.RunCycle(gc)
-			return gc.Clock.Total() - before // meshing pauses the world
-		}
-		hooks.Foot = func() alloc.FragStats { return d.PhysFrag(12) }
 	}
 	return hooks
 }
@@ -109,12 +99,10 @@ func OpenStore(ctx *sim.Ctx, p *pmop.Pool, keys int) (ds.Store, error) {
 
 // Machine is one simulated serving machine: the machine (its Ctx is the
 // loader context, GC the defragmentation thread's, Eng the ffccd or stw
-// engine) plus the scheme's serving hooks and, for "mesh", the Mesh
-// defragmenter.
+// engine) plus the scheme's serving hooks.
 type Machine struct {
 	*machine.Machine
 	Hooks ServeHooks
-	Mesh  *mesh.Defragmenter
 }
 
 // NewMachine builds the machine of scheme over a fresh pool named poolName
@@ -138,20 +126,14 @@ func NewMachine(cfg sim.Config, scheme, poolName string, keys int, slackBytes ui
 }
 
 // Equip makes a serving machine of scheme from m, whose contexts, pool and
-// store exist: a fresh engine (ffccd, stw) or Mesh defragmenter and the
-// scheme's serving hooks. It is the last step of NewMachine, and what turns a
-// fork of a loaded machine into a serving one. It writes no media and charges
-// no cycle.
+// store exist: a fresh engine (ffccd, stw) and the scheme's serving hooks.
+// It is the last step of NewMachine, and what turns a fork of a loaded
+// machine into a serving one. It writes no media and charges no cycle.
 func Equip(m *machine.Machine, scheme string) *Machine {
-	sm := &Machine{Machine: m}
 	if opt := SchemeOptions(scheme); opt.Scheme != core.SchemeNone {
 		m.NewEngine(opt)
 	}
-	if scheme == "mesh" {
-		sm.Mesh = mesh.New(m.Pool)
-	}
-	sm.Hooks = SchemeHooks(scheme, m.Eng, sm.Mesh, m.GC)
-	return sm
+	return &Machine{Machine: m, Hooks: SchemeHooks(scheme, m.Eng, m.GC)}
 }
 
 // Shard is the part of the machine the serving loop runs.

@@ -8,7 +8,8 @@
 // Defragmentation is injected through ServeHooks, the same hooks the serving
 // layer runs (SchemeHooks wires the §7.4 schemes): concurrent FFCCD epochs
 // that the application's operations pass behind the read barrier,
-// stop-the-world (jemalloc-style) cycles or Mesh. Any pause a hook returns
+// stop-the-world (jemalloc-style) cycles, or Figure 16's Mesh comparator
+// (experiments.Figure16 wires it). Any pause a hook returns
 // is charged to the next operation's latency — which is how STW pauses
 // surface as tail latency.
 package redisws

@@ -57,7 +57,7 @@ func TestRedisLRUCapHolds(t *testing.T) {
 
 // schemeHooks wires scheme's serving hooks over p, as redisws.Equip does, on
 // an engine of its own (ffccd, stw) and a fresh defragmentation context. It
-// returns the hooks and the engine (nil for "none" and "mesh").
+// returns the hooks and the engine (nil for "none").
 func schemeHooks(t *testing.T, scheme string, p *pmop.Pool) (redisws.ServeHooks, *core.Engine) {
 	t.Helper()
 	var eng *core.Engine
@@ -65,7 +65,7 @@ func schemeHooks(t *testing.T, scheme string, p *pmop.Pool) (redisws.ServeHooks,
 		eng = core.NewEngine(p, opt)
 		t.Cleanup(eng.Close)
 	}
-	return redisws.SchemeHooks(scheme, eng, nil, sim.NewCtx(p.Config())), eng
+	return redisws.SchemeHooks(scheme, eng, sim.NewCtx(p.Config())), eng
 }
 
 func TestRedisWithFFCCDReducesFootprint(t *testing.T) {

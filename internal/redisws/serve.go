@@ -159,7 +159,8 @@ type ServeHooks struct {
 	// EpochOpen is unread: both serving loops take the open-epoch flag
 	// from EpochInfo. It remains because bench/machine.go still sets it.
 	EpochOpen func() bool
-	// Foot overrides the footprint source (Mesh reports physical frames).
+	// Foot overrides the footprint source (Figure 16's Mesh reports
+	// physical frames).
 	Foot func() alloc.FragStats
 
 	// Series, when non-nil, receives the run's windowed time series: per-op
@@ -435,6 +436,12 @@ func (c *lruCache) clone() *lruCache {
 	if !ok {
 		t = lruTables{nodes: make([]lruNode, 0, len(c.nodes))}
 	}
+	// The clone's model scratch starts empty and allocated, whatever the
+	// pool's tables held, so no clone's state depends on which it got.
+	if t.scratch == nil {
+		t.scratch = map[uint64][]byte{}
+	}
+	clear(t.scratch)
 	d.nodes, d.scratch = append(t.nodes[:0], c.nodes...), t.scratch
 	return &d
 }
@@ -684,6 +691,14 @@ func (l *Loaded) Release() {
 	}
 	for _, c := range l.clients {
 		c.Release()
+	}
+}
+
+// NameClients labels the trace threads of l's client contexts client0,
+// client1, … in t, as a flight-recorder dump prints them.
+func (l *Loaded) NameClients(t *obsv.Tracer) {
+	for i, c := range l.clients {
+		t.Name(c, fmt.Sprintf("client%d", i))
 	}
 }
 
