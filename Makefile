@@ -74,12 +74,14 @@ servecrash: build
 		-seed 1 -max-sites 10 -nested -max-nested 3 -timeout 2m || exit 1; \
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
-# pins rewrites testdata/pins.txt, the SHA-256 of every line crashmatrix and
-# servecrash print with their wall times stripped, and names the lines that
-# moved. The root TestPins checks the manifest; rewrite it only for an
-# intentional change of the simulated machine or the schedule space.
+# pins rewrites testdata/pins.txt, the one record of pinned simulated output
+# (the root TestPins, which checks it, says what each section holds), and
+# prints each line that moved as "old <key><TAB><text>" and then
+# "new <key><TAB><text>". Rewrite it only for an intentional change of the
+# simulated machine or the schedule space.
 pins:
-	$(GO) test -count=1 -v -run '^TestPins$$' . -args -update-pins | grep -e 'moved:' -e '^ok' -e FAIL
+	$(GO) test -count=1 -v -run '^TestPins$$' . -args -update-pins | \
+		sed -n -e 's/^ *pins_test.go:[0-9]*: //p' -e '/^ok/p' -e '/FAIL/p'
 
 # fuzzsmoke runs every fuzz target for 5 s of coverage-guided fuzzing past
 # its seed corpus, which plain `go test` already replays. A failure leaves

@@ -1,27 +1,45 @@
 package ffccd_test
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"ffccd/internal/core"
+	"ffccd/internal/experiments"
 	"ffccd/internal/faultinject"
+	"ffccd/internal/obsv"
+	"ffccd/internal/redisws"
+	"ffccd/internal/sim"
+	"ffccd/internal/workpool"
 )
 
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/pins.txt and name the lines that moved")
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/pins.txt and print each moved line's old and new text")
 
 const pinsPath = "testdata/pins.txt"
 
-// pinnedOutputs returns every line `make crashmatrix` and `make servecrash`
-// print, wall times stripped, keyed by "<target> <setting>" (the closing
-// totals line is "<target> total"). The settings and campaign options are
-// those two Makefile targets' ffccd-crashtest flags.
-func pinnedOutputs() (keys, lines []string) {
+// pins collects the pinned lines in print order, keyed "<section> <name>".
+type pins struct {
+	t          *testing.T
+	keys, text []string
+}
+
+func (p *pins) add(key, text string) {
+	p.keys = append(p.keys, key)
+	p.text = append(p.text, text)
+}
+
+// campaigns pins every line `make crashmatrix` and `make servecrash` print,
+// wall times stripped, keyed "<target> <setting>" (the closing totals line
+// is "<target> total"); the settings and campaign options are those two
+// Makefile targets' ffccd-crashtest flags. It adds the one campaign neither
+// target runs, sharded serving, as "campaign serve/2S/ffccd".
+func (p *pins) campaigns() {
 	var serving []faultinject.Setting
 	for _, scheme := range faultinject.ServeSchemes {
 		serving = append(serving, faultinject.Setting{Serve: scheme})
@@ -40,60 +58,287 @@ func pinnedOutputs() (keys, lines []string) {
 		for _, s := range target.settings {
 			out := faultinject.ExploreSetting(s, target.co)
 			failures += len(out.Failures)
-			keys = append(keys, target.name+" "+s.String())
-			lines = append(lines, out.Summary())
+			p.add(target.name+" "+s.String(), out.Summary())
 		}
-		keys = append(keys, target.name+" total")
-		lines = append(lines, fmt.Sprintf("crash campaign: %d failures", failures))
+		p.add(target.name+" total", fmt.Sprintf("crash campaign: %d failures", failures))
 	}
-	return keys, lines
+	s := faultinject.Setting{Serve: "ffccd", Shards: 2}
+	out := faultinject.ExploreSetting(s, faultinject.CampaignOptions{
+		Seed: 1, Clients: 4, Ops: 1200, Keys: 400, MaxSites: 4, Nested: true, MaxNested: 2})
+	p.add("campaign "+s.String(), out.Summary())
 }
 
-// TestPins recomputes testdata/pins.txt, one SHA-256 per line of the
-// crashmatrix and servecrash outputs, and fails on every line whose hash
-// moved. A host-side change must move none; an intentional change of the
-// simulated machine rewrites the manifest with `make pins`, which lists the
-// lines that moved. -short skips it: the pins do not depend on -short, and
-// its 3 s of campaigns take many times that under the race detector, which
-// `make race` runs with -short.
+// cycles pins per-category cycle totals, frag ratio and device counters of
+// Figure 14/15-shaped runs, keyed "cycles <store>/<n>T/<scheme> shift<s>
+// seed<n>". Each line must come out the same from scratch with a collector
+// installed (observability never charges a cycle) and forked from a prefix
+// (a two-copy group is a fork group; a baseline or multi-thread spec runs
+// from scratch there too).
+func (p *pins) cycles() {
+	col := obsv.NewCollector(0)
+	experiments.SetObsCollector(col)
+	defer experiments.SetObsCollector(nil)
+	var specs []experiments.Spec
+	var keys []string
+	for _, c := range []struct {
+		store   string
+		threads int
+		scheme  core.Scheme
+		shift   uint
+		seed    int64
+	}{
+		{"LL", 1, core.SchemeNone, 12, 11},
+		{"LL", 1, core.SchemeEspresso, 12, 11},
+		{"LL", 1, core.SchemeFFCCDCheckLookup, 12, 11},
+		{"SS", 1, core.SchemeNone, 12, 11},
+		{"SS", 1, core.SchemeEspresso, 12, 11},
+		{"SS", 1, core.SchemeFFCCDCheckLookup, 12, 11},
+		{"RBT", 1, core.SchemeFFCCD, 12, 11},
+		{"LL", 1, core.SchemeFFCCDCheckLookup, 16, 3},
+		{"BzTree", 4, core.SchemeFFCCDCheckLookup, 16, 11},
+		{"FPTree", 4, core.SchemeFFCCDCheckLookup, 16, 11},
+	} {
+		spec := experiments.Spec{Store: c.store, Threads: c.threads, Scheme: c.scheme,
+			Scale: 0.001, PageShift: c.shift, Seed: c.seed}
+		if c.scheme != core.SchemeNone {
+			spec.Trigger, spec.Target = core.NormalParams()
+		}
+		specs = append(specs, spec)
+		keys = append(keys, fmt.Sprintf("cycles %s/%dT/%s shift%d seed%d", c.store, c.threads, c.scheme, c.shift, c.seed))
+	}
+	// runs[2i] is specs[i] from scratch, runs[2i+1] its two-copy fork group.
+	runs := make([][]experiments.Outcome, 2*len(specs))
+	if err := workpool.ForEach(len(runs), func(i int) error {
+		spec := specs[i/2]
+		if i%2 == 1 {
+			var err error
+			runs[i], err = experiments.RunSpecsForked([]experiments.Spec{spec, spec})
+			return err
+		}
+		out, err := experiments.Run(spec)
+		runs[i] = []experiments.Outcome{out}
+		return err
+	}); err != nil {
+		p.t.Fatal(err)
+	}
+	for i, key := range keys {
+		line := cyclesLine(runs[2*i][0])
+		for _, f := range runs[2*i+1] {
+			if got := cyclesLine(f); got != line {
+				p.t.Errorf("%s: forked run prints\n\t%s\nfrom scratch\n\t%s", key, got, line)
+			}
+		}
+		p.add(key, line)
+	}
+}
+
+func cyclesLine(o experiments.Outcome) string {
+	var b strings.Builder
+	for c, n := range o.Cycles {
+		fmt.Fprintf(&b, "%s=%d ", sim.Category(c), n)
+	}
+	d := o.Device
+	fmt.Fprintf(&b, "frag=%.9f loads=%d stores=%d media_writes=%d media_reads=%d clwbs=%d sfences=%d relocate_ops=%d pending_reach=%d",
+		o.FragRatio(), d.Loads, d.Stores, d.MediaWrites, d.MediaReads, d.Clwbs, d.Sfences, d.RelocateOps, d.PendingReach)
+	return b.String()
+}
+
+// serving pins an FFCCD Serve and a three-shard FFCCD deployment, each a
+// summary line and an FNV digest of its time series' overlay intervals,
+// windows and exemplars (stall cause, STW chain reference and cache set
+// included); the sharded digest folds each shard's summary in too. Both lines
+// must come out the same at workpool parallelism 1 and 4.
+func (p *pins) serving() {
+	defer workpool.SetParallelism(workpool.Parallelism())
+	var first []string
+	for _, par := range []int{1, 4} {
+		workpool.SetParallelism(par)
+		lines := []string{serveOne(p.t), serveSharded(p.t, 3)}
+		if first == nil {
+			first = lines
+			continue
+		}
+		for i := range lines {
+			if lines[i] != first[i] {
+				p.t.Errorf("serving at parallelism %d prints\n\t%s\nat 1\n\t%s", par, lines[i], first[i])
+			}
+		}
+	}
+	p.add("serve ffccd", first[0])
+	p.add("serve ffccd/3S", first[1])
+}
+
+// Narrow windows with four exemplars each, so the digest covers a few
+// hundred requests' stall causes rather than a handful.
+const (
+	pinWindow = 20_000
+	pinK      = 4
+)
+
+// serveCfg is the serving tests' small LRU-churning run.
+func serveCfg() redisws.ServeConfig {
+	cfg := redisws.DefaultServeConfig()
+	cfg.Clients, cfg.Ops, cfg.Keyspace = 8, 4000, 800
+	cfg.MaxLiveBytes = 800 * 150
+	cfg.MinVal, cfg.MaxVal = 240, 366
+	cfg.MinVal2, cfg.MaxVal2 = 367, 492
+	cfg.MaintEvery = 200
+	cfg.Seed = 7
+	return cfg
+}
+
+// serveMachine builds one FFCCD serving machine owning keys keys, with a
+// time series, and closes its engine when the test ends.
+func serveMachine(t *testing.T, keys int) (*redisws.Machine, *obsv.TimeSeries) {
+	cfg := sim.DefaultConfig()
+	cfg.CacheBytes = 256 * 1024
+	m, err := redisws.NewMachine(cfg, "ffccd", "pins", keys, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Release)
+	t.Cleanup(m.Eng.Close)
+	m.Hooks.Series = obsv.NewTimeSeries("ffccd", pinWindow, pinK)
+	return m, m.Hooks.Series
+}
+
+func serveOne(t *testing.T) string {
+	cfg := serveCfg()
+	m, ts := serveMachine(t, cfg.Keyspace)
+	res, err := redisws.Serve(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveSummary(res) + seriesDigest(ts)
+}
+
+func serveSharded(t *testing.T, n int) string {
+	cfg := serveCfg()
+	keys, err := redisws.ShardKeys(cfg.Keyspace, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]redisws.Shard, n)
+	series := make([]*obsv.TimeSeries, n)
+	for i := range shards {
+		m, ts := serveMachine(t, keys[i])
+		shards[i], series[i] = m.Shard(), ts
+	}
+	out, err := redisws.ServeSharded(shards, redisws.ShardConfigs(cfg, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := redisws.MergeShardSeries("ffccd", pinWindow, pinK, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var extra []string
+	for _, r := range out.Shards {
+		extra = append(extra, serveSummary(r))
+	}
+	return serveSummary(out.Merged) + seriesDigest(merged, extra...)
+}
+
+func serveSummary(r redisws.ServeResult) string {
+	return fmt.Sprintf("ops=%d gets=%d sets=%d hits=%d misses=%d evictions=%d parallel=%d serial=%d batches=%d "+
+		"app=%d interf=%d stall=%d queue=%d sim_cycles=%d makespan=%d rate=%v lat=%d p50=%v p99=%v p999=%v",
+		r.Ops, r.Gets, r.Sets, r.Hits, r.Misses, r.Evictions, r.ParallelOps, r.SerialOps, r.Batches,
+		r.AppCycles, r.InterfCycles, r.StallWaitCycles, r.QueueWaitCycles, r.SimCycles, r.Makespan, r.RateUsed,
+		r.Lat.Hist.Count(), r.Lat.Percentile(50), r.Lat.Percentile(99), r.Lat.Percentile(99.9))
+}
+
+// seriesDigest is " series=<FNV-64a>" over extra's lines, then the series'
+// overlay intervals and windows, each window followed by its exemplars,
+// worst first.
+func seriesDigest(ts *obsv.TimeSeries, extra ...string) string {
+	h := fnv.New64a()
+	for _, l := range extra {
+		fmt.Fprintln(h, l)
+	}
+	for _, iv := range ts.Intervals() {
+		fmt.Fprintf(h, "interval %+v\n", iv)
+	}
+	for _, w := range ts.Windows() {
+		exs := w.Exemplars
+		w.Exemplars = nil
+		fmt.Fprintf(h, "window %+v\n", w)
+		for _, ex := range exs {
+			fmt.Fprintf(h, "  exemplar latency=%d arrival=%d start=%d complete=%d cause=%+v\n",
+				ex.Latency, ex.Arrival, ex.Start, ex.Complete, ex.Cause)
+		}
+	}
+	return fmt.Sprintf(" series=%016x", h.Sum64())
+}
+
+// repros pins README.md's worked repro lines (a batch failure artifact, its
+// shrunk form, and a serving schedule), keyed "repro <line>", each with the
+// line ffccd-crashtest -repro prints and what its last recovery cost: a repro
+// line pasted from an old report must still name the same media images.
+func (p *pins) repros() {
+	for _, line := range []string{
+		`{"setting":"LL/1T/ffccd","seed":1,"ops":600,"tail_ops":120,"site":489,"nested":7,"policy":"salt","salt":5807}`,
+		`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
+		`{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`,
+	} {
+		rep, err := faultinject.ParseSchedule(line)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		res, err := rep.Run(faultinject.TrialOptions{})
+		if err != nil {
+			p.t.Fatalf("%s: %v", line, err)
+		}
+		p.add("repro "+line, fmt.Sprintf("%s recovery_cycles=%d", res.Summary(), res.RecoveryCycles))
+	}
+}
+
+// TestPins recomputes testdata/pins.txt, the one record of pinned simulated
+// output, and fails on every line that moved. A host-side change must move
+// none; an intentional change of the simulated machine rewrites the file with
+// `make pins`, which prints each moved line's old and new text. -short skips
+// it: the pins do not depend on -short, and its 4 s of runs take many times
+// that under the race detector, which `make race` runs with -short.
 func TestPins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs both crash campaigns; the pins do not depend on -short")
+		t.Skip("runs every pinned campaign and experiment; the pins do not depend on -short")
 	}
-	keys, lines := pinnedOutputs()
+	p := &pins{t: t}
+	p.campaigns()
+	p.cycles()
+	p.serving()
+	p.repros()
 	want := map[string]string{}
 	if text, err := os.ReadFile(pinsPath); err == nil {
 		for _, l := range strings.Split(string(text), "\n") {
-			if l == "" || strings.HasPrefix(l, "#") {
-				continue
+			if k, v, ok := strings.Cut(l, "\t"); ok && !strings.HasPrefix(l, "#") {
+				want[k] = v
 			}
-			i := strings.LastIndexByte(l, ' ')
-			want[l[:i]] = l[i+1:]
 		}
 	} else if !*updatePins {
 		t.Fatal(err)
 	}
 	for k := range want {
-		if !slices.Contains(keys, k) && !*updatePins {
+		if !slices.Contains(p.keys, k) && !*updatePins {
 			t.Errorf("%s is pinned but no longer printed", k)
 		}
 	}
 	var b strings.Builder
-	b.WriteString("# SHA-256 of each line `make crashmatrix` and `make servecrash` print, wall times\n")
-	b.WriteString("# stripped. TestPins checks it; `make pins` rewrites it.\n")
-	for i, k := range keys {
-		sum := fmt.Sprintf("%x", sha256.Sum256([]byte(lines[i])))
-		fmt.Fprintf(&b, "%s %s\n", k, sum)
-		if want[k] == sum {
+	b.WriteString("# Every pinned line of simulated output, as key<TAB>printed text. TestPins\n")
+	b.WriteString("# (pins_test.go) recomputes it; `make pins` rewrites it.\n")
+	for i, k := range p.keys {
+		fmt.Fprintf(&b, "%s\t%s\n", k, p.text[i])
+		old, ok := want[k]
+		if ok && old == p.text[i] {
 			continue
 		}
 		if *updatePins {
-			t.Logf("moved: %s: %s", k, lines[i])
+			t.Logf("old %s\t%s", k, old)
+			t.Logf("new %s\t%s", k, p.text[i])
 		} else {
-			t.Errorf("%s moved: %s (pinned %.12s, now %.12s)", k, lines[i], want[k], sum)
+			t.Errorf("%s moved:\n\tpinned %s\n\tnow    %s", k, old, p.text[i])
 		}
 	}
-	if *updatePins {
+	if *updatePins && !t.Failed() {
 		if err := os.WriteFile(pinsPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
