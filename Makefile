@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard golden pins crashmatrix fuzzsmoke loc clean
+.PHONY: all build test race vet fmt check bench benchsmoke benchrepo benchscale servesmoke servecrash serveshard pins crashmatrix fuzzsmoke loc clean
 
 all: check
 
@@ -19,8 +19,8 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race runs the short test suite under the race detector, then on four
-# workers, whatever the host has, the crash campaign's golden, oracle and
-# lifetime tests, batch and serving, pools created and reopened on the heap
+# workers, whatever the host has, the crash campaign's recovery-cost, oracle
+# and lifetime tests, batch and serving, pools created and reopened on the heap
 # tables and transaction slots other workers' pools released, four forks of
 # one device checkpoint writing copy-on-write, four machines forked from one
 # machine image, two serving runs forked from one loaded shard, and two
@@ -37,7 +37,7 @@ fmt:
 race:
 	$(GO) test -race -short ./...
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/faultinject/ \
-		-run 'TestCampaignGolden|TestForked(Serve)?TrialMatchesScratch|Test(Serve)?CampaignLeavesNoPrefixBehind|TestPooledTrialsMatchSerial|TestCampaignsReturnTheirPages'
+		-run 'TestEqualCrashImagesRecoverAtEqualCost|TestForked(Serve)?TrialMatchesScratch|Test(Serve)?CampaignLeavesNoPrefixBehind|TestPooledTrialsMatchSerial|TestCampaignsReturnTheirPages'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/pmop/ \
 		-run 'TestReopenedPoolMatchesFresh'
 	FFCCD_PARALLEL=4 $(GO) test -race -short -count=1 ./internal/pmem/ \
@@ -77,8 +77,10 @@ servecrash: build
 # pins rewrites testdata/pins.txt, the one record of pinned simulated output
 # (the root TestPins, which checks it, says what each section holds), and
 # prints each line that moved as "old <key><TAB><text>" and then
-# "new <key><TAB><text>". Rewrite it only for an intentional change of the
-# simulated machine or the schedule space.
+# "new <key><TAB><text>" (a line no longer printed as "gone <key>..."), so
+# `make pins | grep '^new cycles'` lists the moved cycle lines. Rewrite it
+# only for an intentional change of the simulated machine or the schedule
+# space.
 pins:
 	$(GO) test -count=1 -v -run '^TestPins$$' . -args -update-pins | \
 		sed -n -e 's/^ *pins_test.go:[0-9]*: //p' -e '/^ok/p' -e '/FAIL/p'
@@ -164,20 +166,12 @@ benchrepo: build
 # ffccd-bench (exercising the virtual-time scheduler, batched dispatch, and
 # the SLO table), the closed-loop Figure 16 run, which builds the same serving
 # machines and scheme hooks and adds its Mesh comparator, plus the
-# dispatcher's output pin
-# (testdata/serve.golden) from the test suite.
+# dispatcher's shape test from the test suite.
 servesmoke: build
 	$(GO) run ./cmd/ffccd-bench -experiment serving -scale 0.0001 >/dev/null
 	$(GO) run ./cmd/ffccd-bench -experiment fig16 -scale 0.0005 >/dev/null
-	$(GO) test ./internal/redisws/ -run 'TestServeGolden|TestServeShape' >/dev/null
+	$(GO) test ./internal/redisws/ -run 'TestServeShape' >/dev/null
 	@echo "servesmoke OK"
-
-# golden re-checks that simulated cycle totals match the committed golden —
-# each golden spec is replayed through BOTH the from-scratch path and the
-# checkpoint/fork path (the /scratch and /fork subtests), with observability
-# ENABLED (tracing must never perturb simulated results).
-golden:
-	$(GO) test ./internal/experiments/ -run 'TestGoldenCycles|TestCycleDeterminism|TestTracingDoesNotPerturb' -v
 
 clean:
 	rm -f ffccd.test

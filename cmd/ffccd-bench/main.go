@@ -55,7 +55,7 @@ import (
 
 // benchRecord is one -json entry: what ran, how long the host took, and the
 // experiment's simulated metrics (identical across revisions and worker
-// counts — see the golden test). The scaling scripts read host_seconds.
+// counts — see TestPins). The scaling scripts read host_seconds.
 type benchRecord struct {
 	Experiment  string             `json:"experiment"`
 	Scale       float64            `json:"scale"`
@@ -86,6 +86,10 @@ func run(args []string) int {
 	shards := fs.Int("shards", 1, "serving experiments: shard the keyspace across N independent simulated machines")
 	scheme := fs.String("scheme", "", "serving experiments: run only this defrag scheme (none|ffccd|stw; empty = all)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *parallel < 0 || *traceRing < 0 {
+		fmt.Fprintf(os.Stderr, "-parallel %d, -trace-ring %d: counts cannot be negative\n", *parallel, *traceRing)
 		return 2
 	}
 	var schemes []string

@@ -81,6 +81,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-experiment", "servingcrash", "-scheme", "mesh"},
 		{"-experiment", "table1", "-shards", "2"},
 		{"-experiment", "table1", "-scheme", "ffccd"},
+		{"-experiment", "table1", "-parallel", "-1"},
+		{"-experiment", "table1", "-trace-ring", "-8", "-trace", os.DevNull},
 	} {
 		code, out, stderr := capture(t, args...)
 		if code != 2 || strings.Contains(out, "====") || stderr == "" {

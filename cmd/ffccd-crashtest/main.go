@@ -69,6 +69,15 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"max-sites", *maxSites}, {"max-nested", *maxNested}, {"parallel", *parallel}, {"flightrec", *flightrec}} {
+		if c.n < 0 {
+			fmt.Fprintf(os.Stderr, "ffccd-crashtest: -%s %d: counts cannot be negative\n", c.name, c.n)
+			return 2
+		}
+	}
 
 	var topts faultinject.TrialOptions
 	if *flightrec > 0 {

@@ -81,7 +81,8 @@ func TestServeShardCountIsUsageError(t *testing.T) {
 // TestIgnoredFlagsAreUsageErrors: a flag the run would ignore exits 2 before
 // any trial instead of running without it. A replay reads only -flightrec,
 // and -parallel for a sharded line; the flags of the serving mode that
-// -setting replaced are unknown.
+// -setting replaced are unknown; and a negative count is refused, not read
+// as 0 (exhaustive sites, default workers, no ring).
 func TestIgnoredFlagsAreUsageErrors(t *testing.T) {
 	batchLine := `{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`
 	for _, args := range [][]string{
@@ -94,6 +95,10 @@ func TestIgnoredFlagsAreUsageErrors(t *testing.T) {
 		{"-serve", "-setting", "serve/ffccd", "-max-sites", "1"},
 		{"-scheme", "ffccd", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-serve-shards", "2", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
+		{"-max-sites", "-1", "-setting", "LL/1T/ffccd"},
+		{"-max-nested", "-1", "-nested", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
+		{"-parallel", "-2", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
+		{"-flightrec", "-4", "-repro", batchLine},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("run(%q) = %d, want 2", args, code)

@@ -32,7 +32,7 @@ var (
 	docSpan   = regexp.MustCompile("`([^`]+)`")
 	docFence  = regexp.MustCompile("(?s)```.*?```")
 	docPkgRef = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
-	docPath   = regexp.MustCompile(`^[\w./-]+\.(go|md|json|golden|sh)(:\d+)?$`)
+	docPath   = regexp.MustCompile(`^[\w./-]+\.(go|md|json|golden|txt|sh)(:\d+)?$`)
 	docMake   = regexp.MustCompile(`^make ([\w -]+)$`)
 	// docCmd is a command of cmd/ and the arguments after it, and docFlag
 	// one flag among them, bracketed when optional.
@@ -53,7 +53,7 @@ var (
 // declares (as a top-level name or a method); a backticked pkg.Type.Member
 // chain whose Member is no field or method of that type (nor promoted from a
 // type it embeds); a backticked path ending .go,
-// .md, .json, .golden or .sh (with an optional :line) that exists neither from
+// .md, .json, .golden, .txt or .sh (with an optional :line) that exists neither from
 // the root nor from any package directory or its testdata; a backticked
 // `make X` whose X is no Makefile target; a backticked `ffccd-bench -x`
 // (or ffccd-crashtest, ffccd-inspect) whose -x that command's main.go does not

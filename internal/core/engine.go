@@ -231,7 +231,7 @@ func (s *EngineStats) Add(other EngineStats) {
 // read_barrier_cycles histograms, and the "engine"/"checklookup" snapshot
 // groups. Call once, before the engine runs; nil disables (the default).
 // Observability never charges simulated cycles — events carry clock readings
-// only — so enabling it leaves golden cycle totals bit-identical.
+// only — so enabling it leaves pinned cycle totals bit-identical.
 func (e *Engine) SetObs(o *obsv.Obs) {
 	e.obs = o
 	e.hSTW, e.hBatch, e.hBarrier = nil, nil, nil

@@ -32,7 +32,7 @@ import (
 //
 // Forked runs reproduce scratch runs bit-identically in simulated cycle
 // totals, device counters, frag ratios AND engine counters (pinned by
-// TestGoldenCycles' fork replay and TestForkMatchesScratch). Engine counters
+// TestPins' cycles lines and TestForkMatchesScratch). Engine counters
 // need one extra step: a scratch engine accumulates leak-reclaim counts from
 // the failed pre-divergence attempts, while a fork's engine is born at the
 // divergence point — so the checkpoint captures the prefix engine's stats
@@ -216,28 +216,6 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	// scratch runs report identical engine activity.
 	out.Engine.Add(pre.img.EngineStats)
 	return out, nil
-}
-
-// runForked executes one spec through the fork path: prefix to the
-// divergence point, then a single fork. Specs the fork protocol cannot
-// serve fall back to Run: a run with no engine never diverges, and a
-// multi-thread run interleaves several runners, which have no checkpoint
-// between them.
-func runForked(spec Spec) (Outcome, error) {
-	if spec.Scheme == core.SchemeNone || spec.Threads > 1 {
-		return Run(spec)
-	}
-	pre, err := buildPrefix(spec)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if pre.img == nil {
-		out := pre.outcome
-		out.Spec = spec
-		return out, nil
-	}
-	defer pre.img.Release()
-	return runFork(pre, spec)
 }
 
 // forkGroupKey identifies specs that share a bit-identical prefix: same

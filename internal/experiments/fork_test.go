@@ -11,7 +11,7 @@ import (
 )
 
 // sameSimulatedMachine fails the test unless two outcomes agree on every
-// simulated observable the golden contract pins: per-category cycle totals,
+// simulated observable: per-category cycle totals,
 // device counters, engine counters, op counts and frag ratios. Engine
 // counters match because the fork driver folds the prefix engine's
 // pre-divergence bookkeeping (failed-attempt leak reclamation) into each
@@ -38,8 +38,8 @@ func sameSimulatedMachine(t *testing.T, label string, scratch, fork Outcome) {
 
 // TestForkMatchesScratch is the randomized property test for the fork
 // driver: for arbitrary (store, scheme, scale, seed, trigger, page size)
-// specs, running the workload through buildPrefix+runFork must be
-// bit-identical to running it from scratch.
+// specs, a two-copy fork group (one prefix, two forks) must be bit-identical
+// to running the workload from scratch.
 func TestForkMatchesScratch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -71,11 +71,13 @@ func TestForkMatchesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fork, err := runForked(spec)
+			forks, err := RunSpecsForked([]Spec{spec, spec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSimulatedMachine(t, name, scratch, fork)
+			for _, fork := range forks {
+				sameSimulatedMachine(t, name, scratch, fork)
+			}
 		})
 	}
 }

@@ -1,8 +1,8 @@
 package faultinject_test
 
-// Tests for the trial media life cycle and the media digest: hashes pinned
-// to the values the dense (whole-media) HashMedia produced, and trial
-// devices released exactly when their trial is done with them.
+// Tests for the trial media life cycle: trial devices are released exactly
+// when their trial is done with them. denseMediaHash, the whole-media digest
+// HashMedia must agree with, is checked in sched_test.go.
 
 import (
 	"testing"
@@ -31,37 +31,6 @@ func denseMediaHash(b []byte) uint64 {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
-}
-
-// TestReproHashesPinned replays README.md's worked repro lines (the batch
-// failure artifact, its shrunk form, and the serving schedule) and pins
-// their media hashes to the values recorded with the dense HashMedia — a
-// repro line pasted from an old report must still name the same images.
-func TestReproHashesPinned(t *testing.T) {
-	for _, tc := range []struct {
-		line        string
-		post, final uint64
-	}{
-		{`{"setting":"LL/1T/ffccd","seed":1,"ops":600,"tail_ops":120,"site":489,"nested":7,"policy":"salt","salt":5807}`,
-			0xf47dbdb12e3fbf2e, 0x5891cd118c984885},
-		{`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
-			0x22fc2a729207472e, 0x797d1598964c38},
-		{`{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`,
-			0x4e8a92ebb88ae1eb, 0x173759f358a139dd},
-	} {
-		rep, err := faultinject.ParseSchedule(tc.line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rep.Run(faultinject.TrialOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.line, err)
-		}
-		if res.PostCrashHash != tc.post || res.FinalHash != tc.final {
-			t.Errorf("%s:\n  post_crash_hash=%#x final_hash=%#x, pinned %#x / %#x",
-				tc.line, res.PostCrashHash, res.FinalHash, tc.post, tc.final)
-		}
-	}
 }
 
 // TestTrialMediaReleasedAndRecycled pins the trial device life cycle: a

@@ -13,8 +13,8 @@
 //   - Non-perturbing when enabled. Events are keyed by *simulated* cycles
 //     (ctx.Clock totals), never host wall time, and no obsv code path ever
 //     calls ctx.Charge or touches device/heap state — enabling tracing on a
-//     golden run reproduces the committed cycle totals bit-identically
-//     (pinned by TestGoldenCycles, which runs with tracing enabled, and
+//     pinned run reproduces the committed cycle totals bit-identically
+//     (pinned by TestPins, whose cycles runs have tracing enabled, and
 //     TestTracingDoesNotPerturb).
 //
 // The tracer keeps one buffer per simulated thread (keyed by the sim.Ctx

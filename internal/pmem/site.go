@@ -4,8 +4,8 @@ package pmem
 // simulated machine — fence/WPQ drains, relocate issues, moved-bit updates,
 // reference-fixup passes, epoch-state transitions, recovery steps — passes
 // through Device.Site. With no recorder armed the hook is one pointer load
-// and a predicted branch (the zero-overhead contract the golden cycle
-// tests and ffccd-bench pin). With a recorder armed, every passage bumps a
+// and a predicted branch (the zero-overhead contract TestPins' cycle lines
+// and ffccd-bench pin). With a recorder armed, every passage bumps a
 // global site counter; a schedule can name an exact counter value at which
 // the machine "loses power", turning the §7.1 crash campaign from a random
 // step-count lottery into a deterministic, enumerable explorer: a trial first

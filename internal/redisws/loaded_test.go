@@ -1,6 +1,7 @@
 package redisws
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,12 +118,20 @@ func TestLoadErrorsNameLoad(t *testing.T) {
 	if _, err := Load(nil, nil, nil, bad); err == nil || !strings.HasPrefix(err.Error(), "redisws.Load: ") {
 		t.Errorf("no clients: %v", err)
 	}
-	// A GET share outside [0, 1], an inverted or half-set value range and an
-	// inverted or half-set drift range are errors, not replaced by defaults
-	// or a run that never drifts; an unset range still takes its default.
+	// A GET share outside [0, 1], a Zipf exponent or offered rate the run
+	// cannot use, an inverted or half-set value range and an inverted or
+	// half-set drift range are errors, not replaced by defaults or a run that
+	// never drifts; an unset range still takes its default.
 	for name, edit := range map[string]func(*ServeConfig){
 		"GetFraction 1.5":   func(c *ServeConfig) { c.GetFraction = 1.5 },
 		"GetFraction -0.1":  func(c *ServeConfig) { c.GetFraction = -0.1 },
+		"GetFraction NaN":   func(c *ServeConfig) { c.GetFraction = math.NaN() },
+		"ZipfTheta 1":       func(c *ServeConfig) { c.ZipfTheta = 1 },
+		"ZipfTheta NaN":     func(c *ServeConfig) { c.ZipfTheta = math.NaN() },
+		"ZipfTheta +Inf":    func(c *ServeConfig) { c.ZipfTheta = math.Inf(1) },
+		"ZipfTheta -Inf":    func(c *ServeConfig) { c.ZipfTheta = math.Inf(-1) },
+		"RatePerSec NaN":    func(c *ServeConfig) { c.RatePerSec = math.NaN() },
+		"RatePerSec +Inf":   func(c *ServeConfig) { c.RatePerSec = math.Inf(1) },
 		"values 300..200":   func(c *ServeConfig) { c.MinVal, c.MaxVal = 300, 200 },
 		"values unset..300": func(c *ServeConfig) { c.MinVal, c.MaxVal = 0, 300 },
 		"drift 500..400":    func(c *ServeConfig) { c.MinVal2, c.MaxVal2 = 500, 400 },

@@ -3,6 +3,7 @@ package redisws
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"ffccd/internal/alloc"
@@ -733,11 +734,19 @@ func Load(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig) (*Loaded,
 	if cfg.Clients <= 0 || cfg.Ops <= 0 || cfg.Keyspace <= 0 {
 		return nil, errors.New("redisws.Load: Clients, Ops and Keyspace must be positive")
 	}
+	// NewZipf's exponent is 1/(1-θ): θ = 1 makes it infinite, and the
+	// generator then draws almost nothing but the last rank.
+	if math.IsNaN(cfg.ZipfTheta) || math.IsInf(cfg.ZipfTheta, 0) || cfg.ZipfTheta == 1 {
+		return nil, fmt.Errorf("redisws.Load: ZipfTheta %v is not finite or is 1", cfg.ZipfTheta)
+	}
 	if cfg.ZipfTheta <= 0 {
 		cfg.ZipfTheta = 0.99
 	}
-	if cfg.GetFraction < 0 || cfg.GetFraction > 1 {
+	if !(cfg.GetFraction >= 0 && cfg.GetFraction <= 1) {
 		return nil, fmt.Errorf("redisws.Load: GetFraction %v outside [0, 1]", cfg.GetFraction)
+	}
+	if math.IsNaN(cfg.RatePerSec) || math.IsInf(cfg.RatePerSec, 0) {
+		return nil, fmt.Errorf("redisws.Load: RatePerSec %v is not finite", cfg.RatePerSec)
 	}
 	switch {
 	case cfg.MinVal <= 0 && cfg.MaxVal <= 0:

@@ -16,9 +16,9 @@ import (
 // math/rand source had to replay draw-and-discard, making forked resume
 // O(draws). Every Int63/Uint64 call advances the counter exactly once, so
 // draw counts keep meaning "state advances", as the checkpoint format
-// requires. The workload's randomness is golden-pinned
-// (testdata/golden_cycles.json was regenerated when this generator replaced
-// the math/rand one), so the mixing function must not change.
+// requires. The workload's randomness is pinned (testdata/pins.txt's cycles
+// lines; the cycle pins were regenerated when this generator replaced the
+// math/rand one), so the mixing function must not change.
 type counterSource struct {
 	base  uint64 // seed-derived stream offset
 	draws uint64

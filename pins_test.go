@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,57 +70,52 @@ func (p *pins) campaigns() {
 // cycles pins per-category cycle totals, frag ratio and device counters of
 // Figure 14/15-shaped runs, keyed "cycles <store>/<n>T/<scheme> shift<s>
 // seed<n>". Each line must come out the same from scratch with a collector
-// installed (observability never charges a cycle) and forked from a prefix
-// (a two-copy group is a fork group; a baseline or multi-thread spec runs
-// from scratch there too).
+// installed (observability never charges a cycle) and from RunSpecsForked:
+// two copies of a spec it forks, both forked from one prefix, or one of a
+// baseline or multi-thread spec, which it runs from scratch.
 func (p *pins) cycles() {
-	col := obsv.NewCollector(0)
-	experiments.SetObsCollector(col)
+	experiments.SetObsCollector(obsv.NewCollector(0))
 	defer experiments.SetObsCollector(nil)
-	var specs []experiments.Spec
-	var keys []string
-	for _, c := range []struct {
-		store   string
-		threads int
-		scheme  core.Scheme
-		shift   uint
-		seed    int64
-	}{
-		{"LL", 1, core.SchemeNone, 12, 11},
-		{"LL", 1, core.SchemeEspresso, 12, 11},
-		{"LL", 1, core.SchemeFFCCDCheckLookup, 12, 11},
-		{"SS", 1, core.SchemeNone, 12, 11},
-		{"SS", 1, core.SchemeEspresso, 12, 11},
-		{"SS", 1, core.SchemeFFCCDCheckLookup, 12, 11},
-		{"RBT", 1, core.SchemeFFCCD, 12, 11},
-		{"LL", 1, core.SchemeFFCCDCheckLookup, 16, 3},
-		{"BzTree", 4, core.SchemeFFCCDCheckLookup, 16, 11},
-		{"FPTree", 4, core.SchemeFFCCDCheckLookup, 16, 11},
-	} {
-		spec := experiments.Spec{Store: c.store, Threads: c.threads, Scheme: c.scheme,
-			Scale: 0.001, PageShift: c.shift, Seed: c.seed}
-		if c.scheme != core.SchemeNone {
-			spec.Trigger, spec.Target = core.NormalParams()
+	spec := func(store string, threads int, scheme core.Scheme, shift uint, seed int64) experiments.Spec {
+		s := experiments.Spec{Store: store, Threads: threads, Scheme: scheme, Scale: 0.001, PageShift: shift, Seed: seed}
+		if scheme != core.SchemeNone {
+			s.Trigger, s.Target = core.NormalParams()
 		}
-		specs = append(specs, spec)
-		keys = append(keys, fmt.Sprintf("cycles %s/%dT/%s shift%d seed%d", c.store, c.threads, c.scheme, c.shift, c.seed))
+		return s
 	}
-	// runs[2i] is specs[i] from scratch, runs[2i+1] its two-copy fork group.
+	specs := []experiments.Spec{
+		spec("LL", 1, core.SchemeNone, 12, 11),
+		spec("LL", 1, core.SchemeEspresso, 12, 11),
+		spec("LL", 1, core.SchemeFFCCDCheckLookup, 12, 11),
+		spec("SS", 1, core.SchemeNone, 12, 11),
+		spec("SS", 1, core.SchemeEspresso, 12, 11),
+		spec("SS", 1, core.SchemeFFCCDCheckLookup, 12, 11),
+		spec("RBT", 1, core.SchemeFFCCD, 12, 11),
+		spec("LL", 1, core.SchemeFFCCDCheckLookup, 16, 3),
+		spec("BzTree", 4, core.SchemeFFCCDCheckLookup, 16, 11),
+		spec("FPTree", 4, core.SchemeFFCCDCheckLookup, 16, 11),
+	}
+	// runs[2i] is specs[i] from scratch, runs[2i+1] its fork group: two jobs,
+	// so the heaviest spec does not run both on one worker.
 	runs := make([][]experiments.Outcome, 2*len(specs))
 	if err := workpool.ForEach(len(runs), func(i int) error {
-		spec := specs[i/2]
+		s, err := specs[i/2], error(nil)
 		if i%2 == 1 {
-			var err error
-			runs[i], err = experiments.RunSpecsForked([]experiments.Spec{spec, spec})
-			return err
+			group := []experiments.Spec{s, s}
+			if s.Scheme == core.SchemeNone || s.Threads > 1 {
+				group = group[:1]
+			}
+			runs[i], err = experiments.RunSpecsForked(group)
+		} else {
+			runs[i] = make([]experiments.Outcome, 1)
+			runs[i][0], err = experiments.Run(s)
 		}
-		out, err := experiments.Run(spec)
-		runs[i] = []experiments.Outcome{out}
 		return err
 	}); err != nil {
 		p.t.Fatal(err)
 	}
-	for i, key := range keys {
+	for i, s := range specs {
+		key := fmt.Sprintf("cycles %s/%dT/%s shift%d seed%d", s.Store, s.Threads, s.Scheme, s.PageShift, s.Seed)
 		line := cyclesLine(runs[2*i][0])
 		for _, f := range runs[2*i+1] {
 			if got := cyclesLine(f); got != line {
@@ -143,100 +137,70 @@ func cyclesLine(o experiments.Outcome) string {
 	return b.String()
 }
 
-// serving pins an FFCCD Serve and a three-shard FFCCD deployment, each a
-// summary line and an FNV digest of its time series' overlay intervals,
-// windows and exemplars (stall cause, STW chain reference and cache set
-// included); the sharded digest folds each shard's summary in too. Both lines
-// must come out the same at workpool parallelism 1 and 4.
+// serving pins an FFCCD Serve ("serve ffccd") and a three-shard FFCCD
+// deployment ("serve ffccd/3S"), each a summary and an FNV digest of its time
+// series, which must come out the same at workpool parallelism 1 and 4.
 func (p *pins) serving() {
 	defer workpool.SetParallelism(workpool.Parallelism())
-	var first []string
-	for _, par := range []int{1, 4} {
-		workpool.SetParallelism(par)
-		lines := []string{serveOne(p.t), serveSharded(p.t, 3)}
-		if first == nil {
-			first = lines
-			continue
-		}
-		for i := range lines {
-			if lines[i] != first[i] {
-				p.t.Errorf("serving at parallelism %d prints\n\t%s\nat 1\n\t%s", par, lines[i], first[i])
-			}
-		}
+	workpool.SetParallelism(1)
+	one, sharded := serveLine(p.t, 1), serveLine(p.t, 3)
+	workpool.SetParallelism(4)
+	if one4, sharded4 := serveLine(p.t, 1), serveLine(p.t, 3); one4 != one || sharded4 != sharded {
+		p.t.Errorf("serving at parallelism 4 prints\n\t%s\n\t%s\nat 1\n\t%s\n\t%s", one4, sharded4, one, sharded)
 	}
-	p.add("serve ffccd", first[0])
-	p.add("serve ffccd/3S", first[1])
+	p.add("serve ffccd", one)
+	p.add("serve ffccd/3S", sharded)
 }
 
-// Narrow windows with four exemplars each, so the digest covers a few
-// hundred requests' stall causes rather than a handful.
-const (
-	pinWindow = 20_000
-	pinK      = 4
-)
-
-// serveCfg is the serving tests' small LRU-churning run.
-func serveCfg() redisws.ServeConfig {
+// serveLine serves a small LRU-churning run on one FFCCD machine through
+// Serve, or on shards machines through ServeSharded, each with a time series
+// of narrow windows and four exemplars, so the digest covers a few hundred
+// requests' stall causes.
+func serveLine(t *testing.T, shards int) string {
 	cfg := redisws.DefaultServeConfig()
-	cfg.Clients, cfg.Ops, cfg.Keyspace = 8, 4000, 800
-	cfg.MaxLiveBytes = 800 * 150
-	cfg.MinVal, cfg.MaxVal = 240, 366
-	cfg.MinVal2, cfg.MaxVal2 = 367, 492
-	cfg.MaintEvery = 200
-	cfg.Seed = 7
-	return cfg
-}
-
-// serveMachine builds one FFCCD serving machine owning keys keys, with a
-// time series, and closes its engine when the test ends.
-func serveMachine(t *testing.T, keys int) (*redisws.Machine, *obsv.TimeSeries) {
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
-	m, err := redisws.NewMachine(cfg, "ffccd", "pins", keys, 8<<20)
+	cfg.Clients, cfg.Ops, cfg.Keyspace, cfg.MaxLiveBytes = 8, 4000, 800, 800*150
+	cfg.MinVal, cfg.MaxVal, cfg.MinVal2, cfg.MaxVal2 = 240, 366, 367, 492
+	cfg.MaintEvery, cfg.Seed = 200, 7
+	const window, k = 20_000, 4
+	keys, err := redisws.ShardKeys(cfg.Keyspace, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Release)
-	t.Cleanup(m.Eng.Close)
-	m.Hooks.Series = obsv.NewTimeSeries("ffccd", pinWindow, pinK)
-	return m, m.Hooks.Series
-}
-
-func serveOne(t *testing.T) string {
-	cfg := serveCfg()
-	m, ts := serveMachine(t, cfg.Keyspace)
-	res, err := redisws.Serve(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
+	machines := make([]redisws.Shard, shards)
+	series := make([]*obsv.TimeSeries, shards)
+	for i := range machines {
+		simCfg := sim.DefaultConfig()
+		simCfg.CacheBytes = 256 * 1024
+		m, err := redisws.NewMachine(simCfg, "ffccd", "pins", keys[i], 8<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Release)
+		t.Cleanup(m.Eng.Close)
+		m.Hooks.Series = obsv.NewTimeSeries("ffccd", window, k)
+		machines[i], series[i] = m.Shard(), m.Hooks.Series
+	}
+	if shards == 1 {
+		m := machines[0]
+		res, err := redisws.Serve(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serveSummary(res) + seriesDigest(series[0])
+	}
+	out, err := redisws.ServeSharded(machines, redisws.ShardConfigs(cfg, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serveSummary(res) + seriesDigest(ts)
-}
-
-func serveSharded(t *testing.T, n int) string {
-	cfg := serveCfg()
-	keys, err := redisws.ShardKeys(cfg.Keyspace, n)
+	merged, err := redisws.MergeShardSeries("ffccd", window, k, series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]redisws.Shard, n)
-	series := make([]*obsv.TimeSeries, n)
-	for i := range shards {
-		m, ts := serveMachine(t, keys[i])
-		shards[i], series[i] = m.Shard(), ts
-	}
-	out, err := redisws.ServeSharded(shards, redisws.ShardConfigs(cfg, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := redisws.MergeShardSeries("ffccd", pinWindow, pinK, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var extra []string
+	var perShard []string
 	for _, r := range out.Shards {
-		extra = append(extra, serveSummary(r))
+		perShard = append(perShard, serveSummary(r))
 	}
-	return serveSummary(out.Merged) + seriesDigest(merged, extra...)
+	return serveSummary(out.Merged) + seriesDigest(merged, perShard...)
 }
 
 func serveSummary(r redisws.ServeResult) string {
@@ -248,8 +212,8 @@ func serveSummary(r redisws.ServeResult) string {
 }
 
 // seriesDigest is " series=<FNV-64a>" over extra's lines, then the series'
-// overlay intervals and windows, each window followed by its exemplars,
-// worst first.
+// overlay intervals and windows, each window followed by its exemplars
+// (stall cause, STW chain reference and cache set included), worst first.
 func seriesDigest(ts *obsv.TimeSeries, extra ...string) string {
 	h := fnv.New64a()
 	for _, l := range extra {
@@ -307,36 +271,33 @@ func TestPins(t *testing.T) {
 	p.cycles()
 	p.serving()
 	p.repros()
-	want := map[string]string{}
-	if text, err := os.ReadFile(pinsPath); err == nil {
-		for _, l := range strings.Split(string(text), "\n") {
-			if k, v, ok := strings.Cut(l, "\t"); ok && !strings.HasPrefix(l, "#") {
-				want[k] = v
-			}
-		}
-	} else if !*updatePins {
+	text, err := os.ReadFile(pinsPath)
+	if err != nil && !*updatePins {
 		t.Fatal(err)
 	}
-	for k := range want {
-		if !slices.Contains(p.keys, k) && !*updatePins {
-			t.Errorf("%s is pinned but no longer printed", k)
+	old := map[string]string{}
+	for _, l := range strings.Split(string(text), "\n") {
+		if k, v, ok := strings.Cut(l, "\t"); ok && !strings.HasPrefix(l, "#") {
+			old[k] = v
 		}
+	}
+	report := t.Errorf
+	if *updatePins {
+		report = t.Logf
 	}
 	var b strings.Builder
 	b.WriteString("# Every pinned line of simulated output, as key<TAB>printed text. TestPins\n")
 	b.WriteString("# (pins_test.go) recomputes it; `make pins` rewrites it.\n")
 	for i, k := range p.keys {
 		fmt.Fprintf(&b, "%s\t%s\n", k, p.text[i])
-		old, ok := want[k]
-		if ok && old == p.text[i] {
-			continue
+		if was, ok := old[k]; !ok || was != p.text[i] {
+			report("old %s\t%s", k, was)
+			report("new %s\t%s", k, p.text[i])
 		}
-		if *updatePins {
-			t.Logf("old %s\t%s", k, old)
-			t.Logf("new %s\t%s", k, p.text[i])
-		} else {
-			t.Errorf("%s moved:\n\tpinned %s\n\tnow    %s", k, old, p.text[i])
-		}
+		delete(old, k)
+	}
+	for k, v := range old {
+		report("gone %s\t%s", k, v)
 	}
 	if *updatePins && !t.Failed() {
 		if err := os.WriteFile(pinsPath, []byte(b.String()), 0o644); err != nil {
