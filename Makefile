@@ -75,15 +75,18 @@ servecrash: build
 	echo "servecrash wall time: $$(( $$(date +%s) - t0 ))s"
 
 # pins rewrites testdata/pins.txt, the one record of pinned simulated output
-# (the root TestPins, which checks it, says what each section holds), and
-# prints each line that moved as "old <key><TAB><text>" and then
-# "new <key><TAB><text>" (a line no longer printed as "gone <key>..."), so
-# `make pins | grep '^new cycles'` lists the moved cycle lines. Rewrite it
-# only for an intentional change of the simulated machine or the schedule
-# space.
+# (package pins, internal/pins/pins.go, names the test that checks each
+# section; the tests run one package at a time, since each rewrites its own
+# sections of the file), and prints each line that moved as
+# "old <key><TAB><text>" and then "new <key><TAB><text>" (a line no longer
+# printed as "gone <key>..."), so `make pins | grep '^new cycles'` lists the
+# moved cycle lines. Rewrite it only for an intentional change of the
+# simulated machine or the schedule space.
 pins:
-	$(GO) test -count=1 -v -run '^TestPins$$' . -args -update-pins | \
-		sed -n -e 's/^ *pins_test.go:[0-9]*: //p' -e '/^ok/p' -e '/FAIL/p'
+	$(GO) test -p 1 -count=1 -v \
+		-run '^(TestPins|TestGoldenCycles|TestServeGolden|TestReproHashesPinned)$$' \
+		. ./internal/experiments ./internal/redisws ./internal/faultinject -args -update-pins | \
+		sed -n -e 's/^ *[a-z_]*_test\.go:[0-9]*: //p' -e '/^ok/p' -e '/FAIL/p'
 
 # fuzzsmoke runs every fuzz target for 5 s of coverage-guided fuzzing past
 # its seed corpus, which plain `go test` already replays. A failure leaves

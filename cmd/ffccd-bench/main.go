@@ -55,7 +55,7 @@ import (
 
 // benchRecord is one -json entry: what ran, how long the host took, and the
 // experiment's simulated metrics (identical across revisions and worker
-// counts — see TestPins). The scaling scripts read host_seconds.
+// counts — see TestGoldenCycles). The scaling scripts read host_seconds.
 type benchRecord struct {
 	Experiment  string             `json:"experiment"`
 	Scale       float64            `json:"scale"`

@@ -32,7 +32,7 @@ import (
 //
 // Forked runs reproduce scratch runs bit-identically in simulated cycle
 // totals, device counters, frag ratios AND engine counters (pinned by
-// TestPins' cycles lines and TestForkMatchesScratch). Engine counters
+// TestGoldenCycles' fork runs and TestForkMatchesScratch). Engine counters
 // need one extra step: a scratch engine accumulates leak-reclaim counts from
 // the failed pre-divergence attempts, while a fork's engine is born at the
 // divergence point — so the checkpoint captures the prefix engine's stats

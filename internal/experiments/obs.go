@@ -14,7 +14,7 @@ import (
 // shows prefix work attributed separately from each scheme's fork. With no
 // collector installed (the default) every hook below is a nil load and the
 // drivers run exactly as before; either way no simulated cycle is charged,
-// so outcomes are bit-identical (TestPins' cycle lines run with it enabled).
+// so outcomes are bit-identical (TestGoldenCycles runs with it enabled).
 
 var obsCollector atomic.Pointer[obsv.Collector]
 

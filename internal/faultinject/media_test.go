@@ -1,14 +1,17 @@
 package faultinject_test
 
-// Tests for the trial media life cycle: trial devices are released exactly
-// when their trial is done with them. denseMediaHash, the whole-media digest
-// HashMedia must agree with, is checked in sched_test.go.
+// Tests for the trial media life cycle and the media digest: README.md's
+// repro lines pinned to the images they name, and trial devices released
+// exactly when their trial is done with them. denseMediaHash, the whole-media
+// digest HashMedia must agree with, is checked in sched_test.go.
 
 import (
+	"fmt"
 	"testing"
 
 	"ffccd/internal/ds"
 	"ffccd/internal/faultinject"
+	"ffccd/internal/pins"
 	"ffccd/internal/pmem"
 	"ffccd/internal/pmop"
 	"ffccd/internal/sim"
@@ -31,6 +34,33 @@ func denseMediaHash(b []byte) uint64 {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
+}
+
+// TestReproHashesPinned replays README.md's worked repro lines (the batch
+// failure artifact, its shrunk form, and the serving schedule) as the repro
+// section of testdata/pins.txt, keyed "repro <line>", each with the line
+// ffccd-crashtest -repro prints and what its last recovery cost: a repro line
+// pasted from an old report must still name the same media images.
+func TestReproHashesPinned(t *testing.T) {
+	p := pins.Open(t, "repro")
+	var keys []string
+	for _, line := range []string{
+		`{"setting":"LL/1T/ffccd","seed":1,"ops":600,"tail_ops":120,"site":489,"nested":7,"policy":"salt","salt":5807}`,
+		`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
+		`{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`,
+	} {
+		rep, err := faultinject.ParseSchedule(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rep.Run(faultinject.TrialOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		keys = append(keys, "repro "+line)
+		p.Expect(t, "repro "+line, fmt.Sprintf("%s recovery_cycles=%d", res.Summary(), res.RecoveryCycles))
+	}
+	p.Close(t, keys)
 }
 
 // TestTrialMediaReleasedAndRecycled pins the trial device life cycle: a

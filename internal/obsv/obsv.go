@@ -14,7 +14,7 @@
 //     (ctx.Clock totals), never host wall time, and no obsv code path ever
 //     calls ctx.Charge or touches device/heap state — enabling tracing on a
 //     pinned run reproduces the committed cycle totals bit-identically
-//     (pinned by TestPins, whose cycles runs have tracing enabled, and
+//     (pinned by TestGoldenCycles, whose runs have tracing enabled, and
 //     TestTracingDoesNotPerturb).
 //
 // The tracer keeps one buffer per simulated thread (keyed by the sim.Ctx

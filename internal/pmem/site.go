@@ -4,7 +4,7 @@ package pmem
 // simulated machine — fence/WPQ drains, relocate issues, moved-bit updates,
 // reference-fixup passes, epoch-state transitions, recovery steps — passes
 // through Device.Site. With no recorder armed the hook is one pointer load
-// and a predicted branch (the zero-overhead contract TestPins' cycle lines
+// and a predicted branch (the zero-overhead contract TestGoldenCycles
 // and ffccd-bench pin). With a recorder armed, every passage bumps a
 // global site counter; a schedule can name an exact counter value at which
 // the machine "loses power", turning the §7.1 crash campaign from a random

@@ -1,135 +1,115 @@
 package redisws_test
 
-// TestServeGolden pins what a serving run does, not just that it is
-// self-consistent: for an FFCCD machine served with a time series (at workpool
-// parallelism 1 and 4) and for a three-shard FFCCD deployment, the flattened
-// serveSummary (counters, dispatch shape, cycle sums, latency percentiles),
-// the overlay intervals and every window with every exemplar line — stall
-// cause, STW chain reference and cache set included. A change to how the
-// dispatcher executes what it dispatches must leave testdata/serve.golden
-// untouched; regenerate it only for an intentional change of the simulated
-// machine or of the dispatch order:
-//
-//	go test ./internal/redisws/ -run TestServeGolden -args -update
-
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"hash/fnv"
 	"testing"
 
 	"ffccd/internal/obsv"
+	"ffccd/internal/pins"
 	"ffccd/internal/redisws"
 	"ffccd/internal/sim"
 	"ffccd/internal/workpool"
 )
 
-var updateServeGolden = flag.Bool("update", false, "rewrite testdata/serve.golden from the current code")
+// TestServeGolden pins what a serving run does, not just that it is
+// self-consistent, as the serve section of testdata/pins.txt: an FFCCD
+// machine served through Serve ("serve ffccd") and a three-shard FFCCD
+// deployment ("serve ffccd/3S"), each a summary (counters, dispatch shape,
+// cycle sums, latency percentiles) and an FNV digest of its time series,
+// which must come out the same at workpool parallelism 1 and 4. A change to
+// how the dispatcher executes what it dispatches must move neither line;
+// `make pins` rewrites them for an intentional change of the simulated
+// machine or of the dispatch order.
+func TestServeGolden(t *testing.T) {
+	p := pins.Open(t, "serve")
+	defer workpool.SetParallelism(workpool.Parallelism())
+	workpool.SetParallelism(1)
+	one, sharded := serveLine(t, 1), serveLine(t, 3)
+	workpool.SetParallelism(4)
+	if one4, sharded4 := serveLine(t, 1), serveLine(t, 3); one4 != one || sharded4 != sharded {
+		t.Errorf("serving at parallelism 4 prints\n\t%s\n\t%s\nat 1\n\t%s\n\t%s", one4, sharded4, one, sharded)
+	}
+	p.Expect(t, "serve ffccd", one)
+	p.Expect(t, "serve ffccd/3S", sharded)
+	p.Close(t, []string{"serve ffccd", "serve ffccd/3S"})
+}
 
-const serveGoldenPath = "testdata/serve.golden"
-
-// Narrow windows with four exemplars each, so the golden holds a few hundred
-// requests' stall causes rather than a handful.
-const (
-	goldenWindow = 20_000
-	goldenK      = 4
-)
-
-// goldenMachine builds one FFCCD serving machine owning keys keys, with a
-// time series, and closes its engine when the test ends.
-func goldenMachine(t *testing.T, keys int) (*redisws.Machine, *obsv.TimeSeries) {
-	t.Helper()
-	cfg := sim.DefaultConfig()
-	cfg.CacheBytes = 256 * 1024
-	m, err := redisws.NewMachine(cfg, "ffccd", "golden", keys, 8<<20)
+// serveLine serves serveCfg's LRU-churning run on one FFCCD machine through
+// Serve, or on shards machines through ServeSharded, each with a time series
+// of narrow windows and four exemplars, so the digest covers a few hundred
+// requests' stall causes.
+func serveLine(t *testing.T, shards int) string {
+	cfg := serveCfg()
+	const window, k = 20_000, 4
+	keys, err := redisws.ShardKeys(cfg.Keyspace, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Release)
-	t.Cleanup(m.Eng.Close)
-	ts := obsv.NewTimeSeries("ffccd", goldenWindow, goldenK)
-	m.Hooks.Series = ts
-	return m, ts
+	machines := make([]redisws.Shard, shards)
+	series := make([]*obsv.TimeSeries, shards)
+	for i := range machines {
+		simCfg := sim.DefaultConfig()
+		simCfg.CacheBytes = 256 * 1024
+		m, err := redisws.NewMachine(simCfg, "ffccd", "pins", keys[i], 8<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Release)
+		t.Cleanup(m.Eng.Close)
+		m.Hooks.Series = obsv.NewTimeSeries("ffccd", window, k)
+		machines[i], series[i] = m.Shard(), m.Hooks.Series
+	}
+	if shards == 1 {
+		m := machines[0]
+		res, err := redisws.Serve(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return summaryLine(res) + seriesDigest(series[0])
+	}
+	out, err := redisws.ServeSharded(machines, redisws.ShardConfigs(cfg, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := redisws.MergeShardSeries("ffccd", window, k, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perShard []string
+	for _, r := range out.Shards {
+		perShard = append(perShard, summaryLine(r))
+	}
+	return summaryLine(out.Merged) + seriesDigest(merged, perShard...)
 }
 
-// writeSeries appends a series' overlay intervals and windows, each window
-// followed by its exemplars, worst first.
-func writeSeries(b *strings.Builder, ts *obsv.TimeSeries) {
+func summaryLine(r redisws.ServeResult) string {
+	return fmt.Sprintf("ops=%d gets=%d sets=%d hits=%d misses=%d evictions=%d parallel=%d serial=%d batches=%d "+
+		"app=%d interf=%d stall=%d queue=%d sim_cycles=%d makespan=%d rate=%v lat=%d p50=%v p99=%v p999=%v",
+		r.Ops, r.Gets, r.Sets, r.Hits, r.Misses, r.Evictions, r.ParallelOps, r.SerialOps, r.Batches,
+		r.AppCycles, r.InterfCycles, r.StallWaitCycles, r.QueueWaitCycles, r.SimCycles, r.Makespan, r.RateUsed,
+		r.Lat.Hist.Count(), r.Lat.Percentile(50), r.Lat.Percentile(99), r.Lat.Percentile(99.9))
+}
+
+// seriesDigest is " series=<FNV-64a>" over extra's lines, then the series'
+// overlay intervals and windows, each window followed by its exemplars
+// (stall cause, STW chain reference and cache set included), worst first.
+func seriesDigest(ts *obsv.TimeSeries, extra ...string) string {
+	h := fnv.New64a()
+	for _, l := range extra {
+		fmt.Fprintln(h, l)
+	}
 	for _, iv := range ts.Intervals() {
-		fmt.Fprintf(b, "interval %+v\n", iv)
+		fmt.Fprintf(h, "interval %+v\n", iv)
 	}
 	for _, w := range ts.Windows() {
 		exs := w.Exemplars
 		w.Exemplars = nil
-		fmt.Fprintf(b, "window %+v\n", w)
+		fmt.Fprintf(h, "window %+v\n", w)
 		for _, ex := range exs {
-			fmt.Fprintf(b, "  exemplar latency=%d arrival=%d start=%d complete=%d cause=%+v\n",
+			fmt.Fprintf(h, "  exemplar latency=%d arrival=%d start=%d complete=%d cause=%+v\n",
 				ex.Latency, ex.Arrival, ex.Start, ex.Complete, ex.Cause)
 		}
 	}
-}
-
-func goldenServe(t *testing.T, b *strings.Builder, par int) {
-	old := workpool.Parallelism()
-	defer workpool.SetParallelism(old)
-	workpool.SetParallelism(par)
-
-	cfg := serveCfg()
-	m, ts := goldenMachine(t, cfg.Keyspace)
-	res, err := redisws.Serve(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(b, "== serve ffccd parallelism=%d\nsummary %+v\n", par, summarize(res))
-	writeSeries(b, ts)
-}
-
-func goldenSharded(t *testing.T, b *strings.Builder, n int) {
-	cfg := serveCfg()
-	keys, err := redisws.ShardKeys(cfg.Keyspace, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]redisws.Shard, n)
-	series := make([]*obsv.TimeSeries, n)
-	for i := range shards {
-		m, ts := goldenMachine(t, keys[i])
-		shards[i], series[i] = m.Shard(), ts
-	}
-	out, err := redisws.ServeSharded(shards, redisws.ShardConfigs(cfg, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(b, "== sharded ffccd shards=%d\nmerged %+v\n", n, summarize(out.Merged))
-	for i, r := range out.Shards {
-		fmt.Fprintf(b, "shard %d %+v\n", i, summarize(r))
-	}
-	merged, err := redisws.MergeShardSeries("ffccd", goldenWindow, goldenK, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSeries(b, merged)
-}
-
-func TestServeGolden(t *testing.T) {
-	var b strings.Builder
-	goldenServe(t, &b, 1)
-	goldenServe(t, &b, 4)
-	goldenSharded(t, &b, 3)
-	got := b.String()
-	if *updateServeGolden {
-		if err := os.WriteFile(serveGoldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(serveGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("serving output drifted from %s (rerun with -args -update only for an intentional change)\n got:\n%s\nwant:\n%s",
-			serveGoldenPath, got, want)
-	}
+	return fmt.Sprintf(" series=%016x", h.Sum64())
 }

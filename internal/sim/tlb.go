@@ -40,7 +40,7 @@ type TLB struct {
 	// A streak hit replicates an L1 MRU hit exactly — Accesses++, tick bump,
 	// age refresh, TLB1Latency — but the bookkeeping is batched in streakLen
 	// and materialized lazily; cycles stay bit-identical, pinned by
-	// TestPins and TestTLBStreakFastPathBitIdentical.
+	// TestGoldenCycles and TestTLBStreakFastPathBitIdentical.
 	streakMask  uint64 // ^(pageSize-1); 0 = no streak armed
 	streakTag   uint64 // va & streakMask of the last translation
 	streakShift uint

@@ -1,44 +1,35 @@
 package ffccd_test
 
 import (
-	"flag"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
-	"ffccd/internal/core"
-	"ffccd/internal/experiments"
 	"ffccd/internal/faultinject"
-	"ffccd/internal/obsv"
-	"ffccd/internal/redisws"
-	"ffccd/internal/sim"
-	"ffccd/internal/workpool"
+	"ffccd/internal/pins"
 )
 
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/pins.txt and print each moved line's old and new text")
-
-const pinsPath = "testdata/pins.txt"
-
-// pins collects the pinned lines in print order, keyed "<section> <name>".
-type pins struct {
-	t          *testing.T
-	keys, text []string
-}
-
-func (p *pins) add(key, text string) {
-	p.keys = append(p.keys, key)
-	p.text = append(p.text, text)
-}
-
-// campaigns pins every line `make crashmatrix` and `make servecrash` print,
-// wall times stripped, keyed "<target> <setting>" (the closing totals line
-// is "<target> total"); the settings and campaign options are those two
-// Makefile targets' ffccd-crashtest flags. It adds the one campaign neither
-// target runs, sharded serving, as "campaign serve/2S/ffccd".
-func (p *pins) campaigns() {
+// TestPins recomputes the crash-campaign sections of testdata/pins.txt and
+// fails on every line that moved (package pins lists the other sections and
+// their tests): every line `make crashmatrix` and `make servecrash` print,
+// wall times stripped, keyed "<target> <setting>" (the closing totals line is
+// "<target> total"), with the settings and campaign options of those two
+// Makefile targets' ffccd-crashtest flags, and the one campaign neither
+// target runs, sharded serving, as "campaign serve/2S/ffccd". A host-side
+// change must move none; an intentional change of the simulated machine
+// rewrites the file with `make pins`. -short skips it: the pins do not depend
+// on -short, and its campaigns take many times their 2 s under the race
+// detector, which `make race` runs with -short.
+func TestPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every pinned campaign; the pins do not depend on -short")
+	}
+	p := pins.Open(t, "crashmatrix", "servecrash", "campaign")
+	var keys []string
+	pin := func(key, text string) {
+		keys = append(keys, key)
+		p.Expect(t, key, text)
+	}
 	var serving []faultinject.Setting
 	for _, scheme := range faultinject.ServeSchemes {
 		serving = append(serving, faultinject.Setting{Serve: scheme})
@@ -57,251 +48,13 @@ func (p *pins) campaigns() {
 		for _, s := range target.settings {
 			out := faultinject.ExploreSetting(s, target.co)
 			failures += len(out.Failures)
-			p.add(target.name+" "+s.String(), out.Summary())
+			pin(target.name+" "+s.String(), out.Summary())
 		}
-		p.add(target.name+" total", fmt.Sprintf("crash campaign: %d failures", failures))
+		pin(target.name+" total", fmt.Sprintf("crash campaign: %d failures", failures))
 	}
 	s := faultinject.Setting{Serve: "ffccd", Shards: 2}
 	out := faultinject.ExploreSetting(s, faultinject.CampaignOptions{
 		Seed: 1, Clients: 4, Ops: 1200, Keys: 400, MaxSites: 4, Nested: true, MaxNested: 2})
-	p.add("campaign "+s.String(), out.Summary())
-}
-
-// cycles pins per-category cycle totals, frag ratio and device counters of
-// Figure 14/15-shaped runs, keyed "cycles <store>/<n>T/<scheme> shift<s>
-// seed<n>". Each line must come out the same from scratch with a collector
-// installed (observability never charges a cycle) and from RunSpecsForked:
-// two copies of a spec it forks, both forked from one prefix, or one of a
-// baseline or multi-thread spec, which it runs from scratch.
-func (p *pins) cycles() {
-	experiments.SetObsCollector(obsv.NewCollector(0))
-	defer experiments.SetObsCollector(nil)
-	spec := func(store string, threads int, scheme core.Scheme, shift uint, seed int64) experiments.Spec {
-		s := experiments.Spec{Store: store, Threads: threads, Scheme: scheme, Scale: 0.001, PageShift: shift, Seed: seed}
-		if scheme != core.SchemeNone {
-			s.Trigger, s.Target = core.NormalParams()
-		}
-		return s
-	}
-	specs := []experiments.Spec{
-		spec("LL", 1, core.SchemeNone, 12, 11),
-		spec("LL", 1, core.SchemeEspresso, 12, 11),
-		spec("LL", 1, core.SchemeFFCCDCheckLookup, 12, 11),
-		spec("SS", 1, core.SchemeNone, 12, 11),
-		spec("SS", 1, core.SchemeEspresso, 12, 11),
-		spec("SS", 1, core.SchemeFFCCDCheckLookup, 12, 11),
-		spec("RBT", 1, core.SchemeFFCCD, 12, 11),
-		spec("LL", 1, core.SchemeFFCCDCheckLookup, 16, 3),
-		spec("BzTree", 4, core.SchemeFFCCDCheckLookup, 16, 11),
-		spec("FPTree", 4, core.SchemeFFCCDCheckLookup, 16, 11),
-	}
-	// runs[2i] is specs[i] from scratch, runs[2i+1] its fork group: two jobs,
-	// so the heaviest spec does not run both on one worker.
-	runs := make([][]experiments.Outcome, 2*len(specs))
-	if err := workpool.ForEach(len(runs), func(i int) error {
-		s, err := specs[i/2], error(nil)
-		if i%2 == 1 {
-			group := []experiments.Spec{s, s}
-			if s.Scheme == core.SchemeNone || s.Threads > 1 {
-				group = group[:1]
-			}
-			runs[i], err = experiments.RunSpecsForked(group)
-		} else {
-			runs[i] = make([]experiments.Outcome, 1)
-			runs[i][0], err = experiments.Run(s)
-		}
-		return err
-	}); err != nil {
-		p.t.Fatal(err)
-	}
-	for i, s := range specs {
-		key := fmt.Sprintf("cycles %s/%dT/%s shift%d seed%d", s.Store, s.Threads, s.Scheme, s.PageShift, s.Seed)
-		line := cyclesLine(runs[2*i][0])
-		for _, f := range runs[2*i+1] {
-			if got := cyclesLine(f); got != line {
-				p.t.Errorf("%s: forked run prints\n\t%s\nfrom scratch\n\t%s", key, got, line)
-			}
-		}
-		p.add(key, line)
-	}
-}
-
-func cyclesLine(o experiments.Outcome) string {
-	var b strings.Builder
-	for c, n := range o.Cycles {
-		fmt.Fprintf(&b, "%s=%d ", sim.Category(c), n)
-	}
-	d := o.Device
-	fmt.Fprintf(&b, "frag=%.9f loads=%d stores=%d media_writes=%d media_reads=%d clwbs=%d sfences=%d relocate_ops=%d pending_reach=%d",
-		o.FragRatio(), d.Loads, d.Stores, d.MediaWrites, d.MediaReads, d.Clwbs, d.Sfences, d.RelocateOps, d.PendingReach)
-	return b.String()
-}
-
-// serving pins an FFCCD Serve ("serve ffccd") and a three-shard FFCCD
-// deployment ("serve ffccd/3S"), each a summary and an FNV digest of its time
-// series, which must come out the same at workpool parallelism 1 and 4.
-func (p *pins) serving() {
-	defer workpool.SetParallelism(workpool.Parallelism())
-	workpool.SetParallelism(1)
-	one, sharded := serveLine(p.t, 1), serveLine(p.t, 3)
-	workpool.SetParallelism(4)
-	if one4, sharded4 := serveLine(p.t, 1), serveLine(p.t, 3); one4 != one || sharded4 != sharded {
-		p.t.Errorf("serving at parallelism 4 prints\n\t%s\n\t%s\nat 1\n\t%s\n\t%s", one4, sharded4, one, sharded)
-	}
-	p.add("serve ffccd", one)
-	p.add("serve ffccd/3S", sharded)
-}
-
-// serveLine serves a small LRU-churning run on one FFCCD machine through
-// Serve, or on shards machines through ServeSharded, each with a time series
-// of narrow windows and four exemplars, so the digest covers a few hundred
-// requests' stall causes.
-func serveLine(t *testing.T, shards int) string {
-	cfg := redisws.DefaultServeConfig()
-	cfg.Clients, cfg.Ops, cfg.Keyspace, cfg.MaxLiveBytes = 8, 4000, 800, 800*150
-	cfg.MinVal, cfg.MaxVal, cfg.MinVal2, cfg.MaxVal2 = 240, 366, 367, 492
-	cfg.MaintEvery, cfg.Seed = 200, 7
-	const window, k = 20_000, 4
-	keys, err := redisws.ShardKeys(cfg.Keyspace, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machines := make([]redisws.Shard, shards)
-	series := make([]*obsv.TimeSeries, shards)
-	for i := range machines {
-		simCfg := sim.DefaultConfig()
-		simCfg.CacheBytes = 256 * 1024
-		m, err := redisws.NewMachine(simCfg, "ffccd", "pins", keys[i], 8<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(m.Release)
-		t.Cleanup(m.Eng.Close)
-		m.Hooks.Series = obsv.NewTimeSeries("ffccd", window, k)
-		machines[i], series[i] = m.Shard(), m.Hooks.Series
-	}
-	if shards == 1 {
-		m := machines[0]
-		res, err := redisws.Serve(m.Ctx, m.Pool, m.Store, cfg, m.Hooks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return serveSummary(res) + seriesDigest(series[0])
-	}
-	out, err := redisws.ServeSharded(machines, redisws.ShardConfigs(cfg, shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := redisws.MergeShardSeries("ffccd", window, k, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var perShard []string
-	for _, r := range out.Shards {
-		perShard = append(perShard, serveSummary(r))
-	}
-	return serveSummary(out.Merged) + seriesDigest(merged, perShard...)
-}
-
-func serveSummary(r redisws.ServeResult) string {
-	return fmt.Sprintf("ops=%d gets=%d sets=%d hits=%d misses=%d evictions=%d parallel=%d serial=%d batches=%d "+
-		"app=%d interf=%d stall=%d queue=%d sim_cycles=%d makespan=%d rate=%v lat=%d p50=%v p99=%v p999=%v",
-		r.Ops, r.Gets, r.Sets, r.Hits, r.Misses, r.Evictions, r.ParallelOps, r.SerialOps, r.Batches,
-		r.AppCycles, r.InterfCycles, r.StallWaitCycles, r.QueueWaitCycles, r.SimCycles, r.Makespan, r.RateUsed,
-		r.Lat.Hist.Count(), r.Lat.Percentile(50), r.Lat.Percentile(99), r.Lat.Percentile(99.9))
-}
-
-// seriesDigest is " series=<FNV-64a>" over extra's lines, then the series'
-// overlay intervals and windows, each window followed by its exemplars
-// (stall cause, STW chain reference and cache set included), worst first.
-func seriesDigest(ts *obsv.TimeSeries, extra ...string) string {
-	h := fnv.New64a()
-	for _, l := range extra {
-		fmt.Fprintln(h, l)
-	}
-	for _, iv := range ts.Intervals() {
-		fmt.Fprintf(h, "interval %+v\n", iv)
-	}
-	for _, w := range ts.Windows() {
-		exs := w.Exemplars
-		w.Exemplars = nil
-		fmt.Fprintf(h, "window %+v\n", w)
-		for _, ex := range exs {
-			fmt.Fprintf(h, "  exemplar latency=%d arrival=%d start=%d complete=%d cause=%+v\n",
-				ex.Latency, ex.Arrival, ex.Start, ex.Complete, ex.Cause)
-		}
-	}
-	return fmt.Sprintf(" series=%016x", h.Sum64())
-}
-
-// repros pins README.md's worked repro lines (a batch failure artifact, its
-// shrunk form, and a serving schedule), keyed "repro <line>", each with the
-// line ffccd-crashtest -repro prints and what its last recovery cost: a repro
-// line pasted from an old report must still name the same media images.
-func (p *pins) repros() {
-	for _, line := range []string{
-		`{"setting":"LL/1T/ffccd","seed":1,"ops":600,"tail_ops":120,"site":489,"nested":7,"policy":"salt","salt":5807}`,
-		`{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`,
-		`{"scheme":"ffccd","clients":4,"ops":1200,"keys":400,"seed":1,"site":1500,"nested":3,"policy":"salt","salt":99}`,
-	} {
-		rep, err := faultinject.ParseSchedule(line)
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		res, err := rep.Run(faultinject.TrialOptions{})
-		if err != nil {
-			p.t.Fatalf("%s: %v", line, err)
-		}
-		p.add("repro "+line, fmt.Sprintf("%s recovery_cycles=%d", res.Summary(), res.RecoveryCycles))
-	}
-}
-
-// TestPins recomputes testdata/pins.txt, the one record of pinned simulated
-// output, and fails on every line that moved. A host-side change must move
-// none; an intentional change of the simulated machine rewrites the file with
-// `make pins`, which prints each moved line's old and new text. -short skips
-// it: the pins do not depend on -short, and its 4 s of runs take many times
-// that under the race detector, which `make race` runs with -short.
-func TestPins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every pinned campaign and experiment; the pins do not depend on -short")
-	}
-	p := &pins{t: t}
-	p.campaigns()
-	p.cycles()
-	p.serving()
-	p.repros()
-	text, err := os.ReadFile(pinsPath)
-	if err != nil && !*updatePins {
-		t.Fatal(err)
-	}
-	old := map[string]string{}
-	for _, l := range strings.Split(string(text), "\n") {
-		if k, v, ok := strings.Cut(l, "\t"); ok && !strings.HasPrefix(l, "#") {
-			old[k] = v
-		}
-	}
-	report := t.Errorf
-	if *updatePins {
-		report = t.Logf
-	}
-	var b strings.Builder
-	b.WriteString("# Every pinned line of simulated output, as key<TAB>printed text. TestPins\n")
-	b.WriteString("# (pins_test.go) recomputes it; `make pins` rewrites it.\n")
-	for i, k := range p.keys {
-		fmt.Fprintf(&b, "%s\t%s\n", k, p.text[i])
-		if was, ok := old[k]; !ok || was != p.text[i] {
-			report("old %s\t%s", k, was)
-			report("new %s\t%s", k, p.text[i])
-		}
-		delete(old, k)
-	}
-	for k, v := range old {
-		report("gone %s\t%s", k, v)
-	}
-	if *updatePins && !t.Failed() {
-		if err := os.WriteFile(pinsPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pin("campaign "+s.String(), out.Summary())
+	p.Close(t, keys)
 }
