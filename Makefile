@@ -109,8 +109,9 @@ fuzzsmoke: build
 check: fmt vet race test crashmatrix benchsmoke benchrepo servesmoke servecrash benchscale serveshard fuzzsmoke loc
 
 # loc prints the non-test and test Go line counts of every top-level package
-# and of the whole repo. Net non-test lines are a tracked metric (ROADMAP's
-# "least code" aim); this is the one way they are counted.
+# and of the whole repo, then the line count of each of the five documents.
+# Net non-test lines and the documents' length are tracked metrics (ROADMAP's
+# "least code" and "legible" aims); this is the one way they are counted.
 loc:
 	@count() { find "$$@" -exec cat {} + | wc -l; }; \
 	printf '%-26s %9s %9s\n' package non-test test; \
@@ -120,7 +121,11 @@ loc:
 			$$(count $$d $$depth -name '*.go' ! -name '*_test.go') \
 			$$(count $$d $$depth -name '*_test.go'); \
 	done; \
-	printf '%-26s %9d %9d\n' total $$(count . -name '*.go' ! -name '*_test.go') $$(count . -name '*_test.go')
+	printf '%-26s %9d %9d\n' total $$(count . -name '*.go' ! -name '*_test.go') $$(count . -name '*_test.go'); \
+	printf '\n%-26s %9s\n' document lines; \
+	for f in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md; do \
+		printf '%-26s %9d\n' $$f $$(wc -l < $$f); \
+	done
 
 # bench runs every Go micro-benchmark once: the root read-barrier benchmark
 # and the package ladders. The paper's tables and figures run through

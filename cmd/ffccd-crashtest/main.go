@@ -78,6 +78,10 @@ func run(args []string) int {
 			return 2
 		}
 	}
+	if *timeout < 0 {
+		fmt.Fprintf(os.Stderr, "ffccd-crashtest: -timeout %v: durations cannot be negative\n", *timeout)
+		return 2
+	}
 
 	var topts faultinject.TrialOptions
 	if *flightrec > 0 {

@@ -82,7 +82,7 @@ func TestServeShardCountIsUsageError(t *testing.T) {
 // any trial instead of running without it. A replay reads only -flightrec,
 // and -parallel for a sharded line; the flags of the serving mode that
 // -setting replaced are unknown; and a negative count is refused, not read
-// as 0 (exhaustive sites, default workers, no ring).
+// as 0 (exhaustive sites, default workers, no ring, no watchdog).
 func TestIgnoredFlagsAreUsageErrors(t *testing.T) {
 	batchLine := `{"setting":"LL/1T/ffccd","seed":1,"ops":75,"tail_ops":0,"site":61,"nested":7,"policy":"salt","salt":5807}`
 	for _, args := range [][]string{
@@ -96,6 +96,7 @@ func TestIgnoredFlagsAreUsageErrors(t *testing.T) {
 		{"-scheme", "ffccd", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-serve-shards", "2", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-max-sites", "-1", "-setting", "LL/1T/ffccd"},
+		{"-timeout", "-1s", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-max-nested", "-1", "-nested", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-parallel", "-2", "-setting", "LL/1T/ffccd", "-max-sites", "1"},
 		{"-flightrec", "-4", "-repro", batchLine},

@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 
 	"ffccd"
@@ -26,12 +25,38 @@ import (
 	"ffccd/internal/obsv"
 )
 
-func main() {
-	crash := flag.Bool("crash", false, "crash mid-defragmentation before inspecting")
-	keys := flag.Int("keys", 8000, "list entries to populate")
-	flightrec := flag.Int("flightrec", 64, "flight-recorder ring capacity per simulated thread for -crash runs")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
+// run is main with its arguments and exit code made explicit: 0 the pool was
+// inspected, 1 building, crashing or recovering it failed, 2 the command line
+// could not be used.
+func run(args []string) int {
+	fs := flag.NewFlagSet("ffccd-inspect", flag.ContinueOnError)
+	crash := fs.Bool("crash", false, "crash mid-defragmentation before inspecting")
+	keys := fs.Int("keys", 8000, "list entries to populate (at least 1)")
+	flightrec := fs.Int("flightrec", 64, "flight-recorder ring capacity per simulated thread for -crash runs")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *keys < 1 {
+		fmt.Fprintf(os.Stderr, "ffccd-inspect: -keys %d: the list needs at least one entry\n", *keys)
+		return 2
+	}
+	if *flightrec < 0 {
+		fmt.Fprintf(os.Stderr, "ffccd-inspect: -flightrec %d: counts cannot be negative\n", *flightrec)
+		return 2
+	}
+	if err := inspect(*crash, *keys, *flightrec); err != nil {
+		fmt.Fprintln(os.Stderr, "ffccd-inspect:", err)
+		return 1
+	}
+	return 0
+}
+
+// inspect builds the demonstration pool of keys list entries, defragments
+// it (crashing mid-epoch and recovering when crash is set) and prints the
+// dump.
+func inspect(crash bool, keys, flightrec int) error {
 	cfg := ffccd.DefaultConfig()
 	rt := ffccd.NewRuntime(&cfg, 256<<20)
 	ctx := ffccd.NewCtx(&cfg)
@@ -39,14 +64,21 @@ func main() {
 	ffccd.RegisterStoreTypes(reg)
 	pool, err := rt.Create("inspect", 64<<20, ffccd.Page4K, reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	list, _ := ffccd.NewList(ctx, pool)
-	for i := uint64(0); i < uint64(*keys); i++ {
-		list.Insert(ctx, i, []byte{byte(i), byte(i >> 8)})
+	list, err := ffccd.NewList(ctx, pool)
+	if err != nil {
+		return err
 	}
-	for i := uint64(0); i < uint64(*keys); i += 2 {
-		list.Delete(ctx, i)
+	for i := uint64(0); i < uint64(keys); i++ {
+		if err := list.Insert(ctx, i, []byte{byte(i), byte(i >> 8)}); err != nil {
+			return fmt.Errorf("populating key %d of %d: %w", i, keys, err)
+		}
+	}
+	for i := uint64(0); i < uint64(keys); i += 2 {
+		if _, err := list.Delete(ctx, i); err != nil {
+			return fmt.Errorf("deleting key %d: %w", i, err)
+		}
 	}
 	pool.Device().FlushAll(ctx)
 
@@ -54,15 +86,14 @@ func main() {
 	// crash runs (dumped by OnCrash at the fault, before recovery touches
 	// anything). Reads simulated clocks, never charges them.
 	ring := 0
-	if *crash {
-		ring = *flightrec
+	if crash {
+		ring = flightrec
 	}
 	obs := obsv.New(ring)
+	var dumpErr error
 	obs.OnCrash = func(o *obsv.Obs) {
 		fmt.Println("== power loss: flight-recorder ring at the fault ==")
-		if err := obsv.WriteFlightRecorder(os.Stdout, o); err != nil {
-			log.Fatal(err)
-		}
+		dumpErr = obsv.WriteFlightRecorder(os.Stdout, o)
 	}
 	obs.Tracer.Name(ctx, "main")
 	pool.Device().SetObs(obs)
@@ -72,29 +103,32 @@ func main() {
 	opt.TriggerRatio, opt.TargetRatio = 1.05, 1.02
 	opt.Obs = obs
 	eng := ffccd.NewEngine(pool, opt)
-	if *crash {
+	if crash {
 		if eng.BeginCycle(ctx) {
-			eng.StepCompaction(ctx, *keys/4)
+			eng.StepCompaction(ctx, keys/4)
 			pool.Device().Crash()
 			if eng.RBB() != nil {
 				eng.RBB().PowerLossFlush()
 			}
+			if dumpErr != nil {
+				return dumpErr
+			}
 			fmt.Println("== crashed mid-epoch; inspecting the persistent image ==")
 			rt2, err := ffccd.AttachRuntime(&cfg, rt.Device())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			reg2 := ffccd.NewRegistry()
 			ffccd.RegisterStoreTypes(reg2)
 			pool, err = rt2.Open("inspect", reg2)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			dumpPhase(ctx, pool)
 			// Recover, then dump the healthy state.
 			eng2, err := ffccd.Recover(ctx, pool, opt)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			defer eng2.Close()
 			fmt.Println("\n== after recovery ==")
@@ -112,6 +146,7 @@ func main() {
 
 	fmt.Println("\nphase timeline (simulated time):")
 	fmt.Print(obsv.TimelineTable(obs))
+	return nil
 }
 
 func dumpPhase(ctx *ffccd.Ctx, p *ffccd.Pool) {

@@ -1,6 +1,7 @@
 package ffccd_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,11 +21,7 @@ var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 // docRefAllowed lists the references the documents quote as history — code
 // that is gone and is named only to say so — each with the reason it stays.
-var docRefAllowed = map[string]string{
-	"BENCH_3.json": "a host-cost record deleted once go run ./bench replaced it; DESIGN quotes its numbers",
-	"BENCH_4.json": "a host-cost record deleted once go run ./bench replaced it; DESIGN quotes its numbers",
-	"BENCH_7.json": "a host-cost record deleted once go run ./bench replaced it; DESIGN quotes its numbers",
-}
+var docRefAllowed = map[string]string{}
 
 var (
 	// docSpan is one inline code span, which may wrap; fenced blocks are cut
@@ -45,6 +42,10 @@ var (
 	docTestFlag = regexp.MustCompile(`(?:^|\s)-(run|bench|fuzz)[ =]('[^']*'|\S+)`)
 	// flagDecl names the flag.FlagSet methods that declare a flag.
 	flagDecl = regexp.MustCompile(`^((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|BoolFunc|Func|TextVar|Var)$`)
+	// designCite is a citation of DESIGN.md: the section sign and the
+	// section's number, then an optional item (".K" or " item K") and an
+	// optional quoted title, which may wrap.
+	designCite = regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\w+)(?:\.(\d+)|\s+item\s+(\d+))?(?:,?\s+\(?"([^"]+)")?`)
 )
 
 // TestDocReferencesResolve fails on a code reference in referenceDocs that
@@ -74,31 +75,14 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 	var pkgDirs []string
 	var tests []string // every Test, Fuzz and Benchmark function of a _test.go file
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	repoGoFiles(t, func(path string, _ *token.FileSet, f *ast.File) {
 		if strings.HasSuffix(path, "_test.go") {
 			for _, d := range f.Decls {
 				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && docTest.MatchString(fn.Name.Name) {
 					tests = append(tests, fn.Name.Name)
 				}
 			}
-			return nil
+			return
 		}
 		dir := filepath.Dir(path)
 		name := filepath.Base(dir)
@@ -150,11 +134,7 @@ func TestDocReferencesResolve(t *testing.T) {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	targets := makeTargets(t)
 	flags := cmdFlags(t)
 
@@ -221,12 +201,8 @@ func TestDocReferencesResolve(t *testing.T) {
 		return decls[pkg][name]
 	}
 
-	skills, err := filepath.Glob(".*/skills/*/SKILL.md")
-	if err != nil || len(skills) == 0 {
-		t.Fatalf("no skill notes found (%v)", err)
-	}
 	named := map[string]bool{}
-	for _, doc := range append(referenceDocs, skills...) {
+	for _, doc := range referenceFiles(t) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -276,6 +252,138 @@ func TestDocReferencesResolve(t *testing.T) {
 			t.Errorf("allowed %s (%s) is no longer quoted or resolves again; drop it from docRefAllowed", ref, why)
 		}
 	}
+}
+
+// TestDesignCitationsResolve fails on a citation of DESIGN.md, in a Go
+// comment (test files included), in referenceDocs or in the skill notes,
+// that names nothing there: a section number with no "## N." heading, an
+// item K (".K" or "item K") the section does not number, or a quoted title
+// that is neither a heading in the section nor the bold label of one of its
+// bullets or items.
+func TestDesignCitationsResolve(t *testing.T) {
+	sections := designSections(t)
+	// check checks the citations in text, which starts on line of file.
+	check := func(file string, line int, text string) {
+		for _, m := range designCite.FindAllStringSubmatchIndex(text, -1) {
+			group := func(i int) string {
+				if m[2*i] < 0 {
+					return ""
+				}
+				return strings.Join(strings.Fields(text[m[2*i]:m[2*i+1]]), " ")
+			}
+			cite, num, item, title := group(0), group(1), group(2)+group(3), group(4)
+			where := fmt.Sprintf("%s:%d", file, line+strings.Count(text[:m[0]], "\n"))
+			s, ok := sections[num]
+			switch {
+			case !ok:
+				t.Errorf("%s: %q cites no section of DESIGN.md", where, cite)
+			case item != "" && !s.items[item]:
+				t.Errorf("%s: %q: DESIGN.md §%s has no item %s", where, cite, num, item)
+			case title != "" && !s.titles[title]:
+				t.Errorf("%s: %q: DESIGN.md §%s has no heading or bold label %q", where, cite, num, title)
+			}
+		}
+	}
+	repoGoFiles(t, func(path string, fset *token.FileSet, f *ast.File) {
+		for _, c := range f.Comments {
+			check(path, fset.Position(c.Pos()).Line, c.Text())
+		}
+	})
+	for _, doc := range referenceFiles(t) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(doc, 1, string(text))
+	}
+}
+
+// repoGoFiles parses every Go file of the tree outside testdata and hidden
+// directories, comments included, and hands each to fn.
+func repoGoFiles(t *testing.T, fn func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// referenceFiles returns referenceDocs and the repository's skill notes.
+func referenceFiles(t *testing.T) []string {
+	t.Helper()
+	skills, err := filepath.Glob(".*/skills/*/SKILL.md")
+	if err != nil || len(skills) == 0 {
+		t.Fatalf("no skill notes found (%v)", err)
+	}
+	return append(slices.Clone(referenceDocs), skills...)
+}
+
+// designSection is what a citation may name in one "## N." section of
+// DESIGN.md: its numbered items, and its titles — the headings in it and the
+// bold labels its bullets and items open with, trailing punctuation dropped.
+type designSection struct {
+	items, titles map[string]bool
+}
+
+// designSections returns DESIGN.md's sections by number.
+func designSections(t *testing.T) map[string]designSection {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		section = regexp.MustCompile(`^## (\d+)\. (.+)$`)
+		heading = regexp.MustCompile(`^###+ (.+)$`)
+		item    = regexp.MustCompile(`^(\d+)\. `)
+		label   = regexp.MustCompile(`^\s*(?:[*-] |\d+\. )?\*\*(.+?)\*\*`)
+	)
+	sections := map[string]designSection{}
+	var cur designSection
+	title := func(s string) { cur.titles[strings.TrimRight(s, ".: ")] = true }
+	for _, line := range strings.Split(string(text), "\n") {
+		if m := section.FindStringSubmatch(line); m != nil {
+			cur = designSection{items: map[string]bool{}, titles: map[string]bool{}}
+			sections[m[1]] = cur
+			title(m[2])
+			continue
+		}
+		if cur.titles == nil {
+			continue
+		}
+		if m := heading.FindStringSubmatch(line); m != nil {
+			title(m[1])
+		}
+		if m := item.FindStringSubmatch(line); m != nil {
+			cur.items[m[1]] = true
+		}
+		if m := label.FindStringSubmatch(line); m != nil {
+			title(m[1])
+		}
+	}
+	if len(sections) == 0 {
+		t.Fatal("DESIGN.md has no numbered section")
+	}
+	return sections
 }
 
 // alternatives splits a go test pattern at its top-level |s, and each

@@ -4,7 +4,8 @@ package alloc
 // allocator is rebuildable from persistent headers (RebuildFromMark), but
 // rebuilding charges simulated mark-phase cycles — the fork-based experiment
 // driver instead restores the exact host-side bitmaps so a forked run's
-// allocation decisions replay bit-identically (DESIGN.md §7). The per-frame
+// allocation decisions replay bit-identically (DESIGN.md §14, "The fork
+// driver"). The per-frame
 // tables are captured as far as the heap's reach, not its capacity.
 type HeapCheckpoint struct {
 	HeapOff    uint64

@@ -140,7 +140,7 @@ func (e *Engine) storeMovedBit(ctx *sim.Ctx, obj *relocObj, flush, fence bool) {
 // header (reserved word at +8) when the application first modifies the
 // destination copy under SFCCD. It lets Fig. 7(b)'s content comparison
 // distinguish "memcpy never persisted" from "application legitimately
-// modified the moved object" — see DESIGN.md §SFCCD clarification.
+// modified the moved object" — see DESIGN.md §5 item 2.
 const sfccdTombstone = 0x544F4D4253544F4E // "TOMBSTON"
 
 // sfccdTxAddHook is installed on the pool under SFCCD. When the application
@@ -148,7 +148,7 @@ const sfccdTombstone = 0x544F4D4253544F4E // "TOMBSTON"
 // object's destination copy, the hook durably tombstones the *source*
 // header. SFCCD recovery then knows a content mismatch between source and
 // destination means "application modified it" rather than "memcpy lost"
-// (see DESIGN.md; this closes the ambiguity in Fig. 7b's content check).
+// (DESIGN.md §5 item 2; this closes the ambiguity in Fig. 7b's content check).
 func (e *Engine) sfccdTxAddHook(ctx *sim.Ctx, off, n uint64) {
 	ep := e.epoch
 	if ep == nil {

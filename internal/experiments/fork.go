@@ -11,7 +11,7 @@ import (
 	"ffccd/internal/workpool"
 )
 
-// The fork driver (DESIGN.md §7, "Checkpoint/fork"): every scheme of a
+// The fork driver (DESIGN.md §14, "The fork driver"): every scheme of a
 // breakdown cell replays the identical workload prefix up to the first
 // successful BeginCycle — the scheme-divergence point — so that prefix is
 // built once, checkpointed, and each scheme's run forked from it.
@@ -52,7 +52,7 @@ var (
 
 	// forkCapturedBytes sums the media bytes each checkpoint references
 	// (the pages its device held); forkMediaBytes sums what a full-image
-	// copy of the same devices would have moved (DESIGN.md §7).
+	// copy of the same devices would have moved (DESIGN.md §8, "Media pages").
 	forkCapturedBytes atomic.Uint64
 	forkMediaBytes    atomic.Uint64
 

@@ -4,7 +4,7 @@
 // (Chrome trace-event JSON loadable in Perfetto, OpenMetrics text, and the
 // text timeline of a flight-recorder dump).
 //
-// Two invariants govern everything in this package (DESIGN.md §8):
+// Two invariants govern everything in this package (DESIGN.md §17):
 //
 //   - Zero overhead when disabled. Every instrumentation site in core/pmem is
 //     guarded by a nil pointer check on its component's *Obs; a disabled

@@ -5,8 +5,8 @@ import (
 	"slices"
 )
 
-// Device checkpoint/restore for the fork drivers (DESIGN.md §7,
-// "Checkpoint/fork"): capture the complete simulated machine-memory state —
+// Device checkpoint/restore for the fork drivers (DESIGN.md §13, "Images
+// and forks"): capture the complete simulated machine-memory state —
 // persistent media, the cache's set blocks (tags, recency stacks, fill counts,
 // dirty/pending/body masks), the in-flight (clwb'd, unfenced) lines, the
 // pending-set list, eADR mode and the cumulative counters — and later

@@ -16,7 +16,7 @@
 //     in-flight lines (ADR guarantees only what reached the WPQ), and leaves
 //     the media as the exact post-crash machine state.
 //
-// The media is a two-level table of 4 KB pages (DESIGN.md §7, "Media
+// The media is a two-level table of 4 KB pages (DESIGN.md §8, "Media
 // pages"). A page nothing has written is nil and reads as zeros, so a device
 // costs the pages it has written, not its size. A checkpoint captures page
 // references rather than bytes and marks them shared; a device copies a shared
@@ -27,11 +27,10 @@
 // has one owner: one goroutine drives every simulated thread of its machine,
 // so the device is plain data, statistics included, and takes no host lock
 // or atomic. Simulated threads are sim.Ctx values, not goroutines. See
-// DESIGN.md ("Host performance model") for the invariant host-side
-// optimizations must keep.
+// DESIGN.md §2 for the invariant host-side optimizations must keep.
 //
-// The modelled cache is laid out for the host's cache (DESIGN.md §7, "A cache
-// laid out for the host"): each set is one 128-byte block of tags, masks,
+// The modelled cache is laid out for the host's cache (DESIGN.md §8, "One
+// 128-byte block per set"): each set is one 128-byte block of tags, masks,
 // in-flight lines and an exact LRU stack. A way holds a line body only where
 // the persistence domain cannot rebuild it: it is dirty, or media changed
 // under it. Every other way reads its in-flight copy or media. An MRU hit
@@ -64,7 +63,8 @@ const LineShift = 6
 // device holds media. A page is dirty — may differ from the all-zero image a
 // fresh device starts from — exactly when the device holds it; checkpoints,
 // restores, digests and releases visit only those pages, so their cost tracks
-// the workload's footprint instead of the media size (DESIGN.md §7).
+// the workload's footprint instead of the media size (DESIGN.md §8, "Media
+// pages").
 const DirtyPageShift = 12
 
 // DirtyPageSize is the media page size in bytes.

@@ -9,7 +9,7 @@ import (
 )
 
 // The media page table, its one write gate, and the process pools that
-// recycle what released devices held (DESIGN.md §7, "Media pages").
+// recycle what released devices held (DESIGN.md §8, "Media pages").
 
 // pageLeaf maps leafPages consecutive media pages. A nil page is one the
 // device does not hold, and reads as zeros. shared marks pages a checkpoint

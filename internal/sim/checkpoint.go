@@ -3,7 +3,8 @@ package sim
 // Checkpoint/restore for the per-thread simulation state (clock, TLB,
 // pending-flush count). Checkpoints are deep value copies: restoring one into
 // a fresh Ctx reproduces the simulated-visible state bit-identically, which
-// the fork-based experiment driver relies on (DESIGN.md §7). The *Into
+// the fork-based experiment driver relies on (DESIGN.md §7, "Checkpoints
+// are deep copies"). The *Into
 // variants reuse a previously allocated checkpoint's buffers so a driver that
 // re-checkpoints at every candidate fork point pays no steady-state
 // allocation.

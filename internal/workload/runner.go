@@ -91,7 +91,7 @@ type phaseDef struct {
 // op-for-op to the closed-loop Run but suspendable at any Maintenance point
 // and checkpointable there. The fork-based experiment driver builds one
 // runner per breakdown cell, suspends it where the schemes diverge, and
-// resumes a clone per scheme (DESIGN.md §7).
+// resumes a clone per scheme (DESIGN.md §14, "The fork driver").
 type Runner struct {
 	ctx *sim.Ctx
 	p   *pmop.Pool
